@@ -367,7 +367,7 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 31] = [
     ),
     (
         "crates/procfs/src/arena.rs",
-        "append_file",
+        "read_record",
         "format!",
         "invalid-UTF-8 error path only",
     ),

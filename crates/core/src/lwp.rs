@@ -285,6 +285,22 @@ pub struct LwpRegistry {
     departed: DepartedSummary,
 }
 
+/// Classifies a thread by the name it carries now. A free function
+/// over the registered-OpenMP set so it can run while a track is
+/// mutably borrowed; an explicit registration outranks the name.
+fn classify(omp_tids: &HashSet<Tid, IntHash>, tid: Tid, pid: Tid, name: &str) -> (LwpKind, bool) {
+    let is_omp = omp_tids.contains(&tid) || name == "OpenMP";
+    if tid == pid {
+        (LwpKind::Main, is_omp)
+    } else if name.starts_with("ZeroSum") {
+        (LwpKind::ZeroSum, false)
+    } else if is_omp {
+        (LwpKind::OpenMp, true)
+    } else {
+        (LwpKind::Other, false)
+    }
+}
+
 impl Default for LwpRegistry {
     fn default() -> Self {
         Self::new()
@@ -327,20 +343,6 @@ impl LwpRegistry {
         }
     }
 
-    /// Classifies a thread at discovery time.
-    fn classify(&self, tid: Tid, pid: Tid, name: &str) -> (LwpKind, bool) {
-        let is_omp = self.omp_tids.contains(&tid) || name == "OpenMP";
-        if tid == pid {
-            (LwpKind::Main, is_omp)
-        } else if name.starts_with("ZeroSum") {
-            (LwpKind::ZeroSum, false)
-        } else if is_omp {
-            (LwpKind::OpenMp, true)
-        } else {
-            (LwpKind::Other, false)
-        }
-    }
-
     /// Folds one periodic observation of `tid` into the registry.
     pub fn observe(&mut self, pid: Tid, t_s: f64, stat: &TaskStat, status: &TaskStatus) {
         self.observe_with_schedstat(pid, t_s, stat, status, None)
@@ -374,7 +376,7 @@ impl LwpRegistry {
         let idx = match existing {
             Some(i) => i,
             None => {
-                let (kind, is_omp) = self.classify(tid, pid, &status.name);
+                let (kind, is_omp) = classify(&self.omp_tids, tid, pid, &status.name);
                 self.tracks.push(LwpTrack::new(
                     tid,
                     status.name.clone(),
@@ -393,6 +395,14 @@ impl LwpRegistry {
         let Some(track) = self.tracks.get_mut(idx) else {
             return;
         };
+        // A thread names itself from inside (Rust and OpenMP runtimes
+        // call `prctl(PR_SET_NAME)` in the new thread), so a sample taken
+        // before that sees the creator's name: follow a rename and
+        // classify again rather than keep the inherited kind for good.
+        if track.name != status.name {
+            track.name.clone_from(&status.name);
+            (track.kind, track.is_openmp) = classify(&self.omp_tids, tid, pid, &status.name);
+        }
         if track.affinity != status.cpus_allowed {
             track.affinity_changed = true;
             track.affinity = status.cpus_allowed.clone();
@@ -564,6 +574,45 @@ mod tests {
                 LwpKind::Other
             ]
         );
+    }
+
+    #[test]
+    fn rename_after_first_sample_reclassifies_without_reopening_the_series() {
+        let mut reg = LwpRegistry::new();
+        reg.register_omp_thread(103);
+        // First sampled before the new threads named themselves: both
+        // still carry the creator's name.
+        for tid in [102, 103] {
+            reg.observe(
+                100,
+                0.0,
+                &stat(tid, 0, 0, 2),
+                &status(tid, 100, "app", "1-7", 0, 0),
+            );
+        }
+        assert_eq!(reg.track(102).unwrap().kind, LwpKind::Other);
+        assert_eq!(reg.track(103).unwrap().kind, LwpKind::OpenMp);
+        reg.observe(
+            100,
+            0.1,
+            &stat(102, 5, 0, 2),
+            &status(102, 100, "OpenMP", "1-7", 0, 0),
+        );
+        // An explicit registration outranks whatever name shows up.
+        reg.observe(
+            100,
+            0.1,
+            &stat(103, 5, 0, 3),
+            &status(103, 100, "worker", "1-7", 0, 0),
+        );
+        assert_eq!(reg.tracks().count(), 2, "same tasks: no track reopened");
+        for (tid, name) in [(102, "OpenMP"), (103, "worker")] {
+            let t = reg.track(tid).unwrap();
+            assert_eq!(t.name, name);
+            assert_eq!((t.kind, t.is_openmp), (LwpKind::OpenMp, true));
+            assert_eq!(t.samples.len(), 2);
+            assert!(!t.retired && !t.exited);
+        }
     }
 
     #[test]

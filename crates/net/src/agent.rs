@@ -186,8 +186,12 @@ impl<L: Link> NodeAgent<L> {
         self.ticks_since_agg_send = self.cfg.retransmit_ticks;
     }
 
-    /// Advances one tick: backoff countdown / reconnect attempt, link
-    /// machinery, inbound acks, and aggregate (re)transmission.
+    /// Advances one tick: backoff countdown / reconnect attempt,
+    /// inbound acks, aggregate (re)transmission, and last the link
+    /// machinery — the link tick is the flush, so everything queued
+    /// since the previous tick (this tick's aggregate included) is on
+    /// the wire when the call returns. Exactly one link tick per call,
+    /// none while in backoff: fault plans count link ticks.
     pub fn tick(&mut self) {
         if let Some(mut b) = self.backoff {
             b.wait = b.wait.saturating_sub(1);
@@ -213,11 +217,15 @@ impl<L: Link> NodeAgent<L> {
                 }
             }
         }
-        self.link.tick();
         self.pump_acks();
-        if self.backoff.is_some() {
-            return;
+        if self.backoff.is_none() {
+            self.offer_aggregate();
         }
+        self.link.tick();
+    }
+
+    /// Sends the pending aggregate when it is unacked and due.
+    fn offer_aggregate(&mut self) {
         self.ticks_since_agg_send = self.ticks_since_agg_send.saturating_add(1);
         if self.agg_acked || self.ticks_since_agg_send < self.cfg.retransmit_ticks {
             return;
@@ -391,6 +399,46 @@ mod tests {
             agent.tick();
         }
         assert_eq!(agent.stats.agg_retx, before, "acked: no more sends");
+    }
+
+    #[test]
+    fn one_tick_ships_the_aggregate_and_the_next_sees_its_ack() {
+        use crate::collector::Collector;
+        let (agent_end, coll_end) = in_proc_pair(8);
+        let mut agent = NodeAgent::new(agent_end, "n");
+        let mut collector = Collector::new();
+        collector.add_link(Box::new(coll_end));
+        agent.begin_round(1, 0.1);
+        agent.finish(1, agg("n", 9));
+        agent.tick();
+        collector.pump_frames();
+        assert_eq!(collector.wire_aggregates(), vec![agg("n", 9)]);
+        agent.tick();
+        assert!(agent.done());
+        assert_eq!(agent.stats.agg_retx, 0);
+        assert_eq!(agent.stats.acks_rx, 2, "hello ack + aggregate ack");
+    }
+
+    #[test]
+    fn every_agent_tick_outside_backoff_is_exactly_one_link_tick() {
+        // Fault plans count link ticks: a kill at link tick 3 must fire
+        // on the third agent tick whatever else those ticks did.
+        let (agent_end, _coll) = in_proc_pair(8);
+        let faulty = FaultyLink::new(
+            agent_end,
+            LinkFaultPlan {
+                seed: 8,
+                kill_at: Some(3),
+                ..Default::default()
+            },
+        );
+        let mut agent = NodeAgent::new(faulty, "n");
+        agent.finish(1, agg("n", 1));
+        agent.tick(); // sends the aggregate
+        agent.tick(); // idle
+        assert!(!agent.link().stats.killed);
+        agent.tick(); // retransmits
+        assert!(agent.link().stats.killed, "third agent tick = link tick 3");
     }
 
     #[test]

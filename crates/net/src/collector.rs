@@ -195,7 +195,6 @@ impl Collector {
         let cap = self.cfg.max_buffered_bytes;
         let period_s = self.cfg.period_s;
         for conn in &mut self.conns {
-            conn.link.tick();
             if conn.buf.len() >= cap {
                 self.stats.throttled_reads += 1;
             } else {
@@ -263,6 +262,10 @@ impl Collector {
             } else {
                 conn.stalled = 0;
             }
+            // Last, so the acks dispatched above leave in this pump:
+            // the link tick is the flush, and an ack that waited for
+            // the next pump would cost the agent a retransmission.
+            conn.link.tick();
         }
     }
 

@@ -59,19 +59,27 @@ pub enum SendStatus {
 /// `send_bytes` takes exactly one encoded frame; `recv_bytes` appends
 /// whatever bytes have arrived (frame boundaries are *not* preserved —
 /// the collector reassembles with the stream decoder). `tick` advances
-/// backend-internal time-free machinery: flushing pending socket
-/// writes, releasing fault-delayed frames.
+/// backend-internal time-free machinery: writing the socket backend's
+/// coalescing buffer, releasing fault-delayed frames. A backend may
+/// hold accepted frames until its next `tick`, so callers end each
+/// agent tick / collector pump with it; `tick` *is* the flush, and the
+/// trait deliberately has no separate one (a defaulted method would be
+/// swallowed by every forwarding wrapper).
 pub trait Link {
-    /// Queues one encoded frame. `Ok(WindowFull)` means the bounded
-    /// send window rejected it; the frame was not taken.
+    /// Queues one encoded frame; it is on the wire no later than the
+    /// end of the next [`Link::tick`]. `Ok(WindowFull)` means the
+    /// bounded send window rejected it; the frame was not taken.
     fn send_bytes(&mut self, frame: &[u8]) -> Result<SendStatus, TransportError>;
 
     /// Appends received bytes to `buf`, returning how many arrived.
     /// `Ok(0)` simply means nothing is pending.
     fn recv_bytes(&mut self, buf: &mut Vec<u8>) -> Result<usize, TransportError>;
 
-    /// Advances backend machinery one step (flush pending writes,
-    /// deliver delayed frames). Never blocks.
+    /// Advances backend machinery one step: writes every frame queued
+    /// but not yet written — on TCP, the bytes in the coalescing buffer,
+    /// as far as the socket takes them — and delivers delayed frames.
+    /// Fault plans count these calls: one per agent tick, one per
+    /// connection per collector pump. Never blocks.
     fn tick(&mut self);
 
     /// Whether the link currently believes itself connected. A

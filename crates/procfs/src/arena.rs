@@ -8,7 +8,8 @@
 //!
 //! * performs **one `read` syscall per file** on the live backend (a
 //!   `read_to_string` loop costs at least two: one for the bytes, one
-//!   to observe EOF — see [`ReadArena::append_file`]);
+//!   to observe EOF — see `read_record`, which the serial `_into`
+//!   reads share);
 //! * lets the simulated backend render records **directly into the
 //!   arena tail**, skipping its per-read scratch round-trip;
 //! * keeps the parse step out of the source entirely, so the shard can
@@ -20,7 +21,7 @@
 //! therefore no locking.
 
 use crate::types::{TaskStat, TaskStatus};
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 
 /// The half-open byte range of one record inside a [`ReadArena`].
 ///
@@ -50,6 +51,43 @@ impl ArenaSpan {
 /// `schedstat` triplet) fits in one chunk on real kernels, so the
 /// common case is exactly one `read` syscall.
 const READ_CHUNK: usize = 4096;
+
+/// The one read primitive for live `/proc` text: opens `path`, reads it
+/// whole into `staging` and returns it as UTF-8 text borrowed from
+/// there. One `read` syscall in the common case — `staging` offers
+/// [`READ_CHUNK`] bytes and a short read from procfs means the record
+/// is complete (only a read that fills the chunk exactly forces another
+/// call), where a `read_to_string` pays `statx` + `lseek` + a second
+/// `read` to observe EOF. A signal landing mid-read (`EINTR`) is
+/// retried, not surfaced as a sampling error.
+pub(crate) fn read_record<'a>(path: &str, staging: &'a mut Vec<u8>) -> std::io::Result<&'a str> {
+    let mut f = std::fs::File::open(path)?;
+    let filled = read_whole(&mut f, staging)?;
+    std::str::from_utf8(staging.get(..filled).unwrap_or(&[]))
+        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("{path}: {e}")))
+}
+
+/// The read loop of [`read_record`], over any reader so a test can
+/// script short reads and `EINTR`. Returns the bytes filled.
+fn read_whole(src: &mut impl Read, staging: &mut Vec<u8>) -> std::io::Result<usize> {
+    let mut filled = 0usize;
+    loop {
+        staging.resize(filled + READ_CHUNK, 0);
+        let Some(dst) = staging.get_mut(filled..) else {
+            break; // unreachable: resize just extended past `filled`
+        };
+        let n = match src.read(dst) {
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        filled += n;
+        if n < READ_CHUNK {
+            break; // short read: procfs records are generated whole
+        }
+    }
+    Ok(filled)
+}
 
 /// A reusable text arena batching many raw `/proc` records.
 ///
@@ -136,40 +174,13 @@ impl ReadArena {
         }
     }
 
-    /// Reads a whole file into the arena with a single `read` syscall in
-    /// the common case: the staging buffer offers [`READ_CHUNK`] bytes,
-    /// and a short read from procfs means the record is complete (only a
-    /// read that fills the chunk exactly forces another call). With
-    /// `trim_end` the trailing whitespace/newline is dropped from the
-    /// span — the shape `stat`-line consumers want.
+    /// Reads a whole file into the arena through `read_record` (a
+    /// single `read` syscall in the common case). With `trim_end` the
+    /// trailing whitespace/newline is dropped from the span — the shape
+    /// `stat`-line consumers want.
     pub fn append_file(&mut self, path: &str, trim_end: bool) -> std::io::Result<ArenaSpan> {
-        let mut f = std::fs::File::open(path)?;
-        let mut filled = 0usize;
-        loop {
-            self.bytes.resize(filled + READ_CHUNK, 0);
-            let Some(dst) = self.bytes.get_mut(filled..) else {
-                break; // unreachable: resize just extended past `filled`
-            };
-            let n = f.read(dst)?;
-            filled += n;
-            if n < READ_CHUNK {
-                break; // short read: procfs records are generated whole
-            }
-        }
-        if trim_end {
-            while self
-                .bytes
-                .get(filled.wrapping_sub(1))
-                .is_some_and(|b| b.is_ascii_whitespace())
-                && filled > 0
-            {
-                filled -= 1;
-            }
-        }
-        let record = self.bytes.get(..filled).unwrap_or(&[]);
-        let record = std::str::from_utf8(record).map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{path}: {e}"))
-        })?;
+        let record = read_record(path, &mut self.bytes)?;
+        let record = if trim_end { record.trim_end() } else { record };
         let start = self.text.len();
         self.text.push_str(record);
         Ok(ArenaSpan {
@@ -246,6 +257,40 @@ mod tests {
             Ok(())
         });
         assert_eq!(a.get(ok.unwrap()), Some("good"));
+    }
+
+    #[test]
+    fn read_loop_retries_eintr_and_stops_at_the_first_short_read() {
+        /// Serves `data` in full chunks, failing with `EINTR` before
+        /// every successful read.
+        struct Interrupting<'a> {
+            data: &'a [u8],
+            interrupt_next: bool,
+            reads: u32,
+        }
+        impl Read for Interrupting<'_> {
+            fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+                self.interrupt_next = !self.interrupt_next;
+                if self.interrupt_next {
+                    return Err(ErrorKind::Interrupted.into());
+                }
+                self.reads += 1;
+                let n = dst.len().min(self.data.len());
+                dst[..n].copy_from_slice(&self.data[..n]);
+                self.data = &self.data[n..];
+                Ok(n)
+            }
+        }
+        let data = vec![b'q'; READ_CHUNK + 9];
+        let mut src = Interrupting {
+            data: &data,
+            interrupt_next: false,
+            reads: 0,
+        };
+        let mut staging = Vec::new();
+        let filled = read_whole(&mut src, &mut staging).unwrap();
+        assert_eq!(&staging[..filled], &data[..]);
+        assert_eq!(src.reads, 2, "a full chunk, then the short read ends it");
     }
 
     #[test]

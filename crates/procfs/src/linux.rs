@@ -4,6 +4,7 @@
 //! daemons; exactly the user-space access model the paper argues for. The
 //! root directory is configurable so tests can point it at a fixture tree.
 
+use crate::arena::read_record;
 use crate::parse;
 use crate::source::{ProcSource, SourceError, SourceResult};
 use crate::types::{MemInfo, Pid, SchedStat, SystemStat, TaskStat, TaskStatus, Tid};
@@ -35,7 +36,7 @@ pub struct LinuxProc {
     /// Read buffer shared by the `_into` reads: one `/proc` record is in
     /// flight at a time, so the text lands in the same allocation every
     /// period instead of a fresh `read_to_string` String per read.
-    buf: RefCell<String>,
+    buf: RefCell<Vec<u8>>,
     /// Scratch path reused across reads (`/proc/<pid>/task/<tid>/stat`
     /// path assembly otherwise allocates three times per read).
     path_buf: RefCell<String>,
@@ -58,7 +59,7 @@ impl LinuxProc {
         LinuxProc {
             root: root.into(),
             scan_skips: Cell::new(0),
-            buf: RefCell::new(String::new()),
+            buf: RefCell::new(Vec::new()),
             path_buf: RefCell::new(String::new()),
         }
     }
@@ -89,14 +90,11 @@ impl LinuxProc {
             .map_err(|e| classify_read_error(e.kind(), format_args!("{}: {e}", path.display())))
     }
 
-    /// Reads `path` into `buf` (cleared first), reusing its allocation.
-    fn read_into_buf(&self, path: &str, buf: &mut String) -> SourceResult<()> {
-        buf.clear();
-        let mut f = std::fs::File::open(path)
-            .map_err(|e| classify_read_error(e.kind(), format_args!("{path}: {e}")))?;
-        std::io::Read::read_to_string(&mut f, buf)
-            .map_err(|e| classify_read_error(e.kind(), format_args!("{path}: {e}")))?;
-        Ok(())
+    /// Reads `path` whole into `buf`, reusing its allocation, and
+    /// returns the text.
+    fn read_into_buf<'a>(&self, path: &str, buf: &'a mut Vec<u8>) -> SourceResult<&'a str> {
+        read_record(path, buf)
+            .map_err(|e| classify_read_error(e.kind(), format_args!("{path}: {e}")))
     }
 
     /// Assembles `<root>/<pid>/task/<tid>/<leaf>` in the reusable path
@@ -147,17 +145,15 @@ impl ProcSource for LinuxProc {
     fn system_stat_into(&self, out: &mut SystemStat) -> SourceResult<()> {
         let path = self.task_root_path("stat");
         let mut buf = self.buf.borrow_mut();
-        self.read_into_buf(&path, &mut buf)?;
-        drop(path);
-        parse::parse_system_stat_into(&buf, out).map_err(malformed)
+        let text = self.read_into_buf(&path, &mut buf)?;
+        parse::parse_system_stat_into(text, out).map_err(malformed)
     }
 
     fn meminfo(&self) -> SourceResult<MemInfo> {
         let path = self.task_root_path("meminfo");
         let mut buf = self.buf.borrow_mut();
-        self.read_into_buf(&path, &mut buf)?;
-        drop(path);
-        parse::parse_meminfo(&buf).map_err(malformed)
+        let text = self.read_into_buf(&path, &mut buf)?;
+        parse::parse_meminfo(text).map_err(malformed)
     }
 
     fn list_tasks(&self, pid: Pid) -> SourceResult<Vec<Tid>> {
@@ -175,9 +171,8 @@ impl ProcSource for LinuxProc {
     fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
         let path = self.task_path(pid, tid, "stat");
         let mut buf = self.buf.borrow_mut();
-        self.read_into_buf(&path, &mut buf)?;
-        drop(path);
-        parse::parse_task_stat_into(buf.trim_end(), out).map_err(malformed)
+        let text = self.read_into_buf(&path, &mut buf)?;
+        parse::parse_task_stat_into(text.trim_end(), out).map_err(malformed)
     }
 
     fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
@@ -189,17 +184,15 @@ impl ProcSource for LinuxProc {
     fn task_status_into(&self, pid: Pid, tid: Tid, out: &mut TaskStatus) -> SourceResult<()> {
         let path = self.task_path(pid, tid, "status");
         let mut buf = self.buf.borrow_mut();
-        self.read_into_buf(&path, &mut buf)?;
-        drop(path);
-        parse::parse_task_status_into(&buf, out).map_err(malformed)
+        let text = self.read_into_buf(&path, &mut buf)?;
+        parse::parse_task_status_into(text, out).map_err(malformed)
     }
 
     fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
         let path = self.task_path(pid, tid, "schedstat");
         let mut buf = self.buf.borrow_mut();
-        self.read_into_buf(&path, &mut buf)?;
-        drop(path);
-        parse::parse_schedstat(&buf).map_err(malformed)
+        let text = self.read_into_buf(&path, &mut buf)?;
+        parse::parse_schedstat(text).map_err(malformed)
     }
 
     fn task_stat_text(

@@ -96,6 +96,21 @@ else
     tcp_smoke
 fi
 
+echo "== benchmark package (its adapters implement Link / ProcSource / ShardSource)"
+# benchmark/ is a package of its own, so nothing above compiles it: a
+# change to a trait its adapters implement can break it unnoticed. Build
+# and test it, then run two traced seconds of wire_tcp — traced, so
+# TimedLink is in the path and the run's own output checks (aggregates
+# bit-equal, every frame sent folded, no retransmit) judge the wire.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+if [ "$probe" -eq 3 ]; then
+    echo "benchmark wire_tcp: SKIPPED (sandbox forbids sockets; collect --probe exit 3)"
+else
+    benchmark/run.sh --workload wire_tcp --seconds 2 --trace 1 > /tmp/zsbench.out \
+        || { cat /tmp/zsbench.out; exit 1; }
+    grep -E '^ +\[(ok|FAIL)\]' /tmp/zsbench.out
+fi
+
 echo "== shard differential (20 seeds serial vs sharded bit-identical, shard-scoped chaos isolation)"
 cargo run -q --release -p zerosum-cli --bin zerosum -- shard-diff --seeds 20
 
