@@ -72,7 +72,9 @@ pub struct CallGraph {
     file_idents: Vec<std::collections::HashSet<String>>,
 }
 
-/// Keywords that look like calls when followed by `(`.
+/// Keywords that look like calls when followed by `(`, or like an
+/// indexed value when followed by `[` (`let [a, b] = pair`,
+/// `for x in [1, 2]`, `return [lo, hi]`).
 const KEYWORDS: [&str; 16] = [
     "if", "while", "for", "match", "loop", "return", "break", "continue", "move", "in", "as",
     "where", "else", "let", "fn", "unsafe",
@@ -209,17 +211,15 @@ pub fn body_sites(pf: &ParsedFile, item: &FnItem) -> Vec<Site> {
             TokKind::Punct('[') => {
                 // Index expression: `[` directly after a value-shaped
                 // token (identifier, `)`, or `]`). Type positions are
-                // preceded by punctuation like `:`, `<`, `&`, `(`.
-                let prev_value = i
-                    .checked_sub(1)
-                    .and_then(|p| pf.tokens.get(p))
-                    .map(|t| {
-                        matches!(
-                            t.kind,
-                            TokKind::Ident | TokKind::Punct(')') | TokKind::Punct(']')
-                        )
-                    })
-                    .unwrap_or(false);
+                // preceded by punctuation like `:`, `<`, `&`, `(`; a
+                // keyword opens an array expression or a pattern.
+                let prev_value =
+                    i.checked_sub(1)
+                        .is_some_and(|p| match pf.tokens.get(p).map(|t| &t.kind) {
+                            Some(TokKind::Ident) => !KEYWORDS.contains(&pf.text(p)),
+                            Some(TokKind::Punct(')' | ']')) => true,
+                            _ => false,
+                        });
                 if prev_value {
                     out.push(Site {
                         name: String::new(),
@@ -422,6 +422,16 @@ impl S { fn method_b(&self) { leaf() } }
         )]);
         assert!(g.named("t").is_empty());
         assert_eq!(g.named("danger").len(), 1);
+    }
+
+    #[test]
+    fn array_patterns_and_literals_after_keywords_are_not_index_sites() {
+        let g = graph(&[(
+            "a.rs",
+            "fn f(p: (u32, u32)) -> u32 { let [a, b] = [p.0, p.1]; for x in [a, b] { g(x) } match [a, b] { [0, y] => y, _ => a } }",
+        )]);
+        let f = g.matching("a.rs", "f")[0];
+        assert!(g.fns[f].sites.iter().all(|s| s.kind != SiteKind::Index));
     }
 
     #[test]

@@ -206,7 +206,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer. A stale entry fails
 /// the audit.
-pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 31] = [
+pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 30] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -344,12 +344,6 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 31] = [
     (
         "crates/procfs/src/parse.rs",
         "parse_task_stat_view_fast",
-        "format!",
-        "parse-error path only",
-    ),
-    (
-        "crates/procfs/src/parse.rs",
-        "parse_task_status_fast",
         "format!",
         "parse-error path only",
     ),

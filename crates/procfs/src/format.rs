@@ -352,4 +352,29 @@ mod tests {
         let back = parse::parse_task_status(&format_task_status(&s)).unwrap();
         assert_eq!(back, s);
     }
+
+    #[test]
+    fn parked_state_roundtrips_in_stat_and_status() {
+        // `P (parked)`: the kernel prints it for a parked kthread, so
+        // both records must take it and give it back.
+        let stat = TaskStat {
+            tid: 17,
+            comm: "cpuhp/1".into(),
+            state: TaskState::Parked,
+            ..Default::default()
+        };
+        let line = format_task_stat(&stat);
+        assert!(line.starts_with("17 (cpuhp/1) P "));
+        assert_eq!(parse::parse_task_stat(&line).unwrap(), stat);
+        let status = TaskStatus {
+            name: "cpuhp/1".into(),
+            tid: 17,
+            tgid: 17,
+            state: TaskState::Parked,
+            ..Default::default()
+        };
+        let text = format_task_status(&status);
+        assert!(text.contains("State:\tP (parked)\n"));
+        assert_eq!(parse::parse_task_status(&text).unwrap(), status);
+    }
 }

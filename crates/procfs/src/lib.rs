@@ -31,6 +31,15 @@ pub mod parse;
 pub mod source;
 pub mod types;
 
+// The `str`-based reference parsers and the differential against them
+// live with the workspace's integration tests, which share them; the
+// file names this crate from outside.
+#[cfg(test)]
+extern crate self as zerosum_proc;
+#[cfg(test)]
+#[path = "../../../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use arena::{ArenaSpan, ReadArena};
 pub use fault::{
     ExitRace, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultyProc, Op,
@@ -63,6 +72,7 @@ mod proptests {
             Just(TaskState::Stopped),
             Just(TaskState::Idle),
             Just(TaskState::Dead),
+            Just(TaskState::Parked),
         ]
     }
 

@@ -40,6 +40,11 @@ pub struct LinuxProc {
     /// Scratch path reused across reads (`/proc/<pid>/task/<tid>/stat`
     /// path assembly otherwise allocates three times per read).
     path_buf: RefCell<String>,
+    /// The task whose `<root>/<pid>/task/<tid>/` prefix `path_buf`
+    /// holds, and the prefix's length: a round reads `schedstat`,
+    /// `stat` and `status` of one task back to back, so two of three
+    /// paths are the previous one with another leaf.
+    path_task: Cell<Option<(Pid, Tid, usize)>>,
 }
 
 impl Default for LinuxProc {
@@ -61,6 +66,7 @@ impl LinuxProc {
             scan_skips: Cell::new(0),
             buf: RefCell::new(Vec::new()),
             path_buf: RefCell::new(String::new()),
+            path_task: Cell::new(None),
         }
     }
 
@@ -98,20 +104,34 @@ impl LinuxProc {
     }
 
     /// Assembles `<root>/<pid>/task/<tid>/<leaf>` in the reusable path
-    /// scratch.
+    /// scratch, formatting the directory only when the task changes.
     fn task_path(&self, pid: Pid, tid: Tid, leaf: &str) -> std::cell::RefMut<'_, String> {
         use std::fmt::Write as _;
         let mut s = self.path_buf.borrow_mut();
+        match self.path_task.get() {
+            Some((p, t, dir_len)) if (p, t) == (pid, tid) => s.truncate(dir_len),
+            _ => {
+                s.clear();
+                let _ = write!(s, "{}/{pid}/task/{tid}/", self.root.display());
+                self.path_task.set(Some((pid, tid, s.len())));
+            }
+        }
+        s.push_str(leaf);
+        s
+    }
+
+    /// The path scratch, emptied, for a path that is no task's file.
+    fn fresh_path(&self) -> std::cell::RefMut<'_, String> {
+        self.path_task.set(None);
+        let mut s = self.path_buf.borrow_mut();
         s.clear();
-        let _ = write!(s, "{}/{pid}/task/{tid}/{leaf}", self.root.display());
         s
     }
 
     /// Assembles `<root>/<leaf>` in the reusable path scratch.
     fn task_root_path(&self, leaf: &str) -> std::cell::RefMut<'_, String> {
         use std::fmt::Write as _;
-        let mut s = self.path_buf.borrow_mut();
-        s.clear();
+        let mut s = self.fresh_path();
         let _ = write!(s, "{}/{leaf}", self.root.display());
         s
     }
@@ -119,8 +139,7 @@ impl LinuxProc {
     /// Assembles `<root>/<pid>/task` in the reusable path scratch.
     fn task_dir(&self, pid: Pid) -> std::cell::RefMut<'_, String> {
         use std::fmt::Write as _;
-        let mut s = self.path_buf.borrow_mut();
-        s.clear();
+        let mut s = self.fresh_path();
         let _ = write!(s, "{}/{pid}/task", self.root.display());
         s
     }
@@ -382,6 +401,60 @@ mod tests {
         assert_eq!(src.list_tasks(42).unwrap(), vec![42]);
         assert_eq!(src.task_stat(42, 42).unwrap().comm, "fix");
         assert_eq!(src.task_status(42, 42).unwrap().tgid, 42);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn path_scratch_follows_interleaved_tasks_and_system_files() {
+        // The scratch keeps one task's directory prefix; every switch
+        // of task, and every system file or listing in between, must
+        // land on the right file all the same.
+        let dir = std::env::temp_dir().join(format!("zs-procpath-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("stat"), "cpu 1 0 1 7\ncpu0 1 0 1 7\nctxt 5\n").unwrap();
+        std::fs::write(dir.join("meminfo"), "MemTotal: 100 kB\n").unwrap();
+        // Tids of different width, so a stale prefix length would show.
+        let tids = [7u32, 12345];
+        for tid in tids {
+            let task = dir.join(format!("7/task/{tid}"));
+            std::fs::create_dir_all(&task).unwrap();
+            std::fs::write(task.join("stat"), format!("{tid} (t{tid}) S 1 7 7 0 -1 0 0 0 0 0 {tid} 2 0 0 20 0 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 3 0 0 0 0 0 0 0 0 0 0 0 0 0")).unwrap();
+            std::fs::write(
+                task.join("status"),
+                format!("Name:\tt{tid}\nTgid:\t7\nPid:\t{tid}\n"),
+            )
+            .unwrap();
+            std::fs::write(task.join("schedstat"), format!("{tid} 2 3\n")).unwrap();
+        }
+        let src = LinuxProc::with_root(&dir);
+        let check = |tid: u32| {
+            assert_eq!(src.task_schedstat(7, tid).unwrap().run_ns, u64::from(tid));
+            assert_eq!(src.task_stat(7, tid).unwrap().utime, u64::from(tid));
+            assert_eq!(src.task_status(7, tid).unwrap().tid, tid);
+        };
+        for round in 0..3 {
+            for tid in tids {
+                check(tid);
+                match round {
+                    0 => {}
+                    1 => assert_eq!(src.system_stat().unwrap().ctxt, 5),
+                    _ => assert_eq!(src.list_tasks(7).unwrap(), tids),
+                }
+            }
+            assert_eq!(src.meminfo().unwrap().mem_total_kib, 100);
+        }
+        // Leaves of one task interleaved with another task's.
+        assert_eq!(src.task_status(7, 7).unwrap().name, "t7");
+        assert_eq!(src.task_status(7, 12345).unwrap().name, "t12345");
+        assert_eq!(src.task_stat(7, 7).unwrap().comm, "t7");
+        let mut arena = crate::arena::ReadArena::new();
+        let span = src.task_stat_text(7, 12345, &mut arena).unwrap();
+        assert!(arena.get(span).unwrap().starts_with("12345 (t12345)"));
+        let span = src.task_status_text(7, 7, &mut arena).unwrap();
+        assert!(arena.get(span).unwrap().starts_with("Name:\tt7"));
+        // The same tid under another pid is another directory.
+        assert!(matches!(src.task_stat(8, 7), Err(SourceError::NotFound)));
+        assert_eq!(src.task_stat(7, 7).unwrap().tid, 7);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

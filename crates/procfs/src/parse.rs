@@ -32,6 +32,83 @@ fn err(what: &'static str, detail: impl Into<String>) -> ParseError {
     }
 }
 
+/// ASCII whitespace as `char::is_whitespace` sees it — `\t`, `\n`,
+/// vertical tab, form feed, `\r`, space. `str::trim` strips exactly
+/// these (plus non-ASCII whitespace, see [`trim`]); note that
+/// `u8::is_ascii_whitespace` leaves the vertical tab out.
+fn is_space(c: u8) -> bool {
+    matches!(c, b'\t'..=b'\r' | b' ')
+}
+
+/// `str::trim` over a byte slice cut from a `&str` at ASCII bytes.
+/// The ASCII whitespace goes byte-wise; only when a non-ASCII byte is
+/// then left at either end (a Unicode space, or just a non-ASCII
+/// `Name:`) does `str::trim` itself decide.
+fn trim(b: &[u8]) -> &[u8] {
+    let start = b.iter().position(|&c| !is_space(c)).unwrap_or(b.len());
+    let end = b
+        .iter()
+        .rposition(|&c| !is_space(c))
+        .map_or(start, |e| e + 1);
+    let t = b.get(start..end).unwrap_or(&[]);
+    match (t.first(), t.last()) {
+        (Some(f), Some(l)) if !f.is_ascii() || !l.is_ascii() => {
+            std::str::from_utf8(t).map_or(t, |s| s.trim().as_bytes())
+        }
+        _ => t,
+    }
+}
+
+/// The lines of a `/proc` text: split at `\n`, the newline dropped. A
+/// `\r` before it stays on the line, where every consumer treats it as
+/// the whitespace it is.
+struct Lines<'a>(&'a [u8]);
+
+impl<'a> Iterator for Lines<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.0.is_empty() {
+            return None;
+        }
+        let (line, rest) = self.0.split_at_checked(line_end(self.0))?;
+        self.0 = rest.get(1..).unwrap_or(&[]);
+        Some(line)
+    }
+}
+
+/// Index of the first `\n` in `b`, or `b.len()`: eight bytes per step.
+/// Most of a kernel `status` text is lines ZeroSum skips, so the
+/// newline search is most of the parse, and at 24 bytes to the average
+/// line a `memchr` call costs more than the search it starts.
+fn line_end(b: &[u8]) -> usize {
+    const LO: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HI: u64 = u64::from_ne_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
+    let mut at = 0;
+    let mut rest = b;
+    while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+        // A zero byte of `x` is a newline. The borrow of the
+        // subtraction can only set a false high bit *above* a true
+        // one, so the lowest set bit is always the first newline.
+        let x = u64::from_le_bytes(*word) ^ NEWLINES;
+        let hit = x.wrapping_sub(LO) & !x & HI;
+        if hit != 0 {
+            return at + (hit.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+        rest = tail;
+    }
+    at + rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len())
+}
+
+/// The fields of one line: maximal runs of bytes that are not ASCII
+/// whitespace (`split_ascii_whitespace` over bytes).
+fn fields(line: &[u8]) -> impl Iterator<Item = &[u8]> {
+    line.split(u8::is_ascii_whitespace)
+        .filter(|field| !field.is_empty())
+}
+
 /// Parses the full text of `/proc/stat`.
 pub fn parse_system_stat(text: &str) -> Result<SystemStat, ParseError> {
     let mut out = SystemStat::default();
@@ -43,69 +120,82 @@ pub fn parse_system_stat(text: &str) -> Result<SystemStat, ParseError> {
 /// vector (the sampling hot path re-reads this every period; on a
 /// many-core node the row vector is the dominant allocation). On error
 /// the contents of `out` are unspecified.
+///
+/// A byte scan: only the first field of a line is looked at unless it
+/// is one of the four kinds of row ZeroSum reads, so the multi-KB
+/// `intr` line costs its newline search.
 pub fn parse_system_stat_into(text: &str, out: &mut SystemStat) -> Result<(), ParseError> {
     out.cpus.clear();
     out.total = CpuTimes::default();
     out.ctxt = 0;
     out.processes = 0;
     let mut saw_total = false;
-    for line in text.lines() {
-        let mut it = line.split_ascii_whitespace();
-        let Some(key) = it.next() else { continue };
-        if key == "cpu" {
-            out.total = parse_cpu_times(&mut it)?;
-            saw_total = true;
-        } else if let Some(idx) = key.strip_prefix("cpu") {
-            let idx: u32 = idx
-                .parse()
-                .map_err(|_| err("/proc/stat", format!("bad cpu row {key:?}")))?;
-            out.cpus.push((idx, parse_cpu_times(&mut it)?));
-        } else if key == "ctxt" {
-            out.ctxt = next_u64(&mut it, "/proc/stat ctxt")?;
-        } else if key == "processes" {
-            out.processes = next_u64(&mut it, "/proc/stat processes")?;
+    let mut ascending = true;
+    for line in Lines(text.as_bytes()) {
+        let mut fields = fields(line);
+        let Some(key) = fields.next() else { continue };
+        if let Some(idx) = key.strip_prefix(b"cpu") {
+            if idx.is_empty() {
+                out.total = parse_cpu_times(&mut fields)?;
+                saw_total = true;
+                continue;
+            }
+            let idx = ascii_u32(idx).ok_or_else(|| {
+                let key = std::str::from_utf8(key).unwrap_or("");
+                err("/proc/stat", format!("bad cpu row {key:?}"))
+            })?;
+            ascending &= out.cpus.last().is_none_or(|(last, _)| *last <= idx);
+            out.cpus.push((idx, parse_cpu_times(&mut fields)?));
+        } else if key == b"ctxt" {
+            out.ctxt = next_u64(&mut fields, "/proc/stat ctxt")?;
+        } else if key == b"processes" {
+            out.processes = next_u64(&mut fields, "/proc/stat processes")?;
         }
     }
     if !saw_total {
         return Err(err("/proc/stat", "missing aggregate cpu row"));
     }
-    out.cpus.sort_by_key(|(i, _)| *i);
+    // The kernel prints the rows ascending; the (stable) sort is for a
+    // text that does not.
+    if !ascending {
+        out.cpus.sort_by_key(|(i, _)| *i);
+    }
     Ok(())
 }
 
 fn next_u64<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
+    fields: &mut impl Iterator<Item = &'a [u8]>,
     what: &'static str,
 ) -> Result<u64, ParseError> {
-    it.next()
-        .ok_or_else(|| err(what, "missing field"))?
-        .parse()
-        .map_err(|_| err(what, "non-numeric field"))
+    let field = fields.next().ok_or_else(|| err(what, "missing field"))?;
+    ascii_u64(field).ok_or_else(|| err(what, "non-numeric field"))
 }
 
-fn parse_cpu_times<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<CpuTimes, ParseError> {
+fn parse_cpu_times<'a>(
+    fields: &mut impl Iterator<Item = &'a [u8]>,
+) -> Result<CpuTimes, ParseError> {
     let mut vals = [0u64; 8];
     for (i, v) in vals.iter_mut().enumerate() {
         // Kernels may omit trailing fields (steal etc.); treat as zero.
-        match it.next() {
-            Some(tok) => {
-                *v = tok
-                    .parse()
-                    .map_err(|_| err("/proc/stat", format!("bad jiffy field {i}")))?
+        match fields.next() {
+            Some(field) => {
+                *v = ascii_u64(field)
+                    .ok_or_else(|| err("/proc/stat", format!("bad jiffy field {i}")))?
             }
             None if i >= 4 => break,
             None => return Err(err("/proc/stat", "cpu row too short")),
         }
     }
+    let [user, nice, system, idle, iowait, irq, softirq, steal] = vals;
     Ok(CpuTimes {
-        user: vals[0],
-        nice: vals[1],
-        system: vals[2],
-        idle: vals[3],
-        iowait: vals[4],
-        irq: vals[5],
-        softirq: vals[6],
-        steal: vals[7],
+        user,
+        nice,
+        system,
+        idle,
+        iowait,
+        irq,
+        softirq,
+        steal,
     })
 }
 
@@ -220,25 +310,34 @@ pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> 
     if close < open {
         return Err(err("task stat", "mismatched parentheses"));
     }
-    let tid: u32 = line[..open]
+    // `(` and `)` are ASCII, so every cut is on a char boundary.
+    let tid: u32 = line
+        .get(..open)
+        .unwrap_or("")
         .trim()
         .parse()
         .map_err(|_| err("task stat", "bad tid"))?;
-    let comm = &line[open + 1..close];
+    let comm = line.get(open + 1..close).unwrap_or("");
     // Walk fields 3.. once, picking out the ones ZeroSum samples
     // (numbering per man 5 proc; the last one needed is 39).
     let mut state = None;
     let mut nice: i32 = 0;
-    let mut picked = [0u64; 9];
+    let mut minflt = 0u64;
+    let mut majflt = 0u64;
+    let mut utime = 0u64;
+    let mut stime = 0u64;
+    let mut num_threads = 0u64;
+    let mut starttime = 0u64;
+    let mut nswap = 0u64;
+    let mut processor = 0u64;
     const FIELDS: [usize; 9] = [10, 12, 14, 15, 19, 20, 22, 36, 39];
-    let mut it = line[close + 1..].split_ascii_whitespace();
+    let mut it = line.get(close + 1..).unwrap_or("").split_ascii_whitespace();
     let mut field = 2usize;
     while field < 39 {
         field += 1;
         let tok = match it.next() {
             Some(t) => t,
-            // Report the first *sampled* field that is missing, like the
-            // indexed accessor this replaces.
+            // Report the first *sampled* field that is missing.
             None => {
                 let missing = if field <= 3 {
                     3
@@ -248,37 +347,50 @@ pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> 
                 return Err(err("task stat", format!("missing field {missing}")));
             }
         };
-        if field == 3 {
-            let state_ch = tok
-                .chars()
-                .next()
-                .ok_or_else(|| err("task stat", "empty state"))?;
-            state = Some(
-                TaskState::from_code(state_ch)
-                    .ok_or_else(|| err("task stat", format!("unknown state {state_ch:?}")))?,
-            );
-        } else if field == 19 {
+        match field {
+            3 => {
+                let state_ch = tok
+                    .chars()
+                    .next()
+                    .ok_or_else(|| err("task stat", "empty state"))?;
+                state = Some(
+                    TaskState::from_code(state_ch)
+                        .ok_or_else(|| err("task stat", format!("unknown state {state_ch:?}")))?,
+                );
+            }
             // nice is the one signed field.
-            nice = tok.parse().map_err(|_| err("task stat", "bad nice"))?;
-        } else if let Some(slot) = FIELDS.iter().position(|&f| f == field) {
-            picked[slot] = tok
-                .parse()
-                .map_err(|_| err("task stat", format!("bad numeric field {field}")))?;
+            19 => nice = tok.parse().map_err(|_| err("task stat", "bad nice"))?,
+            10 | 12 | 14 | 15 | 20 | 22 | 36 | 39 => {
+                let v: u64 = tok
+                    .parse()
+                    .map_err(|_| err("task stat", format!("bad numeric field {field}")))?;
+                match field {
+                    10 => minflt = v,
+                    12 => majflt = v,
+                    14 => utime = v,
+                    15 => stime = v,
+                    20 => num_threads = v,
+                    22 => starttime = v,
+                    36 => nswap = v,
+                    _ => processor = v,
+                }
+            }
+            _ => {}
         }
     }
     Ok(TaskStatView {
         tid,
         comm,
-        state: state.expect("field 3 visited"),
-        minflt: picked[0],
-        majflt: picked[1],
-        utime: picked[2],
-        stime: picked[3],
+        state: state.ok_or_else(|| err("task stat", "empty state"))?,
+        minflt,
+        majflt,
+        utime,
+        stime,
         nice,
-        num_threads: picked[5] as u32,
-        starttime: picked[6],
-        processor: picked[8] as u32,
-        nswap: picked[7],
+        num_threads: num_threads as u32,
+        starttime,
+        processor: processor as u32,
+        nswap,
     })
 }
 
@@ -355,10 +467,7 @@ pub fn parse_task_stat_view_fast(line: &str) -> Result<TaskStatView<'_>, ParseEr
     // like `split_ascii_whitespace`, but over bytes: no char decoding,
     // no per-byte bounds checks, and the 28 unsampled fields fall
     // through the match without being validated as numbers.
-    for tok in rest.split(|b: &u8| b.is_ascii_whitespace()) {
-        if tok.is_empty() {
-            continue;
-        }
+    for tok in fields(rest) {
         field += 1;
         match field {
             3 => {
@@ -438,11 +547,9 @@ fn stat_view_single_space(line: &str) -> Option<TaskStatView<'_>> {
     if close < open {
         return None;
     }
-    // `ascii_u64` accepts a strict subset of `u32::from_str` after an
-    // ASCII-only trim; anything it rejects (Unicode whitespace, signs,
+    // Anything `u32::from_str` rejects after the trim (signs,
     // overflow) bails to the general prologue for the exact error.
-    let tid_tok = ascii_trim(bytes.get(..open)?);
-    let tid = ascii_u64(tid_tok).and_then(|v| u32::try_from(v).ok())?;
+    let tid = ascii_u32(trim(bytes.get(..open)?))?;
     // `(`/`)` are ASCII, so both indices are char boundaries.
     let comm = line.get(open + 1..close)?;
     let rest = bytes.get(close + 1..)?;
@@ -529,7 +636,7 @@ fn stat_view_single_space(line: &str) -> Option<TaskStatView<'_>> {
 }
 
 /// Unsigned ASCII decimal with `u64::from_str` semantics: optional
-/// leading `+`, one or more digits, checked overflow.
+/// leading `+`, one or more digits, overflow is `None`.
 fn ascii_u64(tok: &[u8]) -> Option<u64> {
     let digits = match tok.split_first() {
         Some((&b'+', rest)) => rest,
@@ -538,15 +645,27 @@ fn ascii_u64(tok: &[u8]) -> Option<u64> {
     if digits.is_empty() {
         return None;
     }
+    // Nineteen digits stay below 10^19 < 2^64: only a longer run pays
+    // for checked arithmetic.
+    let checked = digits.len() > 19;
     let mut v: u64 = 0;
     for &c in digits {
         let d = c.wrapping_sub(b'0');
         if d > 9 {
             return None;
         }
-        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+        v = if checked {
+            v.checked_mul(10)?.checked_add(u64::from(d))?
+        } else {
+            v.wrapping_mul(10).wrapping_add(u64::from(d))
+        };
     }
     Some(v)
+}
+
+/// [`ascii_u64`] narrowed with `u32::from_str` semantics.
+fn ascii_u32(tok: &[u8]) -> Option<u32> {
+    ascii_u64(tok).and_then(|v| u32::try_from(v).ok())
 }
 
 /// Signed ASCII decimal with `i32::from_str` semantics: optional
@@ -614,9 +733,7 @@ pub fn parse_schedstat(text: &str) -> Result<crate::types::SchedStat, ParseError
 /// reference path's three `next()` calls). `None` on anything else —
 /// including overflow — so the reference path can produce its error.
 fn parse_schedstat_bytes(b: &[u8]) -> Option<crate::types::SchedStat> {
-    let mut it = b
-        .split(|c: &u8| c.is_ascii_whitespace())
-        .filter(|tok| !tok.is_empty());
+    let mut it = fields(b);
     let ss = crate::types::SchedStat {
         run_ns: ascii_u64(it.next()?)?,
         wait_ns: ascii_u64(it.next()?)?,
@@ -632,9 +749,85 @@ pub fn parse_task_status(text: &str) -> Result<TaskStatus, ParseError> {
     Ok(out)
 }
 
+/// The `status` keys ZeroSum reads, numbered as [`STATUS_ORDER`] lists
+/// them: the cursor steps by discriminant.
+#[derive(Clone, Copy)]
+enum StatusKey {
+    Name,
+    State,
+    Tgid,
+    Pid,
+    VmSize,
+    VmHwm,
+    VmRss,
+    CpusAllowedList,
+    Voluntary,
+    Nonvoluntary,
+}
+
+/// The keys as the text carries them, colon included, in the order
+/// both the kernel (`fs/proc/array.c`; other lines in between) and
+/// `format::write_task_status` print them.
+const STATUS_ORDER: [(&[u8], StatusKey); 10] = [
+    (b"Name:", StatusKey::Name),
+    (b"State:", StatusKey::State),
+    (b"Tgid:", StatusKey::Tgid),
+    (b"Pid:", StatusKey::Pid),
+    (b"VmSize:", StatusKey::VmSize),
+    (b"VmHWM:", StatusKey::VmHwm),
+    (b"VmRSS:", StatusKey::VmRss),
+    (b"Cpus_allowed_list:", StatusKey::CpusAllowedList),
+    (b"voluntary_ctxt_switches:", StatusKey::Voluntary),
+    (b"nonvoluntary_ctxt_switches:", StatusKey::Nonvoluntary),
+];
+
+/// Whether `line` can carry one of the [`STATUS_ORDER`] keys: it opens
+/// with the first three bytes of one (each key is at least that long),
+/// or with a byte the key-side `str::trim` might strip. A `false` is
+/// proof the line is none of ZeroSum's — in a kernel `status`, all but
+/// `VmStk`, `VmSwap` and `Cpus_allowed` of the 49 such lines.
+fn may_be_status_key(line: &[u8]) -> bool {
+    match line {
+        [b'N', b'a', b'm', ..]
+        | [b'S', b't', b'a', ..]
+        | [b'T', b'g', b'i', ..]
+        | [b'P', b'i', b'd', ..]
+        | [b'V', b'm', b'S' | b'H' | b'R', ..]
+        | [b'C', b'p', b'u', ..]
+        | [b'v', b'o', b'l', ..]
+        | [b'n', b'o', b'n', ..] => true,
+        [c, ..] => is_space(*c) || !c.is_ascii(),
+        [] => false,
+    }
+}
+
+/// The key of a line the cursor did not predict, and where its value
+/// starts: the text before the first `:`, trimmed, looked up by name.
+/// `None` for a line without a colon or with any other key.
+fn lookup_status_key(line: &[u8]) -> Option<(StatusKey, usize)> {
+    let colon = line.iter().position(|&c| c == b':')?;
+    let name = trim(line.get(..colon)?);
+    STATUS_ORDER
+        .iter()
+        .find(|(text, _)| text.strip_suffix(b":") == Some(name))
+        .map(|&(_, key)| (key, colon + 1))
+}
+
 /// Parses a `status` record into an existing one, reusing its name
 /// buffer and affinity-mask allocation. On error the contents of `out`
 /// are unspecified.
+///
+/// One forward pass over the bytes, for any layout: the simulator's
+/// ten lines, the kernel's sixty, keys missing (a kernel thread or a
+/// zombie has no `Vm*`), padded, repeated or out of order, CRLF,
+/// non-ASCII names. Every line is split off by [`line_end`] and
+/// compared with the key the cursor expects next — the one after the
+/// last key seen, in [`STATUS_ORDER`]. A miss is nearly always a line
+/// that is none of ZeroSum's, which [`may_be_status_key`] proves from
+/// three bytes; only what is left is looked up the long way. The
+/// cursor is a prediction and not a requirement: a text that breaks
+/// the order parses to the same record, only slower, and the last of
+/// a repeated key wins.
 pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
     out.name.clear();
     out.state = TaskState::Sleeping;
@@ -646,37 +839,48 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
     out.nonvoluntary_ctxt_switches = 0;
     let mut tid = None;
     let mut tgid = None;
-    for line in text.lines() {
-        let Some((key, rest)) = line.split_once(':') else {
-            continue;
+    let mut cursor = 0usize;
+    for line in Lines(text.as_bytes()) {
+        let (key, value_at) = match STATUS_ORDER.get(cursor) {
+            Some(&(text, key)) if line.starts_with(text) => (key, text.len()),
+            _ if !may_be_status_key(line) => continue,
+            _ => match lookup_status_key(line) {
+                Some(found) => found,
+                None => continue,
+            },
         };
-        let rest = rest.trim();
-        match key.trim() {
-            "Name" => {
+        cursor = key as usize + 1;
+        let value = trim(line.get(value_at..).unwrap_or(&[]));
+        match key {
+            StatusKey::Name => {
                 out.name.clear();
-                out.name.push_str(rest);
+                out.name.push_str(std::str::from_utf8(value).unwrap_or(""));
             }
-            "Pid" => tid = rest.parse().ok(),
-            "Tgid" => tgid = rest.parse().ok(),
-            "State" => {
-                if let Some(c) = rest.chars().next() {
+            StatusKey::State => {
+                if let Some(c) = first_char(value) {
                     out.state = TaskState::from_code(c)
                         .ok_or_else(|| err("task status", format!("unknown state {c:?}")))?;
                 }
             }
-            "VmRSS" => out.vm_rss_kib = kib_value(rest),
-            "VmSize" => out.vm_size_kib = kib_value(rest),
-            "VmHWM" => out.vm_hwm_kib = kib_value(rest),
-            "Cpus_allowed_list" => {
-                out.cpus_allowed
-                    .parse_list_into(rest)
-                    .map_err(|e| err("task status", format!("bad cpu list: {e}")))?;
+            StatusKey::Tgid => tgid = ascii_u32(value),
+            StatusKey::Pid => tid = ascii_u32(value),
+            StatusKey::VmSize => out.vm_size_kib = kib_value(value),
+            StatusKey::VmHwm => out.vm_hwm_kib = kib_value(value),
+            StatusKey::VmRss => out.vm_rss_kib = kib_value(value),
+            StatusKey::CpusAllowedList => match single_cpu_range(value) {
+                Some((lo, hi)) => {
+                    out.cpus_allowed.clear_all();
+                    out.cpus_allowed.set_range(lo, hi);
+                }
+                None => out
+                    .cpus_allowed
+                    .parse_list_into(std::str::from_utf8(value).unwrap_or(""))
+                    .map_err(|e| err("task status", format!("bad cpu list: {e}")))?,
+            },
+            StatusKey::Voluntary => out.voluntary_ctxt_switches = ascii_u64(value).unwrap_or(0),
+            StatusKey::Nonvoluntary => {
+                out.nonvoluntary_ctxt_switches = ascii_u64(value).unwrap_or(0)
             }
-            "voluntary_ctxt_switches" => out.voluntary_ctxt_switches = rest.parse().unwrap_or(0),
-            "nonvoluntary_ctxt_switches" => {
-                out.nonvoluntary_ctxt_switches = rest.parse().unwrap_or(0)
-            }
-            _ => {}
         }
     }
     out.tid = tid.ok_or_else(|| err("task status", "missing Pid"))?;
@@ -684,195 +888,47 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
     Ok(())
 }
 
-fn kib_value(rest: &str) -> u64 {
-    rest.trim_end_matches("kB").trim().parse().unwrap_or(0)
-}
-
-/// Byte-scanning fast path for [`parse_task_status_into`]: the sharded
-/// sampling pump's status parser.
-///
-/// Same contract, same results, same error text — enforced by a
-/// fixture differential and a seeded fuzz differential. Non-ASCII
-/// input falls back to the reference parser wholesale (for pure-ASCII
-/// text, `str::trim` and ASCII-whitespace trimming agree exactly, so
-/// every byte-level shortcut below is semantics-preserving; with
-/// non-ASCII bytes it would not be, and real `/proc` status files are
-/// ASCII outside `Name`, which the fallback still handles).
-///
-/// Every byte access is bounds-checked (`get`) and token scans use
-/// slice-iterator `position`, so the fast path adds no
-/// panic-reachable sites to the sampling supervisor's frontier.
+/// [`parse_task_status_into`] under the name the sharded pump calls.
 pub fn parse_task_status_fast(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
-    if !text.is_ascii() {
-        return parse_task_status_into(text, out);
-    }
-    // Tier 1: the fixed line order the renderer (and Linux, for these
-    // ten keys relative to each other) emits. Any other shape —
-    // reordered, repeated, missing, or extra lines, space-padded
-    // keys, unparsable values — falls through to the per-line scan
-    // below, which re-initializes `out` and owns the reference
-    // semantics including error text.
-    if status_fixed_layout(text.as_bytes(), out).is_some() {
-        return Ok(());
-    }
-    out.name.clear();
-    out.state = TaskState::Sleeping;
-    out.vm_rss_kib = 0;
-    out.vm_size_kib = 0;
-    out.vm_hwm_kib = 0;
-    out.cpus_allowed.clear_all();
-    out.voluntary_ctxt_switches = 0;
-    out.nonvoluntary_ctxt_switches = 0;
-    let mut tid = None;
-    let mut tgid = None;
-    // `str::lines` splits on `\n` and strips one trailing `\r`; a bare
-    // byte split leaves the `\r` in place, where the value-side trim
-    // removes it (it is ASCII whitespace) and a key-side `\r` means the
-    // line had no `:`, which both parsers skip.
-    for line in text.as_bytes().split(|&b| b == b'\n') {
-        let Some(colon) = line.iter().position(|&b| b == b':') else {
-            continue;
-        };
-        let key = ascii_trim(line.get(..colon).unwrap_or(&[]));
-        let rest = ascii_trim(line.get(colon + 1..).unwrap_or(&[]));
-        match key {
-            b"Name" => {
-                out.name.clear();
-                out.name.push_str(std::str::from_utf8(rest).unwrap_or(""));
-            }
-            b"Pid" => tid = ascii_u64(rest).and_then(|v| u32::try_from(v).ok()),
-            b"Tgid" => tgid = ascii_u64(rest).and_then(|v| u32::try_from(v).ok()),
-            b"State" => {
-                if let Some(&c) = rest.first() {
-                    out.state = TaskState::from_code(c as char).ok_or_else(|| {
-                        err("task status", format!("unknown state {:?}", c as char))
-                    })?;
-                }
-            }
-            b"VmRSS" => out.vm_rss_kib = kib_value_bytes(rest),
-            b"VmSize" => out.vm_size_kib = kib_value_bytes(rest),
-            b"VmHWM" => out.vm_hwm_kib = kib_value_bytes(rest),
-            b"Cpus_allowed_list" => {
-                out.cpus_allowed
-                    .parse_list_into(std::str::from_utf8(rest).unwrap_or(""))
-                    .map_err(|e| err("task status", format!("bad cpu list: {e}")))?;
-            }
-            b"voluntary_ctxt_switches" => {
-                out.voluntary_ctxt_switches = ascii_u64(rest).unwrap_or(0)
-            }
-            b"nonvoluntary_ctxt_switches" => {
-                out.nonvoluntary_ctxt_switches = ascii_u64(rest).unwrap_or(0)
-            }
-            _ => {}
-        }
-    }
-    out.tid = tid.ok_or_else(|| err("task status", "missing Pid"))?;
-    out.tgid = tgid.ok_or_else(|| err("task status", "missing Tgid"))?;
-    Ok(())
+    parse_task_status_into(text, out)
 }
 
-/// The ten status keys [`status_fixed_layout`] expects, in the order
-/// `write_task_status` renders them.
-const STATUS_KEYS: [&[u8]; 10] = [
-    b"Name:",
-    b"State:",
-    b"Tgid:",
-    b"Pid:",
-    b"VmSize:",
-    b"VmHWM:",
-    b"VmRSS:",
-    b"Cpus_allowed_list:",
-    b"voluntary_ctxt_switches:",
-    b"nonvoluntary_ctxt_switches:",
-];
-
-/// Fixed-layout happy path for [`parse_task_status_fast`]: one
-/// prefix compare per line instead of a colon scan, a key trim, and a
-/// ten-way key match. Returns `None` — never a wrong or partial
-/// result — whenever the text is not exactly the ten known lines in
-/// renderer order (trailing whitespace aside); `out` may then hold
-/// partial values, which the general scan re-initializes wholesale.
-fn status_fixed_layout(b: &[u8], out: &mut TaskStatus) -> Option<()> {
-    let mut tid = 0u32;
-    let mut tgid = 0u32;
-    let mut line_start = 0usize;
-    for (idx, key) in STATUS_KEYS.iter().enumerate() {
-        let line = b.get(line_start..)?;
-        if !line.starts_with(key) {
-            return None;
-        }
-        let after = line_start + key.len();
-        let line_end = match b.get(after..)?.iter().position(|&c| c == b'\n') {
-            Some(p) => after + p,
-            None => b.len(),
-        };
-        let v = ascii_trim(b.get(after..line_end)?);
-        match idx {
-            0 => {
-                out.name.clear();
-                out.name.push_str(std::str::from_utf8(v).unwrap_or(""));
-            }
-            1 => {
-                out.state = TaskState::Sleeping;
-                if let Some(&c) = v.first() {
-                    out.state = TaskState::from_code(c as char)?;
-                }
-            }
-            2 => tgid = ascii_u64(v).and_then(|x| u32::try_from(x).ok())?,
-            3 => tid = ascii_u64(v).and_then(|x| u32::try_from(x).ok())?,
-            4 => out.vm_size_kib = kib_value_bytes(v),
-            5 => out.vm_hwm_kib = kib_value_bytes(v),
-            6 => out.vm_rss_kib = kib_value_bytes(v),
-            7 => {
-                out.cpus_allowed
-                    .parse_list_into(std::str::from_utf8(v).unwrap_or(""))
-                    .ok()?;
-            }
-            8 => out.voluntary_ctxt_switches = ascii_u64(v).unwrap_or(0),
-            _ => out.nonvoluntary_ctxt_switches = ascii_u64(v).unwrap_or(0),
-        }
-        line_start = line_end + 1;
-    }
-    // Anything beyond the tenth line other than whitespace (an extra
-    // key, a duplicate) must take the general scan.
-    if let Some(tail) = b.get(line_start..) {
-        if tail.iter().any(|&c| !c.is_ascii_whitespace()) {
-            return None;
-        }
-    }
-    out.tid = tid;
-    out.tgid = tgid;
-    Some(())
+/// A cpu list that is one `n` or one ascending `lo-hi`, unpadded — an
+/// unrestricted task's, and what a rank pinned to a block of cores
+/// has. Anything else (commas, padding, a descending range) is
+/// `CpuSet::parse_list_into`'s to read or to refuse.
+fn single_cpu_range(value: &[u8]) -> Option<(u32, u32)> {
+    let (lo, hi) = match value.iter().position(|&c| c == b'-') {
+        Some(dash) => (value.get(..dash)?, value.get(dash + 1..)?),
+        None => (value, value),
+    };
+    let (lo, hi) = (ascii_u32(lo)?, ascii_u32(hi)?);
+    (lo <= hi).then_some((lo, hi))
 }
 
-/// Byte twin of [`kib_value`]: strips every trailing `kB` repetition
-/// (`trim_end_matches` semantics), ASCII-trims, then parses with
-/// `u64::from_str` acceptance; anything else is 0.
-fn kib_value_bytes(rest: &[u8]) -> u64 {
-    let mut v = rest;
+/// The first `char` of a value cut from a `&str`.
+fn first_char(value: &[u8]) -> Option<char> {
+    match value.first() {
+        Some(c) if c.is_ascii() => Some(char::from(*c)),
+        _ => std::str::from_utf8(value).ok()?.chars().next(),
+    }
+}
+
+/// A `Vm*` value in KiB: every trailing `kB` stripped
+/// (`trim_end_matches`), trimmed, then `u64::from_str` acceptance;
+/// anything else is 0.
+fn kib_value(value: &[u8]) -> u64 {
+    let mut v = value;
     while let Some(stripped) = v.strip_suffix(b"kB") {
         v = stripped;
     }
-    ascii_u64(ascii_trim(v)).unwrap_or(0)
-}
-
-/// `str::trim` for byte slices known to be ASCII (where the ASCII and
-/// Unicode whitespace sets coincide).
-fn ascii_trim(b: &[u8]) -> &[u8] {
-    let start = b
-        .iter()
-        .position(|c| !c.is_ascii_whitespace())
-        .unwrap_or(b.len());
-    let end = b
-        .iter()
-        .rposition(|c| !c.is_ascii_whitespace())
-        .map_or(start, |e| e + 1);
-    b.get(start..end).unwrap_or(&[])
+    ascii_u64(trim(v)).unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{assert_status_agrees, assert_system_stat_agrees};
 
     const STAT: &str = "\
 cpu  100 2 50 840 5 1 2 0 0 0
@@ -1060,13 +1116,7 @@ SwapFree:              0 kB
         // AND the exact error (`what` + `detail`) must agree on every
         // input — the fast path is only a fast path if it is the same
         // function.
-        let mut rng: u64 = 0x5eed_2e05_u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let mut next = xorshift(0x5eed_2e05);
         let comms = ["miniqmc", "a b", "ev)il", "(((", "Ω-wave", "", ")", "x(y"];
         let glyphs: &[u8] = b" \t()+-0123456789abcR~\xc3\x89";
         for case in 0u32..4000 {
@@ -1076,7 +1126,7 @@ SwapFree:              0 kB
             let mut line = format!("{tid} ({comm}) {state} 1 2 3 4 -1 6");
             for field in 10..=(40 - next() % 6) {
                 let v = next() % (1 << (next() % 40));
-                if field == 19 && next() % 2 == 0 {
+                if field == 19 && next().is_multiple_of(2) {
                     line.push_str(&format!(" -{v}"));
                 } else {
                     line.push_str(&format!(" {v}"));
@@ -1100,19 +1150,14 @@ SwapFree:              0 kB
                         }
                     }
                     1 => {
-                        let mut at = (next() % (fuzzed.len() + 1) as u64) as usize;
-                        while !fuzzed.is_char_boundary(at) {
-                            at -= 1;
-                        }
-                        fuzzed.truncate(at);
+                        let at = (next() % (fuzzed.len() + 1) as u64) as usize;
+                        fuzzed.truncate(floor_boundary(&fuzzed, at));
                     }
                     2 => fuzzed.insert_str(0, "  +"),
                     3 => fuzzed.push_str(" 99999999999999999999999999"),
                     _ => {
-                        let mut at = (next() % (fuzzed.len() + 1) as u64) as usize;
-                        while !fuzzed.is_char_boundary(at) {
-                            at -= 1;
-                        }
+                        let at = (next() % (fuzzed.len() + 1) as u64) as usize;
+                        let at = floor_boundary(&fuzzed, at);
                         fuzzed
                             .insert_str(at, ["(", ")", " -", "+", "\u{a0}"][(next() % 5) as usize]);
                     }
@@ -1202,43 +1247,26 @@ nonvoluntary_ctxt_switches:\t3
         assert!(parse_task_status("Name: x\n").is_err());
     }
 
-    /// Accept/reject, the exact error, and (on accept) every field of
-    /// the resulting record must agree between the byte-scanning status
-    /// fast path and the reference parser.
-    fn assert_status_parsers_agree(text: &str) {
-        let soiled = || TaskStatus {
-            name: "stale-garbage".into(),
-            tid: 77,
-            tgid: 77,
-            vm_rss_kib: u64::MAX,
-            voluntary_ctxt_switches: 3,
-            ..Default::default()
-        };
-        let (mut reference, mut fast) = (soiled(), soiled());
-        let r = parse_task_status_into(text, &mut reference);
-        let f = parse_task_status_fast(text, &mut fast);
-        assert_eq!(r, f, "status parsers disagree on {text:?}");
-        if r.is_ok() {
-            assert_eq!(reference, fast, "status records differ on {text:?}");
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut rng = seed;
+        move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
         }
     }
 
-    #[test]
-    fn status_fast_path_matches_reference_on_fixtures() {
-        let golden = "\
-Name:\tminiqmc
-State:\tR (running)
-Tgid:\t51334
-Pid:\t51384
-VmSize:\t  900000 kB
-VmHWM:\t  123456 kB
-VmRSS:\t  120000 kB
-Cpus_allowed:\tfe
-Cpus_allowed_list:\t1-7
-voluntary_ctxt_switches:\t365742
-nonvoluntary_ctxt_switches:\t3
-";
-        let rendered = "\
+    /// The largest char boundary of `s` at or below `at`.
+    fn floor_boundary(s: &str, mut at: usize) -> usize {
+        while !s.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+
+    /// The ten lines `format::write_task_status` renders.
+    const RENDERED: &str = "\
 Name:\tworker1
 State:\tR (running)
 Tgid:\t5
@@ -1250,71 +1278,164 @@ Cpus_allowed_list:\t1-7
 voluntary_ctxt_switches:\t365742
 nonvoluntary_ctxt_switches:\t3
 ";
-        let fixtures: Vec<String> = vec![
-            golden.to_string(),
-            golden.replace('\n', "\r\n"),
-            // Non-ASCII name takes the reference fallback wholesale.
-            golden.replace("miniqmc", "Ω-wave"),
-            golden.replace("R (running)", "q (?)"),
-            golden.replace("R (running)", ""),
-            golden.replace("1-7", "7-1"),
-            golden.replace("120000 kB", "120000kBkB"),
-            golden.replace("120000 kB", "+120000"),
-            golden.replace("51384", "99999999999999999999"),
-            golden.replace("51384", "-3"),
-            golden.replace("Pid", "Pie"),
-            golden.replace(":\t", " :  "),
-            "no colons at all\n".into(),
-            String::new(),
-            // The exact ten-line renderer shape: the only input the
-            // fixed-layout tier accepts end-to-end.
-            rendered.to_string(),
-            // And near-misses that must bail to the per-line scan
-            // with identical results: shape deviations fore and aft,
-            // duplicate and reordered keys, values whose errors the
-            // general scan owns.
-            rendered.trim_end().to_string(),
-            format!("{rendered}  \n"),
-            format!("{rendered}VmRSS:\t5 kB\n"),
-            format!("Umask:\t0022\n{rendered}"),
-            rendered.replace("Tgid:\t5\nPid:\t9", "Pid:\t9\nTgid:\t5"),
-            rendered.replace("Tgid:\t5", "Tgid:\tx"),
-            rendered.replace("R (running)", "q (?)"),
-            rendered.replace("R (running)", ""),
-            rendered.replace("1-7", "7-1"),
-        ];
-        for fx in &fixtures {
-            assert_status_parsers_agree(fx);
-        }
-        for i in 0..golden.len() {
-            assert_status_parsers_agree(&golden[..i]);
-        }
-        for i in 0..rendered.len() {
-            assert_status_parsers_agree(&rendered[..i]);
-        }
+
+    /// Captures of the running kernel's 59-line layout: a user task, a
+    /// zombie thread-group leader (its `mm` is gone: no `Vm*`, no
+    /// `Umask`) and a kernel thread (never had one).
+    const KERNEL: [&str; 3] = [
+        include_str!("../../../tests/fixtures/proc_pid_status.txt"),
+        include_str!("../../../tests/fixtures/proc_pid_status_zombie_leader.txt"),
+        include_str!("../../../tests/fixtures/proc_pid_status_kthread.txt"),
+    ];
+
+    #[test]
+    fn status_scanner_reads_the_kernel_fixtures() {
+        let user = parse_task_status(KERNEL[0]).unwrap();
+        assert_eq!((user.tid, user.tgid), (15253, 15253));
+        assert_eq!((user.vm_size_kib, user.vm_hwm_kib), (3624, 1840));
+        let zombie = parse_task_status(KERNEL[1]).unwrap();
+        assert_eq!(zombie.state, TaskState::Zombie);
+        assert_eq!(zombie.name, "zl");
+        assert_eq!((zombie.vm_size_kib, zombie.vm_rss_kib), (0, 0));
+        assert_eq!(zombie.cpus_allowed.to_list_string(), "0-1");
+        assert_eq!(zombie.voluntary_ctxt_switches, 4);
+        let kthread = parse_task_status(KERNEL[2]).unwrap();
+        assert_eq!((kthread.tid, kthread.name.as_str()), (2, "kthreadd"));
+        assert_eq!(kthread.vm_rss_kib, 0);
+        assert_eq!(kthread.voluntary_ctxt_switches, 131);
     }
 
     #[test]
-    fn status_fast_path_matches_reference_under_seeded_fuzz() {
-        let mut rng: u64 = 0x57a7_05f2_u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let base = "\
-Name:\tworker3
-State:\tS (sleeping)
-Tgid:\t1000
-Pid:\t1003
-VmSize:\t400000 kB
-VmHWM:\t220000 kB
-VmRSS:\t200000 kB
-Cpus_allowed_list:\t0-127
-voluntary_ctxt_switches:\t300
-nonvoluntary_ctxt_switches:\t9
-";
+    fn status_keys_are_in_cursor_order_and_pass_the_line_filter() {
+        for (i, (text, key)) in STATUS_ORDER.into_iter().enumerate() {
+            assert_eq!(key as usize, i, "cursor order");
+            assert!(may_be_status_key(text), "{:?}", std::str::from_utf8(text));
+        }
+        assert!(!may_be_status_key(b"VmPeak:\t1 kB"));
+        assert!(!may_be_status_key(b"Pi"));
+    }
+
+    #[test]
+    fn status_scanner_matches_oracle_on_fixtures() {
+        let user = KERNEL[0];
+        let mut fixtures: Vec<String> = KERNEL.iter().map(|t| t.to_string()).collect();
+        for base in [user, RENDERED] {
+            fixtures.extend([
+                base.replace('\n', "\r\n"),
+                base.trim_end().to_string(),
+                format!("{}\r", base.trim_end()),
+                format!("{base}  \n"),
+                // Non-ASCII and Unicode-padded names.
+                base.replace("Name:\t", "Name:\tΩ-wave "),
+                base.replace("Name:\t", "Name:\u{a0}\u{3000}é\u{2003}"),
+                base.replace("Name:\t", "Name:\t\u{b}x\u{b}"),
+                // Keys the cursor does not predict: repeated, out of
+                // order, padded with ASCII and Unicode space.
+                format!("{base}VmRSS:\t5 kB\n"),
+                format!("{base}Name:\tlate\nPid:\tx\n"),
+                format!("Pid:\t1\n{base}"),
+                format!("nonvoluntary_ctxt_switches:\t8\n{base}"),
+                base.replace("Pid:", "Pid \t:"),
+                base.replace("Pid:", " Pid:"),
+                base.replace("Pid:", "\u{a0}Pid\u{2003}:"),
+                base.replace("Tgid:", "\u{b}Tgid:"),
+                base.replace("VmRSS:", "VmRSS :"),
+                // Near-miss keys must stay unread.
+                base.replace("Pid:", "Pie:"),
+                base.replace("Pid:", "Pid"),
+                base.replace("Pid:", "Pid::"),
+                base.replace("VmRSS:", "VmRSSx:"),
+                base.replace("Name:", "Names:"),
+                base.replace("State:", "Sta:"),
+                // Values whose errors and fallbacks the oracle defines.
+                base.replace("R (running)", "q (?)"),
+                base.replace("R (running)", "Ωmega"),
+                base.replace("R (running)", "P (parked)"),
+                base.replace("R (running)", ""),
+                base.replace("Cpus_allowed_list:\t", "Cpus_allowed_list:\t7-1,"),
+                base.replace("Cpus_allowed_list:\t", "Cpus_allowed_list:\t\u{a0}"),
+                base.replace(" kB", "kBkB"),
+                base.replace(" kB", " kB kB"),
+                base.replace(" kB", "\u{a0}kB"),
+                base.replace("Tgid:\t", "Tgid:\t+"),
+                base.replace("Tgid:\t", "Tgid:\t-"),
+                base.replace("Tgid:\t", "Tgid:\t99999999999999999999"),
+                base.replace("Tgid:\t", "Tgid:\t4294967296 "),
+                base.replace("voluntary_ctxt_switches:\t", "voluntary_ctxt_switches:\t1x"),
+                base.replace(":\t", " :  "),
+            ]);
+        }
+        fixtures.extend(["no colons at all\n".into(), String::new(), "\n\n:\n".into()]);
+        for fx in &fixtures {
+            assert_status_agrees(fx);
+        }
+        for base in [user, RENDERED] {
+            for i in 0..base.len() {
+                assert_status_agrees(&base[..i]);
+            }
+        }
+    }
+
+    /// One kernel-shaped `status` text: 40–60 tab-separated lines in
+    /// the kernel's order, ZeroSum's keys among them, `Vm*` values
+    /// right-aligned to eight columns before ` kB`.
+    fn kernel_shaped_status(next: &mut impl FnMut() -> u64) -> String {
+        const FILLER: [&str; 14] = [
+            "Umask:\t0022",
+            "Ngid:\t0",
+            "PPid:\t15227",
+            "TracerPid:\t0",
+            "Uid:\t0\t0\t0\t0",
+            "Groups:\t ",
+            "NStgid:\t15253",
+            "NSpid:\t15253",
+            "Kthread:\t0",
+            "VmPeak:\t    3624 kB",
+            "VmStk:\t     132 kB",
+            "VmSwap:\t       0 kB",
+            "Cpus_allowed:\tffff",
+            "SigQ:\t0/515561",
+        ];
+        let state =
+            ["R (running)", "S (sleeping)", "Z (zombie)", "I (idle)"][(next() % 4) as usize];
+        let kib = |v: u64| format!("{:>8} kB", v % (1 << (v % 34)));
+        let keyed = [
+            format!(
+                "Name:\t{}",
+                ["cp", "miniqmc", "a b", "Ω", ""][(next() % 5) as usize]
+            ),
+            format!("State:\t{state}"),
+            format!("Tgid:\t{}", next() % 4_194_304),
+            format!("Pid:\t{}", next() % 4_194_304),
+            format!("VmSize:\t{}", kib(next())),
+            format!("VmHWM:\t{}", kib(next())),
+            format!("VmRSS:\t{}", kib(next())),
+            format!("Cpus_allowed_list:\t{}-{}", next() % 4, 4 + next() % 252),
+            format!("voluntary_ctxt_switches:\t{}", next() % 1_000_000),
+            format!("nonvoluntary_ctxt_switches:\t{}", next() % 1_000),
+        ];
+        let lines = 40 + (next() % 21) as usize;
+        let mut text = String::new();
+        for (i, line) in keyed.iter().enumerate() {
+            // A mask line as wide as the kernel's `Mems_allowed`.
+            if i == 8 {
+                text.push_str("Mems_allowed:\t");
+                text.push_str(&"00000000,".repeat(31));
+                text.push_str("00000001\n");
+            }
+            for _ in 0..(lines - 11) / 10 + usize::from(i < (lines - 11) % 10) {
+                text.push_str(FILLER[(next() % FILLER.len() as u64) as usize]);
+                text.push('\n');
+            }
+            text.push_str(line);
+            text.push('\n');
+        }
+        text
+    }
+
+    #[test]
+    fn status_scanner_matches_oracle_under_seeded_fuzz() {
+        let mut next = xorshift(0x57a7_05f2);
         let splices = [
             ":",
             "\t",
@@ -1323,39 +1444,47 @@ nonvoluntary_ctxt_switches:\t9
             "+",
             "-",
             "\n",
+            "\r\n",
             "Pid:\t7\n",
             "State:\tZ\n",
+            "\nVmRSS :\t9 kB\n",
             "\u{a0}",
+            "\u{b}",
             "Ω",
             "0-9999",
             ",",
         ];
-        for _ in 0u32..3000 {
-            let mut fx = base.to_string();
+        for case in 0u32..4000 {
+            let mut fx = if case % 2 == 0 {
+                kernel_shaped_status(&mut next)
+            } else {
+                RENDERED.to_string()
+            };
+            assert_eq!(
+                case % 2 == 0,
+                (40..=60).contains(&fx.lines().count()),
+                "{fx}"
+            );
+            assert_status_agrees(&fx);
             for _ in 0..1 + next() % 4 {
-                match next() % 4 {
-                    0 => {
-                        let mut at = (next() % (fx.len() + 1) as u64) as usize;
-                        while !fx.is_char_boundary(at) {
-                            at -= 1;
-                        }
-                        fx.truncate(at);
-                    }
-                    1 => {
-                        let mut at = (next() % (fx.len() + 1) as u64) as usize;
-                        while !fx.is_char_boundary(at) {
-                            at -= 1;
-                        }
-                        fx.insert_str(at, splices[(next() % splices.len() as u64) as usize]);
-                    }
+                let at = floor_boundary(&fx, (next() % (fx.len() + 1) as u64) as usize);
+                match next() % 5 {
+                    0 => fx.truncate(at),
+                    1 => fx.insert_str(at, splices[(next() % splices.len() as u64) as usize]),
                     2 => {
-                        let at = (next() % fx.len().max(1) as u64) as usize;
-                        if let Some((pos, ch)) =
-                            fx[at..].char_indices().next().map(|(p, c)| (at + p, c))
-                        {
-                            fx.replace_range(pos..pos + ch.len_utf8(), "");
+                        if let Some(ch) = fx[at..].chars().next() {
                             let g = b" \t:+-0123456789kBR"[(next() % 18) as usize];
-                            fx.insert(pos, g as char);
+                            fx.replace_range(at..at + ch.len_utf8(), &char::from(g).to_string());
+                        }
+                    }
+                    3 => {
+                        // Swap two lines: keys out of cursor order.
+                        let mut lines: Vec<&str> = fx.split_inclusive('\n').collect();
+                        if lines.len() > 1 {
+                            let (a, b) =
+                                (next() as usize % lines.len(), next() as usize % lines.len());
+                            lines.swap(a, b);
+                            fx = lines.concat();
                         }
                     }
                     _ => {
@@ -1366,7 +1495,135 @@ nonvoluntary_ctxt_switches:\t9
                     }
                 }
             }
-            assert_status_parsers_agree(&fx);
+            assert_status_agrees(&fx);
+        }
+    }
+
+    /// `/proc/stat` as the kernel prints it for `cpus` CPUs: doubled
+    /// space after the aggregate key, ten columns, an `intr` line of
+    /// `intr_fields` counters, the `softirq` tail.
+    fn kernel_shaped_stat(cpus: u32, intr_fields: usize, next: &mut impl FnMut() -> u64) -> String {
+        let mut row = |key: String| {
+            let mut line = key;
+            for col in 0..10 {
+                line.push_str(&format!(" {}", next() % (1 << (4 + 5 * (col % 7)))));
+            }
+            line + "\n"
+        };
+        let mut text = row("cpu ".into());
+        for i in 0..cpus {
+            text.push_str(&row(format!("cpu{i}")));
+        }
+        text.push_str("intr 4123456");
+        text.push_str(&" 0".repeat(intr_fields));
+        text.push_str("\nctxt 987654\nbtime 1700000000\nprocesses 4242\n");
+        text.push_str("procs_running 2\nprocs_blocked 0\nsoftirq 9 1 2 3 4 5 6 7 8 9 10\n");
+        text
+    }
+
+    #[test]
+    fn system_stat_scanner_matches_oracle_on_fixtures() {
+        let mut next = xorshift(0x57a7_0001);
+        let golden = include_str!("../../../tests/fixtures/proc_stat.txt");
+        let mut fixtures: Vec<String> = vec![
+            golden.to_string(),
+            golden.replace('\n', "\r\n"),
+            golden.replace(' ', "\t"),
+            STAT.to_string(),
+            String::new(),
+            "\n \n".into(),
+            // Short rows: four columns is the oldest layout, three is an error.
+            "cpu 1 2 3 4\ncpu0 1 2 3 4\n".into(),
+            "cpu 1 2 3 4 5\ncpu0 1 2 3\n".into(),
+            "cpu 1 2 3\n".into(),
+            "cpu0 1 2 3 4\n".into(),
+            // Rows out of order and repeated: the sort is stable.
+            "cpu 1 2 3 4\ncpu3 3 0 0 0\ncpu1 1 0 0 0\ncpu3 4 0 0 0\ncpu0 0 0 0 0\n".into(),
+            "cpu 1 2 3 4\ncpu 5 6 7 8\n".into(),
+            "cpu 1 2 3 4\ncpux 1 2 3 4\n".into(),
+            "cpu 1 2 3 4\ncpu+1 1 2 3 4\ncpu01 1 2 3 4\n".into(),
+            "cpu 1 2 3 4\ncpu4294967296 1 2 3 4\n".into(),
+            "cpu 1 2 3 4\ncpuΩ 1 2 3 4\n".into(),
+            "cpu 1 2 3 4\ncpufreq 1\n".into(),
+            "cpu 1 2 x 4\n".into(),
+            "cpu 1 2 3 4 5 6 7 -8\n".into(),
+            "cpu 1 2 3 4 5 6 7 8 garbage ignored\n".into(),
+            "cpu 18446744073709551615 18446744073709551616 3 4\n".into(),
+            "cpu 00000000000000000000018446744073709551615 2 3 4\n".into(),
+            "cpu 1 2 3 4\nctxt\n".into(),
+            "cpu 1 2 3 4\nctxt x\n".into(),
+            "cpu 1 2 3 4\nctxt 5 6\nctxt 7\nprocesses +9\n".into(),
+            "cpu 1 2 3 4\nprocesses\n".into(),
+            "cpu 1 2 3 4\n\u{b}ctxt 5\n\u{a0}ctxt 6\n".into(),
+            "  cpu  1\t2 \x0c3 4  \n".into(),
+        ];
+        for cpus in [1, 2, 7, 64, 128, 512] {
+            fixtures.push(kernel_shaped_stat(cpus, 600 + cpus as usize * 8, &mut next));
+        }
+        assert!(fixtures.last().is_some_and(|t| t.len() > 8 * 1024));
+        for fx in &fixtures {
+            assert_system_stat_agrees(fx);
+        }
+        for i in 0..golden.len() {
+            assert_system_stat_agrees(&golden[..i]);
+        }
+    }
+
+    #[test]
+    fn system_stat_scanner_matches_oracle_under_seeded_fuzz() {
+        let mut next = xorshift(0x57a7_0002);
+        let splices = [
+            " ",
+            "\t",
+            "\n",
+            "\r\n",
+            "+",
+            "-",
+            "x",
+            "cpu",
+            "cpu9 1 2 3 4\n",
+            "Ω",
+            "\u{b}",
+        ];
+        for _ in 0u32..1500 {
+            let cpus = 1 + (next() % 512) as u32 % (1 << (next() % 10));
+            let mut fx = kernel_shaped_stat(cpus, (next() % 300) as usize, &mut next);
+            assert_system_stat_agrees(&fx);
+            for _ in 0..1 + next() % 4 {
+                let at = floor_boundary(&fx, (next() % (fx.len() + 1) as u64) as usize);
+                match next() % 3 {
+                    0 => fx.truncate(at),
+                    1 => fx.insert_str(at, splices[(next() % splices.len() as u64) as usize]),
+                    _ => {
+                        if let Some(ch) = fx[at..].chars().next() {
+                            let g = b" \t\n+-0123456789cpu"[(next() % 18) as usize];
+                            fx.replace_range(at..at + ch.len_utf8(), &char::from(g).to_string());
+                        }
+                    }
+                }
+            }
+            assert_system_stat_agrees(&fx);
+        }
+    }
+
+    #[test]
+    fn line_end_finds_the_first_newline_at_every_offset() {
+        // Every position of the newline against every alignment of the
+        // eight-byte step, with bytes around it that differ from `\n`
+        // in one bit or borrow into it (0x0b, 0x0a ^ 0x80, 0x00, 0xff).
+        for len in 0..40usize {
+            for at in 0..=len {
+                for fill in [b'x', 0x0b, 0x8a, 0x00, 0xff, 0x09] {
+                    let mut text = vec![fill; len];
+                    if let Some(slot) = text.get_mut(at) {
+                        *slot = b'\n';
+                    }
+                    if let Some(slot) = text.get_mut(at + 3) {
+                        *slot = b'\n';
+                    }
+                    assert_eq!(line_end(&text), at.min(len), "{text:?}");
+                }
+            }
         }
     }
 }

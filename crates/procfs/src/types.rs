@@ -87,6 +87,9 @@ pub enum TaskState {
     Idle,
     /// `X` — dead.
     Dead,
+    /// `P` — parked (Linux ≥ 3.9; a kthread between `kthread_park` and
+    /// `kthread_unpark`, e.g. the per-CPU threads of an offlined CPU).
+    Parked,
 }
 
 impl Default for TaskState {
@@ -108,6 +111,7 @@ impl TaskState {
             TaskState::Stopped => 'T',
             TaskState::Idle => 'I',
             TaskState::Dead => 'X',
+            TaskState::Parked => 'P',
         }
     }
 
@@ -121,6 +125,7 @@ impl TaskState {
             'T' | 't' => TaskState::Stopped,
             'I' => TaskState::Idle,
             'X' | 'x' => TaskState::Dead,
+            'P' => TaskState::Parked,
             _ => return None,
         })
     }
@@ -136,6 +141,7 @@ impl TaskState {
             TaskState::Stopped => "stopped",
             TaskState::Idle => "idle",
             TaskState::Dead => "dead",
+            TaskState::Parked => "parked",
         }
     }
 }
@@ -423,6 +429,7 @@ mod tests {
             TaskState::Stopped,
             TaskState::Idle,
             TaskState::Dead,
+            TaskState::Parked,
         ] {
             assert_eq!(TaskState::from_code(s.code()), Some(s));
         }

@@ -103,12 +103,24 @@ echo "== benchmark package (its adapters implement Link / ProcSource / ShardSour
 # TimedLink is in the path and the run's own output checks (aggregates
 # bit-equal, every frame sent folded, no retransmit) judge the wire.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+traced_bench() {
+    benchmark/run.sh --workload "$1" --seconds 2 --trace 1 > /tmp/zsbench.out \
+        || { cat /tmp/zsbench.out; exit 1; }
+    grep -E '^ +\[(ok|FAIL)\]' /tmp/zsbench.out
+}
 if [ "$probe" -eq 3 ]; then
     echo "benchmark wire_tcp: SKIPPED (sandbox forbids sockets; collect --probe exit 3)"
 else
-    benchmark/run.sh --workload wire_tcp --seconds 2 --trace 1 > /tmp/zsbench.out \
-        || { cat /tmp/zsbench.out; exit 1; }
-    grep -E '^ +\[(ok|FAIL)\]' /tmp/zsbench.out
+    traced_bench wire_tcp
+fi
+# And two traced seconds of live_procfs_busy: LinuxProc and the procfs
+# scanners over what the running kernel prints (the traced run replays
+# the captured live corpus through every parser), judged by the run's
+# own output checks.
+if [ ! -r /proc/self/status ]; then
+    echo "benchmark live_procfs_busy: SKIPPED (/proc/self/status is not readable)"
+else
+    traced_bench live_procfs_busy
 fi
 
 echo "== shard differential (20 seeds serial vs sharded bit-identical, shard-scoped chaos isolation)"

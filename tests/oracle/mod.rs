@@ -1,0 +1,194 @@
+//! The `str`-based reference parsers for `status` and `/proc/stat`, and
+//! the differential that holds the shipped byte scanners
+//! (`zerosum_proc::parse`) equal to them.
+//!
+//! Test-only by location: `zerosum-proc` includes this file under
+//! `#[cfg(test)]` for its fixture and fuzz differentials, and
+//! `tests/real_linux.rs` includes it for the live-kernel conformance
+//! walk. No library target compiles it, so no product code can call it.
+//!
+//! The parsers are written for obviousness, not speed: `str::lines`,
+//! `split_once`, `str::trim`, `FromStr`. They define the semantics —
+//! which lines count, which whitespace is trimmed, which value wins
+//! when a key repeats, and the exact error text.
+
+use zerosum_proc::parse::{self, ParseError};
+use zerosum_proc::{CpuTimes, SystemStat, TaskState, TaskStatus};
+
+fn err(what: &'static str, detail: impl Into<String>) -> ParseError {
+    ParseError {
+        what,
+        detail: detail.into(),
+    }
+}
+
+/// Reference for `parse::parse_system_stat_into`.
+pub fn system_stat_into(text: &str, out: &mut SystemStat) -> Result<(), ParseError> {
+    out.cpus.clear();
+    out.total = CpuTimes::default();
+    out.ctxt = 0;
+    out.processes = 0;
+    let mut saw_total = false;
+    for line in text.lines() {
+        let mut it = line.split_ascii_whitespace();
+        let Some(key) = it.next() else { continue };
+        if key == "cpu" {
+            out.total = cpu_times(&mut it)?;
+            saw_total = true;
+        } else if let Some(idx) = key.strip_prefix("cpu") {
+            let idx: u32 = idx
+                .parse()
+                .map_err(|_| err("/proc/stat", format!("bad cpu row {key:?}")))?;
+            out.cpus.push((idx, cpu_times(&mut it)?));
+        } else if key == "ctxt" {
+            out.ctxt = next_u64(&mut it, "/proc/stat ctxt")?;
+        } else if key == "processes" {
+            out.processes = next_u64(&mut it, "/proc/stat processes")?;
+        }
+    }
+    if !saw_total {
+        return Err(err("/proc/stat", "missing aggregate cpu row"));
+    }
+    out.cpus.sort_by_key(|(i, _)| *i);
+    Ok(())
+}
+
+fn next_u64<'a>(
+    it: &mut impl Iterator<Item = &'a str>,
+    what: &'static str,
+) -> Result<u64, ParseError> {
+    it.next()
+        .ok_or_else(|| err(what, "missing field"))?
+        .parse()
+        .map_err(|_| err(what, "non-numeric field"))
+}
+
+fn cpu_times<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<CpuTimes, ParseError> {
+    let mut vals = [0u64; 8];
+    for (i, v) in vals.iter_mut().enumerate() {
+        // Kernels may omit trailing fields (steal etc.); treat as zero.
+        match it.next() {
+            Some(tok) => {
+                *v = tok
+                    .parse()
+                    .map_err(|_| err("/proc/stat", format!("bad jiffy field {i}")))?
+            }
+            None if i >= 4 => break,
+            None => return Err(err("/proc/stat", "cpu row too short")),
+        }
+    }
+    Ok(CpuTimes {
+        user: vals[0],
+        nice: vals[1],
+        system: vals[2],
+        idle: vals[3],
+        iowait: vals[4],
+        irq: vals[5],
+        softirq: vals[6],
+        steal: vals[7],
+    })
+}
+
+/// Reference for `parse::parse_task_status_into`.
+pub fn status_into(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
+    out.name.clear();
+    out.state = TaskState::Sleeping;
+    out.vm_rss_kib = 0;
+    out.vm_size_kib = 0;
+    out.vm_hwm_kib = 0;
+    out.cpus_allowed.clear_all();
+    out.voluntary_ctxt_switches = 0;
+    out.nonvoluntary_ctxt_switches = 0;
+    let mut tid = None;
+    let mut tgid = None;
+    for line in text.lines() {
+        let Some((key, rest)) = line.split_once(':') else {
+            continue;
+        };
+        let rest = rest.trim();
+        match key.trim() {
+            "Name" => {
+                out.name.clear();
+                out.name.push_str(rest);
+            }
+            "Pid" => tid = rest.parse().ok(),
+            "Tgid" => tgid = rest.parse().ok(),
+            "State" => {
+                if let Some(c) = rest.chars().next() {
+                    out.state = TaskState::from_code(c)
+                        .ok_or_else(|| err("task status", format!("unknown state {c:?}")))?;
+                }
+            }
+            "VmRSS" => out.vm_rss_kib = kib_value(rest),
+            "VmSize" => out.vm_size_kib = kib_value(rest),
+            "VmHWM" => out.vm_hwm_kib = kib_value(rest),
+            "Cpus_allowed_list" => {
+                out.cpus_allowed
+                    .parse_list_into(rest)
+                    .map_err(|e| err("task status", format!("bad cpu list: {e}")))?;
+            }
+            "voluntary_ctxt_switches" => out.voluntary_ctxt_switches = rest.parse().unwrap_or(0),
+            "nonvoluntary_ctxt_switches" => {
+                out.nonvoluntary_ctxt_switches = rest.parse().unwrap_or(0)
+            }
+            _ => {}
+        }
+    }
+    out.tid = tid.ok_or_else(|| err("task status", "missing Pid"))?;
+    out.tgid = tgid.ok_or_else(|| err("task status", "missing Tgid"))?;
+    Ok(())
+}
+
+fn kib_value(rest: &str) -> u64 {
+    rest.trim_end_matches("kB").trim().parse().unwrap_or(0)
+}
+
+/// Accept/reject, the exact error, and (on accept) every field of the
+/// record must agree between the shipped `status` scanner — under both
+/// of its public names — and the reference. Each side starts from a
+/// soiled record, so a field the scanner forgets to reset shows.
+pub fn assert_status_agrees(text: &str) {
+    let soiled = || TaskStatus {
+        name: "stale-garbage".into(),
+        tid: 77,
+        tgid: 77,
+        state: TaskState::Zombie,
+        vm_rss_kib: u64::MAX,
+        vm_size_kib: 9,
+        vm_hwm_kib: 9,
+        cpus_allowed: zerosum_topology::CpuSet::range(0, 200),
+        voluntary_ctxt_switches: 3,
+        nonvoluntary_ctxt_switches: 3,
+    };
+    let (mut reference, mut scanned, mut forwarded) = (soiled(), soiled(), soiled());
+    let r = status_into(text, &mut reference);
+    let s = parse::parse_task_status_into(text, &mut scanned);
+    let f = parse::parse_task_status_fast(text, &mut forwarded);
+    assert_eq!(s, r, "status scanner and oracle disagree on {text:?}");
+    assert_eq!(f, r, "status forwarder and oracle disagree on {text:?}");
+    if r.is_ok() {
+        assert_eq!(scanned, reference, "status records differ on {text:?}");
+        assert_eq!(forwarded, reference, "forwarded records differ on {text:?}");
+    }
+}
+
+/// The same differential for `/proc/stat`.
+pub fn assert_system_stat_agrees(text: &str) {
+    let soiled = || SystemStat {
+        total: CpuTimes {
+            user: 7,
+            steal: 7,
+            ..Default::default()
+        },
+        cpus: vec![(9, CpuTimes::default()); 3],
+        ctxt: 7,
+        processes: 7,
+    };
+    let (mut reference, mut scanned) = (soiled(), soiled());
+    let r = system_stat_into(text, &mut reference);
+    let s = parse::parse_system_stat_into(text, &mut scanned);
+    assert_eq!(s, r, "/proc/stat scanner and oracle disagree on {text:?}");
+    if r.is_ok() {
+        assert_eq!(scanned, reference, "/proc/stat records differ on {text:?}");
+    }
+}

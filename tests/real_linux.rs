@@ -2,6 +2,8 @@
 //! monitor must work unmodified on a live system (the paper's actual
 //! deployment mode), not only against the simulation.
 
+mod oracle;
+
 use std::time::{Duration, Instant};
 use zerosum::prelude::*;
 
@@ -100,4 +102,49 @@ fn live_procfs_reads_are_self_consistent() {
         let ts = src.task_status(pid, tid).unwrap();
         assert_eq!(ts.tgid, pid);
     }
+}
+
+/// The numeric entries of a `/proc` directory; `None` when it cannot
+/// be listed at all.
+fn numeric_entries(dir: &str) -> Option<Vec<u32>> {
+    let entries = std::fs::read_dir(dir).ok()?;
+    Some(
+        entries
+            .filter_map(|e| e.ok()?.file_name().to_str()?.parse().ok())
+            .collect(),
+    )
+}
+
+#[test]
+fn live_kernel_texts_parse_like_the_oracle() {
+    // Conformance against the running kernel, not a frozen capture:
+    // every `status` this user may read, of every task on the host,
+    // and `/proc/stat`, through the shipped scanners and the reference
+    // parsers. They must agree on the record or on the error; whether
+    // the text parses at all is the kernel's business (a task may exit
+    // under the read and leave a torn text).
+    let Some(pids) = numeric_entries("/proc") else {
+        eprintln!("live conformance: SKIPPED (cannot list /proc)");
+        return;
+    };
+    let mut compared = 0usize;
+    for pid in pids {
+        for tid in numeric_entries(&format!("/proc/{pid}/task")).unwrap_or_default() {
+            // Vanished or forbidden: nothing to compare.
+            if let Ok(text) = std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/status")) {
+                oracle::assert_status_agrees(&text);
+                compared += 1;
+            }
+        }
+    }
+    match std::fs::read_to_string("/proc/stat") {
+        Ok(text) => {
+            oracle::assert_system_stat_agrees(&text);
+            assert!(zerosum_proc::parse::parse_system_stat(&text).is_ok());
+        }
+        Err(e) => eprintln!("live conformance: /proc/stat SKIPPED ({e})"),
+    }
+    // Our own main thread, at the least, is always readable.
+    assert!(compared >= 1, "no task status was readable");
+    eprintln!("live conformance: {compared} status texts and /proc/stat agree");
 }
