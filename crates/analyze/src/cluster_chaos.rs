@@ -381,8 +381,7 @@ pub fn bounded_memory_drill(rounds: u64, capacity: usize) -> Vec<String> {
             problems.push(format!("LWP {} series lost its first sample", t.tid));
         }
     }
-    for cpu in mon.hwt.cpu_indices() {
-        let s = mon.hwt.samples(cpu).unwrap_or(&[]);
+    for (cpu, s) in mon.hwt.series() {
         if s.len() > capacity {
             problems.push(format!(
                 "CPU {cpu} series holds {} points (capacity {capacity})",

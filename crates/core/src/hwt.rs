@@ -36,6 +36,22 @@ pub struct HwtTracker {
     capacity: usize,
 }
 
+/// Position of the first row of `rows` for CPU `os_index`. `/proc/stat`
+/// prints its rows in the same order every time, so slot `k` — where
+/// the row sits in the snapshot being folded — is tried first and the
+/// vector searched only on a miss (a hot-unplugged or newly appearing
+/// CPU shifts the rows). The prediction is taken only when the slot
+/// before it holds another CPU: a repeated row then resolves to its
+/// first occurrence, exactly as the search does.
+fn row_position<T>(rows: &[(u32, T)], k: usize, os_index: u32) -> Option<usize> {
+    let hit = |j: usize| rows.get(j).is_some_and(|(i, _)| *i == os_index);
+    if hit(k) && !(k > 0 && hit(k - 1)) {
+        Some(k)
+    } else {
+        rows.iter().position(|(i, _)| *i == os_index)
+    }
+}
+
 impl Default for HwtTracker {
     fn default() -> Self {
         Self::new()
@@ -65,13 +81,15 @@ impl HwtTracker {
             self.first = Some(stat.clone());
         }
         if let Some(prev) = &self.prev {
-            for (idx, times) in &stat.cpus {
-                let Some((_, prev_times)) = prev.cpus.iter().find(|(i, _)| i == idx) else {
+            for (k, (idx, times)) in stat.cpus.iter().enumerate() {
+                let Some((_, prev_times)) =
+                    row_position(&prev.cpus, k, *idx).and_then(|p| prev.cpus.get(p))
+                else {
                     continue;
                 };
                 let d = times.delta(prev_times);
                 let total = d.total();
-                let pos = match self.cpus.iter().position(|(i, _)| i == idx) {
+                let pos = match row_position(&self.cpus, k, *idx) {
                     Some(p) => p,
                     None => {
                         self.cpus.push((*idx, Ring::with_capacity(self.capacity)));
@@ -138,9 +156,10 @@ impl HwtTracker {
             .map(|(_, v)| v.as_slice())
     }
 
-    /// All tracked CPU OS indices.
-    pub fn cpu_indices(&self) -> Vec<u32> {
-        self.cpus.iter().map(|(i, _)| *i).collect()
+    /// Every tracked CPU with its per-interval history, in `/proc/stat`
+    /// order — what the HWT CSV dump walks.
+    pub fn series(&self) -> impl Iterator<Item = (u32, &[HwtSample])> {
+        self.cpus.iter().map(|(i, v)| (*i, v.as_slice()))
     }
 
     /// Number of delta samples per CPU (0 before two snapshots).
@@ -241,6 +260,85 @@ mod tests {
         assert!((user - 50.0).abs() < 1e-9);
         assert!((idle - 50.0).abs() < 1e-9);
         assert_eq!(system, 0.0);
+    }
+
+    /// The fold with both lookups done by search alone, as they were
+    /// before `row_position` predicted the slot.
+    #[derive(Default)]
+    struct SearchFold {
+        prev: Option<SystemStat>,
+        cpus: Vec<(u32, Vec<HwtSample>)>,
+    }
+
+    impl SearchFold {
+        fn observe(&mut self, t_s: f64, stat: &SystemStat) {
+            let Some(prev) = &self.prev else {
+                self.cpus = stat.cpus.iter().map(|(i, _)| (*i, Vec::new())).collect();
+                self.prev = Some(stat.clone());
+                return;
+            };
+            for (idx, times) in &stat.cpus {
+                let Some((_, prev_times)) = prev.cpus.iter().find(|(i, _)| i == idx) else {
+                    continue;
+                };
+                let d = times.delta(prev_times);
+                let total = d.total() as f64;
+                let pct = |x: u64| x as f64 * 100.0 / total;
+                let pos = match self.cpus.iter().position(|(i, _)| i == idx) {
+                    Some(p) => p,
+                    None => {
+                        self.cpus.push((*idx, Vec::new()));
+                        self.cpus.len() - 1
+                    }
+                };
+                self.cpus[pos].1.push(HwtSample {
+                    t_s,
+                    idle_pct: pct(d.idle + d.iowait),
+                    system_pct: pct(d.system + d.irq + d.softirq),
+                    user_pct: pct(d.user + d.nice),
+                });
+            }
+            self.prev = Some(stat.clone());
+        }
+    }
+
+    #[test]
+    fn predicted_slots_hold_the_series_the_search_gives() {
+        // Counters grow by a per-CPU, per-round amount so that a sample
+        // filed under the wrong CPU or against the wrong previous row
+        // changes a percentage.
+        let row = |cpu: u32, round: u64| (cpu, round * (cpu as u64 + 1), round * 2, round * 7 + 1);
+        let fold = |rounds: &[&[u32]]| {
+            let mut tracker = HwtTracker::new();
+            let mut search = SearchFold::default();
+            for (r, cpus) in rounds.iter().enumerate() {
+                let rows: Vec<_> = cpus.iter().map(|&c| row(c, r as u64 + 1)).collect();
+                let snapshot = stat(&rows);
+                tracker.observe(r as f64, &snapshot);
+                search.observe(r as f64, &snapshot);
+                let got: Vec<(u32, Vec<HwtSample>)> =
+                    tracker.series().map(|(i, s)| (i, s.to_vec())).collect();
+                assert_eq!(got, search.cpus, "after round {r} of {rounds:?}");
+            }
+            tracker
+        };
+        let tracker = fold(&[
+            &[0, 1, 2, 3],
+            &[0, 1, 2, 3], // every prediction hits
+            &[0, 2, 3],    // cpu 1 hot-unplugged: rows shift up
+            &[0, 2, 3],
+            &[0, 1, 2, 3, 4], // cpu 1 back, cpu 4 appears
+            &[3, 0, 4, 1, 2], // reordered
+            &[0, 0, 1, 1, 2], // repeated rows resolve to the first
+            &[0, 0, 1, 1, 2],
+            &[5], // nothing in common with the last round
+            &[0, 1, 2, 3, 4, 5],
+        ]);
+        // CPUs that appeared later were appended, each with one series.
+        let order: Vec<u32> = tracker.series().map(|(i, _)| i).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5]);
+        // Rows repeated from the first snapshot on: two series, one fed.
+        fold(&[&[0, 0, 1], &[0, 0, 1], &[0, 1]]);
     }
 
     #[test]

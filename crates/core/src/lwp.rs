@@ -423,10 +423,13 @@ impl LwpRegistry {
         });
     }
 
-    /// Marks threads absent from `live` as exited.
+    /// Marks threads absent from `live` as exited. `live` must be
+    /// sorted ascending (the task listing already is). A track already
+    /// marked stays marked and is not looked up again: under churn most
+    /// tracks held are the dead tail.
     pub fn mark_exited(&mut self, live: &[Tid]) {
         for t in &mut self.tracks {
-            if !live.contains(&t.tid) {
+            if !t.exited && live.binary_search(&t.tid).is_err() {
                 t.exited = true;
             }
         }
@@ -702,6 +705,32 @@ mod tests {
         reg.mark_exited(&[3]);
         assert!(reg.track(2).unwrap().exited);
         assert!(!reg.track(3).unwrap().exited);
+        // Tracks sit in first-seen order, not tid order, and a recycled
+        // tid holds two of them: the sorted listing decides each alike.
+        let mut reg = LwpRegistry::new();
+        for tid in [9u32, 2, 7, 4] {
+            reg.observe(1, 0.0, &stat(tid, 0, 0, 1), &status(tid, 1, "w", "1", 0, 0));
+        }
+        let mut recycled = stat(2, 0, 0, 1);
+        recycled.starttime = 50;
+        reg.observe(1, 1.0, &recycled, &status(2, 1, "w", "1", 0, 0));
+        let flags = |reg: &LwpRegistry| -> Vec<(Tid, bool, bool)> {
+            reg.tracks().map(|t| (t.tid, t.retired, t.exited)).collect()
+        };
+        reg.mark_exited(&[2, 4, 9]);
+        assert_eq!(
+            flags(&reg),
+            [
+                (9, false, false),
+                (2, true, true),
+                (7, false, true),
+                (4, false, false),
+                (2, false, false)
+            ]
+        );
+        reg.mark_exited(&[4, 9]);
+        assert!(reg.tracks().filter(|t| t.tid == 2).all(|t| t.exited));
+        assert!(!reg.track(4).unwrap().exited && !reg.track(9).unwrap().exited);
     }
 
     #[test]

@@ -122,6 +122,12 @@ if [ ! -r /proc/self/status ]; then
 else
     traced_bench live_procfs_busy
 fi
+# And two traced seconds of sim_sharded_wide (pure simulation, nothing to
+# probe): its output checks read back what `write_logs` wrote (Listing-2
+# sections, END marker last) and hold the sharded aggregate equal to the
+# serial one; the exit path's cost per CSV row is printed beside them.
+traced_bench sim_sharded_wide
+grep -E '^ +core\.export\.csv_ns_per_row' /tmp/zsbench.out
 
 echo "== shard differential (20 seeds serial vs sharded bit-identical, shard-scoped chaos isolation)"
 cargo run -q --release -p zerosum-cli --bin zerosum -- shard-diff --seeds 20

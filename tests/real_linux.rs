@@ -65,6 +65,88 @@ fn live_self_monitoring_produces_a_full_report() {
 }
 
 #[test]
+fn live_log_parses_back_with_fixed_decimals() {
+    let cfg = ZeroSumConfig {
+        period_us: 20_000,
+        signal_handler: false,
+        series_capacity: 8,
+        ..Default::default()
+    };
+    let session = SelfMonitor::start(cfg, None).expect("attach");
+    // Asleep, not spinning: the other tests of this file measure CPU
+    // fractions of this same process on however few cores there are.
+    std::thread::sleep(Duration::from_millis(400));
+    let (monitor, duration) = session.stop();
+    let pid = monitor.processes()[0].info.pid;
+    let report = render_process_report(&monitor, pid, duration, None);
+    let log = zerosum_core::export::log_content(&monitor, pid, duration, &report);
+    // The rows under a section title, header dropped.
+    let rows = |title: &str| -> Vec<Vec<&str>> {
+        let at = log
+            .find(title)
+            .unwrap_or_else(|| panic!("no section {title}"));
+        log[at..]
+            .lines()
+            .skip(2)
+            .take_while(|l| !l.starts_with("=== "))
+            .map(|l| l.split(',').collect())
+            .collect()
+    };
+    // `digits.ddd`, exactly `places` decimals.
+    let fixed = |cell: &str, places: usize| {
+        cell.split_once('.').is_some_and(|(int, frac)| {
+            !int.is_empty()
+                && frac.len() == places
+                && cell.bytes().all(|b| b.is_ascii_digit() || b == b'.')
+        })
+    };
+    let watch = monitor.process(pid).unwrap();
+    let lwp = rows("=== LWP time series (CSV) ===");
+    let lwp_samples: usize = watch.lwps.tracks().map(|t| t.samples.len()).sum();
+    assert!(watch.lwps.tracks().any(|t| t.samples.wraps() > 0));
+    assert_eq!(lwp.len(), lwp_samples, "one LWP row per ring entry");
+    for row in &lwp {
+        assert_eq!(row.len(), 13, "{row:?}");
+        assert!(fixed(row[0], 3), "time cell {:?}", row[0]);
+        let tid: u32 = row[1].parse().expect("tid");
+        assert!(watch.lwps.track(tid).is_some(), "unknown tid {tid}");
+        for cell in &row[4..12] {
+            cell.parse::<u64>().expect("counter cell");
+        }
+        assert!(row[12].is_empty() || row[12].parse::<u64>().is_ok());
+    }
+    let hwt = rows("=== HWT time series (CSV) ===");
+    let hwt_samples: usize = monitor.hwt.series().map(|(_, s)| s.len()).sum();
+    assert!(hwt_samples > 0);
+    assert_eq!(hwt.len(), hwt_samples, "one HWT row per CPU per ring entry");
+    let mut series = monitor
+        .hwt
+        .series()
+        .flat_map(|(cpu, s)| s.iter().map(move |x| (cpu, x)));
+    for row in &hwt {
+        assert_eq!(row.len(), 5, "{row:?}");
+        assert!(fixed(row[0], 3), "time cell {:?}", row[0]);
+        let (cpu, sample) = series.next().unwrap();
+        assert_eq!(row[1].parse::<u32>().ok(), Some(cpu));
+        for (cell, value) in
+            row[2..]
+                .iter()
+                .zip([sample.idle_pct, sample.system_pct, sample.user_pct])
+        {
+            assert!(fixed(cell, 4), "percent cell {cell:?}");
+            let printed: f64 = cell.parse().unwrap();
+            assert!(
+                (printed - value).abs() <= 0.5e-4 + 1e-9,
+                "{cell} vs {value}"
+            );
+        }
+    }
+    let memory = rows("=== Memory time series (CSV) ===");
+    assert_eq!(memory.len(), monitor.mem.samples().len());
+    assert!(memory.iter().all(|row| row.len() == 4 && fixed(row[0], 3)));
+}
+
+#[test]
 fn live_contention_analysis_runs() {
     let cfg = ZeroSumConfig {
         period_us: 40_000,
