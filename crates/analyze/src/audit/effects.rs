@@ -152,8 +152,8 @@ impl EffectConfig<'static> {
 /// The repo's standard effect configuration.
 pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
     hot_root_suffix: "_into",
-    // The sharded-ingestion pump and fold run every sampling round on
-    // every shard; allocation there is contention by another name.
+    // The pump and fold run every sampling round on every shard;
+    // allocation there is contention by another name.
     hot_roots: &[
         ("crates/core/src/shard.rs", "process_batch"),
         ("crates/core/src/shard.rs", "fold_reads"),
@@ -197,7 +197,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
         ("crates/experiments/src/sweep.rs", "sweep_cpus_per_task"),
     ],
     det_allowlist: &DEFAULT_DET_ALLOWLIST,
-    watchdog_roots: &[("crates/core/src/monitor.rs", "sample_inner")],
+    watchdog_roots: &[("crates/core/src/monitor.rs", "sample")],
     blocking_allowlist: &DEFAULT_BLOCKING_ALLOWLIST,
 };
 
@@ -206,7 +206,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer. A stale entry fails
 /// the audit.
-pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 30] = [
+pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 28] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -248,14 +248,8 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 30] = [
     ),
     (
         "crates/procfs/src/fault.rs",
-        "task_stat_into",
-        "clone",
-        "last-good cache, chaos layer",
-    ),
-    (
-        "crates/procfs/src/fault.rs",
-        "task_status_into",
-        "clone",
+        "task_stat_text",
+        "to_owned",
         "last-good cache, chaos layer",
     ),
     // Derived `Clone` impls on the view structs — reached only through
@@ -338,15 +332,9 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 30] = [
         "to_string",
         "sim materializes views",
     ),
-    // Sharded-ingestion roots (`process_batch`/`fold_reads`): the byte
-    // parsers and the batch body only allocate when a read or parse
-    // fails — message formatting off the healthy path.
-    (
-        "crates/procfs/src/parse.rs",
-        "parse_task_stat_view_fast",
-        "format!",
-        "parse-error path only",
-    ),
+    // Round roots (`process_batch`/`fold_reads`): the parsers and the
+    // batch body only allocate when a read or parse fails — message
+    // formatting off the healthy path.
     (
         "crates/procfs/src/parse.rs",
         "parse_schedstat",

@@ -24,8 +24,10 @@ use super::Finding;
 
 /// Reachability roots: `(file_suffix, fn_name, why)`.
 ///
-/// * `sample_inner` — everything under the sampling supervisor's
-///   `catch_unwind` in `Monitor::sample`.
+/// * `sample` — everything under the sampling supervisor's
+///   `catch_unwind`: `Monitor::sample` runs the whole round (begin,
+///   both trips of the one inline shard, both folds, end) inside
+///   `Monitor::supervised`.
 /// * `run_crash_flushes`, `report_abnormal_exit`, `crash_report` — the
 ///   abnormal-exit path; a panic here aborts before logs are flushed.
 /// * `write_partial_logs`, `render_process_report` — registered as
@@ -35,14 +37,14 @@ use super::Finding;
 ///   hostile-input boundary: frames arrive truncated, corrupted, and
 ///   version-skewed off the wire, and a panic here kills supervision
 ///   for the whole allocation.
-/// * `process_batch`, `fold_reads` — the sharded-ingestion pump (runs
-///   on shard threads under the driver's `catch_unwind`) and the
-///   driver-side fold; a panic in either stalls or corrupts a whole
-///   shard's worth of watches.
+/// * `process_batch`, `fold_reads` — the round's pump (also the body
+///   of each shard thread, which `sample` does not reach) and its
+///   fold; a panic in either stalls or corrupts a whole shard's worth
+///   of watches.
 pub const PANIC_ROOTS: [(&str, &str, &str); 12] = [
     (
         "crates/core/src/monitor.rs",
-        "sample_inner",
+        "sample",
         "sampling supervisor",
     ),
     (
@@ -105,21 +107,13 @@ pub const PANIC_ROOTS: [(&str, &str, &str); 12] = [
 /// Reviewed panic-site allowlist: `(file_suffix, fn_name, kind, why)`.
 /// An entry that stops matching any site fails the audit as stale
 /// (allowlists must not rot).
-pub const PANIC_ALLOWLIST: [(&str, &str, &str, &str); 2] = [
-    (
-        "crates/procfs/src/fault.rs",
-        "run",
-        "panic-macro",
-        "deliberate chaos injection (Decision::Panic) — the supervisor's catch_unwind \
-         is exactly the system under test",
-    ),
-    (
-        "crates/procfs/src/fault.rs",
-        "run_into",
-        "panic-macro",
-        "deliberate chaos injection (Decision::Panic), _into twin of `run`",
-    ),
-];
+pub const PANIC_ALLOWLIST: [(&str, &str, &str, &str); 1] = [(
+    "crates/procfs/src/fault.rs",
+    "decide",
+    "panic-macro",
+    "deliberate chaos injection (scripted FaultKind::Panic, every read form) — the \
+     supervisor's catch_unwind is exactly the system under test",
+)];
 
 /// Panic-site kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,7 @@
 //! Thread-provenance lattice and the three thread passes.
 //!
-//! The sharded hot path (DESIGN.md §13) rests on invariants the lock
-//! and effect passes cannot see: every [`ShardRing`] endpoint must be
+//! The sampling round's shards (DESIGN.md §8) rest on invariants the
+//! lock and effect passes cannot see: every [`ShardRing`] endpoint must be
 //! touched by exactly one thread, channel endpoints must have a live
 //! peer, and pump loops must stay non-blocking. This module makes those
 //! invariants machine-checked.
@@ -25,11 +25,21 @@
 //! into the pump. The result is a per-function set of roles — the
 //! lattice the three passes consume:
 //!
-//! - **`ring-discipline`** — every `try_push_swap` endpoint (writer),
-//!   `try_pop_swap` endpoint (reader), and declared per-role scratch
-//!   resource must be reachable from at most one role. Sites no role
-//!   reaches are ignored (a deliberate under-approximation: unreached
-//!   code cannot race).
+//! - **`ring-discipline`** — every `try_push_swap` endpoint (writer)
+//!   and `try_pop_swap` endpoint (reader) must be reachable from at
+//!   most one role: an endpoint is one object. Declared scratch is a
+//!   *field* of engine state a thread reaches through the `&mut` it
+//!   holds, so what must stay single-role is each instance, not the
+//!   field's name — and the only way one thread hands another its
+//!   instance is a spawn. Roles joined by spawn edges form a *thread
+//!   family* (`driver` and the `shard-pump`s it launches); a scratch
+//!   resource may be touched by at most one role **per family**. A
+//!   thread that runs a whole round inline (`supervisor`, under
+//!   `Monitor::sample`) is driver and pump of engine state it owns and
+//!   a family of its own, so it may touch both the fold scratch and an
+//!   arena; a driver and its pump reaching one arena stays a finding.
+//!   Sites no role reaches are ignored (a deliberate
+//!   under-approximation: unreached code cannot race).
 //! - **`channel-protocol`** — `let (tx, rx) = channel()/sync_channel()`
 //!   pair bindings; flags endpoints never mentioned again in the file
 //!   (the peer can wedge silently, the static twin of the §12
@@ -80,9 +90,9 @@ pub struct ThreadConfig<'a> {
     /// runtime resource name `zerosum-core::role::touch` uses, so the
     /// static and observed edge sets speak the same vocabulary.
     pub endpoints: &'a [(&'a str, &'a str, &'a str)],
-    /// Per-role scratch receiver idents: `(file_suffix, ident,
-    /// resource)` — method receivers containing `ident` in `file` are
-    /// touches of `resource`.
+    /// Scratch receiver idents: `(file_suffix, ident, resource)` —
+    /// method receivers containing `ident` in `file` are touches of
+    /// `resource`, single-role within each thread family.
     pub scratch: &'a [(&'a str, &'a str, &'a str)],
     /// Declared non-ring role touches `(file_suffix, fn_name,
     /// resource)`: the static mirror of bare `role::touch` calls.
@@ -152,12 +162,6 @@ pub const DEFAULT_THREADS: ThreadConfig<'static> = ThreadConfig {
         ),
         // Per-shard read arenas (reset/sliced inside run_batch).
         ("crates/core/src/shard.rs", "arena", "core.shard.arena"),
-        // The serial monitor's sampling scratch.
-        (
-            "crates/core/src/monitor.rs",
-            "scratch",
-            "core.monitor.scratch",
-        ),
     ],
     role_touches: &[
         (
@@ -299,6 +303,10 @@ struct RoleLattice {
     /// (fn, spawn-arg token range, spawned role) — sites inside run
     /// under the spawned role, not the enclosing function's.
     overrides: Vec<(usize, Range<usize>, String)>,
+    /// role → its thread family: the smallest role name among the
+    /// roles connected to it by spawn edges (a role that reaches a
+    /// spawn site, and the role that site spawns).
+    family: BTreeMap<String, String>,
     spawn_sites: usize,
 }
 
@@ -406,10 +414,27 @@ fn build_lattice(graph: &CallGraph, cfg: &ThreadConfig) -> RoleLattice {
         }
         parents.insert(role.clone(), p);
     }
+    // Thread families: connected components over spawn edges. Every
+    // role starts as its own family; merging relabels the larger name.
+    let mut family: BTreeMap<String, String> = roots
+        .keys()
+        .chain(overrides.iter().map(|(_, _, spawned)| spawned))
+        .map(|r| (r.clone(), r.clone()))
+        .collect();
+    for (fi, _, spawned) in &overrides {
+        for spawner in &fn_roles[*fi] {
+            let (a, b) = (family[spawner].clone(), family[spawned].clone());
+            let (keep, drop) = if a <= b { (a, b) } else { (b, a) };
+            for f in family.values_mut().filter(|f| **f == drop) {
+                f.clone_from(&keep);
+            }
+        }
+    }
     RoleLattice {
         parents,
         fn_roles,
         overrides,
+        family,
         spawn_sites,
     }
 }
@@ -421,8 +446,8 @@ struct Touch {
     line: usize,
 }
 
-/// Pass 1: single-writer/single-reader ring endpoints and per-role
-/// scratch.
+/// Pass 1: single-writer/single-reader ring endpoints, and scratch
+/// single-role within each thread family.
 fn ring_pass(
     graph: &CallGraph,
     cfg: &ThreadConfig,
@@ -431,6 +456,7 @@ fn ring_pass(
     role_edges: &mut BTreeMap<(String, String), Vec<String>>,
 ) {
     let mut touches: BTreeMap<String, Vec<Touch>> = BTreeMap::new();
+    let mut scratch_keys: BTreeSet<&str> = BTreeSet::new();
     for (fi, node) in graph.fns.iter().enumerate() {
         if is_ring_impl(&node.item.file) {
             continue;
@@ -465,6 +491,7 @@ fn ring_pass(
                 }) else {
                     continue;
                 };
+                scratch_keys.insert(resource);
                 (*resource).to_string()
             };
             for role in lattice.site_roles(fi, s.token) {
@@ -481,7 +508,14 @@ fn ring_pass(
     }
     for (key, ts) in &touches {
         let roles: BTreeSet<&str> = ts.iter().map(|t| t.role.as_str()).collect();
-        if roles.len() <= 1 {
+        // An endpoint is one object; scratch is one object per family.
+        let clash = if scratch_keys.contains(key.as_str()) {
+            let families: BTreeSet<&String> = roles.iter().map(|r| &lattice.family[*r]).collect();
+            families.len() < roles.len()
+        } else {
+            roles.len() > 1
+        };
+        if !clash {
             continue;
         }
         // Report at the touch whose role sorts last (the "second"
@@ -842,6 +876,50 @@ fn root_b(w: &mut W) { ring.try_push_swap(&mut b); }
         assert_eq!(v[0].token, "fx.ring.writer");
         assert!(v[0].detail.contains("alpha") && v[0].detail.contains("beta"));
         assert_eq!(v[0].witness, vec!["root_b".to_string()]);
+    }
+
+    #[test]
+    fn scratch_is_single_role_per_thread_family() {
+        // `inline_main` runs the whole round on its own thread over
+        // engine state it owns; `driver_main` spawns `pump` and shares
+        // the round with it. All three reach the fold scratch.
+        let shared = "\
+fn inline_main(e: &mut E) { fold(e); }
+fn driver_main(e: &mut E) { scope.spawn(move || pump(e2)); fold(e); }
+fn fold(e: &mut E) { e.scratch.clear(); }
+";
+        let cfg = ThreadConfig {
+            role_roots: &[
+                ("a.rs", "inline_main", "supervisor"),
+                ("a.rs", "driver_main", "driver"),
+                ("a.rs", "pump", "pump"),
+            ],
+            scratch: &[("a.rs", "scratch", "fx.scratch")],
+            ..ThreadConfig::empty()
+        };
+        // Two unrelated threads, one instance each: legal.
+        let clean = format!("{shared}fn pump(e: &mut E) {{ e.arena.reset(); }}\n");
+        let ta = run(&[("crates/x/src/a.rs", &clean)], &cfg);
+        assert!(ta.findings.is_empty(), "{:?}", ta.findings);
+        let pairs: Vec<(&str, &str)> = ta
+            .role_edges
+            .iter()
+            .map(|e| (e.role.as_str(), e.resource.as_str()))
+            .collect();
+        assert_eq!(
+            pairs,
+            [("driver", "fx.scratch"), ("supervisor", "fx.scratch")]
+        );
+        // A driver and the pump it spawned on one instance: a finding.
+        let bad = format!("{shared}fn pump(e: &mut E) {{ fold(e); }}\n");
+        let ta = run(&[("crates/x/src/a.rs", &bad)], &cfg);
+        assert_eq!(ta.findings.len(), 1, "{:?}", ta.findings);
+        let f = &ta.findings[0];
+        assert_eq!(
+            (f.pass, f.token.as_str()),
+            ("ring-discipline", "fx.scratch")
+        );
+        assert!(f.detail.contains("driver") && f.detail.contains("pump"));
     }
 
     #[test]

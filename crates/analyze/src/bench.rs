@@ -4,9 +4,9 @@
 //! renders them as hand-rolled JSON (no dependencies) so CI can diff a
 //! run against a committed baseline:
 //!
-//! * `samples_per_sec` — task samples the monitor hot path completes per
-//!   wall second against the simulated `/proc` (zero-alloc `_into` stack
-//!   plus delta sampling).
+//! * `samples_per_sec` — task samples `Monitor::sample` (the sampling
+//!   engine at one inline shard) completes per wall second against the
+//!   simulated `/proc` (zero-alloc arena reads plus delta sampling).
 //! * `sim_us_per_wall_ms` — virtual microseconds the bare scheduler
 //!   substrate advances per wall millisecond (event-driven skip-ahead).
 //! * `parse_mb_per_sec` — procfs text parsed per wall second through the
@@ -21,9 +21,8 @@
 //!   cluster with heartbeats and LWP details in flight.
 //! * `sharded_samples_per_sec` — task samples per wall second through
 //!   the sharded ingestion engine (`ShardedMonitor`, 4 shards) at its
-//!   design point of 256 watched tasks, where arena-batched reads and
-//!   the byte-scanning stat fast path amortize the per-round fixed
-//!   cost. The acceptance bar is ≥2× `samples_per_sec`.
+//!   design point of 256 watched tasks, where the per-round fixed
+//!   cost is amortized. The acceptance bar is ≥2× `samples_per_sec`.
 //! * `round_p99_us` — 99th-percentile wall microseconds of one sharded
 //!   sampling round (tail latency of the ingestion pipeline; the sim
 //!   advance between rounds is excluded from the timed window).
@@ -289,8 +288,8 @@ fn sampling_scenario() -> (NodeSim, Monitor, usize) {
 }
 
 /// Builds the sharded-ingestion scenario: 8 ranks × 32 threads (256
-/// watched tasks) on the same preset — the watch count where the serial
-/// loop's per-task marginal cost dominates and sharding pays.
+/// watched tasks) on the same preset — the watch count where the
+/// per-task marginal cost dominates the round's fixed cost.
 fn sharded_scenario() -> (NodeSim, Monitor, usize) {
     scenario(8, 32)
 }
@@ -386,7 +385,7 @@ fn bench_sampling(rounds: u32, reps: u32) -> (f64, f64) {
 /// The tick callback advances the sim under the write lock; that span
 /// is bracketed out of the timed window so the figure measures the
 /// ingestion pipeline (pump + fold), matching what [`time_sampling`]
-/// measures for the serial loop.
+/// measures for one inline shard.
 fn time_sharded(rounds: u32, nshards: usize) -> (f64, f64, usize) {
     let (sim, monitor, ntasks) = sharded_scenario();
     let sim = Arc::new(TrackedRw::new("analyze.bench.shard_sim", sim));

@@ -1,21 +1,21 @@
-//! `zerosum shard-diff` — the sharded-ingestion equivalence gate.
+//! `zerosum shard-diff` — the N-shards-vs-1-shard equivalence gate.
 //!
-//! The sharded sampling engine ([`ShardedMonitor`]) restructures the
-//! monitor's hot loop — per-HWT-group shards, arena-batched reads, the
-//! byte-scanning parsers — while claiming *bit-identical* aggregates to
-//! the serial `Monitor::sample` loop. This module is that claim's CI
-//! gate, in two parts:
+//! One sampling engine runs every round; [`ShardedMonitor`] spreads it
+//! over per-HWT-group shards — on the driver thread or on threads of
+//! their own — while claiming aggregates *bit-identical* to the
+//! one-inline-shard round `Monitor::sample` runs. This module is that
+//! claim's CI gate, in two parts:
 //!
 //! 1. **Seeded differential** ([`run_shard_differential`]): for each
 //!    seed, build a randomized node (topology, rank count, thread
 //!    counts, work durations, affinity layout, shard count, shard mode,
-//!    round cadence all seed-derived), run the same schedule through a
-//!    serial monitor and a sharded one over independent but identically
-//!    constructed simulations, and require the full observable state —
-//!    the published [`SampleSnapshot`], sampling stats, merged health
-//!    ledger, governor and supervisor records, and every watch's RSS
-//!    series / affinity / gone flag — to compare equal, byte for byte
-//!    in `Debug` form. Short-lived ranks are part of the mix, so the
+//!    round cadence all seed-derived), run the same schedule through
+//!    `Monitor::sample` and through a sharded monitor over independent
+//!    but identically constructed simulations, and require the full
+//!    observable state — the published [`SampleSnapshot`], sampling
+//!    stats, merged health ledger, governor and supervisor records, and
+//!    every watch's RSS series / affinity / gone flag — to compare
+//!    equal, byte for byte in `Debug` form. Short-lived ranks are part of the mix, so the
 //!    vanish/exit path is differentiated too, on every seed.
 //!
 //! 2. **Chaos isolation** ([`run_shard_chaos`]): wrap exactly one
@@ -110,7 +110,7 @@ impl Rng {
     }
 }
 
-/// The seed-derived scenario shape shared by the serial and sharded
+/// The seed-derived scenario shape shared by the one-shard and sharded
 /// runs of one differential case.
 struct Scenario {
     ranks: u32,
@@ -121,7 +121,7 @@ struct Scenario {
     rounds: u64,
     advance_us: u64,
     laptop: bool,
-    /// When nonzero, wrap both engines' sources in an exit-race shim:
+    /// When nonzero, wrap both runs' sources in an exit-race shim:
     /// worker tids in residue class 0 mod `vanish_mod` stay listed but
     /// vanish on read — departures inside a round, on every round.
     vanish_mod: u64,
@@ -264,7 +264,7 @@ fn fingerprint(mon: &Monitor) -> String {
 fn first_diff(a: &str, b: &str) -> String {
     for (la, lb) in a.lines().zip(b.lines()) {
         if la != lb {
-            return format!("serial: {la} | sharded: {lb}");
+            return format!("1 shard: {la} | sharded: {lb}");
         }
     }
     format!(
@@ -274,10 +274,10 @@ fn first_diff(a: &str, b: &str) -> String {
     )
 }
 
-/// Runs one seed's serial reference. The exit-race shim is always
-/// layered (modulus 0 is transparent) so both engines read through the
-/// same stack.
-fn run_serial(sc: &Scenario) -> Monitor {
+/// Runs one seed's one-shard reference: `Monitor::sample`. The
+/// exit-race shim is always layered (modulus 0 is transparent) so both
+/// runs read through the same stack.
+fn run_one_shard(sc: &Scenario) -> Monitor {
     let (mut sim, mut monitor, _) = sc.build();
     for r in 0..sc.rounds {
         sim.run_for(sc.advance_us);
@@ -308,16 +308,16 @@ fn run_sharded(sc: &Scenario) -> Monitor {
     sharded.into_monitor()
 }
 
-/// The seeded serial-vs-sharded differential over `seeds` seeds.
+/// The seeded N-shards-vs-1-shard differential over `seeds` seeds.
 pub fn run_shard_differential(seeds: u64) -> Vec<SeedOutcome> {
     let mut out = Vec::new();
     for seed in 0..seeds {
         let sc = Scenario::derive(seed);
-        let serial = fingerprint(&run_serial(&sc));
+        let one_shard = fingerprint(&run_one_shard(&sc));
         let sharded = fingerprint(&run_sharded(&sc));
         let mut failures = Vec::new();
-        if serial != sharded {
-            failures.push(first_diff(&serial, &sharded));
+        if one_shard != sharded {
+            failures.push(first_diff(&one_shard, &sharded));
         }
         out.push(SeedOutcome {
             seed,
@@ -466,9 +466,9 @@ mod tests {
         }
     }
 
-    /// Satellite: a tid listed at `list_tasks` but gone by the shard's
-    /// `stat` read must take the serial loop's departure path — same
-    /// vanish accounting, no errors, bit-identical fingerprints.
+    /// A tid listed at `list_tasks` but gone by the shard's `stat` read
+    /// must take the departure path at any shard count — same vanish
+    /// accounting, no errors, bit-identical fingerprints.
     #[test]
     fn mid_round_departures_diff_identical() {
         let sc = Scenario {
@@ -484,17 +484,17 @@ mod tests {
             laptop: true,
             vanish_mod: 3,
         };
-        let serial = run_serial(&sc);
+        let one_shard = run_one_shard(&sc);
         let sharded = run_sharded(&sc);
         assert!(
-            serial.stats.vanished > 0,
+            one_shard.stats.vanished > 0,
             "scenario exercised no mid-round departures"
         );
-        assert_eq!(serial.stats.errors, 0, "vanish must never be an error");
+        assert_eq!(one_shard.stats.errors, 0, "vanish must never be an error");
         assert_eq!(
-            fingerprint(&serial),
+            fingerprint(&one_shard),
             fingerprint(&sharded),
-            "departure handling diverged between engines"
+            "departure handling diverged between shard counts"
         );
     }
 

@@ -1069,8 +1069,9 @@ fn run_audit(args: &[String]) -> i32 {
 }
 
 /// `zerosum lint` — run the repo lint pass from the workspace root.
-/// `zerosum shard-diff [--seeds N]` — the sharded-ingestion equivalence
-/// gate: seeded serial-vs-sharded bit-identity differentials plus the
+/// `zerosum shard-diff [--seeds N]` — the N-shards-vs-1-shard
+/// equivalence gate: seeded bit-identity differentials of the sharded
+/// round against the one-shard round `Monitor::sample` runs, plus the
 /// one-faulted-shard chaos isolation drill. Exit 0 iff every seed is
 /// identical and the faulted shard stayed contained.
 fn run_shard_diff(args: &[String]) -> i32 {
@@ -1087,6 +1088,7 @@ fn run_shard_diff(args: &[String]) -> i32 {
             },
             "--help" | "-h" => {
                 println!("usage: zerosum shard-diff [--seeds N]");
+                println!("  N seeds: sharded rounds must equal Monitor::sample's 1-shard round");
                 return 0;
             }
             other => {

@@ -23,9 +23,10 @@
 //! * [`gpu_link`], [`runner`] — the virtual-time driver coupling the
 //!   monitor to `zerosum-sched`'s node simulation.
 //! * [`attach`] — live self-monitoring of a real process on Linux.
-//! * [`shard`] — sharded zero-contention ingestion: per-HWT-group
-//!   sampling shards over SPSC swap rings, bit-identical to the serial
-//!   loop.
+//! * [`shard`] — the sampling engine: the one round
+//!   [`Monitor::sample`] runs as one inline shard and
+//!   [`ShardedMonitor`] runs as per-HWT-group shards over SPSC swap
+//!   rings, bit-identical at any shard count.
 
 #![warn(missing_docs)]
 
@@ -68,8 +69,7 @@ pub use runner::{
     attach_monitor_threads, run_baseline, run_monitored, run_monitored_faulty, RunOutcome,
 };
 pub use shard::{
-    FaultyShardSource, LinuxShardSource, ShardMode, ShardSource, ShardedMonitor, SimShardSource,
-    VanishShardSource,
+    FaultyShardSource, ShardMode, ShardSource, ShardedMonitor, SimShardSource, VanishShardSource,
 };
 pub use sync::{
     clear_observed_lock_edges, observed_lock_edges, Tracked, TrackedGuard, TrackedReadGuard,

@@ -7,16 +7,20 @@
 //! snapshot `/proc/stat` and `/proc/meminfo` — tolerating races with
 //! exiting threads exactly as a live `/proc` consumer must. The same
 //! code drives the live-Linux backend and the node simulation.
+//!
+//! This module holds the monitor's state, its supervisor and its
+//! overload control. The observation itself is the sampling engine's
+//! round ([`crate::shard`]), which [`Monitor::sample`] runs as one
+//! inline shard.
 
 use crate::config::{ResilienceConfig, ZeroSumConfig};
-use crate::health::{FailureAction, HealthLedger, ProcessHealth};
+use crate::health::{HealthLedger, ProcessHealth};
 use crate::hwt::HwtTracker;
 use crate::lwp::LwpRegistry;
 use crate::memory::MemoryTracker;
 use std::collections::HashMap;
 use zerosum_proc::{
-    IntHash, Pid, ProcSource, SchedStat, SourceError, SourceErrorKind, SourceResult, SystemStat,
-    TaskStat, TaskStatus, Tid,
+    IntHash, Pid, ProcSource, SchedStat, SourceErrorKind, SourceResult, SystemStat, Tid,
 };
 use zerosum_stats::Ring;
 use zerosum_topology::CpuSet;
@@ -75,14 +79,12 @@ impl ProcessWatch {
         self.last_schedstat.len()
     }
 
-    /// End-of-round lifecycle sweep, shared verbatim by the serial loop
-    /// and the sharded fold — the two engines must stay bit-identical,
-    /// so departure handling lives in exactly one place. Marks unlisted
-    /// tracks exited, prunes per-tid health state and the delta gate
-    /// for departed tids, and bounds the dead-track tail so memory
-    /// under open-system churn stays proportional to concurrent tasks.
-    /// `live` must be sorted ascending (task listings already are).
-    /// Allocation-free: reachable from the sharded hot path.
+    /// End-of-round lifecycle sweep. Marks unlisted tracks exited,
+    /// prunes per-tid health state and the delta gate for departed
+    /// tids, and bounds the dead-track tail so memory under open-system
+    /// churn stays proportional to concurrent tasks. `live` must be
+    /// sorted ascending (task listings already are). Allocation-free:
+    /// it runs inside the round's fold.
     pub(crate) fn finish_round(&mut self, live: &[Tid], max_exited: usize) {
         self.lwps.mark_exited(live);
         self.health.sweep_departed(live);
@@ -199,19 +201,19 @@ pub struct Monitor {
     /// Live snapshot feed (§3.6): subscribers receive a
     /// [`crate::feed::SampleSnapshot`] after every sample.
     pub feed: crate::feed::SampleFeed,
-    /// Reusable per-round records, overwritten by the `_into` reads —
-    /// the sampling hot path allocates nothing in the steady state.
+    /// Reusable node-scope records of a round — the sampling hot path
+    /// allocates nothing in the steady state.
     pub(crate) scratch: SampleScratch,
+    /// The sampling engine's per-round state (batches, arenas, fold
+    /// cursors): one shard's worth, unless a
+    /// [`crate::shard::ShardedMonitor`] resized it.
+    pub(crate) engine: crate::shard::Engine,
 }
 
-/// One record of each kind plus the per-round vectors, reused across
-/// rounds.
+/// The node-scope record and vector a round's fold reuses.
 #[derive(Debug, Default)]
 pub(crate) struct SampleScratch {
     pub(crate) sys: SystemStat,
-    pub(crate) tids: Vec<Tid>,
-    pub(crate) stat: TaskStat,
-    pub(crate) status: TaskStatus,
     pub(crate) watched_rss: Vec<(Pid, u64)>,
 }
 
@@ -233,6 +235,7 @@ impl Monitor {
             last_t_s: 0.0,
             feed: crate::feed::SampleFeed::new(),
             scratch: SampleScratch::default(),
+            engine: crate::shard::Engine::new(1),
         }
     }
 
@@ -282,14 +285,21 @@ impl Monitor {
     }
 
     /// Performs one periodic observation at time `t_s` (seconds since
-    /// monitoring began).
+    /// monitoring began): one round of the sampling engine, every shard
+    /// pumped inline on this thread through `src`.
     ///
     /// The observation body runs under a supervisor: a panic anywhere in
     /// the sampling path is caught, recorded as a gap in
     /// [`Monitor::supervisor`], and sampling resumes at the next period —
     /// the monitor never takes the application down with it (§3.1).
     pub fn sample(&mut self, t_s: f64, src: &dyn ProcSource) {
-        let body = std::panic::AssertUnwindSafe(|| self.sample_inner(t_s, src));
+        self.supervised(t_s, |mon| crate::shard::round_inline(mon, t_s, src));
+    }
+
+    /// The sampling supervisor: runs one round's `body` and records a
+    /// panic out of it as a gap at `t_s`.
+    pub(crate) fn supervised(&mut self, t_s: f64, body: impl FnOnce(&mut Self)) {
+        let body = std::panic::AssertUnwindSafe(|| body(self));
         if std::panic::catch_unwind(body).is_err() {
             // `self` may hold a partially-updated round; every tracker
             // tolerates that (observations are append-only), so restart
@@ -361,168 +371,6 @@ impl Monitor {
         }
         total
     }
-
-    fn sample_inner(&mut self, t_s: f64, src: &dyn ProcSource) {
-        crate::role::touch("core.monitor.scratch");
-        self.stats.rounds += 1;
-        self.last_t_s = t_s;
-        let res = self.config.resilience;
-        let delta_on = self.config.delta_sampling;
-        let max_exited = self.config.max_exited_tracks;
-        // Deadline watchdog: after an overrun, this round sheds per-LWP
-        // detail (worker stat/status reads) to get back under budget.
-        let shed = std::mem::take(&mut self.governor.shed_next);
-        if shed {
-            self.governor.shed_rounds += 1;
-        }
-        match with_retry(
-            &res,
-            &mut self.node_health,
-            &mut self.pending_backoff_us,
-            || src.system_stat_into(&mut self.scratch.sys),
-        ) {
-            Ok(()) => self.hwt.observe(t_s, &self.scratch.sys),
-            Err(_) => self.stats.errors += 1,
-        }
-        self.scratch.watched_rss.clear();
-        for w in &mut self.processes {
-            if w.gone {
-                continue;
-            }
-            let pid = w.info.pid;
-            match with_retry(
-                &res,
-                &mut self.node_health,
-                &mut self.pending_backoff_us,
-                || src.list_tasks_into(pid, &mut self.scratch.tids),
-            ) {
-                Ok(()) => {}
-                Err(SourceError::NotFound) => {
-                    w.gone = true;
-                    self.stats.vanished += 1;
-                    continue;
-                }
-                Err(_) => {
-                    self.stats.errors += 1;
-                    continue;
-                }
-            }
-            for &tid in &self.scratch.tids {
-                if shed && tid != pid {
-                    // Shed round: drop per-LWP detail, keep per-HWT
-                    // totals (system stat), the main thread (RSS), and
-                    // memory.
-                    continue;
-                }
-                if w.health.should_skip(tid) {
-                    // Quarantined after persistent failures; re-probed
-                    // once per `reprobe_after` rounds.
-                    continue;
-                }
-                // schedstat first: it is both the wait-time source and
-                // the delta gate. Optional (CONFIG_SCHED_INFO); absence
-                // is not an error and is never retried.
-                let schedstat = src.task_schedstat(pid, tid).ok();
-                if delta_on && tid != pid {
-                    // Unchanged schedstat ⇒ the thread was never
-                    // dispatched since the last fresh read ⇒ its `stat`
-                    // and `status` are bytewise unchanged; reuse the
-                    // last good pair. The main thread is exempt: it
-                    // carries the process-wide RSS, which moves without
-                    // the thread running.
-                    if let (Some(ss), Some(prev)) = (schedstat, w.last_schedstat.get(&tid)) {
-                        if ss == *prev {
-                            if let Some((stat, status)) = w.health.last_good(tid) {
-                                self.stats.delta_hits += 1;
-                                w.lwps
-                                    .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
-                                continue;
-                            }
-                        }
-                    }
-                }
-                let read = match with_retry(
-                    &res,
-                    &mut w.health.ledger,
-                    &mut self.pending_backoff_us,
-                    || src.task_stat_into(pid, tid, &mut self.scratch.stat),
-                ) {
-                    Ok(()) => with_retry(
-                        &res,
-                        &mut w.health.ledger,
-                        &mut self.pending_backoff_us,
-                        || src.task_status_into(pid, tid, &mut self.scratch.status),
-                    ),
-                    Err(e) => Err(e),
-                };
-                let fresh = match read {
-                    Ok(()) => {
-                        w.health
-                            .record_success(tid, &self.scratch.stat, &self.scratch.status);
-                        if let Some(ss) = schedstat {
-                            w.last_schedstat.insert(tid, ss);
-                        }
-                        true
-                    }
-                    Err(SourceError::NotFound) => {
-                        // Thread exited between the directory listing and
-                        // the read: the normal race of §3.1.1.
-                        self.stats.vanished += 1;
-                        w.health.forget(tid);
-                        w.last_schedstat.remove(&tid);
-                        continue;
-                    }
-                    Err(_) => {
-                        self.stats.errors += 1;
-                        match w.health.record_failure(tid, &res) {
-                            FailureAction::Interpolate(pair) => {
-                                // Degraded: repeat the last good sample so
-                                // the time series stays continuous; the
-                                // ledger flags the substitution.
-                                self.scratch.stat.clone_from(&pair.0);
-                                self.scratch.status.clone_from(&pair.1);
-                                false
-                            }
-                            FailureAction::Drop => continue,
-                        }
-                    }
-                };
-                if tid == pid {
-                    if w.cpus_allowed.is_empty() {
-                        w.cpus_allowed.copy_from(&self.scratch.status.cpus_allowed);
-                    }
-                    w.rss_series.push((t_s, self.scratch.status.vm_rss_kib));
-                    self.scratch
-                        .watched_rss
-                        .push((pid, self.scratch.status.vm_rss_kib));
-                }
-                // Interpolated rounds report no schedstat — a fresh
-                // schedstat against a stale stat would skew wait deltas.
-                let ss = if fresh { schedstat } else { None };
-                w.lwps.observe_with_schedstat(
-                    pid,
-                    t_s,
-                    &self.scratch.stat,
-                    &self.scratch.status,
-                    ss,
-                );
-            }
-            w.finish_round(&self.scratch.tids, max_exited);
-        }
-        match with_retry(
-            &res,
-            &mut self.node_health,
-            &mut self.pending_backoff_us,
-            || src.meminfo(),
-        ) {
-            Ok(mi) => self.mem.observe(t_s, &mi, &self.scratch.watched_rss),
-            Err(_) => self.stats.errors += 1,
-        }
-        if self.feed.subscriber_count() > 0 {
-            let snap = crate::feed::snapshot_of(self);
-            self.feed.publish(snap);
-        }
-    }
 }
 
 /// Runs a source read with bounded retry on transient `Io` failures.
@@ -558,6 +406,189 @@ pub(crate) fn with_retry<T>(
                 }
                 return Err(e);
             }
+        }
+    }
+}
+
+/// The serial sampling loop as it stood before the engine's round became
+/// the only one: `sample_inner`, statement for statement. Tests hold
+/// [`Monitor::sample`] and the sharded rounds bit-identical to it.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::health::FailureAction;
+    use zerosum_proc::{SourceError, TaskStat, TaskStatus};
+
+    /// The per-task records the serial loop kept in `SampleScratch`.
+    #[derive(Default)]
+    struct Scratch {
+        tids: Vec<Tid>,
+        stat: TaskStat,
+        status: TaskStatus,
+    }
+
+    /// One serial round under the supervisor `Monitor::sample` had.
+    pub(crate) fn sample(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
+        let body = std::panic::AssertUnwindSafe(|| sample_inner(mon, t_s, src));
+        if std::panic::catch_unwind(body).is_err() {
+            mon.supervisor.restarts += 1;
+            mon.supervisor.gap_times_s.push(t_s);
+        }
+    }
+
+    fn sample_inner(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
+        let mut scratch = Scratch::default();
+        mon.stats.rounds += 1;
+        mon.last_t_s = t_s;
+        let res = mon.config.resilience;
+        let delta_on = mon.config.delta_sampling;
+        let max_exited = mon.config.max_exited_tracks;
+        // Deadline watchdog: after an overrun, this round sheds per-LWP
+        // detail (worker stat/status reads) to get back under budget.
+        let shed = std::mem::take(&mut mon.governor.shed_next);
+        if shed {
+            mon.governor.shed_rounds += 1;
+        }
+        match with_retry(
+            &res,
+            &mut mon.node_health,
+            &mut mon.pending_backoff_us,
+            || src.system_stat_into(&mut mon.scratch.sys),
+        ) {
+            Ok(()) => mon.hwt.observe(t_s, &mon.scratch.sys),
+            Err(_) => mon.stats.errors += 1,
+        }
+        mon.scratch.watched_rss.clear();
+        for w in &mut mon.processes {
+            if w.gone {
+                continue;
+            }
+            let pid = w.info.pid;
+            match with_retry(
+                &res,
+                &mut mon.node_health,
+                &mut mon.pending_backoff_us,
+                || src.list_tasks_into(pid, &mut scratch.tids),
+            ) {
+                Ok(()) => {}
+                Err(SourceError::NotFound) => {
+                    w.gone = true;
+                    mon.stats.vanished += 1;
+                    continue;
+                }
+                Err(_) => {
+                    mon.stats.errors += 1;
+                    continue;
+                }
+            }
+            for &tid in &scratch.tids {
+                if shed && tid != pid {
+                    // Shed round: drop per-LWP detail, keep per-HWT
+                    // totals (system stat), the main thread (RSS), and
+                    // memory.
+                    continue;
+                }
+                if w.health.should_skip(tid) {
+                    // Quarantined after persistent failures; re-probed
+                    // once per `reprobe_after` rounds.
+                    continue;
+                }
+                // schedstat first: it is both the wait-time source and
+                // the delta gate. Optional (CONFIG_SCHED_INFO); absence
+                // is not an error and is never retried.
+                let schedstat = src.task_schedstat(pid, tid).ok();
+                if delta_on && tid != pid {
+                    // Unchanged schedstat ⇒ the thread was never
+                    // dispatched since the last fresh read ⇒ its `stat`
+                    // and `status` are bytewise unchanged; reuse the
+                    // last good pair. The main thread is exempt: it
+                    // carries the process-wide RSS, which moves without
+                    // the thread running.
+                    if let (Some(ss), Some(prev)) = (schedstat, w.last_schedstat.get(&tid)) {
+                        if ss == *prev {
+                            if let Some((stat, status)) = w.health.last_good(tid) {
+                                mon.stats.delta_hits += 1;
+                                w.lwps
+                                    .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
+                                continue;
+                            }
+                        }
+                    }
+                }
+                let read = match with_retry(
+                    &res,
+                    &mut w.health.ledger,
+                    &mut mon.pending_backoff_us,
+                    || src.task_stat_into(pid, tid, &mut scratch.stat),
+                ) {
+                    Ok(()) => with_retry(
+                        &res,
+                        &mut w.health.ledger,
+                        &mut mon.pending_backoff_us,
+                        || src.task_status_into(pid, tid, &mut scratch.status),
+                    ),
+                    Err(e) => Err(e),
+                };
+                let fresh = match read {
+                    Ok(()) => {
+                        w.health.record_success(tid, &scratch.stat, &scratch.status);
+                        if let Some(ss) = schedstat {
+                            w.last_schedstat.insert(tid, ss);
+                        }
+                        true
+                    }
+                    Err(SourceError::NotFound) => {
+                        // Thread exited between the directory listing and
+                        // the read: the normal race of §3.1.1.
+                        mon.stats.vanished += 1;
+                        w.health.forget(tid);
+                        w.last_schedstat.remove(&tid);
+                        continue;
+                    }
+                    Err(_) => {
+                        mon.stats.errors += 1;
+                        match w.health.record_failure(tid, &res) {
+                            FailureAction::Interpolate(pair) => {
+                                // Degraded: repeat the last good sample so
+                                // the time series stays continuous; the
+                                // ledger flags the substitution.
+                                scratch.stat.clone_from(&pair.0);
+                                scratch.status.clone_from(&pair.1);
+                                false
+                            }
+                            FailureAction::Drop => continue,
+                        }
+                    }
+                };
+                if tid == pid {
+                    if w.cpus_allowed.is_empty() {
+                        w.cpus_allowed.copy_from(&scratch.status.cpus_allowed);
+                    }
+                    w.rss_series.push((t_s, scratch.status.vm_rss_kib));
+                    mon.scratch
+                        .watched_rss
+                        .push((pid, scratch.status.vm_rss_kib));
+                }
+                // Interpolated rounds report no schedstat — a fresh
+                // schedstat against a stale stat would skew wait deltas.
+                let ss = if fresh { schedstat } else { None };
+                w.lwps
+                    .observe_with_schedstat(pid, t_s, &scratch.stat, &scratch.status, ss);
+            }
+            w.finish_round(&scratch.tids, max_exited);
+        }
+        match with_retry(
+            &res,
+            &mut mon.node_health,
+            &mut mon.pending_backoff_us,
+            || src.meminfo(),
+        ) {
+            Ok(mi) => mon.mem.observe(t_s, &mi, &mon.scratch.watched_rss),
+            Err(_) => mon.stats.errors += 1,
+        }
+        if mon.feed.subscriber_count() > 0 {
+            let snap = crate::feed::snapshot_of(mon);
+            mon.feed.publish(snap);
         }
     }
 }

@@ -9,10 +9,10 @@
 //! assert observed ⊆ static — the same shape as the `sync::Tracked`
 //! lock-order drill.
 //!
-//! A touch with **no role entered is deliberately not recorded**: the
-//! serial monitor and the inline shard mode run everything on whatever
-//! thread the caller owns, which is exactly the case the static
-//! lattice leaves roleless. Only code executing under a declared role
+//! A touch with **no role entered is deliberately not recorded**:
+//! `Monitor::sample` and the inline shard mode run the whole round on
+//! whatever thread the caller owns, which is exactly the case the
+//! static lattice leaves roleless. Only code executing under a declared role
 //! is held to the contract.
 //!
 //! In release builds everything here compiles to nothing, like the

@@ -1,72 +1,65 @@
-//! Sharded zero-contention ingestion: per-HWT-group sampling shards.
+//! The sampling engine: one round, run as one shard or as N.
 //!
-//! The serial monitor ([`Monitor::sample`]) walks every watched LWP from
-//! one thread. At high watch counts that single loop is the scaling
-//! bottleneck for the paper's <0.5% overhead budget (§3.1): every
-//! `stat`/`status` read, parse, and series fold is serialized. This
-//! module restructures one sampling round into *shards*:
+//! Every observation the monitor makes — [`Monitor::sample`] on the
+//! thread that owns the monitor, or [`ShardedMonitor`] over per-HWT-group
+//! shards — is one pass through the round functions in this module:
+//!
+//! 1. **Begin**: counters, the shed decision, node `/proc/stat`.
+//! 2. **List trip**: each shard reads `/proc/<pid>/task` for its watches.
+//! 3. The driver folds the lists and *plans* the per-tid reads —
+//!    quarantine skips, shed rounds, and the delta-sampling gate are
+//!    all decided driver-side so shard results fold deterministically.
+//! 4. **Read trip**: each shard executes its plan — `schedstat`, the
+//!    delta compare, then raw-text `stat`/`status` into its
+//!    [`ReadArena`], parsed in place and recycled task by task —
+//!    recording outcomes into per-task slots with a zeroed local health
+//!    ledger.
+//! 5. The driver folds the slots in canonical watch order: series
+//!    observations, health accounting, the failure policy, RSS.
+//! 6. **End**: `/proc/meminfo` and the snapshot feed.
+//!
+//! [`Monitor::sample`] runs the round with one shard, pumped inline
+//! through the source it was lent. What N shards add is confined to
+//! [`ShardedMonitor`]:
 //!
 //! * Watched processes are partitioned into per-HWT-group slices —
 //!   contiguous runs of the watch list ordered by first allowed CPU —
 //!   so each shard samples processes whose threads share hardware
 //!   threads (cache- and NUMA-friendly on a live node).
-//! * Each shard is a single-writer sampling pump: it reads task lists,
-//!   `schedstat`, and raw `stat`/`status` text into a private
-//!   [`ReadArena`], parses with the byte-scanning fast path
-//!   ([`parse::parse_task_stat_view_fast`]), and hands completed batches
-//!   to the driver over a bounded SPSC swap ring
+//! * Each shard is a single-writer sampling pump with a private arena;
+//!   in [`ShardMode::Threads`] it runs on its own thread and exchanges
+//!   batches with the driver over a bounded SPSC swap ring
 //!   ([`zerosum_stats::ShardRing`]). Buffers recycle through the ring;
 //!   the steady state allocates nothing.
-//! * One driver thread plans rounds and folds results into the existing
-//!   monitor state (series, ledgers, governor) in canonical watch
-//!   order. Parse (shard side) and fold (driver side) never touch the
-//!   same lock: the only shared state is the ring slots themselves and,
-//!   for the simulated substrate, a reader-writer lock the shards only
+//! * Parse (shard side) and fold (driver side) never touch the same
+//!   lock: the only shared state is the ring slots themselves and, for
+//!   the simulated substrate, a reader-writer lock the shards only
 //!   ever read while the driver only writes strictly between rounds.
 //!
-//! A round is two trips through the shards:
-//!
-//! 1. **List**: shards read `/proc/<pid>/task` for their watches.
-//! 2. The driver folds the lists and *plans* the per-tid reads —
-//!    quarantine skips, shed rounds, and the delta-sampling gate are
-//!    all decided driver-side so shard results fold deterministically.
-//! 3. **Read**: shards execute the plan — `schedstat`, the delta
-//!    compare, then raw-text `stat`/`status` into the arena — recording
-//!    outcomes into per-task slots with a zeroed local health ledger.
-//! 4. The driver folds the slots in canonical watch order: series
-//!    observations, health accounting, RSS, and the snapshot feed —
-//!    exactly the statements the serial loop would have run.
-//!
-//! Every per-round counter is a sum, every fold is applied in the
-//! serial loop's order, and the shard-side parser is proven equivalent
-//! to the owning parser — so a sharded round is *bit-identical* to a
-//! serial round over the same substrate (the differential harness in
-//! `zerosum-analyze` asserts this over seeds). A panic inside a shard
-//! batch is caught at the batch boundary: the affected shard's watches
-//! lose one round (recorded as a supervisor gap), other shards' results
-//! fold normally — fault isolation the serial loop cannot offer.
+//! Every per-round counter is a sum and every fold is applied in watch
+//! order, so a round over N shards is *bit-identical* to a round over
+//! one (the differential harness in `zerosum-analyze` asserts this over
+//! seeds). A panic inside a shard batch is caught at the batch
+//! boundary: the affected shard's watches lose one round (recorded as a
+//! supervisor gap), other shards' results fold normally.
 
 use crate::health::{FailureAction, HealthLedger};
-use crate::monitor::{with_retry, Monitor};
+use crate::monitor::{with_retry, Monitor, ProcessWatch};
 use crate::sync::{Tracked, TrackedRw};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError};
 use zerosum_proc::fault::FaultInjector;
 use zerosum_proc::{
-    parse, LinuxProc, Pid, ProcSource, ReadArena, SchedStat, SourceError, SourceResult, TaskStat,
-    TaskStatus, Tid,
+    parse, Pid, ProcSource, ReadArena, SchedStat, SourceError, SourceResult, TaskStat, TaskStatus,
+    Tid,
 };
 use zerosum_sched::{NodeSim, SimProcSource};
 use zerosum_stats::{ShardReader, ShardRing, ShardWriter};
 
 /// How shard pumps execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardMode {
-    /// Pick [`ShardMode::Threads`] when the host has ≥2 hardware
-    /// threads available, [`ShardMode::Inline`] otherwise.
-    #[default]
-    Auto,
     /// Run every shard's pump on the driver thread. Same batch code,
     /// same rings-free data flow, no thread overhead — the right choice
     /// on oversubscribed or single-CPU hosts.
@@ -122,27 +115,6 @@ impl ShardSource for SimShardSource {
     }
 }
 
-/// Shard handle onto the live `/proc`: each shard owns its own
-/// [`LinuxProc`] (path and read buffers are per-shard), so there is no
-/// shared substrate at all.
-#[derive(Debug)]
-pub struct LinuxShardSource {
-    src: LinuxProc,
-}
-
-impl LinuxShardSource {
-    /// Wraps a per-shard live-procfs reader.
-    pub fn new(src: LinuxProc) -> Self {
-        LinuxShardSource { src }
-    }
-}
-
-impl ShardSource for LinuxShardSource {
-    fn with_source<R>(&mut self, f: impl FnOnce(&dyn ProcSource) -> R) -> R {
-        f(&self.src)
-    }
-}
-
 /// A [`ShardSource`] with a per-shard fault injector layered on top —
 /// the chaos harness's shard-scoped failure domain. Faults injected
 /// here hit only this shard's reads; the differential harness asserts
@@ -176,10 +148,10 @@ impl<S: ShardSource> ShardSource for FaultyShardSource<S> {
 /// in a fixed residue class vanish (`NotFound`) on every read while
 /// staying listed, via [`zerosum_proc::ExitRace`]. Unlike
 /// [`FaultyShardSource`], the fault surface is stateless and
-/// call-order independent, so the serial and sharded engines see the
-/// *identical* races — which is what lets the shard differential
-/// exercise mid-round departures on both sides and still demand
-/// bit-identical outcomes. Modulus 0 is fully transparent.
+/// call-order independent, so a round sees the *identical* races at any
+/// shard count — which is what lets the shard differential exercise
+/// mid-round departures on both sides and still demand bit-identical
+/// outcomes. Modulus 0 is fully transparent.
 #[derive(Debug)]
 pub struct VanishShardSource<S> {
     inner: S,
@@ -204,6 +176,25 @@ impl<S: ShardSource> ShardSource for VanishShardSource<S> {
         let (m, r) = (self.modulus, self.residue);
         self.inner
             .with_source(|src| f(&zerosum_proc::ExitRace::new(src, m, r)))
+    }
+}
+
+/// What a round borrows its [`ProcSource`] from: a shard handle scopes
+/// the borrow per batch ([`ShardSource::with_source`]);
+/// [`Monitor::sample`] passes on the source it was itself lent.
+trait Lend {
+    fn lend<R>(&mut self, f: impl FnOnce(&dyn ProcSource) -> R) -> R;
+}
+
+impl<S: ShardSource> Lend for S {
+    fn lend<R>(&mut self, f: impl FnOnce(&dyn ProcSource) -> R) -> R {
+        self.with_source(f)
+    }
+}
+
+impl Lend for &dyn ProcSource {
+    fn lend<R>(&mut self, f: impl FnOnce(&dyn ProcSource) -> R) -> R {
+        f(*self)
     }
 }
 
@@ -325,17 +316,11 @@ fn batch_ring(name: &'static str) -> BatchRing {
     )
 }
 
-/// The sharded sampling engine: a [`Monitor`] whose rounds are executed
-/// by per-HWT-group shards.
-///
-/// The monitor inside is untouched state-wise — reports, exports, the
-/// governor, and the feed all read it exactly as they would a serially
-/// sampled one, and a sharded round folds to bit-identical state.
+/// The engine's per-round state, reused across rounds and owned by the
+/// [`Monitor`] it samples for: one batch and one arena per shard, the
+/// watch → shard assignment, the fold cursors.
 #[derive(Debug)]
-pub struct ShardedMonitor {
-    monitor: Monitor,
-    nshards: usize,
-    mode: ShardMode,
+pub(crate) struct Engine {
     batches: Vec<ShardBatch>,
     arenas: Vec<ReadArena>,
     /// Watch index -> shard, rebuilt every round (see `build_assignment`).
@@ -345,15 +330,11 @@ pub struct ShardedMonitor {
     cur_b: Vec<usize>,
 }
 
-impl ShardedMonitor {
-    /// Wraps `monitor` for sharded sampling with `nshards` shards
-    /// (clamped to ≥1).
-    pub fn new(monitor: Monitor, nshards: usize, mode: ShardMode) -> Self {
+impl Engine {
+    /// Engine state for `nshards` shards (clamped to ≥1).
+    pub(crate) fn new(nshards: usize) -> Self {
         let nshards = nshards.max(1);
-        ShardedMonitor {
-            monitor,
-            nshards,
-            mode,
+        Engine {
             batches: (0..nshards).map(|_| ShardBatch::default()).collect(),
             arenas: (0..nshards).map(|_| ReadArena::new()).collect(),
             assign: Vec::new(),
@@ -361,6 +342,27 @@ impl ShardedMonitor {
             cur_a: Vec::new(),
             cur_b: Vec::new(),
         }
+    }
+}
+
+/// A [`Monitor`] whose rounds are executed by per-HWT-group shards.
+///
+/// The monitor inside is untouched state-wise — reports, exports, the
+/// governor, and the feed all read it exactly as they would one sampled
+/// through [`Monitor::sample`], and a round over N shards folds to
+/// bit-identical state.
+#[derive(Debug)]
+pub struct ShardedMonitor {
+    monitor: Monitor,
+    mode: ShardMode,
+}
+
+impl ShardedMonitor {
+    /// Wraps `monitor` for sharded sampling with `nshards` shards
+    /// (clamped to ≥1).
+    pub fn new(mut monitor: Monitor, nshards: usize, mode: ShardMode) -> Self {
+        monitor.engine = Engine::new(nshards);
+        ShardedMonitor { monitor, mode }
     }
 
     /// The wrapped monitor.
@@ -381,24 +383,7 @@ impl ShardedMonitor {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.nshards
-    }
-
-    /// The execution mode [`ShardMode::Auto`] resolves to on this host.
-    pub fn effective_mode(&self) -> ShardMode {
-        match self.mode {
-            ShardMode::Auto => {
-                let cpus = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                if cpus >= 2 {
-                    ShardMode::Threads
-                } else {
-                    ShardMode::Inline
-                }
-            }
-            m => m,
-        }
+        self.monitor.engine.batches.len()
     }
 
     /// Runs `rounds` sampling rounds.
@@ -417,9 +402,9 @@ impl ShardedMonitor {
         rounds: u64,
         mut advance_time: impl FnMut(u64) -> f64,
     ) {
-        match self.effective_mode() {
+        match self.mode {
             ShardMode::Threads => self.run_threads(&mut make_source, rounds, &mut advance_time),
-            _ => self.run_inline(&mut make_source, rounds, &mut advance_time),
+            ShardMode::Inline => self.run_inline(&mut make_source, rounds, &mut advance_time),
         }
     }
 
@@ -429,18 +414,21 @@ impl ShardedMonitor {
         rounds: u64,
         advance_time: &mut impl FnMut(u64) -> f64,
     ) {
-        let mut sources: Vec<S> = (0..self.nshards).map(&mut *make_source).collect();
-        let mut driver_src = make_source(self.nshards);
+        let nshards = self.shard_count();
+        let mut sources: Vec<S> = (0..nshards).map(&mut *make_source).collect();
+        let mut driver_src = make_source(nshards);
         for r in 0..rounds {
             let t_s = advance_time(r);
-            self.round(t_s, &mut driver_src, |batches, arenas| {
-                for ((batch, arena), source) in batches
-                    .iter_mut()
-                    .zip(arenas.iter_mut())
-                    .zip(sources.iter_mut())
-                {
-                    process_batch(batch, source, arena);
-                }
+            self.monitor.supervised(t_s, |mon| {
+                round(mon, t_s, &mut driver_src, |batches, arenas| {
+                    for ((batch, arena), source) in batches
+                        .iter_mut()
+                        .zip(arenas.iter_mut())
+                        .zip(sources.iter_mut())
+                    {
+                        process_batch(batch, source, arena);
+                    }
+                })
             });
         }
     }
@@ -455,7 +443,7 @@ impl ShardedMonitor {
         // below keep the observed role edges in sync with the static
         // `ring-discipline` contract (DESIGN.md §15).
         let _role = crate::role::enter("driver");
-        let nshards = self.nshards;
+        let nshards = self.shard_count();
         let stop = AtomicBool::new(false);
         let mut rings: Vec<(BatchRing, BatchRing)> = (0..nshards)
             .map(|_| (batch_ring("core.shard.job"), batch_ring("core.shard.out")))
@@ -484,7 +472,7 @@ impl ShardedMonitor {
             }
             for r in 0..rounds {
                 let t_s = advance_time(r);
-                self.round(t_s, &mut driver_src, |batches, _arenas| {
+                let trip = |batches: &mut [ShardBatch], _arenas: &mut [ReadArena]| {
                     // Dispatch: swap each shard's batch into its job
                     // ring (the swap leaves a recycled batch behind as
                     // the staging buffer for the result) and wake the
@@ -529,7 +517,9 @@ impl ShardedMonitor {
                             std::thread::park();
                         }
                     }
-                });
+                };
+                self.monitor
+                    .supervised(t_s, |mon| round(mon, t_s, &mut driver_src, trip));
             }
             stop.store(true, Ordering::Release);
             for w in workers.iter() {
@@ -537,50 +527,37 @@ impl ShardedMonitor {
             }
         });
     }
+}
 
-    /// One full round under the sampling supervisor: a driver-side
-    /// panic is recorded as a gap exactly like [`Monitor::sample`]'s.
-    /// (Shard-side panics never reach here — they are caught per batch
-    /// and recorded per shard at fold.)
-    fn round<S: ShardSource>(
-        &mut self,
-        t_s: f64,
-        driver_src: &mut S,
-        mut dispatch: impl FnMut(&mut [ShardBatch], &mut [ReadArena]),
-    ) {
-        let body = AssertUnwindSafe(|| self.round_inner(t_s, driver_src, &mut dispatch));
-        if std::panic::catch_unwind(body).is_err() {
-            self.monitor.supervisor.restarts += 1;
-            self.monitor.supervisor.gap_times_s.push(t_s);
+/// One round of `mon` with every shard pumped on the calling thread
+/// through the one borrowed `src`: the body of [`Monitor::sample`].
+pub(crate) fn round_inline(mon: &mut Monitor, t_s: f64, mut src: &dyn ProcSource) {
+    let mut node_src = src;
+    round(mon, t_s, &mut node_src, |batches, arenas| {
+        for (batch, arena) in batches.iter_mut().zip(arenas.iter_mut()) {
+            process_batch(batch, &mut src, arena);
         }
-    }
+    });
+}
 
-    fn round_inner<S: ShardSource>(
-        &mut self,
-        t_s: f64,
-        driver_src: &mut S,
-        dispatch: &mut impl FnMut(&mut [ShardBatch], &mut [ReadArena]),
-    ) {
-        let Self {
-            monitor,
-            nshards,
-            batches,
-            arenas,
-            assign,
-            order,
-            cur_a,
-            cur_b,
-            ..
-        } = self;
-        let shed = round_begin(monitor, t_s, driver_src);
-        build_assignment(monitor, assign, order, *nshards);
-        build_list_jobs(monitor, batches, assign);
-        dispatch(batches, arenas);
-        fold_lists_and_plan(monitor, batches, assign, cur_a, shed, t_s);
-        dispatch(batches, arenas);
-        fold_reads(monitor, batches, assign, cur_a, cur_b, t_s);
-        round_end(monitor, t_s, driver_src);
-    }
+/// The round protocol. `trip` runs one trip: every shard's batch
+/// through its pump, wherever that pump lives. The caller wraps this in
+/// [`Monitor::supervised`]: a driver-side panic is a recorded gap.
+/// (Shard-side panics never reach here — they are caught per batch and
+/// recorded per shard at fold.)
+fn round<L: Lend>(
+    mon: &mut Monitor,
+    t_s: f64,
+    node_src: &mut L,
+    mut trip: impl FnMut(&mut [ShardBatch], &mut [ReadArena]),
+) {
+    let shed = node_src.lend(|src| round_begin(mon, t_s, src));
+    stage_lists(mon);
+    trip(&mut mon.engine.batches, &mut mon.engine.arenas);
+    fold_lists_and_plan(mon, shed, t_s);
+    trip(&mut mon.engine.batches, &mut mon.engine.arenas);
+    fold_reads(mon, t_s);
+    node_src.lend(|src| round_end(mon, t_s, src));
 }
 
 /// Shard thread body: drain jobs, pump each batch, hand the result
@@ -624,139 +601,137 @@ fn shard_loop<S: ShardSource>(
 /// anywhere in the batch body (a poisoned substrate, an injected
 /// `FaultKind::Panic`) marks the batch instead of unwinding the pump —
 /// the driver records the gap and other shards are unaffected.
-fn process_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S, arena: &mut ReadArena) {
-    let body = AssertUnwindSafe(|| run_batch(batch, source, arena));
+fn process_batch<L: Lend>(batch: &mut ShardBatch, source: &mut L, arena: &mut ReadArena) {
+    let body = AssertUnwindSafe(|| source.lend(|src| run_batch(batch, src, arena)));
     if std::panic::catch_unwind(body).is_err() {
         batch.panicked = true;
     }
 }
 
 /// The batch body: one trip's reads for one shard.
-fn run_batch<S: ShardSource>(batch: &mut ShardBatch, source: &mut S, arena: &mut ReadArena) {
-    arena.reset();
+fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena) {
     match batch.phase {
         Phase::Idle => {}
         Phase::List => {
-            source.with_source(|src| {
-                let ShardBatch {
-                    lists,
-                    lists_used,
-                    node_ledger,
-                    backoff_us,
-                    res,
-                    ..
-                } = batch;
-                for ls in lists.iter_mut().take(*lists_used) {
-                    let pid = ls.pid;
-                    let tids = &mut ls.tids;
-                    ls.outcome = with_retry(res, node_ledger, backoff_us, || {
-                        src.list_tasks_into(pid, tids)
-                    });
-                }
-            });
+            let ShardBatch {
+                lists,
+                lists_used,
+                node_ledger,
+                backoff_us,
+                res,
+                ..
+            } = batch;
+            for ls in lists.iter_mut().take(*lists_used) {
+                let pid = ls.pid;
+                let tids = &mut ls.tids;
+                ls.outcome = with_retry(res, node_ledger, backoff_us, || {
+                    src.list_tasks_into(pid, tids)
+                });
+            }
         }
         Phase::Read => {
-            source.with_source(|src| {
-                let ShardBatch {
-                    reads,
-                    reads_used,
-                    backoff_us,
-                    res,
+            let ShardBatch {
+                reads,
+                reads_used,
+                backoff_us,
+                res,
+                ..
+            } = batch;
+            for ws in reads.iter_mut().take(*reads_used) {
+                let pid = ws.pid;
+                let WatchReadSlot {
+                    ledger,
+                    plans,
+                    slots,
+                    slots_used,
                     ..
-                } = batch;
-                for ws in reads.iter_mut().take(*reads_used) {
-                    let pid = ws.pid;
-                    let WatchReadSlot {
-                        ledger,
-                        plans,
-                        slots,
-                        slots_used,
-                        ..
-                    } = ws;
-                    *slots_used = 0;
-                    for plan in plans.iter() {
-                        if *slots_used == slots.len() {
-                            slots.push(TaskReadSlot::default());
-                        }
-                        let Some(slot) = slots.get_mut(*slots_used) else {
-                            break;
-                        };
-                        *slots_used += 1;
-                        let tid = plan.tid;
-                        slot.tid = tid;
-                        // schedstat first: wait-time source and delta
-                        // gate; optional, never retried.
-                        slot.ss = src.task_schedstat(pid, tid).ok();
-                        if let (Some(prev), Some(ss)) = (plan.delta_prev, slot.ss) {
-                            if prev == ss {
-                                slot.kind = ReadKind::DeltaHit;
-                                continue;
-                            }
-                        }
-                        let stat_slot = &mut slot.stat;
-                        let stat_read = with_retry(res, ledger, backoff_us, || {
-                            let span = src.task_stat_text(pid, tid, arena)?;
-                            let Some(line) = arena.get(span) else {
-                                return Err(SourceError::Malformed(
-                                    "stat span out of range".into(),
-                                ));
-                            };
-                            match parse::parse_task_stat_view_fast(line) {
-                                Ok(view) => {
-                                    view.assign_to(stat_slot);
-                                    Ok(())
-                                }
-                                Err(e) => Err(SourceError::Malformed(e.to_string())),
-                            }
-                        });
-                        let read = match stat_read {
-                            Ok(()) => {
-                                let status_slot = &mut slot.status;
-                                with_retry(res, ledger, backoff_us, || {
-                                    let span = src.task_status_text(pid, tid, arena)?;
-                                    let Some(text) = arena.get(span) else {
-                                        return Err(SourceError::Malformed(
-                                            "status span out of range".into(),
-                                        ));
-                                    };
-                                    parse::parse_task_status_fast(text, status_slot)
-                                        .map_err(|e| SourceError::Malformed(e.to_string()))
-                                })
-                            }
-                            Err(e) => Err(e),
-                        };
-                        slot.kind = match read {
-                            Ok(()) => ReadKind::Fresh,
-                            Err(SourceError::NotFound) => ReadKind::Vanished,
-                            Err(_) => ReadKind::Failed,
-                        };
+                } = ws;
+                *slots_used = 0;
+                for plan in plans.iter() {
+                    if *slots_used == slots.len() {
+                        slots.push(TaskReadSlot::default());
                     }
+                    let Some(slot) = slots.get_mut(*slots_used) else {
+                        break;
+                    };
+                    *slots_used += 1;
+                    let tid = plan.tid;
+                    slot.tid = tid;
+                    // A task's texts are parsed into its slot as they
+                    // are read: nothing outlives the task, so the arena
+                    // stays a few hundred bytes and hot.
+                    arena.reset();
+                    // schedstat first: it is both the wait-time source
+                    // and the delta gate. Optional (CONFIG_SCHED_INFO);
+                    // absence is not an error and is never retried.
+                    slot.ss = src.task_schedstat(pid, tid).ok();
+                    if let (Some(prev), Some(ss)) = (plan.delta_prev, slot.ss) {
+                        if prev == ss {
+                            slot.kind = ReadKind::DeltaHit;
+                            continue;
+                        }
+                    }
+                    let stat_slot = &mut slot.stat;
+                    let stat_read = with_retry(res, ledger, backoff_us, || {
+                        let span = src.task_stat_text(pid, tid, arena)?;
+                        let Some(line) = arena.get(span) else {
+                            return Err(SourceError::Malformed("stat span out of range".into()));
+                        };
+                        match parse::parse_task_stat_view(line) {
+                            Ok(view) => {
+                                view.assign_to(stat_slot);
+                                Ok(())
+                            }
+                            Err(e) => Err(SourceError::Malformed(e.to_string())),
+                        }
+                    });
+                    let read = match stat_read {
+                        Ok(()) => {
+                            let status_slot = &mut slot.status;
+                            with_retry(res, ledger, backoff_us, || {
+                                let span = src.task_status_text(pid, tid, arena)?;
+                                let Some(text) = arena.get(span) else {
+                                    return Err(SourceError::Malformed(
+                                        "status span out of range".into(),
+                                    ));
+                                };
+                                parse::parse_task_status_into(text, status_slot)
+                                    .map_err(|e| SourceError::Malformed(e.to_string()))
+                            })
+                        }
+                        Err(e) => Err(e),
+                    };
+                    slot.kind = match read {
+                        Ok(()) => ReadKind::Fresh,
+                        // Thread exited between the directory listing
+                        // and the read: the normal race of §3.1.1.
+                        Err(SourceError::NotFound) => ReadKind::Vanished,
+                        Err(_) => ReadKind::Failed,
+                    };
                 }
-            });
+            }
         }
     }
 }
 
-/// Round prologue: counters, the shed decision, node `stat`, exactly as
-/// the serial loop's opening statements.
-fn round_begin<S: ShardSource>(mon: &mut Monitor, t_s: f64, src: &mut S) -> bool {
+/// Round prologue: counters, the shed decision, node `stat`.
+fn round_begin(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) -> bool {
     crate::role::touch("core.shard.fold-scratch");
     mon.stats.rounds += 1;
     mon.last_t_s = t_s;
     let res = mon.config.resilience;
+    // Deadline watchdog: after an overrun, this round sheds per-LWP
+    // detail (worker stat/status reads) to get back under budget.
     let shed = std::mem::take(&mut mon.governor.shed_next);
     if shed {
         mon.governor.shed_rounds += 1;
     }
-    let read = src.with_source(|s| {
-        with_retry(
-            &res,
-            &mut mon.node_health,
-            &mut mon.pending_backoff_us,
-            || s.system_stat_into(&mut mon.scratch.sys),
-        )
-    });
-    match read {
+    match with_retry(
+        &res,
+        &mut mon.node_health,
+        &mut mon.pending_backoff_us,
+        || src.system_stat_into(&mut mon.scratch.sys),
+    ) {
         Ok(()) => mon.hwt.observe(t_s, &mon.scratch.sys),
         Err(_) => mon.stats.errors += 1,
     }
@@ -765,17 +740,14 @@ fn round_begin<S: ShardSource>(mon: &mut Monitor, t_s: f64, src: &mut S) -> bool
 }
 
 /// Round epilogue: `meminfo` and the snapshot feed.
-fn round_end<S: ShardSource>(mon: &mut Monitor, t_s: f64, src: &mut S) {
+fn round_end(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
     let res = mon.config.resilience;
-    let read = src.with_source(|s| {
-        with_retry(
-            &res,
-            &mut mon.node_health,
-            &mut mon.pending_backoff_us,
-            || s.meminfo(),
-        )
-    });
-    match read {
+    match with_retry(
+        &res,
+        &mut mon.node_health,
+        &mut mon.pending_backoff_us,
+        || src.meminfo(),
+    ) {
         Ok(mi) => mon.mem.observe(t_s, &mi, &mon.scratch.watched_rss),
         Err(_) => mon.stats.errors += 1,
     }
@@ -789,18 +761,24 @@ fn round_end<S: ShardSource>(mon: &mut Monitor, t_s: f64, src: &mut S) {
 /// first allowed CPU (the watch's observed mask, falling back to the
 /// registered one), then chunked contiguously — processes sharing a
 /// hardware-thread neighborhood land in the same shard. Deterministic:
-/// ties break by pid, and the chunking depends only on the order.
+/// ties break by pid, and the chunking depends only on the order. One
+/// shard owns every watch, whatever the order.
 fn build_assignment(
-    mon: &Monitor,
+    processes: &[ProcessWatch],
     assign: &mut Vec<usize>,
     order: &mut Vec<usize>,
     nshards: usize,
 ) {
-    let n = mon.processes.len();
+    let n = processes.len();
+    assign.clear();
+    assign.resize(n, 0);
+    if nshards <= 1 {
+        return;
+    }
     order.clear();
     order.extend(0..n);
     order.sort_unstable_by_key(|&i| {
-        mon.processes.get(i).map_or((u32::MAX, u32::MAX), |w| {
+        processes.get(i).map_or((u32::MAX, u32::MAX), |w| {
             let cpu = w
                 .cpus_allowed
                 .first()
@@ -809,8 +787,6 @@ fn build_assignment(
             (cpu, w.info.pid)
         })
     });
-    assign.clear();
-    assign.extend(std::iter::repeat_n(0usize, n));
     for (pos, &widx) in order.iter().enumerate() {
         let shard = (pos.saturating_mul(nshards) / n.max(1)).min(nshards.saturating_sub(1));
         if let Some(a) = assign.get_mut(widx) {
@@ -819,9 +795,17 @@ fn build_assignment(
     }
 }
 
-/// Stages trip 1: one list job per live watch, routed by `assign`.
-fn build_list_jobs(mon: &Monitor, batches: &mut [ShardBatch], assign: &[usize]) {
+/// Stages trip 1: assigns watches to shards, then one list job per live
+/// watch, routed by the assignment.
+fn stage_lists(mon: &mut Monitor) {
     let res = mon.config.resilience;
+    let Engine {
+        batches,
+        assign,
+        order,
+        ..
+    } = &mut mon.engine;
+    build_assignment(&mon.processes, assign, order, batches.len());
     for batch in batches.iter_mut() {
         batch.lists_used = 0;
         batch.res = res;
@@ -853,34 +837,39 @@ fn build_list_jobs(mon: &Monitor, batches: &mut [ShardBatch], assign: &[usize]) 
     }
 }
 
-/// Folds trip 1 and plans trip 2. Runs the serial loop's list-outcome
-/// statements per watch in canonical order, then decides — driver-side,
-/// where the health state lives — which tids each shard must read:
-/// shed rounds keep only the main thread, quarantined tids are skipped
-/// (spending their re-probe counters exactly like the serial loop), and
-/// the delta gate's reference `schedstat` is attached where armed.
-fn fold_lists_and_plan(
-    mon: &mut Monitor,
-    batches: &mut [ShardBatch],
-    assign: &[usize],
-    cur: &mut Vec<usize>,
-    shed: bool,
-    t_s: f64,
-) {
+/// Folds trip 1 and plans trip 2. Runs the list-outcome statements per
+/// watch in canonical order, then decides — driver-side, where the
+/// health state lives — which tids each shard must read: shed rounds
+/// keep only the main thread, quarantined tids are skipped (spending
+/// their re-probe counters), and the delta gate's reference `schedstat`
+/// is attached where armed.
+fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
     let delta_on = mon.config.delta_sampling;
+    let Monitor {
+        processes,
+        stats,
+        node_health,
+        pending_backoff_us,
+        supervisor,
+        engine,
+        ..
+    } = mon;
+    let Engine {
+        batches,
+        assign,
+        cur_a: cur,
+        ..
+    } = engine;
     for batch in batches.iter_mut() {
-        mon.node_health.merge(&batch.node_ledger);
-        mon.pending_backoff_us += batch.backoff_us;
+        node_health.merge(&batch.node_ledger);
+        *pending_backoff_us += batch.backoff_us;
         batch.node_ledger = HealthLedger::default();
         batch.backoff_us = 0;
         batch.reads_used = 0;
         batch.phase = Phase::Read;
     }
     cur.clear();
-    cur.extend(std::iter::repeat_n(0usize, batches.len()));
-    let Monitor {
-        processes, stats, ..
-    } = mon;
+    cur.resize(batches.len(), 0);
     for (i, w) in processes.iter_mut().enumerate() {
         if w.gone {
             continue;
@@ -896,6 +885,7 @@ fn fold_lists_and_plan(
         };
         let ShardBatch {
             lists,
+            lists_used,
             reads,
             reads_used,
             panicked,
@@ -904,7 +894,7 @@ fn fold_lists_and_plan(
         let Some(slot) = lists.get(*cursor) else {
             continue;
         };
-        if slot.watch != i {
+        if *cursor >= *lists_used || slot.watch != i {
             continue;
         }
         *cursor += 1;
@@ -940,13 +930,20 @@ fn fold_lists_and_plan(
         ws.slots_used = 0;
         for &tid in &slot.tids {
             if shed && tid != pid {
-                // Shed round: per-LWP detail dropped; totals, the main
-                // thread, and memory kept.
+                // Shed round: drop per-LWP detail, keep per-HWT totals
+                // (system stat), the main thread (RSS), and memory.
                 continue;
             }
             if w.health.should_skip(tid) {
+                // Quarantined after persistent failures; re-probed
+                // once per `reprobe_after` rounds.
                 continue;
             }
+            // Unchanged schedstat ⇒ the thread was never dispatched
+            // since the last fresh read ⇒ its `stat` and `status` are
+            // bytewise unchanged; the fold reuses the last good pair.
+            // The main thread is exempt: it carries the process-wide
+            // RSS, which moves without the thread running.
             let delta_prev = if delta_on && tid != pid && w.health.last_good(tid).is_some() {
                 w.last_schedstat.get(&tid).copied()
             } else {
@@ -957,8 +954,8 @@ fn fold_lists_and_plan(
     }
     for batch in batches.iter_mut() {
         if batch.panicked {
-            mon.supervisor.restarts += 1;
-            mon.supervisor.gap_times_s.push(t_s);
+            supervisor.restarts += 1;
+            supervisor.gap_times_s.push(t_s);
             batch.panicked = false;
             // Nothing was planned for its watches; trip 2 is a no-op
             // for this shard.
@@ -967,33 +964,35 @@ fn fold_lists_and_plan(
     }
 }
 
-/// Folds trip 2 in canonical watch order: the drain. Per task slot it
-/// runs exactly the statements the serial per-tid loop would have —
+/// Folds trip 2 in canonical watch order: the drain. Per task slot:
 /// health accounting, the failure policy, series observation, the
-/// main-thread RSS tail — then runs the same shared end-of-round
-/// lifecycle sweep (`ProcessWatch::finish_round`) per watch. All
-/// counters fold by addition, so totals reconcile exactly against
-/// fault-injector logs, shard count notwithstanding.
-fn fold_reads(
-    mon: &mut Monitor,
-    batches: &mut [ShardBatch],
-    assign: &[usize],
-    cur_l: &mut Vec<usize>,
-    cur_r: &mut Vec<usize>,
-    t_s: f64,
-) {
+/// main-thread RSS tail; then the end-of-round lifecycle sweep
+/// (`ProcessWatch::finish_round`) per watch. All counters fold by
+/// addition, so totals reconcile exactly against fault-injector logs,
+/// shard count notwithstanding.
+fn fold_reads(mon: &mut Monitor, t_s: f64) {
     let res = mon.config.resilience;
     let max_exited = mon.config.max_exited_tracks;
-    cur_l.clear();
-    cur_l.extend(std::iter::repeat_n(0usize, batches.len()));
-    cur_r.clear();
-    cur_r.extend(std::iter::repeat_n(0usize, batches.len()));
     let Monitor {
         processes,
         stats,
         scratch,
+        pending_backoff_us,
+        supervisor,
+        engine,
         ..
     } = mon;
+    let Engine {
+        batches,
+        assign,
+        cur_a: cur_l,
+        cur_b: cur_r,
+        ..
+    } = engine;
+    cur_l.clear();
+    cur_l.resize(batches.len(), 0);
+    cur_r.clear();
+    cur_r.resize(batches.len(), 0);
     for (i, w) in processes.iter_mut().enumerate() {
         let Some(&shard) = assign.get(i) else {
             continue;
@@ -1003,15 +1002,18 @@ fn fold_reads(
         };
         let ShardBatch {
             lists,
+            lists_used,
             reads,
+            reads_used,
             panicked,
             ..
         } = batch;
         // Advance this shard's list cursor past this watch's slot (if
-        // any) and capture it for `mark_exited`.
+        // any) and capture it for `mark_exited`. Slots at or past the
+        // `*_used` marks are an earlier round's and match no watch.
         let list_slot = match cur_l.get_mut(shard) {
             Some(c) => match lists.get(*c) {
-                Some(s) if s.watch == i => {
+                Some(s) if *c < *lists_used && s.watch == i => {
                     *c += 1;
                     Some(s)
                 }
@@ -1020,11 +1022,11 @@ fn fold_reads(
             None => None,
         };
         // Same for the read slot; watches whose list errored (or whose
-        // shard panicked) have none and fold nothing — including
-        // `mark_exited`, exactly like the serial `continue`.
+        // shard panicked) have none and fold nothing — not even
+        // `mark_exited`.
         let ws = match cur_r.get_mut(shard) {
             Some(c) => match reads.get_mut(*c) {
-                Some(s) if s.watch == i => {
+                Some(s) if *c < *reads_used && s.watch == i => {
                     *c += 1;
                     Some(s)
                 }
@@ -1042,66 +1044,64 @@ fn fold_reads(
         w.health.ledger.merge(&ws.ledger);
         for slot in ws.slots.iter().take(ws.slots_used) {
             let tid = slot.tid;
-            match slot.kind {
-                ReadKind::DeltaHit => {
-                    if let (Some(ss), Some((stat, status))) = (slot.ss, w.health.last_good(tid)) {
+            let interpolated;
+            let (stat, status, ss) = match slot.kind {
+                // Workers only: the plan never arms the gate for the
+                // main thread, so the RSS tail below is not reached.
+                ReadKind::DeltaHit => match (slot.ss, w.health.last_good(tid)) {
+                    (Some(ss), Some((stat, status))) => {
                         stats.delta_hits += 1;
-                        w.lwps
-                            .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
+                        (stat, status, Some(ss))
                     }
-                }
+                    _ => continue,
+                },
                 ReadKind::Vanished => {
                     stats.vanished += 1;
                     w.health.forget(tid);
                     w.last_schedstat.remove(&tid);
+                    continue;
                 }
                 ReadKind::Fresh => {
                     w.health.record_success(tid, &slot.stat, &slot.status);
                     if let Some(ss) = slot.ss {
                         w.last_schedstat.insert(tid, ss);
                     }
-                    if tid == pid {
-                        if w.cpus_allowed.is_empty() {
-                            w.cpus_allowed.copy_from(&slot.status.cpus_allowed);
-                        }
-                        w.rss_series.push((t_s, slot.status.vm_rss_kib));
-                        scratch.watched_rss.push((pid, slot.status.vm_rss_kib));
-                    }
-                    w.lwps
-                        .observe_with_schedstat(pid, t_s, &slot.stat, &slot.status, slot.ss);
+                    (&slot.stat, &slot.status, slot.ss)
                 }
                 ReadKind::Failed => {
                     stats.errors += 1;
                     match w.health.record_failure(tid, &res) {
+                        // Degraded: repeat the last good sample so the
+                        // time series stays continuous; the ledger
+                        // flags the substitution. It reports no
+                        // schedstat — a fresh schedstat against a stale
+                        // stat would skew wait deltas.
                         FailureAction::Interpolate(pair) => {
-                            let (stat, status) = *pair;
-                            if tid == pid {
-                                if w.cpus_allowed.is_empty() {
-                                    w.cpus_allowed.copy_from(&status.cpus_allowed);
-                                }
-                                w.rss_series.push((t_s, status.vm_rss_kib));
-                                scratch.watched_rss.push((pid, status.vm_rss_kib));
-                            }
-                            // Interpolated rounds report no schedstat —
-                            // a fresh schedstat against a stale stat
-                            // would skew wait deltas.
-                            w.lwps
-                                .observe_with_schedstat(pid, t_s, &stat, &status, None);
+                            interpolated = pair;
+                            (&interpolated.0, &interpolated.1, None)
                         }
-                        FailureAction::Drop => {}
+                        FailureAction::Drop => continue,
                     }
                 }
+            };
+            if tid == pid {
+                if w.cpus_allowed.is_empty() {
+                    w.cpus_allowed.copy_from(&status.cpus_allowed);
+                }
+                w.rss_series.push((t_s, status.vm_rss_kib));
+                scratch.watched_rss.push((pid, status.vm_rss_kib));
             }
+            w.lwps.observe_with_schedstat(pid, t_s, stat, status, ss);
         }
         w.finish_round(&list_slot.tids, max_exited);
     }
     for batch in batches.iter_mut() {
         if batch.panicked {
-            mon.supervisor.restarts += 1;
-            mon.supervisor.gap_times_s.push(t_s);
+            supervisor.restarts += 1;
+            supervisor.gap_times_s.push(t_s);
             batch.panicked = false;
         }
-        mon.pending_backoff_us += batch.backoff_us;
+        *pending_backoff_us += batch.backoff_us;
         batch.backoff_us = 0;
         batch.phase = Phase::Idle;
     }
@@ -1170,15 +1170,15 @@ mod tests {
         mon
     }
 
-    /// Runs the serial monitor for `rounds`, returning it plus the
-    /// per-round feed snapshots.
+    /// Runs the serial oracle loop for `rounds`, returning its monitor
+    /// plus the per-round feed snapshots.
     fn run_serial(rounds: u64) -> (Monitor, Vec<crate::feed::SampleSnapshot>) {
         let (mut sim, pids) = build_sim();
         let mut mon = monitor_for(&pids);
         let rx = mon.feed.subscribe(rounds as usize + 1);
         for r in 0..rounds {
             sim.run_for(400_000);
-            mon.sample((r + 1) as f64, &SimProcSource::new(&sim));
+            crate::monitor::oracle::sample(&mut mon, (r + 1) as f64, &SimProcSource::new(&sim));
         }
         let snaps = rx.try_iter().map(|s| (*s).clone()).collect();
         (mon, snaps)
@@ -1230,6 +1230,7 @@ mod tests {
                 v
             };
             assert_eq!(sorted(a), sorted(b));
+            assert_eq!(a.delta_gate_len(), b.delta_gate_len());
         }
     }
 
@@ -1253,12 +1254,174 @@ mod tests {
 
     #[test]
     fn one_shard_inline_matches_serial() {
-        // Degenerate sharding (nshards=1) is exactly the serial loop
-        // run through the batch machinery.
+        // One inline shard is what `Monitor::sample` runs.
         let (serial, snaps_a) = run_serial(4);
         let (sharded, snaps_b) = run_sharded(4, 1, ShardMode::Inline);
         assert_eq!(snaps_a, snaps_b);
         assert_identical(&serial, &sharded);
+    }
+
+    /// `Monitor::sample` against the serial oracle, round for round,
+    /// through everything a round can meet: a rank that exits mid-run
+    /// and whose pid is then recycled, a residue class of workers that
+    /// vanish between listing and read, a parked worker (delta hits), a
+    /// shed round, with the delta gate on and off.
+    #[test]
+    fn monitor_sample_is_bit_identical_to_serial_oracle() {
+        for delta_on in [true, false] {
+            let (mut sim, pids) = build_sim();
+            let parked = sim.spawn_task(pids[0], "parked", None, Behavior::Sleeper, false);
+            // The race class: every third worker tid, the parked one not
+            // among them.
+            let residue = u64::from(parked + 1) % 3;
+            let mut sampled = monitor_for(&pids);
+            let mut serial = monitor_for(&pids);
+            for mon in [&mut sampled, &mut serial] {
+                mon.config.delta_sampling = delta_on;
+            }
+            let rx_sampled = sampled.feed.subscribe(16);
+            let rx_serial = serial.feed.subscribe(16);
+            let mut recycled = false;
+            for r in 0..12u64 {
+                sim.run_for(400_000);
+                let rank1_done = SimProcSource::new(&sim)
+                    .list_tasks(pids[1])
+                    .is_ok_and(|tids| tids.is_empty());
+                if r >= 7 && rank1_done && !recycled {
+                    sim.respawn_process_with_pid(
+                        pids[1],
+                        "imposter",
+                        CpuSet::from_indices([2u32, 3]),
+                        2_048,
+                        Behavior::FiniteCompute {
+                            remaining_us: 9_000_000,
+                            chunk_us: 10_000,
+                        },
+                    );
+                    recycled = true;
+                    sim.run_for(10_000);
+                }
+                let t_s = (r + 1) as f64;
+                let src = SimProcSource::new(&sim);
+                let raced = zerosum_proc::ExitRace::new(&src, 3, residue);
+                sampled.sample(t_s, &raced);
+                crate::monitor::oracle::sample(&mut serial, t_s, &raced);
+                // Round 4 blows the deadline, round 5 is shed, and its
+                // cheap cost disarms the watchdog again.
+                let cost_us = if r == 3 { 600_000 } else { 5_000 };
+                sampled.note_round_cost(t_s, cost_us);
+                serial.note_round_cost(t_s, cost_us);
+            }
+            let snaps = |rx: &std::sync::mpsc::Receiver<_>| -> Vec<crate::feed::SampleSnapshot> {
+                rx.try_iter()
+                    .map(|s: std::sync::Arc<crate::feed::SampleSnapshot>| (*s).clone())
+                    .collect()
+            };
+            let (got, want) = (snaps(&rx_sampled), snaps(&rx_serial));
+            assert_eq!(want.len(), 12);
+            for (round, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "delta {delta_on}: round {round} snapshot diverged");
+            }
+            assert_identical(&serial, &sampled);
+            assert_eq!(serial.governor, sampled.governor);
+            assert_eq!(serial.supervisor, sampled.supervisor);
+            // The scenario met what it set out to meet.
+            assert!(recycled, "rank1 never finished");
+            assert_eq!(sampled.governor.shed_rounds, 1);
+            assert!(
+                sampled.stats.vanished > 0,
+                "no worker tid in the race class"
+            );
+            assert_eq!(sampled.stats.delta_hits > 0, delta_on);
+            assert_eq!(sampled.stats.errors, 0);
+            let reopened = sampled.process(pids[1]).unwrap();
+            assert!(reopened.lwps.tracks().any(|t| t.retired));
+            assert_eq!(reopened.lwps.track(pids[1]).unwrap().name, "imposter");
+        }
+    }
+
+    /// Fails the task listing of one pid with whatever `fail` holds;
+    /// everything else passes through.
+    struct ListFails<'a> {
+        inner: &'a dyn ProcSource,
+        pid: Pid,
+        fail: Option<SourceError>,
+    }
+
+    impl ProcSource for ListFails<'_> {
+        fn system_stat(&self) -> SourceResult<zerosum_proc::SystemStat> {
+            self.inner.system_stat()
+        }
+        fn meminfo(&self) -> SourceResult<zerosum_proc::MemInfo> {
+            self.inner.meminfo()
+        }
+        fn list_tasks(&self, pid: Pid) -> SourceResult<Vec<Tid>> {
+            match &self.fail {
+                Some(e) if pid == self.pid => Err(e.clone()),
+                _ => self.inner.list_tasks(pid),
+            }
+        }
+        fn task_stat(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStat> {
+            self.inner.task_stat(pid, tid)
+        }
+        fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
+            self.inner.task_status(pid, tid)
+        }
+        fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
+            self.inner.task_schedstat(pid, tid)
+        }
+    }
+
+    /// A watch that was read last round and whose listing fails this
+    /// round folds nothing: its read slot of the round before is still
+    /// in the batch (nothing overwrites it when the watch is the last
+    /// live one of its shard) and must not be folded again. `Io` for two
+    /// rounds, a recovery, then `NotFound` — the process exited — and a
+    /// few rounds more; on the last of three watches and on an only one.
+    #[test]
+    fn failed_listing_does_not_replay_last_rounds_reads() {
+        for only_watch in [false, true] {
+            let (mut sim, mut pids) = build_sim_with(9_000_000);
+            if only_watch {
+                pids.drain(..2);
+            }
+            let victim = *pids.last().unwrap();
+            let mut sampled = monitor_for(&pids);
+            let mut serial = monitor_for(&pids);
+            let rx_sampled = sampled.feed.subscribe(16);
+            let rx_serial = serial.feed.subscribe(16);
+            for r in 0..10u64 {
+                sim.run_for(400_000);
+                let src = SimProcSource::new(&sim);
+                let fail = match r {
+                    2 | 3 => Some(SourceError::Io("listing".into())),
+                    6.. => Some(SourceError::NotFound),
+                    _ => None,
+                };
+                let failing = ListFails {
+                    inner: &src,
+                    pid: victim,
+                    fail,
+                };
+                let t_s = (r + 1) as f64;
+                sampled.sample(t_s, &failing);
+                crate::monitor::oracle::sample(&mut serial, t_s, &failing);
+            }
+            let got: Vec<_> = rx_sampled.try_iter().collect();
+            let want: Vec<_> = rx_serial.try_iter().collect();
+            assert_eq!(want.len(), 10);
+            for (round, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "only {only_watch}: round {round} snapshot diverged");
+            }
+            assert_identical(&serial, &sampled);
+            let w = sampled.process(victim).unwrap();
+            assert!(w.gone);
+            // Rounds 1, 2, 5 and 6 listed; the other six read nothing.
+            assert_eq!(w.rss_series.len(), 4);
+            assert_eq!(w.lwps.track(victim).unwrap().samples.len(), 4);
+            assert_eq!(sampled.stats.errors, 2);
+            assert_eq!(sampled.stats.vanished, 1);
+        }
     }
 
     #[test]
@@ -1274,12 +1437,12 @@ mod tests {
             });
         }
         let (mut assign, mut order) = (Vec::new(), Vec::new());
-        build_assignment(&mon, &mut assign, &mut order, 2);
+        build_assignment(mon.processes(), &mut assign, &mut order, 2);
         // CPU order: 102(0), 104(1), 103(2), 101(3) -> halves.
         assert_eq!(assign, vec![1, 0, 1, 0]);
         // Deterministic: a rebuild yields the same partition.
         let snapshot = assign.clone();
-        build_assignment(&mon, &mut assign, &mut order, 2);
+        build_assignment(mon.processes(), &mut assign, &mut order, 2);
         assert_eq!(assign, snapshot);
     }
 

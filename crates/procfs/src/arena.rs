@@ -1,23 +1,24 @@
-//! Batched raw-text reads: the per-shard record arena.
+//! Raw-text reads: the per-shard record arena.
 //!
-//! The sharded sampling pump reads every record of its task slice into
-//! one [`ReadArena`] per round — a reusable text buffer that records
-//! land in back-to-back, addressed by [`ArenaSpan`]s — and parses the
-//! spans afterwards with the view parsers. Compared to the one-record
-//! `_into` reads the serial monitor uses, the arena batch:
+//! A sampling round's pump reads a task's records into its
+//! [`ReadArena`] — a reusable text buffer that records land in
+//! back-to-back, addressed by [`ArenaSpan`]s — parses each span in
+//! place with the view parsers, and resets the arena before the next
+//! task. Compared to the one-record typed `_into` reads, the arena
+//! read:
 //!
 //! * performs **one `read` syscall per file** on the live backend (a
 //!   `read_to_string` loop costs at least two: one for the bytes, one
-//!   to observe EOF — see `read_record`, which the serial `_into`
-//!   reads share);
+//!   to observe EOF — see `read_record`, which the typed `_into` reads
+//!   share);
 //! * lets the simulated backend render records **directly into the
 //!   arena tail**, skipping its per-read scratch round-trip;
-//! * keeps the parse step out of the source entirely, so the shard can
-//!   run the byte-scanning fast path over the span.
+//! * keeps the parse step out of the source entirely: the round parses
+//!   the span straight into the slot it folds from.
 //!
-//! The arena never shrinks: after the first few rounds every append
-//! lands in memory the arena already owns, and `reset` is a pair of
-//! length stores. One arena serves one shard — there is no sharing and
+//! The arena never shrinks: after the first few reads every append
+//! lands in memory the arena already owns, and `reset` is a length
+//! store. One arena serves one shard — there is no sharing and
 //! therefore no locking.
 
 use crate::types::{TaskStat, TaskStatus};
@@ -94,7 +95,7 @@ fn read_whole(src: &mut impl Read, staging: &mut Vec<u8>) -> std::io::Result<usi
 /// Obtain spans via [`ProcSource::task_stat_text`] /
 /// [`ProcSource::task_status_text`] (or the lower-level `append_*`
 /// methods), then resolve them with [`ReadArena::get`]. Call
-/// [`ReadArena::reset`] once per sampling round to recycle the memory.
+/// [`ReadArena::reset`] once the spans are parsed to recycle the memory.
 ///
 /// [`ProcSource::task_stat_text`]: crate::source::ProcSource::task_stat_text
 /// [`ProcSource::task_status_text`]: crate::source::ProcSource::task_status_text

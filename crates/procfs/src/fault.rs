@@ -16,6 +16,7 @@
 //! ledger did not account for is a bug, which is precisely the property
 //! graceful degradation must prove.
 
+use crate::arena::{ArenaSpan, ReadArena};
 use crate::source::{ProcSource, SourceError, SourceErrorKind, SourceResult};
 use crate::types::{MemInfo, Pid, SchedStat, SystemStat, TaskStat, TaskStatus, Tid};
 use std::cell::RefCell;
@@ -207,12 +208,11 @@ struct InjState {
 }
 
 /// What the injector decided for one call, before touching the inner
-/// source.
+/// source. (A scripted panic never gets this far: `decide` raises it.)
 enum Decision {
     Pass,
     Fail(SourceError),
     Stale,
-    Panic,
 }
 
 /// The stateful, seeded fault injector. Create once per run; wrap each
@@ -342,7 +342,8 @@ impl FaultInjector {
 
     /// Rolls the schedule for one call and returns the decision. Any
     /// injected latency is charged and logged here regardless of the
-    /// decision.
+    /// decision. A scripted [`FaultKind::Panic`] is logged and raised
+    /// here, for every read form alike.
     fn decide(&self, op: Op, pid: Pid, tid: Tid) -> Decision {
         let mut st = self.state.borrow_mut();
         st.calls += 1;
@@ -389,7 +390,8 @@ impl FaultInjector {
                 }
                 FaultKind::Panic => {
                     Self::push(&mut st, call, op, pid, tid, FaultKind::Panic);
-                    return Decision::Panic;
+                    drop(st);
+                    panic!("FaultyProc: injected panic on {op:?}");
                 }
                 FaultKind::Passthrough(_) => return Decision::Pass,
             }
@@ -499,7 +501,6 @@ impl FaultyProc<'_> {
                 // mismatched somehow, fall back to a real read.
                 None => call(),
             },
-            Decision::Panic => panic!("FaultyProc: injected panic on {op:?}"),
             Decision::Pass => match call() {
                 Ok(v) => {
                     if self.inj.can_stale {
@@ -520,6 +521,10 @@ impl FaultyProc<'_> {
     /// accepts one mutable record shared by the read and the stale-serve
     /// paths. The argument count mirrors [`Self::run`] plus the output
     /// slot and its cache adapters; splitting it would hide the symmetry.
+    /// The raw-text reads go through here too, with a [`TextOut`] for
+    /// `out`: the fault is decided first (same `Op`, same call count,
+    /// same log entry as the typed read), a pass goes to the inner
+    /// source's own text read, and only a stale serve renders a record.
     #[allow(clippy::too_many_arguments)]
     fn run_into<T>(
         &self,
@@ -528,12 +533,11 @@ impl FaultyProc<'_> {
         tid: Tid,
         out: &mut T,
         call: impl Fn(&dyn ProcSource, &mut T) -> SourceResult<()>,
-        to_cache: impl Fn(&T) -> CachedOk,
+        to_cache: impl Fn(&T) -> Option<CachedOk>,
         from_cache: impl Fn(&CachedOk, &mut T) -> bool,
     ) -> SourceResult<()> {
         match self.inj.decide(op, pid, tid) {
             Decision::Fail(e) => Err(e),
-            Decision::Panic => panic!("FaultyProc: injected panic on {op:?}"),
             Decision::Stale => {
                 let hit = {
                     let st = self.inj.state.borrow();
@@ -553,7 +557,9 @@ impl FaultyProc<'_> {
             Decision::Pass => match call(self.inner, out) {
                 Ok(()) => {
                     if self.inj.can_stale {
-                        self.inj.cache_ok(op, pid, tid, to_cache(out));
+                        if let Some(v) = to_cache(out) {
+                            self.inj.cache_ok(op, pid, tid, v);
+                        }
                     }
                     Ok(())
                 }
@@ -564,6 +570,13 @@ impl FaultyProc<'_> {
             },
         }
     }
+}
+
+/// The output slot of a raw-text read: the arena, and the span the
+/// record landed in (read, or rendered from the last-good cache).
+struct TextOut<'a> {
+    arena: &'a mut ReadArena,
+    span: ArenaSpan,
 }
 
 impl ProcSource for FaultyProc<'_> {
@@ -663,7 +676,7 @@ impl ProcSource for FaultyProc<'_> {
             0,
             out,
             |inner, out| inner.system_stat_into(out),
-            |v| CachedOk::System(v.clone()),
+            |v| Some(CachedOk::System(v.clone())),
             |c, out| match c {
                 CachedOk::System(v) => {
                     out.clone_from(v);
@@ -681,7 +694,7 @@ impl ProcSource for FaultyProc<'_> {
             0,
             out,
             |inner, out| inner.list_tasks_into(pid, out),
-            |v| CachedOk::Tasks(v.clone()),
+            |v| Some(CachedOk::Tasks(v.clone())),
             |c, out| match c {
                 CachedOk::Tasks(v) => {
                     out.clone_from(v);
@@ -692,40 +705,69 @@ impl ProcSource for FaultyProc<'_> {
         )
     }
 
-    fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
+    fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
+        let mut out = TextOut {
+            arena,
+            span: ArenaSpan::default(),
+        };
         self.run_into(
             Op::TaskStat,
             pid,
             tid,
-            out,
-            |inner, out| inner.task_stat_into(pid, tid, out),
-            |v| CachedOk::Stat(v.clone()),
+            &mut out,
+            |inner, out| {
+                out.span = inner.task_stat_text(pid, tid, out.arena)?;
+                Ok(())
+            },
+            |out| {
+                let view = crate::parse::parse_task_stat_view(out.arena.get(out.span)?).ok()?;
+                Some(CachedOk::Stat(view.to_owned()))
+            },
             |c, out| match c {
                 CachedOk::Stat(v) => {
-                    out.clone_from(v);
+                    out.arena.stat_scratch.clone_from(v);
+                    out.span = out.arena.render_stat_scratch();
                     true
                 }
                 _ => false,
             },
-        )
+        )?;
+        Ok(out.span)
     }
 
-    fn task_status_into(&self, pid: Pid, tid: Tid, out: &mut TaskStatus) -> SourceResult<()> {
+    fn task_status_text(
+        &self,
+        pid: Pid,
+        tid: Tid,
+        arena: &mut ReadArena,
+    ) -> SourceResult<ArenaSpan> {
+        let mut out = TextOut {
+            arena,
+            span: ArenaSpan::default(),
+        };
         self.run_into(
             Op::TaskStatus,
             pid,
             tid,
-            out,
-            |inner, out| inner.task_status_into(pid, tid, out),
-            |v| CachedOk::Status(v.clone()),
+            &mut out,
+            |inner, out| {
+                out.span = inner.task_status_text(pid, tid, out.arena)?;
+                Ok(())
+            },
+            |out| {
+                let status = crate::parse::parse_task_status(out.arena.get(out.span)?).ok()?;
+                Some(CachedOk::Status(status))
+            },
             |c, out| match c {
                 CachedOk::Status(v) => {
-                    out.clone_from(v);
+                    out.arena.status_scratch.clone_from(v);
+                    out.span = out.arena.render_status_scratch();
                     true
                 }
                 _ => false,
             },
-        )
+        )?;
+        Ok(out.span)
     }
 }
 
@@ -741,10 +783,10 @@ impl ProcSource for FaultyProc<'_> {
 ///
 /// Unlike [`FaultInjector`], the schedule is stateless and keyed on the
 /// tid alone, so it is independent of call order. That is what the
-/// serial-vs-sharded differential needs: the two engines read tasks in
+/// N-shards-vs-1-shard differential needs: the two runs read tasks in
 /// different orders and batch shapes, and any RNG-stream injector would
-/// desynchronise between them. Wrapping both engines in the same
-/// `ExitRace` guarantees they see byte-identical fault surfaces.
+/// desynchronise between them. Wrapping both in the same `ExitRace`
+/// guarantees they see byte-identical fault surfaces.
 pub struct ExitRace<'a> {
     inner: &'a dyn ProcSource,
     modulus: u64,
@@ -802,25 +844,11 @@ impl ProcSource for ExitRace<'_> {
         self.inner.task_stat(pid, tid)
     }
 
-    fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
-        if self.vanishes(pid, tid) {
-            return Err(SourceError::NotFound);
-        }
-        self.inner.task_stat_into(pid, tid, out)
-    }
-
     fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
         if self.vanishes(pid, tid) {
             return Err(SourceError::NotFound);
         }
         self.inner.task_status(pid, tid)
-    }
-
-    fn task_status_into(&self, pid: Pid, tid: Tid, out: &mut TaskStatus) -> SourceResult<()> {
-        if self.vanishes(pid, tid) {
-            return Err(SourceError::NotFound);
-        }
-        self.inner.task_status_into(pid, tid, out)
     }
 
     fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
@@ -830,12 +858,7 @@ impl ProcSource for ExitRace<'_> {
         self.inner.task_schedstat(pid, tid)
     }
 
-    fn task_stat_text(
-        &self,
-        pid: Pid,
-        tid: Tid,
-        arena: &mut crate::arena::ReadArena,
-    ) -> SourceResult<crate::arena::ArenaSpan> {
+    fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
         if self.vanishes(pid, tid) {
             return Err(SourceError::NotFound);
         }
@@ -846,8 +869,8 @@ impl ProcSource for ExitRace<'_> {
         &self,
         pid: Pid,
         tid: Tid,
-        arena: &mut crate::arena::ReadArena,
-    ) -> SourceResult<crate::arena::ArenaSpan> {
+        arena: &mut ReadArena,
+    ) -> SourceResult<ArenaSpan> {
         if self.vanishes(pid, tid) {
             return Err(SourceError::NotFound);
         }
@@ -1215,6 +1238,57 @@ mod tests {
     }
 
     #[test]
+    fn text_forms_follow_the_same_schedule() {
+        // The same plan through the typed and the raw-text read: same
+        // outcomes, same call numbering, same log — and the stale serve
+        // renders the record the pass before it cached.
+        let plan = || FaultPlan {
+            seed: 1,
+            scripted: vec![
+                ScriptedFault {
+                    call: 2,
+                    kind: FaultKind::IoTransient,
+                },
+                ScriptedFault {
+                    call: 3,
+                    kind: FaultKind::Stale,
+                },
+            ],
+            ..Default::default()
+        };
+        let (typed_src, text_src) = (TickSource::new(), TickSource::new());
+        let (typed_inj, text_inj) = (FaultInjector::new(plan()), FaultInjector::new(plan()));
+        let (typed, text) = (typed_inj.wrap(&typed_src), text_inj.wrap(&text_src));
+        let mut arena = ReadArena::new();
+        let mut out = TaskStat::default();
+        for call in 1..=4 {
+            let want = typed.task_stat_into(42, 42, &mut out);
+            let got = text
+                .task_stat_text(42, 42, &mut arena)
+                .map(|span| crate::parse::parse_task_stat(arena.get(span).unwrap()).unwrap());
+            match (got, want) {
+                (Ok(stat), Ok(())) => assert_eq!(stat, out, "call {call}"),
+                (got, want) => assert_eq!(got.err(), want.err(), "call {call}"),
+            }
+        }
+        assert_eq!(text_inj.log(), typed_inj.log());
+        assert_eq!(text_inj.total_calls(), 4);
+        assert_eq!(text_inj.stale_count(), 1);
+        // `status` goes through the same wrapper.
+        let span = text.task_status_text(42, 42, &mut arena).unwrap();
+        let status = crate::parse::parse_task_status(arena.get(span).unwrap()).unwrap();
+        assert_eq!(status, typed.task_status(42, 42).unwrap());
+        assert!(matches!(
+            text.task_status_text(7, 7, &mut arena),
+            Err(SourceError::NotFound)
+        ));
+        assert_eq!(
+            text_inj.log().last().map(|ev| ev.kind),
+            Some(FaultKind::Passthrough(SourceErrorKind::NotFound))
+        );
+    }
+
+    #[test]
     fn error_counts_exclude_requested_ops() {
         let src = TickSource::new();
         let plan = FaultPlan {
@@ -1251,7 +1325,7 @@ mod tests {
             race.task_stat_into(42, 43, &mut stat),
             Err(SourceError::NotFound)
         ));
-        let mut arena = crate::arena::ReadArena::default();
+        let mut arena = ReadArena::default();
         assert!(matches!(
             race.task_stat_text(42, 43, &mut arena),
             Err(SourceError::NotFound)

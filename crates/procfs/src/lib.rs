@@ -19,7 +19,7 @@
 //! * [`fault`] — a deterministic, seeded fault injector wrapping any
 //!   source, used by the chaos harness to prove graceful degradation.
 //! * [`arena`] — the batched raw-text read path: per-shard record
-//!   arenas the sharded sampling pump reads whole task slices into.
+//!   arenas the sampling round reads whole task slices into.
 
 #![warn(missing_docs)]
 

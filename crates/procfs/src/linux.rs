@@ -329,9 +329,7 @@ mod tests {
         let mut arena = crate::arena::ReadArena::new();
         let span = src.task_stat_text(pid, pid, &mut arena).unwrap();
         let line = arena.get(span).unwrap();
-        let fast = parse::parse_task_stat_view_fast(line).unwrap();
-        assert_eq!(fast.tid, pid);
-        assert_eq!(fast, parse::parse_task_stat_view(line).unwrap());
+        assert_eq!(parse::parse_task_stat_view(line).unwrap().tid, pid);
         let span = src.task_status_text(pid, pid, &mut arena).unwrap();
         let st = parse::parse_task_status(arena.get(span).unwrap()).unwrap();
         assert_eq!(st.tid, pid);

@@ -297,7 +297,8 @@ impl TaskStatView<'_> {
 
 /// Parses one `/proc/<pid>/task/<tid>/stat` line without allocating: the
 /// returned view borrows `comm` from the input. Single pass over the
-/// post-comm fields — no token vector is collected.
+/// post-comm fields — no token vector is collected. The one `stat`
+/// parser: every read form (typed `_into`, raw-text arena) ends here.
 pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> {
     // Format: "tid (comm) S field4 field5 ..." where comm may contain
     // anything including ')' — find the *last* ')'.
@@ -399,240 +400,9 @@ pub fn parse_task_stat(line: &str) -> Result<TaskStat, ParseError> {
     parse_task_stat_view(line).map(|v| v.to_owned())
 }
 
-/// Byte-scanning fast path for [`parse_task_stat_view`]: the sharded
-/// sampling pump's parser.
-///
-/// Same contract, same results — `fast(line) == view(line)` for every
-/// input, including the exact error text (the view-vs-owning
-/// differential test and a seeded fuzz differential enforce it). The
-/// speed comes from three structural changes, not looser validation:
-///
-/// * `comm` is located by a forward byte scan for `(` and a *reverse*
-///   byte scan for `)` (multi-byte UTF-8 never contains ASCII bytes,
-///   so byte positions equal `char` positions for both).
-/// * Fields 4..=39 are walked as byte runs; the ~28 fields ZeroSum
-///   does not sample are skipped without being parsed or validated as
-///   numbers (the reference parser pays an indexed-position lookup and
-///   nothing else for them either — but it tokenizes through
-///   `split_ascii_whitespace`'s char machinery).
-/// * The 9 sampled integers are accumulated by direct byte walk with
-///   checked arithmetic, accepting exactly what `u64`/`i32::from_str`
-///   accept (optional `+`/sign, ASCII digits, overflow is an error).
-///
-/// Every byte access is bounds-checked (`get`), so the fast path adds
-/// no panic-reachable sites to the sampling supervisor's frontier.
+/// [`parse_task_stat_view`] under the name the benchmark's replay calls.
 pub fn parse_task_stat_view_fast(line: &str) -> Result<TaskStatView<'_>, ParseError> {
-    // Tier 1: the single-space layout the kernel (and the simulator's
-    // renderer) actually emits. Any deviation — tabs, doubled spaces,
-    // control bytes, short lines, unparsable sampled fields — falls
-    // through to the general tokenizer below, which owns the exact
-    // reference semantics including error text.
-    if let Some(v) = stat_view_single_space(line) {
-        return Ok(v);
-    }
-    let bytes = line.as_bytes();
-    let open = bytes
-        .iter()
-        .position(|&b| b == b'(')
-        .ok_or_else(|| err("task stat", "missing '('"))?;
-    let close = bytes
-        .iter()
-        .rposition(|&b| b == b')')
-        .ok_or_else(|| err("task stat", "missing ')'"))?;
-    if close < open {
-        return Err(err("task stat", "mismatched parentheses"));
-    }
-    let tid: u32 = line
-        .get(..open)
-        .unwrap_or("")
-        .trim()
-        .parse()
-        .map_err(|_| err("task stat", "bad tid"))?;
-    let comm = line.get(open + 1..close).unwrap_or("");
-    let rest = bytes.get(close + 1..).unwrap_or(&[]);
-
-    let mut state = None;
-    let mut nice: i32 = 0;
-    let mut minflt = 0u64;
-    let mut majflt = 0u64;
-    let mut utime = 0u64;
-    let mut stime = 0u64;
-    let mut num_threads = 0u64;
-    let mut starttime = 0u64;
-    let mut nswap = 0u64;
-    let mut processor = 0u64;
-    let mut field = 2usize;
-    // Single pass over the post-comm tail. `slice::split` on the
-    // ASCII-whitespace class (empty segments skipped) tokenizes exactly
-    // like `split_ascii_whitespace`, but over bytes: no char decoding,
-    // no per-byte bounds checks, and the 28 unsampled fields fall
-    // through the match without being validated as numbers.
-    for tok in fields(rest) {
-        field += 1;
-        match field {
-            3 => {
-                let state_ch = std::str::from_utf8(tok)
-                    .ok()
-                    .and_then(|s| s.chars().next())
-                    .ok_or_else(|| err("task stat", "empty state"))?;
-                state = Some(
-                    TaskState::from_code(state_ch)
-                        .ok_or_else(|| err("task stat", format!("unknown state {state_ch:?}")))?,
-                );
-            }
-            19 => nice = ascii_i32(tok).ok_or_else(|| err("task stat", "bad nice"))?,
-            10 | 12 | 14 | 15 | 20 | 22 | 36 | 39 => {
-                let v = ascii_u64(tok)
-                    .ok_or_else(|| err("task stat", format!("bad numeric field {field}")))?;
-                match field {
-                    10 => minflt = v,
-                    12 => majflt = v,
-                    14 => utime = v,
-                    15 => stime = v,
-                    20 => num_threads = v,
-                    22 => starttime = v,
-                    36 => nswap = v,
-                    _ => processor = v,
-                }
-            }
-            _ => {} // unsampled field: the token is skipped unparsed
-        }
-        if field == 39 {
-            break;
-        }
-    }
-    if field < 39 {
-        // Report the first *sampled* field that is missing, exactly
-        // like the reference parser.
-        const FIELDS: [usize; 9] = [10, 12, 14, 15, 19, 20, 22, 36, 39];
-        let next_field = field + 1;
-        let missing = if next_field <= 3 {
-            3
-        } else {
-            FIELDS
-                .iter()
-                .copied()
-                .find(|&f| f >= next_field)
-                .unwrap_or(39)
-        };
-        return Err(err("task stat", format!("missing field {missing}")));
-    }
-    Ok(TaskStatView {
-        tid,
-        comm,
-        state: state.ok_or_else(|| err("task stat", "empty state"))?,
-        minflt,
-        majflt,
-        utime,
-        stime,
-        nice,
-        num_threads: num_threads as u32,
-        starttime,
-        processor: processor as u32,
-        nswap,
-    })
-}
-
-/// Single-space happy path for [`parse_task_stat_view_fast`]: walks
-/// the post-`comm` tail assuming every field is separated by exactly
-/// one `' '` (the layout `/proc` emits), with a two-compare inner
-/// byte loop instead of the five-way ASCII-whitespace class test.
-/// Returns `None` — never a wrong or partial result — on any input
-/// the assumption does not hold for, handing the line to the general
-/// tokenizer unchanged.
-fn stat_view_single_space(line: &str) -> Option<TaskStatView<'_>> {
-    let bytes = line.as_bytes();
-    let open = bytes.iter().position(|&b| b == b'(')?;
-    let close = bytes.iter().rposition(|&b| b == b')')?;
-    if close < open {
-        return None;
-    }
-    // Anything `u32::from_str` rejects after the trim (signs,
-    // overflow) bails to the general prologue for the exact error.
-    let tid = ascii_u32(trim(bytes.get(..open)?))?;
-    // `(`/`)` are ASCII, so both indices are char boundaries.
-    let comm = line.get(open + 1..close)?;
-    let rest = bytes.get(close + 1..)?;
-
-    let mut state = None;
-    let mut nice = 0i32;
-    let mut minflt = 0u64;
-    let mut majflt = 0u64;
-    let mut utime = 0u64;
-    let mut stime = 0u64;
-    let mut num_threads = 0u64;
-    let mut starttime = 0u64;
-    let mut nswap = 0u64;
-    let mut processor = 0u64;
-    let mut i = 0usize;
-    for field in 3..=39usize {
-        // Exactly one space before every field.
-        if rest.get(i) != Some(&b' ') {
-            return None;
-        }
-        i += 1;
-        let start = i;
-        // Token bytes are everything above `' '`; a doubled space, an
-        // embedded control byte, or (before field 39) a premature end
-        // of line all bail out. Field 39 may instead be terminated by
-        // any ASCII whitespace or the end of the line, exactly like
-        // the whitespace-class tokenizer.
-        while let Some(&c) = rest.get(i) {
-            if c == b' ' {
-                break;
-            }
-            if c < b' ' {
-                if field == 39 && matches!(c, b'\t' | b'\n' | b'\x0C' | b'\r') {
-                    break;
-                }
-                return None;
-            }
-            i += 1;
-        }
-        if i == start {
-            return None;
-        }
-        let tok = rest.get(start..i)?;
-        match field {
-            3 => {
-                // A byte split of valid UTF-8 on ASCII whitespace
-                // yields valid UTF-8 fragments.
-                let c = std::str::from_utf8(tok)
-                    .ok()
-                    .and_then(|s| s.chars().next())?;
-                state = Some(TaskState::from_code(c)?);
-            }
-            19 => nice = ascii_i32(tok)?,
-            10 | 12 | 14 | 15 | 20 | 22 | 36 | 39 => {
-                let v = ascii_u64(tok)?;
-                match field {
-                    10 => minflt = v,
-                    12 => majflt = v,
-                    14 => utime = v,
-                    15 => stime = v,
-                    20 => num_threads = v,
-                    22 => starttime = v,
-                    36 => nswap = v,
-                    _ => processor = v,
-                }
-            }
-            _ => {}
-        }
-    }
-    Some(TaskStatView {
-        tid,
-        comm,
-        state: state?,
-        minflt,
-        majflt,
-        utime,
-        stime,
-        nice,
-        num_threads: num_threads as u32,
-        starttime,
-        processor: processor as u32,
-        nswap,
-    })
+    parse_task_stat_view(line)
 }
 
 /// Unsigned ASCII decimal with `u64::from_str` semantics: optional
@@ -668,34 +438,6 @@ fn ascii_u32(tok: &[u8]) -> Option<u32> {
     ascii_u64(tok).and_then(|v| u32::try_from(v).ok())
 }
 
-/// Signed ASCII decimal with `i32::from_str` semantics: optional
-/// `+`/`-`, one or more digits, checked overflow (accumulating toward
-/// `i32::MIN` for negatives so the full range round-trips).
-fn ascii_i32(tok: &[u8]) -> Option<i32> {
-    let (neg, digits) = match tok.split_first() {
-        Some((&b'+', rest)) => (false, rest),
-        Some((&b'-', rest)) => (true, rest),
-        _ => (false, tok),
-    };
-    if digits.is_empty() {
-        return None;
-    }
-    let mut v: i32 = 0;
-    for &c in digits {
-        let d = c.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        v = v.checked_mul(10)?;
-        v = if neg {
-            v.checked_sub(i32::from(d))?
-        } else {
-            v.checked_add(i32::from(d))?
-        };
-    }
-    Some(v)
-}
-
 /// Parses a `stat` line into an existing record, reusing its `comm`
 /// buffer. On error the contents of `out` are unspecified.
 pub fn parse_task_stat_into(line: &str, out: &mut TaskStat) -> Result<(), ParseError> {
@@ -704,42 +446,23 @@ pub fn parse_task_stat_into(line: &str, out: &mut TaskStat) -> Result<(), ParseE
     Ok(())
 }
 
-/// Parses `/proc/<pid>/task/<tid>/schedstat` (three space-separated
-/// integers).
+/// Parses `/proc/<pid>/task/<tid>/schedstat`: the first three
+/// ASCII-whitespace-separated integers (trailing tokens ignored). One
+/// byte pass — schedstat is read once per task per round, as the delta
+/// gate, before anything else.
 pub fn parse_schedstat(text: &str) -> Result<crate::types::SchedStat, ParseError> {
-    // Byte fast path: schedstat is read once per task per round, and
-    // the well-formed case (three decimal tokens) never needs the
-    // iterator/`FromStr` machinery. Any deviation falls back to the
-    // reference path below, which owns the exact error messages.
-    if let Some(ss) = parse_schedstat_bytes(text.as_bytes()) {
-        return Ok(ss);
-    }
-    let mut it = text.split_ascii_whitespace();
+    let mut it = fields(text.as_bytes());
     let mut next = |what: &'static str| -> Result<u64, ParseError> {
-        it.next()
-            .ok_or_else(|| err("schedstat", format!("missing {what}")))?
-            .parse()
-            .map_err(|_| err("schedstat", format!("bad {what}")))
+        let field = it
+            .next()
+            .ok_or_else(|| err("schedstat", format!("missing {what}")))?;
+        ascii_u64(field).ok_or_else(|| err("schedstat", format!("bad {what}")))
     };
     Ok(crate::types::SchedStat {
         run_ns: next("run_ns")?,
         wait_ns: next("wait_ns")?,
         timeslices: next("timeslices")?,
     })
-}
-
-/// The schedstat happy path: the first three ASCII-whitespace-separated
-/// tokens as `u64`s (trailing tokens ignored, exactly like the
-/// reference path's three `next()` calls). `None` on anything else —
-/// including overflow — so the reference path can produce its error.
-fn parse_schedstat_bytes(b: &[u8]) -> Option<crate::types::SchedStat> {
-    let mut it = fields(b);
-    let ss = crate::types::SchedStat {
-        run_ns: ascii_u64(it.next()?)?,
-        wait_ns: ascii_u64(it.next()?)?,
-        timeslices: ascii_u64(it.next()?)?,
-    };
-    Some(ss)
 }
 
 /// Parses `/proc/<pid>/task/<tid>/status`.
@@ -888,7 +611,7 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
     Ok(())
 }
 
-/// [`parse_task_status_into`] under the name the sharded pump calls.
+/// [`parse_task_status_into`] under the name the benchmark's replay calls.
 pub fn parse_task_status_fast(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
     parse_task_status_into(text, out)
 }
@@ -928,7 +651,10 @@ fn kib_value(value: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{assert_status_agrees, assert_system_stat_agrees};
+    use crate::oracle::{
+        assert_schedstat_agrees, assert_stat_agrees, assert_status_agrees,
+        assert_system_stat_agrees,
+    };
 
     const STAT: &str = "\
 cpu  100 2 50 840 5 1 2 0 0 0
@@ -1027,12 +753,14 @@ SwapFree:              0 kB
     }
 
     #[test]
-    fn view_and_owning_parsers_agree_on_all_fixtures() {
-        // Differential check over the golden lines, the evil-comm trap,
-        // garbage, and every byte-truncation of the golden lines (torn
-        // procfs reads): the borrowed-view parser, the owning parser,
-        // and the buffer-reusing `_into` form must accept exactly the
-        // same inputs and produce identical records.
+    fn stat_parser_matches_oracle_on_fixtures() {
+        // Differential over the golden lines, the evil-comm trap,
+        // garbage, layout deviations, sign and overflow injections, and
+        // every byte-truncation of the golden lines (torn procfs
+        // reads): the one parser — as the borrowed view, the owning
+        // form and the buffer-reusing `_into` form — must accept exactly
+        // what the reference accepts and produce the identical record
+        // or the identical error.
         let basic = "51334 (miniqmc) R 51000 51334 51334 0 -1 4194304 \
             1234 0 5 0 6394 1248 0 0 20 0 9 0 100 123456789 4321 \
             18446744073709551615 1 1 0 0 0 0 0 0 0 0 0 0 17 1 0 0 0 0 0 0 0 0 0 0 0 0 0";
@@ -1050,76 +778,72 @@ SwapFree:              0 kB
             // the empty string above, but pinned to the on-disk fixture
             // so the capture and the differential can never drift apart.
             include_str!("../../../tests/fixtures/proc_pid_stat_vanished.txt").to_string(),
-            // Single-space tier-1 deviations: each must bail to the
-            // general tokenizer, never change the result.
+            // Layouts the kernel does not print: tabs, doubled spaces,
+            // a trailing newline, leading padding.
             basic.replace(' ', "\t"),
             basic.replace(") R", ")  R"),
             format!("{basic}\n"),
             format!(" {basic}"),
-            // Control byte inside a skipped token: the general
-            // tokenizer keeps it in the token unparsed and accepts.
+            // Control byte inside a skipped token: kept in the token
+            // unparsed, accepted.
             basic.replace("51000", "51\u{1}000"),
-            // Control byte inside a sampled token: both reject.
+            // Control byte inside a sampled token: rejected.
             basic.replace("123456789", "12\u{3}456789"),
+            // Signs: `FromStr` takes a leading `+` on every integer and
+            // a `-` only on `nice`, the one signed field.
+            basic.replace(" 6394 ", " +6394 "),
+            basic.replace(" 6394 ", " -6394 "),
+            basic.replace(" 20 0 9 ", " 20 +19 9 "),
+            basic.replace(" 20 0 9 ", " 20 -20 9 "),
+            basic.replace(" 20 0 9 ", " 20 - 9 "),
+            basic.replace("51334 (", "+51334 ("),
+            basic.replace("51334 (", "-51334 ("),
+            // Overflow: 2^64 in a `u64` field, 2^31 in `nice`, 2^32 in
+            // the tid; `u64::MAX` itself fits.
+            basic.replace(" 6394 ", " 18446744073709551616 "),
+            basic.replace(" 6394 ", " 18446744073709551615 "),
+            basic.replace(" 20 0 9 ", " 20 2147483648 9 "),
+            basic.replace(" 20 0 9 ", " 20 -2147483648 9 "),
+            basic.replace("51334 (", "4294967296 ("),
+            // Non-ASCII and unknown state bytes.
+            basic.replace(") R ", ") Ω "),
+            basic.replace(") R ", ") q "),
+            basic.replace(") R ", ") Rx "),
+            // `comm` holding `) (`, only `(`, only `)`, nothing.
+            basic.replace("(miniqmc)", "(a) (b)"),
+            basic.replace("(miniqmc)", "((("),
+            basic.replace("(miniqmc)", "()))"),
+            basic.replace("(miniqmc)", "()"),
+            basic.replace("(miniqmc)", "(Ω-wave)"),
+            ") 1 (".into(),
         ];
         for line in [basic, evil] {
             for i in 0..line.len() {
                 fixtures.push(line[..i].to_string());
             }
         }
-        let soiled = || TaskStat {
-            comm: "stale-garbage".into(),
-            utime: u64::MAX,
-            nice: -7,
-            ..Default::default()
-        };
         for fx in &fixtures {
-            match (parse_task_stat(fx), parse_task_stat_view(fx)) {
-                (Ok(owned), Ok(view)) => {
-                    assert_eq!(view.to_owned(), owned, "to_owned on {fx:?}");
-                    let mut assigned = soiled();
-                    view.assign_to(&mut assigned);
-                    assert_eq!(assigned, owned, "assign_to on {fx:?}");
-                    let mut reused = soiled();
-                    parse_task_stat_into(fx, &mut reused).unwrap();
-                    assert_eq!(reused, owned, "parse_task_stat_into on {fx:?}");
-                    assert_eq!(
-                        parse_task_stat_view_fast(fx),
-                        Ok(view),
-                        "fast path on {fx:?}"
-                    );
-                }
-                (Err(_), Err(view_err)) => {
-                    assert!(
-                        parse_task_stat_into(fx, &mut soiled()).is_err(),
-                        "`_into` accepted what the owning parser rejected: {fx:?}"
-                    );
-                    assert_eq!(
-                        parse_task_stat_view_fast(fx),
-                        Err(view_err),
-                        "fast path error on {fx:?}"
-                    );
-                }
-                (owned, view) => {
-                    panic!("parsers disagree on {fx:?}: owned {owned:?}, view {view:?}")
-                }
-            }
+            assert_stat_agrees(fx);
         }
+        // The vectors above really cover both outcomes.
+        let parsed = |from: &str, to: &str| parse_task_stat(&basic.replace(from, to));
+        assert!(parsed(" ", "\t").is_ok(), "tabs parse");
+        assert_eq!(parsed(" 20 0 9 ", " 20 -20 9 ").unwrap().nice, -20);
+        assert!(parsed(" 6394 ", " -6394 ").is_err(), "-utime");
+        assert_eq!(parsed("(miniqmc)", "(a) (b)").unwrap().comm, "a) (b");
     }
 
     #[test]
-    fn fast_parser_matches_reference_under_seeded_fuzz() {
-        // Deterministic differential fuzz of the byte-scanning fast path
-        // against the reference view parser: render plausible stat
-        // lines, then corrupt them (byte flips, splices, truncations,
-        // sign/overflow injections) with an xorshift PRNG. Accept/reject
-        // AND the exact error (`what` + `detail`) must agree on every
-        // input — the fast path is only a fast path if it is the same
-        // function.
+    fn stat_parser_matches_oracle_under_seeded_fuzz() {
+        // Deterministic differential fuzz of the `stat` parser against
+        // the reference: render plausible stat lines, then corrupt them
+        // (byte flips, splices, truncations, sign/overflow injections)
+        // with an xorshift PRNG. Accept/reject AND the exact error
+        // (`what` + `detail`) must agree on every input.
         let mut next = xorshift(0x5eed_2e05);
         let comms = ["miniqmc", "a b", "ev)il", "(((", "Ω-wave", "", ")", "x(y"];
         let glyphs: &[u8] = b" \t()+-0123456789abcR~\xc3\x89";
-        for case in 0u32..4000 {
+        for _ in 0u32..4000 {
             let tid = next() % (1 << (next() % 33));
             let comm = comms[(next() % comms.len() as u64) as usize];
             let state = ['R', 'S', 'D', 'Z', 'T', 'q', 'Ω'][(next() % 7) as usize];
@@ -1163,13 +887,8 @@ SwapFree:              0 kB
                     }
                 }
             }
-            for fx in [&line, &fuzzed] {
-                assert_eq!(
-                    parse_task_stat_view_fast(fx),
-                    parse_task_stat_view(fx),
-                    "case {case}: fast and reference parsers disagree on {fx:?}"
-                );
-            }
+            assert_stat_agrees(&line);
+            assert_stat_agrees(&fuzzed);
         }
     }
 
@@ -1184,9 +903,9 @@ SwapFree:              0 kB
     }
 
     #[test]
-    fn schedstat_fast_path_matches_reference_semantics() {
-        // Happy paths the byte walk must take (value-identical to the
-        // `split_ascii_whitespace` + `FromStr` reference).
+    fn schedstat_parser_matches_oracle() {
+        // Values the one byte pass must read like `split_ascii_whitespace`
+        // + `FromStr` …
         for (text, want) in [
             ("1 2 3", (1, 2, 3)),
             ("  7 \t 8 \n 9  ", (7, 8, 9)),
@@ -1195,11 +914,11 @@ SwapFree:              0 kB
             ("1 2 3 4 trailing ignored", (1, 2, 3)),
             ("1 2 3 \u{3a9}", (1, 2, 3)),
         ] {
+            assert_schedstat_agrees(text);
             let ss = parse_schedstat(text).unwrap();
             assert_eq!((ss.run_ns, ss.wait_ns, ss.timeslices), want, "{text:?}");
         }
-        // Deviations must fall through to the reference path and keep
-        // its exact error wording.
+        // … and the error it must word the same way.
         for (text, msg) in [
             ("", "missing run_ns"),
             ("1", "missing wait_ns"),
@@ -1210,9 +929,42 @@ SwapFree:              0 kB
             ("-1 2 3", "bad run_ns"),
             ("18446744073709551616 0 0", "bad run_ns"),
             ("1 2 \u{3a9}", "bad timeslices"),
+            ("1\u{b}2 3 4", "bad run_ns"),
         ] {
+            assert_schedstat_agrees(text);
             let e = parse_schedstat(text).unwrap_err().to_string();
             assert!(e.contains(msg), "{text:?}: {e}");
+        }
+        // Seeded fuzz: kernel-shaped triplets, spliced and truncated.
+        let mut next = xorshift(0x5c4e_d57a);
+        let splices = [
+            " ",
+            "\t",
+            "\n",
+            "+",
+            "-",
+            "x",
+            "\u{b}",
+            "\u{a0}",
+            "99999999999999999999",
+        ];
+        for _ in 0u32..2000 {
+            let mut fx = format!(
+                "{} {} {}\n",
+                next() % (1 << (next() % 64)),
+                next() % (1 << (next() % 50)),
+                next() % 1_000_000
+            );
+            assert_schedstat_agrees(&fx);
+            for _ in 0..1 + next() % 3 {
+                let at = floor_boundary(&fx, (next() % (fx.len() + 1) as u64) as usize);
+                if next().is_multiple_of(3) {
+                    fx.truncate(at);
+                } else {
+                    fx.insert_str(at, splices[(next() % splices.len() as u64) as usize]);
+                }
+            }
+            assert_schedstat_agrees(&fx);
         }
     }
 

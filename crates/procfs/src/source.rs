@@ -173,12 +173,12 @@ pub trait ProcSource {
 
     // ---- Raw-text (arena) forms -----------------------------------------
     //
-    // The sharded sampling pump batches a whole task slice into one
-    // arena per round and parses the spans afterwards with the view
-    // parsers, so the source's job shrinks to "get the bytes". The
+    // The sampling round reads each task's text into its arena and
+    // parses the span itself with the view parsers, so the source's
+    // job shrinks to "get the bytes". The
     // defaults perform the typed buffer-reusing read and render it back
     // to kernel text: correct for every source, and it means wrappers
-    // (fault injectors, adapters) inherit their `_into` overrides — and
+    // (fault injectors, adapters) inherit their typed overrides — and
     // any fault injection in them — without changes. Backends override
     // for speed: the live backend appends the file with one `read`
     // syscall, the simulator renders straight into the arena tail.

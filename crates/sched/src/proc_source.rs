@@ -418,8 +418,8 @@ mod tests {
         for &tid in &src.list_tasks(pid).unwrap() {
             let span = src.task_stat_text(pid, tid, &mut arena).unwrap();
             let line = arena.get(span).unwrap();
-            let fast = parse::parse_task_stat_view_fast(line).unwrap().to_owned();
-            assert_eq!(fast, src.task_stat(pid, tid).unwrap());
+            let stat = parse::parse_task_stat(line).unwrap();
+            assert_eq!(stat, src.task_stat(pid, tid).unwrap());
             let span = src.task_status_text(pid, tid, &mut arena).unwrap();
             let st = parse::parse_task_status(arena.get(span).unwrap()).unwrap();
             assert_eq!(st, src.task_status(pid, tid).unwrap());

@@ -124,12 +124,12 @@ else
 fi
 # And two traced seconds of sim_sharded_wide (pure simulation, nothing to
 # probe): its output checks read back what `write_logs` wrote (Listing-2
-# sections, END marker last) and hold the sharded aggregate equal to the
-# serial one; the exit path's cost per CSV row is printed beside them.
+# sections, END marker last) and hold the 4-shard aggregate equal to
+# `Monitor::sample`'s; the exit path's cost per CSV row is printed beside them.
 traced_bench sim_sharded_wide
 grep -E '^ +core\.export\.csv_ns_per_row' /tmp/zsbench.out
 
-echo "== shard differential (20 seeds serial vs sharded bit-identical, shard-scoped chaos isolation)"
+echo "== shard differential (20 seeds N shards vs 1 shard bit-identical, shard-scoped chaos isolation)"
 cargo run -q --release -p zerosum-cli --bin zerosum -- shard-diff --seeds 20
 
 echo "== churn chaos soak (20 seeded open-system schedules + bit-repro witness)"

@@ -1,6 +1,6 @@
-//! The `str`-based reference parsers for `status` and `/proc/stat`, and
-//! the differential that holds the shipped byte scanners
-//! (`zerosum_proc::parse`) equal to them.
+//! The `str`-based reference parsers for `stat`, `schedstat`, `status`
+//! and `/proc/stat`, and the differential that holds the shipped
+//! parsers (`zerosum_proc::parse`) equal to them.
 //!
 //! Test-only by location: `zerosum-proc` includes this file under
 //! `#[cfg(test)]` for its fixture and fuzz differentials, and
@@ -8,12 +8,13 @@
 //! walk. No library target compiles it, so no product code can call it.
 //!
 //! The parsers are written for obviousness, not speed: `str::lines`,
-//! `split_once`, `str::trim`, `FromStr`. They define the semantics —
+//! `split_once`, `str::trim`, `FromStr`, a token vector indexed by the
+//! `man 5 proc` field number. They define the semantics —
 //! which lines count, which whitespace is trimmed, which value wins
 //! when a key repeats, and the exact error text.
 
 use zerosum_proc::parse::{self, ParseError};
-use zerosum_proc::{CpuTimes, SystemStat, TaskState, TaskStatus};
+use zerosum_proc::{CpuTimes, SchedStat, SystemStat, TaskStat, TaskState, TaskStatus};
 
 fn err(what: &'static str, detail: impl Into<String>) -> ParseError {
     ParseError {
@@ -89,6 +90,73 @@ fn cpu_times<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<CpuTimes, Par
     })
 }
 
+/// Reference for `parse::parse_task_stat_view`: `tid (comm) state …`,
+/// `comm` ending at the *last* `)`, then the sampled fields by number,
+/// ascending — so the first problem in the line is the one reported.
+pub fn task_stat(line: &str) -> Result<TaskStat, ParseError> {
+    let bad = |detail: String| err("task stat", detail);
+    let open = line.find('(').ok_or_else(|| bad("missing '('".into()))?;
+    let close = line.rfind(')').ok_or_else(|| bad("missing ')'".into()))?;
+    if close < open {
+        return Err(bad("mismatched parentheses".into()));
+    }
+    let tid = line[..open]
+        .trim()
+        .parse()
+        .map_err(|_| bad("bad tid".into()))?;
+    // `toks[0]` is field 3 (man 5 proc numbers from 1).
+    let toks: Vec<&str> = line[close + 1..].split_ascii_whitespace().collect();
+    let field = |n: usize| {
+        toks.get(n - 3)
+            .copied()
+            .ok_or_else(|| bad(format!("missing field {n}")))
+    };
+    let num = |n: usize| -> Result<u64, ParseError> {
+        field(n)?
+            .parse()
+            .map_err(|_| bad(format!("bad numeric field {n}")))
+    };
+    let state_ch = field(3)?
+        .chars()
+        .next()
+        .ok_or_else(|| bad("empty state".into()))?;
+    let state =
+        TaskState::from_code(state_ch).ok_or_else(|| bad(format!("unknown state {state_ch:?}")))?;
+    let (minflt, majflt, utime, stime) = (num(10)?, num(12)?, num(14)?, num(15)?);
+    let nice = field(19)?.parse().map_err(|_| bad("bad nice".into()))?;
+    let (num_threads, starttime, nswap, processor) = (num(20)?, num(22)?, num(36)?, num(39)?);
+    Ok(TaskStat {
+        tid,
+        comm: line[open + 1..close].to_string(),
+        state,
+        minflt,
+        majflt,
+        utime,
+        stime,
+        nice,
+        num_threads: num_threads as u32,
+        processor: processor as u32,
+        nswap,
+        starttime,
+    })
+}
+
+/// Reference for `parse::parse_schedstat`.
+pub fn schedstat(text: &str) -> Result<SchedStat, ParseError> {
+    let mut it = text.split_ascii_whitespace();
+    let mut next = |what: &'static str| -> Result<u64, ParseError> {
+        it.next()
+            .ok_or_else(|| err("schedstat", format!("missing {what}")))?
+            .parse()
+            .map_err(|_| err("schedstat", format!("bad {what}")))
+    };
+    Ok(SchedStat {
+        run_ns: next("run_ns")?,
+        wait_ns: next("wait_ns")?,
+        timeslices: next("timeslices")?,
+    })
+}
+
 /// Reference for `parse::parse_task_status_into`.
 pub fn status_into(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
     out.name.clear();
@@ -141,6 +209,39 @@ pub fn status_into(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
 
 fn kib_value(rest: &str) -> u64 {
     rest.trim_end_matches("kB").trim().parse().unwrap_or(0)
+}
+
+/// The one shipped `stat` parser, under each of its public names
+/// (borrowed view, the forwarder the benchmark calls, owning, `_into`
+/// over a soiled record), against the reference: accept/reject, the
+/// exact error, and on accept every field.
+pub fn assert_stat_agrees(line: &str) {
+    let want = task_stat(line);
+    let view = parse::parse_task_stat_view(line);
+    assert_eq!(
+        view.as_ref().map(|v| v.to_owned()).map_err(Clone::clone),
+        want,
+        "stat parser and oracle disagree on {line:?}"
+    );
+    assert_eq!(parse::parse_task_stat_view_fast(line), view, "{line:?}");
+    assert_eq!(parse::parse_task_stat(line), want, "owning on {line:?}");
+    let mut reused = TaskStat {
+        comm: "stale-garbage".into(),
+        utime: u64::MAX,
+        nice: -7,
+        ..Default::default()
+    };
+    let r = parse::parse_task_stat_into(line, &mut reused);
+    assert_eq!(r.map(|()| reused), want, "`_into` on {line:?}");
+}
+
+/// The same differential for `schedstat`.
+pub fn assert_schedstat_agrees(text: &str) {
+    assert_eq!(
+        parse::parse_schedstat(text),
+        schedstat(text),
+        "schedstat parser and oracle disagree on {text:?}"
+    );
 }
 
 /// Accept/reject, the exact error, and (on accept) every field of the

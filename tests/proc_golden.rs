@@ -122,9 +122,9 @@ fn golden_proc_pid_stat_truncated() {
 #[test]
 fn golden_proc_pid_stat_vanished() {
     // A stat read racing task exit can return zero bytes (the kernel
-    // tears down the task struct between open and read). All three stat
-    // parsers must reject the empty record identically — an error, not
-    // a zeroed default and not a panic.
+    // tears down the task struct between open and read). Every form of
+    // the stat parser must reject the empty record identically — an
+    // error, not a zeroed default and not a panic.
     let line = fixture("proc_pid_stat_vanished.txt");
     assert_eq!(line, "", "the vanished capture is the empty read");
     assert!(parse_task_stat(line.trim_end()).is_err());

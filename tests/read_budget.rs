@@ -1,0 +1,246 @@
+//! The sampling round's read budget, counted at the `ProcSource`
+//! boundary: what one `Monitor::sample` may ask of `/proc`.
+//!
+//! Per round: one `/proc/stat`, one `meminfo`, one task listing per
+//! live watch; per planned task one `schedstat`, then at most one
+//! `stat` and one `status` — none on a delta hit, none for a shed
+//! worker, nothing at all for a watch that is gone. Held on the
+//! simulated substrate and on this process's own live `/proc`.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use zerosum::core::{Monitor, ProcessInfo, ZeroSumConfig};
+use zerosum::procfs::{
+    ArenaSpan, LinuxProc, MemInfo, Pid, ProcSource, ReadArena, SchedStat, SourceResult, SystemStat,
+    TaskStat, TaskStatus, Tid,
+};
+use zerosum::sched::{Behavior, NodeSim, SchedParams, SimProcSource};
+use zerosum::topology::{presets, CpuSet};
+
+/// Calls seen since the last [`Counting::take`].
+#[derive(Debug, Default, PartialEq)]
+struct Calls {
+    system_stat: u32,
+    meminfo: u32,
+    /// Listings per pid.
+    lists: BTreeMap<Pid, u32>,
+    /// `[schedstat, stat, status]` reads per tid, every read form
+    /// (owning, `_into`, raw text) counted alike.
+    tasks: BTreeMap<Tid, [u32; 3]>,
+}
+
+/// Forwards every call to `inner` under the same name and counts it.
+struct Counting<'a> {
+    inner: &'a dyn ProcSource,
+    calls: RefCell<Calls>,
+}
+
+impl<'a> Counting<'a> {
+    fn new(inner: &'a dyn ProcSource) -> Self {
+        Counting {
+            inner,
+            calls: RefCell::default(),
+        }
+    }
+
+    fn take(&self) -> Calls {
+        self.calls.take()
+    }
+
+    fn task(&self, tid: Tid, file: usize) {
+        self.calls.borrow_mut().tasks.entry(tid).or_default()[file] += 1;
+    }
+
+    fn list(&self, pid: Pid) {
+        *self.calls.borrow_mut().lists.entry(pid).or_default() += 1;
+    }
+}
+
+impl ProcSource for Counting<'_> {
+    fn system_stat(&self) -> SourceResult<SystemStat> {
+        self.calls.borrow_mut().system_stat += 1;
+        self.inner.system_stat()
+    }
+    fn system_stat_into(&self, out: &mut SystemStat) -> SourceResult<()> {
+        self.calls.borrow_mut().system_stat += 1;
+        self.inner.system_stat_into(out)
+    }
+    fn meminfo(&self) -> SourceResult<MemInfo> {
+        self.calls.borrow_mut().meminfo += 1;
+        self.inner.meminfo()
+    }
+    fn list_tasks(&self, pid: Pid) -> SourceResult<Vec<Tid>> {
+        self.list(pid);
+        self.inner.list_tasks(pid)
+    }
+    fn list_tasks_into(&self, pid: Pid, out: &mut Vec<Tid>) -> SourceResult<()> {
+        self.list(pid);
+        self.inner.list_tasks_into(pid, out)
+    }
+    fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
+        self.task(tid, 0);
+        self.inner.task_schedstat(pid, tid)
+    }
+    fn task_stat(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStat> {
+        self.task(tid, 1);
+        self.inner.task_stat(pid, tid)
+    }
+    fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
+        self.task(tid, 1);
+        self.inner.task_stat_into(pid, tid, out)
+    }
+    fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
+        self.task(tid, 1);
+        self.inner.task_stat_text(pid, tid, arena)
+    }
+    fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
+        self.task(tid, 2);
+        self.inner.task_status(pid, tid)
+    }
+    fn task_status_into(&self, pid: Pid, tid: Tid, out: &mut TaskStatus) -> SourceResult<()> {
+        self.task(tid, 2);
+        self.inner.task_status_into(pid, tid, out)
+    }
+    fn task_status_text(
+        &self,
+        pid: Pid,
+        tid: Tid,
+        arena: &mut ReadArena,
+    ) -> SourceResult<ArenaSpan> {
+        self.task(tid, 2);
+        self.inner.task_status_text(pid, tid, arena)
+    }
+}
+
+fn watch(mon: &mut Monitor, pid: Pid) {
+    mon.watch_process(ProcessInfo {
+        pid,
+        rank: None,
+        hostname: "budget".into(),
+        gpus: vec![],
+        cpus_allowed: Default::default(),
+    });
+}
+
+/// What every round owes, whatever it sampled: the node reads once,
+/// one listing per watch in `live` and none for any other, and per task
+/// a `schedstat` before — and at most one of — `stat` and `status`.
+fn assert_round_budget(calls: &Calls, live: &[Pid]) {
+    assert_eq!((calls.system_stat, calls.meminfo), (1, 1), "{calls:?}");
+    let listed: Vec<(Pid, u32)> = calls.lists.iter().map(|(&p, &n)| (p, n)).collect();
+    let want: Vec<(Pid, u32)> = live.iter().map(|&p| (p, 1)).collect();
+    assert_eq!(listed, want, "one listing per live watch");
+    for (tid, &[schedstat, stat, status]) in &calls.tasks {
+        assert_eq!(schedstat, 1, "tid {tid}: one schedstat per planned task");
+        assert!(stat <= 1 && status <= stat, "tid {tid}: {calls:?}");
+    }
+}
+
+#[test]
+fn sim_round_reads_stay_within_budget() {
+    let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
+    let busy = || Behavior::FiniteCompute {
+        remaining_us: 60_000_000,
+        chunk_us: 10_000,
+    };
+    let mut pids = Vec::new();
+    for cpus in [[0u32, 1], [2, 3]] {
+        let pid = sim.spawn_process("rank", CpuSet::from_indices(cpus), 4_096, busy());
+        sim.spawn_task(pid, "worker", None, busy(), false);
+        sim.spawn_task(pid, "parked", None, Behavior::Sleeper, false);
+        pids.push(pid);
+    }
+    let mut mon = Monitor::new(ZeroSumConfig::default());
+    assert!(mon.config.delta_sampling);
+    for &pid in &pids {
+        watch(&mut mon, pid);
+    }
+    watch(&mut mon, 99_999);
+    let mut round = |mon: &mut Monitor, t_s: f64| {
+        sim.run_for(200_000);
+        let src = SimProcSource::new(&sim);
+        let counting = Counting::new(&src);
+        mon.sample(t_s, &counting);
+        counting.take()
+    };
+
+    // Round 1: everything is new, so everything is read in full — and
+    // the unknown pid is listed once, found missing, and dropped.
+    let calls = round(&mut mon, 1.0);
+    assert_round_budget(&calls, &[pids[0], pids[1], 99_999]);
+    assert_eq!(calls.tasks.len(), 6);
+    assert!(calls.tasks.values().all(|reads| *reads == [1, 1, 1]));
+    assert!(mon.process(99_999).unwrap().gone);
+
+    // Round 2: the parked workers never ran, so their schedstat is
+    // unchanged and that is all that is read of them.
+    let calls = round(&mut mon, 2.0);
+    assert_round_budget(&calls, &pids);
+    let gated = calls.tasks.values().filter(|r| **r == [1, 0, 0]).count();
+    assert_eq!(gated, 2, "{calls:?}");
+    assert_eq!(mon.stats.delta_hits, 2);
+    assert_eq!(calls.tasks.values().filter(|r| **r == [1, 1, 1]).count(), 4);
+
+    // A shed round reads the main threads and nothing of the workers.
+    mon.note_round_cost(2.0, 600_000);
+    let calls = round(&mut mon, 3.0);
+    assert_round_budget(&calls, &pids);
+    assert_eq!(mon.governor.shed_rounds, 1);
+    let read: Vec<Tid> = calls.tasks.keys().copied().collect();
+    assert_eq!(read, pids, "only the main threads are planned");
+    assert!(calls.tasks.values().all(|reads| *reads == [1, 1, 1]));
+
+    // With the gate off every listed task is read in full again.
+    mon.config.delta_sampling = false;
+    mon.note_round_cost(3.0, 5_000);
+    let calls = round(&mut mon, 4.0);
+    assert_round_budget(&calls, &pids);
+    assert_eq!(calls.tasks.len(), 6);
+    assert!(calls.tasks.values().all(|reads| *reads == [1, 1, 1]));
+    assert_eq!(mon.stats.errors, 0);
+}
+
+#[test]
+fn live_round_reads_stay_within_budget() {
+    let src = LinuxProc::new();
+    let Some(pid) = src.self_pid().ok().filter(|&p| src.list_tasks(p).is_ok()) else {
+        eprintln!("live read budget: SKIPPED (/proc/self/task is not readable)");
+        return;
+    };
+    // Parked threads: listed every round, never dispatched in between.
+    let (tx, rx) = std::sync::mpsc::channel::<()>();
+    let rx = std::sync::Arc::new(std::sync::Mutex::new(rx));
+    let parked: Vec<_> = (0..3)
+        .map(|_| {
+            let rx = std::sync::Arc::clone(&rx);
+            std::thread::spawn(move || {
+                let _ = rx.lock().map(|rx| rx.recv());
+            })
+        })
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let mut mon = Monitor::new(ZeroSumConfig::default());
+    watch(&mut mon, pid);
+    let counting = Counting::new(&src);
+    for round in 1..=3u32 {
+        mon.sample(f64::from(round), &counting);
+        let calls = counting.take();
+        assert_round_budget(&calls, &[pid]);
+        // The test harness has threads of its own; ours are among them.
+        assert!(calls.tasks.len() > parked.len(), "{calls:?}");
+        assert_eq!(
+            calls.tasks.get(&pid),
+            Some(&[1, 1, 1]),
+            "main is always fresh"
+        );
+    }
+    // Where the kernel exposes schedstat the gate spares the parked
+    // threads' files; where it does not, every task is read in full.
+    let has_schedstat = src.task_schedstat(pid, pid).is_ok();
+    assert_eq!(mon.stats.delta_hits > 0, has_schedstat);
+    assert_eq!(mon.stats.errors, 0);
+    drop(tx);
+    for t in parked {
+        t.join().unwrap();
+    }
+}

@@ -200,11 +200,11 @@ fn numeric_entries(dir: &str) -> Option<Vec<u32>> {
 #[test]
 fn live_kernel_texts_parse_like_the_oracle() {
     // Conformance against the running kernel, not a frozen capture:
-    // every `status` this user may read, of every task on the host,
-    // and `/proc/stat`, through the shipped scanners and the reference
-    // parsers. They must agree on the record or on the error; whether
-    // the text parses at all is the kernel's business (a task may exit
-    // under the read and leave a torn text).
+    // every `status`, `stat` and `schedstat` this user may read, of
+    // every task on the host, and `/proc/stat`, through the shipped
+    // parsers and the reference parsers. They must agree on the record
+    // or on the error; whether the text parses at all is the kernel's
+    // business (a task may exit under the read and leave a torn text).
     let Some(pids) = numeric_entries("/proc") else {
         eprintln!("live conformance: SKIPPED (cannot list /proc)");
         return;
@@ -213,9 +213,17 @@ fn live_kernel_texts_parse_like_the_oracle() {
     for pid in pids {
         for tid in numeric_entries(&format!("/proc/{pid}/task")).unwrap_or_default() {
             // Vanished or forbidden: nothing to compare.
-            if let Ok(text) = std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/status")) {
+            let read =
+                |file: &str| std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/{file}"));
+            if let Ok(text) = read("status") {
                 oracle::assert_status_agrees(&text);
                 compared += 1;
+            }
+            if let Ok(text) = read("stat") {
+                oracle::assert_stat_agrees(text.trim_end());
+            }
+            if let Ok(text) = read("schedstat") {
+                oracle::assert_schedstat_agrees(&text);
             }
         }
     }
@@ -228,5 +236,5 @@ fn live_kernel_texts_parse_like_the_oracle() {
     }
     // Our own main thread, at the least, is always readable.
     assert!(compared >= 1, "no task status was readable");
-    eprintln!("live conformance: {compared} status texts and /proc/stat agree");
+    eprintln!("live conformance: {compared} tasks' texts and /proc/stat agree");
 }
