@@ -347,11 +347,13 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 28] = [
         "to_string",
         "parse-error path only",
     ),
+    // The handle cache gives a pid its slot vector the first time the
+    // pid is listed; a steady population compares tids and returns.
     (
-        "crates/procfs/src/arena.rs",
-        "read_record",
-        "format!",
-        "invalid-UTF-8 error path only",
+        "crates/procfs/src/linux.rs",
+        "sweep",
+        "Vec::with_capacity",
+        "first listing of a pid only",
     ),
     // Capacity-0 constructors: `String::new`/`Vec::new`/`HashSet::new`
     // do not touch the allocator until first growth, and the rows they
@@ -435,7 +437,7 @@ pub const DEFAULT_DET_ALLOWLIST: [(&str, &str, &str, &str); 4] = [
 pub const DEFAULT_BLOCKING_ALLOWLIST: [(&str, &str, &str, &str); 3] = [
     (
         "crates/core/src/attach.rs",
-        "start_for_pid",
+        "start_with",
         "core.attach.monitor:fs::read_dir",
         "priming sample before the thread exists; mirrors LOCK_ALLOWLIST",
     ),

@@ -97,7 +97,7 @@ pub struct LockAnalysis {
 pub const LOCK_ALLOWLIST: [(&str, &str, &str, &str); 2] = [
     (
         "crates/core/src/attach.rs",
-        "start_for_pid",
+        "start_with",
         "lock-across-proc-read",
         "monitor thread owns the monitor lock for the whole sampling round by design; \
          the only contenders (with_monitor, stop) are steering/shutdown paths",

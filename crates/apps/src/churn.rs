@@ -257,6 +257,11 @@ pub struct RealChurnOutcome {
     pub peak_footprint: usize,
     /// Cumulative departed-track summary at the end.
     pub departed_tracks: u64,
+    /// Most `/proc` file handles the source held open after any round.
+    pub peak_handles: usize,
+    /// Handles still held once every child is gone and a last round has
+    /// seen that: the node's two files at most.
+    pub handles_at_exit: usize,
     /// Wall-clock duration, µs.
     pub elapsed_us: u64,
     /// Samples per second actually achieved.
@@ -427,6 +432,7 @@ pub fn run_real_churn(
                 .map(|w| w.lwps.len() + w.health.footprint() + w.delta_gate_len())
                 .sum();
             out.peak_footprint = out.peak_footprint.max(footprint);
+            out.peak_handles = out.peak_handles.max(src.handles_held());
         }
         if now_us >= cfg.duration_us && children.is_empty() {
             break;
@@ -435,6 +441,10 @@ pub fn run_real_churn(
             (cfg.period_us / 8).clamp(500, 10_000),
         ));
     }
+    // One more round: the last children may have left since the last.
+    mon.sample(start.elapsed().as_secs_f64(), &src);
+    out.rounds += 1;
+    out.handles_at_exit = src.handles_held();
     out.vanished = mon.stats.vanished;
     out.errors = mon.stats.errors;
     out.supervisor_restarts = mon.supervisor.restarts;

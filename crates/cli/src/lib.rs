@@ -11,6 +11,8 @@
 
 #![warn(missing_docs)]
 
+pub mod fdprobe;
+
 use std::path::PathBuf;
 use std::process::Command;
 use zerosum_core::{

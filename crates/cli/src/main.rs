@@ -16,6 +16,19 @@ fn main() {
             }
             std::process::exit(code);
         }
+        // Hidden: the fresh process `tests/fd_table.rs` measures the
+        // handle cache's effect on the fd table in.
+        Some("__fd-probe") => {
+            let mode = args.get(1).map_or("", String::as_str);
+            match zerosum_cli::fdprobe::run_fd_probe(mode) {
+                Ok(report) => println!("{report}"),
+                Err(e) => {
+                    eprintln!("__fd-probe: {e}");
+                    std::process::exit(2);
+                }
+            }
+            return;
+        }
         Some("analyze") => std::process::exit(run_analyze(&args[1..])),
         Some("churn") => std::process::exit(run_churn(&args[1..])),
         Some("bench") => std::process::exit(run_bench(&args[1..])),
@@ -576,13 +589,16 @@ fn run_churn(args: &[String]) -> i32 {
     };
     println!(
         "churn ({backend}): {} round(s), {} spawned, {} reaped, {} vanished, \
-         {} departed track(s), peak footprint {}, {:.1} samples/s",
+         {} departed track(s), peak footprint {}, handles held: peak {}, at exit {}, \
+         {:.1} samples/s",
         out.rounds,
         out.spawned,
         out.reaped,
         out.vanished,
         out.departed_tracks,
         out.peak_footprint,
+        out.peak_handles,
+        out.handles_at_exit,
         out.samples_per_sec
     );
     // Wall-clock runs are nondeterministic; the judge here is the
@@ -602,6 +618,14 @@ fn run_churn(args: &[String]) -> i32 {
     }
     if out.failed_children > 0 {
         problems.push(format!("{} child(ren) failed", out.failed_children));
+    }
+    // Three files per live task plus /proc/stat and meminfo, and a
+    // departed pid's handles gone with the listing that misses it.
+    if out.peak_handles > 3 * out.peak_footprint + 2 || out.handles_at_exit > 2 {
+        problems.push(format!(
+            "file handles outlive their tasks: peak {} over a peak footprint of {}, {} at exit",
+            out.peak_handles, out.peak_footprint, out.handles_at_exit
+        ));
     }
     if out.reaped != out.spawned {
         problems.push(format!(

@@ -1,0 +1,109 @@
+//! The handle cache and the fd table, judged in a fresh process
+//! (`zerosum __fd-probe`, `src/fdprobe.rs`): this harness is
+//! multithreaded and has descriptors of its own.
+//!
+//! The claim (DESIGN §8): after `LinuxProc::new()` returns, the monitor
+//! never makes the process's fd table grow — growing it while the
+//! application's threads run costs an RCU grace period per doubling,
+//! inside whichever `open` trips it.
+
+use std::collections::BTreeMap;
+use std::process::Command;
+
+/// Tasks in the probe: the parked workers and the main thread.
+const TASKS: u64 = zerosum_cli::fdprobe::WORKERS as u64 + 1;
+const STEADY_ROUNDS: u64 = zerosum_cli::fdprobe::STEADY_ROUNDS as u64;
+
+/// Runs the probe; `None` (said loudly) where `/proc` does not offer
+/// what it needs.
+fn probe(mode: &str) -> Option<BTreeMap<String, u64>> {
+    let out = Command::new(env!("CARGO_BIN_EXE_zerosum"))
+        .args(["__fd-probe", mode])
+        .output()
+        .expect("spawn zerosum __fd-probe");
+    if !out.status.success() {
+        let why = String::from_utf8_lossy(&out.stderr);
+        eprintln!("fd table ({mode}): SKIPPED ({})", why.trim());
+        return None;
+    }
+    let line = String::from_utf8(out.stdout).expect("utf-8 report");
+    eprintln!("fd table ({mode}): {}", line.trim());
+    let fields = line.split_whitespace().map(|kv| {
+        let (k, v) = kv.split_once('=').expect("key=value");
+        (k.to_string(), v.parse().expect("a count"))
+    });
+    Some(fields.collect())
+}
+
+/// What holds however the source was constructed.
+fn assert_common(r: &BTreeMap<String, u64>) {
+    assert_eq!(r["fdsize_new"], r["fdsize_end"], "the table never grew");
+    assert_eq!(
+        r["opens_round1"],
+        3 * TASKS + 2,
+        "one open per file in round 1"
+    );
+    // Every task read in full in every round, retained or not.
+    assert_eq!(r["steady_reads_ok"], STEADY_ROUNDS * TASKS * 3);
+    assert_eq!((r["steady_errors"], r["churn_errors"]), (0, 0));
+    assert!(r["churn_vanished"] > 0, "threads did exit under the reads");
+    assert_eq!(r["cache_drops"], 0);
+    // Departed tids' handles are gone with the next listing, so what is
+    // held — and what the process has open — follows the live tasks.
+    assert_eq!(r["live_end"], TASKS);
+    assert!(r["held_end"] <= 3 * r["live_end"] + 2);
+    assert!(r["fds_end"] <= r["fds_start"] + 3 * r["live_end"] + 2);
+    assert_eq!(r["fds_end"] - r["fds_start"], r["held_end"], "no leak");
+}
+
+/// A grace period inside an `open` is milliseconds long, every time; a
+/// preemption of the probe by a neighbouring test is not. So the
+/// latency bound alone may be retried.
+fn probe_with_quiet_opens(mode: &str) -> Option<BTreeMap<String, u64>> {
+    let mut report = probe(mode)?;
+    for _ in 0..3 {
+        if report["worst_open_us"] < 1_000 {
+            break;
+        }
+        report = probe(mode)?;
+    }
+    assert!(report["worst_open_us"] < 1_000, "an open took over 1 ms");
+    Some(report)
+}
+
+#[test]
+fn early_attach_sizes_the_table_once_and_holds_every_handle() {
+    let Some(r) = probe_with_quiet_opens("early") else {
+        return;
+    };
+    assert_eq!(r["threads_at_new"], 1);
+    assert_common(&r);
+    assert_eq!(r["opens_steady"], 0, "rounds 2..20 open nothing");
+    assert_eq!(
+        (r["held_steady"], r["refused_steady"]),
+        (3 * TASKS + 2, 0),
+        "everything retained"
+    );
+    // A thread that exits under a held handle is seen as ESRCH, read
+    // again by path, and counted as the departure it is.
+    assert!(r["reopens"] > 0);
+    assert!(r["held_peak"] <= 3 * (TASKS + 4) + 2);
+    assert_eq!(r["held_end"], 3 * TASKS + 2);
+}
+
+#[test]
+fn late_attach_keeps_inside_the_table_it_finds() {
+    let Some(r) = probe_with_quiet_opens("late") else {
+        return;
+    };
+    assert_eq!(r["threads_at_new"], TASKS);
+    assert_common(&r);
+    // No reserve: what is retained fits the slack measured before
+    // construction, and the overflow is opened per read as before.
+    assert!(r["held_peak"] <= r["slack"], "{r:?}");
+    assert_eq!(
+        r["held_steady"] + r["opens_steady"] / (STEADY_ROUNDS - 1),
+        3 * TASKS + 2
+    );
+    assert!(r["refused_steady"] > 0);
+}

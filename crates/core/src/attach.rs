@@ -20,7 +20,9 @@ use zerosum_proc::{LinuxProc, ProcSource as _, SourceError};
 pub struct SelfMonitor {
     stop: Arc<AtomicBool>,
     shared: Arc<Tracked<Monitor>>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    /// The monitor thread; it hands the session's source back when it
+    /// ends, for the final sample.
+    handle: Option<std::thread::JoinHandle<LinuxProc>>,
     started: Instant,
 }
 
@@ -45,7 +47,7 @@ impl SelfMonitor {
     pub fn start(config: ZeroSumConfig, rank: Option<u32>) -> Result<Self, SourceError> {
         let src = LinuxProc::new();
         let pid = src.self_pid()?;
-        Self::start_for_pid(config, pid, rank)
+        Self::start_with(src, config, pid, rank)
     }
 
     /// Starts monitoring an arbitrary live process — the `zerosum`
@@ -57,7 +59,19 @@ impl SelfMonitor {
         pid: zerosum_proc::Pid,
         rank: Option<u32>,
     ) -> Result<Self, SourceError> {
-        let src = LinuxProc::new();
+        Self::start_with(LinuxProc::new(), config, pid, rank)
+    }
+
+    /// One source serves the whole session, and it is built by the
+    /// caller's thread before the monitor thread exists: a wrapper and
+    /// an early attach are single-threaded then, which is when
+    /// `LinuxProc::new` can size the fd table for free.
+    fn start_with(
+        src: LinuxProc,
+        config: ZeroSumConfig,
+        pid: zerosum_proc::Pid,
+        rank: Option<u32>,
+    ) -> Result<Self, SourceError> {
         // Initial configuration detection: capture the process mask now,
         // before any runtime rebinding (the __libc_start_main moment).
         let cpus_allowed = src
@@ -86,7 +100,6 @@ impl SelfMonitor {
                 .name("ZeroSum".to_string())
                 .spawn(move || {
                     let _role = crate::role::enter("supervisor");
-                    let src = LinuxProc::new();
                     // First sample immediately (initial configuration
                     // detection), then periodically.
                     loop {
@@ -98,14 +111,14 @@ impl SelfMonitor {
                         let mut remaining = period;
                         while remaining > Duration::ZERO {
                             if stop.load(Ordering::Relaxed) {
-                                return;
+                                return src;
                             }
                             let nap = remaining.min(Duration::from_millis(20));
                             std::thread::sleep(nap);
                             remaining = remaining.saturating_sub(nap);
                         }
                         if stop.load(Ordering::Relaxed) {
-                            return;
+                            return src;
                         }
                     }
                 })
@@ -134,15 +147,16 @@ impl SelfMonitor {
     /// monitor plus the run duration in seconds.
     pub fn stop(mut self) -> (Monitor, f64) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        // Only a monitor thread that died takes the source with it; the
+        // final sample then gets a new one.
+        let src = self.handle.take().and_then(|h| h.join().ok());
+        let src = src.unwrap_or_default();
         let duration = self.started.elapsed().as_secs_f64();
         let mut monitor = std::mem::replace(
             &mut *lock_unpoisoned(&self.shared),
             Monitor::new(ZeroSumConfig::default()),
         );
-        monitor.sample(duration, &LinuxProc::new());
+        monitor.sample(duration, &src);
         (monitor, duration)
     }
 }

@@ -7,10 +7,10 @@
 //! task. Compared to the one-record typed `_into` reads, the arena
 //! read:
 //!
-//! * performs **one `read` syscall per file** on the live backend (a
+//! * performs **one `pread` syscall per file** on the live backend (a
 //!   `read_to_string` loop costs at least two: one for the bytes, one
-//!   to observe EOF — see `read_record`, which the typed `_into` reads
-//!   share);
+//!   to observe EOF — see `read_record`, which every `LinuxProc` read
+//!   shares);
 //! * lets the simulated backend render records **directly into the
 //!   arena tail**, skipping its per-read scratch round-trip;
 //! * keeps the parse step out of the source entirely: the round parses
@@ -22,7 +22,9 @@
 //! therefore no locking.
 
 use crate::types::{TaskStat, TaskStatus};
-use std::io::{ErrorKind, Read};
+use std::fs::File;
+use std::io::ErrorKind;
+use std::os::unix::fs::FileExt;
 
 /// The half-open byte range of one record inside a [`ReadArena`].
 ///
@@ -53,31 +55,35 @@ impl ArenaSpan {
 /// common case is exactly one `read` syscall.
 const READ_CHUNK: usize = 4096;
 
-/// The one read primitive for live `/proc` text: opens `path`, reads it
-/// whole into `staging` and returns it as UTF-8 text borrowed from
-/// there. One `read` syscall in the common case — `staging` offers
-/// [`READ_CHUNK`] bytes and a short read from procfs means the record
-/// is complete (only a read that fills the chunk exactly forces another
-/// call), where a `read_to_string` pays `statx` + `lseek` + a second
-/// `read` to observe EOF. A signal landing mid-read (`EINTR`) is
-/// retried, not surfaced as a sampling error.
-pub(crate) fn read_record<'a>(path: &str, staging: &'a mut Vec<u8>) -> std::io::Result<&'a str> {
-    let mut f = std::fs::File::open(path)?;
-    let filled = read_whole(&mut f, staging)?;
+/// The one read primitive for live `/proc` text: reads `file` whole,
+/// from offset 0, into `staging` and returns it as UTF-8 text borrowed
+/// from there. The handle may be fresh or held since an earlier round —
+/// a `pread` at 0 makes procfs generate the record anew either way. One
+/// syscall in the common case — `staging` offers [`READ_CHUNK`] bytes
+/// and a short read from procfs means the record is complete (only a
+/// read that fills the chunk exactly forces another call), where a
+/// `read_to_string` pays `statx` + `lseek` + a second `read` to observe
+/// EOF. A signal landing mid-read (`EINTR`) is retried, not surfaced as
+/// a sampling error.
+pub(crate) fn read_record<'a>(file: &File, staging: &'a mut Vec<u8>) -> std::io::Result<&'a str> {
+    let filled = read_whole(|dst, at| file.read_at(dst, at), staging)?;
     std::str::from_utf8(staging.get(..filled).unwrap_or(&[]))
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, format!("{path}: {e}")))
+        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))
 }
 
-/// The read loop of [`read_record`], over any reader so a test can
-/// script short reads and `EINTR`. Returns the bytes filled.
-fn read_whole(src: &mut impl Read, staging: &mut Vec<u8>) -> std::io::Result<usize> {
+/// The read loop of [`read_record`], over any positioned read so a test
+/// can script short reads and `EINTR`. Returns the bytes filled.
+fn read_whole(
+    mut fetch: impl FnMut(&mut [u8], u64) -> std::io::Result<usize>,
+    staging: &mut Vec<u8>,
+) -> std::io::Result<usize> {
     let mut filled = 0usize;
     loop {
         staging.resize(filled + READ_CHUNK, 0);
         let Some(dst) = staging.get_mut(filled..) else {
             break; // unreachable: resize just extended past `filled`
         };
-        let n = match src.read(dst) {
+        let n = match fetch(dst, filled as u64) {
             Ok(n) => n,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -176,11 +182,11 @@ impl ReadArena {
     }
 
     /// Reads a whole file into the arena through `read_record` (a
-    /// single `read` syscall in the common case). With `trim_end` the
+    /// single `pread` syscall in the common case). With `trim_end` the
     /// trailing whitespace/newline is dropped from the span — the shape
     /// `stat`-line consumers want.
-    pub fn append_file(&mut self, path: &str, trim_end: bool) -> std::io::Result<ArenaSpan> {
-        let record = read_record(path, &mut self.bytes)?;
+    pub fn append_file(&mut self, file: &File, trim_end: bool) -> std::io::Result<ArenaSpan> {
+        let record = read_record(file, &mut self.bytes)?;
         let record = if trim_end { record.trim_end() } else { record };
         let start = self.text.len();
         self.text.push_str(record);
@@ -262,36 +268,28 @@ mod tests {
 
     #[test]
     fn read_loop_retries_eintr_and_stops_at_the_first_short_read() {
-        /// Serves `data` in full chunks, failing with `EINTR` before
-        /// every successful read.
-        struct Interrupting<'a> {
-            data: &'a [u8],
-            interrupt_next: bool,
-            reads: u32,
-        }
-        impl Read for Interrupting<'_> {
-            fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
-                self.interrupt_next = !self.interrupt_next;
-                if self.interrupt_next {
+        // Serves `data` in full chunks from the offset asked for,
+        // failing with `EINTR` before every successful read.
+        let data = vec![b'q'; READ_CHUNK + 9];
+        let (mut interrupt_next, mut reads) = (false, 0u32);
+        let mut staging = Vec::new();
+        let filled = read_whole(
+            |dst, at| {
+                interrupt_next = !interrupt_next;
+                if interrupt_next {
                     return Err(ErrorKind::Interrupted.into());
                 }
-                self.reads += 1;
-                let n = dst.len().min(self.data.len());
-                dst[..n].copy_from_slice(&self.data[..n]);
-                self.data = &self.data[n..];
+                reads += 1;
+                let rest = &data[at as usize..];
+                let n = dst.len().min(rest.len());
+                dst[..n].copy_from_slice(&rest[..n]);
                 Ok(n)
-            }
-        }
-        let data = vec![b'q'; READ_CHUNK + 9];
-        let mut src = Interrupting {
-            data: &data,
-            interrupt_next: false,
-            reads: 0,
-        };
-        let mut staging = Vec::new();
-        let filled = read_whole(&mut src, &mut staging).unwrap();
+            },
+            &mut staging,
+        )
+        .unwrap();
         assert_eq!(&staging[..filled], &data[..]);
-        assert_eq!(src.reads, 2, "a full chunk, then the short read ends it");
+        assert_eq!(reads, 2, "a full chunk, then the short read ends it");
     }
 
     #[test]
@@ -300,18 +298,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("stat");
         std::fs::write(&p, "1 (x) R 0 0\n").unwrap();
+        let f = File::open(&p).unwrap();
         let mut a = ReadArena::new();
-        let trimmed = a.append_file(p.to_str().unwrap(), true).unwrap();
+        let trimmed = a.append_file(&f, true).unwrap();
         assert_eq!(a.get(trimmed), Some("1 (x) R 0 0"));
-        let raw = a.append_file(p.to_str().unwrap(), false).unwrap();
+        // The same handle again: every read starts at offset 0.
+        let raw = a.append_file(&f, false).unwrap();
         assert_eq!(a.get(raw), Some("1 (x) R 0 0\n"));
         // Larger than one chunk: the multi-read path still returns
         // everything.
         let big = "z".repeat(3 * super::READ_CHUNK + 17);
         std::fs::write(&p, &big).unwrap();
-        let span = a.append_file(p.to_str().unwrap(), false).unwrap();
+        let span = a.append_file(&File::open(&p).unwrap(), false).unwrap();
         assert_eq!(a.get(span), Some(big.as_str()));
-        assert!(a.append_file("/definitely/not/here", false).is_err());
+        std::fs::write(&p, [b'1', 0xff, b'\n']).unwrap();
+        let e = a.append_file(&File::open(&p).unwrap(), false).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::InvalidData);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

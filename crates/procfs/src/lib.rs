@@ -36,6 +36,10 @@ pub mod types;
 // file names this crate from outside.
 #[cfg(test)]
 extern crate self as zerosum_proc;
+// So do the parked threads of the tests that watch their own process.
+#[cfg(test)]
+#[path = "../../../tests/live_threads/mod.rs"]
+mod live_threads;
 #[cfg(test)]
 #[path = "../../../tests/oracle/mod.rs"]
 mod oracle;

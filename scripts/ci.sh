@@ -155,10 +155,15 @@ elif [ "$churn_probe" -ne 0 ]; then
     echo "real churn: probe failed with unexpected exit $churn_probe"
     exit 1
 else
+    # The summary line carries the handle cache's figures; the judge
+    # behind the exit code bounds them (peak <= 3 x footprint + 2, at
+    # most the node's two files at exit), the grep keeps them printed.
     cargo run -q --release -p zerosum-cli --bin zerosum -- \
-        churn --backend fork --duration-ms 1500 --rate 40 --seed 11
+        churn --backend fork --duration-ms 1500 --rate 40 --seed 11 | tee /tmp/zschurn.out
+    grep -Eq 'handles held: peak [0-9]+, at exit [0-2],' /tmp/zschurn.out
     cargo run -q --release -p zerosum-cli --bin zerosum -- \
-        churn --backend fork-exec --duration-ms 1500 --rate 25 --seed 12
+        churn --backend fork-exec --duration-ms 1500 --rate 25 --seed 12 | tee /tmp/zschurn.out
+    grep -Eq 'handles held: peak [0-9]+, at exit [0-2],' /tmp/zschurn.out
 fi
 
 echo "== bench regression gate (quick suite, release, ±15% of BENCH_baseline.json)"
