@@ -206,16 +206,10 @@ fn exercise_workloads(problems: &mut Vec<String>) {
         problems.push("parallel workload returned wrong results".to_string());
     }
     // Abnormal-exit drill: crash-flush registry plus the flush
-    // monitor's tracked lock, under a scratch directory.
-    let dir = std::env::temp_dir().join(format!("zsaudit-drill-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        problems.push(format!("scratch dir {}: {e}", dir.display()));
-        return;
-    }
-    for p in crate::chaos::abnormal_exit_drill(&dir) {
+    // monitor's tracked lock.
+    for p in crate::chaos::abnormal_exit_drill() {
         problems.push(format!("abnormal-exit drill: {p}"));
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Runs the drill against a computed static report.

@@ -19,9 +19,9 @@
 //! that every emitted log is marked `PARTIAL`, terminated by the `END`
 //! marker, and that no torn `.tmp` files remain.
 
-use std::path::Path;
 use std::sync::Arc;
 
+use crate::verdict::{seeded_suite, Verdict};
 use zerosum_core::export::{write_partial_logs, LOG_END_MARKER, LOG_PARTIAL_MARKER};
 use zerosum_core::signal::{
     clear_crash_flushes, register_crash_flush, report_abnormal_exit, AbnormalExit,
@@ -32,11 +32,12 @@ use zerosum_proc::fault::{FaultKind, FaultPlan, FaultRates, Op, ScriptedFault};
 use zerosum_sched::{Behavior, NodeSim, SchedParams, SimProcSource};
 use zerosum_topology::{presets, CpuSet};
 
-/// The three table configurations the soak cycles through.
-pub const CONFIGS: [TableConfig; 3] = [
-    TableConfig::Table1,
-    TableConfig::Table2,
-    TableConfig::Table3,
+/// The three table configurations the soak cycles through, each with
+/// its schedule-name prefix and the seed its simulations run on.
+const TABLES: [(TableConfig, &str, u64); 3] = [
+    (TableConfig::Table1, "t1", 11),
+    (TableConfig::Table2, "t2", 12),
+    (TableConfig::Table3, "t3", 13),
 ];
 
 /// Duration-distortion tolerance vs. the fault-free run. Injected read
@@ -88,71 +89,6 @@ pub fn panic_plan(fault_seed: u64) -> FaultPlan {
     plan
 }
 
-/// The outcome of one chaos schedule, judged against its baseline.
-#[derive(Debug)]
-pub struct ChaosReport {
-    /// Schedule name (`t1-f00` …).
-    pub name: String,
-    /// The injector seed this schedule ran with.
-    pub fault_seed: u64,
-    /// Application ran to completion under fault load.
-    pub completed: bool,
-    /// Ledger error totals match the injected fault log exactly.
-    pub reconciled: bool,
-    /// Ground-truth fault-log entries the injector recorded.
-    pub fault_events: usize,
-    /// Errors the monitor accounted for across all ledgers.
-    pub errors_accounted: u64,
-    /// Samples served from last-good interpolation.
-    pub degraded: u64,
-    /// Samples dropped outright (no last-good available).
-    pub dropped: u64,
-    /// Reads recovered by retry.
-    pub retried: u64,
-    /// Tids still quarantined at run end.
-    pub quarantined: usize,
-    /// Sampling-loop panics caught by the supervisor.
-    pub supervisor_restarts: u64,
-    /// Faulted duration / fault-free duration.
-    pub duration_ratio: f64,
-    /// Faulted mean row utime / fault-free mean row utime.
-    pub utime_ratio: f64,
-    /// Everything that failed; empty means the schedule passed.
-    pub problems: Vec<String>,
-}
-
-impl ChaosReport {
-    /// True when every chaos property held.
-    pub fn passed(&self) -> bool {
-        self.problems.is_empty()
-    }
-
-    /// One-line summary plus one line per problem.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let status = if self.passed() { "ok" } else { "FAIL" };
-        writeln!(
-            out,
-            "{:<8} seed={:<6} {:>5} faults  {:>4} errors  {:>3} degraded  \
-             {:>3} retried  dur x{:.3}  utime x{:.3}  [{status}]",
-            self.name,
-            self.fault_seed,
-            self.fault_events,
-            self.errors_accounted,
-            self.degraded,
-            self.retried,
-            self.duration_ratio,
-            self.utime_ratio,
-        )
-        .unwrap();
-        for p in &self.problems {
-            writeln!(out, "  problem: {p}").unwrap();
-        }
-        out
-    }
-}
-
 fn mean_utime(run: &TableRun) -> f64 {
     if run.rows.is_empty() {
         return 0.0;
@@ -160,22 +96,8 @@ fn mean_utime(run: &TableRun) -> f64 {
     run.rows.iter().map(|r| r.utime).sum::<f64>() / run.rows.len() as f64
 }
 
-fn short_label(config: TableConfig) -> &'static str {
-    match config {
-        TableConfig::Table1 => "t1",
-        TableConfig::Table2 => "t2",
-        TableConfig::Table3 => "t3",
-    }
-}
-
 /// Judges one faulted run against its fault-free baseline.
-pub fn judge(
-    name: &str,
-    fault_seed: u64,
-    run: &TableRun,
-    audit: &ChaosAudit,
-    baseline: &TableRun,
-) -> ChaosReport {
+pub fn judge(v: &mut Verdict, run: &TableRun, audit: &ChaosAudit, baseline: &TableRun) {
     let duration_ratio = run.duration_s / baseline.duration_s.max(1e-9);
     let base_utime = mean_utime(baseline);
     let utime_ratio = if base_utime > 0.0 {
@@ -183,107 +105,85 @@ pub fn judge(
     } else {
         1.0
     };
-    let mut problems = Vec::new();
     if !audit.completed {
-        problems.push("application did not complete under fault load".to_string());
+        v.problems
+            .push("application did not complete under fault load".to_string());
     }
     if !audit.reconciles() {
-        problems.push(format!(
+        v.problems.push(format!(
             "ledger/fault-log mismatch: accounted {:?} vs injected {:?}",
             audit.ledger_errors, audit.injected_errors
         ));
     }
     if audit.supervisor_restarts > 0 {
-        problems.push(format!(
+        v.problems.push(format!(
             "sampling loop panicked {} time(s)",
             audit.supervisor_restarts
         ));
     }
     if !(DURATION_TOL.0..=DURATION_TOL.1).contains(&duration_ratio) {
-        problems.push(format!(
+        v.problems.push(format!(
             "duration ratio {duration_ratio:.3} outside {DURATION_TOL:?}"
         ));
     }
     if !(UTIME_TOL.0..=UTIME_TOL.1).contains(&utime_ratio) {
-        problems.push(format!(
+        v.problems.push(format!(
             "utime ratio {utime_ratio:.3} outside {UTIME_TOL:?}"
         ));
     }
-    ChaosReport {
-        name: name.to_string(),
-        fault_seed,
-        completed: audit.completed,
-        reconciled: audit.reconciles(),
-        fault_events: audit.fault_events,
-        errors_accounted: audit.ledger.errors_total(),
-        degraded: audit.ledger.degraded,
-        dropped: audit.ledger.dropped,
-        retried: audit.ledger.retried,
-        quarantined: audit.quarantined,
-        supervisor_restarts: audit.supervisor_restarts,
+    v.set_tally("fault_events", audit.fault_events as u64);
+    v.set_tally("errors_accounted", audit.ledger.errors_total());
+    v.cells = format!(
+        "{:>5} faults  {:>4} errors  {:>3} degraded  {:>3} retried  dur x{:.3}  utime x{:.3}",
+        audit.fault_events,
+        audit.ledger.errors_total(),
+        audit.ledger.degraded,
+        audit.ledger.retried,
         duration_ratio,
         utime_ratio,
-        problems,
-    }
-}
-
-fn sim_seed_for(config: TableConfig) -> u64 {
-    match config {
-        TableConfig::Table1 => 11,
-        TableConfig::Table2 => 12,
-        TableConfig::Table3 => 13,
-    }
+    );
 }
 
 /// Runs the chaos soak: one fault-free baseline per table configuration,
 /// then `schedules` seeded fault schedules distributed round-robin over
 /// the three configurations, each judged against its baseline.
-pub fn run_suite(scale: u32, schedules: usize, base_fault_seed: u64) -> Vec<ChaosReport> {
+pub fn run_suite(scale: u32, schedules: usize, base_fault_seed: u64) -> Vec<Verdict> {
     // Baselines and fault schedules are independent simulations; both
     // stages fan out on the experiment engine. Results come back in
     // submission order, so reports are identical to a sequential run.
     let baselines: Vec<TableRun> = zerosum_experiments::parallel::run_jobs(
-        CONFIGS
+        TABLES
             .iter()
-            .map(|&c| move || run_table(c, scale, sim_seed_for(c)))
+            .map(|&(config, _, sim_seed)| move || run_table(config, scale, sim_seed))
             .collect(),
         0,
     );
-    let baselines = &baselines;
-    zerosum_experiments::parallel::run_jobs(
-        (0..schedules)
-            .map(|i| {
-                move || {
-                    let idx = i % CONFIGS.len();
-                    let config = CONFIGS[idx];
-                    let fault_seed = base_fault_seed
-                        .wrapping_add(7919u64.wrapping_mul(i as u64))
-                        .wrapping_add(1);
-                    let (run, audit) = run_table_chaos(
-                        config,
-                        scale,
-                        sim_seed_for(config),
-                        realistic_plan(fault_seed),
-                    );
-                    let name = format!("{}-f{:02}", short_label(config), i);
-                    judge(&name, fault_seed, &run, &audit, &baselines[idx])
-                }
-            })
-            .collect(),
-        0,
+    seeded_suite(
+        |i| format!("{}-f{i:02}", TABLES[i % TABLES.len()].1),
+        8,
+        schedules,
+        base_fault_seed,
+        |i, v| {
+            let (config, _, sim_seed) = TABLES[i % TABLES.len()];
+            let (run, audit) = run_table_chaos(config, scale, sim_seed, realistic_plan(v.seed));
+            judge(v, &run, &audit, &baselines[i % TABLES.len()]);
+        },
     )
 }
 
 /// Rehearses the crash-safe export path and returns every problem found
 /// (empty = pass): builds a small monitored run, registers a
 /// partial-log flush, fires a simulated SIGSEGV through
-/// [`report_abnormal_exit`], then checks that each log in `dir` opens
-/// with the `PARTIAL` marker, closes with the `END` marker, and that no
-/// torn `.tmp` files were left behind.
+/// [`report_abnormal_exit`], then checks that each log it wrote (into a
+/// scratch directory of this process, removed afterwards) opens with
+/// the `PARTIAL` marker, closes with the `END` marker, and that no torn
+/// `.tmp` files were left behind.
 ///
 /// Uses the process-global crash-flush registry; callers must not run
 /// two drills concurrently.
-pub fn abnormal_exit_drill(dir: &Path) -> Vec<String> {
+pub fn abnormal_exit_drill() -> Vec<String> {
+    let dir = std::env::temp_dir().join(format!("zerosum-chaos-drill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let mut problems = Vec::new();
     let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
     let pid = sim.spawn_process(
@@ -311,7 +211,7 @@ pub fn abnormal_exit_drill(dir: &Path) -> Vec<String> {
     clear_crash_flushes();
     let shared = Arc::new(Tracked::new("analyze.chaos.flush_monitor", mon));
     let flush_mon = Arc::clone(&shared);
-    let flush_dir = dir.to_path_buf();
+    let flush_dir = dir.clone();
     register_crash_flush(move || {
         if let Ok(m) = flush_mon.lock() {
             let _ = write_partial_logs(&m, &flush_dir, "SIGSEGV", |p| {
@@ -325,7 +225,7 @@ pub fn abnormal_exit_drill(dir: &Path) -> Vec<String> {
         problems.push("crash report does not name the signal".to_string());
     }
     let mut logs = 0usize;
-    match std::fs::read_dir(dir) {
+    match std::fs::read_dir(&dir) {
         Ok(entries) => {
             for entry in entries.flatten() {
                 let path = entry.path();
@@ -355,6 +255,7 @@ pub fn abnormal_exit_drill(dir: &Path) -> Vec<String> {
     if logs == 0 {
         problems.push("crash flush produced no partial logs".to_string());
     }
+    let _ = std::fs::remove_dir_all(&dir);
     problems
 }
 
@@ -368,7 +269,7 @@ mod tests {
     fn chaos_soak_twenty_one_schedules_all_pass() {
         let reports = run_suite(150, 21, 0xC4A0);
         assert_eq!(reports.len(), 21);
-        let failed: Vec<&ChaosReport> = reports.iter().filter(|r| !r.passed()).collect();
+        let failed: Vec<&Verdict> = reports.iter().filter(|r| !r.passed()).collect();
         assert!(
             failed.is_empty(),
             "failed schedules:\n{}",
@@ -376,8 +277,8 @@ mod tests {
         );
         // The soak must actually exercise the machinery: faults were
         // injected and some were hard errors the ledger accounted for.
-        let total_faults: usize = reports.iter().map(|r| r.fault_events).sum();
-        let total_errors: u64 = reports.iter().map(|r| r.errors_accounted).sum();
+        let total_faults: u64 = reports.iter().map(|r| r.tally("fault_events")).sum();
+        let total_errors: u64 = reports.iter().map(|r| r.tally("errors_accounted")).sum();
         assert!(total_faults > 100, "only {total_faults} faults injected");
         assert!(total_errors > 20, "only {total_errors} errors accounted");
     }
@@ -398,21 +299,7 @@ mod tests {
 
     #[test]
     fn abnormal_exit_drill_leaves_no_torn_files() {
-        let dir = std::env::temp_dir().join(format!("zs-chaos-drill-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let problems = abnormal_exit_drill(&dir);
-        let listing = std::fs::read_dir(&dir)
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .map(|e| e.file_name().to_string_lossy().into_owned())
-                    .collect::<Vec<_>>()
-            })
-            .unwrap_or_default();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(
-            problems.is_empty(),
-            "drill problems: {problems:?} (dir: {listing:?})"
-        );
+        let problems = abnormal_exit_drill();
+        assert!(problems.is_empty(), "drill problems: {problems:?}");
     }
 }

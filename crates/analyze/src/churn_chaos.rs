@@ -26,9 +26,8 @@
 //! The suite also runs its first schedule twice and requires
 //! bit-identical outcomes — the reproducibility witness CI leans on.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use zerosum_apps::churn::ChurnConfig;
+use crate::verdict::{guarded, seeded_suite, Verdict};
+use zerosum_apps::churn::{ChurnConfig, RealChurnOutcome};
 use zerosum_experiments::churn::{run_sim_churn, SimChurnOutcome, SimChurnParams};
 use zerosum_proc::SourceErrorKind;
 
@@ -41,74 +40,9 @@ pub const SUITE_RATES_HZ: [f64; 3] = [25.0, 50.0, 100.0];
 /// races, organic churn only).
 pub const SUITE_VANISH_MODS: [u64; 3] = [0, 2, 3];
 
-/// One schedule in the suite, judged.
-#[derive(Debug)]
-pub struct ChurnChaosReport {
-    /// Schedule name (`churn-00` …, plus the `churn-repro` witness).
-    pub name: String,
-    /// The schedule seed this soak ran with.
-    pub seed: u64,
-    /// Configured base arrival rate, Hz.
-    pub rate_hz: f64,
-    /// `ExitRace` modulus (0 = organic churn only).
-    pub vanish_mod: u64,
-    /// Whether the arrival rate ramped 1×/2×/4× across the run.
-    pub ramp: bool,
-    /// Sampling rounds completed.
-    pub rounds: u64,
-    /// Arrivals injected.
-    pub arrivals: u64,
-    /// Tasks spawned across all incarnations.
-    pub spawned: u64,
-    /// Departures the monitor accounted for.
-    pub vanished: u64,
-    /// Successful pid recycles.
-    pub reuses: u64,
-    /// Peak lifecycle footprint across all watches.
-    pub peak_footprint: usize,
-    /// The outcome fingerprint (bit-reproducibility witness).
-    pub fingerprint: u64,
-    /// Everything that failed; empty means the schedule passed.
-    pub problems: Vec<String>,
-}
-
-impl ChurnChaosReport {
-    /// True when every churn property held.
-    pub fn passed(&self) -> bool {
-        self.problems.is_empty()
-    }
-
-    /// One-line summary plus one line per problem.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let status = if self.passed() { "ok" } else { "FAIL" };
-        writeln!(
-            out,
-            "{:<12} seed={:<6} {:>5.0} Hz  vanish%{:<2} {} {:>4} rounds  \
-             {:>5} spawned  {:>4} vanished  {:>3} reuses  fp={:016x}  [{status}]",
-            self.name,
-            self.seed,
-            self.rate_hz,
-            self.vanish_mod,
-            if self.ramp { "ramp" } else { "flat" },
-            self.rounds,
-            self.spawned,
-            self.vanished,
-            self.reuses,
-            self.fingerprint,
-        )
-        .unwrap();
-        for p in &self.problems {
-            writeln!(out, "  problem: {p}").unwrap();
-        }
-        out
-    }
-}
-
 /// Judges one completed soak against the five churn properties.
-pub fn judge_churn_run(name: &str, p: &SimChurnParams, out: &SimChurnOutcome) -> ChurnChaosReport {
-    let mut problems = Vec::new();
+pub fn judge_churn_run(v: &mut Verdict, p: &SimChurnParams, out: &SimChurnOutcome) {
+    let problems = &mut v.problems;
     if out.rounds == 0 || out.arrivals == 0 {
         problems.push(format!(
             "soak never ran: {} round(s), {} arrival(s)",
@@ -204,21 +138,29 @@ pub fn judge_churn_run(name: &str, p: &SimChurnParams, out: &SimChurnOutcome) ->
             ));
         }
     }
-    ChurnChaosReport {
-        name: name.to_string(),
-        seed: p.churn.seed,
-        rate_hz: p.churn.arrival_rate_hz,
-        vanish_mod: p.vanish_mod,
-        ramp: p.churn.ramp,
-        rounds: out.rounds,
-        arrivals: out.arrivals,
-        spawned: out.spawned_tasks,
-        vanished: out.vanished,
-        reuses: out.reuses_done,
-        peak_footprint: out.peak_footprint,
-        fingerprint: out.fingerprint,
-        problems,
-    }
+    v.set_tally("rounds", out.rounds);
+    v.set_tally("spawned", out.spawned_tasks);
+    v.cells = churn_cells(
+        p,
+        [out.rounds, out.spawned_tasks, out.vanished, out.reuses_done],
+        out.fingerprint,
+    );
+}
+
+/// The churn summary cells: the schedule's shape, four run columns and
+/// the outcome fingerprint (the bit-reproducibility witness).
+fn churn_cells(
+    p: &SimChurnParams,
+    [rounds, spawned, vanished, reuses]: [u64; 4],
+    fp: u64,
+) -> String {
+    format!(
+        "{:>5.0} Hz  vanish%{:<2} {} {rounds:>4} rounds  {spawned:>5} spawned  \
+         {vanished:>4} vanished  {reuses:>3} reuses  fp={fp:016x}",
+        p.churn.arrival_rate_hz,
+        p.vanish_mod,
+        if p.churn.ramp { "ramp" } else { "flat" },
+    )
 }
 
 /// The deterministic schedule-`i` parameters of the suite: arrival
@@ -226,11 +168,11 @@ pub fn judge_churn_run(name: &str, p: &SimChurnParams, out: &SimChurnOutcome) ->
 /// [`SUITE_VANISH_MODS`] (phase-shifted so the pairings rotate), and
 /// every fifth schedule ramps with the per-task cost raised enough to
 /// overload the governor's budget.
-pub fn suite_params(i: usize, base_seed: u64) -> SimChurnParams {
+pub fn suite_params(i: usize, seed: u64) -> SimChurnParams {
     let ramp = i % 5 == 4;
     SimChurnParams {
         churn: ChurnConfig {
-            seed: base_seed.wrapping_add(7919u64.wrapping_mul(i as u64)),
+            seed,
             arrival_rate_hz: SUITE_RATES_HZ[i % SUITE_RATES_HZ.len()],
             ramp,
             ..ChurnConfig::default()
@@ -241,90 +183,95 @@ pub fn suite_params(i: usize, base_seed: u64) -> SimChurnParams {
     }
 }
 
-/// Runs one soak under `catch_unwind` and judges it. A panic anywhere
-/// inside the driver becomes a failing report — report every round,
-/// never abort the suite.
-fn run_and_judge(name: &str, p: &SimChurnParams) -> ChurnChaosReport {
-    match catch_unwind(AssertUnwindSafe(|| run_sim_churn(p))) {
-        Ok(out) => judge_churn_run(name, p, &out),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            ChurnChaosReport {
-                name: name.to_string(),
-                seed: p.churn.seed,
-                rate_hz: p.churn.arrival_rate_hz,
-                vanish_mod: p.vanish_mod,
-                ramp: p.churn.ramp,
-                rounds: 0,
-                arrivals: 0,
-                spawned: 0,
-                vanished: 0,
-                reuses: 0,
-                peak_footprint: 0,
-                fingerprint: 0,
-                problems: vec![format!("soak driver panicked: {msg}")],
-            }
-        }
-    }
-}
-
 /// Runs the churn suite: `schedules` seeded soaks across the
-/// rate × vanish × ramp grid, fanned out on the experiment engine,
-/// plus the `churn-repro` witness re-running schedule 0 and requiring
-/// a bit-identical outcome.
-pub fn run_churn_suite(schedules: usize, base_seed: u64) -> Vec<ChurnChaosReport> {
-    let mut reports = zerosum_experiments::parallel::run_jobs(
-        (0..schedules)
-            .map(|i| {
-                move || {
-                    let p = suite_params(i, base_seed);
-                    run_and_judge(&format!("churn-{i:02}"), &p)
-                }
-            })
-            .collect(),
-        0,
+/// rate × vanish × ramp grid (schedule `i` seeded `base_seed + 7919·i`),
+/// plus the `churn-repro` witness re-running schedule 0 twice and
+/// requiring a bit-identical outcome.
+pub fn run_churn_suite(schedules: usize, base_seed: u64) -> Vec<Verdict> {
+    // The harness derives `base + 7919·i + 1`; this suite's published
+    // seeds have no `+ 1`.
+    let base = base_seed.wrapping_sub(1);
+    let mut verdicts = seeded_suite(
+        |i| format!("churn-{i:02}"),
+        12,
+        schedules,
+        base,
+        |i, v| {
+            let p = suite_params(i, v.seed);
+            judge_churn_run(v, &p, &run_sim_churn(&p));
+        },
     );
     if schedules > 0 {
-        let p = suite_params(0, base_seed);
-        let a = catch_unwind(AssertUnwindSafe(|| run_sim_churn(&p))).ok();
-        let b = catch_unwind(AssertUnwindSafe(|| run_sim_churn(&p))).ok();
-        let (fingerprint, problems) = match (a, b) {
-            (Some(a), Some(b)) if a == b => (a.fingerprint, vec![]),
-            (Some(a), Some(b)) => (
-                a.fingerprint,
-                vec![format!(
+        let witness = Verdict::new("churn-repro", 12, base_seed);
+        verdicts.push(guarded(witness, |v| {
+            let p = suite_params(0, v.seed);
+            let (a, b) = (run_sim_churn(&p), run_sim_churn(&p));
+            if a != b {
+                v.problems.push(format!(
                     "same params, different outcomes: fp {:016x} vs {:016x}",
                     a.fingerprint, b.fingerprint
-                )],
-            ),
-            _ => (0, vec!["repro soak panicked".to_string()]),
-        };
-        reports.push(ChurnChaosReport {
-            name: "churn-repro".into(),
-            seed: p.churn.seed,
-            rate_hz: p.churn.arrival_rate_hz,
-            vanish_mod: p.vanish_mod,
-            ramp: p.churn.ramp,
-            rounds: 0,
-            arrivals: 0,
-            spawned: 0,
-            vanished: 0,
-            reuses: 0,
-            peak_footprint: 0,
-            fingerprint,
-            problems,
-        });
+                ));
+            }
+            // The witness's run columns are the distance between its
+            // two soaks: all zero when they agree.
+            let apart = [
+                a.rounds.abs_diff(b.rounds),
+                a.spawned_tasks.abs_diff(b.spawned_tasks),
+                a.vanished.abs_diff(b.vanished),
+                a.reuses_done.abs_diff(b.reuses_done),
+            ];
+            v.cells = churn_cells(&p, apart, a.fingerprint);
+        }));
     }
-    reports
+    verdicts
+}
+
+/// Judges a real-backend storm. Wall-clock runs are nondeterministic;
+/// this is the robustness floor, not the sim suite's bit-level
+/// invariants. Returns every problem found (empty = pass).
+pub fn judge_real_churn(out: &RealChurnOutcome) -> Vec<String> {
+    let mut problems = Vec::new();
+    if out.rounds == 0 || out.spawned == 0 {
+        problems.push(format!(
+            "storm never ran: {} round(s), {} spawned",
+            out.rounds, out.spawned
+        ));
+    }
+    if out.supervisor_restarts > 0 {
+        problems.push(format!(
+            "sampling loop panicked {} time(s)",
+            out.supervisor_restarts
+        ));
+    }
+    if out.failed_children > 0 {
+        problems.push(format!("{} child(ren) failed", out.failed_children));
+    }
+    // Three files per live task plus /proc/stat and meminfo, and a
+    // departed pid's handles gone with the listing that misses it.
+    if out.peak_handles > 3 * out.peak_footprint + 2 || out.handles_at_exit > 2 {
+        problems.push(format!(
+            "file handles outlive their tasks: peak {} over a peak footprint of {}, {} at exit",
+            out.peak_handles, out.peak_footprint, out.handles_at_exit
+        ));
+    }
+    if out.reaped != out.spawned {
+        problems.push(format!(
+            "reaped {} of {} spawned child(ren)",
+            out.reaped, out.spawned
+        ));
+    }
+    problems
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn judged(p: &SimChurnParams, out: &SimChurnOutcome) -> Verdict {
+        let mut v = Verdict::new("x", 12, p.churn.seed);
+        judge_churn_run(&mut v, p, out);
+        v
+    }
 
     #[test]
     fn small_suite_is_clean_and_covers_the_grid() {
@@ -335,60 +282,79 @@ mod tests {
         for r in &reports {
             assert!(r.passed(), "{}", r.render());
         }
-        assert!(reports.iter().any(|r| r.ramp), "grid must include a ramp");
+        let grid: Vec<SimChurnParams> = reports[..6]
+            .iter()
+            .enumerate()
+            .map(|(i, r)| suite_params(i, r.seed))
+            .collect();
+        assert_eq!(grid[1].churn.seed, 0xC0FE + 7919, "published seeds");
         assert!(
-            reports.iter().any(|r| r.vanish_mod > 0),
+            grid.iter().any(|p| p.churn.ramp),
+            "grid must include a ramp"
+        );
+        assert!(
+            grid.iter().any(|p| p.vanish_mod > 0),
             "grid must include ExitRace schedules"
         );
-        let rates: std::collections::BTreeSet<u64> = reports
+        let rates: std::collections::BTreeSet<u64> = grid
             .iter()
-            .filter(|r| r.name != "churn-repro")
-            .map(|r| r.rate_hz as u64)
+            .map(|p| p.churn.arrival_rate_hz as u64)
             .collect();
         assert_eq!(rates.len(), SUITE_RATES_HZ.len(), "all rates exercised");
+        // The witness ran schedule 0 again and says how far apart its
+        // two soaks ended: nowhere.
+        let (first, witness) = (&reports[0], &reports[6]);
+        assert_eq!(witness.seed, first.seed);
+        assert!(first.tally("spawned") > 0 && first.tally("rounds") > 0);
+        assert!(witness.cells.contains("   0 rounds      0 spawned"));
+        assert_eq!(
+            witness.cells.rsplit("fp=").next(),
+            first.cells.rsplit("fp=").next(),
+            "same fingerprint as schedule 0"
+        );
     }
 
     #[test]
     fn judge_flags_doctored_outcomes() {
         let p = suite_params(0, 1);
         let clean = run_sim_churn(&p);
-        assert!(judge_churn_run("x", &p, &clean).passed());
+        assert!(judged(&p, &clean).passed());
 
         let mut bad = clean.clone();
         bad.supervisor_restarts = 1;
         bad.errors = 3;
-        let r = judge_churn_run("x", &p, &bad);
+        let r = judged(&p, &bad);
         assert_eq!(r.problems.len(), 2, "{r:?}");
 
         let mut merged = clean.clone();
         merged.reuse_distinct_starttimes = merged.reuse_main_tracks.saturating_sub(1);
-        assert!(!judge_churn_run("x", &p, &merged).passed());
+        assert!(!judged(&p, &merged).passed());
 
         let mut leaky = clean.clone();
         leaky.peak_footprint = 1_000_000;
-        assert!(!judge_churn_run("x", &p, &leaky).passed());
+        assert!(!judged(&p, &leaky).passed());
 
         let mut quarantined = clean;
         quarantined.quarantine_events = 2;
         quarantined.errors_by_kind[SourceErrorKind::Io as usize] = 1;
-        let r = judge_churn_run("x", &p, &quarantined);
+        let r = judged(&p, &quarantined);
         assert_eq!(r.problems.len(), 2, "{r:?}");
     }
 
     #[test]
     fn judge_requires_governor_reaction_on_ramp() {
-        let p = suite_params(4, 1);
+        let p = suite_params(4, 1 + 4 * 7919);
         assert!(p.churn.ramp, "index 4 is the ramp schedule");
         let clean = run_sim_churn(&p);
-        assert!(judge_churn_run("r", &p, &clean).passed());
+        assert!(judged(&p, &clean).passed());
         let mut mute = clean;
         mute.governor_changes = 0;
         mute.shed_rounds = 0;
-        assert!(!judge_churn_run("r", &p, &mute).passed());
+        assert!(!judged(&p, &mute).passed());
     }
 
     #[test]
-    fn driver_panics_become_reports_not_aborts() {
+    fn an_empty_soak_is_flagged_not_passed() {
         // An impossible config: zero-length run. The driver handles it
         // (no panic), but the judge must flag the empty soak.
         let p = SimChurnParams {
@@ -398,8 +364,43 @@ mod tests {
             },
             ..SimChurnParams::default()
         };
-        let r = run_and_judge("empty", &p);
+        let r = judged(&p, &run_sim_churn(&p));
         assert!(!r.passed(), "{r:?}");
         assert!(r.problems.iter().any(|p| p.contains("never ran")), "{r:?}");
+    }
+
+    #[test]
+    fn real_churn_judge_bounds_handles_and_reaping() {
+        let clean = RealChurnOutcome {
+            rounds: 30,
+            spawned: 40,
+            reaped: 40,
+            peak_footprint: 10,
+            peak_handles: 32,
+            handles_at_exit: 2,
+            ..Default::default()
+        };
+        assert_eq!(judge_real_churn(&clean), Vec::<String>::new());
+        // One handle over `3 × footprint + 2`, or a third one at exit.
+        for (peak, at_exit) in [(33, 2), (32, 3)] {
+            let leaky = RealChurnOutcome {
+                peak_handles: peak,
+                handles_at_exit: at_exit,
+                ..clean.clone()
+            };
+            let problems = judge_real_churn(&leaky);
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(problems[0].contains("handles outlive their tasks"));
+        }
+        let unreaped = RealChurnOutcome {
+            reaped: 39,
+            ..clean.clone()
+        };
+        assert_eq!(
+            judge_real_churn(&unreaped),
+            ["reaped 39 of 40 spawned child(ren)"]
+        );
+        let idle = RealChurnOutcome::default();
+        assert!(judge_real_churn(&idle)[0].contains("storm never ran"));
     }
 }

@@ -22,8 +22,7 @@
 //! is a fixed-capacity ring that downsamples on wrap, so a million
 //! sampling rounds hold the same storage as a few thousand.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
+use crate::verdict::{check_quorum_markers, seeded_suite, Verdict};
 use zerosum_core::{Monitor, NodeState, ProcessInfo, ZeroSumConfig};
 use zerosum_experiments::cluster_chaos::{
     run_cluster_chaos, run_cluster_chaos_with_plan, ClusterChaosOutcome,
@@ -35,133 +34,22 @@ use zerosum_proc::{
 use zerosum_sched::AllocationFaultPlan;
 use zerosum_topology::CpuSet;
 
-/// The verdict on one seeded allocation fault plan.
-#[derive(Debug)]
-pub struct ClusterChaosReport {
-    /// Schedule name (`alloc-f00` …).
-    pub name: String,
-    /// The plan seed this schedule ran with.
-    pub seed: u64,
-    /// Nodes in the allocation.
-    pub nodes: usize,
-    /// Monitoring rounds driven.
-    pub rounds: u32,
-    /// The supervision layer panicked under the plan.
-    pub panicked: bool,
-    /// Nodes the plan faulted in any way.
-    pub faulted_nodes: usize,
-    /// Nodes the supervisor had declared dead at run end.
-    pub dead_at_end: usize,
-    /// Rounds whose quorum was below the full node count.
-    pub degraded_rounds: usize,
-    /// Everything that failed; empty means the schedule passed.
-    pub problems: Vec<String>,
-}
-
-impl ClusterChaosReport {
-    /// True when every supervision property held.
-    pub fn passed(&self) -> bool {
-        self.problems.is_empty()
-    }
-
-    /// One-line summary plus one line per problem.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let status = if self.passed() { "ok" } else { "FAIL" };
-        writeln!(
-            out,
-            "{:<10} seed={:<6} {} node(s)  {} faulted  {} dead  \
-             {:>3}/{} degraded round(s)  [{status}]",
-            self.name,
-            self.seed,
-            self.nodes,
-            self.faulted_nodes,
-            self.dead_at_end,
-            self.degraded_rounds,
-            self.rounds,
-        )
-        .unwrap();
-        for p in &self.problems {
-            writeln!(out, "  problem: {p}").unwrap();
-        }
-        out
-    }
-}
-
-/// Runs one seeded allocation fault plan and judges the supervision
-/// layer's behaviour against the four properties above.
-pub fn judge_cluster_run(
-    name: &str,
-    seed: u64,
-    node_count: usize,
-    rounds: u32,
-) -> ClusterChaosReport {
-    let mut report = ClusterChaosReport {
-        name: name.to_string(),
-        seed,
-        nodes: node_count,
+/// Runs the verdict's seeded allocation fault plan and judges the
+/// supervision layer's behaviour against the four properties above.
+pub fn judge_cluster_run(v: &mut Verdict, node_count: usize, rounds: u32) {
+    let outcome = run_cluster_chaos(node_count, rounds, v.seed);
+    let faulted = outcome.plan.nodes.iter().filter(|p| p.is_faulty()).count();
+    v.set_tally("faulted_nodes", faulted as u64);
+    // Properties 2 and 3: a summary after every round, honestly marked.
+    check_quorum_markers(
+        v,
+        &outcome.round_summaries,
+        &outcome.round_quorums,
+        node_count,
         rounds,
-        panicked: false,
-        faulted_nodes: 0,
-        dead_at_end: 0,
-        degraded_rounds: 0,
-        problems: Vec::new(),
-    };
-    let outcome = match catch_unwind(AssertUnwindSafe(|| {
-        run_cluster_chaos(node_count, rounds, seed)
-    })) {
-        Ok(o) => o,
-        Err(_) => {
-            report.panicked = true;
-            report
-                .problems
-                .push("supervision layer panicked under the fault plan".to_string());
-            return report;
-        }
-    };
-    report.faulted_nodes = outcome.plan.nodes.iter().filter(|p| p.is_faulty()).count();
-    // Property 2: the allocation report appeared after every round.
-    if outcome.round_summaries.len() != rounds as usize {
-        report.problems.push(format!(
-            "only {}/{} rounds produced an allocation summary",
-            outcome.round_summaries.len(),
-            rounds
-        ));
-    }
-    // Property 3: the DEGRADED marker is present with the right counts
-    // exactly when the quorum shrank — never on a full quorum.
-    for (r, (summary, &(k, n))) in outcome
-        .round_summaries
-        .iter()
-        .zip(&outcome.round_quorums)
-        .enumerate()
-    {
-        if n != node_count {
-            report
-                .problems
-                .push(format!("round {r}: quorum total {n} != {node_count} nodes"));
-        }
-        if !summary.contains("TOTAL:") {
-            report
-                .problems
-                .push(format!("round {r}: summary missing its TOTAL line"));
-        }
-        if k < n {
-            report.degraded_rounds += 1;
-            let marker = format!("DEGRADED ({k}/{n} nodes)");
-            if !summary.contains(&marker) {
-                report.problems.push(format!(
-                    "round {r}: quorum {k}/{n} but summary lacks {marker:?}"
-                ));
-            }
-        } else if summary.contains("DEGRADED") {
-            report.problems.push(format!(
-                "round {r}: full quorum but summary claims degradation"
-            ));
-        }
-    }
-    report.dead_at_end = (0..node_count)
+        "TOTAL:",
+    );
+    let dead_at_end = (0..node_count)
         .filter(|&i| {
             outcome
                 .cluster
@@ -169,12 +57,13 @@ pub fn judge_cluster_run(
                 == NodeState::Dead
         })
         .count();
+    v.set_tally("dead_at_end", dead_at_end as u64);
     // Property 4: the differential check. Nodes that never went down
     // must aggregate identically to the fault-free run of the same seed.
     let clean = run_cluster_chaos_with_plan(
         node_count,
         rounds,
-        seed,
+        v.seed,
         &AllocationFaultPlan::clean(node_count),
     );
     let clean_aggs = clean.cluster.aggregates();
@@ -185,39 +74,35 @@ pub fn judge_cluster_run(
         let c = clean_aggs.iter().find(|a| a.hostname == host);
         match (f, c) {
             (Some(f), Some(c)) if f == c => {}
-            (Some(_), Some(_)) => report
+            (Some(_), Some(_)) => v
                 .problems
                 .push(format!("survivor {host} diverged from the fault-free run")),
-            _ => report
+            _ => v
                 .problems
                 .push(format!("survivor {host} missing from aggregates")),
         }
     }
-    report
+    v.cells = format!(
+        "{node_count} node(s)  {faulted} faulted  {dead_at_end} dead  \
+         {:>3}/{rounds} degraded round(s)",
+        v.tally("degraded_rounds"),
+    );
 }
 
 /// Runs the allocation-scale soak: `schedules` seeded fault plans over
 /// `node_count`-node allocations, each judged by [`judge_cluster_run`].
-/// Schedules fan out on the experiment engine; reports come back in
-/// submission order.
 pub fn run_cluster_suite(
     node_count: usize,
     rounds: u32,
     schedules: usize,
     base_seed: u64,
-) -> Vec<ClusterChaosReport> {
-    zerosum_experiments::parallel::run_jobs(
-        (0..schedules)
-            .map(|i| {
-                move || {
-                    let seed = base_seed
-                        .wrapping_add(7919u64.wrapping_mul(i as u64))
-                        .wrapping_add(1);
-                    judge_cluster_run(&format!("alloc-f{i:02}"), seed, node_count, rounds)
-                }
-            })
-            .collect(),
-        0,
+) -> Vec<Verdict> {
+    seeded_suite(
+        |i| format!("alloc-f{i:02}"),
+        10,
+        schedules,
+        base_seed,
+        |_, v| judge_cluster_run(v, node_count, rounds),
     )
 }
 
@@ -344,62 +229,46 @@ pub fn bounded_memory_drill(rounds: u64, capacity: usize) -> Vec<String> {
         problems.push("watched process vanished from the monitor".to_string());
         return problems;
     };
-    if w.rss_series.len() > capacity {
-        problems.push(format!(
-            "rss series holds {} points (capacity {capacity})",
-            w.rss_series.len()
-        ));
-    }
-    if w.rss_series.total_pushed() != rounds {
-        problems.push(format!(
-            "rss series recorded {}/{rounds} rounds",
-            w.rss_series.total_pushed()
-        ));
-    }
-    if must_wrap && w.rss_series.wraps() == 0 {
-        problems.push("rss series never wrapped despite overflow".to_string());
-    }
-    if w.rss_series.last().map(|p| p.0) != Some(last_t) {
-        problems.push("rss series lost the latest round".to_string());
-    }
-    for t in w.lwps.tracks() {
-        if t.samples.len() > capacity {
+    // Every series, whatever it samples: within capacity, and still
+    // ending at the current round.
+    let mut bounded = |what: String, len: usize, latest: Option<f64>| {
+        if len > capacity {
             problems.push(format!(
-                "LWP {} series holds {} points (capacity {capacity})",
-                t.tid,
-                t.samples.len()
+                "{what} series holds {len} points (capacity {capacity})"
             ));
         }
+        if latest != Some(last_t) {
+            problems.push(format!("{what} series lost the latest round"));
+        }
+    };
+    let rss = &w.rss_series;
+    bounded("rss".into(), rss.len(), rss.last().map(|p| p.0));
+    for t in w.lwps.tracks() {
+        let latest = t.samples.last().map(|s| s.t_s);
+        bounded(format!("LWP {}", t.tid), t.samples.len(), latest);
+    }
+    for (cpu, s) in mon.hwt.series() {
+        bounded(format!("CPU {cpu}"), s.len(), s.last().map(|x| x.t_s));
+    }
+    let mem = mon.mem.samples();
+    bounded("memory".into(), mem.len(), mem.last().map(|s| s.t_s));
+    if rss.total_pushed() != rounds {
+        problems.push(format!(
+            "rss series recorded {}/{rounds} rounds",
+            rss.total_pushed()
+        ));
+    }
+    if must_wrap && rss.wraps() == 0 {
+        problems.push("rss series never wrapped despite overflow".to_string());
+    }
+    for t in w.lwps.tracks() {
         if must_wrap && t.samples.wraps() == 0 {
             problems.push(format!("LWP {} series never wrapped", t.tid));
         }
         // Downsampling must preserve both ends of the series.
-        if t.samples.last().map(|s| s.t_s) != Some(last_t) {
-            problems.push(format!("LWP {} series lost the latest round", t.tid));
-        }
         if t.samples.first().map(|s| s.t_s) != Some(1.0) {
             problems.push(format!("LWP {} series lost its first sample", t.tid));
         }
-    }
-    for (cpu, s) in mon.hwt.series() {
-        if s.len() > capacity {
-            problems.push(format!(
-                "CPU {cpu} series holds {} points (capacity {capacity})",
-                s.len()
-            ));
-        }
-        if s.last().map(|x| x.t_s) != Some(last_t) {
-            problems.push(format!("CPU {cpu} series lost the latest round"));
-        }
-    }
-    if mon.mem.samples().len() > capacity {
-        problems.push(format!(
-            "memory series holds {} points (capacity {capacity})",
-            mon.mem.samples().len()
-        ));
-    }
-    if mon.mem.samples().last().map(|s| s.t_s) != Some(last_t) {
-        problems.push("memory series lost the latest round".to_string());
     }
     // The report must still render from downsampled series.
     let report = zerosum_core::render_process_report(&mon, pid, last_t, None);
@@ -420,7 +289,7 @@ mod tests {
     fn cluster_soak_twenty_plans_all_pass() {
         let reports = run_cluster_suite(4, 20, 20, 0xA110);
         assert_eq!(reports.len(), 20);
-        let failed: Vec<&ClusterChaosReport> = reports.iter().filter(|r| !r.passed()).collect();
+        let failed: Vec<&Verdict> = reports.iter().filter(|r| !r.passed()).collect();
         assert!(
             failed.is_empty(),
             "failed plans:\n{}",
@@ -429,11 +298,11 @@ mod tests {
         // The soak must exercise the machinery: every generated plan is
         // chaotic, and across 20 plans some nodes die and degrade the
         // quorum.
-        assert!(reports.iter().all(|r| r.faulted_nodes > 0));
-        let degraded: usize = reports.iter().map(|r| r.degraded_rounds).sum();
+        assert!(reports.iter().all(|r| r.tally("faulted_nodes") > 0));
+        let degraded: u64 = reports.iter().map(|r| r.tally("degraded_rounds")).sum();
         assert!(degraded > 0, "no plan ever degraded the quorum");
         assert!(
-            reports.iter().any(|r| r.dead_at_end > 0),
+            reports.iter().any(|r| r.tally("dead_at_end") > 0),
             "no plan left a node dead"
         );
     }

@@ -1,6 +1,6 @@
 //! Dynamic and static analysis for the ZeroSum reproduction.
 //!
-//! Two halves:
+//! The halves:
 //!
 //! * **Dynamic trace checking** ([`hb`], [`invariants`], [`scenarios`])
 //!   — runs the paper's experiment harnesses with scheduler tracing on,
@@ -9,10 +9,10 @@
 //!   invariant engine reconciling the replayed trace against the
 //!   simulator's final counters (jiffy conservation, single residency,
 //!   affinity, context-switch totals, GPU causality).
-//! * **Source linting** ([`lint`]) — repo-specific rules run by the
-//!   `zslint` binary: no panics in monitor hot paths, no wall-clock in
-//!   the scheduler substrate, no prints in library crates, no bare
-//!   `?`-propagation of `/proc` read errors out of the sampling loop.
+//! * **Source linting** ([`lint`]) — repo-specific rules run by
+//!   `zerosum lint`: no panics in monitor hot paths, no prints in
+//!   library crates, no bare `?`-propagation of `/proc` read errors out
+//!   of the sampling loop, no unreviewed growth of monitor state.
 //! * **Chaos checking** ([`chaos`]) — Tables 1–3 under seeded procfs
 //!   fault schedules: zero panics, exact ledger/fault-log
 //!   reconciliation, bounded distortion, and an abnormal-exit drill for
@@ -39,8 +39,13 @@
 //!   fault-free run, plus a loopback-TCP smoke when sockets are
 //!   allowed.
 //!
-//! Entry points: `zerosum analyze` / `zerosum chaos` (CLI) and
-//! `cargo run -p zerosum-analyze --bin zslint`.
+//!
+//! Every seeded judge returns the one [`Verdict`] (module [`verdict`]),
+//! which also holds the seed fan-out, the panic guard and the section
+//! the drills print through.
+//!
+//! Entry points: the `zerosum` subcommands `analyze`, `chaos`,
+//! `cluster-chaos`, `churn`, `shard-diff`, `audit`, `lint` and `bench`.
 
 pub mod audit;
 pub mod bench;
@@ -53,21 +58,19 @@ pub mod lint;
 pub mod scenarios;
 pub mod sharddiff;
 pub mod transport_chaos;
+pub mod verdict;
 
 pub use audit::{
     audit_sources, audit_workspace, baseline_from_json, unknown_pass_keys, AuditReport,
 };
 pub use bench::{check as bench_check, compare as bench_compare, run_bench, BenchReport, Metric};
-pub use chaos::{abnormal_exit_drill, realistic_plan, run_suite, ChaosReport};
-pub use churn_chaos::{judge_churn_run, run_churn_suite, suite_params, ChurnChaosReport};
-pub use cluster_chaos::{
-    bounded_memory_drill, judge_cluster_run, run_cluster_suite, ClusterChaosReport,
-};
+pub use chaos::{abnormal_exit_drill, realistic_plan, run_suite};
+pub use churn_chaos::{judge_churn_run, judge_real_churn, run_churn_suite, suite_params};
+pub use cluster_chaos::{bounded_memory_drill, judge_cluster_run, run_cluster_suite};
 pub use hb::{detect_races, Race, VectorClock, KERNEL_CTX};
 pub use invariants::{check_invariants, InvariantKind, Violation};
 pub use lint::{find_workspace_root, lint_repo, lint_source, LintViolation, Rule};
-pub use scenarios::{check_comm_matrix, check_trace, run_all, ScenarioReport};
-pub use sharddiff::{run_shard_chaos, run_shard_diff, run_shard_differential, ShardDiffReport};
-pub use transport_chaos::{
-    judge_transport_run, run_transport_suite, tcp_loopback_smoke, TransportChaosReport,
-};
+pub use scenarios::{check_comm_matrix, check_trace, run_scenarios, ScenarioReport, SCENARIOS};
+pub use sharddiff::{run_shard_chaos, run_shard_differential, SHARD_CHAOS_SEED};
+pub use transport_chaos::{judge_transport_run, run_transport_suite, tcp_loopback_smoke};
+pub use verdict::{drill_section, render_suite, Verdict};

@@ -1,4 +1,4 @@
-//! `zslint`: repo-specific source lints for the ZeroSum tree.
+//! `zerosum lint`: repo-specific source lints for the ZeroSum tree.
 //!
 //! Four active rules, each encoding a project constraint that `clippy`
 //! cannot express:
@@ -31,18 +31,6 @@
 //!   a bound argument. Pushes into locals (no `.` in the receiver) are
 //!   per-round scratch and not flagged.
 //!
-//! Two former rules are **deprecated aliases** superseded by the
-//! interprocedural effect passes of `zerosum audit`, which see through
-//! call chains instead of matching single lines:
-//!
-//! * **no-wall-clock-in-sched** → the audit's *nondeterminism* pass
-//!   (wall-clock, ambient entropy, and unordered-map iteration
-//!   reachable from the sim/experiment roots);
-//! * **no-clone-in-hot-path** → the audit's *hot-path-alloc* pass
-//!   (allocation effects reachable from the `_into` sampling roots,
-//!   with witness traces and a fail-on-new allowlist instead of a
-//!   note).
-//!
 //! The rules are line-oriented but run on token-blanked text from the
 //! audit lexer ([`crate::audit::lexer`]): comments, string, char, and
 //! raw-string literals are blanked with exact line preservation, and
@@ -60,19 +48,11 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// `unwrap()`/`expect(` in a monitor hot-path file.
     NoPanicHotPath,
-    /// Deprecated alias: wall-clock reads in the scheduler are now
-    /// caught interprocedurally by `zerosum audit`'s nondeterminism
-    /// pass. Never scheduled by [`lint_source`]/[`lint_repo`].
-    NoWallClockInSched,
     /// `println!`/`eprintln!` in library code.
     NoPrintInLib,
     /// Bare `?`-propagation of a `ProcSource` read error in the
     /// monitor's per-sample loop.
     NoSourceErrorBubble,
-    /// Deprecated alias: hot-path allocations are now caught
-    /// interprocedurally by `zerosum audit`'s hot-path-alloc pass.
-    /// Never scheduled by [`lint_source`]/[`lint_repo`].
-    NoCloneInHotPath,
     /// `.push(` into a non-allowlisted field of long-lived
     /// monitor/cluster state (note level: flags potential unbounded
     /// growth for review).
@@ -84,31 +64,15 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::NoPanicHotPath => "no-panic-hot-path",
-            Rule::NoWallClockInSched => "no-wall-clock-in-sched",
             Rule::NoPrintInLib => "no-print-in-lib",
             Rule::NoSourceErrorBubble => "no-source-error-bubble",
-            Rule::NoCloneInHotPath => "no-clone-in-hot-path",
             Rule::NoUnboundedGrowthInMonitor => "no-unbounded-growth-in-monitor",
         }
     }
 
     /// Note-level rules report without failing the lint pass.
     pub fn is_note(self) -> bool {
-        matches!(
-            self,
-            Rule::NoCloneInHotPath | Rule::NoUnboundedGrowthInMonitor
-        )
-    }
-
-    /// For deprecated alias rules, the `zerosum audit` pass that
-    /// replaced them; `None` for active rules. Deprecated rules are
-    /// never scheduled and [`scan_blanked`] skips them defensively.
-    pub fn deprecated_replacement(self) -> Option<&'static str> {
-        match self {
-            Rule::NoWallClockInSched => Some("zerosum audit (nondeterminism pass)"),
-            Rule::NoCloneInHotPath => Some("zerosum audit (hot-path-alloc pass)"),
-            _ => None,
-        }
+        self == Rule::NoUnboundedGrowthInMonitor
     }
 }
 
@@ -128,15 +92,9 @@ pub struct LintViolation {
 impl fmt::Display for LintViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.rule.is_note() {
-            let why = match self.rule {
-                Rule::NoUnboundedGrowthInMonitor => {
-                    "grows long-lived monitor state without a ring bound"
-                }
-                _ => "allocates in a sampling hot path",
-            };
             write!(
                 f,
-                "{}:{}: [{}] note: `{}` {why}",
+                "{}:{}: [{}] note: `{}` grows long-lived monitor state without a ring bound",
                 self.path.display(),
                 self.line,
                 self.rule.id(),
@@ -215,20 +173,11 @@ fn receiver_before(lines: &[&str], lineno: usize, col: usize) -> String {
 fn scan_text(rel: &Path, src: &str, rules: &[Rule]) -> Vec<LintViolation> {
     // Token-level blanking: test-gated items first (needs real string
     // tokens to brace-match), then comments and literals.
-    scan_blanked(rel, &blank_noncode(&blank_test_mods(src)), rules)
-}
-
-/// Runs the line-oriented rules over already-blanked text. Split from
-/// [`scan_text`] so the tests can diff the token-level blanking against
-/// the legacy textual strippers on identical rule logic.
-fn scan_blanked(rel: &Path, code: &str, rules: &[Rule]) -> Vec<LintViolation> {
+    let code = blank_noncode(&blank_test_mods(src));
     let lines: Vec<&str> = code.lines().collect();
     let mut out = Vec::new();
     for (lineno, &line) in lines.iter().enumerate() {
         for &rule in rules {
-            if rule.deprecated_replacement().is_some() {
-                continue;
-            }
             if rule == Rule::NoUnboundedGrowthInMonitor {
                 let Some(col) = line.find(".push(") else {
                     continue;
@@ -280,11 +229,7 @@ fn scan_blanked(rel: &Path, code: &str, rules: &[Rule]) -> Vec<LintViolation> {
             }
             let tokens: &[&str] = match rule {
                 Rule::NoPanicHotPath => &[".unwrap()", ".expect("],
-                Rule::NoWallClockInSched => &["Instant::now", "SystemTime::now"],
                 Rule::NoPrintInLib => &["println!", "eprintln!", "print!", "eprint!"],
-                // `.clone()` with parens: the buffer-reusing
-                // `clone_from(` is the approved form and must not match.
-                Rule::NoCloneInHotPath => &[".clone()", ".to_owned()", ".to_vec()"],
                 Rule::NoSourceErrorBubble | Rule::NoUnboundedGrowthInMonitor => {
                     unreachable!("handled above")
                 }
@@ -533,31 +478,11 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_in_sched_is_deprecated_to_the_audit() {
-        // The rule is an alias now: lint no longer schedules it (the
-        // audit's nondeterminism pass covers `crates/sched` roots
-        // interprocedurally), and passing it explicitly is a no-op.
-        let v = lint_source(
-            Path::new("crates/sched/src/node.rs"),
-            "fn f() { let _t = std::time::Instant::now(); }\n",
-        );
-        assert!(
-            !v.iter().any(|x| x.rule == Rule::NoWallClockInSched),
-            "{v:?}"
-        );
-        assert_eq!(
-            Rule::NoWallClockInSched.deprecated_replacement(),
-            Some("zerosum audit (nondeterminism pass)")
-        );
-    }
-
-    #[test]
     fn println_in_lib_is_flagged_but_not_in_main() {
         let src = "fn f() { println!(\"hi\"); }\n";
         let v = lint_source(Path::new("crates/core/src/monitor.rs"), src);
         assert!(v.iter().any(|x| x.rule == Rule::NoPrintInLib));
         assert!(lint_source(Path::new("crates/cli/src/main.rs"), src).is_empty());
-        assert!(lint_source(Path::new("crates/analyze/src/bin/zslint.rs"), src).is_empty());
     }
 
     #[test]
@@ -605,33 +530,6 @@ fn sample(res: &dyn ProcSource, pid: u32) {
 ";
         let v = lint_source(Path::new("crates/core/src/monitor.rs"), src);
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn clone_in_hot_path_is_deprecated_to_the_audit() {
-        // The note-level rule is an alias now: the audit's
-        // hot-path-alloc pass flags allocations reachable from the
-        // `_into` roots with witness traces instead of per-file notes.
-        let src = "\
-fn f(s: &TaskStatus, out: &mut TaskStatus) {
-    let a = s.cpus_allowed.clone();
-    out.cpus_allowed.clone_from(&s.cpus_allowed);
-    let _ = a;
-}
-";
-        let v = lint_source(Path::new("crates/core/src/monitor.rs"), src);
-        assert!(!v.iter().any(|x| x.rule == Rule::NoCloneInHotPath), "{v:?}");
-        assert_eq!(
-            Rule::NoCloneInHotPath.deprecated_replacement(),
-            Some("zerosum audit (hot-path-alloc pass)")
-        );
-        // Deprecated rules are skipped even when passed explicitly.
-        let forced = scan_blanked(
-            Path::new("crates/core/src/monitor.rs"),
-            src,
-            &[Rule::NoCloneInHotPath, Rule::NoWallClockInSched],
-        );
-        assert!(forced.is_empty(), "{forced:?}");
     }
 
     #[test]
@@ -686,173 +584,14 @@ fn observe(&mut self) {
         );
     }
 
-    /// The pre-port textual strippers, kept verbatim so the token-level
-    /// blanking can be differential-tested against them on the shipped
-    /// tree. Do not use outside tests: raw strings containing `"` derail
-    /// the string scanner (the bug the port fixed).
-    mod legacy {
-        pub fn strip_noncode(src: &str) -> String {
-            let b: Vec<char> = src.chars().collect();
-            let mut out: Vec<char> = Vec::with_capacity(b.len());
-            let mut i = 0;
-            let n = b.len();
-            let keep_ws = |c: char| if c == '\n' { '\n' } else { ' ' };
-            while i < n {
-                let c = b[i];
-                if c == '/' && i + 1 < n && b[i + 1] == '/' {
-                    while i < n && b[i] != '\n' {
-                        out.push(' ');
-                        i += 1;
-                    }
-                } else if c == '/' && i + 1 < n && b[i + 1] == '*' {
-                    let mut depth = 1;
-                    out.push(' ');
-                    out.push(' ');
-                    i += 2;
-                    while i < n && depth > 0 {
-                        if b[i] == '/' && i + 1 < n && b[i + 1] == '*' {
-                            depth += 1;
-                            out.push(' ');
-                            out.push(' ');
-                            i += 2;
-                        } else if b[i] == '*' && i + 1 < n && b[i + 1] == '/' {
-                            depth -= 1;
-                            out.push(' ');
-                            out.push(' ');
-                            i += 2;
-                        } else {
-                            out.push(keep_ws(b[i]));
-                            i += 1;
-                        }
-                    }
-                } else if c == '"' {
-                    out.push(' ');
-                    i += 1;
-                    while i < n {
-                        if b[i] == '\\' && i + 1 < n {
-                            out.push(' ');
-                            out.push(' ');
-                            i += 2;
-                        } else if b[i] == '"' {
-                            out.push(' ');
-                            i += 1;
-                            break;
-                        } else {
-                            out.push(keep_ws(b[i]));
-                            i += 1;
-                        }
-                    }
-                } else if c == '\'' && i + 2 < n && (b[i + 1] == '\\' || b[i + 2] == '\'') {
-                    out.push(' ');
-                    i += 1;
-                    while i < n && b[i] != '\'' {
-                        if b[i] == '\\' && i + 1 < n {
-                            out.push(' ');
-                            out.push(' ');
-                            i += 2;
-                        } else {
-                            out.push(keep_ws(b[i]));
-                            i += 1;
-                        }
-                    }
-                    if i < n {
-                        out.push(' ');
-                        i += 1;
-                    }
-                } else {
-                    out.push(c);
-                    i += 1;
-                }
-            }
-            out.into_iter().collect()
-        }
-
-        pub fn strip_test_mods(stripped: &str) -> String {
-            let lines: Vec<&str> = stripped.lines().collect();
-            let mut keep: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
-            let mut i = 0;
-            while i < lines.len() {
-                let t = lines[i].trim_start();
-                let is_test_attr = t.starts_with("#[cfg(test)]")
-                    || (t.starts_with("#[cfg(all(test") && t.contains("test"));
-                if is_test_attr {
-                    let mut depth = 0i64;
-                    let mut opened = false;
-                    let mut j = i;
-                    while j < lines.len() {
-                        for ch in lines[j].chars() {
-                            match ch {
-                                '{' => {
-                                    depth += 1;
-                                    opened = true;
-                                }
-                                '}' => depth -= 1,
-                                _ => {}
-                            }
-                        }
-                        keep[j] = String::new();
-                        if opened && depth <= 0 {
-                            break;
-                        }
-                        j += 1;
-                    }
-                    i = j + 1;
-                } else {
-                    i += 1;
-                }
-            }
-            keep.join("\n")
-        }
-    }
-
-    #[test]
-    fn token_blanking_matches_legacy_strippers_on_the_shipped_tree() {
-        // The port's contract: on every file the lint pass covers, the
-        // six rules produce identical findings over the token-blanked
-        // text and over the legacy textual strip (the shipped tree has
-        // none of the raw-string shapes that trip the legacy scanner).
-        let root =
-            find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-        let mut files = Vec::new();
-        walk(&root, &mut files).expect("walk");
-        let mut compared = 0usize;
-        for path in files {
-            let rel = path.strip_prefix(&root).unwrap_or(&path).to_path_buf();
-            let rules = rules_for(&rel);
-            if rules.is_empty() {
-                continue;
-            }
-            let src = std::fs::read_to_string(&path).expect("read");
-            let new = scan_text(&rel, &src, &rules);
-            let old = scan_blanked(
-                &rel,
-                &legacy::strip_test_mods(&legacy::strip_noncode(&src)),
-                &rules,
-            );
-            let fmt = |v: &[LintViolation]| {
-                v.iter()
-                    .map(|x| x.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(
-                fmt(&new),
-                fmt(&old),
-                "token/legacy divergence in {}",
-                rel.display()
-            );
-            compared += 1;
-        }
-        assert!(compared > 10, "only {compared} files compared");
-    }
-
     #[test]
     fn raw_string_braces_do_not_derail_test_mod_skipping() {
-        // Regression: a raw string with an interior `"` flips the legacy
-        // scanner's quote parity, swallowing everything up to the next
-        // plain quote — including the `#[cfg(test)]` attribute and the
-        // real violation after the test mod. The token-level blanking
-        // lexes the raw string as one literal and gets both right.
+        // Regression: a raw string with an interior `"` once flipped a
+        // textual scanner's quote parity, swallowing everything up to
+        // the next plain quote — including the `#[cfg(test)]` attribute
+        // and the real violation after the test mod. The token-level
+        // blanking lexes the raw string as one literal and gets both
+        // right.
         let src = "\
 fn banner() -> &'static str { r#\"odd \" quote {\"# }
 #[cfg(test)]
@@ -865,13 +604,6 @@ fn after(x: Option<u32>) -> u32 { x.unwrap() }
         let v = lint_source(Path::new("crates/core/src/lwp.rs"), src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 7, "only `after`'s unwrap is real code");
-        // The legacy pipeline misses it (documents the fixed bug).
-        let old = scan_blanked(
-            Path::new("crates/core/src/lwp.rs"),
-            &legacy::strip_test_mods(&legacy::strip_noncode(src)),
-            &[Rule::NoPanicHotPath],
-        );
-        assert!(old.is_empty(), "legacy unexpectedly caught it: {old:?}");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::invariants::{check_invariants, InvariantKind, Violation};
 use zerosum_experiments::figures::{fig5, fig67_traced, fig8_traced_run};
 use zerosum_experiments::tables::{run_table_traced, TableConfig};
 use zerosum_mpi::CommMatrix;
+use zerosum_sched::{SimAudit, TraceRecord};
 
 /// The result of checking one scenario.
 #[derive(Debug)]
@@ -56,11 +57,7 @@ impl ScenarioReport {
 }
 
 /// Checks one already-captured trace/audit pair.
-pub fn check_trace(
-    name: &str,
-    trace: &[zerosum_sched::TraceRecord],
-    audit: &zerosum_sched::SimAudit,
-) -> ScenarioReport {
+pub fn check_trace(name: &str, trace: &[TraceRecord], audit: &SimAudit) -> ScenarioReport {
     ScenarioReport {
         name: name.to_string(),
         events: trace.len(),
@@ -129,31 +126,47 @@ pub fn check_comm_matrix(name: &str, m: &CommMatrix) -> ScenarioReport {
     }
 }
 
-/// Runs every paper scenario under the checker. `scale` divides the
-/// workloads exactly as in the experiment tests (CI uses 100–150).
-pub fn run_all(scale: u32, seed: u64) -> Vec<ScenarioReport> {
-    let mut reports = Vec::new();
-    for (name, config) in [
-        ("table1", TableConfig::Table1),
-        ("table2", TableConfig::Table2),
-        ("table3", TableConfig::Table3),
-    ] {
-        let (_, trace, audit) = run_table_traced(config, scale, seed);
-        reports.push(check_trace(name, &trace, &audit));
-    }
-    {
-        let (_, trace, audit) = fig67_traced(scale.max(150), seed);
-        reports.push(check_trace("fig67", &trace, &audit));
-    }
-    for (name, smt2) in [("fig8-smt1", false), ("fig8-smt2", true)] {
-        let (_, trace, audit) = fig8_traced_run(smt2, scale, seed);
-        reports.push(check_trace(name, &trace, &audit));
-    }
-    {
-        let run = fig5(&zerosum_apps::PicConfig::small());
-        reports.push(check_comm_matrix("fig5", &run.matrix));
-    }
-    reports
+/// One scenario: its name and the run that checks it at `(scale, seed)`.
+pub type Scenario = (&'static str, fn(&str, u32, u64) -> ScenarioReport);
+
+/// Checks the trace/audit pair a traced experiment run returned.
+fn traced<R>(name: &str, run: (R, Vec<TraceRecord>, SimAudit)) -> ScenarioReport {
+    check_trace(name, &run.1, &run.2)
+}
+
+/// Every paper scenario, in report order. `scale` divides the workloads
+/// exactly as in the experiment tests (CI uses 100–150).
+pub const SCENARIOS: [Scenario; 7] = [
+    ("table1", |n, scale, seed| {
+        traced(n, run_table_traced(TableConfig::Table1, scale, seed))
+    }),
+    ("table2", |n, scale, seed| {
+        traced(n, run_table_traced(TableConfig::Table2, scale, seed))
+    }),
+    ("table3", |n, scale, seed| {
+        traced(n, run_table_traced(TableConfig::Table3, scale, seed))
+    }),
+    ("fig67", |n, scale, seed| {
+        traced(n, fig67_traced(scale.max(150), seed))
+    }),
+    ("fig8-smt1", |n, scale, seed| {
+        traced(n, fig8_traced_run(false, scale, seed))
+    }),
+    ("fig8-smt2", |n, scale, seed| {
+        traced(n, fig8_traced_run(true, scale, seed))
+    }),
+    ("fig5", |n, _, _| {
+        check_comm_matrix(n, &fig5(&zerosum_apps::PicConfig::small()).matrix)
+    }),
+];
+
+/// Runs the scenarios under the checker: the one named `only`, or all.
+pub fn run_scenarios(only: Option<&str>, scale: u32, seed: u64) -> Vec<ScenarioReport> {
+    SCENARIOS
+        .iter()
+        .filter(|(name, _)| only.is_none_or(|o| o == *name))
+        .map(|(name, check)| check(name, scale, seed))
+        .collect()
 }
 
 #[cfg(test)]

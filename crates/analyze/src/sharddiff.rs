@@ -30,6 +30,7 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, PoisonError};
 
+use crate::verdict::{guarded, Verdict};
 use zerosum_core::feed::snapshot_of;
 use zerosum_core::{
     FaultyShardSource, Monitor, ProcessInfo, ShardMode, ShardedMonitor, SimShardSource, TrackedRw,
@@ -39,57 +40,6 @@ use zerosum_proc::fault::{FaultInjector, FaultPlan, FaultRates, Op};
 use zerosum_proc::ExitRace;
 use zerosum_sched::{Behavior, NodeSim, SchedParams, SimProcSource};
 use zerosum_topology::{presets, CpuSet};
-
-/// One seed's differential outcome.
-#[derive(Debug)]
-pub struct SeedOutcome {
-    /// The seed.
-    pub seed: u64,
-    /// Scenario shape, for the report line.
-    pub shape: String,
-    /// Mismatch descriptions; empty means bit-identical.
-    pub failures: Vec<String>,
-}
-
-/// The full `shard-diff` run.
-#[derive(Debug, Default)]
-pub struct ShardDiffReport {
-    /// Per-seed differential outcomes.
-    pub seeds: Vec<SeedOutcome>,
-    /// Chaos-isolation failures (empty means isolated).
-    pub chaos_failures: Vec<String>,
-}
-
-impl ShardDiffReport {
-    /// True when every seed matched and chaos stayed isolated.
-    pub fn clean(&self) -> bool {
-        self.seeds.iter().all(|s| s.failures.is_empty()) && self.chaos_failures.is_empty()
-    }
-
-    /// Human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::from("shard differential:\n");
-        for s in &self.seeds {
-            if s.failures.is_empty() {
-                let _ = writeln!(out, "  seed {:>3}  {}  identical", s.seed, s.shape);
-            } else {
-                let _ = writeln!(out, "  seed {:>3}  {}  MISMATCH", s.seed, s.shape);
-                for f in &s.failures {
-                    let _ = writeln!(out, "    - {f}");
-                }
-            }
-        }
-        if self.chaos_failures.is_empty() {
-            out.push_str("  chaos isolation: faulted shard contained, peers identical\n");
-        } else {
-            out.push_str("  chaos isolation: FAILED\n");
-            for f in &self.chaos_failures {
-                let _ = writeln!(out, "    - {f}");
-            }
-        }
-        out
-    }
-}
 
 /// Deterministic xorshift64* stream for scenario derivation.
 struct Rng(u64);
@@ -308,24 +258,22 @@ fn run_sharded(sc: &Scenario) -> Monitor {
     sharded.into_monitor()
 }
 
-/// The seeded N-shards-vs-1-shard differential over `seeds` seeds.
-pub fn run_shard_differential(seeds: u64) -> Vec<SeedOutcome> {
-    let mut out = Vec::new();
-    for seed in 0..seeds {
-        let sc = Scenario::derive(seed);
-        let one_shard = fingerprint(&run_one_shard(&sc));
-        let sharded = fingerprint(&run_sharded(&sc));
-        let mut failures = Vec::new();
-        if one_shard != sharded {
-            failures.push(first_diff(&one_shard, &sharded));
-        }
-        out.push(SeedOutcome {
-            seed,
-            shape: sc.shape(),
-            failures,
-        });
-    }
-    out
+/// The seeded N-shards-vs-1-shard differential over seeds `0..seeds`:
+/// one verdict per seed, its cells the scenario's shape.
+pub fn run_shard_differential(seeds: u64) -> Vec<Verdict> {
+    (0..seeds)
+        .map(|seed| {
+            guarded(Verdict::new(format!("shard-{seed:02}"), 9, seed), |v| {
+                let sc = Scenario::derive(seed);
+                v.cells = sc.shape();
+                let one_shard = fingerprint(&run_one_shard(&sc));
+                let sharded = fingerprint(&run_sharded(&sc));
+                if one_shard != sharded {
+                    v.problems.push(first_diff(&one_shard, &sharded));
+                }
+            })
+        })
+        .collect()
 }
 
 /// Fault rates aimed at one shard's task reads: heavy transient I/O
@@ -338,6 +286,9 @@ fn victim_rates() -> FaultRates {
         ..FaultRates::default()
     }
 }
+
+/// The fault seed `zerosum shard-diff` runs [`run_shard_chaos`] with.
+pub const SHARD_CHAOS_SEED: u64 = 0x000C_5A05;
 
 /// The chaos-isolation drill: three ranks on three shards, faults
 /// injected into shard 1 only. Returns failure descriptions.
@@ -445,14 +396,6 @@ pub fn run_shard_chaos(fault_seed: u64) -> Vec<String> {
     failures
 }
 
-/// The whole gate: `seeds` differential seeds plus the chaos drill.
-pub fn run_shard_diff(seeds: u64) -> ShardDiffReport {
-    ShardDiffReport {
-        seeds: run_shard_differential(seeds),
-        chaos_failures: run_shard_chaos(0x000C_5A05),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,8 +404,9 @@ mod tests {
     fn differential_seeds_are_identical() {
         // The CI gate runs 20 seeds; the unit test keeps a
         // representative five so `cargo test` stays fast.
-        for s in run_shard_differential(5) {
-            assert!(s.failures.is_empty(), "seed {}: {:?}", s.seed, s.failures);
+        for v in run_shard_differential(5) {
+            assert!(v.passed(), "{}", v.render());
+            assert!(v.cells.contains("shards"), "{}", v.render());
         }
     }
 
@@ -512,17 +456,5 @@ mod tests {
     fn chaos_stays_isolated() {
         let failures = run_shard_chaos(7);
         assert!(failures.is_empty(), "{failures:?}");
-    }
-
-    #[test]
-    fn report_renders_and_is_clean() {
-        let report = ShardDiffReport {
-            seeds: run_shard_differential(2),
-            chaos_failures: vec![],
-        };
-        assert!(report.clean());
-        let text = report.render();
-        assert!(text.contains("identical"), "{text}");
-        assert!(text.contains("chaos isolation"), "{text}");
     }
 }

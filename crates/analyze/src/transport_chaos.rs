@@ -24,160 +24,43 @@
 //! deterministic, used by the soak) and — when the sandbox allows
 //! sockets — over real loopback TCP via [`tcp_loopback_smoke`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
+use crate::verdict::{check_quorum_markers, seeded_suite, Verdict};
 use zerosum_core::{NodeAggregate, NodeState};
 use zerosum_experiments::transport_chaos::{
     run_transport_chaos_with_plan, TransportChaosOutcome, TICKS_PER_ROUND,
 };
 use zerosum_net::{Acceptor, Collector, NodeAgent, TcpLink, TransportFaultPlan};
 
-/// The verdict on one seeded transport fault plan.
-#[derive(Debug)]
-pub struct TransportChaosReport {
-    /// Schedule name (`wire-f00` …).
-    pub name: String,
-    /// The plan seed this schedule ran with.
-    pub seed: u64,
-    /// Nodes in the allocation.
-    pub nodes: usize,
-    /// Monitoring rounds driven.
-    pub rounds: u32,
-    /// The collector panicked under the plan.
-    pub panicked: bool,
-    /// Links the plan faulted in any way.
-    pub faulted_links: usize,
-    /// Links the plan permanently killed.
-    pub killed_links: usize,
-    /// Rounds whose wire-side quorum was below the full node count.
-    pub degraded_rounds: usize,
-    /// Frames the chaos dropped, corrupted, or truncated in flight.
-    pub frames_harmed: u64,
-    /// Frames the collector rejected with a typed decode error.
-    pub decode_errors: u64,
-    /// Per-LWP detail frames agents shed to backpressure.
-    pub details_shed: u64,
-    /// Successful agent reconnects after torn links.
-    pub reconnects: u64,
-    /// Everything that failed; empty means the schedule passed.
-    pub problems: Vec<String>,
-}
-
-impl TransportChaosReport {
-    /// True when every wire property held.
-    pub fn passed(&self) -> bool {
-        self.problems.is_empty()
-    }
-
-    /// One-line summary plus one line per problem.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let status = if self.passed() { "ok" } else { "FAIL" };
-        writeln!(
-            out,
-            "{:<10} seed={:<6} {} link(s)  {} faulted  {} killed  \
-             {} harmed  {} rejected  {} shed  {} reconnect(s)  \
-             {:>3}/{} degraded round(s)  [{status}]",
-            self.name,
-            self.seed,
-            self.nodes,
-            self.faulted_links,
-            self.killed_links,
-            self.frames_harmed,
-            self.decode_errors,
-            self.details_shed,
-            self.reconnects,
-            self.degraded_rounds,
-            self.rounds,
-        )
-        .unwrap();
-        for p in &self.problems {
-            writeln!(out, "  problem: {p}").unwrap();
-        }
-        out
-    }
-}
-
-/// Runs one seeded transport fault plan and judges the wire layer
-/// against the five properties above.
-pub fn judge_transport_run(
-    name: &str,
-    seed: u64,
-    node_count: usize,
-    rounds: u32,
-) -> TransportChaosReport {
-    let plan = TransportFaultPlan::generate(seed, node_count, rounds, TICKS_PER_ROUND);
-    let mut report = TransportChaosReport {
-        name: name.to_string(),
-        seed,
-        nodes: node_count,
-        rounds,
-        panicked: false,
-        faulted_links: plan.links.iter().filter(|l| l.is_faulty()).count(),
-        killed_links: plan.links.iter().filter(|l| l.kill_at.is_some()).count(),
-        degraded_rounds: 0,
-        frames_harmed: 0,
-        decode_errors: 0,
-        details_shed: 0,
-        reconnects: 0,
-        problems: Vec::new(),
-    };
-    let outcome = match catch_unwind(AssertUnwindSafe(|| {
-        run_transport_chaos_with_plan(node_count, rounds, seed, &plan)
-    })) {
-        Ok(o) => o,
-        Err(_) => {
-            report.panicked = true;
-            report
-                .problems
-                .push("collector panicked under the transport fault plan".to_string());
-            return report;
-        }
-    };
-    report.frames_harmed = outcome
+/// Runs the verdict's seeded transport fault plan and judges the wire
+/// layer against the five properties above.
+pub fn judge_transport_run(v: &mut Verdict, node_count: usize, rounds: u32) {
+    let plan = TransportFaultPlan::generate(v.seed, node_count, rounds, TICKS_PER_ROUND);
+    let faulted = plan.links.iter().filter(|l| l.is_faulty()).count();
+    let killed = plan.links.iter().filter(|l| l.kill_at.is_some()).count();
+    v.set_tally("faulted_links", faulted as u64);
+    v.set_tally("killed_links", killed as u64);
+    let outcome = run_transport_chaos_with_plan(node_count, rounds, v.seed, &plan);
+    let harmed: u64 = outcome
         .fault_stats
         .iter()
         .map(|s| s.dropped + s.corrupted + s.truncated)
         .sum();
-    report.decode_errors = outcome.collector.stats.decode_errors;
-    report.details_shed = outcome.agent_stats.iter().map(|s| s.details_shed).sum();
-    report.reconnects = outcome.agent_stats.iter().map(|s| s.reconnects).sum();
-    // Property 2: a report after every round.
-    if outcome.round_summaries.len() != rounds as usize {
-        report.problems.push(format!(
-            "only {}/{} rounds produced a wire summary",
-            outcome.round_summaries.len(),
-            rounds
-        ));
-    }
-    // Property 3: DEGRADED present with the right counts exactly when
-    // the wire-side quorum shrank.
-    for (r, (summary, &(k, n))) in outcome
-        .round_summaries
-        .iter()
-        .zip(&outcome.round_quorums)
-        .enumerate()
-    {
-        if n != node_count {
-            report
-                .problems
-                .push(format!("round {r}: quorum total {n} != {node_count} nodes"));
-        }
-        if k < n {
-            report.degraded_rounds += 1;
-            let marker = format!("DEGRADED ({k}/{n} nodes)");
-            if !summary.contains(&marker) {
-                report.problems.push(format!(
-                    "round {r}: quorum {k}/{n} but summary lacks {marker:?}"
-                ));
-            }
-        } else if summary.contains("DEGRADED") {
-            report.problems.push(format!(
-                "round {r}: full quorum but summary claims degradation"
-            ));
-        }
-    }
+    let rejected = outcome.collector.stats.decode_errors;
+    let shed: u64 = outcome.agent_stats.iter().map(|s| s.details_shed).sum();
+    let reconnects: u64 = outcome.agent_stats.iter().map(|s| s.reconnects).sum();
+    v.set_tally("frames_harmed", harmed);
+    v.set_tally("decode_errors", rejected);
+    v.set_tally("details_shed", shed);
+    v.set_tally("reconnects", reconnects);
+    // Properties 2 and 3: a summary after every round, honestly marked.
+    check_quorum_markers(
+        v,
+        &outcome.round_summaries,
+        &outcome.round_quorums,
+        node_count,
+        rounds,
+        "LIVE:",
+    );
     // Property 5: permanently killed links end Dead and deliver nothing.
     let wire = outcome.collector.wire_aggregates();
     for (i, link) in plan.links.iter().enumerate() {
@@ -186,12 +69,11 @@ pub fn judge_transport_run(
         }
         let host = TransportChaosOutcome::hostname(i);
         if outcome.collector.cluster().node_state(&host) != NodeState::Dead {
-            report
-                .problems
+            v.problems
                 .push(format!("killed link {host} not marked DEAD at run end"));
         }
         if wire.iter().any(|a| a.hostname == host) {
-            report.problems.push(format!(
+            v.problems.push(format!(
                 "killed link {host} delivered an aggregate over a dead wire"
             ));
         }
@@ -201,7 +83,7 @@ pub fn judge_transport_run(
     let clean = run_transport_chaos_with_plan(
         node_count,
         rounds,
-        seed,
+        v.seed,
         &TransportFaultPlan::clean(node_count),
     );
     let clean_wire = clean.collector.wire_aggregates();
@@ -212,41 +94,39 @@ pub fn judge_transport_run(
         let baseline = clean_wire.iter().find(|a| a.hostname == host);
         match (delivered, local, baseline) {
             (Some(d), Some(l), Some(b)) if d == l && d == b => {}
-            (Some(d), Some(l), _) if d != l => report.problems.push(format!(
+            (Some(d), Some(l), _) if d != l => v.problems.push(format!(
                 "survivor {host}: wire-delivered aggregate differs from local ground truth"
             )),
-            (Some(_), _, Some(_)) => report.problems.push(format!(
+            (Some(_), _, Some(_)) => v.problems.push(format!(
                 "survivor {host}: aggregate diverged from the fault-free run"
             )),
-            _ => report.problems.push(format!(
+            _ => v.problems.push(format!(
                 "survivor {host}: aggregate never delivered over the lossy wire"
             )),
         }
     }
-    report
+    v.cells = format!(
+        "{node_count} link(s)  {faulted} faulted  {killed} killed  {harmed} harmed  \
+         {rejected} rejected  {shed} shed  {reconnects} reconnect(s)  \
+         {:>3}/{rounds} degraded round(s)",
+        v.tally("degraded_rounds"),
+    );
 }
 
 /// Runs the lossy-transport soak: `schedules` seeded transport fault
-/// plans, each judged by [`judge_transport_run`]. Schedules fan out on
-/// the experiment engine; reports come back in submission order.
+/// plans, each judged by [`judge_transport_run`].
 pub fn run_transport_suite(
     node_count: usize,
     rounds: u32,
     schedules: usize,
     base_seed: u64,
-) -> Vec<TransportChaosReport> {
-    zerosum_experiments::parallel::run_jobs(
-        (0..schedules)
-            .map(|i| {
-                move || {
-                    let seed = base_seed
-                        .wrapping_add(7919u64.wrapping_mul(i as u64))
-                        .wrapping_add(1);
-                    judge_transport_run(&format!("wire-f{i:02}"), seed, node_count, rounds)
-                }
-            })
-            .collect(),
-        0,
+) -> Vec<Verdict> {
+    seeded_suite(
+        |i| format!("wire-f{i:02}"),
+        10,
+        schedules,
+        base_seed,
+        |_, v| judge_transport_run(v, node_count, rounds),
     )
 }
 
@@ -379,7 +259,7 @@ mod tests {
     fn transport_soak_twenty_plans_all_pass() {
         let reports = run_transport_suite(4, 16, 20, 0x51DE);
         assert_eq!(reports.len(), 20);
-        let failed: Vec<&TransportChaosReport> = reports.iter().filter(|r| !r.passed()).collect();
+        let failed: Vec<&Verdict> = reports.iter().filter(|r| !r.passed()).collect();
         assert!(
             failed.is_empty(),
             "failed plans:\n{}",
@@ -388,20 +268,20 @@ mod tests {
         // The soak must exercise the machinery, not tiptoe around it:
         // every plan is chaotic, frames are harmed and rejected, details
         // shed to backpressure, links die, and agents reconnect.
-        assert!(reports.iter().all(|r| r.faulted_links > 0));
-        let harmed: u64 = reports.iter().map(|r| r.frames_harmed).sum();
+        assert!(reports.iter().all(|r| r.tally("faulted_links") > 0));
+        let harmed: u64 = reports.iter().map(|r| r.tally("frames_harmed")).sum();
         assert!(harmed > 0, "no plan ever harmed a frame");
-        let rejected: u64 = reports.iter().map(|r| r.decode_errors).sum();
+        let rejected: u64 = reports.iter().map(|r| r.tally("decode_errors")).sum();
         assert!(rejected > 0, "no corrupt frame ever reached the decoder");
-        let shed: u64 = reports.iter().map(|r| r.details_shed).sum();
+        let shed: u64 = reports.iter().map(|r| r.tally("details_shed")).sum();
         assert!(shed > 0, "backpressure never shed a detail frame");
-        let reconnects: u64 = reports.iter().map(|r| r.reconnects).sum();
+        let reconnects: u64 = reports.iter().map(|r| r.tally("reconnects")).sum();
         assert!(reconnects > 0, "no agent ever had to reconnect");
         assert!(
-            reports.iter().any(|r| r.killed_links > 0),
+            reports.iter().any(|r| r.tally("killed_links") > 0),
             "no plan permanently killed a link"
         );
-        let degraded: usize = reports.iter().map(|r| r.degraded_rounds).sum();
+        let degraded: u64 = reports.iter().map(|r| r.tally("degraded_rounds")).sum();
         assert!(degraded > 0, "no plan ever degraded the wire quorum");
     }
 

@@ -285,8 +285,8 @@ fn child_args(variant: StormVariant, spin_us: u64, threads: u32) -> Vec<String> 
 /// leading `exec` argument, spawn one grandchild to do the work instead
 /// (the fork+exec variant). Returns the process exit code.
 pub fn churn_child_main(args: &[String]) -> i32 {
-    let (exec, rest) = match args.first().map(String::as_str) {
-        Some("exec") => (true, &args[1..]),
+    let (exec, rest) = match args.split_first() {
+        Some((first, rest)) if first == "exec" => (true, rest),
         _ => (false, args),
     };
     let (spin_us, threads) = match (
@@ -385,10 +385,11 @@ pub fn run_real_churn(
         let now_us = start.elapsed().as_micros() as u64;
         // Spawn everything the schedule owes us by now. Lifetime maps
         // to the child's spin budget; the kernel handles departure.
-        while next_arrival < schedule.arrivals.len()
-            && schedule.arrivals[next_arrival].at_us <= now_us
+        while let Some(&a) = schedule
+            .arrivals
+            .get(next_arrival)
+            .filter(|a| a.at_us <= now_us)
         {
-            let a = schedule.arrivals[next_arrival];
             next_arrival += 1;
             let child = std::process::Command::new(&exe)
                 .arg("__churn-child")

@@ -6,12 +6,14 @@
 //! through `/proc/<pid>`, then print the utilization report, contention
 //! summary, and configuration-evaluation findings at exit.
 //!
-//! All the logic lives here in the library (unit-testable); `main.rs` is
-//! a thin shim.
+//! All the logic lives here in the library (unit-testable) — the
+//! wrapper, and the flag table every subcommand's argv is read against
+//! ([`flags`]); `main.rs` dispatches, prints and exits.
 
 #![warn(missing_docs)]
 
 pub mod fdprobe;
+pub mod flags;
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -53,16 +55,13 @@ pub enum CliError {
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let usage = flags::usage_line(&flags::WRAPPER);
         match self {
-            CliError::MissingCommand => write!(f, "no command to launch; usage: {USAGE}"),
-            CliError::BadFlag(fl) => write!(f, "bad flag {fl:?}; usage: {USAGE}"),
+            CliError::MissingCommand => write!(f, "no command to launch; usage: {usage}"),
+            CliError::BadFlag(fl) => write!(f, "bad flag {fl:?}; usage: {usage}"),
         }
     }
 }
-
-/// One-line usage string.
-pub const USAGE: &str =
-    "zerosum [--period-ms N] [--log-dir DIR] [--rank N] [--monitor-hwt N] [--verbose-ranks] [--heartbeat] -- <command> [args…]";
 
 /// Detects the MPI rank from common launcher environment variables
 /// (Slurm, Open MPI, MPICH/PMI, Flux).
@@ -85,63 +84,31 @@ pub fn rank_from_env(get: impl Fn(&str) -> Option<String>) -> Option<u32> {
 
 /// Parses argv (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
-    let mut opts = CliOptions {
-        period_ms: 1_000,
-        log_dir: None,
-        rank: None,
-        monitor_hwt: None,
-        quiet_ranks: true,
-        heartbeat: false,
-        command: Vec::new(),
-    };
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--" => {
-                opts.command = it.cloned().collect();
-                break;
-            }
-            "--period-ms" => {
-                opts.period_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .ok_or_else(|| CliError::BadFlag(a.clone()))?;
-            }
-            "--log-dir" => {
-                opts.log_dir = Some(PathBuf::from(
-                    it.next().ok_or_else(|| CliError::BadFlag(a.clone()))?,
-                ));
-            }
-            "--rank" => {
-                opts.rank = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| CliError::BadFlag(a.clone()))?,
-                );
-            }
-            "--monitor-hwt" => {
-                opts.monitor_hwt = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| CliError::BadFlag(a.clone()))?,
-                );
-            }
-            "--verbose-ranks" => opts.quiet_ranks = false,
-            "--heartbeat" => opts.heartbeat = true,
-            flag if flag.starts_with("--") => return Err(CliError::BadFlag(flag.to_string())),
-            _ => {
-                // First non-flag token starts the command.
-                opts.command.push(a.clone());
-                opts.command.extend(it.cloned());
-                break;
-            }
-        }
+    match flags::parse_flags(&flags::WRAPPER, args) {
+        Ok(parsed) => wrapper_options(&parsed),
+        Err(e) => Err(CliError::BadFlag(e.flag)),
     }
-    if opts.command.is_empty() {
+}
+
+/// The wrapper's options from an argv already read against
+/// [`flags::WRAPPER`].
+pub fn wrapper_options(parsed: &flags::Parsed) -> Result<CliOptions, CliError> {
+    let period_ms = parsed.number("--period-ms");
+    if period_ms == 0 {
+        return Err(CliError::BadFlag("--period-ms".into()));
+    }
+    if parsed.trailing.is_empty() {
         return Err(CliError::MissingCommand);
     }
-    Ok(opts)
+    Ok(CliOptions {
+        period_ms,
+        log_dir: parsed.text_of("--log-dir").map(PathBuf::from),
+        rank: parsed.number_opt("--rank"),
+        monitor_hwt: parsed.number_opt("--monitor-hwt"),
+        quiet_ranks: !parsed.given("--verbose-ranks"),
+        heartbeat: parsed.given("--heartbeat"),
+        command: parsed.trailing.to_vec(),
+    })
 }
 
 /// The wrapper's exit report.

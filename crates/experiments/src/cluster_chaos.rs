@@ -10,6 +10,7 @@
 //! checks exactly.
 
 use zerosum_core::{ClusterMonitor, Monitor, ProcessInfo, ZeroSumConfig};
+use zerosum_proc::Pid;
 use zerosum_sched::{AllocationFaultPlan, Behavior, NodeSim, SchedParams, SimProcSource};
 use zerosum_topology::{presets, CpuSet};
 
@@ -40,6 +41,50 @@ impl ClusterChaosOutcome {
     }
 }
 
+/// The scheduler seed of node `i`: a function of `(seed, i)` alone, so
+/// the same node computes the same history whether or not its
+/// neighbours (or its link) are faulted.
+pub(crate) fn node_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add(i as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The node every chaos driver and `zerosum stream` simulate: the
+/// laptop preset running one pinned rank with an `OpenMP` worker, both
+/// computing for `rounds` periods, and a monitor watching the rank.
+pub fn chaos_node(
+    host: &str,
+    rank: u32,
+    seed: u64,
+    rounds: u32,
+    period_us: u64,
+) -> (NodeSim, Monitor, Pid) {
+    let mut sim = NodeSim::new(
+        presets::laptop_i7_1165g7(),
+        SchedParams {
+            seed: seed | 1,
+            ..Default::default()
+        },
+    );
+    sim.set_hostname(host);
+    let mask = CpuSet::from_indices([0u32, 1]);
+    let work = Behavior::FiniteCompute {
+        remaining_us: u64::from(rounds) * period_us,
+        chunk_us: 10_000,
+    };
+    let pid = sim.spawn_process("rank", mask.clone(), 1_024, work.clone());
+    sim.spawn_task(pid, "OpenMP", None, work, false);
+    let mut mon = Monitor::new(ZeroSumConfig::scaled(10));
+    mon.watch_process(ProcessInfo {
+        pid,
+        rank: Some(rank),
+        hostname: host.to_string(),
+        gpus: vec![],
+        cpus_allowed: mask,
+    });
+    (sim, mon, pid)
+}
+
 /// Runs `node_count` independent node sims for `rounds` rounds under a
 /// seeded fault plan. See [`run_cluster_chaos_with_plan`].
 pub fn run_cluster_chaos(node_count: usize, rounds: u32, seed: u64) -> ClusterChaosOutcome {
@@ -68,44 +113,16 @@ pub fn run_cluster_chaos_with_plan(
     let mut sims = Vec::new();
     for i in 0..node_count {
         let hostname = ClusterChaosOutcome::hostname(i);
-        // Node seeds depend only on (seed, i): the same node computes the
-        // same history whether or not its neighbours are faulted.
-        let node_seed = seed
-            .wrapping_add(i as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            | 1;
-        let mut sim = NodeSim::new(
-            presets::laptop_i7_1165g7(),
-            SchedParams {
-                seed: node_seed,
-                ..Default::default()
-            },
-        );
-        sim.set_hostname(&hostname);
-        let mask = CpuSet::from_indices([0u32, 1]);
-        let work = Behavior::FiniteCompute {
-            remaining_us: rounds as u64 * PERIOD_US,
-            chunk_us: 10_000,
-        };
-        let pid = sim.spawn_process("rank", mask.clone(), 1_024, work.clone());
-        sim.spawn_task(pid, "OpenMP", None, work, false);
-        let mut mon = Monitor::new(ZeroSumConfig::scaled(10));
-        mon.watch_process(ProcessInfo {
-            pid,
-            rank: Some(i as u32),
-            hostname: hostname.clone(),
-            gpus: vec![],
-            cpus_allowed: mask,
-        });
+        let (sim, mon, _) = chaos_node(&hostname, i as u32, node_seed(seed, i), rounds, PERIOD_US);
         cluster.add_node(hostname.clone(), mon);
-        sims.push((hostname, sim, pid));
+        sims.push((hostname, sim));
     }
     let mut round_summaries = Vec::with_capacity(rounds as usize);
     let mut round_quorums = Vec::with_capacity(rounds as usize);
     for r in 0..rounds {
         cluster.begin_round();
         let expected_t_s = (r as f64 + 1.0) * (PERIOD_US as f64 / 1e6);
-        for (i, (hostname, sim, _)) in sims.iter_mut().enumerate() {
+        for (i, (hostname, sim)) in sims.iter_mut().enumerate() {
             sim.run_for(PERIOD_US);
             let fault = &plan.nodes[i];
             if fault.is_down(r) {

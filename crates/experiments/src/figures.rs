@@ -1,6 +1,5 @@
 //! Figures 5–8: heatmap, time series, and the overhead study.
 
-use crate::tables::{run_table, TableConfig};
 use zerosum_apps::{run_pic, PicConfig};
 use zerosum_mpi::{heatmap, CommMatrix};
 use zerosum_sched::{SimAudit, TraceRecord};
@@ -301,16 +300,6 @@ pub fn fig8_traced_run(
     let (duration_s, traced) = fig8_monitored_run(&topo, &qmc, scale, seed, true);
     let (trace, audit) = traced.expect("tracing was enabled");
     (duration_s, trace, audit)
-}
-
-/// Convenience: the runtime-ordering comparison used by several tests
-/// (`Table 1 ≫ Table 2 ≈ Table 3`).
-pub fn table_runtimes(scale: u32, seed: u64) -> (f64, f64, f64) {
-    (
-        run_table(TableConfig::Table1, scale, seed).duration_s,
-        run_table(TableConfig::Table2, scale, seed).duration_s,
-        run_table(TableConfig::Table3, scale, seed).duration_s,
-    )
 }
 
 #[cfg(test)]

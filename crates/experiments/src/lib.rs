@@ -3,23 +3,30 @@
 //! Regeneration harnesses for every table and figure in the paper's
 //! evaluation (§4), plus the two listings:
 //!
-//! | Artifact | Module / binary |
-//! |---|---|
-//! | Listing 1 (lstopo output) | [`listings::listing1`], `bin/listing1` |
-//! | Listing 2 (utilization report) | [`listings::listing2`], `bin/listing2` |
-//! | Table 1 (default srun) | [`tables::run_table`], `bin/table1` |
-//! | Table 2 (`-c7`) | [`tables::run_table`], `bin/table2` |
-//! | Table 3 (`-c7` + spread/cores) | [`tables::run_table`], `bin/table3` |
-//! | Figure 5 (p2p heatmap) | [`figures::fig5`], `bin/fig5` |
-//! | Figure 6 (LWP series) | [`figures::fig67`], `bin/fig6` |
-//! | Figure 7 (HWT series) | [`figures::fig67`], `bin/fig7` |
-//! | Figure 8 (overhead) | [`figures::fig8`], `bin/fig8` |
+//! | Artifact | Module | `zerosum run-all --only` |
+//! |---|---|---|
+//! | Listing 1 (lstopo output) | [`listings::listing1`] | `listing1` |
+//! | Listing 2 (utilization report) | [`listings::listing2`] | `listing2` |
+//! | Table 1 (default srun) | [`tables::run_table`] | `table1` |
+//! | Table 2 (`-c7`) | [`tables::run_table`] | `table2` |
+//! | Table 3 (`-c7` + spread/cores) | [`tables::run_table`] | `table3` |
+//! | Figure 5 (p2p heatmap) | [`figures::fig5`] | `fig5` |
+//! | Figure 6 (LWP series) | [`figures::fig67`] | `fig6` |
+//! | Figure 7 (HWT series) | [`figures::fig67`] | `fig7` |
+//! | Figure 8 (overhead) | [`figures::fig8`] | `fig8` |
+//! | `srun -c N` sweep | [`sweep::sweep_cpus_per_task`] | `sweep` |
+//! | Cross-platform sweep | [`platforms::run_all_platforms`] | `platforms` |
+//! | Allocation summary | [`cluster_demo::run_allocation`] | `cluster` |
+//! | Node diagrams (Figures 1–3) | `zerosum_topology::render_node_diagram` | `diagrams` |
 //!
-//! Binaries accept `--scale N` (divide the workload for quick runs) and
-//! write CSV artifacts under `results/`.
+//! [`artifacts::ARTIFACTS`] is that table as data: `zerosum run-all`
+//! renders the rows `--only` names (or, with none, the compact
+//! paper-vs-measured sweep), `--scale N` divides the workload for quick
+//! runs, and CSV artifacts land under `results/`.
 
 #![warn(missing_docs)]
 
+pub mod artifacts;
 pub mod churn;
 pub mod cluster_chaos;
 pub mod cluster_demo;
@@ -30,45 +37,3 @@ pub mod platforms;
 pub mod sweep;
 pub mod tables;
 pub mod transport_chaos;
-
-use std::path::PathBuf;
-
-/// Parses `--scale N` and `--seed N` from argv, with defaults.
-pub fn cli_scale_seed(default_scale: u32) -> (u32, u64) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = default_scale;
-    let mut seed = 42u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    scale = v;
-                }
-            }
-            "--seed" => {
-                if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                    seed = v;
-                }
-            }
-            _ => {}
-        }
-    }
-    (scale.max(1), seed)
-}
-
-/// The `results/` output directory (created on demand).
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn results_dir_is_creatable() {
-        let d = super::results_dir();
-        assert!(d.exists());
-    }
-}

@@ -19,13 +19,13 @@
 //! `(node_count, rounds, seed, plan)` — this driver is a registered
 //! nondeterminism-audit root.
 
-use zerosum_core::{Monitor, NodeAggregate, ProcessInfo, ZeroSumConfig};
+use crate::cluster_chaos::{chaos_node, node_seed};
+use zerosum_core::NodeAggregate;
 use zerosum_net::{
     in_proc_pair, AgentStats, Collector, FaultyLink, InProcLink, LinkFaultStats, NodeAgent,
     TransportFaultPlan,
 };
-use zerosum_sched::{Behavior, NodeSim, SchedParams, SimProcSource};
-use zerosum_topology::{presets, CpuSet};
+use zerosum_sched::SimProcSource;
 
 /// One sampling round per `PERIOD_US` of virtual time on every node.
 const PERIOD_US: u64 = 100_000;
@@ -104,35 +104,7 @@ pub fn run_transport_chaos_with_plan(
             FaultyLink::new(agent_end, link_plan.clone()),
             hostname.clone(),
         ));
-        // Node seeds depend only on (seed, i): the same node computes
-        // the same history whether or not its link is chaotic.
-        let node_seed = seed
-            .wrapping_add(i as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            | 1;
-        let mut sim = NodeSim::new(
-            presets::laptop_i7_1165g7(),
-            SchedParams {
-                seed: node_seed,
-                ..Default::default()
-            },
-        );
-        sim.set_hostname(&hostname);
-        let mask = CpuSet::from_indices([0u32, 1]);
-        let work = Behavior::FiniteCompute {
-            remaining_us: u64::from(rounds) * PERIOD_US,
-            chunk_us: 10_000,
-        };
-        let pid = sim.spawn_process("rank", mask.clone(), 1_024, work.clone());
-        sim.spawn_task(pid, "OpenMP", None, work, false);
-        let mut mon = Monitor::new(ZeroSumConfig::scaled(10));
-        mon.watch_process(ProcessInfo {
-            pid,
-            rank: Some(i as u32),
-            hostname: hostname.clone(),
-            gpus: vec![],
-            cpus_allowed: mask,
-        });
+        let (sim, mon, _) = chaos_node(&hostname, i as u32, node_seed(seed, i), rounds, PERIOD_US);
         sims.push((hostname, sim, mon));
     }
     let mut round_summaries = Vec::with_capacity(rounds as usize);

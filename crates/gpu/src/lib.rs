@@ -32,56 +32,65 @@ pub use device::{GpuBackend, GpuMonitor};
 pub use metrics::{GpuMetricKind, GpuSample};
 pub use visible::VisibleDevices;
 
-// Property tests need the crates.io `proptest` crate; the container
-// builds fully offline, so they are opt-in behind the no-op `proptests`
-// feature (add `proptest` back to [dev-dependencies] to enable).
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
+#[cfg(test)]
+#[path = "../../../tests/seeded/mod.rs"]
+mod seeded;
+
+/// The synthesis envelope and the visible-device mapping over seeded
+/// inputs.
+#[cfg(test)]
+mod properties {
     use crate::activity::{synthesize, DeviceSpec, SynthState};
     use crate::metrics::GpuMetricKind;
-    use proptest::prelude::*;
+    use crate::seeded::Seeded;
 
-    proptest! {
-        /// Synthesized metrics stay within the device's physical envelope
-        /// for any busy fraction and memory footprint.
-        #[test]
-        fn synthesis_respects_physical_envelope(
-            busy in 0.0f64..1.0,
-            mem in 0u64..(64u64 << 30),
-            dt in 0.1f64..5.0,
-        ) {
-            let spec = DeviceSpec::mi250x_gcd();
+    /// Synthesized metrics stay within the device's physical envelope
+    /// for any busy fraction and memory footprint.
+    #[test]
+    fn synthesis_respects_the_physical_envelope() {
+        let mut g = Seeded::new(0x6b0_0001);
+        let spec = DeviceSpec::mi250x_gcd();
+        let within = |v: f64, (lo, hi): (f64, f64)| v >= lo - 1e-9 && v <= hi + 1e-9;
+        for case in 0..256 {
+            let (busy, mem) = (g.in_span(0.0, 1.0), g.in_range(0, 64 << 30));
             let mut st = SynthState::default();
-            let s = synthesize(&spec, &mut st, busy, mem, dt);
-            let clock = s.get(GpuMetricKind::ClockFrequencyGfx);
-            prop_assert!(clock >= spec.gfx_clock_mhz.0 - 1e-9);
-            prop_assert!(clock <= spec.gfx_clock_mhz.1 + 1e-9);
-            let power = s.get(GpuMetricKind::PowerAverage);
-            prop_assert!(power >= spec.power_w.0 - 1e-9 && power <= spec.power_w.1 + 1e-9);
-            let volt = s.get(GpuMetricKind::VoltageMv);
-            prop_assert!(volt >= spec.voltage_mv.0 - 1e-9 && volt <= spec.voltage_mv.1 + 1e-9);
-            prop_assert!(s.get(GpuMetricKind::DeviceBusyPct) <= 100.0);
-            prop_assert_eq!(s.get(GpuMetricKind::UsedVramBytes), mem as f64);
+            let s = synthesize(&spec, &mut st, busy, mem, g.in_span(0.1, 5.0));
+            assert!(
+                within(s.get(GpuMetricKind::ClockFrequencyGfx), spec.gfx_clock_mhz),
+                "case {case}"
+            );
+            assert!(
+                within(s.get(GpuMetricKind::PowerAverage), spec.power_w),
+                "case {case}"
+            );
+            assert!(
+                within(s.get(GpuMetricKind::VoltageMv), spec.voltage_mv),
+                "case {case}"
+            );
+            assert!(s.get(GpuMetricKind::DeviceBusyPct) <= 100.0, "case {case}");
+            assert_eq!(
+                s.get(GpuMetricKind::UsedVramBytes),
+                mem as f64,
+                "case {case}"
+            );
         }
+    }
 
-        /// Visible-device roundtrip: physical_of ∘ visible_of = identity
-        /// on visible devices.
-        #[test]
-        fn visible_mapping_roundtrips(perm in Just(()).prop_perturb(|_, mut rng| {
-            use proptest::prelude::Rng as _;
-            let n = rng.random_range(1usize..8);
-            let mut v: Vec<u32> = (0..8u32).collect();
-            for i in (1..v.len()).rev() {
-                let j = rng.random_range(0..=i);
-                v.swap(i, j);
+    /// `physical_of ∘ visible_of` is the identity on visible devices.
+    #[test]
+    fn visible_mapping_round_trips() {
+        let mut g = Seeded::new(0x6b0_0002);
+        for case in 0..256 {
+            // A shuffled prefix of the eight physical devices.
+            let mut perm: Vec<u32> = (0..8).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, g.in_range(0, i as u64 + 1) as usize);
             }
-            v.truncate(n);
-            v
-        })) {
+            perm.truncate(g.in_range(1, 8) as usize);
             let map = crate::visible::VisibleDevices::from_physical(perm.clone());
             for (vis, &phys) in perm.iter().enumerate() {
-                prop_assert_eq!(map.physical_of(vis as u32), Some(phys));
-                prop_assert_eq!(map.visible_of(phys), Some(vis as u32));
+                assert_eq!(map.physical_of(vis as u32), Some(phys), "case {case}");
+                assert_eq!(map.visible_of(phys), Some(vis as u32), "case {case}");
             }
         }
     }

@@ -30,93 +30,108 @@ pub mod patterns;
 pub use comm::{CommMatrix, CommWorld, Communicator};
 pub use mapping::{optimize_order, MapStrategy, RankMap, RankOrder};
 
-// Property tests need the crates.io `proptest` crate; the container
-// builds fully offline, so they are opt-in behind the no-op `proptests`
-// feature (add `proptest` back to [dev-dependencies] to enable).
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
+#[cfg(test)]
+#[path = "../../../tests/seeded/mod.rs"]
+mod seeded;
+
+/// Conservation, band containment and mapping laws over seeded
+/// traffic.
+#[cfg(test)]
+mod properties {
     use crate::comm::{CommMatrix, CommWorld};
     use crate::patterns;
-    use proptest::prelude::*;
+    use crate::seeded::Seeded;
 
-    proptest! {
-        /// Total bytes equal the sum of what each communicator sent.
-        #[test]
-        fn totals_add_up(
-            size in 2usize..32,
-            sends in proptest::collection::vec((0usize..32, 0usize..32, 1u64..10_000), 0..200),
-        ) {
+    /// Up to `max` seeded `(src, dst, bytes)` sends among `size` ranks.
+    fn sends(g: &mut Seeded, size: usize, max: u64, bytes: u64) -> Vec<(usize, usize, u64)> {
+        (0..g.in_range(0, max))
+            .map(|_| {
+                let (s, d) = (g.in_range(0, size as u64), g.in_range(0, size as u64));
+                (s as usize, d as usize, g.in_range(1, bytes))
+            })
+            .collect()
+    }
+
+    /// Total bytes equal the sum of what each communicator sent.
+    #[test]
+    fn totals_add_up() {
+        let mut g = Seeded::new(0x3b1_0001);
+        for case in 0..128 {
+            let size = g.in_range(2, 32) as usize;
             let w = CommWorld::new(size);
             let mut expect = 0u64;
-            for (s, d, b) in sends {
-                let (s, d) = (s % size, d % size);
+            for (s, d, b) in sends(&mut g, size, 200, 10_000) {
                 if s != d {
                     w.communicator(s).send(d, b);
                     expect += b;
                 }
             }
-            prop_assert_eq!(w.matrix().total_bytes(), expect);
+            assert_eq!(w.matrix().total_bytes(), expect, "case {case}");
         }
+    }
 
-        /// Halo traffic is always fully within the band of its width.
-        #[test]
-        fn halo_band_containment(size in 4usize..128, width in 1usize..3) {
+    /// Halo traffic is always fully within the band of its width.
+    #[test]
+    fn halo_traffic_stays_in_its_band() {
+        let mut g = Seeded::new(0x3b1_0002);
+        for case in 0..64 {
+            let (size, width) = (g.in_range(4, 128) as usize, g.in_range(1, 3) as usize);
             let w = CommWorld::new(size);
             patterns::halo_1d(&w, width, 10_000);
-            let m = w.matrix();
-            prop_assert!((m.diagonal_fraction(width) - 1.0).abs() < 1e-12);
+            let frac = w.matrix().diagonal_fraction(width);
+            assert!(
+                (frac - 1.0).abs() < 1e-12,
+                "case {case}: {size} ranks, width {width}"
+            );
         }
+    }
 
-        /// optimize_order always yields a valid permutation, and on halo
-        /// traffic it never does worse than identity.
-        #[test]
-        fn optimizer_is_a_permutation(
-            size in 2usize..40,
-            per_node in 1usize..9,
-            sends in proptest::collection::vec((0usize..40, 0usize..40, 1u64..10_000), 0..120),
-        ) {
+    /// `optimize_order` never puts more than `per_node` ranks on a node
+    /// and its intra-node fraction is a fraction.
+    #[test]
+    fn optimizer_respects_node_capacity() {
+        let mut g = Seeded::new(0x3b1_0003);
+        for case in 0..128 {
+            let (size, per_node) = (g.in_range(2, 40) as usize, g.in_range(1, 9) as usize);
             let mut m = CommMatrix::new(size);
-            for (s, d, b) in sends {
-                let (s, d) = (s % size, d % size);
+            for (s, d, b) in sends(&mut g, size, 120, 10_000) {
                 if s != d {
                     m.record(s, d, b);
                 }
             }
             let order = crate::mapping::optimize_order(&m, per_node);
-            // Every node index is within bounds and slots form a
-            // permutation (each node holds at most per_node ranks and
-            // they partition the rank set).
-            let mut per_node_counts = std::collections::BTreeMap::new();
+            let mut on_node = std::collections::BTreeMap::new();
             for r in 0..size {
-                *per_node_counts.entry(order.node_of(r)).or_insert(0usize) += 1;
+                *on_node.entry(order.node_of(r)).or_insert(0usize) += 1;
             }
-            for (_, c) in per_node_counts {
-                prop_assert!(c <= per_node);
-            }
-            let f = order.intra_node_fraction(&m);
-            prop_assert!((0.0..=1.0).contains(&f));
+            assert!(
+                on_node.values().all(|&c| c <= per_node),
+                "case {case}: {on_node:?}"
+            );
+            assert!(
+                (0.0..=1.0).contains(&order.intra_node_fraction(&m)),
+                "case {case}"
+            );
         }
+    }
 
-        /// Merging partial matrices equals recording everything in one.
-        #[test]
-        fn merge_equals_union(
-            size in 2usize..16,
-            a in proptest::collection::vec((0usize..16, 0usize..16, 1u64..100), 0..50),
-            b in proptest::collection::vec((0usize..16, 0usize..16, 1u64..100), 0..50),
-        ) {
-            let mut m1 = CommMatrix::new(size);
-            let mut m2 = CommMatrix::new(size);
+    /// Merging partial matrices equals recording everything in one.
+    #[test]
+    fn merge_equals_union() {
+        let mut g = Seeded::new(0x3b1_0004);
+        for case in 0..128 {
+            let size = g.in_range(2, 16) as usize;
+            let mut parts = [CommMatrix::new(size), CommMatrix::new(size)];
             let mut whole = CommMatrix::new(size);
-            for (s, d, bytes) in &a {
-                m1.record(s % size, d % size, *bytes);
-                whole.record(s % size, d % size, *bytes);
+            for part in &mut parts {
+                for (s, d, b) in sends(&mut g, size, 50, 100) {
+                    part.record(s, d, b);
+                    whole.record(s, d, b);
+                }
             }
-            for (s, d, bytes) in &b {
-                m2.record(s % size, d % size, *bytes);
-                whole.record(s % size, d % size, *bytes);
-            }
-            m1.merge(&m2);
-            prop_assert_eq!(m1, whole);
+            let [mut merged, other] = parts;
+            merged.merge(&other);
+            assert_eq!(merged, whole, "case {case}");
         }
     }
 }

@@ -25,64 +25,68 @@ pub use env::{EnvError, OmpEnv, PlacesSpec, ProcBind};
 pub use ompt::{OmpThreadType, OmptRegistry, ThreadBegin};
 pub use team::{launch_team_process, TeamInfo};
 
-// Property tests need the crates.io `proptest` crate; the container
-// builds fully offline, so they are opt-in behind the no-op `proptests`
-// feature (add `proptest` back to [dev-dependencies] to enable).
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
+#[cfg(test)]
+#[path = "../../../tests/seeded/mod.rs"]
+mod seeded;
+
+/// Binding laws over every policy × places pair and seeded masks.
+#[cfg(test)]
+mod properties {
     use crate::bind::bind_team;
     use crate::env::{OmpEnv, PlacesSpec, ProcBind};
-    use proptest::prelude::*;
+    use crate::seeded::Seeded;
     use zerosum_topology::{presets, CpuSet};
 
-    fn arb_bind() -> impl Strategy<Value = ProcBind> {
-        prop_oneof![
-            Just(ProcBind::False),
-            Just(ProcBind::True),
-            Just(ProcBind::Master),
-            Just(ProcBind::Close),
-            Just(ProcBind::Spread),
-        ]
-    }
-
-    fn arb_places() -> impl Strategy<Value = PlacesSpec> {
-        prop_oneof![
-            Just(PlacesSpec::Undefined),
-            Just(PlacesSpec::Threads),
-            Just(PlacesSpec::Cores),
-            Just(PlacesSpec::Sockets),
-            Just(PlacesSpec::NumaDomains),
-            Just(PlacesSpec::LlCaches),
-        ]
-    }
-
-    proptest! {
-        /// Every thread's mask is a non-empty subset of the process mask,
-        /// for every policy/places/team-size combination.
-        #[test]
-        fn binding_stays_within_process_mask(
-            bind in arb_bind(),
-            places in arb_places(),
-            team in 1usize..16,
-            lo in 0u32..30,
-            width in 1u32..40,
-        ) {
-            let topo = presets::frontier();
-            let mask = CpuSet::range(lo, lo + width);
-            let env = OmpEnv { num_threads: Some(team), proc_bind: bind, places };
-            let b = bind_team(&topo, &env, &mask, team);
-            prop_assert_eq!(b.masks.len(), team);
-            for m in &b.masks {
-                prop_assert!(!m.is_empty());
-                prop_assert!(m.is_subset_of(&mask));
+    /// Every thread's mask is a non-empty subset of the process mask,
+    /// for every policy/places pair at seeded team sizes and masks.
+    #[test]
+    fn binding_stays_within_the_process_mask() {
+        let mut g = Seeded::new(0x03b_0001);
+        let topo = presets::frontier();
+        let binds = [
+            ProcBind::False,
+            ProcBind::True,
+            ProcBind::Master,
+            ProcBind::Close,
+            ProcBind::Spread,
+        ];
+        let all_places = [
+            PlacesSpec::Undefined,
+            PlacesSpec::Threads,
+            PlacesSpec::Cores,
+            PlacesSpec::Sockets,
+            PlacesSpec::NumaDomains,
+            PlacesSpec::LlCaches,
+        ];
+        for proc_bind in binds {
+            for places in &all_places {
+                for _ in 0..8 {
+                    let team = g.in_range(1, 16) as usize;
+                    let lo = g.in_range(0, 30) as u32;
+                    let mask = CpuSet::range(lo, lo + g.in_range(1, 40) as u32);
+                    let env = OmpEnv {
+                        num_threads: Some(team),
+                        proc_bind,
+                        places: places.clone(),
+                    };
+                    let b = bind_team(&topo, &env, &mask, team);
+                    let case = format!("{proc_bind:?}/{places:?}, team {team}, mask {mask:?}");
+                    assert_eq!(b.masks.len(), team, "{case}");
+                    for m in &b.masks {
+                        assert!(!m.is_empty() && m.is_subset_of(&mask), "{case}: {m:?}");
+                    }
+                }
             }
         }
+    }
 
-        /// Spread with team_size ≤ places gives pairwise-disjoint masks.
-        #[test]
-        fn spread_is_disjoint_when_places_suffice(team in 1usize..7) {
-            let topo = presets::frontier();
-            let mask = CpuSet::range(1, 7);
+    /// Spread with no more threads than places gives pairwise-disjoint
+    /// masks.
+    #[test]
+    fn spread_is_disjoint_when_places_suffice() {
+        let topo = presets::frontier();
+        let mask = CpuSet::range(1, 7);
+        for team in 1..7usize {
             let env = OmpEnv {
                 num_threads: Some(team),
                 proc_bind: ProcBind::Spread,
@@ -91,8 +95,10 @@ mod proptests {
             let b = bind_team(&topo, &env, &mask, team);
             for i in 0..team {
                 for j in (i + 1)..team {
-                    prop_assert!(!b.masks[i].intersects(&b.masks[j]),
-                        "threads {} and {} overlap", i, j);
+                    assert!(
+                        !b.masks[i].intersects(&b.masks[j]),
+                        "team {team}: threads {i} and {j} overlap"
+                    );
                 }
             }
         }

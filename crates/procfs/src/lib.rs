@@ -57,94 +57,117 @@ pub use types::{
     TaskStatus, Tid, USER_HZ,
 };
 
-// Property tests need the crates.io `proptest` crate; the container
-// builds fully offline, so they are opt-in behind the no-op `proptests`
-// feature (add `proptest` back to [dev-dependencies] to enable).
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
+#[cfg(test)]
+#[path = "../../../tests/seeded/mod.rs"]
+mod seeded;
+
+/// `format` then `parse` is the identity over seeded records.
+#[cfg(test)]
+mod properties {
+    use crate::seeded::Seeded;
     use crate::types::*;
     use crate::{format, parse};
-    use proptest::prelude::*;
     use zerosum_topology::CpuSet;
 
-    fn arb_state() -> impl Strategy<Value = TaskState> {
-        prop_oneof![
-            Just(TaskState::Running),
-            Just(TaskState::Sleeping),
-            Just(TaskState::DiskSleep),
-            Just(TaskState::Zombie),
-            Just(TaskState::Stopped),
-            Just(TaskState::Idle),
-            Just(TaskState::Dead),
-            Just(TaskState::Parked),
-        ]
+    const STATES: [TaskState; 8] = [
+        TaskState::Running,
+        TaskState::Sleeping,
+        TaskState::DiskSleep,
+        TaskState::Zombie,
+        TaskState::Stopped,
+        TaskState::Idle,
+        TaskState::Dead,
+        TaskState::Parked,
+    ];
+
+    /// 1 to 15 characters a `comm` may hold; parentheses and spaces too
+    /// when `evil`.
+    fn name(g: &mut Seeded, evil: bool) -> String {
+        let glyphs: &[u8] = if evil {
+            b"abcXYZ019 _()-"
+        } else {
+            b"abcXYZ019_-"
+        };
+        (0..g.in_range(1, 16))
+            .map(|_| glyphs[g.in_range(0, glyphs.len() as u64) as usize] as char)
+            .collect()
     }
 
-    proptest! {
-        #[test]
-        fn task_stat_roundtrips(
-            tid in 1u32..1_000_000,
-            comm in "[a-zA-Z0-9 _()-]{1,15}",
-            state in arb_state(),
-            minflt in 0u64..u32::MAX as u64,
-            majflt in 0u64..1_000_000,
-            utime in 0u64..u32::MAX as u64,
-            stime in 0u64..u32::MAX as u64,
-            nice in -20i32..20,
-            num_threads in 1u32..10_000,
-            processor in 0u32..256,
-        ) {
+    #[test]
+    fn task_stat_round_trips() {
+        let mut g = Seeded::new(0x9f0c_0001);
+        for case in 0..512 {
             let t = TaskStat {
-                tid, comm, state, minflt, majflt, utime, stime, nice,
-                num_threads, processor, nswap: 0, starttime: 0,
+                tid: g.in_range(1, 1_000_000) as u32,
+                comm: name(&mut g, true),
+                state: STATES[g.in_range(0, 8) as usize],
+                minflt: g.in_range(0, u64::from(u32::MAX)),
+                majflt: g.in_range(0, 1_000_000),
+                utime: g.in_range(0, u64::from(u32::MAX)),
+                stime: g.in_range(0, u64::from(u32::MAX)),
+                nice: g.in_range(0, 40) as i32 - 20,
+                num_threads: g.in_range(1, 10_000) as u32,
+                processor: g.in_range(0, 256) as u32,
+                nswap: 0,
+                starttime: g.in_range(0, 1 << 40),
             };
-            let back = parse::parse_task_stat(&format::format_task_stat(&t)).unwrap();
-            prop_assert_eq!(back, t);
+            let back = parse::parse_task_stat(&format::format_task_stat(&t));
+            assert_eq!(back.as_ref(), Ok(&t), "case {case}");
         }
+    }
 
-        #[test]
-        fn task_status_roundtrips(
-            tid in 1u32..1_000_000,
-            tgid in 1u32..1_000_000,
-            name in "[a-zA-Z0-9_-]{1,15}",
-            state in arb_state(),
-            rss in 0u64..u32::MAX as u64,
-            cpus in proptest::collection::btree_set(0u32..256, 0..32),
-            vol in 0u64..u32::MAX as u64,
-            nonvol in 0u64..u32::MAX as u64,
-        ) {
+    #[test]
+    fn task_status_round_trips() {
+        let mut g = Seeded::new(0x9f0c_0002);
+        for case in 0..512 {
+            let rss = g.in_range(0, u64::from(u32::MAX));
             let s = TaskStatus {
-                name, tid, tgid, state,
-                vm_rss_kib: rss, vm_size_kib: rss * 2, vm_hwm_kib: rss,
-                cpus_allowed: CpuSet::from_indices(cpus),
-                voluntary_ctxt_switches: vol,
-                nonvoluntary_ctxt_switches: nonvol,
+                name: name(&mut g, false),
+                tid: g.in_range(1, 1_000_000) as u32,
+                tgid: g.in_range(1, 1_000_000) as u32,
+                state: STATES[g.in_range(0, 8) as usize],
+                vm_rss_kib: rss,
+                vm_size_kib: rss * 2,
+                vm_hwm_kib: rss,
+                cpus_allowed: CpuSet::from_indices(g.index_set(256, 32)),
+                voluntary_ctxt_switches: g.in_range(0, u64::from(u32::MAX)),
+                nonvoluntary_ctxt_switches: g.in_range(0, u64::from(u32::MAX)),
             };
-            let back = parse::parse_task_status(&format::format_task_status(&s)).unwrap();
-            prop_assert_eq!(back, s);
+            let back = parse::parse_task_status(&format::format_task_status(&s));
+            assert_eq!(back.as_ref(), Ok(&s), "case {case}");
         }
+    }
 
-        #[test]
-        fn system_stat_roundtrips(
-            ncpu in 1usize..64,
-            seed in 0u64..1_000_000,
-        ) {
-            let mk = |i: u64| CpuTimes {
-                user: seed.wrapping_mul(i + 1) % 100_000,
-                nice: i % 7,
-                system: (seed + i) % 50_000,
-                idle: (seed ^ i) % 1_000_000,
-                iowait: i % 13,
-                irq: i % 3,
-                softirq: i % 5,
-                steal: 0,
+    #[test]
+    fn system_stat_round_trips() {
+        let mut g = Seeded::new(0x9f0c_0003);
+        for case in 0..128 {
+            let cpus: Vec<(u32, CpuTimes)> = (0..g.in_range(1, 64) as u32)
+                .map(|cpu| {
+                    let times = CpuTimes {
+                        user: g.in_range(0, 100_000),
+                        nice: g.in_range(0, 7),
+                        system: g.in_range(0, 50_000),
+                        idle: g.in_range(0, 1_000_000),
+                        iowait: g.in_range(0, 13),
+                        irq: g.in_range(0, 3),
+                        softirq: g.in_range(0, 5),
+                        steal: 0,
+                    };
+                    (cpu, times)
+                })
+                .collect();
+            let total = cpus
+                .iter()
+                .fold(CpuTimes::default(), |acc, (_, t)| acc.add(t));
+            let s = SystemStat {
+                total,
+                cpus,
+                ctxt: g.in_range(0, 1_000_000),
+                processes: g.in_range(0, 100_000),
             };
-            let cpus: Vec<(u32, CpuTimes)> =
-                (0..ncpu).map(|i| (i as u32, mk(i as u64))).collect();
-            let total = cpus.iter().fold(CpuTimes::default(), |acc, (_, t)| acc.add(t));
-            let s = SystemStat { total, cpus, ctxt: seed, processes: seed % 100_000 };
-            let back = parse::parse_system_stat(&format::format_system_stat(&s)).unwrap();
-            prop_assert_eq!(back, s);
+            let back = parse::parse_system_stat(&format::format_system_stat(&s));
+            assert_eq!(back.as_ref(), Ok(&s), "case {case}");
         }
     }
 }

@@ -43,38 +43,38 @@ pub use proc_source::SimProcSource;
 pub use task::{RunState, SimTask, TaskCounters, TaskId};
 pub use trace::{ChargeKind, SimAudit, TaskAudit, TraceEvent, TraceRecord};
 
-// Property tests need the crates.io `proptest` crate; the container
-// builds fully offline, so they are opt-in behind the no-op `proptests`
-// feature (add `proptest` back to [dev-dependencies] to enable).
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
-    use crate::behavior::Behavior;
+#[cfg(test)]
+#[path = "../../../tests/seeded/mod.rs"]
+mod seeded;
+
+/// Conservation, affinity and liveness over seeded workloads.
+#[cfg(test)]
+mod properties {
+    use crate::behavior::{Behavior, WorkerSpec};
     use crate::node::NodeSim;
     use crate::params::SchedParams;
-    use proptest::prelude::*;
+    use crate::seeded::Seeded;
     use zerosum_topology::{presets, CpuSet};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    fn compute(remaining_us: u64, chunk_us: u64) -> Behavior {
+        Behavior::FiniteCompute {
+            remaining_us,
+            chunk_us,
+        }
+    }
 
-        /// CPU-time conservation: the sum of all tasks' CPU time equals
-        /// the sum of all CPUs' busy time, and no CPU accounts more time
-        /// than has elapsed.
-        #[test]
-        fn cpu_time_is_conserved(
-            ntasks in 1usize..6,
-            work_ms in 1u64..40,
-            ncpus in 1u32..4,
-        ) {
+    /// The sum of all tasks' CPU time equals the sum of all CPUs' busy
+    /// time, and every CPU accounts exactly the time that has elapsed.
+    #[test]
+    fn cpu_time_is_conserved() {
+        let mut g = Seeded::new(0x5c4e_0001);
+        for case in 0..24 {
+            let (ntasks, work_us) = (g.in_range(1, 6), g.in_range(1, 40) * 1_000);
             let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
-            let mask = CpuSet::range(0, ncpus - 1);
-            let behavior = || Behavior::FiniteCompute {
-                remaining_us: work_ms * 1000,
-                chunk_us: 2_000,
-            };
-            let pid = sim.spawn_process("p", mask, 64, behavior());
+            let mask = CpuSet::range(0, g.in_range(0, 3) as u32);
+            let pid = sim.spawn_process("p", mask, 64, compute(work_us, 2_000));
             for _ in 1..ntasks {
-                sim.spawn_task(pid, "w", None, behavior(), false);
+                sim.spawn_task(pid, "w", None, compute(work_us, 2_000), false);
             }
             sim.run_for(500_000);
             let task_cpu: u64 = sim
@@ -82,90 +82,89 @@ mod proptests {
                 .iter()
                 .map(|(_, _, c)| c.utime_us + c.stime_us)
                 .sum();
-            let cpu_busy: u64 = sim
-                .cpu_times_us()
-                .iter()
-                .map(|(_, u, s, _)| u + s)
-                .sum();
-            prop_assert_eq!(task_cpu, cpu_busy);
+            let cpu_busy: u64 = sim.cpu_times_us().iter().map(|(_, u, s, _)| u + s).sum();
+            assert_eq!(task_cpu, cpu_busy, "case {case}");
             for (os, u, s, i) in sim.cpu_times_us() {
-                prop_assert_eq!(u + s + i, sim.now_us(), "cpu {}", os);
+                assert_eq!(u + s + i, sim.now_us(), "case {case}: cpu {os}");
             }
         }
+    }
 
-        /// Tasks never run outside their affinity mask.
-        #[test]
-        fn affinity_is_respected(
-            cpu_a in 0u32..8,
-            cpu_b in 0u32..8,
-            work_ms in 1u64..30,
-        ) {
+    /// Tasks never run outside their affinity mask.
+    #[test]
+    fn affinity_is_respected() {
+        let mut g = Seeded::new(0x5c4e_0002);
+        for case in 0..24 {
+            let mask = CpuSet::from_indices([g.in_range(0, 8) as u32, g.in_range(0, 8) as u32]);
+            let work_us = g.in_range(1, 30) * 1_000;
             let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
-            let mask = CpuSet::from_indices([cpu_a, cpu_b]);
-            let pid = sim.spawn_process("p", mask.clone(), 64, Behavior::FiniteCompute {
-                remaining_us: work_ms * 1000,
-                chunk_us: 1_000,
-            });
-            sim.spawn_task(pid, "w", None, Behavior::FiniteCompute {
-                remaining_us: work_ms * 1000,
-                chunk_us: 1_000,
-            }, false);
-            sim.run_until_apps_done(5_000, 10_000_000).expect("finishes");
+            let pid = sim.spawn_process("p", mask.clone(), 64, compute(work_us, 1_000));
+            sim.spawn_task(pid, "w", None, compute(work_us, 1_000), false);
+            sim.run_until_apps_done(5_000, 10_000_000)
+                .expect("finishes");
             for (tid, _, _) in sim.process_task_counters(pid) {
                 let t = sim.task_by_tid(tid).unwrap();
-                prop_assert!(mask.contains(t.last_cpu),
-                    "task {} ran on {} outside {:?}", tid, t.last_cpu, mask);
+                assert!(
+                    mask.contains(t.last_cpu),
+                    "case {case}: task {tid} ran on {} outside {mask:?}",
+                    t.last_cpu
+                );
             }
         }
+    }
 
-        /// Barrier liveness: any team of workers sharing a barrier on any
-        /// CPU subset always finishes (no lost wakeups / stuck spins).
-        #[test]
-        fn barrier_teams_always_finish(
-            team in 2usize..6,
-            blocks in 1u32..5,
-            work_ms in 1u64..8,
-            ncpus in 1u32..8,
-            spin_us in prop_oneof![Just(100u64), Just(2_000), Just(200_000)],
-        ) {
+    /// Any team of workers sharing a barrier on any CPU subset always
+    /// finishes (no lost wakeups, no stuck spins).
+    #[test]
+    fn barrier_teams_always_finish() {
+        let mut g = Seeded::new(0x5c4e_0003);
+        for case in 0..24 {
+            let (team, blocks) = (g.in_range(2, 6), g.in_range(1, 5) as u32);
+            let (work_us, ncpus) = (g.in_range(1, 8) * 1_000, g.in_range(1, 8) as u32);
+            let spin_us = [100, 2_000, 200_000][g.in_range(0, 3) as usize];
             let mut sim = NodeSim::new(
                 presets::laptop_i7_1165g7(),
-                SchedParams { barrier_spin_us: spin_us, ..Default::default() },
+                SchedParams {
+                    barrier_spin_us: spin_us,
+                    ..Default::default()
+                },
             );
-            let mask = CpuSet::range(0, ncpus - 1);
-            let mk = || crate::behavior::Behavior::worker(crate::behavior::WorkerSpec {
-                barrier: Some(1),
-                ..crate::behavior::WorkerSpec::cpu_bound(blocks, work_ms * 1_000)
-            });
-            let pid = sim.spawn_process("team", mask, 64, mk());
+            let worker = || {
+                Behavior::worker(WorkerSpec {
+                    barrier: Some(1),
+                    ..WorkerSpec::cpu_bound(blocks, work_us)
+                })
+            };
+            let pid = sim.spawn_process("team", CpuSet::range(0, ncpus - 1), 64, worker());
             for _ in 1..team {
-                sim.spawn_task(pid, "w", None, mk(), false);
+                sim.spawn_task(pid, "w", None, worker(), false);
             }
-            let bound = 10 * team as u64 * blocks as u64 * work_ms * 1_000 + 10_000_000;
-            prop_assert!(
+            let bound = 10 * team * u64::from(blocks) * work_us + 10_000_000;
+            assert!(
                 sim.run_until_apps_done(10_000, bound).is_some(),
-                "team {team} blocks {blocks} work {work_ms}ms cpus {ncpus} spin {spin_us} did not finish"
+                "case {case}: team {team} blocks {blocks} work {work_us}us cpus {ncpus} \
+                 spin {spin_us} did not finish"
             );
         }
+    }
 
-        /// Work conservation: total runtime of n equal tasks on one CPU is
-        /// at least n × the single-task runtime and the work completes.
-        #[test]
-        fn serialization_scales_runtime(n in 1u64..5) {
+    /// `n` equal tasks on one CPU take `n` times the single-task
+    /// runtime, within the scheduling slack, and the work completes.
+    #[test]
+    fn serialization_scales_runtime() {
+        for n in 1..5u64 {
             let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
-            let pid = sim.spawn_process("p", CpuSet::single(0), 64, Behavior::FiniteCompute {
-                remaining_us: 20_000,
-                chunk_us: 20_000,
-            });
+            let pid = sim.spawn_process("p", CpuSet::single(0), 64, compute(20_000, 20_000));
             for _ in 1..n {
-                sim.spawn_task(pid, "w", None, Behavior::FiniteCompute {
-                    remaining_us: 20_000,
-                    chunk_us: 20_000,
-                }, false);
+                sim.spawn_task(pid, "w", None, compute(20_000, 20_000), false);
             }
-            let done = sim.run_until_apps_done(5_000, 60_000_000).expect("finishes");
-            prop_assert!(done >= n * 20_000);
-            prop_assert!(done <= n * 20_000 + 50_000);
+            let done = sim
+                .run_until_apps_done(5_000, 60_000_000)
+                .expect("finishes");
+            assert!(
+                (n * 20_000..=n * 20_000 + 50_000).contains(&done),
+                "n {n}: {done}"
+            );
         }
     }
 }

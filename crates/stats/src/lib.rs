@@ -23,67 +23,65 @@ pub use summary::Summary;
 pub use timeseries::{SeriesBundle, TimeSeries};
 pub use ttest::{welch_t_test, welch_t_test_summaries, TTest};
 
-// Property tests need the crates.io `proptest` crate; the container
-// builds fully offline, so they are opt-in behind the no-op `proptests`
-// feature (add `proptest` back to [dev-dependencies] to enable).
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
+#[cfg(test)]
+#[path = "../../../tests/seeded/mod.rs"]
+mod seeded;
+
+/// Bounds, merge and monotonicity laws over seeded samples.
+#[cfg(test)]
+mod properties {
+    use crate::seeded::Seeded;
     use crate::summary::Summary;
     use crate::ttest::{regularized_incomplete_beta, two_sided_p, welch_t_test};
-    use proptest::prelude::*;
 
-    proptest! {
-        #[test]
-        fn summary_mean_within_bounds(xs in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
+    #[test]
+    fn summaries_bound_their_mean_and_merge_like_one_sample() {
+        let mut g = Seeded::new(0x57a7_0101);
+        for case in 0..256 {
+            let xs = g.floats(1, 200, -1e6, 1e6);
             let s = Summary::from_slice(&xs);
-            prop_assert!(s.mean() >= s.min() - 1e-9);
-            prop_assert!(s.mean() <= s.max() + 1e-9);
-            prop_assert!(s.variance() >= 0.0);
-        }
+            assert!(
+                s.mean() >= s.min() - 1e-9 && s.mean() <= s.max() + 1e-9,
+                "case {case}"
+            );
+            assert!(s.variance() >= 0.0, "case {case}");
 
-        #[test]
-        fn summary_merge_associative(
-            a in proptest::collection::vec(-1e3f64..1e3, 1..50),
-            b in proptest::collection::vec(-1e3f64..1e3, 1..50),
-        ) {
-            let mut m = Summary::from_slice(&a);
-            m.merge(&Summary::from_slice(&b));
-            let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-            let whole = Summary::from_slice(&all);
-            prop_assert!((m.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((m.variance() - whole.variance()).abs() < 1e-4);
+            let (a, b) = (g.floats(1, 50, -1e3, 1e3), g.floats(1, 50, -1e3, 1e3));
+            let mut merged = Summary::from_slice(&a);
+            merged.merge(&Summary::from_slice(&b));
+            let whole = Summary::from_slice(&[a, b].concat());
+            assert!((merged.mean() - whole.mean()).abs() < 1e-6, "case {case}");
+            assert!(
+                (merged.variance() - whole.variance()).abs() < 1e-4,
+                "case {case}"
+            );
         }
+    }
 
-        #[test]
-        fn incomplete_beta_monotone_in_x(
-            a in 0.5f64..20.0,
-            b in 0.5f64..20.0,
-            x1 in 0.01f64..0.98,
-            dx in 0.001f64..0.02,
-        ) {
-            let x2 = (x1 + dx).min(0.999);
+    #[test]
+    fn beta_and_p_values_are_monotone_and_welch_is_antisymmetric() {
+        let mut g = Seeded::new(0x57a7_0102);
+        for case in 0..256 {
+            let (a, b) = (g.in_span(0.5, 20.0), g.in_span(0.5, 20.0));
+            let x1 = g.in_span(0.01, 0.98);
+            let x2 = (x1 + g.in_span(0.001, 0.02)).min(0.999);
             let v1 = regularized_incomplete_beta(a, b, x1);
             let v2 = regularized_incomplete_beta(a, b, x2);
-            prop_assert!(v2 >= v1 - 1e-9, "I_x not monotone: {v1} > {v2}");
-            prop_assert!((0.0..=1.0).contains(&v1));
-        }
+            assert!(
+                v2 >= v1 - 1e-9,
+                "case {case}: I_x not monotone: {v1} > {v2}"
+            );
+            assert!((0.0..=1.0).contains(&v1), "case {case}");
 
-        #[test]
-        fn p_value_shrinks_with_larger_t(t in 0.0f64..20.0, df in 1.0f64..200.0) {
-            let p1 = two_sided_p(t, df);
-            let p2 = two_sided_p(t + 1.0, df);
-            prop_assert!(p2 <= p1 + 1e-9);
-            prop_assert!((0.0..=1.0).contains(&p1));
-        }
+            let (t, df) = (g.in_span(0.0, 20.0), g.in_span(1.0, 200.0));
+            let p = two_sided_p(t, df);
+            assert!(two_sided_p(t + 1.0, df) <= p + 1e-9, "case {case}");
+            assert!((0.0..=1.0).contains(&p), "case {case}");
 
-        #[test]
-        fn welch_symmetry(
-            a in proptest::collection::vec(0.0f64..100.0, 3..20),
-            b in proptest::collection::vec(0.0f64..100.0, 3..20),
-        ) {
-            if let (Some(r1), Some(r2)) = (welch_t_test(&a, &b), welch_t_test(&b, &a)) {
-                prop_assert!((r1.t + r2.t).abs() < 1e-9);
-                prop_assert!((r1.p_value - r2.p_value).abs() < 1e-9);
+            let (xs, ys) = (g.floats(3, 20, 0.0, 100.0), g.floats(3, 20, 0.0, 100.0));
+            if let (Some(r1), Some(r2)) = (welch_t_test(&xs, &ys), welch_t_test(&ys, &xs)) {
+                assert!((r1.t + r2.t).abs() < 1e-9, "case {case}");
+                assert!((r1.p_value - r2.p_value).abs() < 1e-9, "case {case}");
             }
         }
     }

@@ -36,69 +36,52 @@ pub use discover::discover;
 pub use object::{GpuAttrs, GpuVendor, ObjId, Object, ObjectKind, Topology};
 pub use render::{render, RenderOptions};
 
-// Property tests need the crates.io `proptest` crate; the container
-// builds fully offline, so they are opt-in behind the no-op `proptests`
-// feature (add `proptest` back to [dev-dependencies] to enable).
-#[cfg(all(test, feature = "proptests"))]
-mod proptests {
+#[cfg(test)]
+#[path = "../../../tests/seeded/mod.rs"]
+mod seeded;
+
+/// The set algebra of [`CpuSet`] over seeded index sets.
+#[cfg(test)]
+mod properties {
     use crate::cpuset::CpuSet;
-    use proptest::prelude::*;
+    use crate::seeded::Seeded;
 
-    proptest! {
-        #[test]
-        fn list_roundtrip(indices in proptest::collection::btree_set(0u32..512, 0..64)) {
+    #[test]
+    fn list_text_and_iteration_round_trip() {
+        let mut g = Seeded::new(0x70b0_0001);
+        for case in 0..256 {
+            let indices = g.index_set(512, 64);
             let set = CpuSet::from_indices(indices.iter().copied());
-            let text = set.to_list_string();
-            let parsed = CpuSet::parse_list(&text).unwrap();
-            prop_assert_eq!(parsed, set);
+            let parsed = CpuSet::parse_list(&set.to_list_string()).unwrap();
+            assert_eq!(parsed, set, "case {case}: {indices:?}");
+            assert_eq!(set.count(), indices.len(), "case {case}");
+            assert!(set.iter().eq(indices.iter().copied()), "case {case}");
         }
+    }
 
-        #[test]
-        fn count_matches_iter(indices in proptest::collection::btree_set(0u32..512, 0..64)) {
-            let set = CpuSet::from_indices(indices.iter().copied());
-            prop_assert_eq!(set.count(), indices.len());
-            let collected: Vec<u32> = set.iter().collect();
-            let expected: Vec<u32> = indices.into_iter().collect();
-            prop_assert_eq!(collected, expected);
-        }
-
-        #[test]
-        fn union_is_commutative_and_contains_both(
-            a in proptest::collection::btree_set(0u32..256, 0..32),
-            b in proptest::collection::btree_set(0u32..256, 0..32),
-        ) {
-            let sa = CpuSet::from_indices(a.iter().copied());
-            let sb = CpuSet::from_indices(b.iter().copied());
-            let u1 = sa.union(&sb);
-            let u2 = sb.union(&sa);
-            prop_assert_eq!(u1.to_list_string(), u2.to_list_string());
-            prop_assert!(sa.is_subset_of(&u1));
-            prop_assert!(sb.is_subset_of(&u1));
-        }
-
-        #[test]
-        fn difference_disjoint_from_subtrahend(
-            a in proptest::collection::btree_set(0u32..256, 0..32),
-            b in proptest::collection::btree_set(0u32..256, 0..32),
-        ) {
-            let sa = CpuSet::from_indices(a.iter().copied());
-            let sb = CpuSet::from_indices(b.iter().copied());
-            let d = sa.difference(&sb);
-            prop_assert!(!d.intersects(&sb));
-            prop_assert!(d.is_subset_of(&sa));
-            prop_assert_eq!(d.count() + sa.intersection(&sb).count(), sa.count());
-        }
-
-        #[test]
-        fn intersection_subset_of_both(
-            a in proptest::collection::btree_set(0u32..256, 0..32),
-            b in proptest::collection::btree_set(0u32..256, 0..32),
-        ) {
-            let sa = CpuSet::from_indices(a.iter().copied());
-            let sb = CpuSet::from_indices(b.iter().copied());
-            let i = sa.intersection(&sb);
-            prop_assert!(i.is_subset_of(&sa));
-            prop_assert!(i.is_subset_of(&sb));
+    #[test]
+    fn union_difference_and_intersection_obey_the_set_laws() {
+        let mut g = Seeded::new(0x70b0_0002);
+        for case in 0..256 {
+            let sa = CpuSet::from_indices(g.index_set(256, 32));
+            let sb = CpuSet::from_indices(g.index_set(256, 32));
+            let union = sa.union(&sb);
+            assert_eq!(union, sb.union(&sa), "case {case}: union commutes");
+            assert!(
+                sa.is_subset_of(&union) && sb.is_subset_of(&union),
+                "case {case}"
+            );
+            let only_a = sa.difference(&sb);
+            assert!(
+                !only_a.intersects(&sb) && only_a.is_subset_of(&sa),
+                "case {case}"
+            );
+            let both = sa.intersection(&sb);
+            assert!(
+                both.is_subset_of(&sa) && both.is_subset_of(&sb),
+                "case {case}"
+            );
+            assert_eq!(only_a.count() + both.count(), sa.count(), "case {case}");
         }
     }
 }

@@ -15,7 +15,7 @@ echo "== cargo test"
 cargo test -q --workspace
 
 echo "== zslint"
-cargo run -q -p zerosum-analyze --bin zslint
+cargo run -q -p zerosum-cli --bin zerosum -- lint
 
 echo "== zsaudit (eight passes vs AUDIT_baseline.json, lock + thread-role drills)"
 # --baseline diffs findings against the committed baseline (lock-order
@@ -41,7 +41,7 @@ cargo run -q -p zerosum-cli --bin zerosum -- analyze --scenario table2 --scale 1
 echo "== chaos soak (21 seeded fault schedules + abnormal-exit drill)"
 cargo run -q -p zerosum-cli --bin zerosum -- chaos --scale 150 --schedules 21 --seed 50336
 
-echo "== cluster chaos soak (20 seeded node-fault plans, bounded-memory + abnormal-exit drills)"
+echo "== cluster chaos soak (20 seeded node-fault plans, bounded-memory drill)"
 cargo run -q --release -p zerosum-cli --bin zerosum -- \
     cluster-chaos --nodes 4 --rounds 24 --schedules 20 --seed 41248 --drill-rounds 1000000
 
