@@ -433,18 +433,20 @@ pub const DEFAULT_DET_ALLOWLIST: [(&str, &str, &str, &str); 4] = [
 ];
 
 /// Reviewed blocking findings: `(file_suffix, fn, token, why)`, where
-/// `token` is `lock:effect`.
+/// `token` is `lock:effect`. The effect named for a `sample` call is
+/// the first file-io site the round reaches: the `stat` of the task
+/// directory in `LinuxProc::list_tasks_into`, ahead of its `read_dir`.
 pub const DEFAULT_BLOCKING_ALLOWLIST: [(&str, &str, &str, &str); 3] = [
     (
         "crates/core/src/attach.rs",
         "start_with",
-        "core.attach.monitor:fs::read_dir",
+        "core.attach.monitor:fs::metadata",
         "priming sample before the thread exists; mirrors LOCK_ALLOWLIST",
     ),
     (
         "crates/core/src/attach.rs",
         "stop",
-        "core.attach.monitor:fs::read_dir",
+        "core.attach.monitor:fs::metadata",
         "final sample after the thread has joined; mirrors LOCK_ALLOWLIST",
     ),
     (

@@ -7,7 +7,8 @@
 //! has one thread and then starts 64, as an `LD_PRELOAD` constructor or
 //! `zerosum -- cmd` would; `late` starts the 64 first. Both then run 20
 //! steady rounds and 200 rounds under thread churn and report counts as
-//! one `key=value` line for `tests/fd_table.rs` to judge.
+//! one `key=value` line for `tests/fd_table.rs` to judge — the
+//! descriptors, and how many of the rounds walked the task directory.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -29,6 +30,12 @@ fn own_status(key: &str) -> Result<usize, String> {
         .find_map(|l| l.strip_prefix(key))
         .and_then(|v| v.trim().parse().ok())
         .ok_or_else(|| format!("no {key} in /proc/self/status"))
+}
+
+/// The calling thread's tid.
+fn own_tid() -> Option<Tid> {
+    let link = std::fs::read_link("/proc/thread-self").ok()?;
+    link.file_name()?.to_str()?.parse().ok()
 }
 
 /// Descriptors this process has open (the listing's own not counted).
@@ -62,7 +69,8 @@ impl Tally {
     }
 }
 
-/// One round as `Monitor::sample` reads it with delta sampling off,
+/// One round as `Monitor::sample` reads it with delta sampling off and
+/// in its order — `/proc/stat`, the listing, the tasks, `meminfo` —
 /// `after_listing` run between the listing and the task reads; returns
 /// the tasks listed.
 fn probe_round(
@@ -72,12 +80,7 @@ fn probe_round(
     tally: &mut Tally,
     after_listing: impl FnOnce(),
 ) -> usize {
-    let node = src.list_tasks_into(pid, tids).is_ok()
-        && src.system_stat().is_ok()
-        && src.meminfo().is_ok();
-    if !node {
-        tally.errors += 1;
-    }
+    let mut node = src.system_stat().is_ok() && src.list_tasks_into(pid, tids).is_ok();
     after_listing();
     let mut arena = ReadArena::new();
     for &tid in tids.iter() {
@@ -86,7 +89,17 @@ fn probe_round(
         tally.timed(|| src.task_stat_text(pid, tid, &mut arena));
         tally.timed(|| src.task_status_text(pid, tid, &mut arena));
     }
+    node &= src.meminfo().is_ok();
+    if !node {
+        tally.errors += 1;
+    }
     tids.len()
+}
+
+/// The node's `processes` count, read beside the source under test.
+fn node_forks() -> Result<u64, String> {
+    let stat = LinuxProc::with_root("/proc").system_stat();
+    stat.map(|s| s.processes).map_err(|e| e.to_string())
 }
 
 /// Runs the probe; the report line, or why it could not run.
@@ -137,6 +150,7 @@ pub fn run_fd_probe(mode: &str) -> Result<String, String> {
 
     let mut steady = Tally::default();
     let opens_before = src.opens();
+    let forks_before = node_forks()?;
     probe_round(&src, pid, &mut tids, &mut steady, || {});
     let opens_round1 = src.opens() - opens_before;
     let worst_open_us = steady.worst_call_ns / 1_000;
@@ -145,6 +159,7 @@ pub fn run_fd_probe(mode: &str) -> Result<String, String> {
     }
     let opens_steady = src.opens() - opens_before - opens_round1;
     let (held_steady, refused_steady) = (src.handles_held(), src.retentions_refused());
+    let (listings_steady, forks_after) = (src.listings(), node_forks()?);
 
     // Every round starts two threads and lets the two of the round
     // before go once they are listed: they are read for one round, so
@@ -152,28 +167,35 @@ pub fn run_fd_probe(mode: &str) -> Result<String, String> {
     // the reads of the next.
     let mut churn = Tally::default();
     let mut held_peak = 0;
+    let mut arrivals_missed = 0;
     let mut leaving: Option<(Arc<Barrier>, Vec<std::thread::JoinHandle<()>>)> = None;
     for _ in 0..=CHURN_ROUNDS {
         let gate = Arc::new(Barrier::new(CHURN_THREADS + 1));
+        let (arrived_tx, arrived) = std::sync::mpsc::channel();
         let arriving: Vec<_> = (0..CHURN_THREADS)
             .map(|_| {
-                let gate = Arc::clone(&gate);
+                let (gate, arrived_tx) = (Arc::clone(&gate), arrived_tx.clone());
                 std::thread::spawn(move || {
+                    let _ = arrived_tx.send(own_tid());
                     gate.wait();
                 })
             })
             .collect();
+        let arrived: Vec<Option<Tid>> = arrived.iter().take(CHURN_THREADS).collect();
         let left = leaving.replace((gate, arriving));
         probe_round(&src, pid, &mut tids, &mut churn, || {
             if let Some((gate, _)) = &left {
                 gate.wait();
             }
         });
+        let listed = |tid: &Option<Tid>| tid.is_some_and(|t| tids.contains(&t));
+        arrivals_missed += arrived.iter().filter(|tid| !listed(tid)).count();
         held_peak = held_peak.max(src.handles_held());
         for t in left.into_iter().flat_map(|(_, threads)| threads) {
             t.join().map_err(|_| "a churn thread panicked")?;
         }
     }
+    let listings_churn = src.listings() - listings_steady;
     if let Some((gate, threads)) = leaving {
         gate.wait();
         for t in threads {
@@ -193,7 +215,9 @@ pub fn run_fd_probe(mode: &str) -> Result<String, String> {
          opens_round1={opens_round1} opens_steady={opens_steady} worst_open_us={worst_open_us} \
          held_steady={held_steady} refused_steady={refused_steady} steady_reads_ok={} \
          steady_errors={} churn_vanished={} churn_errors={} reopens={} cache_drops={} \
-         held_peak={held_peak} held_end={} live_end={} fds_start={fds_start} fds_end={}",
+         held_peak={held_peak} held_end={} live_end={} fds_start={fds_start} fds_end={} \
+         listings_steady={listings_steady} forks_before={forks_before} forks_after={forks_after} \
+         listings_churn={listings_churn} churn_rounds={} arrivals_missed={arrivals_missed}",
         own_status("FDSize:")?,
         steady.reads_ok,
         steady.errors + steady.vanished,
@@ -204,6 +228,7 @@ pub fn run_fd_probe(mode: &str) -> Result<String, String> {
         src.handles_held(),
         tids.len(),
         open_fds()?,
+        CHURN_ROUNDS + 1,
     );
     stop.store(true, Ordering::Release);
     for w in workers {

@@ -54,6 +54,17 @@ fn assert_common(r: &BTreeMap<String, u64>) {
     assert!(r["held_end"] <= 3 * r["live_end"] + 2);
     assert!(r["fds_end"] <= r["fds_start"] + 3 * r["live_end"] + 2);
     assert_eq!(r["fds_end"] - r["fds_start"], r["held_end"], "no leak");
+    // The task directory is walked in round 1 and then only when the
+    // kernel says the thread set may have moved: with the 65 parked, at
+    // most once per task born anywhere on the node; under churn, every
+    // round — and every arriving thread is listed in its first round.
+    // Slots, not retained handles, are what a reuse needs.
+    assert!(
+        r["listings_steady"] - 1 <= r["forks_after"] - r["forks_before"],
+        "a steady round walked the directory unprompted"
+    );
+    assert_eq!(r["listings_churn"], r["churn_rounds"]);
+    assert_eq!(r["arrivals_missed"], 0);
 }
 
 /// A grace period inside an `open` is milliseconds long, every time; a

@@ -57,17 +57,17 @@ fn push_i64(out: &mut String, v: i64) {
 /// Appends one `cpu` row of `/proc/stat`. `idx` of `None` renders the
 /// aggregate `cpu` row; `Some(n)` renders `cpuN`.
 pub fn write_cpu_row(out: &mut String, idx: Option<u32>, t: &CpuTimes) {
-    match idx {
-        None => out.push_str("cpu"),
-        Some(n) => {
-            let _ = write!(out, "cpu{n}");
-        }
+    out.push_str("cpu");
+    if let Some(n) = idx {
+        push_u64(out, u64::from(n));
     }
-    let _ = writeln!(
-        out,
-        " {} {} {} {} {} {} {} {} 0 0",
-        t.user, t.nice, t.system, t.idle, t.iowait, t.irq, t.softirq, t.steal
-    );
+    for v in [
+        t.user, t.nice, t.system, t.idle, t.iowait, t.irq, t.softirq, t.steal,
+    ] {
+        out.push(' ');
+        push_u64(out, v);
+    }
+    out.push_str(" 0 0\n");
 }
 
 /// Appends a [`SystemStat`] in `/proc/stat` format.
@@ -227,6 +227,30 @@ mod tests {
             out.clear();
             push_i64(&mut out, v);
             assert_eq!(out, format!("{v}"));
+        }
+    }
+
+    #[test]
+    fn cpu_rows_print_what_fmt_prints() {
+        let t = CpuTimes {
+            user: 0,
+            nice: 9,
+            system: 10,
+            idle: u64::MAX,
+            iowait: 12_345,
+            irq: 1,
+            softirq: 99,
+            steal: 100,
+        };
+        for idx in [None, Some(0), Some(127), Some(u32::MAX)] {
+            let mut out = String::from("above\n");
+            write_cpu_row(&mut out, idx, &t);
+            let key = idx.map_or("cpu".to_string(), |n| format!("cpu{n}"));
+            let want = format!(
+                "above\n{key} {} {} {} {} {} {} {} {} 0 0\n",
+                t.user, t.nice, t.system, t.idle, t.iowait, t.irq, t.softirq, t.steal
+            );
+            assert_eq!(out, want);
         }
     }
 

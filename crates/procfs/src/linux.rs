@@ -18,6 +18,7 @@ use std::cell::{Cell, RefCell};
 use std::fs::File;
 use std::io::ErrorKind;
 use std::os::fd::AsRawFd;
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 
 /// `errno` values std has no [`ErrorKind`] for. A `read` on a procfs
@@ -75,11 +76,36 @@ struct TaskHandles {
     files: [Option<File>; 3],
 }
 
+/// What `/proc/stat` last said of thread births, and which read of it
+/// that was. `processes` moves by one for every task created anywhere
+/// on the node, so two reads that agree bracket a span without births.
+#[derive(Debug, Default, Clone, Copy)]
+struct ForkClock {
+    /// The `processes` line; 0 while no read has carried one.
+    processes: u64,
+    /// Successful `/proc/stat` reads through this source so far.
+    reads: u64,
+}
+
 #[derive(Debug)]
 struct PidHandles {
     pid: Pid,
     /// Ascending by tid; brought in line with every listing of `pid`.
     tasks: Vec<TaskHandles>,
+    /// `processes` as it stood when `tasks` was listed, and the read
+    /// that was current at the last `list_tasks_into(pid)`, reused or
+    /// not: one `/proc/stat` read vouches for one answer.
+    listed: ForkClock,
+}
+
+impl PidHandles {
+    /// Whether `now` proves no task was born, on the whole node, since
+    /// before `tasks` was listed: a newer read, the same non-zero count.
+    fn no_births_by(&self, now: ForkClock) -> bool {
+        now.reads > self.listed.reads
+            && now.processes != 0
+            && now.processes == self.listed.processes
+    }
 }
 
 /// The open handles of a [`LinuxProc`] and their accounting. A handle
@@ -98,6 +124,7 @@ struct HandleCache {
     /// Most handles to hold; fixed at construction, 0 after `EMFILE`.
     budget: usize,
     opens: u64,
+    listings: u64,
     reopens: u64,
     refused: u64,
     drops: u64,
@@ -148,21 +175,24 @@ impl HandleCache {
     }
 
     /// Gives `pid` a slot set for exactly the tids of its (ascending)
-    /// listing: handles of departed tids close, new tids get empty
-    /// slots. A steady population costs one comparison per task.
-    fn sweep(&mut self, pid: Pid, listing: &[Tid]) {
+    /// listing, made under `now`: handles of departed tids close, new
+    /// tids get empty slots. A steady population costs one comparison
+    /// per task.
+    fn sweep(&mut self, pid: Pid, listing: &[Tid], now: ForkClock) {
         if self.budget == 0 {
             return;
         }
         let known = self.pids.iter().position(|p| p.pid == pid);
         let pi = known.unwrap_or(self.pids.len());
         if known.is_none() {
-            let tasks = Vec::with_capacity(listing.len());
-            self.pids.push(PidHandles { pid, tasks });
+            let (tasks, listed) = (Vec::with_capacity(listing.len()), now);
+            self.pids.push(PidHandles { pid, tasks, listed });
         }
-        let Some(tasks) = self.pids.get_mut(pi).map(|p| &mut p.tasks) else {
+        let Some(p) = self.pids.get_mut(pi) else {
             return;
         };
+        p.listed = now;
+        let tasks = &mut p.tasks;
         if tasks.iter().map(|t| t.tid).eq(listing.iter().copied()) {
             return;
         }
@@ -262,6 +292,8 @@ pub struct LinuxProc {
     /// paths are the previous one with another leaf.
     path_task: Cell<Option<(Pid, Tid, usize)>>,
     cache: RefCell<HandleCache>,
+    /// The latest successful `/proc/stat` read.
+    forks: Cell<ForkClock>,
 }
 
 impl Default for LinuxProc {
@@ -296,6 +328,7 @@ impl LinuxProc {
             path_buf: RefCell::new(String::new()),
             path_task: Cell::new(None),
             cache: RefCell::default(),
+            forks: Cell::default(),
         }
     }
 
@@ -314,6 +347,13 @@ impl LinuxProc {
     /// listings not included).
     pub fn opens(&self) -> u64 {
         self.cache.borrow().opens
+    }
+
+    /// Task directories walked, or tried, since this source was created:
+    /// the `list_tasks_into` calls the kernel's own evidence did not
+    /// answer.
+    pub fn listings(&self) -> u64 {
+        self.cache.borrow().listings
     }
 
     /// Held handles dropped and re-opened by path because the kernel
@@ -487,7 +527,12 @@ impl ProcSource for LinuxProc {
         self.read_with(ProcFile::SystemStat, |f| {
             read_record(f, &mut buf).map(|text| parse::parse_system_stat_into(text, out))
         })?
-        .map_err(malformed)
+        .map_err(malformed)?;
+        self.forks.set(ForkClock {
+            processes: out.processes,
+            reads: self.forks.get().reads + 1,
+        });
+        Ok(())
     }
 
     fn meminfo(&self) -> SourceResult<MemInfo> {
@@ -562,10 +607,29 @@ impl ProcSource for LinuxProc {
         })
     }
 
+    /// The tids of `pid`, ascending — from the slots of its last
+    /// listing when the kernel's own evidence proves a walk of the
+    /// directory would find that same set, as of this round's
+    /// `/proc/stat` read: no task was born on the node since before the
+    /// slots were listed ([`PidHandles::no_births_by`]), and the
+    /// directory's `nlink`, which procfs keeps at 2 + threads, still
+    /// counts them, so none left either. Any doubt is a walk.
     fn list_tasks_into(&self, pid: Pid, out: &mut Vec<Tid>) -> SourceResult<()> {
         out.clear();
         let dir = self.task_dir(pid);
         let mut cache = self.cache.borrow_mut();
+        let now = self.forks.get();
+        if let Some(p) = cache.pids.iter_mut().find(|p| p.pid == pid) {
+            let unchanged = p.no_births_by(now)
+                && std::fs::metadata(dir.as_str())
+                    .is_ok_and(|m| m.nlink() == 2 + p.tasks.len() as u64);
+            p.listed.reads = now.reads;
+            if unchanged {
+                out.extend(p.tasks.iter().map(|t| t.tid));
+                return Ok(());
+            }
+        }
+        cache.listings += 1;
         let entries = cache
             .open_with(|| std::fs::read_dir(dir.as_str()))
             .map_err(|e| {
@@ -593,7 +657,7 @@ impl ProcSource for LinuxProc {
             }
         }
         out.sort_unstable();
-        cache.sweep(pid, out);
+        cache.sweep(pid, out, now);
         Ok(())
     }
 }
@@ -839,6 +903,161 @@ mod tests {
             .open_with(|| Err::<(), _>(ErrorKind::PermissionDenied.into()));
         assert_eq!(denied.unwrap_err().kind(), ErrorKind::PermissionDenied);
         assert_eq!(src.cache_drops(), 1);
+    }
+
+    /// One round's first two calls, in the engine's order.
+    fn stat_then_list(src: &LinuxProc, pid: Pid) -> SourceResult<Vec<Tid>> {
+        src.system_stat()?;
+        src.list_tasks(pid)
+    }
+
+    /// Lets a parked thread go and waits until the kernel has unhashed
+    /// it (`join` can return a moment before).
+    fn retire(
+        (tid, go, thread): (
+            Tid,
+            std::sync::mpsc::Sender<()>,
+            std::thread::JoinHandle<()>,
+        ),
+    ) {
+        drop(go);
+        thread.join().unwrap();
+        while Path::new(&format!("/proc/self/task/{tid}")).exists() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn the_listing_after_a_spawn_an_exit_or_both_is_the_new_set() {
+        // Sibling tests' threads come and go in this process: every
+        // assertion is on tids this test owns, and holds whether the
+        // answer came from the slots or from a walk.
+        let src = retaining(8);
+        let pid = src.self_pid().unwrap();
+        let first = parked_thread();
+        assert!(stat_then_list(&src, pid).unwrap().contains(&first.0));
+        assert!(stat_then_list(&src, pid).unwrap().contains(&first.0));
+        // Born between two rounds: in the very next listing.
+        let second = parked_thread();
+        let listed = stat_then_list(&src, pid).unwrap();
+        assert!(listed.contains(&first.0) && listed.contains(&second.0));
+        assert!(listed.is_sorted());
+        // Gone between two rounds: absent from it.
+        let gone = second.0;
+        retire(second);
+        let listed = stat_then_list(&src, pid).unwrap();
+        assert!(listed.contains(&first.0) && !listed.contains(&gone));
+        // One exit and one spawn between the same two rounds: `nlink`
+        // reads as before, `processes` does not.
+        let gone = first.0;
+        retire(first);
+        let third = parked_thread();
+        let listed = stat_then_list(&src, pid).unwrap();
+        assert!(listed.contains(&third.0) && !listed.contains(&gone));
+        let slots = &src.cache.borrow().pids[0].tasks;
+        assert!(slots.iter().map(|t| t.tid).eq(listed.iter().copied()));
+        retire(third);
+    }
+
+    #[test]
+    fn one_stat_read_vouches_for_one_listing() {
+        let src = retaining(8);
+        let pid = src.self_pid().unwrap();
+        stat_then_list(&src, pid).unwrap();
+        assert_eq!(src.listings(), 1, "nothing to reuse yet");
+        // No `/proc/stat` read since: both calls walk the directory.
+        src.list_tasks(pid).unwrap();
+        src.list_tasks(pid).unwrap();
+        assert_eq!(src.listings(), 3);
+        // Whatever the first of these two did, it used the read up.
+        stat_then_list(&src, pid).unwrap();
+        let before = src.listings();
+        src.list_tasks(pid).unwrap();
+        assert_eq!(src.listings(), before + 1);
+    }
+
+    #[test]
+    fn each_clause_of_the_reuse_rule_is_needed() {
+        // A fixture tree, so that nothing moves but what the test moves.
+        let dir = std::env::temp_dir().join(format!("zs-procreuse-{}", std::process::id()));
+        let task_dir = dir.join("9/task");
+        let stat = |processes: &str| {
+            let text = format!("cpu 1 0 1 7\ncpu0 1 0 1 7\nctxt 5\n{processes}");
+            std::fs::write(dir.join("stat"), text).unwrap();
+        };
+        std::fs::create_dir_all(task_dir.join("9")).unwrap();
+        stat("processes 7\n");
+        if std::fs::metadata(&task_dir).unwrap().nlink() != 3 {
+            eprintln!("reuse rule: SKIPPED (this filesystem keeps no directory nlink)");
+            std::fs::remove_dir_all(&dir).ok();
+            return;
+        }
+        let src = LinuxProc::with_root(&dir);
+        src.cache.borrow_mut().budget = 8;
+        assert_eq!(stat_then_list(&src, 9).unwrap(), vec![9]);
+        // Newer read, same count, same nlink: the slots answer.
+        assert_eq!(stat_then_list(&src, 9).unwrap(), vec![9]);
+        assert_eq!(src.listings(), 1);
+        // A task more, `processes` silent: `nlink` says so.
+        std::fs::create_dir(task_dir.join("10")).unwrap();
+        assert_eq!(stat_then_list(&src, 9).unwrap(), vec![9, 10]);
+        assert_eq!(src.listings(), 2);
+        // One left and one came, `nlink` silent: `processes` says so.
+        std::fs::remove_dir(task_dir.join("9")).unwrap();
+        std::fs::create_dir(task_dir.join("11")).unwrap();
+        stat("processes 8\n");
+        assert_eq!(stat_then_list(&src, 9).unwrap(), vec![10, 11]);
+        assert_eq!(src.listings(), 3);
+        assert_eq!(stat_then_list(&src, 9).unwrap(), vec![10, 11]);
+        assert_eq!(src.listings(), 3);
+        // A text without the line, or with a zero, licenses nothing.
+        for silent in ["", "processes 0\n"] {
+            stat(silent);
+            let before = src.listings();
+            assert_eq!(stat_then_list(&src, 9).unwrap(), vec![10, 11]);
+            assert_eq!(stat_then_list(&src, 9).unwrap(), vec![10, 11]);
+            assert_eq!(src.listings(), before + 2);
+        }
+        // Nor does a read that failed.
+        stat("processes 8\n");
+        stat_then_list(&src, 9).unwrap();
+        std::fs::write(dir.join("stat"), "processes 8\n").unwrap();
+        let before = src.listings();
+        assert!(matches!(src.system_stat(), Err(SourceError::Malformed(_))));
+        src.list_tasks(9).unwrap();
+        assert_eq!(src.listings(), before + 1);
+        // A pid that vanished under a standing licence is `NotFound`
+        // and forgotten, as from a walk.
+        stat("processes 8\n");
+        stat_then_list(&src, 9).unwrap();
+        std::fs::remove_dir_all(dir.join("9")).unwrap();
+        assert_eq!(stat_then_list(&src, 9), Err(SourceError::NotFound));
+        assert!(src.cache.borrow().pids.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_source_without_slots_walks_every_time() {
+        let exhausted = retaining(8);
+        let pid = exhausted.self_pid().unwrap();
+        stat_then_list(&exhausted, pid).unwrap();
+        let tried = Cell::new(false);
+        let retried = exhausted
+            .cache
+            .borrow_mut()
+            .open_with(|| match tried.replace(true) {
+                false => Err(std::io::Error::from_raw_os_error(EMFILE)),
+                true => Ok(()),
+            });
+        assert!(retried.is_ok() && exhausted.cache_drops() == 1);
+        for src in [LinuxProc::with_root("/proc"), retaining(0), exhausted] {
+            let before = src.listings();
+            for _ in 0..3 {
+                assert!(stat_then_list(&src, pid).unwrap().contains(&pid));
+            }
+            assert_eq!(src.listings(), before + 3);
+            assert!(src.cache.borrow().pids.is_empty());
+        }
     }
 
     #[test]

@@ -199,32 +199,50 @@ fn parse_cpu_times<'a>(
     })
 }
 
-/// Parses `/proc/meminfo`.
+/// [`may_be_status_key`] for the keys of [`parse_meminfo`]: of a kernel
+/// text's 54 lines only `SwapCached` gets past it without being one.
+fn may_be_meminfo_key(line: &[u8]) -> bool {
+    match line {
+        [b'M', b'e', b'm', ..]
+        | [b'B', b'u', b'f', ..]
+        | [b'C', b'a', b'c', ..]
+        | [b'S', b'w', b'a', ..] => true,
+        [c, ..] => is_space(*c) || !c.is_ascii(),
+        [] => false,
+    }
+}
+
+/// Parses `/proc/meminfo`: the `status` scanner's pass (see
+/// [`parse_task_status_into`]) over seven keys, listed in the order
+/// both the kernel (`fs/proc/meminfo.c`; other lines in between) and
+/// `format::write_meminfo` print them. Every line is visited, because
+/// the last of a repeated key wins.
 pub fn parse_meminfo(text: &str) -> Result<MemInfo, ParseError> {
     let mut m = MemInfo::default();
+    let mut keyed: [(&[u8], &mut u64); 7] = [
+        (b"MemTotal:", &mut m.mem_total_kib),
+        (b"MemFree:", &mut m.mem_free_kib),
+        (b"MemAvailable:", &mut m.mem_available_kib),
+        (b"Buffers:", &mut m.buffers_kib),
+        (b"Cached:", &mut m.cached_kib),
+        (b"SwapTotal:", &mut m.swap_total_kib),
+        (b"SwapFree:", &mut m.swap_free_kib),
+    ];
     let mut saw_total = false;
-    for line in text.lines() {
-        let Some((key, rest)) = line.split_once(':') else {
-            continue;
+    let mut cursor = 0usize;
+    for line in Lines(text.as_bytes()) {
+        let (key, value_at) = match keyed.get(cursor) {
+            Some((text, _)) if line.starts_with(text) => (cursor, text.len()),
+            _ if !may_be_meminfo_key(line) => continue,
+            _ => match lookup_key(keyed.iter().map(|(text, _)| *text).zip(0..), line) {
+                Some(found) => found,
+                None => continue,
+            },
         };
-        let value: u64 = rest
-            .trim()
-            .trim_end_matches("kB")
-            .trim()
-            .parse()
-            .unwrap_or(0);
-        match key.trim() {
-            "MemTotal" => {
-                m.mem_total_kib = value;
-                saw_total = true;
-            }
-            "MemFree" => m.mem_free_kib = value,
-            "MemAvailable" => m.mem_available_kib = value,
-            "Buffers" => m.buffers_kib = value,
-            "Cached" => m.cached_kib = value,
-            "SwapTotal" => m.swap_total_kib = value,
-            "SwapFree" => m.swap_free_kib = value,
-            _ => {}
+        cursor = key + 1;
+        saw_total |= key == 0;
+        if let Some((_, field)) = keyed.get_mut(key) {
+            **field = kib_value(trim(line.get(value_at..).unwrap_or(&[])));
         }
     }
     if !saw_total {
@@ -525,15 +543,18 @@ fn may_be_status_key(line: &[u8]) -> bool {
 }
 
 /// The key of a line the cursor did not predict, and where its value
-/// starts: the text before the first `:`, trimmed, looked up by name.
-/// `None` for a line without a colon or with any other key.
-fn lookup_status_key(line: &[u8]) -> Option<(StatusKey, usize)> {
+/// starts: the text before the first `:`, trimmed, looked up by name
+/// in `keys` (colon included there). `None` for a line without a colon
+/// or with any other key.
+fn lookup_key<'k, K>(
+    keys: impl IntoIterator<Item = (&'k [u8], K)>,
+    line: &[u8],
+) -> Option<(K, usize)> {
     let colon = line.iter().position(|&c| c == b':')?;
     let name = trim(line.get(..colon)?);
-    STATUS_ORDER
-        .iter()
+    keys.into_iter()
         .find(|(text, _)| text.strip_suffix(b":") == Some(name))
-        .map(|&(_, key)| (key, colon + 1))
+        .map(|(_, key)| (key, colon + 1))
 }
 
 /// Parses a `status` record into an existing one, reusing its name
@@ -567,7 +588,7 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
         let (key, value_at) = match STATUS_ORDER.get(cursor) {
             Some(&(text, key)) if line.starts_with(text) => (key, text.len()),
             _ if !may_be_status_key(line) => continue,
-            _ => match lookup_status_key(line) {
+            _ => match lookup_key(STATUS_ORDER, line) {
                 Some(found) => found,
                 None => continue,
             },
@@ -652,7 +673,7 @@ fn kib_value(value: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::oracle::{
-        assert_schedstat_agrees, assert_stat_agrees, assert_status_agrees,
+        assert_meminfo_agrees, assert_schedstat_agrees, assert_stat_agrees, assert_status_agrees,
         assert_system_stat_agrees,
     };
 
@@ -713,6 +734,105 @@ SwapFree:              0 kB
     #[test]
     fn meminfo_requires_total() {
         assert!(parse_meminfo("MemFree: 5 kB\n").is_err());
+    }
+
+    #[test]
+    fn meminfo_scanner_matches_oracle_on_fixtures_and_under_seeded_fuzz() {
+        let kernel = include_str!("../../../tests/fixtures/proc_meminfo.txt");
+        let rendered = "MemTotal:         1000 kB\nMemFree:           500 kB\n\
+            MemAvailable:      600 kB\nBuffers:            10 kB\nCached:             20 kB\n\
+            SwapTotal:           7 kB\nSwapFree:            3 kB\n";
+        // Bottom up, every key but the first is one the cursor does not
+        // predict: it must get past the three-byte filter by itself.
+        let reversed: Vec<&str> = rendered.split_inclusive('\n').rev().collect();
+        let mut fixtures = vec![
+            String::new(),
+            "\n\n:\n".into(),
+            "MemFree: 5 kB\n".into(),
+            reversed.concat(),
+        ];
+        for base in [kernel, rendered] {
+            fixtures.extend([
+                base.to_string(),
+                base.replace('\n', "\r\n"),
+                base.trim_end().to_string(),
+                format!("{}\r", base.trim_end()),
+                // Repeated (the last wins), out of order, padded keys.
+                format!("{base}MemTotal: 5 kB\nCached:\t6\n"),
+                format!("SwapFree: 9 kB\n{base}"),
+                base.replace("MemFree:", " MemFree \t:"),
+                base.replace("Buffers:", "\u{a0}Buffers\u{2003}:"),
+                base.replace("Cached:", "\u{b}Cached:"),
+                // Near-miss keys must stay unread.
+                base.replace("MemTotal:", "MemTotals:"),
+                base.replace("MemTotal:", "MemTotal"),
+                base.replace("MemFree:", "MemFree::"),
+                base.replace("SwapFree:", "Swapfree:"),
+                // Values: no unit, doubled unit, signs, overflow, junk.
+                base.replace(" kB", ""),
+                base.replace(" kB", "kBkB"),
+                base.replace(" kB", " kB kB"),
+                base.replace(" kB", "\u{a0}kB"),
+                base.replace("MemTotal:", "MemTotal: +"),
+                base.replace("MemTotal:", "MemTotal: -"),
+                base.replace("MemTotal:", "MemTotal: 99999999999999999999"),
+                base.replace("MemFree:", "MemFree: 1x"),
+                base.replace(':', " :  "),
+            ]);
+            fixtures.extend((0..base.len()).map(|i| base[..i].to_string()));
+        }
+        for fx in &fixtures {
+            assert_meminfo_agrees(fx);
+        }
+        assert_eq!(parse_meminfo(&reversed.concat()), parse_meminfo(rendered));
+        let parsed = parse_meminfo(&format!("{kernel}MemTotal: 5 kB\n")).unwrap();
+        assert_eq!(parsed.mem_total_kib, 5, "the last of a repeated key wins");
+        assert!(parsed.mem_available_kib > 0 && parsed.cached_kib > 0);
+
+        let mut next = xorshift(0x3e3_1f0);
+        let splices = [
+            ":",
+            "\t",
+            " kB",
+            "kB",
+            "+",
+            "-",
+            "\n",
+            "\r\n",
+            "MemTotal: 7\n",
+            "\nCached :\t9 kB\n",
+            "\u{a0}",
+            "\u{b}",
+            "Ω",
+            "Swap",
+        ];
+        for case in 0u32..3000 {
+            let mut fx = [kernel, rendered][case as usize % 2].to_string();
+            for _ in 0..1 + next() % 4 {
+                let at = floor_boundary(&fx, (next() % (fx.len() + 1) as u64) as usize);
+                match next() % 4 {
+                    0 => fx.truncate(at),
+                    1 => fx.insert_str(at, splices[(next() % splices.len() as u64) as usize]),
+                    2 => {
+                        if let Some(ch) = fx[at..].chars().next() {
+                            let g = b" \t:+-0123456789kBM"[(next() % 18) as usize];
+                            fx.replace_range(at..at + ch.len_utf8(), &char::from(g).to_string());
+                        }
+                    }
+                    _ => {
+                        // Swap two lines: keys out of cursor order.
+                        let mut lines: Vec<&str> = fx.split_inclusive('\n').collect();
+                        if lines.len() > 1 {
+                            let (a, b) =
+                                (next() as usize % lines.len(), next() as usize % lines.len());
+                            lines.swap(a, b);
+                            fx = lines.concat();
+                        }
+                    }
+                }
+            }
+            assert_meminfo_agrees(&fx);
+        }
     }
 
     #[test]

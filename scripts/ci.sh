@@ -117,10 +117,16 @@ fi
 # scanners over what the running kernel prints (the traced run replays
 # the captured live corpus through every parser), judged by the run's
 # own output checks.
+# Then live_procfs_idle, the default configuration: nearly every task
+# read is a schedstat-gate hit, so what is left of the round is the
+# listing — the slots again unless the kernel says the thread set moved
+# — whose cost and the round's allocations are printed beside the checks.
 if [ ! -r /proc/self/status ]; then
-    echo "benchmark live_procfs_busy: SKIPPED (/proc/self/status is not readable)"
+    echo "benchmark live_procfs_busy, live_procfs_idle: SKIPPED (/proc/self/status is not readable)"
 else
     traced_bench live_procfs_busy
+    traced_bench live_procfs_idle
+    grep -E '^ +(procfs\.linux\.list_ns_per_call|core\.monitor\.allocs_per_round)' /tmp/zsbench.out
 fi
 # And two traced seconds of sim_sharded_wide (pure simulation, nothing to
 # probe): its output checks read back what `write_logs` wrote (Listing-2

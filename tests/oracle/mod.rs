@@ -1,6 +1,6 @@
-//! The `str`-based reference parsers for `stat`, `schedstat`, `status`
-//! and `/proc/stat`, and the differential that holds the shipped
-//! parsers (`zerosum_proc::parse`) equal to them.
+//! The `str`-based reference parsers for `stat`, `schedstat`, `status`,
+//! `/proc/stat` and `/proc/meminfo`, and the differential that holds
+//! the shipped parsers (`zerosum_proc::parse`) equal to them.
 //!
 //! Test-only by location: `zerosum-proc` includes this file under
 //! `#[cfg(test)]` for its fixture and fuzz differentials, and
@@ -14,7 +14,7 @@
 //! when a key repeats, and the exact error text.
 
 use zerosum_proc::parse::{self, ParseError};
-use zerosum_proc::{CpuTimes, SchedStat, SystemStat, TaskStat, TaskState, TaskStatus};
+use zerosum_proc::{CpuTimes, MemInfo, SchedStat, SystemStat, TaskStat, TaskState, TaskStatus};
 
 fn err(what: &'static str, detail: impl Into<String>) -> ParseError {
     ParseError {
@@ -88,6 +88,35 @@ fn cpu_times<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<CpuTimes, Par
         softirq: vals[6],
         steal: vals[7],
     })
+}
+
+/// Reference for `parse::parse_meminfo`.
+pub fn meminfo(text: &str) -> Result<MemInfo, ParseError> {
+    let mut m = MemInfo::default();
+    let mut saw_total = false;
+    for line in text.lines() {
+        let Some((key, rest)) = line.split_once(':') else {
+            continue;
+        };
+        let value = kib_value(rest.trim());
+        match key.trim() {
+            "MemTotal" => {
+                m.mem_total_kib = value;
+                saw_total = true;
+            }
+            "MemFree" => m.mem_free_kib = value,
+            "MemAvailable" => m.mem_available_kib = value,
+            "Buffers" => m.buffers_kib = value,
+            "Cached" => m.cached_kib = value,
+            "SwapTotal" => m.swap_total_kib = value,
+            "SwapFree" => m.swap_free_kib = value,
+            _ => {}
+        }
+    }
+    if !saw_total {
+        return Err(err("/proc/meminfo", "missing MemTotal"));
+    }
+    Ok(m)
 }
 
 /// Reference for `parse::parse_task_stat_view`: `tid (comm) state …`,
@@ -292,4 +321,13 @@ pub fn assert_system_stat_agrees(text: &str) {
     if r.is_ok() {
         assert_eq!(scanned, reference, "/proc/stat records differ on {text:?}");
     }
+}
+
+/// The same differential for `/proc/meminfo`.
+pub fn assert_meminfo_agrees(text: &str) {
+    assert_eq!(
+        parse::parse_meminfo(text),
+        meminfo(text),
+        "meminfo scanner and oracle disagree on {text:?}"
+    );
 }

@@ -12,12 +12,17 @@
 //! task is first read and never again while the task lives. For the
 //! benchmark's 65 tasks that is 197 reads per round with delta sampling
 //! off and 69 with it on, as before, and 197 opens in round 1, 0 after.
+//! The listing is one of the 197 / 69 calls in every round; in syscalls
+//! it is a walk of the task directory (`LinuxProc::listings`) only in a
+//! round whose `/proc/stat` or whose directory `nlink` says the thread
+//! set may have changed, and one `stat` of the directory otherwise.
 
 mod live_threads;
 
 use live_threads::parked_thread;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::os::unix::fs::MetadataExt;
 use zerosum::core::{Monitor, ProcessInfo, ZeroSumConfig};
 use zerosum::procfs::{
     ArenaSpan, LinuxProc, MemInfo, Pid, ProcSource, ReadArena, SchedStat, SourceResult, SystemStat,
@@ -295,6 +300,54 @@ fn live_round_reads_stay_within_budget() {
         drop(go);
         thread.join().unwrap();
     }
+}
+
+#[test]
+fn a_round_whose_evidence_held_walks_no_directory() {
+    let Some((src, pid)) = live_source() else {
+        return;
+    };
+    // The evidence, taken by the test itself around two rounds: tasks
+    // born on the node, and the tasks of this process (sibling tests
+    // start and end threads here).
+    let evidence = || {
+        let forks = LinuxProc::with_root("/proc").system_stat().ok()?.processes;
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?.count();
+        Some((forks, tasks)).filter(|_| forks > 0)
+    };
+    let nlink = std::fs::metadata("/proc/self/task").map_or(0, |m| m.nlink());
+    if evidence().is_none_or(|(_, tasks)| nlink != tasks as u64 + 2) {
+        eprintln!("live listing budget: SKIPPED (no `processes` line, or no directory nlink)");
+        return;
+    }
+    let parked = parked_thread();
+    let mut mon = Monitor::new(ZeroSumConfig::default());
+    watch(&mut mon, pid);
+    let counting = Counting::new(&src);
+    let mut quiet_pairs = 0;
+    for t_s in 0..400u32 {
+        let before = evidence();
+        mon.sample(f64::from(t_s), &counting);
+        let (walked, opened) = (src.listings(), src.opens());
+        mon.sample(f64::from(t_s) + 0.5, &counting);
+        let calls = counting.take();
+        // At the `ProcSource` boundary the listing is asked for as ever.
+        assert_eq!(calls.lists.get(&pid), Some(&2), "{calls:?}");
+        assert_eq!(calls.tasks.get(&parked.0).map(|r| r[0]), Some(2));
+        // Nothing born and nothing gone from before the first round to
+        // after the second: the second had no reason to walk.
+        if before == evidence() {
+            assert_eq!(src.listings(), walked, "round {t_s}b walked unprompted");
+            if src.retentions_refused() == 0 {
+                assert_eq!(src.opens(), opened, "round {t_s}b opened a file");
+            }
+            quiet_pairs += 1;
+        }
+    }
+    assert!(quiet_pairs > 0, "no two consecutive quiet rounds in 400");
+    assert_eq!(mon.stats.errors, 0);
+    drop(parked.1);
+    parked.2.join().unwrap();
 }
 
 #[test]

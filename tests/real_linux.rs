@@ -201,10 +201,11 @@ fn numeric_entries(dir: &str) -> Option<Vec<u32>> {
 fn live_kernel_texts_parse_like_the_oracle() {
     // Conformance against the running kernel, not a frozen capture:
     // every `status`, `stat` and `schedstat` this user may read, of
-    // every task on the host, and `/proc/stat`, through the shipped
-    // parsers and the reference parsers. They must agree on the record
-    // or on the error; whether the text parses at all is the kernel's
-    // business (a task may exit under the read and leave a torn text).
+    // every task on the host, `/proc/stat` and `/proc/meminfo`, through
+    // the shipped parsers and the reference parsers. They must agree on
+    // the record or on the error; whether the text parses at all is the
+    // kernel's business (a task may exit under the read and leave a torn
+    // text).
     let Some(pids) = numeric_entries("/proc") else {
         eprintln!("live conformance: SKIPPED (cannot list /proc)");
         return;
@@ -234,7 +235,14 @@ fn live_kernel_texts_parse_like_the_oracle() {
         }
         Err(e) => eprintln!("live conformance: /proc/stat SKIPPED ({e})"),
     }
+    match std::fs::read_to_string("/proc/meminfo") {
+        Ok(text) => {
+            oracle::assert_meminfo_agrees(&text);
+            assert!(zerosum_proc::parse::parse_meminfo(&text).is_ok());
+        }
+        Err(e) => eprintln!("live conformance: /proc/meminfo SKIPPED ({e})"),
+    }
     // Our own main thread, at the least, is always readable.
     assert!(compared >= 1, "no task status was readable");
-    eprintln!("live conformance: {compared} tasks' texts and /proc/stat agree");
+    eprintln!("live conformance: {compared} tasks' texts, /proc/stat and /proc/meminfo agree");
 }
