@@ -45,10 +45,9 @@
 //! the drills print through.
 //!
 //! Entry points: the `zerosum` subcommands `analyze`, `chaos`,
-//! `cluster-chaos`, `churn`, `shard-diff`, `audit`, `lint` and `bench`.
+//! `cluster-chaos`, `churn`, `shard-diff`, `audit` and `lint`.
 
 pub mod audit;
-pub mod bench;
 pub mod chaos;
 pub mod churn_chaos;
 pub mod cluster_chaos;
@@ -63,7 +62,6 @@ pub mod verdict;
 pub use audit::{
     audit_sources, audit_workspace, baseline_from_json, unknown_pass_keys, AuditReport,
 };
-pub use bench::{check as bench_check, compare as bench_compare, run_bench, BenchReport, Metric};
 pub use chaos::{abnormal_exit_drill, realistic_plan, run_suite};
 pub use churn_chaos::{judge_churn_run, judge_real_churn, run_churn_suite, suite_params};
 pub use cluster_chaos::{bounded_memory_drill, judge_cluster_run, run_cluster_suite};

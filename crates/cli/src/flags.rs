@@ -1,8 +1,8 @@
 //! The flag table: every `zerosum` subcommand's flags as data, and the
 //! one parser that reads argv against it.
 //!
-//! A [`Command`] row lists its [`Flag`]s — name, metavar (how many
-//! values follow), kind, default, help line. [`parse_flags`] is the
+//! A [`Command`] row lists its [`Flag`]s — name, metavar (whether a
+//! value follows), kind, default, help line. [`parse_flags`] is the
 //! only loop over argv in the workspace: it checks every token against
 //! the row, so an unknown flag, a flag missing its value and a value
 //! its kind does not accept are errors before any command body runs.
@@ -49,10 +49,9 @@ impl Kind {
 pub struct Flag {
     /// The flag as typed (`--scale`).
     pub name: &'static str,
-    /// The values that follow, one word each: `""` for a switch, `"N"`,
-    /// `"A B"` for the one two-value flag.
+    /// The value that follows; `""` for a switch, which takes none.
     pub metavar: &'static str,
-    /// What each value must be (a switch has none to check).
+    /// What the value must be (a switch has none to check).
     pub kind: Kind,
     /// The value when the flag is absent; `""` = none.
     pub default: &'static str,
@@ -136,7 +135,7 @@ const ROUNDS: &str = "rounds to drive";
 const PERIOD: &str = "round period";
 
 /// Every subcommand, in the order `zerosum --help` lists them.
-pub static SUBCOMMANDS: [Command; 11] = [
+pub static SUBCOMMANDS: [Command; 10] = [
     cmd(
         "analyze",
         "run the paper scenarios under the trace checker (races, scheduler invariants)",
@@ -144,18 +143,6 @@ pub static SUBCOMMANDS: [Command; 11] = [
             flag("--scale", "N", U32, "100", SCALE),
             flag("--seed", "N", U64, "1", SEED),
             flag("--scenario", "NAME", OneOf(scenarios), "", "check only it"),
-        ],
-    ),
-    cmd(
-        "bench",
-        "run the performance suite; gate it on a baseline or diff two saved runs",
-        &[
-            switch("--quick", "shorter measurement windows"),
-            switch("--json", "print the report as JSON"),
-            flag("--out", "FILE", Text, "", "also write the JSON report here"),
-            flag("--check", "BASELINE", Text, "", "gate against this report"),
-            flag("--max-regress", "N", F64, "15", "percent --check tolerates"),
-            flag("--compare", "A B", Text, "", "diff two reports instead"),
         ],
     ),
     cmd(
@@ -334,23 +321,22 @@ pub fn parse_flags<'a>(
         };
         if flag.metavar.is_empty() {
             parsed.seen.push((flag.name, ""));
+            continue;
         }
-        for _ in flag.metavar.split_whitespace() {
-            let Some(value) = args.get(at) else {
-                return Err(wrong(format!("{token} requires a value")));
-            };
-            at += 1;
-            if !flag.kind.accepts(value) {
-                return Err(wrong(match flag.kind {
-                    OneOf(names) => {
-                        let names = names().join(" ");
-                        format!("{token}: unknown name {value:?} (one of: {names})")
-                    }
-                    _ => format!("{token}: invalid value {value:?}"),
-                }));
-            }
-            parsed.seen.push((flag.name, value));
+        let Some(value) = args.get(at) else {
+            return Err(wrong(format!("{token} requires a value")));
+        };
+        at += 1;
+        if !flag.kind.accepts(value) {
+            return Err(wrong(match flag.kind {
+                OneOf(names) => {
+                    let names = names().join(" ");
+                    format!("{token}: unknown name {value:?} (one of: {names})")
+                }
+                _ => format!("{token}: invalid value {value:?}"),
+            }));
         }
+        parsed.seen.push((flag.name, value));
     }
     Ok(parsed)
 }
@@ -475,10 +461,7 @@ mod tests {
                 assert!(err.why.contains("requires a value"), "{}: {err}", cmd.name);
                 // A value its kind does not accept.
                 if !matches!(f.kind, Text) {
-                    let words: Vec<&str> = std::iter::once(f.name)
-                        .chain(f.metavar.split_whitespace().map(|_| "abc"))
-                        .collect();
-                    let err = parse_flags(cmd, &argv(&words)).unwrap_err();
+                    let err = parse_flags(cmd, &argv(&[f.name, "abc"])).unwrap_err();
                     assert_eq!(err.flag, f.name, "{}: {err}", cmd.name);
                     assert!(err.why.contains("\"abc\""), "{}: {err}", cmd.name);
                 }
@@ -555,7 +538,6 @@ mod tests {
             (100, 1)
         );
         assert_eq!(p.text_of("--scenario"), None);
-        assert_eq!(of("bench").number::<f64>("--max-regress"), 15.0);
         assert_eq!(of("shard-diff").number::<u64>("--seeds"), 20);
         let p = of("run-all");
         assert_eq!(
@@ -565,15 +547,13 @@ mod tests {
     }
 
     #[test]
-    fn values_are_read_last_wins_pairs_and_lists() {
-        let args = argv(&["bench", "--compare", "a.json", "b.json", "--quick"]);
+    fn values_are_read_last_wins_and_lists() {
+        let args = argv(&["audit", "--root", "/tmp/tree", "--json"]);
         let (cmd, rest) = route(&args);
-        assert_eq!((cmd.name, rest.len()), ("bench", 4));
+        assert_eq!((cmd.name, rest.len()), ("audit", 3));
         let p = parse_flags(cmd, rest).unwrap();
-        assert_eq!(p.all_given("--compare"), ["a.json", "b.json"]);
-        assert!(p.given("--quick") && !p.given("--json"));
-        let err = parse_flags(cmd, &argv(&["--compare", "a.json"])).unwrap_err();
-        assert_eq!(err.why, "--compare requires a value");
+        assert_eq!(p.text_of("--root"), Some("/tmp/tree"));
+        assert!(p.given("--json") && !p.given("--explain"));
 
         let args = argv(&[
             "--scale", "7", "--only", "fig5", "--scale", "9", "--only", "table1",
@@ -614,6 +594,6 @@ mod tests {
             );
             assert!(usage_line(c).starts_with(&format!("zerosum {} [", c.name)));
         }
-        assert!(usage_line(row("bench")).contains("[--compare A B]"));
+        assert!(usage_line(row("audit")).contains("[--baseline FILE]"));
     }
 }

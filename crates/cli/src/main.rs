@@ -50,7 +50,6 @@ fn main() {
     }
     let exit = match command.name {
         "analyze" => Ok(cmd_analyze(&parsed)),
-        "bench" => cmd_bench(&parsed),
         "chaos" => Ok(cmd_chaos(&parsed)),
         "cluster-chaos" => Ok(cmd_cluster_chaos(&parsed)),
         "churn" => cmd_churn(&parsed),
@@ -133,44 +132,6 @@ fn cmd_analyze(p: &Parsed) -> i32 {
     }
     let clean = reports.iter().all(|r| r.clean());
     conclude("analyze", clean, "all scenarios clean")
-}
-
-/// Exit 0 on success, 1 when a gated metric regresses past the limit,
-/// 2 on I/O errors.
-fn cmd_bench(p: &Parsed) -> Exit {
-    let load = |path: &str| {
-        std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| zerosum_analyze::BenchReport::from_json(&text))
-            .map_err(give_up(&format!("bench: {path}"), 2))
-    };
-    if let [.., a, b] = p.all_given("--compare")[..] {
-        print!("{}", zerosum_analyze::bench_compare(&load(a)?, &load(b)?));
-        return Ok(0);
-    }
-    let report = zerosum_analyze::run_bench(p.given("--quick"));
-    if p.given("--json") {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if let Some(path) = p.text_of("--out") {
-        std::fs::write(path, report.to_json()).map_err(give_up(&format!("bench: {path}"), 2))?;
-        eprintln!("zerosum bench: wrote {path}");
-    }
-    if let Some(path) = p.text_of("--check") {
-        let max_regress: f64 = p.number("--max-regress");
-        let failures = zerosum_analyze::bench_check(&report, &load(path)?, max_regress);
-        for f in &failures {
-            println!("bench regression: {f}");
-        }
-        if !failures.is_empty() {
-            println!("bench: FAILED ({} regression(s))", failures.len());
-            return Ok(1);
-        }
-        println!("bench: within {max_regress:.0}% of {path}");
-    }
-    Ok(0)
 }
 
 /// Exit 0 iff every schedule passes and the drill leaves no torn files.
@@ -421,7 +382,12 @@ fn cmd_stream(p: &Parsed) -> Exit {
 fn cmd_audit(p: &Parsed) -> Exit {
     let explain = p.given("--explain");
     let root = workspace_root("audit", p.text_of("--root"))?;
+    let started = Instant::now();
     let report = zerosum_analyze::audit_workspace(&root).map_err(give_up("audit", 2))?;
+    // The audit runs on every push; what it cost goes to stderr, so
+    // stdout stays the report and nothing but the report.
+    let ms = started.elapsed().as_secs_f64() * 1e3;
+    eprintln!("zerosum audit: workspace audited in {ms:.0} ms");
     if p.given("--json") {
         print!("{}", report.to_json());
     } else {

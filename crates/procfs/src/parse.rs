@@ -7,6 +7,7 @@
 
 use crate::types::{CpuTimes, MemInfo, SystemStat, TaskStat, TaskState, TaskStatus};
 use std::fmt;
+use zerosum_topology::CpuSet;
 
 /// Error produced when a `/proc` record cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -639,15 +640,16 @@ pub fn parse_task_status_fast(text: &str, out: &mut TaskStatus) -> Result<(), Pa
 
 /// A cpu list that is one `n` or one ascending `lo-hi`, unpadded — an
 /// unrestricted task's, and what a rank pinned to a block of cores
-/// has. Anything else (commas, padding, a descending range) is
-/// `CpuSet::parse_list_into`'s to read or to refuse.
+/// has. Anything else (commas, padding, a descending range, an index
+/// above the list ceiling) is `CpuSet::parse_list_into`'s to read or to
+/// refuse.
 fn single_cpu_range(value: &[u8]) -> Option<(u32, u32)> {
     let (lo, hi) = match value.iter().position(|&c| c == b'-') {
         Some(dash) => (value.get(..dash)?, value.get(dash + 1..)?),
         None => (value, value),
     };
     let (lo, hi) = (ascii_u32(lo)?, ascii_u32(hi)?);
-    (lo <= hi).then_some((lo, hi))
+    (lo <= hi && hi <= CpuSet::MAX_LIST_INDEX).then_some((lo, hi))
 }
 
 /// The first `char` of a value cut from a `&str`.
@@ -1117,6 +1119,35 @@ nonvoluntary_ctxt_switches:\t3
     #[test]
     fn task_status_missing_pid_is_error() {
         assert!(parse_task_status("Name: x\n").is_err());
+    }
+
+    #[test]
+    fn a_cpu_list_past_the_ceiling_is_malformed_not_half_a_gigabyte() {
+        let status = |list: &str| format!("Tgid:\t1\nPid:\t1\nCpus_allowed_list:\t{list}\n");
+        let max = CpuSet::MAX_LIST_INDEX;
+        let mut out = TaskStatus::default();
+        // The range and the single index, alone (`single_cpu_range`'s
+        // spellings) and after a comma (the list parser's); then one
+        // past the ceiling.
+        for list in [
+            "0-4294967295".to_string(),
+            "4294967295".to_string(),
+            "0-3,4294967295".to_string(),
+            format!("0-{}", max + 1),
+            format!("{}", max + 1),
+        ] {
+            let text = status(&list);
+            let e = parse_task_status_into(&text, &mut out).unwrap_err();
+            assert_eq!(e.what, "task status", "{list}");
+            assert!(e.detail.starts_with("bad cpu list: cpu index"), "{e}");
+            assert_status_agrees(&text);
+        }
+        // The ceiling itself is a cpu like any other.
+        for list in [format!("0-{max}"), format!("{max}")] {
+            parse_task_status_into(&status(&list), &mut out).unwrap();
+            assert_eq!(out.cpus_allowed.last(), Some(max), "{list}");
+            assert_status_agrees(&status(&list));
+        }
     }
 
     fn xorshift(seed: u64) -> impl FnMut() -> u64 {

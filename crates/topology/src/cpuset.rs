@@ -32,6 +32,13 @@ impl Clone for CpuSet {
 }
 
 impl CpuSet {
+    /// The largest index [`CpuSet::parse_list`] accepts. List text
+    /// comes from outside the program (`status`, sysfs) and a set's
+    /// size is linear in its largest index, not in the text: `0-4294967295`
+    /// is 512 MiB. Eight times the kernel's largest `NR_CPUS` (8 192),
+    /// so a parsed set holds at most 8 KiB.
+    pub const MAX_LIST_INDEX: u32 = 65_535;
+
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
@@ -69,10 +76,13 @@ impl CpuSet {
     /// Inserts `idx` into the set.
     pub fn set(&mut self, idx: u32) {
         let (w, b) = Self::word_bit(idx);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        match self.words.get_mut(w) {
+            Some(word) => *word |= b,
+            None => {
+                self.words.resize(w, 0);
+                self.words.push(b);
+            }
         }
-        self.words[w] |= b;
     }
 
     /// Inserts the inclusive range `lo..=hi` word-at-a-time: one mask
@@ -100,8 +110,8 @@ impl CpuSet {
     /// Removes `idx` from the set.
     pub fn clear(&mut self, idx: u32) {
         let (w, b) = Self::word_bit(idx);
-        if w < self.words.len() {
-            self.words[w] &= !b;
+        if let Some(word) = self.words.get_mut(w) {
+            *word &= !b;
         }
     }
 
@@ -120,7 +130,7 @@ impl CpuSet {
     /// Returns true if `idx` is in the set.
     pub fn contains(&self, idx: u32) -> bool {
         let (w, b) = Self::word_bit(idx);
-        w < self.words.len() && self.words[w] & b != 0
+        self.words.get(w).is_some_and(|word| word & b != 0)
     }
 
     /// Number of indices in the set.
@@ -225,7 +235,8 @@ impl CpuSet {
 
     /// Parses the kernel list format, e.g. `"1-7,9-15,64"`.
     ///
-    /// An empty or whitespace-only string parses to the empty set.
+    /// An empty or whitespace-only string parses to the empty set; an
+    /// index above [`CpuSet::MAX_LIST_INDEX`] is an error.
     pub fn parse_list(s: &str) -> Result<CpuSet, CpuSetParseError> {
         let mut set = CpuSet::new();
         set.parse_list_into(s)?;
@@ -250,28 +261,25 @@ impl CpuSet {
             if part.is_empty() {
                 return Err(CpuSetParseError::Empty);
             }
-            match part.split_once('-') {
-                Some((lo, hi)) => {
-                    let lo: u32 = lo
-                        .trim()
-                        .parse()
-                        .map_err(|_| CpuSetParseError::Int(part.into()))?;
-                    let hi: u32 = hi
-                        .trim()
-                        .parse()
-                        .map_err(|_| CpuSetParseError::Int(part.into()))?;
-                    if lo > hi {
-                        return Err(CpuSetParseError::Range(lo, hi));
-                    }
-                    set.set_range(lo, hi);
-                }
+            let int = |token: &str| {
+                token
+                    .parse::<u32>()
+                    .map_err(|_| CpuSetParseError::Int(part.into()))
+            };
+            let (lo, hi) = match part.split_once('-') {
+                Some((lo, hi)) => (int(lo.trim())?, int(hi.trim())?),
                 None => {
-                    let v: u32 = part
-                        .parse()
-                        .map_err(|_| CpuSetParseError::Int(part.into()))?;
-                    set.set(v);
+                    let v = int(part)?;
+                    (v, v)
                 }
+            };
+            if lo > hi {
+                return Err(CpuSetParseError::Range(lo, hi));
             }
+            if hi > Self::MAX_LIST_INDEX {
+                return Err(CpuSetParseError::TooLarge(hi));
+            }
+            set.set_range(lo, hi);
         }
         while set.words.last() == Some(&0) {
             set.words.pop();
@@ -371,10 +379,7 @@ impl Iterator for CpuSetIter<'_> {
                 return Some(self.word as u32 * 64 + bit);
             }
             self.word += 1;
-            if self.word >= self.set.words.len() {
-                return None;
-            }
-            self.mask = self.set.words[self.word];
+            self.mask = *self.set.words.get(self.word)?;
         }
     }
 }
@@ -388,6 +393,8 @@ pub enum CpuSetParseError {
     Int(String),
     /// A descending range like `7-3`.
     Range(u32, u32),
+    /// An index above [`CpuSet::MAX_LIST_INDEX`].
+    TooLarge(u32),
 }
 
 impl fmt::Display for CpuSetParseError {
@@ -396,6 +403,11 @@ impl fmt::Display for CpuSetParseError {
             CpuSetParseError::Empty => write!(f, "empty element in cpu list"),
             CpuSetParseError::Int(tok) => write!(f, "invalid integer token {tok:?} in cpu list"),
             CpuSetParseError::Range(lo, hi) => write!(f, "descending cpu range {lo}-{hi}"),
+            CpuSetParseError::TooLarge(idx) => write!(
+                f,
+                "cpu index {idx} in cpu list is above {}",
+                CpuSet::MAX_LIST_INDEX
+            ),
         }
     }
 }
@@ -479,6 +491,38 @@ mod tests {
             Err(CpuSetParseError::Empty)
         ));
         assert_eq!(CpuSet::parse_list("").unwrap(), CpuSet::new());
+    }
+
+    #[test]
+    fn a_listed_index_is_bounded_where_text_becomes_a_set() {
+        let max = CpuSet::MAX_LIST_INDEX;
+        // The ceiling itself is a cpu like any other.
+        for text in [format!("{max}"), format!("0-{max}"), format!("3,{max}")] {
+            let s = CpuSet::parse_list(&text).unwrap();
+            assert_eq!(s.last(), Some(max), "{text}");
+            assert!(s.words.len() * 8 <= 8 * 1024, "{text}");
+        }
+        // One past it, in either spelling and anywhere in the list, is
+        // refused before anything is sized to it.
+        let mut s = CpuSet::new();
+        for text in [
+            format!("{}", max + 1),
+            format!("0-{}", max + 1),
+            "4294967295".to_string(),
+            "0-4294967295".to_string(),
+            "0-3,4294967295".to_string(),
+            "0-3,8-4294967295".to_string(),
+        ] {
+            let err = s.parse_list_into(&text).unwrap_err();
+            assert!(
+                matches!(err, CpuSetParseError::TooLarge(n) if n > max),
+                "{text}: {err}"
+            );
+            assert!(s.words.capacity() * 8 <= 8 * 1024, "{text}");
+        }
+        // A mask's size is linear in its text: no ceiling needed.
+        let wide = ["ffffffff"; 4096].join(",");
+        assert_eq!(CpuSet::parse_mask(&wide).unwrap().count(), 4096 * 32);
     }
 
     #[test]

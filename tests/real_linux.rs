@@ -197,20 +197,68 @@ fn numeric_entries(dir: &str) -> Option<Vec<u32>> {
     )
 }
 
+/// `parse ∘ format ∘ parse = parse` on one live text: when it parses,
+/// the record rendered by `format::write_*` must parse to an equal
+/// record. The simulator feeds the monitor through these renderers, so
+/// a field the renderer drops is a field the paper tables never
+/// exercise. Returns what was rendered; `None` for a text that does not
+/// parse (torn under the read: the kernel's business).
+fn round_trip<T: PartialEq + std::fmt::Debug, E>(
+    text: &str,
+    parse: impl Fn(&str) -> Result<T, E>,
+    write: impl Fn(&T, &mut String),
+) -> Option<String> {
+    let record = parse(text).ok()?;
+    let mut rendered = String::new();
+    write(&record, &mut rendered);
+    assert_eq!(
+        parse(&rendered).ok().as_ref(),
+        Some(&record),
+        "{text:?} rendered as {rendered:?}"
+    );
+    Some(rendered)
+}
+
+/// A line's key in `status` and `/proc/meminfo`.
+fn colon_key(line: &str) -> Option<&str> {
+    Some(line.split_once(':')?.0.trim())
+}
+
+/// A line's key in `/proc/stat`.
+fn first_word(line: &str) -> Option<&str> {
+    line.split_whitespace().next()
+}
+
+/// The keys of a live text that its rendering does not carry: what the
+/// kernel prints and the record has no field for.
+fn skipped_keys(
+    skipped: &mut std::collections::BTreeSet<String>,
+    live: &str,
+    rendered: &str,
+    key: fn(&str) -> Option<&str>,
+) {
+    let kept: Vec<&str> = rendered.lines().filter_map(key).collect();
+    let dropped = live.lines().filter_map(key).filter(|k| !kept.contains(k));
+    skipped.extend(dropped.map(str::to_string));
+}
+
 #[test]
 fn live_kernel_texts_parse_like_the_oracle() {
+    use zerosum_proc::{format, parse};
     // Conformance against the running kernel, not a frozen capture:
     // every `status`, `stat` and `schedstat` this user may read, of
     // every task on the host, `/proc/stat` and `/proc/meminfo`, through
     // the shipped parsers and the reference parsers. They must agree on
     // the record or on the error; whether the text parses at all is the
     // kernel's business (a task may exit under the read and leave a torn
-    // text).
+    // text). What parses must also survive the renderer the simulator
+    // speaks through.
     let Some(pids) = numeric_entries("/proc") else {
         eprintln!("live conformance: SKIPPED (cannot list /proc)");
         return;
     };
-    let mut compared = 0usize;
+    let (mut compared, mut round_trips) = (0usize, 0usize);
+    let mut skipped = std::collections::BTreeSet::new();
     for pid in pids {
         for tid in numeric_entries(&format!("/proc/{pid}/task")).unwrap_or_default() {
             // Vanished or forbidden: nothing to compare.
@@ -219,30 +267,56 @@ fn live_kernel_texts_parse_like_the_oracle() {
             if let Ok(text) = read("status") {
                 oracle::assert_status_agrees(&text);
                 compared += 1;
+                if let Some(rendered) =
+                    round_trip(&text, parse::parse_task_status, format::write_task_status)
+                {
+                    skipped_keys(&mut skipped, &text, &rendered, colon_key);
+                    round_trips += 1;
+                }
             }
             if let Ok(text) = read("stat") {
-                oracle::assert_stat_agrees(text.trim_end());
+                let line = text.trim_end();
+                oracle::assert_stat_agrees(line);
+                let rendered = round_trip(line, parse::parse_task_stat, format::write_task_stat);
+                round_trips += usize::from(rendered.is_some());
             }
             if let Ok(text) = read("schedstat") {
                 oracle::assert_schedstat_agrees(&text);
+                let rendered = round_trip(&text, parse::parse_schedstat, format::write_schedstat);
+                round_trips += usize::from(rendered.is_some());
             }
         }
     }
     match std::fs::read_to_string("/proc/stat") {
         Ok(text) => {
             oracle::assert_system_stat_agrees(&text);
-            assert!(zerosum_proc::parse::parse_system_stat(&text).is_ok());
+            let rendered = round_trip(&text, parse::parse_system_stat, format::write_system_stat)
+                .expect("/proc/stat parses");
+            skipped_keys(&mut skipped, &text, &rendered, first_word);
         }
         Err(e) => eprintln!("live conformance: /proc/stat SKIPPED ({e})"),
     }
     match std::fs::read_to_string("/proc/meminfo") {
         Ok(text) => {
             oracle::assert_meminfo_agrees(&text);
-            assert!(zerosum_proc::parse::parse_meminfo(&text).is_ok());
+            let rendered = round_trip(&text, parse::parse_meminfo, format::write_meminfo)
+                .expect("/proc/meminfo parses");
+            skipped_keys(&mut skipped, &text, &rendered, colon_key);
         }
         Err(e) => eprintln!("live conformance: /proc/meminfo SKIPPED ({e})"),
     }
     // Our own main thread, at the least, is always readable.
     assert!(compared >= 1, "no task status was readable");
-    eprintln!("live conformance: {compared} tasks' texts, /proc/stat and /proc/meminfo agree");
+    assert!(round_trips >= 1, "no task text parsed");
+    eprintln!(
+        "live conformance: {compared} tasks' texts, /proc/stat and /proc/meminfo agree; \
+         {round_trips} task texts parse back from format::write_* to the same record"
+    );
+    // Kernel drift is budgeted for, not failed on.
+    eprintln!(
+        "live conformance: note: {} kernel keys of status, /proc/stat and /proc/meminfo \
+         have no field in a record: {}",
+        skipped.len(),
+        skipped.into_iter().collect::<Vec<_>>().join(" ")
+    );
 }
