@@ -44,7 +44,7 @@ pub struct Site {
     /// the enclosing impl type. A type-like (capitalized) qualifier
     /// restricts resolution to that impl's functions — so `Vec::new()`
     /// resolves to nothing instead of every workspace constructor. A
-    /// module-like qualifier restricts to free functions.
+    /// module-like qualifier restricts to that module's free functions.
     pub qualifier: Option<String>,
 }
 
@@ -74,10 +74,10 @@ pub struct CallGraph {
 
 /// Keywords that look like calls when followed by `(`, or like an
 /// indexed value when followed by `[` (`let [a, b] = pair`,
-/// `for x in [1, 2]`, `return [lo, hi]`).
-const KEYWORDS: [&str; 16] = [
+/// `for x in [1, 2]`, `return [lo, hi]`, a closure's `|b: &mut [T]|`).
+const KEYWORDS: [&str; 17] = [
     "if", "while", "for", "match", "loop", "return", "break", "continue", "move", "in", "as",
-    "where", "else", "let", "fn", "unsafe",
+    "where", "else", "let", "fn", "unsafe", "mut",
 ];
 
 /// Call names that collide with ubiquitous std/prelude methods
@@ -92,7 +92,7 @@ const KEYWORDS: [&str; 16] = [
 /// names (`list_tasks_into`, `sample`, …) are untouched, so
 /// trait-object dispatch stays over-approximated in the safe
 /// direction.
-const STD_COLLISIONS: [&str; 27] = [
+const STD_COLLISIONS: [&str; 29] = [
     "parse",
     "new",
     "default",
@@ -120,7 +120,13 @@ const STD_COLLISIONS: [&str; 27] = [
     "add",
     "write",
     "read",
+    "with",
+    "iter",
 ];
+
+/// What every workspace crate's name starts with. `zerosum_apps::f` is
+/// a re-export whose file the path does not say.
+const WORKSPACE_CRATE_PREFIX: &str = "zerosum";
 
 /// Whether a bare-name candidate `target` is a plausible callee for
 /// `site`, given the set of identifiers appearing in the caller's
@@ -130,8 +136,9 @@ const STD_COLLISIONS: [&str; 27] = [
 ///    (`Self` already rewritten to the enclosing impl type) resolves
 ///    only to functions in `impl Q` — so `Vec::new()` aliases no
 ///    workspace constructor. A lowercase, module-like qualifier
-///    (`fs::read_dir`, `super::helper`) resolves only to free
-///    functions.
+///    resolves only to free functions of that module
+///    ([`in_module`]): `thread::spawn` and `fs::read_dir` name no
+///    workspace module and resolve to nothing.
 /// 2. **Method shape.** `x.name(…)` resolves only to `impl`-block
 ///    functions.
 /// 3. **[`STD_COLLISIONS`] mention filter.** For ubiquitous names, an
@@ -147,7 +154,7 @@ fn site_targets(
         return if typelike {
             target.item.impl_type.as_deref() == Some(q.as_str())
         } else {
-            target.item.impl_type.is_none()
+            target.item.impl_type.is_none() && in_module(&target.item, q)
         };
     }
     if s.method && target.item.impl_type.is_none() {
@@ -160,6 +167,22 @@ fn site_targets(
         Some(t) => caller_idents.contains(t),
         None => true,
     }
+}
+
+/// Whether the free function `item` may be what `q::name(…)` calls: its
+/// file is `q.rs` or `q/mod.rs`, or it sits in an inline `mod q { … }`.
+/// `self`/`super`/`crate` and a workspace crate name name no file, so
+/// they keep every free function of that name.
+fn in_module(item: &FnItem, q: &str) -> bool {
+    if matches!(q, "self" | "super" | "crate") || q.starts_with(WORKSPACE_CRATE_PREFIX) {
+        return true;
+    }
+    let mut dirs = item.file.rsplit('/');
+    let mut stem = dirs.next().and_then(|f| f.strip_suffix(".rs"));
+    if stem == Some("mod") {
+        stem = dirs.next();
+    }
+    stem == Some(q) || item.module.as_deref() == Some(q)
 }
 
 /// Extracts call/macro/index sites from one body range.
@@ -415,6 +438,39 @@ impl S { fn method_b(&self) { leaf() } }
     }
 
     #[test]
+    fn module_qualifier_resolves_inside_the_named_module_only() {
+        let g = graph(&[
+            (
+                "crates/x/src/role.rs",
+                "\
+fn enter() { record::entered(); thread::spawn(|| {}); zerosum_x::launch(1); }
+mod record { pub fn entered() {} }
+",
+            ),
+            (
+                "crates/x/src/synthetic.rs",
+                "pub fn entered() {}\npub fn spawn(n: u32) {}\npub fn launch(n: u32) {}\n",
+            ),
+        ]);
+        let enter = g.matching("role.rs", "enter")[0];
+        let callees: Vec<String> = g.fns[enter]
+            .callees
+            .iter()
+            .map(|&i| g.fns[i].item.display())
+            .collect();
+        // The inline module's fn, and what a crate-level path may
+        // re-export — not std's `thread::spawn`, not another file's
+        // `entered`.
+        assert_eq!(
+            callees,
+            [
+                "crates/x/src/role.rs:entered",
+                "crates/x/src/synthetic.rs:launch"
+            ]
+        );
+    }
+
+    #[test]
     fn test_fns_are_excluded() {
         let g = graph(&[(
             "a.rs",
@@ -428,7 +484,7 @@ impl S { fn method_b(&self) { leaf() } }
     fn array_patterns_and_literals_after_keywords_are_not_index_sites() {
         let g = graph(&[(
             "a.rs",
-            "fn f(p: (u32, u32)) -> u32 { let [a, b] = [p.0, p.1]; for x in [a, b] { g(x) } match [a, b] { [0, y] => y, _ => a } }",
+            "fn f(p: (u32, u32)) -> u32 { let [a, b] = [p.0, p.1]; for x in [a, b] { g(x) } let n = |s: &mut [u32]| s.len(); match [a, b] { [0, y] => y, _ => a } }",
         )]);
         let f = g.matching("a.rs", "f")[0];
         assert!(g.fns[f].sites.iter().all(|s| s.kind != SiteKind::Index));

@@ -302,7 +302,7 @@ mod tests {
         // Audit just this file: the canary edge the sanitizer records
         // must be exactly what the static pass extracts here.
         let src = std::fs::read_to_string(file!()).ok().or_else(|| {
-            let root = crate::lint::find_workspace_root(&std::env::current_dir().ok()?)?;
+            let root = super::super::find_workspace_root(&std::env::current_dir().ok()?)?;
             std::fs::read_to_string(root.join("crates/analyze/src/audit/drill.rs")).ok()
         });
         let Some(src) = src else {

@@ -10,8 +10,7 @@
 //!   `_into` sampling-round roots fails. This turns the zero-alloc
 //!   sampling discipline (DESIGN.md §4) into a CI-enforced
 //!   *reachability* property: a `format!` three calls below a
-//!   `task_stat_into` is caught even though the file-local lint never
-//!   saw it.
+//!   `task_stat_into` is caught.
 //! * **nondeterminism** — wall-clock, entropy, and unordered-iteration
 //!   effects reachable from the sim/experiment roots, statically
 //!   protecting the bit-identical survivor-equality differentials.
@@ -31,7 +30,7 @@ use super::callgraph::{CallGraph, SiteKind};
 use super::items::{FnItem, ParsedFile};
 use super::lexer::TokKind;
 use super::locks::{is_sanitizer_impl, LockAnalysis};
-use super::Finding;
+use super::{Allow, Allowlist, Finding};
 use std::collections::BTreeSet;
 
 /// A set of effects: a bitmask lattice ordered by inclusion.
@@ -106,9 +105,7 @@ pub struct EffectSite {
 }
 
 /// Configuration for the three effect passes: roots and reviewed
-/// allowlists. Allowlist entries are `(file_suffix, fn_name, token,
-/// why)`; an entry that stops matching any site fails the audit as
-/// stale.
+/// allowlists.
 #[derive(Debug, Clone, Copy)]
 pub struct EffectConfig<'a> {
     /// Every non-test fn whose name ends with this suffix is a hot
@@ -117,7 +114,7 @@ pub struct EffectConfig<'a> {
     /// Extra hot roots: `(file_suffix, fn_name)`.
     pub hot_roots: &'a [(&'a str, &'a str)],
     /// Reviewed allocation sites reachable from hot roots.
-    pub alloc_allowlist: &'a [(&'a str, &'a str, &'a str, &'a str)],
+    pub alloc_allowlist: &'a [Allow<'a>],
     /// Every fn in a file starting with one of these prefixes is a
     /// determinism root (the simulator).
     pub det_root_prefixes: &'a [&'a str],
@@ -125,11 +122,11 @@ pub struct EffectConfig<'a> {
     /// experiment drivers whose outputs must be bit-identical.
     pub det_roots: &'a [(&'a str, &'a str)],
     /// Reviewed nondeterministic sites reachable from det roots.
-    pub det_allowlist: &'a [(&'a str, &'a str, &'a str, &'a str)],
+    pub det_allowlist: &'a [Allow<'a>],
     /// Roots of the deadline-watchdog scope: `(file_suffix, fn_name)`.
     pub watchdog_roots: &'a [(&'a str, &'a str)],
     /// Reviewed blocking findings (watchdog or under-lock).
-    pub blocking_allowlist: &'a [(&'a str, &'a str, &'a str, &'a str)],
+    pub blocking_allowlist: &'a [Allow<'a>],
 }
 
 impl EffectConfig<'static> {
@@ -204,9 +201,8 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
 /// Reviewed allocation sites reachable from the `_into` roots:
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
-/// deliberate cache in the chaos-injection layer. A stale entry fails
-/// the audit.
-pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 28] = [
+/// deliberate cache in the chaos-injection layer.
+pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 28] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -401,7 +397,7 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [(&str, &str, &str, &str); 28] = [
 
 /// Reviewed nondeterministic sites reachable from the sim/experiment
 /// roots: `(file_suffix, fn, token, why)`.
-pub const DEFAULT_DET_ALLOWLIST: [(&str, &str, &str, &str); 4] = [
+pub const DEFAULT_DET_ALLOWLIST: [Allow; 4] = [
     (
         "crates/core/src/health.rs",
         "quarantined_now",
@@ -436,7 +432,7 @@ pub const DEFAULT_DET_ALLOWLIST: [(&str, &str, &str, &str); 4] = [
 /// `token` is `lock:effect`. The effect named for a `sample` call is
 /// the first file-io site the round reaches: the `stat` of the task
 /// directory in `LinuxProc::list_tasks_into`, ahead of its `read_dir`.
-pub const DEFAULT_BLOCKING_ALLOWLIST: [(&str, &str, &str, &str); 3] = [
+pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 3] = [
     (
         "crates/core/src/attach.rs",
         "start_with",
@@ -798,48 +794,6 @@ pub fn propagate(graph: &CallGraph, direct: &[EffectSet]) -> Vec<EffectSet> {
     propagate_over(&callees, direct)
 }
 
-/// Checks `(file, func, token)` against an allowlist, recording hits.
-fn allow_hit(
-    list: &[(&str, &str, &str, &str)],
-    hits: &mut [usize],
-    file: &str,
-    func: &str,
-    token: &str,
-) -> bool {
-    let mut any = false;
-    for (i, (f, fun, tok, _)) in list.iter().enumerate() {
-        if file.ends_with(f) && func == *fun && token == *tok {
-            hits[i] += 1;
-            any = true;
-        }
-    }
-    any
-}
-
-/// Emits stale-allowlist findings for entries that matched nothing.
-fn stale_entries(
-    findings: &mut Vec<Finding>,
-    list: &[(&str, &str, &str, &str)],
-    hits: &[usize],
-    pass: &str,
-) {
-    for (i, (file, func, token, _)) in list.iter().enumerate() {
-        if hits[i] == 0 {
-            findings.push(Finding {
-                pass: "stale-allowlist",
-                file: file.to_string(),
-                line: 0,
-                func: func.to_string(),
-                token: token.to_string(),
-                detail: format!(
-                    "{pass} allowlist entry ({file}, {func}, {token}) matches no current site"
-                ),
-                witness: Vec::new(),
-            });
-        }
-    }
-}
-
 /// Names of the effect bits in `mask`, for human-readable details.
 pub fn bit_name(bit: u16) -> &'static str {
     match bit {
@@ -865,11 +819,11 @@ fn reach_pass(
     mask: u16,
     pass: &'static str,
     scope: &str,
-    allowlist: &[(&str, &str, &str, &str)],
+    allowlist: &[Allow],
     findings: &mut Vec<Finding>,
 ) -> usize {
     let parents = graph.reach_from(roots);
-    let mut hits = vec![0usize; allowlist.len()];
+    let mut allow = Allowlist::new(pass, allowlist);
     let mut reachable = 0usize;
     for (fi, p) in parents.iter().enumerate() {
         if p.is_none() {
@@ -881,13 +835,7 @@ fn reach_pass(
             if s.bit & mask == 0 {
                 continue;
             }
-            if allow_hit(
-                allowlist,
-                &mut hits,
-                &node.item.file,
-                &node.item.name,
-                &s.token,
-            ) {
+            if allow.allows(&node.item.file, &node.item.name, &s.token) {
                 continue;
             }
             let witness = graph.path_chain(&parents, fi);
@@ -909,7 +857,7 @@ fn reach_pass(
             });
         }
     }
-    stale_entries(findings, allowlist, &hits, pass);
+    allow.stale(findings);
     reachable
 }
 
@@ -978,7 +926,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
     for (file, name) in cfg.watchdog_roots {
         wd_roots.extend(graph.matching(file, name));
     }
-    let mut blocking_hits = vec![0usize; cfg.blocking_allowlist.len()];
+    let mut blocking = Allowlist::new("blocking", cfg.blocking_allowlist);
     {
         let parents = graph.reach_from(&wd_roots);
         for (fi, p) in parents.iter().enumerate() {
@@ -990,13 +938,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
                 if s.bit & WATCHDOG_MASK == 0 {
                     continue;
                 }
-                if allow_hit(
-                    cfg.blocking_allowlist,
-                    &mut blocking_hits,
-                    &node.item.file,
-                    &node.item.name,
-                    &s.token,
-                ) {
+                if blocking.allows(&node.item.file, &node.item.name, &s.token) {
                     continue;
                 }
                 let witness = graph.path_chain(&parents, fi);
@@ -1031,13 +973,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
                 continue;
             }
             let token = format!("{}:{}", a.lock, s.token);
-            if allow_hit(
-                cfg.blocking_allowlist,
-                &mut blocking_hits,
-                &node.item.file,
-                &node.item.name,
-                &token,
-            ) {
+            if blocking.allows(&node.item.file, &node.item.name, &token) {
                 continue;
             }
             findings.push(Finding {
@@ -1096,13 +1032,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
             }
             let Some((_, chain, bs)) = best else { continue };
             let token = format!("{}:{}", a.lock, bs.token);
-            if allow_hit(
-                cfg.blocking_allowlist,
-                &mut blocking_hits,
-                &node.item.file,
-                &node.item.name,
-                &token,
-            ) {
+            if blocking.allows(&node.item.file, &node.item.name, &token) {
                 continue;
             }
             let mut witness = vec![node.item.name.clone()];
@@ -1128,12 +1058,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
             });
         }
     }
-    stale_entries(
-        &mut findings,
-        cfg.blocking_allowlist,
-        &blocking_hits,
-        "blocking",
-    );
+    blocking.stale(&mut findings);
 
     EffectAnalysis {
         findings,
@@ -1156,7 +1081,7 @@ mod tests {
 
     fn run(srcs: &[(&str, &str)], cfg: &EffectConfig) -> EffectAnalysis {
         let g = graph(srcs);
-        let la = analyze_locks(&g);
+        let la = analyze_locks(&g, &[]);
         analyze_effects(&g, &la, cfg)
     }
 

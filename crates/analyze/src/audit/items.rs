@@ -26,6 +26,8 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl` type name, when inside an `impl` block.
     pub impl_type: Option<String>,
+    /// Innermost enclosing inline `mod name { … }`, when inside one.
+    pub module: Option<String>,
     /// Repo-relative file (as given to [`parse_file`]).
     pub file: String,
     /// 1-based line of the `fn` keyword.
@@ -92,11 +94,21 @@ impl ParsedFile {
     /// Index of the matching `}` for the `{` at token `open` (or the
     /// last token if unbalanced).
     pub fn matching_brace(&self, open: usize) -> usize {
+        self.matching(open, '{', '}')
+    }
+
+    /// Index of the matching `)` for the `(` at token `open` (or the
+    /// last token if unbalanced).
+    pub fn matching_paren(&self, open: usize) -> usize {
+        self.matching(open, '(', ')')
+    }
+
+    fn matching(&self, open: usize, left: char, right: char) -> usize {
         let mut depth = 0usize;
         for i in open..self.tokens.len() {
             match self.tokens[i].kind {
-                TokKind::Punct('{') => depth += 1,
-                TokKind::Punct('}') => {
+                TokKind::Punct(c) if c == left => depth += 1,
+                TokKind::Punct(c) if c == right => {
                     depth -= 1;
                     if depth == 0 {
                         return i;
@@ -115,6 +127,7 @@ struct Scope {
     close: usize,
     is_test: bool,
     impl_type: Option<String>,
+    module: Option<String>,
 }
 
 /// Parses `src` (living at repo-relative `file`) into items.
@@ -168,6 +181,7 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
                     close,
                     is_test: pending_test || scopes.last().map(|s| s.is_test).unwrap_or(false),
                     impl_type: None,
+                    module: Some(pf.text(i + 1).to_string()),
                 });
             }
             pending_test = false;
@@ -187,12 +201,15 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
         }
         if pf.is_punct(i, '{') {
             let close = pf.matching_brace(i);
+            // A gated `impl` gates its whole body, as a gated `mod` does.
+            let gated = pending_impl.is_some() && std::mem::take(&mut pending_test);
             scopes.push(Scope {
                 close,
-                is_test: scopes.last().map(|s| s.is_test).unwrap_or(false),
+                is_test: gated || scopes.last().map(|s| s.is_test).unwrap_or(false),
                 impl_type: pending_impl
                     .take()
                     .or_else(|| scopes.last().and_then(|s| s.impl_type.clone())),
+                module: None,
             });
             i += 1;
             continue;
@@ -396,10 +413,12 @@ fn parse_fn(pf: &ParsedFile, i: usize, is_test: bool, scopes: &[Scope]) -> Optio
     let open = j;
     let close = pf.matching_brace(open);
     let impl_type = scopes.iter().rev().find_map(|s| s.impl_type.clone());
+    let module = scopes.iter().rev().find_map(|s| s.module.clone());
     Some((
         FnItem {
             name,
             impl_type,
+            module,
             file: pf.file.clone(),
             line: pf.tokens[i].line,
             body: (open + 1)..close,
@@ -467,6 +486,46 @@ mod tests {
                 ("unit".into(), true),
                 ("helper".into(), true),
                 ("t".into(), true),
+            ]
+        );
+    }
+
+    #[test]
+    fn test_gating_follows_the_attribute_not_the_text() {
+        let src = "\
+#[cfg(not(test))]
+fn shipped() {}
+#[cfg(all(test, feature = \"x\"))]
+mod gated { fn inside() {} }
+#[cfg(test)]
+use std::collections::HashMap;
+fn after_use() {}
+#[cfg(test)]
+mod tests {
+    fn braces() { let weird = \"}}}{\"; let raw = r\"\\\"; }
+}
+fn after_mod() {}
+#[cfg(test)]
+impl Probe { fn first(&self) {} fn second(&self) {} }
+impl Probe { fn shipped_method(&self) {} }
+";
+        let pf = parse_file("a.rs", src);
+        let by_name: Vec<(&str, bool)> = pf
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_test))
+            .collect();
+        assert_eq!(
+            by_name,
+            [
+                ("shipped", false),
+                ("inside", true),
+                ("after_use", false),
+                ("braces", true),
+                ("after_mod", false),
+                ("first", true),
+                ("second", true),
+                ("shipped_method", false),
             ]
         );
     }

@@ -1,9 +1,8 @@
 //! A comment/string/raw-string–correct Rust lexer.
 //!
 //! This is the single place in the repo that knows how to separate Rust
-//! *code* from comments and literals. Both the `zslint` rules and the
-//! `zsaudit` interprocedural passes consume its token stream, so the
-//! brace-counting/string-stripping logic exists exactly once.
+//! *code* from comments and literals: every `zsaudit` pass consumes its
+//! token stream.
 //!
 //! The lexer is deliberately small: it produces identifiers, lifetimes,
 //! literals, and single-character punctuation with exact line numbers
@@ -38,8 +37,7 @@ pub enum TokKind {
     Num,
     /// Single punctuation character.
     Punct(char),
-    /// Line or block comment (kept in the stream so blanking can use
-    /// spans; the item parser filters these out).
+    /// Line or block comment (the item parser filters these out).
     Comment,
 }
 
@@ -360,154 +358,6 @@ pub fn lex(src: &str) -> Vec<Token> {
     out
 }
 
-/// Replaces comments and string/char literal spans with spaces,
-/// preserving newlines (and thus line numbers) exactly — the shared
-/// foundation for the line-oriented `zslint` rules.
-pub fn blank_noncode(src: &str) -> String {
-    let tokens = lex(src);
-    blank_spans(
-        src,
-        tokens
-            .iter()
-            .filter(|t| matches!(t.kind, TokKind::Comment | TokKind::Str | TokKind::Char))
-            .map(|t| (t.start, t.end)),
-    )
-}
-
-fn blank_spans(src: &str, spans: impl Iterator<Item = (usize, usize)>) -> String {
-    let mut out: Vec<u8> = src.bytes().collect();
-    for (a, b) in spans {
-        for byte in &mut out[a..b] {
-            if *byte != b'\n' {
-                *byte = b' ';
-            }
-        }
-    }
-    // Only ASCII spaces were written over non-newline bytes; multibyte
-    // chars inside spans became runs of spaces, so this is valid UTF-8.
-    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
-}
-
-/// Returns `src` with every `#[cfg(test)]`-gated item blanked (spaces,
-/// newlines kept), using token-level brace matching so braces inside
-/// strings, chars, and comments never miscount.
-///
-/// Matches the attribute forms `#[cfg(test)]` and `#[cfg(all(test, …))]`
-/// (the forms the repo uses); `#[cfg(not(test))]` is code and stays.
-pub fn blank_test_mods(src: &str) -> String {
-    let tokens: Vec<Token> = lex(src)
-        .into_iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .collect();
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if let Some((attr_end, _)) = match_test_attr(src, &tokens, i) {
-            // Blank from the attribute through the end of the item it
-            // gates: either a braced item (`mod`/`fn`/`impl` …) or a
-            // `;`-terminated one (`use` …).
-            let start = tokens[i].start;
-            let mut j = attr_end;
-            // Skip any further attributes on the same item.
-            while j < tokens.len() && tokens[j].kind == TokKind::Punct('#') {
-                if let Some((e, _)) = match_any_attr(&tokens, j) {
-                    j = e;
-                } else {
-                    break;
-                }
-            }
-            let mut depth = 0usize;
-            let mut end = start;
-            while j < tokens.len() {
-                match tokens[j].kind {
-                    TokKind::Punct('{') => depth += 1,
-                    TokKind::Punct('}') => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            end = tokens[j].end;
-                            break;
-                        }
-                    }
-                    TokKind::Punct(';') if depth == 0 => {
-                        end = tokens[j].end;
-                        break;
-                    }
-                    _ => {}
-                }
-                end = tokens[j].end;
-                j += 1;
-            }
-            spans.push((start, end));
-            // Continue after the blanked region.
-            while i < tokens.len() && tokens[i].start < end {
-                i += 1;
-            }
-            continue;
-        }
-        i += 1;
-    }
-    blank_spans(src, spans.into_iter())
-}
-
-/// If tokens at `i` start any attribute `#[…]`, returns (index one past
-/// the closing `]`, index of `[`).
-fn match_any_attr(tokens: &[Token], i: usize) -> Option<(usize, usize)> {
-    if tokens.get(i)?.kind != TokKind::Punct('#') {
-        return None;
-    }
-    let mut j = i + 1;
-    if tokens.get(j)?.kind == TokKind::Punct('!') {
-        j += 1;
-    }
-    if tokens.get(j)?.kind != TokKind::Punct('[') {
-        return None;
-    }
-    let open = j;
-    let mut depth = 0usize;
-    while j < tokens.len() {
-        match tokens[j].kind {
-            TokKind::Punct('[') => depth += 1,
-            TokKind::Punct(']') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((j + 1, open));
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    None
-}
-
-/// If tokens at `i` start a `#[cfg(test)]` / `#[cfg(all(test, …))]`
-/// attribute, returns (index one past `]`, index of `[`).
-fn match_test_attr(src: &str, tokens: &[Token], i: usize) -> Option<(usize, usize)> {
-    let (end, open) = match_any_attr(tokens, i)?;
-    let mut j = open + 1;
-    let ident = |k: usize, name: &str| -> bool {
-        tokens
-            .get(k)
-            .map(|t| t.kind == TokKind::Ident && t.text(src) == name)
-            .unwrap_or(false)
-    };
-    if !ident(j, "cfg") {
-        return None;
-    }
-    j += 1;
-    if tokens.get(j)?.kind != TokKind::Punct('(') {
-        return None;
-    }
-    j += 1;
-    if ident(j, "test") {
-        return Some((end, open));
-    }
-    if ident(j, "all") && tokens.get(j + 1)?.kind == TokKind::Punct('(') && ident(j + 2, "test") {
-        return Some((end, open));
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,60 +433,5 @@ mod tests {
             .map(|t| t.text(src))
             .collect();
         assert_eq!(lifetimes, ["'static", "'a"]);
-    }
-
-    #[test]
-    fn blank_noncode_preserves_lines_and_code() {
-        let src = "// c\nlet s = \"x.unwrap()\";\nx.unwrap();\n";
-        let blanked = blank_noncode(src);
-        assert_eq!(blanked.lines().count(), src.lines().count());
-        assert_eq!(blanked.matches(".unwrap()").count(), 1);
-        assert!(blanked.lines().nth(2).unwrap().contains(".unwrap()"));
-    }
-
-    #[test]
-    fn blank_test_mods_ignores_braces_in_strings() {
-        let src = "\
-fn live() {}
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() {
-        let weird = \"}}}{\";
-        let raw = r\"\\\";
-        Some(1).unwrap();
-    }
-}
-fn also_live(x: Option<u32>) -> u32 { x.unwrap() }
-";
-        let out = blank_test_mods(src);
-        assert!(!out.contains("Some(1)"), "test body blanked:\n{out}");
-        assert!(
-            out.contains("also_live"),
-            "code after the mod survives:\n{out}"
-        );
-        assert_eq!(out.matches("unwrap").count(), 1);
-    }
-
-    #[test]
-    fn cfg_not_test_is_kept() {
-        let src = "#[cfg(not(test))]\nfn live(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        let out = blank_test_mods(src);
-        assert!(out.contains("unwrap"));
-    }
-
-    #[test]
-    fn cfg_all_test_is_blanked() {
-        let src = "#[cfg(all(test, feature = \"x\"))]\nmod t { fn f() { p.unwrap() } }\n";
-        let out = blank_test_mods(src);
-        assert!(!out.contains("unwrap"));
-    }
-
-    #[test]
-    fn cfg_test_on_semicolon_item_is_blanked() {
-        let src = "#[cfg(test)]\nuse std::collections::HashMap;\nfn live() {}\n";
-        let out = blank_test_mods(src);
-        assert!(!out.contains("HashMap"));
-        assert!(out.contains("live"));
     }
 }

@@ -7,7 +7,7 @@
 //! path, propagates held-lock sets through the call graph, and reports:
 //!
 //! * **lock-cycle** — a cycle in the lock-order graph (potential
-//!   deadlock). This pass must be clean; cycles are never baselined.
+//!   deadlock). No allowlist accepts one.
 //! * **lock-across-channel** — a lock held across a blocking channel
 //!   `send`/`recv` (directly or via a callee).
 //! * **lock-across-proc-read** — a lock held across a `ProcSource`
@@ -23,24 +23,9 @@
 use super::callgraph::{CallGraph, SiteKind};
 use super::items::ParsedFile;
 use super::lexer::TokKind;
-use super::Finding;
+use super::rules::PROC_READS;
+use super::{Allow, Allowlist, Finding};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Blocking ProcSource reads (owning and `_into` buffer-reuse forms).
-const PROC_READS: [&str; 12] = [
-    "system_stat",
-    "meminfo",
-    "list_tasks",
-    "task_stat",
-    "task_status",
-    "task_schedstat",
-    "process_status",
-    "system_stat_into",
-    "list_tasks_into",
-    "task_stat_into",
-    "task_status_into",
-    "meminfo_into",
-];
 
 /// Files whose interior lock use is the *implementation* of the
 /// sanitizer itself: `Tracked` wraps a Mutex and the edge recorder
@@ -93,8 +78,8 @@ pub struct LockAnalysis {
 }
 
 /// Allowlisted `lock-across-*` findings, each with a reviewed
-/// justification. Keys are `(file_suffix, fn_name, pass)`.
-pub const LOCK_ALLOWLIST: [(&str, &str, &str, &str); 2] = [
+/// justification: `(file_suffix, fn_name, pass, why)`.
+pub const LOCK_ALLOWLIST: [Allow; 2] = [
     (
         "crates/core/src/attach.rs",
         "start_with",
@@ -366,6 +351,16 @@ pub(crate) fn receiver_path(pf: &ParsedFile, dot: usize) -> String {
     parts.concat()
 }
 
+/// The last meaningful segment of a normalized receiver path
+/// (`self.scratch.watched_rss` → `watched_rss`; `jw` → `jw`).
+pub(crate) fn last_segment(path: &str) -> &str {
+    path.rsplit('.')
+        .find(|s| !s.is_empty() && *s != "[_]" && *s != "()")
+        .unwrap_or(path)
+        .trim_end_matches("[_]")
+        .trim_end_matches("()")
+}
+
 /// The first argument's receiver path inside `wrapper( arg, … )` where
 /// `open` is the `(` token: strips leading `&`/`mut`.
 fn first_arg_path(pf: &ParsedFile, open: usize) -> String {
@@ -484,7 +479,7 @@ fn held_until(pf: &ParsedFile, t: usize, body: &std::ops::Range<usize>) -> usize
 }
 
 /// Runs the lock pass over a built call graph.
-pub fn analyze_locks(graph: &CallGraph) -> LockAnalysis {
+pub fn analyze_locks(graph: &CallGraph, allowlist: &[Allow]) -> LockAnalysis {
     // Tracked-name maps: one per file (bindings are file-scoped) plus a
     // global fallback for cross-file idents.
     let file_names: Vec<BTreeMap<String, String>> = graph.files.iter().map(tracked_names).collect();
@@ -715,21 +710,13 @@ pub fn analyze_locks(graph: &CallGraph) -> LockAnalysis {
         }
     }
 
-    // Cycle detection over the lock-order graph.
+    // Drop allowlisted held-across findings, then add the cycles, which
+    // are never dropped.
+    let mut allow = Allowlist::new("lock", allowlist);
+    findings.retain(|f| !allow.allows(&f.file, &f.func, f.pass));
+    allow.stale(&mut findings);
     let edge_list: Vec<LockEdge> = edges.into_values().collect();
     findings.extend(find_cycles(&edge_list));
-    // Drop allowlisted held-across findings (cycles are never dropped).
-    let findings = findings
-        .into_iter()
-        .filter(|f| {
-            !LOCK_ALLOWLIST.iter().any(|(file, func, pass, _)| {
-                f.pass != "lock-cycle"
-                    && f.pass == *pass
-                    && f.file.ends_with(file)
-                    && f.func == *func
-            })
-        })
-        .collect();
     LockAnalysis {
         acquisitions: direct.into_iter().flatten().collect(),
         edges: edge_list,
@@ -859,7 +846,7 @@ mod tests {
 
     fn run(srcs: &[(&str, &str)]) -> LockAnalysis {
         let graph = CallGraph::build(srcs.iter().map(|(p, s)| parse_file(p, s)).collect());
-        analyze_locks(&graph)
+        analyze_locks(&graph, &[])
     }
 
     #[test]
@@ -1008,6 +995,25 @@ fn fine(x: &M, tx: &Sender<u32>) {
             .iter()
             .any(|f| f.pass == "lock-across-proc-read" && f.func == "bad_proc"));
         assert!(!la.findings.iter().any(|f| f.func == "fine"));
+    }
+
+    #[test]
+    fn allowlist_suppresses_and_stale_entry_fails() {
+        let graph = CallGraph::build(vec![parse_file(
+            "a.rs",
+            "fn held(x: &M, src: &dyn ProcSource) { let g = x.alpha.lock(); src.meminfo(); }",
+        )]);
+        let allow = [
+            ("a.rs", "held", "lock-across-proc-read", "reviewed"),
+            ("a.rs", "gone", "lock-across-proc-read", "names no site"),
+        ];
+        let la = analyze_locks(&graph, &allow);
+        assert_eq!(la.findings.len(), 1, "{:?}", la.findings);
+        let stale = &la.findings[0];
+        assert_eq!(
+            (stale.pass, stale.func.as_str()),
+            ("stale-allowlist", "gone")
+        );
     }
 
     #[test]

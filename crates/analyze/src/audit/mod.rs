@@ -1,23 +1,22 @@
-//! `zsaudit` — interprocedural concurrency audit.
+//! `zsaudit` — the workspace's one source-level checker.
 //!
-//! A source-level static-analysis engine shared by `zerosum audit` and
-//! the lint rules: a comment/string-correct lexer ([`lexer`]), a
-//! lightweight item parser recovering function bodies ([`items`]), a
-//! workspace call graph ([`callgraph`]), and the interprocedural
-//! passes — lock-order analysis ([`locks`]), panic-reachability
-//! ([`panics`]), the effect passes ([`effects`]: hot-path allocation,
-//! determinism, blocking), and the thread-provenance passes
-//! ([`threads`]: ring-discipline, channel-protocol, role-blocking).
+//! A comment/string-correct lexer ([`lexer`]), a lightweight item
+//! parser recovering function bodies ([`items`]), a workspace call
+//! graph ([`callgraph`]), and the passes over them — lock-order
+//! analysis ([`locks`]), panic-reachability ([`panics`]), the effect
+//! passes ([`effects`]: hot-path allocation, determinism, blocking),
+//! the thread-provenance passes ([`threads`]: ring-discipline,
+//! channel-protocol, role-blocking) and the repo rules ([`rules`]:
+//! print-in-lib, source-error-bubble, unbounded-growth).
 //! See DESIGN.md §10–§11 and §15 for the analysis model and its
 //! deliberate over-approximations.
 //!
 //! Every finding carries a witness trace (shortest root→site call
 //! chain), surfaced by `zerosum audit --explain` and in `--json`.
 //!
-//! Findings diff against a committed baseline (`AUDIT_baseline.json`)
-//! keyed *without* line numbers so unrelated edits don't churn it.
-//! Lock-order cycles are never baselineable: a cycle fails the audit
-//! outright.
+//! Any finding fails the audit. The only way to accept a site is a
+//! reviewed [`Allowlist`] entry with its reason, and an entry that
+//! matches no site any more is itself a finding.
 
 pub mod callgraph;
 pub mod drill;
@@ -26,6 +25,7 @@ pub mod items;
 pub mod lexer;
 pub mod locks;
 pub mod panics;
+pub mod rules;
 pub mod threads;
 
 use std::collections::BTreeSet;
@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 /// One audit finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Pass identifier — one of [`KNOWN_PASSES`].
+    /// Pass identifier.
     pub pass: &'static str,
     /// Repo-relative file path.
     pub file: String,
@@ -43,53 +43,81 @@ pub struct Finding {
     pub line: usize,
     /// Enclosing function (empty for graph-level findings).
     pub func: String,
-    /// The offending token/lock/kind — part of the stable key.
+    /// The offending token/lock/kind — what an [`Allowlist`] entry
+    /// names.
     pub token: String,
     /// Human-readable explanation.
     pub detail: String,
     /// Witness trace: the shortest root→site call chain (function
     /// names, root first). Empty for findings with no call path
     /// (stale allowlist entries). Shown by `zerosum audit --explain`
-    /// and in `--json`; not part of the baseline key.
+    /// and in `--json`.
     pub witness: Vec<String>,
 }
 
-impl Finding {
-    /// Stable baseline key. Deliberately excludes the line number so a
-    /// baseline survives unrelated edits to the same file.
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}|{}", self.pass, self.file, self.func, self.token)
-    }
+/// One reviewed allowlist entry: `(file_suffix, fn_name, token, why)`.
+pub type Allow<'a> = (&'a str, &'a str, &'a str, &'a str);
+
+/// A reviewed suppression list and the record of which entries were
+/// used that keeps it honest — the audit's only way to accept a site.
+/// An entry that stops matching any site is itself a finding:
+/// allowlists must not rot.
+pub struct Allowlist<'a> {
+    pass: &'a str,
+    entries: &'a [Allow<'a>],
+    used: Vec<bool>,
 }
 
-/// Every pass identifier the engine can emit. Baseline keys naming any
-/// other pass are stale (the pass was renamed or removed) and fail the
-/// audit like a stale allowlist entry.
-pub const KNOWN_PASSES: [&str; 11] = [
-    "lock-cycle",
-    "lock-across-channel",
-    "lock-across-proc-read",
-    "panic-reachable",
-    "hot-path-alloc",
-    "nondeterminism",
-    "blocking",
-    "ring-discipline",
-    "channel-protocol",
-    "role-blocking",
-    "stale-allowlist",
-];
+impl<'a> Allowlist<'a> {
+    /// The reviewed `entries` of `pass`, none used yet.
+    pub fn new(pass: &'a str, entries: &'a [Allow<'a>]) -> Self {
+        Allowlist {
+            pass,
+            entries,
+            used: vec![false; entries.len()],
+        }
+    }
 
-/// Baseline keys whose pass segment names no current pass — stale
-/// entries that would otherwise mask nothing forever.
-pub fn unknown_pass_keys(baseline: &BTreeSet<String>) -> Vec<String> {
-    baseline
-        .iter()
-        .filter(|k| {
-            let pass = k.split('|').next().unwrap_or("");
-            !KNOWN_PASSES.contains(&pass)
-        })
-        .cloned()
-        .collect()
+    /// Whether an entry accepts `token` in `func` of `file`; every
+    /// entry that does is marked used.
+    pub fn allows(&mut self, file: &str, func: &str, token: &str) -> bool {
+        let mut any = false;
+        for (used, (f, fun, tok, _)) in self.used.iter_mut().zip(self.entries) {
+            if file.ends_with(f) && func == *fun && token == *tok {
+                *used = true;
+                any = true;
+            }
+        }
+        any
+    }
+
+    /// One finding per entry that accepted nothing.
+    pub fn stale(&self, findings: &mut Vec<Finding>) {
+        let unused = self
+            .used
+            .iter()
+            .zip(self.entries)
+            .filter(|(used, _)| !**used);
+        for (_, (file, func, token, _)) in unused {
+            let named: Vec<&str> = [*file, *func, *token]
+                .into_iter()
+                .filter(|part| !part.is_empty())
+                .collect();
+            findings.push(Finding {
+                pass: "stale-allowlist",
+                file: file.to_string(),
+                line: 0,
+                func: func.to_string(),
+                token: token.to_string(),
+                detail: format!(
+                    "{} allowlist entry ({}) matches no current site",
+                    self.pass,
+                    named.join(", ")
+                ),
+                witness: Vec::new(),
+            });
+        }
+    }
 }
 
 /// Aggregate statistics for the report header.
@@ -144,20 +172,11 @@ impl AuditReport {
         self.findings.is_empty()
     }
 
-    /// Lock-cycle findings — never maskable by a baseline.
+    /// Lock-cycle findings.
     pub fn cycles(&self) -> Vec<&Finding> {
         self.findings
             .iter()
             .filter(|f| f.pass == "lock-cycle")
-            .collect()
-    }
-
-    /// Findings not covered by `baseline` keys. Cycles are always
-    /// returned, baselined or not.
-    pub fn beyond_baseline<'a>(&'a self, baseline: &BTreeSet<String>) -> Vec<&'a Finding> {
-        self.findings
-            .iter()
-            .filter(|f| f.pass == "lock-cycle" || !baseline.contains(&f.key()))
             .collect()
     }
 
@@ -209,11 +228,13 @@ impl AuditReport {
                 writeln!(out, "\n[{}]", f.pass).unwrap();
                 last_pass = f.pass;
             }
+            // `file:line: `, `file: `, or nothing for an entry naming no file.
+            let mut at = f.file.clone();
             if f.line > 0 {
-                writeln!(out, "  {}:{}: {}", f.file, f.line, f.detail).unwrap();
-            } else {
-                writeln!(out, "  {}: {}", f.file, f.detail).unwrap();
+                write!(at, ":{}", f.line).unwrap();
             }
+            let sep = if at.is_empty() { "" } else { ": " };
+            writeln!(out, "  {at}{sep}{}", f.detail).unwrap();
             if explain && !f.witness.is_empty() {
                 writeln!(out, "    trace: {}", f.witness.join(" -> ")).unwrap();
             }
@@ -222,7 +243,7 @@ impl AuditReport {
         out
     }
 
-    /// Machine-readable report (the shape `scripts/ci.sh` diffs).
+    /// Machine-readable report.
     pub fn to_json(&self) -> String {
         let s = &self.stats;
         let mut out = String::from("{\n  \"schema\": 1,\n");
@@ -307,32 +328,9 @@ impl AuditReport {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// The committed-baseline form: just the stable keys.
-    pub fn baseline_json(&self) -> String {
-        let keys: BTreeSet<String> = self
-            .findings
-            .iter()
-            .filter(|f| f.pass != "lock-cycle")
-            .map(Finding::key)
-            .collect();
-        let mut out = String::from("{\n  \"schema\": 1,\n  \"findings\": [\n");
-        let n = keys.len();
-        for (i, k) in keys.iter().enumerate() {
-            writeln!(
-                out,
-                "    \"{}\"{}",
-                esc(k),
-                if i + 1 < n { "," } else { "" }
-            )
-            .unwrap();
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
-/// JSON string escaping for the hand-rolled writers above.
+/// JSON string escaping for the hand-rolled writer above.
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -350,54 +348,19 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Parses a baseline written by [`AuditReport::baseline_json`]: the set
-/// of string literals inside the `findings` array. Defensive about
-/// truncation and hand edits — errors, never panics.
-pub fn baseline_from_json(text: &str) -> Result<BTreeSet<String>, String> {
-    let start = text
-        .find("\"findings\"")
-        .ok_or_else(|| "baseline: no \"findings\" array".to_string())?;
-    let rest = &text[start + "\"findings\"".len()..];
-    let open = rest
-        .find('[')
-        .ok_or_else(|| "baseline: findings is not an array".to_string())?;
-    let mut keys = BTreeSet::new();
-    let mut cur = String::new();
-    let (mut in_str, mut esc_next) = (false, false);
-    for c in rest[open + 1..].chars() {
-        if in_str {
-            if esc_next {
-                match c {
-                    'n' => cur.push('\n'),
-                    't' => cur.push('\t'),
-                    other => cur.push(other),
-                }
-                esc_next = false;
-            } else if c == '\\' {
-                esc_next = true;
-            } else if c == '"' {
-                keys.insert(std::mem::take(&mut cur));
-                in_str = false;
-            } else {
-                cur.push(c);
-            }
-        } else if c == '"' {
-            in_str = true;
-        } else if c == ']' {
-            return Ok(keys);
-        }
-    }
-    Err("baseline: truncated findings array".to_string())
-}
-
-/// Full audit configuration: panic roots/allowlist plus the effect
-/// pass configuration.
+/// Full audit configuration: every pass's roots and reviewed
+/// allowlists.
 #[derive(Debug, Clone, Copy)]
 pub struct AuditConfig<'a> {
     /// Panic-reachability roots: `(file_suffix, fn_name, why)`.
     pub panic_roots: &'a [(&'a str, &'a str, &'a str)],
-    /// Panic-site allowlist: `(file_suffix, fn_name, kind, why)`.
-    pub panic_allowlist: &'a [(&'a str, &'a str, &'a str, &'a str)],
+    /// Reviewed panic sites; the token is the site kind.
+    pub panic_allowlist: &'a [Allow<'a>],
+    /// Reviewed `lock-across-*` findings; the token is the pass.
+    pub lock_allowlist: &'a [Allow<'a>],
+    /// Reviewed growing fields; the token is the field, the fn is left
+    /// empty.
+    pub growth_allowlist: &'a [Allow<'a>],
     /// Effect-pass roots and allowlists.
     pub effects: effects::EffectConfig<'a>,
     /// Thread-provenance anchors, resources, and allowlists.
@@ -410,8 +373,23 @@ impl AuditConfig<'static> {
         AuditConfig {
             panic_roots: &panics::PANIC_ROOTS,
             panic_allowlist: &panics::PANIC_ALLOWLIST,
+            lock_allowlist: &locks::LOCK_ALLOWLIST,
+            growth_allowlist: &rules::GROWTH_ALLOWLIST,
             effects: effects::DEFAULT_EFFECTS,
             threads: threads::DEFAULT_THREADS,
+        }
+    }
+
+    /// No roots and no allowlists (the `_into` suffix rule still
+    /// applies) — what the fixture tests start from.
+    pub const fn empty() -> AuditConfig<'static> {
+        AuditConfig {
+            panic_roots: &[],
+            panic_allowlist: &[],
+            lock_allowlist: &[],
+            growth_allowlist: &[],
+            effects: effects::EffectConfig::empty(),
+            threads: threads::ThreadConfig::empty(),
         }
     }
 }
@@ -424,7 +402,7 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         .map(|(p, s)| items::parse_file(p, s))
         .collect();
     let graph = callgraph::CallGraph::build(parsed);
-    let la = locks::analyze_locks(&graph);
+    let la = locks::analyze_locks(&graph, cfg.lock_allowlist);
     let pa = panics::analyze_panics(&graph, cfg.panic_roots, cfg.panic_allowlist);
     let ea = effects::analyze_effects(&graph, &la, &cfg.effects);
     let ta = threads::analyze_threads(&graph, &la, &cfg.threads);
@@ -449,14 +427,17 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         .chain(pa.findings)
         .chain(ea.findings)
         .chain(ta.findings)
+        .chain(rules::analyze_rules(&graph, cfg.growth_allowlist))
         .collect();
     // Total order over every field that reaches the output, so
-    // `--json` / `--write-baseline` bytes are run-to-run stable.
+    // `--json` bytes are run-to-run stable.
     findings.sort_by(|a, b| {
         (a.pass, &a.file, a.line, &a.token, &a.func, &a.detail)
             .cmp(&(b.pass, &b.file, b.line, &b.token, &b.func, &b.detail))
     });
-    findings.dedup_by(|a, b| a.key() == b.key() && a.line == b.line);
+    findings.dedup_by(|a, b| {
+        (a.pass, &a.file, a.line, &a.token, &a.func) == (b.pass, &b.file, b.line, &b.token, &b.func)
+    });
     AuditReport {
         findings,
         edges: la.edges,
@@ -466,20 +447,16 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
     }
 }
 
-/// Runs the passes over in-memory sources with explicit panic roots and
-/// allowlist and the empty effect configuration (no named effect roots,
-/// no effect allowlists — but the `_into` suffix rule still applies) —
-/// the fixture-test entry point.
+/// [`AuditConfig::empty`] plus explicit panic roots and allowlist.
 pub fn audit_sources_with(
     sources: &[(String, String)],
     roots: &[(&str, &str, &str)],
-    allowlist: &[(&str, &str, &str, &str)],
+    allowlist: &[Allow],
 ) -> AuditReport {
     let cfg = AuditConfig {
         panic_roots: roots,
         panic_allowlist: allowlist,
-        effects: effects::EffectConfig::empty(),
-        threads: threads::ThreadConfig::empty(),
+        ..AuditConfig::empty()
     };
     audit_sources_cfg(sources, &cfg)
 }
@@ -490,12 +467,23 @@ pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
     audit_sources_cfg(sources, &AuditConfig::default_repo())
 }
 
-/// Collects workspace `.rs` sources under `root/crates`, skipping
-/// `target`, VCS, and fixture directories. Paths come back
-/// repo-relative with `/` separators.
+/// Locates the workspace root: walks up from `start` to the first
+/// directory whose `Cargo.toml` declares `[workspace]`.
+pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
+    start.ancestors().map(Path::to_path_buf).find(|d| {
+        std::fs::read_to_string(d.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
+    })
+}
+
+/// Collects workspace `.rs` sources under `root/crates` and the facade's
+/// `root/src`, skipping `target`, VCS, and fixture directories. Paths
+/// come back repo-relative with `/` separators.
 pub fn collect_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     let mut files: Vec<PathBuf> = Vec::new();
     walk(&root.join("crates"), &mut files)?;
+    if root.join("src").is_dir() {
+        walk(&root.join("src"), &mut files)?;
+    }
     files.sort();
     let mut out = Vec::with_capacity(files.len());
     for f in files {
@@ -573,62 +561,19 @@ fn rev(x: &M, y: &M) {
     }
 
     #[test]
-    fn baseline_round_trips_and_masks_old_findings_but_not_cycles() {
-        let sources = src(&[(
-            "crates/x/src/a.rs",
-            "fn root(v: Option<u32>) -> u32 { v.unwrap() }",
-        )]);
-        let r = audit_sources_with(&sources, &[("a.rs", "root", "test")], &[]);
-        assert_eq!(r.findings.len(), 1);
-        let base = baseline_from_json(&r.baseline_json()).unwrap();
-        assert_eq!(base.len(), 1);
-        assert!(r.beyond_baseline(&base).is_empty());
-        // A cycle is reported even when its key is in the baseline.
-        let cyc = src(&[(
-            "crates/x/src/a.rs",
-            "\
-fn ab(x: &M, y: &M) { let g = x.alpha.lock(); let h = y.beta.lock(); }
-fn ba(x: &M, y: &M) { let h = y.beta.lock(); let g = x.alpha.lock(); }
-",
-        )]);
-        let r2 = audit_sources_with(&cyc, &[], &[]);
-        let all: BTreeSet<String> = r2.findings.iter().map(Finding::key).collect();
-        assert!(!r2.beyond_baseline(&all).is_empty());
-    }
-
-    #[test]
-    fn unknown_pass_keys_flag_only_stale_pass_names() {
-        let base: BTreeSet<String> = [
-            "panic-reachable|crates/x/src/a.rs|root|unwrap",
-            "ring-discipline|crates/x/src/a.rs|pump|fx.ring.writer",
-            "panic-whitelist|crates/x/src/a.rs|root|unwrap",
-            "blokcing|crates/x/src/a.rs|drain|thread::sleep",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let stale = unknown_pass_keys(&base);
-        assert_eq!(stale.len(), 2, "{stale:?}");
-        assert!(stale[0].starts_with("blokcing|"), "{stale:?}");
-        assert!(stale[1].starts_with("panic-whitelist|"), "{stale:?}");
-        // Every pass the engine actually emits is known — a rename
-        // without updating KNOWN_PASSES would break this.
-        for pass in KNOWN_PASSES {
-            let k: BTreeSet<String> = [format!("{pass}|f|g|t")].into_iter().collect();
-            assert!(unknown_pass_keys(&k).is_empty(), "{pass}");
+    fn every_shipped_allowlist_entry_says_why() {
+        let cfg = AuditConfig::default_repo();
+        let lists = [
+            cfg.panic_allowlist,
+            cfg.lock_allowlist,
+            cfg.growth_allowlist,
+            cfg.effects.alloc_allowlist,
+            cfg.effects.det_allowlist,
+            cfg.effects.blocking_allowlist,
+            cfg.threads.blocking_allowlist,
+        ];
+        for (file, func, token, why) in lists.into_iter().flatten() {
+            assert!(!why.is_empty(), "({file}, {func}, {token})");
         }
-        // Degenerate key with no separator: its whole text is the pass.
-        let odd: BTreeSet<String> = ["garbage".to_string()].into_iter().collect();
-        assert_eq!(unknown_pass_keys(&odd), vec!["garbage".to_string()]);
-    }
-
-    #[test]
-    fn baseline_parser_survives_truncation_and_escapes() {
-        assert!(baseline_from_json("").is_err());
-        assert!(baseline_from_json("{\"findings\": [").is_err());
-        let keys = baseline_from_json("{\"schema\":1,\"findings\":[\"a|b\\\"c|d|e\"]}").unwrap();
-        assert!(keys.contains("a|b\"c|d|e"));
-        let empty = baseline_from_json("{\"findings\": []}").unwrap();
-        assert!(empty.is_empty());
     }
 }

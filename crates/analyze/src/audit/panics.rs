@@ -13,14 +13,15 @@
 //! are auto-allowed: `fmt::Write` into a `String` is infallible, and
 //! the repo's report renderers use that idiom throughout.
 //!
-//! This replaces the old 4-file `no-panic-hot-path` whitelist with a
-//! reachability frontier: any *new* function the supervisor can reach
-//! is audited automatically, whether or not someone remembered to add
-//! its file to a list.
+//! The frontier is reachability: any *new* function the supervisor can
+//! reach is audited automatically, whether or not someone remembered to
+//! add its file to a list. The monitor's per-sample files are rooted
+//! whole ([`PANIC_ROOT_FILES`]), so a function there is held to the
+//! contract before anything calls it.
 
 use super::callgraph::{CallGraph, SiteKind};
 use super::lexer::TokKind;
-use super::Finding;
+use super::{Allow, Allowlist, Finding};
 
 /// Reachability roots: `(file_suffix, fn_name, why)`.
 ///
@@ -104,10 +105,19 @@ pub const PANIC_ROOTS: [(&str, &str, &str); 12] = [
     ),
 ];
 
+/// The monitor's per-sample hot-path files: every function in them is a
+/// root. A malformed `/proc` line or a closed channel is data, not a
+/// crash (§3.1).
+pub const PANIC_ROOT_FILES: [&str; 5] = [
+    "crates/core/src/monitor.rs",
+    "crates/core/src/shard.rs",
+    "crates/core/src/lwp.rs",
+    "crates/core/src/hwt.rs",
+    "crates/core/src/feed.rs",
+];
+
 /// Reviewed panic-site allowlist: `(file_suffix, fn_name, kind, why)`.
-/// An entry that stops matching any site fails the audit as stale
-/// (allowlists must not rot).
-pub const PANIC_ALLOWLIST: [(&str, &str, &str, &str); 1] = [(
+pub const PANIC_ALLOWLIST: [Allow; 1] = [(
     "crates/procfs/src/fault.rs",
     "decide",
     "panic-macro",
@@ -248,44 +258,32 @@ pub fn panic_sites(graph: &CallGraph) -> Vec<PanicSite> {
     out
 }
 
-/// Runs the panic pass with the given roots and allowlist.
+/// Runs the panic pass with the given roots (plus every function of
+/// [`PANIC_ROOT_FILES`]) and allowlist.
 pub fn analyze_panics(
     graph: &CallGraph,
     roots: &[(&str, &str, &str)],
-    allowlist: &[(&str, &str, &str, &str)],
+    allowlist: &[Allow],
 ) -> PanicAnalysis {
     let mut root_idx: Vec<usize> = Vec::new();
     for (file, name, _) in roots {
         root_idx.extend(graph.matching(file, name));
     }
+    root_idx.extend(
+        (0..graph.fns.len())
+            .filter(|&i| PANIC_ROOT_FILES.contains(&graph.fns[i].item.file.as_str())),
+    );
     let parents = graph.reach_from(&root_idx);
     let sites = panic_sites(graph);
     let mut findings = Vec::new();
-    let mut allow_hits = vec![0usize; allowlist.len()];
-    let mut reachable_fns = 0usize;
-    for p in &parents {
-        if p.is_some() {
-            reachable_fns += 1;
-        }
-    }
+    let mut allow = Allowlist::new("panic", allowlist);
+    let reachable_fns = parents.iter().flatten().count();
     for s in &sites {
         if parents[s.fn_idx].is_none() {
             continue;
         }
         let node = &graph.fns[s.fn_idx];
-        let allowed = allowlist
-            .iter()
-            .enumerate()
-            .any(|(ai, (file, func, kind, _))| {
-                let hit = node.item.file.ends_with(file)
-                    && node.item.name == *func
-                    && s.kind.id() == *kind;
-                if hit {
-                    allow_hits[ai] += 1;
-                }
-                hit
-            });
-        if allowed {
+        if allow.allows(&node.item.file, &node.item.name, s.kind.id()) {
             continue;
         }
         let witness = graph.path_chain(&parents, s.fn_idx);
@@ -304,22 +302,7 @@ pub fn analyze_panics(
             witness,
         });
     }
-    // Stale allowlist entries.
-    for (ai, (file, func, kind, _)) in allowlist.iter().enumerate() {
-        if allow_hits[ai] == 0 {
-            findings.push(Finding {
-                pass: "stale-allowlist",
-                file: file.to_string(),
-                line: 0,
-                func: func.to_string(),
-                token: kind.to_string(),
-                detail: format!(
-                    "panic allowlist entry ({file}, {func}, {kind}) matches no current site"
-                ),
-                witness: Vec::new(),
-            });
-        }
-    }
+    allow.stale(&mut findings);
     PanicAnalysis {
         findings,
         sites: sites.len(),

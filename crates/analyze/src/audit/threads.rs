@@ -49,7 +49,7 @@
 //!   carry a direct sleep/join/blocking-IO effect (the PR 6 bitmask),
 //!   except blocking IO under [`ThreadConfig::io_exempt_prefixes`]
 //!   (procfs reads *are* the measured work) and reviewed allowlist
-//!   entries, which are stale-checked like every other allowlist.
+//!   entries.
 //!
 //! The analysis also exports the static `(role, resource)` edge set
 //! ([`ThreadAnalysis::role_edges`]), the contract the runtime
@@ -61,8 +61,8 @@ use super::callgraph::{CallGraph, SiteKind};
 use super::effects::{self, EffectSet};
 use super::items::ParsedFile;
 use super::lexer::TokKind;
-use super::locks::{receiver_path, LockAnalysis};
-use super::Finding;
+use super::locks::{last_segment, receiver_path, LockAnalysis};
+use super::{Allow, Allowlist, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
@@ -100,9 +100,8 @@ pub struct ThreadConfig<'a> {
     /// File prefixes whose blocking IO is the measured work
     /// (watchdog-exempt procfs reads).
     pub io_exempt_prefixes: &'a [&'a str],
-    /// Reviewed `role-blocking` sites `(file_suffix, fn, token, why)`.
-    /// A stale entry fails the audit.
-    pub blocking_allowlist: &'a [(&'a str, &'a str, &'a str, &'a str)],
+    /// Reviewed `role-blocking` sites.
+    pub blocking_allowlist: &'a [Allow<'a>],
 }
 
 impl ThreadConfig<'static> {
@@ -211,39 +210,10 @@ pub struct ThreadAnalysis {
     pub spawn_sites: usize,
 }
 
-/// Index of the `)` matching the `(` at `open` (or the last token when
-/// unbalanced) — the paren twin of `ParsedFile::matching_brace`.
-fn matching_paren(pf: &ParsedFile, open: usize) -> usize {
-    let mut depth = 0usize;
-    for i in open..pf.tokens.len() {
-        match pf.tokens[i].kind {
-            TokKind::Punct('(') => depth += 1,
-            TokKind::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-    }
-    pf.tokens.len().saturating_sub(1)
-}
-
 /// The last path segment of `file` (`crates/core/src/shard.rs` →
 /// `shard.rs`), for derived role names and fallback endpoint keys.
 fn file_short(file: &str) -> &str {
     file.rsplit('/').next().unwrap_or(file)
-}
-
-/// The last meaningful segment of a normalized receiver path
-/// (`self.scratch.watched_rss` → `watched_rss`; `jw` → `jw`).
-fn last_segment(path: &str) -> &str {
-    path.rsplit('.')
-        .find(|s| !s.is_empty() && *s != "[_]" && *s != "()")
-        .unwrap_or(path)
-        .trim_end_matches("[_]")
-        .trim_end_matches("()")
 }
 
 /// Token ranges of thread-spawn arguments inside one function body:
@@ -263,7 +233,7 @@ fn spawn_arg_ranges(pf: &ParsedFile, node: &super::callgraph::FnNode) -> Vec<Ran
         if !pf.is_punct(open, '(') || pf.is_punct(open + 1, ')') {
             continue;
         }
-        let close = matching_paren(pf, open);
+        let close = pf.matching_paren(open);
         if close > open + 1 {
             out.push(open + 1..close);
         }
@@ -682,7 +652,7 @@ fn blocking_pass(
 ) {
     const BLOCK_MASK: u16 = EffectSet::BLOCK_SLEEP | EffectSet::BLOCK_JOIN | EffectSet::BLOCK_IO;
     let sites = effects::effect_sites(graph);
-    let mut hits = vec![0usize; cfg.blocking_allowlist.len()];
+    let mut allow = Allowlist::new("role-blocking", cfg.blocking_allowlist);
     // (fn, site token idx) → (roles, site ref) so a site shared by two
     // pump roles yields one finding naming both.
     let mut flagged: BTreeMap<(usize, usize), (BTreeSet<&str>, usize)> = BTreeMap::new();
@@ -707,14 +677,7 @@ fn blocking_pass(
                 {
                     continue;
                 }
-                let mut allowed = false;
-                for (ai, (f, fun, tok, _)) in cfg.blocking_allowlist.iter().enumerate() {
-                    if node.item.file.ends_with(f) && node.item.name == *fun && s.token == *tok {
-                        hits[ai] += 1;
-                        allowed = true;
-                    }
-                }
-                if allowed {
+                if allow.allows(&node.item.file, &node.item.name, &s.token) {
                     continue;
                 }
                 let e = flagged
@@ -750,22 +713,7 @@ fn blocking_pass(
             witness,
         });
     }
-    for (ai, (file, func, token, _)) in cfg.blocking_allowlist.iter().enumerate() {
-        if hits[ai] == 0 {
-            findings.push(Finding {
-                pass: "stale-allowlist",
-                file: file.to_string(),
-                line: 0,
-                func: func.to_string(),
-                token: token.to_string(),
-                detail: format!(
-                    "role-blocking allowlist entry ({file}, {func}, {token}) \
-                     matches no current site"
-                ),
-                witness: Vec::new(),
-            });
-        }
-    }
+    allow.stale(findings);
 }
 
 /// Runs the thread-provenance passes over a built call graph.
@@ -817,7 +765,7 @@ mod tests {
 
     fn run(srcs: &[(&str, &str)], cfg: &ThreadConfig) -> ThreadAnalysis {
         let graph = CallGraph::build(srcs.iter().map(|(p, s)| parse_file(p, s)).collect());
-        let la = analyze_locks(&graph);
+        let la = analyze_locks(&graph, &[]);
         analyze_threads(&graph, &la, cfg)
     }
 

@@ -1,6 +1,6 @@
 //! Dynamic and static analysis for the ZeroSum reproduction.
 //!
-//! The halves:
+//! The parts:
 //!
 //! * **Dynamic trace checking** ([`hb`], [`invariants`], [`scenarios`])
 //!   — runs the paper's experiment harnesses with scheduler tracing on,
@@ -9,10 +9,12 @@
 //!   invariant engine reconciling the replayed trace against the
 //!   simulator's final counters (jiffy conservation, single residency,
 //!   affinity, context-switch totals, GPU causality).
-//! * **Source linting** ([`lint`]) — repo-specific rules run by
-//!   `zerosum lint`: no panics in monitor hot paths, no prints in
-//!   library crates, no bare `?`-propagation of `/proc` read errors out
-//!   of the sampling loop, no unreviewed growth of monitor state.
+//! * **Static audit** ([`audit`]) — the workspace's one source-level
+//!   checker, run by `zerosum audit`: lock order, panic reachability
+//!   (the monitor's hot-path files rooted whole), effects, thread
+//!   provenance, and the repo rules — no prints in library crates, no
+//!   `?`-propagation of `/proc` read errors out of the sampling round,
+//!   no unreviewed growth of monitor state.
 //! * **Chaos checking** ([`chaos`]) — Tables 1–3 under seeded procfs
 //!   fault schedules: zero panics, exact ledger/fault-log
 //!   reconciliation, bounded distortion, and an abnormal-exit drill for
@@ -45,7 +47,7 @@
 //! the drills print through.
 //!
 //! Entry points: the `zerosum` subcommands `analyze`, `chaos`,
-//! `cluster-chaos`, `churn`, `shard-diff`, `audit` and `lint`.
+//! `cluster-chaos`, `churn`, `shard-diff` and `audit`.
 
 pub mod audit;
 pub mod chaos;
@@ -53,21 +55,17 @@ pub mod churn_chaos;
 pub mod cluster_chaos;
 pub mod hb;
 pub mod invariants;
-pub mod lint;
 pub mod scenarios;
 pub mod sharddiff;
 pub mod transport_chaos;
 pub mod verdict;
 
-pub use audit::{
-    audit_sources, audit_workspace, baseline_from_json, unknown_pass_keys, AuditReport,
-};
+pub use audit::{audit_sources, audit_workspace, find_workspace_root, AuditReport};
 pub use chaos::{abnormal_exit_drill, realistic_plan, run_suite};
 pub use churn_chaos::{judge_churn_run, judge_real_churn, run_churn_suite, suite_params};
 pub use cluster_chaos::{bounded_memory_drill, judge_cluster_run, run_cluster_suite};
 pub use hb::{detect_races, Race, VectorClock, KERNEL_CTX};
 pub use invariants::{check_invariants, InvariantKind, Violation};
-pub use lint::{find_workspace_root, lint_repo, lint_source, LintViolation, Rule};
 pub use scenarios::{check_comm_matrix, check_trace, run_scenarios, ScenarioReport, SCENARIOS};
 pub use sharddiff::{run_shard_chaos, run_shard_differential, SHARD_CHAOS_SEED};
 pub use transport_chaos::{judge_transport_run, run_transport_suite, tcp_loopback_smoke};

@@ -1,100 +1,115 @@
-//! Golden fixtures for the lint rules and the audit passes.
+//! Golden fixtures for the audit passes.
 //!
-//! Every rule has a `*.bad.rs` fixture (under `tests/fixtures/lint/` at
+//! Every pass has a `*.bad.rs` fixture (under `tests/fixtures/lint/` at
 //! the workspace root) that must fire at exactly the expected lines,
 //! and a `*.clean.rs` near-miss twin — the closest legal code — that
 //! must stay silent. The pairs pin both the detection and the
-//! false-positive boundary of each rule; fixture directories are
-//! excluded from the real lint/audit walks.
+//! false-positive boundary of each pass; fixture directories are
+//! excluded from the real audit walk.
 
 use std::path::{Path, PathBuf};
 use zerosum_analyze::audit::effects::EffectConfig;
 use zerosum_analyze::audit::threads::ThreadConfig;
 use zerosum_analyze::audit::{audit_sources_cfg, audit_sources_with, AuditConfig};
-use zerosum_analyze::lint::{find_workspace_root, lint_source};
-use zerosum_analyze::{audit_workspace, AuditReport};
+use zerosum_analyze::{audit_sources, audit_workspace, find_workspace_root, AuditReport};
 
-fn fixture_dir() -> PathBuf {
-    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root")
-        .join("tests/fixtures/lint")
+fn workspace_root() -> PathBuf {
+    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
 }
 
 fn read(name: &str) -> String {
-    let path = fixture_dir().join(name);
+    let path = workspace_root().join("tests/fixtures/lint").join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// `(fixture stem, lint-as path, rule id, expected bad-fixture lines)`.
-///
-/// The former `wall_clock_sched` and `clone_hot_path` cases moved to
-/// the audit fixtures below when their lint rules were folded into the
-/// interprocedural nondeterminism and hot-path-alloc passes.
-const LINT_CASES: [(&str, &str, &str, &[usize]); 6] = [
+/// `(fixture stem, audit-as path, pass, expected bad-fixture lines)`:
+/// the passes that key on where a file lives, under the shipped
+/// configuration.
+const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 7] = [
     (
         "panic_hot_path",
         "crates/core/src/monitor.rs",
-        "no-panic-hot-path",
+        "panic-reachable",
         &[4, 8],
     ),
     (
         "print_in_lib",
         "crates/core/src/export.rs",
-        "no-print-in-lib",
+        "print-in-lib",
         &[3, 4],
     ),
     (
         "source_error_bubble",
         "crates/core/src/monitor.rs",
-        "no-source-error-bubble",
+        "source-error-bubble",
         &[4, 5],
     ),
     (
+        "source_error_bubble_closure",
+        "crates/core/src/shard.rs",
+        "source-error-bubble",
+        &[4, 12, 13],
+    ),
+    // `lwp.rs` is where the clean twin's `samples` and `tracks` are
+    // reviewed.
+    (
         "growth_monitor",
-        "crates/core/src/cluster.rs",
-        "no-unbounded-growth-in-monitor",
+        "crates/core/src/lwp.rs",
+        "unbounded-growth",
         &[4, 7],
     ),
-    // Regression for the legacy brace-miscount: the raw string's
-    // interior quote must not swallow the test mod or the violation
-    // after it.
+    // The raw string's interior quote must not swallow the test mod or
+    // the violation after it.
     (
         "raw_string_test_mod",
         "crates/core/src/lwp.rs",
-        "no-panic-hot-path",
+        "panic-reachable",
         &[7],
     ),
-    // Lexer-hardening regression: byte strings, raw byte strings, and
-    // a nested block comment all carry panic-family text that must be
-    // blanked; only the unwrap at line 14 is code.
+    // Byte strings, raw byte strings, and a nested block comment all
+    // carry panic-family text that is not code; only the unwrap at
+    // line 14 is.
     (
         "byte_string_nested_comment",
         "crates/core/src/lwp.rs",
-        "no-panic-hot-path",
+        "panic-reachable",
         &[14],
     ),
 ];
 
+/// What the shipped configuration finds in `src` living at `as_path`.
+/// Its allowlists name sites of the real tree, so on a one-file tree
+/// every entry is stale — which is not what these pairs pin.
+fn audit_as(as_path: &str, src: String) -> Vec<(&'static str, usize)> {
+    let report = audit_sources(&[(as_path.to_string(), src)]);
+    let real = report
+        .findings
+        .iter()
+        .filter(|f| f.pass != "stale-allowlist");
+    real.map(|f| (f.pass, f.line)).collect()
+}
+
 #[test]
-fn bad_lint_fixtures_fire_exactly_where_expected() {
-    for (stem, as_path, rule, lines) in LINT_CASES {
-        let src = read(&format!("{stem}.bad.rs"));
-        let got: Vec<(&str, usize)> = lint_source(Path::new(as_path), &src)
-            .iter()
-            .map(|v| (v.rule.id(), v.line))
-            .collect();
-        let want: Vec<(&str, usize)> = lines.iter().map(|&l| (rule, l)).collect();
+fn bad_as_path_fixtures_fire_exactly_where_expected() {
+    for (stem, as_path, pass, lines) in AS_PATH_CASES {
+        let got = audit_as(as_path, read(&format!("{stem}.bad.rs")));
+        let want: Vec<(&str, usize)> = lines.iter().map(|&l| (pass, l)).collect();
         assert_eq!(got, want, "{stem}.bad.rs as {as_path}");
     }
 }
 
 #[test]
-fn clean_lint_fixtures_stay_silent() {
-    for (stem, as_path, _, _) in LINT_CASES {
-        let src = read(&format!("{stem}.clean.rs"));
-        let v = lint_source(Path::new(as_path), &src);
-        assert!(v.is_empty(), "{stem}.clean.rs as {as_path}: {v:?}");
+fn clean_as_path_fixtures_stay_silent() {
+    for (stem, as_path, _, _) in AS_PATH_CASES {
+        let got = audit_as(as_path, read(&format!("{stem}.clean.rs")));
+        assert!(got.is_empty(), "{stem}.clean.rs as {as_path}: {got:?}");
     }
+}
+
+#[test]
+fn shipped_tree_audits_clean() {
+    let report = audit_workspace(&workspace_root()).expect("audit");
+    assert!(report.clean(), "{}", report.render_with(true));
 }
 
 fn audit_one(name: &str, roots: &[(&str, &str, &str)]) -> AuditReport {
@@ -127,10 +142,8 @@ fn audit_effects(name: &str, effects: EffectConfig) -> AuditReport {
     audit_sources_cfg(
         &[(name.to_string(), read(name))],
         &AuditConfig {
-            panic_roots: &[],
-            panic_allowlist: &[],
             effects,
-            threads: ThreadConfig::empty(),
+            ..AuditConfig::empty()
         },
     )
 }
@@ -141,10 +154,8 @@ fn audit_threads(name: &str, threads: ThreadConfig) -> AuditReport {
     audit_sources_cfg(
         &[(name.to_string(), read(name))],
         &AuditConfig {
-            panic_roots: &[],
-            panic_allowlist: &[],
-            effects: EffectConfig::empty(),
             threads,
+            ..AuditConfig::empty()
         },
     )
 }
@@ -348,9 +359,8 @@ fn workspace_audit_json_is_byte_identical_across_runs() {
     // The machine-readable contract for CI diffing: two full audits of
     // the real workspace serialize to identical bytes — finding order,
     // role edges, stats, everything.
-    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let a = audit_workspace(&root).expect("audit").to_json();
-    let b = audit_workspace(&root).expect("audit").to_json();
+    let a = audit_workspace(&workspace_root()).expect("audit").to_json();
+    let b = audit_workspace(&workspace_root()).expect("audit").to_json();
     assert_eq!(a, b, "audit --json must be deterministic");
 }
 
@@ -371,5 +381,39 @@ fn panic_reach_fixture_pair() {
         "panic_reach.clean.rs",
         &[("panic_reach.clean.rs", "entry", "fixture root")],
     );
+    assert!(clean.clean(), "{:?}", clean.findings);
+}
+
+/// Audits a caller fixture rooted at its `entry`, beside the shared
+/// callees living at `crates/apps/src/synthetic.rs`.
+fn audit_calling(name: &str) -> AuditReport {
+    let callees = "crates/apps/src/synthetic.rs".to_string();
+    audit_sources_with(
+        &[
+            (callees, read("callgraph_callees.rs")),
+            (name.to_string(), read(name)),
+        ],
+        &[(name, "entry", "fixture root")],
+        &[],
+    )
+}
+
+#[test]
+fn module_qualifier_fixture_pair() {
+    let bad = audit_calling("module_qualifier.bad.rs");
+    assert_eq!(bad.findings.len(), 1, "{:?}", bad.findings);
+    assert_eq!(bad.findings[0].witness, ["entry", "spawn"]);
+    // `thread::spawn` is not the free `spawn` of another module.
+    let clean = audit_calling("module_qualifier.clean.rs");
+    assert!(clean.clean(), "{:?}", clean.findings);
+}
+
+#[test]
+fn std_method_names_fixture_pair() {
+    let bad = audit_calling("std_method_names.bad.rs");
+    let reached: Vec<&str> = bad.findings.iter().map(|f| f.func.as_str()).collect();
+    assert_eq!(reached, ["with", "iter"], "{:?}", bad.findings);
+    // `.with(` / `.iter(` in a file that never names `Metrics`.
+    let clean = audit_calling("std_method_names.clean.rs");
     assert!(clean.clean(), "{:?}", clean.findings);
 }

@@ -295,7 +295,7 @@ pub fn churn_child_main(args: &[String]) -> i32 {
     ) {
         (Some(s), Some(t)) => (s, t.max(1)),
         // Malformed internal invocation; the CLI shim prints the usage
-        // line (library crates are print-free by lint rule).
+        // line (library crates are print-free: the audit's print-in-lib).
         _ => return 2,
     };
     if exec {

@@ -135,7 +135,7 @@ const ROUNDS: &str = "rounds to drive";
 const PERIOD: &str = "round period";
 
 /// Every subcommand, in the order `zerosum --help` lists them.
-pub static SUBCOMMANDS: [Command; 10] = [
+pub static SUBCOMMANDS: [Command; 9] = [
     cmd(
         "analyze",
         "run the paper scenarios under the trace checker (races, scheduler invariants)",
@@ -204,31 +204,18 @@ pub static SUBCOMMANDS: [Command; 10] = [
     ),
     cmd(
         "audit",
-        "static lock-order, panic-reach, effect and thread audit (DESIGN.md §10-§11, §15)",
+        "static audit: lock order, panic reach, effects, threads, repo rules (DESIGN.md §10-§11, §15)",
         &[
             switch("--json", "print the report as JSON"),
             switch("--explain", "print each finding's witness call chain"),
             switch("--drill", "also run the runtime sanitizer drills"),
             flag("--root", "DIR", Text, "", "tree to audit (else above cwd)"),
-            flag("--baseline", "FILE", Text, "", "fail only beyond this file"),
-            flag("--write-baseline", "FILE", Text, "", "record the findings"),
         ],
     ),
     cmd(
         "shard-diff",
         "N shards vs 1 shard bit-identical over seeded scenarios; shard chaos isolation",
         &[flag("--seeds", "N", U64, "20", "scenario seeds 0..N")],
-    ),
-    cmd(
-        "lint",
-        "the repo's own source rules (exit 0 clean, 1 violations)",
-        &[flag(
-            "--root",
-            "DIR",
-            Text,
-            "",
-            "tree to lint (else above cwd)",
-        )],
     ),
     cmd(
         "run-all",
@@ -594,6 +581,6 @@ mod tests {
             );
             assert!(usage_line(c).starts_with(&format!("zerosum {} [", c.name)));
         }
-        assert!(usage_line(row("audit")).contains("[--baseline FILE]"));
+        assert!(usage_line(row("audit")).ends_with("[--drill] [--root DIR]"));
     }
 }

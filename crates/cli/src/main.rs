@@ -57,7 +57,6 @@ fn main() {
         "stream" => cmd_stream(&parsed),
         "audit" => cmd_audit(&parsed),
         "shard-diff" => Ok(cmd_shard_diff(&parsed)),
-        "lint" => cmd_lint(&parsed),
         "run-all" => cmd_run_all(&parsed),
         _ => cmd_wrap(&parsed),
     };
@@ -91,17 +90,6 @@ fn conclude(command: &str, clean: bool, clean_text: &str) -> i32 {
 fn drill_passed(label: &str, ok_text: &str, problems: &[String]) -> bool {
     print!("{}", drill_section(label, ok_text, problems));
     problems.is_empty()
-}
-
-/// `root`, else the workspace root above the current directory.
-fn workspace_root(command: &str, root: Option<&str>) -> Result<PathBuf, i32> {
-    if let Some(r) = root {
-        return Ok(PathBuf::from(r));
-    }
-    let cwd = std::env::current_dir().map_err(give_up(command, 2))?;
-    zerosum_analyze::find_workspace_root(&cwd)
-        .ok_or_else(|| format!("no workspace root found above {}", cwd.display()))
-        .map_err(give_up(command, 2))
 }
 
 /// `zerosum -- <command>`: launch and monitor it, print the report.
@@ -375,13 +363,18 @@ fn cmd_stream(p: &Parsed) -> Exit {
     Ok(0)
 }
 
-/// With `--baseline`, only findings beyond the committed baseline fail
-/// (lock cycles always fail, and a baseline naming a pass that no
-/// longer exists is a staleness error). Exit 0 clean, 1 findings or
-/// drill failure, 2 I/O errors.
+/// Exit 0 no finding and the drills hold, 1 any finding or a drill
+/// failure, 2 I/O errors.
 fn cmd_audit(p: &Parsed) -> Exit {
-    let explain = p.given("--explain");
-    let root = workspace_root("audit", p.text_of("--root"))?;
+    let root = match p.text_of("--root") {
+        Some(r) => PathBuf::from(r),
+        None => {
+            let cwd = std::env::current_dir().map_err(give_up("audit", 2))?;
+            zerosum_analyze::find_workspace_root(&cwd)
+                .ok_or_else(|| format!("no workspace root found above {}", cwd.display()))
+                .map_err(give_up("audit", 2))?
+        }
+    };
     let started = Instant::now();
     let report = zerosum_analyze::audit_workspace(&root).map_err(give_up("audit", 2))?;
     // The audit runs on every push; what it cost goes to stderr, so
@@ -391,61 +384,9 @@ fn cmd_audit(p: &Parsed) -> Exit {
     if p.given("--json") {
         print!("{}", report.to_json());
     } else {
-        print!("{}", report.render_with(explain));
+        print!("{}", report.render_with(p.given("--explain")));
     }
-    if let Some(path) = p.text_of("--write-baseline") {
-        std::fs::write(path, report.baseline_json())
-            .map_err(give_up(&format!("audit: {path}"), 2))?;
-        eprintln!("zerosum audit: wrote {path}");
-        // Recording a baseline succeeds unless the unbaselineable pass
-        // (lock cycles) fails.
-        return Ok(i32::from(!report.cycles().is_empty()));
-    }
-    let mut failed = false;
-    match p.text_of("--baseline") {
-        Some(path) => {
-            let base = std::fs::read_to_string(path)
-                .map_err(|e| format!("{path}: {e}"))
-                .and_then(|t| zerosum_analyze::baseline_from_json(&t))
-                .map_err(give_up("audit", 2))?;
-            // A baseline key for a pass the engine no longer runs can
-            // never mask anything again — stale, like a dead allowlist
-            // entry.
-            let stale = zerosum_analyze::unknown_pass_keys(&base);
-            if !stale.is_empty() {
-                for k in &stale {
-                    println!("audit: STALE baseline key names unknown pass: {k}");
-                }
-                println!(
-                    "audit: {} stale baseline key(s) — regenerate with --write-baseline",
-                    stale.len()
-                );
-                failed = true;
-            }
-            let beyond = report.beyond_baseline(&base);
-            if beyond.is_empty() {
-                println!("audit: clean against baseline {path}");
-            } else {
-                for f in &beyond {
-                    println!("audit: NEW {}: {}:{}: {}", f.pass, f.file, f.line, f.detail);
-                    if explain && !f.witness.is_empty() {
-                        println!("    trace: {}", f.witness.join(" -> "));
-                    }
-                }
-                println!("audit: {} finding(s) beyond baseline", beyond.len());
-                failed = true;
-            }
-        }
-        None => failed = !report.findings.is_empty(),
-    }
-    // Lock cycles fail regardless of any baseline.
-    if !report.cycles().is_empty() {
-        println!(
-            "audit: {} lock-order cycle(s) — never baselineable",
-            report.cycles().len()
-        );
-        failed = true;
-    }
+    let mut failed = !report.clean();
     if p.given("--drill") {
         let d = zerosum_analyze::audit::drill::run_drill(&report);
         print!("{}", d.render());
@@ -467,28 +408,6 @@ fn cmd_shard_diff(p: &Parsed) -> i32 {
         &zerosum_analyze::run_shard_chaos(zerosum_analyze::SHARD_CHAOS_SEED),
     );
     conclude("shard-diff", clean, "all seeds identical, chaos isolated")
-}
-
-/// Exit 0 clean, 1 when an error-level rule fires or an allowlist entry
-/// went stale (notes inform, they do not fail), 2 on I/O errors.
-fn cmd_lint(p: &Parsed) -> Exit {
-    let root = workspace_root("lint", p.text_of("--root"))?;
-    let stale = zerosum_analyze::lint::stale_growth_entries(&root).map_err(give_up("lint", 2))?;
-    let violations = zerosum_analyze::lint_repo(&root).map_err(give_up("lint", 2))?;
-    for entry in &stale {
-        println!("lint: [stale-allowlist] ALLOWED_GROWTH_FIELDS entry `{entry}` matches no `.push(` site");
-    }
-    for v in &violations {
-        println!("{v}");
-    }
-    let errors = violations.iter().filter(|v| !v.rule.is_note()).count() + stale.len();
-    let notes = violations.len() + stale.len() - errors;
-    if errors > 0 {
-        println!("lint: {errors} violation(s), {notes} note(s)");
-        return Ok(1);
-    }
-    println!("lint: clean ({}), {notes} note(s)", root.display());
-    Ok(0)
 }
 
 /// With no `--only`, the compact paper-vs-measured sweep; else each

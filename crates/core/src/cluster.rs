@@ -29,44 +29,28 @@ use std::fmt::Write as _;
 pub enum NodeState {
     /// Heartbeating normally.
     Alive,
-    /// Missed at least `suspect_after` consecutive rounds — data from
+    /// Missed at least `SUSPECT_AFTER` consecutive rounds — data from
     /// this node is stale but it is still in the quorum.
     Suspect,
-    /// Missed `dead_after` consecutive rounds — excluded from quorum
+    /// Missed `DEAD_AFTER` consecutive rounds — excluded from quorum
     /// aggregates until a re-probe hears from it again.
     Dead,
 }
 
-/// Heartbeat-deadline knobs for node supervision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisionConfig {
-    /// Consecutive missed rounds before `Alive` → `Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive missed rounds before → `Dead`.
-    pub dead_after: u32,
-    /// Initial re-probe interval for dead nodes, in rounds; doubles on
-    /// every failed probe (exponential backoff).
-    pub reprobe_interval: u32,
-    /// Backoff ceiling for the re-probe interval, rounds.
-    pub max_reprobe_interval: u32,
-    /// Clock-skew tolerance: a heartbeat whose reported sample time
-    /// deviates from the expected round time by more than this many
-    /// seconds flags the node as skewed (the node stays alive; its time
-    /// axis cannot be trusted in cross-node comparisons).
-    pub skew_tolerance_s: f64,
-}
-
-impl Default for SupervisionConfig {
-    fn default() -> Self {
-        SupervisionConfig {
-            suspect_after: 1,
-            dead_after: 3,
-            reprobe_interval: 2,
-            max_reprobe_interval: 16,
-            skew_tolerance_s: 0.1,
-        }
-    }
-}
+/// Consecutive missed rounds before `Alive` → `Suspect`.
+const SUSPECT_AFTER: u32 = 1;
+/// Consecutive missed rounds before → `Dead`.
+const DEAD_AFTER: u32 = 3;
+/// Initial re-probe interval for dead nodes, in rounds; doubles on every
+/// failed probe (exponential backoff).
+const REPROBE_INTERVAL: u32 = 2;
+/// Backoff ceiling for the re-probe interval, rounds.
+const MAX_REPROBE_INTERVAL: u32 = 16;
+/// Clock-skew tolerance: a heartbeat whose reported sample time deviates
+/// from the expected round time by more than this many seconds flags the
+/// node as skewed (the node stays alive; its time axis cannot be trusted
+/// in cross-node comparisons).
+const SKEW_TOLERANCE_S: f64 = 0.1;
 
 /// Per-node supervision record.
 #[derive(Debug, Clone)]
@@ -178,8 +162,6 @@ pub struct ClusterMonitor {
     /// [`ClusterMonitor::register_node`] (before any monitor is shipped)
     /// or implicitly by [`ClusterMonitor::add_node`].
     sup: Vec<(String, NodeSupervision)>,
-    /// Heartbeat-deadline knobs.
-    pub supervision: SupervisionConfig,
     /// Completed supervision rounds.
     round: u64,
 }
@@ -256,11 +238,10 @@ impl ClusterMonitor {
     /// A deviation from `expected_t_s` beyond the skew tolerance flags
     /// the node's clock as skewed without affecting liveness.
     pub fn heartbeat_at(&mut self, hostname: &str, reported_t_s: f64, expected_t_s: f64) {
-        let tol = self.supervision.skew_tolerance_s;
         if let Some((_, s)) = self.sup.iter_mut().find(|(h, _)| h == hostname) {
             s.heard = true;
             let dev = (reported_t_s - expected_t_s).abs();
-            if dev > tol {
+            if dev > SKEW_TOLERANCE_S {
                 s.skewed = true;
             }
             if dev > s.max_skew_s {
@@ -285,7 +266,6 @@ impl ClusterMonitor {
     /// the re-probe backoff of dead nodes that stayed silent, and
     /// reviving any node heard from this round.
     pub fn end_round(&mut self) {
-        let cfg = self.supervision;
         let round = self.round;
         for (_, s) in &mut self.sup {
             if std::mem::take(&mut s.heard) {
@@ -305,19 +285,18 @@ impl ClusterMonitor {
                 NodeState::Dead => {
                     // This was a (failed) probe round: back off further.
                     if round >= s.next_probe_round {
-                        s.probe_interval =
-                            (s.probe_interval * 2).min(cfg.max_reprobe_interval).max(1);
+                        s.probe_interval = (s.probe_interval * 2).min(MAX_REPROBE_INTERVAL);
                         s.next_probe_round = round + s.probe_interval as u64;
                     }
                 }
                 _ => {
-                    if s.missed >= cfg.dead_after {
+                    if s.missed >= DEAD_AFTER {
                         s.state = NodeState::Dead;
                         s.deaths += 1;
-                        s.probe_interval = cfg.reprobe_interval.max(1);
+                        s.probe_interval = REPROBE_INTERVAL;
                         s.next_probe_round = round + s.probe_interval as u64;
                         s.transitions.push((round, NodeState::Dead));
-                    } else if s.missed >= cfg.suspect_after && s.state == NodeState::Alive {
+                    } else if s.missed >= SUSPECT_AFTER && s.state == NodeState::Alive {
                         s.state = NodeState::Suspect;
                         s.transitions.push((round, NodeState::Suspect));
                     }

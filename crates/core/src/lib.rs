@@ -52,7 +52,7 @@ pub mod signal;
 pub mod sync;
 
 pub use attach::SelfMonitor;
-pub use cluster::{ClusterMonitor, NodeAggregate, NodeState, NodeSupervision, SupervisionConfig};
+pub use cluster::{ClusterMonitor, NodeAggregate, NodeState, NodeSupervision};
 pub use config::{MonitorCost, MonitorPlacement, OverheadConfig, ResilienceConfig, ZeroSumConfig};
 pub use contention::{analyze, ContentionReport};
 pub use evaluator::{evaluate, evaluate_gpu_memory, render_findings, Finding, Severity};

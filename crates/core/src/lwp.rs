@@ -207,9 +207,12 @@ impl LwpTrack {
     pub fn observed_migrations(&self) -> usize {
         self.samples
             .windows(2)
-            .filter(|w| {
-                let ran_before = w[0].utime + w[0].stime > 0;
-                ran_before && w[0].processor != w[1].processor
+            .filter(|w| match w {
+                [before, after] => {
+                    let ran_before = before.utime + before.stime > 0;
+                    ran_before && before.processor != after.processor
+                }
+                _ => false,
             })
             .count()
     }
@@ -252,10 +255,10 @@ impl LwpTrack {
             return true; // not enough data to claim a stall
         }
         let take = n.min(self.samples.len() - 1);
-        let Some(newest) = self.samples.last() else {
+        let old = self.samples.get(self.samples.len() - 1 - take);
+        let (Some(newest), Some(old)) = (self.samples.last(), old) else {
             return true;
         };
-        let old = &self.samples[self.samples.len() - 1 - take];
         newest.utime + newest.stime > old.utime + old.stime
     }
 }

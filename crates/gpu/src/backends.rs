@@ -76,8 +76,11 @@ impl GpuBackend for SmiSim {
     fn sample(&mut self, device: u32, dt_s: f64) -> GpuSample {
         let busy = self.feed.busy_fraction(device);
         let mem = self.feed.mem_used_bytes(device);
-        let spec = &self.specs[device as usize];
-        synthesize(spec, &mut self.states[device as usize], busy, mem, dt_s)
+        let at = device as usize;
+        match (self.specs.get(at), self.states.get_mut(at)) {
+            (Some(spec), Some(state)) => synthesize(spec, state, busy, mem, dt_s),
+            _ => GpuSample::zero(),
+        }
     }
 }
 

@@ -67,11 +67,12 @@ impl GpuMonitor {
         }
     }
 
-    /// The `(min, mean, max)` triplet for one metric of one device.
+    /// The `(min, mean, max)` triplet for one metric of one device; all
+    /// zero for a device not tracked, as for one never polled.
     pub fn summary(&self, device: u32, kind: GpuMetricKind) -> (f64, f64, f64) {
-        let idx = GpuMetricKind::ALL.iter().position(|&k| k == kind).unwrap();
-        let s = &self.stats[device as usize][idx];
-        (s.min(), s.mean(), s.max())
+        let row = self.stats.get(device as usize);
+        row.and_then(|metrics| metrics.get(kind as usize))
+            .map_or((0.0, 0.0, 0.0), |s| (s.min(), s.mean(), s.max()))
     }
 
     /// Renders the per-device block of the utilization report in the

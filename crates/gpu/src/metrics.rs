@@ -88,7 +88,7 @@ impl GpuMetricKind {
 }
 
 /// One sampling instant's values for one device: a dense array indexed in
-/// [`GpuMetricKind::ALL`] order.
+/// [`GpuMetricKind::ALL`] order, which is the enum's declaration order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSample {
     values: [f64; 16],
@@ -108,19 +108,14 @@ impl GpuSample {
 
     /// Sets a metric value.
     pub fn set(&mut self, kind: GpuMetricKind, v: f64) {
-        self.values[Self::index(kind)] = v;
+        if let Some(value) = self.values.get_mut(kind as usize) {
+            *value = v;
+        }
     }
 
     /// Reads a metric value.
     pub fn get(&self, kind: GpuMetricKind) -> f64 {
-        self.values[Self::index(kind)]
-    }
-
-    fn index(kind: GpuMetricKind) -> usize {
-        GpuMetricKind::ALL
-            .iter()
-            .position(|&k| k == kind)
-            .expect("kind in ALL")
+        self.values.get(kind as usize).copied().unwrap_or(0.0)
     }
 
     /// Iterates `(kind, value)` in report order.
@@ -139,6 +134,13 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 16);
+    }
+
+    #[test]
+    fn all_is_in_declaration_order() {
+        for (i, kind) in GpuMetricKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]

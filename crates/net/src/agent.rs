@@ -19,26 +19,12 @@ use crate::frame::{decode_frame, encode_frame, DecodeError, Frame};
 use crate::transport::{Link, SendStatus, TransportError};
 use zerosum_core::NodeAggregate;
 
-/// Retransmission and reconnect knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AgentConfig {
-    /// Ticks between retransmissions of an unacked aggregate.
-    pub retransmit_ticks: u32,
-    /// First reconnect backoff, ticks.
-    pub initial_backoff_ticks: u32,
-    /// Backoff ceiling, ticks (doubles per failed attempt up to this).
-    pub max_backoff_ticks: u32,
-}
-
-impl Default for AgentConfig {
-    fn default() -> Self {
-        AgentConfig {
-            retransmit_ticks: 2,
-            initial_backoff_ticks: 1,
-            max_backoff_ticks: 16,
-        }
-    }
-}
+/// Ticks between retransmissions of an unacked aggregate.
+const RETRANSMIT_TICKS: u32 = 2;
+/// First reconnect backoff, ticks.
+const INITIAL_BACKOFF_TICKS: u32 = 1;
+/// Backoff ceiling, ticks (doubles per failed attempt up to this).
+const MAX_BACKOFF_TICKS: u32 = 16;
 
 /// Everything the agent counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,7 +65,6 @@ struct Backoff {
 pub struct NodeAgent<L: Link> {
     link: L,
     hostname: String,
-    cfg: AgentConfig,
     hello_acked: bool,
     hellos_sent: u64,
     /// The end-of-run aggregate awaiting delivery: `(round, agg)`.
@@ -95,17 +80,11 @@ pub struct NodeAgent<L: Link> {
 }
 
 impl<L: Link> NodeAgent<L> {
-    /// An agent for `hostname` over `link`, with default knobs.
+    /// An agent for `hostname` over `link`.
     pub fn new(link: L, hostname: impl Into<String>) -> Self {
-        NodeAgent::with_config(link, hostname, AgentConfig::default())
-    }
-
-    /// An agent with explicit knobs.
-    pub fn with_config(link: L, hostname: impl Into<String>, cfg: AgentConfig) -> Self {
         NodeAgent {
             link,
             hostname: hostname.into(),
-            cfg,
             hello_acked: false,
             hellos_sent: 0,
             pending_agg: None,
@@ -183,7 +162,7 @@ impl<L: Link> NodeAgent<L> {
         self.agg_acked = false;
         self.agg_sends = 0;
         // Send eagerly on the next tick.
-        self.ticks_since_agg_send = self.cfg.retransmit_ticks;
+        self.ticks_since_agg_send = RETRANSMIT_TICKS;
     }
 
     /// Advances one tick: backoff countdown / reconnect attempt,
@@ -210,7 +189,7 @@ impl<L: Link> NodeAgent<L> {
                 }
                 Err(_) => {
                     self.stats.failed_connects += 1;
-                    b.interval = (b.interval * 2).min(self.cfg.max_backoff_ticks).max(1);
+                    b.interval = (b.interval * 2).min(MAX_BACKOFF_TICKS);
                     b.wait = b.interval;
                     self.backoff = Some(b);
                     return;
@@ -227,7 +206,7 @@ impl<L: Link> NodeAgent<L> {
     /// Sends the pending aggregate when it is unacked and due.
     fn offer_aggregate(&mut self) {
         self.ticks_since_agg_send = self.ticks_since_agg_send.saturating_add(1);
-        if self.agg_acked || self.ticks_since_agg_send < self.cfg.retransmit_ticks {
+        if self.agg_acked || self.ticks_since_agg_send < RETRANSMIT_TICKS {
             return;
         }
         let frame = match &self.pending_agg {
@@ -310,10 +289,9 @@ impl<L: Link> NodeAgent<L> {
 
     fn enter_backoff(&mut self) {
         if self.backoff.is_none() {
-            let interval = self.cfg.initial_backoff_ticks.max(1);
             self.backoff = Some(Backoff {
-                wait: interval,
-                interval,
+                wait: INITIAL_BACKOFF_TICKS,
+                interval: INITIAL_BACKOFF_TICKS,
             });
         }
         self.hello_acked = false;

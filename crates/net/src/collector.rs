@@ -6,10 +6,10 @@
 //! decodes at most [`CollectorConfig::max_frames_per_node_per_round`]
 //! frames from it — one babbling or stuck node can neither stall the
 //! round nor starve its neighbours. A connection whose buffer exceeds
-//! [`CollectorConfig::max_buffered_bytes`] stops being read until it
-//! drains, which fills the sender's bounded window and pushes the
-//! backpressure to the agent — whose overload discipline sheds per-LWP
-//! detail first, never heartbeats.
+//! `MAX_BUFFERED_BYTES` stops being read until it drains, which fills
+//! the sender's bounded window and pushes the backpressure to the
+//! agent — whose overload discipline sheds per-LWP detail first, never
+//! heartbeats.
 //!
 //! Corrupt input can only *lose* data, never wedge the daemon: any
 //! non-`Incomplete` decode error counts, drops the connection's buffer
@@ -35,27 +35,27 @@ use zerosum_core::{ClusterMonitor, NodeAggregate};
 pub struct CollectorConfig {
     /// Decode budget per connection per round.
     pub max_frames_per_node_per_round: usize,
-    /// Reassembly-buffer cap per connection; a connection over the cap
-    /// is not read until it drains (backpressure to the agent).
-    pub max_buffered_bytes: usize,
     /// Monitoring period, seconds — maps a heartbeat's round number to
     /// its expected sample time for clock-skew judgement.
     pub period_s: f64,
-    /// Pumps a connection may sit on the *same* incomplete head frame
-    /// before its buffer is dropped. A corrupted length prefix whose
-    /// magic and version survived intact claims a plausible giant
-    /// frame that will never complete; this deadline unwedges the
-    /// stream (the sender retransmits anything that mattered).
-    pub max_header_stalls: u32,
 }
+
+/// Reassembly-buffer cap per connection; a connection over the cap is
+/// not read until it drains (backpressure to the agent).
+const MAX_BUFFERED_BYTES: usize = 256 * 1024;
+
+/// Pumps a connection may sit on the *same* incomplete head frame
+/// before its buffer is dropped. A corrupted length prefix whose magic
+/// and version survived intact claims a plausible giant frame that
+/// will never complete; this deadline unwedges the stream (the sender
+/// retransmits anything that mattered).
+const MAX_HEADER_STALLS: u32 = 8;
 
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
             max_frames_per_node_per_round: 64,
-            max_buffered_bytes: 256 * 1024,
             period_s: 0.1,
-            max_header_stalls: 8,
         }
     }
 }
@@ -192,10 +192,9 @@ impl Collector {
         let _role = zerosum_core::role::enter("collector-pump");
         zerosum_core::role::touch("net.collector.pump");
         let budget = self.cfg.max_frames_per_node_per_round;
-        let cap = self.cfg.max_buffered_bytes;
         let period_s = self.cfg.period_s;
         for conn in &mut self.conns {
-            if conn.buf.len() >= cap {
+            if conn.buf.len() >= MAX_BUFFERED_BYTES {
                 self.stats.throttled_reads += 1;
             } else {
                 // A down link is simply silence; reconnects are the
@@ -253,7 +252,7 @@ impl Collector {
             // stream re-aligns at the next queue boundary.
             if consumed == 0 && used == 0 && !conn.buf.is_empty() {
                 conn.stalled += 1;
-                if conn.stalled >= self.cfg.max_header_stalls {
+                if conn.stalled >= MAX_HEADER_STALLS {
                     self.stats.header_timeouts += 1;
                     self.stats.resyncs += 1;
                     conn.buf.clear();
@@ -489,7 +488,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        for _ in 0..CollectorConfig::default().max_header_stalls {
+        for _ in 0..MAX_HEADER_STALLS {
             collector.pump_frames();
             assert_eq!(collector.stats.hellos_rx, 0, "wedged behind the phantom");
         }

@@ -30,7 +30,7 @@ pub mod frame;
 pub mod tcp;
 pub mod transport;
 
-pub use agent::{AgentConfig, AgentStats, NodeAgent};
+pub use agent::{AgentStats, NodeAgent};
 pub use collector::{Collector, CollectorConfig, CollectorStats};
 pub use fault::{FaultyLink, LinkFaultPlan, LinkFaultStats, TransportFaultPlan};
 pub use frame::{decode_frame, encode_frame, frame_bytes, DecodeError, EncodeError, Frame};

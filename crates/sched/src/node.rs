@@ -349,12 +349,12 @@ impl NodeSim {
 
     /// Access a task by tid.
     pub fn task_by_tid(&self, tid: Tid) -> Option<&SimTask> {
-        self.tid_map.get(&tid).map(|id| &self.tasks[id.index()])
+        self.tid_map.get(&tid).and_then(|&id| self.task(id))
     }
 
     /// Access a task by arena id.
-    pub fn task(&self, id: TaskId) -> &SimTask {
-        &self.tasks[id.index()]
+    pub fn task(&self, id: TaskId) -> Option<&SimTask> {
+        self.tasks.get(id.index())
     }
 
     /// Spawns a process with a main thread running `behavior`.

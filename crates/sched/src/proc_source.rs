@@ -167,7 +167,7 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
             process
                 .tasks
                 .iter()
-                .map(|&id| self.sim.task(id).tid)
+                .filter_map(|&id| self.sim.task(id).map(|t| t.tid))
                 // Exited threads disappear from /proc/<pid>/task.
                 .filter(|&tid| {
                     self.sim

@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # Smoke test for `zerosum audit --explain`: the report must carry the
-# effect-pass header counts, at least one witness trace, and the
-# thread-provenance role-edge section with the sharded monitor's
-# single-writer edge traced back to its role root — and stay clean
-# against the committed baseline. Run from anywhere in the repo.
+# effect-pass header counts and the thread-provenance role-edge section
+# with the sharded monitor's single-writer edge traced back to its role
+# root — the witness machinery on a tree whose findings are empty (how a
+# finding's own trace renders is pinned by
+# `witness_traces_are_stable_across_runs`). Run from anywhere in the repo.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-out=$(cargo run -q -p zerosum-cli --bin zerosum -- \
-    audit --explain --baseline AUDIT_baseline.json)
+out=$(cargo run -q -p zerosum-cli --bin zerosum -- audit --explain)
 echo "$out" | grep -q "effect sites" \
     || { echo "audit_explain: missing effect-pass header"; echo "$out"; exit 1; }
-echo "$out" | grep -q "    trace: " \
-    || { echo "audit_explain: no witness traces rendered"; echo "$out"; exit 1; }
 echo "$out" | grep -q "thread-role edges:" \
     || { echo "audit_explain: missing thread-role edge section"; echo "$out"; exit 1; }
 echo "$out" | grep -q "  shard-pump -> core.shard.out.writer" \
