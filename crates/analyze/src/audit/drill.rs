@@ -1,19 +1,16 @@
-//! Sanitizer drill: dynamic lock-order and thread-role edges vs. the
-//! static graphs.
+//! Sanitizer drill: dynamic lock-order edges vs. the static graph.
 //!
 //! Debug builds record every `held -> acquired` pair of
-//! [`zerosum_core::sync::Tracked`] locks, and every `(role, resource)`
-//! pair of [`zerosum_core::role`] touches. The drill clears both
-//! registries, drives real workloads — the abnormal-exit chaos drill,
+//! [`zerosum_core::sync::Tracked`] locks. The drill clears the
+//! registry, drives real workloads — the abnormal-exit chaos drill,
 //! the parallel experiment engine, a sharded monitor soak in
-//! `ShardMode::Threads`, and a collector/agent round-trip — plus
-//! canaries guaranteed to record, then asserts every dynamically
-//! observed edge also appears in the corresponding static graph. A
-//! dynamic edge the static pass missed means the analysis
-//! under-approximates — exactly the failure mode a static tool must be
-//! audited for.
+//! `ShardMode::Threads` (its ring slots are `Tracked`) — plus a canary
+//! pair guaranteed to record, then asserts every dynamically observed
+//! edge also appears in the static graph. A dynamic edge the static
+//! pass missed means the analysis under-approximates — exactly the
+//! failure mode a static tool must be audited for.
 //!
-//! In release builds the sanitizers compile away; the drill reports a
+//! In release builds the sanitizer compiles away; the drill reports a
 //! no-op rather than a vacuous pass.
 
 use super::AuditReport;
@@ -21,9 +18,8 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, PoisonError};
 use zerosum_core::sync::{clear_observed_lock_edges, observed_lock_edges, Tracked};
 use zerosum_core::{
-    role, Monitor, ProcessInfo, ShardMode, ShardedMonitor, SimShardSource, TrackedRw, ZeroSumConfig,
+    Monitor, ProcessInfo, ShardMode, ShardedMonitor, SimShardSource, TrackedRw, ZeroSumConfig,
 };
-use zerosum_net::{in_proc_pair, Collector, NodeAgent};
 use zerosum_sched::{Behavior, NodeSim, SchedParams};
 use zerosum_topology::{presets, CpuSet};
 
@@ -39,11 +35,6 @@ pub struct DrillReport {
     pub observed: Vec<(String, String)>,
     /// Observed edges absent from the static graph (must be empty).
     pub missing: Vec<(String, String)>,
-    /// Dynamically observed `(role, resource)` pairs.
-    pub observed_roles: Vec<(String, String)>,
-    /// Observed role edges absent from the static role graph (must be
-    /// empty: observed ⊆ static).
-    pub missing_roles: Vec<(String, String)>,
     /// Failures (missing edges, vacuous run, workload errors).
     pub problems: Vec<String>,
     /// True when built without `debug_assertions` — the sanitizer is
@@ -75,19 +66,6 @@ impl DrillReport {
             };
             out.push_str(&format!("  {a} -> {b} [{mark}]\n"));
         }
-        out.push_str(&format!(
-            "drill: {} observed thread-role edge(s), {} missing from the static role graph\n",
-            self.observed_roles.len(),
-            self.missing_roles.len()
-        ));
-        for (role, res) in &self.observed_roles {
-            let mark = if self.missing_roles.contains(&(role.clone(), res.clone())) {
-                "MISSING"
-            } else {
-                "ok"
-            };
-            out.push_str(&format!("  {role} -> {res} [{mark}]\n"));
-        }
         for p in &self.problems {
             out.push_str(&format!("  FAIL: {p}\n"));
         }
@@ -104,17 +82,8 @@ fn exercise_canaries() {
     *inner += 1;
 }
 
-/// Role canary — deliberately non-test code anchored as the
-/// `audit-canary` role in the static configuration, so the role drill
-/// can never pass vacuously: this edge must always be both observed
-/// and statically derived.
-fn exercise_role_canary() {
-    let _role = role::enter("audit-canary");
-    role::touch("audit.drill.canary");
-}
-
-/// Drives the sharded monitor in `ShardMode::Threads` so the driver
-/// and shard-pump roles record their ring/scratch touches.
+/// Drives the sharded monitor in `ShardMode::Threads`: driver and
+/// pumps take the rings' `Tracked` slots from their own threads.
 fn exercise_sharded_monitor(problems: &mut Vec<String>) {
     let topo = presets::frontier();
     let mut sim = NodeSim::new(topo, SchedParams::default());
@@ -173,28 +142,6 @@ fn exercise_sharded_monitor(problems: &mut Vec<String>) {
     }
 }
 
-/// Drives a collector/agent round-trip over an in-process link so the
-/// collector-pump role records its touch.
-fn exercise_collector(problems: &mut Vec<String>) {
-    let (agent_end, coll_end) = in_proc_pair(8);
-    let mut collector = Collector::new();
-    collector.expect_node("drill-node");
-    collector.add_link(Box::new(coll_end));
-    let mut agent = NodeAgent::new(agent_end, "drill-node");
-    for r in 1..=4u64 {
-        agent.begin_round(r, r as f64 * 0.1);
-        collector.run_round();
-        agent.tick();
-    }
-    for _ in 0..8 {
-        agent.tick();
-        collector.pump_frames();
-    }
-    if collector.stats.frames_rx == 0 {
-        problems.push("collector drill pumped no frames".to_string());
-    }
-}
-
 /// Runs real monitored workloads to generate tracked-lock traffic.
 fn exercise_workloads(problems: &mut Vec<String>) {
     // Parallel experiment engine: per-slot job/result locks.
@@ -218,20 +165,15 @@ pub fn run_drill(report: &AuditReport) -> DrillReport {
         return DrillReport {
             observed: Vec::new(),
             missing: Vec::new(),
-            observed_roles: Vec::new(),
-            missing_roles: Vec::new(),
             problems: Vec::new(),
             release_noop: true,
         };
     }
     clear_observed_lock_edges();
-    role::clear_observed_role_edges();
     exercise_canaries();
-    exercise_role_canary();
     let mut problems = Vec::new();
     exercise_workloads(&mut problems);
     exercise_sharded_monitor(&mut problems);
-    exercise_collector(&mut problems);
     let observed: Vec<(String, String)> = observed_lock_edges()
         .into_iter()
         .map(|(a, b)| (a.to_string(), b.to_string()))
@@ -257,37 +199,9 @@ pub fn run_drill(report: &AuditReport) -> DrillReport {
             "dynamic edge `{a} -> {b}` is absent from the static lock-order graph"
         ));
     }
-    // Thread-role contract: observed (role, resource) ⊆ static.
-    let observed_roles: Vec<(String, String)> = role::observed_role_edges()
-        .into_iter()
-        .map(|(r, t)| (r.to_string(), t.to_string()))
-        .collect();
-    let static_roles: BTreeSet<(&str, &str)> = report
-        .role_edges
-        .iter()
-        .map(|e| (e.role.as_str(), e.resource.as_str()))
-        .collect();
-    let missing_roles: Vec<(String, String)> = observed_roles
-        .iter()
-        .filter(|(r, t)| !static_roles.contains(&(r.as_str(), t.as_str())))
-        .cloned()
-        .collect();
-    if !observed_roles
-        .iter()
-        .any(|(r, t)| r == "audit-canary" && t == "audit.drill.canary")
-    {
-        problems.push("role sanitizer missed the canary — role drill is vacuous".to_string());
-    }
-    for (r, t) in &missing_roles {
-        problems.push(format!(
-            "dynamic role edge `{r} -> {t}` is absent from the static role graph"
-        ));
-    }
     DrillReport {
         observed,
         missing,
-        observed_roles,
-        missing_roles,
         problems,
         release_noop: false,
     }

@@ -2,9 +2,10 @@
 //!
 //! Extracts a per-function *direct effect set* — allocation,
 //! wall-clock reads, ambient entropy/thread-id reads, unordered-map
-//! iteration, and blocking (sleep, channel ops, file IO, thread join) —
-//! from the shared token stream, propagates it to a fixpoint over the
-//! workspace call graph, and drives three passes off the summaries:
+//! iteration, and blocking (sleep, channel ops, file IO, thread join,
+//! `/proc` reads) — from the shared token stream, propagates it to a
+//! fixpoint over the workspace call graph, and drives three passes off
+//! the summaries:
 //!
 //! * **hot-path-alloc** — any allocation effect reachable from the
 //!   `_into` sampling-round roots fails. This turns the zero-alloc
@@ -14,15 +15,18 @@
 //! * **nondeterminism** — wall-clock, entropy, and unordered-iteration
 //!   effects reachable from the sim/experiment roots, statically
 //!   protecting the bit-identical survivor-equality differentials.
-//! * **blocking** — blocking effects reachable inside the
-//!   deadline-watchdog scope or while a lock is held. Channel and
-//!   `/proc`-read blocking under a lock stays with the dedicated
-//!   `lock-across-*` passes; this pass adds sleep/file-IO/join.
+//! * **blocking** — the one "don't block here" pass, over two kinds of
+//!   scope: the non-blocking roots (the deadline-watchdog scope of
+//!   `Monitor::sample` and the two pump loops, `shard_loop` and
+//!   `Collector::pump_frames`), where a sleep, channel op or join
+//!   stalls a round somebody is waiting on; and every held range of a
+//!   lock, where those and file IO and `/proc` reads turn the lock
+//!   into a convoy. One allowlist holds every reviewed site.
 //!
 //! The summary domain is a bitset lattice ([`EffectSet`]) ordered by
 //! inclusion; propagation is monotone (a step only ORs bits in), so the
 //! fixpoint exists and terminates on recursive/cyclic SCCs — each of
-//! the `n` summaries can grow at most 8 times. Every finding carries a
+//! the `n` summaries can grow at most 9 times. Every finding carries a
 //! **witness trace**: the shortest root→site call chain recovered from
 //! the BFS parent map (surfaced by `zerosum audit --explain`).
 
@@ -30,6 +34,7 @@ use super::callgraph::{CallGraph, SiteKind};
 use super::items::{FnItem, ParsedFile};
 use super::lexer::TokKind;
 use super::locks::{is_sanitizer_impl, LockAnalysis};
+use super::rules::PROC_READS;
 use super::{Allow, Allowlist, Finding};
 use std::collections::BTreeSet;
 
@@ -55,6 +60,9 @@ impl EffectSet {
     pub const BLOCK_IO: u16 = 1 << 6;
     /// `.join()` on a thread handle.
     pub const BLOCK_JOIN: u16 = 1 << 7;
+    /// A `ProcSource` read ([`PROC_READS`]): a stalled `/proc` (§3.1)
+    /// must never extend a critical section other threads wait on.
+    pub const PROC_READ: u16 = 1 << 8;
 
     /// The empty set (lattice bottom).
     pub const fn empty() -> EffectSet {
@@ -79,15 +87,15 @@ impl EffectSet {
 
 /// Effects the determinism pass polices.
 pub const DET_MASK: u16 = EffectSet::WALL_CLOCK | EffectSet::AMBIENT | EffectSet::UNORDERED_ITER;
-/// Effects the watchdog-scope blocking pass polices. File IO is
-/// excluded deliberately: the `/proc` reads *are* the measured work of
-/// a sampling round, and stalls there are the watchdog's own job.
+/// Effects the blocking pass polices under its non-blocking roots.
+/// File IO and `/proc` reads are excluded deliberately: they *are* the
+/// measured work of a sampling round, and stalls there are the
+/// watchdog's own job.
 pub const WATCHDOG_MASK: u16 =
     EffectSet::BLOCK_SLEEP | EffectSet::BLOCK_CHAN | EffectSet::BLOCK_JOIN;
-/// Effects the under-lock blocking pass polices. Channel ops and
-/// `/proc` reads under a lock are covered by `lock-across-channel` /
-/// `lock-across-proc-read`; nested locks are the cycle pass's domain.
-pub const HELD_MASK: u16 = EffectSet::BLOCK_SLEEP | EffectSet::BLOCK_IO | EffectSet::BLOCK_JOIN;
+/// Effects the blocking pass polices while a lock is held: everything
+/// that can park the holder. Nested locks are the cycle pass's domain.
+pub const HELD_MASK: u16 = WATCHDOG_MASK | EffectSet::BLOCK_IO | EffectSet::PROC_READ;
 
 /// One direct effect site inside a function body.
 #[derive(Debug, Clone)]
@@ -123,9 +131,10 @@ pub struct EffectConfig<'a> {
     pub det_roots: &'a [(&'a str, &'a str)],
     /// Reviewed nondeterministic sites reachable from det roots.
     pub det_allowlist: &'a [Allow<'a>],
-    /// Roots of the deadline-watchdog scope: `(file_suffix, fn_name)`.
+    /// The non-blocking roots — the deadline-watchdog scope and the
+    /// pump loops: `(file_suffix, fn_name)`.
     pub watchdog_roots: &'a [(&'a str, &'a str)],
-    /// Reviewed blocking findings (watchdog or under-lock).
+    /// Reviewed blocking findings (under a root or under a lock).
     pub blocking_allowlist: &'a [Allow<'a>],
 }
 
@@ -149,11 +158,13 @@ impl EffectConfig<'static> {
 /// The repo's standard effect configuration.
 pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
     hot_root_suffix: "_into",
-    // The pump and fold run every sampling round on every shard;
-    // allocation there is contention by another name.
+    // The round and its pump run every period on every shard;
+    // allocation there is contention by another name. (`round` reaches
+    // the pump only through its `trip` closure, which the graph cannot
+    // see, so the pump is a root of its own.)
     hot_roots: &[
         ("crates/core/src/shard.rs", "process_batch"),
-        ("crates/core/src/shard.rs", "fold_reads"),
+        ("crates/core/src/shard.rs", "round"),
     ],
     alloc_allowlist: &DEFAULT_ALLOC_ALLOWLIST,
     det_root_prefixes: &["crates/sched/src/"],
@@ -186,7 +197,6 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
         ("crates/apps/src/churn.rs", "generate_schedule"),
         ("crates/experiments/src/churn.rs", "run_sim_churn"),
         ("crates/experiments/src/parallel.rs", "run_jobs"),
-        ("crates/experiments/src/parallel.rs", "run_seeded"),
         ("crates/experiments/src/figures.rs", "fig5"),
         ("crates/experiments/src/figures.rs", "fig67"),
         ("crates/experiments/src/figures.rs", "fig67_traced"),
@@ -194,7 +204,11 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
         ("crates/experiments/src/sweep.rs", "sweep_cpus_per_task"),
     ],
     det_allowlist: &DEFAULT_DET_ALLOWLIST,
-    watchdog_roots: &[("crates/core/src/monitor.rs", "sample")],
+    watchdog_roots: &[
+        ("crates/core/src/monitor.rs", "sample"),
+        ("crates/core/src/shard.rs", "shard_loop"),
+        ("crates/net/src/collector.rs", "pump_frames"),
+    ],
     blocking_allowlist: &DEFAULT_BLOCKING_ALLOWLIST,
 };
 
@@ -202,7 +216,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer.
-pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 28] = [
+pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 31] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -328,8 +342,8 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 28] = [
         "to_string",
         "sim materializes views",
     ),
-    // Round roots (`process_batch`/`fold_reads`): the parsers and the
-    // batch body only allocate when a read or parse fails — message
+    // Round roots (`process_batch`/`round`): the parsers and the batch
+    // body only allocate when a read or parse fails — message
     // formatting off the healthy path.
     (
         "crates/procfs/src/parse.rs",
@@ -350,6 +364,27 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 28] = [
         "sweep",
         "Vec::with_capacity",
         "first listing of a pid only",
+    ),
+    // The round's prologue and epilogue: the first `/proc/stat` is kept
+    // whole, a watch's list slot is made once, and a snapshot is built
+    // only while somebody subscribes to the feed.
+    (
+        "crates/core/src/hwt.rs",
+        "observe",
+        "clone",
+        "first round only; later rounds `clone_from` into the kept snapshot",
+    ),
+    (
+        "crates/core/src/shard.rs",
+        "default",
+        "Vec::new",
+        "capacity-0, and a list slot is made once per watch, not per round",
+    ),
+    (
+        "crates/core/src/feed.rs",
+        "snapshot_of",
+        "collect",
+        "only with a live subscriber; the snapshot is what the subscriber receives",
     ),
     // Capacity-0 constructors: `String::new`/`Vec::new`/`HashSet::new`
     // do not touch the allocator until first growth, and the rows they
@@ -428,28 +463,36 @@ pub const DEFAULT_DET_ALLOWLIST: [Allow; 4] = [
     ),
 ];
 
-/// Reviewed blocking findings: `(file_suffix, fn, token, why)`, where
-/// `token` is `lock:effect`. The effect named for a `sample` call is
-/// the first file-io site the round reaches: the `stat` of the task
-/// directory in `LinuxProc::list_tasks_into`, ahead of its `read_dir`.
-pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 3] = [
+/// Reviewed blocking findings: `(file_suffix, fn, token, why)`. Under a
+/// non-blocking root the token is the effect; under a lock it is
+/// `lock:effect`, the effect being the nearest blocking site the held
+/// call reaches — for a `sample` call the round's first `/proc` read,
+/// the listing in `run_batch`.
+pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 4] = [
     (
         "crates/core/src/attach.rs",
         "start_with",
-        "core.attach.monitor:fs::metadata",
-        "priming sample before the thread exists; mirrors LOCK_ALLOWLIST",
+        "core.attach.monitor:list_tasks_into",
+        "the monitor thread owns the monitor lock for the whole sampling round by design; \
+         the only contenders (with_monitor, stop) are steering/shutdown paths",
     ),
     (
         "crates/core/src/attach.rs",
         "stop",
-        "core.attach.monitor:fs::metadata",
-        "final sample after the thread has joined; mirrors LOCK_ALLOWLIST",
+        "core.attach.monitor:list_tasks_into",
+        "final sample after the sampler thread has been joined; the lock is uncontended",
     ),
     (
         "crates/analyze/src/chaos.rs",
         "abnormal_exit_drill",
         "analyze.chaos.flush_monitor:fs::create_dir_all",
         "drill-only crash flush; single-threaded harness, no contention",
+    ),
+    (
+        "crates/core/src/shard.rs",
+        "shard_loop",
+        "thread::park",
+        "idle wait by design; the driver unparks the pump on every dispatch and at shutdown",
     ),
 ];
 
@@ -601,6 +644,21 @@ fn unordered_bindings(pf: &ParsedFile) -> BTreeSet<String> {
     out
 }
 
+/// Whether the method call at `t` is `self.name(…)` inside an `impl`
+/// block of this file that defines `name` — the type's own method
+/// (`NodeAgent::send` encodes a frame and hands it to the link), not
+/// the std channel op it shares a name with. The call graph follows the
+/// call, so whatever the method does is still seen.
+fn own_method(pf: &ParsedFile, item: &FnItem, t: usize) -> bool {
+    let on_self = t >= 2 && pf.is_ident(t - 2, "self") && !(t >= 3 && pf.is_punct(t - 3, '.'));
+    on_self
+        && item.impl_type.is_some()
+        && pf
+            .fns
+            .iter()
+            .any(|f| f.impl_type == item.impl_type && f.name == pf.text(t))
+}
+
 /// Extracts the direct effect sites of one function body.
 fn body_effect_sites(
     pf: &ParsedFile,
@@ -651,8 +709,13 @@ fn body_effect_sites(
                     // `path.join(seg)` / `slice.join(sep)` allocate.
                     push(EffectSet::ALLOC, t, line, "join".into());
                 }
-            } else if matches!(name, "recv" | "recv_timeout" | "send") && pf.is_punct(t + 1, '(') {
+            } else if matches!(name, "recv" | "recv_timeout" | "send")
+                && pf.is_punct(t + 1, '(')
+                && !own_method(pf, item, t)
+            {
                 push(EffectSet::BLOCK_CHAN, t, line, name.to_string());
+            } else if PROC_READS.contains(&name) && pf.is_punct(t + 1, '(') {
+                push(EffectSet::PROC_READ, t, line, name.to_string());
             } else if matches!(name, "read_to_string" | "read_line" | "sync_all")
                 && pf.is_punct(t + 1, '(')
             {
@@ -805,12 +868,14 @@ pub fn bit_name(bit: u16) -> &'static str {
         EffectSet::BLOCK_CHAN => "channel",
         EffectSet::BLOCK_IO => "file-io",
         EffectSet::BLOCK_JOIN => "join",
+        EffectSet::PROC_READ => "proc-read",
         _ => "effect",
     }
 }
 
 /// One reachability pass: report every direct site with a bit in
-/// `mask` inside a function reachable from `roots`.
+/// `mask` inside a function reachable from `roots` that `allow` does
+/// not accept. Returns how many functions are reachable.
 #[allow(clippy::too_many_arguments)]
 fn reach_pass(
     graph: &CallGraph,
@@ -819,11 +884,10 @@ fn reach_pass(
     mask: u16,
     pass: &'static str,
     scope: &str,
-    allowlist: &[Allow],
+    allow: &mut Allowlist,
     findings: &mut Vec<Finding>,
 ) -> usize {
     let parents = graph.reach_from(roots);
-    let mut allow = Allowlist::new(pass, allowlist);
     let mut reachable = 0usize;
     for (fi, p) in parents.iter().enumerate() {
         if p.is_none() {
@@ -857,7 +921,6 @@ fn reach_pass(
             });
         }
     }
-    allow.stale(findings);
     reachable
 }
 
@@ -885,16 +948,18 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
     for (file, name) in cfg.hot_roots {
         hot_roots.extend(graph.matching(file, name));
     }
+    let mut allow = Allowlist::new("hot-path-alloc", cfg.alloc_allowlist);
     let hot_reachable = reach_pass(
         graph,
         &sites,
         &hot_roots,
         EffectSet::ALLOC,
         "hot-path-alloc",
-        "the `_into` sampling roots",
-        cfg.alloc_allowlist,
+        "the sampling-round roots",
+        &mut allow,
         &mut findings,
     );
+    allow.stale(&mut findings);
 
     // Pass 2: determinism.
     let mut det_roots: Vec<usize> = Vec::new();
@@ -910,6 +975,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
     for (file, name) in cfg.det_roots {
         det_roots.extend(graph.matching(file, name));
     }
+    let mut allow = Allowlist::new("nondeterminism", cfg.det_allowlist);
     let det_reachable = reach_pass(
         graph,
         &sites,
@@ -917,53 +983,54 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
         DET_MASK,
         "nondeterminism",
         "the sim/experiment roots",
-        cfg.det_allowlist,
+        &mut allow,
         &mut findings,
     );
+    allow.stale(&mut findings);
 
-    // Pass 3a: blocking inside the deadline-watchdog scope.
+    blocking_pass(graph, la, &sites, &summaries, cfg, &mut findings);
+
+    EffectAnalysis {
+        findings,
+        summaries,
+        sites: sites.iter().map(Vec::len).sum(),
+        hot_reachable,
+        det_reachable,
+    }
+}
+
+/// The blocking pass: [`WATCHDOG_MASK`] effects reachable from the
+/// non-blocking roots, and [`HELD_MASK`] effects inside a lock's held
+/// range (the lock pass's acquisitions), direct or through a callee.
+/// A held-range finding's token is `lock:effect`.
+fn blocking_pass(
+    graph: &CallGraph,
+    la: &LockAnalysis,
+    sites: &[Vec<EffectSite>],
+    summaries: &[EffectSet],
+    cfg: &EffectConfig,
+    findings: &mut Vec<Finding>,
+) {
+    // Scope 1: under the non-blocking roots.
     let mut wd_roots: Vec<usize> = Vec::new();
     for (file, name) in cfg.watchdog_roots {
         wd_roots.extend(graph.matching(file, name));
     }
     let mut blocking = Allowlist::new("blocking", cfg.blocking_allowlist);
-    {
-        let parents = graph.reach_from(&wd_roots);
-        for (fi, p) in parents.iter().enumerate() {
-            if p.is_none() {
-                continue;
-            }
-            let node = &graph.fns[fi];
-            for s in &sites[fi] {
-                if s.bit & WATCHDOG_MASK == 0 {
-                    continue;
-                }
-                if blocking.allows(&node.item.file, &node.item.name, &s.token) {
-                    continue;
-                }
-                let witness = graph.path_chain(&parents, fi);
-                findings.push(Finding {
-                    pass: "blocking",
-                    file: node.item.file.clone(),
-                    line: s.line,
-                    func: node.item.name.clone(),
-                    token: s.token.clone(),
-                    detail: format!(
-                        "{} effect `{}` in `{}` blocks inside the deadline-watchdog scope via {}",
-                        bit_name(s.bit),
-                        s.token,
-                        node.item.name,
-                        witness.join(" -> ")
-                    ),
-                    witness,
-                });
-            }
-        }
-    }
+    reach_pass(
+        graph,
+        sites,
+        &wd_roots,
+        WATCHDOG_MASK,
+        "blocking",
+        "a non-blocking root",
+        &mut blocking,
+        findings,
+    );
 
-    // Pass 3b: blocking while a lock is held. Direct sites inside the
-    // held range, plus calls whose callee summaries carry a blocking
-    // bit — witnessed down to the nearest function with a direct site.
+    // Scope 2: while a lock is held. Direct sites inside the held
+    // range, plus calls whose callee summaries carry a blocking bit —
+    // witnessed down to the nearest function with a direct site.
     for a in &la.acquisitions {
         let node = &graph.fns[a.fn_idx];
         let pf = &graph.files[node.file_idx];
@@ -1058,15 +1125,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
             });
         }
     }
-    blocking.stale(&mut findings);
-
-    EffectAnalysis {
-        findings,
-        summaries,
-        sites: sites.iter().map(Vec::len).sum(),
-        hot_reachable,
-        det_reachable,
-    }
+    blocking.stale(findings);
 }
 
 #[cfg(test)]
@@ -1081,7 +1140,7 @@ mod tests {
 
     fn run(srcs: &[(&str, &str)], cfg: &EffectConfig) -> EffectAnalysis {
         let g = graph(srcs);
-        let la = analyze_locks(&g, &[]);
+        let la = analyze_locks(&g);
         analyze_effects(&g, &la, cfg)
     }
 
@@ -1101,6 +1160,7 @@ fn f(m: &HashMap<u32, u32>, rx: &Receiver<u32>) {
     let text = fs::read_to_string(p);
     handle.join();
     let label = format!(\"x{}\", 1);
+    let mem = src.meminfo();
 }
 ",
         )]);
@@ -1115,6 +1175,7 @@ fn f(m: &HashMap<u32, u32>, rx: &Receiver<u32>) {
             EffectSet::BLOCK_CHAN,
             EffectSet::BLOCK_IO,
             EffectSet::BLOCK_JOIN,
+            EffectSet::PROC_READ,
         ] {
             assert!(bits.contains(&expect), "missing bit {expect}: {sites:?}");
         }
@@ -1241,6 +1302,64 @@ fn fine(x: &M) {
     }
 
     #[test]
+    fn lock_held_across_channel_op_and_proc_read_is_flagged() {
+        let ea = run(
+            &[(
+                "a.rs",
+                "\
+fn bad_chan(x: &M, tx: &Sender<u32>) {
+    let g = x.alpha.lock();
+    tx.send(1);
+}
+fn bad_proc(x: &M, src: &dyn ProcSource) {
+    let g = x.alpha.lock();
+    let s = src.task_stat(1, 1);
+}
+fn fine(x: &M, tx: &Sender<u32>) {
+    x.alpha.lock().push(1);
+    tx.send(1);
+}
+",
+            )],
+            &EffectConfig::empty(),
+        );
+        let got: Vec<(&str, &str)> = ea
+            .findings
+            .iter()
+            .map(|f| (f.func.as_str(), f.token.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [("bad_chan", "alpha:send"), ("bad_proc", "alpha:task_stat")]
+        );
+    }
+
+    #[test]
+    fn blocking_allowlist_accepts_a_held_site_and_a_stale_row_fails() {
+        let allow = [
+            ("a.rs", "held", "alpha:meminfo", "reviewed"),
+            ("a.rs", "gone", "alpha:meminfo", "names no site"),
+        ];
+        let cfg = EffectConfig {
+            blocking_allowlist: &allow,
+            ..EffectConfig::empty()
+        };
+        let ea = run(
+            &[(
+                "a.rs",
+                "fn held(x: &M, src: &dyn ProcSource) { let g = x.alpha.lock(); src.meminfo(); }",
+            )],
+            &cfg,
+        );
+        assert_eq!(ea.findings.len(), 1, "{:?}", ea.findings);
+        let stale = &ea.findings[0];
+        assert_eq!(
+            (stale.pass, stale.func.as_str()),
+            ("stale-allowlist", "gone")
+        );
+    }
+
+    #[test]
     fn watchdog_scope_flags_sleep_and_join() {
         let cfg = EffectConfig {
             watchdog_roots: &[("a.rs", "sample_inner")],
@@ -1338,7 +1457,7 @@ fn pong(n: u32) { if n > 0 { ping(n - 1); } thread::sleep(d); }
             let mut callees: Vec<Vec<usize>> = (0..n)
                 .map(|_| (0..next(4)).map(|_| next(n)).collect())
                 .collect();
-            let direct: Vec<EffectSet> = (0..n).map(|_| EffectSet((next(256)) as u16)).collect();
+            let direct: Vec<EffectSet> = (0..n).map(|_| EffectSet((next(512)) as u16)).collect();
             let before = propagate_over(&callees, &direct);
             // Add one random edge; every summary must only grow.
             callees[next(n)].push(next(n));

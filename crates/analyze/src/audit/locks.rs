@@ -4,15 +4,12 @@
 //! `.write()` — empty-parens only, which cleanly excludes
 //! `io::Read::read(buf)`/`io::Write::write(buf)` — plus `.try_lock()`,
 //! which cannot *block* but does *hold*), keys each by its receiver
-//! path, propagates held-lock sets through the call graph, and reports:
-//!
-//! * **lock-cycle** — a cycle in the lock-order graph (potential
-//!   deadlock). No allowlist accepts one.
-//! * **lock-across-channel** — a lock held across a blocking channel
-//!   `send`/`recv` (directly or via a callee).
-//! * **lock-across-proc-read** — a lock held across a `ProcSource`
-//!   read: a stalled `/proc` read (§3.1) must never extend a critical
-//!   section other threads wait on.
+//! path, propagates held-lock sets through the call graph, and reports
+//! **lock-cycle** — a cycle in the lock-order graph (potential
+//! deadlock); no allowlist accepts one. What may not *happen* while a
+//! lock is held (sleep, file IO, join, channel op, `/proc` read) is the
+//! `blocking` pass's question ([`super::effects`]), asked over the
+//! acquisitions and held ranges computed here.
 //!
 //! Receiver paths are resolved to sanitizer names where possible: a
 //! `Tracked::new("name", …)` initializer binds its receiver ident to
@@ -23,16 +20,15 @@
 use super::callgraph::{CallGraph, SiteKind};
 use super::items::ParsedFile;
 use super::lexer::TokKind;
-use super::rules::PROC_READS;
-use super::{Allow, Allowlist, Finding};
+use super::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Files whose interior lock use is the *implementation* of the
+/// The file whose interior lock use is the *implementation* of the
 /// sanitizer itself: `Tracked` wraps a Mutex and the edge recorder
 /// serializes on one. Modeling those interior acquisitions would merge
 /// every tracked lock into one node; acquisitions are modeled at
 /// `Tracked` call sites instead.
-const SANITIZER_IMPL_FILES: [&str; 2] = ["crates/core/src/sync.rs", "crates/core/src/role.rs"];
+const SANITIZER_IMPL_FILE: &str = "crates/core/src/sync.rs";
 
 /// One static lock acquisition.
 #[derive(Debug, Clone)]
@@ -73,30 +69,12 @@ pub struct LockAnalysis {
     pub edges: Vec<LockEdge>,
     /// Distinct lock node keys.
     pub locks: BTreeSet<String>,
-    /// Findings (cycles and held-across violations).
+    /// Findings (lock-order cycles).
     pub findings: Vec<Finding>,
 }
 
-/// Allowlisted `lock-across-*` findings, each with a reviewed
-/// justification: `(file_suffix, fn_name, pass, why)`.
-pub const LOCK_ALLOWLIST: [Allow; 2] = [
-    (
-        "crates/core/src/attach.rs",
-        "start_with",
-        "lock-across-proc-read",
-        "monitor thread owns the monitor lock for the whole sampling round by design; \
-         the only contenders (with_monitor, stop) are steering/shutdown paths",
-    ),
-    (
-        "crates/core/src/attach.rs",
-        "stop",
-        "lock-across-proc-read",
-        "final flush after the sampler thread has been joined; the lock is uncontended",
-    ),
-];
-
 pub(crate) fn is_sanitizer_impl(file: &str) -> bool {
-    SANITIZER_IMPL_FILES.iter().any(|f| file.ends_with(f))
+    file.ends_with(SANITIZER_IMPL_FILE)
 }
 
 /// Builds the `receiver ident -> sanitizer name` map for one file:
@@ -479,7 +457,7 @@ fn held_until(pf: &ParsedFile, t: usize, body: &std::ops::Range<usize>) -> usize
 }
 
 /// Runs the lock pass over a built call graph.
-pub fn analyze_locks(graph: &CallGraph, allowlist: &[Allow]) -> LockAnalysis {
+pub fn analyze_locks(graph: &CallGraph) -> LockAnalysis {
     // Tracked-name maps: one per file (bindings are file-scoped) plus a
     // global fallback for cross-file idents.
     let file_names: Vec<BTreeMap<String, String>> = graph.files.iter().map(tracked_names).collect();
@@ -570,50 +548,19 @@ pub fn analyze_locks(graph: &CallGraph, allowlist: &[Allow]) -> LockAnalysis {
         v.sort_by_key(|a| a.token);
     }
 
-    // Transitive may-acquire / may-channel-op / may-proc-read, by
-    // fixpoint over the (over-approximate) call graph. Wrapper helpers
-    // contribute nothing themselves — their effect lives at call sites.
+    // Transitive may-acquire, by fixpoint over the (over-approximate)
+    // call graph. Wrapper helpers contribute nothing themselves — their
+    // effect lives at call sites.
     let n = graph.fns.len();
     let mut acq: Vec<BTreeSet<String>> = (0..n)
         .map(|i| direct[i].iter().map(|a| a.lock.clone()).collect())
         .collect();
-    let mut chan: Vec<bool> = Vec::with_capacity(n);
-    let mut proc_read: Vec<bool> = Vec::with_capacity(n);
-    for node in graph.fns.iter() {
-        let pf = &graph.files[node.file_idx];
-        let mut c = false;
-        let mut p = false;
-        for t in node.item.body.clone() {
-            if pf.tokens[t].kind != TokKind::Ident || !pf.is_punct(t + 1, '(') {
-                continue;
-            }
-            if t >= 1 && pf.is_punct(t - 1, '.') {
-                let name = pf.text(t);
-                if matches!(name, "send" | "recv") {
-                    c = true;
-                }
-                if PROC_READS.contains(&name) {
-                    p = true;
-                }
-            }
-        }
-        chan.push(c);
-        proc_read.push(p);
-    }
     loop {
         let mut changed = false;
         for i in 0..n {
             for &cal in &graph.fns[i].callees {
                 if cal == i {
                     continue;
-                }
-                if chan[cal] && !chan[i] {
-                    chan[i] = true;
-                    changed = true;
-                }
-                if proc_read[cal] && !proc_read[i] {
-                    proc_read[i] = true;
-                    changed = true;
                 }
                 if !acq[cal].is_empty() {
                     let add: Vec<String> = acq[cal]
@@ -633,12 +580,10 @@ pub fn analyze_locks(graph: &CallGraph, allowlist: &[Allow]) -> LockAnalysis {
         }
     }
 
-    // Edge + held-across extraction.
+    // Edge extraction.
     let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
-    let mut findings: Vec<Finding> = Vec::new();
     let mut locks: BTreeSet<String> = BTreeSet::new();
     for (fi, node) in graph.fns.iter().enumerate() {
-        let pf = &graph.files[node.file_idx];
         for a in &direct[fi] {
             locks.insert(a.lock.clone());
             let range = (a.token + 1)..a.held_until;
@@ -663,8 +608,7 @@ pub fn analyze_locks(graph: &CallGraph, allowlist: &[Allow]) -> LockAnalysis {
                 if site.token == a.token {
                     continue; // the acquisition itself
                 }
-                let resolved = graph.resolve_site(node.file_idx, site);
-                for &cal in &resolved {
+                for cal in graph.resolve_site(node.file_idx, site) {
                     for b in acq[cal].iter() {
                         edges
                             .entry((a.lock.clone(), b.clone()))
@@ -676,86 +620,17 @@ pub fn analyze_locks(graph: &CallGraph, allowlist: &[Allow]) -> LockAnalysis {
                             });
                     }
                 }
-                let callee_chan = resolved.iter().any(|&c| chan[c]);
-                let callee_proc = resolved.iter().any(|&c| proc_read[c]);
-                let direct_chan = matches!(site.name.as_str(), "send" | "recv")
-                    && site.token >= 1
-                    && pf.is_punct(site.token - 1, '.');
-                let direct_proc = PROC_READS.contains(&site.name.as_str())
-                    && site.token >= 1
-                    && pf.is_punct(site.token - 1, '.');
-                if direct_chan || callee_chan {
-                    push_held_across(
-                        &mut findings,
-                        "lock-across-channel",
-                        node,
-                        a,
-                        site.line,
-                        &site.name,
-                        direct_chan,
-                    );
-                }
-                if direct_proc || callee_proc {
-                    push_held_across(
-                        &mut findings,
-                        "lock-across-proc-read",
-                        node,
-                        a,
-                        site.line,
-                        &site.name,
-                        direct_proc,
-                    );
-                }
             }
         }
     }
 
-    // Drop allowlisted held-across findings, then add the cycles, which
-    // are never dropped.
-    let mut allow = Allowlist::new("lock", allowlist);
-    findings.retain(|f| !allow.allows(&f.file, &f.func, f.pass));
-    allow.stale(&mut findings);
     let edge_list: Vec<LockEdge> = edges.into_values().collect();
-    findings.extend(find_cycles(&edge_list));
     LockAnalysis {
         acquisitions: direct.into_iter().flatten().collect(),
+        findings: find_cycles(&edge_list),
         edges: edge_list,
         locks,
-        findings,
     }
-}
-
-fn push_held_across(
-    findings: &mut Vec<Finding>,
-    pass: &'static str,
-    node: &super::callgraph::FnNode,
-    a: &Acquisition,
-    line: usize,
-    callee: &str,
-    direct: bool,
-) {
-    let what = if direct {
-        format!("`.{callee}(`")
-    } else {
-        format!("call to `{callee}` (which may reach one)")
-    };
-    let witness = if direct {
-        vec![node.item.name.clone()]
-    } else {
-        vec![node.item.name.clone(), callee.to_string()]
-    };
-    findings.push(Finding {
-        pass,
-        file: node.item.file.clone(),
-        line,
-        func: node.item.name.clone(),
-        token: a.lock.clone(),
-        detail: format!(
-            "lock `{}` (acquired {}:{}) is held across {what}",
-            a.lock, node.item.file, a.line
-        ),
-        witness,
-    });
 }
 
 /// Cycle findings: strongly connected components of the lock graph
@@ -846,7 +721,7 @@ mod tests {
 
     fn run(srcs: &[(&str, &str)]) -> LockAnalysis {
         let graph = CallGraph::build(srcs.iter().map(|(p, s)| parse_file(p, s)).collect());
-        analyze_locks(&graph, &[])
+        analyze_locks(&graph)
     }
 
     #[test]
@@ -964,55 +839,6 @@ fn use_all(s: &S) {
                 .any(|e| e.from == "mod.reg" && e.to == "mod.shared"),
             "{:?}",
             la.edges
-        );
-    }
-
-    #[test]
-    fn lock_across_channel_and_proc_read_flagged() {
-        let la = run(&[(
-            "a.rs",
-            "\
-fn bad_chan(x: &M, tx: &Sender<u32>) {
-    let g = x.alpha.lock();
-    tx.send(1);
-}
-fn bad_proc(x: &M, src: &dyn ProcSource) {
-    let g = x.alpha.lock();
-    let s = src.task_stat(1, 1);
-}
-fn fine(x: &M, tx: &Sender<u32>) {
-    x.alpha.lock().push(1);
-    tx.send(1);
-}
-",
-        )]);
-        assert!(la
-            .findings
-            .iter()
-            .any(|f| f.pass == "lock-across-channel" && f.func == "bad_chan"));
-        assert!(la
-            .findings
-            .iter()
-            .any(|f| f.pass == "lock-across-proc-read" && f.func == "bad_proc"));
-        assert!(!la.findings.iter().any(|f| f.func == "fine"));
-    }
-
-    #[test]
-    fn allowlist_suppresses_and_stale_entry_fails() {
-        let graph = CallGraph::build(vec![parse_file(
-            "a.rs",
-            "fn held(x: &M, src: &dyn ProcSource) { let g = x.alpha.lock(); src.meminfo(); }",
-        )]);
-        let allow = [
-            ("a.rs", "held", "lock-across-proc-read", "reviewed"),
-            ("a.rs", "gone", "lock-across-proc-read", "names no site"),
-        ];
-        let la = analyze_locks(&graph, &allow);
-        assert_eq!(la.findings.len(), 1, "{:?}", la.findings);
-        let stale = &la.findings[0];
-        assert_eq!(
-            (stale.pass, stale.func.as_str()),
-            ("stale-allowlist", "gone")
         );
     }
 

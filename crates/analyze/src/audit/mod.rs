@@ -4,12 +4,13 @@
 //! parser recovering function bodies ([`items`]), a workspace call
 //! graph ([`callgraph`]), and the passes over them — lock-order
 //! analysis ([`locks`]), panic-reachability ([`panics`]), the effect
-//! passes ([`effects`]: hot-path allocation, determinism, blocking),
-//! the thread-provenance passes ([`threads`]: ring-discipline,
-//! channel-protocol, role-blocking) and the repo rules ([`rules`]:
-//! print-in-lib, source-error-bubble, unbounded-growth).
-//! See DESIGN.md §10–§11 and §15 for the analysis model and its
-//! deliberate over-approximations.
+//! passes ([`effects`]: hot-path allocation, determinism, blocking)
+//! and the repo rules ([`rules`]: print-in-lib, source-error-bubble,
+//! unbounded-growth). What `rustc` proves — one writer and one reader
+//! per shard ring, no data race, no use of a moved endpoint — is not
+//! re-proved here: every crate is `#![forbid(unsafe_code)]`.
+//! See DESIGN.md §10–§11 for the analysis model and its deliberate
+//! over-approximations.
 //!
 //! Every finding carries a witness trace (shortest root→site call
 //! chain), surfaced by `zerosum audit --explain` and in `--json`.
@@ -26,7 +27,6 @@ pub mod lexer;
 pub mod locks;
 pub mod panics;
 pub mod rules;
-pub mod threads;
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -143,12 +143,6 @@ pub struct AuditStats {
     pub hot_reachable: usize,
     /// Functions reachable from the determinism roots.
     pub det_reachable: usize,
-    /// Distinct thread roles in the provenance lattice.
-    pub roles: usize,
-    /// Functions carrying at least one thread role.
-    pub role_fns: usize,
-    /// Thread-spawn sites found.
-    pub spawn_sites: usize,
 }
 
 /// The full audit result.
@@ -159,9 +153,6 @@ pub struct AuditReport {
     pub edges: Vec<locks::LockEdge>,
     /// Distinct lock node keys.
     pub locks: BTreeSet<String>,
-    /// The static thread-role/resource contract (consumed by the role
-    /// drill: observed edges must be a subset).
-    pub role_edges: Vec<threads::RoleEdge>,
     /// Header statistics.
     pub stats: AuditStats,
 }
@@ -194,8 +185,7 @@ impl AuditReport {
             out,
             "zsaudit: {} files, {} fns | {} locks, {} acquisitions, {} edges | \
              {} panic sites, {} fns reachable from no-panic roots | \
-             {} effect sites, {} hot-reachable, {} det-reachable fns | \
-             {} roles, {} role fns, {} spawn sites",
+             {} effect sites, {} hot-reachable, {} det-reachable fns",
             s.files,
             s.fns,
             s.locks,
@@ -205,19 +195,9 @@ impl AuditReport {
             s.reachable_fns,
             s.effect_sites,
             s.hot_reachable,
-            s.det_reachable,
-            s.roles,
-            s.role_fns,
-            s.spawn_sites
+            s.det_reachable
         )
         .unwrap();
-        if explain && !self.role_edges.is_empty() {
-            writeln!(out, "\nthread-role edges:").unwrap();
-            for e in &self.role_edges {
-                writeln!(out, "  {} -> {}", e.role, e.resource).unwrap();
-                writeln!(out, "    trace: {}", e.via.join(" -> ")).unwrap();
-            }
-        }
         if self.findings.is_empty() {
             writeln!(out, "OK: no findings").unwrap();
             return out;
@@ -246,13 +226,12 @@ impl AuditReport {
     /// Machine-readable report.
     pub fn to_json(&self) -> String {
         let s = &self.stats;
-        let mut out = String::from("{\n  \"schema\": 1,\n");
+        let mut out = String::from("{\n  \"schema\": 2,\n");
         writeln!(
             out,
             "  \"stats\": {{\"files\": {}, \"fns\": {}, \"acquisitions\": {}, \"locks\": {}, \
              \"edges\": {}, \"panic_sites\": {}, \"reachable_fns\": {}, \"effect_sites\": {}, \
-             \"hot_reachable\": {}, \"det_reachable\": {}, \"roles\": {}, \"role_fns\": {}, \
-             \"spawn_sites\": {}}},",
+             \"hot_reachable\": {}, \"det_reachable\": {}}},",
             s.files,
             s.fns,
             s.acquisitions,
@@ -262,35 +241,10 @@ impl AuditReport {
             s.reachable_fns,
             s.effect_sites,
             s.hot_reachable,
-            s.det_reachable,
-            s.roles,
-            s.role_fns,
-            s.spawn_sites
+            s.det_reachable
         )
         .unwrap();
-        out.push_str("  \"role_edges\": [\n");
-        for (i, e) in self.role_edges.iter().enumerate() {
-            let via = e
-                .via
-                .iter()
-                .map(|w| format!("\"{}\"", esc(w)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            writeln!(
-                out,
-                "    {{\"role\": \"{}\", \"resource\": \"{}\", \"via\": [{}]}}{}",
-                esc(&e.role),
-                esc(&e.resource),
-                via,
-                if i + 1 < self.role_edges.len() {
-                    ","
-                } else {
-                    ""
-                }
-            )
-            .unwrap();
-        }
-        out.push_str("  ],\n  \"edges\": [\n");
+        out.push_str("  \"edges\": [\n");
         for (i, e) in self.edges.iter().enumerate() {
             writeln!(
                 out,
@@ -356,15 +310,11 @@ pub struct AuditConfig<'a> {
     pub panic_roots: &'a [(&'a str, &'a str, &'a str)],
     /// Reviewed panic sites; the token is the site kind.
     pub panic_allowlist: &'a [Allow<'a>],
-    /// Reviewed `lock-across-*` findings; the token is the pass.
-    pub lock_allowlist: &'a [Allow<'a>],
     /// Reviewed growing fields; the token is the field, the fn is left
     /// empty.
     pub growth_allowlist: &'a [Allow<'a>],
     /// Effect-pass roots and allowlists.
     pub effects: effects::EffectConfig<'a>,
-    /// Thread-provenance anchors, resources, and allowlists.
-    pub threads: threads::ThreadConfig<'a>,
 }
 
 impl AuditConfig<'static> {
@@ -373,10 +323,8 @@ impl AuditConfig<'static> {
         AuditConfig {
             panic_roots: &panics::PANIC_ROOTS,
             panic_allowlist: &panics::PANIC_ALLOWLIST,
-            lock_allowlist: &locks::LOCK_ALLOWLIST,
             growth_allowlist: &rules::GROWTH_ALLOWLIST,
             effects: effects::DEFAULT_EFFECTS,
-            threads: threads::DEFAULT_THREADS,
         }
     }
 
@@ -386,10 +334,8 @@ impl AuditConfig<'static> {
         AuditConfig {
             panic_roots: &[],
             panic_allowlist: &[],
-            lock_allowlist: &[],
             growth_allowlist: &[],
             effects: effects::EffectConfig::empty(),
-            threads: threads::ThreadConfig::empty(),
         }
     }
 }
@@ -402,10 +348,9 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         .map(|(p, s)| items::parse_file(p, s))
         .collect();
     let graph = callgraph::CallGraph::build(parsed);
-    let la = locks::analyze_locks(&graph, cfg.lock_allowlist);
+    let la = locks::analyze_locks(&graph);
     let pa = panics::analyze_panics(&graph, cfg.panic_roots, cfg.panic_allowlist);
     let ea = effects::analyze_effects(&graph, &la, &cfg.effects);
-    let ta = threads::analyze_threads(&graph, &la, &cfg.threads);
     let stats = AuditStats {
         files: graph.files.len(),
         fns: graph.fns.len(),
@@ -417,16 +362,12 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         effect_sites: ea.sites,
         hot_reachable: ea.hot_reachable,
         det_reachable: ea.det_reachable,
-        roles: ta.roles,
-        role_fns: ta.role_fns,
-        spawn_sites: ta.spawn_sites,
     };
     let mut findings: Vec<Finding> = la
         .findings
         .into_iter()
         .chain(pa.findings)
         .chain(ea.findings)
-        .chain(ta.findings)
         .chain(rules::analyze_rules(&graph, cfg.growth_allowlist))
         .collect();
     // Total order over every field that reaches the output, so
@@ -442,7 +383,6 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         findings,
         edges: la.edges,
         locks: la.locks,
-        role_edges: ta.role_edges,
         stats,
     }
 }
@@ -468,10 +408,15 @@ pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
 }
 
 /// Locates the workspace root: walks up from `start` to the first
-/// directory whose `Cargo.toml` declares `[workspace]`.
+/// directory that holds what [`collect_sources`] walks — a `crates/`
+/// directory beside a `Cargo.toml` with a `[workspace]` table line
+/// (the text inside a comment, or a lone-package workspace like
+/// `benchmark/`, is not one).
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     start.ancestors().map(Path::to_path_buf).find(|d| {
-        std::fs::read_to_string(d.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
+        d.join("crates").is_dir()
+            && std::fs::read_to_string(d.join("Cargo.toml"))
+                .is_ok_and(|text| text.lines().any(|l| l.trim() == "[workspace]"))
     })
 }
 
@@ -565,12 +510,10 @@ fn rev(x: &M, y: &M) {
         let cfg = AuditConfig::default_repo();
         let lists = [
             cfg.panic_allowlist,
-            cfg.lock_allowlist,
             cfg.growth_allowlist,
             cfg.effects.alloc_allowlist,
             cfg.effects.det_allowlist,
             cfg.effects.blocking_allowlist,
-            cfg.threads.blocking_allowlist,
         ];
         for (file, func, token, why) in lists.into_iter().flatten() {
             assert!(!why.is_empty(), "({file}, {func}, {token})");

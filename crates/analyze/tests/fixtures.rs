@@ -9,7 +9,6 @@
 
 use std::path::{Path, PathBuf};
 use zerosum_analyze::audit::effects::EffectConfig;
-use zerosum_analyze::audit::threads::ThreadConfig;
 use zerosum_analyze::audit::{audit_sources_cfg, audit_sources_with, AuditConfig};
 use zerosum_analyze::{audit_sources, audit_workspace, find_workspace_root, AuditReport};
 
@@ -148,18 +147,6 @@ fn audit_effects(name: &str, effects: EffectConfig) -> AuditReport {
     )
 }
 
-/// Audits one fixture with only a thread-provenance configuration —
-/// the entry point for the ring/channel/role-blocking pairs.
-fn audit_threads(name: &str, threads: ThreadConfig) -> AuditReport {
-    audit_sources_cfg(
-        &[(name.to_string(), read(name))],
-        &AuditConfig {
-            threads,
-            ..AuditConfig::empty()
-        },
-    )
-}
-
 #[test]
 fn hot_path_alloc_fixture_pair() {
     let bad = audit_effects("hot_path_alloc.bad.rs", EffectConfig::empty());
@@ -250,115 +237,58 @@ fn witness_traces_are_stable_across_runs() {
     );
 }
 
-#[test]
-fn multi_writer_ring_fixture_pair() {
-    let cfg = ThreadConfig {
-        role_roots: &[
-            ("multi_writer_ring.bad.rs", "driver_main", "driver"),
-            ("multi_writer_ring.bad.rs", "pump_main", "pump"),
-            ("multi_writer_ring.clean.rs", "driver_main", "driver"),
-            ("multi_writer_ring.clean.rs", "pump_main", "pump"),
-        ],
-        endpoints: &[
-            ("multi_writer_ring.bad.rs", "rw", "fx.ring"),
-            ("multi_writer_ring.clean.rs", "rw", "fx.ring"),
-        ],
-        ..ThreadConfig::empty()
-    };
-    let bad = audit_threads("multi_writer_ring.bad.rs", cfg);
-    let ring: Vec<_> = bad
-        .findings
-        .iter()
-        .filter(|f| f.pass == "ring-discipline")
-        .collect();
-    assert_eq!(ring.len(), 1, "{:?}", bad.findings);
-    assert_eq!(ring[0].token, "fx.ring.writer");
-    assert!(
-        ring[0].detail.contains("driver") && ring[0].detail.contains("pump"),
-        "{:?}",
-        ring[0].detail
-    );
-    assert_eq!(ring[0].witness, vec!["pump_main".to_string()]);
-    let clean = audit_threads("multi_writer_ring.clean.rs", cfg);
-    assert!(clean.clean(), "{:?}", clean.findings);
-    // The clean twin still contributes both role edges — one writer,
-    // one reader — so the discipline is proven, not just unobserved.
-    let pairs: Vec<(&str, &str)> = clean
-        .role_edges
-        .iter()
-        .map(|e| (e.role.as_str(), e.resource.as_str()))
-        .collect();
-    assert!(pairs.contains(&("driver", "fx.ring.writer")), "{pairs:?}");
-    assert!(pairs.contains(&("pump", "fx.ring.reader")), "{pairs:?}");
-}
-
-#[test]
-fn orphaned_receiver_fixture_pair() {
-    let bad = audit_threads("orphaned_receiver.bad.rs", ThreadConfig::empty());
-    let chan: Vec<_> = bad
-        .findings
-        .iter()
-        .filter(|f| f.pass == "channel-protocol")
-        .collect();
-    assert_eq!(chan.len(), 1, "{:?}", bad.findings);
-    assert_eq!(chan[0].token, "rx:orphan-receiver");
-    assert_eq!(chan[0].func, "build_feed");
-    let clean = audit_threads("orphaned_receiver.clean.rs", ThreadConfig::empty());
-    assert!(clean.clean(), "{:?}", clean.findings);
+/// Audits a blocking fixture with its `pump` as the one non-blocking
+/// root.
+fn audit_pump(name: &str) -> AuditReport {
+    audit_effects(
+        name,
+        EffectConfig {
+            watchdog_roots: &[(name, "pump")],
+            ..EffectConfig::empty()
+        },
+    )
 }
 
 #[test]
 fn blocking_pump_fixture_pair() {
-    let cfg = ThreadConfig {
-        role_roots: &[
-            ("blocking_pump.bad.rs", "pump", "fx-pump"),
-            ("blocking_pump.clean.rs", "pump", "fx-pump"),
-        ],
-        pump_roles: &["fx-pump"],
-        ..ThreadConfig::empty()
-    };
-    let bad = audit_threads("blocking_pump.bad.rs", cfg);
-    let blocked: Vec<_> = bad
-        .findings
-        .iter()
-        .filter(|f| f.pass == "role-blocking")
-        .collect();
-    assert_eq!(blocked.len(), 1, "{:?}", bad.findings);
-    assert_eq!(blocked[0].token, "thread::sleep");
-    assert_eq!(blocked[0].func, "drain");
+    let bad = audit_pump("blocking_pump.bad.rs");
+    assert_eq!(bad.findings.len(), 1, "{:?}", bad.findings);
+    let blocked = &bad.findings[0];
     assert_eq!(
-        blocked[0].witness,
-        vec!["pump".to_string(), "drain".to_string()]
+        (blocked.pass, blocked.token.as_str(), blocked.func.as_str()),
+        ("blocking", "thread::sleep", "drain")
     );
-    let clean = audit_threads("blocking_pump.clean.rs", cfg);
+    assert_eq!(blocked.witness, ["pump", "drain"]);
+    assert!(
+        bad.render_with(true).contains("    trace: pump -> drain"),
+        "{}",
+        bad.render_with(true)
+    );
+    let clean = audit_pump("blocking_pump.clean.rs");
     assert!(clean.clean(), "{:?}", clean.findings);
 }
 
 #[test]
-fn thread_witness_traces_are_stable_across_runs() {
-    // Same snapshot contract as the effect passes, for the
-    // thread-provenance side: two independent audits render
-    // byte-identical `--explain` output including the role-blocking
-    // trace line.
-    let cfg = ThreadConfig {
-        role_roots: &[("blocking_pump.bad.rs", "pump", "fx-pump")],
-        pump_roles: &["fx-pump"],
-        ..ThreadConfig::empty()
-    };
-    let a = audit_threads("blocking_pump.bad.rs", cfg).render_with(true);
-    let b = audit_threads("blocking_pump.bad.rs", cfg).render_with(true);
-    assert_eq!(a, b, "audit output must be deterministic");
-    assert!(
-        a.contains("    trace: pump -> drain"),
-        "missing witness trace:\n{a}"
+fn own_method_send_fixture_pair() {
+    let bad = audit_pump("own_method_send.bad.rs");
+    assert_eq!(bad.findings.len(), 1, "{:?}", bad.findings);
+    let chan = &bad.findings[0];
+    assert_eq!(
+        (chan.pass, chan.token.as_str(), chan.line),
+        ("blocking", "send", 14)
     );
+    assert_eq!(chan.witness, ["pump", "offer"]);
+    // `self.send(` where the impl defines `send` is a call, not a
+    // channel op.
+    let clean = audit_pump("own_method_send.clean.rs");
+    assert!(clean.clean(), "{:?}", clean.findings);
 }
 
 #[test]
 fn workspace_audit_json_is_byte_identical_across_runs() {
     // The machine-readable contract for CI diffing: two full audits of
     // the real workspace serialize to identical bytes — finding order,
-    // role edges, stats, everything.
+    // lock-order edges, stats, everything.
     let a = audit_workspace(&workspace_root()).expect("audit").to_json();
     let b = audit_workspace(&workspace_root()).expect("audit").to_json();
     assert_eq!(a, b, "audit --json must be deterministic");

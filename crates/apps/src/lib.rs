@@ -13,6 +13,7 @@
 //!   arrival/departure schedules with Zipf thread counts, plus the
 //!   real-process (fork/fork+exec) backend behind `zerosum churn`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;

@@ -138,7 +138,7 @@ const PERIOD: &str = "round period";
 pub static SUBCOMMANDS: [Command; 9] = [
     cmd(
         "analyze",
-        "run the paper scenarios under the trace checker (races, scheduler invariants)",
+        "run the paper scenarios under the trace checker (scheduler invariants)",
         &[
             flag("--scale", "N", U32, "100", SCALE),
             flag("--seed", "N", U64, "1", SEED),
@@ -204,11 +204,11 @@ pub static SUBCOMMANDS: [Command; 9] = [
     ),
     cmd(
         "audit",
-        "static audit: lock order, panic reach, effects, threads, repo rules (DESIGN.md §10-§11, §15)",
+        "static audit: lock order, panic reach, effects, repo rules (DESIGN.md §10-§11)",
         &[
             switch("--json", "print the report as JSON"),
             switch("--explain", "print each finding's witness call chain"),
-            switch("--drill", "also run the runtime sanitizer drills"),
+            switch("--drill", "also run the lock sanitizer drill"),
             flag("--root", "DIR", Text, "", "tree to audit (else above cwd)"),
         ],
     ),

@@ -10,6 +10,7 @@
 //! wrapper, and the flag table every subcommand's argv is read against
 //! ([`flags`]); `main.rs` dispatches, prints and exits.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fdprobe;

@@ -4,6 +4,8 @@
 //! turns the outcome into an exit code: 0 clean, 1 failed, 2 usage or
 //! I/O error, 3 the sandbox forbids what the command needs.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -110,15 +112,12 @@ fn cmd_wrap(p: &Parsed) -> Exit {
 
 /// Exit 0 iff every scenario is clean.
 fn cmd_analyze(p: &Parsed) -> i32 {
-    let reports = zerosum_analyze::run_scenarios(
+    let (text, clean) = render_suite(&zerosum_analyze::run_scenarios(
         p.text_of("--scenario"),
         p.number("--scale"),
         p.number("--seed"),
-    );
-    for r in &reports {
-        print!("{}", r.render());
-    }
-    let clean = reports.iter().all(|r| r.clean());
+    ));
+    print!("{text}");
     conclude("analyze", clean, "all scenarios clean")
 }
 

@@ -1,7 +1,10 @@
 //! The binary's contract with its callers, checked on the built
 //! executable: `--help` is not an error and a bad flag is exit 2 for
 //! every row of the flag table, `run-all --only` prints what the
-//! artifact renders, and exit 3 is kept for "the sandbox forbids it".
+//! artifact renders, exit 3 is kept for "the sandbox forbids it", and
+//! the judges `cargo test` holds in-process come out of their command
+//! with the verdict lines, last line and exit code `scripts/ci.sh`
+//! reads.
 
 use std::process::{Command, Output};
 use zerosum_cli::flags::SUBCOMMANDS;
@@ -97,4 +100,63 @@ fn a_busy_port_and_a_dead_peer_are_failures_not_sandbox_skips() {
     drop(taken);
     let dead = zerosum(&["stream", "--connect", &addr, "--rounds", "1"]);
     assert_eq!(dead.status.code(), Some(1), "{}", stderr(&dead));
+}
+
+/// The command path of three judges the library tests already hold on
+/// the same inputs: what the command adds is the flag routing, the
+/// verdict lines, the last line and the exit code.
+#[test]
+fn judge_commands_print_their_verdicts_and_exit_0_when_clean() {
+    let out = zerosum(&["analyze", "--scenario", "table2", "--scale", "200"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2, "{text}");
+    assert!(
+        lines[0].starts_with("table2 ") && lines[0].ends_with("  0 violations  [ok]"),
+        "{text}"
+    );
+    assert_eq!(lines[1], "analyze: all scenarios clean");
+
+    let out = zerosum(&["chaos", "--scale", "300", "--schedules", "3"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "{text}");
+    for (line, name) in lines.iter().zip(["t1-f00 ", "t2-f01 ", "t3-f02 "]) {
+        assert!(line.starts_with(name) && line.ends_with("[ok]"), "{text}");
+    }
+    assert!(lines[3].starts_with("abnormal-exit drill: ok"), "{text}");
+    assert_eq!(lines[4], "chaos: all 3 schedule(s) clean");
+}
+
+/// `zerosum audit` finds the workspace from any directory inside it —
+/// `benchmark/` included, which is a workspace of its own with no
+/// `crates/` — and `--explain` on a clean tree is the header and `OK`.
+#[test]
+fn audit_runs_from_the_benchmark_directory_and_explains_a_clean_tree() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for dir in [root.join("benchmark"), root.join("crates/cli/tests")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_zerosum"))
+            .args(["audit", "--explain"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn zerosum");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}: {}{}",
+            dir.display(),
+            stdout(&out),
+            stderr(&out)
+        );
+        let text = stdout(&out);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(
+            lines[0].starts_with("zsaudit: ") && lines[0].contains(" effect sites, "),
+            "{text}"
+        );
+        assert_eq!(lines[1], "OK: no findings");
+    }
 }

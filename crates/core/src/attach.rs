@@ -99,7 +99,6 @@ impl SelfMonitor {
             std::thread::Builder::new()
                 .name("ZeroSum".to_string())
                 .spawn(move || {
-                    let _role = crate::role::enter("supervisor");
                     // First sample immediately (initial configuration
                     // detection), then periodically.
                     loop {

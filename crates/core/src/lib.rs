@@ -28,6 +28,7 @@
 //!   [`ShardedMonitor`] runs as per-HWT-group shards over SPSC swap
 //!   rings, bit-identical at any shard count.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attach;
@@ -45,7 +46,6 @@ pub mod lwp;
 pub mod memory;
 pub mod monitor;
 pub mod report;
-pub mod role;
 pub mod runner;
 pub mod shard;
 pub mod signal;

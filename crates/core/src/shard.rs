@@ -439,10 +439,6 @@ impl ShardedMonitor {
         rounds: u64,
         advance_time: &mut impl FnMut(u64) -> f64,
     ) {
-        // The aggregation thread: the audit's `driver` role. Touches
-        // below keep the observed role edges in sync with the static
-        // `ring-discipline` contract (DESIGN.md §15).
-        let _role = crate::role::enter("driver");
         let nshards = self.shard_count();
         let stop = AtomicBool::new(false);
         let mut rings: Vec<(BatchRing, BatchRing)> = (0..nshards)
@@ -477,7 +473,6 @@ impl ShardedMonitor {
                     // ring (the swap leaves a recycled batch behind as
                     // the staging buffer for the result) and wake the
                     // pump.
-                    crate::role::touch("core.shard.job.writer");
                     let mut remaining = 0usize;
                     for (((batch, jw), worker), flag) in batches
                         .iter_mut()
@@ -499,7 +494,6 @@ impl ShardedMonitor {
                     // slot. Parking is race-free — pumps unpark the
                     // driver after every push, and a stored token makes
                     // a park after a missed wake return immediately.
-                    crate::role::touch("core.shard.out.reader");
                     while remaining > 0 {
                         let mut progressed = false;
                         for ((batch, or), flag) in batches
@@ -570,10 +564,6 @@ fn shard_loop<S: ShardSource>(
     stop: &AtomicBool,
     driver: std::thread::Thread,
 ) {
-    let _role = crate::role::enter("shard-pump");
-    crate::role::touch("core.shard.job.reader");
-    crate::role::touch("core.shard.out.writer");
-    crate::role::touch("core.shard.arena");
     let mut local = ShardBatch::default();
     let mut arena = ReadArena::new();
     loop {
@@ -716,7 +706,6 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
 
 /// Round prologue: counters, the shed decision, node `stat`.
 fn round_begin(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) -> bool {
-    crate::role::touch("core.shard.fold-scratch");
     mon.stats.rounds += 1;
     mon.last_t_s = t_s;
     let res = mon.config.resilience;

@@ -85,7 +85,7 @@ pub fn register_crash_flush(f: impl Fn() + Send + 'static) {
 /// The registry lock is NOT held while callbacks run: flushes are
 /// arbitrary closures that may acquire monitor locks of their own, and
 /// holding the registry across them put the registry at the root of
-/// every flush's lock order (the audit's lock-across-* passes flag
+/// every flush's lock order (the audit's blocking pass flags
 /// exactly this shape). The list is taken out, run unlocked, and put
 /// back so callbacks stay registered for a later real crash.
 pub fn run_crash_flushes() -> usize {

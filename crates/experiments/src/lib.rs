@@ -24,6 +24,7 @@
 //! paper-vs-measured sweep), `--scale N` divides the workload for quick
 //! runs, and CSV artifacts land under `results/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifacts;

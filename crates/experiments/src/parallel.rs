@@ -85,21 +85,6 @@ where
         .collect()
 }
 
-/// Runs `f(seed)` for every seed on the engine and returns the results
-/// ordered as the seeds were given — the deterministic fan-out used by
-/// sweeps and the chaos soak.
-pub fn run_seeded<T, F>(seeds: &[u64], workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    let f = &f;
-    run_jobs(
-        seeds.iter().map(|&s| move || f(s)).collect::<Vec<_>>(),
-        workers,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,9 +118,10 @@ mod tests {
         let seeds: Vec<u64> = (0..9).map(|i| 1000 + i * 7).collect();
         let f = |s: u64| s.wrapping_mul(0x9e3779b97f4a7c15).rotate_left(17);
         let sequential: Vec<u64> = seeds.iter().map(|&s| f(s)).collect();
-        assert_eq!(run_seeded(&seeds, 3, f), sequential);
-        assert_eq!(run_seeded(&seeds, 1, f), sequential);
-        assert_eq!(run_seeded(&seeds, 0, f), sequential);
+        for workers in [3, 1, 0] {
+            let jobs = seeds.iter().map(|&s| move || f(s)).collect();
+            assert_eq!(run_jobs(jobs, workers), sequential);
+        }
     }
 
     #[test]

@@ -425,7 +425,7 @@ mod tests {
         // configurations, fanned out on the experiment engine.
         let seeds: Vec<u64> = (0..20u64).map(|i| 101 + i * 37).collect();
         let scale = 300;
-        let runs = crate::parallel::run_seeded(&seeds, 0, |seed| {
+        let job = |seed: u64| {
             let config = match seed % 3 {
                 0 => TableConfig::Table1,
                 1 => TableConfig::Table2,
@@ -439,8 +439,9 @@ mod tests {
                 ZeroSumConfig::scaled(scale).with_delta_sampling(false),
             );
             (seed, on, off)
-        });
-        for (seed, on, off) in runs {
+        };
+        let jobs = seeds.iter().map(|&seed| move || job(seed)).collect();
+        for (seed, on, off) in crate::parallel::run_jobs(jobs, 0) {
             assert_eq!(on.rows, off.rows, "rows diverged at seed {seed}");
             assert_eq!(
                 on.duration_s, off.duration_s,

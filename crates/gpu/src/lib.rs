@@ -18,6 +18,7 @@
 //! * [`visible`] — `*_VISIBLE_DEVICES` visible↔physical index mapping
 //!   (the Frontier GCD-4-shown-as-0 trap).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activity;

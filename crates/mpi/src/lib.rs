@@ -19,6 +19,7 @@
 //! * [`mapping`] — rank→node placement strategies and the intra-node
 //!   traffic fraction they optimize.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collective;

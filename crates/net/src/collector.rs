@@ -186,11 +186,6 @@ impl Collector {
     /// budget. Also used bare during the end-of-run drain, when no
     /// more supervision rounds are being opened.
     pub fn pump_frames(&mut self) {
-        // The collector's frame pump: the audit's `collector-pump`
-        // role (single-threaded today; the role contract is what the
-        // planned sharded-collector split must preserve).
-        let _role = zerosum_core::role::enter("collector-pump");
-        zerosum_core::role::touch("net.collector.pump");
         let budget = self.cfg.max_frames_per_node_per_round;
         let period_s = self.cfg.period_s;
         for conn in &mut self.conns {

@@ -21,6 +21,7 @@
 //! * [`collector`] — the bounded daemon core driving
 //!   [`zerosum_core::ClusterMonitor`] rounds off received frames.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agent;

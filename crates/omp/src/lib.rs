@@ -13,6 +13,7 @@
 //! * [`team`] — launching a thread team into the scheduler simulation.
 //! * [`ompt`] — the tool-callback registry (`thread-begin`/`thread-end`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bind;

@@ -21,6 +21,7 @@
 //! * [`arena`] — the batched raw-text read path: per-shard record
 //!   arenas the sampling round reads whole task slices into.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arena;

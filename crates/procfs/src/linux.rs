@@ -8,7 +8,7 @@
 //! handle held since an earlier round if there is one, else `open`, then
 //! `arena::read_record` — and the handle is kept for the next round
 //! while the descriptor budget fixed at construction allows (DESIGN §8,
-//! "Open each `/proc` file once").
+//! "Read").
 
 use crate::arena::read_record;
 use crate::parse;
@@ -32,7 +32,8 @@ const EMFILE: i32 = 24;
 /// The descriptor number [`LinuxProc::new`] reaches once while the
 /// process is still single-threaded: the kernel sizes the fd table for
 /// the highest number in use, so holding fd 256 for an instant leaves a
-/// 512-slot table behind (DESIGN §8 has the measurement).
+/// 512-slot table behind (DESIGN §8's dead-ends table and CHANGES.md
+/// PR 16 have the measurement).
 const RESERVE_TOP_FD: i32 = 256;
 /// Slots of the table the cache never takes: the application's own
 /// future descriptors plus the monitor's transient ones (a task

@@ -20,6 +20,7 @@
 //! [`behavior`] provides the workload models (compute workers, GPU
 //! offload, MPI helper, the ZeroSum monitor thread itself).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod behavior;

@@ -4,9 +4,8 @@
 //! context switches, migrations, per-HWT jiffies — is an aggregate of
 //! discrete scheduler decisions. When tracing is enabled the simulator
 //! emits one [`TraceRecord`] per decision, giving `zerosum-analyze` a
-//! ground-truth log it can replay against the final counters: a
-//! happens-before race detector and an invariant engine prove that the
-//! aggregates are self-consistent (no lost update, no double-scheduled
+//! ground-truth log it can replay against the final counters: an
+//! invariant engine proves that the aggregates are self-consistent (no lost update, no double-scheduled
 //! task, no affinity-violating migration).
 //!
 //! Tracing is off by default and costs one branch per decision when off;

@@ -7,6 +7,7 @@
 //! distributions), and bounded ring buffers with downsample-on-wrap
 //! (constant-memory series for multi-hour monitored runs).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod histogram;

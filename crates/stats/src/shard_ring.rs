@@ -62,11 +62,7 @@ impl<T> Slot<T> for MutexSlot<T> {
 ///
 /// Construct with [`ShardRing::from_slots`] (or
 /// [`ShardRing::with_capacity`] for [`MutexSlot`] cells), then
-/// [`ShardRing::split`] into the one writer and one reader handle. The
-/// `&mut self` receiver of `split` is what enforces single-writer /
-/// single-reader statically: the handles borrow the ring, so a second
-/// split — or any use of the ring while handles live — is a compile
-/// error.
+/// [`ShardRing::split`] into the one writer and one reader handle.
 #[derive(Debug)]
 pub struct ShardRing<T, C> {
     slots: Box<[C]>,
@@ -120,49 +116,38 @@ impl<T, C: Slot<T>> ShardRing<T, C> {
     }
 
     /// Splits into the single writer and single reader handle.
+    ///
+    /// Single-writer / single-reader is the borrow checker's to hold,
+    /// and this crate is `#![forbid(unsafe_code)]` so nothing can take
+    /// it back: the handles borrow the ring mutably and are neither
+    /// `Clone` nor `Copy`, and their swap ops take `&mut self`. A
+    /// second split while handles live does not compile:
+    ///
+    /// ```compile_fail,E0499
+    /// let mut ring = zerosum_stats::ShardRing::with_capacity(2, || 0u64);
+    /// let (mut w, _r) = ring.split();
+    /// let (mut w2, _r2) = ring.split();
+    /// w.try_push_swap(&mut 1);
+    /// w2.try_push_swap(&mut 2);
+    /// ```
+    ///
+    /// nor does any use of the ring itself while a handle lives:
+    ///
+    /// ```compile_fail,E0502
+    /// let mut ring = zerosum_stats::ShardRing::with_capacity(2, || 0u64);
+    /// let (mut w, _r) = ring.split();
+    /// let queued = ring.len();
+    /// w.try_push_swap(&mut 1);
+    /// ```
     pub fn split(&mut self) -> (ShardWriter<'_, T, C>, ShardReader<'_, T, C>) {
-        (
-            ShardWriter {
-                ring: self,
-                #[cfg(debug_assertions)]
-                pin: None,
-            },
-            ShardReader {
-                ring: self,
-                #[cfg(debug_assertions)]
-                pin: None,
-            },
-        )
-    }
-}
-
-/// Panics when an endpoint pinned to one thread is used from another.
-/// First toucher wins: the endpoint pins to whichever thread performs
-/// its first swap op, so handing an unused endpoint across threads
-/// (the driver builds rings, shards consume them) stays legal.
-#[cfg(debug_assertions)]
-fn assert_pin(pin: &mut Option<std::thread::ThreadId>, endpoint: &str) {
-    let me = std::thread::current().id();
-    match pin {
-        None => *pin = Some(me),
-        Some(owner) => assert!(
-            *owner == me,
-            "ShardRing {endpoint} pinned to {owner:?} used from {me:?}: \
-             single-{endpoint} discipline violated"
-        ),
+        (ShardWriter { ring: self }, ShardReader { ring: self })
     }
 }
 
 /// The producing half of a [`ShardRing`]; exactly one exists per ring.
-///
-/// Debug builds pin the writer to the first thread that pushes through
-/// it and panic on a cross-thread push — the runtime counterpart of
-/// the audit's `ring-discipline` pass.
 #[derive(Debug)]
 pub struct ShardWriter<'a, T, C: Slot<T>> {
     ring: &'a ShardRing<T, C>,
-    #[cfg(debug_assertions)]
-    pin: Option<std::thread::ThreadId>,
 }
 
 impl<T, C: Slot<T>> ShardWriter<'_, T, C> {
@@ -170,8 +155,6 @@ impl<T, C: Slot<T>> ShardWriter<'_, T, C> {
     /// buffer in the target slot. Returns `false` (leaving `*value`
     /// untouched) when the ring is full.
     pub fn try_push_swap(&mut self, value: &mut T) -> bool {
-        #[cfg(debug_assertions)]
-        assert_pin(&mut self.pin, "writer");
         let ring = self.ring;
         let tail = ring.tail.load(Ordering::Relaxed);
         let head = ring.head.load(Ordering::Acquire);
@@ -198,14 +181,9 @@ impl<T, C: Slot<T>> ShardWriter<'_, T, C> {
 }
 
 /// The consuming half of a [`ShardRing`]; exactly one exists per ring.
-///
-/// Debug builds pin the reader to the first thread that pops through
-/// it and panic on a cross-thread pop, mirroring [`ShardWriter`].
 #[derive(Debug)]
 pub struct ShardReader<'a, T, C: Slot<T>> {
     ring: &'a ShardRing<T, C>,
-    #[cfg(debug_assertions)]
-    pin: Option<std::thread::ThreadId>,
 }
 
 impl<T, C: Slot<T>> ShardReader<'_, T, C> {
@@ -213,8 +191,6 @@ impl<T, C: Slot<T>> ShardReader<'_, T, C> {
     /// `*value` (which becomes the slot's recycled buffer). Returns
     /// `false` (leaving `*value` untouched) when the ring is empty.
     pub fn try_pop_swap(&mut self, value: &mut T) -> bool {
-        #[cfg(debug_assertions)]
-        assert_pin(&mut self.pin, "reader");
         let ring = self.ring;
         let head = ring.head.load(Ordering::Relaxed);
         let tail = ring.tail.load(Ordering::Acquire);
@@ -341,29 +317,6 @@ mod tests {
                 }
             });
         });
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn cross_thread_endpoint_use_panics_in_debug() {
-        // First toucher wins: pushing from the spawned thread pins the
-        // writer there; a second push from this thread must panic.
-        let mut ring: ShardRing<u64, _> = ShardRing::with_capacity(4, || 0);
-        let (mut w, _r) = ring.split();
-        std::thread::scope(|s| {
-            let wref = &mut w;
-            s.spawn(move || {
-                let mut v = 1u64;
-                assert!(wref.try_push_swap(&mut v));
-            });
-        });
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut v = 2u64;
-            w.try_push_swap(&mut v);
-        }))
-        .expect_err("cross-thread push must panic in debug");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("single-writer"), "{msg}");
     }
 
     #[test]

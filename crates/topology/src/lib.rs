@@ -17,6 +17,7 @@
 //! * [`distance`], [`query`] — locality queries used by binding policies
 //!   and the configuration evaluator.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

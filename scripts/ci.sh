@@ -14,27 +14,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test -q --workspace
 
-echo "== zsaudit (every pass, no finding; lock + thread-role drills)"
+echo "== zsaudit (every pass, no finding; lock-order drill)"
 # Any finding fails: a lock-order cycle, a panic site under a no-panic
-# root or in a hot-path file, an effect or thread-discipline breach, a
-# print in library code, a /proc read error bubbling out of the round,
-# an unreviewed growing field, an allowlist entry that matches nothing.
-# --drill runs real sharded-monitor and collector workloads and fails
-# loudly if any dynamically observed lock-order edge or (role,
-# resource) edge is missing from the static graph. Debug build on
-# purpose: the runtime sanitizers only record under debug_assertions.
+# root or in a hot-path file, an allocation under a hot root, a clock or
+# map-order read under a determinism root, a blocking effect under a
+# pump or under a lock, a print in library code, a /proc read error
+# bubbling out of the round, an unreviewed growing field, an allowlist
+# entry that matches nothing. --drill runs real workloads (the sharded
+# monitor's threaded mode among them) and fails loudly if a dynamically
+# observed lock-order edge is missing from the static graph. Debug
+# build on purpose: the sanitizer only records under debug_assertions.
 cargo run -q -p zerosum-cli --bin zerosum -- audit --drill > /tmp/zsaudit.out \
     || { cat /tmp/zsaudit.out; exit 1; }
 tail -n 3 /tmp/zsaudit.out
-
-echo "== zsaudit --explain smoke (witness traces)"
-scripts/audit_explain.sh
-
-echo "== trace checker (Table 2 scenario)"
-cargo run -q -p zerosum-cli --bin zerosum -- analyze --scenario table2 --scale 100
-
-echo "== chaos soak (21 seeded fault schedules + abnormal-exit drill)"
-cargo run -q -p zerosum-cli --bin zerosum -- chaos --scale 150 --schedules 21 --seed 50336
 
 echo "== cluster chaos soak (20 seeded node-fault plans, bounded-memory drill)"
 cargo run -q --release -p zerosum-cli --bin zerosum -- \

@@ -39,6 +39,8 @@
 //!
 //! See `examples/quickstart.rs` and the `zerosum-experiments` crate.
 
+#![forbid(unsafe_code)]
+
 pub use zerosum_apps as apps;
 pub use zerosum_core as core;
 pub use zerosum_gpu as gpu;
