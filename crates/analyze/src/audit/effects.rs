@@ -216,7 +216,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer.
-pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 31] = [
+pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 27] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -286,7 +286,7 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 31] = [
     ),
     (
         "crates/procfs/src/parse.rs",
-        "parse_system_stat_into",
+        "system_stat_into",
         "format!",
         "parse-error path only",
     ),
@@ -298,13 +298,13 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 31] = [
     ),
     (
         "crates/procfs/src/parse.rs",
-        "parse_task_stat_view",
+        "stat_view",
         "format!",
         "parse-error path only",
     ),
     (
         "crates/procfs/src/parse.rs",
-        "parse_task_status_into",
+        "status_into",
         "format!",
         "parse-error path only",
     ),
@@ -347,7 +347,7 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 31] = [
     // formatting off the healthy path.
     (
         "crates/procfs/src/parse.rs",
-        "parse_schedstat",
+        "schedstat",
         "format!",
         "parse-error path only",
     ),
@@ -390,78 +390,25 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 31] = [
     // do not touch the allocator until first growth, and the rows they
     // seed are created once per thread, not once per round.
     (
-        "crates/sched/src/proc_source.rs",
-        "new",
-        "String::new",
-        "capacity-0, allocation-free",
-    ),
-    (
         "crates/stats/src/ring.rs",
         "with_capacity",
         "Vec::new",
         "capacity-0, reserves lazily",
     ),
     // Fold-side bookkeeping: clones happen on first observation of a
-    // tid, on an affinity change, or on the degraded interpolation
-    // path — never on the steady-state healthy round.
+    // tid or on an affinity change — never on the steady-state healthy
+    // round. (The last-good pair is swapped in and lent out, not cloned.)
     (
         "crates/core/src/lwp.rs",
-        "observe_with_schedstat",
+        "observe_at",
         "clone",
         "first observation / affinity change only",
-    ),
-    (
-        "crates/core/src/health.rs",
-        "record_success",
-        "clone",
-        "first observation of a tid only",
-    ),
-    (
-        "crates/core/src/health.rs",
-        "record_failure",
-        "clone",
-        "degraded interpolation path only",
-    ),
-    (
-        "crates/core/src/health.rs",
-        "record_failure",
-        "Box::new",
-        "degraded interpolation path only",
     ),
 ];
 
 /// Reviewed nondeterministic sites reachable from the sim/experiment
 /// roots: `(file_suffix, fn, token, why)`.
-pub const DEFAULT_DET_ALLOWLIST: [Allow; 4] = [
-    (
-        "crates/core/src/health.rs",
-        "quarantined_now",
-        "states.values",
-        "order-independent count over map values",
-    ),
-    // The churn-hardened departure sweeps: `retain` visits hash entries
-    // in arbitrary order, but the predicate is a pure membership test
-    // against the sorted live list, so the retained set (the only
-    // observable) is order-independent.
-    (
-        "crates/core/src/health.rs",
-        "sweep_departed",
-        "states.retain",
-        "pure membership predicate; retained set is order-independent",
-    ),
-    (
-        "crates/core/src/health.rs",
-        "sweep_departed",
-        "last_good.retain",
-        "pure membership predicate; retained set is order-independent",
-    ),
-    (
-        "crates/core/src/monitor.rs",
-        "finish_round",
-        "last_schedstat.retain",
-        "pure membership predicate; retained set is order-independent",
-    ),
-];
+pub const DEFAULT_DET_ALLOWLIST: [Allow; 0] = [];
 
 /// Reviewed blocking findings: `(file_suffix, fn, token, why)`. Under a
 /// non-blocking root the token is the effect; under a lock it is

@@ -102,7 +102,7 @@ pub const GROWTH_ALLOWLIST: [Allow; 16] = [
     (
         "crates/core/src/shard.rs",
         "",
-        "plans",
+        "slots",
         "engine scratch reused across rounds, one per planned tid",
     ),
     (

@@ -9,10 +9,12 @@
 //! (interpolated from the last good sample), or dropped. The chaos
 //! harness reconciles these tallies *exactly* against the fault
 //! injector's log — an unexplained error is a bug.
+//!
+//! What a round remembers per thread until the next is one `TaskRow`
+//! of the process's live table ([`ProcessHealth`]).
 
 use crate::config::ResilienceConfig;
-use std::collections::HashMap;
-use zerosum_proc::{IntHash, SourceErrorKind, TaskStat, TaskStatus, Tid};
+use zerosum_proc::{SchedStat, SourceErrorKind, TaskStat, TaskStatus, Tid};
 
 /// Aggregated sampling-health counters for one process (or for the
 /// node-level records when held by the monitor itself).
@@ -106,7 +108,7 @@ impl TaskFailState {
     /// exponential backoff from `reprobe_after`, hard-capped at
     /// `reprobe_after * reprobe_backoff_cap` so re-probes are never
     /// starved and no shift can overflow.
-    fn reprobe_window(failed_reprobes: u32, cfg: &ResilienceConfig) -> u32 {
+    pub(crate) fn reprobe_window(failed_reprobes: u32, cfg: &ResilienceConfig) -> u32 {
         let cap = cfg
             .reprobe_after
             .saturating_mul(cfg.reprobe_backoff_cap.max(1));
@@ -115,39 +117,43 @@ impl TaskFailState {
     }
 }
 
-/// What the monitor should do with a task slot whose reads failed this
-/// round.
-#[derive(Debug)]
-pub enum FailureAction {
-    /// Fill the slot from the last good `(stat, status)` pair, flagged
-    /// degraded in the ledger.
-    Interpolate(Box<(TaskStat, TaskStatus)>),
-    /// No fallback available (or interpolation disabled): drop the slot.
-    Drop,
+/// One row of a watched process's live table: everything a round keeps
+/// about one listed thread until the next — the quarantine state and
+/// last good sample [`HealthLedger`] accounts for, and with them the
+/// delta gate and the track position, all under one cursor.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct TaskRow {
+    pub(crate) tid: Tid,
+    /// Position of the tid's open series in the process's
+    /// [`crate::lwp::LwpRegistry`], once it has one.
+    pub(crate) track: Option<usize>,
+    /// `None` until the tid is first planned for a read.
+    fail: Option<TaskFailState>,
+    /// `schedstat` of the last *fresh* read — the delta-sampling gate:
+    /// an unchanged schedstat proves the thread was never dispatched,
+    /// so its `stat`/`status` need not be re-read.
+    gate: Option<SchedStat>,
+    /// The last cleanly observed `(stat, status)` pair.
+    good: Option<(TaskStat, TaskStatus)>,
 }
 
-/// The per-process health state: the public [`HealthLedger`] plus the
-/// private quarantine and last-good-sample machinery behind it.
-#[derive(Debug, Default)]
-pub struct ProcessHealth {
-    /// The public tallies.
-    pub ledger: HealthLedger,
-    states: HashMap<Tid, TaskFailState, IntHash>,
-    last_good: HashMap<Tid, (TaskStat, TaskStatus), IntHash>,
-}
-
-impl ProcessHealth {
-    /// Creates an empty health record.
-    pub fn new() -> Self {
-        Self::default()
+impl TaskRow {
+    /// The row of a tid the listing shows and the table did not hold;
+    /// `track` is the series the tid left behind, if it was here before.
+    pub(crate) fn arrival(tid: Tid, track: Option<usize>) -> Self {
+        TaskRow {
+            tid,
+            track,
+            ..Default::default()
+        }
     }
 
     /// Called once per round per listed tid, *before* reading it.
     /// Returns `true` if the tid is quarantined and not yet due for a
     /// re-probe — the caller must skip it this round. Returns `false`
     /// when the tid is healthy or due for a re-probe (which is tallied).
-    pub fn should_skip(&mut self, tid: Tid) -> bool {
-        let st = self.states.entry(tid).or_default();
+    pub(crate) fn should_skip(&mut self, ledger: &mut HealthLedger) -> bool {
+        let st = self.fail.get_or_insert_with(TaskFailState::default);
         if !st.quarantined {
             return false;
         }
@@ -155,41 +161,52 @@ impl ProcessHealth {
             st.rounds_until_reprobe -= 1;
             return true;
         }
-        self.ledger.reprobes += 1;
+        ledger.reprobes += 1;
         false
     }
 
-    /// Records a clean observation: clears any failure state (ending a
-    /// quarantine if the re-probe succeeded) and stores the records as
-    /// the new last-good sample.
-    pub fn record_success(&mut self, tid: Tid, stat: &TaskStat, status: &TaskStatus) {
-        self.ledger.ok += 1;
-        self.states.insert(tid, TaskFailState::default());
-        // `clone_from` into the existing pair reuses its string and
-        // cpuset buffers — this runs once per tid per round.
-        match self.last_good.entry(tid) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let (s, st) = e.get_mut();
-                s.clone_from(stat);
-                st.clone_from(status);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((stat.clone(), status.clone()));
-            }
-        }
+    /// The `schedstat` this thread must still show for its last good
+    /// sample to stand in for a read: none without such a sample.
+    pub(crate) fn delta_reference(&self) -> Option<SchedStat> {
+        self.gate.filter(|_| self.good.is_some())
     }
 
-    /// The last cleanly observed `(stat, status)` pair for a tid, if any.
-    /// Delta sampling re-uses it for threads that provably have not run.
-    pub fn last_good(&self, tid: Tid) -> Option<&(TaskStat, TaskStatus)> {
-        self.last_good.get(&tid)
+    /// The last cleanly observed `(stat, status)` pair, if any. Delta
+    /// sampling re-uses it for threads that provably have not run.
+    pub(crate) fn last_good(&self) -> Option<&(TaskStat, TaskStatus)> {
+        self.good.as_ref()
+    }
+
+    /// Records a clean observation: clears any failure state (ending a
+    /// quarantine if the re-probe succeeded) and takes the records as
+    /// the new last-good sample — swapped, not copied: the caller's
+    /// slot is overwritten by its next read anyway. A `schedstat` that
+    /// was read re-arms the delta gate.
+    pub(crate) fn record_success(
+        &mut self,
+        ledger: &mut HealthLedger,
+        stat: &mut TaskStat,
+        status: &mut TaskStatus,
+        schedstat: Option<SchedStat>,
+    ) -> &(TaskStat, TaskStatus) {
+        ledger.ok += 1;
+        self.fail = Some(TaskFailState::default());
+        self.gate = schedstat.or(self.gate);
+        let good = self.good.get_or_insert_with(Default::default);
+        std::mem::swap(&mut good.0, stat);
+        std::mem::swap(&mut good.1, status);
+        good
     }
 
     /// Records a failed slot (reads exhausted retries or failed
-    /// unretryably). Advances the quarantine state machine and decides
-    /// between interpolation and dropping.
-    pub fn record_failure(&mut self, tid: Tid, cfg: &ResilienceConfig) -> FailureAction {
-        let st = self.states.entry(tid).or_default();
+    /// unretryably). Advances the quarantine state machine and either
+    /// returns the last good pair to fill the slot (degraded) or drops it.
+    pub(crate) fn record_failure(
+        &mut self,
+        ledger: &mut HealthLedger,
+        cfg: &ResilienceConfig,
+    ) -> Option<&(TaskStat, TaskStatus)> {
+        let st = self.fail.get_or_insert_with(TaskFailState::default);
         st.consecutive = st.consecutive.saturating_add(1);
         if st.quarantined {
             // A failed re-probe: back to sleep for a longer window —
@@ -200,58 +217,85 @@ impl ProcessHealth {
         } else if st.consecutive >= cfg.quarantine_after {
             st.quarantined = true;
             st.rounds_until_reprobe = cfg.reprobe_after;
-            self.ledger.quarantine_events += 1;
+            ledger.quarantine_events += 1;
         }
-        match self.last_good.get(&tid) {
-            Some(pair) if cfg.interpolate => {
-                self.ledger.degraded += 1;
-                FailureAction::Interpolate(Box::new(pair.clone()))
-            }
-            _ => {
-                self.ledger.dropped += 1;
-                FailureAction::Drop
-            }
+        let pair = self.good.as_ref().filter(|_| cfg.interpolate);
+        match pair {
+            Some(_) => ledger.degraded += 1,
+            None => ledger.dropped += 1,
         }
+        pair
     }
 
-    /// Forgets a tid that exited normally (`NotFound` on a per-task
-    /// read): its failure state and last-good sample are irrelevant now.
-    pub fn forget(&mut self, tid: Tid) {
-        self.states.remove(&tid);
-        self.last_good.remove(&tid);
+    /// Forgets a tid that exited under the read (`NotFound` while still
+    /// listed): failure state, last-good sample and gate. The row goes
+    /// when the listing drops the tid.
+    pub(crate) fn forget(&mut self) {
+        *self = TaskRow::arrival(self.tid, self.track);
     }
+}
 
-    /// End-of-round departure sweep: drops failure state and last-good
-    /// samples for every tid no longer in the task listing. A departed
-    /// tid that raced past the per-read `NotFound` path (it simply
-    /// stopped being listed) would otherwise pin its entry forever —
-    /// under open-system churn that is an unbounded leak, since
-    /// `should_skip` inserts a state entry for every tid ever listed.
-    /// Quarantined-but-still-listed tids survive the sweep untouched.
-    /// `live` must be sorted ascending (the task listing already is).
-    pub fn sweep_departed(&mut self, live: &[Tid]) {
-        // Hot path (called from the sharded fold): retain + binary
-        // search, no allocation.
-        self.states.retain(|tid, _| live.binary_search(tid).is_ok());
-        self.last_good
-            .retain(|tid, _| live.binary_search(tid).is_ok());
-    }
+/// The per-process health state: the public [`HealthLedger`] plus the
+/// live table behind it — one `TaskRow` per tid of the last listing, in
+/// its (ascending) order, so a round walks listing and table together
+/// and never looks a tid up. A departed tid's row goes in the join that
+/// misses it: the table tracks *concurrent* tasks, not arrivals.
+#[derive(Debug, Default)]
+pub struct ProcessHealth {
+    /// The public tallies.
+    pub ledger: HealthLedger,
+    pub(crate) rows: Vec<TaskRow>,
+}
 
+impl ProcessHealth {
     /// Number of per-tid entries currently held (failure states +
     /// last-good samples) — the footprint churn soaks assert stays
     /// proportional to *concurrent* tasks, not cumulative arrivals.
     pub fn footprint(&self) -> usize {
-        self.states.len() + self.last_good.len()
+        let held = |r: &TaskRow| usize::from(r.fail.is_some()) + usize::from(r.good.is_some());
+        self.rows.iter().map(held).sum()
+    }
+
+    /// Number of delta-gate entries currently held.
+    pub(crate) fn gates_held(&self) -> usize {
+        self.rows.iter().filter(|r| r.gate.is_some()).count()
     }
 
     /// Number of tids currently quarantined.
     pub fn quarantined_now(&self) -> usize {
-        self.states.values().filter(|s| s.quarantined).count()
+        let quarantined = |r: &&TaskRow| r.fail.is_some_and(|s| s.quarantined);
+        self.rows.iter().filter(quarantined).count()
+    }
+}
+
+#[cfg(test)]
+/// The row as the serial oracle's maps see it (`monitor::oracle`).
+impl TaskRow {
+    pub(crate) fn from_parts(
+        tid: Tid,
+        track: Option<usize>,
+        fail: Option<TaskFailState>,
+        gate: Option<SchedStat>,
+        good: Option<(TaskStat, TaskStatus)>,
+    ) -> Self {
+        TaskRow {
+            tid,
+            track,
+            fail,
+            gate,
+            good,
+        }
     }
 
-    /// The failure state of a tid, if any was ever recorded.
-    pub fn fail_state(&self, tid: Tid) -> Option<TaskFailState> {
-        self.states.get(&tid).copied()
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn parts(
+        &self,
+    ) -> (
+        Option<TaskFailState>,
+        Option<SchedStat>,
+        Option<&(TaskStat, TaskStatus)>,
+    ) {
+        (self.fail, self.gate, self.last_good())
     }
 }
 
@@ -300,72 +344,101 @@ mod tests {
         }
     }
 
+    /// A clean read of `tid` folded into `row`.
+    fn succeed(row: &mut TaskRow, ledger: &mut HealthLedger, tid: Tid) {
+        row.record_success(ledger, &mut stat(tid), &mut status(tid), None);
+    }
+
     #[test]
     fn failure_without_history_drops_with_history_interpolates() {
-        let mut h = ProcessHealth::new();
-        assert!(matches!(h.record_failure(9, &cfg()), FailureAction::Drop));
-        h.record_success(9, &stat(9), &status(9));
-        match h.record_failure(9, &cfg()) {
-            FailureAction::Interpolate(pair) => assert_eq!(pair.0.utime, 5),
-            other => panic!("expected interpolation, got {other:?}"),
-        }
-        assert_eq!(h.ledger.dropped, 1);
-        assert_eq!(h.ledger.degraded, 1);
-        assert_eq!(h.ledger.ok, 1);
+        let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
+        assert!(row.record_failure(&mut ledger, &cfg()).is_none());
+        succeed(&mut row, &mut ledger, 9);
+        let pair = row.record_failure(&mut ledger, &cfg());
+        assert_eq!(pair.expect("interpolation").0.utime, 5);
+        assert_eq!(ledger.dropped, 1);
+        assert_eq!(ledger.degraded, 1);
+        assert_eq!(ledger.ok, 1);
     }
 
     #[test]
     fn interpolation_can_be_disabled() {
-        let mut h = ProcessHealth::new();
-        h.record_success(9, &stat(9), &status(9));
+        let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
+        succeed(&mut row, &mut ledger, 9);
         let off = ResilienceConfig {
             interpolate: false,
             ..cfg()
         };
-        assert!(matches!(h.record_failure(9, &off), FailureAction::Drop));
-        assert_eq!(h.ledger.dropped, 1);
+        assert!(row.record_failure(&mut ledger, &off).is_none());
+        assert_eq!(ledger.dropped, 1);
+    }
+
+    #[test]
+    fn success_swaps_the_records_in_and_rearms_the_gate_only_with_a_schedstat() {
+        let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
+        let ss = SchedStat {
+            run_ns: 7,
+            wait_ns: 1,
+            timeslices: 2,
+        };
+        let (mut st, mut status) = (stat(9), status(9));
+        row.record_success(&mut ledger, &mut st, &mut status, Some(ss));
+        assert_eq!(
+            st,
+            TaskStat::default(),
+            "the slot got the row's old buffers"
+        );
+        assert_eq!(row.delta_reference(), Some(ss));
+        // A round whose schedstat read failed keeps the older reference.
+        st.utime = 6;
+        row.record_success(&mut ledger, &mut st, &mut status, None);
+        assert_eq!(row.delta_reference(), Some(ss));
+        assert_eq!(row.last_good().map(|p| p.0.utime), Some(6));
+        assert_eq!(st.utime, 5, "and hands the previous sample back");
+        row.forget();
+        assert_eq!(row.delta_reference(), None);
+        assert!(row.last_good().is_none());
     }
 
     #[test]
     fn quarantine_engages_after_threshold_and_reprobes() {
-        let mut h = ProcessHealth::new();
+        let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
         let c = cfg();
         // Three consecutive failures → quarantined.
         for _ in 0..3 {
-            assert!(!h.should_skip(9));
-            h.record_failure(9, &c);
+            assert!(!row.should_skip(&mut ledger));
+            row.record_failure(&mut ledger, &c);
         }
-        assert_eq!(h.ledger.quarantine_events, 1);
-        assert_eq!(h.quarantined_now(), 1);
+        assert_eq!(ledger.quarantine_events, 1);
+        assert!(row.fail.is_some_and(|s| s.quarantined));
         // Skipped for reprobe_after rounds, then re-probed.
-        assert!(h.should_skip(9));
-        assert!(h.should_skip(9));
-        assert!(!h.should_skip(9), "due for re-probe");
-        assert_eq!(h.ledger.reprobes, 1);
+        assert!(row.should_skip(&mut ledger));
+        assert!(row.should_skip(&mut ledger));
+        assert!(!row.should_skip(&mut ledger), "due for re-probe");
+        assert_eq!(ledger.reprobes, 1);
         // Failed re-probe re-arms a doubled window (backoff).
-        h.record_failure(9, &c);
+        row.record_failure(&mut ledger, &c);
         for _ in 0..4 {
-            assert!(h.should_skip(9));
+            assert!(row.should_skip(&mut ledger));
         }
-        assert!(!h.should_skip(9));
+        assert!(!row.should_skip(&mut ledger));
         // Successful re-probe clears the quarantine.
-        h.record_success(9, &stat(9), &status(9));
-        assert_eq!(h.quarantined_now(), 0);
-        assert!(!h.should_skip(9));
-        assert_eq!(h.ledger.quarantine_events, 1, "no re-entry counted yet");
+        succeed(&mut row, &mut ledger, 9);
+        assert!(!row.fail.is_some_and(|s| s.quarantined));
+        assert!(!row.should_skip(&mut ledger));
+        assert_eq!(ledger.quarantine_events, 1, "no re-entry counted yet");
     }
 
     #[test]
     fn reprobe_backoff_saturates_at_cap_and_never_starves() {
-        let mut h = ProcessHealth::new();
+        let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
         let c = ResilienceConfig {
             quarantine_after: 1,
             reprobe_after: 2,
             reprobe_backoff_cap: 8,
             ..Default::default()
         };
-        h.record_failure(9, &c); // quarantined immediately
-        assert_eq!(h.quarantined_now(), 1);
+        row.record_failure(&mut ledger, &c); // quarantined immediately
         let cap_window = c.reprobe_after * c.reprobe_backoff_cap;
         // Hours of churn: 64 failed re-probe cycles. The sleep window
         // doubles (2, 4, 8, 16) then pins at the cap; the counters
@@ -373,7 +446,7 @@ mod tests {
         // re-probe.
         for cycle in 0..64u32 {
             let mut skipped = 0u32;
-            while h.should_skip(9) {
+            while row.should_skip(&mut ledger) {
                 skipped += 1;
                 assert!(
                     skipped <= cap_window,
@@ -382,10 +455,10 @@ mod tests {
             }
             let expect = (c.reprobe_after << cycle.min(10)).min(cap_window);
             assert_eq!(skipped, expect, "cycle {cycle} window");
-            h.record_failure(9, &c); // the re-probe fails again
+            row.record_failure(&mut ledger, &c); // the re-probe fails again
         }
-        assert_eq!(h.ledger.reprobes, 64);
-        let st = h.fail_state(9).unwrap();
+        assert_eq!(ledger.reprobes, 64);
+        let st = row.fail.unwrap();
         assert_eq!(st.failed_reprobes, 64);
         assert_eq!(st.rounds_until_reprobe, cap_window);
         // Degenerate configs can't divide by zero, shift out, or starve:
@@ -401,29 +474,28 @@ mod tests {
     }
 
     #[test]
-    fn sweep_departed_prunes_unlisted_tids_only() {
-        let mut h = ProcessHealth::new();
+    fn the_table_counts_what_its_rows_hold() {
+        let mut h = ProcessHealth::default();
         for tid in [3, 5, 9] {
-            assert!(!h.should_skip(tid)); // inserts a state entry
-            h.record_success(tid, &stat(tid), &status(tid));
+            let mut row = TaskRow::arrival(tid, None);
+            assert!(!row.should_skip(&mut h.ledger)); // opens the failure state
+            succeed(&mut row, &mut h.ledger, tid);
+            h.rows.push(row);
         }
-        // Tid 5 becomes quarantined but stays listed.
+        // A listed tid nobody planned yet (a shed round) holds nothing.
+        h.rows.push(TaskRow::arrival(11, None));
         let c = ResilienceConfig {
             quarantine_after: 1,
             ..cfg()
         };
-        h.record_failure(5, &c);
+        h.rows[1].record_failure(&mut h.ledger, &c);
         assert_eq!(h.footprint(), 6);
-        // Tid 9 departs (no longer listed).
-        h.sweep_departed(&[3, 5]);
+        assert_eq!(h.quarantined_now(), 1);
+        assert!(h.rows[1].fail.unwrap().quarantined);
+        assert_eq!(h.rows[3].fail, None);
+        assert_eq!(h.gates_held(), 0);
+        h.rows[0].forget();
         assert_eq!(h.footprint(), 4);
-        assert!(h.fail_state(9).is_none());
-        assert!(h.last_good(9).is_none());
-        assert!(h.fail_state(5).unwrap().quarantined, "listed tid survives");
-        assert!(h.last_good(3).is_some());
-        // An empty listing clears everything.
-        h.sweep_departed(&[]);
-        assert_eq!(h.footprint(), 0);
     }
 
     #[test]
@@ -446,11 +518,11 @@ mod tests {
 
     #[test]
     fn forget_clears_state_and_history() {
-        let mut h = ProcessHealth::new();
-        h.record_success(9, &stat(9), &status(9));
-        h.record_failure(9, &cfg());
-        h.forget(9);
-        assert!(h.fail_state(9).is_none());
-        assert!(matches!(h.record_failure(9, &cfg()), FailureAction::Drop));
+        let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
+        succeed(&mut row, &mut ledger, 9);
+        row.record_failure(&mut ledger, &cfg());
+        row.forget();
+        assert!(row.fail.is_none());
+        assert!(row.record_failure(&mut ledger, &cfg()).is_none());
     }
 }

@@ -58,7 +58,7 @@ pub use contention::{analyze, ContentionReport};
 pub use evaluator::{evaluate, evaluate_gpu_memory, render_findings, Finding, Severity};
 pub use feed::{LwpSnapshot, ProcessSnapshot, SampleFeed, SampleSnapshot};
 pub use gpu_link::{GpuStack, SimGpuLink};
-pub use health::{FailureAction, HealthLedger, ProcessHealth, TaskFailState};
+pub use health::{HealthLedger, ProcessHealth, TaskFailState};
 pub use heartbeat::{Liveness, ProgressTracker};
 pub use lwp::{DepartedSummary, LwpKind, LwpRegistry, LwpTrack};
 pub use monitor::{

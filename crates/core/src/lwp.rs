@@ -7,8 +7,9 @@
 //! keeps that per-thread history and classifies threads as Main /
 //! ZeroSum / OpenMP / Other like the paper's LWP tables.
 
+use crate::health::TaskRow;
 use std::collections::HashSet;
-use zerosum_proc::{IntHash, TaskStat, TaskState, TaskStatus, Tid};
+use zerosum_proc::{IntHash, SchedStat, TaskStat, TaskState, TaskStatus, Tid};
 use zerosum_stats::Ring;
 use zerosum_topology::CpuSet;
 
@@ -41,7 +42,7 @@ impl LwpKind {
 }
 
 /// One periodic observation of one LWP.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LwpSample {
     /// Virtual/wall time of the sample, seconds from monitoring start.
     pub t_s: f64,
@@ -106,33 +107,6 @@ pub struct LwpTrack {
 }
 
 impl LwpTrack {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        tid: Tid,
-        name: String,
-        kind: LwpKind,
-        is_openmp: bool,
-        affinity: CpuSet,
-        starttime: u64,
-        capacity: usize,
-        period_s: f64,
-    ) -> Self {
-        LwpTrack {
-            tid,
-            name,
-            kind,
-            is_openmp,
-            affinity,
-            affinity_changed: false,
-            cpus_seen: HashSet::default(),
-            samples: Ring::with_capacity(capacity),
-            exited: false,
-            starttime,
-            retired: false,
-            period_s,
-        }
-    }
-
     /// Latest sample, if any.
     pub fn last(&self) -> Option<&LwpSample> {
         self.samples.last()
@@ -263,7 +237,7 @@ impl LwpTrack {
     }
 }
 
-/// Counters for dead tracks folded away by [`LwpRegistry::compact_exited`]:
+/// Counters for dead tracks evicted under churn (`max_exited_tracks`):
 /// the audit trail that eviction never silently loses accounting. The
 /// sum `registry.len() + departed.tracks` is the cumulative number of
 /// task incarnations ever observed, however long the churn ran.
@@ -286,6 +260,11 @@ pub struct LwpRegistry {
     period_s: f64,
     /// Summary of dead tracks evicted under churn.
     departed: DepartedSummary,
+    /// Dead tracks held (retired, or exited with their tid off the
+    /// listing), counted as they die.
+    dead: usize,
+    /// Scratch of [`LwpRegistry::evict_dead`]: old track position → new.
+    moved_to: Vec<usize>,
 }
 
 /// Classifies a thread by the name it carries now. A free function
@@ -331,6 +310,8 @@ impl LwpRegistry {
             capacity,
             period_s,
             departed: DepartedSummary::default(),
+            dead: 0,
+            moved_to: Vec::new(),
         }
     }
 
@@ -346,14 +327,204 @@ impl LwpRegistry {
         }
     }
 
-    /// Folds one periodic observation of `tid` into the registry.
-    pub fn observe(&mut self, pid: Tid, t_s: f64, stat: &TaskStat, status: &TaskStatus) {
-        self.observe_with_schedstat(pid, t_s, stat, status, None)
+    /// The open series of a tid the listing shows again, if one is
+    /// held — the one scan a tid pays, in the round it arrives. A tid
+    /// that had left picks its exited track up again (`starttime` tells
+    /// at the first read whether it is the same task): dead no longer.
+    pub(crate) fn link(&mut self, tid: Tid) -> Option<usize> {
+        let open = |t: &LwpTrack| t.tid == tid && !t.retired;
+        let at = self.tracks.iter().position(open)?;
+        let was_dead = self.tracks.get(at).is_some_and(|t| t.exited);
+        self.dead = self.dead.saturating_sub(usize::from(was_dead));
+        Some(at)
     }
 
-    /// Like [`LwpRegistry::observe`], additionally recording the kernel's
-    /// `schedstat` runqueue-wait counter when available.
-    pub fn observe_with_schedstat(
+    /// The listing dropped the tid whose series sits at `track`: the
+    /// thread exited, and its track is dead until the tid comes back.
+    pub(crate) fn depart(&mut self, track: Option<usize>) {
+        if let Some(t) = track.and_then(|at| self.tracks.get_mut(at)) {
+            t.exited = true;
+            self.dead += 1;
+        }
+    }
+
+    /// Folds one periodic observation of `stat.tid` into the series at
+    /// `at` — the position its live-table row remembers — opening one
+    /// when the tid has none yet or the id turns out to be recycled;
+    /// returns where the series is now. `schedstat` carries the
+    /// kernel's runqueue-wait counter when available.
+    pub(crate) fn observe_at(
+        &mut self,
+        mut at: Option<usize>,
+        pid: Tid,
+        t_s: f64,
+        stat: &TaskStat,
+        status: &TaskStatus,
+        schedstat: Option<SchedStat>,
+    ) -> Option<usize> {
+        let tid = stat.tid;
+        // PID-reuse guard: a known tid reporting a different `starttime`
+        // is a brand-new task wearing a recycled id. Splicing its
+        // counters onto the dead task's series would corrupt both
+        // histories, so the old track is closed and a fresh one opened.
+        if let Some(old) = at.and_then(|i| self.tracks.get_mut(i)) {
+            if old.starttime != stat.starttime {
+                old.retired = true;
+                old.exited = true;
+                self.dead += 1;
+                at = None;
+            }
+        }
+        let idx = *at.get_or_insert_with(|| {
+            let (kind, is_openmp) = classify(&self.omp_tids, tid, pid, &status.name);
+            self.tracks.push(LwpTrack {
+                tid,
+                name: status.name.clone(),
+                kind,
+                is_openmp,
+                affinity: status.cpus_allowed.clone(),
+                affinity_changed: false,
+                cpus_seen: HashSet::default(),
+                samples: Ring::with_capacity(self.capacity),
+                exited: false,
+                starttime: stat.starttime,
+                retired: false,
+                period_s: self.period_s,
+            });
+            self.tracks.len() - 1
+        });
+        // Valid by construction; panic-free in the sampling loop regardless.
+        let track = self.tracks.get_mut(idx)?;
+        // A thread names itself from inside (Rust and OpenMP runtimes
+        // call `prctl(PR_SET_NAME)` in the new thread), so a sample taken
+        // before that sees the creator's name: follow a rename and
+        // classify again rather than keep the inherited kind for good.
+        if track.name != status.name {
+            track.name.clone_from(&status.name);
+            (track.kind, track.is_openmp) = classify(&self.omp_tids, tid, pid, &status.name);
+        }
+        if track.affinity != status.cpus_allowed {
+            track.affinity_changed = true;
+            track.affinity = status.cpus_allowed.clone();
+        }
+        track.cpus_seen.insert(stat.processor);
+        track.samples.push(LwpSample {
+            t_s,
+            state: stat.state,
+            utime: stat.utime,
+            stime: stat.stime,
+            minflt: stat.minflt,
+            majflt: stat.majflt,
+            nswap: stat.nswap,
+            processor: stat.processor,
+            vcsw: status.voluntary_ctxt_switches,
+            nvcsw: status.nonvoluntary_ctxt_switches,
+            wait_ns: schedstat.map(|ss| ss.wait_ns),
+        });
+        at
+    }
+
+    /// A delta hit: the thread at `at` was never dispatched since its
+    /// last sample, so the records that sample was cut from would be
+    /// read back byte for byte — name, affinity and `processor`
+    /// included. The sample is pushed again at `t_s` with the runqueue
+    /// wait the gate just read; `None` if there is none to repeat.
+    pub(crate) fn repeat_last(&mut self, at: Option<usize>, t_s: f64, ss: SchedStat) -> Option<()> {
+        let track = self.tracks.get_mut(at?)?;
+        let mut sample = *track.samples.last()?;
+        (sample.t_s, sample.wait_ns) = (t_s, Some(ss.wait_ns));
+        track.samples.push(sample);
+        Some(())
+    }
+
+    /// Bounds the registry under open-system churn: while more than
+    /// `max_exited` *dead* tracks are held (retired by tid recycling, or
+    /// exited with no row of the live table `rows` pointing at them),
+    /// the oldest are evicted and folded into the [`DepartedSummary`].
+    /// Live tracks are never touched, so the footprint stays
+    /// proportional to concurrent tasks plus a bounded tail of recent
+    /// departures. Tracks behind an evicted one move up and the rows are
+    /// told where to; a round that buried nobody returns at once.
+    pub(crate) fn evict_dead(&mut self, max_exited: usize, rows: &mut [TaskRow]) {
+        const UNLISTED: usize = usize::MAX;
+        let excess = self.dead.saturating_sub(max_exited);
+        if excess == 0 {
+            return;
+        }
+        self.dead -= excess;
+        let moved_to = &mut self.moved_to;
+        moved_to.clear();
+        moved_to.resize(self.tracks.len(), UNLISTED);
+        for row in rows.iter() {
+            if let Some(to) = row.track.and_then(|at| moved_to.get_mut(at)) {
+                *to = 0;
+            }
+        }
+        let departed = &mut self.departed;
+        let (mut to_evict, mut at, mut kept) = (excess, 0usize, 0usize);
+        self.tracks.retain(|t| {
+            let to = moved_to.get_mut(at);
+            at += 1;
+            let listed = to.as_ref().is_some_and(|to| **to != UNLISTED);
+            if to_evict > 0 && (t.retired || (t.exited && !listed)) {
+                to_evict -= 1;
+                departed.tracks += 1;
+                departed.samples += t.samples.len() as u64;
+                return false;
+            }
+            if let Some(to) = to {
+                *to = kept;
+            }
+            kept += 1;
+            true
+        });
+        for row in rows {
+            row.track = row.track.and_then(|at| moved_to.get(at).copied());
+        }
+    }
+
+    /// Accounting for the dead tracks evicted under churn.
+    pub fn departed(&self) -> DepartedSummary {
+        self.departed
+    }
+
+    /// All tracks in tid order.
+    pub fn tracks(&self) -> impl Iterator<Item = &LwpTrack> {
+        self.tracks.iter()
+    }
+
+    /// Look up a track. A recycled tid resolves to the *live* track; the
+    /// retired one remains reachable through [`LwpRegistry::tracks`].
+    pub fn track(&self, tid: Tid) -> Option<&LwpTrack> {
+        self.tracks
+            .iter()
+            .find(|t| t.tid == tid && !t.retired)
+            .or_else(|| self.tracks.iter().find(|t| t.tid == tid))
+    }
+
+    /// Number of tracks currently held. (With compaction disabled this
+    /// is every LWP incarnation ever seen; under churn, add
+    /// [`LwpRegistry::departed`]`.tracks` for the cumulative count.)
+    pub fn len(&self) -> usize {
+        self.tracks.len()
+    }
+
+    /// True if nothing has been observed yet.
+    pub fn is_empty(&self) -> bool {
+        self.tracks.is_empty()
+    }
+}
+
+#[cfg(test)]
+/// The registry as it worked before the live table: it finds a tid's
+/// track by scanning and decides who left by searching the listing.
+/// Kept verbatim for `monitor::oracle` — the serial reference every
+/// round is held bit-identical to — and for nothing else.
+impl LwpRegistry {
+    /// Folds one periodic observation of `tid` into the registry,
+    /// recording the kernel's `schedstat` runqueue-wait counter when
+    /// available.
+    pub(crate) fn observe_with_schedstat(
         &mut self,
         pid: Tid,
         t_s: f64,
@@ -379,17 +550,21 @@ impl LwpRegistry {
         let idx = match existing {
             Some(i) => i,
             None => {
-                let (kind, is_omp) = classify(&self.omp_tids, tid, pid, &status.name);
-                self.tracks.push(LwpTrack::new(
+                let (kind, is_openmp) = classify(&self.omp_tids, tid, pid, &status.name);
+                self.tracks.push(LwpTrack {
                     tid,
-                    status.name.clone(),
+                    name: status.name.clone(),
                     kind,
-                    is_omp,
-                    status.cpus_allowed.clone(),
-                    stat.starttime,
-                    self.capacity,
-                    self.period_s,
-                ));
+                    is_openmp,
+                    affinity: status.cpus_allowed.clone(),
+                    affinity_changed: false,
+                    cpus_seen: HashSet::default(),
+                    samples: Ring::with_capacity(self.capacity),
+                    exited: false,
+                    starttime: stat.starttime,
+                    retired: false,
+                    period_s: self.period_s,
+                });
                 self.tracks.len() - 1
             }
         };
@@ -430,7 +605,7 @@ impl LwpRegistry {
     /// sorted ascending (the task listing already is). A track already
     /// marked stays marked and is not looked up again: under churn most
     /// tracks held are the dead tail.
-    pub fn mark_exited(&mut self, live: &[Tid]) {
+    pub(crate) fn mark_exited(&mut self, live: &[Tid]) {
         for t in &mut self.tracks {
             if !t.exited && live.binary_search(&t.tid).is_err() {
                 t.exited = true;
@@ -447,7 +622,7 @@ impl LwpRegistry {
     /// not to the unbounded cumulative arrival count. `live` must be
     /// sorted ascending (the task listing already is). Allocation-free:
     /// called from the sampling hot path.
-    pub fn compact_exited(&mut self, live: &[Tid], max_exited: usize) {
+    pub(crate) fn compact_exited(&mut self, live: &[Tid], max_exited: usize) {
         let dead = |t: &LwpTrack| t.retired || (t.exited && live.binary_search(&t.tid).is_err());
         let dead_count = self.tracks.iter().filter(|t| dead(t)).count();
         if dead_count <= max_exited {
@@ -466,42 +641,64 @@ impl LwpRegistry {
             }
         });
     }
-
-    /// Accounting for tracks evicted by [`LwpRegistry::compact_exited`].
-    pub fn departed(&self) -> DepartedSummary {
-        self.departed
-    }
-
-    /// All tracks in tid order.
-    pub fn tracks(&self) -> impl Iterator<Item = &LwpTrack> {
-        self.tracks.iter()
-    }
-
-    /// Look up a track. A recycled tid resolves to the *live* track; the
-    /// retired one remains reachable through [`LwpRegistry::tracks`].
-    pub fn track(&self, tid: Tid) -> Option<&LwpTrack> {
-        self.tracks
-            .iter()
-            .find(|t| t.tid == tid && !t.retired)
-            .or_else(|| self.tracks.iter().find(|t| t.tid == tid))
-    }
-
-    /// Number of tracks currently held. (With compaction disabled this
-    /// is every LWP incarnation ever seen; under churn, add
-    /// [`LwpRegistry::departed`]`.tracks` for the cumulative count.)
-    pub fn len(&self) -> usize {
-        self.tracks.len()
-    }
-
-    /// True if nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.tracks.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A registry with the live-table rows a round keeps beside it,
+    /// driven as a round drives them: observations through the row's
+    /// remembered position, then the listing.
+    struct Live {
+        reg: LwpRegistry,
+        rows: Vec<TaskRow>,
+    }
+
+    impl std::ops::Deref for Live {
+        type Target = LwpRegistry;
+        fn deref(&self) -> &LwpRegistry {
+            &self.reg
+        }
+    }
+
+    impl std::ops::DerefMut for Live {
+        fn deref_mut(&mut self) -> &mut LwpRegistry {
+            &mut self.reg
+        }
+    }
+
+    impl Live {
+        fn new(reg: LwpRegistry) -> Self {
+            Live {
+                reg,
+                rows: Vec::new(),
+            }
+        }
+
+        fn observe(&mut self, pid: Tid, t_s: f64, stat: &TaskStat, status: &TaskStatus) {
+            let at = match self.rows.binary_search_by_key(&stat.tid, |r| r.tid) {
+                Ok(at) => at,
+                Err(at) => {
+                    let row = TaskRow::arrival(stat.tid, self.reg.link(stat.tid));
+                    self.rows.insert(at, row);
+                    at
+                }
+            };
+            let row = &mut self.rows[at];
+            row.track = self.reg.observe_at(row.track, pid, t_s, stat, status, None);
+        }
+
+        /// The round after a listing of `live`: whoever is not on it
+        /// has left, and the dead tail is cut to `max_exited`.
+        fn list(&mut self, live: &[Tid], max_exited: usize) {
+            for row in self.rows.iter().filter(|r| !live.contains(&r.tid)) {
+                self.reg.depart(row.track);
+            }
+            self.rows.retain(|r| live.contains(&r.tid));
+            self.reg.evict_dead(max_exited, &mut self.rows);
+        }
+    }
 
     fn stat(tid: Tid, utime: u64, stime: u64, cpu: u32) -> TaskStat {
         TaskStat {
@@ -537,7 +734,7 @@ mod tests {
 
     #[test]
     fn classification() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         reg.register_omp_thread(103);
         reg.observe(
             100,
@@ -584,7 +781,7 @@ mod tests {
 
     #[test]
     fn rename_after_first_sample_reclassifies_without_reopening_the_series() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         reg.register_omp_thread(103);
         // First sampled before the new threads named themselves: both
         // still carry the creator's name.
@@ -623,7 +820,7 @@ mod tests {
 
     #[test]
     fn main_also_openmp_label() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         reg.register_omp_thread(100);
         reg.observe(
             100,
@@ -639,7 +836,7 @@ mod tests {
 
     #[test]
     fn per_period_averages() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         // Cumulative utime 0,90,180,270 with stime 0,3,6,9: avg 90 / 3.
         for (i, (u, s)) in [(0, 0), (90, 3), (180, 6), (270, 9)].iter().enumerate() {
             reg.observe(
@@ -658,7 +855,7 @@ mod tests {
 
     #[test]
     fn migration_and_affinity_tracking() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         reg.observe(1, 0.0, &stat(2, 0, 0, 3), &status(2, 1, "w", "1-7", 0, 0));
         reg.observe(1, 1.0, &stat(2, 10, 0, 3), &status(2, 1, "w", "1-7", 0, 0));
         reg.observe(1, 2.0, &stat(2, 20, 0, 5), &status(2, 1, "w", "1-7", 0, 0));
@@ -671,7 +868,7 @@ mod tests {
 
     #[test]
     fn progress_detection() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         for i in 0..6 {
             let u = if i < 3 { i * 10 } else { 30 }; // stalls after t=3
             reg.observe(
@@ -688,7 +885,7 @@ mod tests {
 
     #[test]
     fn state_fractions_sum_to_one() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         for (i, st) in ['R', 'R', 'S', 'R'].iter().enumerate() {
             let mut stat_rec = stat(2, i as u64, 0, 1);
             stat_rec.state = TaskState::from_code(*st).unwrap();
@@ -702,25 +899,25 @@ mod tests {
 
     #[test]
     fn exited_marking() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         reg.observe(1, 0.0, &stat(2, 0, 0, 1), &status(2, 1, "w", "1", 0, 0));
         reg.observe(1, 0.0, &stat(3, 0, 0, 1), &status(3, 1, "w", "1", 0, 0));
-        reg.mark_exited(&[3]);
+        reg.list(&[3], 8);
         assert!(reg.track(2).unwrap().exited);
         assert!(!reg.track(3).unwrap().exited);
         // Tracks sit in first-seen order, not tid order, and a recycled
         // tid holds two of them: the sorted listing decides each alike.
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         for tid in [9u32, 2, 7, 4] {
             reg.observe(1, 0.0, &stat(tid, 0, 0, 1), &status(tid, 1, "w", "1", 0, 0));
         }
         let mut recycled = stat(2, 0, 0, 1);
         recycled.starttime = 50;
         reg.observe(1, 1.0, &recycled, &status(2, 1, "w", "1", 0, 0));
-        let flags = |reg: &LwpRegistry| -> Vec<(Tid, bool, bool)> {
+        let flags = |reg: &Live| -> Vec<(Tid, bool, bool)> {
             reg.tracks().map(|t| (t.tid, t.retired, t.exited)).collect()
         };
-        reg.mark_exited(&[2, 4, 9]);
+        reg.list(&[2, 4, 9], 8);
         assert_eq!(
             flags(&reg),
             [
@@ -731,14 +928,14 @@ mod tests {
                 (2, false, false)
             ]
         );
-        reg.mark_exited(&[4, 9]);
+        reg.list(&[4, 9], 8);
         assert!(reg.tracks().filter(|t| t.tid == 2).all(|t| t.exited));
         assert!(!reg.track(4).unwrap().exited && !reg.track(9).unwrap().exited);
     }
 
     #[test]
     fn recycled_tid_closes_old_series_and_opens_new() {
-        let mut reg = LwpRegistry::new();
+        let mut reg = Live::new(LwpRegistry::new());
         // Old task: starttime 0, accumulates counters.
         reg.observe(1, 0.0, &stat(2, 10, 0, 1), &status(2, 1, "old", "1", 5, 7));
         reg.observe(1, 1.0, &stat(2, 20, 0, 1), &status(2, 1, "old", "1", 6, 8));
@@ -776,7 +973,7 @@ mod tests {
 
     #[test]
     fn sample_series_is_bounded_by_ring_capacity() {
-        let mut reg = LwpRegistry::with_capacity(8);
+        let mut reg = Live::new(LwpRegistry::with_capacity(8));
         for i in 0..1_000u64 {
             reg.observe(
                 1,
@@ -803,8 +1000,8 @@ mod tests {
     }
 
     #[test]
-    fn compact_exited_bounds_dead_tracks_and_keeps_accounting() {
-        let mut reg = LwpRegistry::new();
+    fn evict_dead_bounds_dead_tracks_and_keeps_accounting() {
+        let mut reg = Live::new(LwpRegistry::new());
         // Open-system churn: 50 short-lived workers arrive and depart,
         // main thread (tid 1) always live.
         reg.observe(1, 0.0, &stat(1, 0, 0, 0), &status(1, 1, "main", "0", 0, 0));
@@ -813,8 +1010,7 @@ mod tests {
             let mut s = stat(tid, 1, 0, 1);
             s.starttime = 10 + i as u64; // distinct incarnations
             reg.observe(1, i as f64, &s, &status(tid, 1, "w", "1", 0, 0));
-            reg.mark_exited(&[1]); // worker departs immediately
-            reg.compact_exited(&[1], 4);
+            reg.list(&[1], 4); // worker departs immediately
         }
         // Footprint: the live main track plus at most 4 dead tracks.
         assert!(reg.len() <= 1 + 4, "len {} exceeds bound", reg.len());
@@ -823,21 +1019,20 @@ mod tests {
         assert_eq!(reg.len() as u64 + departed.tracks, 51);
         assert_eq!(departed.samples, departed.tracks, "one sample each");
         // The live track is never evicted, however small the cap.
-        reg.compact_exited(&[1], 0);
+        reg.list(&[1], 0);
         assert!(reg.track(1).is_some());
         assert!(!reg.track(1).unwrap().exited);
         assert_eq!(reg.len(), 1);
     }
 
     #[test]
-    fn compact_exited_evicts_oldest_dead_first_and_spares_listed() {
-        let mut reg = LwpRegistry::new();
+    fn evict_dead_evicts_oldest_dead_first_and_spares_listed() {
+        let mut reg = Live::new(LwpRegistry::new());
         for tid in [2u32, 3, 4] {
             reg.observe(1, 0.0, &stat(tid, 0, 0, 1), &status(tid, 1, "w", "1", 0, 0));
         }
         // Tids 2 and 3 depart; 4 stays listed.
-        reg.mark_exited(&[4]);
-        reg.compact_exited(&[4], 1);
+        reg.list(&[4], 1);
         // Oldest dead (tid 2) evicted, newest dead (tid 3) retained.
         assert!(reg.track(2).is_none());
         assert!(reg.track(3).is_some());
@@ -848,7 +1043,7 @@ mod tests {
         let mut recycled = stat(4, 0, 0, 1);
         recycled.starttime = 99;
         reg.observe(1, 1.0, &recycled, &status(4, 1, "w", "1", 0, 0));
-        reg.compact_exited(&[4], 0);
+        reg.list(&[4], 0);
         let fours: Vec<&LwpTrack> = reg.tracks().filter(|t| t.tid == 4).collect();
         assert_eq!(fours.len(), 1, "retired incarnation evicted");
         assert!(!fours[0].retired);
@@ -856,11 +1051,10 @@ mod tests {
     }
 
     #[test]
-    fn compact_exited_under_cap_is_a_no_op() {
-        let mut reg = LwpRegistry::new();
+    fn evict_dead_under_cap_is_a_no_op() {
+        let mut reg = Live::new(LwpRegistry::new());
         reg.observe(1, 0.0, &stat(2, 0, 0, 1), &status(2, 1, "w", "1", 0, 0));
-        reg.mark_exited(&[]);
-        reg.compact_exited(&[], 8);
+        reg.list(&[], 8);
         assert_eq!(reg.len(), 1, "dead tail under the cap is retained");
         assert_eq!(reg.departed(), DepartedSummary::default());
     }

@@ -14,14 +14,11 @@
 //! inline shard.
 
 use crate::config::{ResilienceConfig, ZeroSumConfig};
-use crate::health::{HealthLedger, ProcessHealth};
+use crate::health::{HealthLedger, ProcessHealth, TaskRow};
 use crate::hwt::HwtTracker;
 use crate::lwp::LwpRegistry;
 use crate::memory::MemoryTracker;
-use std::collections::HashMap;
-use zerosum_proc::{
-    IntHash, Pid, ProcSource, SchedStat, SourceErrorKind, SourceResult, SystemStat, Tid,
-};
+use zerosum_proc::{Pid, ProcSource, SourceErrorKind, SourceResult, SystemStat, Tid};
 use zerosum_stats::Ring;
 use zerosum_topology::CpuSet;
 
@@ -58,12 +55,8 @@ pub struct ProcessWatch {
     pub rss_series: Ring<(f64, u64)>,
     /// True once the process has disappeared.
     pub gone: bool,
-    /// Sampling-health ledger and quarantine state for this process.
+    /// Sampling-health ledger and live table (a row per listed tid).
     pub health: ProcessHealth,
-    /// Last `schedstat` seen per tid on a *fresh* read — the delta-
-    /// sampling gate: an unchanged schedstat proves the thread was never
-    /// dispatched, so its `stat`/`status` need not be re-read.
-    pub(crate) last_schedstat: HashMap<Tid, SchedStat, IntHash>,
 }
 
 impl ProcessWatch {
@@ -72,25 +65,53 @@ impl ProcessWatch {
         self.rss_series.last().map(|&(_, r)| r).unwrap_or(0)
     }
 
-    /// Number of per-tid delta-gate entries currently held (pruned by
-    /// the departure sweep; exposed so churn soaks can assert the
-    /// footprint tracks concurrent tasks, not cumulative arrivals).
+    /// Number of per-tid delta-gate entries currently held (exposed so
+    /// churn soaks can assert the footprint tracks concurrent tasks).
     pub fn delta_gate_len(&self) -> usize {
-        self.last_schedstat.len()
+        self.health.gates_held()
     }
 
-    /// End-of-round lifecycle sweep. Marks unlisted tracks exited,
-    /// prunes per-tid health state and the delta gate for departed
-    /// tids, and bounds the dead-track tail so memory under open-system
-    /// churn stays proportional to concurrent tasks. `live` must be
-    /// sorted ascending (task listings already are). Allocation-free:
-    /// it runs inside the round's fold.
-    pub(crate) fn finish_round(&mut self, live: &[Tid], max_exited: usize) {
-        self.lwps.mark_exited(live);
-        self.health.sweep_departed(live);
-        self.last_schedstat
-            .retain(|tid, _| live.binary_search(tid).is_ok());
-        self.lwps.compact_exited(live, max_exited);
+    /// Joins this round's task listing with the live table in one pass
+    /// (both ascend by tid): a tid only in the table has left — its
+    /// track is marked exited and its row dropped, failure state,
+    /// last-good sample and gate with it; a tid only in the listing gets
+    /// a row; `each` sees every listed tid's row, in listing order. Only
+    /// a tid arriving below one held (ids wrapped) costs a sort.
+    pub(crate) fn join_listing(
+        &mut self,
+        listing: &[Tid],
+        mut each: impl FnMut(&mut TaskRow, &mut HealthLedger),
+    ) {
+        let ProcessHealth { ledger, rows } = &mut self.health;
+        let held = rows.len();
+        // Rows before `next` are dealt with; the first `kept` stay.
+        let (mut next, mut kept) = (0usize, 0usize);
+        for &tid in listing {
+            while let Some(row) = rows.get(next).filter(|r| next < held && r.tid < tid) {
+                self.lwps.depart(row.track);
+                next += 1;
+            }
+            let at = if rows.get(next).is_some_and(|r| next < held && r.tid == tid) {
+                if kept != next {
+                    rows.swap(kept, next);
+                }
+                (next, kept) = (next + 1, kept + 1);
+                kept - 1
+            } else {
+                rows.push(TaskRow::arrival(tid, self.lwps.link(tid)));
+                rows.len() - 1
+            };
+            if let Some(row) = rows.get_mut(at) {
+                each(row, ledger);
+            }
+        }
+        for row in rows.iter().take(held).skip(next) {
+            self.lwps.depart(row.track);
+        }
+        rows.drain(kept..held);
+        if rows.len() > kept && !rows.is_sorted_by_key(|r| r.tid) {
+            rows.sort_unstable_by_key(|r| r.tid);
+        }
     }
 }
 
@@ -251,8 +272,7 @@ impl Monitor {
             cpus_allowed,
             rss_series: Ring::with_capacity(self.config.series_capacity),
             gone: false,
-            health: ProcessHealth::new(),
-            last_schedstat: HashMap::default(),
+            health: ProcessHealth::default(),
         });
     }
 
@@ -410,14 +430,199 @@ pub(crate) fn with_retry<T>(
     }
 }
 
-/// The serial sampling loop as it stood before the engine's round became
-/// the only one: `sample_inner`, statement for statement. Tests hold
-/// [`Monitor::sample`] and the sharded rounds bit-identical to it.
 #[cfg(test)]
+/// The serial sampling loop as it stood before the engine's round became
+/// the only one: `sample_inner`, statement for statement, over the
+/// bookkeeping it had then — a failure-state map, a last-good map and a
+/// gate map per watch, each swept against the listing at the end of the
+/// round, and a registry that scans for a tid's track. Tests hold
+/// [`Monitor::sample`] and the sharded rounds bit-identical to it.
+///
+/// Between rounds the maps rest in the watch's live table (`load` /
+/// `store` below convert), so an oracle-driven monitor answers
+/// `footprint()`, `delta_gate_len()` and row-for-row comparison like a
+/// sampled one; the product's join never runs on it.
 pub(crate) mod oracle {
     use super::*;
-    use crate::health::FailureAction;
-    use zerosum_proc::{SourceError, TaskStat, TaskStatus};
+    use crate::health::TaskFailState;
+    use std::collections::HashMap;
+    use zerosum_proc::{IntHash, SchedStat, SourceError, TaskStat, TaskStatus};
+
+    /// What the monitor should do with a task slot whose reads failed this
+    /// round.
+    #[derive(Debug)]
+    pub(crate) enum FailureAction {
+        /// Fill the slot from the last good `(stat, status)` pair, flagged
+        /// degraded in the ledger.
+        Interpolate(Box<(TaskStat, TaskStatus)>),
+        /// No fallback available (or interpolation disabled): drop the slot.
+        Drop,
+    }
+
+    /// The per-process health state as it was before the live table: the
+    /// ledger plus a failure-state map and a last-good-sample map, each
+    /// with its own departure sweep.
+    #[derive(Debug, Default)]
+    pub(crate) struct MapHealth {
+        /// The public tallies.
+        pub(crate) ledger: HealthLedger,
+        states: HashMap<Tid, TaskFailState, IntHash>,
+        last_good: HashMap<Tid, (TaskStat, TaskStatus), IntHash>,
+    }
+
+    impl MapHealth {
+        /// Called once per round per listed tid, *before* reading it.
+        /// Returns `true` if the tid is quarantined and not yet due for a
+        /// re-probe — the caller must skip it this round. Returns `false`
+        /// when the tid is healthy or due for a re-probe (which is tallied).
+        pub(crate) fn should_skip(&mut self, tid: Tid) -> bool {
+            let st = self.states.entry(tid).or_default();
+            if !st.quarantined {
+                return false;
+            }
+            if st.rounds_until_reprobe > 0 {
+                st.rounds_until_reprobe -= 1;
+                return true;
+            }
+            self.ledger.reprobes += 1;
+            false
+        }
+
+        /// Records a clean observation: clears any failure state (ending a
+        /// quarantine if the re-probe succeeded) and stores the records as
+        /// the new last-good sample.
+        pub(crate) fn record_success(&mut self, tid: Tid, stat: &TaskStat, status: &TaskStatus) {
+            self.ledger.ok += 1;
+            self.states.insert(tid, TaskFailState::default());
+            // `clone_from` into the existing pair reuses its string and
+            // cpuset buffers — this runs once per tid per round.
+            match self.last_good.entry(tid) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let (s, st) = e.get_mut();
+                    s.clone_from(stat);
+                    st.clone_from(status);
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert((stat.clone(), status.clone()));
+                }
+            }
+        }
+
+        /// The last cleanly observed `(stat, status)` pair for a tid, if any.
+        /// Delta sampling re-uses it for threads that provably have not run.
+        pub(crate) fn last_good(&self, tid: Tid) -> Option<&(TaskStat, TaskStatus)> {
+            self.last_good.get(&tid)
+        }
+
+        /// Records a failed slot (reads exhausted retries or failed
+        /// unretryably). Advances the quarantine state machine and decides
+        /// between interpolation and dropping.
+        pub(crate) fn record_failure(&mut self, tid: Tid, cfg: &ResilienceConfig) -> FailureAction {
+            let st = self.states.entry(tid).or_default();
+            st.consecutive = st.consecutive.saturating_add(1);
+            if st.quarantined {
+                // A failed re-probe: back to sleep for a longer window —
+                // exponential backoff, capped so the tid is still re-probed
+                // on a bounded cadence (never starved, never overflowed).
+                st.failed_reprobes = st.failed_reprobes.saturating_add(1);
+                st.rounds_until_reprobe = TaskFailState::reprobe_window(st.failed_reprobes, cfg);
+            } else if st.consecutive >= cfg.quarantine_after {
+                st.quarantined = true;
+                st.rounds_until_reprobe = cfg.reprobe_after;
+                self.ledger.quarantine_events += 1;
+            }
+            match self.last_good.get(&tid) {
+                Some(pair) if cfg.interpolate => {
+                    self.ledger.degraded += 1;
+                    FailureAction::Interpolate(Box::new(pair.clone()))
+                }
+                _ => {
+                    self.ledger.dropped += 1;
+                    FailureAction::Drop
+                }
+            }
+        }
+
+        /// Forgets a tid that exited normally (`NotFound` on a per-task
+        /// read): its failure state and last-good sample are irrelevant now.
+        pub(crate) fn forget(&mut self, tid: Tid) {
+            self.states.remove(&tid);
+            self.last_good.remove(&tid);
+        }
+
+        /// End-of-round departure sweep: drops failure state and last-good
+        /// samples for every tid no longer in the task listing. A departed
+        /// tid that raced past the per-read `NotFound` path (it simply
+        /// stopped being listed) would otherwise pin its entry forever —
+        /// under open-system churn that is an unbounded leak, since
+        /// `should_skip` inserts a state entry for every tid ever listed.
+        /// Quarantined-but-still-listed tids survive the sweep untouched.
+        /// `live` must be sorted ascending (the task listing already is).
+        pub(crate) fn sweep_departed(&mut self, live: &[Tid]) {
+            // Hot path (called from the sharded fold): retain + binary
+            // search, no allocation.
+            self.states.retain(|tid, _| live.binary_search(tid).is_ok());
+            self.last_good
+                .retain(|tid, _| live.binary_search(tid).is_ok());
+        }
+    }
+
+    /// What the serial loop kept per watch between rounds.
+    #[derive(Default)]
+    struct WatchState {
+        health: MapHealth,
+        last_schedstat: HashMap<Tid, SchedStat, IntHash>,
+    }
+
+    impl WatchState {
+        /// The maps, as the watch's rows hold them.
+        fn load(w: &mut ProcessWatch) -> Self {
+            let mut st = WatchState::default();
+            st.health.ledger = std::mem::take(&mut w.health.ledger);
+            for row in &w.health.rows {
+                let (fail, gate, good) = row.parts();
+                if let Some(fail) = fail {
+                    st.health.states.insert(row.tid, fail);
+                }
+                if let Some(gate) = gate {
+                    st.last_schedstat.insert(row.tid, gate);
+                }
+                if let Some(good) = good {
+                    st.health.last_good.insert(row.tid, good.clone());
+                }
+            }
+            st
+        }
+
+        /// The end-of-round lifecycle sweep of the serial loop.
+        fn finish_round(&mut self, lwps: &mut LwpRegistry, live: &[Tid], max_exited: usize) {
+            lwps.mark_exited(live);
+            self.health.sweep_departed(live);
+            self.last_schedstat
+                .retain(|tid, _| live.binary_search(tid).is_ok());
+            lwps.compact_exited(live, max_exited);
+        }
+
+        /// Back into rows: one per tid of the listing the round folded
+        /// (the sweep left no entry for any other); a watch whose
+        /// listing failed folded nothing and keeps the rows it had.
+        fn store(mut self, w: &mut ProcessWatch, folded: Option<&[Tid]>) {
+            w.health.ledger = self.health.ledger;
+            let Some(listing) = folded else { return };
+            w.health.rows = listing
+                .iter()
+                .map(|&tid| {
+                    TaskRow::from_parts(
+                        tid,
+                        w.lwps.tracks().position(|t| t.tid == tid && !t.retired),
+                        self.health.states.get(&tid).copied(),
+                        self.last_schedstat.get(&tid).copied(),
+                        self.health.last_good.remove(&tid),
+                    )
+                })
+                .collect();
+        }
+    }
 
     /// The per-task records the serial loop kept in `SampleScratch`.
     #[derive(Default)]
@@ -464,118 +669,126 @@ pub(crate) mod oracle {
                 continue;
             }
             let pid = w.info.pid;
-            match with_retry(
-                &res,
-                &mut mon.node_health,
-                &mut mon.pending_backoff_us,
-                || src.list_tasks_into(pid, &mut scratch.tids),
-            ) {
-                Ok(()) => {}
-                Err(SourceError::NotFound) => {
-                    w.gone = true;
-                    mon.stats.vanished += 1;
-                    continue;
-                }
-                Err(_) => {
-                    mon.stats.errors += 1;
-                    continue;
-                }
-            }
-            for &tid in &scratch.tids {
-                if shed && tid != pid {
-                    // Shed round: drop per-LWP detail, keep per-HWT
-                    // totals (system stat), the main thread (RSS), and
-                    // memory.
-                    continue;
-                }
-                if w.health.should_skip(tid) {
-                    // Quarantined after persistent failures; re-probed
-                    // once per `reprobe_after` rounds.
-                    continue;
-                }
-                // schedstat first: it is both the wait-time source and
-                // the delta gate. Optional (CONFIG_SCHED_INFO); absence
-                // is not an error and is never retried.
-                let schedstat = src.task_schedstat(pid, tid).ok();
-                if delta_on && tid != pid {
-                    // Unchanged schedstat ⇒ the thread was never
-                    // dispatched since the last fresh read ⇒ its `stat`
-                    // and `status` are bytewise unchanged; reuse the
-                    // last good pair. The main thread is exempt: it
-                    // carries the process-wide RSS, which moves without
-                    // the thread running.
-                    if let (Some(ss), Some(prev)) = (schedstat, w.last_schedstat.get(&tid)) {
-                        if ss == *prev {
-                            if let Some((stat, status)) = w.health.last_good(tid) {
-                                mon.stats.delta_hits += 1;
-                                w.lwps
-                                    .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
-                                continue;
-                            }
-                        }
-                    }
-                }
-                let read = match with_retry(
+            let mut state = WatchState::load(w);
+            let folded = 'watch: {
+                match with_retry(
                     &res,
-                    &mut w.health.ledger,
+                    &mut mon.node_health,
                     &mut mon.pending_backoff_us,
-                    || src.task_stat_into(pid, tid, &mut scratch.stat),
+                    || src.list_tasks_into(pid, &mut scratch.tids),
                 ) {
-                    Ok(()) => with_retry(
-                        &res,
-                        &mut w.health.ledger,
-                        &mut mon.pending_backoff_us,
-                        || src.task_status_into(pid, tid, &mut scratch.status),
-                    ),
-                    Err(e) => Err(e),
-                };
-                let fresh = match read {
-                    Ok(()) => {
-                        w.health.record_success(tid, &scratch.stat, &scratch.status);
-                        if let Some(ss) = schedstat {
-                            w.last_schedstat.insert(tid, ss);
-                        }
-                        true
-                    }
+                    Ok(()) => {}
                     Err(SourceError::NotFound) => {
-                        // Thread exited between the directory listing and
-                        // the read: the normal race of §3.1.1.
+                        w.gone = true;
                         mon.stats.vanished += 1;
-                        w.health.forget(tid);
-                        w.last_schedstat.remove(&tid);
-                        continue;
+                        break 'watch false;
                     }
                     Err(_) => {
                         mon.stats.errors += 1;
-                        match w.health.record_failure(tid, &res) {
-                            FailureAction::Interpolate(pair) => {
-                                // Degraded: repeat the last good sample so
-                                // the time series stays continuous; the
-                                // ledger flags the substitution.
-                                scratch.stat.clone_from(&pair.0);
-                                scratch.status.clone_from(&pair.1);
-                                false
+                        break 'watch false;
+                    }
+                }
+                for &tid in &scratch.tids {
+                    if shed && tid != pid {
+                        // Shed round: drop per-LWP detail, keep per-HWT
+                        // totals (system stat), the main thread (RSS), and
+                        // memory.
+                        continue;
+                    }
+                    if state.health.should_skip(tid) {
+                        // Quarantined after persistent failures; re-probed
+                        // once per `reprobe_after` rounds.
+                        continue;
+                    }
+                    // schedstat first: it is both the wait-time source and
+                    // the delta gate. Optional (CONFIG_SCHED_INFO); absence
+                    // is not an error and is never retried.
+                    let schedstat = src.task_schedstat(pid, tid).ok();
+                    if delta_on && tid != pid {
+                        // Unchanged schedstat ⇒ the thread was never
+                        // dispatched since the last fresh read ⇒ its `stat`
+                        // and `status` are bytewise unchanged; reuse the
+                        // last good pair. The main thread is exempt: it
+                        // carries the process-wide RSS, which moves without
+                        // the thread running.
+                        if let (Some(ss), Some(prev)) = (schedstat, state.last_schedstat.get(&tid))
+                        {
+                            if ss == *prev {
+                                if let Some((stat, status)) = state.health.last_good(tid) {
+                                    mon.stats.delta_hits += 1;
+                                    w.lwps
+                                        .observe_with_schedstat(pid, t_s, stat, status, Some(ss));
+                                    continue;
+                                }
                             }
-                            FailureAction::Drop => continue,
                         }
                     }
-                };
-                if tid == pid {
-                    if w.cpus_allowed.is_empty() {
-                        w.cpus_allowed.copy_from(&scratch.status.cpus_allowed);
+                    let read = match with_retry(
+                        &res,
+                        &mut state.health.ledger,
+                        &mut mon.pending_backoff_us,
+                        || src.task_stat_into(pid, tid, &mut scratch.stat),
+                    ) {
+                        Ok(()) => with_retry(
+                            &res,
+                            &mut state.health.ledger,
+                            &mut mon.pending_backoff_us,
+                            || src.task_status_into(pid, tid, &mut scratch.status),
+                        ),
+                        Err(e) => Err(e),
+                    };
+                    let fresh = match read {
+                        Ok(()) => {
+                            state
+                                .health
+                                .record_success(tid, &scratch.stat, &scratch.status);
+                            if let Some(ss) = schedstat {
+                                state.last_schedstat.insert(tid, ss);
+                            }
+                            true
+                        }
+                        Err(SourceError::NotFound) => {
+                            // Thread exited between the directory listing and
+                            // the read: the normal race of §3.1.1.
+                            mon.stats.vanished += 1;
+                            state.health.forget(tid);
+                            state.last_schedstat.remove(&tid);
+                            continue;
+                        }
+                        Err(_) => {
+                            mon.stats.errors += 1;
+                            match state.health.record_failure(tid, &res) {
+                                FailureAction::Interpolate(pair) => {
+                                    // Degraded: repeat the last good sample so
+                                    // the time series stays continuous; the
+                                    // ledger flags the substitution.
+                                    scratch.stat.clone_from(&pair.0);
+                                    scratch.status.clone_from(&pair.1);
+                                    false
+                                }
+                                FailureAction::Drop => continue,
+                            }
+                        }
+                    };
+                    if tid == pid {
+                        if w.cpus_allowed.is_empty() {
+                            w.cpus_allowed.copy_from(&scratch.status.cpus_allowed);
+                        }
+                        w.rss_series.push((t_s, scratch.status.vm_rss_kib));
+                        mon.scratch
+                            .watched_rss
+                            .push((pid, scratch.status.vm_rss_kib));
                     }
-                    w.rss_series.push((t_s, scratch.status.vm_rss_kib));
-                    mon.scratch
-                        .watched_rss
-                        .push((pid, scratch.status.vm_rss_kib));
+                    // Interpolated rounds report no schedstat — a fresh
+                    // schedstat against a stale stat would skew wait deltas.
+                    let ss = if fresh { schedstat } else { None };
+                    w.lwps
+                        .observe_with_schedstat(pid, t_s, &scratch.stat, &scratch.status, ss);
                 }
-                // Interpolated rounds report no schedstat — a fresh
-                // schedstat against a stale stat would skew wait deltas.
-                let ss = if fresh { schedstat } else { None };
-                w.lwps
-                    .observe_with_schedstat(pid, t_s, &scratch.stat, &scratch.status, ss);
-            }
-            w.finish_round(&scratch.tids, max_exited);
+                state.finish_round(&mut w.lwps, &scratch.tids, max_exited);
+                true
+            };
+            state.store(w, folded.then_some(&scratch.tids));
         }
         match with_retry(
             &res,

@@ -6,16 +6,16 @@
 //!
 //! 1. **Begin**: counters, the shed decision, node `/proc/stat`.
 //! 2. **List trip**: each shard reads `/proc/<pid>/task` for its watches.
-//! 3. The driver folds the lists and *plans* the per-tid reads —
-//!    quarantine skips, shed rounds, and the delta-sampling gate are
-//!    all decided driver-side so shard results fold deterministically.
+//! 3. The driver joins each list with the watch's live table (arrivals
+//!    get a row, departures lose theirs) and *plans* the per-tid reads
+//!    from the rows — quarantine skips, shed rounds, the delta gate.
 //! 4. **Read trip**: each shard executes its plan — `schedstat`, the
 //!    delta compare, then raw-text `stat`/`status` into its
 //!    [`ReadArena`], parsed in place and recycled task by task —
 //!    recording outcomes into per-task slots with a zeroed local health
 //!    ledger.
-//! 5. The driver folds the slots in canonical watch order: series
-//!    observations, health accounting, the failure policy, RSS.
+//! 5. The driver folds the slots in canonical watch order, table cursor
+//!    beside them: series, health accounting, the failure policy, RSS.
 //! 6. **End**: `/proc/meminfo` and the snapshot feed.
 //!
 //! [`Monitor::sample`] runs the round with one shard, pumped inline
@@ -43,7 +43,7 @@
 //! boundary: the affected shard's watches lose one round (recorded as a
 //! supervisor gap), other shards' results fold normally.
 
-use crate::health::{FailureAction, HealthLedger};
+use crate::health::HealthLedger;
 use crate::monitor::{with_retry, Monitor, ProcessWatch};
 use crate::sync::{Tracked, TrackedRw};
 use std::panic::AssertUnwindSafe;
@@ -54,7 +54,7 @@ use zerosum_proc::{
     parse, Pid, ProcSource, ReadArena, SchedStat, SourceError, SourceResult, TaskStat, TaskStatus,
     Tid,
 };
-use zerosum_sched::{NodeSim, SimProcSource};
+use zerosum_sched::{NodeSim, SimProcSource, SimScratch};
 use zerosum_stats::{ShardReader, ShardRing, ShardWriter};
 
 /// How shard pumps execute.
@@ -88,6 +88,8 @@ pub trait ShardSource: Send {
 #[derive(Clone)]
 pub struct SimShardSource {
     sim: Arc<TrackedRw<NodeSim>>,
+    /// The render scratch of the batch views, kept across batches.
+    scratch: SimScratch,
 }
 
 impl std::fmt::Debug for SimShardSource {
@@ -101,7 +103,10 @@ impl std::fmt::Debug for SimShardSource {
 impl SimShardSource {
     /// A shard handle on `sim`.
     pub fn new(sim: Arc<TrackedRw<NodeSim>>) -> Self {
-        SimShardSource { sim }
+        SimShardSource {
+            sim,
+            scratch: SimScratch::default(),
+        }
     }
 }
 
@@ -110,8 +115,10 @@ impl ShardSource for SimShardSource {
         // Poison recovery: the sim holds plain counters; a panicking
         // reader cannot leave it inconsistent.
         let guard = self.sim.read().unwrap_or_else(PoisonError::into_inner);
-        let src = SimProcSource::new(&guard);
-        f(&src)
+        let src = SimProcSource::with_scratch(&guard, std::mem::take(&mut self.scratch));
+        let out = f(&src);
+        self.scratch = src.into_scratch();
+        out
     }
 }
 
@@ -232,16 +239,6 @@ impl Default for ListSlot {
     }
 }
 
-/// One planned per-tid read: the driver decided this tid must be
-/// sampled; `delta_prev` carries the delta-sampling reference when the
-/// gate is armed (delta sampling on, worker thread, a last-good sample
-/// exists).
-#[derive(Debug, Clone, Copy, Default)]
-struct TaskPlan {
-    tid: Tid,
-    delta_prev: Option<SchedStat>,
-}
-
 /// Outcome class of one per-tid read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum ReadKind {
@@ -256,10 +253,14 @@ enum ReadKind {
     Failed,
 }
 
-/// One per-tid read result.
+/// One planned per-tid read and its result: the driver decided this
+/// tid must be sampled; `delta_prev` carries the delta-sampling
+/// reference when the gate is armed (delta sampling on, worker thread,
+/// a last-good sample exists).
 #[derive(Debug, Default)]
 struct TaskReadSlot {
     tid: Tid,
+    delta_prev: Option<SchedStat>,
     kind: ReadKind,
     ss: Option<SchedStat>,
     stat: TaskStat,
@@ -276,7 +277,8 @@ struct WatchReadSlot {
     /// every round and is *added* into the watch's real ledger at fold
     /// (every field is a sum, so the merge is exact).
     ledger: HealthLedger,
-    plans: Vec<TaskPlan>,
+    /// The first `slots_used` are this round's plan; the rest keep
+    /// their buffers for a busier one.
     slots: Vec<TaskReadSlot>,
     slots_used: usize,
 }
@@ -301,6 +303,9 @@ struct ShardBatch {
     lists_used: usize,
     reads: Vec<WatchReadSlot>,
     reads_used: usize,
+    /// The fold's place in `lists`, then in `reads`: watches fold in
+    /// canonical order, and so were their slots handed out.
+    cursor: usize,
 }
 
 /// Ring type used between the driver and one shard thread. The slots
@@ -318,7 +323,7 @@ fn batch_ring(name: &'static str) -> BatchRing {
 
 /// The engine's per-round state, reused across rounds and owned by the
 /// [`Monitor`] it samples for: one batch and one arena per shard, the
-/// watch → shard assignment, the fold cursors.
+/// watch → shard assignment.
 #[derive(Debug)]
 pub(crate) struct Engine {
     batches: Vec<ShardBatch>,
@@ -326,8 +331,6 @@ pub(crate) struct Engine {
     /// Watch index -> shard, rebuilt every round (see `build_assignment`).
     assign: Vec<usize>,
     order: Vec<usize>,
-    cur_a: Vec<usize>,
-    cur_b: Vec<usize>,
 }
 
 impl Engine {
@@ -339,8 +342,6 @@ impl Engine {
             arenas: (0..nshards).map(|_| ReadArena::new()).collect(),
             assign: Vec::new(),
             order: Vec::new(),
-            cur_a: Vec::new(),
-            cur_b: Vec::new(),
         }
     }
 }
@@ -629,24 +630,9 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
             } = batch;
             for ws in reads.iter_mut().take(*reads_used) {
                 let pid = ws.pid;
-                let WatchReadSlot {
-                    ledger,
-                    plans,
-                    slots,
-                    slots_used,
-                    ..
-                } = ws;
-                *slots_used = 0;
-                for plan in plans.iter() {
-                    if *slots_used == slots.len() {
-                        slots.push(TaskReadSlot::default());
-                    }
-                    let Some(slot) = slots.get_mut(*slots_used) else {
-                        break;
-                    };
-                    *slots_used += 1;
-                    let tid = plan.tid;
-                    slot.tid = tid;
+                let ledger = &mut ws.ledger;
+                for slot in ws.slots.iter_mut().take(ws.slots_used) {
+                    let tid = slot.tid;
                     // A task's texts are parsed into its slot as they
                     // are read: nothing outlives the task, so the arena
                     // stays a few hundred bytes and hot.
@@ -655,7 +641,7 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
                     // and the delta gate. Optional (CONFIG_SCHED_INFO);
                     // absence is not an error and is never retried.
                     slot.ss = src.task_schedstat(pid, tid).ok();
-                    if let (Some(prev), Some(ss)) = (plan.delta_prev, slot.ss) {
+                    if let (Some(prev), Some(ss)) = (slot.delta_prev, slot.ss) {
                         if prev == ss {
                             slot.kind = ReadKind::DeltaHit;
                             continue;
@@ -796,7 +782,7 @@ fn stage_lists(mon: &mut Monitor) {
     } = &mut mon.engine;
     build_assignment(&mon.processes, assign, order, batches.len());
     for batch in batches.iter_mut() {
-        batch.lists_used = 0;
+        (batch.lists_used, batch.cursor) = (0, 0);
         batch.res = res;
         batch.phase = Phase::List;
         batch.panicked = false;
@@ -827,11 +813,12 @@ fn stage_lists(mon: &mut Monitor) {
 }
 
 /// Folds trip 1 and plans trip 2. Runs the list-outcome statements per
-/// watch in canonical order, then decides — driver-side, where the
-/// health state lives — which tids each shard must read: shed rounds
-/// keep only the main thread, quarantined tids are skipped (spending
-/// their re-probe counters), and the delta gate's reference `schedstat`
-/// is attached where armed.
+/// watch in canonical order, then joins listing and live table and
+/// decides from each row — driver-side, where the health state lives —
+/// which tids each shard must read: shed rounds keep only the main
+/// thread, quarantined tids are skipped (spending their re-probe
+/// counters), and the delta gate's reference `schedstat` is attached
+/// where armed.
 fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
     let delta_on = mon.config.delta_sampling;
     let Monitor {
@@ -843,12 +830,7 @@ fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
         engine,
         ..
     } = mon;
-    let Engine {
-        batches,
-        assign,
-        cur_a: cur,
-        ..
-    } = engine;
+    let (batches, assign) = (&mut engine.batches, &engine.assign);
     for batch in batches.iter_mut() {
         node_health.merge(&batch.node_ledger);
         *pending_backoff_us += batch.backoff_us;
@@ -857,8 +839,6 @@ fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
         batch.reads_used = 0;
         batch.phase = Phase::Read;
     }
-    cur.clear();
-    cur.resize(batches.len(), 0);
     for (i, w) in processes.iter_mut().enumerate() {
         if w.gone {
             continue;
@@ -869,23 +849,19 @@ fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
         let Some(batch) = batches.get_mut(shard) else {
             continue;
         };
-        let Some(cursor) = cur.get_mut(shard) else {
-            continue;
-        };
         let ShardBatch {
             lists,
             lists_used,
             reads,
             reads_used,
             panicked,
+            cursor,
             ..
         } = batch;
-        let Some(slot) = lists.get(*cursor) else {
+        let mine = |s: &&ListSlot| *cursor < *lists_used && s.watch == i;
+        let Some(slot) = lists.get(*cursor).filter(mine) else {
             continue;
         };
-        if *cursor >= *lists_used || slot.watch != i {
-            continue;
-        }
         *cursor += 1;
         if *panicked {
             // Stale results: this shard's round is a recorded gap.
@@ -915,33 +891,37 @@ fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
         ws.watch = i;
         ws.pid = pid;
         ws.ledger = HealthLedger::default();
-        ws.plans.clear();
         ws.slots_used = 0;
-        for &tid in &slot.tids {
+        w.join_listing(&slot.tids, |row, ledger| {
+            let tid = row.tid;
             if shed && tid != pid {
                 // Shed round: drop per-LWP detail, keep per-HWT totals
                 // (system stat), the main thread (RSS), and memory.
-                continue;
+                return;
             }
-            if w.health.should_skip(tid) {
+            if row.should_skip(ledger) {
                 // Quarantined after persistent failures; re-probed
                 // once per `reprobe_after` rounds.
-                continue;
+                return;
             }
             // Unchanged schedstat ⇒ the thread was never dispatched
             // since the last fresh read ⇒ its `stat` and `status` are
             // bytewise unchanged; the fold reuses the last good pair.
             // The main thread is exempt: it carries the process-wide
             // RSS, which moves without the thread running.
-            let delta_prev = if delta_on && tid != pid && w.health.last_good(tid).is_some() {
-                w.last_schedstat.get(&tid).copied()
-            } else {
-                None
-            };
-            ws.plans.push(TaskPlan { tid, delta_prev });
-        }
+            let armed = delta_on && tid != pid;
+            let delta_prev = row.delta_reference().filter(|_| armed);
+            if ws.slots_used == ws.slots.len() {
+                ws.slots.push(TaskReadSlot::default());
+            }
+            if let Some(slot) = ws.slots.get_mut(ws.slots_used) {
+                (slot.tid, slot.delta_prev) = (tid, delta_prev);
+                ws.slots_used += 1;
+            }
+        });
     }
     for batch in batches.iter_mut() {
+        batch.cursor = 0;
         if batch.panicked {
             supervisor.restarts += 1;
             supervisor.gap_times_s.push(t_s);
@@ -953,12 +933,12 @@ fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
     }
 }
 
-/// Folds trip 2 in canonical watch order: the drain. Per task slot:
-/// health accounting, the failure policy, series observation, the
-/// main-thread RSS tail; then the end-of-round lifecycle sweep
-/// (`ProcessWatch::finish_round`) per watch. All counters fold by
-/// addition, so totals reconcile exactly against fault-injector logs,
-/// shard count notwithstanding.
+/// Folds trip 2 in canonical watch order: the drain. Per task slot, on
+/// the row the table cursor is on: health accounting, the failure
+/// policy, series observation, the main-thread RSS tail; then the
+/// dead-track bound per watch. All counters fold by addition, so totals
+/// reconcile exactly against fault-injector logs, shard count
+/// notwithstanding.
 fn fold_reads(mon: &mut Monitor, t_s: f64) {
     let res = mon.config.resilience;
     let max_exited = mon.config.max_exited_tracks;
@@ -971,17 +951,7 @@ fn fold_reads(mon: &mut Monitor, t_s: f64) {
         engine,
         ..
     } = mon;
-    let Engine {
-        batches,
-        assign,
-        cur_a: cur_l,
-        cur_b: cur_r,
-        ..
-    } = engine;
-    cur_l.clear();
-    cur_l.resize(batches.len(), 0);
-    cur_r.clear();
-    cur_r.resize(batches.len(), 0);
+    let (batches, assign) = (&mut engine.batches, &engine.assign);
     for (i, w) in processes.iter_mut().enumerate() {
         let Some(&shard) = assign.get(i) else {
             continue;
@@ -990,86 +960,68 @@ fn fold_reads(mon: &mut Monitor, t_s: f64) {
             continue;
         };
         let ShardBatch {
-            lists,
-            lists_used,
             reads,
             reads_used,
             panicked,
+            cursor: c,
             ..
         } = batch;
-        // Advance this shard's list cursor past this watch's slot (if
-        // any) and capture it for `mark_exited`. Slots at or past the
-        // `*_used` marks are an earlier round's and match no watch.
-        let list_slot = match cur_l.get_mut(shard) {
-            Some(c) => match lists.get(*c) {
-                Some(s) if *c < *lists_used && s.watch == i => {
-                    *c += 1;
-                    Some(s)
-                }
-                _ => None,
-            },
-            None => None,
-        };
-        // Same for the read slot; watches whose list errored (or whose
-        // shard panicked) have none and fold nothing — not even
-        // `mark_exited`.
-        let ws = match cur_r.get_mut(shard) {
-            Some(c) => match reads.get_mut(*c) {
-                Some(s) if *c < *reads_used && s.watch == i => {
-                    *c += 1;
-                    Some(s)
-                }
-                _ => None,
-            },
-            None => None,
-        };
-        let (Some(list_slot), Some(ws)) = (list_slot, ws) else {
+        // This watch's read slot, if it has one — a watch whose list
+        // errored (or whose shard panicked) folds nothing. Slots at or
+        // past `reads_used` are an earlier round's and match no watch.
+        let mine = |s: &&mut WatchReadSlot| *c < *reads_used && s.watch == i;
+        let Some(ws) = reads.get_mut(*c).filter(mine) else {
             continue;
         };
+        *c += 1;
         if *panicked {
             continue;
         }
         let pid = ws.pid;
         w.health.ledger.merge(&ws.ledger);
-        for slot in ws.slots.iter().take(ws.slots_used) {
+        let ledger = &mut w.health.ledger;
+        // Slots and rows are both in listing order: a slot's row is
+        // ahead of the cursor, never behind it.
+        let mut rows = w.health.rows.iter_mut();
+        for slot in ws.slots.iter_mut().take(ws.slots_used) {
             let tid = slot.tid;
-            let interpolated;
+            let Some(row) = rows.find(|r| r.tid == tid) else {
+                continue;
+            };
+            let at = row.track;
             let (stat, status, ss) = match slot.kind {
                 // Workers only: the plan never arms the gate for the
                 // main thread, so the RSS tail below is not reached.
-                ReadKind::DeltaHit => match (slot.ss, w.health.last_good(tid)) {
-                    (Some(ss), Some((stat, status))) => {
+                ReadKind::DeltaHit => {
+                    if let (Some(ss), Some((stat, status))) = (slot.ss, row.last_good()) {
                         stats.delta_hits += 1;
-                        (stat, status, Some(ss))
+                        if w.lwps.repeat_last(at, t_s, ss).is_none() {
+                            let ss = Some(ss);
+                            row.track = w.lwps.observe_at(at, pid, t_s, stat, status, ss);
+                        }
                     }
-                    _ => continue,
-                },
+                    continue;
+                }
                 ReadKind::Vanished => {
                     stats.vanished += 1;
-                    w.health.forget(tid);
-                    w.last_schedstat.remove(&tid);
+                    row.forget();
                     continue;
                 }
                 ReadKind::Fresh => {
-                    w.health.record_success(tid, &slot.stat, &slot.status);
-                    if let Some(ss) = slot.ss {
-                        w.last_schedstat.insert(tid, ss);
-                    }
-                    (&slot.stat, &slot.status, slot.ss)
+                    let (stat, status) =
+                        row.record_success(ledger, &mut slot.stat, &mut slot.status, slot.ss);
+                    (stat, status, slot.ss)
                 }
                 ReadKind::Failed => {
                     stats.errors += 1;
-                    match w.health.record_failure(tid, &res) {
-                        // Degraded: repeat the last good sample so the
-                        // time series stays continuous; the ledger
-                        // flags the substitution. It reports no
-                        // schedstat — a fresh schedstat against a stale
-                        // stat would skew wait deltas.
-                        FailureAction::Interpolate(pair) => {
-                            interpolated = pair;
-                            (&interpolated.0, &interpolated.1, None)
-                        }
-                        FailureAction::Drop => continue,
+                    // Degraded: repeat the last good sample so the time
+                    // series stays continuous; the ledger flags the
+                    // substitution. It reports no schedstat — a fresh
+                    // schedstat against a stale stat would skew wait
+                    // deltas.
+                    match row.record_failure(ledger, &res) {
+                        Some((stat, status)) => (stat, status, None),
+                        None => continue,
                     }
                 }
             };
@@ -1080,9 +1032,9 @@ fn fold_reads(mon: &mut Monitor, t_s: f64) {
                 w.rss_series.push((t_s, status.vm_rss_kib));
                 scratch.watched_rss.push((pid, status.vm_rss_kib));
             }
-            w.lwps.observe_with_schedstat(pid, t_s, stat, status, ss);
+            row.track = w.lwps.observe_at(at, pid, t_s, stat, status, ss);
         }
-        w.finish_round(&list_slot.tids, max_exited);
+        w.lwps.evict_dead(max_exited, &mut w.health.rows);
     }
     for batch in batches.iter_mut() {
         if batch.panicked {
@@ -1212,14 +1164,28 @@ mod tests {
                 a.cpus_allowed.to_list_string(),
                 b.cpus_allowed.to_list_string()
             );
-            // HashMap iteration order is arbitrary; compare sorted.
-            let sorted = |w: &crate::monitor::ProcessWatch| {
-                let mut v: Vec<_> = w.last_schedstat.iter().map(|(k, v)| (*k, *v)).collect();
-                v.sort_unstable_by_key(|&(k, _)| k);
-                v
-            };
-            assert_eq!(sorted(a), sorted(b));
+            // The live table, row for row: failure state, last-good
+            // pair, gate and track position — the oracle's maps against
+            // the join's rows.
+            assert_eq!(a.health.rows, b.health.rows, "pid {}", a.info.pid);
+            assert_eq!(a.health.footprint(), b.health.footprint());
             assert_eq!(a.delta_gate_len(), b.delta_gate_len());
+            // Every series held, in `tracks()` order, flags included.
+            let series = |w: &crate::monitor::ProcessWatch| -> Vec<_> {
+                w.lwps
+                    .tracks()
+                    .map(|t| {
+                        let mut cpus: Vec<u32> = t.cpus_seen.iter().copied().collect();
+                        cpus.sort_unstable();
+                        let flags = (t.exited, t.retired, t.is_openmp, t.affinity_changed);
+                        let affinity = t.affinity.to_list_string();
+                        let id = (t.tid, t.name.clone(), t.kind, t.starttime);
+                        (id, flags, affinity, cpus, t.samples.as_slice().to_vec())
+                    })
+                    .collect()
+            };
+            assert_eq!(series(a), series(b), "pid {}", a.info.pid);
+            assert_eq!(a.lwps.departed(), b.lwps.departed());
         }
     }
 
@@ -1411,6 +1377,349 @@ mod tests {
             assert_eq!(sampled.stats.errors, 2);
             assert_eq!(sampled.stats.vanished, 1);
         }
+    }
+
+    /// A `/proc` of one process whose listing is whatever the test sets
+    /// and whose every record is a pure function of `(round, tid)` —
+    /// the same answers to the engine's two trips and to the serial
+    /// loop, whatever order they ask in. A third of the workers are
+    /// parked (constant `schedstat`: delta hits), one tid in eleven has
+    /// no `schedstat`, and spells of four rounds make a worker's reads
+    /// fail (`Io`, on to quarantine) or race its exit (`NotFound` while
+    /// still listed).
+    struct Scripted {
+        pid: Pid,
+        /// `None`: the process is gone.
+        listing: Option<Vec<Tid>>,
+        /// `starttime` of the incarnation each tid is listed with.
+        born: std::collections::HashMap<Tid, u64>,
+        round: u64,
+        seed: u64,
+        /// Of 64 spells, how many fail and how many vanish.
+        io_spells: u64,
+        vanish_spells: u64,
+        /// The main thread only waits (a constant `schedstat`) while
+        /// its workers move the process's RSS.
+        main_parked: bool,
+    }
+
+    fn mix(a: u64, b: u64, c: u64) -> u64 {
+        let mut x = a ^ b.rotate_left(21) ^ c.rotate_left(42) ^ 0x9e37_79b9_7f4a_7c15;
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+
+    impl Scripted {
+        fn new(pid: Pid, seed: u64) -> Self {
+            Scripted {
+                pid,
+                listing: Some(vec![pid]),
+                born: [(pid, 1)].into_iter().collect(),
+                round: 0,
+                seed,
+                io_spells: 0,
+                vanish_spells: 0,
+                main_parked: false,
+            }
+        }
+
+        /// The record of `tid` this round, or why it cannot be read.
+        fn read<T>(&self, pid: Pid, tid: Tid, make: impl FnOnce(u64) -> T) -> SourceResult<T> {
+            let born = match self.born.get(&tid) {
+                Some(&born) if pid == self.pid => born,
+                _ => return Err(SourceError::NotFound),
+            };
+            let spell = mix(self.seed, u64::from(tid), self.round / 4) % 64;
+            if tid != pid && spell < self.io_spells {
+                Err(SourceError::Io("scripted".into()))
+            } else if tid != pid && spell < self.io_spells + self.vanish_spells {
+                Err(SourceError::NotFound)
+            } else {
+                Ok(make(born))
+            }
+        }
+
+        fn parked(&self, tid: Tid) -> bool {
+            if tid == self.pid {
+                self.main_parked
+            } else {
+                tid.is_multiple_of(3)
+            }
+        }
+    }
+
+    impl ProcSource for Scripted {
+        fn system_stat(&self) -> SourceResult<zerosum_proc::SystemStat> {
+            let t = zerosum_proc::CpuTimes {
+                user: self.round * 7,
+                idle: self.round * 93,
+                ..Default::default()
+            };
+            Ok(zerosum_proc::SystemStat {
+                total: t,
+                cpus: vec![(0, t)],
+                ctxt: self.round,
+                processes: self.round,
+            })
+        }
+        fn meminfo(&self) -> SourceResult<zerosum_proc::MemInfo> {
+            Ok(zerosum_proc::MemInfo {
+                mem_total_kib: 1 << 20,
+                mem_available_kib: (1 << 19) - self.round,
+                ..Default::default()
+            })
+        }
+        fn list_tasks(&self, pid: Pid) -> SourceResult<Vec<Tid>> {
+            match &self.listing {
+                Some(tids) if pid == self.pid => Ok(tids.clone()),
+                _ => Err(SourceError::NotFound),
+            }
+        }
+        fn task_stat(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStat> {
+            let ran = if self.parked(tid) { 0 } else { self.round };
+            self.read(pid, tid, |born| TaskStat {
+                tid,
+                comm: format!("t{tid}-{born}"),
+                utime: ran * 3 + born,
+                stime: ran,
+                minflt: ran / 2,
+                num_threads: 1,
+                processor: (mix(self.seed, u64::from(tid), ran) % 4) as u32,
+                starttime: born,
+                ..Default::default()
+            })
+        }
+        fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
+            let ran = if self.parked(tid) { 0 } else { self.round };
+            self.read(pid, tid, |born| TaskStatus {
+                name: format!("t{tid}-{born}"),
+                tid,
+                tgid: pid,
+                vm_rss_kib: 4096 + self.round,
+                cpus_allowed: CpuSet::range(0, 3 + (ran / 5) as u32 % 2),
+                voluntary_ctxt_switches: ran,
+                nonvoluntary_ctxt_switches: ran / 3,
+                ..Default::default()
+            })
+        }
+        fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
+            if pid != self.pid || !self.born.contains_key(&tid) || tid.is_multiple_of(11) {
+                return Err(SourceError::NotFound);
+            }
+            let ran = if self.parked(tid) { 0 } else { self.round };
+            Ok(SchedStat {
+                run_ns: ran * 1_000,
+                wait_ns: ran * 10,
+                timeslices: ran,
+            })
+        }
+    }
+
+    /// Two monitors on `src`: one sampled, one driven by the serial
+    /// oracle, with a quarantine a four-round spell reaches.
+    fn scripted_pair(pid: Pid, delta_on: bool, max_exited_tracks: usize) -> (Monitor, Monitor) {
+        let mut pair = (monitor_for(&[pid]), monitor_for(&[pid]));
+        for mon in [&mut pair.0, &mut pair.1] {
+            mon.config.delta_sampling = delta_on;
+            mon.config.max_exited_tracks = max_exited_tracks;
+            mon.config.resilience.retry_limit = 1;
+            mon.config.resilience.quarantine_after = 2;
+            mon.config.resilience.reprobe_after = 2;
+        }
+        pair
+    }
+
+    /// One round of both monitors over `src`, then everything compared.
+    fn scripted_round(
+        src: &mut Scripted,
+        sampled: &mut Monitor,
+        serial: &mut Monitor,
+        cost_us: u64,
+        what: &str,
+    ) {
+        src.round += 1;
+        let t_s = src.round as f64;
+        let rx_sampled = sampled.feed.subscribe(1);
+        let rx_serial = serial.feed.subscribe(1);
+        sampled.sample(t_s, src);
+        crate::monitor::oracle::sample(serial, t_s, src);
+        sampled.note_round_cost(t_s, cost_us);
+        serial.note_round_cost(t_s, cost_us);
+        assert_eq!(
+            rx_sampled.try_iter().next(),
+            rx_serial.try_iter().next(),
+            "{what}: round {} snapshot diverged",
+            src.round
+        );
+        assert_identical(serial, sampled);
+        assert_eq!(serial.governor, sampled.governor, "{what}");
+        assert_eq!(sampled.supervisor.restarts, 0, "{what}");
+    }
+
+    /// Listing × table, every way a listing can move between two
+    /// rounds, against the serial oracle after every round: arrivals,
+    /// departures, both at once, an empty listing, an only-main
+    /// process, a tid that leaves and comes back (the same task while
+    /// its track is still in the dead tail, after it was evicted, or a
+    /// recycled id with a new `starttime` — also without ever leaving
+    /// the listing), tids arriving below the ones held, reads that
+    /// fail into quarantine or race an exit, shed rounds, the process
+    /// itself exiting; with the delta gate on and off.
+    #[test]
+    fn join_matches_the_serial_oracle_under_seeded_listing_churn() {
+        let pid: Pid = 1000;
+        let mut met = [0u32; 11];
+        for seed in 0..24u64 {
+            let mut rng = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let mut src = Scripted::new(pid, seed);
+            src.io_spells = 6;
+            src.vanish_spells = 4;
+            src.main_parked = seed % 4 < 2;
+            let (mut sampled, mut serial) = scripted_pair(pid, seed % 2 == 0, 3);
+            let mut next_tid: Tid = pid + 1;
+            // Tids that left, with the `starttime` they left with.
+            let mut left: Vec<(Tid, u64)> = Vec::new();
+            let rounds = 40u64;
+            for r in 0..rounds {
+                let held = src.listing.clone().unwrap_or_default();
+                let mut now: Vec<Tid> = Vec::new();
+                let mode = next() % 12;
+                match mode {
+                    0 => met[0] += 1, // empty listing
+                    1 => {
+                        met[1] += 1; // only the main thread
+                        now.push(pid);
+                    }
+                    _ => {
+                        now.push(pid);
+                        // Mode 2 replaces every worker at once.
+                        for &tid in held.iter().filter(|&&t| t != pid) {
+                            if mode != 2 && next() % 5 != 0 {
+                                now.push(tid);
+                            }
+                        }
+                        for _ in 0..next() % 4 + u64::from(mode == 2) * 3 {
+                            match next() % 6 {
+                                // Back from the dead tail (or from beyond it).
+                                0 | 1 if !left.is_empty() => {
+                                    let (tid, born) =
+                                        left.swap_remove(next() as usize % left.len());
+                                    if !now.contains(&tid) {
+                                        let recycled = next() % 2 == 0;
+                                        met[2 + usize::from(recycled)] += 1;
+                                        src.born.insert(tid, born + u64::from(recycled) * (r + 1));
+                                        now.push(tid);
+                                    }
+                                }
+                                // Ids wrapped around: below everything held.
+                                2 => {
+                                    let tid = 2 + (next() % 900) as Tid;
+                                    if !now.contains(&tid) {
+                                        met[4] += 1;
+                                        src.born.insert(tid, 10 + r);
+                                        now.push(tid);
+                                    }
+                                }
+                                _ => {
+                                    src.born.insert(next_tid, 10 + r);
+                                    now.push(next_tid);
+                                    next_tid += 1;
+                                }
+                            }
+                        }
+                        // Recycled between two listings that both show it.
+                        if let Some(&tid) =
+                            now.get(1).filter(|t| held.contains(t) && next() % 4 == 0)
+                        {
+                            met[5] += 1;
+                            *src.born.entry(tid).or_default() += 1_000;
+                        }
+                    }
+                }
+                now.sort_unstable();
+                for tid in held.iter().filter(|t| !now.contains(t)) {
+                    left.push((*tid, src.born.get(tid).copied().unwrap_or(0)));
+                }
+                // The last rounds of every third seed: the process exits.
+                src.listing = (seed % 3 != 0 || r + 3 < rounds).then_some(now);
+                met[6] += u32::from(src.listing.is_none());
+                // An overrun now and then: the round after it is shed.
+                let overrun = next() % 9 == 0;
+                met[7] += u32::from(overrun);
+                let cost_us = if overrun { 600_000 } else { 5_000 };
+                scripted_round(
+                    &mut src,
+                    &mut sampled,
+                    &mut serial,
+                    cost_us,
+                    &format!("seed {seed}"),
+                );
+            }
+            let w = &sampled.processes()[0];
+            assert_eq!(w.gone, seed % 3 == 0);
+            // The gate is never armed for the main thread: every round
+            // that listed it has its RSS, parked or not.
+            let rss: Vec<u64> = w.rss_series.iter().map(|&(_, kib)| kib).collect();
+            assert!(rss.windows(2).all(|w| w[0] < w[1]), "seed {seed}: {rss:?}");
+            met[8] += u32::from(w.lwps.departed().tracks > 0);
+            met[9] += u32::from(sampled.health_total().quarantine_events > 0);
+            met[10] += u32::from(sampled.stats.delta_hits > 0);
+        }
+        // Empty, only-main, back, recycled, wrapped, recycled in place,
+        // gone, shed; seeds that evicted, quarantined, hit the gate.
+        assert!(
+            met.iter().all(|&n| n >= 5),
+            "a case hardly came up: {met:?}"
+        );
+    }
+
+    /// The join at the width of a node-filling OpenMP process: 2 048
+    /// threads, one in seven exiting every round and as many arriving,
+    /// spells of failing reads holding some in quarantine, a shed round
+    /// in the middle — row for row and series for series what the
+    /// serial oracle (a scan per task, a search per entry) arrives at.
+    #[test]
+    fn join_at_2048_threads_matches_the_serial_oracle_round_for_round() {
+        let pid: Pid = 5000;
+        let mut src = Scripted::new(pid, 77);
+        src.io_spells = 5;
+        src.vanish_spells = 1;
+        let (mut sampled, mut serial) = scripted_pair(pid, true, 512);
+        let mut next_tid: Tid = pid + 1;
+        let mut listing = vec![pid];
+        for _ in 0..2048 {
+            listing.push(next_tid);
+            next_tid += 1;
+        }
+        for r in 0..9u64 {
+            let before = listing.len();
+            listing.retain(|&tid| tid == pid || !mix(r, u64::from(tid), 7).is_multiple_of(7));
+            for _ in listing.len()..before {
+                listing.push(next_tid);
+                next_tid += 1;
+            }
+            for &tid in &listing {
+                src.born.entry(tid).or_insert(10 + r);
+            }
+            src.listing = Some(listing.clone());
+            let cost_us = if r == 4 { 600_000 } else { 5_000 };
+            scripted_round(&mut src, &mut sampled, &mut serial, cost_us, "2048 threads");
+        }
+        let w = &sampled.processes()[0];
+        assert_eq!(w.health.rows.len(), 2049);
+        assert_eq!(sampled.governor.shed_rounds, 1);
+        assert!(w.health.quarantined_now() > 0);
+        assert!(w.lwps.departed().tracks > 1_000, "the dead tail was cut");
+        assert!(sampled.stats.delta_hits > 2_000);
     }
 
     #[test]

@@ -54,6 +54,12 @@ pub struct TcpLink {
 /// Default send-window bound, frames.
 pub const DEFAULT_WINDOW: usize = 64;
 
+/// Bytes one `read` of `recv_bytes` asks for, and how many such reads
+/// one call makes at most: a round's frames fit the first chunk, and a
+/// flood is handed back to the caller every 64 KiB.
+const RECV_CHUNK: usize = 4096;
+const RECV_CHUNKS: usize = 16;
+
 /// Unwritten bytes at which `send_bytes` writes without waiting for the
 /// tick: bounds the buffer under a burst and stays well inside a
 /// loopback socket buffer, so the early write is still one syscall.
@@ -168,32 +174,42 @@ impl Link for TcpLink {
         let Some(stream) = self.stream.as_mut() else {
             return Err(TransportError::Disconnected);
         };
-        let mut chunk = [0u8; 4096];
-        let mut total = 0usize;
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    // Orderly EOF: peer closed.
-                    self.stream = None;
-                    if total > 0 {
-                        return Ok(total);
-                    }
-                    return Err(TransportError::Disconnected);
-                }
-                Ok(n) => {
-                    buf.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-                    total += n;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(total),
+        let before = buf.len();
+        let mut torn = None;
+        // Straight into `buf`, at most `RECV_CHUNKS` reads, and another
+        // one only after a read that filled its chunk: a read that came
+        // up short emptied the socket (no second `read` just to be told
+        // `EAGAIN`), and a peer that writes as fast as this loop reads
+        // cannot keep the caller in it.
+        for _ in 0..RECV_CHUNKS {
+            let at = buf.len();
+            buf.resize(at + RECV_CHUNK, 0);
+            let read = stream.read(buf.get_mut(at..).unwrap_or(&mut []));
+            buf.truncate(at + *read.as_ref().unwrap_or(&0));
+            match read {
+                Ok(RECV_CHUNK) => continue,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.stream = None;
-                    if total > 0 {
-                        return Ok(total);
-                    }
-                    return Err(io_err(&e));
+                // Orderly EOF: peer closed.
+                Ok(0) => torn = Some(TransportError::Disconnected),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => torn = Some(io_err(&e)),
+            }
+            break;
+        }
+        let total = buf.len() - before;
+        match torn {
+            // A tear with bytes in hand reports the bytes; the next
+            // call reports the tear.
+            Some(e) => {
+                self.stream = None;
+                if total > 0 {
+                    Ok(total)
+                } else {
+                    Err(e)
                 }
             }
+            None => Ok(total),
         }
     }
 
@@ -421,6 +437,69 @@ mod tests {
         link.tick();
         recv_exactly(&mut peer, &mut got, COALESCE_BYTES + 4);
         assert!(got.ends_with(b"tail"));
+    }
+
+    #[test]
+    fn a_flooding_peer_cannot_hold_the_reader_in_one_call() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let Some((mut link, mut peer)) = connected_pair(8) else {
+            return;
+        };
+        // The writer fills both socket buffers on a clone of the
+        // dialled socket, says so, and then floods for as long as the
+        // test lets it. Every call of the reader must come back with at
+        // most its bound, however much is waiting and still arriving.
+        let mut flood = link.stream.as_ref().unwrap().try_clone().unwrap();
+        let (filled, is_filled) = std::sync::mpsc::channel();
+        let stop = std::sync::Arc::new(AtomicBool::new(false));
+        let stopped = std::sync::Arc::clone(&stop);
+        let writer = std::thread::spawn(move || {
+            let block = [0x5au8; 64 * 1024];
+            let mut sent = 0usize;
+            while let Ok(n) = flood.write(&block) {
+                sent += n;
+            }
+            filled.send(sent).unwrap();
+            // (The flag is the open file's: `link` blocks now too.)
+            flood.set_nonblocking(false).unwrap();
+            while !stopped.load(Ordering::Relaxed) {
+                match flood.write(&block) {
+                    Ok(n) => sent += n,
+                    Err(_) => break,
+                }
+            }
+            sent
+        });
+        let bound = RECV_CHUNK * RECV_CHUNKS;
+        let buffered = is_filled.recv().unwrap();
+        assert!(buffered > bound, "the sockets buffer only {buffered} bytes");
+        let mut got = Vec::new();
+        let (mut calls, mut largest) = (0usize, 0usize);
+        while got.len() < 32 * bound {
+            let n = peer.recv_bytes(&mut got).unwrap();
+            assert!(n <= bound, "one call read {n} bytes");
+            calls += 1;
+            largest = largest.max(n);
+        }
+        assert!(
+            calls >= 32 && largest > RECV_CHUNK,
+            "{calls} calls, {largest} at most"
+        );
+        stop.store(true, Ordering::Relaxed);
+        // Drain until the writer has seen the flag and hung up (its
+        // clone is then the socket's last holder).
+        link.shutdown();
+        while peer.recv_bytes(&mut got).is_ok() {}
+        let sent = writer.join().unwrap();
+        assert_eq!(got.len(), sent, "every byte sent arrived");
+        assert!(got.iter().all(|&b| b == 0x5a));
+        // A quiet socket costs one read that says so.
+        let Some((_dial, mut idle)) = connected_pair(8) else {
+            return;
+        };
+        got.clear();
+        assert_eq!(idle.recv_bytes(&mut got), Ok(0));
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Raw-text reads: the per-shard record arena.
 //!
 //! A sampling round's pump reads a task's records into its
-//! [`ReadArena`] — a reusable text buffer that records land in
+//! [`ReadArena`] — a reusable byte buffer that records land in
 //! back-to-back, addressed by [`ArenaSpan`]s — parses each span in
 //! place with the view parsers, and resets the arena before the next
-//! task. Compared to the one-record typed `_into` reads, the arena
-//! read:
+//! task. Records are kept as the bytes the kernel printed: a thread
+//! name (`comm`, `Name:`) is whatever `prctl(PR_SET_NAME)` was given,
+//! not always UTF-8, and the parsers decode that one text themselves.
+//! Compared to the one-record typed `_into` reads, the arena read:
 //!
 //! * performs **one `pread` syscall per file** on the live backend (a
 //!   `read_to_string` loop costs at least two: one for the bytes, one
 //!   to observe EOF — see `read_record`, which every `LinuxProc` read
 //!   shares);
-//! * lets the simulated backend render records **directly into the
-//!   arena tail**, skipping its per-read scratch round-trip;
+//! * lets the simulated backend render records **into the arena** (its
+//!   one render scratch, copied to the tail), skipping the source's
+//!   per-read scratch round-trip;
 //! * keeps the parse step out of the source entirely: the round parses
 //!   the span straight into the slot it folds from.
 //!
@@ -56,8 +59,8 @@ impl ArenaSpan {
 const READ_CHUNK: usize = 4096;
 
 /// The one read primitive for live `/proc` text: reads `file` whole,
-/// from offset 0, into `staging` and returns it as UTF-8 text borrowed
-/// from there. The handle may be fresh or held since an earlier round —
+/// from offset 0, into `staging` and returns the record borrowed from
+/// there. The handle may be fresh or held since an earlier round —
 /// a `pread` at 0 makes procfs generate the record anew either way. One
 /// syscall in the common case — `staging` offers [`READ_CHUNK`] bytes
 /// and a short read from procfs means the record is complete (only a
@@ -65,10 +68,9 @@ const READ_CHUNK: usize = 4096;
 /// `read_to_string` pays `statx` + `lseek` + a second `read` to observe
 /// EOF. A signal landing mid-read (`EINTR`) is retried, not surfaced as
 /// a sampling error.
-pub(crate) fn read_record<'a>(file: &File, staging: &'a mut Vec<u8>) -> std::io::Result<&'a str> {
+pub(crate) fn read_record<'a>(file: &File, staging: &'a mut Vec<u8>) -> std::io::Result<&'a [u8]> {
     let filled = read_whole(|dst, at| file.read_at(dst, at), staging)?;
-    std::str::from_utf8(staging.get(..filled).unwrap_or(&[]))
-        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))
+    Ok(staging.get(..filled).unwrap_or(&[]))
 }
 
 /// The read loop of [`read_record`], over any positioned read so a test
@@ -96,7 +98,17 @@ fn read_whole(
     Ok(filled)
 }
 
-/// A reusable text arena batching many raw `/proc` records.
+/// Appends `record` to the arena storage `text`; its span.
+fn push_record(text: &mut Vec<u8>, record: &[u8]) -> ArenaSpan {
+    let start = text.len();
+    text.extend_from_slice(record);
+    ArenaSpan {
+        start,
+        end: text.len(),
+    }
+}
+
+/// A reusable arena batching many raw `/proc` records.
 ///
 /// Obtain spans via [`ProcSource::task_stat_text`] /
 /// [`ProcSource::task_status_text`] (or the lower-level `append_*`
@@ -108,9 +120,11 @@ fn read_whole(
 #[derive(Debug, Default)]
 pub struct ReadArena {
     /// The record storage; spans index into this.
-    text: String,
-    /// Byte-level I/O staging for [`ReadArena::append_file`].
+    text: Vec<u8>,
+    /// I/O staging for [`ReadArena::append_file`].
     bytes: Vec<u8>,
+    /// Where [`ReadArena::try_append_with`] lets its caller render.
+    render: String,
     /// Scratch record for the default (typed-read-then-render) fallback
     /// of [`ProcSource::task_stat_text`].
     ///
@@ -144,41 +158,28 @@ impl ReadArena {
         self.text.is_empty()
     }
 
-    /// Resolves a span to its text. `None` for spans that do not lie on
-    /// valid boundaries of the current contents (e.g. issued before the
-    /// last [`ReadArena::reset`]).
-    pub fn get(&self, span: ArenaSpan) -> Option<&str> {
+    /// Resolves a span to its record. `None` for spans that do not lie
+    /// within the current contents (e.g. issued before the last
+    /// [`ReadArena::reset`]).
+    pub fn get(&self, span: ArenaSpan) -> Option<&[u8]> {
         self.text.get(span.start..span.end)
     }
 
     /// Appends a record verbatim.
     pub fn append_str(&mut self, record: &str) -> ArenaSpan {
-        let start = self.text.len();
-        self.text.push_str(record);
-        ArenaSpan {
-            start,
-            end: self.text.len(),
-        }
+        push_record(&mut self.text, record.as_bytes())
     }
 
-    /// Appends whatever `render` writes to the arena tail, returning its
-    /// span. On `Err` the partial write is rolled back and the arena is
-    /// unchanged — a failed render never leaks bytes into the batch.
+    /// Appends whatever `fill` renders, returning its span. On `Err`
+    /// nothing is appended — a failed render never leaks bytes into the
+    /// batch.
     pub fn try_append_with<E>(
         &mut self,
         fill: impl FnOnce(&mut String) -> Result<(), E>,
     ) -> Result<ArenaSpan, E> {
-        let start = self.text.len();
-        match fill(&mut self.text) {
-            Ok(()) => Ok(ArenaSpan {
-                start,
-                end: self.text.len(),
-            }),
-            Err(e) => {
-                self.text.truncate(start);
-                Err(e)
-            }
-        }
+        self.render.clear();
+        fill(&mut self.render)?;
+        Ok(push_record(&mut self.text, self.render.as_bytes()))
     }
 
     /// Reads a whole file into the arena through `read_record` (a
@@ -187,35 +188,28 @@ impl ReadArena {
     /// `stat`-line consumers want.
     pub fn append_file(&mut self, file: &File, trim_end: bool) -> std::io::Result<ArenaSpan> {
         let record = read_record(file, &mut self.bytes)?;
-        let record = if trim_end { record.trim_end() } else { record };
-        let start = self.text.len();
-        self.text.push_str(record);
-        Ok(ArenaSpan {
-            start,
-            end: self.text.len(),
-        })
+        let record = if trim_end {
+            record.trim_ascii_end()
+        } else {
+            record
+        };
+        Ok(push_record(&mut self.text, record))
     }
 
     /// Renders the internal stat scratch to the arena tail (the typed
     /// fallback path of `task_stat_text`).
     pub(crate) fn render_stat_scratch(&mut self) -> ArenaSpan {
-        let start = self.text.len();
-        crate::format::write_task_stat(&self.stat_scratch, &mut self.text);
-        ArenaSpan {
-            start,
-            end: self.text.len(),
-        }
+        self.render.clear();
+        crate::format::write_task_stat(&self.stat_scratch, &mut self.render);
+        push_record(&mut self.text, self.render.as_bytes())
     }
 
     /// Renders the internal status scratch to the arena tail (the typed
     /// fallback path of `task_status_text`).
     pub(crate) fn render_status_scratch(&mut self) -> ArenaSpan {
-        let start = self.text.len();
-        crate::format::write_task_status(&self.status_scratch, &mut self.text);
-        ArenaSpan {
-            start,
-            end: self.text.len(),
-        }
+        self.render.clear();
+        crate::format::write_task_status(&self.status_scratch, &mut self.render);
+        push_record(&mut self.text, self.render.as_bytes())
     }
 }
 
@@ -228,8 +222,8 @@ mod tests {
         let mut a = ReadArena::new();
         let s1 = a.append_str("first");
         let s2 = a.append_str("second record");
-        assert_eq!(a.get(s1), Some("first"));
-        assert_eq!(a.get(s2), Some("second record"));
+        assert_eq!(a.get(s1), Some(&b"first"[..]));
+        assert_eq!(a.get(s2), Some(&b"second record"[..]));
         assert_eq!(s2.len(), 13);
         assert!(!s2.is_empty());
         let stale = s2;
@@ -263,7 +257,7 @@ mod tests {
             t.push_str("good");
             Ok(())
         });
-        assert_eq!(a.get(ok.unwrap()), Some("good"));
+        assert_eq!(a.get(ok.unwrap()), Some(&b"good"[..]));
     }
 
     #[test]
@@ -301,19 +295,20 @@ mod tests {
         let f = File::open(&p).unwrap();
         let mut a = ReadArena::new();
         let trimmed = a.append_file(&f, true).unwrap();
-        assert_eq!(a.get(trimmed), Some("1 (x) R 0 0"));
+        assert_eq!(a.get(trimmed), Some(&b"1 (x) R 0 0"[..]));
         // The same handle again: every read starts at offset 0.
         let raw = a.append_file(&f, false).unwrap();
-        assert_eq!(a.get(raw), Some("1 (x) R 0 0\n"));
+        assert_eq!(a.get(raw), Some(&b"1 (x) R 0 0\n"[..]));
         // Larger than one chunk: the multi-read path still returns
         // everything.
         let big = "z".repeat(3 * super::READ_CHUNK + 17);
         std::fs::write(&p, &big).unwrap();
         let span = a.append_file(&File::open(&p).unwrap(), false).unwrap();
-        assert_eq!(a.get(span), Some(big.as_str()));
-        std::fs::write(&p, [b'1', 0xff, b'\n']).unwrap();
-        let e = a.append_file(&File::open(&p).unwrap(), false).unwrap_err();
-        assert_eq!(e.kind(), ErrorKind::InvalidData);
+        assert_eq!(a.get(span), Some(big.as_bytes()));
+        // Not UTF-8 (a Latin-1 thread name): the record all the same.
+        std::fs::write(&p, b"1 (caf\xe9) R\n").unwrap();
+        let span = a.append_file(&File::open(&p).unwrap(), true).unwrap();
+        assert_eq!(a.get(span), Some(&b"1 (caf\xe9) R"[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -383,7 +383,7 @@ impl LinuxProc {
     fn self_status(&self) -> SourceResult<SelfStatus> {
         let mut buf = self.buf.borrow_mut();
         self.read_with(ProcFile::SelfStatus, |f| {
-            read_record(f, &mut buf).map(parse_self_status)
+            read_record(f, &mut buf).map(|text| parse_self_status(&String::from_utf8_lossy(text)))
         })?
         .map_err(malformed)
     }
@@ -559,7 +559,8 @@ impl ProcSource for LinuxProc {
     fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
         let mut buf = self.buf.borrow_mut();
         self.read_with(ProcFile::Task(pid, tid, STAT), |f| {
-            read_record(f, &mut buf).map(|text| parse::parse_task_stat_into(text.trim_end(), out))
+            read_record(f, &mut buf)
+                .map(|text| parse::parse_task_stat_into(text.trim_ascii_end(), out))
         })?
         .map_err(malformed)
     }
@@ -1208,9 +1209,9 @@ mod tests {
         assert_eq!(src.task_stat(7, 7).unwrap().comm, "t7");
         let mut arena = crate::arena::ReadArena::new();
         let span = src.task_stat_text(7, 12345, &mut arena).unwrap();
-        assert!(arena.get(span).unwrap().starts_with("12345 (t12345)"));
+        assert!(arena.get(span).unwrap().starts_with(b"12345 (t12345)"));
         let span = src.task_status_text(7, 7, &mut arena).unwrap();
-        assert!(arena.get(span).unwrap().starts_with("Name:\tt7"));
+        assert!(arena.get(span).unwrap().starts_with(b"Name:\tt7"));
         // The same tid under another pid is another directory.
         assert!(matches!(src.task_stat(8, 7), Err(SourceError::NotFound)));
         assert_eq!(src.task_stat(7, 7).unwrap().tid, 7);

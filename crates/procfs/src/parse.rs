@@ -4,6 +4,15 @@
 //! including the awkward parenthesized-`comm` field of `stat` — a thread
 //! name may itself contain spaces and parentheses, so the parser scans for
 //! the *last* closing parenthesis, as every robust procfs consumer must.
+//!
+//! The parsers read **bytes** (`&str`, `String`, `&[u8]` — anything
+//! `AsRef<[u8]>`; each public name is a shim over one scanner of
+//! `&[u8]`, so the scanners stay in this crate's codegen unit): a
+//! `/proc` text is ASCII except where it repeats a name somebody chose
+//! — `comm`, `Name:` — and `prctl(PR_SET_NAME)` takes any bytes. Those two are decoded lossily (U+FFFD) into the
+//! record; everything else is compared and converted as the bytes it
+//! is. On every input the result is what the `str`-based reference
+//! (`tests/oracle`) makes of `String::from_utf8_lossy` of it.
 
 use crate::types::{CpuTimes, MemInfo, SystemStat, TaskStat, TaskState, TaskStatus};
 use std::fmt;
@@ -41,10 +50,13 @@ fn is_space(c: u8) -> bool {
     matches!(c, b'\t'..=b'\r' | b' ')
 }
 
-/// `str::trim` over a byte slice cut from a `&str` at ASCII bytes.
-/// The ASCII whitespace goes byte-wise; only when a non-ASCII byte is
-/// then left at either end (a Unicode space, or just a non-ASCII
-/// `Name:`) does `str::trim` itself decide.
+/// `str::trim` over a byte slice cut at ASCII bytes. The ASCII
+/// whitespace goes byte-wise; only when a non-ASCII byte is then left
+/// at either end (a Unicode space, or just a non-ASCII `Name:`) does
+/// `str::trim` itself decide — where the bytes are UTF-8 at all: one
+/// invalid sequence decodes to U+FFFD, which no number or key survives
+/// trimmed or not ([`push_lossy_trimmed`] is for the one value that
+/// does).
 fn trim(b: &[u8]) -> &[u8] {
     let start = b.iter().position(|&c| !is_space(c)).unwrap_or(b.len());
     let end = b
@@ -78,22 +90,27 @@ impl<'a> Iterator for Lines<'a> {
     }
 }
 
+/// The bytes of `word` equal to `byte`, as set high bits (a byte to a
+/// bit at its top): a zero byte of `x` is a match, and the borrow of
+/// the subtraction can set a false high bit only *above* a true one —
+/// so the mask is zero exactly when nothing matches, and its lowest set
+/// bit is always a true match.
+fn matches_of(word: [u8; 8], byte: u8) -> u64 {
+    const LO: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HI: u64 = u64::from_ne_bytes([0x80; 8]);
+    let x = u64::from_le_bytes(word) ^ u64::from_ne_bytes([byte; 8]);
+    x.wrapping_sub(LO) & !x & HI
+}
+
 /// Index of the first `\n` in `b`, or `b.len()`: eight bytes per step.
 /// Most of a kernel `status` text is lines ZeroSum skips, so the
 /// newline search is most of the parse, and at 24 bytes to the average
 /// line a `memchr` call costs more than the search it starts.
 fn line_end(b: &[u8]) -> usize {
-    const LO: u64 = u64::from_ne_bytes([0x01; 8]);
-    const HI: u64 = u64::from_ne_bytes([0x80; 8]);
-    const NEWLINES: u64 = u64::from_ne_bytes([b'\n'; 8]);
     let mut at = 0;
     let mut rest = b;
     while let Some((word, tail)) = rest.split_first_chunk::<8>() {
-        // A zero byte of `x` is a newline. The borrow of the
-        // subtraction can only set a false high bit *above* a true
-        // one, so the lowest set bit is always the first newline.
-        let x = u64::from_le_bytes(*word) ^ NEWLINES;
-        let hit = x.wrapping_sub(LO) & !x & HI;
+        let hit = matches_of(*word, b'\n');
         if hit != 0 {
             return at + (hit.trailing_zeros() / 8) as usize;
         }
@@ -111,9 +128,9 @@ fn fields(line: &[u8]) -> impl Iterator<Item = &[u8]> {
 }
 
 /// Parses the full text of `/proc/stat`.
-pub fn parse_system_stat(text: &str) -> Result<SystemStat, ParseError> {
+pub fn parse_system_stat(text: &(impl AsRef<[u8]> + ?Sized)) -> Result<SystemStat, ParseError> {
     let mut out = SystemStat::default();
-    parse_system_stat_into(text, &mut out)?;
+    system_stat_into(text.as_ref(), &mut out)?;
     Ok(out)
 }
 
@@ -125,14 +142,21 @@ pub fn parse_system_stat(text: &str) -> Result<SystemStat, ParseError> {
 /// A byte scan: only the first field of a line is looked at unless it
 /// is one of the four kinds of row ZeroSum reads, so the multi-KB
 /// `intr` line costs its newline search.
-pub fn parse_system_stat_into(text: &str, out: &mut SystemStat) -> Result<(), ParseError> {
+pub fn parse_system_stat_into(
+    text: &(impl AsRef<[u8]> + ?Sized),
+    out: &mut SystemStat,
+) -> Result<(), ParseError> {
+    system_stat_into(text.as_ref(), out)
+}
+
+fn system_stat_into(text: &[u8], out: &mut SystemStat) -> Result<(), ParseError> {
     out.cpus.clear();
     out.total = CpuTimes::default();
     out.ctxt = 0;
     out.processes = 0;
     let mut saw_total = false;
     let mut ascending = true;
-    for line in Lines(text.as_bytes()) {
+    for line in Lines(text) {
         let mut fields = fields(line);
         let Some(key) = fields.next() else { continue };
         if let Some(idx) = key.strip_prefix(b"cpu") {
@@ -142,7 +166,7 @@ pub fn parse_system_stat_into(text: &str, out: &mut SystemStat) -> Result<(), Pa
                 continue;
             }
             let idx = ascii_u32(idx).ok_or_else(|| {
-                let key = std::str::from_utf8(key).unwrap_or("");
+                let key = String::from_utf8_lossy(key);
                 err("/proc/stat", format!("bad cpu row {key:?}"))
             })?;
             ascending &= out.cpus.last().is_none_or(|(last, _)| *last <= idx);
@@ -218,7 +242,11 @@ fn may_be_meminfo_key(line: &[u8]) -> bool {
 /// both the kernel (`fs/proc/meminfo.c`; other lines in between) and
 /// `format::write_meminfo` print them. Every line is visited, because
 /// the last of a repeated key wins.
-pub fn parse_meminfo(text: &str) -> Result<MemInfo, ParseError> {
+pub fn parse_meminfo(text: &(impl AsRef<[u8]> + ?Sized)) -> Result<MemInfo, ParseError> {
+    meminfo(text.as_ref())
+}
+
+fn meminfo(text: &[u8]) -> Result<MemInfo, ParseError> {
     let mut m = MemInfo::default();
     let mut keyed: [(&[u8], &mut u64); 7] = [
         (b"MemTotal:", &mut m.mem_total_kib),
@@ -231,7 +259,7 @@ pub fn parse_meminfo(text: &str) -> Result<MemInfo, ParseError> {
     ];
     let mut saw_total = false;
     let mut cursor = 0usize;
-    for line in Lines(text.as_bytes()) {
+    for line in Lines(text) {
         let (key, value_at) = match keyed.get(cursor) {
             Some((text, _)) if line.starts_with(text) => (cursor, text.len()),
             _ if !may_be_meminfo_key(line) => continue,
@@ -262,8 +290,9 @@ pub fn parse_meminfo(text: &str) -> Result<MemInfo, ParseError> {
 pub struct TaskStatView<'a> {
     /// Thread id.
     pub tid: u32,
-    /// Executable / thread name, borrowed from the line.
-    pub comm: &'a str,
+    /// Executable / thread name, borrowed from the line as the bytes
+    /// the kernel printed (a name is any 15 bytes, not always UTF-8).
+    pub comm: &'a [u8],
     /// Scheduler state.
     pub state: TaskState,
     /// Minor page faults.
@@ -296,11 +325,11 @@ impl TaskStatView<'_> {
     }
 
     /// Copies the view into an existing [`TaskStat`], reusing its `comm`
-    /// buffer.
+    /// buffer; `comm` is decoded lossily.
     pub fn assign_to(&self, out: &mut TaskStat) {
         out.tid = self.tid;
         out.comm.clear();
-        out.comm.push_str(self.comm);
+        push_lossy(&mut out.comm, self.comm);
         out.state = self.state;
         out.minflt = self.minflt;
         out.majflt = self.majflt;
@@ -314,30 +343,61 @@ impl TaskStatView<'_> {
     }
 }
 
+/// Appends `bytes` as text: valid UTF-8 as it is, every invalid
+/// sequence as one U+FFFD — `String::from_utf8_lossy` into a buffer the
+/// caller keeps.
+fn push_lossy(out: &mut String, bytes: &[u8]) {
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        return out.push_str(text);
+    }
+    for chunk in bytes.utf8_chunks() {
+        out.push_str(chunk.valid());
+        if !chunk.invalid().is_empty() {
+            out.push(char::REPLACEMENT_CHARACTER);
+        }
+    }
+}
+
+/// Index of the last `)` in `b`, eight bytes per step from the end: a
+/// kernel `stat` line carries some 250 bytes of numbers behind `comm`,
+/// and the search for the parenthesis that closes it crosses them all.
+/// (Which byte of a word matched is left to the bytewise tail: the mask
+/// is only certain about its lowest bit.)
+fn last_close_paren(b: &[u8]) -> Option<usize> {
+    let mut rest = b;
+    while let Some((head, word)) = rest.split_last_chunk::<8>() {
+        if matches_of(*word, b')') != 0 {
+            break;
+        }
+        rest = head;
+    }
+    rest.iter().rposition(|&c| c == b')')
+}
+
 /// Parses one `/proc/<pid>/task/<tid>/stat` line without allocating: the
 /// returned view borrows `comm` from the input. Single pass over the
 /// post-comm fields — no token vector is collected. The one `stat`
 /// parser: every read form (typed `_into`, raw-text arena) ends here.
-pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> {
+pub fn parse_task_stat_view(
+    line: &(impl AsRef<[u8]> + ?Sized),
+) -> Result<TaskStatView<'_>, ParseError> {
+    stat_view(line.as_ref())
+}
+
+fn stat_view(line: &[u8]) -> Result<TaskStatView<'_>, ParseError> {
     // Format: "tid (comm) S field4 field5 ..." where comm may contain
     // anything including ')' — find the *last* ')'.
     let open = line
-        .find('(')
+        .iter()
+        .position(|&c| c == b'(')
         .ok_or_else(|| err("task stat", "missing '('"))?;
-    let close = line
-        .rfind(')')
-        .ok_or_else(|| err("task stat", "missing ')'"))?;
+    let close = last_close_paren(line).ok_or_else(|| err("task stat", "missing ')'"))?;
     if close < open {
         return Err(err("task stat", "mismatched parentheses"));
     }
-    // `(` and `)` are ASCII, so every cut is on a char boundary.
-    let tid: u32 = line
-        .get(..open)
-        .unwrap_or("")
-        .trim()
-        .parse()
-        .map_err(|_| err("task stat", "bad tid"))?;
-    let comm = line.get(open + 1..close).unwrap_or("");
+    let tid = ascii_u32(trim(line.get(..open).unwrap_or(&[])))
+        .ok_or_else(|| err("task stat", "bad tid"))?;
+    let comm = line.get(open + 1..close).unwrap_or(&[]);
     // Walk fields 3.. once, picking out the ones ZeroSum samples
     // (numbering per man 5 proc; the last one needed is 39).
     let mut state = None;
@@ -351,7 +411,7 @@ pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> 
     let mut nswap = 0u64;
     let mut processor = 0u64;
     const FIELDS: [usize; 9] = [10, 12, 14, 15, 19, 20, 22, 36, 39];
-    let mut it = line.get(close + 1..).unwrap_or("").split_ascii_whitespace();
+    let mut it = fields(line.get(close + 1..).unwrap_or(&[]));
     let mut field = 2usize;
     while field < 39 {
         field += 1;
@@ -369,21 +429,17 @@ pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> 
         };
         match field {
             3 => {
-                let state_ch = tok
-                    .chars()
-                    .next()
-                    .ok_or_else(|| err("task stat", "empty state"))?;
+                let state_ch = first_char(tok).ok_or_else(|| err("task stat", "empty state"))?;
                 state = Some(
                     TaskState::from_code(state_ch)
                         .ok_or_else(|| err("task stat", format!("unknown state {state_ch:?}")))?,
                 );
             }
             // nice is the one signed field.
-            19 => nice = tok.parse().map_err(|_| err("task stat", "bad nice"))?,
+            19 => nice = ascii_i32(tok).ok_or_else(|| err("task stat", "bad nice"))?,
             10 | 12 | 14 | 15 | 20 | 22 | 36 | 39 => {
-                let v: u64 = tok
-                    .parse()
-                    .map_err(|_| err("task stat", format!("bad numeric field {field}")))?;
+                let v = ascii_u64(tok)
+                    .ok_or_else(|| err("task stat", format!("bad numeric field {field}")))?;
                 match field {
                     10 => minflt = v,
                     12 => majflt = v,
@@ -415,13 +471,15 @@ pub fn parse_task_stat_view(line: &str) -> Result<TaskStatView<'_>, ParseError> 
 }
 
 /// Parses one `/proc/<pid>/task/<tid>/stat` line.
-pub fn parse_task_stat(line: &str) -> Result<TaskStat, ParseError> {
-    parse_task_stat_view(line).map(|v| v.to_owned())
+pub fn parse_task_stat(line: &(impl AsRef<[u8]> + ?Sized)) -> Result<TaskStat, ParseError> {
+    stat_view(line.as_ref()).map(|v| v.to_owned())
 }
 
 /// [`parse_task_stat_view`] under the name the benchmark's replay calls.
-pub fn parse_task_stat_view_fast(line: &str) -> Result<TaskStatView<'_>, ParseError> {
-    parse_task_stat_view(line)
+pub fn parse_task_stat_view_fast(
+    line: &(impl AsRef<[u8]> + ?Sized),
+) -> Result<TaskStatView<'_>, ParseError> {
+    stat_view(line.as_ref())
 }
 
 /// Unsigned ASCII decimal with `u64::from_str` semantics: optional
@@ -457,20 +515,39 @@ fn ascii_u32(tok: &[u8]) -> Option<u32> {
     ascii_u64(tok).and_then(|v| u32::try_from(v).ok())
 }
 
+/// Signed ASCII decimal with `i32::from_str` semantics: one optional
+/// `+` or `-`, one or more digits, overflow is `None`.
+fn ascii_i32(tok: &[u8]) -> Option<i32> {
+    match tok.split_first() {
+        Some((&b'-', digits)) if digits.first() != Some(&b'+') => {
+            let magnitude = i64::try_from(ascii_u64(digits)?).ok()?;
+            i32::try_from(-magnitude).ok()
+        }
+        _ => ascii_u64(tok).and_then(|v| i32::try_from(v).ok()),
+    }
+}
+
 /// Parses a `stat` line into an existing record, reusing its `comm`
 /// buffer. On error the contents of `out` are unspecified.
-pub fn parse_task_stat_into(line: &str, out: &mut TaskStat) -> Result<(), ParseError> {
-    let view = parse_task_stat_view(line)?;
-    view.assign_to(out);
-    Ok(())
+pub fn parse_task_stat_into(
+    line: &(impl AsRef<[u8]> + ?Sized),
+    out: &mut TaskStat,
+) -> Result<(), ParseError> {
+    stat_view(line.as_ref()).map(|view| view.assign_to(out))
 }
 
 /// Parses `/proc/<pid>/task/<tid>/schedstat`: the first three
 /// ASCII-whitespace-separated integers (trailing tokens ignored). One
 /// byte pass — schedstat is read once per task per round, as the delta
 /// gate, before anything else.
-pub fn parse_schedstat(text: &str) -> Result<crate::types::SchedStat, ParseError> {
-    let mut it = fields(text.as_bytes());
+pub fn parse_schedstat(
+    text: &(impl AsRef<[u8]> + ?Sized),
+) -> Result<crate::types::SchedStat, ParseError> {
+    schedstat(text.as_ref())
+}
+
+fn schedstat(text: &[u8]) -> Result<crate::types::SchedStat, ParseError> {
+    let mut it = fields(text);
     let mut next = |what: &'static str| -> Result<u64, ParseError> {
         let field = it
             .next()
@@ -485,9 +562,9 @@ pub fn parse_schedstat(text: &str) -> Result<crate::types::SchedStat, ParseError
 }
 
 /// Parses `/proc/<pid>/task/<tid>/status`.
-pub fn parse_task_status(text: &str) -> Result<TaskStatus, ParseError> {
+pub fn parse_task_status(text: &(impl AsRef<[u8]> + ?Sized)) -> Result<TaskStatus, ParseError> {
     let mut out = TaskStatus::default();
-    parse_task_status_into(text, &mut out)?;
+    status_into(text.as_ref(), &mut out)?;
     Ok(out)
 }
 
@@ -573,7 +650,14 @@ fn lookup_key<'k, K>(
 /// cursor is a prediction and not a requirement: a text that breaks
 /// the order parses to the same record, only slower, and the last of
 /// a repeated key wins.
-pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
+pub fn parse_task_status_into(
+    text: &(impl AsRef<[u8]> + ?Sized),
+    out: &mut TaskStatus,
+) -> Result<(), ParseError> {
+    status_into(text.as_ref(), out)
+}
+
+fn status_into(text: &[u8], out: &mut TaskStatus) -> Result<(), ParseError> {
     out.name.clear();
     out.state = TaskState::Sleeping;
     out.vm_rss_kib = 0;
@@ -585,7 +669,7 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
     let mut tid = None;
     let mut tgid = None;
     let mut cursor = 0usize;
-    for line in Lines(text.as_bytes()) {
+    for line in Lines(text) {
         let (key, value_at) = match STATUS_ORDER.get(cursor) {
             Some(&(text, key)) if line.starts_with(text) => (key, text.len()),
             _ if !may_be_status_key(line) => continue,
@@ -599,7 +683,7 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
         match key {
             StatusKey::Name => {
                 out.name.clear();
-                out.name.push_str(std::str::from_utf8(value).unwrap_or(""));
+                push_lossy_trimmed(&mut out.name, value);
             }
             StatusKey::State => {
                 if let Some(c) = first_char(value) {
@@ -619,7 +703,7 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
                 }
                 None => out
                     .cpus_allowed
-                    .parse_list_into(std::str::from_utf8(value).unwrap_or(""))
+                    .parse_list_into(&String::from_utf8_lossy(value))
                     .map_err(|e| err("task status", format!("bad cpu list: {e}")))?,
             },
             StatusKey::Voluntary => out.voluntary_ctxt_switches = ascii_u64(value).unwrap_or(0),
@@ -634,8 +718,11 @@ pub fn parse_task_status_into(text: &str, out: &mut TaskStatus) -> Result<(), Pa
 }
 
 /// [`parse_task_status_into`] under the name the benchmark's replay calls.
-pub fn parse_task_status_fast(text: &str, out: &mut TaskStatus) -> Result<(), ParseError> {
-    parse_task_status_into(text, out)
+pub fn parse_task_status_fast(
+    text: &(impl AsRef<[u8]> + ?Sized),
+    out: &mut TaskStatus,
+) -> Result<(), ParseError> {
+    status_into(text.as_ref(), out)
 }
 
 /// A cpu list that is one `n` or one ascending `lo-hi`, unpadded — an
@@ -652,11 +739,32 @@ fn single_cpu_range(value: &[u8]) -> Option<(u32, u32)> {
     (lo <= hi && hi <= CpuSet::MAX_LIST_INDEX).then_some((lo, hi))
 }
 
-/// The first `char` of a value cut from a `&str`.
+/// The first `char` of a value, decoded lossily.
 fn first_char(value: &[u8]) -> Option<char> {
     match value.first() {
         Some(c) if c.is_ascii() => Some(char::from(*c)),
-        _ => std::str::from_utf8(value).ok()?.chars().next(),
+        _ => {
+            let valid = value.utf8_chunks().next()?.valid();
+            Some(valid.chars().next().unwrap_or(char::REPLACEMENT_CHARACTER))
+        }
+    }
+}
+
+/// `value`, decoded lossily and then trimmed as `str::trim` trims,
+/// appended to `out`: the one value kept as text (`Name:`), where
+/// [`trim`] on the bytes leaves a Unicode space standing if the value
+/// is not UTF-8 throughout.
+fn push_lossy_trimmed(out: &mut String, value: &[u8]) {
+    let at = out.len();
+    match std::str::from_utf8(value) {
+        Ok(text) => out.push_str(text.trim()),
+        Err(_) => {
+            push_lossy(out, value);
+            let text = out.get(at..).unwrap_or("");
+            let (lead, kept) = (text.len() - text.trim_start().len(), text.trim().len());
+            out.drain(at..at + lead);
+            out.truncate(at + kept);
+        }
     }
 }
 
@@ -938,6 +1046,28 @@ SwapFree:              0 kB
             basic.replace("(miniqmc)", "()"),
             basic.replace("(miniqmc)", "(Ω-wave)"),
             ") 1 (".into(),
+            // One integer reader for every field: a bare sign, a sign
+            // doubled or crossed, twenty digits that overflow and
+            // twenty-two that do not, an empty tid.
+            basic.replace(" 6394 ", " + "),
+            basic.replace(" 6394 ", " - "),
+            basic.replace(" 6394 ", " +5 "),
+            basic.replace(" 6394 ", " ++5 "),
+            basic.replace(" 6394 ", " 99999999999999999999 "),
+            basic.replace(" 6394 ", " 0000000000000000000005 "),
+            basic.replace(" 20 0 9 ", " 20 + 9 "),
+            basic.replace(" 20 0 9 ", " 20 +5 9 "),
+            basic.replace(" 20 0 9 ", " 20 -0 9 "),
+            basic.replace(" 20 0 9 ", " 20 -+5 9 "),
+            basic.replace(" 20 0 9 ", " 20 +-5 9 "),
+            basic.replace(" 20 0 9 ", " 20 --5 9 "),
+            basic.replace(" 20 0 9 ", " 20 99999999999999999999 9 "),
+            basic.replace(" 20 0 9 ", " 20 -99999999999999999999 9 "),
+            basic.replace("51334 (", "("),
+            basic.replace("51334 (", " ("),
+            basic.replace("51334 (", "+ ("),
+            basic.replace("51334 (", "99999999999999999999 ("),
+            basic.replace("51334 (", "\u{a0}51334\u{2003}("),
         ];
         for line in [basic, evil] {
             for i in 0..line.len() {
@@ -947,12 +1077,41 @@ SwapFree:              0 kB
         for fx in &fixtures {
             assert_stat_agrees(fx);
         }
+        // A name is any bytes (`prctl(PR_SET_NAME)`, Latin-1 here, as
+        // this kernel printed it): the record carries it lossily, every
+        // number beside it unharmed; and bytes that are not UTF-8
+        // anywhere else in the line fail as their U+FFFD would.
+        let latin1 = LATIN1.0.trim_ascii_end();
+        let named = parse_task_stat(latin1).unwrap();
+        assert_eq!(named.comm, "c\u{fffd}f\u{fffd}");
+        assert_eq!((named.state, named.nice), (TaskState::Running, 0));
+        let patch = |from: &[u8], to: &[u8]| patched(latin1, from, to);
+        for fx in [
+            latin1.to_vec(),
+            patch(b") R ", b") \xe9 "),
+            patch(b") R ", b") R\xff "),
+            patch(b" (c", b"\xa0 (c"),
+            patch(b" (c", b"\xc2\xa0\xff (c"),
+            patch(b" 0 -1 ", b" 0 -1\xff "),
+            patch(b"c\xe9f\xff", b"\xe9)(\xff\xc3"),
+            patch(b"c\xe9f\xff", b"\xf0\x9f\x92"),
+        ] {
+            assert_stat_agrees(&fx);
+            for cut in 0..fx.len() {
+                assert_stat_agrees(&fx[..cut]);
+            }
+        }
         // The vectors above really cover both outcomes.
         let parsed = |from: &str, to: &str| parse_task_stat(&basic.replace(from, to));
         assert!(parsed(" ", "\t").is_ok(), "tabs parse");
         assert_eq!(parsed(" 20 0 9 ", " 20 -20 9 ").unwrap().nice, -20);
         assert!(parsed(" 6394 ", " -6394 ").is_err(), "-utime");
         assert_eq!(parsed("(miniqmc)", "(a) (b)").unwrap().comm, "a) (b");
+        assert_eq!(parsed(" 6394 ", " +5 ").unwrap().utime, 5);
+        assert_eq!(parsed(" 20 0 9 ", " 20 -0 9 ").unwrap().nice, 0);
+        assert!(parsed(" 6394 ", " 99999999999999999999 ").is_err());
+        assert!(parsed(" 20 0 9 ", " 20 -+5 9 ").is_err(), "nice -+5");
+        assert!(parsed("51334 (", "(").is_err(), "empty tid");
     }
 
     #[test]
@@ -985,6 +1144,7 @@ SwapFree:              0 kB
                         // Flip one byte to a structural glyph at a char
                         // boundary (keep the fixture a valid &str).
                         let at = (next() % fuzzed.len().max(1) as u64) as usize;
+                        let at = floor_boundary(&fuzzed, at);
                         if let Some((pos, ch)) =
                             fuzzed[at..].char_indices().next().map(|(p, c)| (at + p, c))
                         {
@@ -1011,6 +1171,7 @@ SwapFree:              0 kB
             }
             assert_stat_agrees(&line);
             assert_stat_agrees(&fuzzed);
+            assert_stat_agrees(&with_stray_bytes(fuzzed, &mut next));
         }
     }
 
@@ -1160,6 +1321,22 @@ nonvoluntary_ctxt_switches:\t3
         }
     }
 
+    /// `text` with one to three bytes that are not UTF-8 dropped in.
+    fn with_stray_bytes(text: String, next: &mut impl FnMut() -> u64) -> Vec<u8> {
+        let mut raw = text.into_bytes();
+        for _ in 0..1 + next() % 3 {
+            let at = (next() % (raw.len() + 1) as u64) as usize;
+            raw.insert(at, b"\xe9\xff\xc3\xa0\x80\xf0"[(next() % 6) as usize]);
+        }
+        raw
+    }
+
+    /// `base` with the first `from` replaced by `to`.
+    fn patched(base: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = base.windows(from.len()).position(|w| w == from).unwrap();
+        [&base[..at], to, &base[at + from.len()..]].concat()
+    }
+
     /// The largest char boundary of `s` at or below `at`.
     fn floor_boundary(s: &str, mut at: usize) -> usize {
         while !s.is_char_boundary(at) {
@@ -1167,6 +1344,13 @@ nonvoluntary_ctxt_switches:\t3
         }
         at
     }
+
+    /// `stat` and `status` of a thread of this kernel named `c\xe9f\xff`
+    /// (`printf 'c\xe9f\xff' > /proc/thread-self/comm`).
+    const LATIN1: (&[u8], &[u8]) = (
+        include_bytes!("../../../tests/fixtures/proc_pid_stat_latin1.txt"),
+        include_bytes!("../../../tests/fixtures/proc_pid_status_latin1.txt"),
+    );
 
     /// The ten lines `format::write_task_status` renders.
     const RENDERED: &str = "\
@@ -1271,6 +1455,33 @@ nonvoluntary_ctxt_switches:\t3
         fixtures.extend(["no colons at all\n".into(), String::new(), "\n\n:\n".into()]);
         for fx in &fixtures {
             assert_status_agrees(fx);
+        }
+        // The Latin-1 thread name again, as `status` carries it.
+        let latin1 = LATIN1.1;
+        let named = parse_task_status(latin1).unwrap();
+        assert_eq!(named.name, "c\u{fffd}f\u{fffd}");
+        assert!(named.vm_rss_kib > 0 && !named.cpus_allowed.is_empty());
+        let patch = |from: &[u8], to: &[u8]| patched(latin1, from, to);
+        for fx in [
+            latin1.to_vec(),
+            // Unicode space around a name that is not UTF-8: trimmed
+            // as text, after decoding.
+            patch(b"Name:\tc", b"Name:\t\xc2\xa0 c"),
+            patch(b"f\xff\n", b"f\xff\xe2\x80\x83 \n"),
+            patch(b"c\xe9f\xff", b"\xff"),
+            patch(b"c\xe9f\xff", b"\xc2"),
+            patch(b"Name:", b"Name\xff:"),
+            patch(b"Name:", b"\xffName:"),
+            patch(b"State:\t", b"State:\t\xe9"),
+            patch(b"Pid:\t", b"Pid:\t\xff"),
+            patch(b"VmRSS:\t", b"VmRSS:\t\xff"),
+            patch(b"Cpus_allowed_list:\t", b"Cpus_allowed_list:\t\xff,"),
+            patch(b"Umask:", b"Um\xffsk:"),
+        ] {
+            assert_status_agrees(&fx);
+        }
+        for cut in 0..latin1.len() {
+            assert_status_agrees(&latin1[..cut]);
         }
         for base in [user, RENDERED] {
             for i in 0..base.len() {
@@ -1399,6 +1610,7 @@ nonvoluntary_ctxt_switches:\t3
                 }
             }
             assert_status_agrees(&fx);
+            assert_status_agrees(&with_stray_bytes(fx, &mut next));
         }
     }
 

@@ -40,7 +40,7 @@ pub use launch::{plan_launch, RankPlacement, SrunConfig};
 pub use node::{DeviceSnapshot, NodeSim, SimProcess};
 pub use nodefault::{AllocationFaultPlan, NodeFaultPlan};
 pub use params::SchedParams;
-pub use proc_source::SimProcSource;
+pub use proc_source::{SimProcSource, SimScratch};
 pub use task::{RunState, SimTask, TaskCounters, TaskId};
 pub use trace::{ChargeKind, SimAudit, TaskAudit, TraceEvent, TraceRecord};
 

@@ -19,33 +19,68 @@ use zerosum_proc::{
 /// Microseconds per jiffy at `USER_HZ` = 100.
 const US_PER_JIFFY: u64 = 1_000_000 / zerosum_proc::USER_HZ;
 
+/// The render scratch of a [`SimProcSource`] — one text buffer, one
+/// record per kind — reused across reads: the monitor samples hundreds
+/// of records per period, and rendering each into a fresh `String`
+/// dominated the sampling cost. A driver that builds a view per round
+/// (the sim is only borrowed between advances) hands the scratch from
+/// one view to the next, so rounds after the first allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SimScratch {
+    text: String,
+    stat: TaskStat,
+    status: TaskStatus,
+}
+
 /// A borrowed `/proc` view of a [`NodeSim`].
-///
-/// The render scratch (one text buffer, one record per kind) is reused
-/// across reads: the monitor samples hundreds of records per period, and
-/// rendering each into a fresh `String` dominated the sampling cost.
 pub struct SimProcSource<'a> {
     sim: &'a NodeSim,
-    text: RefCell<String>,
-    stat_scratch: RefCell<TaskStat>,
-    status_scratch: RefCell<TaskStatus>,
+    scratch: RefCell<SimScratch>,
 }
+
+/// Bytes one `cpu` row of `/proc/stat` comes to with ten-digit jiffy
+/// counters, and the non-cpu tail of the file.
+const STAT_ROW_BYTES: usize = 48;
 
 impl<'a> SimProcSource<'a> {
     /// Creates the view.
     pub fn new(sim: &'a NodeSim) -> Self {
+        Self::with_scratch(sim, SimScratch::default())
+    }
+
+    /// Creates the view over the scratch of an earlier one
+    /// ([`SimProcSource::into_scratch`]). The text buffer is sized here,
+    /// once, for the largest record it will hold — `/proc/stat`, a row
+    /// per CPU — instead of doubling its way up to it inside a round.
+    pub fn with_scratch(sim: &'a NodeSim, mut scratch: SimScratch) -> Self {
+        if scratch.text.capacity() == 0 {
+            let rows = sim.cpu_times_iter().count() + 2;
+            scratch.text.reserve(STAT_ROW_BYTES * rows);
+            // The kernel's TASK_COMM_LEN.
+            scratch.stat.comm.reserve(16);
+            scratch.status.name.reserve(16);
+        }
         SimProcSource {
             sim,
-            text: RefCell::new(String::new()),
-            stat_scratch: RefCell::new(TaskStat::default()),
-            status_scratch: RefCell::new(TaskStatus::default()),
+            scratch: RefCell::new(scratch),
         }
     }
 
-    /// Renders `/proc/<pid>/task/<tid>/stat`, appending to `text` (the
-    /// arena path batches many records in one buffer; one-record
-    /// callers clear it first).
-    fn render_task_stat(&self, pid: Pid, tid: Tid, text: &mut String) -> SourceResult<()> {
+    /// Gives the scratch back, for the next view.
+    pub fn into_scratch(self) -> SimScratch {
+        self.scratch.into_inner()
+    }
+
+    /// Renders `/proc/<pid>/task/<tid>/stat` through the record `st`,
+    /// appending to `text` (the arena path batches many records in one
+    /// buffer; one-record callers clear it first).
+    fn render_task_stat(
+        &self,
+        pid: Pid,
+        tid: Tid,
+        st: &mut TaskStat,
+        text: &mut String,
+    ) -> SourceResult<()> {
         let task = self
             .sim
             .task_by_tid(tid)
@@ -62,7 +97,6 @@ impl<'a> SimProcSource<'a> {
             0
         };
         let trickle = task.cpu_us() / 20_000;
-        let mut st = self.stat_scratch.borrow_mut();
         st.tid = tid;
         // Kernel truncates comm to 15 bytes.
         st.comm.clear();
@@ -77,12 +111,19 @@ impl<'a> SimProcSource<'a> {
         st.processor = task.last_cpu;
         st.nswap = 0;
         st.starttime = task.spawned_at_us / US_PER_JIFFY;
-        format::write_task_stat(&st, text);
+        format::write_task_stat(st, text);
         Ok(())
     }
 
-    /// Renders `/proc/<pid>/task/<tid>/status`, appending to `text`.
-    fn render_task_status(&self, pid: Pid, tid: Tid, text: &mut String) -> SourceResult<()> {
+    /// Renders `/proc/<pid>/task/<tid>/status` through the record `st`,
+    /// appending to `text`.
+    fn render_task_status(
+        &self,
+        pid: Pid,
+        tid: Tid,
+        st: &mut TaskStatus,
+        text: &mut String,
+    ) -> SourceResult<()> {
         let task = self
             .sim
             .task_by_tid(tid)
@@ -90,7 +131,6 @@ impl<'a> SimProcSource<'a> {
             .ok_or(SourceError::NotFound)?;
         let process = self.sim.process(pid).ok_or(SourceError::NotFound)?;
         let now = self.sim.now_us();
-        let mut st = self.status_scratch.borrow_mut();
         st.name.clear();
         st.name.extend(task.name.chars().take(15));
         st.tid = tid;
@@ -102,7 +142,7 @@ impl<'a> SimProcSource<'a> {
         st.cpus_allowed.copy_from(&task.affinity);
         st.voluntary_ctxt_switches = task.counters.vcsw;
         st.nonvoluntary_ctxt_switches = task.counters.nvcsw;
-        format::write_task_status(&st, text);
+        format::write_task_status(st, text);
         Ok(())
     }
 }
@@ -126,7 +166,7 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
             idle: idle_us / US_PER_JIFFY,
             ..Default::default()
         };
-        let mut text = self.text.borrow_mut();
+        let text = &mut self.scratch.borrow_mut().text;
         text.clear();
         // The aggregate row leads the file, so total first (one pass),
         // then the per-CPU rows (second pass) — both straight into the
@@ -136,22 +176,22 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
         for (_, user_us, system_us, idle_us) in self.sim.cpu_times_iter() {
             total = total.add(&jiffies(user_us, system_us, idle_us));
         }
-        format::write_cpu_row(&mut text, None, &total);
+        format::write_cpu_row(text, None, &total);
         for (os, user_us, system_us, idle_us) in self.sim.cpu_times_iter() {
-            format::write_cpu_row(&mut text, Some(os), &jiffies(user_us, system_us, idle_us));
+            format::write_cpu_row(text, Some(os), &jiffies(user_us, system_us, idle_us));
         }
         let _ = writeln!(text, "ctxt {}", self.sim.ctxt_total());
         let _ = writeln!(text, "btime 1700000000");
         let _ = writeln!(text, "processes 0");
-        parse::parse_system_stat_into(&text, out).map_err(malformed)
+        parse::parse_system_stat_into(text.as_str(), out).map_err(malformed)
     }
 
     fn meminfo(&self) -> SourceResult<MemInfo> {
         let mi = self.sim.memory.meminfo(self.sim.processes_rss_kib());
-        let mut text = self.text.borrow_mut();
+        let text = &mut self.scratch.borrow_mut().text;
         text.clear();
-        format::write_meminfo(&mi, &mut text);
-        parse::parse_meminfo(&text).map_err(malformed)
+        format::write_meminfo(&mi, text);
+        parse::parse_meminfo(text.as_str()).map_err(malformed)
     }
 
     fn list_tasks(&self, pid: Pid) -> SourceResult<Vec<Tid>> {
@@ -187,14 +227,15 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
     }
 
     fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {
-        let mut text = self.text.borrow_mut();
+        let SimScratch { text, stat, .. } = &mut *self.scratch.borrow_mut();
         text.clear();
-        self.render_task_stat(pid, tid, &mut text)?;
-        parse::parse_task_stat_into(&text, out).map_err(malformed)
+        self.render_task_stat(pid, tid, stat, text)?;
+        parse::parse_task_stat_into(text.as_str(), out).map_err(malformed)
     }
 
     fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
-        arena.try_append_with(|text| self.render_task_stat(pid, tid, text))
+        let stat = &mut self.scratch.borrow_mut().stat;
+        arena.try_append_with(|text| self.render_task_stat(pid, tid, stat, text))
     }
 
     fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
@@ -204,10 +245,10 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
     }
 
     fn task_status_into(&self, pid: Pid, tid: Tid, out: &mut TaskStatus) -> SourceResult<()> {
-        let mut text = self.text.borrow_mut();
+        let SimScratch { text, status, .. } = &mut *self.scratch.borrow_mut();
         text.clear();
-        self.render_task_status(pid, tid, &mut text)?;
-        parse::parse_task_status_into(&text, out).map_err(malformed)
+        self.render_task_status(pid, tid, status, text)?;
+        parse::parse_task_status_into(text.as_str(), out).map_err(malformed)
     }
 
     fn task_status_text(
@@ -216,7 +257,8 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
         tid: Tid,
         arena: &mut ReadArena,
     ) -> SourceResult<ArenaSpan> {
-        arena.try_append_with(|text| self.render_task_status(pid, tid, text))
+        let status = &mut self.scratch.borrow_mut().status;
+        arena.try_append_with(|text| self.render_task_status(pid, tid, status, text))
     }
 
     fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
@@ -230,10 +272,10 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
             wait_ns: task.counters.wait_us * 1_000,
             timeslices: task.counters.dispatches,
         };
-        let mut text = self.text.borrow_mut();
+        let text = &mut self.scratch.borrow_mut().text;
         text.clear();
-        format::write_schedstat(&ss, &mut text);
-        parse::parse_schedstat(&text).map_err(malformed)
+        format::write_schedstat(&ss, text);
+        parse::parse_schedstat(text.as_str()).map_err(malformed)
     }
 }
 

@@ -68,12 +68,16 @@ mutants=(
 'sched-charge-wrong-cpu~crates/sched/src/node.rs~s/(finished = \*remaining_us <= 0\.0;\n\s+\}\n\s+)self\.cpus\[pos\]\.user_us \+= tick;/$1let n = self.cpus.len(); self.cpus[(pos + 1) % n].user_us += tick;/~a compute jiffy charged to the neighbouring CPU'
 'sched-preempt-not-traced~crates/sched/src/node.rs~s/self\.emit\(\|\| TraceEvent::Preempt \{ tid, cpu \}\);/let _ = (tid, cpu);/~a preemption that leaves no `Preempt` event'
 'utime-stime-swapped~crates/core/src/lwp.rs~s/self\.delta_per_period\(\|s\| s\.stime\)/self.delta_per_period(|s| s.utime)/~the `stime` column computed from `utime` deltas'
-'starttime-check-dropped~crates/core/src/lwp.rs~s/if old\.starttime != stat\.starttime =>/if old.starttime > stat.starttime =>/~the pid-reuse guard never fires (a recycled tid always starts later)'
+'starttime-check-dropped~crates/core/src/lwp.rs~s/if old\.starttime != stat\.starttime \{/if old.starttime > stat.starttime {/~the pid-reuse guard never fires (a recycled tid always starts later)'
 'tick-flush-skipped~crates/net/src/tcp.rs~s/fn tick\(&mut self\) \{\n\s+self\.flush\(\);\n\s+\}/fn tick(&mut self) {}/~`TcpLink::tick` no longer flushes what the tick queued'
 'aggregate-folded-twice~crates/core/src/cluster.rs~s/(pub fn aggregates\(&self\) -> Vec<NodeAggregate> \{\n\s+self\.nodes\n\s+\.iter\(\))/$1.chain(self.nodes.first())/~the first node is aggregated twice into the allocation view'
-'degraded-flag-lost~crates/core/src/health.rs~s/Some\(pair\) if cfg\.interpolate => \{\n\s+self\.ledger\.degraded \+= 1;/Some(pair) if cfg.interpolate => {/~an interpolated sample is not counted `degraded`'
+'degraded-flag-lost~crates/core/src/health.rs~s/Some\(_\) => ledger\.degraded \+= 1,/Some(_) => {}/~an interpolated sample is not counted `degraded`'
 'alloc-in-round~crates/core/src/shard.rs~s/(let shed = node_src\.lend\(\|src\| round_begin\(mon, t_s, src\)\);)/let _why = format!("round at {t_s}"); $1/~an allocation in `shard::round`, every round'
 'unwrap-in-fold-reads~crates/core/src/shard.rs~s/(fn fold_reads\(mon: &mut Monitor, t_s: f64\) \{)/$1 let _first = mon.engine.batches.first().unwrap();/~an `unwrap()` in `fold_reads`'
+'departed-row-kept~crates/core/src/monitor.rs~s/rows\.drain\(kept\.\.held\);/let _ = kept..held;/~the join keeps the rows of tids the listing dropped: the live table grows with every departure'
+'reprobe-countdown-stuck~crates/core/src/health.rs~s/st\.rounds_until_reprobe -= 1;\n\s+return true;/return true;/~a quarantined tid is skipped without spending its re-probe countdown: it is never read again'
+'vanished-tid-keeps-pair~crates/core/src/health.rs~s/\*self = TaskRow::arrival\(self\.tid, self\.track\);/self.fail = None;/~a tid that exited under the read keeps the last-good pair and gate of its row: the recycled id that follows it inherits them'
+'main-thread-gated~crates/core/src/shard.rs~s/let armed = delta_on && tid != pid;/let armed = delta_on;/~the delta gate armed for the main thread: a waiting main thread stops reporting the RSS its workers move'
 'println-in-core~crates/core/src/shard.rs~s/(fn round_begin\([^)]*\) -> bool \{)/$1 println!("round {t_s}");/~a `println!` in library code (`core::shard`)'
 )
 

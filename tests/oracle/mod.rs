@@ -11,7 +11,10 @@
 //! `split_once`, `str::trim`, `FromStr`, a token vector indexed by the
 //! `man 5 proc` field number. They define the semantics —
 //! which lines count, which whitespace is trimmed, which value wins
-//! when a key repeats, and the exact error text.
+//! when a key repeats, and the exact error text. The shipped parsers
+//! read bytes; on bytes that are not UTF-8 (a Latin-1 thread name) the
+//! reference is given `String::from_utf8_lossy` of them, which is what
+//! the differentials below hold the shipped parsers to.
 
 use zerosum_proc::parse::{self, ParseError};
 use zerosum_proc::{CpuTimes, MemInfo, SchedStat, SystemStat, TaskStat, TaskState, TaskStatus};
@@ -244,16 +247,18 @@ fn kib_value(rest: &str) -> u64 {
 /// (borrowed view, the forwarder the benchmark calls, owning, `_into`
 /// over a soiled record), against the reference: accept/reject, the
 /// exact error, and on accept every field.
-pub fn assert_stat_agrees(line: &str) {
-    let want = task_stat(line);
+pub fn assert_stat_agrees(line: &(impl AsRef<[u8]> + ?Sized)) {
+    let line = line.as_ref();
+    let shown = line.escape_ascii();
+    let want = task_stat(&String::from_utf8_lossy(line));
     let view = parse::parse_task_stat_view(line);
     assert_eq!(
         view.as_ref().map(|v| v.to_owned()).map_err(Clone::clone),
         want,
-        "stat parser and oracle disagree on {line:?}"
+        "stat parser and oracle disagree on {shown}"
     );
-    assert_eq!(parse::parse_task_stat_view_fast(line), view, "{line:?}");
-    assert_eq!(parse::parse_task_stat(line), want, "owning on {line:?}");
+    assert_eq!(parse::parse_task_stat_view_fast(line), view, "{shown}");
+    assert_eq!(parse::parse_task_stat(line), want, "owning on {shown}");
     let mut reused = TaskStat {
         comm: "stale-garbage".into(),
         utime: u64::MAX,
@@ -261,15 +266,17 @@ pub fn assert_stat_agrees(line: &str) {
         ..Default::default()
     };
     let r = parse::parse_task_stat_into(line, &mut reused);
-    assert_eq!(r.map(|()| reused), want, "`_into` on {line:?}");
+    assert_eq!(r.map(|()| reused), want, "`_into` on {shown}");
 }
 
 /// The same differential for `schedstat`.
-pub fn assert_schedstat_agrees(text: &str) {
+pub fn assert_schedstat_agrees(text: &(impl AsRef<[u8]> + ?Sized)) {
+    let text = text.as_ref();
     assert_eq!(
         parse::parse_schedstat(text),
-        schedstat(text),
-        "schedstat parser and oracle disagree on {text:?}"
+        schedstat(&String::from_utf8_lossy(text)),
+        "schedstat parser and oracle disagree on {}",
+        text.escape_ascii()
     );
 }
 
@@ -277,7 +284,9 @@ pub fn assert_schedstat_agrees(text: &str) {
 /// record must agree between the shipped `status` scanner — under both
 /// of its public names — and the reference. Each side starts from a
 /// soiled record, so a field the scanner forgets to reset shows.
-pub fn assert_status_agrees(text: &str) {
+pub fn assert_status_agrees(text: &(impl AsRef<[u8]> + ?Sized)) {
+    let text = text.as_ref();
+    let shown = text.escape_ascii();
     let soiled = || TaskStatus {
         name: "stale-garbage".into(),
         tid: 77,
@@ -291,19 +300,21 @@ pub fn assert_status_agrees(text: &str) {
         nonvoluntary_ctxt_switches: 3,
     };
     let (mut reference, mut scanned, mut forwarded) = (soiled(), soiled(), soiled());
-    let r = status_into(text, &mut reference);
+    let r = status_into(&String::from_utf8_lossy(text), &mut reference);
     let s = parse::parse_task_status_into(text, &mut scanned);
     let f = parse::parse_task_status_fast(text, &mut forwarded);
-    assert_eq!(s, r, "status scanner and oracle disagree on {text:?}");
-    assert_eq!(f, r, "status forwarder and oracle disagree on {text:?}");
+    assert_eq!(s, r, "status scanner and oracle disagree on {shown}");
+    assert_eq!(f, r, "status forwarder and oracle disagree on {shown}");
     if r.is_ok() {
-        assert_eq!(scanned, reference, "status records differ on {text:?}");
-        assert_eq!(forwarded, reference, "forwarded records differ on {text:?}");
+        assert_eq!(scanned, reference, "status records differ on {shown}");
+        assert_eq!(forwarded, reference, "forwarded records differ on {shown}");
     }
 }
 
 /// The same differential for `/proc/stat`.
-pub fn assert_system_stat_agrees(text: &str) {
+pub fn assert_system_stat_agrees(text: &(impl AsRef<[u8]> + ?Sized)) {
+    let text = text.as_ref();
+    let shown = text.escape_ascii();
     let soiled = || SystemStat {
         total: CpuTimes {
             user: 7,
@@ -315,19 +326,21 @@ pub fn assert_system_stat_agrees(text: &str) {
         processes: 7,
     };
     let (mut reference, mut scanned) = (soiled(), soiled());
-    let r = system_stat_into(text, &mut reference);
+    let r = system_stat_into(&String::from_utf8_lossy(text), &mut reference);
     let s = parse::parse_system_stat_into(text, &mut scanned);
-    assert_eq!(s, r, "/proc/stat scanner and oracle disagree on {text:?}");
+    assert_eq!(s, r, "/proc/stat scanner and oracle disagree on {shown}");
     if r.is_ok() {
-        assert_eq!(scanned, reference, "/proc/stat records differ on {text:?}");
+        assert_eq!(scanned, reference, "/proc/stat records differ on {shown}");
     }
 }
 
 /// The same differential for `/proc/meminfo`.
-pub fn assert_meminfo_agrees(text: &str) {
+pub fn assert_meminfo_agrees(text: &(impl AsRef<[u8]> + ?Sized)) {
+    let text = text.as_ref();
     assert_eq!(
         parse::parse_meminfo(text),
-        meminfo(text),
-        "meminfo scanner and oracle disagree on {text:?}"
+        meminfo(&String::from_utf8_lossy(text)),
+        "meminfo scanner and oracle disagree on {}",
+        text.escape_ascii()
     );
 }

@@ -187,6 +187,71 @@ fn live_procfs_reads_are_self_consistent() {
 }
 
 /// The numeric entries of a `/proc` directory; `None` when it cannot
+#[test]
+fn live_thread_whose_name_is_not_utf8_is_sampled_like_any_other() {
+    use zerosum_proc::SourceErrorKind::{Denied, Io, Malformed};
+    // `comm` takes any 15 bytes (`prctl(PR_SET_NAME)`, or this file):
+    // Latin-1 here. `stat` and `status` repeat them as they are, so a
+    // reader that insists on UTF-8 can never sample the thread.
+    let (named, is_named) = std::sync::mpsc::channel();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let thread = std::thread::spawn(move || {
+        let tid = std::fs::read_link("/proc/thread-self")
+            .ok()
+            .and_then(|p| p.file_name()?.to_str()?.parse::<u32>().ok());
+        let wrote = std::fs::write("/proc/thread-self/comm", b"c\xe9f\xff").is_ok();
+        named.send(tid.filter(|_| wrote)).unwrap();
+        released.recv().ok();
+    });
+    let Some(tid) = is_named.recv().unwrap() else {
+        eprintln!("live non-UTF-8 comm: SKIPPED (/proc/thread-self/comm is not writable here)");
+        release.send(()).ok();
+        thread.join().unwrap();
+        return;
+    };
+    let want = "c\u{fffd}f\u{fffd}";
+    let src = LinuxProc::new();
+    let pid = src.self_pid().unwrap();
+    assert_eq!(src.task_stat(pid, tid).unwrap().comm, want);
+    assert_eq!(src.task_status(pid, tid).unwrap().name, want);
+    let mut arena = zerosum_proc::ReadArena::new();
+    let span = src.task_stat_text(pid, tid, &mut arena).unwrap();
+    let line = arena.get(span).unwrap();
+    assert!(
+        line.windows(6).any(|w| w == b"(c\xe9f\xff)"),
+        "the bytes as printed"
+    );
+    assert_eq!(
+        zerosum_proc::parse::parse_task_stat(line).unwrap().comm,
+        want
+    );
+    let mut mon = Monitor::new(ZeroSumConfig::default());
+    mon.watch_process(ProcessInfo {
+        pid,
+        rank: None,
+        hostname: "live".into(),
+        gpus: vec![],
+        cpus_allowed: Default::default(),
+    });
+    for round in 1..=3 {
+        mon.sample(f64::from(round), &src);
+    }
+    release.send(()).unwrap();
+    thread.join().unwrap();
+    let w = mon.process(pid).unwrap();
+    let track = w.lwps.track(tid).expect("the thread has a series");
+    assert_eq!(track.name, want);
+    assert_eq!(track.samples.len(), 3, "sampled every round");
+    // Sibling tests' threads may exit under a round (`NotFound`);
+    // nothing may fail to read, be retried or be quarantined.
+    let ledger = &w.health.ledger;
+    for kind in [Io, Malformed, Denied] {
+        assert_eq!(ledger.errors_of(kind), 0, "{kind:?}: {ledger:?}");
+    }
+    assert_eq!((ledger.retried, ledger.quarantine_events), (0, 0));
+    assert_eq!((ledger.degraded, ledger.dropped), (0, 0));
+}
+
 /// be listed at all.
 fn numeric_entries(dir: &str) -> Option<Vec<u32>> {
     let entries = std::fs::read_dir(dir).ok()?;
@@ -262,11 +327,14 @@ fn live_kernel_texts_parse_like_the_oracle() {
     for pid in pids {
         for tid in numeric_entries(&format!("/proc/{pid}/task")).unwrap_or_default() {
             // Vanished or forbidden: nothing to compare.
-            let read =
-                |file: &str| std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/{file}"));
-            if let Ok(text) = read("status") {
-                oracle::assert_status_agrees(&text);
+            // Bytes, not `read_to_string`: a thread's name need not be
+            // UTF-8. The renderer's round trip is over the text the
+            // record carries it as.
+            let read = |file: &str| std::fs::read(format!("/proc/{pid}/task/{tid}/{file}"));
+            if let Ok(bytes) = read("status") {
+                oracle::assert_status_agrees(&bytes);
                 compared += 1;
+                let text = String::from_utf8_lossy(&bytes);
                 if let Some(rendered) =
                     round_trip(&text, parse::parse_task_status, format::write_task_status)
                 {
@@ -274,12 +342,15 @@ fn live_kernel_texts_parse_like_the_oracle() {
                     round_trips += 1;
                 }
             }
-            if let Ok(text) = read("stat") {
-                let line = text.trim_end();
+            if let Ok(bytes) = read("stat") {
+                let line = bytes.trim_ascii_end();
                 oracle::assert_stat_agrees(line);
-                let rendered = round_trip(line, parse::parse_task_stat, format::write_task_stat);
+                let line = String::from_utf8_lossy(line);
+                let rendered = round_trip(&line, parse::parse_task_stat, format::write_task_stat);
                 round_trips += usize::from(rendered.is_some());
             }
+            let read =
+                |file: &str| std::fs::read_to_string(format!("/proc/{pid}/task/{tid}/{file}"));
             if let Ok(text) = read("schedstat") {
                 oracle::assert_schedstat_agrees(&text);
                 let rendered = round_trip(&text, parse::parse_schedstat, format::write_schedstat);
