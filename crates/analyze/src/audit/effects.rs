@@ -216,7 +216,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer.
-pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 27] = [
+pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 24] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -242,24 +242,6 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 27] = [
         "crates/procfs/src/fault.rs",
         "task_status",
         "clone",
-        "last-good cache, chaos layer",
-    ),
-    (
-        "crates/procfs/src/fault.rs",
-        "system_stat_into",
-        "clone",
-        "last-good cache, chaos layer",
-    ),
-    (
-        "crates/procfs/src/fault.rs",
-        "list_tasks_into",
-        "clone",
-        "last-good cache, chaos layer",
-    ),
-    (
-        "crates/procfs/src/fault.rs",
-        "task_stat_text",
-        "to_owned",
         "last-good cache, chaos layer",
     ),
     // Derived `Clone` impls on the view structs — reached only through
@@ -1348,7 +1330,7 @@ fn wait() { thread::sleep(d); handle.join(); }
         let ea = run(
             &[(
                 "a.rs",
-                "fn run_into(b: &B) { leaf(b); }\nfn leaf(b: &B) { let c = b.clone(); }\n",
+                "fn read_into(b: &B) { leaf(b); }\nfn leaf(b: &B) { let c = b.clone(); }\n",
             )],
             &cfg,
         );

@@ -5,10 +5,12 @@
 //! graph ([`callgraph`]), and the passes over them — lock-order
 //! analysis ([`locks`]), panic-reachability ([`panics`]), the effect
 //! passes ([`effects`]: hot-path allocation, determinism, blocking)
-//! and the repo rules ([`rules`]: print-in-lib, source-error-bubble,
+//! and the repo rules ([`rules`]: source-error-bubble,
 //! unbounded-growth). What `rustc` proves — one writer and one reader
 //! per shard ring, no data race, no use of a moved endpoint — is not
-//! re-proved here: every crate is `#![forbid(unsafe_code)]`.
+//! re-proved here: every crate is `#![forbid(unsafe_code)]`. Nor is what
+//! clippy holds: no print in library code (`print_stdout` and
+//! `print_stderr` are denied at every library crate root).
 //! See DESIGN.md §10–§11 for the analysis model and its deliberate
 //! over-approximations.
 //!

@@ -1,12 +1,10 @@
-//! The repo rules: three token-shape checks, each a project constraint
+//! The repo rules: two token-shape checks, each a project constraint
 //! `clippy` cannot express, run over the function bodies the call graph
 //! already holds (so test code is out of scope by the same
-//! `#[cfg(test)]` tracking every other pass uses).
+//! `#[cfg(test)]` tracking every other pass uses). No print in library
+//! code is clippy's (`print_stdout` / `print_stderr`, denied at every
+//! library crate root).
 //!
-//! * **print-in-lib** — `println!`/`eprintln!`/`print!`/`eprint!` in
-//!   library code. Libraries report through return values or the
-//!   caller-provided sink; a direct print also panics when stdio is
-//!   closed, which the monitor's no-panic contract (§3.1) forbids.
 //! * **source-error-bubble** — a [`PROC_READS`] call whose error a `?`
 //!   carries out of a function of the sampling round. A failed `/proc`
 //!   read is an observation about the observed system: it goes through
@@ -150,18 +148,6 @@ pub const GROWTH_ALLOWLIST: [Allow; 16] = [
     ),
 ];
 
-const PRINTS: [&str; 4] = ["println", "eprintln", "print", "eprint"];
-
-/// Library code: under `crates/` or the facade's `src/`, and not a
-/// binary, test, example or bench target.
-fn is_library_source(file: &str) -> bool {
-    (file.starts_with("crates/") || file.starts_with("src/"))
-        && !["/bin/", "/tests/", "/examples/", "/benches/"]
-            .iter()
-            .any(|dir| file.contains(dir))
-        && !file.ends_with("/main.rs")
-}
-
 /// Whether the error of the read call at `site` leaves `node`: a `?`
 /// follows the call or the method chain hanging off it
 /// (`.meminfo().map(..)?`), outside any closure handed to `with_retry`.
@@ -198,13 +184,12 @@ fn in_closure_arg(pf: &ParsedFile, open: usize, site: usize) -> bool {
     pf.is_punct(arg, '|') || pf.is_ident(arg, "move")
 }
 
-/// Runs the three rules over every non-test function.
+/// Runs the two rules over every non-test function.
 pub fn analyze_rules(graph: &CallGraph, growth_allowlist: &[Allow]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut growth = Allowlist::new("unbounded-growth", growth_allowlist);
     for node in &graph.fns {
         let file = node.item.file.as_str();
-        let library = is_library_source(file);
         let round = ROUND_FILES.contains(&file);
         let state = MONITOR_STATE_FILES.contains(&file);
         let pf = &graph.files[node.file_idx];
@@ -222,12 +207,6 @@ pub fn analyze_rules(graph: &CallGraph, growth_allowlist: &[Allow]) -> Vec<Findi
         for s in &node.sites {
             let name = s.name.as_str();
             match s.kind {
-                SiteKind::Macro if library && PRINTS.contains(&name) => report(
-                    "print-in-lib",
-                    s,
-                    name,
-                    format!("`{name}!` in library code: report through the caller's sink"),
-                ),
                 SiteKind::Call
                     if s.method && round && PROC_READS.contains(&name) && bubbles(pf, node, s) =>
                 {

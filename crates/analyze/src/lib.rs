@@ -51,6 +51,7 @@
 //! `cluster-chaos`, `churn` and `audit`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub mod audit;
 pub mod chaos;

@@ -24,18 +24,12 @@ fn read(name: &str) -> String {
 /// `(fixture stem, audit-as path, pass, expected bad-fixture lines)`:
 /// the passes that key on where a file lives, under the shipped
 /// configuration.
-const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 7] = [
+const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 6] = [
     (
         "panic_hot_path",
         "crates/core/src/monitor.rs",
         "panic-reachable",
         &[4, 8],
-    ),
-    (
-        "print_in_lib",
-        "crates/core/src/export.rs",
-        "print-in-lib",
-        &[3, 4],
     ),
     (
         "source_error_bubble",

@@ -14,6 +14,7 @@
 //!   real-process (fork/fork+exec) backend behind `zerosum churn`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod churn;

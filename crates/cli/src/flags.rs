@@ -122,7 +122,6 @@ pub static WRAPPER: Command = Command {
         flag("--period-ms", "N", U64, "1000", "sampling period"),
         flag("--log-dir", "DIR", Text, "", "write the per-process log"),
         flag("--rank", "N", U32, "", "MPI rank (else from the env)"),
-        flag("--monitor-hwt", "N", U32, "", "pin the monitor to this HWT"),
         switch("--verbose-ranks", "print the report on every rank"),
         switch("--heartbeat", "print a liveness line every period"),
     ],

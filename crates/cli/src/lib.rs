@@ -11,6 +11,7 @@
 //! ([`flags`]); `main.rs` dispatches, prints and exits.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod fdprobe;
@@ -19,7 +20,8 @@ pub mod flags;
 use std::path::PathBuf;
 use std::process::Command;
 use zerosum_core::{
-    analyze, evaluate, export, render_findings, render_process_report, SelfMonitor, ZeroSumConfig,
+    analyze, evaluate, export, render_findings, render_process_report, ProgressTracker,
+    SelfMonitor, ZeroSumConfig,
 };
 
 /// Parsed command line.
@@ -28,13 +30,10 @@ pub struct CliOptions {
     /// Sampling period, ms (`--period-ms`, default 1000 like the paper).
     pub period_ms: u64,
     /// Where to write the per-process log (`--log-dir`).
-    pub log_dir: Option<PathBuf>,
+    pub logs_dir: Option<PathBuf>,
     /// MPI rank (`--rank`, else auto-detected from the launcher
     /// environment).
     pub rank: Option<u32>,
-    /// Pin the monitor thread to a hardware thread (`--monitor-hwt N`) —
-    /// the paper's runtime-configurable monitor placement.
-    pub monitor_hwt: Option<u32>,
     /// Suppress the stdout report on non-zero ranks (`--quiet-ranks`,
     /// default true; rank 0 always prints).
     pub quiet_ranks: bool,
@@ -103,9 +102,8 @@ pub fn wrapper_options(parsed: &flags::Parsed) -> Result<CliOptions, CliError> {
     }
     Ok(CliOptions {
         period_ms,
-        log_dir: parsed.text_of("--log-dir").map(PathBuf::from),
+        logs_dir: parsed.text_of("--log-dir").map(PathBuf::from),
         rank: parsed.number_opt("--rank"),
-        monitor_hwt: parsed.number_opt("--monitor-hwt"),
         quiet_ranks: !parsed.given("--verbose-ranks"),
         heartbeat: parsed.given("--heartbeat"),
         command: parsed.trailing.to_vec(),
@@ -128,14 +126,11 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
     let rank = opts
         .rank
         .or_else(|| rank_from_env(|k| std::env::var(k).ok()));
-    let mut config = ZeroSumConfig {
+    let config = ZeroSumConfig {
         period_us: opts.period_ms * 1_000,
         signal_handler: false, // the child owns its signal disposition
         ..Default::default()
     };
-    if let Some(h) = opts.monitor_hwt {
-        config.placement = zerosum_core::MonitorPlacement::Hwt(h);
-    }
     let mut child = Command::new(&opts.command[0])
         .args(&opts.command[1..])
         .spawn()
@@ -146,24 +141,14 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
         // Poll so a heartbeat can be emitted every period while the
         // child runs.
         let period = std::time::Duration::from_millis(opts.period_ms);
+        let tracker = ProgressTracker::new();
         loop {
             match child.try_wait().map_err(|e| format!("wait failed: {e}"))? {
                 Some(st) => break st,
                 None => {
                     std::thread::sleep(period);
-                    let line = session.with_monitor(|m| {
-                        let threads: usize = m
-                            .processes()
-                            .iter()
-                            .map(|w| w.lwps.tracks().filter(|t| !t.exited).count())
-                            .sum();
-                        format!(
-                            "ZeroSum: t={:.0}s, {} live thread(s), sample {}",
-                            session.elapsed_s(),
-                            threads,
-                            m.stats.rounds
-                        )
-                    });
+                    let t_s = session.elapsed_s();
+                    let line = session.with_monitor(|m| tracker.heartbeat_line(m, t_s));
                     // Direct write: a closed stderr must not kill the
                     // wrapper (`eprintln!` would panic).
                     use std::io::Write as _;
@@ -185,7 +170,7 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
     let topo = zerosum_topology::discover();
     report.push('\n');
     report.push_str(&render_findings(&evaluate(&monitor, &topo)));
-    let logs = match &opts.log_dir {
+    let logs = match &opts.logs_dir {
         Some(dir) => export::write_logs(&monitor, dir, duration, |p| {
             render_process_report(&monitor, p, duration, None)
         })
@@ -221,8 +206,6 @@ mod tests {
             "/tmp/zs",
             "--rank",
             "3",
-            "--monitor-hwt",
-            "71",
             "--",
             "miniqmc",
             "-g",
@@ -230,9 +213,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(o.period_ms, 250);
-        assert_eq!(o.log_dir, Some(PathBuf::from("/tmp/zs")));
+        assert_eq!(o.logs_dir, Some(PathBuf::from("/tmp/zs")));
         assert_eq!(o.rank, Some(3));
-        assert_eq!(o.monitor_hwt, Some(71));
         assert_eq!(o.command, s(&["miniqmc", "-g", "2 2 2"]));
     }
 

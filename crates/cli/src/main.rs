@@ -260,7 +260,6 @@ fn cmd_collect(p: &Parsed) -> Exit {
     let period = Duration::from_millis(p.number::<u64>("--period-ms").max(1));
     let mut collector = zerosum_net::Collector::with_config(zerosum_net::CollectorConfig {
         period_s: period.as_secs_f64(),
-        ..Default::default()
     });
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut accepted = 0;

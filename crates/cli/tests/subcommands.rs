@@ -60,6 +60,37 @@ fn wrapper_help_lists_the_subcommands() {
     assert_eq!(zerosum(&[]).status.code(), Some(2));
 }
 
+/// The wrapper's heartbeat is `ProgressTracker::heartbeat_line`, the
+/// §3.3 line, and only that on stderr; the monitor thread has no
+/// placement flag (nothing could apply one to a live thread).
+#[test]
+fn wrapper_heartbeat_is_the_tracker_line_and_there_is_no_placement_flag() {
+    let out = zerosum(&["--period-ms", "50", "--heartbeat", "--", "sleep", "0.3"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let text = stderr(&out);
+    assert!(text.lines().count() >= 2, "{text}");
+    for line in text.lines() {
+        let fields: Vec<&str> = line.split(", ").collect();
+        let [t, procs, threads, sample] = fields[..] else {
+            panic!("not a heartbeat line: {line:?}");
+        };
+        let count = |field: &str, unit: &str| {
+            let n = field.strip_suffix(unit)?;
+            n.parse::<u64>().ok()
+        };
+        let t = t.strip_prefix("ZeroSum: t=").and_then(|t| count(t, "s"));
+        assert!(t.is_some(), "{line:?}");
+        assert_eq!(count(procs, " process(es)"), Some(1), "{line:?}");
+        assert!(count(threads, " live thread(s)").is_some(), "{line:?}");
+        let k = sample.strip_prefix("sample ").map(str::parse::<u64>);
+        assert!(matches!(k, Some(Ok(_))), "{line:?}");
+    }
+    assert_eq!(
+        zerosum(&["--monitor-hwt", "0", "--", "true"]).status.code(),
+        Some(2)
+    );
+}
+
 #[test]
 fn run_all_only_prints_the_artifact_and_rejects_what_it_does_not_know() {
     let out = zerosum(&["run-all", "--only", "listing1"]);

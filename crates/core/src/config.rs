@@ -1,28 +1,11 @@
 //! ZeroSum configuration.
 //!
-//! Mirrors the knobs the paper describes: the sampling period (1 s
-//! default, §4), the placement of the asynchronous monitor thread ("the
-//! last hardware thread assigned to this process by default (this is
-//! user configurable)", §3.1), the optional signal handler, and log
-//! output.
-
-use std::path::PathBuf;
-
-/// Where the asynchronous ZeroSum monitor thread is pinned.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum MonitorPlacement {
-    /// The last hardware thread of the process affinity mask — the
-    /// paper's default.
-    #[default]
-    LastHwt,
-    /// The first hardware thread of the mask.
-    FirstHwt,
-    /// A specific hardware thread OS index (the runtime option passed to
-    /// the `zerosum-mpi` wrapper script in §4).
-    Hwt(u32),
-    /// Unpinned: the whole process mask.
-    Unbound,
-}
+//! Mirrors the knobs the paper describes (§3.1): the sampling period
+//! (1 s default, §4), the optional signal handler, and the monitor's
+//! cost model. What no caller sets is a constant beside the code that
+//! reads it: the retry and quarantine policy in [`crate::health`], the
+//! overload controller's budget, ceiling and deadline in
+//! [`crate::monitor`], the deadlock threshold in [`crate::heartbeat`].
 
 /// The CPU cost model of one monitor sample, used when the monitor runs
 /// as a simulated task. Reading `/proc` is kernel time; parsing and
@@ -54,120 +37,15 @@ impl MonitorCost {
     }
 }
 
-/// Graceful-degradation knobs for the sampling loop (§3.1.1: the
-/// monitor must tolerate a hostile `/proc`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResilienceConfig {
-    /// Extra attempts after a transient `Io` failure (bounded retry).
-    pub retry_limit: u32,
-    /// Virtual-time µs charged to the monitor for the first retry;
-    /// doubles per attempt (exponential backoff, drained by the runner
-    /// into the simulation clock).
-    pub backoff_us: u64,
-    /// Consecutive failed rounds before a tid is quarantined.
-    pub quarantine_after: u32,
-    /// Rounds a quarantined tid sleeps before a re-probe.
-    pub reprobe_after: u32,
-    /// Ceiling on re-probe backoff, as a multiple of `reprobe_after`.
-    /// Each failed re-probe doubles the sleep window (a tid that keeps
-    /// failing costs less and less per hour), but the window never
-    /// exceeds `reprobe_after * reprobe_backoff_cap` rounds — so a
-    /// long-quarantined tid is still re-probed on a bounded cadence and
-    /// its counters can never overflow under hours of churn.
-    pub reprobe_backoff_cap: u32,
-    /// Fill failed slots from the last good sample (flagged degraded in
-    /// the ledger) instead of dropping them.
-    pub interpolate: bool,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            retry_limit: 2,
-            backoff_us: 200,
-            quarantine_after: 3,
-            reprobe_after: 5,
-            reprobe_backoff_cap: 8,
-            interpolate: true,
-        }
-    }
-}
-
-/// Overload-control knobs: the per-round sampling deadline watchdog and
-/// the overhead governor that widens the sampling period when the
-/// monitor's measured cost exceeds its budget. The paper promises less
-/// than one core of overhead (§4); on a node where `/proc` reads slow
-/// down (fault storms, CPU starvation, huge thread counts) the governor
-/// keeps that promise by trading temporal resolution for cost, and the
-/// watchdog sheds per-LWP detail — never the per-HWT totals — when a
-/// single round overruns its deadline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverheadConfig {
-    /// Enable the overhead governor (period widening).
-    pub governor: bool,
-    /// Monitor cost budget as a percentage of the sampling period. When
-    /// the measured per-round cost exceeds `budget_pct`% of the current
-    /// period, the governor doubles the period (up to `max_period_us`)
-    /// and records the change for the report.
-    pub budget_pct: u32,
-    /// Ceiling the governor will not widen the period past, µs.
-    pub max_period_us: u64,
-    /// Per-round sampling deadline as a fraction of the period. A round
-    /// whose cost exceeds it counts as an overrun; with `shed` enabled
-    /// the next round drops per-LWP detail (worker `stat`/`status`
-    /// reads) while keeping per-HWT totals, the main thread, and memory.
-    pub deadline_frac: f64,
-    /// Enable sample shedding after a deadline overrun.
-    pub shed: bool,
-}
-
-impl Default for OverheadConfig {
-    fn default() -> Self {
-        // Budget 1% of the period (10 ms at 1 Hz): an order of magnitude
-        // above the ~0.5% steady-state cost, so the governor is idle on
-        // healthy nodes and reacts within one round to a 4x cost spike.
-        OverheadConfig {
-            governor: true,
-            budget_pct: 1,
-            max_period_us: 16_000_000,
-            deadline_frac: 0.5,
-            shed: true,
-        }
-    }
-}
-
-impl OverheadConfig {
-    /// The per-round cost budget for a given period, µs.
-    pub fn budget_us(&self, period_us: u64) -> u64 {
-        period_us.saturating_mul(self.budget_pct as u64) / 100
-    }
-
-    /// The per-round sampling deadline for a given period, µs.
-    pub fn deadline_us(&self, period_us: u64) -> u64 {
-        (period_us as f64 * self.deadline_frac) as u64
-    }
-}
-
 /// Top-level ZeroSum configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZeroSumConfig {
     /// Sampling period, µs (paper default: once per second).
     pub period_us: u64,
-    /// Monitor thread placement.
-    pub placement: MonitorPlacement,
     /// Monitor thread CPU cost per sample (simulation mode).
     pub cost: MonitorCost,
     /// Install the abnormal-exit (signal) reporter.
     pub signal_handler: bool,
-    /// Emit a periodic heartbeat line (§3.3 progress detection).
-    pub heartbeat: bool,
-    /// Number of consecutive no-progress windows before flagging a
-    /// possible deadlock.
-    pub deadlock_windows: u32,
-    /// Directory for per-process log files; `None` keeps logs in memory.
-    pub log_dir: Option<PathBuf>,
-    /// Fault-tolerance behaviour of the sampling loop.
-    pub resilience: ResilienceConfig,
     /// Delta sampling: skip re-reading `stat`/`status` for worker
     /// threads whose `schedstat` is unchanged since the last fresh read.
     /// A thread whose on-CPU time, wait time, and timeslice count are
@@ -175,9 +53,6 @@ pub struct ZeroSumConfig {
     /// have changed. The main thread is always read fresh (it carries
     /// the process-wide RSS, which moves without the thread running).
     pub delta_sampling: bool,
-    /// Overload control: sampling deadline watchdog, overhead governor,
-    /// and sample shedding.
-    pub overhead: OverheadConfig,
     /// Capacity of every monitor time series (per-LWP samples, per-HWT
     /// utilization, RSS, meminfo). Series are ring buffers that
     /// downsample 2:1 when full, so a multi-hour run holds constant
@@ -197,15 +72,9 @@ impl Default for ZeroSumConfig {
     fn default() -> Self {
         ZeroSumConfig {
             period_us: 1_000_000,
-            placement: MonitorPlacement::LastHwt,
             cost: MonitorCost::default(),
             signal_handler: true,
-            heartbeat: false,
-            deadlock_windows: 5,
-            log_dir: None,
-            resilience: ResilienceConfig::default(),
             delta_sampling: true,
-            overhead: OverheadConfig::default(),
             series_capacity: zerosum_stats::DEFAULT_SERIES_CAPACITY,
             max_exited_tracks: 512,
         }
@@ -219,12 +88,6 @@ impl ZeroSumConfig {
         self
     }
 
-    /// Builder: sets the monitor placement.
-    pub fn with_placement(mut self, p: MonitorPlacement) -> Self {
-        self.placement = p;
-        self
-    }
-
     /// Builder: enables or disables delta sampling.
     pub fn with_delta_sampling(mut self, on: bool) -> Self {
         self.delta_sampling = on;
@@ -234,12 +97,6 @@ impl ZeroSumConfig {
     /// Builder: sets the per-sample cost model.
     pub fn with_cost(mut self, c: MonitorCost) -> Self {
         self.cost = c;
-        self
-    }
-
-    /// Builder: sets the overload-control knobs.
-    pub fn with_overhead(mut self, o: OverheadConfig) -> Self {
-        self.overhead = o;
         self
     }
 
@@ -264,70 +121,30 @@ impl ZeroSumConfig {
             ..Default::default()
         }
     }
-
-    /// Resolves the monitor thread's affinity for a process mask.
-    pub fn monitor_affinity(
-        &self,
-        process_mask: &zerosum_topology::CpuSet,
-    ) -> zerosum_topology::CpuSet {
-        use zerosum_topology::CpuSet;
-        match &self.placement {
-            MonitorPlacement::LastHwt => process_mask
-                .last()
-                .map(CpuSet::single)
-                .unwrap_or_else(|| process_mask.clone()),
-            MonitorPlacement::FirstHwt => process_mask
-                .first()
-                .map(CpuSet::single)
-                .unwrap_or_else(|| process_mask.clone()),
-            MonitorPlacement::Hwt(h) => CpuSet::single(*h),
-            MonitorPlacement::Unbound => process_mask.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zerosum_topology::CpuSet;
 
     #[test]
     fn defaults_match_paper() {
         let c = ZeroSumConfig::default();
         assert_eq!(c.period_us, 1_000_000); // 1 Hz
-        assert_eq!(c.placement, MonitorPlacement::LastHwt);
         assert!(c.signal_handler);
     }
 
     #[test]
     fn overhead_defaults_keep_governor_idle_at_paper_cost() {
+        use crate::monitor::{budget_us, deadline_us};
         let c = ZeroSumConfig::default();
-        assert!(c.overhead.governor && c.overhead.shed);
         // The paper's steady-state sampling cost (~5 ms) sits well under
         // the 1% budget (10 ms at 1 Hz): the governor must be idle on a
         // healthy node so bench numbers are unaffected.
-        assert!(c.cost.total_us() < c.overhead.budget_us(c.period_us));
-        assert_eq!(c.overhead.budget_us(c.period_us), 10_000);
-        assert_eq!(c.overhead.deadline_us(c.period_us), 500_000);
+        assert!(c.cost.total_us() < budget_us(c.period_us));
+        assert_eq!(budget_us(c.period_us), 10_000);
+        assert_eq!(deadline_us(c.period_us), 500_000);
         assert_eq!(c.series_capacity, zerosum_stats::DEFAULT_SERIES_CAPACITY);
-    }
-
-    #[test]
-    fn monitor_affinity_last_hwt() {
-        let c = ZeroSumConfig::default();
-        let mask = CpuSet::parse_list("1-7").unwrap();
-        assert_eq!(c.monitor_affinity(&mask).to_list_string(), "7");
-    }
-
-    #[test]
-    fn monitor_affinity_variants() {
-        let mask = CpuSet::parse_list("1-7").unwrap();
-        let c = ZeroSumConfig::default().with_placement(MonitorPlacement::FirstHwt);
-        assert_eq!(c.monitor_affinity(&mask).to_list_string(), "1");
-        let c = ZeroSumConfig::default().with_placement(MonitorPlacement::Hwt(71));
-        assert_eq!(c.monitor_affinity(&mask).to_list_string(), "71");
-        let c = ZeroSumConfig::default().with_placement(MonitorPlacement::Unbound);
-        assert_eq!(c.monitor_affinity(&mask).to_list_string(), "1-7");
     }
 
     #[test]

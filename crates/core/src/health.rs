@@ -12,9 +12,34 @@
 //!
 //! What a round remembers per thread until the next is one `TaskRow`
 //! of the process's live table ([`ProcessHealth`]).
+//!
+//! The policy is fixed: a transient `Io` failure is retried
+//! [`RETRY_LIMIT`] times with doubling virtual-time backoff from
+//! [`BACKOFF_US`]; a tid whose reads fail [`QUARANTINE_AFTER`] rounds
+//! running is quarantined and re-probed after [`REPROBE_AFTER`] rounds,
+//! each failed re-probe doubling the window up to
+//! [`REPROBE_BACKOFF_CAP`] times that; a failed slot with a last good
+//! sample is filled from it (degraded), one without is dropped.
 
-use crate::config::ResilienceConfig;
 use zerosum_proc::{SchedStat, SourceErrorKind, TaskStat, TaskStatus, Tid};
+
+/// Extra attempts after a transient `Io` failure (bounded retry).
+pub const RETRY_LIMIT: u32 = 2;
+/// Virtual-time µs charged to the monitor for the first retry; doubles
+/// per attempt (exponential backoff, drained by the runner into the
+/// simulation clock).
+pub const BACKOFF_US: u64 = 200;
+/// Consecutive failed rounds before a tid is quarantined.
+pub const QUARANTINE_AFTER: u32 = 3;
+/// Rounds a quarantined tid sleeps before a re-probe.
+pub const REPROBE_AFTER: u32 = 5;
+/// Ceiling on re-probe backoff, as a multiple of [`REPROBE_AFTER`].
+/// Each failed re-probe doubles the sleep window (a tid that keeps
+/// failing costs less and less per hour), but the window never exceeds
+/// `REPROBE_AFTER * REPROBE_BACKOFF_CAP` rounds — so a long-quarantined
+/// tid is still re-probed on a bounded cadence and its counters can
+/// never overflow under hours of churn.
+pub const REPROBE_BACKOFF_CAP: u32 = 8;
 
 /// Aggregated sampling-health counters for one process (or for the
 /// node-level records when held by the monitor itself).
@@ -27,7 +52,7 @@ pub struct HealthLedger {
     /// Task-record slots filled by last-good-sample interpolation.
     pub degraded: u64,
     /// Task-record slots lost entirely (no last-good sample to fall
-    /// back on, or interpolation disabled).
+    /// back on).
     pub dropped: u64,
     /// Transitions of a tid into quarantine.
     pub quarantine_events: u64,
@@ -99,21 +124,20 @@ pub struct TaskFailState {
     pub rounds_until_reprobe: u32,
     /// Re-probes that failed since quarantine began (saturating). Each
     /// failure doubles the next sleep window, capped by
-    /// [`ResilienceConfig::reprobe_backoff_cap`].
+    /// [`REPROBE_BACKOFF_CAP`].
     pub failed_reprobes: u32,
 }
 
 impl TaskFailState {
     /// The sleep window after `failed_reprobes` failed re-probes:
-    /// exponential backoff from `reprobe_after`, hard-capped at
-    /// `reprobe_after * reprobe_backoff_cap` so re-probes are never
+    /// exponential backoff from [`REPROBE_AFTER`], hard-capped at
+    /// `REPROBE_AFTER * REPROBE_BACKOFF_CAP` so re-probes are never
     /// starved and no shift can overflow.
-    pub(crate) fn reprobe_window(failed_reprobes: u32, cfg: &ResilienceConfig) -> u32 {
-        let cap = cfg
-            .reprobe_after
-            .saturating_mul(cfg.reprobe_backoff_cap.max(1));
+    pub(crate) fn reprobe_window(failed_reprobes: u32) -> u32 {
         let scale = 1u32 << failed_reprobes.min(31);
-        cfg.reprobe_after.saturating_mul(scale).min(cap).max(1)
+        REPROBE_AFTER
+            .saturating_mul(scale)
+            .min(REPROBE_AFTER * REPROBE_BACKOFF_CAP)
     }
 }
 
@@ -204,7 +228,6 @@ impl TaskRow {
     pub(crate) fn record_failure(
         &mut self,
         ledger: &mut HealthLedger,
-        cfg: &ResilienceConfig,
     ) -> Option<&(TaskStat, TaskStatus)> {
         let st = self.fail.get_or_insert_with(TaskFailState::default);
         st.consecutive = st.consecutive.saturating_add(1);
@@ -213,13 +236,13 @@ impl TaskRow {
             // exponential backoff, capped so the tid is still re-probed
             // on a bounded cadence (never starved, never overflowed).
             st.failed_reprobes = st.failed_reprobes.saturating_add(1);
-            st.rounds_until_reprobe = TaskFailState::reprobe_window(st.failed_reprobes, cfg);
-        } else if st.consecutive >= cfg.quarantine_after {
+            st.rounds_until_reprobe = TaskFailState::reprobe_window(st.failed_reprobes);
+        } else if st.consecutive >= QUARANTINE_AFTER {
             st.quarantined = true;
-            st.rounds_until_reprobe = cfg.reprobe_after;
+            st.rounds_until_reprobe = REPROBE_AFTER;
             ledger.quarantine_events += 1;
         }
-        let pair = self.good.as_ref().filter(|_| cfg.interpolate);
+        let pair = self.good.as_ref();
         match pair {
             Some(_) => ledger.degraded += 1,
             None => ledger.dropped += 1,
@@ -304,14 +327,6 @@ mod tests {
     use super::*;
     use zerosum_proc::TaskState;
 
-    fn cfg() -> ResilienceConfig {
-        ResilienceConfig {
-            quarantine_after: 3,
-            reprobe_after: 2,
-            ..Default::default()
-        }
-    }
-
     fn stat(tid: Tid) -> TaskStat {
         TaskStat {
             tid,
@@ -352,25 +367,13 @@ mod tests {
     #[test]
     fn failure_without_history_drops_with_history_interpolates() {
         let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
-        assert!(row.record_failure(&mut ledger, &cfg()).is_none());
+        assert!(row.record_failure(&mut ledger).is_none());
         succeed(&mut row, &mut ledger, 9);
-        let pair = row.record_failure(&mut ledger, &cfg());
+        let pair = row.record_failure(&mut ledger);
         assert_eq!(pair.expect("interpolation").0.utime, 5);
         assert_eq!(ledger.dropped, 1);
         assert_eq!(ledger.degraded, 1);
         assert_eq!(ledger.ok, 1);
-    }
-
-    #[test]
-    fn interpolation_can_be_disabled() {
-        let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
-        succeed(&mut row, &mut ledger, 9);
-        let off = ResilienceConfig {
-            interpolate: false,
-            ..cfg()
-        };
-        assert!(row.record_failure(&mut ledger, &off).is_none());
-        assert_eq!(ledger.dropped, 1);
     }
 
     #[test]
@@ -403,22 +406,23 @@ mod tests {
     #[test]
     fn quarantine_engages_after_threshold_and_reprobes() {
         let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
-        let c = cfg();
-        // Three consecutive failures → quarantined.
-        for _ in 0..3 {
+        // QUARANTINE_AFTER consecutive failures → quarantined, and not
+        // one before.
+        for n in 1..=QUARANTINE_AFTER {
             assert!(!row.should_skip(&mut ledger));
-            row.record_failure(&mut ledger, &c);
+            row.record_failure(&mut ledger);
+            assert_eq!(row.fail.unwrap().quarantined, n == QUARANTINE_AFTER);
         }
         assert_eq!(ledger.quarantine_events, 1);
-        assert!(row.fail.is_some_and(|s| s.quarantined));
-        // Skipped for reprobe_after rounds, then re-probed.
-        assert!(row.should_skip(&mut ledger));
-        assert!(row.should_skip(&mut ledger));
+        // Skipped for REPROBE_AFTER rounds, then re-probed.
+        for _ in 0..REPROBE_AFTER {
+            assert!(row.should_skip(&mut ledger));
+        }
         assert!(!row.should_skip(&mut ledger), "due for re-probe");
         assert_eq!(ledger.reprobes, 1);
         // Failed re-probe re-arms a doubled window (backoff).
-        row.record_failure(&mut ledger, &c);
-        for _ in 0..4 {
+        row.record_failure(&mut ledger);
+        for _ in 0..2 * REPROBE_AFTER {
             assert!(row.should_skip(&mut ledger));
         }
         assert!(!row.should_skip(&mut ledger));
@@ -432,16 +436,12 @@ mod tests {
     #[test]
     fn reprobe_backoff_saturates_at_cap_and_never_starves() {
         let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
-        let c = ResilienceConfig {
-            quarantine_after: 1,
-            reprobe_after: 2,
-            reprobe_backoff_cap: 8,
-            ..Default::default()
-        };
-        row.record_failure(&mut ledger, &c); // quarantined immediately
-        let cap_window = c.reprobe_after * c.reprobe_backoff_cap;
+        for _ in 0..QUARANTINE_AFTER {
+            row.record_failure(&mut ledger);
+        }
+        let cap_window = REPROBE_AFTER * REPROBE_BACKOFF_CAP;
         // Hours of churn: 64 failed re-probe cycles. The sleep window
-        // doubles (2, 4, 8, 16) then pins at the cap; the counters
+        // doubles (5, 10, 20, 40) then pins at the cap; the counters
         // saturate instead of wrapping, and every cycle still ends in a
         // re-probe.
         for cycle in 0..64u32 {
@@ -453,24 +453,16 @@ mod tests {
                     "cycle {cycle}: window exceeded the cap ({skipped} > {cap_window})"
                 );
             }
-            let expect = (c.reprobe_after << cycle.min(10)).min(cap_window);
+            let expect = (REPROBE_AFTER << cycle.min(10)).min(cap_window);
             assert_eq!(skipped, expect, "cycle {cycle} window");
-            row.record_failure(&mut ledger, &c); // the re-probe fails again
+            row.record_failure(&mut ledger); // the re-probe fails again
         }
         assert_eq!(ledger.reprobes, 64);
         let st = row.fail.unwrap();
         assert_eq!(st.failed_reprobes, 64);
         assert_eq!(st.rounds_until_reprobe, cap_window);
-        // Degenerate configs can't divide by zero, shift out, or starve:
-        // the window is always at least one round.
-        let degenerate = ResilienceConfig {
-            quarantine_after: 1,
-            reprobe_after: 0,
-            reprobe_backoff_cap: 0,
-            ..Default::default()
-        };
-        assert_eq!(TaskFailState::reprobe_window(u32::MAX, &degenerate), 1);
-        assert_eq!(TaskFailState::reprobe_window(0, &degenerate), 1);
+        // No shift overflows however long the quarantine lasts.
+        assert_eq!(TaskFailState::reprobe_window(u32::MAX), cap_window);
     }
 
     #[test]
@@ -484,11 +476,9 @@ mod tests {
         }
         // A listed tid nobody planned yet (a shed round) holds nothing.
         h.rows.push(TaskRow::arrival(11, None));
-        let c = ResilienceConfig {
-            quarantine_after: 1,
-            ..cfg()
-        };
-        h.rows[1].record_failure(&mut h.ledger, &c);
+        for _ in 0..QUARANTINE_AFTER {
+            h.rows[1].record_failure(&mut h.ledger);
+        }
         assert_eq!(h.footprint(), 6);
         assert_eq!(h.quarantined_now(), 1);
         assert!(h.rows[1].fail.unwrap().quarantined);
@@ -520,9 +510,9 @@ mod tests {
     fn forget_clears_state_and_history() {
         let (mut row, mut ledger) = (TaskRow::arrival(9, None), HealthLedger::default());
         succeed(&mut row, &mut ledger, 9);
-        row.record_failure(&mut ledger, &cfg());
+        row.record_failure(&mut ledger);
         row.forget();
         assert!(row.fail.is_none());
-        assert!(row.record_failure(&mut ledger, &cfg()).is_none());
+        assert!(row.record_failure(&mut ledger).is_none());
     }
 }

@@ -11,6 +11,9 @@ use crate::lwp::LwpKind;
 use crate::monitor::Monitor;
 use zerosum_proc::TaskState;
 
+/// Consecutive no-progress windows before flagging a possible deadlock.
+pub const DEADLOCK_WINDOWS: u32 = 5;
+
 /// The liveness classification of the application at a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Liveness {
@@ -21,7 +24,7 @@ pub enum Liveness {
         /// Consecutive no-progress windows so far.
         windows: u32,
     },
-    /// No progress for at least the configured number of windows while
+    /// No progress for at least [`DEADLOCK_WINDOWS`] windows while
     /// threads still exist — a possible deadlock.
     PossibleDeadlock {
         /// Consecutive no-progress windows.
@@ -76,7 +79,7 @@ impl ProgressTracker {
             return Liveness::Progressing;
         }
         self.stall_windows += 1;
-        if self.stall_windows >= monitor.config.deadlock_windows {
+        if self.stall_windows >= DEADLOCK_WINDOWS {
             Liveness::PossibleDeadlock {
                 windows: self.stall_windows,
                 blocked_threads: blocked,
@@ -116,10 +119,7 @@ mod tests {
     fn setup(behavior: Behavior) -> (NodeSim, Monitor, Pid) {
         let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
         let pid = sim.spawn_process("app", CpuSet::single(0), 64, behavior);
-        let mut mon = Monitor::new(ZeroSumConfig {
-            deadlock_windows: 3,
-            ..Default::default()
-        });
+        let mut mon = Monitor::new(ZeroSumConfig::default());
         mon.watch_process(ProcessInfo {
             pid,
             rank: None,
@@ -152,7 +152,7 @@ mod tests {
         let (mut sim, mut mon, _) = setup(Behavior::Sleeper);
         let mut tracker = ProgressTracker::new();
         let mut last = Liveness::Progressing;
-        for i in 1..=6u64 {
+        for i in 1..=u64::from(DEADLOCK_WINDOWS) + 1 {
             sim.run_for(1_000_000);
             mon.sample(i as f64, &SimProcSource::new(&sim));
             last = tracker.assess(&mon);
@@ -162,7 +162,7 @@ mod tests {
                 windows,
                 blocked_threads,
             } => {
-                assert!(windows >= 3);
+                assert!(windows >= DEADLOCK_WINDOWS);
                 assert_eq!(blocked_threads, 1);
             }
             other => panic!("expected deadlock, got {other:?}"),
@@ -183,12 +183,13 @@ mod tests {
 
     #[test]
     fn deadlock_fires_exactly_at_threshold_window() {
-        // deadlock_windows = 3: windows 1 and 2 are Stalled, window 3 —
-        // not 2, not 4 — escalates, and the count is carried verbatim.
+        // Windows 1 to DEADLOCK_WINDOWS - 1 are Stalled, window
+        // DEADLOCK_WINDOWS — not one before, not one after — escalates,
+        // and the count is carried verbatim.
         let (mut sim, mut mon, _) = setup(Behavior::Sleeper);
         let mut tracker = ProgressTracker::new();
         let mut seq = Vec::new();
-        for i in 1..=5u64 {
+        for i in 1..=u64::from(DEADLOCK_WINDOWS) + 2 {
             sim.run_for(1_000_000);
             mon.sample(i as f64, &SimProcSource::new(&sim));
             seq.push(tracker.assess(&mon));
@@ -196,29 +197,25 @@ mod tests {
         // First observation of a new thread counts as progress; the
         // stall clock starts at the second sample.
         assert_eq!(seq[0], Liveness::Progressing);
-        assert_eq!(seq[1], Liveness::Stalled { windows: 1 });
-        assert_eq!(seq[2], Liveness::Stalled { windows: 2 });
-        assert_eq!(
-            seq[3],
-            Liveness::PossibleDeadlock {
-                windows: 3,
-                blocked_threads: 1
-            }
-        );
-        assert_eq!(
-            seq[4],
-            Liveness::PossibleDeadlock {
-                windows: 4,
-                blocked_threads: 1
-            }
-        );
+        for windows in 1..DEADLOCK_WINDOWS {
+            assert_eq!(seq[windows as usize], Liveness::Stalled { windows });
+        }
+        for windows in DEADLOCK_WINDOWS..=DEADLOCK_WINDOWS + 1 {
+            assert_eq!(
+                seq[windows as usize],
+                Liveness::PossibleDeadlock {
+                    windows,
+                    blocked_threads: 1
+                }
+            );
+        }
     }
 
     #[test]
     fn recovery_one_window_before_threshold_restarts_count() {
-        // Stall right up to the edge (2 of 3 windows), recover, then
-        // stall again: the counter restarts at 1 — a recovered stall
-        // must not inherit the old window count.
+        // Stall right up to the edge (DEADLOCK_WINDOWS - 1 windows),
+        // recover, then stall again: the counter restarts at 1 — a
+        // recovered stall must not inherit the old window count.
         let (mut sim, mut mon, _) = setup(Behavior::FiniteCompute {
             remaining_us: 20_000_000,
             chunk_us: 10_000,
@@ -227,14 +224,16 @@ mod tests {
         sim.run_for(1_000_000);
         mon.sample(1.0, &SimProcSource::new(&sim));
         tracker.assess(&mon);
-        mon.sample(2.0, &SimProcSource::new(&sim));
-        assert_eq!(tracker.assess(&mon), Liveness::Stalled { windows: 1 });
-        mon.sample(3.0, &SimProcSource::new(&sim));
-        assert_eq!(tracker.assess(&mon), Liveness::Stalled { windows: 2 });
+        let mut t_s = 1.0;
+        for windows in 1..DEADLOCK_WINDOWS {
+            t_s += 1.0;
+            mon.sample(t_s, &SimProcSource::new(&sim));
+            assert_eq!(tracker.assess(&mon), Liveness::Stalled { windows });
+        }
         sim.run_for(1_000_000);
-        mon.sample(4.0, &SimProcSource::new(&sim));
+        mon.sample(t_s + 1.0, &SimProcSource::new(&sim));
         assert_eq!(tracker.assess(&mon), Liveness::Progressing);
-        mon.sample(5.0, &SimProcSource::new(&sim));
+        mon.sample(t_s + 2.0, &SimProcSource::new(&sim));
         assert_eq!(tracker.assess(&mon), Liveness::Stalled { windows: 1 });
     }
 

@@ -9,7 +9,8 @@
 //! contention reports, and CSV export for time-series analysis — all at
 //! under 0.5% overhead. This crate implements the tool:
 //!
-//! * [`config`] — sampling period, monitor-thread placement, cost model.
+//! * [`config`] — sampling period, delta sampling, series capacity,
+//!   cost model.
 //! * [`monitor`] — the periodic sampler over any
 //!   [`zerosum_proc::ProcSource`] (live Linux or the node simulation).
 //! * [`lwp`], [`hwt`], [`memory`] — per-thread, per-CPU, and memory
@@ -29,6 +30,7 @@
 //!   rings, bit-identical at any shard count.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod attach;
@@ -53,7 +55,7 @@ pub mod sync;
 
 pub use attach::SelfMonitor;
 pub use cluster::{ClusterMonitor, NodeAggregate, NodeState, NodeSupervision};
-pub use config::{MonitorCost, MonitorPlacement, OverheadConfig, ResilienceConfig, ZeroSumConfig};
+pub use config::{MonitorCost, ZeroSumConfig};
 pub use contention::{analyze, ContentionReport};
 pub use evaluator::{evaluate, evaluate_gpu_memory, render_findings, Finding, Severity};
 pub use feed::{LwpSnapshot, ProcessSnapshot, SampleFeed, SampleSnapshot};

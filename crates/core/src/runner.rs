@@ -12,6 +12,7 @@ use crate::monitor::Monitor;
 use zerosum_proc::fault::FaultInjector;
 use zerosum_proc::Tid;
 use zerosum_sched::{Behavior, NodeSim, SimProcSource};
+use zerosum_topology::CpuSet;
 
 /// Result of a monitored virtual run.
 #[derive(Debug, Clone)]
@@ -24,22 +25,21 @@ pub struct RunOutcome {
     pub samples: u64,
     /// Liveness classification per sample (§3.3).
     pub liveness: Vec<Liveness>,
-    /// Heartbeat lines, when enabled in the config.
-    pub heartbeats: Vec<String>,
 }
 
 /// Spawns the ZeroSum monitor thread into every watched process.
 ///
-/// Each thread is pinned per the config (default: the last hardware
-/// thread of the process mask) and modeled as a periodic task costing
-/// `config.cost` per sample — the §3.1 asynchronous thread.
+/// Each thread is pinned to the last hardware thread of the process
+/// mask (the whole mask if it is empty) — the paper's default placement
+/// — and modeled as a periodic task costing `config.cost` per sample:
+/// the §3.1 asynchronous thread.
 pub fn attach_monitor_threads(sim: &mut NodeSim, monitor: &Monitor) -> Vec<Tid> {
     let mut tids = Vec::new();
     for w in monitor.processes() {
         let pid = w.info.pid;
         let Some(p) = sim.process(pid) else { continue };
-        let mask = p.cpus_allowed.clone();
-        let affinity = monitor.config.monitor_affinity(&mask);
+        let mask = &p.cpus_allowed;
+        let affinity = mask.last().map_or_else(|| mask.clone(), CpuSet::single);
         let tid = sim.spawn_task(
             pid,
             "ZeroSum",
@@ -93,7 +93,6 @@ fn run_monitored_impl(
     let deadline = start_us + max_us;
     let mut tracker = ProgressTracker::new();
     let mut liveness = Vec::new();
-    let mut heartbeats = Vec::new();
     let mut completed = false;
     let sample_once = |sim: &mut NodeSim, monitor: &mut Monitor, t_s: f64| {
         {
@@ -132,9 +131,6 @@ fn run_monitored_impl(
             link.poll(sim, budget as f64 / 1e6);
         }
         liveness.push(tracker.assess(monitor));
-        if monitor.config.heartbeat {
-            heartbeats.push(tracker.heartbeat_line(monitor, t_s));
-        }
         if completed {
             break;
         }
@@ -144,7 +140,6 @@ fn run_monitored_impl(
         completed,
         samples: monitor.stats.rounds,
         liveness,
-        heartbeats,
     }
 }
 
@@ -161,10 +156,10 @@ pub fn run_baseline(sim: &mut NodeSim, max_us: u64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{MonitorCost, MonitorPlacement, ZeroSumConfig};
+    use crate::config::{MonitorCost, ZeroSumConfig};
     use crate::monitor::ProcessInfo;
     use zerosum_sched::SchedParams;
-    use zerosum_topology::{presets, CpuSet};
+    use zerosum_topology::presets;
 
     fn app_sim(work_ms: u64) -> (NodeSim, u32) {
         let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
@@ -231,12 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn heartbeats_collected_when_enabled() {
+    fn heartbeat_line_describes_a_monitored_run() {
         let (mut sim, pid) = app_sim(2_500);
-        let mut mon = Monitor::new(ZeroSumConfig {
-            heartbeat: true,
-            ..Default::default()
-        });
+        let mut mon = Monitor::new(ZeroSumConfig::default());
         mon.watch_process(ProcessInfo {
             pid,
             rank: None,
@@ -245,8 +237,10 @@ mod tests {
             cpus_allowed: Default::default(),
         });
         let out = run_monitored(&mut sim, &mut mon, None, 60_000_000);
-        assert!(!out.heartbeats.is_empty());
-        assert!(out.heartbeats[0].starts_with("ZeroSum: t="));
+        let line = ProgressTracker::new().heartbeat_line(&mon, out.duration_s);
+        assert!(line.starts_with("ZeroSum: t="), "{line}");
+        assert!(line.contains("s, 1 process(es), "), "{line}");
+        assert!(line.ends_with(&format!("sample {}", out.samples)), "{line}");
     }
 
     #[test]
@@ -314,14 +308,11 @@ mod tests {
         let (mut base_sim, _) = mk();
         let base = run_baseline(&mut base_sim, 120_000_000).unwrap();
         let (mut mon_sim, pid) = mk();
-        let mut mon = Monitor::new(
-            ZeroSumConfig::default()
-                .with_placement(MonitorPlacement::Hwt(0))
-                .with_cost(MonitorCost {
-                    sys_us: 35_000,
-                    user_us: 15_000,
-                }),
-        );
+        // The process mask is one HWT: the monitor thread shares it.
+        let mut mon = Monitor::new(ZeroSumConfig::default().with_cost(MonitorCost {
+            sys_us: 35_000,
+            user_us: 15_000,
+        }));
         mon.watch_process(ProcessInfo {
             pid,
             rank: None,

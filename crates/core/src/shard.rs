@@ -227,7 +227,6 @@ struct WatchReadSlot {
 #[derive(Debug, Default)]
 struct ShardBatch {
     phase: Phase,
-    res: crate::config::ResilienceConfig,
     /// Shard-local ledger for node-scope reads (task lists), merged
     /// into `Monitor::node_health` at fold.
     node_ledger: HealthLedger,
@@ -534,15 +533,12 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
                 lists_used,
                 node_ledger,
                 backoff_us,
-                res,
                 ..
             } = batch;
             for ls in lists.iter_mut().take(*lists_used) {
                 let pid = ls.pid;
                 let tids = &mut ls.tids;
-                ls.outcome = with_retry(res, node_ledger, backoff_us, || {
-                    src.list_tasks_into(pid, tids)
-                });
+                ls.outcome = with_retry(node_ledger, backoff_us, || src.list_tasks_into(pid, tids));
             }
         }
         Phase::Read => {
@@ -550,7 +546,6 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
                 reads,
                 reads_used,
                 backoff_us,
-                res,
                 ..
             } = batch;
             for ws in reads.iter_mut().take(*reads_used) {
@@ -573,7 +568,7 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
                         }
                     }
                     let stat_slot = &mut slot.stat;
-                    let stat_read = with_retry(res, ledger, backoff_us, || {
+                    let stat_read = with_retry(ledger, backoff_us, || {
                         let span = src.task_stat_text(pid, tid, arena)?;
                         let Some(line) = arena.get(span) else {
                             return Err(SourceError::Malformed("stat span out of range".into()));
@@ -589,7 +584,7 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
                     let read = match stat_read {
                         Ok(()) => {
                             let status_slot = &mut slot.status;
-                            with_retry(res, ledger, backoff_us, || {
+                            with_retry(ledger, backoff_us, || {
                                 let span = src.task_status_text(pid, tid, arena)?;
                                 let Some(text) = arena.get(span) else {
                                     return Err(SourceError::Malformed(
@@ -619,19 +614,15 @@ fn run_batch(batch: &mut ShardBatch, src: &dyn ProcSource, arena: &mut ReadArena
 fn round_begin(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) -> bool {
     mon.stats.rounds += 1;
     mon.last_t_s = t_s;
-    let res = mon.config.resilience;
     // Deadline watchdog: after an overrun, this round sheds per-LWP
     // detail (worker stat/status reads) to get back under budget.
     let shed = std::mem::take(&mut mon.governor.shed_next);
     if shed {
         mon.governor.shed_rounds += 1;
     }
-    match with_retry(
-        &res,
-        &mut mon.node_health,
-        &mut mon.pending_backoff_us,
-        || src.system_stat_into(&mut mon.scratch.sys),
-    ) {
+    match with_retry(&mut mon.node_health, &mut mon.pending_backoff_us, || {
+        src.system_stat_into(&mut mon.scratch.sys)
+    }) {
         Ok(()) => mon.hwt.observe(t_s, &mon.scratch.sys),
         Err(_) => mon.stats.errors += 1,
     }
@@ -641,13 +632,9 @@ fn round_begin(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) -> bool {
 
 /// Round epilogue: `meminfo` and the snapshot feed.
 fn round_end(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
-    let res = mon.config.resilience;
-    match with_retry(
-        &res,
-        &mut mon.node_health,
-        &mut mon.pending_backoff_us,
-        || src.meminfo(),
-    ) {
+    match with_retry(&mut mon.node_health, &mut mon.pending_backoff_us, || {
+        src.meminfo()
+    }) {
         Ok(mi) => mon.mem.observe(t_s, &mi, &mon.scratch.watched_rss),
         Err(_) => mon.stats.errors += 1,
     }
@@ -698,7 +685,6 @@ fn build_assignment(
 /// Stages trip 1: assigns watches to shards, then one list job per live
 /// watch, routed by the assignment.
 fn stage_lists(mon: &mut Monitor) {
-    let res = mon.config.resilience;
     let Engine {
         batches,
         assign,
@@ -708,7 +694,6 @@ fn stage_lists(mon: &mut Monitor) {
     build_assignment(&mon.processes, assign, order, batches.len());
     for batch in batches.iter_mut() {
         (batch.lists_used, batch.cursor) = (0, 0);
-        batch.res = res;
         batch.phase = Phase::List;
         batch.panicked = false;
     }
@@ -826,7 +811,7 @@ fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
             }
             if row.should_skip(ledger) {
                 // Quarantined after persistent failures; re-probed
-                // once per `reprobe_after` rounds.
+                // after `REPROBE_AFTER` rounds.
                 return;
             }
             // Unchanged schedstat ⇒ the thread was never dispatched
@@ -865,7 +850,6 @@ fn fold_lists_and_plan(mon: &mut Monitor, shed: bool, t_s: f64) {
 /// reconcile exactly against fault-injector logs, shard count
 /// notwithstanding.
 fn fold_reads(mon: &mut Monitor, t_s: f64) {
-    let res = mon.config.resilience;
     let max_exited = mon.config.max_exited_tracks;
     let Monitor {
         processes,
@@ -944,7 +928,7 @@ fn fold_reads(mon: &mut Monitor, t_s: f64) {
                     // substitution. It reports no schedstat — a fresh
                     // schedstat against a stale stat would skew wait
                     // deltas.
-                    match row.record_failure(ledger, &res) {
+                    match row.record_failure(ledger) {
                         Some((stat, status)) => (stat, status, None),
                         None => continue,
                     }
@@ -1513,15 +1497,13 @@ mod tests {
     }
 
     /// Two monitors on `src`: one sampled, one driven by the serial
-    /// oracle, with a quarantine a four-round spell reaches.
+    /// oracle. A four-round spell of failing reads reaches the
+    /// quarantine (`QUARANTINE_AFTER` is three).
     fn scripted_pair(pid: Pid, delta_on: bool, max_exited_tracks: usize) -> (Monitor, Monitor) {
         let mut pair = (monitor_for(&[pid]), monitor_for(&[pid]));
         for mon in [&mut pair.0, &mut pair.1] {
             mon.config.delta_sampling = delta_on;
             mon.config.max_exited_tracks = max_exited_tracks;
-            mon.config.resilience.retry_limit = 1;
-            mon.config.resilience.quarantine_after = 2;
-            mon.config.resilience.reprobe_after = 2;
         }
         pair
     }
@@ -1566,6 +1548,7 @@ mod tests {
     fn join_matches_the_serial_oracle_under_seeded_listing_churn() {
         let pid: Pid = 1000;
         let mut met = [0u32; 11];
+        let (mut quarantines, mut reprobes) = (0u64, 0u64);
         for seed in 0..24u64 {
             let mut rng = seed.wrapping_mul(0x2545_f491_4f6c_dd1d) | 1;
             let mut next = move || {
@@ -1665,14 +1648,23 @@ mod tests {
             let rss: Vec<u64> = w.rss_series.iter().map(|&(_, kib)| kib).collect();
             assert!(rss.windows(2).all(|w| w[0] < w[1]), "seed {seed}: {rss:?}");
             met[8] += u32::from(w.lwps.departed().tracks > 0);
-            met[9] += u32::from(sampled.health_total().quarantine_events > 0);
+            let health = sampled.health_total();
+            met[9] += u32::from(health.quarantine_events > 0);
             met[10] += u32::from(sampled.stats.delta_hits > 0);
+            (quarantines, reprobes) = (
+                quarantines + health.quarantine_events,
+                reprobes + health.reprobes,
+            );
         }
         // Empty, only-main, back, recycled, wrapped, recycled in place,
         // gone, shed; seeds that evicted, quarantined, hit the gate.
         assert!(
             met.iter().all(|&n| n >= 5),
             "a case hardly came up: {met:?}"
+        );
+        assert!(
+            quarantines > 0 && reprobes > 0,
+            "{quarantines} quarantine(s), {reprobes} re-probe(s)"
         );
     }
 

@@ -25,6 +25,7 @@
 //! runs, and CSV artifacts land under `results/`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod artifacts;

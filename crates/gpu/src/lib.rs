@@ -19,6 +19,7 @@
 //!   (the Frontier GCD-4-shown-as-0 trap).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod activity;

@@ -20,6 +20,7 @@
 //!   traffic fraction they optimize.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod collective;

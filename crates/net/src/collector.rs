@@ -3,8 +3,7 @@
 //!
 //! The collector is deliberately passive and bounded. Per round it
 //! drains each node's link into a per-connection reassembly buffer and
-//! decodes at most [`CollectorConfig::max_frames_per_node_per_round`]
-//! frames from it — one babbling or stuck node can neither stall the
+//! decodes at most [`MAX_FRAMES_PER_NODE_PER_ROUND`] frames from it — one babbling or stuck node can neither stall the
 //! round nor starve its neighbours. A connection whose buffer exceeds
 //! `MAX_BUFFERED_BYTES` stops being read until it drains, which fills
 //! the sender's bounded window and pushes the backpressure to the
@@ -30,15 +29,16 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use zerosum_core::{ClusterMonitor, NodeAggregate};
 
-/// Bounds and timing knobs of the collector loop.
+/// Timing of the collector loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectorConfig {
-    /// Decode budget per connection per round.
-    pub max_frames_per_node_per_round: usize,
     /// Monitoring period, seconds — maps a heartbeat's round number to
     /// its expected sample time for clock-skew judgement.
     pub period_s: f64,
 }
+
+/// Decode budget per connection per round.
+pub const MAX_FRAMES_PER_NODE_PER_ROUND: usize = 64;
 
 /// Reassembly-buffer cap per connection; a connection over the cap is
 /// not read until it drains (backpressure to the agent).
@@ -53,10 +53,7 @@ const MAX_HEADER_STALLS: u32 = 8;
 
 impl Default for CollectorConfig {
     fn default() -> Self {
-        CollectorConfig {
-            max_frames_per_node_per_round: 64,
-            period_s: 0.1,
-        }
+        CollectorConfig { period_s: 0.1 }
     }
 }
 
@@ -186,7 +183,6 @@ impl Collector {
     /// budget. Also used bare during the end-of-run drain, when no
     /// more supervision rounds are being opened.
     pub fn pump_frames(&mut self) {
-        let budget = self.cfg.max_frames_per_node_per_round;
         let period_s = self.cfg.period_s;
         for conn in &mut self.conns {
             if conn.buf.len() >= MAX_BUFFERED_BYTES {
@@ -199,7 +195,7 @@ impl Collector {
             let mut used = 0usize;
             let mut consumed = 0usize;
             loop {
-                if used >= budget {
+                if used >= MAX_FRAMES_PER_NODE_PER_ROUND {
                     self.stats.budget_exhausted += 1;
                     break;
                 }
@@ -521,10 +517,7 @@ mod tests {
     #[test]
     fn frame_budget_bounds_one_round_of_a_babbling_node() {
         let (mut raw, coll_end) = in_proc_pair(1024);
-        let mut collector = Collector::with_config(CollectorConfig {
-            max_frames_per_node_per_round: 8,
-            ..CollectorConfig::default()
-        });
+        let mut collector = Collector::new();
         collector.add_link(Box::new(coll_end));
         let beat = frame_bytes(&Frame::LwpDetail {
             round: 1,
@@ -532,14 +525,19 @@ mod tests {
             busy_pct: 1.0,
         })
         .unwrap();
-        for _ in 0..20 {
+        let budget = MAX_FRAMES_PER_NODE_PER_ROUND as u64;
+        for _ in 0..budget + 20 {
             raw.send_bytes(&beat).unwrap();
         }
         collector.run_round();
-        assert_eq!(collector.stats.frames_rx, 8, "budget caps the round");
+        assert_eq!(collector.stats.frames_rx, budget, "budget caps the round");
         assert_eq!(collector.stats.budget_exhausted, 1);
         collector.run_round();
         collector.run_round();
-        assert_eq!(collector.stats.frames_rx, 20, "backlog drains later");
+        assert_eq!(
+            collector.stats.frames_rx,
+            budget + 20,
+            "backlog drains later"
+        );
     }
 }

@@ -22,6 +22,7 @@
 //!   [`zerosum_core::ClusterMonitor`] rounds off received frames.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod agent;

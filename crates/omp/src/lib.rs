@@ -14,6 +14,7 @@
 //! * [`ompt`] — the tool-callback registry (`thread-begin`/`thread-end`).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod bind;

@@ -478,6 +478,11 @@ impl FaultInjector {
 
 /// A [`ProcSource`] view that injects the wrapped injector's schedule
 /// into every call before (maybe) consulting the inner source.
+///
+/// Only the typed reads are overridden: the `_into` and raw-text forms
+/// are the trait's defaults, which call them, so every form of a read
+/// is one scheduled call with the same [`Op`], call number and log
+/// entry.
 pub struct FaultyProc<'a> {
     inj: &'a FaultInjector,
     inner: &'a dyn ProcSource,
@@ -515,68 +520,6 @@ impl FaultyProc<'_> {
             },
         }
     }
-
-    /// The `_into` twin of [`Self::run`]: `out` is threaded through the
-    /// callbacks as an argument (never captured), so the borrow checker
-    /// accepts one mutable record shared by the read and the stale-serve
-    /// paths. The argument count mirrors [`Self::run`] plus the output
-    /// slot and its cache adapters; splitting it would hide the symmetry.
-    /// The raw-text reads go through here too, with a [`TextOut`] for
-    /// `out`: the fault is decided first (same `Op`, same call count,
-    /// same log entry as the typed read), a pass goes to the inner
-    /// source's own text read, and only a stale serve renders a record.
-    #[allow(clippy::too_many_arguments)]
-    fn run_into<T>(
-        &self,
-        op: Op,
-        pid: Pid,
-        tid: Tid,
-        out: &mut T,
-        call: impl Fn(&dyn ProcSource, &mut T) -> SourceResult<()>,
-        to_cache: impl Fn(&T) -> Option<CachedOk>,
-        from_cache: impl Fn(&CachedOk, &mut T) -> bool,
-    ) -> SourceResult<()> {
-        match self.inj.decide(op, pid, tid) {
-            Decision::Fail(e) => Err(e),
-            Decision::Stale => {
-                let hit = {
-                    let st = self.inj.state.borrow();
-                    match st.cache.get(&(op, pid, tid)) {
-                        Some(c) => from_cache(c, out),
-                        None => false,
-                    }
-                };
-                if hit {
-                    Ok(())
-                } else {
-                    // Cache said present at decision time; if the variant
-                    // mismatched somehow, fall back to a real read.
-                    call(self.inner, out)
-                }
-            }
-            Decision::Pass => match call(self.inner, out) {
-                Ok(()) => {
-                    if self.inj.can_stale {
-                        if let Some(v) = to_cache(out) {
-                            self.inj.cache_ok(op, pid, tid, v);
-                        }
-                    }
-                    Ok(())
-                }
-                Err(e) => {
-                    self.inj.log_passthrough(op, pid, tid, &e);
-                    Err(e)
-                }
-            },
-        }
-    }
-}
-
-/// The output slot of a raw-text read: the arena, and the span the
-/// record landed in (read, or rendered from the last-good cache).
-struct TextOut<'a> {
-    arena: &'a mut ReadArena,
-    span: ArenaSpan,
 }
 
 impl ProcSource for FaultyProc<'_> {
@@ -662,112 +605,6 @@ impl ProcSource for FaultyProc<'_> {
                 _ => None,
             },
         )
-    }
-
-    // The `_into` overrides keep the wrapper allocation-free on the
-    // pass-through path: the inner source's buffer-reusing reads land
-    // directly in the caller's record, and the injector's decision logic
-    // runs identically (same call numbering, same log).
-
-    fn system_stat_into(&self, out: &mut SystemStat) -> SourceResult<()> {
-        self.run_into(
-            Op::SystemStat,
-            0,
-            0,
-            out,
-            |inner, out| inner.system_stat_into(out),
-            |v| Some(CachedOk::System(v.clone())),
-            |c, out| match c {
-                CachedOk::System(v) => {
-                    out.clone_from(v);
-                    true
-                }
-                _ => false,
-            },
-        )
-    }
-
-    fn list_tasks_into(&self, pid: Pid, out: &mut Vec<Tid>) -> SourceResult<()> {
-        self.run_into(
-            Op::ListTasks,
-            pid,
-            0,
-            out,
-            |inner, out| inner.list_tasks_into(pid, out),
-            |v| Some(CachedOk::Tasks(v.clone())),
-            |c, out| match c {
-                CachedOk::Tasks(v) => {
-                    out.clone_from(v);
-                    true
-                }
-                _ => false,
-            },
-        )
-    }
-
-    fn task_stat_text(&self, pid: Pid, tid: Tid, arena: &mut ReadArena) -> SourceResult<ArenaSpan> {
-        let mut out = TextOut {
-            arena,
-            span: ArenaSpan::default(),
-        };
-        self.run_into(
-            Op::TaskStat,
-            pid,
-            tid,
-            &mut out,
-            |inner, out| {
-                out.span = inner.task_stat_text(pid, tid, out.arena)?;
-                Ok(())
-            },
-            |out| {
-                let view = crate::parse::parse_task_stat_view(out.arena.get(out.span)?).ok()?;
-                Some(CachedOk::Stat(view.to_owned()))
-            },
-            |c, out| match c {
-                CachedOk::Stat(v) => {
-                    out.arena.stat_scratch.clone_from(v);
-                    out.span = out.arena.render_stat_scratch();
-                    true
-                }
-                _ => false,
-            },
-        )?;
-        Ok(out.span)
-    }
-
-    fn task_status_text(
-        &self,
-        pid: Pid,
-        tid: Tid,
-        arena: &mut ReadArena,
-    ) -> SourceResult<ArenaSpan> {
-        let mut out = TextOut {
-            arena,
-            span: ArenaSpan::default(),
-        };
-        self.run_into(
-            Op::TaskStatus,
-            pid,
-            tid,
-            &mut out,
-            |inner, out| {
-                out.span = inner.task_status_text(pid, tid, out.arena)?;
-                Ok(())
-            },
-            |out| {
-                let status = crate::parse::parse_task_status(out.arena.get(out.span)?).ok()?;
-                Some(CachedOk::Status(status))
-            },
-            |c, out| match c {
-                CachedOk::Status(v) => {
-                    out.arena.status_scratch.clone_from(v);
-                    out.span = out.arena.render_status_scratch();
-                    true
-                }
-                _ => false,
-            },
-        )?;
-        Ok(out.span)
     }
 }
 

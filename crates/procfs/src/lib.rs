@@ -22,6 +22,7 @@
 //!   arenas the sampling round reads whole task slices into.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod arena;

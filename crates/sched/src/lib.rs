@@ -21,6 +21,7 @@
 //! offload, MPI helper, the ZeroSum monitor thread itself).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod behavior;

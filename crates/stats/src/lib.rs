@@ -8,6 +8,7 @@
 //! (constant-memory series for multi-hour monitored runs).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod histogram;

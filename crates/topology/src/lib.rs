@@ -18,6 +18,7 @@
 //!   and the configuration evaluator.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 #![warn(missing_docs)]
 
 pub mod builder;

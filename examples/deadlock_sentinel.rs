@@ -33,8 +33,6 @@ fn main() {
 
     let mut monitor = Monitor::new(ZeroSumConfig {
         period_us: 250_000,
-        deadlock_windows: 4,
-        heartbeat: true,
         ..Default::default()
     });
     monitor.watch_process(ProcessInfo {
@@ -47,10 +45,10 @@ fn main() {
     attach_monitor_threads(&mut sim, &monitor);
     // Cap the run: the app would never finish on its own.
     let out = run_monitored(&mut sim, &mut monitor, None, 20_000_000);
-    for hb in &out.heartbeats {
-        println!("{hb}");
-    }
-    println!();
+    println!(
+        "{}\n",
+        ProgressTracker::new().heartbeat_line(&monitor, out.duration_s)
+    );
     for (i, l) in out.liveness.iter().enumerate() {
         println!("sample {i}: {l:?}");
     }

@@ -60,7 +60,7 @@ mutants=(
 'ring-writer-two-threads~crates/core/src/shard.rs~s/for \(\(jr, ow\), source\) in ends\.into_iter\(\)\.zip\(sources\) \{/for ((jr, mut ow), source) in ends.into_iter().zip(sources) { scope.spawn(|| ow.try_push_swap(&mut ShardBatch::default()));/~one ring writer handed to two threads'
 'feed-unused-receiver~crates/core/src/feed.rs~s/(self\.subscribers\.push\(tx\);\n\s+)rx\n/$1sync_channel(1).1\n/~a `sync_channel` receiver bound and never used (the subscriber gets a dead one)'
 'sleep-in-shard-loop~crates/core/src/shard.rs~s/(let mut arena = ReadArena::new\(\);\n    loop \{)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in the shard pump loop'
-'sleep-in-pump-frames~crates/net/src/collector.rs~s/(let budget = self\.cfg\.max_frames_per_node_per_round;)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in `Collector::pump_frames`'
+'sleep-in-pump-frames~crates/net/src/collector.rs~s/(let period_s = self\.cfg\.period_s;)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in `Collector::pump_frames`'
 'sleep-in-run-batch~crates/core/src/shard.rs~s/(fn run_batch\([^)]*\) \{)/$1 std::thread::sleep(std::time::Duration::from_micros(50));/~`thread::sleep` inside the sampling round (`run_batch`)'
 'proc-read-under-guard~crates/core/src/attach.rs~s/f\(&lock_unpoisoned\(&self\.shared\)\)/{ let g = lock_unpoisoned(&self.shared); let _ = LinuxProc::new().meminfo(); f(&g) }/~a `ProcSource` read while `core.attach.monitor` is held'
 'send-under-guard~crates/core/src/attach.rs~s/f\(&lock_unpoisoned\(&self\.shared\)\)/{ let g = lock_unpoisoned(&self.shared); let (tx, _rx) = std::sync::mpsc::sync_channel(1); let _ = tx.send(0u8); f(&g) }/~a blocking channel `.send()` while `core.attach.monitor` is held'
@@ -81,6 +81,8 @@ mutants=(
 'println-in-core~crates/core/src/shard.rs~s/(fn round_begin\([^)]*\) -> bool \{)/$1 println!("round {t_s}");/~a `println!` in library code (`core::shard`)'
 'ab-ba-lock-pair~crates/experiments/src/parallel.rs~s/\*results\[i\]\.lock\(\)\.expect\("result slot poisoned"\) = Some\(out\);/{ let _s = slots[i].lock().expect("job slot poisoned"); let _r = results[i].lock().expect("result slot poisoned"); } let mut r = results[i].lock().expect("result slot poisoned"); let _s = slots[i].lock().expect("job slot poisoned"); *r = Some(out);/~two `Tracked` locks taken in both orders (slot then result, result then slot)'
 'fold-in-shard-order~crates/core/src/shard.rs~s/(fn fold_reads\(.*?)for \(i, w\) in processes\.iter_mut\(\)\.enumerate\(\) \{/$1for i in (0..processes.len()).map(|k| engine.order.get(k).copied().unwrap_or(k)) { let Some(w) = processes.get_mut(i) else { continue };/s~the read trip folded in shard (CPU) order, not watch order: a shard holding watches registered out of CPU order drops one of them'
+'quarantine-one-round-late~crates/core/src/health.rs~s/\} else if st\.consecutive >= QUARANTINE_AFTER \{/} else if st.consecutive > QUARANTINE_AFTER {/~a tid whose reads keep failing is quarantined one round after `QUARANTINE_AFTER`'
+'governor-past-ceiling~crates/core/src/monitor.rs~s/let to = period\.saturating_mul\(2\)\.min\(MAX_PERIOD_US\);/let to = period.saturating_mul(2);/~the governor doubles the period past `MAX_PERIOD_US`'
 )
 
 # The command stages of scripts/ci.sh, at its arguments (the benchmark
@@ -133,7 +135,7 @@ stages=(
 )
 # The passes of `zerosum audit` (a clean tree names none of them).
 audit_passes=(lock-cycle panic-reachable hot-path-alloc nondeterminism blocking
-    print-in-lib source-error-bubble unbounded-growth stale-allowlist "${extra_passes[@]}")
+    source-error-bubble unbounded-growth stale-allowlist "${extra_passes[@]}")
 
 # The test binaries of a `cargo test` log, one `test <binary> (<file>)`
 # per line: every one it ran (`all=1`), or the ones that failed.

@@ -40,6 +40,7 @@
 //! See `examples/quickstart.rs` and the `zerosum-experiments` crate.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
 
 pub use zerosum_apps as apps;
 pub use zerosum_core as core;
@@ -56,8 +57,8 @@ pub mod prelude {
     pub use zerosum_core::{
         analyze, attach_monitor_threads, evaluate, evaluate_gpu_memory, render_findings,
         render_process_report, render_summary, run_baseline, run_monitored, ClusterMonitor,
-        Finding, GpuStack, Liveness, Monitor, MonitorPlacement, ProcessInfo, ProgressTracker,
-        SampleFeed, SelfMonitor, Severity, SimGpuLink, ZeroSumConfig,
+        Finding, GpuStack, Liveness, Monitor, ProcessInfo, ProgressTracker, SampleFeed,
+        SelfMonitor, Severity, SimGpuLink, ZeroSumConfig,
     };
     pub use zerosum_proc::{LinuxProc, ProcSource};
     pub use zerosum_sched::{

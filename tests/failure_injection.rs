@@ -40,7 +40,6 @@ fn deadlocked_team_is_flagged_then_finished_apps_are_not() {
     sim.register_barrier_member(pid, 1); // the member that never comes
     let mut monitor = Monitor::new(ZeroSumConfig {
         period_us: 100_000,
-        deadlock_windows: 3,
         ..Default::default()
     });
     watch(&sim, &mut monitor, pid);
@@ -53,14 +52,18 @@ fn deadlocked_team_is_flagged_then_finished_apps_are_not() {
         &out.liveness[out.liveness.len().saturating_sub(3)..]
     );
     // The deadlock verdict must come only after the stall threshold:
-    // with deadlock_windows = 3, the third stalled assessment (index 2)
-    // is the earliest legal verdict.
+    // the DEADLOCK_WINDOWS-th stalled assessment is the earliest legal
+    // verdict.
     let first_deadlock = out
         .liveness
         .iter()
         .position(|l| matches!(l, Liveness::PossibleDeadlock { .. }))
         .unwrap();
-    assert!(first_deadlock >= 2, "deadlock at sample {first_deadlock}");
+    let earliest = zerosum_core::heartbeat::DEADLOCK_WINDOWS as usize - 1;
+    assert!(
+        first_deadlock >= earliest,
+        "deadlock at sample {first_deadlock}"
+    );
 }
 
 #[test]

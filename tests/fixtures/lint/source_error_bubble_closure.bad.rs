@@ -10,7 +10,7 @@ fn read_task(src: &dyn ProcSource, pid: u32, tid: u32, arena: &mut ReadArena) ->
 // the arguments before it hold.
 fn read_mem(src: &dyn ProcSource, round: &mut Round) -> SourceResult<()> {
     let free = src.meminfo().map(|m| m.free_kib)?;
-    let outcome = with_retry(pick(|r| r.res), src.system_stat()?, round.backoff_us, || Ok(free));
+    let outcome = with_retry(pick(|r| r.ledger), src.system_stat()?, || Ok(free));
     note(outcome);
     Ok(())
 }
