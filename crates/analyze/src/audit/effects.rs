@@ -17,7 +17,7 @@
 //!   protecting the bit-identical survivor-equality differentials.
 //! * **blocking** — the one "don't block here" pass, over two kinds of
 //!   scope: the non-blocking roots (the deadline-watchdog scope of
-//!   `Monitor::sample` and the two pump loops, `shard_loop` and
+//!   `Monitor::sample` and the collector's pump loop,
 //!   `Collector::pump_frames`), where a sleep, channel op or join
 //!   stalls a round somebody is waiting on; and every held range of a
 //!   lock, where those and file IO and `/proc` reads turn the lock
@@ -158,14 +158,9 @@ impl EffectConfig<'static> {
 /// The repo's standard effect configuration.
 pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
     hot_root_suffix: "_into",
-    // The round and its pump run every period on every shard;
-    // allocation there is contention by another name. (`round` reaches
-    // the pump only through its `trip` closure, which the graph cannot
-    // see, so the pump is a root of its own.)
-    hot_roots: &[
-        ("crates/core/src/shard.rs", "process_batch"),
-        ("crates/core/src/shard.rs", "round"),
-    ],
+    // The round runs every period; allocation there is contention by
+    // another name.
+    hot_roots: &[("crates/core/src/round.rs", "round")],
     alloc_allowlist: &DEFAULT_ALLOC_ALLOWLIST,
     det_root_prefixes: &["crates/sched/src/"],
     det_roots: &[
@@ -206,7 +201,6 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
     det_allowlist: &DEFAULT_DET_ALLOWLIST,
     watchdog_roots: &[
         ("crates/core/src/monitor.rs", "sample"),
-        ("crates/core/src/shard.rs", "shard_loop"),
         ("crates/net/src/collector.rs", "pump_frames"),
     ],
     blocking_allowlist: &DEFAULT_BLOCKING_ALLOWLIST,
@@ -216,7 +210,7 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer.
-pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 24] = [
+pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 23] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -324,9 +318,8 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 24] = [
         "to_string",
         "sim materializes views",
     ),
-    // Round roots (`process_batch`/`round`): the parsers and the batch
-    // body only allocate when a read or parse fails — message
-    // formatting off the healthy path.
+    // The round root: the parsers and the task read only allocate when
+    // a read or parse fails — message formatting off the healthy path.
     (
         "crates/procfs/src/parse.rs",
         "schedstat",
@@ -334,8 +327,8 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 24] = [
         "parse-error path only",
     ),
     (
-        "crates/core/src/shard.rs",
-        "run_batch",
+        "crates/core/src/round.rs",
+        "read_task",
         "to_string",
         "parse-error path only",
     ),
@@ -348,19 +341,13 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 24] = [
         "first listing of a pid only",
     ),
     // The round's prologue and epilogue: the first `/proc/stat` is kept
-    // whole, a watch's list slot is made once, and a snapshot is built
-    // only while somebody subscribes to the feed.
+    // whole, and a snapshot is built only while somebody subscribes to
+    // the feed.
     (
         "crates/core/src/hwt.rs",
         "observe",
         "clone",
         "first round only; later rounds `clone_from` into the kept snapshot",
-    ),
-    (
-        "crates/core/src/shard.rs",
-        "default",
-        "Vec::new",
-        "capacity-0, and a list slot is made once per watch, not per round",
     ),
     (
         "crates/core/src/feed.rs",
@@ -396,19 +383,19 @@ pub const DEFAULT_DET_ALLOWLIST: [Allow; 0] = [];
 /// non-blocking root the token is the effect; under a lock it is
 /// `lock:effect`, the effect being the nearest blocking site the held
 /// call reaches — for a `sample` call the round's first `/proc` read,
-/// the listing in `run_batch`.
-pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 4] = [
+/// `/proc/stat` in `round_begin`.
+pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 3] = [
     (
         "crates/core/src/attach.rs",
         "start_with",
-        "core.attach.monitor:list_tasks_into",
+        "core.attach.monitor:system_stat_into",
         "the monitor thread owns the monitor lock for the whole sampling round by design; \
          the only contenders (with_monitor, stop) are steering/shutdown paths",
     ),
     (
         "crates/core/src/attach.rs",
         "stop",
-        "core.attach.monitor:list_tasks_into",
+        "core.attach.monitor:system_stat_into",
         "final sample after the sampler thread has been joined; the lock is uncontended",
     ),
     (
@@ -416,12 +403,6 @@ pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 4] = [
         "abnormal_exit_drill",
         "analyze.chaos.flush_monitor:fs::create_dir_all",
         "drill-only crash flush; single-threaded harness, no contention",
-    ),
-    (
-        "crates/core/src/shard.rs",
-        "shard_loop",
-        "thread::park",
-        "idle wait by design; the driver unparks the pump on every dispatch and at shutdown",
     ),
 ];
 

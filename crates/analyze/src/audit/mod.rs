@@ -7,7 +7,7 @@
 //! passes ([`effects`]: hot-path allocation, determinism, blocking)
 //! and the repo rules ([`rules`]: source-error-bubble,
 //! unbounded-growth). What `rustc` proves — one writer and one reader
-//! per shard ring, no data race, no use of a moved endpoint — is not
+//! per `ShardRing`, no data race, no use of a moved endpoint — is not
 //! re-proved here: every crate is `#![forbid(unsafe_code)]`. Nor is what
 //! clippy holds: no print in library code (`print_stdout` and
 //! `print_stderr` are denied at every library crate root).

@@ -27,8 +27,7 @@ use super::{Allow, Allowlist, Finding};
 ///
 /// * `sample` — everything under the sampling supervisor's
 ///   `catch_unwind`: `Monitor::sample` runs the whole round (begin,
-///   both trips of the one inline shard, both folds, end) inside
-///   `Monitor::supervised`.
+///   list, read and fold, end) inside it.
 /// * `run_crash_flushes`, `report_abnormal_exit`, `crash_report` — the
 ///   abnormal-exit path; a panic here aborts before logs are flushed.
 /// * `write_partial_logs`, `render_process_report` — registered as
@@ -38,11 +37,7 @@ use super::{Allow, Allowlist, Finding};
 ///   hostile-input boundary: frames arrive truncated, corrupted, and
 ///   version-skewed off the wire, and a panic here kills supervision
 ///   for the whole allocation.
-/// * `process_batch`, `fold_reads` — the round's pump (also the body
-///   of each shard thread, which `sample` does not reach) and its
-///   fold; a panic in either stalls or corrupts a whole shard's worth
-///   of watches.
-pub const PANIC_ROOTS: [(&str, &str, &str); 12] = [
+pub const PANIC_ROOTS: [(&str, &str, &str); 10] = [
     (
         "crates/core/src/monitor.rs",
         "sample",
@@ -84,16 +79,6 @@ pub const PANIC_ROOTS: [(&str, &str, &str); 12] = [
         "collector daemon loop",
     ),
     (
-        "crates/core/src/shard.rs",
-        "process_batch",
-        "shard sampling pump",
-    ),
-    (
-        "crates/core/src/shard.rs",
-        "fold_reads",
-        "shard driver fold",
-    ),
-    (
         "crates/apps/src/churn.rs",
         "run_real_churn",
         "real fork/exec storm driver — supervises live child processes",
@@ -110,7 +95,7 @@ pub const PANIC_ROOTS: [(&str, &str, &str); 12] = [
 /// crash (§3.1).
 pub const PANIC_ROOT_FILES: [&str; 5] = [
     "crates/core/src/monitor.rs",
-    "crates/core/src/shard.rs",
+    "crates/core/src/round.rs",
     "crates/core/src/lwp.rs",
     "crates/core/src/hwt.rs",
     "crates/core/src/feed.rs",

@@ -44,12 +44,12 @@ pub const PROC_READS: [&str; 13] = [
 ];
 
 /// The sampling round's files, where a read error may not bubble.
-const ROUND_FILES: [&str; 2] = ["crates/core/src/monitor.rs", "crates/core/src/shard.rs"];
+const ROUND_FILES: [&str; 2] = ["crates/core/src/monitor.rs", "crates/core/src/round.rs"];
 
 /// Files holding state that lives as long as the monitor itself.
 const MONITOR_STATE_FILES: [&str; 6] = [
     "crates/core/src/monitor.rs",
-    "crates/core/src/shard.rs",
+    "crates/core/src/round.rs",
     "crates/core/src/cluster.rs",
     "crates/core/src/lwp.rs",
     "crates/core/src/hwt.rs",
@@ -59,7 +59,7 @@ const MONITOR_STATE_FILES: [&str; 6] = [
 /// The long-lived fields that may grow, each with the file that pushes
 /// it and its bound. The fn is left empty: a field is reviewed once per
 /// file, whichever function pushes it.
-pub const GROWTH_ALLOWLIST: [Allow; 16] = [
+pub const GROWTH_ALLOWLIST: [Allow; 13] = [
     (
         "crates/core/src/monitor.rs",
         "",
@@ -78,18 +78,6 @@ pub const GROWTH_ALLOWLIST: [Allow; 16] = [
         "gap_times_s",
         "fixed-capacity ring",
     ),
-    (
-        "crates/core/src/shard.rs",
-        "",
-        "gap_times_s",
-        "fixed-capacity ring",
-    ),
-    (
-        "crates/core/src/shard.rs",
-        "",
-        "lists",
-        "engine scratch reused across rounds, one per watch",
-    ),
     ("crates/core/src/cluster.rs", "", "nodes", "one per node"),
     (
         "crates/core/src/memory.rs",
@@ -98,19 +86,13 @@ pub const GROWTH_ALLOWLIST: [Allow; 16] = [
         "one per watched rank",
     ),
     (
-        "crates/core/src/shard.rs",
-        "",
-        "slots",
-        "engine scratch reused across rounds, one per planned tid",
-    ),
-    (
         "crates/core/src/monitor.rs",
         "",
         "processes",
         "one per watched rank",
     ),
     (
-        "crates/core/src/shard.rs",
+        "crates/core/src/round.rs",
         "",
         "rss_series",
         "fixed-capacity ring",
@@ -141,10 +123,10 @@ pub const GROWTH_ALLOWLIST: [Allow; 16] = [
         "one per supervision state change",
     ),
     (
-        "crates/core/src/shard.rs",
+        "crates/core/src/round.rs",
         "",
         "watched_rss",
-        "engine scratch reused across rounds, one per live watch",
+        "round scratch reused across rounds, one per live watch",
     ),
 ];
 

@@ -39,7 +39,7 @@ const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 6] = [
     ),
     (
         "source_error_bubble_closure",
-        "crates/core/src/shard.rs",
+        "crates/core/src/round.rs",
         "source-error-bubble",
         &[4, 12, 13],
     ),

@@ -116,7 +116,7 @@ impl ChurnSchedule {
     }
 }
 
-/// xorshift64*-style generator, the same shape the shard differential
+/// xorshift64*-style generator, the same shape the join differential
 /// uses — deliberately not seeded from time or OS entropy so the
 /// schedule is a pure function of the config (the nondeterminism audit
 /// pins this by rooting [`generate_schedule`]).

@@ -24,10 +24,11 @@
 //! * [`gpu_link`], [`runner`] — the virtual-time driver coupling the
 //!   monitor to `zerosum-sched`'s node simulation.
 //! * [`attach`] — live self-monitoring of a real process on Linux.
-//! * [`shard`] — the sampling engine: the one round
-//!   [`Monitor::sample`] runs as one inline shard and
-//!   [`ShardedMonitor`] runs as per-HWT-group shards over SPSC swap
-//!   rings, bit-identical at any shard count.
+//! * [`round`] — the sampling round [`Monitor::sample`] runs: list
+//!   every watch, then read and fold each task in place.
+//! * [`shard`] — [`ShardedMonitor`] and its source handles, the names
+//!   the benchmark's `sim_sharded_wide` workload compiles against: a
+//!   pass-through to [`Monitor::sample`].
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
@@ -48,6 +49,7 @@ pub mod lwp;
 pub mod memory;
 pub mod monitor;
 pub mod report;
+pub mod round;
 pub mod runner;
 pub mod shard;
 pub mod signal;

@@ -9,16 +9,15 @@
 //! code drives the live-Linux backend and the node simulation.
 //!
 //! This module holds the monitor's state, its supervisor and its
-//! overload control. The observation itself is the sampling engine's
-//! round ([`crate::shard`]), which [`Monitor::sample`] runs as one
-//! inline shard.
+//! overload control. The observation itself is the sampling round
+//! ([`crate::round`]).
 
 use crate::config::ZeroSumConfig;
 use crate::health::{HealthLedger, ProcessHealth, TaskRow, BACKOFF_US, RETRY_LIMIT};
 use crate::hwt::HwtTracker;
 use crate::lwp::LwpRegistry;
 use crate::memory::MemoryTracker;
-use zerosum_proc::{Pid, ProcSource, SourceErrorKind, SourceResult, SystemStat, Tid};
+use zerosum_proc::{Pid, ProcSource, SchedStat, SourceErrorKind, SourceResult, SystemStat, Tid};
 use zerosum_stats::Ring;
 use zerosum_topology::CpuSet;
 
@@ -57,6 +56,10 @@ pub struct ProcessWatch {
     pub gone: bool,
     /// Sampling-health ledger and live table (a row per listed tid).
     pub health: ProcessHealth,
+    /// This round's task listing, reused round after round.
+    pub(crate) listing: Vec<Tid>,
+    /// How this round's listing went.
+    pub(crate) listed: SourceResult<()>,
 }
 
 impl ProcessWatch {
@@ -77,12 +80,9 @@ impl ProcessWatch {
     /// last-good sample and gate with it; a tid only in the listing gets
     /// a row; `each` sees every listed tid's row, in listing order. Only
     /// a tid arriving below one held (ids wrapped) costs a sort.
-    pub(crate) fn join_listing(
-        &mut self,
-        listing: &[Tid],
-        mut each: impl FnMut(&mut TaskRow, &mut HealthLedger),
-    ) {
+    pub(crate) fn join_listing(&mut self, mut each: impl FnMut(&mut TaskRow, &mut HealthLedger)) {
         let ProcessHealth { ledger, rows } = &mut self.health;
+        let listing = &self.listing;
         let held = rows.len();
         // Rows before `next` are dealt with; the first `kept` stay.
         let (mut next, mut kept) = (0usize, 0usize);
@@ -251,20 +251,19 @@ pub struct Monitor {
     /// Live snapshot feed (§3.6): subscribers receive a
     /// [`crate::feed::SampleSnapshot`] after every sample.
     pub feed: crate::feed::SampleFeed,
-    /// Reusable node-scope records of a round — the sampling hot path
-    /// allocates nothing in the steady state.
+    /// Reusable records of a round — the sampling hot path allocates
+    /// nothing in the steady state.
     pub(crate) scratch: SampleScratch,
-    /// The sampling engine's per-round state (batches, arenas, fold
-    /// cursors): one shard's worth, unless a
-    /// [`crate::shard::ShardedMonitor`] resized it.
-    pub(crate) engine: crate::shard::Engine,
 }
 
-/// The node-scope record and vector a round's fold reuses.
+/// The records and vectors a round reuses.
 #[derive(Debug, Default)]
 pub(crate) struct SampleScratch {
     pub(crate) sys: SystemStat,
     pub(crate) watched_rss: Vec<(Pid, u64)>,
+    /// One watch's planned reads: each tid and its delta reference.
+    pub(crate) plan: Vec<(Tid, Option<SchedStat>)>,
+    pub(crate) task: crate::round::TaskBuffers,
 }
 
 impl Monitor {
@@ -285,7 +284,6 @@ impl Monitor {
             last_t_s: 0.0,
             feed: crate::feed::SampleFeed::new(),
             scratch: SampleScratch::default(),
-            engine: crate::shard::Engine::new(1),
         }
     }
 
@@ -302,6 +300,8 @@ impl Monitor {
             rss_series: Ring::with_capacity(self.config.series_capacity),
             gone: false,
             health: ProcessHealth::default(),
+            listing: Vec::new(),
+            listed: Ok(()),
         });
     }
 
@@ -334,28 +334,26 @@ impl Monitor {
     }
 
     /// Performs one periodic observation at time `t_s` (seconds since
-    /// monitoring began): one round of the sampling engine, every shard
-    /// pumped inline on this thread through `src`.
+    /// monitoring began): one sampling round through `src`.
     ///
-    /// The observation body runs under a supervisor: a panic anywhere in
-    /// the sampling path is caught, recorded as a gap in
+    /// The round runs under a supervisor: a panic anywhere in the
+    /// sampling path is caught, recorded as a gap in
     /// [`Monitor::supervisor`], and sampling resumes at the next period —
     /// the monitor never takes the application down with it (§3.1).
     pub fn sample(&mut self, t_s: f64, src: &dyn ProcSource) {
-        self.supervised(t_s, |mon| crate::shard::round_inline(mon, t_s, src));
+        let round = std::panic::AssertUnwindSafe(|| crate::round::round(self, t_s, src));
+        if std::panic::catch_unwind(round).is_err() {
+            self.note_gap(t_s);
+        }
     }
 
-    /// The sampling supervisor: runs one round's `body` and records a
-    /// panic out of it as a gap at `t_s`.
-    pub(crate) fn supervised(&mut self, t_s: f64, body: impl FnOnce(&mut Self)) {
-        let body = std::panic::AssertUnwindSafe(|| body(self));
-        if std::panic::catch_unwind(body).is_err() {
-            // `self` may hold a partially-updated round; every tracker
-            // tolerates that (observations are append-only), so restart
-            // amounts to recording the gap and carrying on.
-            self.supervisor.restarts += 1;
-            self.supervisor.gap_times_s.push(t_s);
-        }
+    /// Records a round interrupted by a panic at `t_s`. `self` may hold
+    /// a partially-updated round; every tracker tolerates that
+    /// (observations are append-only), so restart amounts to recording
+    /// the gap and carrying on.
+    pub(crate) fn note_gap(&mut self, t_s: f64) {
+        self.supervisor.restarts += 1;
+        self.supervisor.gap_times_s.push(t_s);
     }
 
     /// Drains the retry-backoff µs accrued since the last drain. The
@@ -453,12 +451,12 @@ pub(crate) fn with_retry<T>(
 }
 
 #[cfg(test)]
-/// The serial sampling loop as it stood before the engine's round became
-/// the only one: `sample_inner`, statement for statement, over the
+/// The serial sampling loop as it stood before [`crate::round`] became
+/// the only round: `sample_inner`, statement for statement, over the
 /// bookkeeping it had then — a failure-state map, a last-good map and a
 /// gate map per watch, each swept against the listing at the end of the
 /// round, and a registry that scans for a tid's track. Tests hold
-/// [`Monitor::sample`] and the sharded rounds bit-identical to it.
+/// [`Monitor::sample`] bit-identical to it.
 ///
 /// Between rounds the maps rest in the watch's live table (`load` /
 /// `store` below convert), so an oracle-driven monitor answers
@@ -582,7 +580,7 @@ pub(crate) mod oracle {
         /// Quarantined-but-still-listed tids survive the sweep untouched.
         /// `live` must be sorted ascending (the task listing already is).
         pub(crate) fn sweep_departed(&mut self, live: &[Tid]) {
-            // Hot path (called from the sharded fold): retain + binary
+            // Hot path (called from the fold): retain + binary
             // search, no allocation.
             self.states.retain(|tid, _| live.binary_search(tid).is_ok());
             self.last_good

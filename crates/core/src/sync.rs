@@ -55,10 +55,9 @@ impl<T: ?Sized> Tracked<T> {
 /// An `RwLock` with a name for the static lock-order graph — the
 /// reader-writer twin of [`Tracked`].
 ///
-/// The sharded sampler uses one to share a `ProcSource` substrate
-/// between shard threads: every shard samples under a read guard, and
-/// the driver advances the substrate under a write guard strictly
-/// between rounds. Both modes are one node of the graph.
+/// A shared node simulation is sampled under a read guard and advanced
+/// under a write guard strictly between rounds (`core::shard`'s source
+/// handle). Both modes are one node of the graph.
 #[derive(Debug)]
 pub struct TrackedRw<T: ?Sized> {
     name: &'static str,

@@ -1,6 +1,6 @@
-//! Raw-text reads: the per-shard record arena.
+//! Raw-text reads: the sampling round's record arena.
 //!
-//! A sampling round's pump reads a task's records into its
+//! The sampling round reads a task's records into its
 //! [`ReadArena`] — a reusable byte buffer that records land in
 //! back-to-back, addressed by [`ArenaSpan`]s — parses each span in
 //! place with the view parsers, and resets the arena before the next
@@ -17,11 +17,11 @@
 //!   one render scratch, copied to the tail), skipping the source's
 //!   per-read scratch round-trip;
 //! * keeps the parse step out of the source entirely: the round parses
-//!   the span straight into the slot it folds from.
+//!   the span straight into the record pair it folds from.
 //!
 //! The arena never shrinks: after the first few reads every append
 //! lands in memory the arena already owns, and `reset` is a length
-//! store. One arena serves one shard — there is no sharing and
+//! store. One arena serves one monitor — there is no sharing and
 //! therefore no locking.
 
 use crate::types::{TaskStat, TaskStatus};

@@ -621,10 +621,9 @@ impl ProcSource for FaultyProc<'_> {
 /// Unlike [`FaultInjector`], the schedule is stateless and keyed on the
 /// tid alone, so it is independent of call order. That is what a
 /// differential between two sampling loops needs (the serial oracle
-/// against `Monitor::sample`, one shard against N in `core::shard`'s
-/// tests): the two runs read tasks in different orders and batch
-/// shapes, and any RNG-stream injector would desynchronise between
-/// them. Wrapping both in the same `ExitRace` guarantees they see
+/// against `Monitor::sample` in `core::round`'s tests): the two runs
+/// may read tasks in different orders, and any RNG-stream injector
+/// would desynchronise between them. Wrapping both in the same `ExitRace` guarantees they see
 /// byte-identical fault surfaces.
 pub struct ExitRace<'a> {
     inner: &'a dyn ProcSource,

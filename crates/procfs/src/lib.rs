@@ -18,8 +18,8 @@
 //!   through; [`linux::LinuxProc`] is the live-system implementation.
 //! * [`fault`] — a deterministic, seeded fault injector wrapping any
 //!   source, used by the chaos harness to prove graceful degradation.
-//! * [`arena`] — the batched raw-text read path: per-shard record
-//!   arenas the sampling round reads whole task slices into.
+//! * [`arena`] — the raw-text read path: the record arena the
+//!   sampling round reads each task's texts into.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]

@@ -477,10 +477,10 @@ mod tests {
 
     #[test]
     fn node_sim_is_sync_for_shared_shard_sampling() {
-        // The sharded monitor samples one NodeSim from several shard
-        // threads under a read lock, so the sim's read path must be
+        // A driver may sample one NodeSim under a read lock while
+        // other threads hold it too, so the sim's read path must be
         // free of interior mutability. SimProcSource itself is
-        // deliberately not shared — each shard owns its own view (the
+        // deliberately not shared — each reader owns its own view (the
         // RefCell render scratch makes the view `!Sync`).
         fn assert_sync<T: Sync>() {}
         assert_sync::<NodeSim>();

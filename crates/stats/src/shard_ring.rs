@@ -1,8 +1,12 @@
-//! Single-producer/single-consumer hand-off rings for sampling shards.
+//! Single-producer/single-consumer hand-off rings.
+//!
+//! Nothing in the product uses them since the monitor became one round
+//! on one thread; the benchmark's replay still times a swap. They go
+//! with that replay.
 //!
 //! [`ShardRing`] extends the bounded-[`crate::Ring`] idiom to the
 //! cross-thread case: a fixed-capacity queue with exactly one writer
-//! (a sampling shard) and exactly one reader (the aggregation thread).
+//! (a producer thread) and exactly one reader (a consumer thread).
 //! The head/tail cursors are atomics, so the two sides never contend on
 //! a shared queue lock; each slot is guarded by its own [`Slot`] cell,
 //! and the single-writer/single-reader protocol guarantees a slot is
@@ -18,7 +22,7 @@
 //! until every buffer has reached its high-water capacity.
 //!
 //! The slot cell is pluggable ([`Slot`]); [`MutexSlot`], a plain `std`
-//! mutex, is the one the sharded sampler uses.
+//! mutex, is the one the benchmark replay uses.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -114,8 +114,8 @@ else
 fi
 # And two traced seconds of sim_sharded_wide (pure simulation, nothing to
 # probe): its output checks read back what `write_logs` wrote (Listing-2
-# sections, END marker last) and hold the 4-shard aggregate equal to
-# `Monitor::sample`'s; the exit path's cost per CSV row is printed beside them.
+# sections, END marker last) over 256 tasks; the exit path's cost per CSV
+# row is printed beside them.
 traced_bench sim_sharded_wide
 grep -E '^ +core\.export\.csv_ns_per_row' /tmp/zsbench.out
 

@@ -56,12 +56,9 @@ cd "$work/src"
 
 # name ~ file ~ perl substitution (applied with -0, so \n matches) ~ bug class
 mutants=(
-'ring-second-split~crates/core/src/shard.rs~s/(let \(jw, jr\) = job\.split\(\);)/$1 let (jw2, _jr2) = job.split(); jobs_w.push(jw2);/~a second `split()` of a shard ring while its handles live'
-'ring-writer-two-threads~crates/core/src/shard.rs~s/for \(\(jr, ow\), source\) in ends\.into_iter\(\)\.zip\(sources\) \{/for ((jr, mut ow), source) in ends.into_iter().zip(sources) { scope.spawn(|| ow.try_push_swap(&mut ShardBatch::default()));/~one ring writer handed to two threads'
 'feed-unused-receiver~crates/core/src/feed.rs~s/(self\.subscribers\.push\(tx\);\n\s+)rx\n/$1sync_channel(1).1\n/~a `sync_channel` receiver bound and never used (the subscriber gets a dead one)'
-'sleep-in-shard-loop~crates/core/src/shard.rs~s/(let mut arena = ReadArena::new\(\);\n    loop \{)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in the shard pump loop'
 'sleep-in-pump-frames~crates/net/src/collector.rs~s/(let period_s = self\.cfg\.period_s;)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in `Collector::pump_frames`'
-'sleep-in-run-batch~crates/core/src/shard.rs~s/(fn run_batch\([^)]*\) \{)/$1 std::thread::sleep(std::time::Duration::from_micros(50));/~`thread::sleep` inside the sampling round (`run_batch`)'
+'sleep-in-run-batch~crates/core/src/round.rs~s/(\) -> Outcome \{)/$1 std::thread::sleep(std::time::Duration::from_micros(50));/~`thread::sleep` inside the sampling round (`read_task`)'
 'proc-read-under-guard~crates/core/src/attach.rs~s/f\(&lock_unpoisoned\(&self\.shared\)\)/{ let g = lock_unpoisoned(&self.shared); let _ = LinuxProc::new().meminfo(); f(&g) }/~a `ProcSource` read while `core.attach.monitor` is held'
 'send-under-guard~crates/core/src/attach.rs~s/f\(&lock_unpoisoned\(&self\.shared\)\)/{ let g = lock_unpoisoned(&self.shared); let (tx, _rx) = std::sync::mpsc::sync_channel(1); let _ = tx.send(0u8); f(&g) }/~a blocking channel `.send()` while `core.attach.monitor` is held'
 'sched-double-dispatch~crates/sched/src/node.rs~s/let id = self\.cpus\[dpos\]\.runqueue\.remove\(rq_idx\)\.expect\("steal idx"\);/let id = *self.cpus[dpos].runqueue.get(rq_idx).expect("steal idx");/~a stolen task stays on the donor runqueue: dispatched while already running'
@@ -72,15 +69,15 @@ mutants=(
 'tick-flush-skipped~crates/net/src/tcp.rs~s/fn tick\(&mut self\) \{\n\s+self\.flush\(\);\n\s+\}/fn tick(&mut self) {}/~`TcpLink::tick` no longer flushes what the tick queued'
 'aggregate-folded-twice~crates/core/src/cluster.rs~s/(pub fn aggregates\(&self\) -> Vec<NodeAggregate> \{\n\s+self\.nodes\n\s+\.iter\(\))/$1.chain(self.nodes.first())/~the first node is aggregated twice into the allocation view'
 'degraded-flag-lost~crates/core/src/health.rs~s/Some\(_\) => ledger\.degraded \+= 1,/Some(_) => {}/~an interpolated sample is not counted `degraded`'
-'alloc-in-round~crates/core/src/shard.rs~s/(let shed = node_src\.lend\(\|src\| round_begin\(mon, t_s, src\)\);)/let _why = format!("round at {t_s}"); $1/~an allocation in `shard::round`, every round'
-'unwrap-in-fold-reads~crates/core/src/shard.rs~s/(fn fold_reads\(mon: &mut Monitor, t_s: f64\) \{)/$1 let _first = mon.engine.batches.first().unwrap();/~an `unwrap()` in `fold_reads`'
+'alloc-in-round~crates/core/src/round.rs~s/(let shed = round_begin\(mon, t_s, src\);)/let _why = format!("round at {t_s}"); $1/~an allocation in `round::round`, every round'
+'unwrap-in-fold-reads~crates/core/src/round.rs~s/(fn sample_watches\([^)]*\) \{)/$1 let _first = mon.processes.first().unwrap();/~an `unwrap()` in the fold (`sample_watches`)'
 'departed-row-kept~crates/core/src/monitor.rs~s/rows\.drain\(kept\.\.held\);/let _ = kept..held;/~the join keeps the rows of tids the listing dropped: the live table grows with every departure'
 'reprobe-countdown-stuck~crates/core/src/health.rs~s/st\.rounds_until_reprobe -= 1;\n\s+return true;/return true;/~a quarantined tid is skipped without spending its re-probe countdown: it is never read again'
 'vanished-tid-keeps-pair~crates/core/src/health.rs~s/\*self = TaskRow::arrival\(self\.tid, self\.track\);/self.fail = None;/~a tid that exited under the read keeps the last-good pair and gate of its row: the recycled id that follows it inherits them'
-'main-thread-gated~crates/core/src/shard.rs~s/let armed = delta_on && tid != pid;/let armed = delta_on;/~the delta gate armed for the main thread: a waiting main thread stops reporting the RSS its workers move'
-'println-in-core~crates/core/src/shard.rs~s/(fn round_begin\([^)]*\) -> bool \{)/$1 println!("round {t_s}");/~a `println!` in library code (`core::shard`)'
+'main-thread-gated~crates/core/src/round.rs~s/let armed = delta_on && tid != pid;/let armed = delta_on;/~the delta gate armed for the main thread: a waiting main thread stops reporting the RSS its workers move'
+'println-in-core~crates/core/src/round.rs~s/(fn round_begin\([^)]*\) -> bool \{)/$1 println!("round {t_s}");/~a `println!` in library code (`core::round`)'
+'read-before-list~crates/core/src/round.rs~s/for w in processes\.iter_mut\(\)\.filter\(\|w\| !w\.gone\) \{\n(\s*let \(pid, tids\) = .*?\}\);\n)\s*\}\n(\s*for w in processes\.iter_mut\(\)\.filter\(\|w\| !w\.gone\) \{\n)/$2$1/s~each watch listed inside its own read loop: the second watch is listed only after the tasks of the first are read, so a fault schedule meets the reads in another order'
 'ab-ba-lock-pair~crates/experiments/src/parallel.rs~s/\*results\[i\]\.lock\(\)\.expect\("result slot poisoned"\) = Some\(out\);/{ let _s = slots[i].lock().expect("job slot poisoned"); let _r = results[i].lock().expect("result slot poisoned"); } let mut r = results[i].lock().expect("result slot poisoned"); let _s = slots[i].lock().expect("job slot poisoned"); *r = Some(out);/~two `Tracked` locks taken in both orders (slot then result, result then slot)'
-'fold-in-shard-order~crates/core/src/shard.rs~s/(fn fold_reads\(.*?)for \(i, w\) in processes\.iter_mut\(\)\.enumerate\(\) \{/$1for i in (0..processes.len()).map(|k| engine.order.get(k).copied().unwrap_or(k)) { let Some(w) = processes.get_mut(i) else { continue };/s~the read trip folded in shard (CPU) order, not watch order: a shard holding watches registered out of CPU order drops one of them'
 'quarantine-one-round-late~crates/core/src/health.rs~s/\} else if st\.consecutive >= QUARANTINE_AFTER \{/} else if st.consecutive > QUARANTINE_AFTER {/~a tid whose reads keep failing is quarantined one round after `QUARANTINE_AFTER`'
 'governor-past-ceiling~crates/core/src/monitor.rs~s/let to = period\.saturating_mul\(2\)\.min\(MAX_PERIOD_US\);/let to = period.saturating_mul(2);/~the governor doubles the period past `MAX_PERIOD_US`'
 )

@@ -1,4 +1,4 @@
-// Audited as crates/core/src/shard.rs: the round reads `stat` as text;
+// Audited as crates/core/src/round.rs: the round reads `stat` as text;
 // a `?` at fn level carries the read's error past the health ledger.
 fn read_task(src: &dyn ProcSource, pid: u32, tid: u32, arena: &mut ReadArena) -> SourceResult<()> {
     let s = src.task_stat_text(pid, tid, arena)?;
