@@ -24,7 +24,7 @@
 //! * [`gpu_link`], [`runner`] — the virtual-time driver coupling the
 //!   monitor to `zerosum-sched`'s node simulation.
 //! * [`attach`] — live self-monitoring of a real process on Linux.
-//! * [`round`] — the sampling round [`Monitor::sample`] runs: list
+//! * `round` — the sampling round [`Monitor::sample`] runs: list
 //!   every watch, then read and fold each task in place.
 //! * [`shard`] — [`ShardedMonitor`] and its source handles, the names
 //!   the benchmark's `sim_sharded_wide` workload compiles against: a
@@ -49,7 +49,7 @@ pub mod lwp;
 pub mod memory;
 pub mod monitor;
 pub mod report;
-pub mod round;
+mod round;
 pub mod runner;
 pub mod shard;
 pub mod signal;

@@ -10,7 +10,7 @@
 //!
 //! This module holds the monitor's state, its supervisor and its
 //! overload control. The observation itself is the sampling round
-//! ([`crate::round`]).
+//! (`crate::round`).
 
 use crate::config::ZeroSumConfig;
 use crate::health::{HealthLedger, ProcessHealth, TaskRow, BACKOFF_US, RETRY_LIMIT};
@@ -451,7 +451,7 @@ pub(crate) fn with_retry<T>(
 }
 
 #[cfg(test)]
-/// The serial sampling loop as it stood before [`crate::round`] became
+/// The serial sampling loop as it stood before `crate::round` became
 /// the only round: `sample_inner`, statement for statement, over the
 /// bookkeeping it had then — a failure-state map, a last-good map and a
 /// gate map per watch, each swept against the listing at the end of the

@@ -1,7 +1,7 @@
 //! A pass-through to [`Monitor::sample`] under the names the
 //! benchmark's `sim_sharded_wide` workload compiles against.
 //!
-//! The monitor is one round on one thread ([`crate::round`]).
+//! The monitor is one round on one thread (`core::round`).
 //! [`ShardedMonitor`] ignores its shard count and [`ShardMode`], and
 //! runs every round through one source handle. This module goes when
 //! `sim_sharded_wide` becomes a plain `Monitor::sample` workload.
