@@ -245,7 +245,7 @@ mod tests {
         let mut sim = NodeSim::new(topo.clone(), SchedParams::default());
         let mut ompt = OmptRegistry::new();
         launch(&mut sim, &topo, &tiny_cpu_cfg(), &mut ompt).unwrap();
-        let done = sim.run_until_apps_done(100_000, 120_000_000);
+        let done = sim.run_until_apps_done(120_000_000);
         assert!(done.is_some(), "miniqmc-sim must finish");
     }
 
@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(job.gpus[6], Some(0));
         assert_eq!(job.gpus[7], Some(1));
         // Offload run completes and touches the GPUs.
-        sim.run_until_apps_done(100_000, 300_000_000)
+        sim.run_until_apps_done(300_000_000)
             .expect("offload run finishes");
         assert!(!sim.active_devices().is_empty());
     }

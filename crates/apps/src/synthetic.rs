@@ -137,7 +137,7 @@ mod tests {
                 main: Role::Hog { total_us: 50_000 },
             },
         );
-        assert!(sim.run_until_apps_done(10_000, 10_000_000).is_some());
+        assert!(sim.run_until_apps_done(10_000_000).is_some());
         assert!(sim.task_by_tid(pid).unwrap().is_exited());
     }
 
@@ -168,7 +168,7 @@ mod tests {
             },
         );
         assert_eq!(tids.len(), 2);
-        assert!(sim.run_until_apps_done(10_000, 60_000_000).is_some());
+        assert!(sim.run_until_apps_done(60_000_000).is_some());
     }
 
     #[test]
@@ -198,6 +198,6 @@ mod tests {
             },
         );
         // The main thread sleeps forever (app task) ⇒ never done.
-        assert!(sim.run_until_apps_done(100_000, 3_000_000).is_none());
+        assert!(sim.run_until_apps_done(3_000_000).is_none());
     }
 }

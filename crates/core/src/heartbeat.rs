@@ -176,7 +176,7 @@ mod tests {
             chunk_us: 10_000,
         });
         let mut tracker = ProgressTracker::new();
-        sim.run_until_apps_done(100_000, 60_000_000).unwrap();
+        sim.run_until_apps_done(60_000_000).unwrap();
         mon.sample(1.0, &SimProcSource::new(&sim));
         assert_eq!(tracker.assess(&mon), Liveness::Finished);
     }
@@ -254,7 +254,7 @@ mod tests {
         assert_eq!(tracker.assess(&mon), Liveness::Stalled { windows: 1 });
         mon.sample(3.0, &SimProcSource::new(&sim));
         assert_eq!(tracker.assess(&mon), Liveness::Stalled { windows: 2 });
-        sim.run_until_apps_done(10_000, 60_000_000).unwrap();
+        sim.run_until_apps_done(60_000_000).unwrap();
         mon.sample(4.0, &SimProcSource::new(&sim));
         assert_eq!(tracker.assess(&mon), Liveness::Finished);
         mon.sample(5.0, &SimProcSource::new(&sim));

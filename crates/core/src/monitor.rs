@@ -904,7 +904,7 @@ mod tests {
         sim.run_for(1_000_000);
         mon.sample(1.0, &SimProcSource::new(&sim));
         // Let the app finish; its threads leave /proc/<pid>/task.
-        sim.run_until_apps_done(100_000, 60_000_000).unwrap();
+        sim.run_until_apps_done(60_000_000).unwrap();
         mon.sample(10.0, &SimProcSource::new(&sim));
         let w = mon.process(pid).unwrap();
         assert!(w.lwps.tracks().all(|t| t.exited));
@@ -1197,7 +1197,7 @@ mod tests {
         mon.sample(1.0, &SimProcSource::new(&sim));
         // Let the first incarnation exit, then recycle its pid for an
         // unrelated process (the OS reuse race of §3.1.1).
-        sim.run_until_apps_done(10_000, 30_000_000).unwrap();
+        sim.run_until_apps_done(30_000_000).unwrap();
         sim.respawn_process_with_pid(
             pid,
             "imposter",

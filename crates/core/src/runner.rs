@@ -122,7 +122,7 @@ fn run_monitored_impl(
         let period = monitor.effective_period_us().max(1_000);
         let budget = period.min(deadline - sim.now_us());
         // Advance up to one period, stopping exactly when the app exits.
-        if sim.run_until_apps_done(200, budget).is_some() {
+        if sim.run_until_apps_done(budget).is_some() {
             completed = true;
         }
         let t_s = (sim.now_us() - start_us) as f64 / 1e6;
@@ -149,7 +149,7 @@ pub fn run_baseline(sim: &mut NodeSim, max_us: u64) -> Option<f64> {
     let start = sim.now_us();
     // Same exact-tick completion detection as the monitored path, so
     // overhead comparisons are unbiased.
-    sim.run_until_apps_done(200, max_us)
+    sim.run_until_apps_done(max_us)
         .map(|done| (done - start) as f64 / 1e6)
 }
 

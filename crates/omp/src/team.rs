@@ -132,7 +132,7 @@ mod tests {
         let t = sim.task_by_tid(team.tids[3]).unwrap();
         assert_eq!(t.affinity.to_list_string(), "4");
         // The team runs to completion.
-        let done = sim.run_until_apps_done(5_000, 60_000_000);
+        let done = sim.run_until_apps_done(60_000_000);
         assert!(done.is_some());
     }
 
@@ -163,7 +163,6 @@ mod tests {
             &mut ompt,
         );
         assert_eq!(team.tids[0], team.pid);
-        sim.run_until_apps_done(5_000, 60_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(60_000_000).expect("finishes");
     }
 }

@@ -102,8 +102,7 @@ mod properties {
             let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
             let pid = sim.spawn_process("p", mask.clone(), 64, compute(work_us, 1_000));
             sim.spawn_task(pid, "w", None, compute(work_us, 1_000), false);
-            sim.run_until_apps_done(5_000, 10_000_000)
-                .expect("finishes");
+            sim.run_until_apps_done(10_000_000).expect("finishes");
             for (tid, _, _) in sim.process_task_counters(pid) {
                 let t = sim.task_by_tid(tid).unwrap();
                 assert!(
@@ -143,7 +142,7 @@ mod properties {
             }
             let bound = 10 * team * u64::from(blocks) * work_us + 10_000_000;
             assert!(
-                sim.run_until_apps_done(10_000, bound).is_some(),
+                sim.run_until_apps_done(bound).is_some(),
                 "case {case}: team {team} blocks {blocks} work {work_us}us cpus {ncpus} \
                  spin {spin_us} did not finish"
             );
@@ -160,9 +159,7 @@ mod properties {
             for _ in 1..n {
                 sim.spawn_task(pid, "w", None, compute(20_000, 20_000), false);
             }
-            let done = sim
-                .run_until_apps_done(5_000, 60_000_000)
-                .expect("finishes");
+            let done = sim.run_until_apps_done(60_000_000).expect("finishes");
             assert!(
                 (n * 20_000..=n * 20_000 + 50_000).contains(&done),
                 "n {n}: {done}"

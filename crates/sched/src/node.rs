@@ -52,6 +52,55 @@ fn mask_any(mask: &[u64]) -> bool {
     mask.iter().any(|&w| w != 0)
 }
 
+/// Units per µs of the grid on which op progress is exact: an op's
+/// remaining work starts as whole µs, and `tick_us × cpu_speed` is a
+/// whole number of 2^-20 µs whenever the speed's binary fraction ends
+/// within 20 bits, as 1.0 and the default `smt_efficiency / 2` do
+/// (50 × 0.525 = 26.25).
+const GRID: f64 = (1u64 << 20) as f64;
+
+/// `x` in grid units, when it is a whole number of them below 2^52, so
+/// that sums and differences of such values are exact in `f64`.
+fn on_grid(x: f64) -> Option<i64> {
+    let s = x * GRID;
+    (s.fract() == 0.0 && s.abs() < (1u64 << 52) as f64).then_some(s as i64)
+}
+
+/// Subtracts `progress` from `left` `n` times, as `n` quiet ticks of
+/// `exec_tick` do. On the grid every one of those subtractions is exact
+/// (the result stays above zero), so one multiply-subtract gives the
+/// same bits; off it, they are done one by one.
+fn sub_ticks(left: &mut f64, progress: f64, n: u64) {
+    if on_grid(*left).is_some() && on_grid(progress).is_some() {
+        *left -= n as f64 * progress;
+    } else {
+        for _ in 0..n {
+            *left -= progress;
+        }
+    }
+}
+
+/// Quiet ticks before the tick in which per-tick subtraction of
+/// `progress` takes `left` to zero or below, at most `cap`. Off the grid
+/// the subtractions are stepped, at most 4 096 of them: planning a
+/// decision early only costs a stepped tick.
+fn ticks_to_finish(left: f64, progress: f64, cap: u64) -> u64 {
+    if let (Some(a), Some(b)) = (on_grid(left), on_grid(progress)) {
+        if b > 0 {
+            return ((a.max(1) - 1) / b).unsigned_abs().min(cap);
+        }
+    }
+    let mut left = left;
+    let mut n = 0;
+    loop {
+        left -= progress;
+        if left <= 0.0 || n >= cap.min(4_096) {
+            break n;
+        }
+        n += 1;
+    }
+}
+
 /// Iterates the set bits of a word snapshot in ascending position order.
 /// Visiting from a snapshot is safe because every consumer re-checks the
 /// underlying condition (`current` / `runqueue`) at the visit.
@@ -109,7 +158,9 @@ pub struct DeviceSnapshot {
     pub now_us: u64,
 }
 
-/// The discrete-time node simulator.
+/// The discrete-time node simulator. Its results are those of stepping
+/// every busy CPU through every tick, but it steps only the CPUs that
+/// make a scheduling decision; see [`NodeSim::run_for`].
 pub struct NodeSim {
     topology: Topology,
     params: SchedParams,
@@ -117,12 +168,13 @@ pub struct NodeSim {
     now_us: u64,
     /// CPU states, ordered by OS index.
     cpus: Vec<CpuState>,
-    /// OS index → position in `cpus`.
-    cpu_pos: HashMap<u32, usize>,
+    /// Position in `cpus` of each OS index (`None` where there is no
+    /// such hardware thread).
+    cpu_pos: Vec<Option<usize>>,
     tasks: Vec<SimTask>,
     tid_map: HashMap<Tid, TaskId, IntHash>,
     processes: BTreeMap<Pid, SimProcess>,
-    barriers: HashMap<(Pid, u32), BarrierState>,
+    barriers: HashMap<(Pid, u32), BarrierState, IntHash>,
     devices: BTreeMap<u32, DeviceState>,
     /// Node memory model.
     pub memory: NodeMemory,
@@ -138,11 +190,18 @@ pub struct NodeSim {
     busy_mask: Vec<u64>,
     /// Bit `pos` set when `cpus[pos].runqueue` is non-empty.
     queued_mask: Vec<u64>,
-    /// When true (the default), `run_for` bulk-executes runs of ticks in
-    /// which no scheduling decision can occur. Produces byte-identical
-    /// results to naive stepping; disabled automatically while tracing so
-    /// per-tick `JiffyCharge` events stay exact.
-    skip_ahead: bool,
+    /// Per position: the virtual time up to which the busy CPU's ticks
+    /// have been executed. Ticks from here to `now_us` are owed: quiet
+    /// by construction, run in bulk by [`Self::catch_up`].
+    done_us: Vec<u64>,
+    /// Per position: the tick of the busy CPU's next decision (op
+    /// finishing, slice expiring with a waiter queued, spin ending),
+    /// planned from its state at `done_us` by [`Self::plan`].
+    due_us: Vec<u64>,
+    /// During a tick's execution, the position running it: CPUs below it
+    /// have executed the tick in the naive order, CPUs above have not.
+    /// Zero between ticks.
+    cursor: usize,
     /// Interned task names: spawning many "OpenMP" workers shares one
     /// allocation.
     name_cache: HashMap<String, Arc<str>>,
@@ -150,33 +209,32 @@ pub struct NodeSim {
     trace: Option<Vec<TraceRecord>>,
     /// Pending GPU-kernel completions `(wake_t, task) -> device`, kept
     /// only while tracing so completion wakes can be attributed.
-    gpu_pending: HashMap<(u64, TaskId), u32>,
+    gpu_pending: HashMap<(u64, TaskId), u32, IntHash>,
 }
 
 impl NodeSim {
     /// Creates a node simulator for the given topology.
     pub fn new(topology: Topology, params: SchedParams) -> Self {
         let mut cpus = Vec::new();
-        let mut cpu_pos = HashMap::new();
         // Build SMT sibling map from cores.
         for core in topology.objects_of_kind(ObjectKind::Core) {
             let pus: Vec<u32> = topology.object(core).cpuset.iter().collect();
             for &pu in &pus {
                 let sibling = pus.iter().copied().find(|&p| p != pu);
-                cpu_pos.insert(pu, cpus.len());
                 cpus.push(CpuState::new(pu, sibling));
             }
         }
         cpus.sort_by_key(|c| c.os_index);
-        let cpu_pos: HashMap<u32, usize> = cpus
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.os_index, i))
-            .collect();
+        let max_os = cpus.last().map_or(0, |c| c.os_index as usize);
+        let mut cpu_pos = vec![None; max_os + 1];
+        for (i, c) in cpus.iter().enumerate() {
+            cpu_pos[c.os_index as usize] = Some(i);
+        }
         for cpu in &mut cpus {
-            cpu.smt_sibling_pos = cpu.smt_sibling.and_then(|os| cpu_pos.get(&os).copied());
+            cpu.smt_sibling_pos = cpu.smt_sibling.and_then(|os| cpu_pos[os as usize]);
         }
         let mask_words = cpus.len().div_ceil(64).max(1);
+        let ncpus = cpus.len();
         let total_mem_kib = topology
             .object(topology.root())
             .attrs
@@ -194,7 +252,7 @@ impl NodeSim {
             tasks: Vec::new(),
             tid_map: HashMap::default(),
             processes: BTreeMap::new(),
-            barriers: HashMap::new(),
+            barriers: HashMap::default(),
             devices: BTreeMap::new(),
             memory: NodeMemory::new(total_mem_kib),
             events: BinaryHeap::new(),
@@ -205,23 +263,13 @@ impl NodeSim {
             alive_app_tasks: 0,
             busy_mask: vec![0; mask_words],
             queued_mask: vec![0; mask_words],
-            skip_ahead: true,
+            done_us: vec![0; ncpus],
+            due_us: vec![u64::MAX; ncpus],
+            cursor: 0,
             name_cache: HashMap::new(),
             trace: None,
-            gpu_pending: HashMap::new(),
+            gpu_pending: HashMap::default(),
         }
-    }
-
-    /// Enables or disables quiet-tick batching. Off means the engine steps
-    /// every tick naively — useful only for differential testing; results
-    /// are identical either way.
-    pub fn set_skip_ahead(&mut self, on: bool) {
-        self.skip_ahead = on;
-    }
-
-    /// True when quiet-tick batching is enabled (the default).
-    pub fn skip_ahead(&self) -> bool {
-        self.skip_ahead
     }
 
     /// Returns the interned copy of `name`.
@@ -251,6 +299,10 @@ impl NodeSim {
     pub fn set_tracing(&mut self, on: bool) {
         self.trace = if on { Some(Vec::new()) } else { None };
         self.gpu_pending.clear();
+        // A traced CPU decides every tick: re-plan under the new mode.
+        for_each_set_bit!(self.busy_mask, pos, {
+            self.plan(pos);
+        });
     }
 
     /// True when an event buffer is installed.
@@ -546,14 +598,11 @@ impl NodeSim {
             RunState::Running => {
                 // Like sched_setaffinity: migrate off a disallowed CPU now.
                 let pos = self
-                    .cpu_pos
-                    .get(&self.tasks[id.index()].last_cpu)
-                    .copied()
+                    .pos_of(self.tasks[id.index()].last_cpu)
                     .expect("running task on unknown cpu");
                 let cpu = self.cpus[pos].os_index;
                 if !self.tasks[id.index()].affinity.contains(cpu) {
-                    self.cpus[pos].current = None;
-                    self.refresh_cpu_flags(pos);
+                    self.set_current(pos, None);
                     self.emit(|| TraceEvent::Deschedule { tid, cpu });
                     self.enqueue(id);
                 }
@@ -574,6 +623,7 @@ impl NodeSim {
                 if let Some((pos, i)) = found {
                     self.cpus[pos].runqueue.remove(i);
                     self.refresh_cpu_flags(pos);
+                    self.plan(pos);
                     let cpu = self.cpus[pos].os_index;
                     self.emit(|| TraceEvent::Dequeue { tid, cpu });
                     self.enqueue(id);
@@ -592,7 +642,7 @@ impl NodeSim {
         let mut best: Option<(usize, usize)> = None; // (load, pos)
         let last = task.last_cpu;
         for cpu_os in task.affinity.iter() {
-            if let Some(&pos) = self.cpu_pos.get(&cpu_os) {
+            if let Some(pos) = self.pos_of(cpu_os) {
                 let load = self.cpus[pos].nr_running();
                 let better = match best {
                     None => true,
@@ -616,10 +666,44 @@ impl NodeSim {
             task.op = CurrentOp::Fetch;
         }
         let tid = task.tid;
+        // A waiter changes the CPU's slice and spin-yield decisions.
+        self.catch_up(pos);
         self.cpus[pos].runqueue.push_back(id);
         self.refresh_cpu_flags(pos);
+        self.plan(pos);
         let cpu = self.cpus[pos].os_index;
         self.emit(|| TraceEvent::Enqueue { tid, cpu });
+    }
+
+    /// Position of OS CPU `os` in `cpus`, if the node has it.
+    #[inline]
+    fn pos_of(&self, os: u32) -> Option<usize> {
+        self.cpu_pos.get(os as usize).copied().flatten()
+    }
+
+    /// True when task `id` on a core slows its SMT sibling: it runs
+    /// and is not a service task.
+    #[inline]
+    fn loads_core(&self, id: Option<TaskId>) -> bool {
+        id.is_some_and(|t| !self.tasks[t.index()].service)
+    }
+
+    /// Puts `id` (or nothing) on CPU `pos`. When that changes the SMT
+    /// sibling's speed, the sibling is caught up first, so its owed
+    /// ticks run at the old speed, and its next decision is re-planned.
+    fn set_current(&mut self, pos: usize, id: Option<TaskId>) {
+        let sib = self.cpus[pos].smt_sibling_pos.filter(|&s| {
+            self.cpus[s].current.is_some()
+                && self.loads_core(self.cpus[pos].current) != self.loads_core(id)
+        });
+        if let Some(s) = sib {
+            self.catch_up(s);
+        }
+        self.cpus[pos].current = id;
+        self.refresh_cpu_flags(pos);
+        if let Some(s) = sib {
+            self.plan(s);
+        }
     }
 
     /// Dispatches the next task on CPU `pos`, if any.
@@ -644,8 +728,9 @@ impl NodeSim {
         task.has_run = true;
         task.state = RunState::Running;
         task.slice_used_us = 0;
-        self.cpus[pos].current = Some(id);
-        self.refresh_cpu_flags(pos);
+        self.set_current(pos, Some(id));
+        self.done_us[pos] = now;
+        self.plan(pos);
         if let Some(from) = migrated_from {
             self.emit(|| TraceEvent::Migrate { tid, from, to: os });
         }
@@ -687,9 +772,15 @@ impl NodeSim {
                     state.arrived += 1;
                     if state.arrived >= state.team_size {
                         // Last arrival: release everyone and continue.
+                        // Spinners elsewhere see the new generation in
+                        // the naive position order: catch them up first.
+                        let generation = state.generation;
+                        self.spinners(pid, bar, generation, Self::catch_up);
+                        let state = self.barriers.get_mut(&(pid, bar)).expect("barrier");
                         state.arrived = 0;
                         state.generation += 1;
                         let blocked = std::mem::take(&mut state.blocked);
+                        self.spinners(pid, bar, generation, Self::plan);
                         let waker_cpu = self.cpus[pos].os_index;
                         for waiter in blocked {
                             let wtid = self.tasks[waiter.index()].tid;
@@ -743,8 +834,7 @@ impl NodeSim {
                     if !task.service {
                         self.alive_app_tasks -= 1;
                     }
-                    self.cpus[pos].current = None;
-                    self.refresh_cpu_flags(pos);
+                    self.set_current(pos, None);
                     let cpu = self.cpus[pos].os_index;
                     self.emit(|| TraceEvent::Exit { tid, cpu });
                     return false;
@@ -761,8 +851,7 @@ impl NodeSim {
         task.op = CurrentOp::Waiting;
         task.counters.vcsw += 1;
         self.ctxt_total += 1;
-        self.cpus[pos].current = None;
-        self.refresh_cpu_flags(pos);
+        self.set_current(pos, None);
         let cpu = self.cpus[pos].os_index;
         self.emit(|| TraceEvent::Block { tid, cpu });
     }
@@ -773,18 +862,10 @@ impl NodeSim {
     #[inline]
     fn cpu_speed(&self, pos: usize) -> f64 {
         match self.cpus[pos].smt_sibling_pos {
-            Some(sib) => {
-                let sib_busy = self.cpus[sib]
-                    .current
-                    .map(|sid| !self.tasks[sid.index()].service)
-                    .unwrap_or(false);
-                if sib_busy {
-                    self.params.smt_efficiency / 2.0
-                } else {
-                    1.0
-                }
+            Some(sib) if self.loads_core(self.cpus[sib].current) => {
+                self.params.smt_efficiency / 2.0
             }
-            None => 1.0,
+            _ => 1.0,
         }
     }
 
@@ -933,8 +1014,7 @@ impl NodeSim {
                 task.enqueued_at_us = now;
                 self.ctxt_total += 1;
                 self.cpus[pos].runqueue.push_back(id);
-                self.cpus[pos].current = None;
-                self.refresh_cpu_flags(pos);
+                self.set_current(pos, None);
                 let cpu = self.cpus[pos].os_index;
                 self.emit(|| TraceEvent::Preempt { tid, cpu });
             }
@@ -974,6 +1054,9 @@ impl NodeSim {
             self.cpus[pos].runqueue.push_back(id);
             self.refresh_cpu_flags(dpos);
             self.refresh_cpu_flags(pos);
+            // A lost waiter only postpones the donor's decisions, so its
+            // owed ticks stay quiet: re-planning saves a stepped tick.
+            self.plan(dpos);
             self.emit(|| TraceEvent::Steal {
                 tid,
                 from,
@@ -983,26 +1066,47 @@ impl NodeSim {
     }
 
     /// Periodic balancing: move waiters from overloaded CPUs to idle ones.
+    /// A steal queues work only on its thief and leaves each donor one
+    /// task at least, so walking the positions in order visits exactly
+    /// the CPUs idle when the pass began.
     fn balance(&mut self) {
-        let idle: Vec<usize> = (0..self.cpus.len())
-            .filter(|&p| self.cpus[p].is_idle())
-            .collect();
-        for pos in idle {
+        for pos in 0..self.cpus.len() {
             self.new_idle_steal(pos);
         }
+    }
+
+    /// Runs `f` on every CPU whose current task spins on barrier
+    /// `(pid, bar)` at `generation`.
+    fn spinners(&mut self, pid: Pid, bar: u32, generation: u64, f: fn(&mut Self, usize)) {
+        for_each_set_bit!(self.busy_mask, pos, {
+            let spins = self.cpus[pos].current.is_some_and(|id| {
+                let t = &self.tasks[id.index()];
+                t.pid == pid
+                    && matches!(t.op, CurrentOp::BarrierSpin { barrier, generation: g, .. }
+                        if barrier == bar && g == generation)
+            });
+            if spins {
+                f(self, pos);
+            }
+        });
     }
 
     // ----- main loop ------------------------------------------------------
 
     /// Advances virtual time by `duration_us`.
     ///
-    /// With [`Self::set_skip_ahead`] on (the default) the loop
-    /// bulk-executes *quiet* tick runs — stretches in which no wake
-    /// event is due, no op can finish, no timeslice can expire, and no
-    /// balance pass fires — so a steady simulation advances in O(events)
-    /// instead of O(ticks). The batched path performs the same per-tick
-    /// arithmetic (including the per-tick `f64` progress subtraction), so
-    /// counters and outcomes are byte-identical to naive stepping.
+    /// Results are those of the naive stepper, which runs every busy CPU
+    /// through every tick in ascending position order, but only the CPUs
+    /// that decide are stepped: each busy CPU plans the tick of its next
+    /// decision, the loop jumps to the earliest of those, the next wake
+    /// event and the next balance pass, and runs `exec_tick` there on
+    /// the deciding CPUs alone. Every other CPU owes its quiet ticks and
+    /// is caught up (the same charges and `f64` results as stepping them)
+    /// just before its SMT sibling's speed changes, its runqueue gains a
+    /// waiter or the barrier it spins on releases, and before this
+    /// returns, so `audit()` and `SimProcSource` see naive-exact state.
+    /// While tracing every busy CPU decides every tick, so traces keep
+    /// one `JiffyCharge` per tick: the traced run is the naive stepper.
     pub fn run_for(&mut self, duration_us: u64) {
         self.run_for_inner(duration_us, false);
     }
@@ -1023,9 +1127,14 @@ impl NodeSim {
                     break;
                 }
                 self.events.pop();
+                let device = if self.gpu_pending.is_empty() {
+                    None
+                } else {
+                    self.gpu_pending.remove(&(t, id))
+                };
                 if self.tasks[id.index()].state == RunState::Blocked {
                     let tid = self.tasks[id.index()].tid;
-                    if let Some(device) = self.gpu_pending.remove(&(t, id)) {
+                    if let Some(device) = device {
                         self.emit(|| TraceEvent::GpuComplete { tid, device });
                     }
                     self.emit(|| TraceEvent::Wake {
@@ -1033,8 +1142,6 @@ impl NodeSim {
                         waker_cpu: None,
                     });
                     self.enqueue(id);
-                } else {
-                    self.gpu_pending.remove(&(t, id));
                 }
             }
             // Dispatch idle CPUs that have queued work.
@@ -1046,6 +1153,7 @@ impl NodeSim {
                     self.dispatch(pos);
                 }
             }
+            let now = self.now_us;
             if !mask_any(&self.busy_mask) {
                 // Fast-forward to the next event (or the target).
                 let next = self
@@ -1053,181 +1161,153 @@ impl NodeSim {
                     .peek()
                     .map(|&Reverse((t, _))| t)
                     .unwrap_or(target)
-                    .max(self.now_us + tick)
+                    .max(now + tick)
                     .min(target);
                 self.now_us = next;
                 continue;
             }
-            // Skip ahead over ticks in which nothing can happen. Disabled
-            // while tracing: traces record one JiffyCharge per tick.
-            if self.skip_ahead && self.trace.is_none() {
-                let q = self.quiet_ticks(target);
-                if q > 0 {
-                    self.exec_quiet(q);
-                    self.now_us += q * tick;
+            // The next tick anything happens at: a CPU decides, the
+            // balance pass follows it, or it is the window's last.
+            let last = now + ((target - now).div_ceil(tick) - 1) * tick;
+            let balance = now
+                + (self.next_balance_us.saturating_sub(now).div_ceil(tick)).saturating_sub(1)
+                    * tick;
+            let mut t = last.min(balance);
+            for_each_set_bit!(self.busy_mask, pos, {
+                t = t.min(self.due_us[pos]);
+            });
+            if let Some(&Reverse((ev, _))) = self.events.peek() {
+                let ev_tick = now + (ev - now).div_ceil(tick) * tick;
+                if ev_tick <= t {
+                    self.now_us = ev_tick;
                     continue;
                 }
             }
-            // Install ops on freshly-dispatched tasks, then execute a tick.
+            self.now_us = t;
             for_each_set_bit!(self.busy_mask, pos, {
-                if let Some(id) = self.cpus[pos].current {
-                    if matches!(self.tasks[id.index()].op, CurrentOp::Fetch)
-                        && !self.fetch_op(pos, id)
+                if let Some(id) = self.cpus[pos].current.filter(|_| self.due_us[pos] <= t) {
+                    self.cursor = pos;
+                    self.catch_up(pos);
+                    // Install the op of a freshly-dispatched task, then
+                    // execute the tick, unless the task left the CPU
+                    // while fetching (blocked/exited).
+                    if !matches!(self.tasks[id.index()].op, CurrentOp::Fetch)
+                        || self.fetch_op(pos, id)
                     {
-                        // Task left the CPU while fetching (blocked/exited).
-                    } else {
                         self.exec_tick(pos);
                     }
+                    self.done_us[pos] = t + tick;
+                    self.plan(pos);
                 }
             });
-            self.now_us += tick;
+            self.cursor = 0;
+            self.now_us = t + tick;
             if self.now_us >= self.next_balance_us {
                 self.balance();
                 self.next_balance_us = self.now_us + self.params.balance_interval_us;
             }
         }
+        for_each_set_bit!(self.busy_mask, pos, {
+            self.catch_up(pos);
+        });
     }
 
-    /// Number of ticks, starting now, that are provably decision-free on
-    /// every CPU and globally (no wake event, no balance pass, inside the
-    /// run window). Conservative: returning less than the true quiet run
-    /// only costs speed, never correctness.
-    fn quiet_ticks(&self, target: u64) -> u64 {
+    /// Runs CPU `pos`'s owed quiet ticks, up to where the naive stepper
+    /// stands at this point of the tick: past the tick for positions
+    /// below the one executing, before it for the rest. The same charges
+    /// and `f64` progress ([`sub_ticks`]) as that many calls to
+    /// `exec_tick`, minus the decisions [`Self::plan`] proved absent.
+    fn catch_up(&mut self, pos: usize) {
+        let Some(id) = self.cpus[pos].current else {
+            return;
+        };
         let tick = self.params.tick_us;
-        let n0 = self.now_us;
-        // Window bound: quiet ticks may fill the remainder of the run.
-        let mut q = (target - n0).div_ceil(tick);
-        // The next timer/device wake must stay outside the batch.
-        if let Some(&Reverse((t, _))) = self.events.peek() {
-            q = q.min((t - n0).div_ceil(tick));
+        let until = self.now_us + if pos < self.cursor { tick } else { 0 };
+        let done = self.done_us[pos];
+        if done >= until {
+            return;
         }
-        // The periodic balance pass must stay outside the batch.
-        q = q.min(if self.next_balance_us <= n0 {
+        debug_assert!(self.due_us[pos] >= until, "catch_up over a decision");
+        self.done_us[pos] = until;
+        let charge = until - done;
+        let progress = tick as f64 * self.cpu_speed(pos);
+        let task = &mut self.tasks[id.index()];
+        task.slice_used_us += charge;
+        let kernel = match &mut task.op {
+            CurrentOp::Compute { remaining_us } | CurrentOp::Syscall { remaining_us } => {
+                sub_ticks(remaining_us, progress, charge / tick);
+                matches!(task.op, CurrentOp::Syscall { .. })
+            }
+            CurrentOp::BarrierSpin { block_at_us, .. } => {
+                *block_at_us = block_at_us.saturating_sub(charge);
+                false
+            }
+            other => unreachable!("catch_up on op {other:?}"),
+        };
+        if kernel {
+            task.counters.stime_us += charge;
+            self.cpus[pos].system_us += charge;
+        } else {
+            task.counters.utime_us += charge;
+            self.cpus[pos].user_us += charge;
+        }
+    }
+
+    /// Plans the tick of busy CPU `pos`'s next decision from its state at
+    /// `done_us[pos]`: its op finishing (the tick per-tick `f64`
+    /// subtraction finds, [`ticks_to_finish`]), its slice expiring while a
+    /// waiter is queued, or its
+    /// spin ending (released, yielding to a waiter, or out of budget).
+    /// Valid while its SMT sibling, runqueue and barrier stay as they
+    /// are; whatever changes those re-plans it. A plan may be early (the
+    /// CPU then steps a quiet tick and re-plans), never late.
+    fn plan(&mut self, pos: usize) {
+        let from = self.done_us[pos];
+        let Some(id) = self.cpus[pos].current else {
+            self.due_us[pos] = u64::MAX;
+            return;
+        };
+        let tick = self.params.tick_us;
+        let task = &self.tasks[id.index()];
+        let queued = !self.cpus[pos].runqueue.is_empty();
+        let quiet = if self.trace.is_some() {
             0
         } else {
-            (self.next_balance_us - n0).div_ceil(tick) - 1
-        });
-        for_each_set_bit!(self.busy_mask, pos, {
-            if q == 0 {
-                return 0;
-            }
-            q = q.min(self.cpu_quiet_bound(pos));
-        });
-        q
-    }
-
-    /// Ticks CPU `pos` can execute with no scheduling decision: its op
-    /// must not finish, its spin budget must not exhaust, its timeslice
-    /// must not expire, and a spinning task must have no waiter (it would
-    /// yield immediately).
-    fn cpu_quiet_bound(&self, pos: usize) -> u64 {
-        let tick = self.params.tick_us;
-        let Some(id) = self.cpus[pos].current else {
-            return u64::MAX;
-        };
-        let task = &self.tasks[id.index()];
-        let queue_waiting = !self.cpus[pos].runqueue.is_empty();
-        match &task.op {
-            CurrentOp::Compute { remaining_us } | CurrentOp::Syscall { remaining_us } => {
-                let progress = tick as f64 * self.cpu_speed(pos);
-                // Conservative margin: stay two ticks short of the
-                // predicted completion so f64 rounding can never make the
-                // batch overshoot the naive finish tick.
-                let k = (*remaining_us / progress).floor();
-                let mut bound = if k.is_finite() && k >= 3.0 {
-                    k as u64 - 2
-                } else {
-                    0
-                };
-                if queue_waiting {
-                    let slice = self.params.timeslice_us(self.cpus[pos].nr_running());
-                    let left = slice.saturating_sub(task.slice_used_us);
-                    bound = bound.min(if left == 0 {
+            match &task.op {
+                CurrentOp::Compute { remaining_us } | CurrentOp::Syscall { remaining_us } => {
+                    // With a waiter, the slice expires after `cap` quiet
+                    // ticks (`exec_tick` adds the tick, then compares).
+                    let cap = if queued {
+                        let slice = self.params.timeslice_us(self.cpus[pos].nr_running());
+                        slice
+                            .saturating_sub(task.slice_used_us)
+                            .div_ceil(tick)
+                            .saturating_sub(1)
+                    } else {
+                        u64::MAX
+                    };
+                    ticks_to_finish(*remaining_us, tick as f64 * self.cpu_speed(pos), cap)
+                }
+                CurrentOp::BarrierSpin {
+                    barrier,
+                    generation,
+                    block_at_us,
+                } => {
+                    let released = self
+                        .barriers
+                        .get(&(task.pid, *barrier))
+                        .is_none_or(|b| b.generation != *generation);
+                    if queued || released {
                         0
                     } else {
-                        left.div_ceil(tick) - 1
-                    });
-                }
-                bound
-            }
-            CurrentOp::BarrierSpin {
-                barrier,
-                generation,
-                block_at_us,
-            } => {
-                if queue_waiting {
-                    return 0; // spin-yields at the end of this tick
-                }
-                let released = self
-                    .barriers
-                    .get(&(task.pid, *barrier))
-                    .map(|b| b.generation != *generation)
-                    .unwrap_or(true);
-                if released {
-                    return 0; // leaves the spin on its next tick
-                }
-                if *block_at_us <= tick {
-                    0
-                } else {
-                    block_at_us.div_ceil(tick) - 1
-                }
-            }
-            // Fetch: the next op is unknown until the naive path installs
-            // it. Anything else on-CPU is a bug the naive path will catch.
-            _ => 0,
-        }
-    }
-
-    /// Bulk-executes `q` quiet ticks on every busy CPU: the same charges
-    /// and the same per-tick `f64` progress subtractions as `q` calls to
-    /// `exec_tick`, minus the decision checks `quiet_ticks` proved dead.
-    fn exec_quiet(&mut self, q: u64) {
-        let tick = self.params.tick_us;
-        let charge = q * tick;
-        for_each_set_bit!(self.busy_mask, pos, {
-            let Some(id) = self.cpus[pos].current else {
-                unreachable!("exec_quiet: busy bit on idle cpu");
-            };
-            let progress = tick as f64 * self.cpu_speed(pos);
-            enum Account {
-                User,
-                System,
-            }
-            let account;
-            {
-                let task = &mut self.tasks[id.index()];
-                match &mut task.op {
-                    CurrentOp::Compute { remaining_us } => {
-                        // Per-tick subtraction, not `q × progress`: f64
-                        // addition is not associative and equivalence with
-                        // the naive stepper must be exact.
-                        for _ in 0..q {
-                            *remaining_us -= progress;
-                        }
-                        task.counters.utime_us += charge;
-                        account = Account::User;
+                        block_at_us.div_ceil(tick).saturating_sub(1)
                     }
-                    CurrentOp::Syscall { remaining_us } => {
-                        for _ in 0..q {
-                            *remaining_us -= progress;
-                        }
-                        task.counters.stime_us += charge;
-                        account = Account::System;
-                    }
-                    CurrentOp::BarrierSpin { block_at_us, .. } => {
-                        *block_at_us = block_at_us.saturating_sub(charge);
-                        task.counters.utime_us += charge;
-                        account = Account::User;
-                    }
-                    other => unreachable!("exec_quiet on op {other:?}"),
                 }
-                task.slice_used_us += charge;
+                // Fetch: the next op is unknown until the tick installs it.
+                _ => 0,
             }
-            match account {
-                Account::User => self.cpus[pos].user_us += charge,
-                Account::System => self.cpus[pos].system_us += charge,
-            }
-        });
+        };
+        self.due_us[pos] = from.saturating_add(quiet.saturating_mul(tick));
     }
 
     /// True once every non-service task has exited.
@@ -1239,13 +1319,8 @@ impl NodeSim {
     /// completion time (µs) or `None` on timeout.
     ///
     /// Completion is detected exactly, at the tick the last application
-    /// task exits — exits happen only on naively-executed ticks, never
-    /// inside a skip-ahead batch, so detection is precise in both engine
-    /// modes. `step_us` is retained for call-site compatibility; it no
-    /// longer bounds detection granularity (historically the engine
-    /// checked only between `step_us`-sized chunks).
-    pub fn run_until_apps_done(&mut self, step_us: u64, max_us: u64) -> Option<u64> {
-        let _ = step_us;
+    /// task exits: exits happen only on stepped ticks.
+    pub fn run_until_apps_done(&mut self, max_us: u64) -> Option<u64> {
         let deadline = self.now_us + max_us;
         while !self.apps_done() {
             if self.now_us >= deadline {
@@ -1351,7 +1426,7 @@ mod tests {
                 chunk_us: 1_000,
             },
         );
-        let done = sim.run_until_apps_done(1_000, 1_000_000).expect("finishes");
+        let done = sim.run_until_apps_done(1_000_000).expect("finishes");
         assert!((10_000..20_000).contains(&done), "done at {done}");
         let t = sim.task_by_tid(pid).unwrap();
         assert!(t.is_exited());
@@ -1381,9 +1456,7 @@ mod tests {
             },
             false,
         );
-        let done = sim
-            .run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        let done = sim.run_until_apps_done(10_000_000).expect("finishes");
         // Serialized on one CPU: ~100 ms.
         assert!((100_000..120_000).contains(&done), "done at {done}");
         // Both tasks were preempted at least once.
@@ -1417,9 +1490,7 @@ mod tests {
             },
             false,
         );
-        let done = sim
-            .run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        let done = sim.run_until_apps_done(10_000_000).expect("finishes");
         assert!((50_000..70_000).contains(&done), "done at {done}");
     }
 
@@ -1458,9 +1529,7 @@ mod tests {
         for _ in 0..3 {
             sim.spawn_task(pid, "worker", None, mk(5, 10_000), false);
         }
-        let done = sim
-            .run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        let done = sim.run_until_apps_done(10_000_000).expect("finishes");
         // 5 iterations × 10 ms, 4 workers on 4 cpus ⇒ ~50 ms.
         assert!((50_000..80_000).contains(&done), "done at {done}");
     }
@@ -1503,8 +1572,7 @@ mod tests {
         });
         let pid = sim.spawn_process("app", mask, 1024, leader);
         let wtid = sim.spawn_task(pid, "w", None, worker, false);
-        sim.run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(10_000_000).expect("finishes");
         let w = sim.task_by_tid(wtid).unwrap();
         // Blocked once per iteration (voluntary switches).
         assert!(w.counters.vcsw >= 3, "vcsw {}", w.counters.vcsw);
@@ -1534,8 +1602,7 @@ mod tests {
         for _ in 0..3 {
             sim.spawn_task(pid, "w", None, mk(false), false);
         }
-        sim.run_until_apps_done(1_000, 60_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(60_000_000).expect("finishes");
         let counters = sim.process_task_counters(pid);
         let total_nvcsw: u64 = counters.iter().map(|(_, _, c)| c.nvcsw).sum();
         let total_vcsw: u64 = counters.iter().map(|(_, _, c)| c.vcsw).sum();
@@ -1563,8 +1630,7 @@ mod tests {
         let pid = sim.spawn_process("app", mask.clone(), 1024, long.clone());
         sim.spawn_task(pid, "b", Some(mask.clone()), long.clone(), false);
         sim.spawn_task(pid, "c", Some(mask), long, false);
-        sim.run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(10_000_000).expect("finishes");
         let migs: u64 = sim
             .process_task_counters(pid)
             .iter()
@@ -1596,9 +1662,7 @@ mod tests {
                 chunk_us: 50_000,
             },
         );
-        let done = sim
-            .run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        let done = sim.run_until_apps_done(10_000_000).expect("finishes");
         // Both PUs busy: each progresses at smt_efficiency/2 ≈ 0.525 ⇒
         // ~95 ms rather than 50 ms.
         assert!(done > 80_000, "done at {done}");
@@ -1627,9 +1691,7 @@ mod tests {
             }),
         };
         let pid = sim.spawn_process("gpuapp", CpuSet::single(0), 1024, Behavior::worker(spec));
-        let done = sim
-            .run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        let done = sim.run_until_apps_done(10_000_000).expect("finishes");
         // Each iteration ≈ 1 ms compute + 5 ms kernel wait.
         assert!(done >= 4 * 6_000, "done at {done}");
         let snap = sim.device_snapshot(2);
@@ -1663,8 +1725,7 @@ mod tests {
             Behavior::helper_poll(500_000, 200),
             true,
         );
-        sim.run_until_apps_done(10_000, 60_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(60_000_000).expect("finishes");
         let h = sim.task_by_tid(helper).unwrap();
         assert!(h.counters.stime_us < 5_000);
         assert!(h.counters.vcsw >= 3);
@@ -1684,11 +1745,44 @@ mod tests {
         );
         sim.run_for(10_000);
         sim.set_task_affinity(pid, CpuSet::single(1));
-        sim.run_until_apps_done(1_000, 10_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(10_000_000).expect("finishes");
         let t = sim.task_by_tid(pid).unwrap();
         assert_eq!(t.last_cpu, 1);
         assert_eq!(t.affinity.to_list_string(), "1");
+    }
+
+    #[test]
+    fn grid_arithmetic_equals_per_tick_subtraction() {
+        // 26.25 is the default shared-core progress, 27.500000000000004
+        // that of `smt_efficiency` 1.1: on and off the grid.
+        for progress in [50.0, 26.25, 27.500000000000004, 0.1] {
+            for start in [0.0, 1.0, 26.25, 49.0, 50.0, 7_000.0, 35_123.0, 1e6 + 0.5] {
+                let mut stepped = start;
+                let mut n = 0;
+                loop {
+                    stepped -= progress;
+                    if stepped <= 0.0 {
+                        break;
+                    }
+                    n += 1;
+                }
+                // Off the grid the plan may stop early, never late.
+                let planned = ticks_to_finish(start, progress, u64::MAX);
+                let capped = on_grid(progress).is_none() && planned == 4_096;
+                assert!(
+                    planned == n || (capped && n > 4_096),
+                    "{start} / {progress}"
+                );
+                assert_eq!(ticks_to_finish(start, progress, 3), n.min(3));
+                for k in [0, n / 2, n] {
+                    let mut left = start;
+                    sub_ticks(&mut left, progress, k);
+                    let mut each = start;
+                    (0..k).for_each(|_| each -= progress);
+                    assert_eq!(left.to_bits(), each.to_bits(), "{start} - {k} × {progress}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1740,8 +1834,7 @@ mod wait_accounting_tests {
             },
             false,
         );
-        sim.run_until_apps_done(5_000, 10_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(10_000_000).expect("finishes");
         let total_wait: u64 = sim
             .process_task_counters(pid)
             .iter()
@@ -1780,8 +1873,7 @@ mod wait_accounting_tests {
             },
             false,
         );
-        sim.run_until_apps_done(5_000, 10_000_000)
-            .expect("finishes");
+        sim.run_until_apps_done(10_000_000).expect("finishes");
         let total_wait: u64 = sim
             .process_task_counters(pid)
             .iter()

@@ -331,7 +331,7 @@ mod tests {
         let (mut sim, pid) = sim_with_app();
         let tids = SimProcSource::new(&sim).list_tasks(pid).unwrap();
         assert_eq!(tids.len(), 2);
-        sim.run_until_apps_done(10_000, 10_000_000).unwrap();
+        sim.run_until_apps_done(10_000_000).unwrap();
         let tids = SimProcSource::new(&sim).list_tasks(pid).unwrap();
         assert!(tids.is_empty());
     }

@@ -63,6 +63,8 @@ mutants=(
 'send-under-guard~crates/core/src/attach.rs~s/f\(&lock_unpoisoned\(&self\.shared\)\)/{ let g = lock_unpoisoned(&self.shared); let (tx, _rx) = std::sync::mpsc::sync_channel(1); let _ = tx.send(0u8); f(&g) }/~a blocking channel `.send()` while `core.attach.monitor` is held'
 'sched-double-dispatch~crates/sched/src/node.rs~s/let id = self\.cpus\[dpos\]\.runqueue\.remove\(rq_idx\)\.expect\("steal idx"\);/let id = *self.cpus[dpos].runqueue.get(rq_idx).expect("steal idx");/~a stolen task stays on the donor runqueue: dispatched while already running'
 'sched-charge-wrong-cpu~crates/sched/src/node.rs~s/(finished = \*remaining_us <= 0\.0;\n\s+\}\n\s+)self\.cpus\[pos\]\.user_us \+= tick;/$1let n = self.cpus.len(); self.cpus[(pos + 1) % n].user_us += tick;/~a compute jiffy charged to the neighbouring CPU'
+'sibling-sync-skipped~crates/sched/src/node.rs~s/(if let Some\(s\) = sib \{\n\s+)self\.catch_up\(s\);/$1let _ = s;/~the speed of an SMT sibling changes without catching it up first: its owed ticks run at the new speed'
+'release-seen-same-tick-everywhere~crates/sched/src/node.rs~s/self\.spinners\(pid, bar, generation, Self::catch_up\);/let c = std::mem::take(\&mut self.cursor); self.spinners(pid, bar, generation, Self::catch_up); self.cursor = c;/~a barrier release ignores the position order: a spinner below the releasing CPU sees it in the same tick'
 'sched-preempt-not-traced~crates/sched/src/node.rs~s/self\.emit\(\|\| TraceEvent::Preempt \{ tid, cpu \}\);/let _ = (tid, cpu);/~a preemption that leaves no `Preempt` event'
 'utime-stime-swapped~crates/core/src/lwp.rs~s/self\.delta_per_period\(\|s\| s\.stime\)/self.delta_per_period(|s| s.utime)/~the `stime` column computed from `utime` deltas'
 'starttime-check-dropped~crates/core/src/lwp.rs~s/if old\.starttime != stat\.starttime \{/if old.starttime > stat.starttime {/~the pid-reuse guard never fires (a recycled tid always starts later)'
