@@ -3,7 +3,8 @@
 //! Extracts a per-function *direct effect set* — allocation,
 //! wall-clock reads, ambient entropy/thread-id reads, unordered-map
 //! iteration, and blocking (sleep, channel ops, file IO, thread join,
-//! `/proc` reads) — from the shared token stream, propagates it to a
+//! `/proc` reads, lock acquisitions) — from the shared token stream and
+//! the lock pass's acquisitions, propagates it to a
 //! fixpoint over the workspace call graph, and drives three passes off
 //! the summaries:
 //!
@@ -21,12 +22,14 @@
 //!   `Collector::pump_frames`), where a sleep, channel op or join
 //!   stalls a round somebody is waiting on; and every held range of a
 //!   lock, where those and file IO and `/proc` reads turn the lock
-//!   into a convoy. One allowlist holds every reviewed site.
+//!   into a convoy, and another blocking acquisition is a nested lock —
+//!   the one shape a lock-order deadlock needs. One allowlist holds
+//!   every reviewed site.
 //!
 //! The summary domain is a bitset lattice ([`EffectSet`]) ordered by
 //! inclusion; propagation is monotone (a step only ORs bits in), so the
 //! fixpoint exists and terminates on recursive/cyclic SCCs — each of
-//! the `n` summaries can grow at most 9 times. Every finding carries a
+//! the `n` summaries can grow at most 10 times. Every finding carries a
 //! **witness trace**: the shortest root→site call chain recovered from
 //! the BFS parent map (surfaced by `zerosum audit --explain`).
 
@@ -63,6 +66,9 @@ impl EffectSet {
     /// A `ProcSource` read ([`PROC_READS`]): a stalled `/proc` (§3.1)
     /// must never extend a critical section other threads wait on.
     pub const PROC_READ: u16 = 1 << 8;
+    /// A blocking lock acquisition (not `try_lock`), one site per
+    /// acquisition of [`LockAnalysis`]; its token is the lock's key.
+    pub const LOCK: u16 = 1 << 9;
 
     /// The empty set (lattice bottom).
     pub const fn empty() -> EffectSet {
@@ -94,8 +100,11 @@ pub const DET_MASK: u16 = EffectSet::WALL_CLOCK | EffectSet::AMBIENT | EffectSet
 pub const WATCHDOG_MASK: u16 =
     EffectSet::BLOCK_SLEEP | EffectSet::BLOCK_CHAN | EffectSet::BLOCK_JOIN;
 /// Effects the blocking pass polices while a lock is held: everything
-/// that can park the holder. Nested locks are the cycle pass's domain.
-pub const HELD_MASK: u16 = WATCHDOG_MASK | EffectSet::BLOCK_IO | EffectSet::PROC_READ;
+/// that can park the holder, another blocking acquisition included. No
+/// lock is taken under a guard, in any order, so no two locks can
+/// deadlock each other and none is re-acquired by its holder.
+pub const HELD_MASK: u16 =
+    WATCHDOG_MASK | EffectSet::BLOCK_IO | EffectSet::PROC_READ | EffectSet::LOCK;
 
 /// One direct effect site inside a function body.
 #[derive(Debug, Clone)]
@@ -382,29 +391,9 @@ pub const DEFAULT_DET_ALLOWLIST: [Allow; 0] = [];
 /// Reviewed blocking findings: `(file_suffix, fn, token, why)`. Under a
 /// non-blocking root the token is the effect; under a lock it is
 /// `lock:effect`, the effect being the nearest blocking site the held
-/// call reaches — for a `sample` call the round's first `/proc` read,
-/// `/proc/stat` in `round_begin`.
-pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 3] = [
-    (
-        "crates/core/src/attach.rs",
-        "start_with",
-        "core.attach.monitor:system_stat_into",
-        "the monitor thread owns the monitor lock for the whole sampling round by design; \
-         the only contenders (with_monitor, stop) are steering/shutdown paths",
-    ),
-    (
-        "crates/core/src/attach.rs",
-        "stop",
-        "core.attach.monitor:system_stat_into",
-        "final sample after the sampler thread has been joined; the lock is uncontended",
-    ),
-    (
-        "crates/analyze/src/chaos.rs",
-        "abnormal_exit_drill",
-        "analyze.chaos.flush_monitor:fs::create_dir_all",
-        "drill-only crash flush; single-threaded harness, no contention",
-    ),
-];
+/// call reaches (for a nested lock, the inner lock's key). Empty: no
+/// product lock guards anything that blocks.
+pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 0] = [];
 
 /// The result of the effect pass.
 pub struct EffectAnalysis {
@@ -773,6 +762,7 @@ pub fn bit_name(bit: u16) -> &'static str {
         EffectSet::BLOCK_IO => "file-io",
         EffectSet::BLOCK_JOIN => "join",
         EffectSet::PROC_READ => "proc-read",
+        EffectSet::LOCK => "lock",
         _ => "effect",
     }
 }
@@ -829,9 +819,17 @@ fn reach_pass(
 }
 
 /// Runs the effect passes over a built call graph, reusing the lock
-/// pass's acquisitions for held ranges.
+/// pass's acquisitions as `LOCK` sites and for held ranges.
 pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig) -> EffectAnalysis {
-    let sites = effect_sites(graph);
+    let mut sites = effect_sites(graph);
+    for a in la.acquisitions.iter().filter(|a| !a.non_blocking) {
+        sites[a.fn_idx].push(EffectSite {
+            bit: EffectSet::LOCK,
+            tok: a.token,
+            line: a.line,
+            token: a.lock.clone(),
+        });
+    }
     let direct: Vec<EffectSet> = sites
         .iter()
         .map(|v| {
@@ -905,8 +903,9 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
 
 /// The blocking pass: [`WATCHDOG_MASK`] effects reachable from the
 /// non-blocking roots, and [`HELD_MASK`] effects inside a lock's held
-/// range (the lock pass's acquisitions), direct or through a callee.
-/// A held-range finding's token is `lock:effect`.
+/// range (the lock pass's acquisitions), direct or through a callee —
+/// a lock taken under a guard among them. A held-range finding's token
+/// is `lock:effect`.
 fn blocking_pass(
     graph: &CallGraph,
     la: &LockAnalysis,
@@ -1370,7 +1369,7 @@ fn pong(n: u32) { if n > 0 { ping(n - 1); } thread::sleep(d); }
             let mut callees: Vec<Vec<usize>> = (0..n)
                 .map(|_| (0..next(4)).map(|_| next(n)).collect())
                 .collect();
-            let direct: Vec<EffectSet> = (0..n).map(|_| EffectSet((next(512)) as u16)).collect();
+            let direct: Vec<EffectSet> = (0..n).map(|_| EffectSet((next(1024)) as u16)).collect();
             let before = propagate_over(&callees, &direct);
             // Add one random edge; every summary must only grow.
             callees[next(n)].push(next(n));

@@ -2,9 +2,10 @@
 //!
 //! A comment/string-correct lexer ([`lexer`]), a lightweight item
 //! parser recovering function bodies ([`items`]), a workspace call
-//! graph ([`callgraph`]), and the passes over them — lock-order
-//! analysis ([`locks`]), panic-reachability ([`panics`]), the effect
-//! passes ([`effects`]: hot-path allocation, determinism, blocking)
+//! graph ([`callgraph`]), and the passes over them — lock
+//! acquisitions and their held ranges ([`locks`]), panic-reachability
+//! ([`panics`]), the effect passes ([`effects`]: hot-path allocation,
+//! determinism, blocking — a lock taken under a guard included)
 //! and the repo rules ([`rules`]: source-error-bubble,
 //! unbounded-growth). What `rustc` proves — one writer and one reader
 //! per `ShardRing`, no data race, no use of a moved endpoint — is not
@@ -29,7 +30,6 @@ pub mod locks;
 pub mod panics;
 pub mod rules;
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -130,10 +130,8 @@ pub struct AuditStats {
     pub fns: usize,
     /// Static lock acquisitions.
     pub acquisitions: usize,
-    /// Distinct lock nodes.
+    /// Distinct lock keys.
     pub locks: usize,
-    /// Lock-order edges.
-    pub edges: usize,
     /// Potential panic sites scanned.
     pub panic_sites: usize,
     /// Functions reachable from the no-panic roots.
@@ -150,10 +148,6 @@ pub struct AuditStats {
 pub struct AuditReport {
     /// All findings, sorted by (pass, file, line, token).
     pub findings: Vec<Finding>,
-    /// The static lock-order edges.
-    pub edges: Vec<locks::LockEdge>,
-    /// Distinct lock node keys.
-    pub locks: BTreeSet<String>,
     /// Header statistics.
     pub stats: AuditStats,
 }
@@ -162,14 +156,6 @@ impl AuditReport {
     /// Whether the report is clean (no findings at all).
     pub fn clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// Lock-cycle findings.
-    pub fn cycles(&self) -> Vec<&Finding> {
-        self.findings
-            .iter()
-            .filter(|f| f.pass == "lock-cycle")
-            .collect()
     }
 
     /// Human-readable report.
@@ -184,14 +170,13 @@ impl AuditReport {
         let mut out = String::new();
         writeln!(
             out,
-            "zsaudit: {} files, {} fns | {} locks, {} acquisitions, {} edges | \
+            "zsaudit: {} files, {} fns | {} locks, {} acquisitions | \
              {} panic sites, {} fns reachable from no-panic roots | \
              {} effect sites, {} hot-reachable, {} det-reachable fns",
             s.files,
             s.fns,
             s.locks,
             s.acquisitions,
-            s.edges,
             s.panic_sites,
             s.reachable_fns,
             s.effect_sites,
@@ -231,13 +216,12 @@ impl AuditReport {
         writeln!(
             out,
             "  \"stats\": {{\"files\": {}, \"fns\": {}, \"acquisitions\": {}, \"locks\": {}, \
-             \"edges\": {}, \"panic_sites\": {}, \"reachable_fns\": {}, \"effect_sites\": {}, \
+             \"panic_sites\": {}, \"reachable_fns\": {}, \"effect_sites\": {}, \
              \"hot_reachable\": {}, \"det_reachable\": {}}},",
             s.files,
             s.fns,
             s.acquisitions,
             s.locks,
-            s.edges,
             s.panic_sites,
             s.reachable_fns,
             s.effect_sites,
@@ -245,19 +229,7 @@ impl AuditReport {
             s.det_reachable
         )
         .unwrap();
-        out.push_str("  \"edges\": [\n");
-        for (i, e) in self.edges.iter().enumerate() {
-            writeln!(
-                out,
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"site\": \"{}\"}}{}",
-                esc(&e.from),
-                esc(&e.to),
-                esc(&e.site),
-                if i + 1 < self.edges.len() { "," } else { "" }
-            )
-            .unwrap();
-        }
-        out.push_str("  ],\n  \"findings\": [\n");
+        out.push_str("  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
             let witness = f
                 .witness
@@ -357,17 +329,15 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         fns: graph.fns.len(),
         acquisitions: la.acquisitions.len(),
         locks: la.locks.len(),
-        edges: la.edges.len(),
         panic_sites: pa.sites,
         reachable_fns: pa.reachable_fns,
         effect_sites: ea.sites,
         hot_reachable: ea.hot_reachable,
         det_reachable: ea.det_reachable,
     };
-    let mut findings: Vec<Finding> = la
+    let mut findings: Vec<Finding> = pa
         .findings
         .into_iter()
-        .chain(pa.findings)
         .chain(ea.findings)
         .chain(rules::analyze_rules(&graph, cfg.growth_allowlist))
         .collect();
@@ -380,12 +350,7 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
     findings.dedup_by(|a, b| {
         (a.pass, &a.file, a.line, &a.token, &a.func) == (b.pass, &b.file, b.line, &b.token, &b.func)
     });
-    AuditReport {
-        findings,
-        edges: la.edges,
-        locks: la.locks,
-        stats,
-    }
+    AuditReport { findings, stats }
 }
 
 /// [`AuditConfig::empty`] plus explicit panic roots and allowlist.
@@ -490,20 +455,17 @@ fn root(x: &M, y: &M, v: Option<u32>) {
     let h = y.beta.lock();
     v.unwrap();
 }
-fn rev(x: &M, y: &M) {
-    let h = y.beta.lock();
-    let g = x.alpha.lock();
-}
 ",
         )]);
         let r = audit_sources_with(&sources, &[("a.rs", "root", "test")], &[]);
         assert!(!r.clean());
-        assert!(!r.cycles().is_empty());
         let text = r.render();
-        assert!(text.contains("[lock-cycle]"), "{text}");
+        assert!(text.contains("[blocking]"), "{text}");
         assert!(text.contains("[panic-reachable]"), "{text}");
+        assert!(!text.contains("edges"), "{text}");
         let json = r.to_json();
-        assert!(json.contains("\"pass\": \"lock-cycle\""), "{json}");
+        assert!(json.contains("\"token\": \"alpha:beta\""), "{json}");
+        assert!(!json.contains("edges"), "{json}");
     }
 
     #[test]

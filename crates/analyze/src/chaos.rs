@@ -19,14 +19,12 @@
 //! that every emitted log is marked `PARTIAL`, terminated by the `END`
 //! marker, and that no torn `.tmp` files remain.
 
-use std::sync::Arc;
-
 use crate::verdict::{seeded_suite, Verdict};
 use zerosum_core::export::{write_partial_logs, LOG_END_MARKER, LOG_PARTIAL_MARKER};
 use zerosum_core::signal::{
     clear_crash_flushes, register_crash_flush, report_abnormal_exit, AbnormalExit,
 };
-use zerosum_core::{render_process_report, Monitor, ProcessInfo, Tracked, ZeroSumConfig};
+use zerosum_core::{render_process_report, Monitor, ProcessInfo, ZeroSumConfig};
 use zerosum_experiments::tables::{run_table, run_table_chaos, ChaosAudit, TableConfig, TableRun};
 use zerosum_proc::fault::{FaultKind, FaultPlan, FaultRates, Op, ScriptedFault};
 use zerosum_sched::{Behavior, NodeSim, SchedParams, SimProcSource};
@@ -209,15 +207,12 @@ pub fn abnormal_exit_drill() -> Vec<String> {
         mon.sample(round as f64 * 0.1, &src);
     }
     clear_crash_flushes();
-    let shared = Arc::new(Tracked::new("analyze.chaos.flush_monitor", mon));
-    let flush_mon = Arc::clone(&shared);
     let flush_dir = dir.clone();
+    // The flush owns the monitor: nothing else reads it once registered.
     register_crash_flush(move || {
-        if let Ok(m) = flush_mon.lock() {
-            let _ = write_partial_logs(&m, &flush_dir, "SIGSEGV", |p| {
-                render_process_report(&m, p, m.last_t_s, None)
-            });
-        }
+        let _ = write_partial_logs(&mon, &flush_dir, "SIGSEGV", |p| {
+            render_process_report(&mon, p, mon.last_t_s, None)
+        });
     });
     let report = report_abnormal_exit(AbnormalExit::SegmentationViolation, pid, Some(0));
     clear_crash_flushes();

@@ -10,9 +10,10 @@
 //!   residency, charge attribution, affinity, context-switch totals,
 //!   GPU causality).
 //! * **Static audit** ([`audit`]) — the workspace's one source-level
-//!   checker, run by `zerosum audit`: lock order, panic reachability
+//!   checker, run by `zerosum audit`: panic reachability
 //!   (the monitor's hot-path files rooted whole), effects (allocation,
-//!   determinism, the one blocking pass), and the repo rules — no
+//!   determinism, the one blocking pass — a lock taken under a guard
+//!   included), and the repo rules — no
 //!   prints in library crates, no `?`-propagation of `/proc` read
 //!   errors out of the sampling round, no unreviewed growth of monitor
 //!   state.

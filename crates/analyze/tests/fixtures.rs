@@ -110,23 +110,16 @@ fn audit_one(name: &str, roots: &[(&str, &str, &str)]) -> AuditReport {
 }
 
 #[test]
-fn lock_cycle_fixture_pair() {
-    let bad = audit_one("lock_cycle.bad.rs", &[]);
-    assert!(
-        !bad.cycles().is_empty(),
-        "AB/BA fixture must report a lock-order cycle: {:?}",
-        bad.findings
-    );
-    let clean = audit_one("lock_cycle.clean.rs", &[]);
-    assert!(clean.cycles().is_empty(), "{:?}", clean.findings);
-    assert!(
-        clean
-            .edges
-            .iter()
-            .any(|e| e.from == "alpha" && e.to == "beta"),
-        "consistent ordering still contributes an edge: {:?}",
-        clean.edges
-    );
+fn nested_lock_fixture_pair() {
+    let bad = audit_one("nested_lock.bad.rs", &[]);
+    let nested: Vec<_> = bad
+        .findings
+        .iter()
+        .map(|f| (f.pass, f.func.as_str(), f.token.as_str(), f.line))
+        .collect();
+    assert_eq!(nested, [("blocking", "ab", "alpha:beta", 6)]);
+    let clean = audit_one("nested_lock.clean.rs", &[]);
+    assert!(clean.clean(), "{:?}", clean.findings);
 }
 
 /// Audits one fixture with no panic roots and the given effect
@@ -282,7 +275,7 @@ fn own_method_send_fixture_pair() {
 fn workspace_audit_json_is_byte_identical_across_runs() {
     // The machine-readable contract for CI diffing: two full audits of
     // the real workspace serialize to identical bytes — finding order,
-    // lock-order edges, stats, everything.
+    // stats, everything.
     let a = audit_workspace(&workspace_root()).expect("audit").to_json();
     let b = audit_workspace(&workspace_root()).expect("audit").to_json();
     assert_eq!(a, b, "audit --json must be deterministic");

@@ -203,7 +203,7 @@ pub static SUBCOMMANDS: [Command; 8] = [
     ),
     cmd(
         "audit",
-        "static audit: lock order, panic reach, effects, repo rules (DESIGN.md §10-§11)",
+        "static audit: nested locks, panic reach, effects, repo rules (DESIGN.md §10-§11)",
         &[
             switch("--json", "print the report as JSON"),
             switch("--explain", "print each finding's witness call chain"),

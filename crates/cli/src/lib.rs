@@ -37,7 +37,7 @@ pub struct CliOptions {
     /// Suppress the stdout report on non-zero ranks (`--quiet-ranks`,
     /// default true; rank 0 always prints).
     pub quiet_ranks: bool,
-    /// Print a live heartbeat line each period (`--heartbeat`) — the
+    /// Print a live heartbeat line each sample (`--heartbeat`) — the
     /// §3.3 "the application is viable" signal.
     pub heartbeat: bool,
     /// The command to launch.
@@ -135,30 +135,19 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
         .args(&opts.command[1..])
         .spawn()
         .map_err(|e| format!("failed to launch {:?}: {e}", opts.command[0]))?;
-    let session = SelfMonitor::start_for_pid(config, child.id(), rank)
-        .map_err(|e| format!("failed to attach monitor: {e}"))?;
-    let status = if opts.heartbeat {
-        // Poll so a heartbeat can be emitted every period while the
-        // child runs.
-        let period = std::time::Duration::from_millis(opts.period_ms);
-        let tracker = ProgressTracker::new();
-        loop {
-            match child.try_wait().map_err(|e| format!("wait failed: {e}"))? {
-                Some(st) => break st,
-                None => {
-                    std::thread::sleep(period);
-                    let t_s = session.elapsed_s();
-                    let line = session.with_monitor(|m| tracker.heartbeat_line(m, t_s));
-                    // Direct write: a closed stderr must not kill the
-                    // wrapper (`eprintln!` would panic).
-                    use std::io::Write as _;
-                    let _ = writeln!(std::io::stderr(), "{line}");
-                }
-            }
+    // The heartbeat is written by the monitor thread, one line per
+    // sample. Direct write: a closed stderr must not kill the wrapper
+    // (`eprintln!` would panic).
+    let heartbeat = opts.heartbeat.then(ProgressTracker::new);
+    let session = SelfMonitor::start_for_pid(config, child.id(), rank, move |m| {
+        if let Some(tracker) = &heartbeat {
+            use std::io::Write as _;
+            let line = tracker.heartbeat_line(m, m.last_t_s);
+            let _ = writeln!(std::io::stderr(), "{line}");
         }
-    } else {
-        child.wait().map_err(|e| format!("wait failed: {e}"))?
-    };
+    })
+    .map_err(|e| format!("failed to attach monitor: {e}"))?;
+    let status = child.wait().map_err(|e| format!("wait failed: {e}"))?;
     let (monitor, duration) = session.stop();
     let pid = monitor.processes()[0].info.pid;
     let mut report = render_process_report(&monitor, pid, duration, None);

@@ -6,30 +6,29 @@
 //! the *calling process* through the real `/proc` at the configured
 //! period until [`SelfMonitor::stop`] collects the monitor and its data.
 //! This is the "always-on monitoring library" usage mode.
+//!
+//! The monitor thread owns its [`Monitor`] and its source outright, as
+//! the paper's thread does (§3.1): no other thread touches either while
+//! the session runs, so neither sits behind a lock. A caller that wants
+//! to see each sample — the wrapper's `--heartbeat` — hands
+//! [`SelfMonitor::start_for_pid`] a callback the monitor thread runs
+//! right after each one.
 
 use crate::config::ZeroSumConfig;
 use crate::monitor::{Monitor, ProcessInfo};
-use crate::sync::Tracked;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::{MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use zerosum_proc::{LinuxProc, ProcSource as _, SourceError};
 
 /// A running self-monitoring session.
 pub struct SelfMonitor {
     stop: Arc<AtomicBool>,
-    shared: Arc<Tracked<Monitor>>,
-    /// The monitor thread; it hands the session's source back when it
-    /// ends, for the final sample.
-    handle: Option<std::thread::JoinHandle<LinuxProc>>,
+    /// The monitor thread; it hands the monitor and the session's source
+    /// back when it ends, for the final sample.
+    handle: Option<JoinHandle<(Monitor, LinuxProc)>>,
     started: Instant,
-}
-
-/// Locks a mutex, recovering the data if a panicking holder poisoned it
-/// (the monitor must keep working even if the monitored app misbehaves).
-fn lock_unpoisoned<T>(m: &Tracked<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Reads the node hostname from `/proc` (no libc).
@@ -37,6 +36,18 @@ pub fn hostname() -> String {
     std::fs::read_to_string("/proc/sys/kernel/hostname")
         .map(|s| s.trim().to_string())
         .unwrap_or_else(|_| "localhost".to_string())
+}
+
+/// The monitor thread's next deadline, as an offset from the session
+/// start: the first `last + k·period` (`k ≥ 1`) after `now`. Deadlines
+/// keep their phase, so a round's own cost does not stretch the period;
+/// ticks a late round missed are skipped, not replayed in a burst; and
+/// a changed `period` counts from the deadline just taken.
+fn next_wake(now: Duration, last: Duration, period: Duration) -> Duration {
+    let period = period.max(Duration::from_nanos(1));
+    let missed = now.saturating_sub(last).as_nanos() / period.as_nanos();
+    let k = u32::try_from(missed + 1).unwrap_or(u32::MAX);
+    last + period.saturating_mul(k)
 }
 
 impl SelfMonitor {
@@ -47,19 +58,23 @@ impl SelfMonitor {
     pub fn start(config: ZeroSumConfig, rank: Option<u32>) -> Result<Self, SourceError> {
         let src = LinuxProc::new();
         let pid = src.self_pid()?;
-        Self::start_with(src, config, pid, rank)
+        Self::start_with(src, config, pid, rank, |_| {})
     }
 
     /// Starts monitoring an arbitrary live process — the `zerosum`
     /// launcher-wrapper mode (§4's `srun -n8 zerosum-mpi miniqmc`): the
     /// wrapper spawns the application as a child and watches it from
-    /// outside through `/proc/<pid>`.
+    /// outside through `/proc/<pid>`. The monitor thread calls
+    /// `on_sample` right after each periodic sample (live heartbeats or
+    /// steering exports, §3.6); [`SelfMonitor::stop`]'s final sample is
+    /// not one of them.
     pub fn start_for_pid(
         config: ZeroSumConfig,
         pid: zerosum_proc::Pid,
         rank: Option<u32>,
+        on_sample: impl FnMut(&Monitor) + Send + 'static,
     ) -> Result<Self, SourceError> {
-        Self::start_with(LinuxProc::new(), config, pid, rank)
+        Self::start_with(LinuxProc::new(), config, pid, rank, on_sample)
     }
 
     /// One source serves the whole session, and it is built by the
@@ -71,6 +86,7 @@ impl SelfMonitor {
         config: ZeroSumConfig,
         pid: zerosum_proc::Pid,
         rank: Option<u32>,
+        mut on_sample: impl FnMut(&Monitor) + Send + 'static,
     ) -> Result<Self, SourceError> {
         // Initial configuration detection: capture the process mask now,
         // before any runtime rebinding (the __libc_start_main moment).
@@ -89,35 +105,32 @@ impl SelfMonitor {
         if config.signal_handler {
             crate::signal::install_panic_hook(rank);
         }
-        let shared = Arc::new(Tracked::new("core.attach.monitor", monitor));
         let stop = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
         let handle = {
-            let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop);
-            let period = Duration::from_micros(config.period_us);
             std::thread::Builder::new()
                 .name("ZeroSum".to_string())
                 .spawn(move || {
                     // First sample immediately (initial configuration
-                    // detection), then periodically.
+                    // detection), then at every deadline.
+                    let mut due = Duration::ZERO;
                     loop {
-                        {
-                            let t_s = started.elapsed().as_secs_f64();
-                            lock_unpoisoned(&shared).sample(t_s, &src);
-                        }
-                        // Sleep in short slices so stop() is responsive.
-                        let mut remaining = period;
-                        while remaining > Duration::ZERO {
+                        monitor.sample(started.elapsed().as_secs_f64(), &src);
+                        on_sample(&monitor);
+                        let period = Duration::from_micros(monitor.effective_period_us());
+                        due = next_wake(started.elapsed(), due, period);
+                        // `stop()` unparks: the flag is checked on
+                        // every wake, spurious ones included.
+                        loop {
                             if stop.load(Ordering::Relaxed) {
-                                return src;
+                                return (monitor, src);
                             }
-                            let nap = remaining.min(Duration::from_millis(20));
-                            std::thread::sleep(nap);
-                            remaining = remaining.saturating_sub(nap);
-                        }
-                        if stop.load(Ordering::Relaxed) {
-                            return src;
+                            let now = started.elapsed();
+                            if now >= due {
+                                break;
+                            }
+                            std::thread::park_timeout(due - now);
                         }
                     }
                 })
@@ -125,36 +138,30 @@ impl SelfMonitor {
         };
         Ok(SelfMonitor {
             stop,
-            shared,
             handle: Some(handle),
             started,
         })
     }
 
-    /// Seconds since monitoring started.
-    pub fn elapsed_s(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Runs `f` against the monitor's current state (e.g. for live
-    /// heartbeats or steering exports, §3.6).
-    pub fn with_monitor<R>(&self, f: impl FnOnce(&Monitor) -> R) -> R {
-        f(&lock_unpoisoned(&self.shared))
+    /// Stops the monitor thread and joins it: what it returns, or the
+    /// panic that ended it. `None` once already halted.
+    fn halt(&mut self) -> Option<std::thread::Result<(Monitor, LinuxProc)>> {
+        self.stop.store(true, Ordering::Relaxed);
+        let handle = self.handle.take()?;
+        handle.thread().unpark();
+        Some(handle.join())
     }
 
     /// Stops the background thread, takes a final sample, and returns the
     /// monitor plus the run duration in seconds.
+    ///
+    /// Resumes the panic of a monitor thread that died: only the
+    /// `on_sample` callback can panic there, as `Monitor::sample`
+    /// contains its own.
     pub fn stop(mut self) -> (Monitor, f64) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Only a monitor thread that died takes the source with it; the
-        // final sample then gets a new one.
-        let src = self.handle.take().and_then(|h| h.join().ok());
-        let src = src.unwrap_or_default();
+        let joined = self.halt().expect("a session is stopped once");
+        let (mut monitor, src) = joined.unwrap_or_else(|p| std::panic::resume_unwind(p));
         let duration = self.started.elapsed().as_secs_f64();
-        let mut monitor = std::mem::replace(
-            &mut *lock_unpoisoned(&self.shared),
-            Monitor::new(ZeroSumConfig::default()),
-        );
         monitor.sample(duration, &src);
         (monitor, duration)
     }
@@ -162,10 +169,7 @@ impl SelfMonitor {
 
 impl Drop for SelfMonitor {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        let _ = self.halt();
     }
 }
 
@@ -173,6 +177,7 @@ impl Drop for SelfMonitor {
 mod tests {
     use super::*;
     use crate::report;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn self_monitoring_observes_this_process() {
@@ -189,14 +194,13 @@ mod tests {
             acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
         }
         std::hint::black_box(acc);
-        let live_threads =
-            sm.with_monitor(|m| m.processes().first().map(|w| w.lwps.len()).unwrap_or(0));
         let (mon, dur) = sm.stop();
         assert!(dur >= 0.3);
+        // The thread sampled on its own before the final sample.
+        assert!(mon.stats.rounds >= 2, "{} rounds", mon.stats.rounds);
         let w = &mon.processes()[0];
         // At least the main thread and the ZeroSum thread were seen.
         assert!(w.lwps.len() >= 2, "saw {} threads", w.lwps.len());
-        assert!(live_threads >= 1);
         let zs = w
             .lwps
             .tracks()
@@ -207,6 +211,42 @@ mod tests {
         assert!(rep.contains("Process Summary:"));
         assert!(rep.contains("Hardware Summary:"));
         assert!(!w.cpus_allowed.is_empty());
+    }
+
+    #[test]
+    fn the_callback_sees_every_sample_but_the_final_one() {
+        let cfg = ZeroSumConfig {
+            period_us: 20_000,
+            signal_handler: false,
+            ..Default::default()
+        };
+        let calls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&calls);
+        let sm = SelfMonitor::start_for_pid(cfg, std::process::id(), None, move |m| {
+            // Each call sees the round it follows.
+            assert_eq!(m.stats.rounds, seen.fetch_add(1, Ordering::SeqCst) + 1);
+        })
+        .expect("start");
+        std::thread::sleep(Duration::from_millis(150));
+        let (mon, _) = sm.stop();
+        assert!(mon.stats.rounds >= 2, "{} rounds", mon.stats.rounds);
+        assert_eq!(calls.load(Ordering::SeqCst), mon.stats.rounds - 1);
+    }
+
+    #[test]
+    fn next_wake_keeps_the_phase_and_skips_missed_ticks() {
+        let ms = Duration::from_millis;
+        let (last, period) = (ms(1_000), ms(10));
+        // On time: a round that ended inside its period wakes at the
+        // next deadline, however long it ran.
+        assert_eq!(next_wake(last + ms(3), last, period), ms(1_010));
+        assert_eq!(next_wake(last, last, period), ms(1_010));
+        // 2.5 periods late: the deadlines at 1 010 and 1 020 are
+        // skipped, not replayed.
+        assert_eq!(next_wake(last + ms(25), last, period), ms(1_030));
+        // A widened period takes effect at the next deadline.
+        assert_eq!(next_wake(last + ms(1), last, ms(20)), ms(1_020));
+        assert_eq!(next_wake(ms(1_021), ms(1_020), ms(20)), ms(1_040));
     }
 
     #[test]

@@ -5,49 +5,24 @@
 //! footprint); `zerosum-gpu`'s simulated ROCm SMI/NVML backends turn a
 //! busy fraction into the full Listing 2 metric set. [`SimGpuLink`] owns
 //! both ends: each period it diffs device snapshots from the
-//! [`NodeSim`], feeds the per-window busy fractions to the backend, and
-//! folds the synthesized samples into a [`GpuMonitor`].
+//! [`NodeSim`], writes the per-window busy fractions into the feed the
+//! backend owns, and folds the synthesized samples into a [`GpuMonitor`].
 
-use crate::sync::Tracked;
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::sync::{MutexGuard, PoisonError};
 use zerosum_gpu::{ActivityFeed, GpuMonitor, SmiSim};
 use zerosum_sched::NodeSim;
 
-/// Locks a mutex, recovering the data if a panicking holder poisoned it.
-fn lock_unpoisoned<T>(m: &Tracked<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Shared per-slot `(busy_fraction, mem_used_bytes)` the runner updates
-/// and the backend reads.
+/// Per-slot `(busy_fraction, mem_used_bytes)` of the current window:
+/// [`SimGpuLink::poll`] writes it, then its backend reads it.
 #[derive(Debug, Default)]
-struct FrameData {
-    slots: HashMap<u32, (f64, u64)>,
-}
+struct SlotFeed(Vec<(f64, u64)>);
 
-/// An [`ActivityFeed`] backed by runner-updated frame data.
-#[derive(Clone)]
-pub struct SharedFeed {
-    data: Arc<Tracked<FrameData>>,
-}
-
-impl ActivityFeed for SharedFeed {
+impl ActivityFeed for SlotFeed {
     fn busy_fraction(&mut self, device: u32) -> f64 {
-        lock_unpoisoned(&self.data)
-            .slots
-            .get(&device)
-            .map(|v| v.0)
-            .unwrap_or(0.0)
+        self.0.get(device as usize).map_or(0.0, |v| v.0)
     }
 
     fn mem_used_bytes(&mut self, device: u32) -> u64 {
-        lock_unpoisoned(&self.data)
-            .slots
-            .get(&device)
-            .map(|v| v.1)
-            .unwrap_or(0)
+        self.0.get(device as usize).map_or(0, |v| v.1)
     }
 }
 
@@ -68,8 +43,7 @@ pub enum GpuStack {
 pub struct SimGpuLink {
     /// The accumulated min/mean/max statistics.
     pub monitor: GpuMonitor,
-    backend: SmiSim,
-    data: Arc<Tracked<FrameData>>,
+    backend: SmiSim<SlotFeed>,
     /// Physical device indices, slot-ordered.
     devices: Vec<u32>,
     prev_busy_us: Vec<u64>,
@@ -78,13 +52,7 @@ pub struct SimGpuLink {
 impl SimGpuLink {
     /// Builds the link for the given physical `devices` on `stack`.
     pub fn new(stack: GpuStack, devices: Vec<u32>) -> Self {
-        let data = Arc::new(Tracked::new(
-            "core.gpu_link.frame_data",
-            FrameData::default(),
-        ));
-        let feed = Box::new(SharedFeed {
-            data: Arc::clone(&data),
-        });
+        let feed = SlotFeed::default();
         let n = devices.len();
         let backend = match stack {
             GpuStack::RocmMi250x => SmiSim::rocm_mi250x(n, feed),
@@ -95,7 +63,6 @@ impl SimGpuLink {
         SimGpuLink {
             monitor: GpuMonitor::new(n),
             backend,
-            data,
             prev_busy_us: vec![0; devices.len()],
             devices,
         }
@@ -110,19 +77,18 @@ impl SimGpuLink {
     /// compute per-window busy fractions, and fold an SMI sample per
     /// device.
     pub fn poll(&mut self, sim: &mut NodeSim, dt_s: f64) {
-        {
-            let mut data = lock_unpoisoned(&self.data);
-            for (slot, &phys) in self.devices.iter().enumerate() {
-                let snap = sim.device_snapshot(phys);
-                let delta = snap.busy_us.saturating_sub(self.prev_busy_us[slot]);
-                self.prev_busy_us[slot] = snap.busy_us;
-                let frac = if dt_s > 0.0 {
-                    (delta as f64 / (dt_s * 1e6)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                data.slots.insert(slot as u32, (frac, snap.mem_used_bytes));
-            }
+        let feed = &mut self.backend.feed_mut().0;
+        feed.clear();
+        for (slot, &phys) in self.devices.iter().enumerate() {
+            let snap = sim.device_snapshot(phys);
+            let delta = snap.busy_us.saturating_sub(self.prev_busy_us[slot]);
+            self.prev_busy_us[slot] = snap.busy_us;
+            let frac = if dt_s > 0.0 {
+                (delta as f64 / (dt_s * 1e6)).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            feed.push((frac, snap.mem_used_bytes));
         }
         self.monitor.poll(&mut self.backend, dt_s);
     }

@@ -83,10 +83,9 @@ pub fn register_crash_flush(f: impl Fn() + Send + 'static) {
 /// flush beats deadlocking the exit path.
 ///
 /// The registry lock is NOT held while callbacks run: flushes are
-/// arbitrary closures that may acquire monitor locks of their own, and
-/// holding the registry across them put the registry at the root of
-/// every flush's lock order (the audit's blocking pass flags
-/// exactly this shape). The list is taken out, run unlocked, and put
+/// arbitrary closures that may acquire locks of their own or write
+/// files, and either under the registry's guard is a finding of the
+/// audit's blocking pass. The list is taken out, run unlocked, and put
 /// back so callbacks stay registered for a later real crash.
 pub fn run_crash_flushes() -> usize {
     let taken = {

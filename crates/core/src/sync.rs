@@ -2,17 +2,18 @@
 //!
 //! [`Tracked`] and [`TrackedRw`] delegate every call to the `std` lock
 //! inside and hand back its guards. The name is read by nobody at run
-//! time: it is the node key of the lock-order graph `zerosum audit`
-//! builds from the source (`Tracked::new("name", …)` binds its receiver
-//! to `name`), which is the one place lock order is checked. The static
-//! pass skips this file, whose interior `inner.lock()` calls would
-//! otherwise merge every named lock into one node.
+//! time: it is the key `zerosum audit` knows the lock by in the source
+//! (`Tracked::new("name", …)` binds its receiver to `name`), which is
+//! how its findings name a lock taken, or blocked on, under a live
+//! guard. The static pass skips this file, whose interior
+//! `inner.lock()` calls would otherwise merge every named lock into one
+//! key.
 
 use std::sync::{
     LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockResult,
 };
 
-/// A `Mutex` with a name for the static lock-order graph.
+/// A `Mutex` with a name for the static audit.
 #[derive(Debug)]
 pub struct Tracked<T: ?Sized> {
     name: &'static str,
@@ -20,8 +21,8 @@ pub struct Tracked<T: ?Sized> {
 }
 
 impl<T> Tracked<T> {
-    /// Wraps `value` under `name`. Names are the audit graph's node
-    /// keys — use stable, dotted, crate-qualified names.
+    /// Wraps `value` under `name`. Names are the audit's lock keys —
+    /// use stable, dotted, crate-qualified names.
     pub const fn new(name: &'static str, value: T) -> Self {
         Tracked {
             name,
@@ -52,12 +53,12 @@ impl<T: ?Sized> Tracked<T> {
     }
 }
 
-/// An `RwLock` with a name for the static lock-order graph — the
-/// reader-writer twin of [`Tracked`].
+/// An `RwLock` with a name for the static audit — the reader-writer
+/// twin of [`Tracked`].
 ///
 /// A shared node simulation is sampled under a read guard and advanced
 /// under a write guard strictly between rounds (`core::shard`'s source
-/// handle). Both modes are one node of the graph.
+/// handle). Both modes are one key.
 #[derive(Debug)]
 pub struct TrackedRw<T: ?Sized> {
     name: &'static str,
@@ -65,7 +66,7 @@ pub struct TrackedRw<T: ?Sized> {
 }
 
 impl<T> TrackedRw<T> {
-    /// Wraps `value` under `name` (the audit graph's node key).
+    /// Wraps `value` under `name` (the audit's lock key).
     pub const fn new(name: &'static str, value: T) -> Self {
         TrackedRw {
             name,

@@ -7,13 +7,12 @@
 //! callers that iterate seeds get results ordered by seed, which keeps
 //! reports and CSV artifacts byte-identical to a sequential run.
 //!
-//! Built on `std::thread::scope` only (no dependencies): workers claim
-//! job indices from an atomic counter, write results into per-slot
-//! mutexes, and a panic in any job propagates to the caller at scope
-//! exit — an experiment failure is never silently swallowed.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use zerosum_core::Tracked;
+//! Built on `std::thread::scope` only (no dependencies): each worker
+//! owns a fixed stride of the job vector (worker `w` runs jobs `w`,
+//! `w + workers`, …) and returns `(index, result)` pairs from its join
+//! handle, so nothing is shared between workers — no lock, no atomic.
+//! A panic in any job propagates to the caller — an experiment failure
+//! is never silently swallowed.
 
 /// The worker count used by [`run_jobs`] when the caller passes 0:
 /// available parallelism, capped to 8 (experiment runs are memory-bound
@@ -29,7 +28,7 @@ pub fn default_workers() -> usize {
 /// returns the results in submission order.
 ///
 /// Panics if any job panics (propagated at scope exit, after the other
-/// workers finish their current jobs).
+/// workers finish their strides).
 pub fn run_jobs<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
 where
     T: Send,
@@ -50,45 +49,35 @@ where
         // Sequential fast path: no threads, same ordering.
         return jobs.into_iter().map(|j| j()).collect();
     }
-    let slots: Vec<Tracked<Option<F>>> = jobs
-        .into_iter()
-        .map(|j| Tracked::new("experiments.parallel.slot", Some(j)))
-        .collect();
-    let results: Vec<Tracked<Option<T>>> = (0..n)
-        .map(|_| Tracked::new("experiments.parallel.result", None))
-        .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = slots[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("each job index is claimed exactly once");
-                let out = job();
-                *results[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
+    let mut strides: Vec<Vec<(usize, F)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        strides[i % workers].push((i, job));
+    }
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let handles: Vec<_> = strides
+            .into_iter()
+            .map(|stride| {
+                s.spawn(move || {
+                    stride
+                        .into_iter()
+                        .map(|(i, job)| (i, job()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every claimed job stored a result")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn empty_and_single_job_work() {

@@ -19,6 +19,16 @@ pub trait ActivityFeed: Send {
     fn mem_used_bytes(&mut self, device: u32) -> u64;
 }
 
+impl<F: ActivityFeed + ?Sized> ActivityFeed for Box<F> {
+    fn busy_fraction(&mut self, device: u32) -> f64 {
+        (**self).busy_fraction(device)
+    }
+
+    fn mem_used_bytes(&mut self, device: u32) -> u64 {
+        (**self).mem_used_bytes(device)
+    }
+}
+
 /// A deterministic synthetic feed: devices alternate busy phases (duty
 /// cycle per device), useful for examples and tests without a scheduler.
 #[derive(Debug, Clone)]

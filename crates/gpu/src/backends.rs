@@ -9,17 +9,17 @@ use crate::activity::{synthesize, ActivityFeed, DeviceSpec, SynthState};
 use crate::device::GpuBackend;
 use crate::metrics::GpuSample;
 
-/// A simulated SMI-style library instance.
-pub struct SmiSim {
+/// A simulated SMI-style library instance, owning its activity feed.
+pub struct SmiSim<F = Box<dyn ActivityFeed>> {
     library: &'static str,
     specs: Vec<DeviceSpec>,
     states: Vec<SynthState>,
-    feed: Box<dyn ActivityFeed>,
+    feed: F,
 }
 
-impl SmiSim {
+impl<F: ActivityFeed> SmiSim<F> {
     /// Builds a backend with explicit specs and feed.
-    pub fn new(library: &'static str, specs: Vec<DeviceSpec>, feed: Box<dyn ActivityFeed>) -> Self {
+    pub fn new(library: &'static str, specs: Vec<DeviceSpec>, feed: F) -> Self {
         let states = vec![SynthState::default(); specs.len()];
         SmiSim {
             library,
@@ -31,23 +31,23 @@ impl SmiSim {
 
     /// The simulated ROCm System Management Interface over `n` MI250X
     /// GCDs — the Frontier configuration (§3.4, Listing 2).
-    pub fn rocm_mi250x(n: usize, feed: Box<dyn ActivityFeed>) -> Self {
+    pub fn rocm_mi250x(n: usize, feed: F) -> Self {
         Self::new("ROCm SMI", vec![DeviceSpec::mi250x_gcd(); n], feed)
     }
 
     /// The simulated NVML over `n` A100s (Perlmutter).
-    pub fn nvml_a100(n: usize, feed: Box<dyn ActivityFeed>) -> Self {
+    pub fn nvml_a100(n: usize, feed: F) -> Self {
         Self::new("NVML", vec![DeviceSpec::a100_40g(); n], feed)
     }
 
     /// The simulated NVML over `n` V100s (Summit).
-    pub fn nvml_v100(n: usize, feed: Box<dyn ActivityFeed>) -> Self {
+    pub fn nvml_v100(n: usize, feed: F) -> Self {
         Self::new("NVML", vec![DeviceSpec::v100(); n], feed)
     }
 
     /// The simulated Level Zero / SYCL interface over `n` PVC devices
     /// (Aurora / the paper's internal Intel Xe test system).
-    pub fn levelzero_pvc(n: usize, feed: Box<dyn ActivityFeed>) -> Self {
+    pub fn levelzero_pvc(n: usize, feed: F) -> Self {
         Self::new("Level Zero", vec![DeviceSpec::pvc_max1550(); n], feed)
     }
 
@@ -55,9 +55,14 @@ impl SmiSim {
     pub fn specs(&self) -> &[DeviceSpec] {
         &self.specs
     }
+
+    /// The feed, for its owner to write the next window's activity.
+    pub fn feed_mut(&mut self) -> &mut F {
+        &mut self.feed
+    }
 }
 
-impl GpuBackend for SmiSim {
+impl<F: ActivityFeed> GpuBackend for SmiSim<F> {
     fn library_name(&self) -> &str {
         self.library
     }

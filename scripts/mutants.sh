@@ -59,8 +59,8 @@ mutants=(
 'feed-unused-receiver~crates/core/src/feed.rs~s/(self\.subscribers\.push\(tx\);\n\s+)rx\n/$1sync_channel(1).1\n/~a `sync_channel` receiver bound and never used (the subscriber gets a dead one)'
 'sleep-in-pump-frames~crates/net/src/collector.rs~s/(let period_s = self\.cfg\.period_s;)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in `Collector::pump_frames`'
 'sleep-in-run-batch~crates/core/src/round.rs~s/(\) -> Outcome \{)/$1 std::thread::sleep(std::time::Duration::from_micros(50));/~`thread::sleep` inside the sampling round (`read_task`)'
-'proc-read-under-guard~crates/core/src/attach.rs~s/f\(&lock_unpoisoned\(&self\.shared\)\)/{ let g = lock_unpoisoned(&self.shared); let _ = LinuxProc::new().meminfo(); f(&g) }/~a `ProcSource` read while `core.attach.monitor` is held'
-'send-under-guard~crates/core/src/attach.rs~s/f\(&lock_unpoisoned\(&self\.shared\)\)/{ let g = lock_unpoisoned(&self.shared); let (tx, _rx) = std::sync::mpsc::sync_channel(1); let _ = tx.send(0u8); f(&g) }/~a blocking channel `.send()` while `core.attach.monitor` is held'
+'proc-read-under-guard~crates/net/src/transport.rs~s/(q\.push_back\(frame\.to_vec\(\)\);)/let _ = zerosum_core::attach::hostname(); $1/~a `/proc` read (`attach::hostname`) while `net.inproc.pipe` is held'
+'send-under-guard~crates/net/src/transport.rs~s/(q\.push_back\(frame\.to_vec\(\)\);)/let (tx, _rx) = std::sync::mpsc::sync_channel(1); let _ = tx.send(0u8); $1/~a blocking channel `.send()` while `net.inproc.pipe` is held'
 'sched-double-dispatch~crates/sched/src/node.rs~s/let id = self\.cpus\[dpos\]\.runqueue\.remove\(rq_idx\)\.expect\("steal idx"\);/let id = *self.cpus[dpos].runqueue.get(rq_idx).expect("steal idx");/~a stolen task stays on the donor runqueue: dispatched while already running'
 'sched-charge-wrong-cpu~crates/sched/src/node.rs~s/(finished = \*remaining_us <= 0\.0;\n\s+\}\n\s+)self\.cpus\[pos\]\.user_us \+= tick;/$1let n = self.cpus.len(); self.cpus[(pos + 1) % n].user_us += tick;/~a compute jiffy charged to the neighbouring CPU'
 'sibling-sync-skipped~crates/sched/src/node.rs~s/(if let Some\(s\) = sib \{\n\s+)self\.catch_up\(s\);/$1let _ = s;/~the speed of an SMT sibling changes without catching it up first: its owed ticks run at the new speed'
@@ -79,7 +79,7 @@ mutants=(
 'main-thread-gated~crates/core/src/round.rs~s/let armed = delta_on && tid != pid;/let armed = delta_on;/~the delta gate armed for the main thread: a waiting main thread stops reporting the RSS its workers move'
 'println-in-core~crates/core/src/round.rs~s/(fn round_begin\([^)]*\) -> bool \{)/$1 println!("round {t_s}");/~a `println!` in library code (`core::round`)'
 'read-before-list~crates/core/src/round.rs~s/for w in processes\.iter_mut\(\)\.filter\(\|w\| !w\.gone\) \{\n(\s*let \(pid, tids\) = .*?\}\);\n)\s*\}\n(\s*for w in processes\.iter_mut\(\)\.filter\(\|w\| !w\.gone\) \{\n)/$2$1/s~each watch listed inside its own read loop: the second watch is listed only after the tasks of the first are read, so a fault schedule meets the reads in another order'
-'ab-ba-lock-pair~crates/experiments/src/parallel.rs~s/\*results\[i\]\.lock\(\)\.expect\("result slot poisoned"\) = Some\(out\);/{ let _s = slots[i].lock().expect("job slot poisoned"); let _r = results[i].lock().expect("result slot poisoned"); } let mut r = results[i].lock().expect("result slot poisoned"); let _s = slots[i].lock().expect("job slot poisoned"); *r = Some(out);/~two `Tracked` locks taken in both orders (slot then result, result then slot)'
+'ab-ba-lock-pair~crates/net/src/transport.rs~s/(q\.push_back\(frame\.to_vec\(\)\);)/zerosum_core::signal::register_crash_flush(|| {}); $1/~a second lock taken under a live guard, in one order only (`core.signal.crash_flushes` under `net.inproc.pipe`)'
 'quarantine-one-round-late~crates/core/src/health.rs~s/\} else if st\.consecutive >= QUARANTINE_AFTER \{/} else if st.consecutive > QUARANTINE_AFTER {/~a tid whose reads keep failing is quarantined one round after `QUARANTINE_AFTER`'
 'governor-past-ceiling~crates/core/src/monitor.rs~s/let to = period\.saturating_mul\(2\)\.min\(MAX_PERIOD_US\);/let to = period.saturating_mul(2);/~the governor doubles the period past `MAX_PERIOD_US`'
 )
@@ -133,7 +133,7 @@ stages=(
     "${extra_stages[@]}"
 )
 # The passes of `zerosum audit` (a clean tree names none of them).
-audit_passes=(lock-cycle panic-reachable hot-path-alloc nondeterminism blocking
+audit_passes=(panic-reachable hot-path-alloc nondeterminism blocking
     source-error-bubble unbounded-growth stale-allowlist "${extra_passes[@]}")
 
 # The test binaries of a `cargo test` log, one `test <binary> (<file>)`
