@@ -38,7 +38,7 @@ use super::items::{FnItem, ParsedFile};
 use super::lexer::TokKind;
 use super::locks::LockAnalysis;
 use super::rules::PROC_READS;
-use super::{Allow, Allowlist, Finding};
+use super::{resolve_roots, Allow, Allowlist, Finding};
 use std::collections::BTreeSet;
 
 /// A set of effects: a bitmask lattice ordered by inclusion.
@@ -178,14 +178,6 @@ pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
         ("crates/experiments/src/tables.rs", "run_table_traced"),
         ("crates/experiments/src/tables.rs", "run_table_chaos"),
         (
-            "crates/experiments/src/cluster_chaos.rs",
-            "run_cluster_chaos",
-        ),
-        (
-            "crates/experiments/src/cluster_chaos.rs",
-            "run_cluster_chaos_with_plan",
-        ),
-        (
             "crates/experiments/src/transport_chaos.rs",
             "run_transport_chaos",
         ),
@@ -307,22 +299,23 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 23] = [
         "Vec::new",
         "owning fallback, cold callers only",
     ),
-    // The cluster-chaos sim materializes fresh proc views per step by
-    // design — it models a remote node, not the in-process hot path.
+    // The memory drill's synthetic node materializes fresh proc views
+    // per round by design — it models a remote node, not the in-process
+    // hot path.
     (
-        "crates/analyze/src/cluster_chaos.rs",
+        "crates/analyze/src/memory_drill.rs",
         "list_tasks",
         "vec!",
         "sim materializes views",
     ),
     (
-        "crates/analyze/src/cluster_chaos.rs",
+        "crates/analyze/src/memory_drill.rs",
         "task_stat",
         "to_string",
         "sim materializes views",
     ),
     (
-        "crates/analyze/src/cluster_chaos.rs",
+        "crates/analyze/src/memory_drill.rs",
         "task_status",
         "to_string",
         "sim materializes views",
@@ -847,9 +840,8 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
             (0..graph.fns.len()).filter(|&i| graph.fns[i].item.name.ends_with(cfg.hot_root_suffix)),
         );
     }
-    for (file, name) in cfg.hot_roots {
-        hot_roots.extend(graph.matching(file, name));
-    }
+    let named = cfg.hot_roots.iter().copied();
+    hot_roots.extend(resolve_roots(graph, "hot root", named, &mut findings));
     let mut allow = Allowlist::new("hot-path-alloc", cfg.alloc_allowlist);
     let hot_reachable = reach_pass(
         graph,
@@ -874,9 +866,8 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
             det_roots.push(fi);
         }
     }
-    for (file, name) in cfg.det_roots {
-        det_roots.extend(graph.matching(file, name));
-    }
+    let named = cfg.det_roots.iter().copied();
+    det_roots.extend(resolve_roots(graph, "det root", named, &mut findings));
     let mut allow = Allowlist::new("nondeterminism", cfg.det_allowlist);
     let det_reachable = reach_pass(
         graph,
@@ -915,10 +906,8 @@ fn blocking_pass(
     findings: &mut Vec<Finding>,
 ) {
     // Scope 1: under the non-blocking roots.
-    let mut wd_roots: Vec<usize> = Vec::new();
-    for (file, name) in cfg.watchdog_roots {
-        wd_roots.extend(graph.matching(file, name));
-    }
+    let named = cfg.watchdog_roots.iter().copied();
+    let wd_roots = resolve_roots(graph, "watchdog root", named, findings);
     let mut blocking = Allowlist::new("blocking", cfg.blocking_allowlist);
     reach_pass(
         graph,

@@ -20,7 +20,9 @@
 //!
 //! Any finding fails the audit. The only way to accept a site is a
 //! reviewed [`Allowlist`] entry with its reason, and an entry that
-//! matches no site any more is itself a finding.
+//! matches no site any more is itself a finding — as is a named root
+//! that resolves to no function or a rooted-file entry that matches no
+//! file.
 
 pub mod callgraph;
 pub mod effects;
@@ -118,6 +120,41 @@ impl<'a> Allowlist<'a> {
                 witness: Vec::new(),
             });
         }
+    }
+}
+
+/// The functions the named roots `(file_suffix, fn_name)` of `list`
+/// resolve to. A root that resolves to none is an `unresolved-root`
+/// finding, the way a dead allowlist row is a `stale-allowlist` one: a
+/// deleted or renamed root fn would otherwise take its pass's scope
+/// with it, silently.
+pub(crate) fn resolve_roots<'r>(
+    graph: &callgraph::CallGraph,
+    list: &str,
+    roots: impl IntoIterator<Item = (&'r str, &'r str)>,
+    findings: &mut Vec<Finding>,
+) -> Vec<usize> {
+    let mut out = Vec::new();
+    for (file, name) in roots {
+        let found = graph.matching(file, name);
+        if found.is_empty() {
+            findings.push(unresolved(list, file, name, "resolves to no function"));
+        }
+        out.extend(found);
+    }
+    out
+}
+
+fn unresolved(list: &str, file: &str, func: &str, what: &str) -> Finding {
+    let named: Vec<&str> = [file, func].into_iter().filter(|p| !p.is_empty()).collect();
+    Finding {
+        pass: "unresolved-root",
+        file: file.to_string(),
+        line: 0,
+        func: func.to_string(),
+        token: list.to_string(),
+        detail: format!("{list} entry ({}) {what}", named.join(", ")),
+        witness: Vec::new(),
     }
 }
 
@@ -341,8 +378,13 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         .chain(ea.findings)
         .chain(rules::analyze_rules(&graph, cfg.growth_allowlist))
         .collect();
-    // Total order over every field that reaches the output, so
-    // `--json` bytes are run-to-run stable.
+    sort_findings(&mut findings);
+    AuditReport { findings, stats }
+}
+
+/// Total order over every field that reaches the output, so `--json`
+/// bytes are run-to-run stable; duplicates collapse.
+fn sort_findings(findings: &mut Vec<Finding>) {
     findings.sort_by(|a, b| {
         (a.pass, &a.file, a.line, &a.token, &a.func, &a.detail)
             .cmp(&(b.pass, &b.file, b.line, &b.token, &b.func, &b.detail))
@@ -350,7 +392,6 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
     findings.dedup_by(|a, b| {
         (a.pass, &a.file, a.line, &a.token, &a.func) == (b.pass, &b.file, b.line, &b.token, &b.func)
     });
-    AuditReport { findings, stats }
 }
 
 /// [`AuditConfig::empty`] plus explicit panic roots and allowlist.
@@ -368,9 +409,27 @@ pub fn audit_sources_with(
 }
 
 /// Runs the audit over in-memory sources with the repo's standard roots
-/// and allowlists.
+/// and allowlists. The rooted-file lists are constants of that
+/// configuration, so here an entry that names no source is an
+/// `unresolved-root` finding too.
 pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
-    audit_sources_cfg(sources, &AuditConfig::default_repo())
+    let mut report = audit_sources_cfg(sources, &AuditConfig::default_repo());
+    let lists: [(&str, &[&str]); 3] = [
+        ("panic root file", &panics::PANIC_ROOT_FILES),
+        ("round file", &rules::ROUND_FILES),
+        ("monitor-state file", &rules::MONITOR_STATE_FILES),
+    ];
+    for (list, files) in lists {
+        for file in files {
+            if sources.iter().all(|(p, _)| p != file) {
+                report
+                    .findings
+                    .push(unresolved(list, file, "", "matches no file"));
+            }
+        }
+    }
+    sort_findings(&mut report.findings);
+    report
 }
 
 /// Locates the workspace root: walks up from `start` to the first
@@ -466,6 +525,26 @@ fn root(x: &M, y: &M, v: Option<u32>) {
         let json = r.to_json();
         assert!(json.contains("\"token\": \"alpha:beta\""), "{json}");
         assert!(!json.contains("edges"), "{json}");
+    }
+
+    #[test]
+    fn a_rooted_file_that_names_no_source_is_a_finding() {
+        let r = audit_sources(&src(&[("crates/core/src/monitor.rs", "")]));
+        let files: Vec<_> = r
+            .findings
+            .iter()
+            .filter(|f| f.pass == "unresolved-root" && f.func.is_empty())
+            .map(|f| (f.token.as_str(), f.file.as_str()))
+            .collect();
+        assert!(files.contains(&("round file", "crates/core/src/round.rs")));
+        assert!(files
+            .iter()
+            .all(|(_, f)| *f != "crates/core/src/monitor.rs"));
+        let listed = panics::PANIC_ROOT_FILES.len()
+            + rules::ROUND_FILES.len()
+            + rules::MONITOR_STATE_FILES.len();
+        // monitor.rs sits on all three lists.
+        assert_eq!(files.len(), listed - 3, "{files:?}");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use super::callgraph::{CallGraph, SiteKind};
 use super::lexer::TokKind;
-use super::{Allow, Allowlist, Finding};
+use super::{resolve_roots, Allow, Allowlist, Finding};
 
 /// Reachability roots: `(file_suffix, fn_name, why)`.
 ///
@@ -250,17 +250,15 @@ pub fn analyze_panics(
     roots: &[(&str, &str, &str)],
     allowlist: &[Allow],
 ) -> PanicAnalysis {
-    let mut root_idx: Vec<usize> = Vec::new();
-    for (file, name, _) in roots {
-        root_idx.extend(graph.matching(file, name));
-    }
+    let mut findings = Vec::new();
+    let named = roots.iter().map(|&(file, name, _)| (file, name));
+    let mut root_idx = resolve_roots(graph, "panic root", named, &mut findings);
     root_idx.extend(
         (0..graph.fns.len())
             .filter(|&i| PANIC_ROOT_FILES.contains(&graph.fns[i].item.file.as_str())),
     );
     let parents = graph.reach_from(&root_idx);
     let sites = panic_sites(graph);
-    let mut findings = Vec::new();
     let mut allow = Allowlist::new("panic", allowlist);
     let reachable_fns = parents.iter().flatten().count();
     for s in &sites {
@@ -362,5 +360,27 @@ fn root(out: &mut String) {
         assert_eq!(pa.findings.len(), 1, "{:?}", pa.findings);
         assert_eq!(pa.findings[0].pass, "stale-allowlist");
         assert_eq!(pa.findings[0].func, "gone_fn");
+    }
+
+    #[test]
+    fn a_root_that_names_no_fn_is_a_finding() {
+        let g = graph(&[("a.rs", "fn root(x: Option<u32>) -> u32 { x.unwrap() }")]);
+        let roots = [ROOT[0], ("a.rs", "renamed_away", "a root whose fn is gone")];
+        let pa = analyze_panics(&g, &roots, &[]);
+        let got: Vec<_> = pa
+            .findings
+            .iter()
+            .map(|f| (f.pass, f.func.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("unresolved-root", "renamed_away"),
+                ("panic-reachable", "root")
+            ],
+            "{:?}",
+            pa.findings
+        );
+        assert!(pa.findings[0].detail.contains("resolves to no function"));
     }
 }

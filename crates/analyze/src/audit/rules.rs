@@ -44,10 +44,11 @@ pub const PROC_READS: [&str; 13] = [
 ];
 
 /// The sampling round's files, where a read error may not bubble.
-const ROUND_FILES: [&str; 2] = ["crates/core/src/monitor.rs", "crates/core/src/round.rs"];
+pub(super) const ROUND_FILES: [&str; 2] =
+    ["crates/core/src/monitor.rs", "crates/core/src/round.rs"];
 
 /// Files holding state that lives as long as the monitor itself.
-const MONITOR_STATE_FILES: [&str; 6] = [
+pub(super) const MONITOR_STATE_FILES: [&str; 6] = [
     "crates/core/src/monitor.rs",
     "crates/core/src/round.rs",
     "crates/core/src/cluster.rs",

@@ -29,20 +29,17 @@
 //!   bounded as cumulative task count grows, and the overhead governor
 //!   sheds honestly under an arrival-rate ramp — plus a bit-identical
 //!   repro witness.
-//! * **Allocation-scale chaos** ([`cluster_chaos`]) — node supervision
-//!   under seeded node-fault plans (kills, stragglers, delayed rejoins,
-//!   clock skew): an allocation report every round with honest
-//!   `DEGRADED (k/n nodes)` markers, survivor aggregates exactly
-//!   matching the fault-free run, plus the bounded-memory drill proving
-//!   series storage stays constant over million-round runs.
-//! * **Lossy-transport chaos** ([`transport_chaos`]) — the same
-//!   allocation judged through the wire: seeded transport fault plans
-//!   (frame drops, bit flips, truncation, delay, reorder, disconnects,
-//!   partitions, permanent kills) over the deterministic in-process
-//!   backend, with survivor aggregates delivered bit-identical to the
-//!   fault-free run, plus a loopback-TCP smoke when sockets are
-//!   allowed.
-//!
+//! * **Allocation chaos** ([`transport_chaos`]) — the allocation
+//!   judged through the wire, its one path: seeded node-fault plans
+//!   (kills, stragglers, delayed rejoins, clock skew) applied at the
+//!   agents and seeded transport fault plans (frame drops, bit flips,
+//!   truncation, delay, reorder, disconnects, partitions, permanent
+//!   kills) over the deterministic in-process backend — honest
+//!   `DEGRADED (k/n nodes)`, `DEAD` and `SKEWED` markers, survivor
+//!   aggregates delivered bit-identical to the fault-free run — plus a
+//!   loopback-TCP smoke when sockets are allowed.
+//! * **Bounded memory** ([`memory_drill`]) — series storage stays
+//!   constant over million-round runs.
 //!
 //! Every seeded judge returns the one [`Verdict`] (module [`verdict`]),
 //! which also holds the seed fan-out, the panic guard and the section
@@ -57,8 +54,8 @@
 pub mod audit;
 pub mod chaos;
 pub mod churn_chaos;
-pub mod cluster_chaos;
 pub mod invariants;
+pub mod memory_drill;
 pub mod scenarios;
 pub mod transport_chaos;
 pub mod verdict;
@@ -66,8 +63,8 @@ pub mod verdict;
 pub use audit::{audit_sources, audit_workspace, find_workspace_root, AuditReport};
 pub use chaos::{abnormal_exit_drill, realistic_plan, run_suite};
 pub use churn_chaos::{judge_churn_run, judge_real_churn, run_churn_suite, suite_params};
-pub use cluster_chaos::{bounded_memory_drill, judge_cluster_run, run_cluster_suite};
 pub use invariants::{check_invariants, InvariantKind, Violation};
+pub use memory_drill::bounded_memory_drill;
 pub use scenarios::{check_comm_matrix, check_trace, run_scenarios, SCENARIOS};
 pub use transport_chaos::{judge_transport_run, run_transport_suite, tcp_loopback_smoke};
 pub use verdict::{drill_section, render_suite, Verdict};

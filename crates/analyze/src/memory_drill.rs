@@ -1,110 +1,15 @@
-//! Allocation-scale chaos checking: node supervision under seeded
-//! node-fault plans.
-//!
-//! The procfs chaos suite ([`crate::chaos`]) perturbs individual reads
-//! on one node. This module judges the layer above: the
-//! [`ClusterMonitor`](zerosum_core::ClusterMonitor)'s supervision of a
-//! whole allocation while nodes are killed, stalled, rejoined late, and
-//! clock-skewed by an [`AllocationFaultPlan`]. Per seeded plan it
-//! asserts four properties:
-//!
-//! 1. **No panics** — the supervision layer survives every plan.
-//! 2. **A report every round** — the allocation summary keeps rendering
-//!    no matter how many nodes are down.
-//! 3. **Honest degradation** — the `DEGRADED (k/n nodes)` marker
-//!    appears exactly when the quorum shrank, with the right counts.
-//! 4. **Exact survivors** — aggregates restricted to nodes that never
-//!    went down match the fault-free run bit for bit (the differential
-//!    property the independent per-node seeding guarantees).
-//!
-//! A separate [`bounded_memory_drill`] proves the monitor's series
-//! memory stays constant over arbitrarily long runs: every time series
-//! is a fixed-capacity ring that downsamples on wrap, so a million
-//! sampling rounds hold the same storage as a few thousand.
+//! The bounded-memory drill: the monitor's series memory stays
+//! constant over arbitrarily long runs. Every time series is a
+//! fixed-capacity ring that downsamples on wrap, so a million sampling
+//! rounds hold the same storage as a few thousand. `zerosum
+//! cluster-chaos` runs it after the allocation chaos suite.
 
-use crate::verdict::{check_quorum_markers, seeded_suite, Verdict};
-use zerosum_core::{Monitor, NodeState, ProcessInfo, ZeroSumConfig};
-use zerosum_experiments::cluster_chaos::{
-    run_cluster_chaos, run_cluster_chaos_with_plan, ClusterChaosOutcome,
-};
+use zerosum_core::{Monitor, ProcessInfo, ZeroSumConfig};
 use zerosum_proc::{
     CpuTimes, MemInfo, Pid, ProcSource, SchedStat, SourceResult, SystemStat, TaskStat, TaskStatus,
     Tid,
 };
-use zerosum_sched::AllocationFaultPlan;
 use zerosum_topology::CpuSet;
-
-/// Runs the verdict's seeded allocation fault plan and judges the
-/// supervision layer's behaviour against the four properties above.
-pub fn judge_cluster_run(v: &mut Verdict, node_count: usize, rounds: u32) {
-    let outcome = run_cluster_chaos(node_count, rounds, v.seed);
-    let faulted = outcome.plan.nodes.iter().filter(|p| p.is_faulty()).count();
-    v.set_tally("faulted_nodes", faulted as u64);
-    // Properties 2 and 3: a summary after every round, honestly marked.
-    check_quorum_markers(
-        v,
-        &outcome.round_summaries,
-        &outcome.round_quorums,
-        node_count,
-        rounds,
-        "TOTAL:",
-    );
-    let dead_at_end = (0..node_count)
-        .filter(|&i| {
-            outcome
-                .cluster
-                .node_state(&ClusterChaosOutcome::hostname(i))
-                == NodeState::Dead
-        })
-        .count();
-    v.set_tally("dead_at_end", dead_at_end as u64);
-    // Property 4: the differential check. Nodes that never went down
-    // must aggregate identically to the fault-free run of the same seed.
-    let clean = run_cluster_chaos_with_plan(
-        node_count,
-        rounds,
-        v.seed,
-        &AllocationFaultPlan::clean(node_count),
-    );
-    let clean_aggs = clean.cluster.aggregates();
-    let faulted_aggs = outcome.cluster.aggregates();
-    for i in outcome.plan.survivors(rounds) {
-        let host = ClusterChaosOutcome::hostname(i);
-        let f = faulted_aggs.iter().find(|a| a.hostname == host);
-        let c = clean_aggs.iter().find(|a| a.hostname == host);
-        match (f, c) {
-            (Some(f), Some(c)) if f == c => {}
-            (Some(_), Some(_)) => v
-                .problems
-                .push(format!("survivor {host} diverged from the fault-free run")),
-            _ => v
-                .problems
-                .push(format!("survivor {host} missing from aggregates")),
-        }
-    }
-    v.cells = format!(
-        "{node_count} node(s)  {faulted} faulted  {dead_at_end} dead  \
-         {:>3}/{rounds} degraded round(s)",
-        v.tally("degraded_rounds"),
-    );
-}
-
-/// Runs the allocation-scale soak: `schedules` seeded fault plans over
-/// `node_count`-node allocations, each judged by [`judge_cluster_run`].
-pub fn run_cluster_suite(
-    node_count: usize,
-    rounds: u32,
-    schedules: usize,
-    base_seed: u64,
-) -> Vec<Verdict> {
-    seeded_suite(
-        |i| format!("alloc-f{i:02}"),
-        10,
-        schedules,
-        base_seed,
-        |_, v| judge_cluster_run(v, node_count, rounds),
-    )
-}
 
 /// A synthetic two-thread node whose counters are pure functions of the
 /// round number — the cheapest possible `ProcSource`, so the drill can
@@ -281,31 +186,6 @@ pub fn bounded_memory_drill(rounds: u64, capacity: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The ISSUE acceptance soak: 20 seeded node-fault plans, zero
-    /// panics, a report with honest DEGRADED markers every round, and
-    /// survivor aggregates exactly matching the fault-free run.
-    #[test]
-    fn cluster_soak_twenty_plans_all_pass() {
-        let reports = run_cluster_suite(4, 20, 20, 0xA110);
-        assert_eq!(reports.len(), 20);
-        let failed: Vec<&Verdict> = reports.iter().filter(|r| !r.passed()).collect();
-        assert!(
-            failed.is_empty(),
-            "failed plans:\n{}",
-            failed.iter().map(|r| r.render()).collect::<String>()
-        );
-        // The soak must exercise the machinery: every generated plan is
-        // chaotic, and across 20 plans some nodes die and degrade the
-        // quorum.
-        assert!(reports.iter().all(|r| r.tally("faulted_nodes") > 0));
-        let degraded: u64 = reports.iter().map(|r| r.tally("degraded_rounds")).sum();
-        assert!(degraded > 0, "no plan ever degraded the quorum");
-        assert!(
-            reports.iter().any(|r| r.tally("dead_at_end") > 0),
-            "no plan left a node dead"
-        );
-    }
 
     #[test]
     fn bounded_memory_drill_wraps_and_stays_constant() {

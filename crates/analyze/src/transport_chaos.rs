@@ -1,11 +1,13 @@
-//! Lossy-transport chaos checking: the wire layer under seeded
-//! [`TransportFaultPlan`]s.
+//! Allocation chaos checking: the wire layer under seeded node and
+//! link fault plans.
 //!
-//! [`crate::cluster_chaos`] judges node supervision when *nodes*
-//! misbehave; this module judges the layer the collector daemon
-//! actually lives on — per-node links that drop, corrupt, truncate,
-//! delay, reorder, disconnect, partition, and die while agents stream
-//! frames. Per seeded plan it asserts five properties:
+//! This module judges the one allocation path — the collector daemon
+//! supervising nodes it only hears from over per-node links — while
+//! nodes are killed, stalled, rejoined late and clock-skewed by an
+//! [`AllocationFaultPlan`](zerosum_sched::AllocationFaultPlan) and links
+//! drop, corrupt, truncate, delay, reorder, disconnect, partition, and
+//! die by a [`TransportFaultPlan`](zerosum_net::TransportFaultPlan).
+//! Per seed it asserts seven properties:
 //!
 //! 1. **No panics** — no frame the chaos can manufacture (truncation,
 //!    bit flips, mid-frame disconnects) panics the collector.
@@ -13,33 +15,54 @@
 //!    rendering off whatever frames arrived.
 //! 3. **Honest degradation** — `DEGRADED (k/n nodes)` appears exactly
 //!    when the wire-side quorum shrank.
-//! 4. **Exact survivors** — every never-killed node's aggregate is
-//!    delivered over the lossy wire bit-identical to both its locally
-//!    computed value and the fault-free run's (corruption is rejected
-//!    by checksum and repaired by retransmission, never absorbed).
-//! 5. **Honest death** — permanently killed links end in `Dead` and
-//!    deliver no aggregate.
+//! 4. **Exact survivors** — every node that is never down and whose
+//!    link is never killed delivers its aggregate over the lossy wire
+//!    bit-identical to both its locally computed value and the
+//!    fault-free run's (corruption is rejected by checksum and repaired
+//!    by retransmission, never absorbed).
+//! 5. **Honest death** — a permanently killed link, or a node killed
+//!    and not rejoined, delivers no aggregate and ends in `Dead` (a
+//!    node, once it has been silent long enough to be declared so).
+//! 6. **Honest skew** — `SKEWED` appears for a node exactly when its
+//!    plan skews its clock and at least one of its heartbeats arrived.
+//! 7. **Skew is not death** — a skewed node on a clean link is never
+//!    taken out of the quorum.
 //!
-//! The same judging runs over the in-process backend (seeded,
-//! deterministic, used by the soak) and — when the sandbox allows
-//! sockets — over real loopback TCP via [`tcp_loopback_smoke`].
+//! The same protocol runs over real loopback TCP, when the sandbox
+//! allows sockets, in [`tcp_loopback_smoke`].
 
-use crate::verdict::{check_quorum_markers, seeded_suite, Verdict};
+use crate::verdict::{seeded_suite, Verdict};
 use zerosum_core::{NodeAggregate, NodeState};
 use zerosum_experiments::transport_chaos::{
-    run_transport_chaos_with_plan, TransportChaosOutcome, TICKS_PER_ROUND,
+    run_transport_chaos, run_transport_chaos_with_plan, TransportChaosOutcome,
 };
 use zerosum_net::{Acceptor, Collector, NodeAgent, TcpLink, TransportFaultPlan};
+use zerosum_sched::{AllocationFaultPlan, NodeFaultPlan};
 
-/// Runs the verdict's seeded transport fault plan and judges the wire
-/// layer against the five properties above.
+/// Rounds of silence after which a killed node must be Dead: the
+/// collector's three missed deadlines, plus two rounds in which a frame
+/// its link delayed may still arrive. (A generated link kill leaves at
+/// least that much run behind it.)
+const SILENT_ROUNDS_TO_DEAD: u32 = 5;
+
+/// Runs the verdict's seeded node and link plans and judges the wire
+/// layer against the seven properties above.
 pub fn judge_transport_run(v: &mut Verdict, node_count: usize, rounds: u32) {
-    let plan = TransportFaultPlan::generate(v.seed, node_count, rounds, TICKS_PER_ROUND);
-    let faulted = plan.links.iter().filter(|l| l.is_faulty()).count();
-    let killed = plan.links.iter().filter(|l| l.kill_at.is_some()).count();
-    v.set_tally("faulted_links", faulted as u64);
-    v.set_tally("killed_links", killed as u64);
-    let outcome = run_transport_chaos_with_plan(node_count, rounds, v.seed, &plan);
+    let outcome = run_transport_chaos(node_count, rounds, v.seed);
+    let (nodes, links) = (&outcome.nodes.nodes, &outcome.plan.links);
+    let sup = outcome.collector.supervision();
+    // Killed and still down when the run ends: the node never finishes,
+    // and it must be Dead once it has been silent long enough.
+    let dead_at_end =
+        |p: &NodeFaultPlan| p.kill_at.is_some() && rounds > 0 && p.is_down(rounds - 1);
+    let silent_enough = |p: &NodeFaultPlan| {
+        p.kill_at
+            .is_some_and(|k| k.saturating_add(SILENT_ROUNDS_TO_DEAD) <= rounds)
+    };
+    let faulted_nodes = nodes.iter().filter(|p| p.is_faulty()).count();
+    let faulted_links = links.iter().filter(|l| l.is_faulty()).count();
+    let killed_nodes = nodes.iter().filter(|p| dead_at_end(p)).count();
+    let killed_links = links.iter().filter(|l| l.kill_at.is_some()).count();
     let harmed: u64 = outcome
         .fault_stats
         .iter()
@@ -48,10 +71,6 @@ pub fn judge_transport_run(v: &mut Verdict, node_count: usize, rounds: u32) {
     let rejected = outcome.collector.stats.decode_errors;
     let shed: u64 = outcome.agent_stats.iter().map(|s| s.details_shed).sum();
     let reconnects: u64 = outcome.agent_stats.iter().map(|s| s.reconnects).sum();
-    v.set_tally("frames_harmed", harmed);
-    v.set_tally("decode_errors", rejected);
-    v.set_tally("details_shed", shed);
-    v.set_tally("reconnects", reconnects);
     // Properties 2 and 3: a summary after every round, honestly marked.
     check_quorum_markers(
         v,
@@ -59,35 +78,73 @@ pub fn judge_transport_run(v: &mut Verdict, node_count: usize, rounds: u32) {
         &outcome.round_quorums,
         node_count,
         rounds,
-        "LIVE:",
     );
-    // Property 5: permanently killed links end Dead and deliver nothing.
+    let final_summary = outcome.collector.render_summary();
     let wire = outcome.collector.wire_aggregates();
-    for (i, link) in plan.links.iter().enumerate() {
-        if link.kill_at.is_none() {
-            continue;
-        }
+    let never_down = outcome.nodes.survivors(rounds);
+    let mut skewed = 0;
+    for (i, (node, link)) in nodes.iter().zip(links).enumerate() {
         let host = TransportChaosOutcome::hostname(i);
-        if outcome.collector.cluster().node_state(&host) != NodeState::Dead {
-            v.problems
-                .push(format!("killed link {host} not marked DEAD at run end"));
+        let (heard, deaths) = sup
+            .supervision_of(&host)
+            .map_or((0, 0), |s| (s.heartbeats, s.deaths));
+        // Property 5: permanent death ends Dead and delivers nothing.
+        if dead_at_end(node) || link.kill_at.is_some() {
+            let due = link.kill_at.is_some() || silent_enough(node);
+            if due && sup.node_state(&host) != NodeState::Dead {
+                v.problems
+                    .push(format!("killed {host} not marked DEAD at run end"));
+            }
+            if wire.iter().any(|a| a.hostname == host) {
+                v.problems
+                    .push(format!("killed {host} delivered an aggregate"));
+            }
         }
-        if wire.iter().any(|a| a.hostname == host) {
+        // Property 6: SKEWED exactly where the plan skews a clock that
+        // was heard from.
+        let flagged = final_summary.contains(&format!("SKEWED: node {host} "));
+        skewed += usize::from(flagged);
+        if flagged != (node.skew_us != 0 && heard > 0) {
             v.problems.push(format!(
-                "killed link {host} delivered an aggregate over a dead wire"
+                "{host}: SKEWED shown {flagged}, plan skew {}us, {heard} heartbeat(s)",
+                node.skew_us
+            ));
+        }
+        // Property 7: a skewed node that is never down, on a clean link,
+        // never dies.
+        if node.skew_us != 0 && never_down.contains(&i) && !link.is_faulty() && deaths > 0 {
+            v.problems.push(format!(
+                "{host}: clock skew alone took it out of the quorum"
             ));
         }
     }
+    v.set_tally("faulted_nodes", faulted_nodes as u64);
+    v.set_tally("faulted_links", faulted_links as u64);
+    v.set_tally("killed_nodes", killed_nodes as u64);
+    v.set_tally("killed_links", killed_links as u64);
+    v.set_tally(
+        "rejoined_nodes",
+        nodes.iter().filter(|p| p.rejoins()).count() as u64,
+    );
+    v.set_tally("skewed_nodes", skewed as u64);
+    v.set_tally("frames_harmed", harmed);
+    v.set_tally("decode_errors", rejected);
+    v.set_tally("details_shed", shed);
+    v.set_tally("reconnects", reconnects);
     // Property 4: the differential. Survivors' wire-delivered aggregates
     // match their local ground truth and the fault-free run, bit for bit.
     let clean = run_transport_chaos_with_plan(
         node_count,
         rounds,
         v.seed,
+        &AllocationFaultPlan::clean(node_count),
         &TransportFaultPlan::clean(node_count),
     );
     let clean_wire = clean.collector.wire_aggregates();
-    for i in plan.survivors() {
+    for i in outcome.plan.survivors() {
+        if !never_down.contains(&i) {
+            continue;
+        }
         let host = TransportChaosOutcome::hostname(i);
         let delivered = wire.iter().find(|a| a.hostname == host);
         let local = outcome.local_aggregates.iter().find(|a| a.hostname == host);
@@ -106,14 +163,59 @@ pub fn judge_transport_run(v: &mut Verdict, node_count: usize, rounds: u32) {
         }
     }
     v.cells = format!(
-        "{node_count} link(s)  {faulted} faulted  {killed} killed  {harmed} harmed  \
+        "{node_count} node(s)  {faulted_nodes}+{faulted_links} node+link fault(s)  \
+         {killed_nodes}+{killed_links} killed  {skewed} skewed  {harmed} harmed  \
          {rejected} rejected  {shed} shed  {reconnects} reconnect(s)  \
          {:>3}/{rounds} degraded round(s)",
         v.tally("degraded_rounds"),
     );
 }
 
-/// Runs the lossy-transport soak: `schedules` seeded transport fault
+/// Properties 2 and 3: every round rendered a summary carrying its
+/// `LIVE:` line, and `DEGRADED (k/n nodes)` appears with the right
+/// counts exactly when the quorum shrank — never on a full quorum.
+/// Files the `degraded_rounds` tally.
+fn check_quorum_markers(
+    v: &mut Verdict,
+    summaries: &[String],
+    quorums: &[(usize, usize)],
+    node_count: usize,
+    rounds: u32,
+) {
+    if summaries.len() != rounds as usize {
+        v.problems.push(format!(
+            "only {}/{rounds} rounds produced an allocation summary",
+            summaries.len()
+        ));
+    }
+    let mut degraded_rounds = 0;
+    for (r, (summary, &(k, n))) in summaries.iter().zip(quorums).enumerate() {
+        if n != node_count {
+            v.problems
+                .push(format!("round {r}: quorum total {n} != {node_count} nodes"));
+        }
+        if !summary.contains("LIVE:") {
+            v.problems
+                .push(format!("round {r}: summary missing its LIVE: line"));
+        }
+        if k < n {
+            degraded_rounds += 1;
+            let marker = format!("DEGRADED ({k}/{n} nodes)");
+            if !summary.contains(&marker) {
+                v.problems.push(format!(
+                    "round {r}: quorum {k}/{n} but summary lacks {marker:?}"
+                ));
+            }
+        } else if summary.contains("DEGRADED") {
+            v.problems.push(format!(
+                "round {r}: full quorum but summary claims degradation"
+            ));
+        }
+    }
+    v.set_tally("degraded_rounds", degraded_rounds);
+}
+
+/// Runs the allocation chaos soak: `schedules` seeded node + link
 /// plans, each judged by [`judge_transport_run`].
 pub fn run_transport_suite(
     node_count: usize,
@@ -122,7 +224,7 @@ pub fn run_transport_suite(
     base_seed: u64,
 ) -> Vec<Verdict> {
     seeded_suite(
-        |i| format!("wire-f{i:02}"),
+        |i| format!("alloc-f{i:02}"),
         10,
         schedules,
         base_seed,
@@ -217,7 +319,7 @@ pub fn tcp_loopback_smoke(node_count: usize, rounds: u32) -> Option<Vec<String>>
         }
         std::thread::yield_now();
     }
-    let (k, n) = collector.quorum();
+    let (k, n) = collector.supervision().quorum();
     if k != node_count || n != node_count {
         problems.push(format!("quorum {k}/{n} over healthy loopback TCP"));
     }
@@ -251,10 +353,10 @@ pub fn tcp_loopback_smoke(node_count: usize, rounds: u32) -> Option<Vec<String>>
 mod tests {
     use super::*;
 
-    /// The ISSUE acceptance soak: 20 seeded transport fault plans over
-    /// the deterministic in-process backend — zero panics, honest
-    /// DEGRADED/DEAD markers, and survivor aggregates delivered over
-    /// lossy links bit-identical to the fault-free run.
+    /// The acceptance soak: 20 seeded node + link plans over the
+    /// deterministic in-process backend — zero panics, honest
+    /// DEGRADED/DEAD/SKEWED markers, and survivor aggregates delivered
+    /// over lossy links bit-identical to the fault-free run.
     #[test]
     fn transport_soak_twenty_plans_all_pass() {
         let reports = run_transport_suite(4, 16, 20, 0x51DE);
@@ -266,23 +368,42 @@ mod tests {
             failed.iter().map(|r| r.render()).collect::<String>()
         );
         // The soak must exercise the machinery, not tiptoe around it:
-        // every plan is chaotic, frames are harmed and rejected, details
-        // shed to backpressure, links die, and agents reconnect.
+        // every plan is chaotic on both layers, frames are harmed and
+        // rejected, details shed to backpressure, agents reconnect,
+        // nodes die for good, stall or rejoin, lie about their clocks,
+        // and links die.
         assert!(reports.iter().all(|r| r.tally("faulted_links") > 0));
-        let harmed: u64 = reports.iter().map(|r| r.tally("frames_harmed")).sum();
-        assert!(harmed > 0, "no plan ever harmed a frame");
-        let rejected: u64 = reports.iter().map(|r| r.tally("decode_errors")).sum();
-        assert!(rejected > 0, "no corrupt frame ever reached the decoder");
-        let shed: u64 = reports.iter().map(|r| r.tally("details_shed")).sum();
-        assert!(shed > 0, "backpressure never shed a detail frame");
-        let reconnects: u64 = reports.iter().map(|r| r.tally("reconnects")).sum();
-        assert!(reconnects > 0, "no agent ever had to reconnect");
-        assert!(
-            reports.iter().any(|r| r.tally("killed_links") > 0),
-            "no plan permanently killed a link"
-        );
-        let degraded: u64 = reports.iter().map(|r| r.tally("degraded_rounds")).sum();
-        assert!(degraded > 0, "no plan ever degraded the wire quorum");
+        assert!(reports.iter().all(|r| r.tally("faulted_nodes") > 0));
+        let sum = |key: &str| -> u64 { reports.iter().map(|r| r.tally(key)).sum() };
+        for (key, what) in [
+            ("frames_harmed", "no plan ever harmed a frame"),
+            ("decode_errors", "no corrupt frame ever reached the decoder"),
+            ("details_shed", "backpressure never shed a detail frame"),
+            ("reconnects", "no agent ever had to reconnect"),
+            ("killed_links", "no plan permanently killed a link"),
+            ("killed_nodes", "no plan killed a node for good"),
+            ("rejoined_nodes", "no plan stalled or rejoined a node"),
+            ("skewed_nodes", "no node was ever flagged SKEWED"),
+            ("degraded_rounds", "no plan ever degraded the wire quorum"),
+        ] {
+            assert!(sum(key) > 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn quorum_markers_must_match_the_quorum() {
+        let full = "LIVE: 2/2 node(s)".to_string();
+        let degraded = "LIVE: 1/2 node(s)\nDEGRADED (1/2 nodes)".to_string();
+        let quorums = [(2, 2), (1, 2)];
+        let mut v = Verdict::new("x", 4, 1);
+        check_quorum_markers(&mut v, &[full.clone(), degraded.clone()], &quorums, 2, 2);
+        assert!(v.passed(), "{v:?}");
+        assert_eq!(v.tally("degraded_rounds"), 1);
+        // A marker on a full quorum, a missing one on a shrunk quorum,
+        // and a missing round are each a problem.
+        let mut bad = Verdict::new("x", 4, 1);
+        check_quorum_markers(&mut bad, &[degraded, full], &quorums, 2, 3);
+        assert_eq!(bad.problems.len(), 3, "{bad:?}");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The one verdict type every seeded judge fills in, and the harness
-//! around the judges: seed derivation and fan-out, the panic guard, the
-//! quorum-marker check the two allocation judges share, and the
-//! `label: ok | problem…` section the drills print through.
+//! around the judges: seed derivation and fan-out, the panic guard, and
+//! the `label: ok | problem…` section the drills print through.
 //!
 //! A judge owns its summary line: it formats whatever it measured into
 //! [`Verdict::cells`] and files the few counts the suites' non-vacuity
@@ -125,51 +124,6 @@ where
     )
 }
 
-/// The honest-degradation check of the allocation judges: every round
-/// rendered a summary (one carrying `footer`), and `DEGRADED (k/n
-/// nodes)` appears with the right counts exactly when the quorum shrank
-/// — never on a full quorum. Files the `degraded_rounds` tally.
-pub fn check_quorum_markers(
-    v: &mut Verdict,
-    summaries: &[String],
-    quorums: &[(usize, usize)],
-    node_count: usize,
-    rounds: u32,
-    footer: &str,
-) {
-    if summaries.len() != rounds as usize {
-        v.problems.push(format!(
-            "only {}/{rounds} rounds produced an allocation summary",
-            summaries.len()
-        ));
-    }
-    let mut degraded_rounds = 0;
-    for (r, (summary, &(k, n))) in summaries.iter().zip(quorums).enumerate() {
-        if n != node_count {
-            v.problems
-                .push(format!("round {r}: quorum total {n} != {node_count} nodes"));
-        }
-        if !summary.contains(footer) {
-            v.problems
-                .push(format!("round {r}: summary missing its {footer} line"));
-        }
-        if k < n {
-            degraded_rounds += 1;
-            let marker = format!("DEGRADED ({k}/{n} nodes)");
-            if !summary.contains(&marker) {
-                v.problems.push(format!(
-                    "round {r}: quorum {k}/{n} but summary lacks {marker:?}"
-                ));
-            }
-        } else if summary.contains("DEGRADED") {
-            v.problems.push(format!(
-                "round {r}: full quorum but summary claims degradation"
-            ));
-        }
-    }
-    v.set_tally("degraded_rounds", degraded_rounds);
-}
-
 /// The section a drill prints: `label: ok_text` when it found nothing,
 /// else one `label problem: …` line per finding.
 pub fn drill_section(label: &str, ok_text: &str, problems: &[String]) -> String {
@@ -238,35 +192,6 @@ mod tests {
         assert_eq!(vs[2].tally("index"), 2);
         assert_eq!(vs[0].tally("never filed"), 0);
         assert_eq!(render_suite(&vs).1, vs.iter().all(Verdict::passed));
-    }
-
-    #[test]
-    fn quorum_markers_must_match_the_quorum() {
-        let full = "TOTAL: 2 node(s)".to_string();
-        let degraded = "TOTAL: 1 node(s)\nDEGRADED (1/2 nodes)".to_string();
-        let mut v = Verdict::new("x", 4, 1);
-        check_quorum_markers(
-            &mut v,
-            &[full.clone(), degraded.clone()],
-            &[(2, 2), (1, 2)],
-            2,
-            2,
-            "TOTAL:",
-        );
-        assert!(v.passed(), "{v:?}");
-        assert_eq!(v.tally("degraded_rounds"), 1);
-        // A marker on a full quorum, a missing one on a shrunk quorum,
-        // and a missing round are each a problem.
-        let mut bad = Verdict::new("x", 4, 1);
-        check_quorum_markers(
-            &mut bad,
-            &[degraded, full],
-            &[(2, 2), (1, 2)],
-            2,
-            3,
-            "TOTAL:",
-        );
-        assert_eq!(bad.problems.len(), 3, "{bad:?}");
     }
 
     #[test]

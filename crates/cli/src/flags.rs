@@ -155,11 +155,11 @@ pub static SUBCOMMANDS: [Command; 8] = [
     ),
     cmd(
         "cluster-chaos",
-        "seeded node-fault plans, again over lossy links; TCP smoke; bounded-memory drill",
+        "seeded node + link fault plans over the wire; TCP smoke; bounded-memory drill",
         &[
             flag("--nodes", "N", USIZE, "4", "nodes in the allocation"),
             flag("--rounds", "N", U32, "24", ROUNDS),
-            flag("--schedules", "N", USIZE, "20", "plans per suite"),
+            flag("--schedules", "N", USIZE, "20", "plans to run"),
             flag("--seed", "N", U64, "41232", SEED),
             flag("--drill-rounds", "N", U64, "1000000", "memory drill rounds"),
         ],

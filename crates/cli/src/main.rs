@@ -138,20 +138,13 @@ fn cmd_chaos(p: &Parsed) -> i32 {
     conclude("chaos", clean, &all)
 }
 
-/// Exit 0 iff every node and wire plan passes and the drill holds every
+/// Exit 0 iff every node + link plan passes over the wire, the TCP
+/// smoke passes (or the sandbox forbids it) and the drill holds every
 /// series within its ring capacity.
 fn cmd_cluster_chaos(p: &Parsed) -> i32 {
     let (nodes, rounds): (usize, u32) = (p.number("--nodes"), p.number("--rounds"));
     let (schedules, seed): (usize, u64) = (p.number("--schedules"), p.number("--seed"));
-    let mut verdicts = zerosum_analyze::run_cluster_suite(nodes, rounds, schedules, seed);
-    // The same allocation judged through the wire: seeded transport
-    // fault plans over the in-process backend.
-    verdicts.extend(zerosum_analyze::run_transport_suite(
-        nodes,
-        rounds,
-        schedules,
-        seed.wrapping_add(0x51DE),
-    ));
+    let verdicts = zerosum_analyze::run_transport_suite(nodes, rounds, schedules, seed);
     let (text, mut clean) = render_suite(&verdicts);
     print!("{text}");
     match zerosum_analyze::tcp_loopback_smoke(3, 5) {
@@ -318,7 +311,7 @@ fn cmd_stream(p: &Parsed) -> Exit {
     let mut agent = zerosum_net::NodeAgent::new(link, node.to_string());
     let period = Duration::from_millis(p.number::<u64>("--period-ms").max(1));
     let period_us = period.as_micros() as u64;
-    let (mut sim, mut mon, pid) = zerosum_experiments::cluster_chaos::chaos_node(
+    let (mut sim, mut mon, pid) = zerosum_experiments::transport_chaos::chaos_node(
         node,
         p.number("--rank"),
         p.number("--seed"),

@@ -1,23 +1,24 @@
-//! Allocation-wide aggregation.
+//! Allocation-wide aggregation and node supervision.
 //!
 //! §2 of the paper: "The htop view … represents a subset of what a user
 //! would like to see, but for all nodes in a given allocation, and for
 //! all resources at their disposal"; §5 positions ZeroSum as the
 //! single-node agent whose per-rank data is aggregated across the
-//! allocation. [`ClusterMonitor`] is that aggregation: it owns one
-//! [`Monitor`] per node and renders the allocation summary a user reads
-//! first — per-node utilization, contention totals, stragglers — before
-//! drilling into a rank's full report.
+//! allocation. [`ClusterMonitor`] is the in-process view of that
+//! aggregation: it holds one [`Monitor`] per node and renders the
+//! allocation summary a user reads first — per-node utilization,
+//! contention totals, stragglers — before drilling into a rank's full
+//! report.
 //!
 //! At allocation scale nodes fail: they get rebooted mid-job, straggle
 //! through OS jitter storms, or drop off the fabric and rejoin minutes
-//! later. The supervision layer tracks a per-node heartbeat deadline in
-//! units of monitoring rounds — miss one and the node turns *suspect*,
-//! keep missing and it is declared *dead* — with exponential-backoff
-//! re-probing of dead nodes so a 1000-node allocation does not hammer a
-//! crashed host every round. Aggregates are then computed over the
-//! quorum (every node not known dead), and the summary renders an
-//! explicit `DEGRADED (k/n nodes)` marker instead of silently shrinking
+//! later. [`Supervision`] is the heartbeat deadline the wire collector
+//! runs over the nodes it hears from, in units of monitoring rounds —
+//! miss one and the node turns *suspect*, keep missing and it is
+//! declared *dead*, heartbeat again and it rejoins. Re-probing a dead
+//! node is the agent's reconnect backoff, not a collector schedule. The
+//! quorum is every node not known dead, and the markers render an
+//! explicit `DEGRADED (k/n nodes)` line instead of silently shrinking
 //! the denominator.
 
 use crate::contention;
@@ -25,15 +26,16 @@ use crate::monitor::Monitor;
 use std::fmt::Write as _;
 
 /// Supervision state of one node, driven by heartbeat rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeState {
     /// Heartbeating normally.
+    #[default]
     Alive,
     /// Missed at least `SUSPECT_AFTER` consecutive rounds — data from
     /// this node is stale but it is still in the quorum.
     Suspect,
-    /// Missed `DEAD_AFTER` consecutive rounds — excluded from quorum
-    /// aggregates until a re-probe hears from it again.
+    /// Missed `DEAD_AFTER` consecutive rounds — out of the quorum until
+    /// it heartbeats again.
     Dead,
 }
 
@@ -41,19 +43,14 @@ pub enum NodeState {
 const SUSPECT_AFTER: u32 = 1;
 /// Consecutive missed rounds before → `Dead`.
 const DEAD_AFTER: u32 = 3;
-/// Initial re-probe interval for dead nodes, in rounds; doubles on every
-/// failed probe (exponential backoff).
-const REPROBE_INTERVAL: u32 = 2;
-/// Backoff ceiling for the re-probe interval, rounds.
-const MAX_REPROBE_INTERVAL: u32 = 16;
 /// Clock-skew tolerance: a heartbeat whose reported sample time deviates
 /// from the expected round time by more than this many seconds flags the
 /// node as skewed (the node stays alive; its time axis cannot be trusted
 /// in cross-node comparisons).
 const SKEW_TOLERANCE_S: f64 = 0.1;
 
-/// Per-node supervision record.
-#[derive(Debug, Clone)]
+/// Per-node supervision record; a new node starts Alive.
+#[derive(Debug, Clone, Default)]
 pub struct NodeSupervision {
     /// Current state.
     pub state: NodeState,
@@ -66,32 +63,161 @@ pub struct NodeSupervision {
     pub deaths: u32,
     /// Times a dead node heartbeated again (delayed rejoin).
     pub rejoins: u32,
+    /// Heartbeats attributed to this node. Supervision itself never
+    /// reads it; it is the allocation chaos judge's evidence that a
+    /// node was heard from at all, which `SKEWED` requires.
+    pub heartbeats: u64,
     /// True if any heartbeat exceeded the clock-skew tolerance.
     pub skewed: bool,
     /// Largest observed |reported − expected| sample-time gap, seconds.
     pub max_skew_s: f64,
     /// Heartbeat received in the current round.
     heard: bool,
-    /// Next round a dead node will be probed.
-    next_probe_round: u64,
-    /// Current re-probe interval, rounds (doubles per failed probe).
-    probe_interval: u32,
 }
 
-impl NodeSupervision {
-    fn new() -> Self {
-        NodeSupervision {
-            state: NodeState::Alive,
-            missed: 0,
-            transitions: Vec::new(),
-            deaths: 0,
-            rejoins: 0,
-            skewed: false,
-            max_skew_s: 0.0,
-            heard: false,
-            next_probe_round: 0,
-            probe_interval: 0,
+/// The heartbeat deadline over an allocation's nodes, one record per
+/// registered hostname. The wire collector owns one and drives it off
+/// the frames it receives.
+#[derive(Debug, Default)]
+pub struct Supervision {
+    /// Supervision records, keyed by hostname, in registration order.
+    sup: Vec<(String, NodeSupervision)>,
+    /// Completed supervision rounds.
+    round: u64,
+}
+
+impl Supervision {
+    /// No node supervised yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Registers a node for supervision, whether or not it has been
+    /// heard from. Idempotent.
+    pub fn register_node(&mut self, hostname: impl Into<String>) {
+        let hostname = hostname.into();
+        if !self.sup.iter().any(|(h, _)| *h == hostname) {
+            self.sup.push((hostname, NodeSupervision::default()));
         }
+    }
+
+    /// Starts a supervision round. Call once per sampling period, then
+    /// deliver [`Supervision::heartbeat_at`]s as nodes report, and close
+    /// with [`Supervision::end_round`].
+    pub fn begin_round(&mut self) {
+        self.round += 1;
+    }
+
+    /// Records a heartbeat carrying the node's reported sample time.
+    /// A deviation from `expected_t_s` beyond the skew tolerance flags
+    /// the node's clock as skewed without affecting liveness.
+    pub fn heartbeat_at(&mut self, hostname: &str, reported_t_s: f64, expected_t_s: f64) {
+        if let Some((_, s)) = self.sup.iter_mut().find(|(h, _)| h == hostname) {
+            s.heard = true;
+            s.heartbeats += 1;
+            let dev = (reported_t_s - expected_t_s).abs();
+            if dev > SKEW_TOLERANCE_S {
+                s.skewed = true;
+            }
+            if dev > s.max_skew_s {
+                s.max_skew_s = dev;
+            }
+        }
+    }
+
+    /// Closes the current round: applies heartbeat deadlines, advancing
+    /// missed-deadline nodes through `Alive → Suspect → Dead`, and
+    /// reviving any node heard from this round.
+    pub fn end_round(&mut self) {
+        let round = self.round;
+        for (_, s) in &mut self.sup {
+            if std::mem::take(&mut s.heard) {
+                s.missed = 0;
+                if s.state != NodeState::Alive {
+                    if s.state == NodeState::Dead {
+                        s.rejoins += 1;
+                    }
+                    s.state = NodeState::Alive;
+                    s.transitions.push((round, NodeState::Alive));
+                }
+                continue;
+            }
+            s.missed += 1;
+            if s.state == NodeState::Dead {
+                continue;
+            }
+            if s.missed >= DEAD_AFTER {
+                s.state = NodeState::Dead;
+                s.deaths += 1;
+                s.transitions.push((round, NodeState::Dead));
+            } else if s.missed >= SUSPECT_AFTER && s.state == NodeState::Alive {
+                s.state = NodeState::Suspect;
+                s.transitions.push((round, NodeState::Suspect));
+            }
+        }
+    }
+
+    /// The supervision record of a node.
+    pub fn supervision_of(&self, hostname: &str) -> Option<&NodeSupervision> {
+        self.sup.iter().find(|(h, _)| h == hostname).map(|(_, s)| s)
+    }
+
+    /// The supervision state of a node. Nodes never registered are
+    /// reported alive.
+    pub fn node_state(&self, hostname: &str) -> NodeState {
+        self.supervision_of(hostname)
+            .map(|s| s.state)
+            .unwrap_or(NodeState::Alive)
+    }
+
+    /// `(quorum, total)`: nodes not known dead over all supervised
+    /// nodes. `quorum < total` means the allocation view is degraded.
+    pub fn quorum(&self) -> (usize, usize) {
+        let total = self.sup.len();
+        let dead = self
+            .sup
+            .iter()
+            .filter(|(_, s)| s.state == NodeState::Dead)
+            .count();
+        (total - dead, total)
+    }
+
+    /// Renders the supervision markers: the `DEGRADED (k/n nodes)` line
+    /// when the quorum is short, plus one DEAD / SUSPECT / SKEWED line
+    /// per affected node. Empty when every supervised node is healthy.
+    pub fn render_markers(&self) -> String {
+        let mut out = String::new();
+        let (k, n) = self.quorum();
+        if k < n {
+            writeln!(
+                out,
+                "DEGRADED ({k}/{n} nodes): aggregates cover the quorum only"
+            )
+            .unwrap();
+        }
+        for (host, s) in &self.sup {
+            match s.state {
+                NodeState::Dead => writeln!(
+                    out,
+                    "DEAD: node {host} (missed {} round(s), deaths {}, rejoins {})",
+                    s.missed, s.deaths, s.rejoins
+                )
+                .unwrap(),
+                NodeState::Suspect => {
+                    writeln!(out, "SUSPECT: node {host} (missed {} round(s))", s.missed).unwrap()
+                }
+                NodeState::Alive => {}
+            }
+            if s.skewed {
+                writeln!(
+                    out,
+                    "SKEWED: node {host} (clock offset up to {:.3}s)",
+                    s.max_skew_s
+                )
+                .unwrap();
+            }
+        }
+        out
     }
 }
 
@@ -152,269 +278,17 @@ impl NodeAggregate {
             rss_kib,
         }
     }
-}
 
-/// The allocation-wide monitor: one [`Monitor`] per node.
-#[derive(Debug, Default)]
-pub struct ClusterMonitor {
-    nodes: Vec<(String, Monitor)>,
-    /// Supervision records, keyed by hostname. Created by
-    /// [`ClusterMonitor::register_node`] (before any monitor is shipped)
-    /// or implicitly by [`ClusterMonitor::add_node`].
-    sup: Vec<(String, NodeSupervision)>,
-    /// Completed supervision rounds.
-    round: u64,
-}
-
-impl ClusterMonitor {
-    /// An empty cluster view.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a node for supervision before its monitor has reported
-    /// (supervision runs *during* the job; monitors are shipped at the
-    /// end). Idempotent.
-    pub fn register_node(&mut self, hostname: impl Into<String>) {
-        let hostname = hostname.into();
-        if !self.sup.iter().any(|(h, _)| *h == hostname) {
-            self.sup.push((hostname, NodeSupervision::new()));
-        }
-    }
-
-    /// Adds a node's monitor (typically shipped from that node's ZeroSum
-    /// agent at the end of the run, or streamed via the §3.6 feed).
-    pub fn add_node(&mut self, hostname: impl Into<String>, monitor: Monitor) {
-        let hostname = hostname.into();
-        self.register_node(hostname.clone());
-        self.nodes.push((hostname, monitor));
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when no nodes have reported.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Access the per-node monitors.
-    pub fn nodes(&self) -> impl Iterator<Item = (&str, &Monitor)> {
-        self.nodes.iter().map(|(h, m)| (h.as_str(), m))
-    }
-
-    /// Mutable access to one node's monitor — the allocation-scale chaos
-    /// driver samples in place while supervising the same cluster view.
-    pub fn node_mut(&mut self, hostname: &str) -> Option<&mut Monitor> {
-        self.nodes
-            .iter_mut()
-            .find(|(h, _)| h == hostname)
-            .map(|(_, m)| m)
-    }
-
-    /// Starts a supervision round. Call once per sampling period, then
-    /// deliver [`ClusterMonitor::heartbeat`]s as nodes report, and close
-    /// with [`ClusterMonitor::end_round`].
-    pub fn begin_round(&mut self) {
-        self.round += 1;
-    }
-
-    /// The current supervision round (0 before the first
-    /// [`ClusterMonitor::begin_round`]).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Records a heartbeat from `hostname` in the current round.
-    pub fn heartbeat(&mut self, hostname: &str) {
-        if let Some((_, s)) = self.sup.iter_mut().find(|(h, _)| h == hostname) {
-            s.heard = true;
-        }
-    }
-
-    /// Records a heartbeat carrying the node's reported sample time.
-    /// A deviation from `expected_t_s` beyond the skew tolerance flags
-    /// the node's clock as skewed without affecting liveness.
-    pub fn heartbeat_at(&mut self, hostname: &str, reported_t_s: f64, expected_t_s: f64) {
-        if let Some((_, s)) = self.sup.iter_mut().find(|(h, _)| h == hostname) {
-            s.heard = true;
-            let dev = (reported_t_s - expected_t_s).abs();
-            if dev > SKEW_TOLERANCE_S {
-                s.skewed = true;
-            }
-            if dev > s.max_skew_s {
-                s.max_skew_s = dev;
-            }
-        }
-    }
-
-    /// True if the caller should attempt to contact `hostname` this
-    /// round. Alive and suspect nodes are always contacted; dead nodes
-    /// only on their exponential-backoff re-probe schedule.
-    pub fn should_probe(&self, hostname: &str) -> bool {
-        match self.sup.iter().find(|(h, _)| h == hostname) {
-            Some((_, s)) if s.state == NodeState::Dead => self.round >= s.next_probe_round,
-            Some(_) => true,
-            None => true,
-        }
-    }
-
-    /// Closes the current round: applies heartbeat deadlines, advancing
-    /// missed-deadline nodes through `Alive → Suspect → Dead`, doubling
-    /// the re-probe backoff of dead nodes that stayed silent, and
-    /// reviving any node heard from this round.
-    pub fn end_round(&mut self) {
-        let round = self.round;
-        for (_, s) in &mut self.sup {
-            if std::mem::take(&mut s.heard) {
-                s.missed = 0;
-                if s.state != NodeState::Alive {
-                    if s.state == NodeState::Dead {
-                        s.rejoins += 1;
-                    }
-                    s.state = NodeState::Alive;
-                    s.probe_interval = 0;
-                    s.transitions.push((round, NodeState::Alive));
-                }
-                continue;
-            }
-            s.missed += 1;
-            match s.state {
-                NodeState::Dead => {
-                    // This was a (failed) probe round: back off further.
-                    if round >= s.next_probe_round {
-                        s.probe_interval = (s.probe_interval * 2).min(MAX_REPROBE_INTERVAL);
-                        s.next_probe_round = round + s.probe_interval as u64;
-                    }
-                }
-                _ => {
-                    if s.missed >= DEAD_AFTER {
-                        s.state = NodeState::Dead;
-                        s.deaths += 1;
-                        s.probe_interval = REPROBE_INTERVAL;
-                        s.next_probe_round = round + s.probe_interval as u64;
-                        s.transitions.push((round, NodeState::Dead));
-                    } else if s.missed >= SUSPECT_AFTER && s.state == NodeState::Alive {
-                        s.state = NodeState::Suspect;
-                        s.transitions.push((round, NodeState::Suspect));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The supervision record of a node.
-    pub fn supervision_of(&self, hostname: &str) -> Option<&NodeSupervision> {
-        self.sup.iter().find(|(h, _)| h == hostname).map(|(_, s)| s)
-    }
-
-    /// The supervision state of a node. Nodes never registered are
-    /// reported alive (supervision is opt-in).
-    pub fn node_state(&self, hostname: &str) -> NodeState {
-        self.supervision_of(hostname)
-            .map(|s| s.state)
-            .unwrap_or(NodeState::Alive)
-    }
-
-    /// `(quorum, total)`: nodes not known dead over all supervised (or
-    /// reported) nodes. `quorum < total` means the allocation view is
-    /// degraded.
-    pub fn quorum(&self) -> (usize, usize) {
-        if self.sup.is_empty() {
-            return (self.nodes.len(), self.nodes.len());
-        }
-        let total = self.sup.len();
-        let dead = self
-            .sup
-            .iter()
-            .filter(|(_, s)| s.state == NodeState::Dead)
-            .count();
-        (total - dead, total)
-    }
-
-    /// Per-node aggregates restricted to the quorum (nodes not known
-    /// dead) — what the allocation summary tabulates while degraded.
-    pub fn quorum_aggregates(&self) -> Vec<NodeAggregate> {
-        self.aggregates()
-            .into_iter()
-            .filter(|a| self.node_state(&a.hostname) != NodeState::Dead)
-            .collect()
-    }
-
-    /// Computes the per-node aggregates.
-    pub fn aggregates(&self) -> Vec<NodeAggregate> {
-        self.nodes
-            .iter()
-            .map(|(hostname, m)| NodeAggregate::from_monitor(hostname, m))
-            .collect()
-    }
-
-    /// The straggler node: lowest mean user% among the quorum (the node
-    /// to investigate first when the allocation underperforms).
-    pub fn straggler(&self) -> Option<NodeAggregate> {
-        self.quorum_aggregates()
-            .into_iter()
-            .min_by(|a, b| a.mean_user_pct.partial_cmp(&b.mean_user_pct).unwrap())
-    }
-
-    /// Renders only the supervision markers: the `DEGRADED (k/n nodes)`
-    /// line when the quorum is short, plus one DEAD / SUSPECT / SKEWED
-    /// line per affected node. Empty when every supervised node is
-    /// healthy. The wire collector appends this to its own table so a
-    /// streamed summary degrades exactly like the in-process one.
-    pub fn render_markers(&self) -> String {
-        let mut out = String::new();
-        let (k, n) = self.quorum();
-        if k < n {
-            writeln!(
-                out,
-                "DEGRADED ({k}/{n} nodes): aggregates cover the quorum only"
-            )
-            .unwrap();
-        }
-        for (host, s) in &self.sup {
-            match s.state {
-                NodeState::Dead => writeln!(
-                    out,
-                    "DEAD: node {host} (missed {} round(s), deaths {}, rejoins {})",
-                    s.missed, s.deaths, s.rejoins
-                )
-                .unwrap(),
-                NodeState::Suspect => {
-                    writeln!(out, "SUSPECT: node {host} (missed {} round(s))", s.missed).unwrap()
-                }
-                NodeState::Alive => {}
-            }
-            if s.skewed {
-                writeln!(
-                    out,
-                    "SKEWED: node {host} (clock offset up to {:.3}s)",
-                    s.max_skew_s
-                )
-                .unwrap();
-            }
-        }
-        out
-    }
-
-    /// Renders the allocation summary table over the quorum, with an
-    /// explicit `DEGRADED (k/n nodes)` marker and per-node supervision
-    /// detail whenever any node is dead, suspect, or clock-skewed.
-    pub fn render_summary(&self) -> String {
-        if self.nodes.is_empty() {
-            return "ZeroSum: no nodes reported\n".to_string();
-        }
-        let aggs = self.quorum_aggregates();
-        let mut out = String::from("Allocation Summary:\n");
+    /// Writes the per-node table of an allocation summary: a header,
+    /// then one row per aggregate.
+    pub fn write_table(out: &mut String, aggs: &[NodeAggregate]) {
         writeln!(
             out,
             "{:<16} {:>5} {:>5} {:>8} {:>8} {:>12} {:>10}",
             "node", "ranks", "LWPs", "user%", "idle%", "nv_ctx", "RSS(GiB)"
         )
         .unwrap();
-        for a in &aggs {
+        for a in aggs {
             writeln!(
                 out,
                 "{:<16} {:>5} {:>5} {:>8.2} {:>8.2} {:>12} {:>10.2}",
@@ -428,6 +302,56 @@ impl ClusterMonitor {
             )
             .unwrap();
         }
+    }
+}
+
+/// The in-process allocation view: one [`Monitor`] per node.
+#[derive(Debug, Default)]
+pub struct ClusterMonitor {
+    nodes: Vec<(String, Monitor)>,
+}
+
+impl ClusterMonitor {
+    /// An empty cluster view.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a node's monitor.
+    pub fn add_node(&mut self, hostname: impl Into<String>, monitor: Monitor) {
+        self.nodes.push((hostname.into(), monitor));
+    }
+
+    /// Access the per-node monitors.
+    pub fn nodes(&self) -> impl Iterator<Item = (&str, &Monitor)> {
+        self.nodes.iter().map(|(h, m)| (h.as_str(), m))
+    }
+
+    /// Computes the per-node aggregates.
+    pub fn aggregates(&self) -> Vec<NodeAggregate> {
+        self.nodes
+            .iter()
+            .map(|(hostname, m)| NodeAggregate::from_monitor(hostname, m))
+            .collect()
+    }
+
+    /// The straggler node: lowest mean user% (the node to investigate
+    /// first when the allocation underperforms).
+    pub fn straggler(&self) -> Option<NodeAggregate> {
+        self.aggregates()
+            .into_iter()
+            .min_by(|a, b| a.mean_user_pct.partial_cmp(&b.mean_user_pct).unwrap())
+    }
+
+    /// Renders the allocation summary table, then one `HOT:` line per
+    /// over-subscribed process.
+    pub fn render_summary(&self) -> String {
+        if self.nodes.is_empty() {
+            return "ZeroSum: no nodes reported\n".to_string();
+        }
+        let aggs = self.aggregates();
+        let mut out = String::from("Allocation Summary:\n");
+        NodeAggregate::write_table(&mut out, &aggs);
         let ranks: usize = aggs.iter().map(|a| a.ranks).sum();
         let nvcsw: u64 = aggs.iter().map(|a| a.total_nvcsw).sum();
         let user = aggs.iter().map(|a| a.mean_user_pct).sum::<f64>() / aggs.len() as f64;
@@ -440,13 +364,8 @@ impl ClusterMonitor {
             nvcsw
         )
         .unwrap();
-        out.push_str(&self.render_markers());
-        // Contention hot spots: quorum nodes with any over-subscribed
-        // process.
+        // Contention hot spots: nodes with any over-subscribed process.
         for (hostname, m) in &self.nodes {
-            if self.node_state(hostname) == NodeState::Dead {
-                continue;
-            }
             for w in m.processes() {
                 if let Some(rep) = contention::analyze(m, w.info.pid) {
                     if rep.oversubscription > 1.0 {
@@ -524,7 +443,7 @@ mod tests {
         let mut cluster = ClusterMonitor::new();
         cluster.add_node("node01", node_monitor("node01", false, 1));
         cluster.add_node("node02", node_monitor("node02", true, 2));
-        assert_eq!(cluster.len(), 2);
+        assert_eq!(cluster.nodes().count(), 2);
         let aggs = cluster.aggregates();
         assert_eq!(aggs.len(), 2);
         assert_eq!(aggs[0].ranks, 1);
@@ -562,18 +481,19 @@ mod tests {
         assert!(s.hostname == "good" || s.hostname == "bad");
     }
 
-    /// Drives one supervision round where only `alive` heartbeats.
-    fn silent_round(c: &mut ClusterMonitor, alive: &[&str]) {
+    /// Drives one supervision round where only `alive` heartbeats, each
+    /// on time.
+    fn silent_round(c: &mut Supervision, alive: &[&str]) {
         c.begin_round();
         for h in alive {
-            c.heartbeat(h);
+            c.heartbeat_at(h, 1.0, 1.0);
         }
         c.end_round();
     }
 
     #[test]
     fn missed_deadlines_walk_alive_suspect_dead() {
-        let mut c = ClusterMonitor::new();
+        let mut c = Supervision::new();
         c.register_node("a");
         c.register_node("b");
         assert_eq!(c.quorum(), (2, 2));
@@ -594,45 +514,28 @@ mod tests {
             s.transitions,
             vec![(1, NodeState::Suspect), (3, NodeState::Dead)]
         );
-        // Unregistered nodes are reported alive (supervision is opt-in).
+        // A dead node that stays silent stays dead, with no more
+        // transitions however long it is gone.
+        for _ in 0..20 {
+            silent_round(&mut c, &["a"]);
+        }
+        let s = c.supervision_of("b").unwrap();
+        assert_eq!((s.state, s.missed, s.deaths), (NodeState::Dead, 23, 1));
+        assert_eq!(s.transitions.len(), 2);
+        // Unregistered nodes are reported alive.
         assert_eq!(c.node_state("zz"), NodeState::Alive);
     }
 
     #[test]
-    fn dead_node_reprobes_with_exponential_backoff() {
-        let mut c = ClusterMonitor::new();
-        c.register_node("a");
-        c.register_node("b");
-        let mut probe_rounds = Vec::new();
-        for round in 1..=50u64 {
-            c.begin_round();
-            c.heartbeat("a");
-            if c.node_state("b") == NodeState::Dead && c.should_probe("b") {
-                probe_rounds.push(round);
-            }
-            c.end_round();
-        }
-        // Dead at end of round 3; probes at 3+2, then doubling gaps
-        // capped at 16 rounds.
-        assert_eq!(probe_rounds, vec![5, 9, 17, 33, 49]);
-        assert_eq!(c.supervision_of("b").unwrap().missed, 50);
-    }
-
-    #[test]
     fn delayed_rejoin_revives_node_without_double_counting() {
-        let mut c = ClusterMonitor::new();
+        let mut c = Supervision::new();
         c.register_node("a");
         c.register_node("b");
-        // b silent through round 5 (dead at 3, failed probe at 5), then
-        // answers its next probe at round 9.
-        for round in 1..=9u64 {
-            c.begin_round();
-            c.heartbeat("a");
-            if round >= 6 && c.should_probe("b") {
-                c.heartbeat("b");
-            }
-            c.end_round();
+        // b silent through round 8 (dead at 3), heard again at round 9.
+        for _ in 1..=8 {
+            silent_round(&mut c, &["a"]);
         }
+        silent_round(&mut c, &["a", "b"]);
         assert_eq!(c.node_state("b"), NodeState::Alive);
         assert_eq!(c.quorum(), (2, 2));
         let s = c.supervision_of("b").unwrap();
@@ -648,7 +551,7 @@ mod tests {
 
     #[test]
     fn skewed_clock_flags_node_but_keeps_it_alive() {
-        let mut c = ClusterMonitor::new();
+        let mut c = Supervision::new();
         c.register_node("a");
         c.begin_round();
         c.heartbeat_at("a", 1.5, 1.0);
@@ -658,7 +561,7 @@ mod tests {
         assert!(s.skewed);
         assert!((s.max_skew_s - 0.5).abs() < 1e-9);
         // Within tolerance: no flag.
-        let mut c2 = ClusterMonitor::new();
+        let mut c2 = Supervision::new();
         c2.register_node("a");
         c2.begin_round();
         c2.heartbeat_at("a", 1.05, 1.0);
@@ -667,32 +570,27 @@ mod tests {
     }
 
     #[test]
-    fn summary_renders_degraded_marker_over_quorum() {
-        let mut cluster = ClusterMonitor::new();
-        cluster.add_node("node01", node_monitor("node01", false, 7));
-        cluster.add_node("node02", node_monitor("node02", false, 8));
+    fn markers_say_degraded_dead_and_clear_on_rejoin() {
+        let mut c = Supervision::new();
+        c.register_node("node01");
+        c.register_node("node02");
+        assert_eq!(c.render_markers(), "");
         // node02 stops heartbeating and is declared dead.
         for _ in 0..3 {
-            silent_round(&mut cluster, &["node01"]);
+            silent_round(&mut c, &["node01"]);
         }
-        let text = cluster.render_summary();
+        let text = c.render_markers();
         assert!(text.contains("DEGRADED (1/2 nodes)"), "{text}");
         assert!(text.contains("DEAD: node node02"), "{text}");
-        assert!(text.contains("TOTAL: 1 node(s), 1 rank(s)"), "{text}");
-        // The quorum table and straggler skip the dead node.
-        assert_eq!(cluster.quorum_aggregates().len(), 1);
-        assert_eq!(cluster.straggler().unwrap().hostname, "node01");
         // A rejoin clears the marker.
-        silent_round(&mut cluster, &["node01", "node02"]);
-        let text = cluster.render_summary();
-        assert!(!text.contains("DEGRADED"), "{text}");
-        assert!(text.contains("TOTAL: 2 node(s), 2 rank(s)"), "{text}");
+        silent_round(&mut c, &["node01", "node02"]);
+        assert_eq!(c.render_markers(), "");
     }
 
     #[test]
     fn empty_cluster_renders_gracefully() {
         let c = ClusterMonitor::new();
-        assert!(c.is_empty());
+        assert_eq!(c.nodes().count(), 0);
         assert!(c.render_summary().contains("no nodes reported"));
         assert!(c.straggler().is_none());
     }

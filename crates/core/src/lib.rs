@@ -56,7 +56,7 @@ pub mod signal;
 pub mod sync;
 
 pub use attach::SelfMonitor;
-pub use cluster::{ClusterMonitor, NodeAggregate, NodeState, NodeSupervision};
+pub use cluster::{ClusterMonitor, NodeAggregate, NodeState, NodeSupervision, Supervision};
 pub use config::{MonitorCost, ZeroSumConfig};
 pub use contention::{analyze, ContentionReport};
 pub use evaluator::{evaluate, evaluate_gpu_memory, render_findings, Finding, Severity};

@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn allocation_summary_pinpoints_the_misconfigured_node() {
         let cluster = run_allocation(175, 11);
-        assert_eq!(cluster.len(), 4);
+        assert_eq!(cluster.nodes().count(), 4);
         let text = cluster.render_summary();
         assert!(text.contains("TOTAL: 4 node(s), 32 rank(s)"), "{text}");
         // Only the misconfigured node is flagged hot.

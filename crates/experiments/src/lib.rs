@@ -30,7 +30,6 @@
 
 pub mod artifacts;
 pub mod churn;
-pub mod cluster_chaos;
 pub mod cluster_demo;
 pub mod figures;
 pub mod listings;

@@ -8,10 +8,10 @@
 //! backpressure — a full window sheds per-LWP detail, never the
 //! heartbeat), and retransmits the end-of-run aggregate until acked.
 //! A torn connection puts the agent into tick-counted exponential
-//! backoff (initial 1 tick, doubling to a ceiling — mirroring the
-//! supervision layer's dead-node re-probe schedule); during backoff it
-//! sends nothing, so collector-side the outage is ordinary silence and
-//! the Alive→Suspect→Dead machine needs no extra connection states.
+//! backoff (initial 1 tick, doubling to a ceiling — the only re-probe
+//! schedule a dead node has); during backoff it sends nothing, so
+//! collector-side the outage is ordinary silence and the
+//! Alive→Suspect→Dead machine needs no extra connection states.
 //! Everything is tick-driven — no clocks — so the whole agent stays
 //! inside the nondeterminism audit's det-reachable set.
 
@@ -101,6 +101,13 @@ impl<L: Link> NodeAgent<L> {
     /// The underlying link.
     pub fn link(&self) -> &L {
         &self.link
+    }
+
+    /// The underlying link. The allocation chaos driver ticks it while
+    /// the node itself is down, so the network's clock keeps running;
+    /// nothing else needs it.
+    pub fn link_mut(&mut self) -> &mut L {
+        &mut self.link
     }
 
     /// True while the agent is in reconnect backoff (sending nothing).

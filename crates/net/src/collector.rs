@@ -1,5 +1,5 @@
-//! The collector daemon core: drives [`ClusterMonitor`] supervision
-//! rounds off frames received over any set of [`Link`]s.
+//! The collector daemon core: drives [`Supervision`] rounds off frames
+//! received over any set of [`Link`]s.
 //!
 //! The collector is deliberately passive and bounded. Per round it
 //! drains each node's link into a per-connection reassembly buffer and
@@ -17,8 +17,9 @@
 //! this loop is statically panic-free.
 //!
 //! Liveness is silence-based: a node in reconnect backoff simply stops
-//! heartbeating and the existing Alive→Suspect→Dead machine does the
-//! rest — connection state never grows a parallel state machine.
+//! heartbeating and the Alive→Suspect→Dead machine does the rest —
+//! connection state never grows a parallel state machine, and the
+//! agent's reconnect backoff is the only re-probe schedule.
 //! Heartbeats are judged against the expected time *of the round they
 //! carry*, so a network-delayed frame does not masquerade as clock
 //! skew.
@@ -27,7 +28,7 @@ use crate::frame::{decode_frame, encode_frame, DecodeError, Frame};
 use crate::transport::{Link, SendStatus};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use zerosum_core::{ClusterMonitor, NodeAggregate};
+use zerosum_core::{NodeAggregate, Supervision};
 
 /// Timing of the collector loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,10 +103,10 @@ struct NodeConn {
     stalled: u32,
 }
 
-/// The collector daemon state. Owns the supervision-side
-/// [`ClusterMonitor`] and the per-node aggregates delivered so far.
+/// The collector daemon state. Owns the allocation's [`Supervision`]
+/// and the per-node aggregates delivered so far.
 pub struct Collector {
-    cluster: ClusterMonitor,
+    supervision: Supervision,
     conns: Vec<NodeConn>,
     /// Latest aggregate per hostname: `(round, aggregate)`.
     aggs: BTreeMap<String, (u64, NodeAggregate)>,
@@ -130,7 +131,7 @@ impl Collector {
     /// An empty collector with explicit bounds.
     pub fn with_config(cfg: CollectorConfig) -> Self {
         Collector {
-            cluster: ClusterMonitor::new(),
+            supervision: Supervision::new(),
             conns: Vec::new(),
             aggs: BTreeMap::new(),
             cfg,
@@ -142,7 +143,7 @@ impl Collector {
     /// ever says Hello — a node whose Hello is lost forever must still
     /// be declared DEAD, not forgotten.
     pub fn expect_node(&mut self, hostname: &str) {
-        self.cluster.register_node(hostname);
+        self.supervision.register_node(hostname);
     }
 
     /// Adds a node connection.
@@ -156,9 +157,9 @@ impl Collector {
         });
     }
 
-    /// The supervision-side cluster view.
-    pub fn cluster(&self) -> &ClusterMonitor {
-        &self.cluster
+    /// The heartbeat deadline over every node heard of.
+    pub fn supervision(&self) -> &Supervision {
+        &self.supervision
     }
 
     /// Aggregates delivered over the wire so far, ordered by hostname.
@@ -169,14 +170,9 @@ impl Collector {
     /// Drives one supervision round: pump frames, then close the round
     /// against the heartbeat deadline.
     pub fn run_round(&mut self) {
-        self.cluster.begin_round();
+        self.supervision.begin_round();
         self.pump_frames();
-        self.cluster.end_round();
-    }
-
-    /// `(quorum, total)` of the supervised node set.
-    pub fn quorum(&self) -> (usize, usize) {
-        self.cluster.quorum()
+        self.supervision.end_round();
     }
 
     /// Drains every connection and dispatches up to the per-node frame
@@ -212,7 +208,7 @@ impl Collector {
                         used += 1;
                         self.stats.frames_rx += 1;
                         dispatch_frame(
-                            &mut self.cluster,
+                            &mut self.supervision,
                             &mut self.aggs,
                             &mut self.stats,
                             conn,
@@ -260,32 +256,12 @@ impl Collector {
     }
 
     /// Renders the allocation summary from wire-delivered aggregates,
-    /// with the supervision markers appended — the streamed counterpart
-    /// of [`ClusterMonitor::render_summary`].
+    /// with the supervision markers appended.
     pub fn render_summary(&self) -> String {
         let mut out = String::from("Allocation Summary (wire):\n");
         let aggs = self.wire_aggregates();
-        writeln!(
-            out,
-            "{:<16} {:>5} {:>5} {:>8} {:>8} {:>12} {:>10}",
-            "node", "ranks", "LWPs", "user%", "idle%", "nv_ctx", "RSS(GiB)"
-        )
-        .unwrap();
-        for a in &aggs {
-            writeln!(
-                out,
-                "{:<16} {:>5} {:>5} {:>8.2} {:>8.2} {:>12} {:>10.2}",
-                a.hostname,
-                a.ranks,
-                a.lwps,
-                a.mean_user_pct,
-                a.mean_idle_pct,
-                a.total_nvcsw,
-                a.rss_kib as f64 / (1024.0 * 1024.0)
-            )
-            .unwrap();
-        }
-        let (k, n) = self.cluster.quorum();
+        NodeAggregate::write_table(&mut out, &aggs);
+        let (k, n) = self.supervision.quorum();
         writeln!(
             out,
             "LIVE: {k}/{n} node(s), {} aggregate(s) delivered, {} heartbeat(s) received",
@@ -293,16 +269,16 @@ impl Collector {
             self.stats.heartbeats_rx
         )
         .unwrap();
-        out.push_str(&self.cluster.render_markers());
+        out.push_str(&self.supervision.render_markers());
         out
     }
 }
 
 /// Applies one decoded frame to the collector state. A free function
 /// over split borrows so the pump loop can hold the connection and the
-/// cluster mutably at once, with no indexing on the panic-audited path.
+/// supervision mutably at once, with no indexing on the panic-audited path.
 fn dispatch_frame(
-    cluster: &mut ClusterMonitor,
+    supervision: &mut Supervision,
     aggs: &mut BTreeMap<String, (u64, NodeAggregate)>,
     stats: &mut CollectorStats,
     conn: &mut NodeConn,
@@ -312,7 +288,7 @@ fn dispatch_frame(
     match frame {
         Frame::Hello { hostname } => {
             stats.hellos_rx += 1;
-            cluster.register_node(hostname.clone());
+            supervision.register_node(hostname.clone());
             conn.hostname = Some(hostname);
             send_ack(conn, stats, 0);
         }
@@ -322,7 +298,7 @@ fn dispatch_frame(
             // heartbeat *claims*, so network delay is not skew.
             let expected = round as f64 * period_s;
             match conn.hostname.clone() {
-                Some(host) => cluster.heartbeat_at(&host, t_s, expected),
+                Some(host) => supervision.heartbeat_at(&host, t_s, expected),
                 None => stats.orphan_frames += 1,
             }
         }
@@ -333,7 +309,7 @@ fn dispatch_frame(
             stats.aggregates_rx += 1;
             // Aggregates carry their own identity and are idempotent:
             // a retransmit overwrites with equal data.
-            cluster.register_node(agg.hostname.clone());
+            supervision.register_node(agg.hostname.clone());
             aggs.insert(agg.hostname.clone(), (round, agg));
             send_ack(conn, stats, round);
         }
@@ -393,8 +369,11 @@ mod tests {
             // the next round opens.
             agent.tick();
         }
-        assert_eq!(collector.quorum(), (1, 1));
-        assert_eq!(collector.cluster().node_state("node-a"), NodeState::Alive);
+        assert_eq!(collector.supervision().quorum(), (1, 1));
+        assert_eq!(
+            collector.supervision().node_state("node-a"),
+            NodeState::Alive
+        );
         assert_eq!(collector.stats.heartbeats_rx, 4);
         assert_eq!(collector.stats.hellos_rx, 1, "hello acked, sent once");
         agent.finish(4, agg("node-a"));
@@ -418,8 +397,8 @@ mod tests {
         for _ in 0..5 {
             collector.run_round();
         }
-        assert_eq!(collector.cluster().node_state("ghost"), NodeState::Dead);
-        assert_eq!(collector.quorum(), (0, 1));
+        assert_eq!(collector.supervision().node_state("ghost"), NodeState::Dead);
+        assert_eq!(collector.supervision().quorum(), (0, 1));
         let s = collector.render_summary();
         assert!(s.contains("DEGRADED (0/1 nodes)"), "{s}");
         assert!(s.contains("DEAD: node ghost"), "{s}");
@@ -511,7 +490,7 @@ mod tests {
         for _ in 0..4 {
             collector.run_round();
         }
-        assert_eq!(collector.cluster().node_state("n"), NodeState::Dead);
+        assert_eq!(collector.supervision().node_state("n"), NodeState::Dead);
     }
 
     #[test]

@@ -58,9 +58,13 @@ impl LinkFaultPlan {
         LinkFaultPlan::default()
     }
 
-    /// True if this plan injects any fault at all.
+    /// True if this plan injects any fault at all (a seed alone, which
+    /// only drives the dice, is not one).
     pub fn is_faulty(&self) -> bool {
-        *self != LinkFaultPlan::none()
+        LinkFaultPlan {
+            seed: 0,
+            ..self.clone()
+        } != LinkFaultPlan::none()
     }
 
     /// One-line human description for chaos reports.

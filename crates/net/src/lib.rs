@@ -16,10 +16,15 @@
 //!   delay, reorder, disconnect, partition, kill).
 //! * [`agent`] — the node-side streamer: Hello/heartbeat/detail/
 //!   aggregate protocol, detail shedding under backpressure, and
-//!   reconnect-with-exponential-backoff that surfaces collector-side
-//!   as plain silence for the Alive→Suspect→Dead machine.
-//! * [`collector`] — the bounded daemon core driving
-//!   [`zerosum_core::ClusterMonitor`] rounds off received frames.
+//!   reconnect-with-exponential-backoff (the only re-probe of a dead
+//!   node) that surfaces collector-side as plain silence for the
+//!   Alive→Suspect→Dead machine.
+//! * [`collector`] — the bounded daemon core driving the allocation's
+//!   [`zerosum_core::Supervision`] rounds off received frames.
+//!
+//! This is the one allocation path: node faults (kills, stalls,
+//! delayed rejoins, clock skew) and link faults are both judged on it,
+//! by the transport-chaos driver in `zerosum-experiments`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]

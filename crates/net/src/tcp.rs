@@ -391,7 +391,10 @@ mod tests {
         }
         assert!(agent.done(), "aggregate never acked over loopback");
         assert_eq!(collector.wire_aggregates(), vec![agg]);
-        assert_eq!(collector.cluster().node_state("tcp-node"), NodeState::Alive);
+        assert_eq!(
+            collector.supervision().node_state("tcp-node"),
+            NodeState::Alive
+        );
         assert_eq!(collector.stats.decode_errors, 0);
     }
 

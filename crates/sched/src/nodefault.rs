@@ -1,12 +1,13 @@
 //! Seeded node-level fault plans for allocation-scale chaos testing.
 //!
-//! PR 2's `FaultInjector` (in `zerosum-proc`) perturbs individual procfs
+//! The `FaultInjector` (in `zerosum-proc`) perturbs individual procfs
 //! reads on one node. This module is the same idea one level up: a
 //! deterministic, seeded plan of *node* failures — kills, stalls
-//! (stragglers), delayed rejoins, and clock skew — that a cluster-level
-//! driver applies round by round. The `ClusterMonitor`'s supervision
-//! layer must keep producing allocation reports (with explicit
-//! `DEGRADED (k/n nodes)` markers) no matter what the plan does.
+//! (stragglers), delayed rejoins, and clock skew — that the allocation
+//! chaos driver (`zerosum-experiments::transport_chaos`) applies at each
+//! node's agent, round by round, beside the node's link plan. The
+//! collector's supervision must keep producing allocation reports (with
+//! explicit `DEGRADED (k/n nodes)` markers) no matter what the plans do.
 //!
 //! Like everything in `zerosum-sched`, plans are pure functions of their
 //! seed: the same `(seed, node_count, rounds)` triple always yields the

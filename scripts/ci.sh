@@ -15,17 +15,18 @@ echo "== cargo test"
 cargo test -q --workspace
 
 echo "== zsaudit (every pass, no finding)"
-# Any finding fails: a lock-order cycle, a panic site under a no-panic
-# root or in a hot-path file, an allocation under a hot root, a clock or
-# map-order read under a determinism root, a blocking effect under a
-# pump or under a lock, a print in library code, a /proc read error
-# bubbling out of the round, an unreviewed growing field, an allowlist
-# entry that matches nothing.
+# Any finding fails: a panic site under a no-panic root or in a
+# hot-path file, an allocation under a hot root, a clock or map-order
+# read under a determinism root, a blocking effect under a pump or under
+# a lock (a second lock included), a /proc read error bubbling out of
+# the round, an unreviewed growing field, an allowlist entry that
+# matches nothing, a root or rooted file that resolves to nothing.
+# (No print in library code is clippy's, in the stage above.)
 cargo run -q --release -p zerosum-cli --bin zerosum -- audit > /tmp/zsaudit.out \
     || { cat /tmp/zsaudit.out; exit 1; }
 tail -n 2 /tmp/zsaudit.out
 
-echo "== cluster chaos soak (20 seeded node-fault plans, bounded-memory drill)"
+echo "== cluster chaos soak (20 seeded node + link fault plans over the wire, bounded-memory drill)"
 cargo run -q --release -p zerosum-cli --bin zerosum -- \
     cluster-chaos --nodes 4 --rounds 24 --schedules 20 --seed 41248 --drill-rounds 1000000
 

@@ -69,6 +69,7 @@ mutants=(
 'utime-stime-swapped~crates/core/src/lwp.rs~s/self\.delta_per_period\(\|s\| s\.stime\)/self.delta_per_period(|s| s.utime)/~the `stime` column computed from `utime` deltas'
 'starttime-check-dropped~crates/core/src/lwp.rs~s/if old\.starttime != stat\.starttime \{/if old.starttime > stat.starttime {/~the pid-reuse guard never fires (a recycled tid always starts later)'
 'tick-flush-skipped~crates/net/src/tcp.rs~s/fn tick\(&mut self\) \{\n\s+self\.flush\(\);\n\s+\}/fn tick(&mut self) {}/~`TcpLink::tick` no longer flushes what the tick queued'
+'wire-skew-ignored~crates/net/src/collector.rs~s/heartbeat_at\(&host, t_s, expected\)/heartbeat_at(&host, { let _ = t_s; expected }, expected)/~the collector judges each heartbeat by the expected time instead of the `t_s` it reports: a skewed node is never flagged'
 'aggregate-folded-twice~crates/core/src/cluster.rs~s/(pub fn aggregates\(&self\) -> Vec<NodeAggregate> \{\n\s+self\.nodes\n\s+\.iter\(\))/$1.chain(self.nodes.first())/~the first node is aggregated twice into the allocation view'
 'degraded-flag-lost~crates/core/src/health.rs~s/Some\(_\) => ledger\.degraded \+= 1,/Some(_) => {}/~an interpolated sample is not counted `degraded`'
 'alloc-in-round~crates/core/src/round.rs~s/(let shed = round_begin\(mon, t_s, src\);)/let _why = format!("round at {t_s}"); $1/~an allocation in `round::round`, every round'
@@ -134,7 +135,7 @@ stages=(
 )
 # The passes of `zerosum audit` (a clean tree names none of them).
 audit_passes=(panic-reachable hot-path-alloc nondeterminism blocking
-    source-error-bubble unbounded-growth stale-allowlist "${extra_passes[@]}")
+    source-error-bubble unbounded-growth stale-allowlist unresolved-root "${extra_passes[@]}")
 
 # The test binaries of a `cargo test` log, one `test <binary> (<file>)`
 # per line: every one it ran (`all=1`), or the ones that failed.
