@@ -358,6 +358,48 @@ mod tests {
         }
     }
 
+    /// FNV-1a 64 over `bytes`, continuing from `h`.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every row's bytes at scale 50, seed 42: its text, then each CSV's
+    /// name and body, hashed. A change to any byte of any artifact
+    /// fails here; re-pin a row only for a change its output is meant
+    /// to show.
+    #[test]
+    fn every_row_renders_its_pinned_bytes() {
+        const PINNED: [(&str, u64); 13] = [
+            ("listing1", 0xbd45e90c5238ace8),
+            ("table1", 0x4f000ab80e059d55),
+            ("table2", 0x28969f0961e2affe),
+            ("table3", 0xd611ee81351ae9b2),
+            ("listing2", 0x267d702df8f487cc),
+            ("fig5", 0x92fa8081f89f265e),
+            // Re-pinned on purpose: Figures 6/7 are the Table 3 launch,
+            // OMPT registration included, so the CSV types rank 0's main
+            // thread `Main+OpenMP`, the label Table 3 gives it.
+            ("fig6", 0xb5f9337979be0465),
+            ("fig7", 0x88968946fa7fa4a6),
+            ("fig8", 0x95c08c2276df41c2),
+            ("sweep", 0xcc87b1b88259377e),
+            ("platforms", 0xba8a4a877bd89aa2),
+            ("cluster", 0x5c27fd441b4a0fea),
+            ("diagrams", 0xad3cae5bc64b2c27),
+        ];
+        let got = ARTIFACTS.map(|a| {
+            let (text, csvs) = (a.render)(50, 42);
+            let mut h = fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes());
+            for (name, body) in &csvs {
+                h = fnv1a(fnv1a(h, name.as_bytes()), body.as_bytes());
+            }
+            (a.name, h)
+        });
+        assert_eq!(got, PINNED);
+    }
+
     /// The sweep's sections come in the order the table holds the rows
     /// they condense.
     #[test]

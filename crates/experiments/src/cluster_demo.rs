@@ -2,12 +2,10 @@
 //! with the Table 1 misconfiguration. The cluster summary — the paper's
 //! "htop for all nodes in the allocation" vision — pinpoints it.
 
-use std::sync::{Arc, Mutex};
-use zerosum_apps::{launch_miniqmc, MiniQmcConfig};
-use zerosum_core::{
-    attach_monitor_threads, run_monitored, ClusterMonitor, Monitor, ProcessInfo, ZeroSumConfig,
-};
-use zerosum_omp::{OmpEnv, OmptRegistry};
+use crate::launch::launch_monitored;
+use zerosum_apps::MiniQmcConfig;
+use zerosum_core::{run_monitored, ClusterMonitor, Monitor, ZeroSumConfig};
+use zerosum_omp::OmpEnv;
 use zerosum_sched::{NodeSim, SchedParams, SrunConfig};
 use zerosum_topology::presets;
 
@@ -39,33 +37,7 @@ pub fn run_node(hostname: &str, misconfigured: bool, scale: u32, seed: u64) -> M
         ("OMP_PLACES", "cores"),
     ])
     .unwrap();
-    let omp_tids: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut ompt = OmptRegistry::new();
-    {
-        let omp_tids = Arc::clone(&omp_tids);
-        ompt.on_thread_begin(move |ev| omp_tids.lock().unwrap().push(ev.tid));
-    }
-    let job = launch_miniqmc(&mut sim, &topo, &qmc, &mut ompt).expect("launch");
-    let mut monitor = Monitor::new(ZeroSumConfig::scaled(scale));
-    for team in &job.teams {
-        monitor.watch_process(ProcessInfo {
-            pid: team.pid,
-            rank: sim.process(team.pid).and_then(|p| p.rank),
-            hostname: hostname.into(),
-            gpus: vec![],
-            cpus_allowed: sim
-                .process(team.pid)
-                .map(|p| p.cpus_allowed.clone())
-                .unwrap_or_default(),
-        });
-    }
-    for &tid in omp_tids.lock().unwrap().iter() {
-        if let Some(task) = sim.task_by_tid(tid) {
-            let pid = task.pid;
-            monitor.register_omp_thread(pid, tid);
-        }
-    }
-    attach_monitor_threads(&mut sim, &monitor);
+    let (_, mut monitor) = launch_monitored(&mut sim, &topo, &qmc, ZeroSumConfig::scaled(scale));
     // Cap the run: the misconfigured node is far slower, and real
     // allocations end when the job does — here we observe a fixed window.
     run_monitored(&mut sim, &mut monitor, None, 3_600_000_000);

@@ -1,5 +1,7 @@
 //! Figures 5–8: heatmap, time series, and the overhead study.
 
+use crate::launch::launch_monitored;
+use crate::tables::{prepare_table, PreparedTable, TableConfig};
 use zerosum_apps::{run_pic, PicConfig};
 use zerosum_mpi::{heatmap, CommMatrix};
 use zerosum_sched::{SimAudit, TraceRecord};
@@ -72,40 +74,13 @@ fn fig67_impl(
     seed: u64,
     trace: bool,
 ) -> (Fig67Run, Option<(Vec<TraceRecord>, SimAudit)>) {
-    // Reuse the table harness but keep the monitor's data.
-    let topo = zerosum_topology::presets::frontier();
-    let mut sim = zerosum_sched::NodeSim::new(
-        topo.clone(),
-        zerosum_sched::SchedParams {
-            seed,
-            ..Default::default()
-        },
-    );
-    sim.set_tracing(trace);
-    let mut qmc = zerosum_apps::MiniQmcConfig::frontier_cpu().scaled_down(scale);
-    qmc.omp = zerosum_omp::OmpEnv::from_pairs([
-        ("OMP_NUM_THREADS", "7"),
-        ("OMP_PROC_BIND", "spread"),
-        ("OMP_PLACES", "cores"),
-    ])
-    .unwrap();
-    let mut ompt = zerosum_omp::OmptRegistry::new();
-    let job = zerosum_apps::launch_miniqmc(&mut sim, &topo, &qmc, &mut ompt).expect("launch");
-    let mut monitor = zerosum_core::Monitor::new(zerosum_core::ZeroSumConfig::scaled(scale));
-    for team in &job.teams {
-        let rank = sim.process(team.pid).and_then(|p| p.rank);
-        monitor.watch_process(zerosum_core::ProcessInfo {
-            pid: team.pid,
-            rank,
-            hostname: sim.hostname().to_string(),
-            gpus: vec![],
-            cpus_allowed: sim
-                .process(team.pid)
-                .map(|p| p.cpus_allowed.clone())
-                .unwrap_or_default(),
-        });
-    }
-    zerosum_core::attach_monitor_threads(&mut sim, &monitor);
+    let zs = zerosum_core::ZeroSumConfig::scaled(scale);
+    let PreparedTable {
+        mut sim,
+        job,
+        mut monitor,
+        ..
+    } = prepare_table(TableConfig::Table3, scale, seed, trace, zs);
     let out = zerosum_core::run_monitored(&mut sim, &mut monitor, None, 3_600_000_000);
     assert!(out.completed);
     let traced = trace.then(|| {
@@ -248,7 +223,6 @@ fn fig8_monitored_run(
     seed: u64,
     trace: bool,
 ) -> (f64, Option<(Vec<TraceRecord>, SimAudit)>) {
-    use std::sync::{Arc, Mutex};
     let mut sim = zerosum_sched::NodeSim::new(
         topo.clone(),
         zerosum_sched::SchedParams {
@@ -257,28 +231,8 @@ fn fig8_monitored_run(
         },
     );
     sim.set_tracing(trace);
-    let omp_tids: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut ompt = zerosum_omp::OmptRegistry::new();
-    {
-        let omp_tids = Arc::clone(&omp_tids);
-        ompt.on_thread_begin(move |ev| omp_tids.lock().unwrap().push(ev.tid));
-    }
-    let job = zerosum_apps::launch_miniqmc(&mut sim, topo, qmc, &mut ompt).expect("launch");
-    let mut monitor = zerosum_core::Monitor::new(zerosum_core::ZeroSumConfig::scaled(scale));
-    for team in &job.teams {
-        let rank = sim.process(team.pid).and_then(|p| p.rank);
-        monitor.watch_process(zerosum_core::ProcessInfo {
-            pid: team.pid,
-            rank,
-            hostname: sim.hostname().to_string(),
-            gpus: vec![],
-            cpus_allowed: sim
-                .process(team.pid)
-                .map(|p| p.cpus_allowed.clone())
-                .unwrap_or_default(),
-        });
-    }
-    zerosum_core::attach_monitor_threads(&mut sim, &monitor);
+    let zs = zerosum_core::ZeroSumConfig::scaled(scale);
+    let (_, mut monitor) = launch_monitored(&mut sim, topo, qmc, zs);
     let out = zerosum_core::run_monitored(&mut sim, &mut monitor, None, 3_600_000_000);
     assert!(out.completed, "monitored fig8 run timed out");
     let traced = trace.then(|| {

@@ -23,6 +23,10 @@
 //! renders the rows `--only` names (or, with none, the compact
 //! paper-vs-measured sweep), `--scale N` divides the workload for quick
 //! runs, and CSV artifacts land under `results/`.
+//!
+//! Every artifact that watches miniQMC run launches it through one
+//! function, `launch::launch_monitored`: OMPT capture, launch, watch,
+//! OpenMP-thread registration, monitor threads attached.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
@@ -32,6 +36,7 @@ pub mod artifacts;
 pub mod churn;
 pub mod cluster_demo;
 pub mod figures;
+mod launch;
 pub mod listings;
 pub mod parallel;
 pub mod platforms;

@@ -1,12 +1,10 @@
 //! Listings 1 and 2: topology output and the full utilization report.
 
-use std::sync::{Arc, Mutex};
-use zerosum_apps::{launch_miniqmc, MiniQmcConfig};
+use crate::launch::launch_monitored;
+use zerosum_apps::MiniQmcConfig;
 use zerosum_core::{
-    attach_monitor_threads, render_process_report, run_monitored, GpuReportContext, GpuStack,
-    Monitor, ProcessInfo, SimGpuLink, ZeroSumConfig,
+    render_process_report, run_monitored, GpuReportContext, GpuStack, SimGpuLink, ZeroSumConfig,
 };
-use zerosum_omp::OmptRegistry;
 use zerosum_sched::{NodeSim, SchedParams};
 use zerosum_topology::{presets, render, RenderOptions};
 
@@ -44,34 +42,7 @@ pub fn listing2(scale: u32, seed: u64) -> Listing2Run {
         },
     );
     let qmc = MiniQmcConfig::frontier_offload().scaled_down(scale);
-    let omp_tids: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut ompt = OmptRegistry::new();
-    {
-        let omp_tids = Arc::clone(&omp_tids);
-        ompt.on_thread_begin(move |ev| omp_tids.lock().unwrap().push(ev.tid));
-    }
-    let job = launch_miniqmc(&mut sim, &topo, &qmc, &mut ompt).expect("launch");
-    let mut monitor = Monitor::new(ZeroSumConfig::scaled(scale));
-    for (team, gpu) in job.teams.iter().zip(&job.gpus) {
-        let rank = sim.process(team.pid).and_then(|p| p.rank);
-        monitor.watch_process(ProcessInfo {
-            pid: team.pid,
-            rank,
-            hostname: sim.hostname().to_string(),
-            gpus: gpu.iter().copied().collect(),
-            cpus_allowed: sim
-                .process(team.pid)
-                .map(|p| p.cpus_allowed.clone())
-                .unwrap_or_default(),
-        });
-    }
-    for &tid in omp_tids.lock().unwrap().iter() {
-        if let Some(task) = sim.task_by_tid(tid) {
-            let pid = task.pid;
-            monitor.register_omp_thread(pid, tid);
-        }
-    }
-    attach_monitor_threads(&mut sim, &monitor);
+    let (job, mut monitor) = launch_monitored(&mut sim, &topo, &qmc, ZeroSumConfig::scaled(scale));
     // Monitor all 8 GCDs through the simulated ROCm SMI.
     let devices: Vec<u32> = (0..8).collect();
     let mut gpu_link = SimGpuLink::new(GpuStack::RocmMi250x, devices);

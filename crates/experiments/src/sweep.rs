@@ -8,12 +8,10 @@
 //! `srun -c N`, quantifying how much allocation each misconfiguration
 //! level wastes.
 
+use crate::launch::launch_monitored;
 use std::fmt::Write as _;
-use zerosum_core::{
-    attach_monitor_threads, evaluate, run_monitored, Finding, Monitor, ProcessInfo, Severity,
-    ZeroSumConfig,
-};
-use zerosum_omp::{OmpEnv, OmptRegistry};
+use zerosum_core::{evaluate, run_monitored, Finding, Severity, ZeroSumConfig};
+use zerosum_omp::OmpEnv;
 use zerosum_sched::{NodeSim, SchedParams, SrunConfig};
 use zerosum_topology::presets;
 
@@ -52,23 +50,8 @@ pub fn sweep_cpus_per_task(values: &[usize], scale: u32, seed: u64) -> Vec<Sweep
                 gpu_bind_closest: false,
             };
             qmc.omp = OmpEnv::from_pairs([("OMP_NUM_THREADS", "7")]).unwrap();
-            let mut ompt = OmptRegistry::new();
-            let job =
-                zerosum_apps::launch_miniqmc(&mut sim, &topo, &qmc, &mut ompt).expect("launch");
-            let mut monitor = Monitor::new(ZeroSumConfig::scaled(scale));
-            for team in &job.teams {
-                monitor.watch_process(ProcessInfo {
-                    pid: team.pid,
-                    rank: sim.process(team.pid).and_then(|p| p.rank),
-                    hostname: sim.hostname().to_string(),
-                    gpus: vec![],
-                    cpus_allowed: sim
-                        .process(team.pid)
-                        .map(|p| p.cpus_allowed.clone())
-                        .unwrap_or_default(),
-                });
-            }
-            attach_monitor_threads(&mut sim, &monitor);
+            let zs = ZeroSumConfig::scaled(scale);
+            let (job, mut monitor) = launch_monitored(&mut sim, &topo, &qmc, zs);
             let out = run_monitored(&mut sim, &mut monitor, None, 3_600_000_000);
             assert!(out.completed, "sweep point c={c} timed out");
             let watch = monitor.process(job.teams[0].pid).unwrap();

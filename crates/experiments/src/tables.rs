@@ -10,13 +10,13 @@
 //! * **Table 3** — `srun -n8 -c7` + `OMP_PROC_BIND=spread
 //!   OMP_PLACES=cores` (one thread pinned per core).
 
-use std::sync::{Arc, Mutex};
-use zerosum_apps::{launch_miniqmc, MiniQmcConfig, MiniQmcJob};
+use crate::launch::launch_monitored;
+use zerosum_apps::{MiniQmcConfig, MiniQmcJob};
 use zerosum_core::{
-    attach_monitor_threads, evaluate, render_process_report, run_monitored, run_monitored_faulty,
-    Finding, HealthLedger, Monitor, ProcessInfo, ZeroSumConfig,
+    evaluate, render_process_report, run_monitored, run_monitored_faulty, Finding, HealthLedger,
+    Monitor, ZeroSumConfig,
 };
-use zerosum_omp::{OmpEnv, OmptRegistry};
+use zerosum_omp::OmpEnv;
 use zerosum_proc::fault::{FaultInjector, FaultPlan, Op};
 use zerosum_sched::{NodeSim, SchedParams, SimAudit, SrunConfig, TraceRecord};
 use zerosum_topology::presets;
@@ -143,18 +143,18 @@ pub fn run_table_traced(
 /// A launched-and-watched table scenario, ready to drive: the simulated
 /// node with miniQMC running on it, and a monitor already watching every
 /// rank with its monitor threads attached.
-struct PreparedTable {
-    topo: zerosum_topology::Topology,
-    sim: NodeSim,
-    job: MiniQmcJob,
-    monitor: Monitor,
+pub(crate) struct PreparedTable {
+    pub(crate) topo: zerosum_topology::Topology,
+    pub(crate) sim: NodeSim,
+    pub(crate) job: MiniQmcJob,
+    pub(crate) monitor: Monitor,
 }
 
-/// Builds the simulation, launches miniQMC per the table's `srun`/OMP
-/// configuration, wires OMPT discovery into a fresh monitor, and attaches
-/// the monitor threads — everything up to (but excluding) the run itself,
-/// shared by the plain, traced, and chaos drivers.
-fn prepare_table(
+/// Builds the simulation and launches the table's monitored miniQMC job
+/// per its `srun`/OMP configuration — everything up to (but excluding)
+/// the run itself, shared by the plain, traced and chaos drivers and by
+/// Figures 6/7, which are the Table 3 run.
+pub(crate) fn prepare_table(
     config: TableConfig,
     scale: u32,
     seed: u64,
@@ -170,37 +170,7 @@ fn prepare_table(
         },
     );
     sim.set_tracing(trace);
-    let qmc = miniqmc_for(config, scale);
-    // OMPT: collect thread-begin events the way the real tool does.
-    let omp_tids: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut ompt = OmptRegistry::new();
-    {
-        let omp_tids = Arc::clone(&omp_tids);
-        ompt.on_thread_begin(move |ev| omp_tids.lock().unwrap().push(ev.tid));
-    }
-    let job = launch_miniqmc(&mut sim, &topo, &qmc, &mut ompt).expect("launch");
-    let mut monitor = Monitor::new(zs);
-    for team in &job.teams {
-        let rank = sim.process(team.pid).and_then(|p| p.rank);
-        monitor.watch_process(ProcessInfo {
-            pid: team.pid,
-            rank,
-            hostname: sim.hostname().to_string(),
-            gpus: vec![],
-            cpus_allowed: sim
-                .process(team.pid)
-                .map(|p| p.cpus_allowed.clone())
-                .unwrap_or_default(),
-        });
-    }
-    // Feed the OMPT-discovered tids to the monitor.
-    for &tid in omp_tids.lock().unwrap().iter() {
-        if let Some(task) = sim.task_by_tid(tid) {
-            let pid = task.pid;
-            monitor.register_omp_thread(pid, tid);
-        }
-    }
-    attach_monitor_threads(&mut sim, &monitor);
+    let (job, monitor) = launch_monitored(&mut sim, &topo, &miniqmc_for(config, scale), zs);
     PreparedTable {
         topo,
         sim,

@@ -15,8 +15,6 @@
 //!   the [`activity::ActivityFeed`] ground-truth source trait.
 //! * [`backends`] — simulated ROCm SMI / NVML / Level Zero instances over
 //!   MI250X / A100 / V100 / PVC device models.
-//! * [`visible`] — `*_VISIBLE_DEVICES` visible↔physical index mapping
-//!   (the Frontier GCD-4-shown-as-0 trap).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
@@ -26,20 +24,17 @@ pub mod activity;
 pub mod backends;
 pub mod device;
 pub mod metrics;
-pub mod visible;
 
 pub use activity::{ActivityFeed, DeviceSpec, SyntheticFeed};
 pub use backends::SmiSim;
 pub use device::{GpuBackend, GpuMonitor};
 pub use metrics::{GpuMetricKind, GpuSample};
-pub use visible::VisibleDevices;
 
 #[cfg(test)]
 #[path = "../../../tests/seeded/mod.rs"]
 mod seeded;
 
-/// The synthesis envelope and the visible-device mapping over seeded
-/// inputs.
+/// The synthesis envelope over seeded inputs.
 #[cfg(test)]
 mod properties {
     use crate::activity::{synthesize, DeviceSpec, SynthState};
@@ -75,25 +70,6 @@ mod properties {
                 mem as f64,
                 "case {case}"
             );
-        }
-    }
-
-    /// `physical_of ∘ visible_of` is the identity on visible devices.
-    #[test]
-    fn visible_mapping_round_trips() {
-        let mut g = Seeded::new(0x6b0_0002);
-        for case in 0..256 {
-            // A shuffled prefix of the eight physical devices.
-            let mut perm: Vec<u32> = (0..8).collect();
-            for i in (1..perm.len()).rev() {
-                perm.swap(i, g.in_range(0, i as u64 + 1) as usize);
-            }
-            perm.truncate(g.in_range(1, 8) as usize);
-            let map = crate::visible::VisibleDevices::from_physical(perm.clone());
-            for (vis, &phys) in perm.iter().enumerate() {
-                assert_eq!(map.physical_of(vis as u32), Some(phys), "case {case}");
-                assert_eq!(map.visible_of(phys), Some(vis as u32), "case {case}");
-            }
         }
     }
 }

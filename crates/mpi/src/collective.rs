@@ -1,47 +1,14 @@
 //! Collective operations modeled as point-to-point message flows.
 //!
 //! ZeroSum wraps only the point-to-point API, so collectives show up in
-//! its heatmap as the underlying algorithm's message pattern. These
-//! helpers inject the canonical algorithms: recursive-doubling
-//! allreduce, binomial-tree broadcast/reduce, and a linear-time barrier.
+//! its heatmap as the underlying algorithm's message pattern. The PIC
+//! proxy's diagnostics reduce is the one collective a workload injects:
+//! a binomial-tree reduce.
 
 use crate::comm::CommWorld;
 
-/// Recursive-doubling allreduce: log₂(n) rounds of pairwise exchanges of
-/// the full payload. Requires (and asserts) a power-of-two world.
-pub fn allreduce_recursive_doubling(world: &CommWorld, bytes: u64) {
-    let n = world.size();
-    assert!(n.is_power_of_two(), "recursive doubling needs 2^k ranks");
-    let mut dist = 1;
-    while dist < n {
-        for r in 0..n {
-            let partner = r ^ dist;
-            world.communicator(r).send(partner, bytes);
-        }
-        dist <<= 1;
-    }
-}
-
-/// Binomial-tree broadcast from `root`: each round, ranks that already
-/// hold the data forward it to a rank `2^k` away.
-pub fn broadcast_binomial(world: &CommWorld, root: usize, bytes: u64) {
-    let n = world.size();
-    let rel = |r: usize| (r + n - root) % n;
-    let abs = |r: usize| (r + root) % n;
-    let mut have = 1usize; // relative ranks [0, have) hold the data
-    while have < n {
-        let senders = have.min(n - have);
-        for s in 0..senders {
-            let dst = s + have;
-            if dst < n {
-                world.communicator(abs(rel(abs(s)))).send(abs(dst), bytes);
-            }
-        }
-        have *= 2;
-    }
-}
-
-/// Binomial-tree reduce to `root` (mirror of broadcast).
+/// Binomial-tree reduce to `root`: each round, every relative rank an
+/// odd multiple of `stride` sends to the rank `stride` below it.
 pub fn reduce_binomial(world: &CommWorld, root: usize, bytes: u64) {
     let n = world.size();
     let abs = |r: usize| (r + root) % n;
@@ -57,64 +24,9 @@ pub fn reduce_binomial(world: &CommWorld, root: usize, bytes: u64) {
     }
 }
 
-/// Linear barrier: everyone pings rank 0, rank 0 answers (2(n−1) small
-/// messages).
-pub fn barrier_linear(world: &CommWorld, token_bytes: u64) {
-    let n = world.size();
-    for r in 1..n {
-        world.communicator(r).send(0, token_bytes);
-    }
-    let c0 = world.communicator(0);
-    for r in 1..n {
-        c0.send(r, token_bytes);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allreduce_message_count() {
-        let w = CommWorld::new(8);
-        allreduce_recursive_doubling(&w, 1024);
-        let m = w.matrix();
-        // log2(8)=3 rounds × 8 ranks, one send each.
-        let msgs: u64 = (0..8)
-            .flat_map(|s| (0..8).map(move |d| (s, d)))
-            .map(|(s, d)| m.messages(s, d))
-            .sum();
-        assert_eq!(msgs, 24);
-        // Symmetric: every rank sends exactly 3 messages.
-        for r in 0..8 {
-            let sent: u64 = (0..8).map(|d| m.messages(r, d)).sum();
-            assert_eq!(sent, 3, "rank {r}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k ranks")]
-    fn allreduce_requires_power_of_two() {
-        allreduce_recursive_doubling(&CommWorld::new(6), 1);
-    }
-
-    #[test]
-    fn broadcast_reaches_everyone() {
-        let w = CommWorld::new(16);
-        broadcast_binomial(&w, 3, 100);
-        let m = w.matrix();
-        // n−1 receives of the payload in total.
-        let msgs: u64 = (0..16)
-            .flat_map(|s| (0..16).map(move |d| (s, d)))
-            .map(|(s, d)| m.messages(s, d))
-            .sum();
-        assert_eq!(msgs, 15);
-        // Every rank except the root receives exactly once.
-        for d in 0..16 {
-            let recv: u64 = (0..16).map(|s| m.messages(s, d)).sum();
-            assert_eq!(recv, u64::from(d != 3), "rank {d}");
-        }
-    }
 
     #[test]
     fn reduce_collects_to_root() {
@@ -129,17 +41,5 @@ mod tests {
         // Root sends nothing.
         let root_sent: u64 = (0..8).map(|d| m.messages(0, d)).sum();
         assert_eq!(root_sent, 0);
-    }
-
-    #[test]
-    fn barrier_centers_on_rank_zero() {
-        let w = CommWorld::new(5);
-        barrier_linear(&w, 4);
-        let m = w.matrix();
-        for r in 1..5 {
-            assert_eq!(m.messages(r, 0), 1);
-            assert_eq!(m.messages(0, r), 1);
-        }
-        assert_eq!(m.total_bytes(), 8 * 4);
     }
 }

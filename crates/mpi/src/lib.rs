@@ -10,10 +10,10 @@
 //!
 //! * [`comm`] — the simulated world, per-rank communicators, and the
 //!   shared [`comm::CommMatrix`] traffic matrix.
-//! * [`patterns`] — workload traffic generators (1-D/2-D halo exchange,
-//!   all-to-all, random background).
-//! * [`collective`] — collectives expressed as their point-to-point
-//!   message flows.
+//! * [`patterns`] — workload traffic generators (1-D halo exchange,
+//!   random background).
+//! * [`collective`] — the binomial-tree reduce, expressed as its
+//!   point-to-point message flow.
 //! * [`heatmap`] — CSV export, downsampled intensity grids, and ASCII
 //!   rendering of the matrix.
 //! * [`mapping`] — rank→node placement strategies and the intra-node

@@ -51,13 +51,6 @@ impl RankMap {
         self.nodes
     }
 
-    /// Ranks hosted on `node`, ascending.
-    pub fn ranks_on(&self, node: usize) -> Vec<usize> {
-        (0..self.node_of.len())
-            .filter(|&r| self.node_of[r] == node)
-            .collect()
-    }
-
     /// The fraction of the matrix's traffic exchanged between ranks on
     /// the same node — higher is better for a given app pattern.
     pub fn intra_node_fraction(&self, m: &CommMatrix) -> f64 {
@@ -168,11 +161,9 @@ mod tests {
         assert_eq!(block.node_of(0), 0);
         assert_eq!(block.node_of(3), 0);
         assert_eq!(block.node_of(4), 1);
-        assert_eq!(block.ranks_on(1), vec![4, 5, 6, 7]);
         let cyc = RankMap::new(8, 2, MapStrategy::Cyclic);
         assert_eq!(cyc.node_of(0), 0);
         assert_eq!(cyc.node_of(1), 1);
-        assert_eq!(cyc.ranks_on(0), vec![0, 2, 4, 6]);
     }
 
     #[test]
@@ -194,8 +185,10 @@ mod tests {
     fn uneven_division() {
         let map = RankMap::new(10, 3, MapStrategy::Block);
         // ceil(10/3)=4 per node: 4,4,2.
-        assert_eq!(map.ranks_on(0).len(), 4);
-        assert_eq!(map.ranks_on(2).len(), 2);
+        assert_eq!(map.node_of(3), 0);
+        assert_eq!(map.node_of(4), 1);
+        assert_eq!(map.node_of(8), 2);
+        assert_eq!(map.node_of(9), 2);
     }
 
     #[test]

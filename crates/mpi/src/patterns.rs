@@ -3,9 +3,8 @@
 //! Figure 5 of the paper shows the point-to-point heatmap of a
 //! gyrokinetic particle-in-cell code (512 ranks on Frontier) with a
 //! strong nearest-neighbour diagonal. These generators drive the
-//! simulated communicators with the traffic classes HPC codes produce:
-//! 1-D/2-D halo exchange (the PIC pattern), all-to-all transposes, and a
-//! random-pairs background.
+//! simulated communicators with the two traffic classes the PIC proxy
+//! produces: 1-D halo exchange and a random-pairs background.
 
 use crate::comm::CommWorld;
 
@@ -20,44 +19,6 @@ pub fn halo_1d(world: &CommWorld, width: usize, bytes: u64) {
             let b = bytes / d as u64;
             c.send((r + d) % n, b);
             c.send((r + n - d % n) % n, b);
-        }
-    }
-}
-
-/// One step of 2-D halo exchange on a `rows × cols` process grid
-/// (row-major rank order), non-periodic.
-pub fn halo_2d(world: &CommWorld, rows: usize, cols: usize, bytes: u64) {
-    assert_eq!(rows * cols, world.size(), "grid must cover the world");
-    for r in 0..rows {
-        for c in 0..cols {
-            let rank = r * cols + c;
-            let comm = world.communicator(rank);
-            if c + 1 < cols {
-                comm.send(rank + 1, bytes);
-            }
-            if c > 0 {
-                comm.send(rank - 1, bytes);
-            }
-            if r + 1 < rows {
-                comm.send(rank + cols, bytes);
-            }
-            if r > 0 {
-                comm.send(rank - cols, bytes);
-            }
-        }
-    }
-}
-
-/// One all-to-all step: every rank sends `bytes` to every other rank
-/// (spectral transpose / FFT shuffle traffic).
-pub fn all_to_all(world: &CommWorld, bytes: u64) {
-    let n = world.size();
-    for r in 0..n {
-        let c = world.communicator(r);
-        for d in 0..n {
-            if d != r {
-                c.send(d, bytes);
-            }
         }
     }
 }
@@ -107,38 +68,6 @@ mod tests {
         let m = w.matrix();
         assert_eq!(m.bytes(3, 4), 4096);
         assert_eq!(m.bytes(3, 5), 2048); // second-neighbour traffic halved
-    }
-
-    #[test]
-    fn halo_2d_edges_have_fewer_neighbors() {
-        let w = CommWorld::new(12);
-        halo_2d(&w, 3, 4, 100);
-        let m = w.matrix();
-        // Corner rank 0: right + down only.
-        assert_eq!(m.bytes(0, 1), 100);
-        assert_eq!(m.bytes(0, 4), 100);
-        assert_eq!(m.bytes(0, 3), 0);
-        // Interior rank 5: four neighbours.
-        let sent: u64 = (0..12).map(|d| m.bytes(5, d)).sum();
-        assert_eq!(sent, 400);
-    }
-
-    #[test]
-    #[should_panic(expected = "grid must cover")]
-    fn halo_2d_bad_grid_panics() {
-        let w = CommWorld::new(10);
-        halo_2d(&w, 3, 4, 1);
-    }
-
-    #[test]
-    fn all_to_all_fills_off_diagonal() {
-        let w = CommWorld::new(5);
-        all_to_all(&w, 10);
-        let m = w.matrix();
-        assert_eq!(m.total_bytes(), 5 * 4 * 10);
-        for r in 0..5 {
-            assert_eq!(m.bytes(r, r), 0);
-        }
     }
 
     #[test]

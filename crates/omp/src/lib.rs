@@ -11,7 +11,7 @@
 //! * [`bind`] — the places/proc-bind affinity algorithm (`spread`,
 //!   `close`, `master`, unbound).
 //! * [`team`] — launching a thread team into the scheduler simulation.
-//! * [`ompt`] — the tool-callback registry (`thread-begin`/`thread-end`).
+//! * [`ompt`] — the tool-callback registry (`thread-begin`).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]

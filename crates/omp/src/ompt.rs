@@ -4,8 +4,8 @@
 //! OMPT callback so the runtime notifies the tool when an OpenMP thread
 //! is created, letting ZeroSum identify which POSIX threads back OpenMP
 //! threads. This module is the callback registry of our simulated
-//! runtime; `zerosum-core` registers against it exactly as the real tool
-//! registers against OMPT.
+//! runtime; the monitored-job launcher of `zerosum-experiments` registers
+//! against it exactly as the real tool registers against OMPT.
 
 use zerosum_proc::Tid;
 
@@ -29,27 +29,23 @@ pub struct ThreadBegin {
     pub thread_type: OmpThreadType,
 }
 
-/// A registry of tool callbacks, like `ompt_set_callback`.
+/// A registry of tool callbacks, like `ompt_set_callback`. A callback
+/// may borrow from its caller: a registry lives only as long as the
+/// launch it is lent to.
 #[derive(Default)]
-pub struct OmptRegistry {
-    thread_begin: Vec<Box<dyn FnMut(ThreadBegin) + Send>>,
-    thread_end: Vec<Box<dyn FnMut(Tid) + Send>>,
+pub struct OmptRegistry<'a> {
+    thread_begin: Vec<Box<dyn FnMut(ThreadBegin) + 'a>>,
 }
 
-impl OmptRegistry {
+impl<'a> OmptRegistry<'a> {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Registers a `thread-begin` callback.
-    pub fn on_thread_begin(&mut self, cb: impl FnMut(ThreadBegin) + Send + 'static) {
+    pub fn on_thread_begin(&mut self, cb: impl FnMut(ThreadBegin) + 'a) {
         self.thread_begin.push(Box::new(cb));
-    }
-
-    /// Registers a `thread-end` callback.
-    pub fn on_thread_end(&mut self, cb: impl FnMut(Tid) + Send + 'static) {
-        self.thread_end.push(Box::new(cb));
     }
 
     /// Fires `thread-begin` to every registered tool.
@@ -58,25 +54,12 @@ impl OmptRegistry {
             cb(ev);
         }
     }
-
-    /// Fires `thread-end`.
-    pub fn emit_thread_end(&mut self, tid: Tid) {
-        for cb in &mut self.thread_end {
-            cb(tid);
-        }
-    }
-
-    /// Number of registered thread-begin callbacks.
-    pub fn tool_count(&self) -> usize {
-        self.thread_begin.len()
-    }
 }
 
-impl std::fmt::Debug for OmptRegistry {
+impl std::fmt::Debug for OmptRegistry<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OmptRegistry")
             .field("thread_begin_callbacks", &self.thread_begin.len())
-            .field("thread_end_callbacks", &self.thread_end.len())
             .finish()
     }
 }
@@ -84,36 +67,21 @@ impl std::fmt::Debug for OmptRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
+    use std::cell::RefCell;
 
     #[test]
     fn callbacks_fire_in_registration_order() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen = RefCell::new(Vec::new());
         let mut reg = OmptRegistry::new();
         for tag in ["a", "b"] {
-            let seen = Arc::clone(&seen);
-            reg.on_thread_begin(move |ev| {
-                seen.lock().unwrap().push((tag, ev.thread_num, ev.tid));
-            });
+            let seen = &seen;
+            reg.on_thread_begin(move |ev| seen.borrow_mut().push((tag, ev.thread_num, ev.tid)));
         }
         reg.emit_thread_begin(ThreadBegin {
             thread_num: 2,
             tid: 77,
             thread_type: OmpThreadType::Worker,
         });
-        assert_eq!(&*seen.lock().unwrap(), &[("a", 2, 77), ("b", 2, 77)]);
-        assert_eq!(reg.tool_count(), 2);
-    }
-
-    #[test]
-    fn thread_end_fires() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let mut reg = OmptRegistry::new();
-        {
-            let seen = Arc::clone(&seen);
-            reg.on_thread_end(move |tid| seen.lock().unwrap().push(tid));
-        }
-        reg.emit_thread_end(42);
-        assert_eq!(&*seen.lock().unwrap(), &[42]);
+        assert_eq!(&*seen.borrow(), &[("a", 2, 77), ("b", 2, 77)]);
     }
 }

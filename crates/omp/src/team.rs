@@ -76,7 +76,6 @@ pub fn launch_team_process(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
     use zerosum_sched::SchedParams;
     use zerosum_topology::presets;
 
@@ -105,12 +104,9 @@ mod tests {
         ])
         .unwrap();
         let mask = CpuSet::parse_list("1-7").unwrap();
+        let mut evs = Vec::new();
         let mut ompt = OmptRegistry::new();
-        let events = Arc::new(Mutex::new(Vec::new()));
-        {
-            let events = Arc::clone(&events);
-            ompt.on_thread_begin(move |ev| events.lock().unwrap().push(ev));
-        }
+        ompt.on_thread_begin(|ev| evs.push(ev));
         let team = launch_team_process(
             &mut sim,
             "miniqmc",
@@ -123,7 +119,7 @@ mod tests {
         assert_eq!(team.tids.len(), 7);
         assert!(team.binding.bound);
         // OMPT saw all 7 threads, master first.
-        let evs = events.lock().unwrap();
+        drop(ompt);
         assert_eq!(evs.len(), 7);
         assert_eq!(evs[0].thread_num, 0);
         assert_eq!(evs[0].thread_type, OmpThreadType::Initial);

@@ -62,16 +62,6 @@ impl DeviceState {
             self.mem_peak_bytes = self.mem_used_bytes;
         }
     }
-
-    /// Fraction of the window `[from_us, to_us]` the device was busy.
-    /// Requires `advance(to_us)` to have been called.
-    pub fn busy_fraction_since(&self, busy_us_at_from: u64, from_us: u64, to_us: u64) -> f64 {
-        if to_us <= from_us {
-            return 0.0;
-        }
-        let delta = self.busy_us.saturating_sub(busy_us_at_from);
-        delta as f64 / (to_us - from_us) as f64
-    }
 }
 
 #[cfg(test)]
@@ -99,8 +89,6 @@ mod tests {
         assert_eq!(d.busy_us, 50);
         d.advance(200);
         assert_eq!(d.busy_us, 100); // kernel ended at 100
-        let frac = d.busy_fraction_since(0, 0, 200);
-        assert!((frac - 0.5).abs() < 1e-9);
     }
 
     #[test]

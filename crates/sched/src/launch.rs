@@ -9,7 +9,6 @@
 //! first-core-per-L3 policy that Frontier applies by default.
 
 use zerosum_topology::distance::closest_gpus;
-use zerosum_topology::query;
 use zerosum_topology::{CpuSet, ObjectKind, Topology};
 
 /// A simplified `srun` launch configuration.
@@ -207,16 +206,6 @@ fn count_usable_cores(topo: &Topology, cfg: &SrunConfig) -> usize {
     }
 }
 
-/// Expands a process mask to `threads_per_core = 2` (both SMT siblings of
-/// every core present), used by the Figure 8 two-threads-per-core runs.
-pub fn with_smt_siblings(topo: &Topology, mask: &CpuSet) -> CpuSet {
-    let mut out = CpuSet::new();
-    for pu in mask.iter() {
-        out.union_with(&query::siblings_of_pu(topo, pu));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,14 +314,6 @@ mod tests {
             mask.to_list_string(),
             "1-7,9-15,17-23,25-31,33-39,41-47,49-55,57-63"
         );
-    }
-
-    #[test]
-    fn smt_sibling_expansion() {
-        let topo = presets::frontier();
-        let mask = CpuSet::parse_list("1-7").unwrap();
-        let wide = with_smt_siblings(&topo, &mask);
-        assert_eq!(wide.to_list_string(), "1-7,65-71");
     }
 
     #[test]

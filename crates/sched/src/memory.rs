@@ -102,12 +102,6 @@ impl NodeMemory {
             swap_free_kib: 0,
         }
     }
-
-    /// True if the given additional demand cannot be satisfied — the OOM
-    /// condition ZeroSum's contention report warns about.
-    pub fn would_oom(&self, processes_rss_kib: u64) -> bool {
-        self.system_kib + self.external_kib + processes_rss_kib > self.total_kib
-    }
 }
 
 #[cfg(test)]
@@ -137,15 +131,5 @@ mod tests {
         assert_eq!(mi.mem_total_kib, 512 * 1024 * 1024);
         assert!(mi.mem_available_kib < 412 * 1024 * 1024);
         assert!(mi.mem_available_kib > 300 * 1024 * 1024);
-    }
-
-    #[test]
-    fn oom_detection() {
-        let mut n = NodeMemory::new(1000);
-        n.system_kib = 100;
-        assert!(!n.would_oom(800));
-        assert!(n.would_oom(950));
-        n.external_kib = 500; // noisy neighbour
-        assert!(n.would_oom(500));
     }
 }

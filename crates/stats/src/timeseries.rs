@@ -68,21 +68,6 @@ impl TimeSeries {
         out
     }
 
-    /// Centered moving average over a window of `w` samples (clamped at
-    /// the edges) — the smoothing used when reading trends out of the
-    /// noisy Figure 6 series.
-    pub fn moving_average(&self, w: usize) -> TimeSeries {
-        let mut out = TimeSeries::new(&format!("ma{w}({})", self.name));
-        let half = w.max(1) / 2;
-        for i in 0..self.len() {
-            let lo = i.saturating_sub(half);
-            let hi = (i + half + 1).min(self.len());
-            let mean = self.values[lo..hi].iter().sum::<f64>() / (hi - lo) as f64;
-            out.push(self.times[i], mean);
-        }
-        out
-    }
-
     /// Downsamples by averaging every `k` consecutive samples
     /// (timestamped at the bucket's last instant).
     pub fn downsample(&self, k: usize) -> TimeSeries {
@@ -150,16 +135,6 @@ impl SeriesBundle {
             out.push('\n');
         }
         out
-    }
-
-    /// Stacked values at each instant (row sums) — the envelope of a
-    /// stacked chart; useful for asserting that utilization components
-    /// sum to 100%.
-    pub fn row_sums(&self) -> Vec<f64> {
-        let rows = self.series.iter().map(|s| s.len()).min().unwrap_or(0);
-        (0..rows)
-            .map(|i| self.series.iter().map(|s| s.values[i]).sum())
-            .collect()
     }
 
     /// Renders a stacked ASCII area chart (`height` rows × one column per
@@ -251,21 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn moving_average_smooths_noise() {
-        let mut s = TimeSeries::new("noisy");
-        for i in 0..50 {
-            // square wave around 50
-            s.push(i as f64, if i % 2 == 0 { 40.0 } else { 60.0 });
-        }
-        let ma = s.moving_average(5);
-        assert_eq!(ma.len(), 50);
-        // Interior points collapse to near the mean.
-        for i in 5..45 {
-            assert!((ma.values()[i] - 50.0).abs() < 8.0, "i={i}");
-        }
-    }
-
-    #[test]
     fn downsample_buckets_and_averages() {
         let mut s = TimeSeries::new("x");
         for i in 0..7 {
@@ -317,21 +277,5 @@ mod tests {
         assert!(rows.last().unwrap().contains("# user"));
         // Empty bundle renders empty.
         assert_eq!(SeriesBundle::new().render_stacked_ascii(10, 5), "");
-    }
-
-    #[test]
-    fn row_sums_for_stacking() {
-        let mut bundle = SeriesBundle::new();
-        for (name, vals) in [
-            ("u", [60.0, 70.0]),
-            ("s", [10.0, 12.0]),
-            ("i", [30.0, 18.0]),
-        ] {
-            let mut s = TimeSeries::new(name);
-            s.push(0.0, vals[0]);
-            s.push(1.0, vals[1]);
-            bundle.push(s);
-        }
-        assert_eq!(bundle.row_sums(), vec![100.0, 100.0]);
     }
 }

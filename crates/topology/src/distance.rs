@@ -1,69 +1,12 @@
-//! Locality distances: NUMA↔NUMA latency factors and GPU↔CPU affinity.
+//! GPU↔CPU locality: which NUMA domains a cpuset covers and which GPUs
+//! hang off them.
 //!
-//! Used by the configuration evaluator to flag processes whose GPU is not
-//! attached to their NUMA domain (the Frontier `--gpu-bind=closest`
-//! concern from §2 of the paper).
+//! Used by `srun --gpu-bind=closest` and by the configuration evaluator
+//! to flag processes whose GPU is not attached to their NUMA domain (the
+//! Frontier concern from §2 of the paper).
 
 use crate::cpuset::CpuSet;
 use crate::object::{ObjectKind, Topology};
-
-/// Relative NUMA distance matrix (diagonal = 10, like Linux's SLIT).
-#[derive(Debug, Clone)]
-pub struct NumaDistances {
-    n: usize,
-    matrix: Vec<u32>,
-}
-
-impl NumaDistances {
-    /// Builds the default distance model for a topology: 10 on the
-    /// diagonal, 12 between domains sharing a package, 32 across packages.
-    pub fn for_topology(topo: &Topology) -> Self {
-        let numas = topo.objects_of_kind(ObjectKind::NumaDomain);
-        let n = numas.len();
-        let pkg_of: Vec<_> = numas
-            .iter()
-            .map(|&id| topo.ancestor_of_kind(id, ObjectKind::Package))
-            .collect();
-        let mut matrix = vec![0u32; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                matrix[i * n + j] = if i == j {
-                    10
-                } else if pkg_of[i] == pkg_of[j] {
-                    12
-                } else {
-                    32
-                };
-            }
-        }
-        NumaDistances { n, matrix }
-    }
-
-    /// Number of NUMA domains.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True if there are no NUMA domains.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Distance between two NUMA logical indices.
-    pub fn distance(&self, a: usize, b: usize) -> u32 {
-        self.matrix[a * self.n + b]
-    }
-}
-
-/// The NUMA logical index that contains the given PU OS index, if any.
-pub fn numa_of_pu(topo: &Topology, pu_os: u32) -> Option<u32> {
-    for numa in topo.objects_of_kind(ObjectKind::NumaDomain) {
-        if topo.object(numa).cpuset.contains(pu_os) {
-            return Some(topo.object(numa).logical_index);
-        }
-    }
-    None
-}
 
 /// The set of NUMA logical indices covered by a cpuset.
 pub fn numas_of_cpuset(topo: &Topology, cpuset: &CpuSet) -> Vec<u32> {
@@ -97,35 +40,6 @@ pub fn closest_gpus(topo: &Topology, cpuset: &CpuSet) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::presets;
-
-    #[test]
-    fn frontier_distances() {
-        let t = presets::frontier();
-        let d = NumaDistances::for_topology(&t);
-        assert_eq!(d.len(), 4);
-        assert_eq!(d.distance(0, 0), 10);
-        // single package: all off-diagonal are near
-        assert_eq!(d.distance(0, 3), 12);
-    }
-
-    #[test]
-    fn summit_cross_socket_distance() {
-        let t = presets::summit();
-        let d = NumaDistances::for_topology(&t);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.distance(0, 1), 32);
-    }
-
-    #[test]
-    fn numa_of_pu_frontier() {
-        let t = presets::frontier();
-        assert_eq!(numa_of_pu(&t, 0), Some(0));
-        assert_eq!(numa_of_pu(&t, 17), Some(1));
-        assert_eq!(numa_of_pu(&t, 48), Some(3));
-        // second hardware thread of core 48 lives in the same domain
-        assert_eq!(numa_of_pu(&t, 48 + 64), Some(3));
-        assert_eq!(numa_of_pu(&t, 500), None);
-    }
 
     #[test]
     fn closest_gpus_matches_figure2() {

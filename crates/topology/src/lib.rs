@@ -14,8 +14,9 @@
 //! * [`presets`] — the node models of the paper's platforms (Frontier,
 //!   Summit, Perlmutter, Aurora, and the Listing 1 laptop).
 //! * [`mod@render`] — `lstopo`-style text output (Listing 1).
-//! * [`distance`], [`query`] — locality queries used by binding policies
-//!   and the configuration evaluator.
+//! * [`distance`] — the NUMA domains of a cpuset and the GPUs closest to
+//!   it (`--gpu-bind=closest`, the configuration evaluator).
+//! * [`query`] — OpenMP places at each granularity (binding policies).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]

@@ -190,42 +190,6 @@ impl Topology {
         &self.object(self.root).cpuset
     }
 
-    /// Finds the PU object with the given OS index.
-    pub fn pu_by_os_index(&self, os: u32) -> Option<ObjId> {
-        (0..self.objects.len() as u32).map(ObjId).find(|id| {
-            let o = self.object(*id);
-            o.kind == ObjectKind::Pu && o.os_index == Some(os)
-        })
-    }
-
-    /// Walks up from `id` to the nearest ancestor of `kind`.
-    pub fn ancestor_of_kind(&self, id: ObjId, kind: ObjectKind) -> Option<ObjId> {
-        let mut cur = self.object(id).parent;
-        while let Some(p) = cur {
-            if self.object(p).kind == kind {
-                return Some(p);
-            }
-            cur = self.object(p).parent;
-        }
-        None
-    }
-
-    /// Depth-first pre-order traversal of the CPU tree (GPUs excluded).
-    pub fn dfs(&self) -> Vec<ObjId> {
-        let mut out = Vec::with_capacity(self.objects.len());
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            if self.object(id).kind == ObjectKind::Gpu {
-                continue;
-            }
-            out.push(id);
-            for &c in self.object(id).children.iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
-    }
-
     /// All GPU objects in logical order.
     pub fn gpus(&self) -> Vec<ObjId> {
         self.objects_of_kind(ObjectKind::Gpu)
@@ -264,18 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn pu_lookup_and_ancestor() {
-        let t = tiny();
-        let pu = t.pu_by_os_index(2).expect("pu 2 exists");
-        assert_eq!(t.object(pu).os_index, Some(2));
-        let core = t.ancestor_of_kind(pu, ObjectKind::Core).unwrap();
-        assert_eq!(t.object(core).logical_index, 0);
-        let numa = t.ancestor_of_kind(pu, ObjectKind::NumaDomain).unwrap();
-        assert_eq!(t.object(numa).kind, ObjectKind::NumaDomain);
-        assert!(t.ancestor_of_kind(t.root(), ObjectKind::Package).is_none());
-    }
-
-    #[test]
     fn logical_indices_are_sequential_per_kind() {
         let t = tiny();
         let cores = t.objects_of_kind(ObjectKind::Core);
@@ -284,13 +236,5 @@ mod tests {
         let pus = t.objects_of_kind(ObjectKind::Pu);
         let idx: Vec<u32> = pus.iter().map(|c| t.object(*c).logical_index).collect();
         assert_eq!(idx, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn dfs_visits_everything_once() {
-        let t = tiny();
-        let order = t.dfs();
-        assert_eq!(order.len(), t.len()); // no GPUs in tiny
-        assert_eq!(order[0], t.root());
     }
 }

@@ -8,7 +8,6 @@
 //! the OS-reserved core.
 
 use crate::builder::TopologyBuilder;
-use crate::cpuset::CpuSet;
 use crate::object::{GpuAttrs, GpuVendor, Topology};
 
 /// OLCF Frontier compute node (Figure 2).
@@ -54,22 +53,6 @@ pub fn frontier() -> Topology {
     b.build()
 }
 
-/// The Slurm reservation used throughout the paper's Frontier runs: the
-/// first core of each L3 (CCD) region is set aside for system processes.
-/// Returns the cpuset of *usable* hardware threads.
-pub fn frontier_usable_cpuset(topo: &Topology) -> CpuSet {
-    let mut usable = topo.complete_cpuset().clone();
-    for l3 in topo.objects_of_kind(crate::object::ObjectKind::L3Cache) {
-        let cs = &topo.object(l3).cpuset;
-        // Reserve both hardware threads of the region's first core.
-        if let Some(first) = cs.first() {
-            usable.clear(first);
-            usable.clear(first + 64);
-        }
-    }
-    usable
-}
-
 /// OLCF Summit compute node (Figure 1).
 ///
 /// Two IBM POWER9 sockets of 22 SMT4 cores (HWT OS index `4*core + t`);
@@ -101,19 +84,6 @@ pub fn summit() -> Topology {
         });
     }
     b.build()
-}
-
-/// The usable cpuset on Summit: HWTs of the OS-reserved core (last core of
-/// each socket, HWTs 84–87 and 172–175) removed.
-pub fn summit_usable_cpuset(topo: &Topology) -> CpuSet {
-    let mut usable = topo.complete_cpuset().clone();
-    for reserved_core in [21u32, 43] {
-        let base = reserved_core * 4;
-        for t in 0..4 {
-            usable.clear(base + t);
-        }
-    }
-    usable
 }
 
 /// NERSC Perlmutter GPU node (Figure 3, left).
@@ -248,31 +218,12 @@ mod tests {
     }
 
     #[test]
-    fn frontier_reservation_removes_first_core_per_l3() {
-        let t = frontier();
-        let usable = frontier_usable_cpuset(&t);
-        assert_eq!(usable.count(), 112); // 128 - 8 cores * 2 HWT
-        for reserved in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-            assert!(!usable.contains(reserved), "core {reserved} HWT0");
-            assert!(!usable.contains(reserved + 64), "core {reserved} HWT1");
-        }
-        // The first rank's mask under `srun -c7` becomes 1-7, as in Table 1.
-        let first_l3: Vec<u32> = usable.iter().take(7).collect();
-        assert_eq!(first_l3, vec![1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn summit_shape_and_skip() {
+    fn summit_shape() {
         let t = summit();
         assert_eq!(t.count_of_kind(ObjectKind::Package), 2);
         assert_eq!(t.count_of_kind(ObjectKind::Core), 44);
         assert_eq!(t.count_of_kind(ObjectKind::Pu), 176);
         assert_eq!(t.count_of_kind(ObjectKind::Gpu), 6);
-        let usable = summit_usable_cpuset(&t);
-        // Figure 1: ordering skips 83 → 88 (core 21's HWTs 84-87 reserved).
-        assert!(usable.contains(83));
-        assert!(!usable.contains(84) && !usable.contains(87));
-        assert!(usable.contains(88));
     }
 
     #[test]

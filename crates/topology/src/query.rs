@@ -1,47 +1,8 @@
-//! Convenience queries over a [`Topology`].
-//!
-//! These answer the questions ZeroSum's reports and evaluator need:
-//! which core owns a hardware thread, which threads share a cache,
-//! what a "place" (core/socket/thread) expands to for OpenMP binding.
+//! Place queries over a [`Topology`]: what a "place" (thread, core,
+//! socket, NUMA domain, L3 region) expands to for OpenMP binding.
 
 use crate::cpuset::CpuSet;
-use crate::object::{ObjId, ObjectKind, Topology};
-
-/// The core (topology object id) that owns PU OS index `pu_os`.
-pub fn core_of_pu(topo: &Topology, pu_os: u32) -> Option<ObjId> {
-    let pu = topo.pu_by_os_index(pu_os)?;
-    topo.ancestor_of_kind(pu, ObjectKind::Core)
-}
-
-/// All PU OS indices that share a core with `pu_os` (including itself).
-pub fn siblings_of_pu(topo: &Topology, pu_os: u32) -> CpuSet {
-    match core_of_pu(topo, pu_os) {
-        Some(core) => topo.object(core).cpuset.clone(),
-        None => CpuSet::new(),
-    }
-}
-
-/// True if the two PUs share the same physical core (SMT siblings).
-pub fn same_core(topo: &Topology, a: u32, b: u32) -> bool {
-    match (core_of_pu(topo, a), core_of_pu(topo, b)) {
-        (Some(ca), Some(cb)) => ca == cb,
-        _ => false,
-    }
-}
-
-/// True if the two PUs share an L3 cache region.
-pub fn share_l3(topo: &Topology, a: u32, b: u32) -> bool {
-    let la = topo
-        .pu_by_os_index(a)
-        .and_then(|p| topo.ancestor_of_kind(p, ObjectKind::L3Cache));
-    let lb = topo
-        .pu_by_os_index(b)
-        .and_then(|p| topo.ancestor_of_kind(p, ObjectKind::L3Cache));
-    match (la, lb) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    }
-}
+use crate::object::{ObjectKind, Topology};
 
 /// The granularities at which OpenMP places can be formed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,41 +42,10 @@ pub fn places(topo: &Topology, grain: PlaceGrain, allowed: &CpuSet) -> Vec<CpuSe
     out
 }
 
-/// Per-core "first hardware thread" cpuset: one PU per core, the lowest OS
-/// index of each, restricted to `allowed`. This is what
-/// `--threads-per-core=1` leaves schedulable.
-pub fn one_thread_per_core(topo: &Topology, allowed: &CpuSet) -> CpuSet {
-    let mut out = CpuSet::new();
-    for core in topo.objects_of_kind(ObjectKind::Core) {
-        let cs = topo.object(core).cpuset.intersection(allowed);
-        if let Some(first) = cs.first() {
-            out.set(first);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::presets;
-
-    #[test]
-    fn core_and_siblings_on_frontier() {
-        let t = presets::frontier();
-        assert!(same_core(&t, 5, 69)); // core 5's two HWTs
-        assert!(!same_core(&t, 5, 6));
-        assert_eq!(siblings_of_pu(&t, 5).to_list_string(), "5,69");
-        assert!(core_of_pu(&t, 999).is_none());
-    }
-
-    #[test]
-    fn l3_sharing_on_frontier() {
-        let t = presets::frontier();
-        assert!(share_l3(&t, 1, 7)); // both in CCD 0
-        assert!(!share_l3(&t, 7, 8)); // CCD boundary
-        assert!(share_l3(&t, 1, 65)); // HWT sibling in same CCD
-    }
 
     #[test]
     fn places_cores_respects_allowed() {
@@ -134,15 +64,6 @@ mod tests {
         assert_eq!(places(&t, PlaceGrain::Threads, &all).len(), 8);
         assert_eq!(places(&t, PlaceGrain::Sockets, &all).len(), 1);
         assert_eq!(places(&t, PlaceGrain::Cores, &all).len(), 4);
-    }
-
-    #[test]
-    fn one_thread_per_core_drops_smt() {
-        let t = presets::frontier();
-        let usable = presets::frontier_usable_cpuset(&t);
-        let single = one_thread_per_core(&t, &usable);
-        assert_eq!(single.count(), 56); // 64 cores - 8 reserved
-        assert!(single.contains(1) && !single.contains(65));
     }
 
     #[test]

@@ -83,6 +83,7 @@ mutants=(
 'ab-ba-lock-pair~crates/net/src/transport.rs~s/(q\.push_back\(frame\.to_vec\(\)\);)/zerosum_core::signal::register_crash_flush(|| {}); $1/~a second lock taken under a live guard, in one order only (`core.signal.crash_flushes` under `net.inproc.pipe`)'
 'quarantine-one-round-late~crates/core/src/health.rs~s/\} else if st\.consecutive >= QUARANTINE_AFTER \{/} else if st.consecutive > QUARANTINE_AFTER {/~a tid whose reads keep failing is quarantined one round after `QUARANTINE_AFTER`'
 'governor-past-ceiling~crates/core/src/monitor.rs~s/let to = period\.saturating_mul\(2\)\.min\(MAX_PERIOD_US\);/let to = period.saturating_mul(2);/~the governor doubles the period past `MAX_PERIOD_US`'
+'ompt-tids-hashset~crates/experiments/src/launch.rs~s/let mut omp_tids = Vec::new\(\);/let mut omp_tids = std::collections::HashSet::new();/; s/omp_tids\.push\(ev\.tid\)/{ omp_tids.insert(ev.tid); }/~the launcher collects the OMPT tids into a `HashSet` and registers them in its iteration order (a `HashSet` iterated under a determinism root)'
 )
 
 # The command stages of scripts/ci.sh, at its arguments (the benchmark
