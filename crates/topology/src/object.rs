@@ -190,6 +190,26 @@ impl Topology {
         &self.object(self.root).cpuset
     }
 
+    /// Finds the PU object with the given OS index.
+    pub fn pu_by_os_index(&self, os: u32) -> Option<ObjId> {
+        (0..self.objects.len() as u32).map(ObjId).find(|id| {
+            let o = self.object(*id);
+            o.kind == ObjectKind::Pu && o.os_index == Some(os)
+        })
+    }
+
+    /// Walks up from `id` to the nearest ancestor of `kind`.
+    pub fn ancestor_of_kind(&self, id: ObjId, kind: ObjectKind) -> Option<ObjId> {
+        let mut cur = self.object(id).parent;
+        while let Some(p) = cur {
+            if self.object(p).kind == kind {
+                return Some(p);
+            }
+            cur = self.object(p).parent;
+        }
+        None
+    }
+
     /// All GPU objects in logical order.
     pub fn gpus(&self) -> Vec<ObjId> {
         self.objects_of_kind(ObjectKind::Gpu)
@@ -225,6 +245,18 @@ mod tests {
     fn complete_cpuset_covers_all_pus() {
         let t = tiny();
         assert_eq!(t.complete_cpuset().to_list_string(), "0-3");
+    }
+
+    #[test]
+    fn pu_lookup_and_ancestor() {
+        let t = tiny();
+        let pu = t.pu_by_os_index(2).expect("pu 2 exists");
+        assert_eq!(t.object(pu).os_index, Some(2));
+        let core = t.ancestor_of_kind(pu, ObjectKind::Core).unwrap();
+        assert_eq!(t.object(core).logical_index, 0);
+        let numa = t.ancestor_of_kind(pu, ObjectKind::NumaDomain).unwrap();
+        assert_eq!(t.object(numa).kind, ObjectKind::NumaDomain);
+        assert!(t.ancestor_of_kind(t.root(), ObjectKind::Package).is_none());
     }
 
     #[test]
