@@ -59,22 +59,6 @@ impl Token {
     pub fn text<'s>(&self, src: &'s str) -> &'s str {
         &src[self.start..self.end]
     }
-
-    /// For [`TokKind::Str`] tokens: the literal's contents (between the
-    /// quotes, raw-prefix and hashes stripped). Escapes are not
-    /// processed — good enough for recovering lock names, which the
-    /// audit requires to be plain.
-    pub fn str_contents<'s>(&self, src: &'s str) -> &'s str {
-        let t = self.text(src);
-        let open = match t.find('"') {
-            Some(i) => i,
-            None => return "",
-        };
-        let hashes = t[..open].chars().filter(|&c| c == '#').count();
-        let body = &t[open + 1..];
-        let close = body.len().saturating_sub(1 + hashes);
-        body.get(..close).unwrap_or("")
-    }
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -406,11 +390,11 @@ mod tests {
     }
 
     #[test]
-    fn raw_hash_strings_and_contents() {
+    fn raw_hash_strings_lex_as_one_token() {
         let src = r##"let s = r#"has "quotes" and \ raw"#;"##;
         let toks = lex(src);
         let s = toks.iter().find(|t| t.kind == TokKind::Str).unwrap();
-        assert_eq!(s.str_contents(src), r#"has "quotes" and \ raw"#);
+        assert_eq!(s.text(src), r##"r#"has "quotes" and \ raw"#"##);
     }
 
     #[test]

@@ -12,28 +12,25 @@
 //! order exists to get wrong: that rule is stronger than a cycle-free
 //! order graph and needs none.
 //!
-//! Receiver paths are resolved to lock names where possible: a
-//! `Tracked::new("name", …)` initializer binds its receiver ident to
-//! `name`, and `Arc::clone`/`&`-alias `let`s propagate the binding —
-//! so a lock is keyed by the name it was built with
-//! ([`zerosum_core::sync`]). Nothing checks locks at run time.
+//! A lock is keyed by the last plain segment of its receiver path
+//! (`self.data`, `shared.data` and `data` are one key `data`; a
+//! `static REG` is `REG`). Nothing checks locks at run time.
 
 use super::callgraph::{CallGraph, SiteKind};
 use super::items::ParsedFile;
 use super::lexer::TokKind;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// The file that implements the named locks: `Tracked::lock` is
-/// `self.inner.lock()`. Modeling those interior acquisitions would make
-/// every `.lock()` call site reach one `inner` node; acquisitions are
-/// modeled at `Tracked` call sites instead.
+/// The file that implements `TrackedRw`: its `read` / `write` are
+/// `self.inner.read()` / `self.inner.write()`. Modeling those interior
+/// acquisitions would make every call site reach one `inner` key;
+/// acquisitions are modeled at the call sites instead.
 const LOCK_IMPL_FILE: &str = "crates/core/src/sync.rs";
 
 /// One static lock acquisition.
 #[derive(Debug, Clone)]
 pub struct Acquisition {
-    /// Lock key: the lock's name if resolvable, else the last segment
-    /// of the receiver path.
+    /// Lock key: the last plain segment of the receiver path.
     pub lock: String,
     /// Owning function (index into the call graph).
     pub fn_idx: usize,
@@ -57,175 +54,6 @@ pub struct LockAnalysis {
 
 fn is_lock_impl(file: &str) -> bool {
     file.ends_with(LOCK_IMPL_FILE)
-}
-
-/// Builds the `receiver ident -> lock name` map for one file:
-/// `Tracked::new("name", …)` / `TrackedRw::new("name", …)` initializer
-/// bindings plus one round of `Arc::clone`/`.clone()`/`&`-alias `let`
-/// propagation.
-fn tracked_names(pf: &ParsedFile) -> BTreeMap<String, String> {
-    let mut map: BTreeMap<String, String> = BTreeMap::new();
-    let toks = &pf.tokens;
-    for i in 0..toks.len() {
-        if !(pf.is_ident(i, "Tracked") || pf.is_ident(i, "TrackedRw")) {
-            continue;
-        }
-        // `Tracked :: new (  "name"` (same shape for `TrackedRw`)
-        if !(pf.is_punct(i + 1, ':')
-            && pf.is_punct(i + 2, ':')
-            && pf.is_ident(i + 3, "new")
-            && pf.is_punct(i + 4, '('))
-        {
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 5) else {
-            continue;
-        };
-        if name_tok.kind != TokKind::Str {
-            continue;
-        }
-        let name = name_tok.str_contents(&pf.src).to_string();
-        if let Some(ident) = binding_target(pf, i) {
-            map.insert(ident, name);
-        }
-    }
-    // Alias propagation (two rounds, enough for let-chains the repo
-    // idiom produces: `let alias = Arc::clone(&orig);`).
-    for _ in 0..2 {
-        let mut added: Vec<(String, String)> = Vec::new();
-        for i in 0..toks.len() {
-            if !pf.is_ident(i, "let") {
-                continue;
-            }
-            let mut j = i + 1;
-            if pf.is_ident(j, "mut") {
-                j += 1;
-            }
-            if toks.get(j).map(|t| t.kind) != Some(TokKind::Ident) {
-                continue;
-            }
-            let target = pf.text(j).to_string();
-            if !pf.is_punct(j + 1, '=') {
-                continue;
-            }
-            // Source ident: last path segment before the terminating `;`.
-            let mut src_ident: Option<String> = None;
-            let mut k = j + 2;
-            let mut clone_like = false;
-            while k < toks.len() && !pf.is_punct(k, ';') {
-                if toks[k].kind == TokKind::Ident {
-                    let t = pf.text(k);
-                    if t == "clone" {
-                        clone_like = true;
-                    } else if !matches!(t, "Arc" | "Box" | "Rc") {
-                        src_ident = Some(t.to_string());
-                    }
-                }
-                k += 1;
-            }
-            // Plain `let a = &b;` aliases too.
-            let borrow_like = pf.is_punct(j + 2, '&');
-            if !(clone_like || borrow_like) {
-                continue;
-            }
-            if let Some(srcn) = src_ident {
-                if let Some(name) = map.get(&srcn) {
-                    added.push((target, name.clone()));
-                }
-            }
-        }
-        // Struct-literal field inits: `S { field: <expr mentioning a
-        // tracked ident> }` aliases `field` to that ident's name, so
-        // `self.field.lock()` resolves like the original binding.
-        for i in 2..toks.len() {
-            if !pf.is_punct(i, ':')
-                || pf.is_punct(i + 1, ':')
-                || toks[i - 1].kind != TokKind::Ident
-                || !(pf.is_punct(i - 2, '{') || pf.is_punct(i - 2, ','))
-            {
-                continue;
-            }
-            let target = pf.text(i - 1).to_string();
-            let mut depth = 0i32;
-            let mut k = i + 1;
-            while k < toks.len() {
-                match toks[k].kind {
-                    TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-                    TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                    }
-                    TokKind::Punct(',') if depth == 0 => break,
-                    TokKind::Ident => {
-                        let t = pf.text(k);
-                        if !matches!(t, "Arc" | "Box" | "Rc" | "clone" | "new" | "mut") {
-                            if let Some(name) = map.get(t) {
-                                added.push((target.clone(), name.clone()));
-                            }
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-        }
-        for (k, v) in added {
-            map.entry(k).or_insert(v);
-        }
-    }
-    map
-}
-
-/// What a `Tracked::new` at token `t` initializes: scans backwards for
-/// a `let`/`static` binding or a struct-literal field init.
-fn binding_target(pf: &ParsedFile, t: usize) -> Option<String> {
-    let lo = t.saturating_sub(40);
-    let mut k = t;
-    while k > lo {
-        k -= 1;
-        match pf.tokens[k].kind {
-            TokKind::Punct('=') => {
-                // Walk further back to the `let`/`static` keyword, then
-                // take the ident after it (skipping `mut`).
-                let mut b = k;
-                while b > lo {
-                    b -= 1;
-                    if pf.is_ident(b, "let") || pf.is_ident(b, "static") {
-                        let mut n = b + 1;
-                        if pf.is_ident(n, "mut") {
-                            n += 1;
-                        }
-                        if pf.tokens.get(n).map(|x| x.kind) == Some(TokKind::Ident) {
-                            return Some(pf.text(n).to_string());
-                        }
-                        return None;
-                    }
-                    if matches!(pf.tokens[b].kind, TokKind::Punct(';') | TokKind::Punct('{')) {
-                        return None;
-                    }
-                }
-                return None;
-            }
-            TokKind::Punct(':') => {
-                // `field: Arc::new(Tracked::new(…))` — but not `::`.
-                if k > 0 && pf.is_punct(k - 1, ':') || pf.is_punct(k + 1, ':') {
-                    continue;
-                }
-                if k > 1
-                    && pf.tokens[k - 1].kind == TokKind::Ident
-                    && (pf.is_punct(k - 2, '{') || pf.is_punct(k - 2, ','))
-                {
-                    return Some(pf.text(k - 1).to_string());
-                }
-            }
-            TokKind::Punct(';') | TokKind::Punct('}') => return None,
-            _ => {}
-        }
-    }
-    None
 }
 
 /// The receiver path ending just before the `.` at token `dot`,
@@ -349,26 +177,15 @@ fn first_arg_path(pf: &ParsedFile, open: usize) -> String {
     receiver_path(pf, end)
 }
 
-/// Lock key for a receiver path: resolve the last plain segment via the
-/// tracked-name map; otherwise the segment itself. Keying by the final
-/// field/variable name deliberately merges `self.data`, `data`, and
-/// `shared.data` into one key — without type information that is the
-/// only way a lock taken in one function is recognised in another, and
-/// in this workspace distinct locks have distinct field names.
-fn lock_key(
-    path: &str,
-    local: &BTreeMap<String, String>,
-    global: &BTreeMap<String, String>,
-) -> String {
+/// Lock key for a receiver path: its last plain segment. Keying by
+/// the final field/variable name deliberately merges `self.data`,
+/// `data`, and `shared.data` into one key — without type information
+/// that is the only way a lock taken in one function is recognised in
+/// another, and in this workspace distinct locks have distinct field
+/// names.
+fn lock_key(path: &str) -> String {
     let last = last_segment(path);
-    let last = last.rsplit("::").next().unwrap_or(last);
-    // The owning file's bindings shadow other files': two files may
-    // `let shared = Tracked::new(…)` under different lock names.
-    local
-        .get(last)
-        .or_else(|| global.get(last))
-        .cloned()
-        .unwrap_or_else(|| last.to_string())
+    last.rsplit("::").next().unwrap_or(last).to_string()
 }
 
 /// Whether the acquisition call at token `t` (its `(` at `t + 1`) is
@@ -446,16 +263,6 @@ fn held_until(pf: &ParsedFile, t: usize, body: &std::ops::Range<usize>) -> usize
 
 /// Runs the lock pass over a built call graph.
 pub fn analyze_locks(graph: &CallGraph) -> LockAnalysis {
-    // Tracked-name maps: one per file (bindings are file-scoped) plus a
-    // global fallback for cross-file idents.
-    let file_names: Vec<BTreeMap<String, String>> = graph.files.iter().map(tracked_names).collect();
-    let mut names: BTreeMap<String, String> = BTreeMap::new();
-    for m in &file_names {
-        for (k, v) in m {
-            names.entry(k.clone()).or_insert(v.clone());
-        }
-    }
-
     // Pass A: direct acquisitions; classify wrappers.
     let mut acquisitions: Vec<Acquisition> = Vec::new();
     let mut wrapper_fns: BTreeSet<String> = BTreeSet::new();
@@ -492,7 +299,7 @@ pub fn analyze_locks(graph: &CallGraph) -> LockAnalysis {
                 wrapper_fns.insert(node.item.name.clone());
                 continue;
             }
-            let key = lock_key(&path, &file_names[node.file_idx], &names);
+            let key = lock_key(&path);
             let until = held_until(pf, t, &node.item.body);
             acquisitions.push(Acquisition {
                 lock: key,
@@ -520,7 +327,7 @@ pub fn analyze_locks(graph: &CallGraph) -> LockAnalysis {
             if path.is_empty() {
                 continue;
             }
-            let key = lock_key(&path, &file_names[node.file_idx], &names);
+            let key = lock_key(&path);
             let until = held_until(pf, site.token, &node.item.body);
             acquisitions.push(Acquisition {
                 lock: key,
@@ -689,24 +496,26 @@ fn hold(m: &M) {{
         }
     }
 
+    /// A lock is keyed by its receiver's last plain segment: `s.data`
+    /// in one function and `data` in another are one key, and a
+    /// `static` is its own name.
     #[test]
-    fn tracked_names_bind_static_let_and_field() {
+    fn locks_are_keyed_by_their_receiver() {
         let (la, nested) = run("\
-static REG: Tracked<Vec<u32>> = Tracked::new(\"mod.reg\", Vec::new());
-struct S { data: Arc<Tracked<u32>> }
-fn build() -> S {
-    let shared = Arc::new(Tracked::new(\"mod.shared\", 0));
-    let alias = Arc::clone(&shared);
-    alias.lock();
-    S { data: shared }
+static REG: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+fn build() {
+    let data = Mutex::new(0);
+    data.lock();
 }
 fn use_all(s: &S) {
     let a = REG.lock();
     s.data.lock();
 }
 ");
-        assert!(la.locks.contains("mod.reg"), "{:?}", la.locks);
-        assert!(la.locks.contains("mod.shared"), "{:?}", la.locks);
-        assert_eq!(nested, [pair("use_all", "mod.reg:mod.shared")]);
+        assert_eq!(
+            la.locks.iter().map(String::as_str).collect::<Vec<_>>(),
+            ["REG", "data"]
+        );
+        assert_eq!(nested, [pair("use_all", "REG:data")]);
     }
 }

@@ -4,7 +4,7 @@
 //! This module judges the one allocation path — the collector daemon
 //! supervising nodes it only hears from over per-node links — while
 //! nodes are killed, stalled, rejoined late and clock-skewed by an
-//! [`AllocationFaultPlan`](zerosum_sched::AllocationFaultPlan) and links
+//! [`AllocationFaultPlan`](zerosum_net::AllocationFaultPlan) and links
 //! drop, corrupt, truncate, delay, reorder, disconnect, partition, and
 //! die by a [`TransportFaultPlan`](zerosum_net::TransportFaultPlan).
 //! Per seed it asserts seven properties:
@@ -36,8 +36,9 @@ use zerosum_core::{NodeAggregate, NodeState};
 use zerosum_experiments::transport_chaos::{
     run_transport_chaos, run_transport_chaos_with_plan, TransportChaosOutcome,
 };
-use zerosum_net::{Acceptor, Collector, NodeAgent, TcpLink, TransportFaultPlan};
-use zerosum_sched::{AllocationFaultPlan, NodeFaultPlan};
+use zerosum_net::{
+    Acceptor, AllocationFaultPlan, Collector, NodeAgent, NodeFaultPlan, TcpLink, TransportFaultPlan,
+};
 
 /// Rounds of silence after which a killed node must be Dead: the
 /// collector's three missed deadlines, plus two rounds in which a frame

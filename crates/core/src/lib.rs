@@ -73,4 +73,4 @@ pub use runner::{
     attach_monitor_threads, run_baseline, run_monitored, run_monitored_faulty, RunOutcome,
 };
 pub use shard::{ShardMode, ShardSource, ShardedMonitor, SimShardSource};
-pub use sync::{Tracked, TrackedRw};
+pub use sync::TrackedRw;

@@ -8,13 +8,14 @@
 //! Rust-native hook for panics, which are the analogous abnormal-exit
 //! path in a Rust application.
 
-use crate::sync::Tracked;
 use std::backtrace::Backtrace;
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 /// Registered abnormal-exit flush callbacks (e.g. partial-log writers).
-static CRASH_FLUSHES: Tracked<Vec<Box<dyn Fn() + Send>>> =
-    Tracked::new("core.signal.crash_flushes", Vec::new());
+/// The product's one lock: the panic path drains it from whichever
+/// thread dies.
+static CRASH_FLUSHES: Mutex<Vec<Box<dyn Fn() + Send>>> = Mutex::new(Vec::new());
 
 /// The abnormal-exit causes ZeroSum reports on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

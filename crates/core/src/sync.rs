@@ -1,60 +1,17 @@
-//! Named locks: a `Mutex` and an `RwLock` that carry a static name.
+//! [`TrackedRw`]: an `RwLock` that carries a static name.
 //!
-//! [`Tracked`] and [`TrackedRw`] delegate every call to the `std` lock
-//! inside and hand back its guards. The name is read by nobody at run
-//! time: it is the key `zerosum audit` knows the lock by in the source
-//! (`Tracked::new("name", …)` binds its receiver to `name`), which is
-//! how its findings name a lock taken, or blocked on, under a live
-//! guard. The static pass skips this file, whose interior
-//! `inner.lock()` calls would otherwise merge every named lock into one
-//! key.
+//! It delegates every call to the `std` lock inside and hands back its
+//! guards; nobody reads the name at run time. It is here only because
+//! the frozen benchmark's `sim_sharded` workload imports it
+//! (`benchmark/src/workloads/sim_sharded.rs`), and `core::shard`'s
+//! source handle holds one. It leaves with `core::shard` (ROADMAP
+//! item 1). The audit keys every lock by its receiver, not by this
+//! name, and skips this file: the interior `inner.read()` /
+//! `inner.write()` would otherwise merge into one `inner` key.
 
-use std::sync::{
-    LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockResult,
-};
+use std::sync::{LockResult, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// A `Mutex` with a name for the static audit.
-#[derive(Debug)]
-pub struct Tracked<T: ?Sized> {
-    name: &'static str,
-    inner: Mutex<T>,
-}
-
-impl<T> Tracked<T> {
-    /// Wraps `value` under `name`. Names are the audit's lock keys —
-    /// use stable, dotted, crate-qualified names.
-    pub const fn new(name: &'static str, value: T) -> Self {
-        Tracked {
-            name,
-            inner: Mutex::new(value),
-        }
-    }
-
-    /// Consumes the wrapper, returning the inner value.
-    pub fn into_inner(self) -> LockResult<T> {
-        self.inner.into_inner()
-    }
-}
-
-impl<T: ?Sized> Tracked<T> {
-    /// The lock's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// [`Mutex::lock`], poisoning included.
-    pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
-        self.inner.lock()
-    }
-
-    /// [`Mutex::try_lock`].
-    pub fn try_lock(&self) -> TryLockResult<MutexGuard<'_, T>> {
-        self.inner.try_lock()
-    }
-}
-
-/// An `RwLock` with a name for the static audit — the reader-writer
-/// twin of [`Tracked`].
+/// An `RwLock` with a name.
 ///
 /// A shared node simulation is sampled under a read guard and advanced
 /// under a write guard strictly between rounds (`core::shard`'s source
@@ -66,7 +23,7 @@ pub struct TrackedRw<T: ?Sized> {
 }
 
 impl<T> TrackedRw<T> {
-    /// Wraps `value` under `name` (the audit's lock key).
+    /// Wraps `value` under `name`.
     pub const fn new(name: &'static str, value: T) -> Self {
         TrackedRw {
             name,
@@ -100,18 +57,6 @@ impl<T: ?Sized> TrackedRw<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn try_lock_holds_and_guard_data_flows() {
-        static T_E: Tracked<Vec<u32>> = Tracked::new("test.sync.e", Vec::new());
-        {
-            let mut g = T_E.try_lock().unwrap();
-            g.push(7);
-            assert!(T_E.try_lock().is_err(), "a held lock is not lent twice");
-        }
-        assert_eq!(*T_E.lock().unwrap(), vec![7]);
-        assert_eq!(T_E.name(), "test.sync.e");
-    }
 
     #[test]
     fn rw_guards_flow_data() {

@@ -22,11 +22,11 @@
 
 use zerosum_core::{Monitor, NodeAggregate, ProcessInfo, ZeroSumConfig};
 use zerosum_net::{
-    in_proc_pair, AgentStats, Collector, FaultyLink, InProcLink, Link, LinkFaultStats, NodeAgent,
-    TransportFaultPlan,
+    in_proc_pair, AgentStats, AllocationFaultPlan, Collector, FaultyLink, InProcLink, Link,
+    LinkFaultStats, NodeAgent, TransportFaultPlan,
 };
 use zerosum_proc::Pid;
-use zerosum_sched::{AllocationFaultPlan, Behavior, NodeSim, SchedParams, SimProcSource};
+use zerosum_sched::{Behavior, NodeSim, SchedParams, SimProcSource};
 use zerosum_topology::{presets, CpuSet};
 
 /// One sampling round per `PERIOD_US` of virtual time on every node.
@@ -262,8 +262,7 @@ fn tick_all(agents: &mut [NodeAgent<FaultyLink<InProcLink>>], down: &[bool]) {
 mod tests {
     use super::*;
     use zerosum_core::NodeState;
-    use zerosum_net::LinkFaultPlan;
-    use zerosum_sched::NodeFaultPlan;
+    use zerosum_net::{LinkFaultPlan, NodeFaultPlan};
 
     /// Runs with clean links and only node `i` under `fault`.
     fn run_node_fault(

@@ -13,7 +13,9 @@
 //!   TCP ([`TcpLink`], [`Acceptor`]).
 //! * [`fault`] — seeded [`TransportFaultPlan`]s and the backend-
 //!   agnostic [`FaultyLink`] chaos wrapper (drop, corrupt, truncate,
-//!   delay, reorder, disconnect, partition, kill).
+//!   delay, reorder, disconnect, partition, kill), and the seeded
+//!   [`AllocationFaultPlan`]s (node kills, stalls, delayed rejoins,
+//!   clock skew) the chaos driver applies at each agent.
 //! * [`agent`] — the node-side streamer: Hello/heartbeat/detail/
 //!   aggregate protocol, detail shedding under backpressure, and
 //!   reconnect-with-exponential-backoff (the only re-probe of a dead
@@ -39,7 +41,10 @@ pub mod transport;
 
 pub use agent::{AgentStats, NodeAgent};
 pub use collector::{Collector, CollectorConfig, CollectorStats};
-pub use fault::{FaultyLink, LinkFaultPlan, LinkFaultStats, TransportFaultPlan};
+pub use fault::{
+    AllocationFaultPlan, FaultyLink, LinkFaultPlan, LinkFaultStats, NodeFaultPlan,
+    TransportFaultPlan,
+};
 pub use frame::{decode_frame, encode_frame, frame_bytes, DecodeError, EncodeError, Frame};
 pub use tcp::{Acceptor, TcpLink, DEFAULT_WINDOW};
 pub use transport::{in_proc_pair, InProcLink, Link, SendStatus, TransportError};

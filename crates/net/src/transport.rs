@@ -2,13 +2,14 @@
 //! agent and the collector.
 //!
 //! Two backends implement it. [`InProcLink`] is a deterministic
-//! in-process pipe (a [`Tracked`]-locked pair of frame queues) — the
-//! tier-1 backend every chaos differential runs on, with no clocks, no
-//! threads, and no sockets. `TcpLink` (see [`crate::tcp`]) speaks the
-//! same frames over a non-blocking socket. Both expose the same
-//! failure surface: sends observe a **bounded window** (backpressure
-//! surfaces as [`SendStatus::WindowFull`], never an unbounded queue)
-//! and a torn connection surfaces as
+//! in-process pipe (a pair of frame queues both endpoints share through
+//! one `Rc<RefCell<…>>`, so rustc keeps a pipe on the thread that built
+//! it) — the tier-1 backend every chaos differential runs on, with no
+//! clocks, no threads, no locks and no sockets. `TcpLink` (see
+//! [`crate::tcp`]) speaks the same frames over a non-blocking socket.
+//! Both expose the same failure surface: sends observe a **bounded
+//! window** (backpressure surfaces as [`SendStatus::WindowFull`], never
+//! an unbounded queue) and a torn connection surfaces as
 //! [`TransportError::Disconnected`], which the agent folds into its
 //! reconnect backoff — and the collector's silence-driven
 //! Alive→Suspect→Dead machine, not a parallel state machine.
@@ -17,11 +18,10 @@
 //! loop says it is. That keeps the whole in-process stack inside the
 //! nondeterminism audit's det-reachable set with zero findings.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
-use std::sync::PoisonError;
-use zerosum_core::Tracked;
+use std::rc::Rc;
 
 /// A transport-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,7 +133,7 @@ struct PipeState {
 /// [`in_proc_pair`].
 #[derive(Debug)]
 pub struct InProcLink {
-    pipe: Arc<Tracked<PipeState>>,
+    pipe: Rc<RefCell<PipeState>>,
     /// True on the endpoint that sends A → B.
     side_a: bool,
     /// Send-window bound, frames.
@@ -144,15 +144,12 @@ pub struct InProcLink {
 /// send window of `window` frames. Returns `(a, b)`; conventionally
 /// the agent holds `a` and the collector holds `b`.
 pub fn in_proc_pair(window: usize) -> (InProcLink, InProcLink) {
-    let pipe = Arc::new(Tracked::new(
-        "net.inproc.pipe",
-        PipeState {
-            connected: true,
-            ..PipeState::default()
-        },
-    ));
+    let pipe = Rc::new(RefCell::new(PipeState {
+        connected: true,
+        ..PipeState::default()
+    }));
     let a = InProcLink {
-        pipe: Arc::clone(&pipe),
+        pipe: Rc::clone(&pipe),
         side_a: true,
         window,
     };
@@ -166,7 +163,7 @@ pub fn in_proc_pair(window: usize) -> (InProcLink, InProcLink) {
 
 impl Link for InProcLink {
     fn send_bytes(&mut self, frame: &[u8]) -> Result<SendStatus, TransportError> {
-        let mut st = self.pipe.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.pipe.borrow_mut();
         if !st.connected {
             return Err(TransportError::Disconnected);
         }
@@ -183,7 +180,7 @@ impl Link for InProcLink {
     }
 
     fn recv_bytes(&mut self, buf: &mut Vec<u8>) -> Result<usize, TransportError> {
-        let mut st = self.pipe.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.pipe.borrow_mut();
         if !st.connected {
             return Err(TransportError::Disconnected);
         }
@@ -203,14 +200,11 @@ impl Link for InProcLink {
     fn tick(&mut self) {}
 
     fn is_connected(&self) -> bool {
-        self.pipe
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .connected
+        self.pipe.borrow().connected
     }
 
     fn connect(&mut self) -> Result<(), TransportError> {
-        let mut st = self.pipe.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.pipe.borrow_mut();
         // A reconnect is a *new* stream: frames in flight at the tear
         // are gone, exactly like a fresh TCP connection.
         st.a_to_b.clear();
@@ -220,7 +214,7 @@ impl Link for InProcLink {
     }
 
     fn shutdown(&mut self) {
-        let mut st = self.pipe.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = self.pipe.borrow_mut();
         st.a_to_b.clear();
         st.b_to_a.clear();
         st.connected = false;

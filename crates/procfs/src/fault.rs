@@ -6,9 +6,8 @@
 //! the kernel occasionally refuses access outright. [`FaultInjector`]
 //! makes that surface reproducible: it wraps any [`ProcSource`] in a
 //! [`FaultyProc`] that injects a *seeded, deterministic* fault schedule —
-//! transient and permanent I/O errors, `NotFound` races, malformed
-//! records, permission denials, stale (repeated) reads, and per-call
-//! latency — configurable per operation and per pid.
+//! transient I/O errors, `NotFound` races, malformed records, stale
+//! (repeated) reads, and per-call latency — configurable per operation.
 //!
 //! Every fault delivered, and every error passed through from the inner
 //! source, is appended to a fault log. The chaos harness reconciles that
@@ -51,27 +50,19 @@ impl Op {
     ];
 }
 
-/// Per-operation (or per-pid) fault probabilities and latency.
+/// Per-operation fault probabilities and latency.
 ///
 /// All probabilities are per call, evaluated in the order: latency
-/// (additive), permanent I/O, permission denial (permanent), transient
-/// I/O, `NotFound`, malformed, stale. Zero everywhere (the default)
-/// injects nothing.
+/// (additive), transient I/O, `NotFound`, malformed, stale. Zero
+/// everywhere (the default) injects nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultRates {
     /// Probability of a one-shot `Io` error.
     pub io_transient: f64,
-    /// Probability this call marks the `(op, pid, tid)` key as
-    /// *permanently* failing with `Io` — every later call on the key
-    /// fails too.
-    pub io_permanent: f64,
     /// Probability of a `NotFound` (the racing-task-exit injection).
     pub not_found: f64,
     /// Probability of a `Malformed` (truncated-record) error.
     pub malformed: f64,
-    /// Probability this call marks the key as permanently `Denied`
-    /// (EPERM-style: the record exists but will never be readable).
-    pub denied: f64,
     /// Probability the call returns the *previous* successful value for
     /// the key instead of a fresh read (a stale record).
     pub stale: f64,
@@ -97,15 +88,10 @@ pub struct ScriptedFault {
 pub enum FaultKind {
     /// One-shot `Io` error.
     IoTransient,
-    /// The key became permanently `Io`-failing (logged on every failing
-    /// return).
-    IoPermanent,
     /// Injected `NotFound`.
     NotFound,
     /// Injected `Malformed`.
     Malformed,
-    /// The key became permanently `Denied`.
-    Denied,
     /// A cached previous value was served instead of a fresh read.
     Stale,
     /// Extra latency charged to the monitor, µs.
@@ -123,10 +109,9 @@ impl FaultKind {
     /// surfaces as an error at all.
     pub fn error_kind(self) -> Option<SourceErrorKind> {
         match self {
-            FaultKind::IoTransient | FaultKind::IoPermanent => Some(SourceErrorKind::Io),
+            FaultKind::IoTransient => Some(SourceErrorKind::Io),
             FaultKind::NotFound => Some(SourceErrorKind::NotFound),
             FaultKind::Malformed => Some(SourceErrorKind::Malformed),
-            FaultKind::Denied => Some(SourceErrorKind::Denied),
             FaultKind::Passthrough(k) => Some(k),
             FaultKind::Stale | FaultKind::Latency(_) | FaultKind::Panic => None,
         }
@@ -154,12 +139,10 @@ pub struct FaultPlan {
     /// RNG seed; the same plan + seed always produces the same schedule
     /// for the same call sequence.
     pub seed: u64,
-    /// Rates applied when no per-op / per-pid override matches.
+    /// Rates applied when no per-op override matches.
     pub default_rates: FaultRates,
-    /// Per-operation overrides (checked after per-pid).
+    /// Per-operation overrides.
     pub per_op: Vec<(Op, FaultRates)>,
-    /// Per-pid overrides (highest precedence).
-    pub per_pid: Vec<(Pid, FaultRates)>,
     /// Exact-call scripted faults (override the rate rolls entirely).
     pub scripted: Vec<ScriptedFault>,
 }
@@ -173,11 +156,8 @@ impl FaultPlan {
         }
     }
 
-    /// The rates in effect for a call on `(op, pid)`.
-    fn rates_for(&self, op: Op, pid: Pid) -> FaultRates {
-        if let Some((_, r)) = self.per_pid.iter().find(|(p, _)| *p == pid) {
-            return *r;
-        }
+    /// The rates in effect for a call on `op`.
+    fn rates_for(&self, op: Op) -> FaultRates {
         if let Some((_, r)) = self.per_op.iter().find(|(o, _)| *o == op) {
             return *r;
         }
@@ -201,7 +181,6 @@ enum CachedOk {
 struct InjState {
     rng: u64,
     calls: u64,
-    permanent: HashMap<(Op, Pid, Tid), SourceErrorKind>,
     cache: HashMap<(Op, Pid, Tid), CachedOk>,
     pending_latency_us: u64,
     log: Vec<FaultEvent>,
@@ -250,7 +229,6 @@ impl FaultInjector {
         };
         let can_stale = plan.default_rates.stale > 0.0
             || plan.per_op.iter().any(|(_, r)| r.stale > 0.0)
-            || plan.per_pid.iter().any(|(_, r)| r.stale > 0.0)
             || plan
                 .scripted
                 .iter()
@@ -356,11 +334,6 @@ impl FaultInjector {
                     Self::push(&mut st, call, op, pid, tid, FaultKind::IoTransient);
                     return Decision::Fail(SourceError::Io("injected: transient".into()));
                 }
-                FaultKind::IoPermanent => {
-                    st.permanent.insert(key, SourceErrorKind::Io);
-                    Self::push(&mut st, call, op, pid, tid, FaultKind::IoPermanent);
-                    return Decision::Fail(SourceError::Io("injected: permanent".into()));
-                }
                 FaultKind::NotFound => {
                     Self::push(&mut st, call, op, pid, tid, FaultKind::NotFound);
                     return Decision::Fail(SourceError::NotFound);
@@ -370,11 +343,6 @@ impl FaultInjector {
                     return Decision::Fail(SourceError::Malformed(
                         "injected: truncated record".into(),
                     ));
-                }
-                FaultKind::Denied => {
-                    st.permanent.insert(key, SourceErrorKind::Denied);
-                    Self::push(&mut st, call, op, pid, tid, FaultKind::Denied);
-                    return Decision::Fail(SourceError::Denied("injected: EPERM".into()));
                 }
                 FaultKind::Stale => {
                     if st.cache.contains_key(&key) {
@@ -396,22 +364,7 @@ impl FaultInjector {
                 FaultKind::Passthrough(_) => return Decision::Pass,
             }
         }
-        // Keys that already failed permanently stay failed.
-        if let Some(&kind) = st.permanent.get(&key) {
-            let (fk, err) = match kind {
-                SourceErrorKind::Denied => (
-                    FaultKind::Denied,
-                    SourceError::Denied("injected: EPERM".into()),
-                ),
-                _ => (
-                    FaultKind::IoPermanent,
-                    SourceError::Io("injected: permanent".into()),
-                ),
-            };
-            Self::push(&mut st, call, op, pid, tid, fk);
-            return Decision::Fail(err);
-        }
-        let rates = self.plan.rates_for(op, pid);
+        let rates = self.plan.rates_for(op);
         // Latency is additive: it can accompany any outcome.
         if rates.latency_prob > 0.0 && unit(&mut st.rng) < rates.latency_prob {
             st.pending_latency_us += rates.latency_us;
@@ -423,16 +376,6 @@ impl FaultInjector {
                 tid,
                 FaultKind::Latency(rates.latency_us),
             );
-        }
-        if rates.io_permanent > 0.0 && unit(&mut st.rng) < rates.io_permanent {
-            st.permanent.insert(key, SourceErrorKind::Io);
-            Self::push(&mut st, call, op, pid, tid, FaultKind::IoPermanent);
-            return Decision::Fail(SourceError::Io("injected: permanent".into()));
-        }
-        if rates.denied > 0.0 && unit(&mut st.rng) < rates.denied {
-            st.permanent.insert(key, SourceErrorKind::Denied);
-            Self::push(&mut st, call, op, pid, tid, FaultKind::Denied);
-            return Decision::Fail(SourceError::Denied("injected: EPERM".into()));
         }
         if rates.io_transient > 0.0 && unit(&mut st.rng) < rates.io_transient {
             Self::push(&mut st, call, op, pid, tid, FaultKind::IoTransient);
@@ -896,26 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn permanent_faults_stick_per_key() {
-        let src = TickSource::new();
-        let plan = FaultPlan {
-            seed: 1,
-            scripted: vec![ScriptedFault {
-                call: 1,
-                kind: FaultKind::Denied,
-            }],
-            ..Default::default()
-        };
-        let inj = FaultInjector::new(plan);
-        let f = inj.wrap(&src);
-        assert!(matches!(f.task_stat(42, 42), Err(SourceError::Denied(_))));
-        // Same key stays denied; a different tid is untouched.
-        assert!(matches!(f.task_stat(42, 42), Err(SourceError::Denied(_))));
-        assert!(f.task_stat(42, 43).is_ok());
-        assert_eq!(inj.count(|k| matches!(k, FaultKind::Denied)), 2);
-    }
-
-    #[test]
     fn stale_serves_previous_value() {
         let src = TickSource::new();
         let plan = FaultPlan {
@@ -976,20 +899,18 @@ mod tests {
     }
 
     #[test]
-    fn per_pid_rates_override_per_op_and_default() {
+    fn per_op_rates_override_the_default_for_their_op_only() {
         let src = TickSource::new();
         let plan = FaultPlan {
             seed: 1,
             default_rates: FaultRates::default(),
             per_op: vec![(Op::TaskStat, rates(|r| r.io_transient = 1.0))],
-            per_pid: vec![(42, FaultRates::default())],
             ..Default::default()
         };
         let inj = FaultInjector::new(plan);
         let f = inj.wrap(&src);
-        // pid 42 is overridden back to quiet despite the per-op rule.
-        assert!(f.task_stat(42, 42).is_ok());
-        // Node ops (pid 0) see the per-op rule only for TaskStat — quiet.
+        assert!(matches!(f.task_stat(42, 42), Err(SourceError::Io(_))));
+        // Every other op keeps the quiet default.
         assert!(f.system_stat().is_ok());
     }
 

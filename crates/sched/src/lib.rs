@@ -30,7 +30,6 @@ pub mod devices;
 pub mod launch;
 pub mod memory;
 pub mod node;
-pub mod nodefault;
 pub mod params;
 pub mod proc_source;
 pub mod task;
@@ -39,7 +38,6 @@ pub mod trace;
 pub use behavior::{Behavior, OffloadSpec, Op, WorkerSpec};
 pub use launch::{plan_launch, RankPlacement, SrunConfig};
 pub use node::{DeviceSnapshot, NodeSim, SimProcess};
-pub use nodefault::{AllocationFaultPlan, NodeFaultPlan};
 pub use params::SchedParams;
 pub use proc_source::{SimProcSource, SimScratch};
 pub use task::{RunState, SimTask, TaskCounters, TaskId};
