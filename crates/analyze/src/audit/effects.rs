@@ -1,12 +1,11 @@
 //! Interprocedural effect analysis.
 //!
-//! Extracts a per-function *direct effect set* — allocation,
+//! Extracts each function's *direct effect sites* — allocation,
 //! wall-clock reads, ambient entropy/thread-id reads, unordered-map
-//! iteration, and blocking (sleep, channel ops, file IO, thread join,
-//! `/proc` reads, lock acquisitions) — from the shared token stream and
-//! the lock pass's acquisitions, propagates it to a
-//! fixpoint over the workspace call graph, and drives three passes off
-//! the summaries:
+//! iteration, and blocking (sleep, channel ops, thread join) — from the
+//! shared token stream, and runs three reachability passes over the
+//! workspace call graph, each a set of roots and the effects no function
+//! they reach may carry:
 //!
 //! * **hot-path-alloc** — any allocation effect reachable from the
 //!   `_into` sampling-round roots fails. This turns the zero-alloc
@@ -16,36 +15,32 @@
 //! * **nondeterminism** — wall-clock, entropy, and unordered-iteration
 //!   effects reachable from the sim/experiment roots, statically
 //!   protecting the bit-identical survivor-equality differentials.
-//! * **blocking** — the one "don't block here" pass, over two kinds of
-//!   scope: the non-blocking roots (the deadline-watchdog scope of
-//!   `Monitor::sample` and the collector's pump loop,
-//!   `Collector::pump_frames`), where a sleep, channel op or join
-//!   stalls a round somebody is waiting on; and every held range of a
-//!   lock, where those and file IO and `/proc` reads turn the lock
-//!   into a convoy, and another blocking acquisition is a nested lock —
-//!   the one shape a lock-order deadlock needs. One allowlist holds
-//!   every reviewed site.
+//! * **blocking** — the one "don't block here" pass: a sleep, channel op
+//!   or join reachable from the non-blocking roots (the
+//!   deadline-watchdog scope of `Monitor::sample` and the collector's
+//!   pump loop, `Collector::pump_frames`) stalls a round somebody is
+//!   waiting on. File IO and `/proc` reads are not effects here: they
+//!   *are* the measured work of a sampling round, and stalls there are
+//!   the watchdog's own job. No lock is left to hold across anything —
+//!   naming one in product code is the `lock-in-product` repo rule
+//!   ([`super::rules`]).
 //!
-//! The summary domain is a bitset lattice ([`EffectSet`]) ordered by
-//! inclusion; propagation is monotone (a step only ORs bits in), so the
-//! fixpoint exists and terminates on recursive/cyclic SCCs — each of
-//! the `n` summaries can grow at most 10 times. Every finding carries a
+//! Reachability is one breadth-first walk per pass, so recursive and
+//! mutually recursive functions need no fixpoint. Every finding carries a
 //! **witness trace**: the shortest root→site call chain recovered from
 //! the BFS parent map (surfaced by `zerosum audit --explain`).
 
-use super::callgraph::{CallGraph, SiteKind};
+use super::callgraph::CallGraph;
 use super::items::{FnItem, ParsedFile};
 use super::lexer::TokKind;
-use super::locks::LockAnalysis;
-use super::rules::PROC_READS;
 use super::{resolve_roots, Allow, Allowlist, Finding};
 use std::collections::BTreeSet;
 
-/// A set of effects: a bitmask lattice ordered by inclusion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EffectSet(pub u16);
+/// The effect kinds, one bit each: a site carries one, a pass's mask
+/// names those it polices.
+pub struct Effect;
 
-impl EffectSet {
+impl Effect {
     /// Heap allocation (`clone`, `to_string`, `format!`, `collect`, …).
     pub const ALLOC: u16 = 1 << 0;
     /// Wall-clock read (`Instant::now`, `SystemTime::now`).
@@ -59,65 +54,25 @@ impl EffectSet {
     pub const BLOCK_SLEEP: u16 = 1 << 4;
     /// Blocking channel op (`send`, `recv`, `recv_timeout`).
     pub const BLOCK_CHAN: u16 = 1 << 5;
-    /// File IO (`File::open`, `fs::read_to_string`, `.read_to_string(`).
-    pub const BLOCK_IO: u16 = 1 << 6;
     /// `.join()` on a thread handle.
-    pub const BLOCK_JOIN: u16 = 1 << 7;
-    /// A `ProcSource` read ([`PROC_READS`]): a stalled `/proc` (§3.1)
-    /// must never extend a critical section other threads wait on.
-    pub const PROC_READ: u16 = 1 << 8;
-    /// A blocking lock acquisition (not `try_lock`), one site per
-    /// acquisition of [`LockAnalysis`]; its token is the lock's key.
-    pub const LOCK: u16 = 1 << 9;
-
-    /// The empty set (lattice bottom).
-    pub const fn empty() -> EffectSet {
-        EffectSet(0)
-    }
-
-    /// Least upper bound.
-    pub fn union(self, other: EffectSet) -> EffectSet {
-        EffectSet(self.0 | other.0)
-    }
-
-    /// Whether any bit of `mask` is present.
-    pub fn intersects(self, mask: u16) -> bool {
-        self.0 & mask != 0
-    }
-
-    /// Inclusion order: `self ⊆ other`.
-    pub fn le(self, other: EffectSet) -> bool {
-        self.0 & other.0 == self.0
-    }
+    pub const BLOCK_JOIN: u16 = 1 << 6;
 }
 
 /// Effects the determinism pass polices.
-pub const DET_MASK: u16 = EffectSet::WALL_CLOCK | EffectSet::AMBIENT | EffectSet::UNORDERED_ITER;
+pub const DET_MASK: u16 = Effect::WALL_CLOCK | Effect::AMBIENT | Effect::UNORDERED_ITER;
 /// Effects the blocking pass polices under its non-blocking roots.
-/// File IO and `/proc` reads are excluded deliberately: they *are* the
-/// measured work of a sampling round, and stalls there are the
-/// watchdog's own job.
-pub const WATCHDOG_MASK: u16 =
-    EffectSet::BLOCK_SLEEP | EffectSet::BLOCK_CHAN | EffectSet::BLOCK_JOIN;
-/// Effects the blocking pass polices while a lock is held: everything
-/// that can park the holder, another blocking acquisition included. No
-/// lock is taken under a guard, in any order, so no two locks can
-/// deadlock each other and none is re-acquired by its holder.
-pub const HELD_MASK: u16 =
-    WATCHDOG_MASK | EffectSet::BLOCK_IO | EffectSet::PROC_READ | EffectSet::LOCK;
+pub const WATCHDOG_MASK: u16 = Effect::BLOCK_SLEEP | Effect::BLOCK_CHAN | Effect::BLOCK_JOIN;
 
 /// One direct effect site inside a function body.
 #[derive(Debug, Clone)]
 pub struct EffectSite {
-    /// Which effect (a single [`EffectSet`] bit).
+    /// Which effect (a single [`Effect`] bit).
     pub bit: u16,
-    /// Token index in the owning file's stream.
-    pub tok: usize,
     /// 1-based source line.
     pub line: usize,
     /// Stable site token (`clone`, `format!`, `Vec::new`,
-    /// `Instant::now`, `states.values`, `thread::sleep`, …) — part of
-    /// the baseline key.
+    /// `Instant::now`, `states.values`, `thread::sleep`, …) — what an
+    /// allowlist row names.
     pub token: String,
 }
 
@@ -143,7 +98,7 @@ pub struct EffectConfig<'a> {
     /// The non-blocking roots — the deadline-watchdog scope and the
     /// pump loops: `(file_suffix, fn_name)`.
     pub watchdog_roots: &'a [(&'a str, &'a str)],
-    /// Reviewed blocking findings (under a root or under a lock).
+    /// Reviewed blocking sites under the non-blocking roots.
     pub blocking_allowlist: &'a [Allow<'a>],
 }
 
@@ -381,19 +336,15 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 23] = [
 /// roots: `(file_suffix, fn, token, why)`.
 pub const DEFAULT_DET_ALLOWLIST: [Allow; 0] = [];
 
-/// Reviewed blocking findings: `(file_suffix, fn, token, why)`. Under a
-/// non-blocking root the token is the effect; under a lock it is
-/// `lock:effect`, the effect being the nearest blocking site the held
-/// call reaches (for a nested lock, the inner lock's key). Empty: no
-/// product lock guards anything that blocks.
+/// Reviewed blocking sites under the non-blocking roots:
+/// `(file_suffix, fn, token, why)`, the token being the effect. Empty:
+/// nothing the watchdog waits on sleeps, joins or waits on a channel.
 pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 0] = [];
 
 /// The result of the effect pass.
 pub struct EffectAnalysis {
     /// Findings across the three passes plus stale-allowlist entries.
     pub findings: Vec<Finding>,
-    /// Fixpoint summaries, indexed like `graph.fns`.
-    pub summaries: Vec<EffectSet>,
     /// Total direct effect sites extracted.
     pub sites: usize,
     /// Functions reachable from the hot (`_into`) roots.
@@ -427,20 +378,6 @@ const ITER_METHODS: [&str; 8] = [
     "drain",
     "into_iter",
     "retain",
-];
-
-/// `std::fs` free functions that hit the filesystem.
-const FS_OPS: [&str; 10] = [
-    "read_to_string",
-    "read",
-    "read_dir",
-    "write",
-    "create_dir_all",
-    "remove_file",
-    "remove_dir_all",
-    "rename",
-    "copy",
-    "metadata",
 ];
 
 /// Whether the ident at `t` begins a call's argument list, allowing a
@@ -558,13 +495,8 @@ fn body_effect_sites(
     unordered: &BTreeSet<String>,
 ) -> Vec<EffectSite> {
     let mut out = Vec::new();
-    let mut push = |bit: u16, tok: usize, line: usize, token: String| {
-        out.push(EffectSite {
-            bit,
-            tok,
-            line,
-            token,
-        });
+    let mut push = |bit: u16, line: usize, token: String| {
+        out.push(EffectSite { bit, line, token });
     };
     for t in item.body.clone() {
         if pf.tokens[t].kind != TokKind::Ident {
@@ -575,7 +507,7 @@ fn body_effect_sites(
         // Macros.
         if pf.is_punct(t + 1, '!') {
             if matches!(name, "format" | "vec") {
-                push(EffectSet::ALLOC, t, line, format!("{name}!"));
+                push(Effect::ALLOC, line, format!("{name}!"));
             }
             continue;
         }
@@ -591,27 +523,21 @@ fn body_effect_sites(
         };
         if method {
             if ALLOC_METHODS.contains(&name) && call_open(pf, t) {
-                push(EffectSet::ALLOC, t, line, name.to_string());
+                push(Effect::ALLOC, line, name.to_string());
             } else if name == "collect" && call_open(pf, t) {
-                push(EffectSet::ALLOC, t, line, "collect".into());
+                push(Effect::ALLOC, line, "collect".into());
             } else if name == "join" && pf.is_punct(t + 1, '(') {
                 if pf.is_punct(t + 2, ')') {
-                    push(EffectSet::BLOCK_JOIN, t, line, "join".into());
+                    push(Effect::BLOCK_JOIN, line, "join".into());
                 } else {
                     // `path.join(seg)` / `slice.join(sep)` allocate.
-                    push(EffectSet::ALLOC, t, line, "join".into());
+                    push(Effect::ALLOC, line, "join".into());
                 }
             } else if matches!(name, "recv" | "recv_timeout" | "send")
                 && pf.is_punct(t + 1, '(')
                 && !own_method(pf, item, t)
             {
-                push(EffectSet::BLOCK_CHAN, t, line, name.to_string());
-            } else if PROC_READS.contains(&name) && pf.is_punct(t + 1, '(') {
-                push(EffectSet::PROC_READ, t, line, name.to_string());
-            } else if matches!(name, "read_to_string" | "read_line" | "sync_all")
-                && pf.is_punct(t + 1, '(')
-            {
-                push(EffectSet::BLOCK_IO, t, line, name.to_string());
+                push(Effect::BLOCK_CHAN, line, name.to_string());
             } else if ITER_METHODS.contains(&name)
                 && pf.is_punct(t + 1, '(')
                 && t >= 2
@@ -619,42 +545,36 @@ fn body_effect_sites(
             {
                 let recv = pf.text(t - 2);
                 if unordered.contains(recv) {
-                    push(EffectSet::UNORDERED_ITER, t, line, format!("{recv}.{name}"));
+                    push(Effect::UNORDERED_ITER, line, format!("{recv}.{name}"));
                 }
             }
         } else if let Some(q) = path_q {
             match (q, name) {
                 ("Instant" | "SystemTime", "now") => {
-                    push(EffectSet::WALL_CLOCK, t, line, format!("{q}::now"));
-                }
-                ("File", "open" | "create") if pf.is_punct(t + 1, '(') => {
-                    push(EffectSet::BLOCK_IO, t, line, format!("File::{name}"));
-                }
-                ("fs", op) if FS_OPS.contains(&op) && pf.is_punct(t + 1, '(') => {
-                    push(EffectSet::BLOCK_IO, t, line, format!("fs::{name}"));
+                    push(Effect::WALL_CLOCK, line, format!("{q}::now"));
                 }
                 ("thread", "sleep" | "park" | "park_timeout") if pf.is_punct(t + 1, '(') => {
-                    push(EffectSet::BLOCK_SLEEP, t, line, format!("thread::{name}"));
+                    push(Effect::BLOCK_SLEEP, line, format!("thread::{name}"));
                 }
                 ("thread", "current") => {
-                    push(EffectSet::AMBIENT, t, line, "thread::current".into());
+                    push(Effect::AMBIENT, line, "thread::current".into());
                 }
                 ("process", "id") => {
-                    push(EffectSet::AMBIENT, t, line, "process::id".into());
+                    push(Effect::AMBIENT, line, "process::id".into());
                 }
                 ("RandomState", "new") => {
-                    push(EffectSet::AMBIENT, t, line, "RandomState::new".into());
+                    push(Effect::AMBIENT, line, "RandomState::new".into());
                 }
                 (owner, "new" | "with_capacity" | "from")
                     if ALLOC_TYPES.contains(&owner) && call_open(pf, t) =>
                 {
-                    push(EffectSet::ALLOC, t, line, format!("{q}::{name}"));
+                    push(Effect::ALLOC, line, format!("{q}::{name}"));
                 }
                 _ => {}
             }
         }
         if matches!(name, "thread_rng" | "from_entropy") && pf.is_punct(t + 1, '(') {
-            push(EffectSet::AMBIENT, t, line, name.to_string());
+            push(Effect::AMBIENT, line, name.to_string());
         }
         // `for x in map { … }` — hash-container iteration without a
         // method call.
@@ -688,8 +608,7 @@ fn body_effect_sites(
                     if let Some(id) = last_ident {
                         if unordered.contains(id) {
                             push(
-                                EffectSet::UNORDERED_ITER,
-                                t,
+                                Effect::UNORDERED_ITER,
                                 pf.tokens[t].line,
                                 format!("{id}.for-in"),
                             );
@@ -715,47 +634,16 @@ pub fn effect_sites(graph: &CallGraph) -> Vec<Vec<EffectSite>> {
         .collect()
 }
 
-/// Propagates direct effects to a fixpoint over an explicit callee
-/// list. Exposed for the monotonicity/fixpoint property tests.
-pub fn propagate_over(callees: &[Vec<usize>], direct: &[EffectSet]) -> Vec<EffectSet> {
-    let mut eff: Vec<EffectSet> = direct.to_vec();
-    loop {
-        let mut changed = false;
-        for (i, cs) in callees.iter().enumerate() {
-            let mut acc = eff[i];
-            for &c in cs {
-                acc = acc.union(eff[c]);
-            }
-            if acc != eff[i] {
-                eff[i] = acc;
-                changed = true;
-            }
-        }
-        if !changed {
-            return eff;
-        }
-    }
-}
-
-/// Propagates direct effects to a fixpoint over the call graph.
-pub fn propagate(graph: &CallGraph, direct: &[EffectSet]) -> Vec<EffectSet> {
-    let callees: Vec<Vec<usize>> = graph.fns.iter().map(|f| f.callees.clone()).collect();
-    propagate_over(&callees, direct)
-}
-
 /// Names of the effect bits in `mask`, for human-readable details.
 pub fn bit_name(bit: u16) -> &'static str {
     match bit {
-        EffectSet::ALLOC => "alloc",
-        EffectSet::WALL_CLOCK => "wall-clock",
-        EffectSet::AMBIENT => "ambient",
-        EffectSet::UNORDERED_ITER => "unordered-iter",
-        EffectSet::BLOCK_SLEEP => "sleep",
-        EffectSet::BLOCK_CHAN => "channel",
-        EffectSet::BLOCK_IO => "file-io",
-        EffectSet::BLOCK_JOIN => "join",
-        EffectSet::PROC_READ => "proc-read",
-        EffectSet::LOCK => "lock",
+        Effect::ALLOC => "alloc",
+        Effect::WALL_CLOCK => "wall-clock",
+        Effect::AMBIENT => "ambient",
+        Effect::UNORDERED_ITER => "unordered-iter",
+        Effect::BLOCK_SLEEP => "sleep",
+        Effect::BLOCK_CHAN => "channel",
+        Effect::BLOCK_JOIN => "join",
         _ => "effect",
     }
 }
@@ -811,26 +699,9 @@ fn reach_pass(
     reachable
 }
 
-/// Runs the effect passes over a built call graph, reusing the lock
-/// pass's acquisitions as `LOCK` sites and for held ranges.
-pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig) -> EffectAnalysis {
-    let mut sites = effect_sites(graph);
-    for a in la.acquisitions.iter().filter(|a| !a.non_blocking) {
-        sites[a.fn_idx].push(EffectSite {
-            bit: EffectSet::LOCK,
-            tok: a.token,
-            line: a.line,
-            token: a.lock.clone(),
-        });
-    }
-    let direct: Vec<EffectSet> = sites
-        .iter()
-        .map(|v| {
-            v.iter()
-                .fold(EffectSet::empty(), |acc, s| acc.union(EffectSet(s.bit)))
-        })
-        .collect();
-    let summaries = propagate(graph, &direct);
+/// Runs the effect passes over a built call graph.
+pub fn analyze_effects(graph: &CallGraph, cfg: &EffectConfig) -> EffectAnalysis {
+    let sites = effect_sites(graph);
     let mut findings: Vec<Finding> = Vec::new();
 
     // Pass 1: hot-path allocation.
@@ -847,7 +718,7 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
         graph,
         &sites,
         &hot_roots,
-        EffectSet::ALLOC,
+        Effect::ALLOC,
         "hot-path-alloc",
         "the sampling-round roots",
         &mut allow,
@@ -881,159 +752,41 @@ pub fn analyze_effects(graph: &CallGraph, la: &LockAnalysis, cfg: &EffectConfig)
     );
     allow.stale(&mut findings);
 
-    blocking_pass(graph, la, &sites, &summaries, cfg, &mut findings);
+    // Pass 3: blocking under the non-blocking roots.
+    let named = cfg.watchdog_roots.iter().copied();
+    let wd_roots = resolve_roots(graph, "watchdog root", named, &mut findings);
+    let mut allow = Allowlist::new("blocking", cfg.blocking_allowlist);
+    reach_pass(
+        graph,
+        &sites,
+        &wd_roots,
+        WATCHDOG_MASK,
+        "blocking",
+        "a non-blocking root",
+        &mut allow,
+        &mut findings,
+    );
+    allow.stale(&mut findings);
 
     EffectAnalysis {
         findings,
-        summaries,
         sites: sites.iter().map(Vec::len).sum(),
         hot_reachable,
         det_reachable,
     }
 }
 
-/// The blocking pass: [`WATCHDOG_MASK`] effects reachable from the
-/// non-blocking roots, and [`HELD_MASK`] effects inside a lock's held
-/// range (the lock pass's acquisitions), direct or through a callee —
-/// a lock taken under a guard among them. A held-range finding's token
-/// is `lock:effect`.
-fn blocking_pass(
-    graph: &CallGraph,
-    la: &LockAnalysis,
-    sites: &[Vec<EffectSite>],
-    summaries: &[EffectSet],
-    cfg: &EffectConfig,
-    findings: &mut Vec<Finding>,
-) {
-    // Scope 1: under the non-blocking roots.
-    let named = cfg.watchdog_roots.iter().copied();
-    let wd_roots = resolve_roots(graph, "watchdog root", named, findings);
-    let mut blocking = Allowlist::new("blocking", cfg.blocking_allowlist);
-    reach_pass(
-        graph,
-        sites,
-        &wd_roots,
-        WATCHDOG_MASK,
-        "blocking",
-        "a non-blocking root",
-        &mut blocking,
-        findings,
-    );
-
-    // Scope 2: while a lock is held. Direct sites inside the held
-    // range, plus calls whose callee summaries carry a blocking bit —
-    // witnessed down to the nearest function with a direct site.
-    for a in &la.acquisitions {
-        let node = &graph.fns[a.fn_idx];
-        let pf = &graph.files[node.file_idx];
-        let range = (a.token + 1)..a.held_until;
-        for s in &sites[a.fn_idx] {
-            if s.bit & HELD_MASK == 0 || !range.contains(&s.tok) {
-                continue;
-            }
-            let token = format!("{}:{}", a.lock, s.token);
-            if blocking.allows(&node.item.file, &node.item.name, &token) {
-                continue;
-            }
-            findings.push(Finding {
-                pass: "blocking",
-                file: node.item.file.clone(),
-                line: s.line,
-                func: node.item.name.clone(),
-                token,
-                detail: format!(
-                    "lock `{}` (acquired {}:{}) is held across {} effect `{}`",
-                    a.lock,
-                    node.item.file,
-                    a.line,
-                    bit_name(s.bit),
-                    s.token
-                ),
-                witness: vec![node.item.name.clone()],
-            });
-        }
-        for site in &node.sites {
-            if site.kind != SiteKind::Call || !range.contains(&site.token) {
-                continue;
-            }
-            if site.token == a.token {
-                continue;
-            }
-            let carried: Vec<usize> = graph
-                .resolve_site(node.file_idx, site)
-                .into_iter()
-                .filter(|&c| summaries[c].intersects(HELD_MASK))
-                .collect();
-            if carried.is_empty() {
-                continue;
-            }
-            // Shortest witness into the callee cone: the nearest fn
-            // with a direct blocking site.
-            let parents = graph.reach_from(&carried);
-            let mut best: Option<(usize, Vec<String>, &EffectSite)> = None;
-            for (fi2, p) in parents.iter().enumerate() {
-                if p.is_none() {
-                    continue;
-                }
-                for s in &sites[fi2] {
-                    if s.bit & HELD_MASK == 0 {
-                        continue;
-                    }
-                    let chain = graph.path_chain(&parents, fi2);
-                    let better = match &best {
-                        None => true,
-                        Some((len, c, _)) => (chain.len(), &chain) < (*len, c),
-                    };
-                    if better {
-                        best = Some((chain.len(), chain, s));
-                    }
-                }
-            }
-            let Some((_, chain, bs)) = best else { continue };
-            let token = format!("{}:{}", a.lock, bs.token);
-            if blocking.allows(&node.item.file, &node.item.name, &token) {
-                continue;
-            }
-            let mut witness = vec![node.item.name.clone()];
-            witness.extend(chain.iter().cloned());
-            findings.push(Finding {
-                pass: "blocking",
-                file: node.item.file.clone(),
-                line: pf.tokens[site.token].line,
-                func: node.item.name.clone(),
-                token,
-                detail: format!(
-                    "lock `{}` (acquired {}:{}) is held across call to `{}` which may reach \
-                     {} effect `{}` via {}",
-                    a.lock,
-                    node.item.file,
-                    a.line,
-                    site.name,
-                    bit_name(bs.bit),
-                    bs.token,
-                    witness.join(" -> ")
-                ),
-                witness,
-            });
-        }
-    }
-    blocking.stale(findings);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audit::items::parse_file;
-    use crate::audit::locks::analyze_locks;
 
     fn graph(srcs: &[(&str, &str)]) -> CallGraph {
         CallGraph::build(srcs.iter().map(|(p, s)| parse_file(p, s)).collect())
     }
 
     fn run(srcs: &[(&str, &str)], cfg: &EffectConfig) -> EffectAnalysis {
-        let g = graph(srcs);
-        let la = analyze_locks(&g);
-        analyze_effects(&g, &la, cfg)
+        analyze_effects(&graph(srcs), cfg)
     }
 
     #[test]
@@ -1049,25 +802,21 @@ fn f(m: &HashMap<u32, u32>, rx: &Receiver<u32>) {
     for (k, v) in m {}
     thread::sleep(d);
     let msg = rx.recv();
-    let text = fs::read_to_string(p);
     handle.join();
     let label = format!(\"x{}\", 1);
-    let mem = src.meminfo();
 }
 ",
         )]);
         let sites = effect_sites(&g);
         let bits: Vec<u16> = sites[0].iter().map(|s| s.bit).collect();
         for expect in [
-            EffectSet::ALLOC,
-            EffectSet::WALL_CLOCK,
-            EffectSet::AMBIENT,
-            EffectSet::UNORDERED_ITER,
-            EffectSet::BLOCK_SLEEP,
-            EffectSet::BLOCK_CHAN,
-            EffectSet::BLOCK_IO,
-            EffectSet::BLOCK_JOIN,
-            EffectSet::PROC_READ,
+            Effect::ALLOC,
+            Effect::WALL_CLOCK,
+            Effect::AMBIENT,
+            Effect::UNORDERED_ITER,
+            Effect::BLOCK_SLEEP,
+            Effect::BLOCK_CHAN,
+            Effect::BLOCK_JOIN,
         ] {
             assert!(bits.contains(&expect), "missing bit {expect}: {sites:?}");
         }
@@ -1089,7 +838,7 @@ fn f(m: &BTreeMap<u32, u32>, h: HashMap<u32, u32>) {
         let sites = effect_sites(&g);
         let unordered: Vec<&EffectSite> = sites[0]
             .iter()
-            .filter(|s| s.bit == EffectSet::UNORDERED_ITER)
+            .filter(|s| s.bit == Effect::UNORDERED_ITER)
             .collect();
         assert_eq!(unordered.len(), 1, "{unordered:?}");
         assert_eq!(unordered[0].token, "h.values");
@@ -1151,116 +900,6 @@ fn unrelated() { let t = SystemTime::now(); }
     }
 
     #[test]
-    fn blocking_under_lock_direct_and_via_callee() {
-        let ea = run(
-            &[(
-                "a.rs",
-                "\
-fn direct(x: &M) {
-    let g = x.alpha.lock();
-    thread::sleep(d);
-}
-fn outer(x: &M) {
-    let g = x.beta.lock();
-    helper();
-}
-fn helper() { let s = fs::read_to_string(p); }
-fn fine(x: &M) {
-    x.alpha.lock().push(1);
-    thread::sleep(d);
-}
-fn consumed(x: &M) {
-    let job = x.alpha.lock().expect(\"slot\").take();
-    thread::sleep(d);
-}
-",
-            )],
-            &EffectConfig::empty(),
-        );
-        let blocking: Vec<&Finding> = ea
-            .findings
-            .iter()
-            .filter(|f| f.pass == "blocking")
-            .collect();
-        assert!(
-            blocking
-                .iter()
-                .any(|f| f.func == "direct" && f.token == "alpha:thread::sleep"),
-            "{blocking:?}"
-        );
-        let via = blocking
-            .iter()
-            .find(|f| f.func == "outer")
-            .expect("callee-carried finding");
-        assert_eq!(via.token, "beta:fs::read_to_string");
-        assert_eq!(via.witness, vec!["outer", "helper"]);
-        assert!(!blocking.iter().any(|f| f.func == "fine"), "{blocking:?}");
-        // A guard the `let` consumes is gone by the next statement.
-        assert!(
-            !blocking.iter().any(|f| f.func == "consumed"),
-            "{blocking:?}"
-        );
-    }
-
-    #[test]
-    fn lock_held_across_channel_op_and_proc_read_is_flagged() {
-        let ea = run(
-            &[(
-                "a.rs",
-                "\
-fn bad_chan(x: &M, tx: &Sender<u32>) {
-    let g = x.alpha.lock();
-    tx.send(1);
-}
-fn bad_proc(x: &M, src: &dyn ProcSource) {
-    let g = x.alpha.lock();
-    let s = src.task_stat(1, 1);
-}
-fn fine(x: &M, tx: &Sender<u32>) {
-    x.alpha.lock().push(1);
-    tx.send(1);
-}
-",
-            )],
-            &EffectConfig::empty(),
-        );
-        let got: Vec<(&str, &str)> = ea
-            .findings
-            .iter()
-            .map(|f| (f.func.as_str(), f.token.as_str()))
-            .collect();
-        assert_eq!(
-            got,
-            [("bad_chan", "alpha:send"), ("bad_proc", "alpha:task_stat")]
-        );
-    }
-
-    #[test]
-    fn blocking_allowlist_accepts_a_held_site_and_a_stale_row_fails() {
-        let allow = [
-            ("a.rs", "held", "alpha:meminfo", "reviewed"),
-            ("a.rs", "gone", "alpha:meminfo", "names no site"),
-        ];
-        let cfg = EffectConfig {
-            blocking_allowlist: &allow,
-            ..EffectConfig::empty()
-        };
-        let ea = run(
-            &[(
-                "a.rs",
-                "fn held(x: &M, src: &dyn ProcSource) { let g = x.alpha.lock(); src.meminfo(); }",
-            )],
-            &cfg,
-        );
-        assert_eq!(ea.findings.len(), 1, "{:?}", ea.findings);
-        let stale = &ea.findings[0];
-        assert_eq!(
-            (stale.pass, stale.func.as_str()),
-            ("stale-allowlist", "gone")
-        );
-    }
-
-    #[test]
     fn watchdog_scope_flags_sleep_and_join() {
         let cfg = EffectConfig {
             watchdog_roots: &[("a.rs", "sample_inner")],
@@ -1318,62 +957,61 @@ fn wait() { thread::sleep(d); handle.join(); }
     }
 
     #[test]
-    fn fixpoint_terminates_on_self_and_mutual_recursion() {
-        let g = graph(&[(
-            "a.rs",
-            "\
-fn selfrec(n: u32) { if n > 0 { selfrec(n - 1); } let s = x.to_string(); }
-fn ping(n: u32) { pong(n); }
-fn pong(n: u32) { if n > 0 { ping(n - 1); } thread::sleep(d); }
-",
-        )]);
-        let sites = effect_sites(&g);
-        let direct: Vec<EffectSet> = sites
-            .iter()
-            .map(|v| {
-                v.iter()
-                    .fold(EffectSet::empty(), |a, s| a.union(EffectSet(s.bit)))
-            })
-            .collect();
-        let summ = propagate(&g, &direct);
-        let idx = |n: &str| g.matching("a.rs", n)[0];
-        assert!(summ[idx("selfrec")].intersects(EffectSet::ALLOC));
-        // Mutual recursion: both sides end up with the sleep bit.
-        assert!(summ[idx("ping")].intersects(EffectSet::BLOCK_SLEEP));
-        assert!(summ[idx("pong")].intersects(EffectSet::BLOCK_SLEEP));
+    fn blocking_allowlist_accepts_a_watchdog_site_and_a_stale_row_fails() {
+        let allow = [
+            ("a.rs", "wait", "thread::sleep", "reviewed"),
+            ("a.rs", "gone", "thread::sleep", "names no site"),
+        ];
+        let cfg = EffectConfig {
+            watchdog_roots: &[("a.rs", "sample_inner")],
+            blocking_allowlist: &allow,
+            ..EffectConfig::empty()
+        };
+        let ea = run(
+            &[(
+                "a.rs",
+                "fn sample_inner() { wait(); }\nfn wait() { thread::sleep(d); }\n",
+            )],
+            &cfg,
+        );
+        assert_eq!(ea.findings.len(), 1, "{:?}", ea.findings);
+        let stale = &ea.findings[0];
+        assert_eq!(
+            (stale.pass, stale.func.as_str()),
+            ("stale-allowlist", "gone")
+        );
     }
 
     #[test]
-    fn propagation_is_monotone_under_edge_addition() {
-        // Deterministic LCG so the test is reproducible.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move |bound: usize| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as usize) % bound
+    fn reachability_crosses_self_and_mutual_recursion() {
+        let cfg = EffectConfig {
+            watchdog_roots: &[("a.rs", "sample_inner")],
+            ..EffectConfig::empty()
         };
-        for _trial in 0..50 {
-            let n = 2 + next(10);
-            let mut callees: Vec<Vec<usize>> = (0..n)
-                .map(|_| (0..next(4)).map(|_| next(n)).collect())
-                .collect();
-            let direct: Vec<EffectSet> = (0..n).map(|_| EffectSet((next(1024)) as u16)).collect();
-            let before = propagate_over(&callees, &direct);
-            // Add one random edge; every summary must only grow.
-            callees[next(n)].push(next(n));
-            let after = propagate_over(&callees, &direct);
-            for i in 0..n {
-                assert!(
-                    before[i].le(after[i]),
-                    "summary shrank at {i}: {:?} -> {:?}",
-                    before[i],
-                    after[i]
-                );
-            }
-            // Idempotence: propagating a fixpoint changes nothing.
-            let again = propagate_over(&callees, &after);
-            assert_eq!(again, after);
-        }
+        let ea = run(
+            &[(
+                "a.rs",
+                "\
+fn sample_inner() { selfrec(3); ping(3); }
+fn selfrec(n: u32) { if n > 0 { selfrec(n - 1); } handle.join(); }
+fn ping(n: u32) { pong(n); }
+fn pong(n: u32) { if n > 0 { ping(n - 1); } thread::sleep(d); }
+",
+            )],
+            &cfg,
+        );
+        let got: Vec<(&str, Vec<String>)> = ea
+            .findings
+            .iter()
+            .map(|f| (f.token.as_str(), f.witness.clone()))
+            .collect();
+        let chain = |c: &[&str]| c.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            got,
+            [
+                ("join", chain(&["sample_inner", "selfrec"])),
+                ("thread::sleep", chain(&["sample_inner", "ping", "pong"])),
+            ]
+        );
     }
 }

@@ -4,9 +4,10 @@
 //! This is *not* a Rust parser. It tracks exactly enough structure for
 //! the interprocedural passes:
 //!
-//! * function items with name, enclosing `impl` type, parameter names,
-//!   body token range, and whether they are test code (`#[test]` or
-//!   inside a `#[cfg(test)]` module);
+//! * function items with name, enclosing `impl` type, body token
+//!   range, and whether they are test code (`#[test]` or inside a
+//!   `#[cfg(test)]` module);
+//! * the token ranges of test code, items outside functions included;
 //! * call expressions inside bodies (`name(…)`, `path::name(…)`,
 //!   `.name(…)` — resolved later by bare name);
 //! * macro invocations (`name!…`);
@@ -37,8 +38,6 @@ pub struct FnItem {
     /// True for `#[test]` functions and anything inside a
     /// `#[cfg(test)]` module.
     pub is_test: bool,
-    /// Parameter names, in order (`self` included when present).
-    pub params: Vec<String>,
 }
 
 impl FnItem {
@@ -62,6 +61,9 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     /// Recovered function items, in source order.
     pub fns: Vec<FnItem>,
+    /// Token ranges of test code: `#[cfg(test)]` modules and `impl`s,
+    /// `#[test]` functions, and other items gated on `test`.
+    pub test_ranges: Vec<Range<usize>>,
 }
 
 impl ParsedFile {
@@ -84,6 +86,11 @@ impl ParsedFile {
             .get(i)
             .map(|t| t.kind == TokKind::Punct(c))
             .unwrap_or(false)
+    }
+
+    /// Whether token `i` is test code.
+    pub fn in_test(&self, i: usize) -> bool {
+        self.test_ranges.iter().any(|r| r.contains(&i))
     }
 
     /// Line of token `i`.
@@ -141,6 +148,7 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
         src: src.to_string(),
         tokens,
         fns: Vec::new(),
+        test_ranges: Vec::new(),
     };
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending_test = false; // #[test] / #[cfg(test)] seen for next item
@@ -177,9 +185,13 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
             }
             if pf.is_punct(j, '{') {
                 let close = pf.matching_brace(j);
+                let outer_test = scopes.last().map(|s| s.is_test).unwrap_or(false);
+                if pending_test && !outer_test {
+                    pf.test_ranges.push(i..close + 1);
+                }
                 scopes.push(Scope {
                     close,
-                    is_test: pending_test || scopes.last().map(|s| s.is_test).unwrap_or(false),
+                    is_test: pending_test || outer_test,
                     impl_type: None,
                     module: Some(pf.text(i + 1).to_string()),
                 });
@@ -189,9 +201,13 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
             continue;
         }
         if pf.is_ident(i, "fn") {
-            let in_test = pending_test || scopes.iter().any(|s| s.is_test);
+            let outer_test = scopes.iter().any(|s| s.is_test);
+            let in_test = pending_test || outer_test;
             pending_test = false;
             if let Some((item, next)) = parse_fn(&pf, i, in_test, &scopes) {
+                if in_test && !outer_test {
+                    pf.test_ranges.push(i..item.body.end + 1);
+                }
                 pf.fns.push(item);
                 i = next;
                 continue;
@@ -203,9 +219,13 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
             let close = pf.matching_brace(i);
             // A gated `impl` gates its whole body, as a gated `mod` does.
             let gated = pending_impl.is_some() && std::mem::take(&mut pending_test);
+            let outer_test = scopes.last().map(|s| s.is_test).unwrap_or(false);
+            if gated && !outer_test {
+                pf.test_ranges.push(i..close + 1);
+            }
             scopes.push(Scope {
                 close,
-                is_test: gated || scopes.last().map(|s| s.is_test).unwrap_or(false),
+                is_test: gated || outer_test,
                 impl_type: pending_impl
                     .take()
                     .or_else(|| scopes.last().and_then(|s| s.impl_type.clone())),
@@ -214,8 +234,9 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
             i += 1;
             continue;
         }
-        if !pf.is_punct(i, '#') {
-            pending_test = pending_test && !starts_item(&pf, i);
+        if pending_test && starts_item(&pf, i) {
+            pending_test = false;
+            pf.test_ranges.push(i..item_end(&pf, i) + 1);
         }
         i += 1;
     }
@@ -228,6 +249,19 @@ fn starts_item(pf: &ParsedFile, i: usize) -> bool {
     ["use", "static", "const", "struct", "enum", "type", "trait"]
         .iter()
         .any(|k| pf.is_ident(i, k))
+}
+
+/// The last token of the non-fn item starting at token `i`: its `;`,
+/// or the `}` closing its first brace group.
+fn item_end(pf: &ParsedFile, i: usize) -> usize {
+    let mut j = i;
+    while j < pf.tokens.len() && !pf.is_punct(j, ';') {
+        if pf.is_punct(j, '{') {
+            return pf.matching_brace(j);
+        }
+        j += 1;
+    }
+    j
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,11 +370,9 @@ fn parse_fn(pf: &ParsedFile, i: usize, is_test: bool, scopes: &[Scope]) -> Optio
         return None;
     }
     let name = pf.text(name_tok).to_string();
-    // Walk the signature: skip generics `<…>`, collect parameter names
-    // from the top-level paren group, then find the body `{` (or `;`
-    // for a bodyless declaration).
+    // Walk the signature: skip generics `<…>` and the parameter list,
+    // then find the body `{` (or `;` for a bodyless declaration).
     let mut j = name_tok + 1;
-    let mut params = Vec::new();
     // Generics.
     if pf.is_punct(j, '<') {
         let mut angle = 0i32;
@@ -359,38 +391,9 @@ fn parse_fn(pf: &ParsedFile, i: usize, is_test: bool, scopes: &[Scope]) -> Optio
             j += 1;
         }
     }
-    // Parameters.
+    // Parameters (a struct pattern's braces are not the body).
     if pf.is_punct(j, '(') {
-        let mut paren = 0i32;
-        let open = j;
-        while j < pf.tokens.len() {
-            match pf.tokens[j].kind {
-                TokKind::Punct('(') => paren += 1,
-                TokKind::Punct(')') => {
-                    paren -= 1;
-                    if paren == 0 {
-                        break;
-                    }
-                }
-                TokKind::Ident if paren == 1 => {
-                    let t = pf.text(j);
-                    if t == "self" {
-                        params.push("self".to_string());
-                    } else if t != "mut" && pf.is_punct(j + 1, ':') {
-                        // `name: Type` at top level — but only when the
-                        // previous token is `(`, `,`, or `mut`
-                        // (excludes struct-pattern params).
-                        let prev_ok =
-                            j == open + 1 || pf.is_punct(j - 1, ',') || pf.is_ident(j - 1, "mut");
-                        if prev_ok {
-                            params.push(t.to_string());
-                        }
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
+        j = pf.matching_paren(j);
     }
     // Find body `{` (skipping return type / where clause) or `;`.
     let mut angle = 0i32;
@@ -423,7 +426,6 @@ fn parse_fn(pf: &ParsedFile, i: usize, is_test: bool, scopes: &[Scope]) -> Optio
             line: pf.tokens[i].line,
             body: (open + 1)..close,
             is_test,
-            params,
         },
         open + 1,
     ))
@@ -434,7 +436,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recovers_fns_with_bodies_and_params() {
+    fn recovers_fns_with_bodies() {
         let src = "\
 fn free(a: u32, mut b: &str) -> u32 { a }
 struct S;
@@ -459,8 +461,6 @@ impl std::fmt::Display for S {
                 ("fmt".into(), Some("S".into())),
             ]
         );
-        assert_eq!(pf.fns[0].params, vec!["a", "b"]);
-        assert_eq!(pf.fns[1].params, vec!["self", "x"]);
     }
 
     #[test]
@@ -546,7 +546,6 @@ fn inner(v: usize) -> usize { v }
         let pf = parse_file("a.rs", src);
         assert_eq!(pf.fns.len(), 2);
         assert_eq!(pf.fns[0].name, "run");
-        assert_eq!(pf.fns[0].params, vec!["jobs", "workers"]);
         // Body range covers the call to `inner`.
         let body_text: Vec<&str> = pf.fns[0].body.clone().map(|k| pf.text(k)).collect();
         assert!(body_text.contains(&"inner"));

@@ -1,17 +1,17 @@
 //! `zsaudit` — the workspace's one source-level checker.
 //!
 //! A comment/string-correct lexer ([`lexer`]), a lightweight item
-//! parser recovering function bodies ([`items`]), a workspace call
-//! graph ([`callgraph`]), and the passes over them — lock
-//! acquisitions and their held ranges ([`locks`]), panic-reachability
-//! ([`panics`]), the effect passes ([`effects`]: hot-path allocation,
-//! determinism, blocking — a lock taken under a guard included)
-//! and the repo rules ([`rules`]: source-error-bubble,
-//! unbounded-growth). What `rustc` proves — one writer and one reader
-//! per `ShardRing`, no data race, no use of a moved endpoint — is not
-//! re-proved here: every crate is `#![forbid(unsafe_code)]`. Nor is what
-//! clippy holds: no print in library code (`print_stdout` and
-//! `print_stderr` are denied at every library crate root).
+//! parser recovering function bodies and test code ([`items`]), a
+//! workspace call graph ([`callgraph`]), and the passes over them —
+//! panic-reachability ([`panics`]), the effect passes ([`effects`]:
+//! hot-path allocation, determinism, blocking under the watchdog's
+//! roots) and the repo rules ([`rules`]: source-error-bubble,
+//! unbounded-growth, lock-in-product — no product code names a lock, so
+//! no held range exists to check). What `rustc` proves — one writer and
+//! one reader per `ShardRing`, no data race, no use of a moved endpoint
+//! — is not re-proved here: every crate is `#![forbid(unsafe_code)]`.
+//! Nor is what clippy holds: no print in library code (`print_stdout`
+//! and `print_stderr` are denied at every library crate root).
 //! See DESIGN.md §10–§11 for the analysis model and its deliberate
 //! over-approximations.
 //!
@@ -28,7 +28,6 @@ pub mod callgraph;
 pub mod effects;
 pub mod items;
 pub mod lexer;
-pub mod locks;
 pub mod panics;
 pub mod rules;
 
@@ -165,10 +164,6 @@ pub struct AuditStats {
     pub files: usize,
     /// Non-test functions in the call graph.
     pub fns: usize,
-    /// Static lock acquisitions.
-    pub acquisitions: usize,
-    /// Distinct lock keys.
-    pub locks: usize,
     /// Potential panic sites scanned.
     pub panic_sites: usize,
     /// Functions reachable from the no-panic roots.
@@ -207,13 +202,11 @@ impl AuditReport {
         let mut out = String::new();
         writeln!(
             out,
-            "zsaudit: {} files, {} fns | {} locks, {} acquisitions | \
+            "zsaudit: {} files, {} fns | \
              {} panic sites, {} fns reachable from no-panic roots | \
              {} effect sites, {} hot-reachable, {} det-reachable fns",
             s.files,
             s.fns,
-            s.locks,
-            s.acquisitions,
             s.panic_sites,
             s.reachable_fns,
             s.effect_sites,
@@ -249,16 +242,14 @@ impl AuditReport {
     /// Machine-readable report.
     pub fn to_json(&self) -> String {
         let s = &self.stats;
-        let mut out = String::from("{\n  \"schema\": 2,\n");
+        let mut out = String::from("{\n  \"schema\": 3,\n");
         writeln!(
             out,
-            "  \"stats\": {{\"files\": {}, \"fns\": {}, \"acquisitions\": {}, \"locks\": {}, \
+            "  \"stats\": {{\"files\": {}, \"fns\": {}, \
              \"panic_sites\": {}, \"reachable_fns\": {}, \"effect_sites\": {}, \
              \"hot_reachable\": {}, \"det_reachable\": {}}},",
             s.files,
             s.fns,
-            s.acquisitions,
-            s.locks,
             s.panic_sites,
             s.reachable_fns,
             s.effect_sites,
@@ -358,14 +349,11 @@ pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> Aud
         .map(|(p, s)| items::parse_file(p, s))
         .collect();
     let graph = callgraph::CallGraph::build(parsed);
-    let la = locks::analyze_locks(&graph);
     let pa = panics::analyze_panics(&graph, cfg.panic_roots, cfg.panic_allowlist);
-    let ea = effects::analyze_effects(&graph, &la, &cfg.effects);
+    let ea = effects::analyze_effects(&graph, &cfg.effects);
     let stats = AuditStats {
         files: graph.files.len(),
         fns: graph.fns.len(),
-        acquisitions: la.acquisitions.len(),
-        locks: la.locks.len(),
         panic_sites: pa.sites,
         reachable_fns: pa.reachable_fns,
         effect_sites: ea.sites,
@@ -414,10 +402,11 @@ pub fn audit_sources_with(
 /// `unresolved-root` finding too.
 pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
     let mut report = audit_sources_cfg(sources, &AuditConfig::default_repo());
-    let lists: [(&str, &[&str]); 3] = [
+    let lists: [(&str, &[&str]); 4] = [
         ("panic root file", &panics::PANIC_ROOT_FILES),
         ("round file", &rules::ROUND_FILES),
         ("monitor-state file", &rules::MONITOR_STATE_FILES),
+        ("lock file", &rules::LOCK_FILES),
     ];
     for (list, files) in lists {
         for file in files {
@@ -509,9 +498,8 @@ mod tests {
         let sources = src(&[(
             "crates/x/src/a.rs",
             "\
-fn root(x: &M, y: &M, v: Option<u32>) {
-    let g = x.alpha.lock();
-    let h = y.beta.lock();
+static GATE: Mutex<u8> = Mutex::new(0);
+fn root(v: Option<u32>) {
     v.unwrap();
 }
 ",
@@ -519,12 +507,12 @@ fn root(x: &M, y: &M, v: Option<u32>) {
         let r = audit_sources_with(&sources, &[("a.rs", "root", "test")], &[]);
         assert!(!r.clean());
         let text = r.render();
-        assert!(text.contains("[blocking]"), "{text}");
+        assert!(text.contains("[lock-in-product]"), "{text}");
         assert!(text.contains("[panic-reachable]"), "{text}");
-        assert!(!text.contains("edges"), "{text}");
+        assert!(!text.contains("locks"), "{text}");
         let json = r.to_json();
-        assert!(json.contains("\"token\": \"alpha:beta\""), "{json}");
-        assert!(!json.contains("edges"), "{json}");
+        assert!(json.contains("\"token\": \"Mutex\""), "{json}");
+        assert!(!json.contains("acquisitions"), "{json}");
     }
 
     #[test]
@@ -542,7 +530,8 @@ fn root(x: &M, y: &M, v: Option<u32>) {
             .all(|(_, f)| *f != "crates/core/src/monitor.rs"));
         let listed = panics::PANIC_ROOT_FILES.len()
             + rules::ROUND_FILES.len()
-            + rules::MONITOR_STATE_FILES.len();
+            + rules::MONITOR_STATE_FILES.len()
+            + rules::LOCK_FILES.len();
         // monitor.rs sits on all three lists.
         assert_eq!(files.len(), listed - 3, "{files:?}");
     }

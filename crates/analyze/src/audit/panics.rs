@@ -2,9 +2,9 @@
 //!
 //! The monitor's contract (§3.1) is that nothing reachable from the
 //! sampling supervisor's `catch_unwind` boundary or from the
-//! signal/crash-flush exit path should panic: a panic under the
-//! supervisor costs a sample round, and a panic on the crash path turns
-//! an orderly abnormal-exit report into an abort. This pass computes
+//! abnormal-exit path should panic: a panic under the supervisor costs
+//! a sample round, and a panic on the crash path turns an orderly
+//! abnormal-exit report into an abort. This pass computes
 //! the functions reachable from those roots over the workspace call
 //! graph and reports every `unwrap`/`expect`/`panic!`-family
 //! macro/slice-index site not covered by the reviewed allowlist.
@@ -28,30 +28,19 @@ use super::{resolve_roots, Allow, Allowlist, Finding};
 /// * `sample` — everything under the sampling supervisor's
 ///   `catch_unwind`: `Monitor::sample` runs the whole round (begin,
 ///   list, read and fold, end) inside it.
-/// * `run_crash_flushes`, `report_abnormal_exit`, `crash_report` — the
-///   abnormal-exit path; a panic here aborts before logs are flushed.
-/// * `write_partial_logs`, `render_process_report` — registered as
-///   crash flushes by the export path and the chaos drill; they run on
-///   the exit path through a `dyn Fn` the call graph cannot see.
+/// * `crash_report`, `write_partial_logs`, `render_process_report` —
+///   the abnormal-exit path: the panic hook prints the report, and the
+///   wrapper writes a dead child's partial logs and their reports; a
+///   panic here loses the record of the exit.
 /// * `decode_frame`, `pump_frames` — the collector daemon's
 ///   hostile-input boundary: frames arrive truncated, corrupted, and
 ///   version-skewed off the wire, and a panic here kills supervision
 ///   for the whole allocation.
-pub const PANIC_ROOTS: [(&str, &str, &str); 10] = [
+pub const PANIC_ROOTS: [(&str, &str, &str); 8] = [
     (
         "crates/core/src/monitor.rs",
         "sample",
         "sampling supervisor",
-    ),
-    (
-        "crates/core/src/signal.rs",
-        "run_crash_flushes",
-        "abnormal-exit path",
-    ),
-    (
-        "crates/core/src/signal.rs",
-        "report_abnormal_exit",
-        "abnormal-exit path",
     ),
     (
         "crates/core/src/signal.rs",
@@ -61,12 +50,12 @@ pub const PANIC_ROOTS: [(&str, &str, &str); 10] = [
     (
         "crates/core/src/export.rs",
         "write_partial_logs",
-        "registered crash flush",
+        "abnormal-exit path: the logs of a child a signal ended",
     ),
     (
         "crates/core/src/report.rs",
         "render_process_report",
-        "registered crash flush",
+        "abnormal-exit path: each partial log's report",
     ),
     (
         "crates/net/src/frame.rs",

@@ -14,16 +14,15 @@
 //! 3. **Bounded distortion** — duration and per-thread utilization stay
 //!    within tolerance of the fault-free run at realistic fault rates.
 //!
-//! A separate [`abnormal_exit_drill`] rehearses the crash path: it
-//! registers a partial-log flush, fires a simulated SIGSEGV, and checks
-//! that every emitted log is marked `PARTIAL`, terminated by the `END`
-//! marker, and that no torn `.tmp` files remain.
+//! A separate [`abnormal_exit_drill`] rehearses the crash path with the
+//! calls the `zerosum` wrapper makes when its child dies of a signal —
+//! the partial logs from the monitor it owns, then the crash report —
+//! and checks that every emitted log is marked `PARTIAL`, terminated by
+//! the `END` marker, and that no torn `.tmp` files remain.
 
 use crate::verdict::{seeded_suite, Verdict};
 use zerosum_core::export::{write_partial_logs, LOG_END_MARKER, LOG_PARTIAL_MARKER};
-use zerosum_core::signal::{
-    clear_crash_flushes, register_crash_flush, report_abnormal_exit, AbnormalExit,
-};
+use zerosum_core::signal::{crash_report, AbnormalExit};
 use zerosum_core::{render_process_report, Monitor, ProcessInfo, ZeroSumConfig};
 use zerosum_experiments::tables::{run_table, run_table_chaos, ChaosAudit, TableConfig, TableRun};
 use zerosum_proc::fault::{FaultKind, FaultPlan, FaultRates, Op, ScriptedFault};
@@ -170,15 +169,12 @@ pub fn run_suite(scale: u32, schedules: usize, base_fault_seed: u64) -> Vec<Verd
 }
 
 /// Rehearses the crash-safe export path and returns every problem found
-/// (empty = pass): builds a small monitored run, registers a
-/// partial-log flush, fires a simulated SIGSEGV through
-/// [`report_abnormal_exit`], then checks that each log it wrote (into a
-/// scratch directory of this process, removed afterwards) opens with
-/// the `PARTIAL` marker, closes with the `END` marker, and that no torn
-/// `.tmp` files were left behind.
-///
-/// Uses the process-global crash-flush registry; callers must not run
-/// two drills concurrently.
+/// (empty = pass): builds a small monitored run, writes its partial
+/// logs for a SIGSEGV and produces the [`crash_report`], as the wrapper
+/// does for a child a signal ended, then checks that each log it wrote
+/// (into a scratch directory of this process, removed afterwards) opens
+/// with the `PARTIAL` marker, closes with the `END` marker, and that no
+/// torn `.tmp` files were left behind.
 pub fn abnormal_exit_drill() -> Vec<String> {
     let dir = std::env::temp_dir().join(format!("zerosum-chaos-drill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -206,16 +202,11 @@ pub fn abnormal_exit_drill() -> Vec<String> {
         let src = SimProcSource::new(&sim);
         mon.sample(round as f64 * 0.1, &src);
     }
-    clear_crash_flushes();
-    let flush_dir = dir.clone();
-    // The flush owns the monitor: nothing else reads it once registered.
-    register_crash_flush(move || {
-        let _ = write_partial_logs(&mon, &flush_dir, "SIGSEGV", |p| {
-            render_process_report(&mon, p, mon.last_t_s, None)
-        });
+    let cause = AbnormalExit::SegmentationViolation;
+    let _ = write_partial_logs(&mon, &dir, cause.signal_name(), |p| {
+        render_process_report(&mon, p, mon.last_t_s, None)
     });
-    let report = report_abnormal_exit(AbnormalExit::SegmentationViolation, pid, Some(0));
-    clear_crash_flushes();
+    let report = crash_report(cause, pid, Some(0));
     if !report.contains("SIGSEGV") {
         problems.push("crash report does not name the signal".to_string());
     }
@@ -248,7 +239,7 @@ pub fn abnormal_exit_drill() -> Vec<String> {
         Err(e) => problems.push(format!("cannot read drill dir: {e}")),
     }
     if logs == 0 {
-        problems.push("crash flush produced no partial logs".to_string());
+        problems.push("the partial-log write produced no logs".to_string());
     }
     let _ = std::fs::remove_dir_all(&dir);
     problems

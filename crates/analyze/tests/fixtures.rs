@@ -24,7 +24,7 @@ fn read(name: &str) -> String {
 /// `(fixture stem, audit-as path, pass, expected bad-fixture lines)`:
 /// the passes that key on where a file lives, under the shipped
 /// configuration.
-const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 6] = [
+const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 7] = [
     (
         "panic_hot_path",
         "crates/core/src/monitor.rs",
@@ -68,6 +68,14 @@ const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 6] = [
         "panic-reachable",
         &[14],
     ),
+    // A `static` lock and a local one; the `use` naming both is no
+    // finding.
+    (
+        "lock_in_product",
+        "crates/core/src/attach.rs",
+        "lock-in-product",
+        &[5, 8],
+    ),
 ];
 
 /// What the shipped configuration finds in `src` living at `as_path`.
@@ -108,19 +116,6 @@ fn shipped_tree_audits_clean() {
 
 fn audit_one(name: &str, roots: &[(&str, &str, &str)]) -> AuditReport {
     audit_sources_with(&[(name.to_string(), read(name))], roots, &[])
-}
-
-#[test]
-fn nested_lock_fixture_pair() {
-    let bad = audit_one("nested_lock.bad.rs", &[]);
-    let nested: Vec<_> = bad
-        .findings
-        .iter()
-        .map(|f| (f.pass, f.func.as_str(), f.token.as_str(), f.line))
-        .collect();
-    assert_eq!(nested, [("blocking", "ab", "alpha:beta", 6)]);
-    let clean = audit_one("nested_lock.clean.rs", &[]);
-    assert!(clean.clean(), "{:?}", clean.findings);
 }
 
 /// Audits one fixture with no panic roots and the given effect
@@ -184,30 +179,6 @@ fn determinism_fixture_pair() {
             ..EffectConfig::empty()
         },
     );
-    assert!(clean.clean(), "{:?}", clean.findings);
-}
-
-#[test]
-fn blocking_fixture_pair() {
-    let bad = audit_effects("blocking.bad.rs", EffectConfig::empty());
-    let blocking: Vec<_> = bad
-        .findings
-        .iter()
-        .filter(|f| f.pass == "blocking")
-        .collect();
-    assert!(
-        blocking
-            .iter()
-            .any(|f| f.func == "drain" && f.token == "alpha:thread::sleep"),
-        "{:?}",
-        bad.findings
-    );
-    let via = blocking
-        .iter()
-        .find(|f| f.token == "alpha:fs::read_to_string")
-        .expect("callee-carried blocking finding");
-    assert_eq!(via.witness, vec!["drain", "flush"]);
-    let clean = audit_effects("blocking.clean.rs", EffectConfig::empty());
     assert!(clean.clean(), "{:?}", clean.findings);
 }
 

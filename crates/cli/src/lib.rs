@@ -17,8 +17,10 @@
 pub mod fdprobe;
 pub mod flags;
 
+use std::os::unix::process::ExitStatusExt as _;
 use std::path::PathBuf;
 use std::process::Command;
+use zerosum_core::signal::{crash_header, AbnormalExit};
 use zerosum_core::{
     analyze, evaluate, export, render_findings, render_process_report, ProgressTracker,
     SelfMonitor, ZeroSumConfig,
@@ -113,7 +115,8 @@ pub fn wrapper_options(parsed: &flags::Parsed) -> Result<CliOptions, CliError> {
 /// The wrapper's exit report.
 #[derive(Debug)]
 pub struct WrapOutcome {
-    /// Child exit code (255 when terminated by a signal).
+    /// The child's exit code, or 128 + the signal number that ended it,
+    /// as a shell reports it.
     pub exit_code: i32,
     /// The rendered report (printed on rank 0 / single-process runs).
     pub report: String,
@@ -122,13 +125,17 @@ pub struct WrapOutcome {
 }
 
 /// Launches and monitors the command; blocks until it exits.
+///
+/// A child that a signal ended is an abnormal exit (§3.1), reported by
+/// the wrapper, which owns the monitor: the report closes with the
+/// cause and the child's identity, and each log is written as a partial
+/// one naming the cause.
 pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
     let rank = opts
         .rank
         .or_else(|| rank_from_env(|k| std::env::var(k).ok()));
     let config = ZeroSumConfig {
         period_us: opts.period_ms * 1_000,
-        signal_handler: false, // the child owns its signal disposition
         ..Default::default()
     };
     let mut child = Command::new(&opts.command[0])
@@ -148,6 +155,7 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
     })
     .map_err(|e| format!("failed to attach monitor: {e}"))?;
     let status = child.wait().map_err(|e| format!("wait failed: {e}"))?;
+    let signal = status.signal();
     let (monitor, duration) = session.stop();
     let pid = monitor.processes()[0].info.pid;
     let mut report = render_process_report(&monitor, pid, duration, None);
@@ -159,15 +167,29 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
     let topo = zerosum_topology::discover();
     report.push('\n');
     report.push_str(&render_findings(&evaluate(&monitor, &topo)));
+    // The five crash signals by name, any other by its number. No
+    // backtrace: the wrapper's own stack says nothing about the child.
+    let cause = signal.map(|s| {
+        AbnormalExit::from_signal(s)
+            .map_or_else(|| format!("signal {s}"), |c| c.signal_name().into())
+    });
+    if let Some(cause) = &cause {
+        report.push('\n');
+        report.push_str(&crash_header(cause, pid, rank));
+    }
     let logs = match &opts.logs_dir {
-        Some(dir) => export::write_logs(&monitor, dir, duration, |p| {
-            render_process_report(&monitor, p, duration, None)
-        })
-        .map_err(|e| format!("failed to write logs: {e}"))?,
+        Some(dir) => {
+            let report_for = |p| render_process_report(&monitor, p, duration, None);
+            match &cause {
+                Some(cause) => export::write_partial_logs(&monitor, dir, cause, report_for),
+                None => export::write_logs(&monitor, dir, duration, report_for),
+            }
+            .map_err(|e| format!("failed to write logs: {e}"))?
+        }
         None => Vec::new(),
     };
     Ok(WrapOutcome {
-        exit_code: status.code().unwrap_or(255),
+        exit_code: status.code().or(signal.map(|s| 128 + s)).unwrap_or(255),
         report,
         logs,
     })

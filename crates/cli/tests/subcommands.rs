@@ -4,10 +4,11 @@
 //! artifact renders, exit 3 is kept for "the sandbox forbids it", and
 //! the judges `cargo test` holds in-process come out of their command
 //! with the verdict lines, last line and exit code `scripts/ci.sh`
-//! reads.
+//! reads, and the wrapper reports a child a signal ended.
 
 use std::process::{Command, Output};
 use zerosum_cli::flags::SUBCOMMANDS;
+use zerosum_core::export::{LOG_END_MARKER, LOG_PARTIAL_MARKER};
 
 fn zerosum(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_zerosum"))
@@ -89,6 +90,65 @@ fn wrapper_heartbeat_is_the_tracker_line_and_there_is_no_placement_flag() {
         zerosum(&["--monitor-hwt", "0", "--", "true"]).status.code(),
         Some(2)
     );
+}
+
+/// A child a signal ends is an abnormal exit the wrapper reports
+/// (§3.1): exit 128 + N, as a shell gives it, the signal named in the
+/// report, and each log written whole under the `PARTIAL` marker with
+/// the cause. A child that exits with a code of its own keeps that code
+/// and a complete log.
+#[test]
+fn a_child_a_signal_ends_is_reported_with_partial_logs_and_exit_128_plus_n() {
+    if let Err(e) = Command::new("sh").args(["-c", "true"]).status() {
+        eprintln!("wrapper signal exit: SKIPPED (cannot spawn sh: {e})");
+        return;
+    }
+    let wrapped = |tag: &str, script: &str| {
+        let dir = std::env::temp_dir().join(format!("zerosum-wrap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let log_dir = dir.to_str().expect("utf-8 temp dir");
+        let out = zerosum(&[
+            "--period-ms",
+            "50",
+            "--rank",
+            "0",
+            "--log-dir",
+            log_dir,
+            "--",
+            "sh",
+            "-c",
+            script,
+        ]);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let log = std::fs::read_to_string(dir.join("zerosum.00000.log")).unwrap_or_default();
+        let _ = std::fs::remove_dir_all(&dir);
+        (out, names, log)
+    };
+    // No core file: the child's death is the point, not its dump.
+    let (out, names, log) = wrapped("segv", "ulimit -c 0; kill -SEGV $$");
+    assert_eq!(out.status.code(), Some(139), "{}", stderr(&out));
+    let report = stdout(&out);
+    assert!(
+        report.contains("ZeroSum: abnormal exit — SIGSEGV\nZeroSum: MPI 000 - PID "),
+        "{report}"
+    );
+    assert_eq!(names, ["zerosum.00000.log"], "one log, no .tmp left");
+    assert!(log.starts_with(LOG_PARTIAL_MARKER), "{log}");
+    assert!(log.contains("\ncause: SIGSEGV\n"), "{log}");
+    assert!(log.trim_end().ends_with(LOG_END_MARKER), "{log}");
+
+    let (out, names, log) = wrapped("exit3", "exit 3");
+    assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    assert!(!stdout(&out).contains("abnormal exit"), "{}", stdout(&out));
+    assert_eq!(names, ["zerosum.00000.log"]);
+    assert!(!log.contains(LOG_PARTIAL_MARKER), "{log}");
+    assert!(log.trim_end().ends_with(LOG_END_MARKER), "{log}");
 }
 
 #[test]

@@ -51,13 +51,17 @@ fn next_wake(now: Duration, last: Duration, period: Duration) -> Duration {
 }
 
 impl SelfMonitor {
-    /// Starts monitoring the calling process.
+    /// Starts monitoring the calling process, and installs the panic
+    /// hook that reports its abnormal exit
+    /// ([`crate::signal::install_panic_hook`]: once per process, tagged
+    /// with the first session's rank).
     ///
     /// `rank` tags the process for the report (pass the MPI rank when
     /// running under a launcher).
     pub fn start(config: ZeroSumConfig, rank: Option<u32>) -> Result<Self, SourceError> {
         let src = LinuxProc::new();
         let pid = src.self_pid()?;
+        crate::signal::install_panic_hook(rank);
         Self::start_with(src, config, pid, rank, |_| {})
     }
 
@@ -67,7 +71,8 @@ impl SelfMonitor {
     /// outside through `/proc/<pid>`. The monitor thread calls
     /// `on_sample` right after each periodic sample (live heartbeats or
     /// steering exports, §3.6); [`SelfMonitor::stop`]'s final sample is
-    /// not one of them.
+    /// not one of them. No panic hook is installed: the watched process
+    /// owns its own exit, and the caller reports it.
     pub fn start_for_pid(
         config: ZeroSumConfig,
         pid: zerosum_proc::Pid,
@@ -102,15 +107,12 @@ impl SelfMonitor {
             gpus: vec![],
             cpus_allowed,
         });
-        if config.signal_handler {
-            crate::signal::install_panic_hook(rank);
-        }
         let stop = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
         let handle = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                .name("ZeroSum".to_string())
+                .name(crate::signal::MONITOR_THREAD.to_string())
                 .spawn(move || {
                     // First sample immediately (initial configuration
                     // detection), then at every deadline.
@@ -183,10 +185,12 @@ mod tests {
     fn self_monitoring_observes_this_process() {
         let cfg = ZeroSumConfig {
             period_us: 50_000, // 20 Hz so the test is quick
-            signal_handler: false,
             ..Default::default()
         };
-        let sm = SelfMonitor::start(cfg, Some(0)).expect("start");
+        // This process, by pid: `start` would install the process-wide
+        // panic hook in a test binary whose other tests panic on purpose.
+        let sm =
+            SelfMonitor::start_for_pid(cfg, std::process::id(), Some(0), |_| {}).expect("start");
         // Burn some CPU so utilization is visible.
         let mut acc = 0u64;
         let until = Instant::now() + Duration::from_millis(300);
@@ -217,7 +221,6 @@ mod tests {
     fn the_callback_sees_every_sample_but_the_final_one() {
         let cfg = ZeroSumConfig {
             period_us: 20_000,
-            signal_handler: false,
             ..Default::default()
         };
         let calls = Arc::new(AtomicU64::new(0));

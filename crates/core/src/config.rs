@@ -1,8 +1,10 @@
 //! ZeroSum configuration.
 //!
 //! Mirrors the knobs the paper describes (§3.1): the sampling period
-//! (1 s default, §4), the optional signal handler, and the monitor's
-//! cost model. What no caller sets is a constant beside the code that
+//! (1 s default, §4) and the monitor's cost model. Whether the
+//! abnormal-exit reporter is installed is the mode's, not a knob: a
+//! self-attached application gets the panic hook, the wrapper reports
+//! its child's signal ([`crate::signal`]). What no caller sets is a constant beside the code that
 //! reads it: the retry and quarantine policy in [`crate::health`], the
 //! overload controller's budget, ceiling and deadline in
 //! [`crate::monitor`], the deadlock threshold in [`crate::heartbeat`].
@@ -44,8 +46,6 @@ pub struct ZeroSumConfig {
     pub period_us: u64,
     /// Monitor thread CPU cost per sample (simulation mode).
     pub cost: MonitorCost,
-    /// Install the abnormal-exit (signal) reporter.
-    pub signal_handler: bool,
     /// Delta sampling: skip re-reading `stat`/`status` for worker
     /// threads whose `schedstat` is unchanged since the last fresh read.
     /// A thread whose on-CPU time, wait time, and timeslice count are
@@ -73,7 +73,6 @@ impl Default for ZeroSumConfig {
         ZeroSumConfig {
             period_us: 1_000_000,
             cost: MonitorCost::default(),
-            signal_handler: true,
             delta_sampling: true,
             series_capacity: zerosum_stats::DEFAULT_SERIES_CAPACITY,
             max_exited_tracks: 512,
@@ -131,7 +130,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = ZeroSumConfig::default();
         assert_eq!(c.period_us, 1_000_000); // 1 Hz
-        assert!(c.signal_handler);
     }
 
     #[test]

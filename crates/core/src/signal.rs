@@ -2,20 +2,25 @@
 //!
 //! The paper's ZeroSum optionally installs a signal handler to report a
 //! backtrace on segmentation violations, bus errors, and other abnormal
-//! exits. Installing real signal handlers requires `unsafe` libc
-//! interop; this reproduction provides the reporting half as a safe
-//! library — capture a backtrace and format the crash report — plus a
-//! Rust-native hook for panics, which are the analogous abnormal-exit
-//! path in a Rust application.
+//! exits, and still leaves a complete log. Installing real signal
+//! handlers requires `unsafe` libc interop, so the report comes from
+//! whoever owns the [`Monitor`](crate::Monitor) when the process dies:
+//!
+//! * the `zerosum` wrapper watches its child from outside, learns the
+//!   signal that ended it from the exit status, names it with
+//!   [`AbnormalExit::from_signal`], prints [`crash_header`] and writes
+//!   the partial logs ([`crate::export::write_partial_logs`]) from the
+//!   monitor it holds after the session stopped;
+//! * a self-attached application ([`crate::SelfMonitor::start`]) gets a
+//!   Rust panic hook ([`install_panic_hook`]), the abnormal-exit path of
+//!   a Rust program, which prints [`crash_report`] — cause, identity and
+//!   backtrace — for a panic on any thread but the monitor's own.
 
 use std::backtrace::Backtrace;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
-/// Registered abnormal-exit flush callbacks (e.g. partial-log writers).
-/// The product's one lock: the panic path drains it from whichever
-/// thread dies.
-static CRASH_FLUSHES: Mutex<Vec<Box<dyn Fn() + Send>>> = Mutex::new(Vec::new());
+/// The name of the monitor thread every session spawns.
+pub(crate) const MONITOR_THREAD: &str = "ZeroSum";
 
 /// The abnormal-exit causes ZeroSum reports on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,102 +48,70 @@ impl AbnormalExit {
             AbnormalExit::Abort => "SIGABRT",
         }
     }
+
+    /// The cause a Linux signal number stands for, when it is one of the
+    /// five crash signals; `None` for any other (`SIGKILL`, `SIGTERM`,
+    /// `SIGINT`, …), which a report names by its number.
+    pub fn from_signal(signal: i32) -> Option<Self> {
+        match signal {
+            11 => Some(AbnormalExit::SegmentationViolation),
+            7 => Some(AbnormalExit::BusError),
+            8 => Some(AbnormalExit::FloatingPointException),
+            4 => Some(AbnormalExit::IllegalInstruction),
+            6 => Some(AbnormalExit::Abort),
+            _ => None,
+        }
+    }
 }
 
-/// Formats the crash report ZeroSum writes before the process dies:
-/// cause, process identity, and a captured backtrace.
-pub fn crash_report(cause: AbnormalExit, pid: u32, rank: Option<u32>) -> String {
-    let bt = Backtrace::force_capture();
+/// The cause and identity lines an abnormal-exit report opens with.
+pub fn crash_header(cause: &str, pid: u32, rank: Option<u32>) -> String {
     let mut out = String::new();
-    writeln!(
-        out,
-        "ZeroSum: abnormal exit — {} ({:?})",
-        cause.signal_name(),
-        cause
-    )
-    .unwrap();
+    writeln!(out, "ZeroSum: abnormal exit — {cause}").unwrap();
     match rank {
         Some(r) => writeln!(out, "ZeroSum: MPI {r:03} - PID {pid}").unwrap(),
         None => writeln!(out, "ZeroSum: PID {pid}").unwrap(),
     }
+    out
+}
+
+/// Formats the crash report ZeroSum writes before the process dies:
+/// cause, process identity, and a backtrace of the calling thread.
+pub fn crash_report(cause: AbnormalExit, pid: u32, rank: Option<u32>) -> String {
+    let bt = Backtrace::force_capture();
+    let mut out = crash_header(cause.signal_name(), pid, rank);
     writeln!(out, "ZeroSum: backtrace follows").unwrap();
     writeln!(out, "{bt}").unwrap();
     out
 }
 
-/// Registers a callback to run on the abnormal-exit path — typically a
-/// partial-log flush ([`crate::export::write_partial_logs`]) so a dying
-/// application still leaves a complete, atomically-written log. Flushes
-/// run in registration order from [`run_crash_flushes`] and from the
-/// panic hook installed by [`install_panic_hook`].
-pub fn register_crash_flush(f: impl Fn() + Send + 'static) {
-    if let Ok(mut v) = CRASH_FLUSHES.lock() {
-        v.push(Box::new(f));
-    }
+/// The report a panic on the thread named `thread` prints: none on the
+/// monitor thread, whose round panics the sampling supervisor contains
+/// and whose callback panics resurface on the application's thread
+/// through [`crate::SelfMonitor::stop`], where they are reported.
+fn panic_report(thread: Option<&str>, rank: Option<u32>) -> Option<String> {
+    (thread != Some(MONITOR_THREAD))
+        .then(|| crash_report(AbnormalExit::Abort, std::process::id(), rank))
 }
 
-/// Runs every registered crash flush, isolating each in `catch_unwind`
-/// so one failing flush cannot silence the rest. Returns the number of
-/// callbacks that ran (panicking ones included). Uses `try_lock`: if the
-/// registry is locked by the very code that is crashing, skipping the
-/// flush beats deadlocking the exit path.
-///
-/// The registry lock is NOT held while callbacks run: flushes are
-/// arbitrary closures that may acquire locks of their own or write
-/// files, and either under the registry's guard is a finding of the
-/// audit's blocking pass. The list is taken out, run unlocked, and put
-/// back so callbacks stay registered for a later real crash.
-pub fn run_crash_flushes() -> usize {
-    let taken = {
-        let Ok(mut flushes) = CRASH_FLUSHES.try_lock() else {
-            return 0;
-        };
-        std::mem::take(&mut *flushes)
-    };
-    let mut ran = 0;
-    for f in taken.iter() {
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        ran += 1;
-    }
-    // Put the callbacks back, preserving registration order ahead of
-    // anything registered while we were running.
-    if let Ok(mut flushes) = CRASH_FLUSHES.lock() {
-        let newer = std::mem::replace(&mut *flushes, taken);
-        flushes.extend(newer);
-    }
-    ran
-}
-
-/// Empties the crash-flush registry (tests, or re-initialisation after
-/// monitoring ends).
-pub fn clear_crash_flushes() {
-    if let Ok(mut v) = CRASH_FLUSHES.lock() {
-        v.clear();
-    }
-}
-
-/// The complete abnormal-exit path as a callable: run the registered
-/// flushes, then produce the crash report. This is what a real signal
-/// handler (or the panic hook below) executes before the process dies.
-pub fn report_abnormal_exit(cause: AbnormalExit, pid: u32, rank: Option<u32>) -> String {
-    run_crash_flushes();
-    crash_report(cause, pid, rank)
-}
-
-/// Installs a Rust panic hook that runs the registered crash flushes and
-/// prints a ZeroSum crash report to stderr before delegating to the
-/// previous hook — the Rust-native equivalent of the paper's signal
-/// handler. Returns nothing; safe to call once at startup.
+/// Installs, once per process, a Rust panic hook that prints a ZeroSum
+/// crash report to stderr before delegating to the previous hook — the
+/// Rust-native equivalent of the paper's signal handler. Later calls
+/// leave the installed hook as it is.
 pub fn install_panic_hook(rank: Option<u32>) {
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let report = report_abnormal_exit(AbnormalExit::Abort, std::process::id(), rank);
-        // Write directly (not via `eprintln!`) so a closed stderr cannot
-        // turn the crash report itself into a second panic.
-        use std::io::Write as _;
-        let _ = writeln!(std::io::stderr(), "{report}");
-        previous(info);
-    }));
+    static INSTALLED: std::sync::Once = std::sync::Once::new();
+    INSTALLED.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if let Some(report) = panic_report(std::thread::current().name(), rank) {
+                // Write directly (not via `eprintln!`) so a closed
+                // stderr cannot turn the report into a second panic.
+                use std::io::Write as _;
+                let _ = writeln!(std::io::stderr(), "{report}");
+            }
+            previous(info);
+        }));
+    });
 }
 
 #[cfg(test)]
@@ -153,9 +126,25 @@ mod tests {
     }
 
     #[test]
+    fn the_five_crash_signals_map_and_others_do_not() {
+        let named: Vec<_> = [11, 7, 8, 4, 6]
+            .into_iter()
+            .map(|s| AbnormalExit::from_signal(s).map(AbnormalExit::signal_name))
+            .collect();
+        let want = ["SIGSEGV", "SIGBUS", "SIGFPE", "SIGILL", "SIGABRT"];
+        assert_eq!(named, want.map(Some));
+        for other in [9, 15, 2, 0] {
+            assert_eq!(AbnormalExit::from_signal(other), None, "signal {other}");
+        }
+    }
+
+    #[test]
     fn crash_report_contains_identity_and_backtrace_header() {
         let rep = crash_report(AbnormalExit::SegmentationViolation, 4242, Some(3));
-        assert!(rep.contains("SIGSEGV"));
+        assert!(
+            rep.starts_with("ZeroSum: abnormal exit — SIGSEGV\n"),
+            "{rep}"
+        );
         assert!(rep.contains("MPI 003 - PID 4242"));
         assert!(rep.contains("backtrace follows"));
     }
@@ -167,36 +156,12 @@ mod tests {
         assert!(!rep.contains("MPI"));
     }
 
-    // One test exercises the whole registry lifecycle: the registry is a
-    // process-wide global, so splitting these into separate (parallel)
-    // tests would race.
     #[test]
-    fn crash_flush_registry_lifecycle() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Arc;
-        clear_crash_flushes();
-        let hits = Arc::new(AtomicU32::new(0));
-        let h1 = hits.clone();
-        register_crash_flush(move || {
-            h1.fetch_add(1, Ordering::SeqCst);
-        });
-        register_crash_flush(|| panic!("bad flush"));
-        let h2 = hits.clone();
-        register_crash_flush(move || {
-            h2.fetch_add(10, Ordering::SeqCst);
-        });
-        // Silence the panic hook for the intentionally-bad flush.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let ran = run_crash_flushes();
-        assert_eq!(ran, 3);
-        assert_eq!(hits.load(Ordering::SeqCst), 11, "good flushes both ran");
-        // The abnormal-exit path runs the flushes, then reports.
-        let rep = report_abnormal_exit(AbnormalExit::BusError, 99, None);
-        std::panic::set_hook(prev);
-        assert_eq!(hits.load(Ordering::SeqCst) % 11, 0, "flushes ran again");
-        assert!(rep.contains("SIGBUS"));
-        clear_crash_flushes();
-        assert_eq!(run_crash_flushes(), 0);
+    fn a_panic_on_the_monitor_thread_prints_no_report() {
+        assert_eq!(panic_report(Some(MONITOR_THREAD), Some(0)), None);
+        for thread in [Some("main"), Some("ZeroSum-worker"), None] {
+            let rep = panic_report(thread, Some(0)).expect("an application thread reports");
+            assert!(rep.contains("SIGABRT"), "{rep}");
+        }
     }
 }

@@ -136,7 +136,7 @@ impl CommMatrix {
     }
 
     /// Bytes sent from `src` to `dst`. Out-of-range ranks read as 0 —
-    /// these accessors run on the crash-flush path (CSV export) and
+    /// these accessors run on the log export path (CSV export) and
     /// must not panic on a malformed rank.
     pub fn bytes(&self, src: usize, dst: usize) -> u64 {
         self.bytes.get(src * self.size + dst).copied().unwrap_or(0)

@@ -59,8 +59,6 @@ mutants=(
 'feed-unused-receiver~crates/core/src/feed.rs~s/(self\.subscribers\.push\(tx\);\n\s+)rx\n/$1sync_channel(1).1\n/~a `sync_channel` receiver bound and never used (the subscriber gets a dead one)'
 'sleep-in-pump-frames~crates/net/src/collector.rs~s/(let period_s = self\.cfg\.period_s;)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in `Collector::pump_frames`'
 'sleep-in-run-batch~crates/core/src/round.rs~s/(\) -> Outcome \{)/$1 std::thread::sleep(std::time::Duration::from_micros(50));/~`thread::sleep` inside the sampling round (`read_task`)'
-'proc-read-under-guard~crates/core/src/signal.rs~s/(v\.push\(Box::new\(f\)\);)/let _ = crate::attach::hostname(); $1/~a `/proc` read (`attach::hostname`) while `CRASH_FLUSHES` is held'
-'send-under-guard~crates/core/src/signal.rs~s/(v\.push\(Box::new\(f\)\);)/let (tx, _rx) = std::sync::mpsc::sync_channel(1); let _ = tx.send(0u8); $1/~a blocking channel `.send()` while `CRASH_FLUSHES` is held'
 'sched-double-dispatch~crates/sched/src/node.rs~s/let id = self\.cpus\[dpos\]\.runqueue\.remove\(rq_idx\)\.expect\("steal idx"\);/let id = *self.cpus[dpos].runqueue.get(rq_idx).expect("steal idx");/~a stolen task stays on the donor runqueue: dispatched while already running'
 'sched-charge-wrong-cpu~crates/sched/src/node.rs~s/(finished = \*remaining_us <= 0\.0;\n\s+\}\n\s+)self\.cpus\[pos\]\.user_us \+= tick;/$1let n = self.cpus.len(); self.cpus[(pos + 1) % n].user_us += tick;/~a compute jiffy charged to the neighbouring CPU'
 'sibling-sync-skipped~crates/sched/src/node.rs~s/(if let Some\(s\) = sib \{\n\s+)self\.catch_up\(s\);/$1let _ = s;/~the speed of an SMT sibling changes without catching it up first: its owed ticks run at the new speed'
@@ -80,10 +78,12 @@ mutants=(
 'main-thread-gated~crates/core/src/round.rs~s/let armed = delta_on && tid != pid;/let armed = delta_on;/~the delta gate armed for the main thread: a waiting main thread stops reporting the RSS its workers move'
 'println-in-core~crates/core/src/round.rs~s/(fn round_begin\([^)]*\) -> bool \{)/$1 println!("round {t_s}");/~a `println!` in library code (`core::round`)'
 'read-before-list~crates/core/src/round.rs~s/for w in processes\.iter_mut\(\)\.filter\(\|w\| !w\.gone\) \{\n(\s*let \(pid, tids\) = .*?\}\);\n)\s*\}\n(\s*for w in processes\.iter_mut\(\)\.filter\(\|w\| !w\.gone\) \{\n)/$2$1/s~each watch listed inside its own read loop: the second watch is listed only after the tasks of the first are read, so a fault schedule meets the reads in another order'
-'ab-ba-lock-pair~crates/core/src/signal.rs~s/(v\.push\(Box::new\(f\)\);)/static SECOND: Mutex<u8> = Mutex::new(0); let _g = SECOND.lock(); $1/~a second lock taken under a live guard, in one order only (a `static SECOND` under `CRASH_FLUSHES`)'
 'quarantine-one-round-late~crates/core/src/health.rs~s/\} else if st\.consecutive >= QUARANTINE_AFTER \{/} else if st.consecutive > QUARANTINE_AFTER {/~a tid whose reads keep failing is quarantined one round after `QUARANTINE_AFTER`'
 'governor-past-ceiling~crates/core/src/monitor.rs~s/let to = period\.saturating_mul\(2\)\.min\(MAX_PERIOD_US\);/let to = period.saturating_mul(2);/~the governor doubles the period past `MAX_PERIOD_US`'
 'ompt-tids-hashset~crates/experiments/src/launch.rs~s/let mut omp_tids = Vec::new\(\);/let mut omp_tids = std::collections::HashSet::new();/; s/omp_tids\.push\(ev\.tid\)/{ omp_tids.insert(ev.tid); }/~the launcher collects the OMPT tids into a `HashSet` and registers them in its iteration order (a `HashSet` iterated under a determinism root)'
+'mutex-in-product~crates/core/src/attach.rs~s/(pub fn hostname\(\) -> String \{)/$1 static PLANTED: std::sync::Mutex<u8> = std::sync::Mutex::new(0); let _g = PLANTED.lock();/~a `static Mutex<u8>` in product code (`attach::hostname`)'
+'signal-exit-unreported~crates/cli/src/lib.rs~s/let signal = status\.signal\(\);/let signal = status.signal().filter(|_| false);/~the wrapper ignores the signal that ended its child: no report, complete-looking logs, exit 255'
+'esrch-not-classified~crates/procfs/src/linux.rs~s/\n\s+_ if e\.raw_os_error\(\) == Some\(ESRCH\) => SourceError::NotFound,//~`ESRCH` from a read is an `Io` error instead of `NotFound`: a task that exited under its read is counted a failure, not a departure'
 )
 
 # The command stages of scripts/ci.sh, at its arguments (the benchmark
@@ -136,7 +136,8 @@ stages=(
 )
 # The passes of `zerosum audit` (a clean tree names none of them).
 audit_passes=(panic-reachable hot-path-alloc nondeterminism blocking
-    source-error-bubble unbounded-growth stale-allowlist unresolved-root "${extra_passes[@]}")
+    source-error-bubble unbounded-growth lock-in-product stale-allowlist unresolved-root
+    "${extra_passes[@]}")
 
 # The test binaries of a `cargo test` log, one `test <binary> (<file>)`
 # per line: every one it ran (`all=1`), or the ones that failed.

@@ -20,7 +20,6 @@ fn spin(ms: u64) {
 fn live_self_monitoring_produces_a_full_report() {
     let cfg = ZeroSumConfig {
         period_us: 50_000,
-        signal_handler: false,
         ..Default::default()
     };
     let session = SelfMonitor::start(cfg, Some(0)).expect("attach");
@@ -68,7 +67,6 @@ fn live_self_monitoring_produces_a_full_report() {
 fn live_log_parses_back_with_fixed_decimals() {
     let cfg = ZeroSumConfig {
         period_us: 20_000,
-        signal_handler: false,
         series_capacity: 8,
         ..Default::default()
     };
@@ -150,7 +148,6 @@ fn live_log_parses_back_with_fixed_decimals() {
 fn live_contention_analysis_runs() {
     let cfg = ZeroSumConfig {
         period_us: 40_000,
-        signal_handler: false,
         ..Default::default()
     };
     let session = SelfMonitor::start(cfg, None).expect("attach");
