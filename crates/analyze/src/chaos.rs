@@ -13,21 +13,10 @@
 //!    one-for-one against the injector's ground-truth fault log.
 //! 3. **Bounded distortion** — duration and per-thread utilization stay
 //!    within tolerance of the fault-free run at realistic fault rates.
-//!
-//! A separate [`abnormal_exit_drill`] rehearses the crash path with the
-//! calls the `zerosum` wrapper makes when its child dies of a signal —
-//! the partial logs from the monitor it owns, then the crash report —
-//! and checks that every emitted log is marked `PARTIAL`, terminated by
-//! the `END` marker, and that no torn `.tmp` files remain.
 
 use crate::verdict::{seeded_suite, Verdict};
-use zerosum_core::export::{write_partial_logs, LOG_END_MARKER, LOG_PARTIAL_MARKER};
-use zerosum_core::signal::{crash_report, AbnormalExit};
-use zerosum_core::{render_process_report, Monitor, ProcessInfo, ZeroSumConfig};
 use zerosum_experiments::tables::{run_table, run_table_chaos, ChaosAudit, TableConfig, TableRun};
 use zerosum_proc::fault::{FaultKind, FaultPlan, FaultRates, Op, ScriptedFault};
-use zerosum_sched::{Behavior, NodeSim, SchedParams, SimProcSource};
-use zerosum_topology::{presets, CpuSet};
 
 /// The three table configurations the soak cycles through, each with
 /// its schedule-name prefix and the seed its simulations run on.
@@ -168,83 +157,6 @@ pub fn run_suite(scale: u32, schedules: usize, base_fault_seed: u64) -> Vec<Verd
     )
 }
 
-/// Rehearses the crash-safe export path and returns every problem found
-/// (empty = pass): builds a small monitored run, writes its partial
-/// logs for a SIGSEGV and produces the [`crash_report`], as the wrapper
-/// does for a child a signal ended, then checks that each log it wrote
-/// (into a scratch directory of this process, removed afterwards) opens
-/// with the `PARTIAL` marker, closes with the `END` marker, and that no
-/// torn `.tmp` files were left behind.
-pub fn abnormal_exit_drill() -> Vec<String> {
-    let dir = std::env::temp_dir().join(format!("zerosum-chaos-drill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut problems = Vec::new();
-    let mut sim = NodeSim::new(presets::laptop_i7_1165g7(), SchedParams::default());
-    let pid = sim.spawn_process(
-        "app",
-        CpuSet::from_indices([0u32, 1]),
-        1_024,
-        Behavior::FiniteCompute {
-            remaining_us: 800_000,
-            chunk_us: 10_000,
-        },
-    );
-    let mut mon = Monitor::new(ZeroSumConfig::default().with_period_ms(100));
-    mon.watch_process(ProcessInfo {
-        pid,
-        rank: Some(0),
-        hostname: "chaos-node".into(),
-        gpus: vec![],
-        cpus_allowed: Default::default(),
-    });
-    for round in 0..4u64 {
-        sim.run_for(100_000);
-        let src = SimProcSource::new(&sim);
-        mon.sample(round as f64 * 0.1, &src);
-    }
-    let cause = AbnormalExit::SegmentationViolation;
-    let _ = write_partial_logs(&mon, &dir, cause.signal_name(), |p| {
-        render_process_report(&mon, p, mon.last_t_s, None)
-    });
-    let report = crash_report(cause, pid, Some(0));
-    if !report.contains("SIGSEGV") {
-        problems.push("crash report does not name the signal".to_string());
-    }
-    let mut logs = 0usize;
-    match std::fs::read_dir(&dir) {
-        Ok(entries) => {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if name.ends_with(".tmp") {
-                    problems.push(format!("torn temp file left behind: {name}"));
-                    continue;
-                }
-                if !name.ends_with(".log") {
-                    continue;
-                }
-                logs += 1;
-                let content = std::fs::read_to_string(&path).unwrap_or_default();
-                if !content.starts_with(LOG_PARTIAL_MARKER) {
-                    problems.push(format!("{name}: missing PARTIAL marker"));
-                }
-                if !content.trim_end().ends_with(LOG_END_MARKER) {
-                    problems.push(format!("{name}: missing END marker (torn write?)"));
-                }
-                if !content.contains("Sampling health (CSV)") {
-                    problems.push(format!("{name}: health ledger section missing"));
-                }
-            }
-        }
-        Err(e) => problems.push(format!("cannot read drill dir: {e}")),
-    }
-    if logs == 0 {
-        problems.push("the partial-log write produced no logs".to_string());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    problems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,11 +193,5 @@ mod tests {
         // A panic is not a read error: the ledgers still reconcile.
         assert!(audit.reconciles(), "{audit:?}");
         assert!(run.duration_s > 0.0);
-    }
-
-    #[test]
-    fn abnormal_exit_drill_leaves_no_torn_files() {
-        let problems = abnormal_exit_drill();
-        assert!(problems.is_empty(), "drill problems: {problems:?}");
     }
 }

@@ -19,8 +19,7 @@
 //!   state.
 //! * **Chaos checking** ([`chaos`]) — Tables 1–3 under seeded procfs
 //!   fault schedules: zero panics, exact ledger/fault-log
-//!   reconciliation, bounded distortion, and an abnormal-exit drill for
-//!   the crash-safe export path.
+//!   reconciliation, bounded distortion.
 //! * **Open-system churn chaos** ([`churn_chaos`]) — seeded
 //!   Berserker-style fork/exec storms over the deterministic sim-churn
 //!   backend: no panics at any arrival rate, mid-read departures fold
@@ -36,8 +35,7 @@
 //!   truncation, delay, reorder, disconnects, partitions, permanent
 //!   kills) over the deterministic in-process backend — honest
 //!   `DEGRADED (k/n nodes)`, `DEAD` and `SKEWED` markers, survivor
-//!   aggregates delivered bit-identical to the fault-free run — plus a
-//!   loopback-TCP smoke when sockets are allowed.
+//!   aggregates delivered bit-identical to the fault-free run.
 //! * **Bounded memory** ([`memory_drill`]) — series storage stays
 //!   constant over million-round runs.
 //!
@@ -61,10 +59,10 @@ pub mod transport_chaos;
 pub mod verdict;
 
 pub use audit::{audit_sources, audit_workspace, find_workspace_root, AuditReport};
-pub use chaos::{abnormal_exit_drill, realistic_plan, run_suite};
+pub use chaos::{realistic_plan, run_suite};
 pub use churn_chaos::{judge_churn_run, judge_real_churn, run_churn_suite, suite_params};
 pub use invariants::{check_invariants, InvariantKind, Violation};
 pub use memory_drill::bounded_memory_drill;
 pub use scenarios::{check_comm_matrix, check_trace, run_scenarios, SCENARIOS};
-pub use transport_chaos::{judge_transport_run, run_transport_suite, tcp_loopback_smoke};
+pub use transport_chaos::{judge_transport_run, run_transport_suite};
 pub use verdict::{drill_section, render_suite, Verdict};

@@ -28,17 +28,16 @@
 //! 7. **Skew is not death** — a skewed node on a clean link is never
 //!    taken out of the quorum.
 //!
-//! The same protocol runs over real loopback TCP, when the sandbox
-//! allows sockets, in [`tcp_loopback_smoke`].
+//! The same protocol runs over real loopback TCP between `zerosum
+//! collect` and wrappers started with `--connect`; the CLI's live test
+//! drives it.
 
 use crate::verdict::{seeded_suite, Verdict};
-use zerosum_core::{NodeAggregate, NodeState};
+use zerosum_core::NodeState;
 use zerosum_experiments::transport_chaos::{
     run_transport_chaos, run_transport_chaos_with_plan, TransportChaosOutcome,
 };
-use zerosum_net::{
-    Acceptor, AllocationFaultPlan, Collector, NodeAgent, NodeFaultPlan, TcpLink, TransportFaultPlan,
-};
+use zerosum_net::{AllocationFaultPlan, NodeFaultPlan, TransportFaultPlan};
 
 /// Rounds of silence after which a killed node must be Dead: the
 /// collector's three missed deadlines, plus two rounds in which a frame
@@ -233,123 +232,6 @@ pub fn run_transport_suite(
     )
 }
 
-/// Drives `node_count` agents through real loopback TCP sockets into a
-/// collector, each shipping a synthetic aggregate, and checks the same
-/// honesty properties: every aggregate delivered bit-identically and a
-/// full wire-side quorum. Returns `None` when the sandbox forbids
-/// sockets (bind fails) — callers print a visible SKIPPED marker —
-/// otherwise `Some(problems)`, empty on pass.
-pub fn tcp_loopback_smoke(node_count: usize, rounds: u32) -> Option<Vec<String>> {
-    let acceptor = Acceptor::bind("127.0.0.1:0").ok()?;
-    let addr = acceptor.local_addr().ok()?;
-    let mut problems = Vec::new();
-    let mut collector = Collector::new();
-    let mut agents = Vec::new();
-    let mut expected = Vec::new();
-    for i in 0..node_count {
-        let host = format!("tcp{i:04}");
-        collector.expect_node(&host);
-        let Ok(link) = TcpLink::dial(&addr.to_string(), zerosum_net::DEFAULT_WINDOW) else {
-            problems.push(format!("dial {addr} failed for {host}"));
-            return Some(problems);
-        };
-        agents.push(NodeAgent::new(link, host.clone()));
-        expected.push(NodeAggregate {
-            hostname: host,
-            ranks: 1,
-            lwps: 2 + i,
-            mean_user_pct: 80.0 + i as f64 * 0.5,
-            mean_idle_pct: 20.0 - i as f64 * 0.5,
-            total_nvcsw: 17 * (i as u64 + 1),
-            rss_kib: 100_000 + i as u64,
-        });
-    }
-    // Accept all the dials (non-blocking: poll until every peer lands).
-    let mut accepted = 0;
-    for _ in 0..10_000 {
-        match acceptor.poll_accept(zerosum_net::DEFAULT_WINDOW) {
-            Ok(Some(link)) => {
-                collector.add_link(Box::new(link));
-                accepted += 1;
-                if accepted == node_count {
-                    break;
-                }
-            }
-            Ok(None) => std::thread::yield_now(),
-            Err(e) => {
-                problems.push(format!("accept failed: {e}"));
-                return Some(problems);
-            }
-        }
-    }
-    if accepted != node_count {
-        problems.push(format!("only {accepted}/{node_count} peers accepted"));
-        return Some(problems);
-    }
-    let period_s = collector.cfg.period_s;
-    for r in 0..rounds {
-        let round = u64::from(r) + 1;
-        for agent in &mut agents {
-            agent.begin_round(round, round as f64 * period_s);
-            agent.send_detail(round, 100, 50.0);
-        }
-        // Loopback is fast but asynchronous: tick and pump until every
-        // node's heartbeat for this round has landed.
-        for _ in 0..10_000 {
-            for agent in &mut agents {
-                agent.tick();
-            }
-            collector.pump_frames();
-            if collector.stats.heartbeats_rx >= round * node_count as u64 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        collector.run_round();
-    }
-    for (agent, agg) in agents.iter_mut().zip(&expected) {
-        agent.finish(u64::from(rounds), agg.clone());
-    }
-    for _ in 0..10_000 {
-        for agent in &mut agents {
-            agent.tick();
-        }
-        collector.pump_frames();
-        if agents.iter().all(|a| a.done()) {
-            break;
-        }
-        std::thread::yield_now();
-    }
-    let (k, n) = collector.supervision().quorum();
-    if k != node_count || n != node_count {
-        problems.push(format!("quorum {k}/{n} over healthy loopback TCP"));
-    }
-    let wire = collector.wire_aggregates();
-    if wire != expected {
-        problems.push(format!(
-            "TCP-delivered aggregates differ: {} delivered vs {} sent",
-            wire.len(),
-            expected.len()
-        ));
-    }
-    if collector.stats.decode_errors != 0 {
-        problems.push(format!(
-            "{} decode errors over a clean TCP loopback",
-            collector.stats.decode_errors
-        ));
-    }
-    let summary = collector.render_summary();
-    if summary.contains("DEGRADED") {
-        problems.push("healthy TCP run rendered a DEGRADED marker".to_string());
-    }
-    for agent in &agents {
-        if agent.is_down() {
-            problems.push("an agent ended the clean TCP run in backoff".to_string());
-        }
-    }
-    Some(problems)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,13 +287,5 @@ mod tests {
         let mut bad = Verdict::new("x", 4, 1);
         check_quorum_markers(&mut bad, &[degraded, full], &quorums, 2, 3);
         assert_eq!(bad.problems.len(), 3, "{bad:?}");
-    }
-
-    #[test]
-    fn tcp_smoke_passes_or_skips_cleanly() {
-        match tcp_loopback_smoke(3, 5) {
-            None => eprintln!("tcp_smoke: SKIPPED (sandbox forbids sockets)"),
-            Some(problems) => assert!(problems.is_empty(), "{problems:?}"),
-        }
     }
 }

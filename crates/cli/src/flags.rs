@@ -122,6 +122,13 @@ pub static WRAPPER: Command = Command {
         flag("--period-ms", "N", U64, "1000", "sampling period"),
         flag("--log-dir", "DIR", Text, "", "write the per-process log"),
         flag("--rank", "N", U32, "", "MPI rank (else from the env)"),
+        flag(
+            "--connect",
+            "ADDR",
+            Text,
+            "",
+            "stream to `zerosum collect` there",
+        ),
         switch("--verbose-ranks", "print the report on every rank"),
         switch("--heartbeat", "print a liveness line every period"),
     ],
@@ -130,11 +137,9 @@ pub static WRAPPER: Command = Command {
 
 const SCALE: &str = "workload divisor (larger = quicker)";
 const SEED: &str = "base seed";
-const ROUNDS: &str = "rounds to drive";
-const PERIOD: &str = "round period";
 
 /// Every subcommand, in the order `zerosum --help` lists them.
-pub static SUBCOMMANDS: [Command; 8] = [
+pub static SUBCOMMANDS: [Command; 7] = [
     cmd(
         "analyze",
         "run the paper scenarios under the trace checker (scheduler invariants)",
@@ -146,7 +151,7 @@ pub static SUBCOMMANDS: [Command; 8] = [
     ),
     cmd(
         "chaos",
-        "Tables 1-3 under seeded procfs fault schedules, plus the abnormal-exit drill",
+        "Tables 1-3 under seeded procfs fault schedules",
         &[
             flag("--scale", "N", U32, "150", SCALE),
             flag("--schedules", "N", USIZE, "21", "fault schedules to run"),
@@ -155,10 +160,10 @@ pub static SUBCOMMANDS: [Command; 8] = [
     ),
     cmd(
         "cluster-chaos",
-        "seeded node + link fault plans over the wire; TCP smoke; bounded-memory drill",
+        "seeded node + link fault plans over the wire; bounded-memory drill",
         &[
             flag("--nodes", "N", USIZE, "4", "nodes in the allocation"),
-            flag("--rounds", "N", U32, "24", ROUNDS),
+            flag("--rounds", "N", U32, "24", "rounds to drive"),
             flag("--schedules", "N", USIZE, "20", "plans to run"),
             flag("--seed", "N", U64, "41232", SEED),
             flag("--drill-rounds", "N", U64, "1000000", "memory drill rounds"),
@@ -179,26 +184,13 @@ pub static SUBCOMMANDS: [Command; 8] = [
     ),
     cmd(
         "collect",
-        "collector daemon: accept `zerosum stream` agents over TCP (DESIGN.md §12)",
+        "collector daemon: supervise `zerosum --connect` wrappers until each finished or died (DESIGN.md §12)",
         &[
             flag("--listen", "ADDR", Text, "127.0.0.1:0", "address to bind"),
             switch("--probe", "only bind, then exit (0 works, 3 forbidden)"),
             flag("--port-file", "F", Text, "", "write the bound address here"),
-            flag("--nodes", "N", USIZE, "1", "agents to wait for"),
-            flag("--rounds", "N", U32, "10", ROUNDS),
-            flag("--period-ms", "N", U64, "100", PERIOD),
-        ],
-    ),
-    cmd(
-        "stream",
-        "node agent: stream a simulated node's monitoring frames to `zerosum collect`",
-        &[
-            flag("--connect", "ADDR", Text, "", "collector address, required"),
-            flag("--node", "NAME", Text, "stream0000", "this node's hostname"),
-            flag("--rank", "N", U32, "0", "rank of the simulated process"),
-            flag("--rounds", "N", U32, "10", ROUNDS),
-            flag("--period-ms", "N", U64, "100", PERIOD),
-            flag("--seed", "N", U64, "42", SEED),
+            flag("--nodes", "N", USIZE, "1", "wrappers to wait for"),
+            flag("--period-ms", "N", U64, "1000", "round period = the wrappers'"),
         ],
     ),
     cmd(
@@ -490,28 +482,14 @@ mod tests {
         assert!(!p.given("--ramp") && !p.given("--probe"));
         let p = of("collect");
         assert_eq!(p.text_of("--listen"), Some("127.0.0.1:0"));
+        // The wrapper's period: a collector judges its heartbeats by it.
         assert_eq!(
-            (
-                p.number::<usize>("--nodes"),
-                p.number::<u32>("--rounds"),
-                p.number::<u64>("--period-ms")
-            ),
-            (1, 10, 100)
+            (p.number::<usize>("--nodes"), p.number::<u64>("--period-ms")),
+            (1, 1_000)
         );
+        let wrapper = parse_flags(&WRAPPER, &[]).unwrap();
+        assert_eq!(wrapper.number::<u64>("--period-ms"), 1_000);
         assert_eq!(p.text_of("--port-file"), None);
-        let p = of("stream");
-        assert_eq!(
-            (p.text_of("--connect"), p.text_of("--node")),
-            (None, Some("stream0000"))
-        );
-        assert_eq!(
-            (p.number::<u32>("--rank"), p.number::<u32>("--rounds")),
-            (0, 10)
-        );
-        assert_eq!(
-            (p.number::<u64>("--period-ms"), p.number::<u64>("--seed")),
-            (100, 42)
-        );
         let p = of("analyze");
         assert_eq!(
             (p.number::<u32>("--scale"), p.number::<u64>("--seed")),

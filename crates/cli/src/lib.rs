@@ -4,7 +4,10 @@
 //! `zerosum-mpi` wrapper script (`srun -n8 zerosum-mpi miniqmc`): spawn
 //! the application as a child process and monitor it *from outside*
 //! through `/proc/<pid>`, then print the utilization report, contention
-//! summary, and configuration-evaluation findings at exit.
+//! summary, and configuration-evaluation findings at exit. With
+//! `--connect ADDR` it is also the node's agent on the wire: each
+//! sample goes to `zerosum collect` as a heartbeat with per-LWP detail,
+//! and the node's aggregate follows at exit.
 //!
 //! All the logic lives here in the library (unit-testable) — the
 //! wrapper, and the flag table every subcommand's argv is read against
@@ -20,11 +23,14 @@ pub mod flags;
 use std::os::unix::process::ExitStatusExt as _;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError};
+use std::time::{Duration, Instant};
 use zerosum_core::signal::{crash_header, AbnormalExit};
 use zerosum_core::{
-    analyze, evaluate, export, render_findings, render_process_report, ProgressTracker,
-    SelfMonitor, ZeroSumConfig,
+    analyze, evaluate, export, render_findings, render_process_report, NodeAggregate,
+    ProgressTracker, SelfMonitor, ZeroSumConfig,
 };
+use zerosum_net::{NodeAgent, TcpLink};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +48,8 @@ pub struct CliOptions {
     /// Print a live heartbeat line each sample (`--heartbeat`) — the
     /// §3.3 "the application is viable" signal.
     pub heartbeat: bool,
+    /// The `zerosum collect` to stream to (`--connect`).
+    pub connect: Option<String>,
     /// The command to launch.
     pub command: Vec<String>,
 }
@@ -108,6 +116,7 @@ pub fn wrapper_options(parsed: &flags::Parsed) -> Result<CliOptions, CliError> {
         rank: parsed.number_opt("--rank"),
         quiet_ranks: !parsed.given("--verbose-ranks"),
         heartbeat: parsed.given("--heartbeat"),
+        connect: parsed.text_of("--connect").map(String::from),
         command: parsed.trailing.to_vec(),
     })
 }
@@ -122,9 +131,60 @@ pub struct WrapOutcome {
     pub report: String,
     /// Paths of log files written, if a log dir was given.
     pub logs: Vec<PathBuf>,
+    /// With `--connect`: whether the collector acknowledged the node's
+    /// aggregate.
+    pub delivered: Option<bool>,
+}
+
+/// What the wrapper's agent thread is handed: a sample's round — the
+/// heartbeat's `(round, t_s)` and `(tid, busy %)` per live LWP — or,
+/// once the session stopped, the node's aggregate.
+enum ToAgent {
+    Round(u64, f64, Vec<(u32, f64)>),
+    Finish(NodeAggregate),
+}
+
+/// The agent thread: the one owner of the node's [`NodeAgent`] and its
+/// socket. It opens a wire round per round it is handed and ticks the
+/// agent every `tick`; handed the aggregate, it ticks until the
+/// collector acks it or 10 s pass. True when acked.
+fn agent_thread(mut agent: NodeAgent<TcpLink>, rx: Receiver<ToAgent>, tick: Duration) -> bool {
+    let (mut last, mut due) = (0, Instant::now() + tick);
+    let agg = loop {
+        match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+            Ok(ToAgent::Round(round, t_s, lwps)) => {
+                agent.begin_round(round, t_s);
+                for (tid, busy_pct) in lwps {
+                    agent.send_detail(round, tid, busy_pct);
+                }
+                last = round;
+            }
+            Ok(ToAgent::Finish(agg)) => break agg,
+            Err(RecvTimeoutError::Timeout) => {
+                agent.tick();
+                due += tick;
+            }
+            Err(RecvTimeoutError::Disconnected) => return false,
+        }
+    };
+    // Past the last heartbeat's round, and never 0: an ack of round 0
+    // acks the Hello.
+    agent.finish(last + 1, agg);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !agent.done() && Instant::now() < deadline {
+        std::thread::sleep(tick);
+        agent.tick();
+    }
+    agent.done()
 }
 
 /// Launches and monitors the command; blocks until it exits.
+///
+/// With `--connect` the collector is dialled before the child runs,
+/// and the node is `<hostname>.<rank:05>` (else `.<child pid>`). The
+/// monitor thread hands each sample to the agent thread by `try_send`:
+/// a full channel drops the round, never stalls the monitor. A
+/// heartbeat's round is its deadline's index `k`, `t_s ≈ k · period`.
 ///
 /// A child that a signal ended is an abnormal exit (§3.1), reported by
 /// the wrapper, which owns the monitor: the report closes with the
@@ -134,14 +194,23 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
     let rank = opts
         .rank
         .or_else(|| rank_from_env(|k| std::env::var(k).ok()));
-    let config = ZeroSumConfig {
-        period_us: opts.period_ms * 1_000,
-        ..Default::default()
+    let config = ZeroSumConfig::default().with_period_ms(opts.period_ms);
+    let dial = |addr: &String| {
+        TcpLink::dial(addr, zerosum_net::DEFAULT_WINDOW).map_err(|e| format!("dial {addr}: {e}"))
     };
+    let link = opts.connect.as_ref().map(dial).transpose()?;
     let mut child = Command::new(&opts.command[0])
         .args(&opts.command[1..])
         .spawn()
         .map_err(|e| format!("failed to launch {:?}: {e}", opts.command[0]))?;
+    let id = rank.map_or(child.id().to_string(), |r| format!("{r:05}"));
+    let node = format!("{}.{id}", zerosum_core::attach::hostname());
+    let period = Duration::from_millis(opts.period_ms);
+    // The agent may fall 8 rounds behind before the monitor drops one.
+    let (tx, rx) = sync_channel(8);
+    let agent = link.map(|link| NodeAgent::new(link, node.clone()));
+    let agent = agent.map(|a| std::thread::spawn(move || agent_thread(a, rx, period / 4)));
+    let rounds = agent.is_some().then(|| tx.clone());
     // The heartbeat is written by the monitor thread, one line per
     // sample. Direct write: a closed stderr must not kill the wrapper
     // (`eprintln!` would panic).
@@ -152,11 +221,22 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
             let line = tracker.heartbeat_line(m, m.last_t_s);
             let _ = writeln!(std::io::stderr(), "{line}");
         }
+        if let Some(tx) = &rounds {
+            let k = (m.last_t_s / period.as_secs_f64()).round() as u64;
+            let live = m.processes().iter().flat_map(|w| w.lwps.tracks());
+            let live = live.filter(|t| !t.exited && !t.retired);
+            let lwps = live.map(|t| (t.tid, t.cpu_fraction() * 100.0)).collect();
+            let _ = tx.try_send(ToAgent::Round(k, m.last_t_s, lwps));
+        }
     })
     .map_err(|e| format!("failed to attach monitor: {e}"))?;
     let status = child.wait().map_err(|e| format!("wait failed: {e}"))?;
     let signal = status.signal();
     let (monitor, duration) = session.stop();
+    let delivered = agent.map(|handle| {
+        let agg = NodeAggregate::from_monitor(&node, &monitor);
+        tx.send(ToAgent::Finish(agg)).is_ok() && handle.join().unwrap_or(false)
+    });
     let pid = monitor.processes()[0].info.pid;
     let mut report = render_process_report(&monitor, pid, duration, None);
     if let Some(c) = analyze(&monitor, pid) {
@@ -192,6 +272,7 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
         exit_code: status.code().or(signal.map(|s| 128 + s)).unwrap_or(255),
         report,
         logs,
+        delivered,
     })
 }
 
@@ -217,6 +298,8 @@ mod tests {
             "/tmp/zs",
             "--rank",
             "3",
+            "--connect",
+            "127.0.0.1:4000",
             "--",
             "miniqmc",
             "-g",
@@ -226,6 +309,7 @@ mod tests {
         assert_eq!(o.period_ms, 250);
         assert_eq!(o.logs_dir, Some(PathBuf::from("/tmp/zs")));
         assert_eq!(o.rank, Some(3));
+        assert_eq!(o.connect.as_deref(), Some("127.0.0.1:4000"));
         assert_eq!(o.command, s(&["miniqmc", "-g", "2 2 2"]));
     }
 
@@ -234,6 +318,7 @@ mod tests {
         let o = parse_args(&s(&["sleep", "1"])).unwrap();
         assert_eq!(o.command, s(&["sleep", "1"]));
         assert_eq!(o.period_ms, 1_000); // the paper's default
+        assert_eq!(o.connect, None);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! artifact renders, exit 3 is kept for "the sandbox forbids it", and
 //! the judges `cargo test` holds in-process come out of their command
 //! with the verdict lines, last line and exit code `scripts/ci.sh`
-//! reads, and the wrapper reports a child a signal ended.
+//! reads, the wrapper reports a child a signal ended, and wrappers
+//! started with `--connect` stream their real children to `zerosum
+//! collect` over loopback TCP.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use zerosum_cli::flags::SUBCOMMANDS;
 use zerosum_core::export::{LOG_END_MARKER, LOG_PARTIAL_MARKER};
 
@@ -187,10 +189,154 @@ fn a_busy_port_and_a_dead_peer_are_failures_not_sandbox_skips() {
     assert_eq!(zerosum(&["collect", "--probe"]).status.code(), Some(0));
     let busy = zerosum(&["collect", "--listen", &addr, "--probe"]);
     assert_eq!(busy.status.code(), Some(1), "{}", stderr(&busy));
-    // Nobody listens on a port just released.
+    // Nobody listens on a port just released: the wrapper fails before
+    // it runs its child.
     drop(taken);
-    let dead = zerosum(&["stream", "--connect", &addr, "--rounds", "1"]);
+    let touched = std::env::temp_dir().join(format!("zerosum-dial-{}", std::process::id()));
+    let _ = std::fs::remove_file(&touched);
+    let script = format!("touch {}", touched.display());
+    let dead = zerosum(&["--connect", &addr, "--", "sh", "-c", &script]);
     assert_eq!(dead.status.code(), Some(1), "{}", stderr(&dead));
+    assert!(stderr(&dead).contains("dial "), "{}", stderr(&dead));
+    assert!(!touched.exists(), "the child ran after a dead dial");
+}
+
+/// Runs `zerosum collect --nodes 2 --period-ms 100` and, connected to
+/// it, one wrapper per command (ranks 0 and 1); returns the collector's
+/// output and each wrapper's exit code. `None` when the sandbox forbids
+/// sockets or spawning.
+fn allocation(tag: &str, commands: [&[&str]; 2]) -> Option<(Output, Vec<Option<i32>>)> {
+    let bin = env!("CARGO_BIN_EXE_zerosum");
+    if let Err(e) = std::net::TcpListener::bind("127.0.0.1:0") {
+        eprintln!("live allocation: SKIPPED (sandbox forbids sockets: {e})");
+        return None;
+    }
+    if let Err(e) = Command::new("sh").args(["-c", "true"]).status() {
+        eprintln!("live allocation: SKIPPED (cannot spawn sh: {e})");
+        return None;
+    }
+    let port_file =
+        std::env::temp_dir().join(format!("zerosum-collect-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    let mut collect = Command::new(bin)
+        .args([
+            "collect",
+            "--nodes",
+            "2",
+            "--period-ms",
+            "100",
+            "--port-file",
+        ])
+        .arg(&port_file)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn zerosum collect");
+    // Waits for the address, not for a time: the bound only ends a
+    // collector that never binds.
+    let mut addr = String::new();
+    for _ in 0..1_500 {
+        addr = std::fs::read_to_string(&port_file).unwrap_or_default();
+        if addr.parse::<std::net::SocketAddr>().is_ok()
+            || collect.try_wait().is_ok_and(|s| s.is_some())
+        {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let _ = std::fs::remove_file(&port_file);
+    let wrappers: Vec<_> = commands
+        .iter()
+        .enumerate()
+        .map(|(rank, command)| {
+            Command::new(bin)
+                .args(["--period-ms", "100", "--rank", &rank.to_string()])
+                .args(["--connect", &addr, "--"])
+                .args(*command)
+                .stdout(Stdio::null())
+                .spawn()
+                .expect("spawn a wrapper")
+        })
+        .collect();
+    let codes = wrappers
+        .into_iter()
+        .map(|w| {
+            w.wait_with_output()
+                .expect("wait for a wrapper")
+                .status
+                .code()
+        })
+        .collect();
+    let out = collect
+        .wait_with_output()
+        .expect("wait for zerosum collect");
+    Some((out, codes))
+}
+
+/// The rows of the wire summary's node table: `(node, LWPs, user%)`.
+fn summary_rows(text: &str) -> Vec<(String, u64, f64)> {
+    let rows = text.lines().skip_while(|l| !l.starts_with("node "));
+    let rows = rows.skip(1).take_while(|l| !l.starts_with("LIVE:"));
+    rows.map(|l| {
+        let cells: Vec<&str> = l.split_whitespace().collect();
+        let number = |i: usize| cells.get(i).and_then(|c| c.parse::<f64>().ok());
+        let (lwps, user) = (number(2).unwrap_or(0.0), number(3).unwrap_or(0.0));
+        (cells[0].to_string(), lwps as u64, user)
+    })
+    .collect()
+}
+
+/// Two real wrappers on the wire: each streams its own child, each
+/// aggregate is delivered, and `collect` ends on what the wire told it.
+#[test]
+fn two_wrappers_stream_their_children_to_collect() {
+    let bin = env!("CARGO_BIN_EXE_zerosum");
+    let churn: &[&str] = &[bin, "__churn-child", "600000", "2"];
+    let Some((out, codes)) = allocation("healthy", [churn, churn]) else {
+        return;
+    };
+    let (text, log) = (stdout(&out), stderr(&out));
+    assert_eq!(out.status.code(), Some(0), "{text}{log}");
+    assert_eq!(codes, [Some(0), Some(0)], "{text}{log}");
+    let host = zerosum_core::attach::hostname();
+    let rows = summary_rows(&text);
+    let names: Vec<&str> = rows.iter().map(|r| r.0.as_str()).collect();
+    assert_eq!(
+        names,
+        [format!("{host}.00000"), format!("{host}.00001")],
+        "{text}"
+    );
+    for (node, lwps, user) in &rows {
+        assert!(*lwps >= 2 && *user > 0.0, "{node}: {text}");
+    }
+    assert!(text.contains("LIVE: 2/2 node(s), 2 aggregate(s)"), "{text}");
+    for marker in ["DEAD", "DEGRADED", "SKEWED", "SUSPECT"] {
+        assert!(!text.contains(marker), "{marker}: {text}");
+    }
+}
+
+/// A wrapper killed mid-run is declared DEAD, and `collect` ends on
+/// that, with the survivor's row, instead of waiting for it.
+#[test]
+fn a_killed_wrapper_is_dead_and_collect_ends_without_it() {
+    let bin = env!("CARGO_BIN_EXE_zerosum");
+    let killed: &[&str] = &["sh", "-c", "sleep 0.3; kill -9 $PPID"];
+    let churn: &[&str] = &[bin, "__churn-child", "600000", "2"];
+    let Some((out, codes)) = allocation("killed", [killed, churn]) else {
+        return;
+    };
+    let (text, log) = (stdout(&out), stderr(&out));
+    assert_eq!(out.status.code(), Some(1), "{text}{log}");
+    assert_eq!(codes, [None, Some(0)], "{text}{log}");
+    let host = zerosum_core::attach::hostname();
+    assert!(
+        text.contains(&format!("\nDEAD: node {host}.00000 (")),
+        "{text}"
+    );
+    let rows = summary_rows(&text);
+    assert_eq!(rows.len(), 1, "{text}");
+    assert_eq!(rows[0].0, format!("{host}.00001"), "{text}");
+    assert!(log.contains("only 1/2 aggregate(s) delivered"), "{log}");
 }
 
 /// The command path of three judges the library tests already hold on
@@ -213,12 +359,11 @@ fn judge_commands_print_their_verdicts_and_exit_0_when_clean() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let text = stdout(&out);
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 5, "{text}");
+    assert_eq!(lines.len(), 4, "{text}");
     for (line, name) in lines.iter().zip(["t1-f00 ", "t2-f01 ", "t3-f02 "]) {
         assert!(line.starts_with(name) && line.ends_with("[ok]"), "{text}");
     }
-    assert!(lines[3].starts_with("abnormal-exit drill: ok"), "{text}");
-    assert_eq!(lines[4], "chaos: all 3 schedule(s) clean");
+    assert_eq!(lines[3], "chaos: all 3 schedule(s) clean");
 }
 
 /// `zerosum audit` finds the workspace from any directory inside it —

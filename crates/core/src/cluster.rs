@@ -15,11 +15,13 @@
 //! later. [`Supervision`] is the heartbeat deadline the wire collector
 //! runs over the nodes it hears from, in units of monitoring rounds —
 //! miss one and the node turns *suspect*, keep missing and it is
-//! declared *dead*, heartbeat again and it rejoins. Re-probing a dead
-//! node is the agent's reconnect backoff, not a collector schedule. The
-//! quorum is every node not known dead, and the markers render an
-//! explicit `DEGRADED (k/n nodes)` line instead of silently shrinking
-//! the denominator.
+//! declared *dead*, heartbeat again and it rejoins. A node whose final
+//! aggregate is in has *finished*: its silence after that is the end of
+//! its run, not a death, and no longer counts. Re-probing a dead node is
+//! the agent's reconnect backoff, not a collector schedule. The quorum
+//! is every node not known dead, and the markers render an explicit
+//! `DEGRADED (k/n nodes)` line instead of silently shrinking the
+//! denominator.
 
 use crate::contention;
 use crate::monitor::Monitor;
@@ -71,6 +73,8 @@ pub struct NodeSupervision {
     pub skewed: bool,
     /// Largest observed |reported − expected| sample-time gap, seconds.
     pub max_skew_s: f64,
+    /// The node's final aggregate is in: its silence no longer counts.
+    pub finished: bool,
     /// Heartbeat received in the current round.
     heard: bool,
 }
@@ -125,9 +129,29 @@ impl Supervision {
         }
     }
 
+    /// Records that a node's final aggregate is in. The aggregate is a
+    /// frame from the node, so it counts as heard this round; after it,
+    /// the node's silence is the end of its run and never walks it
+    /// towards `Dead`. Registers the node if need be. Idempotent.
+    pub fn finish(&mut self, hostname: &str) {
+        self.register_node(hostname);
+        if let Some((_, s)) = self.sup.iter_mut().find(|(h, _)| h == hostname) {
+            s.finished = true;
+            s.heard = true;
+        }
+    }
+
+    /// True when every supervised node has finished or is dead: no
+    /// more frame is owed to the allocation view.
+    pub fn settled(&self) -> bool {
+        let open = |s: &NodeSupervision| !s.finished && s.state != NodeState::Dead;
+        !self.sup.iter().any(|(_, s)| open(s))
+    }
+
     /// Closes the current round: applies heartbeat deadlines, advancing
     /// missed-deadline nodes through `Alive → Suspect → Dead`, and
-    /// reviving any node heard from this round.
+    /// reviving any node heard from this round. A finished node that is
+    /// silent is left as it is.
     pub fn end_round(&mut self) {
         let round = self.round;
         for (_, s) in &mut self.sup {
@@ -140,6 +164,9 @@ impl Supervision {
                     s.state = NodeState::Alive;
                     s.transitions.push((round, NodeState::Alive));
                 }
+                continue;
+            }
+            if s.finished {
                 continue;
             }
             s.missed += 1;
@@ -547,6 +574,70 @@ mod tests {
             silent_round(&mut c, &["a"]);
         }
         assert_eq!(c.supervision_of("b").unwrap().deaths, 2);
+    }
+
+    #[test]
+    fn a_finished_node_is_not_walked_to_dead_by_its_silence() {
+        let mut c = Supervision::new();
+        c.register_node("a");
+        c.register_node("b");
+        silent_round(&mut c, &["a", "b"]);
+        c.begin_round();
+        c.finish("a");
+        c.end_round();
+        assert!(!c.settled(), "b has neither finished nor died");
+        for _ in 0..DEAD_AFTER + 2 {
+            silent_round(&mut c, &[]);
+        }
+        let a = c.supervision_of("a").unwrap();
+        assert_eq!((a.state, a.missed, a.deaths), (NodeState::Alive, 0, 0));
+        assert!(a.transitions.is_empty(), "{:?}", a.transitions);
+        // The silent node with no aggregate went the usual way.
+        let b = c.supervision_of("b").unwrap();
+        assert_eq!(
+            b.transitions,
+            vec![(2, NodeState::Suspect), (4, NodeState::Dead)]
+        );
+        assert_eq!(c.quorum(), (1, 2));
+        assert!(c.settled(), "a finished, b dead");
+        assert_eq!(c.render_markers().matches("node a ").count(), 0);
+    }
+
+    #[test]
+    fn a_heartbeat_after_the_aggregate_is_handled_as_before() {
+        let run = |finish: bool| {
+            let mut c = Supervision::new();
+            c.register_node("a");
+            silent_round(&mut c, &["a"]);
+            c.begin_round();
+            c.heartbeat_at("a", 1.0, 1.0);
+            if finish {
+                c.finish("a");
+            }
+            c.end_round();
+            silent_round(&mut c, &["a"]);
+            c.begin_round();
+            c.heartbeat_at("a", 2.0, 1.0);
+            c.end_round();
+            c
+        };
+        let (with, without) = (run(true), run(false));
+        let (w, wo) = (
+            with.supervision_of("a").unwrap(),
+            without.supervision_of("a").unwrap(),
+        );
+        assert_eq!(
+            (w.state, w.missed, w.heartbeats, w.skewed, &w.transitions),
+            (
+                wo.state,
+                wo.missed,
+                wo.heartbeats,
+                wo.skewed,
+                &wo.transitions
+            )
+        );
+        assert_eq!(with.render_markers(), without.render_markers());
+        assert!(w.finished && !wo.finished);
     }
 
     #[test]

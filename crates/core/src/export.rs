@@ -11,10 +11,12 @@ use std::io::{self, Write as _};
 use std::path::Path;
 use zerosum_proc::{Pid, SourceErrorKind};
 
-/// Last line of every completely-written log file. Its absence means the
-/// file is torn — which [`atomic_write`] makes impossible short of a
-/// filesystem fault, since readers only ever see fully-renamed files.
-pub const LOG_END_MARKER: &str = "=== END (complete) ===";
+/// Last line of every log file, partial ones included: the file is not
+/// torn. Its absence means it is — which [`atomic_write`] makes
+/// impossible short of a filesystem fault, since readers only ever see
+/// fully-renamed files. Whether the data is complete is said once, by
+/// the absence of [`LOG_PARTIAL_MARKER`].
+pub const LOG_END_MARKER: &str = "=== END ===";
 
 /// First line of a log flushed on the abnormal-exit path: the data is
 /// whatever had been collected when the process died, written atomically
@@ -895,6 +897,8 @@ mod tests {
         assert!(content.contains("cause: SIGSEGV"));
         assert!(content.contains("=== Sampling health (CSV) ==="));
         assert!(content.ends_with(&format!("{LOG_END_MARKER}\n")));
+        // Completeness is the PARTIAL marker's to say, and it says no.
+        assert!(!content.contains("complete"), "{content}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

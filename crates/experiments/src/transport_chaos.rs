@@ -25,7 +25,6 @@ use zerosum_net::{
     in_proc_pair, AgentStats, AllocationFaultPlan, Collector, FaultyLink, InProcLink, Link,
     LinkFaultStats, NodeAgent, TransportFaultPlan,
 };
-use zerosum_proc::Pid;
 use zerosum_sched::{Behavior, NodeSim, SchedParams, SimProcSource};
 use zerosum_topology::{presets, CpuSet};
 
@@ -88,16 +87,10 @@ fn node_seed(seed: u64, i: usize) -> u64 {
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// The node the chaos driver and `zerosum stream` simulate: the laptop
-/// preset running one pinned rank with an `OpenMP` worker, both
-/// computing for `rounds` periods, and a monitor watching the rank.
-pub fn chaos_node(
-    host: &str,
-    rank: u32,
-    seed: u64,
-    rounds: u32,
-    period_us: u64,
-) -> (NodeSim, Monitor, Pid) {
+/// The node the chaos driver simulates: the laptop preset running one
+/// pinned rank with an `OpenMP` worker, both computing for `rounds`
+/// periods, and a monitor watching the rank.
+fn chaos_node(host: &str, rank: u32, seed: u64, rounds: u32, period_us: u64) -> (NodeSim, Monitor) {
     let mut sim = NodeSim::new(
         presets::laptop_i7_1165g7(),
         SchedParams {
@@ -121,7 +114,7 @@ pub fn chaos_node(
         gpus: vec![],
         cpus_allowed: mask,
     });
-    (sim, mon, pid)
+    (sim, mon)
 }
 
 /// Offset from a run's seed to its link plan's seed. Both plan
@@ -178,7 +171,7 @@ pub fn run_transport_chaos_with_plan(
             FaultyLink::new(agent_end, link_plan.clone()),
             hostname.clone(),
         ));
-        let (sim, mon, _) = chaos_node(&hostname, i as u32, node_seed(seed, i), rounds, PERIOD_US);
+        let (sim, mon) = chaos_node(&hostname, i as u32, node_seed(seed, i), rounds, PERIOD_US);
         sims.push((hostname, sim, mon));
     }
     let mut round_summaries = Vec::with_capacity(rounds as usize);

@@ -19,7 +19,9 @@
 //! Liveness is silence-based: a node in reconnect backoff simply stops
 //! heartbeating and the Alive→Suspect→Dead machine does the rest —
 //! connection state never grows a parallel state machine, and the
-//! agent's reconnect backoff is the only re-probe schedule.
+//! agent's reconnect backoff is the only re-probe schedule. A node's
+//! aggregate is its last word: once it is in, the node has finished,
+//! and its silence no longer counts.
 //! Heartbeats are judged against the expected time *of the round they
 //! carry*, so a network-delayed frame does not masquerade as clock
 //! skew.
@@ -308,8 +310,9 @@ fn dispatch_frame(
         Frame::Aggregate { round, agg } => {
             stats.aggregates_rx += 1;
             // Aggregates carry their own identity and are idempotent:
-            // a retransmit overwrites with equal data.
-            supervision.register_node(agg.hostname.clone());
+            // a retransmit overwrites with equal data. The final one is
+            // in, so the node has finished: its silence is not death.
+            supervision.finish(&agg.hostname);
             aggs.insert(agg.hostname.clone(), (round, agg));
             send_ack(conn, stats, round);
         }
@@ -386,6 +389,31 @@ mod tests {
         let summary = collector.render_summary();
         assert!(summary.contains("node-a"), "{summary}");
         assert!(!summary.contains("DEGRADED"), "{summary}");
+    }
+
+    #[test]
+    fn a_node_whose_aggregate_is_in_has_finished_and_its_silence_is_not_death() {
+        let (agent_end, coll_end) = in_proc_pair(8);
+        let mut collector = Collector::new();
+        collector.add_link(Box::new(coll_end));
+        let mut agent = NodeAgent::new(agent_end, "node-a");
+        agent.begin_round(1, 0.1);
+        agent.finish(2, agg("node-a"));
+        agent.tick();
+        collector.run_round();
+        assert_eq!(collector.wire_aggregates(), vec![agg("node-a")]);
+        // The node's job is over: it never speaks again.
+        for _ in 0..5 {
+            collector.run_round();
+        }
+        let sup = collector.supervision();
+        assert_eq!(sup.node_state("node-a"), NodeState::Alive);
+        assert!(sup.settled());
+        let summary = collector.render_summary();
+        assert!(
+            !summary.contains("DEAD") && !summary.contains("SUSPECT"),
+            "{summary}"
+        );
     }
 
     #[test]

@@ -284,8 +284,8 @@ mod tests {
     const SPINS: u32 = 100_000;
 
     /// Binds a loopback listener, or `None` when the sandbox forbids
-    /// sockets (the CI smoke stage reports that case visibly; here we
-    /// can only skip, and say so).
+    /// sockets (CI's `collect --probe` reports that case visibly; here
+    /// we can only skip, and say so).
     fn try_acceptor() -> Option<Acceptor> {
         let acceptor = Acceptor::bind("127.0.0.1:0").ok();
         if acceptor.is_none() {

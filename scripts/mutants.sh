@@ -89,22 +89,6 @@ mutants=(
 # The command stages of scripts/ci.sh, at its arguments (the benchmark
 # runs shortened to 2 s windows). No probe-and-skip here: where the
 # sandbox forbids sockets or children the baseline fails, loudly.
-tcp_smoke() {
-    local port_file code
-    port_file="$(mktemp -u)"
-    "$ZS" collect --nodes 2 --rounds 6 --period-ms 40 --port-file "$port_file" &
-    local collect_pid=$!
-    for _ in $(seq 1 100); do [ -s "$port_file" ] && break; sleep 0.1; done
-    [ -s "$port_file" ] || { kill "$collect_pid" 2>/dev/null; return 1; }
-    local addr; addr="$(cat "$port_file")"; rm -f "$port_file"
-    "$ZS" stream --connect "$addr" --node ci-a --rank 0 --rounds 6 --period-ms 40 --seed 7 &
-    local a_pid=$!
-    code=0
-    "$ZS" stream --connect "$addr" --node ci-b --rank 1 --rounds 6 --period-ms 40 --seed 8 || code=1
-    wait "$a_pid" || code=1
-    wait "$collect_pid" || code=1
-    return "$code"
-}
 real_churn() {
     "$ZS" churn --backend fork --duration-ms 1500 --rate 40 --seed 11 > "$LOGS/churn.out" || return 1
     grep -Eq 'handles held: peak [0-9]+, at exit [0-2],' "$LOGS/churn.out" || return 1
@@ -124,10 +108,9 @@ bench_workloads() {
         benchmark/run.sh --workload "$w" --seconds 2 || return 1
     done
 }
-export -f tcp_smoke real_churn bench_package bench_workloads
+export -f real_churn bench_package bench_workloads
 stages=(
     'cluster-chaos="$ZS" cluster-chaos --nodes 4 --rounds 24 --schedules 20 --seed 41248 --drill-rounds 1000000'
-    'tcp-smoke=tcp_smoke'
     'benchmark-package=bench_package'
     'churn="$ZS" churn --schedules 20 --seed 50377'
     'real-churn=real_churn'
