@@ -9,6 +9,7 @@ use crate::monitor::{Monitor, ProcessWatch};
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::Path;
+use zerosum_proc::row::Row;
 use zerosum_proc::{Pid, SourceErrorKind};
 
 /// Last line of every log file, partial ones included: the file is not
@@ -60,41 +61,6 @@ const POW10: [u64; 20] = {
     t
 };
 
-/// Appends `v` in decimal with a point before its last `places` digits,
-/// zero-padded so that one digit at least precedes the point: the
-/// digits of a value scaled by `10^places`, and with `places == 0`
-/// what `{}` prints. `places` is at most 19, so the longest output is
-/// 20 digits and the point.
-fn push_scaled(out: &mut String, mut v: u64, places: usize) {
-    let mut buf = [0u8; 24];
-    let mut len = 0;
-    let mut digit = |slot: &mut u8| {
-        *slot = b'0' + (v % 10) as u8;
-        v /= 10;
-        len += 1;
-        v == 0
-    };
-    let mut slots = buf.iter_mut().rev();
-    if places > 0 {
-        for slot in slots.by_ref().take(places) {
-            digit(slot);
-        }
-        if let Some(slot) = slots.next() {
-            *slot = b'.';
-        }
-    }
-    for slot in slots {
-        if digit(slot) {
-            break;
-        }
-    }
-    len += usize::from(places > 0);
-    let text = buf.len().checked_sub(len).and_then(|at| buf.get(at..));
-    if let Some(Ok(text)) = text.map(std::str::from_utf8) {
-        out.push_str(text);
-    }
-}
-
 /// `|x| · 10^places` rounded half-to-even to an integer, when `x` is
 /// finite, `|x| < 2^53`, and the result fits a `u64`.
 ///
@@ -136,25 +102,26 @@ fn fixed_point(x: f64, places: usize) -> Option<u64> {
 /// value below `2^53` that the series hold (times, percentages) takes
 /// the integer path; NaN, ±inf, larger magnitudes and more than 19
 /// places go to `core::fmt`, chosen from the value itself.
-fn push_fixed(out: &mut String, x: f64, places: usize) {
+#[inline(always)] // `places` is a literal at every call: no division at run time
+fn push_fixed(row: &mut Row, x: f64, places: usize) {
     match fixed_point(x, places) {
         Some(scaled) => {
             if x.is_sign_negative() {
-                out.push('-');
+                row.append("-");
             }
-            push_scaled(out, scaled, places);
+            row.dec_scaled(scaled, places);
         }
         None => {
-            let _ = write!(out, "{x:.places$}");
+            let _ = write!(row, "{x:.places$}");
         }
     }
 }
 
 /// Appends `,v` for every cell.
-fn push_cells(out: &mut String, cells: &[u64]) {
+fn push_cells(row: &mut Row, cells: &[u64]) {
     for &v in cells {
-        out.push(',');
-        push_scaled(out, v, 0);
+        row.append(",");
+        row.dec(v);
     }
 }
 
@@ -167,53 +134,23 @@ const HEALTH_HEADER: &str =
      not_found,io,malformed,denied,supervisor_restarts\n";
 const OVERLOAD_HEADER: &str = "time,event,from_period_us,to_period_us,cost_us,budget_us\n";
 
-/// Typical bytes of one row of each series CSV, for sizing a buffer
-/// from its row count (a longer row only costs a regrowth).
-const LWP_ROW_BYTES: usize = 64;
-const HWT_ROW_BYTES: usize = 40;
-const MEMORY_ROW_BYTES: usize = 40;
-const HEALTH_ROW_BYTES: usize = 64;
-
-/// Bytes [`push_lwp_csv`] is expected to append for `watch`.
-fn lwp_csv_bytes(watch: &ProcessWatch) -> usize {
-    let rows: usize = watch.lwps.tracks().map(|t| t.samples.len()).sum();
-    LWP_HEADER.len() + rows * LWP_ROW_BYTES
-}
-
-/// Bytes [`push_hwt_csv`] is expected to append for `monitor`.
-fn hwt_csv_bytes(monitor: &Monitor) -> usize {
-    let rows: usize = monitor.hwt.series().map(|(_, s)| s.len()).sum();
-    HWT_HEADER.len() + rows * HWT_ROW_BYTES
-}
-
-/// Bytes [`push_node_tail`] is expected to append for `monitor`.
-fn node_tail_bytes(monitor: &Monitor) -> usize {
-    hwt_csv_bytes(monitor)
-        + monitor.mem.samples().len() * MEMORY_ROW_BYTES
-        + (monitor.processes().len() + monitor.governor.changes.len() + 2) * HEALTH_ROW_BYTES
-        + 512 // section titles and headers
-}
-
 /// Appends the per-LWP CSV of `watch`: header and one row per sample,
 /// tracks in tid order.
-fn push_lwp_csv(out: &mut String, watch: &ProcessWatch) {
-    out.push_str(LWP_HEADER);
+fn push_lwp_csv(row: &mut Row, watch: &ProcessWatch) {
+    row.append(LWP_HEADER);
     let mut tracks: Vec<_> = watch.lwps.tracks().collect();
     tracks.sort_by_key(|t| t.tid);
-    let mut track_cells = String::new();
     for t in tracks {
-        // `,tid,type,` is the same in every row of a track.
-        track_cells.clear();
-        push_cells(&mut track_cells, &[u64::from(t.tid)]);
-        track_cells.push(',');
-        track_cells.push_str(&t.kind.label(t.is_openmp).replace(", ", "+"));
-        track_cells.push(',');
+        let label = t.kind.label(t.is_openmp).replace(", ", "+");
         for s in t.samples.as_slice() {
-            push_fixed(out, s.t_s, 3);
-            out.push_str(&track_cells);
-            out.push(s.state.code());
+            push_fixed(row, s.t_s, 3);
+            push_cells(row, &[u64::from(t.tid)]);
+            row.append(",");
+            row.append(&label);
+            row.append(",");
+            row.chr(s.state.code());
             push_cells(
-                out,
+                row,
                 &[
                     s.utime,
                     s.stime,
@@ -225,58 +162,54 @@ fn push_lwp_csv(out: &mut String, watch: &ProcessWatch) {
                     s.nvcsw,
                 ],
             );
-            out.push(',');
+            row.append(",");
             if let Some(wait_ns) = s.wait_ns {
-                push_scaled(out, wait_ns, 0);
+                row.dec(wait_ns);
             }
-            out.push('\n');
+            row.append("\n");
         }
     }
 }
 
 /// Appends the per-HWT utilization CSV: header and one row per CPU per
 /// interval, CPUs in `/proc/stat` order.
-fn push_hwt_csv(out: &mut String, monitor: &Monitor) {
-    out.push_str(HWT_HEADER);
-    let mut cpu_cell = String::new();
+fn push_hwt_csv(row: &mut Row, monitor: &Monitor) {
+    row.append(HWT_HEADER);
     for (cpu, samples) in monitor.hwt.series() {
-        cpu_cell.clear();
-        push_cells(&mut cpu_cell, &[u64::from(cpu)]);
-        cpu_cell.push(',');
         for s in samples {
-            push_fixed(out, s.t_s, 3);
-            out.push_str(&cpu_cell);
-            push_fixed(out, s.idle_pct, 4);
-            out.push(',');
-            push_fixed(out, s.system_pct, 4);
-            out.push(',');
-            push_fixed(out, s.user_pct, 4);
-            out.push('\n');
+            push_fixed(row, s.t_s, 3);
+            push_cells(row, &[u64::from(cpu)]);
+            for pct in [s.idle_pct, s.system_pct, s.user_pct] {
+                row.append(",");
+                push_fixed(row, pct, 4);
+            }
+            row.append("\n");
         }
     }
 }
 
 /// Appends the node memory CSV.
-fn push_memory_csv(out: &mut String, monitor: &Monitor) {
-    out.push_str(MEMORY_HEADER);
+fn push_memory_csv(row: &mut Row, monitor: &Monitor) {
+    row.append(MEMORY_HEADER);
     for s in monitor.mem.samples() {
-        push_fixed(out, s.t_s, 3);
-        push_cells(out, &[s.total_kib, s.available_kib, s.watched_rss_kib]);
-        out.push('\n');
+        push_fixed(row, s.t_s, 3);
+        push_cells(row, &[s.total_kib, s.available_kib, s.watched_rss_kib]);
+        row.append("\n");
     }
 }
 
 /// Appends the sampling-health CSV: the node row, then one per process.
-fn push_health_csv(out: &mut String, monitor: &Monitor) {
-    out.push_str(HEALTH_HEADER);
-    let row = |out: &mut String,
-               scope: &str,
-               pid: Pid,
-               l: &crate::health::HealthLedger,
-               restarts: u64| {
-        out.push_str(scope);
+fn push_health_csv(row: &mut Row, monitor: &Monitor) {
+    row.append(HEALTH_HEADER);
+    let node = ("node", 0, &monitor.node_health, monitor.supervisor.restarts);
+    let processes = monitor
+        .processes()
+        .iter()
+        .map(|w| ("process", w.info.pid, &w.health.ledger, 0));
+    for (scope, pid, l, restarts) in std::iter::once(node).chain(processes) {
+        row.append(scope);
         push_cells(
-            out,
+            row,
             &[
                 u64::from(pid),
                 l.ok,
@@ -293,95 +226,82 @@ fn push_health_csv(out: &mut String, monitor: &Monitor) {
                 restarts,
             ],
         );
-        out.push('\n');
-    };
-    row(
-        out,
-        "node",
-        0,
-        &monitor.node_health,
-        monitor.supervisor.restarts,
-    );
-    for w in monitor.processes() {
-        row(out, "process", w.info.pid, &w.health.ledger, 0);
+        row.append("\n");
     }
 }
 
 /// Appends the overload-control CSV: one row per governor period
 /// change, then the watchdog totals.
-fn push_overload_csv(out: &mut String, monitor: &Monitor) {
-    out.push_str(OVERLOAD_HEADER);
+fn push_overload_csv(row: &mut Row, monitor: &Monitor) {
+    row.append(OVERLOAD_HEADER);
     for c in &monitor.governor.changes {
-        push_fixed(out, c.t_s, 3);
-        out.push_str(",period_change");
-        push_cells(out, &[c.from_us, c.to_us, c.cost_us, c.budget_us]);
-        out.push('\n');
+        push_fixed(row, c.t_s, 3);
+        row.append(",period_change");
+        push_cells(row, &[c.from_us, c.to_us, c.cost_us, c.budget_us]);
+        row.append("\n");
     }
-    out.push_str(",watchdog");
+    row.append(",watchdog");
     push_cells(
-        out,
+        row,
         &[monitor.governor.overruns, monitor.governor.shed_rounds],
     );
-    out.push_str(",,\n");
+    row.append(",,\n");
 }
 
 /// Appends the node-wide sections of a log — HWT, memory, sampling
 /// health and, when the governor acted, overload control: the part
 /// that is the same in every process's log of one monitor.
-fn push_node_tail(out: &mut String, monitor: &Monitor) {
-    out.push_str("=== HWT time series (CSV) ===\n");
-    push_hwt_csv(out, monitor);
-    out.push_str("=== Memory time series (CSV) ===\n");
-    push_memory_csv(out, monitor);
-    out.push_str("=== Sampling health (CSV) ===\n");
-    push_health_csv(out, monitor);
+fn push_node_tail(row: &mut Row, monitor: &Monitor) {
+    row.append("=== HWT time series (CSV) ===\n");
+    push_hwt_csv(row, monitor);
+    row.append("=== Memory time series (CSV) ===\n");
+    push_memory_csv(row, monitor);
+    row.append("=== Sampling health (CSV) ===\n");
+    push_health_csv(row, monitor);
     if !monitor.governor.changes.is_empty() || monitor.governor.overruns > 0 {
-        out.push_str("=== Overload control (CSV) ===\n");
-        push_overload_csv(out, monitor);
+        row.append("=== Overload control (CSV) ===\n");
+        push_overload_csv(row, monitor);
     }
 }
 
 /// Appends what opens one process's log, the §3.6 layout: its report
 /// and its LWP section. The node-wide sections follow.
-fn push_log_head(out: &mut String, report: &str, watch: &ProcessWatch) {
-    out.push_str(report);
-    out.push('\n');
-    out.push_str("=== LWP time series (CSV) ===\n");
-    push_lwp_csv(out, watch);
+fn push_log_head(row: &mut Row, report: &str, watch: &ProcessWatch) {
+    row.append(report);
+    row.append("\n=== LWP time series (CSV) ===\n");
+    push_lwp_csv(row, watch);
+}
+
+/// What `push` renders, as a `String`.
+fn rendered(push: impl FnOnce(&mut Row)) -> String {
+    let mut out = String::new();
+    push(&mut Row::new(&mut out));
+    out
 }
 
 /// The per-LWP CSV dump for one process. Columns follow §3.6: state,
 /// minor/major faults, pages swapped, and the CPU the LWP last ran on,
 /// plus times and context switches.
 pub fn lwp_csv(watch: &ProcessWatch) -> String {
-    let mut out = String::with_capacity(lwp_csv_bytes(watch));
-    push_lwp_csv(&mut out, watch);
-    out
+    rendered(|row| push_lwp_csv(row, watch))
 }
 
 /// The per-HWT utilization CSV (Figure 7's data): one row per CPU per
 /// interval.
 pub fn hwt_csv(monitor: &Monitor) -> String {
-    let mut out = String::with_capacity(hwt_csv_bytes(monitor));
-    push_hwt_csv(&mut out, monitor);
-    out
+    rendered(|row| push_hwt_csv(row, monitor))
 }
 
 /// The node memory CSV.
 pub fn memory_csv(monitor: &Monitor) -> String {
-    let rows = monitor.mem.samples().len();
-    let mut out = String::with_capacity(MEMORY_HEADER.len() + rows * MEMORY_ROW_BYTES);
-    push_memory_csv(&mut out, monitor);
-    out
+    rendered(|row| push_memory_csv(row, monitor))
 }
 
 /// The sampling-health CSV: one row for the node-level records plus one
 /// per process, carrying the [`crate::health::HealthLedger`] tallies the
 /// chaos harness reconciles against injected fault logs.
 pub fn health_csv(monitor: &Monitor) -> String {
-    let mut out = String::new();
-    push_health_csv(&mut out, monitor);
-    out
+    rendered(|row| push_health_csv(row, monitor))
 }
 
 /// The overload-control CSV: one row per governor period change, so a
@@ -389,9 +309,7 @@ pub fn health_csv(monitor: &Monitor) -> String {
 /// across sampling-rate changes. The final row carries the watchdog's
 /// overrun/shed totals.
 pub fn overload_csv(monitor: &Monitor) -> String {
-    let mut out = String::new();
-    push_overload_csv(&mut out, monitor);
-    out
+    rendered(|row| push_overload_csv(row, monitor))
 }
 
 /// The full log-file content for one process: report + CSV sections, the
@@ -416,15 +334,14 @@ pub fn log_content_with_comm(
         // An unwatched pid gets its report alone.
         return format!("{report}\n");
     };
-    let mut out =
-        String::with_capacity(report.len() + lwp_csv_bytes(watch) + node_tail_bytes(monitor) + 64);
-    push_log_head(&mut out, report, watch);
-    push_node_tail(&mut out, monitor);
-    if let Some(m) = comm {
-        out.push_str("=== MPI point-to-point (CSV) ===\n");
-        out.push_str(&zerosum_mpi::heatmap::to_csv(m));
-    }
-    out
+    rendered(|row| {
+        push_log_head(row, report, watch);
+        push_node_tail(row, monitor);
+        if let Some(m) = comm {
+            row.append("=== MPI point-to-point (CSV) ===\n");
+            row.append(&zerosum_mpi::heatmap::to_csv(m));
+        }
+    })
 }
 
 /// Writes every process's log to `dir` as `zerosum.<rank-or-pid>.log`,
@@ -439,10 +356,11 @@ fn write_process_logs(
     mut report_for: impl FnMut(Pid) -> String,
 ) -> io::Result<Vec<std::path::PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let mut rest = String::with_capacity(node_tail_bytes(monitor) + LOG_END_MARKER.len() + 1);
-    push_node_tail(&mut rest, monitor);
-    rest.push_str(LOG_END_MARKER);
-    rest.push('\n');
+    let rest = rendered(|row| {
+        push_node_tail(row, monitor);
+        row.append(LOG_END_MARKER);
+        row.append("\n");
+    });
     let mut head = String::new();
     let mut paths = Vec::with_capacity(monitor.processes().len());
     for w in monitor.processes() {
@@ -457,11 +375,10 @@ fn write_process_logs(
         let watch = monitor.process(pid).unwrap_or(w);
         let report = report_for(pid);
         head.clear();
-        head.reserve(report.len() + lwp_csv_bytes(watch) + 64);
         if let Some(cause) = partial_cause {
             let _ = write!(head, "{LOG_PARTIAL_MARKER}\ncause: {cause}\n\n");
         }
-        push_log_head(&mut head, &report, watch);
+        push_log_head(&mut Row::new(&mut head), &report, watch);
         atomic_write_parts(&path, &[&head, &rest])?;
         paths.push(path);
     }
@@ -971,7 +888,7 @@ mod tests {
             for x in [v, -v] {
                 for places in 0..=7usize {
                     got.clear();
-                    push_fixed(&mut got, x, places);
+                    push_fixed(&mut Row::new(&mut got), x, places);
                     assert_eq!(
                         got,
                         format!("{x:.places$}"),
@@ -988,14 +905,14 @@ mod tests {
         for &x in values.iter().step_by(37) {
             for places in [8usize, 12, 17, 19, 20, 30] {
                 got.clear();
-                push_fixed(&mut got, x, places);
+                push_fixed(&mut Row::new(&mut got), x, places);
                 assert_eq!(got, format!("{x:.places$}"), "{x:?} places {places}");
             }
         }
         // The integer cells.
         for v in [0u64, 9, 10, 99, 100, 12_345, u32::MAX as u64, u64::MAX] {
             got.clear();
-            push_scaled(&mut got, v, 0);
+            Row::new(&mut got).dec(v);
             assert_eq!(got, v.to_string());
         }
     }
@@ -1047,6 +964,81 @@ mod tests {
         }
         // An unwatched pid gets the report alone.
         assert_eq!(log_content(&mon, 1, 0.3, "report"), "report\n");
+    }
+
+    #[test]
+    fn rows_longer_than_the_row_buffer_come_out_whole() {
+        use zerosum_proc::row::ROW_BYTES;
+        use zerosum_proc::{CpuTimes, SchedStat, SystemStat, TaskStat, TaskState, TaskStatus};
+        let pid = 7;
+        let mut mon = Monitor::new(ZeroSumConfig::default());
+        mon.watch_process(ProcessInfo {
+            pid,
+            rank: Some(0),
+            hostname: "n".into(),
+            gpus: vec![],
+            cpus_allowed: Default::default(),
+        });
+        let stat = TaskStat {
+            tid: u32::MAX,
+            comm: "wide".into(),
+            state: TaskState::Running,
+            minflt: u64::MAX,
+            majflt: u64::MAX,
+            utime: u64::MAX,
+            stime: u64::MAX,
+            nswap: u64::MAX,
+            processor: u32::MAX,
+            ..Default::default()
+        };
+        let status = TaskStatus {
+            name: "wide".into(),
+            tid: u32::MAX,
+            tgid: pid,
+            voluntary_ctxt_switches: u64::MAX,
+            nonvoluntary_ctxt_switches: u64::MAX,
+            ..Default::default()
+        };
+        let schedstat = SchedStat {
+            run_ns: u64::MAX,
+            wait_ns: u64::MAX,
+            timeslices: u64::MAX,
+        };
+        let mut at = None;
+        for (k, t_s) in [0.0, -0.0, 1e300, f64::NAN, 0.0005].into_iter().enumerate() {
+            let k = k as u64;
+            let w = &mut mon.processes[0];
+            at = w
+                .lwps
+                .observe_at(at, pid, t_s, &stat, &status, Some(schedstat));
+            let times = |cpu: u64| CpuTimes {
+                user: k * (cpu + 3),
+                system: k * 2,
+                idle: k * 7,
+                ..Default::default()
+            };
+            mon.hwt.observe(
+                t_s,
+                &SystemStat {
+                    cpus: vec![(0, times(0)), (4095, times(4095))],
+                    ..Default::default()
+                },
+            );
+        }
+        let watch = mon.process(pid).unwrap();
+        let lwp = lwp_csv(watch);
+        assert_eq!(lwp, oracle::lwp_csv(watch));
+        assert_eq!(lwp.lines().count(), 1 + 5);
+        assert!(
+            lwp.lines().skip(1).all(|row| row.len() > ROW_BYTES),
+            "{lwp}"
+        );
+        let hwt = hwt_csv(&mon);
+        assert_eq!(hwt, oracle::hwt_csv(&mon));
+        assert_eq!(hwt.lines().count(), 1 + 2 * 4);
+        assert!(hwt.contains("\n-0.000,4095,"), "{hwt}");
+        assert!(hwt.contains("\nNaN,0,"), "{hwt}");
+        assert!(hwt.lines().any(|row| row.len() > 300), "{hwt}");
     }
 
     #[test]

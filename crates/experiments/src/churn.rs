@@ -279,6 +279,7 @@ pub fn run_sim_churn(p: &SimChurnParams) -> SimChurnOutcome {
     let base_cost = mon.config.cost.total_us();
     let watched: Vec<Pid> = thread_pids.iter().chain(&reuse_pids).copied().collect();
     let mut sample_times = Vec::new();
+    let mut listing = Vec::new(); // every watch's, every round
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
     let mut next = 0usize;
     while sim.now_us() < cfg.duration_us {
@@ -311,7 +312,10 @@ pub fn run_sim_churn(p: &SimChurnParams) -> SimChurnOutcome {
             }
             watched
                 .iter()
-                .map(|&pid| src.list_tasks(pid).map(|t| t.len()).unwrap_or(0))
+                .map(|&pid| {
+                    src.list_tasks_into(pid, &mut listing)
+                        .map_or(0, |()| listing.len())
+                })
                 .sum()
         };
         let backoff = mon.take_backoff_us();

@@ -8,77 +8,45 @@
 //! Every record has two entry points: `format_*` returns a fresh
 //! `String`, and `write_*` appends to a caller-owned buffer. The
 //! sampling hot path renders thousands of records per second, so the
-//! simulator reuses one buffer across reads via the `write_*` forms.
+//! simulator reuses one buffer across reads via the `write_*` forms,
+//! and every record is assembled by the one [`Row`] writer.
 
+use crate::row::Row;
 use crate::types::{CpuTimes, MemInfo, SystemStat, TaskStat, TaskStatus};
-use std::fmt::Write;
-
-/// Appends `v` in decimal without the `fmt` machinery. The sampling hot
-/// path renders hundreds of integers per round; `write!(out, "{v}")`
-/// costs a trait dispatch plus padding logic per call, a manual digit
-/// loop is several times cheaper and byte-identical (the roundtrip
-/// tests pin the output).
-fn push_u64(out: &mut String, v: u64) {
-    push_u64_padded(out, v, 0);
-}
-
-/// Appends `v` right-aligned to `width` with spaces (`{:>width$}`),
-/// or unpadded when `width` is 0.
-fn push_u64_padded(out: &mut String, mut v: u64, width: usize) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        if let Some(slot) = buf.get_mut(at) {
-            *slot = b'0' + (v % 10) as u8;
-        }
-        v /= 10;
-        if v == 0 || at == 0 {
-            break;
-        }
-    }
-    let ndigits = buf.len() - at;
-    for _ in ndigits..width {
-        out.push(' ');
-    }
-    if let Ok(s) = std::str::from_utf8(buf.get(at..).unwrap_or(&[])) {
-        out.push_str(s);
-    }
-}
-
-/// Appends `v` in decimal (`{}` semantics for `i64`).
-fn push_i64(out: &mut String, v: i64) {
-    if v < 0 {
-        out.push('-');
-    }
-    push_u64(out, v.unsigned_abs());
-}
 
 /// Appends one `cpu` row of `/proc/stat`. `idx` of `None` renders the
 /// aggregate `cpu` row; `Some(n)` renders `cpuN`.
-pub fn write_cpu_row(out: &mut String, idx: Option<u32>, t: &CpuTimes) {
-    out.push_str("cpu");
+pub fn write_cpu_row(row: &mut Row, idx: Option<u32>, t: &CpuTimes) {
+    row.append("cpu");
     if let Some(n) = idx {
-        push_u64(out, u64::from(n));
+        row.dec(u64::from(n));
     }
     for v in [
         t.user, t.nice, t.system, t.idle, t.iowait, t.irq, t.softirq, t.steal,
     ] {
-        out.push(' ');
-        push_u64(out, v);
+        row.append(" ");
+        row.dec(v);
     }
-    out.push_str(" 0 0\n");
+    row.append(" 0 0\n");
+}
+
+/// Appends the lines of `/proc/stat` that follow its `cpu` rows.
+pub fn write_system_stat_tail(row: &mut Row, ctxt: u64, processes: u64) {
+    row.append("ctxt ");
+    row.dec(ctxt);
+    row.append("\nbtime 1700000000\nprocesses ");
+    row.dec(processes);
+    row.append("\n");
 }
 
 /// Appends a [`SystemStat`] in `/proc/stat` format.
 pub fn write_system_stat(s: &SystemStat, out: &mut String) {
-    write_cpu_row(out, None, &s.total);
+    let mut row = Row::new(out);
+    write_cpu_row(&mut row, None, &s.total);
     for (idx, t) in &s.cpus {
-        write_cpu_row(out, Some(*idx), t);
+        write_cpu_row(&mut row, Some(*idx), t);
     }
-    let _ = writeln!(out, "ctxt {}", s.ctxt);
-    let _ = writeln!(out, "btime 1700000000");
-    let _ = writeln!(out, "processes {}", s.processes);
+    write_system_stat_tail(&mut row, s.ctxt, s.processes);
 }
 
 /// Renders a [`SystemStat`] in `/proc/stat` format.
@@ -90,16 +58,20 @@ pub fn format_system_stat(s: &SystemStat) -> String {
 
 /// Appends a [`MemInfo`] in `/proc/meminfo` format.
 pub fn write_meminfo(m: &MemInfo, out: &mut String) {
-    let row = |out: &mut String, k: &str, v: u64| {
-        let _ = writeln!(out, "{k}:{:>12} kB", v);
-    };
-    row(out, "MemTotal", m.mem_total_kib);
-    row(out, "MemFree", m.mem_free_kib);
-    row(out, "MemAvailable", m.mem_available_kib);
-    row(out, "Buffers", m.buffers_kib);
-    row(out, "Cached", m.cached_kib);
-    row(out, "SwapTotal", m.swap_total_kib);
-    row(out, "SwapFree", m.swap_free_kib);
+    let mut row = Row::new(out);
+    for (key, v) in [
+        ("MemTotal:", m.mem_total_kib),
+        ("MemFree:", m.mem_free_kib),
+        ("MemAvailable:", m.mem_available_kib),
+        ("Buffers:", m.buffers_kib),
+        ("Cached:", m.cached_kib),
+        ("SwapTotal:", m.swap_total_kib),
+        ("SwapFree:", m.swap_free_kib),
+    ] {
+        row.append(key);
+        row.dec_padded(v, 12);
+        row.append(" kB\n");
+    }
 }
 
 /// Renders a [`MemInfo`] in `/proc/meminfo` format.
@@ -115,33 +87,34 @@ pub fn format_meminfo(m: &MemInfo) -> String {
 /// positions, so any conformant parser can read the line. 52 fields per
 /// modern kernels; modeled fields are placed by 1-based field number.
 pub fn write_task_stat(t: &TaskStat, out: &mut String) {
-    push_u64(out, u64::from(t.tid));
-    out.push_str(" (");
-    out.push_str(&t.comm);
-    out.push_str(") ");
-    out.push(t.state.code());
+    let mut row = Row::new(out);
+    row.dec(u64::from(t.tid));
+    row.append(" (");
+    row.append(&t.comm);
+    row.append(") ");
+    row.chr(t.state.code());
     // Zero runs between modeled fields are emitted as precomputed
     // literals (the per-field loop costs ~half the render); the
     // roundtrip and 52-field tests pin the exact byte layout.
-    out.push_str(" 0 0 0 0 0 0 "); // fields 4-9
-    push_u64(out, t.minflt); // 10
-    out.push_str(" 0 "); // 11
-    push_u64(out, t.majflt); // 12
-    out.push_str(" 0 "); // 13
-    push_u64(out, t.utime); // 14
-    out.push(' ');
-    push_u64(out, t.stime); // 15
-    out.push_str(" 0 0 20 "); // 16, 17, priority (18)
-    push_i64(out, i64::from(t.nice)); // 19
-    out.push(' ');
-    push_u64(out, u64::from(t.num_threads)); // 20
-    out.push_str(" 0 "); // 21
-    push_u64(out, t.starttime); // 22
-    out.push_str(" 0 0 0 0 0 0 0 0 0 0 0 0 0 "); // 23-35
-    push_u64(out, t.nswap); // 36
-    out.push_str(" 0 0 "); // 37, 38
-    push_u64(out, u64::from(t.processor)); // 39
-    out.push_str(" 0 0 0 0 0 0 0 0 0 0 0 0 0"); // 40-52
+    row.append(" 0 0 0 0 0 0 "); // fields 4-9
+    row.dec(t.minflt); // 10
+    row.append(" 0 "); // 11
+    row.dec(t.majflt); // 12
+    row.append(" 0 "); // 13
+    row.dec(t.utime); // 14
+    row.append(" ");
+    row.dec(t.stime); // 15
+    row.append(" 0 0 20 "); // 16, 17, priority (18)
+    row.dec_signed(i64::from(t.nice)); // 19
+    row.append(" ");
+    row.dec(u64::from(t.num_threads)); // 20
+    row.append(" 0 "); // 21
+    row.dec(t.starttime); // 22
+    row.append(" 0 0 0 0 0 0 0 0 0 0 0 0 0 "); // 23-35
+    row.dec(t.nswap); // 36
+    row.append(" 0 0 "); // 37, 38
+    row.dec(u64::from(t.processor)); // 39
+    row.append(" 0 0 0 0 0 0 0 0 0 0 0 0 0"); // 40-52
 }
 
 /// Renders a [`TaskStat`] as one `/proc/<pid>/task/<tid>/stat` line.
@@ -153,12 +126,13 @@ pub fn format_task_stat(t: &TaskStat) -> String {
 
 /// Appends a [`crate::types::SchedStat`] in schedstat format.
 pub fn write_schedstat(s: &crate::types::SchedStat, out: &mut String) {
-    push_u64(out, s.run_ns);
-    out.push(' ');
-    push_u64(out, s.wait_ns);
-    out.push(' ');
-    push_u64(out, s.timeslices);
-    out.push('\n');
+    let mut row = Row::new(out);
+    row.dec(s.run_ns);
+    row.append(" ");
+    row.dec(s.wait_ns);
+    row.append(" ");
+    row.dec(s.timeslices);
+    row.append("\n");
 }
 
 /// Renders a [`crate::types::SchedStat`] in schedstat format.
@@ -170,32 +144,30 @@ pub fn format_schedstat(s: &crate::types::SchedStat) -> String {
 
 /// Appends a [`TaskStatus`] in `/proc/<pid>/task/<tid>/status` format.
 pub fn write_task_status(s: &TaskStatus, out: &mut String) {
-    out.push_str("Name:\t");
-    out.push_str(&s.name);
-    out.push_str("\nState:\t");
-    out.push(s.state.code());
-    out.push_str(" (");
-    out.push_str(s.state.long_name());
-    out.push_str(")\nTgid:\t");
-    push_u64(out, u64::from(s.tgid));
-    out.push_str("\nPid:\t");
-    push_u64(out, u64::from(s.tid));
-    out.push_str("\nVmSize:\t");
-    push_u64_padded(out, s.vm_size_kib, 8);
-    out.push_str(" kB\nVmHWM:\t");
-    push_u64_padded(out, s.vm_hwm_kib, 8);
-    out.push_str(" kB\nVmRSS:\t");
-    push_u64_padded(out, s.vm_rss_kib, 8);
-    out.push_str(" kB\n");
-    // CpuSet::write_list streams the mask without the intermediate
-    // to_list_string allocation.
-    out.push_str("Cpus_allowed_list:\t");
-    let _ = s.cpus_allowed.write_list(out);
-    out.push_str("\nvoluntary_ctxt_switches:\t");
-    push_u64(out, s.voluntary_ctxt_switches);
-    out.push_str("\nnonvoluntary_ctxt_switches:\t");
-    push_u64(out, s.nonvoluntary_ctxt_switches);
-    out.push('\n');
+    let mut row = Row::new(out);
+    row.append("Name:\t");
+    row.append(&s.name);
+    row.append("\nState:\t");
+    row.chr(s.state.code());
+    row.append(" (");
+    row.append(s.state.long_name());
+    row.append(")\nTgid:\t");
+    row.dec(u64::from(s.tgid));
+    row.append("\nPid:\t");
+    row.dec(u64::from(s.tid));
+    row.append("\nVmSize:\t");
+    row.dec_padded(s.vm_size_kib, 8);
+    row.append(" kB\nVmHWM:\t");
+    row.dec_padded(s.vm_hwm_kib, 8);
+    row.append(" kB\nVmRSS:\t");
+    row.dec_padded(s.vm_rss_kib, 8);
+    row.append(" kB\nCpus_allowed_list:\t");
+    row.cpu_list(&s.cpus_allowed);
+    row.append("\nvoluntary_ctxt_switches:\t");
+    row.dec(s.voluntary_ctxt_switches);
+    row.append("\nnonvoluntary_ctxt_switches:\t");
+    row.dec(s.nonvoluntary_ctxt_switches);
+    row.append("\n");
 }
 
 /// Renders a [`TaskStatus`] in `/proc/<pid>/task/<tid>/status` format.
@@ -217,15 +189,15 @@ mod tests {
         let mut out = String::new();
         for v in [0u64, 1, 9, 10, 99, 100, 12_345, 4_294_967_295, u64::MAX] {
             out.clear();
-            push_u64(&mut out, v);
+            Row::new(&mut out).dec(v);
             assert_eq!(out, format!("{v}"));
             out.clear();
-            push_u64_padded(&mut out, v, 8);
+            Row::new(&mut out).dec_padded(v, 8);
             assert_eq!(out, format!("{v:>8}"));
         }
         for v in [0i64, -1, 1, -19, i64::from(i32::MIN), i64::MIN, i64::MAX] {
             out.clear();
-            push_i64(&mut out, v);
+            Row::new(&mut out).dec_signed(v);
             assert_eq!(out, format!("{v}"));
         }
     }
@@ -244,7 +216,7 @@ mod tests {
         };
         for idx in [None, Some(0), Some(127), Some(u32::MAX)] {
             let mut out = String::from("above\n");
-            write_cpu_row(&mut out, idx, &t);
+            write_cpu_row(&mut Row::new(&mut out), idx, &t);
             let key = idx.map_or("cpu".to_string(), |n| format!("cpu{n}"));
             let want = format!(
                 "above\n{key} {} {} {} {} {} {} {} {} 0 0\n",
@@ -374,6 +346,49 @@ mod tests {
             nonvoluntary_ctxt_switches: 14,
         };
         let back = parse::parse_task_status(&format_task_status(&s)).unwrap();
+        assert_eq!(back, s);
+    }
+
+    #[test]
+    fn a_status_longer_than_the_row_buffer_comes_out_whole() {
+        // Sparse over 4 096 CPUs: single even CPUs below 2 048, then
+        // runs of three in every five.
+        let mut list = Vec::new();
+        list.extend((0..2048u32).step_by(2).map(|c| c.to_string()));
+        list.extend((2048..4096u32).step_by(5).map(|c| format!("{c}-{}", c + 2)));
+        let list = list.join(",");
+        let s = TaskStatus {
+            name: "wide".into(),
+            tid: u32::MAX,
+            tgid: 4_000_000,
+            state: TaskState::Sleeping,
+            vm_rss_kib: u64::MAX,
+            vm_size_kib: 7,
+            vm_hwm_kib: 123_456_789,
+            cpus_allowed: CpuSet::parse_list(&list).unwrap(),
+            voluntary_ctxt_switches: u64::MAX,
+            nonvoluntary_ctxt_switches: 0,
+        };
+        let mut out = String::from("above\n");
+        write_task_status(&s, &mut out);
+        let want = format!(
+            "above\nName:\t{}\nState:\t{} ({})\nTgid:\t{}\nPid:\t{}\nVmSize:\t{:>8} kB\n\
+             VmHWM:\t{:>8} kB\nVmRSS:\t{:>8} kB\nCpus_allowed_list:\t{list}\n\
+             voluntary_ctxt_switches:\t{}\nnonvoluntary_ctxt_switches:\t{}\n",
+            s.name,
+            s.state.code(),
+            s.state.long_name(),
+            s.tgid,
+            s.tid,
+            s.vm_size_kib,
+            s.vm_hwm_kib,
+            s.vm_rss_kib,
+            s.voluntary_ctxt_switches,
+            s.nonvoluntary_ctxt_switches,
+        );
+        assert!(list.len() > 8 * crate::row::ROW_BYTES);
+        assert_eq!(out, want);
+        let back = parse::parse_task_status(out.strip_prefix("above\n").unwrap()).unwrap();
         assert_eq!(back, s);
     }
 

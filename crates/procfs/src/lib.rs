@@ -14,6 +14,8 @@
 //!   parenthesized-`comm` hazard of `stat`.
 //! * [`mod@format`] — the inverse generators, used by the simulated backend so
 //!   the monitor always exercises the real parsers.
+//! * [`row`] — the one row writer those records, and the CSV rows of
+//!   the per-process log, are assembled by.
 //! * [`source::ProcSource`] — the trait boundary the monitor observes
 //!   through; [`linux::LinuxProc`] is the live-system implementation.
 //! * [`fault`] — a deterministic, seeded fault injector wrapping any
@@ -30,6 +32,7 @@ pub mod fault;
 pub mod format;
 pub mod linux;
 pub mod parse;
+pub mod row;
 pub mod source;
 pub mod types;
 

@@ -11,6 +11,7 @@
 use crate::node::NodeSim;
 use crate::task::RunState;
 use std::cell::RefCell;
+use zerosum_proc::row::Row;
 use zerosum_proc::{
     format, parse, ArenaSpan, CpuTimes, MemInfo, Pid, ReadArena, SchedStat, SourceError,
     SourceResult, SystemStat, TaskStat, TaskStatus, Tid,
@@ -159,7 +160,6 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
     }
 
     fn system_stat_into(&self, out: &mut SystemStat) -> SourceResult<()> {
-        use std::fmt::Write as _;
         let jiffies = |user_us: u64, system_us: u64, idle_us: u64| CpuTimes {
             user: user_us / US_PER_JIFFY,
             system: system_us / US_PER_JIFFY,
@@ -176,13 +176,13 @@ impl zerosum_proc::ProcSource for SimProcSource<'_> {
         for (_, user_us, system_us, idle_us) in self.sim.cpu_times_iter() {
             total = total.add(&jiffies(user_us, system_us, idle_us));
         }
-        format::write_cpu_row(text, None, &total);
+        let mut row = Row::new(text);
+        format::write_cpu_row(&mut row, None, &total);
         for (os, user_us, system_us, idle_us) in self.sim.cpu_times_iter() {
-            format::write_cpu_row(text, Some(os), &jiffies(user_us, system_us, idle_us));
+            format::write_cpu_row(&mut row, Some(os), &jiffies(user_us, system_us, idle_us));
         }
-        let _ = writeln!(text, "ctxt {}", self.sim.ctxt_total());
-        let _ = writeln!(text, "btime 1700000000");
-        let _ = writeln!(text, "processes 0");
+        format::write_system_stat_tail(&mut row, self.sim.ctxt_total(), 0);
+        drop(row);
         parse::parse_system_stat_into(text.as_str(), out).map_err(malformed)
     }
 

@@ -313,26 +313,28 @@ impl CpuSet {
         self.to_string()
     }
 
-    /// Streams the kernel list format into a writer without allocating —
-    /// the zero-copy sibling of [`CpuSet::to_list_string`], used by the
-    /// sampling hot path when rendering `Cpus_allowed_list:`.
-    pub fn write_list<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    /// The maximal runs of consecutive indices, ascending, as
+    /// `(first, last)`: the walk behind the kernel list format, shared
+    /// by [`CpuSet::write_list`] and the `/proc` record writer.
+    pub fn ranges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         let mut iter = self.iter().peekable();
-        let mut first = true;
-        while let Some(start) = iter.next() {
-            let mut end = start;
-            while let Some(&next) = iter.peek() {
-                if next == end + 1 {
-                    end = next;
-                    iter.next();
-                } else {
-                    break;
-                }
+        std::iter::from_fn(move || {
+            let first = iter.next()?;
+            let mut last = first;
+            while let Some(next) = last.checked_add(1).and_then(|n| iter.next_if_eq(&n)) {
+                last = next;
             }
-            if !first {
+            Some((first, last))
+        })
+    }
+
+    /// Streams the kernel list format into a writer without allocating —
+    /// the zero-copy sibling of [`CpuSet::to_list_string`].
+    pub fn write_list<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        for (i, (start, end)) in self.ranges().enumerate() {
+            if i > 0 {
                 out.write_char(',')?;
             }
-            first = false;
             if start == end {
                 write!(out, "{start}")?;
             } else {

@@ -84,6 +84,7 @@ mutants=(
 'mutex-in-product~crates/core/src/attach.rs~s/(pub fn hostname\(\) -> String \{)/$1 static PLANTED: std::sync::Mutex<u8> = std::sync::Mutex::new(0); let _g = PLANTED.lock();/~a `static Mutex<u8>` in product code (`attach::hostname`)'
 'signal-exit-unreported~crates/cli/src/lib.rs~s/let signal = status\.signal\(\);/let signal = status.signal().filter(|_| false);/~the wrapper ignores the signal that ended its child: no report, complete-looking logs, exit 255'
 'esrch-not-classified~crates/procfs/src/linux.rs~s/\n\s+_ if e\.raw_os_error\(\) == Some\(ESRCH\) => SourceError::NotFound,//~`ESRCH` from a read is an `Io` error instead of `NotFound`: a task that exited under its read is counted a failure, not a departure'
+'csv-rounding-half-up~crates/core/src/export.rs~s/let up = remainder > half \|\| \(remainder == half && quotient & 1 == 1\);/let up = remainder >= half;/~a CSV cell rounded the `{:.N}`-incompatible way: `fixed_point` rounds an exact tie up instead of to even'
 )
 
 # The command stages of scripts/ci.sh, at its arguments (the benchmark
@@ -137,6 +138,14 @@ test_binaries() {
     ' "$2" | awk '!seen[$0]++'
 }
 
+# The failing tests of one run, on stderr, so that they outlive the
+# temp dir: the `test … FAILED` lines and the `---- <name> stdout ----`
+# headers of its `cargo test` log.
+failed_tests() {
+    [ -f "$2/test.log" ] || return 0
+    grep -E '^test .* FAILED$|^---- .* stdout ----$' "$2/test.log" | sed "s/^/mutants.sh: $1: /" >&2 || true
+}
+
 # Runs every check on the tree as it stands; prints the names of the
 # checks that failed, one per line.
 run_checks() {
@@ -168,6 +177,7 @@ run_checks() {
 
 echo "mutants.sh: baseline (no mutant) in $work" >&2
 run_checks "$work/logs/baseline" > "$work/baseline.killers"
+failed_tests baseline "$work/logs/baseline"
 if [ -s "$work/baseline.killers" ]; then
     echo "mutants.sh: the unmutated tree fails these checks (logs in $work/logs/baseline):" >&2
     cat "$work/baseline.killers" >&2
@@ -198,6 +208,7 @@ for m in "${mutants[@]}"; do
     fi
     echo "mutants.sh: $name" >&2
     run_checks "$work/logs/$name" > "$work/killers"
+    failed_tests "$name" "$work/logs/$name"
     cp "$work/pristine" "$file"
     rows+=("$name~$class~$(paste -sd';' "$work/killers")")
 done
