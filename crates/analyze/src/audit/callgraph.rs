@@ -4,8 +4,8 @@
 //! patterns and resolved **by bare name**: a call `foo(…)` or `.foo(…)`
 //! points at every non-test workspace function named `foo`. This is a
 //! deliberate over-approximation (no type information), conservative
-//! for both audit passes: reachability and held-lock propagation can
-//! only grow, never silently shrink. Calls that resolve to nothing
+//! for every reachability pass: reachability can only grow, never
+//! silently shrink. Calls that resolve to nothing
 //! (std, closures, field accesses) drop out.
 
 use super::items::{FnItem, ParsedFile};
@@ -67,9 +67,6 @@ pub struct CallGraph {
     /// Every non-test function.
     pub fns: Vec<FnNode>,
     by_name: HashMap<String, Vec<usize>>,
-    /// Every identifier appearing in each file — the mention filter
-    /// for std-colliding call names.
-    file_idents: Vec<std::collections::HashSet<String>>,
 }
 
 /// Keywords that look like calls when followed by `(`, or like an
@@ -282,6 +279,8 @@ impl CallGraph {
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.item.name.clone()).or_default().push(i);
         }
+        // Every identifier appearing in each file — the mention filter
+        // for std-colliding call names.
         let file_idents: Vec<std::collections::HashSet<String>> = files
             .iter()
             .map(|pf| {
@@ -323,24 +322,12 @@ impl CallGraph {
             files,
             fns,
             by_name,
-            file_idents,
         }
     }
 
     /// Functions named `name`.
     pub fn named(&self, name: &str) -> &[usize] {
         self.by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Resolves one call site from `caller_file`: bare-name lookup
-    /// pruned by the qualifier, method-shape, and [`STD_COLLISIONS`]
-    /// mention filters (see [`site_targets`]).
-    pub fn resolve_site(&self, caller_file: usize, site: &Site) -> Vec<usize> {
-        self.named(&site.name)
-            .iter()
-            .copied()
-            .filter(|&i| site_targets(&self.fns[i], &self.file_idents[caller_file], site))
-            .collect()
     }
 
     /// Indices of functions matching `(file_suffix, fn_name)`.
@@ -394,12 +381,6 @@ impl CallGraph {
             .map(|&i| self.fns[i].item.name.clone())
             .collect()
     }
-
-    /// A readable call path `root -> … -> target` using the parent map
-    /// from [`CallGraph::reach_from`].
-    pub fn path_to(&self, parents: &[Option<usize>], target: usize) -> String {
-        self.path_chain(parents, target).join(" -> ")
-    }
 }
 
 #[cfg(test)]
@@ -434,7 +415,10 @@ impl S { fn method_b(&self) { leaf() } }
         let reach = g.reach_from(&[root]);
         let leaf = g.matching("a.rs", "leaf")[0];
         assert!(reach[leaf].is_some());
-        assert!(g.path_to(&reach, leaf).starts_with("root -> "));
+        assert!(g
+            .path_chain(&reach, leaf)
+            .join(" -> ")
+            .starts_with("root -> "));
     }
 
     #[test]

@@ -1,12 +1,22 @@
-//! Interprocedural effect analysis.
+//! Interprocedural reachability: the audit's four passes, one table.
 //!
-//! Extracts each function's *direct effect sites* — allocation,
+//! Extracts each function's *direct sites* — panic sites, allocation,
 //! wall-clock reads, ambient entropy/thread-id reads, unordered-map
 //! iteration, and blocking (sleep, channel ops, thread join) — from the
-//! shared token stream, and runs three reachability passes over the
-//! workspace call graph, each a set of roots and the effects no function
-//! they reach may carry:
+//! shared token stream, and runs every row of [`PASSES`] over the
+//! workspace call graph through one [`reach_pass`]: a row is a set of
+//! roots and the site kinds no function they reach may carry.
 //!
+//! * **panic-reachable** — the monitor's contract (§3.1): nothing
+//!   reachable from the sampling supervisor's `catch_unwind` boundary
+//!   or from the abnormal-exit path panics. A panic under the
+//!   supervisor costs a sample round, and a panic on the crash path
+//!   turns an orderly abnormal-exit report into an abort. The monitor's
+//!   per-sample files are rooted whole, so a function there is held to
+//!   the contract before anything calls it. `unwrap`/`expect` chained
+//!   directly onto a `write!`/`writeln!` macro is no site: `fmt::Write`
+//!   into a `String` is infallible, and the report renderers use that
+//!   idiom throughout.
 //! * **hot-path-alloc** — any allocation effect reachable from the
 //!   `_into` sampling-round roots fails. This turns the zero-alloc
 //!   sampling discipline (DESIGN.md §4) into a CI-enforced
@@ -26,17 +36,19 @@
 //!   ([`super::rules`]).
 //!
 //! Reachability is one breadth-first walk per pass, so recursive and
-//! mutually recursive functions need no fixpoint. Every finding carries a
-//! **witness trace**: the shortest root→site call chain recovered from
-//! the BFS parent map (surfaced by `zerosum audit --explain`).
+//! mutually recursive functions need no fixpoint, and any *new*
+//! function a root reaches is audited the moment the call appears.
+//! Every finding carries a **witness trace**: the shortest root→site
+//! call chain recovered from the BFS parent map (surfaced by `zerosum
+//! audit --explain`).
 
-use super::callgraph::CallGraph;
+use super::callgraph::{CallGraph, Site, SiteKind};
 use super::items::{FnItem, ParsedFile};
 use super::lexer::TokKind;
-use super::{resolve_roots, Allow, Allowlist, Finding};
+use super::{unresolved, Allow, Allowlist, Finding};
 use std::collections::BTreeSet;
 
-/// The effect kinds, one bit each: a site carries one, a pass's mask
+/// The site kinds, one bit each: a site carries one, a pass's mask
 /// names those it polices.
 pub struct Effect;
 
@@ -56,117 +68,177 @@ impl Effect {
     pub const BLOCK_CHAN: u16 = 1 << 5;
     /// `.join()` on a thread handle.
     pub const BLOCK_JOIN: u16 = 1 << 6;
+    /// A potential panic: `.unwrap()` / `.expect(…)` (token `unwrap` /
+    /// `expect`), `panic!`/`unreachable!`/`todo!`/`unimplemented!`
+    /// (`panic-macro`), `expr[…]` (`index`).
+    pub const PANIC: u16 = 1 << 7;
 }
 
-/// Effects the determinism pass polices.
-pub const DET_MASK: u16 = Effect::WALL_CLOCK | Effect::AMBIENT | Effect::UNORDERED_ITER;
-/// Effects the blocking pass polices under its non-blocking roots.
-pub const WATCHDOG_MASK: u16 = Effect::BLOCK_SLEEP | Effect::BLOCK_CHAN | Effect::BLOCK_JOIN;
-
-/// One direct effect site inside a function body.
+/// One direct site inside a function body.
 #[derive(Debug, Clone)]
 pub struct EffectSite {
-    /// Which effect (a single [`Effect`] bit).
+    /// Which kind (a single [`Effect`] bit).
     pub bit: u16,
     /// 1-based source line.
     pub line: usize,
     /// Stable site token (`clone`, `format!`, `Vec::new`,
-    /// `Instant::now`, `states.values`, `thread::sleep`, …) — what an
-    /// allowlist row names.
+    /// `Instant::now`, `states.values`, `thread::sleep`, `unwrap`,
+    /// `index`, …) — what an allowlist row names.
     pub token: String,
 }
 
-/// Configuration for the three effect passes: roots and reviewed
-/// allowlists.
+/// Where a pass's roots are: the three shapes of a root list entry.
 #[derive(Debug, Clone, Copy)]
-pub struct EffectConfig<'a> {
-    /// Every non-test fn whose name ends with this suffix is a hot
-    /// root (the `_into` sampling-round family).
-    pub hot_root_suffix: &'a str,
-    /// Extra hot roots: `(file_suffix, fn_name)`.
-    pub hot_roots: &'a [(&'a str, &'a str)],
-    /// Reviewed allocation sites reachable from hot roots.
-    pub alloc_allowlist: &'a [Allow<'a>],
-    /// Every fn in a file starting with one of these prefixes is a
-    /// determinism root (the simulator).
-    pub det_root_prefixes: &'a [&'a str],
-    /// Named determinism roots: `(file_suffix, fn_name)` — the
-    /// experiment drivers whose outputs must be bit-identical.
-    pub det_roots: &'a [(&'a str, &'a str)],
-    /// Reviewed nondeterministic sites reachable from det roots.
-    pub det_allowlist: &'a [Allow<'a>],
-    /// The non-blocking roots — the deadline-watchdog scope and the
-    /// pump loops: `(file_suffix, fn_name)`.
-    pub watchdog_roots: &'a [(&'a str, &'a str)],
-    /// Reviewed blocking sites under the non-blocking roots.
-    pub blocking_allowlist: &'a [Allow<'a>],
+pub enum Root<'a> {
+    /// `(file_suffix, fn_name)`: the functions so named. One that
+    /// resolves to none is an `unresolved-root` finding.
+    Fn(&'a str, &'a str),
+    /// Every function of every file whose path starts with this: a
+    /// rooted file, or a directory. One that matches no file is an
+    /// `unresolved-root` finding.
+    Path(&'a str),
+    /// Every function whose name ends with this.
+    Suffix(&'a str),
 }
 
-impl EffectConfig<'static> {
-    /// A config with the `_into` suffix rule but no named roots and no
-    /// allowlists — the fixture-test entry point.
-    pub const fn empty() -> EffectConfig<'static> {
-        EffectConfig {
-            hot_root_suffix: "_into",
-            hot_roots: &[],
-            alloc_allowlist: &[],
-            det_root_prefixes: &[],
-            det_roots: &[],
-            det_allowlist: &[],
-            watchdog_roots: &[],
-            blocking_allowlist: &[],
-        }
-    }
+/// One reachability pass: a row of [`PASSES`].
+#[derive(Debug, Clone, Copy)]
+pub struct Pass<'a> {
+    /// The pass id its findings carry.
+    pub id: &'static str,
+    /// The [`Effect`] bits no function reachable from a root may carry.
+    pub mask: u16,
+    /// The roots, walked in this order.
+    pub roots: &'a [Root<'a>],
+    /// Reviewed sites: `(file_suffix, fn, token, why)`.
+    pub allowlist: &'a [Allow<'a>],
+    /// What an `unresolved-root` finding calls the root list.
+    pub root_label: &'static str,
+    /// What a `stale-allowlist` finding calls the allowlist.
+    pub allow_label: &'static str,
+    /// How a finding names the roots it was reached from.
+    pub scope: &'static str,
 }
 
-/// The repo's standard effect configuration.
-pub const DEFAULT_EFFECTS: EffectConfig<'static> = EffectConfig {
-    hot_root_suffix: "_into",
-    // The round runs every period; allocation there is contention by
-    // another name.
-    hot_roots: &[("crates/core/src/round.rs", "round")],
-    alloc_allowlist: &DEFAULT_ALLOC_ALLOWLIST,
-    det_root_prefixes: &["crates/sched/src/"],
-    det_roots: &[
-        ("crates/experiments/src/tables.rs", "run_table"),
-        ("crates/experiments/src/tables.rs", "run_table_configured"),
-        ("crates/experiments/src/tables.rs", "run_table_traced"),
-        ("crates/experiments/src/tables.rs", "run_table_chaos"),
-        (
+/// Everything under the sampling supervisor's `catch_unwind`
+/// (`Monitor::sample` runs the whole round inside it) and every
+/// function of the monitor's per-sample files: a malformed `/proc` line
+/// or a closed channel is data, not a crash. The abnormal-exit path:
+/// the panic hook prints `crash_report`, and the wrapper writes a dead
+/// child's partial logs and their reports — a panic there loses the
+/// record of the exit. The collector daemon's hostile-input boundary:
+/// frames arrive truncated, corrupted and version-skewed off the wire,
+/// and a panic in `decode_frame` or `pump_frames` kills supervision for
+/// the whole allocation. The real fork/exec storm driver, which
+/// supervises live children, and the hidden `__churn-child` entry,
+/// whose panic orphans the storm child.
+pub const PANIC_REACHABLE: Pass<'static> = Pass {
+    id: "panic-reachable",
+    mask: Effect::PANIC,
+    roots: &[
+        Root::Fn("crates/core/src/monitor.rs", "sample"),
+        Root::Fn("crates/core/src/signal.rs", "crash_report"),
+        Root::Fn("crates/core/src/export.rs", "write_partial_logs"),
+        Root::Fn("crates/core/src/report.rs", "render_process_report"),
+        Root::Fn("crates/net/src/frame.rs", "decode_frame"),
+        Root::Fn("crates/net/src/collector.rs", "pump_frames"),
+        Root::Fn("crates/apps/src/churn.rs", "run_real_churn"),
+        Root::Fn("crates/apps/src/churn.rs", "churn_child_main"),
+        Root::Path("crates/core/src/feed.rs"),
+        Root::Path("crates/core/src/hwt.rs"),
+        Root::Path("crates/core/src/lwp.rs"),
+        Root::Path("crates/core/src/monitor.rs"),
+        Root::Path("crates/core/src/round.rs"),
+    ],
+    allowlist: &[(
+        "crates/procfs/src/fault.rs",
+        "decide",
+        "panic-macro",
+        "deliberate chaos injection (scripted FaultKind::Panic, every read form) — the \
+         supervisor's catch_unwind is exactly the system under test",
+    )],
+    root_label: "panic root",
+    allow_label: "panic",
+    scope: "a no-panic root",
+};
+
+/// The `_into` sampling-round family, and the round itself: it runs
+/// every period, and allocation there is contention by another name.
+pub const HOT_PATH_ALLOC: Pass<'static> = Pass {
+    id: "hot-path-alloc",
+    mask: Effect::ALLOC,
+    roots: &[
+        Root::Suffix("_into"),
+        Root::Fn("crates/core/src/round.rs", "round"),
+    ],
+    allowlist: &ALLOC_ALLOWLIST,
+    root_label: "hot root",
+    allow_label: "hot-path-alloc",
+    scope: "the sampling-round roots",
+};
+
+/// The simulator, whole, and the experiment drivers whose outputs must
+/// be bit-identical. The open-system churn pair is here — the schedule
+/// generator and the sim-backend soak must be pure functions of their
+/// config (the CI suite requires bit-identical repro) — and the
+/// real-backend driver (`run_real_churn`), wall-clock paced by design,
+/// must NOT be.
+pub const NONDETERMINISM: Pass<'static> = Pass {
+    id: "nondeterminism",
+    mask: Effect::WALL_CLOCK | Effect::AMBIENT | Effect::UNORDERED_ITER,
+    roots: &[
+        Root::Path("crates/sched/src/"),
+        Root::Fn("crates/experiments/src/tables.rs", "run_table"),
+        Root::Fn("crates/experiments/src/tables.rs", "run_table_configured"),
+        Root::Fn("crates/experiments/src/tables.rs", "run_table_traced"),
+        Root::Fn("crates/experiments/src/tables.rs", "run_table_chaos"),
+        Root::Fn(
             "crates/experiments/src/transport_chaos.rs",
             "run_transport_chaos",
         ),
-        (
+        Root::Fn(
             "crates/experiments/src/transport_chaos.rs",
             "run_transport_chaos_with_plan",
         ),
-        // The open-system churn pair: the schedule generator and the
-        // sim-backend soak must be pure functions of their config (the
-        // CI suite requires bit-identical repro). The real-backend
-        // driver (`run_real_churn`) is wall-clock paced by design and
-        // must NOT be rooted here.
-        ("crates/apps/src/churn.rs", "generate_schedule"),
-        ("crates/experiments/src/churn.rs", "run_sim_churn"),
-        ("crates/experiments/src/parallel.rs", "run_jobs"),
-        ("crates/experiments/src/figures.rs", "fig5"),
-        ("crates/experiments/src/figures.rs", "fig67"),
-        ("crates/experiments/src/figures.rs", "fig67_traced"),
-        ("crates/experiments/src/figures.rs", "fig8"),
-        ("crates/experiments/src/sweep.rs", "sweep_cpus_per_task"),
+        Root::Fn("crates/apps/src/churn.rs", "generate_schedule"),
+        Root::Fn("crates/experiments/src/churn.rs", "run_sim_churn"),
+        Root::Fn("crates/experiments/src/parallel.rs", "run_jobs"),
+        Root::Fn("crates/experiments/src/figures.rs", "fig5"),
+        Root::Fn("crates/experiments/src/figures.rs", "fig67"),
+        Root::Fn("crates/experiments/src/figures.rs", "fig67_traced"),
+        Root::Fn("crates/experiments/src/figures.rs", "fig8"),
+        Root::Fn("crates/experiments/src/sweep.rs", "sweep_cpus_per_task"),
     ],
-    det_allowlist: &DEFAULT_DET_ALLOWLIST,
-    watchdog_roots: &[
-        ("crates/core/src/monitor.rs", "sample"),
-        ("crates/net/src/collector.rs", "pump_frames"),
-    ],
-    blocking_allowlist: &DEFAULT_BLOCKING_ALLOWLIST,
+    allowlist: &[],
+    root_label: "det root",
+    allow_label: "nondeterminism",
+    scope: "the sim/experiment roots",
 };
+
+/// The non-blocking roots: the deadline-watchdog scope and the
+/// collector's pump loop. Nothing the watchdog waits on sleeps, joins
+/// or waits on a channel, so the allowlist is empty.
+pub const BLOCKING: Pass<'static> = Pass {
+    id: "blocking",
+    mask: Effect::BLOCK_SLEEP | Effect::BLOCK_CHAN | Effect::BLOCK_JOIN,
+    roots: &[
+        Root::Fn("crates/core/src/monitor.rs", "sample"),
+        Root::Fn("crates/net/src/collector.rs", "pump_frames"),
+    ],
+    allowlist: &[],
+    root_label: "watchdog root",
+    allow_label: "blocking",
+    scope: "a non-blocking root",
+};
+
+/// The audit's reachability passes.
+pub const PASSES: [Pass<'static>; 4] = [PANIC_REACHABLE, HOT_PATH_ALLOC, NONDETERMINISM, BLOCKING];
 
 /// Reviewed allocation sites reachable from the `_into` roots:
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer.
-pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 23] = [
+pub const ALLOC_ALLOWLIST: [Allow; 23] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -332,25 +404,60 @@ pub const DEFAULT_ALLOC_ALLOWLIST: [Allow; 23] = [
     ),
 ];
 
-/// Reviewed nondeterministic sites reachable from the sim/experiment
-/// roots: `(file_suffix, fn, token, why)`.
-pub const DEFAULT_DET_ALLOWLIST: [Allow; 0] = [];
+/// Whether the `.unwrap()`/`.expect(` at ident token `t` is chained
+/// directly onto a `write!`/`writeln!` macro invocation.
+fn is_write_chained(pf: &ParsedFile, t: usize) -> bool {
+    // Pattern: `write!`/`writeln!` `(` … `)` `.` unwrap/expect — the
+    // token before the `.` is the `)` closing the macro's paren group.
+    if t < 2 || !pf.is_punct(t - 1, '.') {
+        return false;
+    }
+    if !pf.is_punct(t - 2, ')') {
+        return false;
+    }
+    // Find the matching `(` going backwards.
+    let mut depth = 0i32;
+    let mut q = t - 2;
+    loop {
+        match pf.tokens[q].kind {
+            TokKind::Punct(')') => depth += 1,
+            TokKind::Punct('(') => {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            _ => {}
+        }
+        if q == 0 {
+            return false;
+        }
+        q -= 1;
+    }
+    q >= 2
+        && pf.is_punct(q - 1, '!')
+        && (pf.is_ident(q - 2, "write") || pf.is_ident(q - 2, "writeln"))
+}
 
-/// Reviewed blocking sites under the non-blocking roots:
-/// `(file_suffix, fn, token, why)`, the token being the effect. Empty:
-/// nothing the watchdog waits on sleeps, joins or waits on a channel.
-pub const DEFAULT_BLOCKING_ALLOWLIST: [Allow; 0] = [];
-
-/// The result of the effect pass.
-pub struct EffectAnalysis {
-    /// Findings across the three passes plus stale-allowlist entries.
-    pub findings: Vec<Finding>,
-    /// Total direct effect sites extracted.
-    pub sites: usize,
-    /// Functions reachable from the hot (`_into`) roots.
-    pub hot_reachable: usize,
-    /// Functions reachable from the determinism roots.
-    pub det_reachable: usize,
+/// The panic site a call-graph site is, if any: a method-position
+/// `.unwrap()`/`.expect(` not chained onto a `write!`, a `panic!`-family
+/// macro, an index.
+fn panic_site(pf: &ParsedFile, site: &Site) -> Option<EffectSite> {
+    let token = match (site.kind, site.name.as_str()) {
+        (SiteKind::Call, name @ ("unwrap" | "expect"))
+            if site.method && !is_write_chained(pf, site.token) =>
+        {
+            name
+        }
+        (SiteKind::Macro, "panic" | "unreachable" | "todo" | "unimplemented") => "panic-macro",
+        (SiteKind::Index, _) => "index",
+        _ => return None,
+    };
+    Some(EffectSite {
+        bit: Effect::PANIC,
+        line: site.line,
+        token: token.to_string(),
+    })
 }
 
 /// Method names that allocate when called in method position.
@@ -621,7 +728,9 @@ fn body_effect_sites(
     out
 }
 
-/// Extracts direct effect sites for every function in the graph.
+/// Extracts the direct sites of every function in the graph: its
+/// effect sites from the token stream, then its panic sites from the
+/// call graph's call, macro and index sites.
 pub fn effect_sites(graph: &CallGraph) -> Vec<Vec<EffectSite>> {
     let unordered: Vec<BTreeSet<String>> = graph.files.iter().map(unordered_bindings).collect();
     graph
@@ -629,7 +738,9 @@ pub fn effect_sites(graph: &CallGraph) -> Vec<Vec<EffectSite>> {
         .iter()
         .map(|node| {
             let pf = &graph.files[node.file_idx];
-            body_effect_sites(pf, &node.item, &unordered[node.file_idx])
+            let mut sites = body_effect_sites(pf, &node.item, &unordered[node.file_idx]);
+            sites.extend(node.sites.iter().filter_map(|s| panic_site(pf, s)));
+            sites
         })
         .collect()
 }
@@ -648,21 +759,50 @@ pub fn bit_name(bit: u16) -> &'static str {
     }
 }
 
-/// One reachability pass: report every direct site with a bit in
-/// `mask` inside a function reachable from `roots` that `allow` does
-/// not accept. Returns how many functions are reachable.
-#[allow(clippy::too_many_arguments)]
-fn reach_pass(
+/// Runs one row of the table: resolves its roots, walks the call graph
+/// from them, and reports every site of the row's mask in a reachable
+/// function that the row's allowlist does not accept, then every
+/// allowlist entry that accepted nothing. A named root that resolves to
+/// no function, or a path that matches no file, is an
+/// `unresolved-root` finding: a deleted or renamed root would otherwise
+/// take its pass's scope with it, silently. Returns how many functions
+/// are reachable.
+pub fn reach_pass(
     graph: &CallGraph,
     sites: &[Vec<EffectSite>],
-    roots: &[usize],
-    mask: u16,
-    pass: &'static str,
-    scope: &str,
-    allow: &mut Allowlist,
+    pass: &Pass,
     findings: &mut Vec<Finding>,
 ) -> usize {
-    let parents = graph.reach_from(roots);
+    let mut roots: Vec<usize> = Vec::new();
+    for &root in pass.roots {
+        let fns = 0..graph.fns.len();
+        match root {
+            Root::Fn(file, name) => {
+                let found = graph.matching(file, name);
+                if found.is_empty() {
+                    findings.push(unresolved(
+                        pass.root_label,
+                        file,
+                        name,
+                        "resolves to no function",
+                    ));
+                }
+                roots.extend(found);
+            }
+            Root::Path(prefix) => {
+                if !graph.files.iter().any(|pf| pf.file.starts_with(prefix)) {
+                    let list = format!("{} file", pass.root_label);
+                    findings.push(unresolved(&list, prefix, "", "matches no file"));
+                }
+                roots.extend(fns.filter(|&i| graph.fns[i].item.file.starts_with(prefix)));
+            }
+            Root::Suffix(suffix) => {
+                roots.extend(fns.filter(|&i| graph.fns[i].item.name.ends_with(suffix)));
+            }
+        }
+    }
+    let parents = graph.reach_from(&roots);
+    let mut allow = Allowlist::new(pass.allow_label, pass.allowlist);
     let mut reachable = 0usize;
     for (fi, p) in parents.iter().enumerate() {
         if p.is_none() {
@@ -671,123 +811,67 @@ fn reach_pass(
         reachable += 1;
         let node = &graph.fns[fi];
         for s in &sites[fi] {
-            if s.bit & mask == 0 {
+            if s.bit & pass.mask == 0 {
                 continue;
             }
             if allow.allows(&node.item.file, &node.item.name, &s.token) {
                 continue;
             }
             let witness = graph.path_chain(&parents, fi);
+            let kind = match s.bit {
+                Effect::PANIC => String::new(),
+                bit => format!("{} effect ", bit_name(bit)),
+            };
             findings.push(Finding {
-                pass,
+                pass: pass.id,
                 file: node.item.file.clone(),
                 line: s.line,
                 func: node.item.name.clone(),
                 token: s.token.clone(),
                 detail: format!(
-                    "{} effect `{}` in `{}` is reachable from {} via {}",
-                    bit_name(s.bit),
+                    "{kind}`{}` in `{}` is reachable from {} via {}",
                     s.token,
                     node.item.name,
-                    scope,
+                    pass.scope,
                     witness.join(" -> ")
                 ),
                 witness,
             });
         }
     }
+    allow.stale(findings);
     reachable
-}
-
-/// Runs the effect passes over a built call graph.
-pub fn analyze_effects(graph: &CallGraph, cfg: &EffectConfig) -> EffectAnalysis {
-    let sites = effect_sites(graph);
-    let mut findings: Vec<Finding> = Vec::new();
-
-    // Pass 1: hot-path allocation.
-    let mut hot_roots: Vec<usize> = Vec::new();
-    if !cfg.hot_root_suffix.is_empty() {
-        hot_roots.extend(
-            (0..graph.fns.len()).filter(|&i| graph.fns[i].item.name.ends_with(cfg.hot_root_suffix)),
-        );
-    }
-    let named = cfg.hot_roots.iter().copied();
-    hot_roots.extend(resolve_roots(graph, "hot root", named, &mut findings));
-    let mut allow = Allowlist::new("hot-path-alloc", cfg.alloc_allowlist);
-    let hot_reachable = reach_pass(
-        graph,
-        &sites,
-        &hot_roots,
-        Effect::ALLOC,
-        "hot-path-alloc",
-        "the sampling-round roots",
-        &mut allow,
-        &mut findings,
-    );
-    allow.stale(&mut findings);
-
-    // Pass 2: determinism.
-    let mut det_roots: Vec<usize> = Vec::new();
-    for (fi, node) in graph.fns.iter().enumerate() {
-        if cfg
-            .det_root_prefixes
-            .iter()
-            .any(|p| node.item.file.starts_with(p))
-        {
-            det_roots.push(fi);
-        }
-    }
-    let named = cfg.det_roots.iter().copied();
-    det_roots.extend(resolve_roots(graph, "det root", named, &mut findings));
-    let mut allow = Allowlist::new("nondeterminism", cfg.det_allowlist);
-    let det_reachable = reach_pass(
-        graph,
-        &sites,
-        &det_roots,
-        DET_MASK,
-        "nondeterminism",
-        "the sim/experiment roots",
-        &mut allow,
-        &mut findings,
-    );
-    allow.stale(&mut findings);
-
-    // Pass 3: blocking under the non-blocking roots.
-    let named = cfg.watchdog_roots.iter().copied();
-    let wd_roots = resolve_roots(graph, "watchdog root", named, &mut findings);
-    let mut allow = Allowlist::new("blocking", cfg.blocking_allowlist);
-    reach_pass(
-        graph,
-        &sites,
-        &wd_roots,
-        WATCHDOG_MASK,
-        "blocking",
-        "a non-blocking root",
-        &mut allow,
-        &mut findings,
-    );
-    allow.stale(&mut findings);
-
-    EffectAnalysis {
-        findings,
-        sites: sites.iter().map(Vec::len).sum(),
-        hot_reachable,
-        det_reachable,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audit::items::parse_file;
+    use crate::audit::{audit_sources_cfg, AuditReport};
 
     fn graph(srcs: &[(&str, &str)]) -> CallGraph {
         CallGraph::build(srcs.iter().map(|(p, s)| parse_file(p, s)).collect())
     }
 
-    fn run(srcs: &[(&str, &str)], cfg: &EffectConfig) -> EffectAnalysis {
-        analyze_effects(&graph(srcs), cfg)
+    fn run(srcs: &[(&str, &str)], passes: &[Pass]) -> AuditReport {
+        let sources: Vec<(String, String)> = srcs
+            .iter()
+            .map(|(p, s)| (p.to_string(), s.to_string()))
+            .collect();
+        audit_sources_cfg(&sources, passes, &[])
     }
+
+    /// A one-row table: the shipped row `pass` with `roots` and
+    /// `allowlist` in place of its own.
+    fn rooted<'a>(pass: Pass, roots: &'a [Root<'a>], allowlist: &'a [Allow<'a>]) -> [Pass<'a>; 1] {
+        [Pass {
+            roots,
+            allowlist,
+            ..pass
+        }]
+    }
+
+    const INTO: [Root; 1] = [Root::Suffix("_into")];
 
     #[test]
     fn extraction_classifies_each_effect_kind() {
@@ -856,7 +940,7 @@ fn leaf(buf: &mut String) { let s = buf.clone(); }
 fn island() { let v = Vec::new(); }
 ",
             )],
-            &EffectConfig::empty(),
+            &rooted(HOT_PATH_ALLOC, &INTO, &[]),
         );
         let hot: Vec<&Finding> = ea
             .findings
@@ -874,10 +958,7 @@ fn island() { let v = Vec::new(); }
 
     #[test]
     fn determinism_pass_uses_named_roots() {
-        let cfg = EffectConfig {
-            det_roots: &[("a.rs", "run_sim")],
-            ..EffectConfig::empty()
-        };
+        let cfg = rooted(NONDETERMINISM, &[Root::Fn("a.rs", "run_sim")], &[]);
         let ea = run(
             &[(
                 "a.rs",
@@ -901,10 +982,7 @@ fn unrelated() { let t = SystemTime::now(); }
 
     #[test]
     fn watchdog_scope_flags_sleep_and_join() {
-        let cfg = EffectConfig {
-            watchdog_roots: &[("a.rs", "sample_inner")],
-            ..EffectConfig::empty()
-        };
+        let cfg = rooted(BLOCKING, &[Root::Fn("a.rs", "sample_inner")], &[]);
         let ea = run(
             &[(
                 "a.rs",
@@ -931,10 +1009,7 @@ fn wait() { thread::sleep(d); handle.join(); }
             ("a.rs", "leaf", "clone", "scratch-buffer clone, reviewed"),
             ("a.rs", "gone", "clone", "stale"),
         ];
-        let cfg = EffectConfig {
-            alloc_allowlist: &allow,
-            ..EffectConfig::empty()
-        };
+        let cfg = rooted(HOT_PATH_ALLOC, &INTO, &allow);
         let ea = run(
             &[(
                 "a.rs",
@@ -962,11 +1037,7 @@ fn wait() { thread::sleep(d); handle.join(); }
             ("a.rs", "wait", "thread::sleep", "reviewed"),
             ("a.rs", "gone", "thread::sleep", "names no site"),
         ];
-        let cfg = EffectConfig {
-            watchdog_roots: &[("a.rs", "sample_inner")],
-            blocking_allowlist: &allow,
-            ..EffectConfig::empty()
-        };
+        let cfg = rooted(BLOCKING, &[Root::Fn("a.rs", "sample_inner")], &allow);
         let ea = run(
             &[(
                 "a.rs",
@@ -984,10 +1055,7 @@ fn wait() { thread::sleep(d); handle.join(); }
 
     #[test]
     fn reachability_crosses_self_and_mutual_recursion() {
-        let cfg = EffectConfig {
-            watchdog_roots: &[("a.rs", "sample_inner")],
-            ..EffectConfig::empty()
-        };
+        let cfg = rooted(BLOCKING, &[Root::Fn("a.rs", "sample_inner")], &[]);
         let ea = run(
             &[(
                 "a.rs",
@@ -1013,5 +1081,101 @@ fn pong(n: u32) { if n > 0 { ping(n - 1); } thread::sleep(d); }
                 ("thread::sleep", chain(&["sample_inner", "ping", "pong"])),
             ]
         );
+    }
+
+    const ROOT: [Root; 1] = [Root::Fn("a.rs", "root")];
+
+    #[test]
+    fn reachable_unwrap_is_flagged_unreachable_is_not() {
+        let pa = run(
+            &[(
+                "a.rs",
+                "\
+fn root(x: Option<u32>) { step(x); }
+fn step(x: Option<u32>) -> u32 { x.unwrap() }
+fn island(x: Option<u32>) -> u32 { x.unwrap() }
+",
+            )],
+            &rooted(PANIC_REACHABLE, &ROOT, &[]),
+        );
+        assert_eq!(pa.findings.len(), 1, "{:?}", pa.findings);
+        assert_eq!(pa.findings[0].func, "step");
+        assert!(pa.findings[0].detail.contains("root -> step"));
+    }
+
+    #[test]
+    fn write_chained_unwrap_is_auto_allowed() {
+        let pa = run(
+            &[(
+                "a.rs",
+                "\
+fn root(out: &mut String) {
+    writeln!(out, \"header {}\", 1).unwrap();
+    write!(out, \"x\").unwrap();
+    std::fs::read(\"f\").unwrap();
+}
+",
+            )],
+            &rooted(PANIC_REACHABLE, &ROOT, &[]),
+        );
+        assert_eq!(pa.findings.len(), 1, "{:?}", pa.findings);
+        assert_eq!(pa.findings[0].line, 4);
+    }
+
+    #[test]
+    fn panic_macros_and_indexes_count() {
+        let pa = run(
+            &[(
+                "a.rs",
+                "fn root(v: &[u32]) -> u32 { if v.is_empty() { panic!(\"empty\") } v[0] }",
+            )],
+            &rooted(PANIC_REACHABLE, &ROOT, &[]),
+        );
+        let kinds: Vec<&str> = pa.findings.iter().map(|f| f.token.as_str()).collect();
+        assert!(kinds.contains(&"panic-macro"));
+        assert!(kinds.contains(&"index"));
+    }
+
+    #[test]
+    fn panic_allowlist_suppresses_and_stale_entries_fail() {
+        let allow = [
+            ("a.rs", "root", "unwrap", "covered by caller check"),
+            ("a.rs", "gone_fn", "unwrap", "this entry is stale"),
+        ];
+        let pa = run(
+            &[("a.rs", "fn root(x: Option<u32>) -> u32 { x.unwrap() }")],
+            &rooted(PANIC_REACHABLE, &ROOT, &allow),
+        );
+        assert_eq!(pa.findings.len(), 1, "{:?}", pa.findings);
+        assert_eq!(pa.findings[0].pass, "stale-allowlist");
+        assert_eq!(pa.findings[0].func, "gone_fn");
+    }
+
+    #[test]
+    fn a_root_that_names_no_fn_is_a_finding() {
+        let g = graph(&[("a.rs", "fn root(x: Option<u32>) -> u32 { x.unwrap() }")]);
+        let roots = [ROOT[0], Root::Fn("a.rs", "renamed_away")];
+        let [pass] = rooted(PANIC_REACHABLE, &roots, &[]);
+        let mut findings = Vec::new();
+        reach_pass(&g, &effect_sites(&g), &pass, &mut findings);
+        let pa = AuditReport {
+            findings,
+            stats: Default::default(),
+        };
+        let got: Vec<_> = pa
+            .findings
+            .iter()
+            .map(|f| (f.pass, f.func.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("unresolved-root", "renamed_away"),
+                ("panic-reachable", "root")
+            ],
+            "{:?}",
+            pa.findings
+        );
+        assert!(pa.findings[0].detail.contains("resolves to no function"));
     }
 }

@@ -3,9 +3,9 @@
 //! A comment/string-correct lexer ([`lexer`]), a lightweight item
 //! parser recovering function bodies and test code ([`items`]), a
 //! workspace call graph ([`callgraph`]), and the passes over them —
-//! panic-reachability ([`panics`]), the effect passes ([`effects`]:
-//! hot-path allocation, determinism, blocking under the watchdog's
-//! roots) and the repo rules ([`rules`]: source-error-bubble,
+//! the reachability passes, one table of rows ([`effects`]: panic
+//! reach, hot-path allocation, determinism, blocking under the
+//! watchdog's roots) and the repo rules ([`rules`]: source-error-bubble,
 //! unbounded-growth, lock-in-product — no product code names a lock, so
 //! no held range exists to check). What `rustc` proves — one writer and
 //! one reader per `ShardRing`, no data race, no use of a moved endpoint
@@ -28,7 +28,6 @@ pub mod callgraph;
 pub mod effects;
 pub mod items;
 pub mod lexer;
-pub mod panics;
 pub mod rules;
 
 use std::fmt::Write as _;
@@ -122,28 +121,8 @@ impl<'a> Allowlist<'a> {
     }
 }
 
-/// The functions the named roots `(file_suffix, fn_name)` of `list`
-/// resolve to. A root that resolves to none is an `unresolved-root`
-/// finding, the way a dead allowlist row is a `stale-allowlist` one: a
-/// deleted or renamed root fn would otherwise take its pass's scope
-/// with it, silently.
-pub(crate) fn resolve_roots<'r>(
-    graph: &callgraph::CallGraph,
-    list: &str,
-    roots: impl IntoIterator<Item = (&'r str, &'r str)>,
-    findings: &mut Vec<Finding>,
-) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (file, name) in roots {
-        let found = graph.matching(file, name);
-        if found.is_empty() {
-            findings.push(unresolved(list, file, name, "resolves to no function"));
-        }
-        out.extend(found);
-    }
-    out
-}
-
+/// An `unresolved-root` finding: an entry of `list` that names nothing,
+/// the way a dead allowlist row is a `stale-allowlist` one.
 fn unresolved(list: &str, file: &str, func: &str, what: &str) -> Finding {
     let named: Vec<&str> = [file, func].into_iter().filter(|p| !p.is_empty()).collect();
     Finding {
@@ -303,69 +282,41 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Full audit configuration: every pass's roots and reviewed
-/// allowlists.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditConfig<'a> {
-    /// Panic-reachability roots: `(file_suffix, fn_name, why)`.
-    pub panic_roots: &'a [(&'a str, &'a str, &'a str)],
-    /// Reviewed panic sites; the token is the site kind.
-    pub panic_allowlist: &'a [Allow<'a>],
-    /// Reviewed growing fields; the token is the field, the fn is left
-    /// empty.
-    pub growth_allowlist: &'a [Allow<'a>],
-    /// Effect-pass roots and allowlists.
-    pub effects: effects::EffectConfig<'a>,
-}
-
-impl AuditConfig<'static> {
-    /// The repo's standard configuration.
-    pub const fn default_repo() -> AuditConfig<'static> {
-        AuditConfig {
-            panic_roots: &panics::PANIC_ROOTS,
-            panic_allowlist: &panics::PANIC_ALLOWLIST,
-            growth_allowlist: &rules::GROWTH_ALLOWLIST,
-            effects: effects::DEFAULT_EFFECTS,
-        }
-    }
-
-    /// No roots and no allowlists (the `_into` suffix rule still
-    /// applies) — what the fixture tests start from.
-    pub const fn empty() -> AuditConfig<'static> {
-        AuditConfig {
-            panic_roots: &[],
-            panic_allowlist: &[],
-            growth_allowlist: &[],
-            effects: effects::EffectConfig::empty(),
-        }
-    }
-}
-
-/// Runs every pass over in-memory sources with an explicit
-/// configuration — the most general entry point.
-pub fn audit_sources_cfg(sources: &[(String, String)], cfg: &AuditConfig) -> AuditReport {
+/// Runs every pass over in-memory sources: each reachability pass of
+/// `passes`, and the repo rules with `growth_allowlist` (reviewed
+/// growing fields; the token is the field, the fn is left empty) — the
+/// most general entry point.
+pub fn audit_sources_cfg(
+    sources: &[(String, String)],
+    passes: &[effects::Pass],
+    growth_allowlist: &[Allow],
+) -> AuditReport {
     let parsed: Vec<items::ParsedFile> = sources
         .iter()
         .map(|(p, s)| items::parse_file(p, s))
         .collect();
     let graph = callgraph::CallGraph::build(parsed);
-    let pa = panics::analyze_panics(&graph, cfg.panic_roots, cfg.panic_allowlist);
-    let ea = effects::analyze_effects(&graph, &cfg.effects);
+    let sites = effects::effect_sites(&graph);
+    let mut findings = rules::analyze_rules(&graph, growth_allowlist);
+    let reached: Vec<(&str, usize)> = passes
+        .iter()
+        .map(|p| (p.id, effects::reach_pass(&graph, &sites, p, &mut findings)))
+        .collect();
+    let reach = |id: &str| reached.iter().find(|(p, _)| *p == id).map_or(0, |r| r.1);
+    let panic_sites = sites
+        .iter()
+        .flatten()
+        .filter(|s| s.bit == effects::Effect::PANIC)
+        .count();
     let stats = AuditStats {
         files: graph.files.len(),
         fns: graph.fns.len(),
-        panic_sites: pa.sites,
-        reachable_fns: pa.reachable_fns,
-        effect_sites: ea.sites,
-        hot_reachable: ea.hot_reachable,
-        det_reachable: ea.det_reachable,
+        panic_sites,
+        reachable_fns: reach(effects::PANIC_REACHABLE.id),
+        effect_sites: sites.iter().map(Vec::len).sum::<usize>() - panic_sites,
+        hot_reachable: reach(effects::HOT_PATH_ALLOC.id),
+        det_reachable: reach(effects::NONDETERMINISM.id),
     };
-    let mut findings: Vec<Finding> = pa
-        .findings
-        .into_iter()
-        .chain(ea.findings)
-        .chain(rules::analyze_rules(&graph, cfg.growth_allowlist))
-        .collect();
     sort_findings(&mut findings);
     AuditReport { findings, stats }
 }
@@ -382,28 +333,13 @@ fn sort_findings(findings: &mut Vec<Finding>) {
     });
 }
 
-/// [`AuditConfig::empty`] plus explicit panic roots and allowlist.
-pub fn audit_sources_with(
-    sources: &[(String, String)],
-    roots: &[(&str, &str, &str)],
-    allowlist: &[Allow],
-) -> AuditReport {
-    let cfg = AuditConfig {
-        panic_roots: roots,
-        panic_allowlist: allowlist,
-        ..AuditConfig::empty()
-    };
-    audit_sources_cfg(sources, &cfg)
-}
-
 /// Runs the audit over in-memory sources with the repo's standard roots
-/// and allowlists. The rooted-file lists are constants of that
+/// and allowlists. The repo rules' file lists are constants of that
 /// configuration, so here an entry that names no source is an
 /// `unresolved-root` finding too.
 pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
-    let mut report = audit_sources_cfg(sources, &AuditConfig::default_repo());
-    let lists: [(&str, &[&str]); 4] = [
-        ("panic root file", &panics::PANIC_ROOT_FILES),
+    let mut report = audit_sources_cfg(sources, &effects::PASSES, &rules::GROWTH_ALLOWLIST);
+    let lists: [(&str, &[&str]); 3] = [
         ("round file", &rules::ROUND_FILES),
         ("monitor-state file", &rules::MONITOR_STATE_FILES),
         ("lock file", &rules::LOCK_FILES),
@@ -504,7 +440,12 @@ fn root(v: Option<u32>) {
 }
 ",
         )]);
-        let r = audit_sources_with(&sources, &[("a.rs", "root", "test")], &[]);
+        let panics = [effects::Pass {
+            roots: &[effects::Root::Fn("a.rs", "root")],
+            allowlist: &[],
+            ..effects::PANIC_REACHABLE
+        }];
+        let r = audit_sources_cfg(&sources, &panics, &[]);
         assert!(!r.clean());
         let text = r.render();
         assert!(text.contains("[lock-in-product]"), "{text}");
@@ -528,7 +469,10 @@ fn root(v: Option<u32>) {
         assert!(files
             .iter()
             .all(|(_, f)| *f != "crates/core/src/monitor.rs"));
-        let listed = panics::PANIC_ROOT_FILES.len()
+        let rooted = effects::PASSES.iter().flat_map(|p| p.roots);
+        let listed = rooted
+            .filter(|r| matches!(r, effects::Root::Path(_)))
+            .count()
             + rules::ROUND_FILES.len()
             + rules::MONITOR_STATE_FILES.len()
             + rules::LOCK_FILES.len();
@@ -538,14 +482,10 @@ fn root(v: Option<u32>) {
 
     #[test]
     fn every_shipped_allowlist_entry_says_why() {
-        let cfg = AuditConfig::default_repo();
-        let lists = [
-            cfg.panic_allowlist,
-            cfg.growth_allowlist,
-            cfg.effects.alloc_allowlist,
-            cfg.effects.det_allowlist,
-            cfg.effects.blocking_allowlist,
-        ];
+        let lists = effects::PASSES
+            .iter()
+            .map(|p| p.allowlist)
+            .chain([&rules::GROWTH_ALLOWLIST[..]]);
         for (file, func, token, why) in lists.into_iter().flatten() {
             assert!(!why.is_empty(), "({file}, {func}, {token})");
         }

@@ -10,13 +10,13 @@
 //!   residency, charge attribution, affinity, context-switch totals,
 //!   GPU causality).
 //! * **Static audit** ([`audit`]) — the workspace's one source-level
-//!   checker, run by `zerosum audit`: panic reachability
-//!   (the monitor's hot-path files rooted whole), effects (allocation,
-//!   determinism, the one blocking pass — a lock taken under a guard
-//!   included), and the repo rules — no
-//!   prints in library crates, no `?`-propagation of `/proc` read
-//!   errors out of the sampling round, no unreviewed growth of monitor
-//!   state.
+//!   checker, run by `zerosum audit`: four reachability passes, rows of
+//!   one table — panic reachability (the monitor's hot-path files
+//!   rooted whole), allocation, determinism, and the one blocking pass
+//!   under the watchdog's roots (`Monitor::sample`,
+//!   `Collector::pump_frames`) — and the repo rules: no `?`-propagation
+//!   of `/proc` read errors out of the sampling round, no unreviewed
+//!   growth of monitor state, no lock type named in product code.
 //! * **Chaos checking** ([`chaos`]) — Tables 1–3 under seeded procfs
 //!   fault schedules: zero panics, exact ledger/fault-log
 //!   reconciliation, bounded distortion.

@@ -8,8 +8,10 @@
 //! excluded from the real audit walk.
 
 use std::path::{Path, PathBuf};
-use zerosum_analyze::audit::effects::EffectConfig;
-use zerosum_analyze::audit::{audit_sources_cfg, audit_sources_with, AuditConfig};
+use zerosum_analyze::audit::audit_sources_cfg;
+use zerosum_analyze::audit::effects::{
+    Pass, Root, BLOCKING, HOT_PATH_ALLOC, NONDETERMINISM, PANIC_REACHABLE,
+};
 use zerosum_analyze::{audit_sources, audit_workspace, find_workspace_root, AuditReport};
 
 fn workspace_root() -> PathBuf {
@@ -114,25 +116,32 @@ fn shipped_tree_audits_clean() {
     assert!(report.clean(), "{}", report.render_with(true));
 }
 
-fn audit_one(name: &str, roots: &[(&str, &str, &str)]) -> AuditReport {
-    audit_sources_with(&[(name.to_string(), read(name))], roots, &[])
+/// A one-row table: the shipped row `pass` rooted at `roots`, with no
+/// allowlist.
+fn rooted<'a>(pass: Pass, roots: &'a [Root<'a>]) -> [Pass<'a>; 1] {
+    [Pass {
+        roots,
+        allowlist: &[],
+        ..pass
+    }]
 }
 
-/// Audits one fixture with no panic roots and the given effect
-/// configuration — the entry point for the effect-pass pairs.
-fn audit_effects(name: &str, effects: EffectConfig) -> AuditReport {
-    audit_sources_cfg(
-        &[(name.to_string(), read(name))],
-        &AuditConfig {
-            effects,
-            ..AuditConfig::empty()
-        },
-    )
+fn audit_one(name: &str, roots: &[Root]) -> AuditReport {
+    audit_effects(name, &rooted(PANIC_REACHABLE, roots))
 }
+
+/// Audits one fixture with the given reachability passes — the entry
+/// point for the effect-pass pairs.
+fn audit_effects(name: &str, passes: &[Pass]) -> AuditReport {
+    audit_sources_cfg(&[(name.to_string(), read(name))], passes, &[])
+}
+
+/// The `_into` sampling-round roots.
+const INTO: [Root; 1] = [Root::Suffix("_into")];
 
 #[test]
 fn hot_path_alloc_fixture_pair() {
-    let bad = audit_effects("hot_path_alloc.bad.rs", EffectConfig::empty());
+    let bad = audit_effects("hot_path_alloc.bad.rs", &rooted(HOT_PATH_ALLOC, &INTO));
     let hot: Vec<_> = bad
         .findings
         .iter()
@@ -142,7 +151,7 @@ fn hot_path_alloc_fixture_pair() {
     assert_eq!(hot[0].func, "leaf");
     assert_eq!(hot[0].token, "clone");
     assert_eq!(hot[0].witness, vec!["task_stat_into", "helper", "leaf"]);
-    let clean = audit_effects("hot_path_alloc.clean.rs", EffectConfig::empty());
+    let clean = audit_effects("hot_path_alloc.clean.rs", &rooted(HOT_PATH_ALLOC, &INTO));
     assert!(clean.clean(), "{:?}", clean.findings);
 }
 
@@ -150,10 +159,7 @@ fn hot_path_alloc_fixture_pair() {
 fn determinism_fixture_pair() {
     let bad = audit_effects(
         "determinism.bad.rs",
-        EffectConfig {
-            det_roots: &[("determinism.bad.rs", "run_sim")],
-            ..EffectConfig::empty()
-        },
+        &rooted(NONDETERMINISM, &[Root::Fn("determinism.bad.rs", "run_sim")]),
     );
     let det: Vec<_> = bad
         .findings
@@ -174,10 +180,10 @@ fn determinism_fixture_pair() {
     );
     let clean = audit_effects(
         "determinism.clean.rs",
-        EffectConfig {
-            det_roots: &[("determinism.clean.rs", "run_sim")],
-            ..EffectConfig::empty()
-        },
+        &rooted(
+            NONDETERMINISM,
+            &[Root::Fn("determinism.clean.rs", "run_sim")],
+        ),
     );
     assert!(clean.clean(), "{:?}", clean.findings);
 }
@@ -187,8 +193,10 @@ fn witness_traces_are_stable_across_runs() {
     // The snapshot contract for `--explain`: two independent audits of
     // the same source render byte-identical reports, including the
     // exact shortest-path trace lines.
-    let a = audit_effects("hot_path_alloc.bad.rs", EffectConfig::empty()).render_with(true);
-    let b = audit_effects("hot_path_alloc.bad.rs", EffectConfig::empty()).render_with(true);
+    let a =
+        audit_effects("hot_path_alloc.bad.rs", &rooted(HOT_PATH_ALLOC, &INTO)).render_with(true);
+    let b =
+        audit_effects("hot_path_alloc.bad.rs", &rooted(HOT_PATH_ALLOC, &INTO)).render_with(true);
     assert_eq!(a, b, "audit output must be deterministic");
     assert!(
         a.contains("    trace: task_stat_into -> helper -> leaf"),
@@ -199,13 +207,7 @@ fn witness_traces_are_stable_across_runs() {
 /// Audits a blocking fixture with its `pump` as the one non-blocking
 /// root.
 fn audit_pump(name: &str) -> AuditReport {
-    audit_effects(
-        name,
-        EffectConfig {
-            watchdog_roots: &[(name, "pump")],
-            ..EffectConfig::empty()
-        },
-    )
+    audit_effects(name, &rooted(BLOCKING, &[Root::Fn(name, "pump")]))
 }
 
 #[test]
@@ -257,7 +259,7 @@ fn workspace_audit_json_is_byte_identical_across_runs() {
 fn panic_reach_fixture_pair() {
     let bad = audit_one(
         "panic_reach.bad.rs",
-        &[("panic_reach.bad.rs", "entry", "fixture root")],
+        &[Root::Fn("panic_reach.bad.rs", "entry")],
     );
     assert!(
         bad.findings
@@ -268,7 +270,7 @@ fn panic_reach_fixture_pair() {
     );
     let clean = audit_one(
         "panic_reach.clean.rs",
-        &[("panic_reach.clean.rs", "entry", "fixture root")],
+        &[Root::Fn("panic_reach.clean.rs", "entry")],
     );
     assert!(clean.clean(), "{:?}", clean.findings);
 }
@@ -277,12 +279,12 @@ fn panic_reach_fixture_pair() {
 /// callees living at `crates/apps/src/synthetic.rs`.
 fn audit_calling(name: &str) -> AuditReport {
     let callees = "crates/apps/src/synthetic.rs".to_string();
-    audit_sources_with(
+    audit_sources_cfg(
         &[
             (callees, read("callgraph_callees.rs")),
             (name.to_string(), read(name)),
         ],
-        &[(name, "entry", "fixture root")],
+        &rooted(PANIC_REACHABLE, &[Root::Fn(name, "entry")]),
         &[],
     )
 }
@@ -305,4 +307,70 @@ fn std_method_names_fixture_pair() {
     // `.with(` / `.iter(` in a file that never names `Metrics`.
     let clean = audit_calling("std_method_names.clean.rs");
     assert!(clean.clean(), "{:?}", clean.findings);
+}
+
+/// The report header's counts over a fixed fixture set with one root of
+/// every shape: named fns, a rooted file and a rooted directory, and the
+/// `_into` suffix.
+#[test]
+fn audit_header_counts_are_pinned() {
+    let files = [
+        ("crates/core/src/round.rs", "panic_hot_path.bad.rs"),
+        ("crates/apps/src/synthetic.rs", "callgraph_callees.rs"),
+        ("std_method_names.bad.rs", "std_method_names.bad.rs"),
+        ("panic_reach.bad.rs", "panic_reach.bad.rs"),
+        ("hot_path_alloc.bad.rs", "hot_path_alloc.bad.rs"),
+        ("crates/sched/src/node.rs", "determinism.bad.rs"),
+        ("blocking_pump.bad.rs", "blocking_pump.bad.rs"),
+        ("own_method_send.bad.rs", "own_method_send.bad.rs"),
+    ];
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|(path, name)| (path.to_string(), read(name)))
+        .collect();
+    let passes = [
+        rooted(
+            PANIC_REACHABLE,
+            &[
+                Root::Fn("panic_reach.bad.rs", "entry"),
+                Root::Fn("std_method_names.bad.rs", "entry"),
+                Root::Path("crates/core/src/round.rs"),
+            ],
+        ),
+        rooted(HOT_PATH_ALLOC, &INTO),
+        rooted(NONDETERMINISM, &[Root::Path("crates/sched/src/")]),
+        rooted(
+            BLOCKING,
+            &[
+                Root::Fn("blocking_pump.bad.rs", "pump"),
+                Root::Fn("own_method_send.bad.rs", "pump"),
+            ],
+        ),
+    ];
+    let report = audit_sources_cfg(&sources, &passes.concat(), &[]);
+    let s = report.stats;
+    assert_eq!(
+        (s.files, s.fns, s.panic_sites, s.reachable_fns),
+        (8, 18, 6, 8)
+    );
+    assert_eq!(
+        (s.effect_sites, s.hot_reachable, s.det_reachable),
+        (5, 3, 2)
+    );
+    let found: Vec<(&str, usize)> = report.findings.iter().map(|f| (f.pass, f.line)).collect();
+    assert_eq!(
+        found,
+        [
+            ("blocking", 9),
+            ("blocking", 14),
+            ("hot-path-alloc", 13),
+            ("nondeterminism", 6),
+            ("nondeterminism", 12),
+            ("panic-reachable", 14),
+            ("panic-reachable", 19),
+            ("panic-reachable", 4),
+            ("panic-reachable", 8),
+            ("panic-reachable", 12),
+        ]
+    );
 }

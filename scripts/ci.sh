@@ -17,10 +17,11 @@ cargo test -q --workspace
 echo "== zsaudit (every pass, no finding)"
 # Any finding fails: a panic site under a no-panic root or in a
 # hot-path file, an allocation under a hot root, a clock or map-order
-# read under a determinism root, a blocking effect under a pump or under
-# a lock (a second lock included), a /proc read error bubbling out of
-# the round, an unreviewed growing field, an allowlist entry that
-# matches nothing, a root or rooted file that resolves to nothing.
+# read under a determinism root, a sleep, channel op or join under a
+# watchdog root (`Monitor::sample`, `Collector::pump_frames`), a /proc
+# read error bubbling out of the round, an unreviewed growing field, a
+# lock type named in product code, an allowlist entry that matches
+# nothing, a root or rooted file that resolves to nothing.
 # (No print in library code is clippy's, in the stage above.)
 cargo run -q --release -p zerosum-cli --bin zerosum -- audit > /tmp/zsaudit.out \
     || { cat /tmp/zsaudit.out; exit 1; }

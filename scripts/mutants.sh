@@ -85,6 +85,8 @@ mutants=(
 'signal-exit-unreported~crates/cli/src/lib.rs~s/let signal = status\.signal\(\);/let signal = status.signal().filter(|_| false);/~the wrapper ignores the signal that ended its child: no report, complete-looking logs, exit 255'
 'esrch-not-classified~crates/procfs/src/linux.rs~s/\n\s+_ if e\.raw_os_error\(\) == Some\(ESRCH\) => SourceError::NotFound,//~`ESRCH` from a read is an `Io` error instead of `NotFound`: a task that exited under its read is counted a failure, not a departure'
 'csv-rounding-half-up~crates/core/src/export.rs~s/let up = remainder > half \|\| \(remainder == half && quotient & 1 == 1\);/let up = remainder >= half;/~a CSV cell rounded the `{:.N}`-incompatible way: `fixed_point` rounds an exact tie up instead of to even'
+'read-error-bubbles~crates/core/src/round.rs~s/\.and_then\(\|\(\)\| \{/.and_then(|()| { src.task_status_text(pid, tid, arena)?;/~a `status` read whose error a `?` carries out of `read_task`, past `with_retry` and the ledger'
+'growth-unreviewed~crates/core/src/round.rs~s/(w\.rss_series\.push\(\(t_s, status\.vm_rss_kib\)\);)/$1 w.info.gpus.push(0);/~a long-lived field pushed every round with no reviewed bound (`info.gpus` in the fold)'
 )
 
 # The command stages of scripts/ci.sh, at its arguments (the benchmark
