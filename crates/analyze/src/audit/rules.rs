@@ -33,7 +33,7 @@ use super::{Allow, Allowlist, Finding};
 
 /// Every read method of `trait ProcSource` (`crates/procfs/src/source.rs`;
 /// a test holds the two equal). Each may block on a stalled `/proc`.
-pub const PROC_READS: [&str; 13] = [
+pub const PROC_READS: [&str; 14] = [
     "system_stat",
     "meminfo",
     "list_tasks",
@@ -43,6 +43,7 @@ pub const PROC_READS: [&str; 13] = [
     "process_status",
     "system_stat_into",
     "list_tasks_into",
+    "list_children_into",
     "task_stat_into",
     "task_status_into",
     "task_stat_text",
@@ -107,7 +108,7 @@ pub const GROWTH_ALLOWLIST: [Allow; 13] = [
         "crates/core/src/monitor.rs",
         "",
         "processes",
-        "one per watched rank",
+        "one per watched rank or live descendant, and at most `max_exited_tracks` gone descendants",
     ),
     (
         "crates/core/src/round.rs",

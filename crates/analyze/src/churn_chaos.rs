@@ -27,7 +27,7 @@
 //! bit-identical outcomes — the reproducibility witness CI leans on.
 
 use crate::verdict::{guarded, seeded_suite, Verdict};
-use zerosum_apps::churn::{ChurnConfig, RealChurnOutcome};
+use zerosum_apps::churn::ChurnConfig;
 use zerosum_experiments::churn::{run_sim_churn, SimChurnOutcome, SimChurnParams};
 use zerosum_proc::SourceErrorKind;
 
@@ -226,43 +226,6 @@ pub fn run_churn_suite(schedules: usize, base_seed: u64) -> Vec<Verdict> {
     verdicts
 }
 
-/// Judges a real-backend storm. Wall-clock runs are nondeterministic;
-/// this is the robustness floor, not the sim suite's bit-level
-/// invariants. Returns every problem found (empty = pass).
-pub fn judge_real_churn(out: &RealChurnOutcome) -> Vec<String> {
-    let mut problems = Vec::new();
-    if out.rounds == 0 || out.spawned == 0 {
-        problems.push(format!(
-            "storm never ran: {} round(s), {} spawned",
-            out.rounds, out.spawned
-        ));
-    }
-    if out.supervisor_restarts > 0 {
-        problems.push(format!(
-            "sampling loop panicked {} time(s)",
-            out.supervisor_restarts
-        ));
-    }
-    if out.failed_children > 0 {
-        problems.push(format!("{} child(ren) failed", out.failed_children));
-    }
-    // Three files per live task plus /proc/stat and meminfo, and a
-    // departed pid's handles gone with the listing that misses it.
-    if out.peak_handles > 3 * out.peak_footprint + 2 || out.handles_at_exit > 2 {
-        problems.push(format!(
-            "file handles outlive their tasks: peak {} over a peak footprint of {}, {} at exit",
-            out.peak_handles, out.peak_footprint, out.handles_at_exit
-        ));
-    }
-    if out.reaped != out.spawned {
-        problems.push(format!(
-            "reaped {} of {} spawned child(ren)",
-            out.reaped, out.spawned
-        ));
-    }
-    problems
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,40 +330,5 @@ mod tests {
         let r = judged(&p, &run_sim_churn(&p));
         assert!(!r.passed(), "{r:?}");
         assert!(r.problems.iter().any(|p| p.contains("never ran")), "{r:?}");
-    }
-
-    #[test]
-    fn real_churn_judge_bounds_handles_and_reaping() {
-        let clean = RealChurnOutcome {
-            rounds: 30,
-            spawned: 40,
-            reaped: 40,
-            peak_footprint: 10,
-            peak_handles: 32,
-            handles_at_exit: 2,
-            ..Default::default()
-        };
-        assert_eq!(judge_real_churn(&clean), Vec::<String>::new());
-        // One handle over `3 × footprint + 2`, or a third one at exit.
-        for (peak, at_exit) in [(33, 2), (32, 3)] {
-            let leaky = RealChurnOutcome {
-                peak_handles: peak,
-                handles_at_exit: at_exit,
-                ..clean.clone()
-            };
-            let problems = judge_real_churn(&leaky);
-            assert_eq!(problems.len(), 1, "{problems:?}");
-            assert!(problems[0].contains("handles outlive their tasks"));
-        }
-        let unreaped = RealChurnOutcome {
-            reaped: 39,
-            ..clean.clone()
-        };
-        assert_eq!(
-            judge_real_churn(&unreaped),
-            ["reaped 39 of 40 spawned child(ren)"]
-        );
-        let idle = RealChurnOutcome::default();
-        assert!(judge_real_churn(&idle)[0].contains("storm never ran"));
     }
 }

@@ -60,7 +60,7 @@ pub mod verdict;
 
 pub use audit::{audit_sources, audit_workspace, find_workspace_root, AuditReport};
 pub use chaos::{realistic_plan, run_suite};
-pub use churn_chaos::{judge_churn_run, judge_real_churn, run_churn_suite, suite_params};
+pub use churn_chaos::{judge_churn_run, run_churn_suite, suite_params};
 pub use invariants::{check_invariants, InvariantKind, Violation};
 pub use memory_drill::bounded_memory_drill;
 pub use scenarios::{check_comm_matrix, check_trace, run_scenarios, SCENARIOS};

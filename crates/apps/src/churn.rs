@@ -15,13 +15,14 @@
 //!   recycle a previously-used pid. The same schedule drives both
 //!   backends, so the sim soak and the real storm exercise the same
 //!   shape.
-//! * [`run_real_churn`] — the real-process backend: spawns actual child
-//!   processes (`zerosum __churn-child`) paced by the schedule on the
-//!   wall clock and samples them through the live
-//!   [`LinuxProc`](zerosum_proc::LinuxProc) source. Inherently
-//!   nondeterministic; never run in CI without a fork probe.
-//! * [`probe_spawn`] / [`churn_child_main`] — the sandbox probe and the
-//!   child-process entry point the CLI dispatches to.
+//! * [`churn_storm_main`] — the real-process storm: a parent that
+//!   spawns actual child processes (`zerosum __churn-child`) paced by
+//!   the schedule on the wall clock and reaps them. It samples nothing;
+//!   run under the wrapper, its children are the job's descendants that
+//!   the wrapper's monitor follows through live `/proc`. Inherently
+//!   nondeterministic.
+//! * [`churn_child_main`] — the child-process entry point the CLI
+//!   dispatches to.
 //!
 //! The deterministic sim backend that replays the same schedule against
 //! `SimProcSource` lives in `zerosum-experiments::churn` (it needs the
@@ -96,24 +97,8 @@ pub struct Arrival {
 /// A complete seeded arrival schedule, sorted by arrival time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSchedule {
-    /// The config that produced it.
-    pub cfg: ChurnConfig,
     /// Arrivals, ascending by `at_us`.
     pub arrivals: Vec<Arrival>,
-}
-
-impl ChurnSchedule {
-    /// Empirical arrival rate over the whole schedule, Hz.
-    pub fn empirical_rate_hz(&self) -> f64 {
-        self.arrivals.len() as f64 / (self.cfg.duration_us as f64 / 1e6)
-    }
-
-    /// Arrivals whose `at_us` falls in `[from_us, to_us)`.
-    pub fn between(&self, from_us: u64, to_us: u64) -> &[Arrival] {
-        let lo = self.arrivals.partition_point(|a| a.at_us < from_us);
-        let hi = self.arrivals.partition_point(|a| a.at_us < to_us);
-        &self.arrivals[lo..hi]
-    }
 }
 
 /// xorshift64*-style generator, the same shape the join differential
@@ -176,7 +161,7 @@ pub fn ramp_multiplier(cfg: &ChurnConfig, at_us: u64) -> u64 {
 
 /// Generates the seeded arrival schedule. Pure function of `cfg`:
 /// identical configs produce bit-identical schedules, which is what
-/// makes the CI sim soak reproducible and lets the real backend replay
+/// makes the CI sim soak reproducible and lets the real storm replay
 /// the exact storm a sim failure was found under.
 pub fn generate_schedule(cfg: &ChurnConfig) -> ChurnSchedule {
     let mut rng = Rng::new(cfg.seed);
@@ -214,71 +199,12 @@ pub fn generate_schedule(cfg: &ChurnConfig) -> ChurnSchedule {
             short,
         });
     }
-    ChurnSchedule {
-        cfg: *cfg,
-        arrivals,
-    }
+    ChurnSchedule { arrivals }
 }
 
 // ---------------------------------------------------------------------
-// Real-process backend
+// Real-process storm
 // ---------------------------------------------------------------------
-
-/// The storm's process-tree shape on the real backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StormVariant {
-    /// Flat fork storm: each arrival is one child doing its own work.
-    Fork,
-    /// Fork+exec storm: each arrival is a child that execs a grandchild
-    /// to do the work — two pids per arrival, deeper trees, and the
-    /// comm changes under the monitor's feet at exec time.
-    ForkExec,
-}
-
-/// Outcome of a real-backend storm, for the judge and the CLI report.
-#[derive(Debug, Clone, Default)]
-pub struct RealChurnOutcome {
-    /// Sampling rounds completed.
-    pub rounds: u64,
-    /// Children spawned.
-    pub spawned: u64,
-    /// Children reaped (exit observed).
-    pub reaped: u64,
-    /// Children that exited nonzero or were killed.
-    pub failed_children: u64,
-    /// Monitor departure accounting (tasks seen vanishing mid-round).
-    pub vanished: u64,
-    /// Monitor hard read errors.
-    pub errors: u64,
-    /// Sampling-loop panics caught by the supervisor.
-    pub supervisor_restarts: u64,
-    /// Peak lifecycle footprint (live LWP tracks + health states)
-    /// across all watches, sampled each round.
-    pub peak_footprint: usize,
-    /// Cumulative departed-track summary at the end.
-    pub departed_tracks: u64,
-    /// Most `/proc` file handles the source held open after any round.
-    pub peak_handles: usize,
-    /// Handles still held once every child is gone and a last round has
-    /// seen that: the node's two files at most.
-    pub handles_at_exit: usize,
-    /// Wall-clock duration, µs.
-    pub elapsed_us: u64,
-    /// Samples per second actually achieved.
-    pub samples_per_sec: f64,
-}
-
-/// The argument the hidden child subcommand receives, rendered/parsed
-/// here so the CLI and the spawner cannot drift.
-fn child_args(variant: StormVariant, spin_us: u64, threads: u32) -> Vec<String> {
-    let mut v = Vec::new();
-    if variant == StormVariant::ForkExec {
-        v.push("exec".to_string());
-    }
-    v.push(spin_us.to_string());
-    v.push(threads.to_string());
-    v
-}
 
 /// Entry point for the hidden `__churn-child` subcommand: spin
 /// `threads` OS threads for `spin_us` of wall time, then exit 0. With a
@@ -308,7 +234,7 @@ pub fn churn_child_main(args: &[String]) -> i32 {
         };
         return match std::process::Command::new(exe)
             .arg("__churn-child")
-            .args(child_args(StormVariant::Fork, spin_us, threads))
+            .args(rest)
             .status()
         {
             Ok(st) => st.code().unwrap_or(1),
@@ -337,55 +263,48 @@ pub fn churn_child_main(args: &[String]) -> i32 {
     0
 }
 
-/// Probes whether the sandbox lets us fork at all: spawns one no-op
-/// child and reaps it. `false` means `zerosum churn --backend real`
-/// cannot run here (CI surfaces this as a loud SKIP, exit 3).
-pub fn probe_spawn() -> bool {
-    let exe = match std::env::current_exe() {
-        Ok(e) => e,
-        Err(_) => return false,
-    };
-    std::process::Command::new(exe)
-        .arg("__churn-child")
-        .args(child_args(StormVariant::Fork, 0, 1))
-        .status()
-        .map(|st| st.success())
-        .unwrap_or(false)
-}
-
-/// Runs the real-process storm: replays `cfg`'s schedule on the wall
-/// clock, spawning a `__churn-child` per arrival and watching every
-/// child through the live [`LinuxProc`](zerosum_proc::LinuxProc)
-/// source. The monitor's lifecycle invariants are exercised by genuine
-/// kernel-side races: children exit between `list_tasks` and the
-/// per-task reads, short-lived children die inside one period, the
-/// kernel recycles pids on its own terms.
+/// Entry point for the hidden `__churn-storm <fork|fork-exec> <seed>
+/// <rate_hz> <duration_ms>` subcommand: replays the seeded schedule on
+/// the wall clock, spawning a `__churn-child` per arrival (its lifetime
+/// the child's spin budget, its thread count the child's) and reaping
+/// each as it exits. It samples nothing: run under the wrapper
+/// (`zerosum -- zerosum __churn-storm …`), the storm is the job and
+/// every child a descendant the wrapper's one monitor follows. Returns
+/// 0 iff every arrival was spawned, reaped and exited 0; 1 otherwise;
+/// 2 on a malformed invocation. `fork-exec` has each child exec a
+/// grandchild to do the work: two pids per arrival, deeper trees, and
+/// the comm changes under the monitor's feet.
 ///
 /// Wall-clock paced and therefore nondeterministic — this function must
-/// NOT be registered as a nondeterminism-audit root, and CI only runs
-/// it behind [`probe_spawn`].
-pub fn run_real_churn(
-    cfg: &ChurnConfig,
-    variant: StormVariant,
-) -> std::io::Result<RealChurnOutcome> {
-    use zerosum_core::{Monitor, ProcessInfo, ZeroSumConfig};
-    let schedule = generate_schedule(cfg);
-    let exe = std::env::current_exe()?;
-    let mut mon = Monitor::new(ZeroSumConfig {
-        period_us: cfg.period_us,
+/// NOT be registered as a nondeterminism-audit root.
+pub fn churn_storm_main(args: &[String]) -> i32 {
+    let exec = match args.first().map(String::as_str) {
+        Some("fork") => false,
+        Some("fork-exec") => true,
+        _ => return 2,
+    };
+    let whole = |at: usize| args.get(at).and_then(|s| s.parse::<u64>().ok());
+    let rate = args.get(2).and_then(|s| s.parse::<f64>().ok());
+    let (Some(seed), Some(rate), Some(duration_ms), 4) = (whole(1), rate, whole(3), args.len())
+    else {
+        return 2;
+    };
+    let cfg = ChurnConfig {
+        seed,
+        arrival_rate_hz: rate,
+        duration_us: duration_ms.saturating_mul(1_000),
         ..Default::default()
-    });
-    let src = zerosum_proc::LinuxProc::new();
-    let hostname = "churn-real".to_string();
-    let mut out = RealChurnOutcome::default();
+    };
+    let schedule = generate_schedule(&cfg);
+    let Ok(exe) = std::env::current_exe() else {
+        return 2;
+    };
+    let mut failed = false;
     let mut children: Vec<std::process::Child> = Vec::new();
     let start = Instant::now();
     let mut next_arrival = 0usize;
-    let mut next_sample_us = 0u64;
     loop {
         let now_us = start.elapsed().as_micros() as u64;
-        // Spawn everything the schedule owes us by now. Lifetime maps
-        // to the child's spin budget; the kernel handles departure.
         while let Some(&a) = schedule
             .arrivals
             .get(next_arrival)
@@ -394,75 +313,46 @@ pub fn run_real_churn(
             next_arrival += 1;
             let child = std::process::Command::new(&exe)
                 .arg("__churn-child")
-                .args(child_args(variant, a.lifetime_us, a.threads))
+                .args(exec.then_some("exec"))
+                .args([a.lifetime_us.to_string(), a.threads.to_string()])
                 .stdout(std::process::Stdio::null())
                 .stderr(std::process::Stdio::null())
-                .spawn()?;
-            mon.watch_process(ProcessInfo {
-                pid: child.id(),
-                rank: None,
-                hostname: hostname.clone(),
-                gpus: vec![],
-                cpus_allowed: Default::default(),
-            });
-            children.push(child);
-            out.spawned += 1;
+                .spawn();
+            match child {
+                Ok(child) => children.push(child),
+                Err(_) => failed = true,
+            }
         }
-        // Reap exits; the monitor finds out on its own via NotFound.
         children.retain_mut(|c| match c.try_wait() {
             Ok(Some(st)) => {
-                out.reaped += 1;
-                if !st.success() {
-                    out.failed_children += 1;
-                }
+                failed |= !st.success();
                 false
             }
             Ok(None) => true,
             Err(_) => {
-                out.reaped += 1;
-                out.failed_children += 1;
+                failed = true;
                 false
             }
         });
-        if now_us >= next_sample_us {
-            mon.sample(now_us as f64 / 1e6, &src);
-            out.rounds += 1;
-            next_sample_us = now_us + cfg.period_us;
-            let footprint: usize = mon
-                .processes()
-                .iter()
-                .map(|w| w.lwps.len() + w.health.footprint() + w.delta_gate_len())
-                .sum();
-            out.peak_footprint = out.peak_footprint.max(footprint);
-            out.peak_handles = out.peak_handles.max(src.handles_held());
-        }
         if now_us >= cfg.duration_us && children.is_empty() {
-            break;
+            return i32::from(failed);
         }
         std::thread::sleep(Duration::from_micros(
             (cfg.period_us / 8).clamp(500, 10_000),
         ));
     }
-    // One more round: the last children may have left since the last.
-    mon.sample(start.elapsed().as_secs_f64(), &src);
-    out.rounds += 1;
-    out.handles_at_exit = src.handles_held();
-    out.vanished = mon.stats.vanished;
-    out.errors = mon.stats.errors;
-    out.supervisor_restarts = mon.supervisor.restarts;
-    out.departed_tracks = mon
-        .processes()
-        .iter()
-        .map(|w| w.lwps.departed().tracks)
-        .sum();
-    out.elapsed_us = start.elapsed().as_micros() as u64;
-    out.samples_per_sec = out.rounds as f64 / (out.elapsed_us as f64 / 1e6).max(1e-9);
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Arrivals whose `at_us` falls in `[from_us, to_us)`.
+    fn between(s: &ChurnSchedule, from_us: u64, to_us: u64) -> &[Arrival] {
+        let lo = s.arrivals.partition_point(|a| a.at_us < from_us);
+        let hi = s.arrivals.partition_point(|a| a.at_us < to_us);
+        &s.arrivals[lo..hi]
+    }
 
     /// Satellite 3: same seed, same schedule — bit for bit.
     #[test]
@@ -487,7 +377,7 @@ mod tests {
             ..ChurnConfig::default()
         };
         let s = generate_schedule(&cfg);
-        let rate = s.empirical_rate_hz();
+        let rate = s.arrivals.len() as f64 / (cfg.duration_us as f64 / 1e6);
         assert!(
             (rate / cfg.arrival_rate_hz - 1.0).abs() < 0.10,
             "empirical {rate:.1} Hz vs configured {} Hz",
@@ -563,8 +453,8 @@ mod tests {
         };
         let s = generate_schedule(&cfg);
         let third = cfg.duration_us / 3;
-        let first = s.between(0, third).len() as f64;
-        let last = s.between(2 * third, cfg.duration_us).len() as f64;
+        let first = between(&s, 0, third).len() as f64;
+        let last = between(&s, 2 * third, cfg.duration_us).len() as f64;
         let ratio = last / first.max(1.0);
         assert!(
             (2.8..=5.5).contains(&ratio),
@@ -580,30 +470,42 @@ mod tests {
     /// `between` slices exactly by half-open window.
     #[test]
     fn between_windows_partition_the_schedule() {
-        let s = generate_schedule(&ChurnConfig::default());
+        let cfg = ChurnConfig::default();
+        let s = generate_schedule(&cfg);
         let mut total = 0;
         let step = 100_000;
         let mut from = 0;
-        while from < s.cfg.duration_us {
-            total += s.between(from, from + step).len();
+        while from < cfg.duration_us {
+            total += between(&s, from, from + step).len();
             from += step;
         }
         assert_eq!(total, s.arrivals.len());
     }
 
     #[test]
-    fn child_args_round_trip_through_child_main_parser() {
+    fn the_storm_parses_its_invocation_and_an_empty_schedule_is_clean() {
+        let args =
+            |words: &[&str]| -> Vec<String> { words.iter().map(|w| w.to_string()).collect() };
+        for bad in [
+            &[][..],
+            &["fork"],
+            &["spawn", "1", "40", "0"],
+            &["fork", "1", "x", "0"],
+        ] {
+            assert_eq!(churn_storm_main(&args(bad)), 2, "{bad:?}");
+        }
+        assert_eq!(churn_storm_main(&args(&["fork", "1", "40", "0", "9"])), 2);
+        // Zero length: no arrival, nothing spawned, nothing failed.
+        assert_eq!(churn_storm_main(&args(&["fork-exec", "1", "40", "0"])), 0);
+    }
+
+    #[test]
+    fn child_main_parses_its_invocation() {
         // Bad args fail loudly, good args are accepted (zero spin so
         // the test doesn't burn CPU).
         assert_eq!(churn_child_main(&[]), 2);
         assert_eq!(churn_child_main(&["nope".into()]), 2);
-        let args = child_args(StormVariant::Fork, 0, 2);
-        assert_eq!(args, vec!["0".to_string(), "2".to_string()]);
-        assert_eq!(churn_child_main(&args), 0);
-        let args = child_args(StormVariant::ForkExec, 7, 3);
-        assert_eq!(
-            args,
-            vec!["exec".to_string(), "7".to_string(), "3".to_string()]
-        );
+        assert_eq!(churn_child_main(&["exec".into(), "7".into()]), 2);
+        assert_eq!(churn_child_main(&["0".into(), "2".into()]), 0);
     }
 }

@@ -11,7 +11,8 @@
 //!   failure-injection tests (deadlocks, hogs, pollers).
 //! * [`churn`] — the open-system churn storm: seeded Poisson
 //!   arrival/departure schedules with Zipf thread counts, plus the
-//!   real-process (fork/fork+exec) backend behind `zerosum churn`.
+//!   real-process (fork/fork+exec) storm parent that runs under the
+//!   wrapper as `zerosum __churn-storm`.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::print_stdout, clippy::print_stderr))]
@@ -23,8 +24,7 @@ pub mod pic;
 pub mod synthetic;
 
 pub use churn::{
-    churn_child_main, generate_schedule, probe_spawn, run_real_churn, Arrival, ChurnConfig,
-    ChurnSchedule, RealChurnOutcome, StormVariant,
+    churn_child_main, churn_storm_main, generate_schedule, Arrival, ChurnConfig, ChurnSchedule,
 };
 pub use miniqmc::{launch as launch_miniqmc, MiniQmcConfig, MiniQmcJob, QmcOffload};
 pub use pic::{run as run_pic, PicConfig};

@@ -32,7 +32,6 @@ fn is<T: FromStr>(value: &str) -> bool {
 const U32: Kind = Kind::Num(is::<u32>);
 const U64: Kind = Kind::Num(is::<u64>);
 const USIZE: Kind = Kind::Num(is::<usize>);
-const F64: Kind = Kind::Num(is::<f64>);
 
 impl Kind {
     fn accepts(self, value: &str) -> bool {
@@ -110,14 +109,11 @@ fn artifacts() -> Vec<&'static str> {
     rows.map(|a| a.name).collect()
 }
 
-fn backends() -> Vec<&'static str> {
-    vec!["sim", "fork", "fork-exec"]
-}
-
 /// The wrapper: `zerosum [flags] -- <command>`.
 pub static WRAPPER: Command = Command {
     name: "",
-    about: "launch a command and monitor it from outside through /proc",
+    about:
+        "launch a command and monitor it, and every process it starts, from outside through /proc",
     flags: &[
         flag("--period-ms", "N", U64, "1000", "sampling period"),
         flag("--log-dir", "DIR", Text, "", "write the per-process log"),
@@ -171,15 +167,10 @@ pub static SUBCOMMANDS: [Command; 7] = [
     ),
     cmd(
         "churn",
-        "open-system fork/exec storms against the lifecycle path (DESIGN.md §14)",
+        "seeded open-system storms on the node simulation against the lifecycle path (DESIGN.md §14)",
         &[
-            flag("--backend", "NAME", OneOf(backends), "sim", "what to storm"),
-            flag("--schedules", "N", USIZE, "20", "sim: schedules to run"),
+            flag("--schedules", "N", USIZE, "20", "schedules to run"),
             flag("--seed", "N", U64, "50353", SEED),
-            flag("--rate", "N", F64, "50", "real backends: arrivals per s"),
-            switch("--ramp", "real backends: ramp the arrival rate 1x/2x/4x"),
-            flag("--duration-ms", "N", U64, "2000", "real backends: length"),
-            switch("--probe", "only test that children can spawn (exit 0/3)"),
         ],
     ),
     cmd(
@@ -470,16 +461,10 @@ mod tests {
             (0xA110, 1_000_000)
         );
         let p = of("churn");
-        assert_eq!(p.text_of("--backend"), Some("sim"));
         assert_eq!(
             (p.number::<usize>("--schedules"), p.number::<u64>("--seed")),
             (20, 0xC4B1)
         );
-        assert_eq!(
-            (p.number::<f64>("--rate"), p.number::<u64>("--duration-ms")),
-            (50.0, 2_000)
-        );
-        assert!(!p.given("--ramp") && !p.given("--probe"));
         let p = of("collect");
         assert_eq!(p.text_of("--listen"), Some("127.0.0.1:0"));
         // The wrapper's period: a collector judges its heartbeats by it.

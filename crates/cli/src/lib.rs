@@ -3,8 +3,9 @@
 //! The `zerosum` launcher wrapper — the reproduction of the paper's
 //! `zerosum-mpi` wrapper script (`srun -n8 zerosum-mpi miniqmc`): spawn
 //! the application as a child process and monitor it *from outside*
-//! through `/proc/<pid>`, then print the utilization report, contention
-//! summary, and configuration-evaluation findings at exit. With
+//! through `/proc/<pid>` — it and every process it starts — then print
+//! the utilization report and contention summary of each, and the
+//! configuration-evaluation findings, at exit. With
 //! `--connect ADDR` it is also the node's agent on the wire: each
 //! sample goes to `zerosum collect` as a heartbeat with per-LWP detail,
 //! and the node's aggregate follows at exit.
@@ -178,7 +179,9 @@ fn agent_thread(mut agent: NodeAgent<TcpLink>, rx: Receiver<ToAgent>, tick: Dura
     agent.done()
 }
 
-/// Launches and monitors the command; blocks until it exits.
+/// Launches and monitors the command; blocks until it exits. The
+/// monitor follows the command's descendants (`sh -c`, `mpirun`), and
+/// the report holds a block for the command and one for each of them.
 ///
 /// With `--connect` the collector is dialled before the child runs,
 /// and the node is `<hostname>.<rank:05>` (else `.<child pid>`). The
@@ -237,15 +240,19 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
         let agg = NodeAggregate::from_monitor(&node, &monitor);
         tx.send(ToAgent::Finish(agg)).is_ok() && handle.join().unwrap_or(false)
     });
-    let pid = monitor.processes()[0].info.pid;
-    let mut report = render_process_report(&monitor, pid, duration, None);
-    if let Some(c) = analyze(&monitor, pid) {
+    // The child first, then each descendant the rounds found, in the
+    // order they were found.
+    let mut report = String::new();
+    for w in monitor.processes() {
+        report.push_str(&render_process_report(&monitor, w.info.pid, duration, None));
+        if let Some(c) = analyze(&monitor, w.info.pid) {
+            report.push('\n');
+            report.push_str(&c.render());
+        }
         report.push('\n');
-        report.push_str(&c.render());
     }
     // Evaluate against the *discovered* topology of this machine.
     let topo = zerosum_topology::discover();
-    report.push('\n');
     report.push_str(&render_findings(&evaluate(&monitor, &topo)));
     // The five crash signals by name, any other by its number. No
     // backtrace: the wrapper's own stack says nothing about the child.
@@ -255,7 +262,7 @@ pub fn run(opts: &CliOptions) -> Result<WrapOutcome, String> {
     });
     if let Some(cause) = &cause {
         report.push('\n');
-        report.push_str(&crash_header(cause, pid, rank));
+        report.push_str(&crash_header(cause, child.id(), rank));
     }
     let logs = match &opts.logs_dir {
         Some(dir) => {

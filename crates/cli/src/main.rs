@@ -17,7 +17,16 @@ fn main() {
     // The hidden modes dispatch before anything else: children re-exec
     // this binary with exactly these args.
     match args.split_first() {
-        // The worker process `zerosum churn --backend fork` storms with.
+        // The storm parent, run as the wrapper's job:
+        // `zerosum -- zerosum __churn-storm fork 11 40 1500`.
+        Some((first, rest)) if first == "__churn-storm" => {
+            let code = zerosum_apps::churn_storm_main(rest);
+            if code == 2 {
+                eprintln!("__churn-storm: usage: <fork|fork-exec> <seed> <rate_hz> <duration_ms>");
+            }
+            std::process::exit(code);
+        }
+        // The worker process the storm spawns, one per arrival.
         Some((first, rest)) if first == "__churn-child" => {
             let code = zerosum_apps::churn_child_main(rest);
             if code == 2 {
@@ -54,7 +63,7 @@ fn main() {
         "analyze" => Ok(cmd_analyze(&parsed)),
         "chaos" => Ok(cmd_chaos(&parsed)),
         "cluster-chaos" => Ok(cmd_cluster_chaos(&parsed)),
-        "churn" => cmd_churn(&parsed),
+        "churn" => Ok(cmd_churn(&parsed)),
         "collect" => cmd_collect(&parsed),
         "audit" => cmd_audit(&parsed),
         "run-all" => cmd_run_all(&parsed),
@@ -84,12 +93,6 @@ fn conclude(command: &str, clean: bool, clean_text: &str) -> i32 {
         println!("{command}: FAILED");
         1
     }
-}
-
-/// Prints a drill's section; true when the drill found nothing.
-fn drill_passed(label: &str, ok_text: &str, problems: &[String]) -> bool {
-    print!("{}", drill_section(label, ok_text, problems));
-    problems.is_empty()
 }
 
 /// `zerosum -- <command>`: launch and monitor it, print the report;
@@ -147,69 +150,21 @@ fn cmd_cluster_chaos(p: &Parsed) -> i32 {
     let (drill_rounds, capacity): (u64, usize) = (p.number("--drill-rounds"), 4_096);
     let held = format!("ok ({drill_rounds} rounds held every series within {capacity} points)");
     let drill = zerosum_analyze::bounded_memory_drill(drill_rounds, capacity);
-    clean &= drill_passed("bounded-memory drill", &held, &drill);
+    print!("{}", drill_section("bounded-memory drill", &held, &drill));
+    clean &= drill.is_empty();
     let all = format!("all {} plan(s) clean", verdicts.len());
     conclude("cluster-chaos", clean, &all)
 }
 
-/// The `sim` backend (what CI gates on) replays seeded storms against
-/// the node simulation; `fork` / `fork-exec` spawn real `__churn-child`
-/// processes sampled through live `/proc`. Exit 0 clean, 1 judge
-/// failure, 3 the sandbox forbids spawning.
-fn cmd_churn(p: &Parsed) -> Exit {
-    let backend = p.text_of("--backend").unwrap_or_default();
-    let seed: u64 = p.number("--seed");
-    if !p.given("--probe") && backend == "sim" {
-        let verdicts = zerosum_analyze::run_churn_suite(p.number("--schedules"), seed);
-        let (text, clean) = render_suite(&verdicts);
-        print!("{text}");
-        let all = format!("all {} schedule(s) clean", verdicts.len());
-        return Ok(conclude("churn", clean, &all));
-    }
-    // Real backend: probe first so a forbidden sandbox is a loud,
-    // distinct exit instead of a storm of spawn errors.
-    if !zerosum_apps::probe_spawn() {
-        eprintln!("zerosum churn: sandbox forbids spawning children");
-        return Err(3);
-    }
-    if p.given("--probe") {
-        return Ok(0);
-    }
-    let variant = if backend == "fork" {
-        zerosum_apps::StormVariant::Fork
-    } else {
-        zerosum_apps::StormVariant::ForkExec
-    };
-    let cfg = zerosum_apps::ChurnConfig {
-        seed,
-        arrival_rate_hz: p.number("--rate"),
-        ramp: p.given("--ramp"),
-        duration_us: p
-            .number::<u64>("--duration-ms")
-            .saturating_mul(1_000)
-            .max(1),
-        ..Default::default()
-    };
-    let out = zerosum_apps::run_real_churn(&cfg, variant).map_err(give_up("churn", 1))?;
-    println!(
-        "churn ({backend}): {} round(s), {} spawned, {} reaped, {} vanished, \
-         {} departed track(s), peak footprint {}, handles held: peak {}, at exit {}, \
-         {:.1} samples/s",
-        out.rounds,
-        out.spawned,
-        out.reaped,
-        out.vanished,
-        out.departed_tracks,
-        out.peak_footprint,
-        out.peak_handles,
-        out.handles_at_exit,
-        out.samples_per_sec
-    );
-    if !drill_passed("churn", "clean", &zerosum_analyze::judge_real_churn(&out)) {
-        println!("churn: FAILED");
-        return Ok(1);
-    }
-    Ok(0)
+/// Replays seeded storms against the node simulation. Exit 0 iff every
+/// schedule is clean. (The real storm is `__churn-storm`, run under the
+/// wrapper.)
+fn cmd_churn(p: &Parsed) -> i32 {
+    let verdicts = zerosum_analyze::run_churn_suite(p.number("--schedules"), p.number("--seed"));
+    let (text, clean) = render_suite(&verdicts);
+    print!("{text}");
+    let all = format!("all {} schedule(s) clean", verdicts.len());
+    conclude("churn", clean, &all)
 }
 
 /// Runs the collector daemon over real TCP: accept `--nodes` wrappers

@@ -4,9 +4,10 @@
 //! artifact renders, exit 3 is kept for "the sandbox forbids it", and
 //! the judges `cargo test` holds in-process come out of their command
 //! with the verdict lines, last line and exit code `scripts/ci.sh`
-//! reads, the wrapper reports a child a signal ended, and wrappers
-//! started with `--connect` stream their real children to `zerosum
-//! collect` over loopback TCP.
+//! reads, the wrapper reports a child a signal ended and follows its
+//! child's descendants (a shell's application, the real churn storm),
+//! and wrappers started with `--connect` stream their real children to
+//! `zerosum collect` over loopback TCP.
 
 use std::process::{Command, Output, Stdio};
 use zerosum_cli::flags::SUBCOMMANDS;
@@ -153,6 +154,77 @@ fn a_child_a_signal_ends_is_reported_with_partial_logs_and_exit_128_plus_n() {
     assert!(log.trim_end().ends_with(LOG_END_MARKER), "{log}");
 }
 
+/// Whether this host lets a test spawn a shell and lists a process's
+/// children in `/proc`; says so loudly when not.
+fn can_follow_children(what: &str) -> bool {
+    if let Err(e) = Command::new("sh").args(["-c", "true"]).status() {
+        eprintln!("{what}: SKIPPED (cannot spawn sh: {e})");
+        return false;
+    }
+    let children = format!("/proc/{0}/task/{0}/children", std::process::id());
+    if !std::path::Path::new(&children).exists() {
+        eprintln!("{what}: SKIPPED (this kernel keeps no {children})");
+        return false;
+    }
+    true
+}
+
+/// The wrapper report's process blocks, in order: each block's
+/// `Process Summary:` line and the number of its `LWP` lines.
+fn process_blocks(report: &str) -> Vec<(&str, usize)> {
+    let blocks = report.split("Process Summary:\n").skip(1);
+    blocks
+        .map(|block| {
+            let who = block.lines().next().unwrap_or_default();
+            let table = block.lines().skip_while(|l| *l != "LWP (thread) Summary:");
+            let lwps = table.skip(1).take_while(|l| l.starts_with("LWP ")).count();
+            (who, lwps)
+        })
+        .collect()
+}
+
+/// Probe P1 at the command line: the application a shell starts is in
+/// the report, a block of its own after the shell's, with both of its
+/// threads.
+#[test]
+fn the_wrapper_follows_the_job_past_a_shell() {
+    if !can_follow_children("wrapper follows the job") {
+        return;
+    }
+    let bin = env!("CARGO_BIN_EXE_zerosum");
+    let script = format!("{bin} __churn-child 600000 2; true");
+    let out = zerosum(&["--period-ms", "50", "--", "sh", "-c", &script]);
+    let (text, log) = (stdout(&out), stderr(&out));
+    assert_eq!(out.status.code(), Some(0), "{text}{log}");
+    let blocks = process_blocks(&text);
+    assert_eq!(blocks.len(), 2, "{text}");
+    assert_eq!(blocks[0].1, 1, "the shell: {text}");
+    assert_eq!(blocks[1].1, 2, "the application: {text}");
+}
+
+/// The real fork and fork+exec storms, run as the wrapper's job: every
+/// child spawned, reaped and exited 0 (the storm's own exit code, which
+/// the wrapper passes on), the monitor followed them (a block past the
+/// storm's own), and its supervisor caught no panic.
+#[test]
+fn the_real_churn_storm_runs_under_the_wrapper() {
+    if !can_follow_children("real churn storm") {
+        return;
+    }
+    let bin = env!("CARGO_BIN_EXE_zerosum");
+    for (variant, seed, rate) in [("fork", "11", "40"), ("fork-exec", "12", "25")] {
+        let storm = [bin, "__churn-storm", variant, seed, rate, "1500"];
+        let out = zerosum(&[&["--period-ms", "50", "--"][..], &storm].concat());
+        let (text, log) = (stdout(&out), stderr(&out));
+        assert_eq!(out.status.code(), Some(0), "{variant}: {text}{log}");
+        assert!(process_blocks(&text).len() >= 2, "{variant}: {text}");
+        assert!(!text.contains("supervisor restarts:"), "{variant}: {text}");
+    }
+    // A malformed storm is a usage error of its own.
+    let out = zerosum(&["__churn-storm", "spawn", "1", "40", "100"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+}
+
 #[test]
 fn run_all_only_prints_the_artifact_and_rejects_what_it_does_not_know() {
     let out = zerosum(&["run-all", "--only", "listing1"]);
@@ -273,26 +345,35 @@ fn allocation(tag: &str, commands: [&[&str]; 2]) -> Option<(Output, Vec<Option<i
     Some((out, codes))
 }
 
-/// The rows of the wire summary's node table: `(node, LWPs, user%)`.
-fn summary_rows(text: &str) -> Vec<(String, u64, f64)> {
+/// The rows of the wire summary's node table: `(node, ranks, LWPs, user%)`.
+fn summary_rows(text: &str) -> Vec<(String, u64, u64, f64)> {
     let rows = text.lines().skip_while(|l| !l.starts_with("node "));
     let rows = rows.skip(1).take_while(|l| !l.starts_with("LIVE:"));
     rows.map(|l| {
         let cells: Vec<&str> = l.split_whitespace().collect();
         let number = |i: usize| cells.get(i).and_then(|c| c.parse::<f64>().ok());
-        let (lwps, user) = (number(2).unwrap_or(0.0), number(3).unwrap_or(0.0));
-        (cells[0].to_string(), lwps as u64, user)
+        let (ranks, lwps) = (number(1).unwrap_or(0.0), number(2).unwrap_or(0.0));
+        (
+            cells[0].to_string(),
+            ranks as u64,
+            lwps as u64,
+            number(3).unwrap_or(0.0),
+        )
     })
     .collect()
 }
 
 /// Two real wrappers on the wire: each streams its own child, each
 /// aggregate is delivered, and `collect` ends on what the wire told it.
+/// The second runs its app under `sh -c`: the app's threads are in its
+/// row, and the shell and the app are still one rank.
 #[test]
 fn two_wrappers_stream_their_children_to_collect() {
     let bin = env!("CARGO_BIN_EXE_zerosum");
     let churn: &[&str] = &[bin, "__churn-child", "600000", "2"];
-    let Some((out, codes)) = allocation("healthy", [churn, churn]) else {
+    let script = format!("{bin} __churn-child 600000 2; true");
+    let launched: &[&str] = &["sh", "-c", &script];
+    let Some((out, codes)) = allocation("healthy", [churn, launched]) else {
         return;
     };
     let (text, log) = (stdout(&out), stderr(&out));
@@ -306,8 +387,17 @@ fn two_wrappers_stream_their_children_to_collect() {
         [format!("{host}.00000"), format!("{host}.00001")],
         "{text}"
     );
-    for (node, lwps, user) in &rows {
-        assert!(*lwps >= 2 && *user > 0.0, "{node}: {text}");
+    for (node, ranks, _, user) in &rows {
+        assert_eq!(*ranks, 1, "{node}: {text}");
+        assert!(*user > 0.0, "{node}: {text}");
+    }
+    assert!(rows[0].2 >= 2, "{text}");
+    let children = format!("/proc/{0}/task/{0}/children", std::process::id());
+    if std::path::Path::new(&children).exists() {
+        assert!(
+            rows[1].2 >= 3,
+            "the shell and the app's two threads: {text}"
+        );
     }
     assert!(text.contains("LIVE: 2/2 node(s), 2 aggregate(s)"), "{text}");
     for marker in ["DEAD", "DEGRADED", "SKEWED", "SUSPECT"] {

@@ -253,9 +253,10 @@ impl Supervision {
 pub struct NodeAggregate {
     /// Node hostname.
     pub hostname: String,
-    /// Ranks monitored on this node.
+    /// Ranks monitored on this node: the registered watches, not the
+    /// descendants the rounds adopted.
     pub ranks: usize,
-    /// Live + exited LWPs observed.
+    /// Live + exited LWPs observed, descendants' included.
     pub lwps: usize,
     /// Mean user% across the allocation's hardware threads on this node.
     pub mean_user_pct: f64,
@@ -297,7 +298,7 @@ impl NodeAggregate {
             .sum();
         NodeAggregate {
             hostname: hostname.to_string(),
-            ranks: m.processes().len(),
+            ranks: m.processes().iter().filter(|w| !w.adopted).count(),
             lwps,
             mean_user_pct: if n > 0 { user / n as f64 } else { 0.0 },
             mean_idle_pct: if n > 0 { idle / n as f64 } else { 0.0 },

@@ -17,7 +17,9 @@ use crate::health::{HealthLedger, ProcessHealth, TaskRow, BACKOFF_US, RETRY_LIMI
 use crate::hwt::HwtTracker;
 use crate::lwp::LwpRegistry;
 use crate::memory::MemoryTracker;
-use zerosum_proc::{Pid, ProcSource, SchedStat, SourceErrorKind, SourceResult, SystemStat, Tid};
+use zerosum_proc::{
+    Pid, ProcSource, SchedStat, SourceError, SourceErrorKind, SourceResult, SystemStat, Tid,
+};
 use zerosum_stats::Ring;
 use zerosum_topology::CpuSet;
 
@@ -54,6 +56,9 @@ pub struct ProcessWatch {
     pub rss_series: Ring<(f64, u64)>,
     /// True once the process has disappeared.
     pub gone: bool,
+    /// True for a descendant the round adopted (a watched process's
+    /// `children` named it), false for a registered watch.
+    pub(crate) adopted: bool,
     /// Sampling-health ledger and live table (a row per listed tid).
     pub health: ProcessHealth,
     /// This round's task listing, reused round after round.
@@ -63,6 +68,24 @@ pub struct ProcessWatch {
 }
 
 impl ProcessWatch {
+    /// A watch of `info` that has seen nothing yet.
+    pub(crate) fn new(info: ProcessInfo, adopted: bool, config: &ZeroSumConfig) -> Self {
+        ProcessWatch {
+            cpus_allowed: info.cpus_allowed.clone(),
+            info,
+            lwps: LwpRegistry::with_capacity_and_period(
+                config.series_capacity,
+                config.period_us as f64 / 1e6,
+            ),
+            rss_series: Ring::with_capacity(config.series_capacity),
+            gone: false,
+            adopted,
+            health: ProcessHealth::default(),
+            listing: Vec::new(),
+            listed: Ok(()),
+        }
+    }
+
     /// Latest RSS, KiB.
     pub fn rss_kib(&self) -> u64 {
         self.rss_series.last().map(|&(_, r)| r).unwrap_or(0)
@@ -254,6 +277,10 @@ pub struct Monitor {
     /// Reusable records of a round — the sampling hot path allocates
     /// nothing in the steady state.
     pub(crate) scratch: SampleScratch,
+    /// Why descendants are not followed, once the source said it cannot
+    /// list children (a kernel without `children` files): named in the
+    /// health block, and never asked again.
+    pub(crate) unfollowed: Option<SourceError>,
 }
 
 /// The records and vectors a round reuses.
@@ -263,6 +290,8 @@ pub(crate) struct SampleScratch {
     pub(crate) watched_rss: Vec<(Pid, u64)>,
     /// One watch's planned reads: each tid and its delta reference.
     pub(crate) plan: Vec<(Tid, Option<SchedStat>)>,
+    /// One watch's children, as its listing step found them.
+    pub(crate) children: Vec<Pid>,
     pub(crate) task: crate::round::TaskBuffers,
 }
 
@@ -284,25 +313,15 @@ impl Monitor {
             last_t_s: 0.0,
             feed: crate::feed::SampleFeed::new(),
             scratch: SampleScratch::default(),
+            unfollowed: None,
         }
     }
 
-    /// Registers a process to monitor.
+    /// Registers a process to monitor. Its descendants join as watches
+    /// of their own as the rounds find them (`crate::round`).
     pub fn watch_process(&mut self, info: ProcessInfo) {
-        let cpus_allowed = info.cpus_allowed.clone();
-        self.processes.push(ProcessWatch {
-            info,
-            lwps: LwpRegistry::with_capacity_and_period(
-                self.config.series_capacity,
-                self.config.period_us as f64 / 1e6,
-            ),
-            cpus_allowed,
-            rss_series: Ring::with_capacity(self.config.series_capacity),
-            gone: false,
-            health: ProcessHealth::default(),
-            listing: Vec::new(),
-            listed: Ok(()),
-        });
+        let watch = ProcessWatch::new(info, false, &self.config);
+        self.processes.push(watch);
     }
 
     /// Marks `tid` of process `pid` as an OpenMP thread (OMPT callback

@@ -143,6 +143,9 @@ fn render_health_summary(out: &mut String, monitor: &Monitor, w: &ProcessWatch) 
         write!(errs, "{}: {}", kind.label(), total).unwrap();
     }
     writeln!(out, "errors (incl. node records): {errs}").unwrap();
+    if let Some(e) = &monitor.unfollowed {
+        writeln!(out, "descendants: not followed ({e})").unwrap();
+    }
     if monitor.supervisor.restarts > 0 {
         let gaps: Vec<String> = monitor
             .supervisor

@@ -23,12 +23,14 @@
 //! join makes no source call, so no read can panic with a table half
 //! compacted; it plans first, then the reads run.
 
+use crate::config::ZeroSumConfig;
 use crate::health::HealthLedger;
-use crate::monitor::{with_retry, Monitor};
+use crate::monitor::{with_retry, Monitor, ProcessWatch};
 use std::panic::AssertUnwindSafe;
 use zerosum_proc::{
     parse, Pid, ProcSource, ReadArena, SchedStat, SourceError, TaskStat, TaskStatus, Tid,
 };
+use zerosum_topology::CpuSet;
 
 /// The buffers every task is read into in turn: the arena its texts
 /// pass through and the record pair they parse into. A fresh pair is
@@ -105,18 +107,36 @@ fn round_end(mon: &mut Monitor, t_s: f64, src: &dyn ProcSource) {
 fn sample_watches(mon: &mut Monitor, shed: bool, t_s: f64, src: &dyn ProcSource) {
     let (delta_on, max_exited) = (mon.config.delta_sampling, mon.config.max_exited_tracks);
     let Monitor {
+        config,
         processes,
         stats,
         node_health,
         pending_backoff_us,
         scratch,
+        unfollowed,
         ..
     } = mon;
-    for w in processes.iter_mut().filter(|w| !w.gone) {
-        let (pid, tids) = (w.info.pid, &mut w.listing);
+    // A watch adopted here lands at the end of `processes`, and so is
+    // listed, and its own children asked for, in this same loop.
+    let mut at = 0;
+    while let Some(w) = processes.get_mut(at) {
+        at += 1;
+        if w.gone {
+            continue;
+        }
+        let pid = w.info.pid;
         w.listed = with_retry(node_health, pending_backoff_us, || {
-            src.list_tasks_into(pid, tids)
+            src.list_tasks_into(pid, &mut w.listing)
         });
+        if w.listed.is_err() || unfollowed.is_some() {
+            continue;
+        }
+        match src.list_children_into(pid, &w.listing, &mut scratch.children) {
+            Ok(()) => adopt(processes, pid, &scratch.children, config, src),
+            // Gone since its listing: the next round says so.
+            Err(SourceError::NotFound) => {}
+            Err(e) => *unfollowed = Some(e),
+        }
     }
     for w in processes.iter_mut().filter(|w| !w.gone) {
         match &w.listed {
@@ -206,6 +226,13 @@ fn sample_watches(mon: &mut Monitor, shed: bool, t_s: f64, src: &dyn ProcSource)
                 }
             };
             if tid == pid {
+                // An adopted pid whose main thread's `starttime` moved: another process.
+                let moved = |t: &crate::lwp::LwpTrack| t.starttime != stat.starttime;
+                if w.adopted && w.lwps.track(pid).is_some_and(moved) {
+                    w.gone = true;
+                    stats.vanished += 1;
+                    break;
+                }
                 if w.cpus_allowed.is_empty() {
                     w.cpus_allowed.copy_from(&status.cpus_allowed);
                 }
@@ -215,6 +242,56 @@ fn sample_watches(mon: &mut Monitor, shed: bool, t_s: f64, src: &dyn ProcSource)
             row.track = w.lwps.observe_at(at, pid, t_s, stat, status, ss);
         }
         w.lwps.evict_dead(max_exited, &mut w.health.rows);
+    }
+    // An adopted watch that is gone is kept for the report until a live
+    // watch holds its pid again (the kernel gave the pid to a new
+    // process), and up to the dead-track bound, oldest out first.
+    let left = |w: &ProcessWatch| w.gone && w.adopted;
+    let mut gone = processes.iter().filter(|w| left(w)).count();
+    let mut at = 0;
+    while let Some(w) = processes.get(at) {
+        let reused = |o: &ProcessWatch| o.info.pid == w.info.pid && !o.gone;
+        if left(w) && (gone > max_exited || processes.iter().any(reused)) {
+            gone -= 1;
+            processes.remove(at);
+        } else {
+            at += 1;
+        }
+    }
+}
+
+/// Adopts each of `children`, found under the watch of `parent`, that no
+/// live or registered watch holds: a watch of its own, `rank: None`, on
+/// the parent's node, appended. A pid that a gone adopted watch holds
+/// joins again only if its listing answers: a source may keep naming a
+/// child that left (`LinuxProc` reuses its last `children` answer until
+/// a birth), and that name must not replace the watch that saw it.
+fn adopt(
+    processes: &mut Vec<ProcessWatch>,
+    parent: Pid,
+    children: &[Pid],
+    config: &ZeroSumConfig,
+    src: &dyn ProcSource,
+) {
+    for &pid in children {
+        let held = |w: &ProcessWatch| w.info.pid == pid && !(w.gone && w.adopted);
+        if processes.iter().any(held) {
+            continue;
+        }
+        let Some(found_under) = processes.iter().find(|w| w.info.pid == parent && !w.gone) else {
+            return;
+        };
+        // The parent's node; its own rank, GPUs and mask are not ours.
+        let mut info = found_under.info.clone();
+        (info.pid, info.rank) = (pid, None);
+        info.gpus.clear();
+        info.cpus_allowed = CpuSet::new();
+        let mut watch = ProcessWatch::new(info, true, config);
+        let left = processes.iter().any(|w| w.info.pid == pid);
+        if left && src.list_tasks_into(pid, &mut watch.listing).is_err() {
+            continue;
+        }
+        processes.push(watch);
     }
 }
 
@@ -1027,5 +1104,305 @@ mod tests {
                 assert_eq!(last.map(|s| s.t_s), Some(2.0), "pid {pid} tid {tid}");
             }
         }
+    }
+
+    /// The simulator under a process tree it does not model: `kids`
+    /// answers `list_children_into`, a pid in `departed` lists as
+    /// `NotFound`, and every call is counted (`listed` in call order).
+    struct Family<'a> {
+        inner: &'a dyn ProcSource,
+        kids: RefCell<std::collections::BTreeMap<Pid, SourceResult<Vec<Pid>>>>,
+        departed: Vec<Pid>,
+        asked: std::cell::Cell<u32>,
+        listed: RefCell<Vec<Pid>>,
+    }
+
+    impl<'a> Family<'a> {
+        fn new(inner: &'a dyn ProcSource, kids: &[(Pid, &[Pid])]) -> Self {
+            let kids = kids.iter().map(|&(pid, k)| (pid, Ok(k.to_vec())));
+            Family {
+                inner,
+                kids: RefCell::new(kids.collect()),
+                departed: Vec::new(),
+                asked: Default::default(),
+                listed: Default::default(),
+            }
+        }
+    }
+
+    impl ProcSource for Family<'_> {
+        fn system_stat(&self) -> SourceResult<zerosum_proc::SystemStat> {
+            self.inner.system_stat()
+        }
+        fn meminfo(&self) -> SourceResult<zerosum_proc::MemInfo> {
+            self.inner.meminfo()
+        }
+        fn list_tasks(&self, pid: Pid) -> SourceResult<Vec<Tid>> {
+            let mut out = Vec::new();
+            self.list_tasks_into(pid, &mut out)?;
+            Ok(out)
+        }
+        fn list_tasks_into(&self, pid: Pid, out: &mut Vec<Tid>) -> SourceResult<()> {
+            self.listed.borrow_mut().push(pid);
+            if self.departed.contains(&pid) {
+                return Err(SourceError::NotFound);
+            }
+            self.inner.list_tasks_into(pid, out)
+        }
+        fn task_stat(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStat> {
+            self.inner.task_stat(pid, tid)
+        }
+        fn task_status(&self, pid: Pid, tid: Tid) -> SourceResult<TaskStatus> {
+            self.inner.task_status(pid, tid)
+        }
+        fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
+            self.inner.task_schedstat(pid, tid)
+        }
+        fn list_children_into(&self, pid: Pid, _: &[Tid], out: &mut Vec<Pid>) -> SourceResult<()> {
+            self.asked.set(self.asked.get() + 1);
+            out.clear();
+            let kids = self.kids.borrow();
+            out.extend(kids.get(&pid).cloned().unwrap_or(Ok(vec![]))?);
+            Ok(())
+        }
+    }
+
+    /// A child, and its child, join in the round that finds them: each a
+    /// watch of its own, listed and read in that round; a child that is
+    /// gone by its listing is gone at once, and named again it stays
+    /// one gone watch, counted once.
+    #[test]
+    fn descendants_join_as_watches_in_the_round_that_finds_them() {
+        let (mut sim, pids) = build_sim();
+        let mut mon = monitor_for(&pids[..1]);
+        sim.run_for(400_000);
+        let src = SimProcSource::new(&sim);
+        let family = Family::new(
+            &src,
+            &[(pids[0], &[pids[1], 99_999]), (pids[1], &[pids[2]])],
+        );
+        mon.sample(1.0, &family);
+        let found: Vec<_> = mon
+            .processes()
+            .iter()
+            .map(|w| (w.info.pid, w.adopted, w.info.rank, w.gone))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                (pids[0], false, Some(pids[0]), false),
+                (pids[1], true, None, false),
+                (99_999, true, None, true),
+                (pids[2], true, None, false),
+            ]
+        );
+        for w in mon.processes().iter().filter(|w| !w.gone) {
+            assert_eq!(w.info.hostname, "simnode0001");
+            let listed = src.list_tasks(w.info.pid).unwrap();
+            assert_eq!(w.lwps.len(), listed.len(), "pid {}", w.info.pid);
+            assert!(w.lwps.tracks().all(|t| t.samples.len() == 1));
+        }
+        assert_eq!(family.asked.get(), 3, "one ask per live listed watch");
+        let vanished = mon.stats.vanished;
+        // The same tree next round: nothing new joins.
+        sim.run_for(400_000);
+        let src = SimProcSource::new(&sim);
+        let family = Family::new(
+            &src,
+            &[(pids[0], &[pids[1], 99_999]), (pids[1], &[pids[2]])],
+        );
+        mon.sample(2.0, &family);
+        let now: Vec<_> = mon
+            .processes()
+            .iter()
+            .map(|w| (w.info.pid, w.gone))
+            .collect();
+        let then: Vec<_> = found.iter().map(|&(pid, _, _, gone)| (pid, gone)).collect();
+        assert_eq!(now, then);
+        assert_eq!((mon.stats.vanished, mon.stats.errors), (vanished, 0));
+    }
+
+    /// A child that left, named again round after round by a source
+    /// that keeps its last `children` answer, keeps the gone watch that
+    /// saw it: its tracks stay, and it vanishes once.
+    #[test]
+    fn a_departed_child_that_is_still_named_keeps_its_watch() {
+        let (mut sim, pids) = build_sim();
+        let mut mon = monitor_for(&pids[..1]);
+        let kids: &[(Pid, &[Pid])] = &[(pids[0], &[pids[1]])];
+        for r in 1..=2 {
+            sim.run_for(100_000);
+            mon.sample(f64::from(r), &Family::new(&SimProcSource::new(&sim), kids));
+        }
+        let seen = |mon: &Monitor| {
+            let w = mon.process(pids[1]).unwrap();
+            let samples: Vec<_> = w.lwps.tracks().map(|t| t.samples.len()).collect();
+            (w.gone, samples)
+        };
+        assert_eq!(seen(&mon), (false, vec![2, 2]));
+        for r in 3..=6 {
+            sim.run_for(100_000);
+            let src = SimProcSource::new(&sim);
+            let mut family = Family::new(&src, kids);
+            family.departed.push(pids[1]);
+            mon.sample(f64::from(r), &family);
+            assert_eq!(seen(&mon), (true, vec![2, 2]), "round {r}");
+            assert_eq!(mon.processes().len(), 2, "round {r}");
+            assert_eq!(mon.stats.vanished, 1, "round {r}");
+        }
+    }
+
+    /// A pid that a gone watch held, found again under a watch that
+    /// sits after it, joins without moving the watches the round has
+    /// yet to list: each live watch is listed, and asked for its
+    /// children, in that round.
+    #[test]
+    fn a_reused_pid_does_not_make_a_later_watch_miss_its_listing() {
+        let (mut sim, pids) = build_sim();
+        let q = sim.spawn_process("q", CpuSet::from_indices([6u32]), 1_024, Behavior::Sleeper);
+        let (root, c, p) = (pids[0], pids[1], pids[2]);
+        let mut mon = monitor_for(&[root]);
+        fn round(
+            mon: &mut Monitor,
+            sim: &mut NodeSim,
+            t_s: f64,
+            kids: &[(Pid, &[Pid])],
+            gone: Option<Pid>,
+        ) -> (Vec<Pid>, u32) {
+            sim.run_for(100_000);
+            let src = SimProcSource::new(sim);
+            let mut family = Family::new(&src, kids);
+            family.departed.extend(gone);
+            mon.sample(t_s, &family);
+            (family.listed.take(), family.asked.get())
+        }
+        round(&mut mon, &mut sim, 1.0, &[(root, &[c, p, q])], None);
+        round(&mut mon, &mut sim, 2.0, &[(root, &[c, p, q])], Some(c));
+        let order: Vec<_> = mon
+            .processes()
+            .iter()
+            .map(|w| (w.info.pid, w.gone))
+            .collect();
+        assert_eq!(order, [(root, false), (c, true), (p, false), (q, false)]);
+        // `c` answers again, now a child of `p`.
+        let (listed, asked) = round(&mut mon, &mut sim, 3.0, &[(root, &[p, q]), (p, &[c])], None);
+        for pid in [root, p, q, c] {
+            assert!(listed.contains(&pid), "{pid} not listed: {listed:?}");
+        }
+        assert_eq!(asked, 4, "every live watch asked for its children");
+        let order: Vec<_> = mon
+            .processes()
+            .iter()
+            .map(|w| (w.info.pid, w.gone))
+            .collect();
+        assert_eq!(order, [(root, false), (p, false), (q, false), (c, false)]);
+        let fresh = mon.process(c).unwrap();
+        assert!(fresh.lwps.tracks().all(|t| t.samples.len() == 1));
+    }
+
+    /// Gone descendants are kept up to the dead-track bound, oldest out
+    /// first; registered watches are never dropped.
+    #[test]
+    fn gone_descendants_are_bounded_by_the_dead_track_bound() {
+        let (mut sim, pids) = build_sim();
+        let mut mon = monitor_for(&[pids[0], 77_777]);
+        mon.config.max_exited_tracks = 2;
+        for r in 0..5u32 {
+            sim.run_for(100_000);
+            let src = SimProcSource::new(&sim);
+            let family = Family::new(&src, &[(pids[0], &[90_000 + r])]);
+            mon.sample(f64::from(r), &family);
+        }
+        let left: Vec<_> = mon
+            .processes()
+            .iter()
+            .map(|w| (w.info.pid, w.gone))
+            .collect();
+        assert_eq!(
+            left,
+            [
+                (pids[0], false),
+                (77_777, true),
+                (90_003, true),
+                (90_004, true)
+            ]
+        );
+    }
+
+    /// An adopted pid that the kernel gave to another process (its main
+    /// thread's `starttime` moved) is a descendant that left: gone, the
+    /// newcomer's reads not folded into it. Found again as a child, the
+    /// newcomer is a watch of its own.
+    #[test]
+    fn an_adopted_pid_that_names_another_process_is_gone() {
+        let (mut sim, pids) = build_sim_with(300_000);
+        let mut mon = monitor_for(&pids[..1]);
+        let kids: &[(Pid, &[Pid])] = &[(pids[0], &[pids[1]])];
+        sim.run_for(100_000);
+        mon.sample(1.0, &Family::new(&SimProcSource::new(&sim), kids));
+        let first = mon
+            .process(pids[1])
+            .unwrap()
+            .lwps
+            .track(pids[1])
+            .unwrap()
+            .starttime;
+        while !SimProcSource::new(&sim)
+            .list_tasks(pids[1])
+            .unwrap()
+            .is_empty()
+        {
+            sim.run_for(100_000);
+        }
+        sim.respawn_process_with_pid(
+            pids[1],
+            "imposter",
+            CpuSet::from_indices([2u32, 3]),
+            2_048,
+            Behavior::Sleeper,
+        );
+        sim.run_for(100_000);
+        let vanished = mon.stats.vanished;
+        mon.sample(2.0, &Family::new(&SimProcSource::new(&sim), kids));
+        let w = mon.process(pids[1]).unwrap();
+        assert!(w.gone && mon.stats.vanished > vanished);
+        assert!(
+            w.lwps.tracks().all(|t| t.starttime == first),
+            "nothing of the newcomer"
+        );
+        sim.run_for(100_000);
+        mon.sample(3.0, &Family::new(&SimProcSource::new(&sim), kids));
+        let again: Vec<_> = mon
+            .processes()
+            .iter()
+            .filter(|w| w.info.pid == pids[1])
+            .collect();
+        assert_eq!(again.len(), 1, "the old watch made room");
+        assert!(!again[0].gone);
+        let track = again[0].lwps.track(pids[1]).unwrap();
+        assert!(track.starttime > first && track.name == "imposter");
+    }
+
+    /// A source that cannot list children is asked once and named once
+    /// in the report; it is no read error.
+    #[test]
+    fn a_source_without_children_is_named_once_and_asked_once() {
+        let (mut sim, pids) = build_sim();
+        let mut mon = monitor_for(&pids[..2]);
+        sim.run_for(100_000);
+        let src = SimProcSource::new(&sim);
+        let family = Family::new(&src, &[]);
+        let missing = SourceError::Io("no children file".into());
+        family.kids.borrow_mut().insert(pids[0], Err(missing));
+        for t_s in [1.0, 2.0] {
+            mon.sample(t_s, &family);
+        }
+        assert_eq!(family.asked.get(), 1);
+        assert_eq!(mon.processes().len(), 2);
+        assert_eq!(mon.stats.errors, 0);
+        assert!(mon.health_total().is_clean());
+        let report = crate::report::render_process_report(&mon, pids[0], 2.0, None);
+        let line = "descendants: not followed (procfs I/O error: no children file)\n";
+        assert_eq!(report.matches(line).count(), 1, "{report}");
     }
 }

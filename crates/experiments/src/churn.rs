@@ -37,7 +37,7 @@ const US_PER_JIFFY: u64 = 1_000_000 / zerosum_proc::USER_HZ;
 /// Sim-backend knobs on top of the shared [`ChurnConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimChurnParams {
-    /// The storm shape (shared with the real backend).
+    /// The storm shape (shared with the real storm, `__churn-storm`).
     pub churn: ChurnConfig,
     /// When nonzero, wrap the source in [`ExitRace`] with this modulus
     /// (residue 0): listed worker tids in the class vanish on read.

@@ -88,6 +88,15 @@ struct ForkClock {
     reads: u64,
 }
 
+impl ForkClock {
+    /// Whether this read proves no task was born, on the whole node,
+    /// since before the answer taken under `then`: a newer read, the
+    /// same non-zero count.
+    fn no_births_since(self, then: ForkClock) -> bool {
+        self.reads > then.reads && self.processes != 0 && self.processes == then.processes
+    }
+}
+
 #[derive(Debug)]
 struct PidHandles {
     pid: Pid,
@@ -97,16 +106,10 @@ struct PidHandles {
     /// that was current at the last `list_tasks_into(pid)`, reused or
     /// not: one `/proc/stat` read vouches for one answer.
     listed: ForkClock,
-}
-
-impl PidHandles {
-    /// Whether `now` proves no task was born, on the whole node, since
-    /// before `tasks` was listed: a newer read, the same non-zero count.
-    fn no_births_by(&self, now: ForkClock) -> bool {
-        now.reads > self.listed.reads
-            && now.processes != 0
-            && now.processes == self.listed.processes
-    }
+    /// The children its last `children` walk found, ascending.
+    children: Vec<Pid>,
+    /// [`PidHandles::listed`] for `children`.
+    children_listed: ForkClock,
 }
 
 /// The open handles of a [`LinuxProc`] and their accounting. A handle
@@ -186,8 +189,13 @@ impl HandleCache {
         let known = self.pids.iter().position(|p| p.pid == pid);
         let pi = known.unwrap_or(self.pids.len());
         if known.is_none() {
-            let (tasks, listed) = (Vec::with_capacity(listing.len()), now);
-            self.pids.push(PidHandles { pid, tasks, listed });
+            self.pids.push(PidHandles {
+                pid,
+                tasks: Vec::with_capacity(listing.len()),
+                listed: now,
+                children: Vec::new(),
+                children_listed: ForkClock::default(),
+            });
         }
         let Some(p) = self.pids.get_mut(pi) else {
             return;
@@ -217,13 +225,16 @@ impl HandleCache {
         self.held -= closed;
     }
 
-    /// Forgets `pid` (its listing came back `NotFound`).
+    /// Forgets `pid` (its listing came back `NotFound`): its handles, and
+    /// its name in every kept `children` answer, which a departure does
+    /// not renew.
     fn purge(&mut self, pid: Pid) {
-        self.pids.retain(|p| {
+        self.pids.retain_mut(|p| {
             if p.pid == pid {
                 let files = p.tasks.iter().flat_map(|t| &t.files);
                 self.held -= files.flatten().count();
             }
+            p.children.retain(|&c| c != pid);
             p.pid != pid
         });
     }
@@ -277,8 +288,9 @@ pub struct LinuxProc {
     root: PathBuf,
     /// Directory entries skipped during [`ProcSource::list_tasks`] scans
     /// because the entry itself could not be stat'ed (racing exits,
-    /// permission churn). A count, not an error: the rest of the scan
-    /// proceeds.
+    /// permission churn), and `children` files skipped by
+    /// [`ProcSource::list_children_into`] for the same reasons. A count,
+    /// not an error: the rest of the scan proceeds.
     scan_skips: Cell<u64>,
     /// Read buffer shared by the `_into` reads: one `/proc` record is in
     /// flight at a time, so the text lands in the same allocation every
@@ -350,8 +362,9 @@ impl LinuxProc {
         self.cache.borrow().opens
     }
 
-    /// Task directories walked, or tried, since this source was created:
-    /// the `list_tasks_into` calls the kernel's own evidence did not
+    /// Task directories and `children` file sets walked, or tried,
+    /// since this source was created: the `list_tasks_into` and
+    /// `list_children_into` calls the kernel's own evidence did not
     /// answer.
     pub fn listings(&self) -> u64 {
         self.cache.borrow().listings
@@ -613,7 +626,7 @@ impl ProcSource for LinuxProc {
     /// listing when the kernel's own evidence proves a walk of the
     /// directory would find that same set, as of this round's
     /// `/proc/stat` read: no task was born on the node since before the
-    /// slots were listed ([`PidHandles::no_births_by`]), and the
+    /// slots were listed ([`ForkClock::no_births_since`]), and the
     /// directory's `nlink`, which procfs keeps at 2 + threads, still
     /// counts them, so none left either. Any doubt is a walk.
     fn list_tasks_into(&self, pid: Pid, out: &mut Vec<Tid>) -> SourceResult<()> {
@@ -622,7 +635,7 @@ impl ProcSource for LinuxProc {
         let mut cache = self.cache.borrow_mut();
         let now = self.forks.get();
         if let Some(p) = cache.pids.iter_mut().find(|p| p.pid == pid) {
-            let unchanged = p.no_births_by(now)
+            let unchanged = now.no_births_since(p.listed)
                 && std::fs::metadata(dir.as_str())
                     .is_ok_and(|m| m.nlink() == 2 + p.tasks.len() as u64);
             p.listed.reads = now.reads;
@@ -660,6 +673,58 @@ impl ProcSource for LinuxProc {
         }
         out.sort_unstable();
         cache.sweep(pid, out, now);
+        Ok(())
+    }
+
+    /// The children of `pid`, ascending: the last answer while no task
+    /// was born on the node since its walk ([`ForkClock::no_births_since`];
+    /// a child that left stays in it until its own listing is `NotFound`,
+    /// which purges it),
+    /// else one open-read-close of each of `tids`' `children` files. A
+    /// task gone since its listing, or unreadable, is skipped (`scan_skips`);
+    /// a task directory without the file is a kernel that keeps none
+    /// (`CONFIG_PROC_CHILDREN`), an `Io` error.
+    fn list_children_into(&self, pid: Pid, tids: &[Tid], out: &mut Vec<Pid>) -> SourceResult<()> {
+        out.clear();
+        let now = self.forks.get();
+        let mut cache = self.cache.borrow_mut();
+        if let Some(p) = cache.pids.iter_mut().find(|p| p.pid == pid) {
+            let quiet = now.no_births_since(p.children_listed);
+            p.children_listed.reads = now.reads;
+            if quiet {
+                out.extend_from_slice(&p.children);
+                return Ok(());
+            }
+        }
+        cache.listings += 1;
+        let mut buf = self.buf.borrow_mut();
+        for &tid in tids {
+            let path = self.task_path(pid, tid, "children");
+            let read = match cache.open_with(|| File::open(path.as_str())) {
+                Ok(file) => read_record(&file, &mut buf),
+                Err(e) => Err(e),
+            };
+            let text = match read {
+                Ok(text) => text,
+                Err(e) => {
+                    let dir = Path::new(path.as_str()).parent();
+                    if e.kind() == ErrorKind::NotFound && dir.is_some_and(Path::exists) {
+                        return Err(SourceError::Io(format!("{path}: {e}")));
+                    }
+                    self.scan_skips.set(self.scan_skips.get() + 1);
+                    continue;
+                }
+            };
+            let words = text.split(u8::is_ascii_whitespace);
+            let pids = words.filter_map(|w| std::str::from_utf8(w).ok()?.parse::<Pid>().ok());
+            out.extend(pids);
+        }
+        out.sort_unstable();
+        out.dedup();
+        if let Some(p) = cache.pids.iter_mut().find(|p| p.pid == pid) {
+            p.children.clone_from(out);
+            p.children_listed = now;
+        }
         Ok(())
     }
 }
@@ -1036,6 +1101,128 @@ mod tests {
         assert_eq!(stat_then_list(&src, 9), Err(SourceError::NotFound));
         assert!(src.cache.borrow().pids.is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn children_are_the_last_answer_until_a_birth() {
+        // A fixture tree: pid 9 with tasks 9 and 10, each with children.
+        let dir = std::env::temp_dir().join(format!("zs-children-{}", std::process::id()));
+        let task = |tid: u32| dir.join(format!("9/task/{tid}"));
+        let stat = |processes: u64| {
+            let text = format!("cpu 1 0 1 7\ncpu0 1 0 1 7\nprocesses {processes}\n");
+            std::fs::write(dir.join("stat"), text).unwrap();
+        };
+        let kids = |tid: u32, text: &str| std::fs::write(task(tid).join("children"), text).unwrap();
+        for tid in [9, 10] {
+            std::fs::create_dir_all(task(tid)).unwrap();
+        }
+        kids(9, "12 11 ");
+        kids(10, "13\n");
+        stat(7);
+        let src = LinuxProc::with_root(&dir);
+        src.cache.borrow_mut().budget = 8;
+        let mut out = Vec::new();
+        let round = |out: &mut Vec<Pid>| {
+            let tids = stat_then_list(&src, 9)?;
+            src.list_children_into(9, &tids, out)
+        };
+        round(&mut out).unwrap();
+        assert_eq!(out, [11, 12, 13], "the union, ascending");
+        let walked = src.listings();
+        // No birth on the node: the last answer, whatever the files say.
+        kids(9, "12 11 14 ");
+        round(&mut out).unwrap();
+        assert_eq!(
+            (out.as_slice(), src.listings()),
+            (&[11, 12, 13][..], walked)
+        );
+        // One `/proc/stat` read vouches for one answer.
+        src.list_children_into(9, &[9, 10], &mut out).unwrap();
+        assert_eq!(
+            (out.as_slice(), src.listings()),
+            (&[11, 12, 13, 14][..], walked + 1)
+        );
+        // A birth: the files again.
+        stat(8);
+        kids(10, "");
+        round(&mut out).unwrap();
+        assert_eq!(out, [11, 12, 14]);
+        // A listed task gone since its listing is skipped, not an error.
+        let skips = src.scan_skips();
+        stat(9);
+        src.system_stat().unwrap();
+        src.list_children_into(9, &[9, 10, 77], &mut out).unwrap();
+        assert_eq!(
+            (out.as_slice(), src.scan_skips()),
+            (&[11, 12, 14][..], skips + 1)
+        );
+        // A task whose directory stands without the file: a kernel that
+        // keeps none, said once as an error.
+        std::fs::remove_file(task(10).join("children")).unwrap();
+        stat(10);
+        src.system_stat().unwrap();
+        match src.list_children_into(9, &[9, 10], &mut out) {
+            Err(SourceError::Io(msg)) => assert!(msg.contains("/9/task/10/children: "), "{msg}"),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_child_whose_listing_is_not_found_leaves_the_kept_answer() {
+        let dir = std::env::temp_dir().join(format!("zs-departed-{}", std::process::id()));
+        for task in ["9/task/9", "11/task/11"] {
+            std::fs::create_dir_all(dir.join(task)).unwrap();
+        }
+        std::fs::write(dir.join("9/task/9/children"), "11 ").unwrap();
+        std::fs::write(dir.join("stat"), "cpu 1 0 1 7\ncpu0 1 0 1 7\nprocesses 7\n").unwrap();
+        let src = LinuxProc::with_root(&dir);
+        src.cache.borrow_mut().budget = 8;
+        let mut out = Vec::new();
+        let round = |out: &mut Vec<Pid>| {
+            let tids = stat_then_list(&src, 9).unwrap();
+            src.list_children_into(9, &tids, out).unwrap();
+            stat_then_list(&src, 11)
+        };
+        assert!(round(&mut out).is_ok());
+        assert_eq!(out, [11]);
+        // 11 exits and is reaped: no birth, so 9's kept answer names it
+        // until its own listing says it is gone.
+        std::fs::remove_dir_all(dir.join("11")).unwrap();
+        std::fs::write(dir.join("9/task/9/children"), "").unwrap();
+        assert_eq!(round(&mut out), Err(SourceError::NotFound));
+        assert_eq!(out, [11]);
+        let walked = src.listings();
+        src.system_stat().unwrap();
+        src.list_children_into(9, &[9], &mut out).unwrap();
+        assert_eq!((out.as_slice(), src.listings()), (&[][..], walked));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_spawned_child_is_listed_and_a_reaped_one_is_not() {
+        let src = LinuxProc::with_root("/proc");
+        let pid = src.self_pid().unwrap();
+        if !Path::new(&format!("/proc/{pid}/task/{pid}/children")).exists() {
+            eprintln!("children: SKIPPED (this kernel keeps no /proc/<pid>/task/<tid>/children)");
+            return;
+        }
+        let Ok(mut child) = std::process::Command::new("sleep").arg("30").spawn() else {
+            eprintln!("children: SKIPPED (cannot spawn `sleep`)");
+            return;
+        };
+        let mut out = Vec::new();
+        let children = |out: &mut Vec<Pid>| {
+            let tids = src.list_tasks(pid).unwrap();
+            src.list_children_into(pid, &tids, out).unwrap();
+        };
+        children(&mut out);
+        assert!(out.contains(&child.id()), "{out:?}");
+        assert!(out.is_sorted());
+        child.kill().unwrap();
+        child.wait().unwrap();
+        children(&mut out);
+        assert!(!out.contains(&child.id()), "{out:?}");
     }
 
     #[test]

@@ -157,6 +157,16 @@ pub trait ProcSource {
         Ok(())
     }
 
+    /// Reads the child processes of `pid` into `out`: the union of
+    /// `/proc/<pid>/task/<tid>/children` over `tids`, the tasks its
+    /// listing just returned. The default has none to offer — the
+    /// simulator's node and a wrapper without an override watch only
+    /// what was registered.
+    fn list_children_into(&self, _pid: Pid, _tids: &[Tid], out: &mut Vec<Pid>) -> SourceResult<()> {
+        out.clear();
+        Ok(())
+    }
+
     /// Reads a task's `stat` into an existing record, reusing its `comm`
     /// buffer.
     fn task_stat_into(&self, pid: Pid, tid: Tid, out: &mut TaskStat) -> SourceResult<()> {

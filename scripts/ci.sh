@@ -92,33 +92,6 @@ echo "== churn chaos soak (20 seeded open-system schedules + bit-repro witness)"
 # identically-seeded soaks to agree bit for bit.
 cargo run -q --release -p zerosum-cli --bin zerosum -- churn --schedules 20 --seed 50377
 
-echo "== real-procfs churn storm (fork + fork-exec variants, probe-gated)"
-# The same schedules as real child processes sampled through live
-# /proc: genuine kernel-side exit races and pid recycling. Sandboxes
-# that forbid spawning are detected with `churn --probe` (exit 3) and
-# the stage is skipped LOUDLY, never silently — mirroring the socket
-# probe.
-set +e
-cargo run -q --release -p zerosum-cli --bin zerosum -- churn --probe >/dev/null 2>&1
-churn_probe=$?
-set -e
-if [ "$churn_probe" -eq 3 ]; then
-    echo "real churn: SKIPPED (sandbox forbids spawning children; churn --probe exit 3)"
-elif [ "$churn_probe" -ne 0 ]; then
-    echo "real churn: probe failed with unexpected exit $churn_probe"
-    exit 1
-else
-    # The summary line carries the handle cache's figures; the judge
-    # behind the exit code bounds them (peak <= 3 x footprint + 2, at
-    # most the node's two files at exit), the grep keeps them printed.
-    cargo run -q --release -p zerosum-cli --bin zerosum -- \
-        churn --backend fork --duration-ms 1500 --rate 40 --seed 11 | tee /tmp/zschurn.out
-    grep -Eq 'handles held: peak [0-9]+, at exit [0-2],' /tmp/zschurn.out
-    cargo run -q --release -p zerosum-cli --bin zerosum -- \
-        churn --backend fork-exec --duration-ms 1500 --rate 25 --seed 12 | tee /tmp/zschurn.out
-    grep -Eq 'handles held: peak [0-9]+, at exit [0-2],' /tmp/zschurn.out
-fi
-
 echo "== benchmark vs the newest bench-results/pr<N>.json (BENCHMARK.json's bounds; output checks gate, timings inform)"
 # The only wall-clock stage, by the only instrument: one default run
 # (16 s window, seed 11) per workload, printed beside the newest

@@ -41,6 +41,8 @@ struct Calls {
     /// `[schedstat, stat, status]` reads per tid, every read form
     /// (owning, `_into`, raw text) counted alike.
     tasks: BTreeMap<Tid, [u32; 3]>,
+    /// Children asked for, per pid, and the tasks the last ask named.
+    children: BTreeMap<Pid, (u32, Vec<Tid>)>,
 }
 
 /// Forwards every call to `inner` under the same name and counts it.
@@ -97,6 +99,13 @@ impl ProcSource for Counting<'_> {
             hook();
         }
         listed
+    }
+    fn list_children_into(&self, pid: Pid, tids: &[Tid], out: &mut Vec<Pid>) -> SourceResult<()> {
+        let mut calls = self.calls.borrow_mut();
+        let asked = calls.children.entry(pid).or_default();
+        (asked.0, asked.1) = (asked.0 + 1, tids.to_vec());
+        drop(calls);
+        self.inner.list_children_into(pid, tids, out)
     }
     fn task_schedstat(&self, pid: Pid, tid: Tid) -> SourceResult<SchedStat> {
         self.task(tid, 0);
@@ -387,4 +396,64 @@ fn a_thread_that_exits_under_its_held_handles_is_a_departure_not_an_error() {
     mon.sample(3.0, &counting);
     assert!(!counting.take().tasks.contains_key(&tid));
     assert_eq!(mon.stats.errors, 0);
+}
+
+#[test]
+fn children_are_walked_only_in_a_round_after_a_birth() {
+    let Some((src, pid)) = live_source() else {
+        return;
+    };
+    let evidence = || {
+        let forks = LinuxProc::with_root("/proc").system_stat().ok()?.processes;
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?.count();
+        Some((forks, tasks)).filter(|_| forks > 0)
+    };
+    let nlink = std::fs::metadata("/proc/self/task").map_or(0, |m| m.nlink());
+    let children = format!("/proc/{pid}/task/{pid}/children");
+    if evidence().is_none_or(|(_, tasks)| nlink != tasks as u64 + 2)
+        || !std::path::Path::new(&children).exists()
+    {
+        eprintln!("live children budget: SKIPPED (no `processes` line, no directory nlink, or no {children})");
+        return;
+    }
+    let mut mon = Monitor::new(ZeroSumConfig::default());
+    watch(&mut mon, pid);
+    let counting = Counting::new(&src);
+    let mut quiet_pairs = 0;
+    for t_s in 0..400u32 {
+        let before = evidence();
+        mon.sample(f64::from(t_s), &counting);
+        let walked = src.listings();
+        mon.sample(f64::from(t_s) + 0.5, &counting);
+        let calls = counting.take();
+        // At the `ProcSource` boundary: asked once a round, after the
+        // listing, for the tasks it listed.
+        assert_eq!(calls.children.get(&pid).map(|c| c.0), Some(2), "{calls:?}");
+        assert_eq!(calls.lists.get(&pid), Some(&2), "{calls:?}");
+        // Nothing born from before the first round to after the second:
+        // the second read no `children` file and walked nothing.
+        if before == evidence() {
+            assert_eq!(src.listings(), walked, "round {t_s}b walked unprompted");
+            quiet_pairs += 1;
+        }
+    }
+    assert!(quiet_pairs > 0, "no two consecutive quiet rounds in 400");
+    // A thread is born: the next round walks the task directory and the
+    // `children` files once each — one file per listed task.
+    let walked = src.listings();
+    let parked = parked_thread();
+    mon.sample(500.0, &counting);
+    let calls = counting.take();
+    let (asked, tids) = calls.children.get(&pid).cloned().unwrap_or_default();
+    assert_eq!(asked, 1, "{calls:?}");
+    assert!(tids.contains(&parked.0), "{calls:?}");
+    assert!(
+        tids.windows(2).all(|w| w[0] < w[1]),
+        "each task once: {tids:?}"
+    );
+    assert!(src.listings() - walked <= 2, "one walk of each kind");
+    assert_eq!(mon.processes().len(), 1, "this process has no children");
+    assert_eq!(mon.stats.errors, 0);
+    drop(parked.1);
+    parked.2.join().unwrap();
 }

@@ -63,6 +63,52 @@ fn live_self_monitoring_produces_a_full_report() {
     assert!(max_frac > 0.2, "max cpu fraction {max_frac}");
 }
 
+/// Probe P1: a shell that starts the application and waits for it
+/// (`sh -c "app; true"`) is watched, and the application — a busy
+/// grandchild of this test — is in the record as a watch of its own,
+/// after the shell's, with the user time it burned.
+#[test]
+fn live_descendants_of_the_watched_process_are_followed() {
+    let children = format!("/proc/{0}/task/{0}/children", std::process::id());
+    if !std::path::Path::new(&children).exists() {
+        eprintln!("live descendants: SKIPPED (this kernel keeps no {children})");
+        return;
+    }
+    let busy = "sh -c 'i=0; while [ $i -lt 300000 ]; do i=$((i+1)); done'; true";
+    let mut shell = match std::process::Command::new("/bin/sh")
+        .args(["-c", busy])
+        .spawn()
+    {
+        Ok(shell) => shell,
+        Err(e) => {
+            eprintln!("live descendants: SKIPPED (cannot spawn /bin/sh: {e})");
+            return;
+        }
+    };
+    let cfg = ZeroSumConfig {
+        period_us: 20_000,
+        ..Default::default()
+    };
+    let session = SelfMonitor::start_for_pid(cfg, shell.id(), None, |_| {}).expect("attach");
+    assert!(shell.wait().expect("wait for the shell").success());
+    let (monitor, _) = session.stop();
+    let watches = monitor.processes();
+    assert_eq!(
+        watches[0].info.pid,
+        shell.id(),
+        "the root watch comes first"
+    );
+    let burned = |w: &&zerosum_core::ProcessWatch| {
+        w.lwps
+            .tracks()
+            .any(|t| t.samples.last().is_some_and(|s| s.utime > 0))
+    };
+    let seen: Vec<_> = watches.iter().map(|w| (w.info.pid, w.lwps.len())).collect();
+    let app = watches[1..].iter().find(burned);
+    let app = app.unwrap_or_else(|| panic!("no descendant burned user time: {seen:?}"));
+    assert_eq!(app.info.rank, None, "{seen:?}");
+}
+
 #[test]
 fn live_log_parses_back_with_fixed_decimals() {
     let cfg = ZeroSumConfig {
