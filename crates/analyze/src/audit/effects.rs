@@ -144,7 +144,6 @@ pub const PANIC_REACHABLE: Pass<'static> = Pass {
         Root::Fn("crates/net/src/collector.rs", "pump_frames"),
         Root::Fn("crates/apps/src/churn.rs", "churn_storm_main"),
         Root::Fn("crates/apps/src/churn.rs", "churn_child_main"),
-        Root::Path("crates/core/src/feed.rs"),
         Root::Path("crates/core/src/hwt.rs"),
         Root::Path("crates/core/src/lwp.rs"),
         Root::Path("crates/core/src/monitor.rs"),
@@ -238,7 +237,7 @@ pub const PASSES: [Pass<'static>; 4] = [PANIC_REACHABLE, HOT_PATH_ALLOC, NONDETE
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer.
-pub const ALLOC_ALLOWLIST: [Allow; 29] = [
+pub const ALLOC_ALLOWLIST: [Allow; 28] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -369,20 +368,12 @@ pub const ALLOC_ALLOWLIST: [Allow; 29] = [
         "Vec::with_capacity",
         "first listing of a pid only",
     ),
-    // The round's prologue and epilogue: the first `/proc/stat` is kept
-    // whole, and a snapshot is built only while somebody subscribes to
-    // the feed.
+    // The round's prologue: the first `/proc/stat` is kept whole.
     (
         "crates/core/src/hwt.rs",
         "observe",
         "clone",
         "first round only; later rounds `clone_from` into the kept snapshot",
-    ),
-    (
-        "crates/core/src/feed.rs",
-        "snapshot_of",
-        "collect",
-        "only with a live subscriber; the snapshot is what the subscriber receives",
     ),
     // Capacity-0 constructors: `String::new`/`Vec::new`/`HashSet::new`
     // do not touch the allocator until first growth, and the rows they

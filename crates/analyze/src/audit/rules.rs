@@ -17,7 +17,10 @@
 //!   is why series storage is the fixed-capacity `Ring`. A push into a
 //!   new field is how the next leak starts, so each field is a finding
 //!   until [`GROWTH_ALLOWLIST`] records its bound. A receiver without a
-//!   `.` is a local — per-round scratch.
+//!   `.` is the field of the same name when the fn takes it as a
+//!   `&mut Vec<…>` parameter or binds it by destructuring a struct
+//!   (`let Monitor { processes, .. } = mon`); any other is a local —
+//!   per-round scratch.
 //! * **lock-in-product** — a [`LOCK_TYPES`] name anywhere in non-test
 //!   code outside a `use` declaration, item-level `static`s included.
 //!   The monitor thread owns what it samples and the abnormal exit is
@@ -27,7 +30,7 @@
 //!   benchmark's adapters (`LOCK_FILES`) still name one.
 
 use super::callgraph::{CallGraph, FnNode, Site, SiteKind};
-use super::items::ParsedFile;
+use super::items::{FnItem, ParsedFile};
 use super::lexer::TokKind;
 use super::{Allow, Allowlist, Finding};
 
@@ -78,7 +81,7 @@ pub(super) const MONITOR_STATE_FILES: [&str; 6] = [
 /// The long-lived fields that may grow, each with the file that pushes
 /// it and its bound. The fn is left empty: a field is reviewed once per
 /// file, whichever function pushes it.
-pub const GROWTH_ALLOWLIST: [Allow; 13] = [
+pub const GROWTH_ALLOWLIST: [Allow; 15] = [
     (
         "crates/core/src/monitor.rs",
         "",
@@ -109,6 +112,19 @@ pub const GROWTH_ALLOWLIST: [Allow; 13] = [
         "",
         "processes",
         "one per watched rank or live descendant, and at most `max_exited_tracks` gone descendants",
+    ),
+    (
+        "crates/core/src/round.rs",
+        "",
+        "processes",
+        "one per watched rank or live descendant, and at most `max_exited_tracks` gone descendants",
+    ),
+    (
+        "crates/core/src/monitor.rs",
+        "",
+        "rows",
+        "one per tid of the watch's latest listing: the join drains every row the listing \
+         no longer names",
     ),
     (
         "crates/core/src/round.rs",
@@ -217,6 +233,41 @@ fn last_segment(path: &str) -> &str {
         .unwrap_or(path)
         .trim_end_matches("[_]")
         .trim_end_matches("()")
+}
+
+/// The bare names that stand for the field of the same name in `item`:
+/// each `name: &mut Vec<…>` parameter (a caller hands in its field) and
+/// each shorthand field of a `let Type { name, .. } = …` in its body.
+fn field_names<'a>(pf: &'a ParsedFile, item: &FnItem) -> Vec<&'a str> {
+    let ident = |t: usize| pf.tokens.get(t).is_some_and(|k| k.kind == TokKind::Ident);
+    let open = item.body.start.saturating_sub(1);
+    let sig = (0..open).rfind(|&t| pf.is_ident(t, "fn") && pf.is_ident(t + 1, &item.name));
+    let mut out: Vec<&str> = (sig.unwrap_or(open)..open)
+        .filter(|&t| ident(t) && pf.is_punct(t + 1, ':') && pf.is_punct(t + 2, '&'))
+        .filter(|&t| pf.is_ident(t + 3, "mut") && pf.is_ident(t + 4, "Vec"))
+        .map(|t| pf.text(t))
+        .collect();
+    for t in item.body.clone() {
+        let typed = pf.text(t + 1).starts_with(char::is_uppercase);
+        if !(pf.is_ident(t, "let") && typed && pf.is_punct(t + 2, '{')) {
+            continue;
+        }
+        let mut depth = 0usize;
+        for k in t + 3..pf.matching_brace(t + 2) {
+            match pf.tokens[k].kind {
+                TokKind::Punct('(' | '[' | '{') => depth += 1,
+                TokKind::Punct(')' | ']' | '}') => depth -= 1,
+                _ => {}
+            }
+            let after =
+                pf.is_punct(k - 1, '{') || pf.is_punct(k - 1, ',') || pf.is_ident(k - 1, "mut");
+            let before = pf.is_punct(k + 1, ',') || pf.is_punct(k + 1, '}');
+            if depth == 0 && ident(k) && after && before {
+                out.push(pf.text(k));
+            }
+        }
+    }
+    out
 }
 
 /// Whether the error of the read call at `site` leaves `node`: a `?`
@@ -337,7 +388,9 @@ pub fn analyze_rules(graph: &CallGraph, growth_allowlist: &[Allow]) -> Vec<Findi
                 SiteKind::Call if s.method && state && name == "push" => {
                     let path = receiver_path(pf, s.token - 1);
                     let field = last_segment(&path);
-                    if path.contains('.') && !growth.allows(file, "", field) {
+                    let long_lived =
+                        path.contains('.') || field_names(pf, &node.item).contains(&path.as_str());
+                    if long_lived && !growth.allows(file, "", field) {
                         report(
                             "unbounded-growth",
                             s,

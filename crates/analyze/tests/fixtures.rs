@@ -26,7 +26,7 @@ fn read(name: &str) -> String {
 /// `(fixture stem, audit-as path, pass, expected bad-fixture lines)`:
 /// the passes that key on where a file lives, under the shipped
 /// configuration.
-const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 7] = [
+const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 8] = [
     (
         "panic_hot_path",
         "crates/core/src/monitor.rs",
@@ -52,6 +52,16 @@ const AS_PATH_CASES: [(&str, &str, &str, &[usize]); 7] = [
         "crates/core/src/lwp.rs",
         "unbounded-growth",
         &[4, 7],
+    ),
+    // A shorthand field of a destructured struct and a `&mut Vec`
+    // parameter are the fields of those names; `round.rs` is where the
+    // clean twin's `rss_series`, `watched_rss` and `processes` are
+    // reviewed.
+    (
+        "growth_bindings",
+        "crates/core/src/round.rs",
+        "unbounded-growth",
+        &[5, 6, 9],
     ),
     // The raw string's interior quote must not swallow the test mod or
     // the violation after it.

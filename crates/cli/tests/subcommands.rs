@@ -330,13 +330,20 @@ fn allocation(tag: &str, commands: [&[&str]; 2]) -> Option<(Output, Vec<Option<i
                 .expect("spawn a wrapper")
         })
         .collect();
+    // A wrapper still running a minute on is hung: killed, it reads as
+    // no exit code, so the test fails instead of hanging.
     let codes = wrappers
         .into_iter()
-        .map(|w| {
-            w.wait_with_output()
-                .expect("wait for a wrapper")
-                .status
-                .code()
+        .map(|mut w| {
+            for _ in 0..3_000 {
+                if let Some(status) = w.try_wait().expect("wait for a wrapper") {
+                    return status.code();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            let _ = w.kill();
+            let _ = w.wait();
+            None
         })
         .collect();
     let out = collect

@@ -40,7 +40,6 @@ pub mod config;
 pub mod contention;
 pub mod evaluator;
 pub mod export;
-pub mod feed;
 pub mod gpu_link;
 pub mod health;
 pub mod heartbeat;
@@ -60,7 +59,6 @@ pub use cluster::{ClusterMonitor, NodeAggregate, NodeState, NodeSupervision, Sup
 pub use config::{MonitorCost, ZeroSumConfig};
 pub use contention::{analyze, ContentionReport};
 pub use evaluator::{evaluate, evaluate_gpu_memory, render_findings, Finding, Severity};
-pub use feed::{LwpSnapshot, ProcessSnapshot, SampleFeed, SampleSnapshot};
 pub use gpu_link::{GpuStack, SimGpuLink};
 pub use health::{HealthLedger, ProcessHealth, TaskFailState};
 pub use heartbeat::{Liveness, ProgressTracker};

@@ -271,9 +271,6 @@ pub struct Monitor {
     pub(crate) pending_backoff_us: u64,
     /// Time of the last sample, seconds.
     pub last_t_s: f64,
-    /// Live snapshot feed (§3.6): subscribers receive a
-    /// [`crate::feed::SampleSnapshot`] after every sample.
-    pub feed: crate::feed::SampleFeed,
     /// Reusable records of a round — the sampling hot path allocates
     /// nothing in the steady state.
     pub(crate) scratch: SampleScratch,
@@ -311,7 +308,6 @@ impl Monitor {
             governor: GovernorState::new(period_us),
             pending_backoff_us: 0,
             last_t_s: 0.0,
-            feed: crate::feed::SampleFeed::new(),
             scratch: SampleScratch::default(),
             unfollowed: None,
         }
@@ -826,10 +822,6 @@ pub(crate) mod oracle {
         }) {
             Ok(mi) => mon.mem.observe(t_s, &mi, &mon.scratch.watched_rss),
             Err(_) => mon.stats.errors += 1,
-        }
-        if mon.feed.subscriber_count() > 0 {
-            let snap = crate::feed::snapshot_of(mon);
-            mon.feed.publish(snap);
         }
     }
 }

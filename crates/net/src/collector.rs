@@ -299,8 +299,8 @@ fn dispatch_frame(
             // Judge skew against the expected time of the round the
             // heartbeat *claims*, so network delay is not skew.
             let expected = round as f64 * period_s;
-            match conn.hostname.clone() {
-                Some(host) => supervision.heartbeat_at(&host, t_s, expected),
+            match &conn.hostname {
+                Some(host) => supervision.heartbeat_at(host, t_s, expected),
                 None => stats.orphan_frames += 1,
             }
         }

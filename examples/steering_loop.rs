@@ -1,5 +1,5 @@
 //! Adaptation / computational steering (§2 "Adaptation" and §3.6):
-//! consume ZeroSum's live snapshot feed and make a decision from it.
+//! read the monitor after every sampling round and make a decision from it.
 //!
 //! Here the "steering controller" watches per-thread utilization and
 //! detects, mid-run, that the team lost half of its parallelism (threads
@@ -11,6 +11,7 @@
 //! ```
 
 use zerosum::prelude::*;
+use zerosum::procfs::Tid;
 use zerosum_core::LwpKind;
 
 fn main() {
@@ -47,46 +48,37 @@ fn main() {
         gpus: vec![],
         cpus_allowed: mask,
     });
-    let feed = monitor.feed.subscribe(256);
     attach_monitor_threads(&mut sim, &monitor);
-    let out = run_monitored(&mut sim, &mut monitor, None, 120_000_000);
-    let snapshots: Vec<_> = feed.try_iter().collect();
-    println!(
-        "run finished in {:.2}s (virtual), {} snapshots streamed\n",
-        out.duration_s,
-        snapshots.len()
-    );
 
-    // The steering consumer: per snapshot, how many team threads are
-    // still burning CPU?
-    let mut prev: Option<Vec<(u32, u64)>> = None;
+    // A sampling loop of its own in place of `run_monitored`: the
+    // controller reads the monitor between rounds, as a live session's
+    // `on_sample` callback does.
+    let start_us = sim.now_us();
+    let mut prev: Option<Vec<(Tid, u64)>> = None;
     let mut team_size = 0usize;
-    for snap in snapshots {
-        let team: Vec<(u32, u64)> = snap.processes[0]
-            .lwps
-            .iter()
-            .filter(|l| matches!(l.kind, LwpKind::Main | LwpKind::OpenMp))
-            .map(|l| (l.tid, l.utime + l.stime))
-            .collect();
+    let mut done = false;
+    while !done && sim.now_us() - start_us < 120_000_000 {
+        done = sim.run_until_apps_done(monitor.config.period_us).is_some();
+        let t_s = (sim.now_us() - start_us) as f64 / 1e6;
+        monitor.sample(t_s, &SimProcSource::new(&sim));
+
+        // The steering controller: how many team threads are still
+        // burning CPU?
+        let team = team_cpu(&monitor);
         team_size = team_size.max(team.len());
         if let Some(prev) = &prev {
             // A thread is active if it is still present and burned CPU
-            // since the previous snapshot; exited threads left the task
-            // list entirely.
+            // since the previous round; exited threads left the team.
             let active = team
                 .iter()
                 .filter(|(tid, cpu)| {
                     prev.iter()
                         .find(|(ptid, _)| ptid == tid)
-                        .map(|(_, pcpu)| cpu > pcpu)
-                        .unwrap_or(true)
+                        .is_none_or(|(_, pcpu)| cpu > pcpu)
                 })
                 .count();
             println!(
-                "t={:>5.1}s  team threads still active: {}/{}{}",
-                snap.t_s,
-                active,
-                team_size,
+                "t={t_s:>5.1}s  team threads still active: {active}/{team_size}{}",
                 if active * 2 <= team_size && active > 0 {
                     "   <-- steering signal: rebalance walkers"
                 } else {
@@ -96,4 +88,18 @@ fn main() {
         }
         prev = Some(team);
     }
+    println!(
+        "\nrun finished in {:.2}s (virtual), {} rounds sampled",
+        (sim.now_us() - start_us) as f64 / 1e6,
+        monitor.stats.rounds
+    );
+}
+
+/// Cumulative CPU jiffies of every live main/OpenMP thread of the first
+/// watch, from the latest sample of its track.
+fn team_cpu(monitor: &Monitor) -> Vec<(Tid, u64)> {
+    let tracks = monitor.processes()[0].lwps.tracks();
+    let team = tracks.filter(|t| !t.exited && matches!(t.kind, LwpKind::Main | LwpKind::OpenMp));
+    team.filter_map(|t| t.last().map(|s| (t.tid, s.utime + s.stime)))
+        .collect()
 }

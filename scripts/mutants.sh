@@ -56,7 +56,7 @@ cd "$work/src"
 
 # name ~ file ~ perl substitution (applied with -0, so \n matches) ~ bug class
 mutants=(
-'feed-unused-receiver~crates/core/src/feed.rs~s/(self\.subscribers\.push\(tx\);\n\s+)rx\n/$1sync_channel(1).1\n/~a `sync_channel` receiver bound and never used (the subscriber gets a dead one)'
+'agent-receiver-dropped~crates/cli/src/lib.rs~s/agent_thread\(a, rx, /agent_thread(a, sync_channel(1).1, /~a `sync_channel` receiver bound and never used (the wrapper'"'"'s agent thread gets a dead one and returns at once: no round and no aggregate reach the collector)'
 'sleep-in-pump-frames~crates/net/src/collector.rs~s/(let period_s = self\.cfg\.period_s;)/std::thread::sleep(std::time::Duration::from_micros(50)); $1/~`thread::sleep` in `Collector::pump_frames`'
 'sleep-in-run-batch~crates/core/src/round.rs~s/(\) -> Outcome \{)/$1 std::thread::sleep(std::time::Duration::from_micros(50));/~`thread::sleep` inside the sampling round (`read_task`)'
 'sched-double-dispatch~crates/sched/src/node.rs~s/let id = self\.cpus\[dpos\]\.runqueue\.remove\(rq_idx\)\.expect\("steal idx"\);/let id = *self.cpus[dpos].runqueue.get(rq_idx).expect("steal idx");/~a stolen task stays on the donor runqueue: dispatched while already running'
@@ -67,7 +67,7 @@ mutants=(
 'utime-stime-swapped~crates/core/src/lwp.rs~s/self\.delta_per_period\(\|s\| s\.stime\)/self.delta_per_period(|s| s.utime)/~the `stime` column computed from `utime` deltas'
 'starttime-check-dropped~crates/core/src/lwp.rs~s/if old\.starttime != stat\.starttime \{/if old.starttime > stat.starttime {/~the pid-reuse guard never fires (a recycled tid always starts later)'
 'tick-flush-skipped~crates/net/src/tcp.rs~s/fn tick\(&mut self\) \{\n\s+self\.flush\(\);\n\s+\}/fn tick(&mut self) {}/~`TcpLink::tick` no longer flushes what the tick queued'
-'wire-skew-ignored~crates/net/src/collector.rs~s/heartbeat_at\(&host, t_s, expected\)/heartbeat_at(&host, { let _ = t_s; expected }, expected)/~the collector judges each heartbeat by the expected time instead of the `t_s` it reports: a skewed node is never flagged'
+'wire-skew-ignored~crates/net/src/collector.rs~s/heartbeat_at\(host, t_s, expected\)/heartbeat_at(host, { let _ = t_s; expected }, expected)/~the collector judges each heartbeat by the expected time instead of the `t_s` it reports: a skewed node is never flagged'
 'aggregate-folded-twice~crates/core/src/cluster.rs~s/(pub fn aggregates\(&self\) -> Vec<NodeAggregate> \{\n\s+self\.nodes\n\s+\.iter\(\))/$1.chain(self.nodes.first())/~the first node is aggregated twice into the allocation view'
 'degraded-flag-lost~crates/core/src/health.rs~s/Some\(_\) => ledger\.degraded \+= 1,/Some(_) => {}/~an interpolated sample is not counted `degraded`'
 'alloc-in-round~crates/core/src/round.rs~s/(let shed = round_begin\(mon, t_s, src\);)/let _why = format!("round at {t_s}"); $1/~an allocation in `round::round`, every round'
