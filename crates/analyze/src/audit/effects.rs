@@ -32,8 +32,8 @@
 //!   waiting on. File IO and `/proc` reads are not effects here: they
 //!   *are* the measured work of a sampling round, and stalls there are
 //!   the watchdog's own job. No lock is left to hold across anything —
-//!   naming one in product code is the `lock-in-product` repo rule
-//!   ([`super::rules`]).
+//!   naming one in product code is a clippy `disallowed_types` finding
+//!   (the root `clippy.toml`).
 //!
 //! Reachability is one breadth-first walk per pass, so recursive and
 //! mutually recursive functions need no fixpoint, and any *new*
@@ -237,7 +237,7 @@ pub const PASSES: [Pass<'static>; 4] = [PANIC_REACHABLE, HOT_PATH_ALLOC, NONDETE
 /// `(file_suffix, fn, token, why)`. Every entry is either an error /
 /// fallback path that never runs on a healthy sample round, or a
 /// deliberate cache in the chaos-injection layer.
-pub const ALLOC_ALLOWLIST: [Allow; 28] = [
+pub const ALLOC_ALLOWLIST: [Allow; 25] = [
     // FaultInjector keeps a last-good clone of each view so chaos
     // decisions can serve stale data (§ fault model); the cache *is*
     // the feature, and the injector wraps sources only in drills.
@@ -324,27 +324,6 @@ pub const ALLOC_ALLOWLIST: [Allow; 28] = [
         "list_tasks",
         "Vec::new",
         "owning fallback, cold callers only",
-    ),
-    // The memory drill's synthetic node materializes fresh proc views
-    // per round by design — it models a remote node, not the in-process
-    // hot path.
-    (
-        "crates/analyze/src/memory_drill.rs",
-        "list_tasks",
-        "vec!",
-        "sim materializes views",
-    ),
-    (
-        "crates/analyze/src/memory_drill.rs",
-        "task_stat",
-        "to_string",
-        "sim materializes views",
-    ),
-    (
-        "crates/analyze/src/memory_drill.rs",
-        "task_status",
-        "to_string",
-        "sim materializes views",
     ),
     // The round root: the parsers and the task read only allocate when
     // a read or parse fails — message formatting off the healthy path.

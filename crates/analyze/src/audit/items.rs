@@ -1,5 +1,5 @@
 //! A lightweight item parser: recovers `fn` items, their bodies, and
-//! their call/panic/lock sites from the token stream.
+//! their call and panic sites from the token stream.
 //!
 //! This is *not* a Rust parser. It tracks exactly enough structure for
 //! the interprocedural passes:
@@ -7,7 +7,6 @@
 //! * function items with name, enclosing `impl` type, body token
 //!   range, and whether they are test code (`#[test]` or inside a
 //!   `#[cfg(test)]` module);
-//! * the token ranges of test code, items outside functions included;
 //! * call expressions inside bodies (`name(…)`, `path::name(…)`,
 //!   `.name(…)` — resolved later by bare name);
 //! * macro invocations (`name!…`);
@@ -61,9 +60,6 @@ pub struct ParsedFile {
     pub tokens: Vec<Token>,
     /// Recovered function items, in source order.
     pub fns: Vec<FnItem>,
-    /// Token ranges of test code: `#[cfg(test)]` modules and `impl`s,
-    /// `#[test]` functions, and other items gated on `test`.
-    pub test_ranges: Vec<Range<usize>>,
 }
 
 impl ParsedFile {
@@ -86,11 +82,6 @@ impl ParsedFile {
             .get(i)
             .map(|t| t.kind == TokKind::Punct(c))
             .unwrap_or(false)
-    }
-
-    /// Whether token `i` is test code.
-    pub fn in_test(&self, i: usize) -> bool {
-        self.test_ranges.iter().any(|r| r.contains(&i))
     }
 
     /// Line of token `i`.
@@ -148,7 +139,6 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
         src: src.to_string(),
         tokens,
         fns: Vec::new(),
-        test_ranges: Vec::new(),
     };
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending_test = false; // #[test] / #[cfg(test)] seen for next item
@@ -186,9 +176,6 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
             if pf.is_punct(j, '{') {
                 let close = pf.matching_brace(j);
                 let outer_test = scopes.last().map(|s| s.is_test).unwrap_or(false);
-                if pending_test && !outer_test {
-                    pf.test_ranges.push(i..close + 1);
-                }
                 scopes.push(Scope {
                     close,
                     is_test: pending_test || outer_test,
@@ -205,9 +192,6 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
             let in_test = pending_test || outer_test;
             pending_test = false;
             if let Some((item, next)) = parse_fn(&pf, i, in_test, &scopes) {
-                if in_test && !outer_test {
-                    pf.test_ranges.push(i..item.body.end + 1);
-                }
                 pf.fns.push(item);
                 i = next;
                 continue;
@@ -220,9 +204,6 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
             // A gated `impl` gates its whole body, as a gated `mod` does.
             let gated = pending_impl.is_some() && std::mem::take(&mut pending_test);
             let outer_test = scopes.last().map(|s| s.is_test).unwrap_or(false);
-            if gated && !outer_test {
-                pf.test_ranges.push(i..close + 1);
-            }
             scopes.push(Scope {
                 close,
                 is_test: gated || outer_test,
@@ -236,7 +217,6 @@ pub fn parse_file(file: &str, src: &str) -> ParsedFile {
         }
         if pending_test && starts_item(&pf, i) {
             pending_test = false;
-            pf.test_ranges.push(i..item_end(&pf, i) + 1);
         }
         i += 1;
     }
@@ -249,19 +229,6 @@ fn starts_item(pf: &ParsedFile, i: usize) -> bool {
     ["use", "static", "const", "struct", "enum", "type", "trait"]
         .iter()
         .any(|k| pf.is_ident(i, k))
-}
-
-/// The last token of the non-fn item starting at token `i`: its `;`,
-/// or the `}` closing its first brace group.
-fn item_end(pf: &ParsedFile, i: usize) -> usize {
-    let mut j = i;
-    while j < pf.tokens.len() && !pf.is_punct(j, ';') {
-        if pf.is_punct(j, '{') {
-            return pf.matching_brace(j);
-        }
-        j += 1;
-    }
-    j
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,12 +6,13 @@
 //! the reachability passes, one table of rows ([`effects`]: panic
 //! reach, hot-path allocation, determinism, blocking under the
 //! watchdog's roots) and the repo rules ([`rules`]: source-error-bubble,
-//! unbounded-growth, lock-in-product — no product code names a lock, so
-//! no held range exists to check). What `rustc` proves — one writer and
+//! unbounded-growth). What `rustc` proves — one writer and
 //! one reader per `ShardRing`, no data race, no use of a moved endpoint
 //! — is not re-proved here: every crate is `#![forbid(unsafe_code)]`.
 //! Nor is what clippy holds: no print in library code (`print_stdout`
-//! and `print_stderr` are denied at every library crate root).
+//! and `print_stderr` are denied at every library crate root) and no
+//! lock in product code (`disallowed_types` in the root `clippy.toml`),
+//! so no held range exists to check.
 //! See DESIGN.md §10–§11 for the analysis model and its deliberate
 //! over-approximations.
 //!
@@ -339,10 +340,9 @@ fn sort_findings(findings: &mut Vec<Finding>) {
 /// `unresolved-root` finding too.
 pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
     let mut report = audit_sources_cfg(sources, &effects::PASSES, &rules::GROWTH_ALLOWLIST);
-    let lists: [(&str, &[&str]); 3] = [
+    let lists: [(&str, &[&str]); 2] = [
         ("round file", &rules::ROUND_FILES),
         ("monitor-state file", &rules::MONITOR_STATE_FILES),
-        ("lock file", &rules::LOCK_FILES),
     ];
     for (list, files) in lists {
         for file in files {
@@ -434,7 +434,6 @@ mod tests {
         let sources = src(&[(
             "crates/x/src/a.rs",
             "\
-static GATE: Mutex<u8> = Mutex::new(0);
 fn root(v: Option<u32>) {
     v.unwrap();
 }
@@ -448,11 +447,10 @@ fn root(v: Option<u32>) {
         let r = audit_sources_cfg(&sources, &panics, &[]);
         assert!(!r.clean());
         let text = r.render();
-        assert!(text.contains("[lock-in-product]"), "{text}");
         assert!(text.contains("[panic-reachable]"), "{text}");
         assert!(!text.contains("locks"), "{text}");
         let json = r.to_json();
-        assert!(json.contains("\"token\": \"Mutex\""), "{json}");
+        assert!(json.contains("\"token\": \"unwrap\""), "{json}");
         assert!(!json.contains("acquisitions"), "{json}");
     }
 
@@ -474,8 +472,7 @@ fn root(v: Option<u32>) {
             .filter(|r| matches!(r, effects::Root::Path(_)))
             .count()
             + rules::ROUND_FILES.len()
-            + rules::MONITOR_STATE_FILES.len()
-            + rules::LOCK_FILES.len();
+            + rules::MONITOR_STATE_FILES.len();
         // monitor.rs sits on all three lists.
         assert_eq!(files.len(), listed - 3, "{files:?}");
     }

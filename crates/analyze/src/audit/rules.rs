@@ -1,9 +1,10 @@
-//! The repo rules: three token-shape checks, each a project constraint
+//! The repo rules: two token-shape checks, each a project constraint
 //! `clippy` cannot express, run over the token streams the call graph
 //! already holds (so test code is out of scope by the same
 //! `#[cfg(test)]` tracking every other pass uses). No print in library
 //! code is clippy's (`print_stdout` / `print_stderr`, denied at every
-//! library crate root).
+//! library crate root), and so is no lock in product code
+//! (`disallowed_types` in the root `clippy.toml`).
 //!
 //! * **source-error-bubble** — a [`PROC_READS`] call whose error a `?`
 //!   carries out of a function of the sampling round. A failed `/proc`
@@ -21,13 +22,6 @@
 //!   `&mut Vec<…>` parameter or binds it by destructuring a struct
 //!   (`let Monitor { processes, .. } = mon`); any other is a local —
 //!   per-round scratch.
-//! * **lock-in-product** — a [`LOCK_TYPES`] name anywhere in non-test
-//!   code outside a `use` declaration, item-level `static`s included.
-//!   The monitor thread owns what it samples and the abnormal exit is
-//!   reported by whoever owns the monitor, so no product state is shared
-//!   behind a lock, and a lock that does not exist cannot be held across
-//!   a `/proc` read, a send, or another lock. Only the frozen
-//!   benchmark's adapters (`LOCK_FILES`) still name one.
 
 use super::callgraph::{CallGraph, FnNode, Site, SiteKind};
 use super::items::{FnItem, ParsedFile};
@@ -56,17 +50,6 @@ pub const PROC_READS: [&str; 14] = [
 /// The sampling round's files, where a read error may not bubble.
 pub(super) const ROUND_FILES: [&str; 2] =
     ["crates/core/src/monitor.rs", "crates/core/src/round.rs"];
-
-/// The lock types product code may not name.
-pub const LOCK_TYPES: [&str; 5] = ["Mutex", "RwLock", "Condvar", "TrackedRw", "MutexSlot"];
-
-/// The files that still name a lock type: the adapters the frozen
-/// benchmark compiles against, deleted with them.
-pub(super) const LOCK_FILES: [&str; 3] = [
-    "crates/core/src/sync.rs",
-    "crates/core/src/shard.rs",
-    "crates/stats/src/shard_ring.rs",
-];
 
 /// Files holding state that lives as long as the monitor itself.
 pub(super) const MONITOR_STATE_FILES: [&str; 6] = [
@@ -306,51 +289,9 @@ fn in_closure_arg(pf: &ParsedFile, open: usize, site: usize) -> bool {
     pf.is_punct(arg, '|') || pf.is_ident(arg, "move")
 }
 
-/// Every token of `pf` naming a lock type in non-test code outside a
-/// `use` declaration (`use` is a keyword: it opens nothing else).
-fn lock_names(pf: &ParsedFile) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut in_use = false;
-    for t in 0..pf.tokens.len() {
-        if pf.is_ident(t, "use") {
-            in_use = true;
-        } else if in_use {
-            in_use = !pf.is_punct(t, ';');
-        } else if pf.tokens[t].kind == TokKind::Ident
-            && LOCK_TYPES.contains(&pf.text(t))
-            && !pf.in_test(t)
-        {
-            out.push(t);
-        }
-    }
-    out
-}
-
-/// Runs the three rules over every non-test function and item.
+/// Runs the two rules over every non-test function and item.
 pub fn analyze_rules(graph: &CallGraph, growth_allowlist: &[Allow]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for pf in graph
-        .files
-        .iter()
-        .filter(|pf| !LOCK_FILES.contains(&pf.file.as_str()))
-    {
-        for t in lock_names(pf) {
-            let name = pf.text(t);
-            let func = pf.fns.iter().find(|f| f.body.contains(&t));
-            findings.push(Finding {
-                pass: "lock-in-product",
-                file: pf.file.clone(),
-                line: pf.tokens[t].line,
-                func: func.map(|f| f.name.clone()).unwrap_or_default(),
-                token: name.to_string(),
-                detail: format!(
-                    "`{name}` in product code: the thread that owns a state is the only one \
-                     that touches it, so nothing is shared behind a lock"
-                ),
-                witness: Vec::new(),
-            });
-        }
-    }
     let mut growth = Allowlist::new("unbounded-growth", growth_allowlist);
     for node in &graph.fns {
         let file = node.item.file.as_str();
@@ -415,40 +356,6 @@ mod tests {
     use super::*;
     use crate::audit::{find_workspace_root, items};
     use std::path::Path;
-
-    fn lock_lines(file: &str, src: &str) -> Vec<(usize, String)> {
-        let graph = CallGraph::build(vec![items::parse_file(file, src)]);
-        analyze_rules(&graph, &[])
-            .into_iter()
-            .filter(|f| f.pass == "lock-in-product")
-            .map(|f| (f.line, f.func))
-            .collect()
-    }
-
-    /// Test code in every gated shape, and `use` groups however nested,
-    /// name locks freely; the product items between them do not.
-    #[test]
-    fn a_lock_type_is_a_finding_outside_use_declarations_and_test_code() {
-        let src = "\
-use std::sync::{atomic::{AtomicBool, Ordering}, Mutex};
-pub struct Shared { table: RwLock<u32> }
-#[test]
-fn unit() { let m = Mutex::new(0); }
-#[cfg(test)]
-static SEEN: Mutex<u8> = Mutex::new(0);
-#[cfg(test)]
-impl Probe { fn hold(&self) -> Condvar { Condvar::new() } }
-fn wait() { let pair: (MutexSlot<u8>, u8); }
-#[cfg(test)]
-mod tests {
-    use super::*;
-    static T: TrackedRw<u8> = TrackedRw::new(\"t\", 0);
-}
-";
-        let want = [(2, String::new()), (9, "wait".to_string())];
-        assert_eq!(lock_lines("crates/core/src/attach.rs", src), want);
-        assert!(lock_lines("crates/core/src/sync.rs", src).is_empty());
-    }
 
     #[test]
     fn proc_reads_are_the_trait_methods() {

@@ -28,7 +28,7 @@
 
 use crate::verdict::{guarded, seeded_suite, Verdict};
 use zerosum_apps::churn::ChurnConfig;
-use zerosum_experiments::churn::{run_sim_churn, SimChurnOutcome, SimChurnParams};
+use zerosum_experiments::churn::{run_sim_churn, SimChurnOutcome, SimChurnParams, WATCH_SLOTS};
 use zerosum_proc::SourceErrorKind;
 
 /// The arrival rates the suite cycles through, Hz. The high point is
@@ -110,8 +110,7 @@ pub fn judge_churn_run(v: &mut Verdict, p: &SimChurnParams, out: &SimChurnOutcom
     // Property 4: footprint proportional to live tasks + the exited
     // cap, not to cumulative arrivals. The factor covers the three
     // per-watch structures (tracks, health states, delta gate).
-    let slots = (p.thread_slots + p.reuse_slots) as usize;
-    let bound = 4 * (out.peak_live_tasks + slots * p.max_exited_tracks) + 64;
+    let bound = 4 * (out.peak_live_tasks + WATCH_SLOTS * p.max_exited_tracks) + 64;
     if out.peak_footprint > bound {
         problems.push(format!(
             "peak footprint {} exceeds churn-proportional bound {bound}",
@@ -166,8 +165,8 @@ fn churn_cells(
 /// The deterministic schedule-`i` parameters of the suite: arrival
 /// rates cycle through [`SUITE_RATES_HZ`], vanish moduli through
 /// [`SUITE_VANISH_MODS`] (phase-shifted so the pairings rotate), and
-/// every fifth schedule ramps with the per-task cost raised enough to
-/// overload the governor's budget.
+/// every fifth schedule ramps (the driver raises the per-task cost of a
+/// ramp enough to overload the governor's budget).
 pub fn suite_params(i: usize, seed: u64) -> SimChurnParams {
     let ramp = i % 5 == 4;
     SimChurnParams {
@@ -178,7 +177,6 @@ pub fn suite_params(i: usize, seed: u64) -> SimChurnParams {
             ..ChurnConfig::default()
         },
         vanish_mod: SUITE_VANISH_MODS[(i / SUITE_RATES_HZ.len()) % SUITE_VANISH_MODS.len()],
-        per_task_cost_us: if ramp { 120 } else { 5 },
         ..SimChurnParams::default()
     }
 }
@@ -239,7 +237,7 @@ mod tests {
     #[test]
     fn small_suite_is_clean_and_covers_the_grid() {
         // 6 schedules cover all three rates, two vanish moduli, and one
-        // ramp; CI runs the full 20.
+        // ramp; the test below runs the full 20.
         let reports = run_churn_suite(6, 0xC0FE);
         assert_eq!(reports.len(), 7, "6 schedules + the repro witness");
         for r in &reports {
@@ -275,6 +273,18 @@ mod tests {
             first.cells.rsplit("fp=").next(),
             "same fingerprint as schedule 0"
         );
+    }
+
+    /// The soak's published set, the schedules `zerosum churn
+    /// --schedules 20 --seed 50377` runs: every one clean, the repro
+    /// witness included.
+    #[test]
+    fn churn_soak_at_seed_50377_is_clean() {
+        let reports = run_churn_suite(20, 50377);
+        assert_eq!(reports.len(), 21, "20 schedules + the repro witness");
+        for r in &reports {
+            assert!(r.passed(), "{}", r.render());
+        }
     }
 
     #[test]

@@ -36,12 +36,9 @@
 //!   kills) over the deterministic in-process backend — honest
 //!   `DEGRADED (k/n nodes)`, `DEAD` and `SKEWED` markers, survivor
 //!   aggregates delivered bit-identical to the fault-free run.
-//! * **Bounded memory** ([`memory_drill`]) — series storage stays
-//!   constant over million-round runs.
 //!
 //! Every seeded judge returns the one [`Verdict`] (module [`verdict`]),
-//! which also holds the seed fan-out, the panic guard and the section
-//! the drills print through.
+//! which also holds the seed fan-out and the panic guard.
 //!
 //! Entry points: the `zerosum` subcommands `analyze`, `chaos`,
 //! `cluster-chaos`, `churn` and `audit`.
@@ -53,7 +50,6 @@ pub mod audit;
 pub mod chaos;
 pub mod churn_chaos;
 pub mod invariants;
-pub mod memory_drill;
 pub mod scenarios;
 pub mod transport_chaos;
 pub mod verdict;
@@ -62,7 +58,6 @@ pub use audit::{audit_sources, audit_workspace, find_workspace_root, AuditReport
 pub use chaos::{realistic_plan, run_suite};
 pub use churn_chaos::{judge_churn_run, run_churn_suite, suite_params};
 pub use invariants::{check_invariants, InvariantKind, Violation};
-pub use memory_drill::bounded_memory_drill;
 pub use scenarios::{check_comm_matrix, check_trace, run_scenarios, SCENARIOS};
 pub use transport_chaos::{judge_transport_run, run_transport_suite};
-pub use verdict::{drill_section, render_suite, Verdict};
+pub use verdict::{render_suite, Verdict};

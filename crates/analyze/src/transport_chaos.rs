@@ -273,6 +273,18 @@ mod tests {
         }
     }
 
+    /// The soak's published set, the plans `zerosum cluster-chaos
+    /// --nodes 4 --rounds 24 --schedules 20 --seed 41248` runs: every
+    /// one clean.
+    #[test]
+    fn transport_soak_at_seed_41248_all_pass() {
+        let reports = run_transport_suite(4, 24, 20, 41248);
+        assert_eq!(reports.len(), 20);
+        for r in &reports {
+            assert!(r.passed(), "{}", r.render());
+        }
+    }
+
     #[test]
     fn quorum_markers_must_match_the_quorum() {
         let full = "LIVE: 2/2 node(s)".to_string();

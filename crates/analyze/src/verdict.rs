@@ -1,6 +1,5 @@
 //! The one verdict type every seeded judge fills in, and the harness
-//! around the judges: seed derivation and fan-out, the panic guard, and
-//! the `label: ok | problem…` section the drills print through.
+//! around the judges: seed derivation, fan-out and the panic guard.
 //!
 //! A judge owns its summary line: it formats whatever it measured into
 //! [`Verdict::cells`] and files the few counts the suites' non-vacuity
@@ -124,18 +123,6 @@ where
     )
 }
 
-/// The section a drill prints: `label: ok_text` when it found nothing,
-/// else one `label problem: …` line per finding.
-pub fn drill_section(label: &str, ok_text: &str, problems: &[String]) -> String {
-    if problems.is_empty() {
-        return format!("{label}: {ok_text}\n");
-    }
-    problems
-        .iter()
-        .map(|p| format!("{label} problem: {p}\n"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,17 +179,5 @@ mod tests {
         assert_eq!(vs[2].tally("index"), 2);
         assert_eq!(vs[0].tally("never filed"), 0);
         assert_eq!(render_suite(&vs).1, vs.iter().all(Verdict::passed));
-    }
-
-    #[test]
-    fn drill_section_is_ok_or_one_line_per_problem() {
-        assert_eq!(
-            drill_section("abnormal-exit drill", "ok (no torn files)", &[]),
-            "abnormal-exit drill: ok (no torn files)\n"
-        );
-        assert_eq!(
-            drill_section("churn", "clean", &["a".into(), "b".into()]),
-            "churn problem: a\nchurn problem: b\n"
-        );
     }
 }

@@ -156,13 +156,12 @@ pub static SUBCOMMANDS: [Command; 7] = [
     ),
     cmd(
         "cluster-chaos",
-        "seeded node + link fault plans over the wire; bounded-memory drill",
+        "seeded node + link fault plans over the wire",
         &[
             flag("--nodes", "N", USIZE, "4", "nodes in the allocation"),
             flag("--rounds", "N", U32, "24", "rounds to drive"),
             flag("--schedules", "N", USIZE, "20", "plans to run"),
             flag("--seed", "N", U64, "41232", SEED),
-            flag("--drill-rounds", "N", U64, "1000000", "memory drill rounds"),
         ],
     ),
     cmd(
@@ -456,10 +455,7 @@ mod tests {
             ),
             (4, 24, 20)
         );
-        assert_eq!(
-            (p.number::<u64>("--seed"), p.number::<u64>("--drill-rounds")),
-            (0xA110, 1_000_000)
-        );
+        assert_eq!(p.number::<u64>("--seed"), 0xA110);
         let p = of("churn");
         assert_eq!(
             (p.number::<usize>("--schedules"), p.number::<u64>("--seed")),

@@ -185,7 +185,7 @@ fn process_blocks(report: &str) -> Vec<(&str, usize)> {
 
 /// Probe P1 at the command line: the application a shell starts is in
 /// the report, a block of its own after the shell's, with both of its
-/// threads.
+/// threads; the shell, which ran nothing, is named by no finding.
 #[test]
 fn the_wrapper_follows_the_job_past_a_shell() {
     if !can_follow_children("wrapper follows the job") {
@@ -200,6 +200,9 @@ fn the_wrapper_follows_the_job_past_a_shell() {
     assert_eq!(blocks.len(), 2, "{text}");
     assert_eq!(blocks[0].1, 1, "the shell: {text}");
     assert_eq!(blocks[1].1, 2, "the application: {text}");
+    let shell = blocks[0].0.split_whitespace().nth(1).unwrap_or_default();
+    let named = format!("process {shell}:");
+    assert!(!text.contains(&named), "a finding names the shell: {text}");
 }
 
 /// The real fork and fork+exec storms, run as the wrapper's job: every

@@ -93,12 +93,6 @@ impl ZeroSumConfig {
         self
     }
 
-    /// Builder: sets the per-sample cost model.
-    pub fn with_cost(mut self, c: MonitorCost) -> Self {
-        self.cost = c;
-        self
-    }
-
     /// Builder: sets the time-series ring capacity.
     pub fn with_series_capacity(mut self, cap: usize) -> Self {
         self.series_capacity = cap;
@@ -147,13 +141,7 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = ZeroSumConfig::default()
-            .with_period_ms(250)
-            .with_cost(MonitorCost {
-                sys_us: 100,
-                user_us: 50,
-            });
+        let c = ZeroSumConfig::default().with_period_ms(250);
         assert_eq!(c.period_us, 250_000);
-        assert_eq!(c.cost.total_us(), 150);
     }
 }

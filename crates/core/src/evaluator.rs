@@ -200,6 +200,15 @@ impl Finding {
 /// Evaluates every monitored process against the rules.
 pub fn evaluate(monitor: &Monitor, topo: &Topology) -> Vec<Finding> {
     let mut findings = Vec::new();
+    // Every CPU some busy LWP may run on. A watch with no busy LWP (the
+    // shell of `sh -c "app; true"`) leaves those CPUs to the watch whose
+    // threads had them, so one job gets one idle-CPU warning.
+    let mut busy_masks = CpuSet::new();
+    for t in monitor.processes().iter().flat_map(|w| w.lwps.tracks()) {
+        if t.cpu_fraction() >= contention::BUSY_CPU_FRACTION {
+            busy_masks.union_with(&t.affinity);
+        }
+    }
     for w in monitor.processes() {
         let pid = w.info.pid;
         let Some(rep) = contention::analyze(monitor, pid) else {
@@ -230,6 +239,9 @@ pub fn evaluate(monitor: &Monitor, topo: &Topology) -> Vec<Finding> {
                     idle_cpus.set(cpu);
                 }
             }
+        }
+        if !rep.lwps.iter().any(|l| l.busy) {
+            idle_cpus.subtract(&busy_masks);
         }
         if !idle_cpus.is_empty() && rep.oversubscription <= 1.0 {
             findings.push(Finding::UnderutilizedCpus {
@@ -437,6 +449,43 @@ mod tests {
             )),
             "findings: {findings:?}"
         );
+    }
+
+    #[test]
+    fn a_watch_without_busy_threads_leaves_shared_idle_cpus_to_the_busy_one() {
+        // `sh -c "app; true"`: the shell sleeps, the app computes on one
+        // of the two CPUs both masks allow, and the other stays idle.
+        let topo = presets::frontier();
+        let mut sim = NodeSim::new(topo.clone(), SchedParams::default());
+        let mask = CpuSet::parse_list("1-2").unwrap();
+        let shell = sim.spawn_process("sh", mask.clone(), 1_024, Behavior::Sleeper);
+        let compute = Behavior::FiniteCompute {
+            remaining_us: 5_000_000,
+            chunk_us: 10_000,
+        };
+        let app = sim.spawn_process("app", mask, 1_024, compute);
+        let mut mon = Monitor::new(ZeroSumConfig::default());
+        for pid in [shell, app] {
+            mon.watch_process(ProcessInfo {
+                pid,
+                rank: None,
+                hostname: "n".into(),
+                gpus: vec![],
+                cpus_allowed: Default::default(),
+            });
+        }
+        for i in 1..=4u64 {
+            sim.run_for(1_000_000);
+            mon.sample(i as f64, &SimProcSource::new(&sim));
+        }
+        let idle: Vec<Pid> = evaluate(&mon, &topo)
+            .into_iter()
+            .filter_map(|f| match f {
+                Finding::UnderutilizedCpus { pid, .. } => Some(pid),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(idle, [app]);
     }
 
     #[test]

@@ -71,4 +71,8 @@ pub use runner::{
     attach_monitor_threads, run_baseline, run_monitored, run_monitored_faulty, RunOutcome,
 };
 pub use shard::{ShardMode, ShardSource, ShardedMonitor, SimShardSource};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the frozen benchmark's `sim_sharded_wide` imports `TrackedRw` from here"
+)]
 pub use sync::TrackedRw;

@@ -248,10 +248,13 @@ mod tests {
         let (mut sim, pid) = app_sim(10_000);
         // 50 ms/round: 5x the 1% budget at 1 Hz. The governor must walk
         // the period out to 8 s (budget 80 ms > cost) within 5 rounds.
-        let mut mon = Monitor::new(ZeroSumConfig::default().with_cost(MonitorCost {
-            sys_us: 35_000,
-            user_us: 15_000,
-        }));
+        let mut mon = Monitor::new(ZeroSumConfig {
+            cost: MonitorCost {
+                sys_us: 35_000,
+                user_us: 15_000,
+            },
+            ..ZeroSumConfig::default()
+        });
         mon.watch_process(ProcessInfo {
             pid,
             rank: None,
@@ -309,10 +312,13 @@ mod tests {
         let base = run_baseline(&mut base_sim, 120_000_000).unwrap();
         let (mut mon_sim, pid) = mk();
         // The process mask is one HWT: the monitor thread shares it.
-        let mut mon = Monitor::new(ZeroSumConfig::default().with_cost(MonitorCost {
-            sys_us: 35_000,
-            user_us: 15_000,
-        }));
+        let mut mon = Monitor::new(ZeroSumConfig {
+            cost: MonitorCost {
+                sys_us: 35_000,
+                user_us: 15_000,
+            },
+            ..ZeroSumConfig::default()
+        });
         mon.watch_process(ProcessInfo {
             pid,
             rank: None,

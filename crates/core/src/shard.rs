@@ -5,6 +5,10 @@
 //! [`ShardedMonitor`] ignores its shard count and [`ShardMode`], and
 //! runs every round through one source handle. This module goes when
 //! `sim_sharded_wide` becomes a plain `Monitor::sample` workload.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the frozen benchmark's `sim_sharded_wide` hands its source a `TrackedRw`"
+)]
 
 use crate::monitor::Monitor;
 use crate::sync::TrackedRw;

@@ -5,9 +5,11 @@
 //! the frozen benchmark's `sim_sharded` workload imports it
 //! (`benchmark/src/workloads/sim_sharded.rs`), and `core::shard`'s
 //! source handle holds one. It leaves with `core::shard` (ROADMAP
-//! item 1). The audit keys every lock by its receiver, not by this
-//! name, and skips this file: the interior `inner.read()` /
-//! `inner.write()` would otherwise merge into one `inner` key.
+//! item 1).
+#![expect(
+    clippy::disallowed_types,
+    reason = "the frozen benchmark's `sim_sharded_wide` compiles against `TrackedRw`"
+)]
 
 use std::sync::{LockResult, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

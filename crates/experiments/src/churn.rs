@@ -34,6 +34,12 @@ use zerosum_topology::{presets, CpuSet};
 /// source's starttime quantization for the same-jiffy reuse guard.
 const US_PER_JIFFY: u64 = 1_000_000 / zerosum_proc::USER_HZ;
 
+/// Watched processes a soak registers: the first `WATCH_SLOTS -
+/// REUSE_SLOTS` are long-lived and receive thread churn, the others
+/// are cycled through pid reuse.
+pub const WATCH_SLOTS: usize = 5;
+const REUSE_SLOTS: usize = 2;
+
 /// Sim-backend knobs on top of the shared [`ChurnConfig`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimChurnParams {
@@ -42,13 +48,6 @@ pub struct SimChurnParams {
     /// When nonzero, wrap the source in [`ExitRace`] with this modulus
     /// (residue 0): listed worker tids in the class vanish on read.
     pub vanish_mod: u64,
-    /// Modeled monitor cost per live task per round, µs — what makes
-    /// the ramp actually overload the governor.
-    pub per_task_cost_us: u64,
-    /// Long-lived watched processes receiving thread churn.
-    pub thread_slots: u32,
-    /// Watched processes cycled through pid reuse.
-    pub reuse_slots: u32,
     /// `max_exited_tracks` for the monitor config: small enough that
     /// the soak proves compaction engages.
     pub max_exited_tracks: usize,
@@ -59,9 +58,6 @@ impl Default for SimChurnParams {
         SimChurnParams {
             churn: ChurnConfig::default(),
             vanish_mod: 0,
-            per_task_cost_us: 5,
-            thread_slots: 3,
-            reuse_slots: 2,
             max_exited_tracks: 128,
         }
     }
@@ -189,7 +185,7 @@ pub fn run_sim_churn(p: &SimChurnParams) -> SimChurnOutcome {
     // Fixed watch set: churn flows through these, the watch list itself
     // never grows (watches are operator registrations, not churn).
     let mut thread_pids = Vec::new();
-    for i in 0..p.thread_slots.max(1) {
+    for i in 0..WATCH_SLOTS - REUSE_SLOTS {
         let pid = sim.spawn_process(
             &format!("churn-slot{i}"),
             mask.clone(),
@@ -200,7 +196,7 @@ pub fn run_sim_churn(p: &SimChurnParams) -> SimChurnOutcome {
     }
     let mut reuse_pids = Vec::new();
     let mut incarnations: Vec<Incarnation> = Vec::new();
-    for i in 0..p.reuse_slots {
+    for i in 0..REUSE_SLOTS {
         let pid = sim.spawn_process(
             &format!("churn-reuse{i}"),
             mask.clone(),
@@ -277,6 +273,9 @@ pub fn run_sim_churn(p: &SimChurnParams) -> SimChurnOutcome {
     };
 
     let base_cost = mon.config.cost.total_us();
+    // Modeled monitor cost per live task per round, µs: a ramp's is
+    // what overloads the governor.
+    let per_task_cost_us = if cfg.ramp { 120 } else { 5 };
     let watched: Vec<Pid> = thread_pids.iter().chain(&reuse_pids).copied().collect();
     let mut sample_times = Vec::new();
     let mut listing = Vec::new(); // every watch's, every round
@@ -322,7 +321,7 @@ pub fn run_sim_churn(p: &SimChurnParams) -> SimChurnOutcome {
         if backoff > 0 {
             sim.run_for(backoff);
         }
-        mon.note_round_cost(t_s, base_cost + p.per_task_cost_us * live as u64 + backoff);
+        mon.note_round_cost(t_s, base_cost + per_task_cost_us * live as u64 + backoff);
         out.rounds += 1;
         out.task_samples += live as u64;
         out.peak_live_tasks = out.peak_live_tasks.max(live);
@@ -451,8 +450,7 @@ mod tests {
         let out = run_sim_churn(&p);
         // Cumulative incarnations far exceed what any round retains.
         assert!(out.spawned_tasks > 300, "{out:?}");
-        let slots = p.thread_slots as usize + p.reuse_slots as usize;
-        let bound = 4 * (out.peak_live_tasks + slots * p.max_exited_tracks) + 64;
+        let bound = 4 * (out.peak_live_tasks + WATCH_SLOTS * p.max_exited_tracks) + 64;
         assert!(
             out.peak_footprint <= bound,
             "footprint {} exceeds churn-proportional bound {bound}: {out:?}",
@@ -490,7 +488,6 @@ mod tests {
                 duration_us: 4_000_000,
                 ..ChurnConfig::default()
             },
-            per_task_cost_us: 120,
             ..SimChurnParams::default()
         });
         assert_eq!(out.supervisor_restarts, 0);

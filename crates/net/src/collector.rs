@@ -73,8 +73,6 @@ pub struct CollectorStats {
     pub details_rx: u64,
     /// Aggregate frames.
     pub aggregates_rx: u64,
-    /// Bye frames.
-    pub byes_rx: u64,
     /// Acks sent.
     pub acks_tx: u64,
     /// Acks the ack window refused (the agent retransmits).
@@ -315,9 +313,6 @@ fn dispatch_frame(
             supervision.finish(&agg.hostname);
             aggs.insert(agg.hostname.clone(), (round, agg));
             send_ack(conn, stats, round);
-        }
-        Frame::Bye => {
-            stats.byes_rx += 1;
         }
         // Acks are collector → node; one arriving here is just noise
         // from a confused peer, already counted in frames_rx.

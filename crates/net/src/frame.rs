@@ -60,7 +60,8 @@ mod tag {
     pub const LWP_DETAIL: u8 = 3;
     pub const AGGREGATE: u8 = 4;
     pub const ACK: u8 = 5;
-    pub const BYE: u8 = 6;
+    // 6 was `Bye`, a shutdown frame no agent sent (a node's aggregate is
+    // its last word): reserved, so an old peer's Bye is `UnknownTag`.
 }
 
 /// One protocol message.
@@ -108,8 +109,6 @@ pub enum Frame {
         /// 0 for Hello, else the acked aggregate round.
         round: u64,
     },
-    /// Node → collector: clean shutdown.
-    Bye,
 }
 
 impl Frame {
@@ -121,7 +120,6 @@ impl Frame {
             Frame::LwpDetail { .. } => "lwp-detail",
             Frame::Aggregate { .. } => "aggregate",
             Frame::Ack { .. } => "ack",
-            Frame::Bye => "bye",
         }
     }
 }
@@ -288,7 +286,6 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) -> Result<(), EncodeError>
             out.push(tag::ACK);
             out.extend_from_slice(&round.to_be_bytes());
         }
-        Frame::Bye => out.push(tag::BYE),
     }
     let payload_len = out.len() - start - LEN_PREFIX;
     // Payloads are bounded by the u16 string caps above, far below u32.
@@ -485,7 +482,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
         tag::ACK => Frame::Ack {
             round: r.u64("round")?,
         },
-        tag::BYE => Frame::Bye,
         other => return Err(DecodeError::UnknownTag { tag: other }),
     };
     if r.pos != payload.len() {
@@ -524,7 +520,6 @@ mod tests {
                 },
             },
             Frame::Ack { round: 24 },
-            Frame::Bye,
         ]
     }
 
@@ -577,13 +572,13 @@ mod tests {
 
     #[test]
     fn version_skew_and_bad_magic_are_typed() {
-        let mut bytes = frame_bytes(&Frame::Bye).unwrap();
+        let mut bytes = frame_bytes(&Frame::Ack { round: 1 }).unwrap();
         bytes[LEN_PREFIX + 2] = 0xEE; // version hi byte
         assert!(matches!(
             decode_frame(&bytes),
             Err(DecodeError::UnsupportedVersion { found: 0xEE01 })
         ));
-        let mut bytes = frame_bytes(&Frame::Bye).unwrap();
+        let mut bytes = frame_bytes(&Frame::Ack { round: 1 }).unwrap();
         bytes[LEN_PREFIX] = b'X';
         assert!(matches!(
             decode_frame(&bytes),

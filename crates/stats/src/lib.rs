@@ -20,6 +20,10 @@ pub mod ttest;
 
 pub use histogram::{quartiles, Histogram, Quartiles};
 pub use ring::{Ring, DEFAULT_SERIES_CAPACITY};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the frozen benchmark's replay imports `MutexSlot` from here"
+)]
 pub use shard_ring::{MutexSlot, ShardReader, ShardRing, ShardWriter, Slot};
 pub use summary::Summary;
 pub use timeseries::{SeriesBundle, TimeSeries};

@@ -23,6 +23,10 @@
 //!
 //! The slot cell is pluggable ([`Slot`]); [`MutexSlot`], a plain `std`
 //! mutex, is the one the benchmark replay uses.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the frozen benchmark's replay compiles against `MutexSlot`"
+)]
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -7,6 +7,12 @@
 # mutant it alone kills. A study, rerun at re-anchors; NOT a CI stage
 # (one mutant is two rebuilds and every suite: ~4 min here).
 #
+# Each row also names the MECHANISM behind its kills (MUTANTS.md §3):
+# `shipped_tree_audits_clean` (test fixtures) and `zerosum audit
+# --explain` (test subcommands) fail because an audit pass fired, so
+# when a pass fired and those are the only failed tests of their
+# binary, that binary's kill is the pass's and leaves the column.
+#
 #   scripts/mutants.sh [--tree DIR] [--out FILE] [--only NAME]...
 #                      [--stage 'NAME=COMMAND']... [--pass NAME]...
 #
@@ -89,6 +95,12 @@ mutants=(
 'growth-unreviewed~crates/core/src/round.rs~s/(w\.rss_series\.push\(\(t_s, status\.vm_rss_kib\)\);)/$1 w.info.gpus.push(0);/~a long-lived field pushed every round with no reviewed bound (`info.gpus` in the fold)'
 'descendant-not-followed~crates/core/src/round.rs~s/Ok\(\(\)\) => adopt\(processes, pid, &scratch\.children, config, src\),/Ok(()) => {}/~the list step drops the children the source named: the application a shell or launcher starts is never watched'
 'departed-pid-handles-kept~crates/procfs/src/linux.rs~s/(fn purge\(&mut self, pid: Pid\) \{)/$1 if pid != 0 { return; }/~`LinuxProc` keeps the slots of a pid whose listing said `NotFound`: a departed process'"'"'s handles stay open'
+'series-capacity-ignored~crates/core/src/monitor.rs~s/config\.series_capacity/zerosum_stats::DEFAULT_SERIES_CAPACITY/g~every series ring sized from `DEFAULT_SERIES_CAPACITY` instead of `config.series_capacity`'
+'jiffy-window-counts-samples~crates/core/src/lwp.rs~s/let span_s = last\.t_s - first\.t_s;/let span_s = last.t_s - first.t_s + self.period_s;/~an off-by-one in the jiffy window (`LwpTrack::delta_per_period`): the span counts samples, not the periods between them, so every per-period rate is diluted by n/(n+1)'
+'suspect-never-dead~crates/core/src/cluster.rs~s/if s\.missed >= DEAD_AFTER \{/if s.missed >= DEAD_AFTER \&\& s.state == NodeState::Alive {/~Suspect→Dead mis-ordered (`Supervision::end_round`): the Dead transition is taken only from Alive, and a silent node is Suspect first, so it is never declared Dead'
+'listing-reused-after-nlink-moved~crates/procfs/src/linux.rs~s/\.is_ok_and\(\|m\| m\.nlink\(\) == 2 \+ p\.tasks\.len\(\) as u64\)/.is_ok()/~`LinuxProc::list_tasks_into` answers from its slots after the task directory'"'"'s `nlink` moved: a thread that left with no birth on the node is listed still'
+'ack-tag-renumbered~crates/net/src/frame.rs~s/pub const ACK: u8 = 5;/pub const ACK: u8 = 6;/~a frame tag renumbered on both sides of the codec: a build round-trips with itself, and a peer of another build reads its Ack as the retired tag 6'
+'stat-processor-field-38~crates/procfs/src/parse.rs~s/10 \| 12 \| 14 \| 15 \| 20 \| 22 \| 36 \| 39 =>/10 | 12 | 14 | 15 | 20 | 22 | 36 | 38 =>/~the `stat` parser reads `processor` from field 38 (`exit_signal`) instead of 39'
 )
 
 # The command stages of scripts/ci.sh, at its arguments (the benchmark
@@ -109,30 +121,49 @@ bench_workloads() {
 }
 export -f bench_package bench_workloads
 stages=(
-    'cluster-chaos="$ZS" cluster-chaos --nodes 4 --rounds 24 --schedules 20 --seed 41248 --drill-rounds 1000000'
     'benchmark-package=bench_package'
-    'churn="$ZS" churn --schedules 20 --seed 50377'
     'benchmark=bench_workloads'
     "${extra_stages[@]}"
 )
 # The passes of `zerosum audit` (a clean tree names none of them).
 audit_passes=(panic-reachable hot-path-alloc nondeterminism blocking
-    source-error-bubble unbounded-growth lock-in-product stale-allowlist unresolved-root
+    source-error-bubble unbounded-growth stale-allowlist unresolved-root
     "${extra_passes[@]}")
 
 # The test binaries of a `cargo test` log, one `test <binary> (<file>)`
-# per line: every one it ran (`all=1`), or the ones that failed.
+# per line: every one it ran (`all`), the ones that failed (`failed`),
+# or the failed tests of the binary named by $3 (`tests`).
 test_binaries() {
-    awk -v all="$1" '
+    awk -v mode="$1" -v want="${3:-}" '
         /^ +Running / {
             match($0, /deps\/[A-Za-z0-9_]+-[0-9a-f]+\)$/)
             bin = substr($0, RSTART + 5, RLENGTH - 5); sub(/-[0-9a-f]+\)$/, "", bin)
             file = $0; sub(/^ +Running (unittests )?/, "", file); sub(/ \(.*$/, "", file)
-            cur = "test " bin " (" file ")"; if (all) print cur; next
+            cur = "test " bin " (" file ")"; if (mode == "all") print cur; next
         }
-        /^ +Doc-tests / { cur = "test doc " $2; if (all) print cur; next }
-        !all && (/^test result: FAILED/ || /^error: test failed/) { print cur }
+        /^ +Doc-tests / { cur = "test doc " $2; if (mode == "all") print cur; next }
+        mode == "failed" && (/^test result: FAILED/ || /^error: test failed/) { print cur }
+        mode == "tests" && cur == want && /^test .* \.\.\. FAILED$/ { print $2 }
     ' "$2" | awk '!seen[$0]++'
+}
+
+# The checks of a killer list ($1) that kill by a mechanism of their
+# own: the list minus each audit runner that failed only on the audit,
+# when a pass fired ($2 is the mutant's log dir).
+audit_runners='shipped_tree_audits_clean|audit_runs_from_the_benchmark_directory_and_explains_a_clean_tree'
+mechanism() {
+    local check failed
+    while read -r check; do
+        case "$check" in
+            "test fixtures ("*|"test subcommands ("*)
+                failed="$(test_binaries tests "$2/test.log" "$check")"
+                if grep -q '^audit ' "$1" && [ -n "$failed" ] \
+                    && ! grep -Evq "^($audit_runners)$" <<< "$failed"; then
+                    continue
+                fi ;;
+        esac
+        echo "$check"
+    done < "$1"
 }
 
 # The failing tests of one run, on stderr, so that they outlive the
@@ -156,7 +187,7 @@ run_checks() {
         echo "clippy -D warnings"
     fi
     timeout 1800 cargo test --workspace --no-fail-fast > "$LOGS/test.log" 2>&1 || true
-    test_binaries 0 "$LOGS/test.log"
+    test_binaries failed "$LOGS/test.log"
     grep -q '^test result' "$LOGS/test.log" || echo "test (did not run)"
     timeout 600 cargo run -q -p zerosum-cli --bin zerosum -- audit --json \
         > "$LOGS/audit.json" 2> "$LOGS/audit.err" || true
@@ -186,7 +217,7 @@ fi
 {
     echo rustc
     echo "clippy -D warnings"
-    test_binaries 1 "$work/logs/baseline/test.log"
+    test_binaries all "$work/logs/baseline/test.log"
     printf 'audit %s\n' "${audit_passes[@]}"
     for s in "${stages[@]}"; do echo "stage ${s%%=*}"; done
 } > "$work/checks"
@@ -207,31 +238,33 @@ for m in "${mutants[@]}"; do
     run_checks "$work/logs/$name" > "$work/killers"
     failed_tests "$name" "$work/logs/$name"
     cp "$work/pristine" "$file"
-    rows+=("$name~$class~$(paste -sd';' "$work/killers")")
+    mech="$(mechanism "$work/killers" "$work/logs/$name" | paste -sd';')"
+    rows+=("$name~$class~$(paste -sd';' "$work/killers")~$mech")
 done
 
 {
-    echo "| mutant | bug class | killed by |"
-    echo "|---|---|---|"
+    echo "| mutant | bug class | killed by | by mechanism |"
+    echo "|---|---|---|---|"
     for r in "${rows[@]}"; do
-        IFS='~' read -r name class killers <<< "$r"
-        echo "| \`$name\` | $class | ${killers:-**nothing**} |" | sed 's/;/; /g'
+        IFS='~' read -r name class killers mech <<< "$r"
+        echo "| \`$name\` | $class | ${killers:-**nothing**} | ${mech:-**nothing**} |" | sed 's/;/; /g'
     done
     echo
-    echo "| check | kills | of them unique (no other check kills the mutant) |"
-    echo "|---|---|---|"
+    echo "| check | kills | of them unique (no other check kills the mutant) | unique by mechanism |"
+    echo "|---|---|---|---|"
     idle=()
     while read -r check; do
-        kills=() unique=()
+        kills=() unique=() own=()
         for r in "${rows[@]}"; do
-            IFS='~' read -r name class killers <<< "$r"
+            IFS='~' read -r name class killers mech <<< "$r"
             case ";$killers;" in *";$check;"*)
                 kills+=("$name")
-                [ "$killers" = "$check" ] && unique+=("$name") ;;
+                [ "$killers" = "$check" ] && unique+=("$name")
+                [ "$mech" = "$check" ] && own+=("$name") ;;
             esac
         done
         if [ ${#kills[@]} -eq 0 ]; then idle+=("$check"); continue; fi
-        echo "| $check | ${kills[*]} | ${unique[*]:-–} |"
+        echo "| $check | ${kills[*]} | ${unique[*]:-–} | ${own[*]:-–} |"
     done < <(cat "$work/checks" <(printf '%s\n' "${rows[@]}" | cut -d'~' -f3 | tr ';' '\n') | awk 'NF && !seen[$0]++')
     echo
     echo "Killed no mutant (${#idle[@]} checks): $(printf '%s; ' "${idle[@]}" | sed 's/; $//')."

@@ -2,7 +2,9 @@
 //! sees: two monitors in lockstep over this process's parked threads,
 //! one through a source that holds its files open and one through a
 //! source that opens per read, end with the same LWP tables, sampling
-//! counters and health ledgers.
+//! counters and health ledgers — across a thread that leaves with no
+//! birth on the node, which only the task directory's `nlink` reports
+//! to the source that answers listings from its slots.
 //!
 //! A file of its own, so no sibling test's threads come and go between
 //! the two monitors' reads.
@@ -22,7 +24,7 @@ fn retaining_and_open_per_read_sources_sample_alike() {
         eprintln!("handle cache differential: SKIPPED (/proc/self/status is not readable)");
         return;
     };
-    let parked: Vec<_> = (0..6).map(|_| parked_thread()).collect();
+    let mut parked: Vec<_> = (0..6).map(|_| parked_thread()).collect();
     let tids: Vec<u32> = parked.iter().map(|p| p.0).collect();
 
     let mut monitors = [(); 2].map(|_| {
@@ -37,6 +39,11 @@ fn retaining_and_open_per_read_sources_sample_alike() {
         mon
     });
     for round in 1..=8u32 {
+        if round == 6 {
+            let (_, go, thread) = parked.remove(0);
+            drop(go);
+            thread.join().unwrap();
+        }
         for (mon, src) in monitors.iter_mut().zip(&sources) {
             // Gate hits for three rounds, full reads after.
             mon.config.delta_sampling = round <= 4;

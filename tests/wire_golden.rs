@@ -10,7 +10,8 @@
 //! ```
 //!
 //! The `evil_*` pair pins the *failure* shapes too: a truncated and a
-//! bit-flipped aggregate must keep decoding to the same typed errors.
+//! bit-flipped aggregate must keep decoding to the same typed errors,
+//! and `bye.bin`, a frame of a retired tag, to `UnknownTag`.
 
 use std::path::PathBuf;
 use zerosum_core::NodeAggregate;
@@ -71,7 +72,6 @@ fn canonical() -> Vec<(&'static str, Frame)> {
             },
         ),
         ("ack.bin", Frame::Ack { round: 42 }),
-        ("bye.bin", Frame::Bye),
     ]
 }
 
@@ -137,6 +137,17 @@ fn evil_corrupt_fixture_stays_a_checksum_reject() {
         other => panic!("evil_corrupt.bin: expected BadChecksum, got {other:?}"),
     }
     assert_eq!(bytes, evil_pair().1);
+}
+
+/// `bye.bin` is a frame of tag 6, the retired `Bye` (no agent sent it):
+/// the tag stays reserved, so its pinned bytes are a typed reject.
+#[test]
+fn the_retired_bye_fixture_is_an_unknown_tag() {
+    let bytes = read_fixture("bye.bin");
+    match decode_frame(&bytes) {
+        Err(DecodeError::UnknownTag { tag: 6 }) => {}
+        other => panic!("bye.bin: expected UnknownTag {{ tag: 6 }}, got {other:?}"),
+    }
 }
 
 /// Regenerates every fixture. Deliberate-only:
