@@ -28,7 +28,7 @@
 
 use crate::verdict::{guarded, seeded_suite, Verdict};
 use zerosum_apps::churn::ChurnConfig;
-use zerosum_experiments::churn::{run_sim_churn, SimChurnOutcome, SimChurnParams, WATCH_SLOTS};
+use zerosum_experiments::churn::{run_sim_churn, SimChurnOutcome, SimChurnParams};
 use zerosum_proc::SourceErrorKind;
 
 /// The arrival rates the suite cycles through, Hz. The high point is
@@ -109,8 +109,9 @@ pub fn judge_churn_run(v: &mut Verdict, p: &SimChurnParams, out: &SimChurnOutcom
     }
     // Property 4: footprint proportional to live tasks + the exited
     // cap, not to cumulative arrivals. The factor covers the three
-    // per-watch structures (tracks, health states, delta gate).
-    let bound = 4 * (out.peak_live_tasks + WATCH_SLOTS * p.max_exited_tracks) + 64;
+    // per-watch structures (tracks, health states, delta gate); the
+    // driver registers five watches (three churn slots, two reuse).
+    let bound = 4 * (out.peak_live_tasks + 5 * p.max_exited_tracks) + 64;
     if out.peak_footprint > bound {
         problems.push(format!(
             "peak footprint {} exceeds churn-proportional bound {bound}",

@@ -333,22 +333,28 @@ fn allocation(tag: &str, commands: [&[&str]; 2]) -> Option<(Output, Vec<Option<i
                 .expect("spawn a wrapper")
         })
         .collect();
-    // A wrapper still running a minute on is hung: killed, it reads as
-    // no exit code, so the test fails instead of hanging.
+    // A process still running a minute on is hung (a wrapper, or a
+    // collector that never declares a silent node dead): killed, it
+    // reads as no exit code, so the test fails instead of hanging.
+    let finish = |p: &mut std::process::Child| {
+        for _ in 0..3_000 {
+            if let Some(status) = p.try_wait().expect("wait for a child") {
+                return status.code();
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let _ = p.kill();
+        None
+    };
     let codes = wrappers
         .into_iter()
         .map(|mut w| {
-            for _ in 0..3_000 {
-                if let Some(status) = w.try_wait().expect("wait for a wrapper") {
-                    return status.code();
-                }
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            let _ = w.kill();
+            let code = finish(&mut w);
             let _ = w.wait();
-            None
+            code
         })
         .collect();
+    finish(&mut collect);
     let out = collect
         .wait_with_output()
         .expect("wait for zerosum collect");

@@ -37,7 +37,7 @@ const US_PER_JIFFY: u64 = 1_000_000 / zerosum_proc::USER_HZ;
 /// Watched processes a soak registers: the first `WATCH_SLOTS -
 /// REUSE_SLOTS` are long-lived and receive thread churn, the others
 /// are cycled through pid reuse.
-pub const WATCH_SLOTS: usize = 5;
+const WATCH_SLOTS: usize = 5;
 const REUSE_SLOTS: usize = 2;
 
 /// Sim-backend knobs on top of the shared [`ChurnConfig`].

@@ -98,7 +98,7 @@ mutants=(
 'series-capacity-ignored~crates/core/src/monitor.rs~s/config\.series_capacity/zerosum_stats::DEFAULT_SERIES_CAPACITY/g~every series ring sized from `DEFAULT_SERIES_CAPACITY` instead of `config.series_capacity`'
 'jiffy-window-counts-samples~crates/core/src/lwp.rs~s/let span_s = last\.t_s - first\.t_s;/let span_s = last.t_s - first.t_s + self.period_s;/~an off-by-one in the jiffy window (`LwpTrack::delta_per_period`): the span counts samples, not the periods between them, so every per-period rate is diluted by n/(n+1)'
 'suspect-never-dead~crates/core/src/cluster.rs~s/if s\.missed >= DEAD_AFTER \{/if s.missed >= DEAD_AFTER \&\& s.state == NodeState::Alive {/~Suspect→Dead mis-ordered (`Supervision::end_round`): the Dead transition is taken only from Alive, and a silent node is Suspect first, so it is never declared Dead'
-'listing-reused-after-nlink-moved~crates/procfs/src/linux.rs~s/\.is_ok_and\(\|m\| m\.nlink\(\) == 2 \+ p\.tasks\.len\(\) as u64\)/.is_ok()/~`LinuxProc::list_tasks_into` answers from its slots after the task directory'"'"'s `nlink` moved: a thread that left with no birth on the node is listed still'
+'listing-reused-after-nlink-moved~crates/procfs/src/linux.rs~s/m\.nlink\(\) == 2 \+ p\.tasks\.len\(\)/m.nlink() <= 2 + p.tasks.len()/~`LinuxProc::list_tasks_into` answers from its slots after the task directory'"'"'s `nlink` moved: a thread that left with no birth on the node is listed still'
 'ack-tag-renumbered~crates/net/src/frame.rs~s/pub const ACK: u8 = 5;/pub const ACK: u8 = 6;/~a frame tag renumbered on both sides of the codec: a build round-trips with itself, and a peer of another build reads its Ack as the retired tag 6'
 'stat-processor-field-38~crates/procfs/src/parse.rs~s/10 \| 12 \| 14 \| 15 \| 20 \| 22 \| 36 \| 39 =>/10 | 12 | 14 | 15 | 20 | 22 | 36 | 38 =>/~the `stat` parser reads `processor` from field 38 (`exit_signal`) instead of 39'
 )

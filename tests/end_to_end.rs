@@ -89,6 +89,18 @@ fn disjoint_rank_masks_and_utilization_accounting() {
         assert!(user > 60.0, "cpu {cpu} user {user}");
         assert!(idle < 40.0, "cpu {cpu} idle {idle}");
     }
+    // A thread's per-period columns are its CPU time over the time
+    // between its first and last samples, in periods: the same figure
+    // as its CPU fraction, however many rounds the window holds.
+    for t in watch.lwps.tracks().filter(|t| t.samples.len() >= 2) {
+        let per_period = t.avg_utime_per_period() + t.avg_stime_per_period();
+        let expected = t.cpu_fraction() * zerosum_proc::USER_HZ as f64 * t.period_s;
+        let tid = t.tid;
+        assert!(
+            (per_period - expected).abs() <= 1e-9 * expected.max(1.0),
+            "tid {tid}: {per_period} jiffies/period, {expected} from its CPU fraction"
+        );
+    }
 }
 
 #[test]
