@@ -185,7 +185,7 @@ pub static SUBCOMMANDS: [Command; 7] = [
     ),
     cmd(
         "audit",
-        "static audit: nested locks, panic reach, effects, repo rules (DESIGN.md §10-§11)",
+        "static audit: panic reach, effects, repo rules (DESIGN.md §10-§11)",
         &[
             switch("--json", "print the report as JSON"),
             switch("--explain", "print each finding's witness call chain"),

@@ -185,7 +185,9 @@ fn process_blocks(report: &str) -> Vec<(&str, usize)> {
 
 /// Probe P1 at the command line: the application a shell starts is in
 /// the report, a block of its own after the shell's, with both of its
-/// threads; the shell, which ran nothing, is named by no finding.
+/// threads; the shell, which ran nothing, is named by no finding. On a
+/// mask wider than one HWT the `not bound` finding names both threads,
+/// the main thread and its unnamed worker (probe P5 counted one).
 #[test]
 fn the_wrapper_follows_the_job_past_a_shell() {
     if !can_follow_children("wrapper follows the job") {
@@ -203,6 +205,27 @@ fn the_wrapper_follows_the_job_past_a_shell() {
     let shell = blocks[0].0.split_whitespace().nth(1).unwrap_or_default();
     let named = format!("process {shell}:");
     assert!(!text.contains(&named), "a finding names the shell: {text}");
+    let app = &text[text.rfind("Process Summary:\n").unwrap_or_default()..];
+    let mask = blocks[1]
+        .0
+        .rsplit_once("CPUs allowed: [")
+        .map_or("", |(_, m)| m);
+    if !mask.contains(['-', ',']) {
+        eprintln!("unbound finding: SKIPPED (the application's mask [{mask} is one HWT)");
+        return;
+    }
+    let tids: Vec<&str> = app
+        .lines()
+        .filter(|l| l.contains(" - stime:"))
+        .filter_map(|l| l.strip_prefix("LWP ")?.split(':').next())
+        .collect();
+    let unbound: Vec<&str> = app
+        .lines()
+        .filter_map(|l| l.split_once(": busy LWPs ")?.1.split_once(" are not bound"))
+        .flat_map(|(list, _)| list.split(", "))
+        .collect();
+    assert_eq!(tids.len(), 2, "{app}");
+    assert_eq!(unbound, tids, "{app}");
 }
 
 /// The real fork and fork+exec storms, run as the wrapper's job: every

@@ -395,15 +395,14 @@ impl ClusterMonitor {
         // Contention hot spots: nodes with any over-subscribed process.
         for (hostname, m) in &self.nodes {
             for w in m.processes() {
-                if let Some(rep) = contention::analyze(m, w.info.pid) {
-                    if rep.oversubscription > 1.0 {
-                        writeln!(
-                            out,
-                            "HOT: node {hostname} rank {:?} over-subscribed ({:.1} busy LWPs/HWT)",
-                            w.info.rank, rep.oversubscription
-                        )
-                        .unwrap();
-                    }
+                let rep = contention::analyze_watch(w, m);
+                if rep.oversubscribed() {
+                    writeln!(
+                        out,
+                        "HOT: node {hostname} rank {:?} over-subscribed ({:.1} busy LWPs/HWT)",
+                        w.info.rank, rep.oversubscription
+                    )
+                    .unwrap();
                 }
             }
         }

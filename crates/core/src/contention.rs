@@ -28,7 +28,8 @@ pub struct LwpContention {
     pub sys_share_pct: f64,
     /// Busy LWPs whose affinity overlaps this one's.
     pub overlaps_with: Vec<Tid>,
-    /// Whether this LWP counts as busy.
+    /// Whether this LWP counts as busy: the one busy flag every rule
+    /// reads.
     pub busy: bool,
     /// Runqueue wait observed via `schedstat`, seconds (when exposed).
     pub wait_s: Option<f64>,
@@ -39,8 +40,8 @@ pub struct LwpContention {
 pub struct ContentionReport {
     /// Per-LWP rows (busy and idle alike).
     pub lwps: Vec<LwpContention>,
-    /// Hardware threads claimed by more than one busy LWP, with the
-    /// claimants.
+    /// Hardware threads that two or more busy LWPs are bound to alone,
+    /// with those LWPs.
     pub contended_hwts: Vec<(u32, Vec<Tid>)>,
     /// Busy LWPs per hardware thread of the process mask.
     pub oversubscription: f64,
@@ -54,52 +55,29 @@ pub fn analyze(monitor: &Monitor, pid: Pid) -> Option<ContentionReport> {
     Some(analyze_watch(watch, monitor))
 }
 
-fn analyze_watch(watch: &ProcessWatch, monitor: &Monitor) -> ContentionReport {
-    // Gather busy flags and affinities.
+/// The contention analysis of one watch, its rows in
+/// `watch.lwps.tracks()` order. The one place an LWP is judged busy:
+/// the evaluator's rules read these rows' `busy` flags.
+pub(crate) fn analyze_watch(watch: &ProcessWatch, monitor: &Monitor) -> ContentionReport {
     let tracks: Vec<_> = watch.lwps.tracks().collect();
     let busy: Vec<bool> = tracks
         .iter()
         .map(|t| t.cpu_fraction() >= BUSY_CPU_FRACTION)
         .collect();
-    // Per-HWT claim counts over busy, *bound-ish* LWPs: an LWP claims the
-    // HWTs of its affinity mask. Unbound threads (mask == whole process
-    // mask with more HWTs than busy threads) claim nothing specific.
-    let mut claims: Vec<(u32, Vec<Tid>)> = Vec::new();
-    for (t, &is_busy) in tracks.iter().zip(&busy) {
-        if !is_busy {
-            continue;
-        }
-        for hwt in t.affinity.iter() {
-            match claims.iter_mut().find(|(h, _)| *h == hwt) {
-                Some((_, v)) => v.push(t.tid),
-                None => claims.push((hwt, vec![t.tid])),
-            }
-        }
-    }
-    // An HWT is contended if more busy LWPs *must* share it than it can
-    // serve: every claimant whose whole mask is that single HWT, or —
-    // when masks are wider — when the number of busy claimants exceeds
-    // the size of the union of their masks is handled by the
-    // oversubscription ratio below. For the per-HWT view we flag HWTs
-    // claimed exclusively (mask width 1) by ≥2 LWPs, the Table 1 / Table
-    // 3-monitor case.
+    // An HWT is contended when two or more busy LWPs are bound to it
+    // alone (the Table 1 case). Wider masks that overlap show in the
+    // over-subscription ratio and the overlaps.
     let mut contended: Vec<(u32, Vec<Tid>)> = Vec::new();
-    for (hwt, claimants) in &claims {
-        let exclusive: Vec<Tid> = claimants
-            .iter()
-            .copied()
-            .filter(|tid| {
-                tracks
-                    .iter()
-                    .find(|t| t.tid == *tid)
-                    .map(|t| t.affinity.count() == 1)
-                    .unwrap_or(false)
-            })
-            .collect();
-        if exclusive.len() >= 2 {
-            contended.push((*hwt, exclusive));
+    for (t, _) in tracks.iter().zip(&busy).filter(|(_, &b)| b) {
+        let (1, Some(hwt)) = (t.affinity.count(), t.affinity.first()) else {
+            continue;
+        };
+        match contended.iter_mut().find(|(h, _)| *h == hwt) {
+            Some((_, v)) => v.push(t.tid),
+            None => contended.push((hwt, vec![t.tid])),
         }
     }
+    contended.retain(|(_, tids)| tids.len() >= 2);
     contended.sort_by_key(|(h, _)| *h);
     // Oversubscription ratio: busy LWPs / process-mask HWTs.
     let busy_count = busy.iter().filter(|&&b| b).count();
@@ -145,6 +123,17 @@ fn analyze_watch(watch: &ProcessWatch, monitor: &Monitor) -> ContentionReport {
 }
 
 impl ContentionReport {
+    /// True if the watch has more busy LWPs than allowed hardware
+    /// threads: the one over-subscription test.
+    pub fn oversubscribed(&self) -> bool {
+        self.oversubscription > 1.0
+    }
+
+    /// The tids of the busy rows, in row order.
+    pub fn busy_tids(&self) -> Vec<Tid> {
+        self.lwps.iter().filter(|l| l.busy).map(|l| l.tid).collect()
+    }
+
     /// True if any hardware thread is over-subscribed by bound busy LWPs.
     pub fn has_hwt_contention(&self) -> bool {
         !self.contended_hwts.is_empty()
@@ -162,7 +151,7 @@ impl ContentionReport {
             out,
             "  busy LWPs per allowed HWT: {:.2}{}",
             self.oversubscription,
-            if self.oversubscription > 1.0 {
+            if self.oversubscribed() {
                 "  (OVER-SUBSCRIBED)"
             } else {
                 ""
@@ -170,8 +159,7 @@ impl ContentionReport {
         )
         .unwrap();
         for (hwt, tids) in &self.contended_hwts {
-            let list: Vec<String> = tids.iter().map(|t| t.to_string()).collect();
-            writeln!(out, "  HWT {hwt} shared by busy LWPs: {}", list.join(", ")).unwrap();
+            writeln!(out, "  HWT {hwt} shared by busy LWPs: {}", tid_list(tids)).unwrap();
         }
         for l in &self.lwps {
             if l.nvcsw > 0 || l.busy {
@@ -212,6 +200,12 @@ impl ContentionReport {
         }
         out
     }
+}
+
+/// `tids` as the Contention Summary lists them: `1, 2, 3`.
+pub(crate) fn tid_list(tids: &[Tid]) -> String {
+    let list: Vec<String> = tids.iter().map(|t| t.to_string()).collect();
+    list.join(", ")
 }
 
 #[cfg(test)]
@@ -288,7 +282,7 @@ mod tests {
         let (mon, pid) = run_case(false);
         let rep = analyze(&mon, pid).unwrap();
         assert!(!rep.has_hwt_contention());
-        assert!(rep.oversubscription <= 1.0);
+        assert!(!rep.oversubscribed());
         // Bound to different cores: low nvcsw.
         assert!(rep.total_nvcsw() < 10, "nvcsw {}", rep.total_nvcsw());
     }

@@ -8,9 +8,10 @@
 //! implements that natural next step as a rules engine over the monitor's
 //! observations plus the node topology.
 
-use crate::contention;
+use crate::contention::{self, tid_list, ContentionReport};
+use crate::lwp::{LwpKind, LwpTrack};
 use crate::memory::MemPressureSource;
-use crate::monitor::Monitor;
+use crate::monitor::{Monitor, ProcessWatch};
 use std::fmt::Write as _;
 use zerosum_proc::{Pid, Tid};
 use zerosum_topology::distance;
@@ -39,6 +40,8 @@ pub enum Finding {
         ratio: f64,
         /// Example contended hardware thread.
         example_hwt: Option<u32>,
+        /// The busy LWPs the ratio counted.
+        tids: Vec<Tid>,
     },
     /// Cores inside the process mask stayed essentially idle.
     UnderutilizedCpus {
@@ -52,8 +55,8 @@ pub enum Finding {
     UnboundThreads {
         /// The process.
         pid: Pid,
-        /// Number of unbound busy threads.
-        count: usize,
+        /// The busy threads whose mask is the whole process mask.
+        tids: Vec<Tid>,
         /// Observed thread migrations.
         migrations: usize,
     },
@@ -125,10 +128,12 @@ impl Finding {
                 pid,
                 ratio,
                 example_hwt,
+                tids,
             } => {
                 let mut s = format!(
-                    "process {pid}: {ratio:.1} busy threads per allowed hardware thread — \
-                     the OS is time-slicing threads"
+                    "process {pid}: {ratio:.1} busy threads per allowed hardware thread \
+                     (LWPs {}) — the OS is time-slicing threads",
+                    tid_list(tids)
                 );
                 if let Some(h) = example_hwt {
                     write!(s, " (e.g. HWT {h})").unwrap();
@@ -143,17 +148,18 @@ impl Finding {
             ),
             Finding::UnboundThreads {
                 pid,
-                count,
+                tids,
                 migrations,
             } => format!(
-                "process {pid}: {count} busy threads are not bound to cores \
+                "process {pid}: busy LWPs {} are not bound to cores \
                  ({migrations} migrations observed); consider OMP_PROC_BIND=spread \
-                 OMP_PLACES=cores for stable placement"
+                 OMP_PLACES=cores for stable placement",
+                tid_list(tids)
             ),
             Finding::MonitorSharesHwt { pid, app_tid, hwt } => format!(
                 "process {pid}: the ZeroSum monitor thread shares HWT {hwt} with busy \
-                 application thread {app_tid}; move it with the monitor-placement option \
-                 if the core is saturated"
+                 application thread {app_tid}; if the core is saturated, request one \
+                 more core per task (srun -c N) and keep the team off HWT {hwt}"
             ),
             Finding::GpuNumaMismatch {
                 pid,
@@ -197,39 +203,47 @@ impl Finding {
     }
 }
 
-/// Evaluates every monitored process against the rules.
+/// The tracks of `w` that its contention report judged busy (the rows
+/// come in track order).
+fn busy_tracks<'a>(
+    w: &'a ProcessWatch,
+    rep: &'a ContentionReport,
+) -> impl Iterator<Item = &'a LwpTrack> {
+    w.lwps
+        .tracks()
+        .zip(&rep.lwps)
+        .filter(|(_, l)| l.busy)
+        .map(|(t, _)| t)
+}
+
+/// Evaluates every monitored process against the rules. Busy and
+/// over-subscribed are the contention report's verdicts: no rule
+/// judges them again.
 pub fn evaluate(monitor: &Monitor, topo: &Topology) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let watches: Vec<(&ProcessWatch, ContentionReport)> = monitor
+        .processes()
+        .iter()
+        .map(|w| (w, contention::analyze_watch(w, monitor)))
+        .collect();
     // Every CPU some busy LWP may run on. A watch with no busy LWP (the
     // shell of `sh -c "app; true"`) leaves those CPUs to the watch whose
     // threads had them, so one job gets one idle-CPU warning.
     let mut busy_masks = CpuSet::new();
-    for t in monitor.processes().iter().flat_map(|w| w.lwps.tracks()) {
-        if t.cpu_fraction() >= contention::BUSY_CPU_FRACTION {
-            busy_masks.union_with(&t.affinity);
-        }
+    for t in watches.iter().flat_map(|(w, rep)| busy_tracks(w, rep)) {
+        busy_masks.union_with(&t.affinity);
     }
-    for w in monitor.processes() {
+    for (w, rep) in &watches {
         let pid = w.info.pid;
-        let Some(rep) = contention::analyze(monitor, pid) else {
-            continue;
-        };
-        // Rule 1: oversubscription.
-        if rep.oversubscription > 1.0 || rep.has_hwt_contention() {
-            let busy_tids: Vec<Tid> = rep.lwps.iter().filter(|l| l.busy).map(|l| l.tid).collect();
-            // Exclude the monitor-sharing special case when ratio ≤ 1.
-            if rep.oversubscription > 1.0
-                || rep
-                    .contended_hwts
-                    .iter()
-                    .any(|(_, tids)| tids.iter().filter(|t| busy_tids.contains(t)).count() >= 2)
-            {
-                findings.push(Finding::OversubscribedHwts {
-                    pid,
-                    ratio: rep.oversubscription,
-                    example_hwt: rep.contended_hwts.first().map(|(h, _)| *h),
-                });
-            }
+        // Rule 1: oversubscription. Every contended HWT holds two or
+        // more busy LWPs, so it alone is enough.
+        if rep.oversubscribed() || rep.has_hwt_contention() {
+            findings.push(Finding::OversubscribedHwts {
+                pid,
+                ratio: rep.oversubscription,
+                example_hwt: rep.contended_hwts.first().map(|(h, _)| *h),
+                tids: rep.busy_tids(),
+            });
         }
         // Rule 2: underutilized CPUs (≥95% idle over the run).
         let mut idle_cpus = CpuSet::new();
@@ -243,50 +257,33 @@ pub fn evaluate(monitor: &Monitor, topo: &Topology) -> Vec<Finding> {
         if !rep.lwps.iter().any(|l| l.busy) {
             idle_cpus.subtract(&busy_masks);
         }
-        if !idle_cpus.is_empty() && rep.oversubscription <= 1.0 {
+        if !idle_cpus.is_empty() && !rep.oversubscribed() {
             findings.push(Finding::UnderutilizedCpus {
                 pid,
                 cpus: idle_cpus,
             });
         }
+        // The application's busy threads: every busy LWP but ZeroSum's.
+        let busy_app = || busy_tracks(w, rep).filter(|t| t.kind != LwpKind::ZeroSum);
         // Rule 3: unbound busy threads.
-        let unbound: Vec<_> = w
-            .lwps
-            .tracks()
-            .filter(|t| {
-                t.kind != crate::lwp::LwpKind::ZeroSum
-                    && t.kind != crate::lwp::LwpKind::Other
-                    && t.affinity == w.cpus_allowed
-                    && w.cpus_allowed.count() > 1
-                    && t.cpu_fraction() >= contention::BUSY_CPU_FRACTION
-            })
+        let unbound: Vec<&LwpTrack> = busy_app()
+            .filter(|t| t.affinity == w.cpus_allowed && w.cpus_allowed.count() > 1)
             .collect();
         if !unbound.is_empty() {
-            let migrations = unbound.iter().map(|t| t.observed_migrations()).sum();
             findings.push(Finding::UnboundThreads {
                 pid,
-                count: unbound.len(),
-                migrations,
+                tids: unbound.iter().map(|t| t.tid).collect(),
+                migrations: unbound.iter().map(|t| t.observed_migrations()).sum(),
             });
         }
         // Rule 4: monitor sharing an HWT with a busy app thread.
-        let monitor_affinities: Vec<CpuSet> = w
-            .lwps
-            .tracks()
-            .filter(|t| t.kind == crate::lwp::LwpKind::ZeroSum)
-            .map(|t| t.affinity.clone())
-            .collect();
-        for ma in &monitor_affinities {
-            if ma.count() != 1 {
+        for t in w.lwps.tracks().filter(|t| t.kind == LwpKind::ZeroSum) {
+            let (1, Some(hwt)) = (t.affinity.count(), t.affinity.first()) else {
                 continue;
-            }
-            let hwt = ma.first().unwrap();
-            if let Some(app) = w.lwps.tracks().find(|t| {
-                t.kind != crate::lwp::LwpKind::ZeroSum
-                    && t.affinity.contains(hwt)
-                    && t.affinity.count() <= 2
-                    && t.cpu_fraction() >= contention::BUSY_CPU_FRACTION
-            }) {
+            };
+            if let Some(app) =
+                busy_app().find(|t| t.affinity.contains(hwt) && t.affinity.count() <= 2)
+            {
                 findings.push(Finding::MonitorSharesHwt {
                     pid,
                     app_tid: app.tid,
@@ -298,7 +295,7 @@ pub fn evaluate(monitor: &Monitor, topo: &Topology) -> Vec<Finding> {
         let changed: Vec<Tid> = w
             .lwps
             .tracks()
-            .filter(|t| t.affinity_changed && t.kind != crate::lwp::LwpKind::ZeroSum)
+            .filter(|t| t.affinity_changed && t.kind != LwpKind::ZeroSum)
             .map(|t| t.tid)
             .collect();
         if !changed.is_empty() {
@@ -384,6 +381,17 @@ mod tests {
         worker_masks: &[CpuSet],
         gpus: Vec<u32>,
     ) -> (Monitor, Topology, Pid) {
+        monitor_named(mask, "OpenMP", worker_masks, gpus)
+    }
+
+    /// A busy main thread on `mask` and one busy worker named `worker`
+    /// per entry of `worker_masks`, sampled for four seconds.
+    fn monitor_named(
+        mask: CpuSet,
+        worker: &str,
+        worker_masks: &[CpuSet],
+        gpus: Vec<u32>,
+    ) -> (Monitor, Topology, Pid) {
         let topo = presets::frontier();
         let mut sim = NodeSim::new(topo.clone(), SchedParams::default());
         let pid = sim.spawn_process(
@@ -398,7 +406,7 @@ mod tests {
         for wm in worker_masks {
             sim.spawn_task(
                 pid,
-                "OpenMP",
+                worker,
                 Some(wm.clone()),
                 Behavior::FiniteCompute {
                     remaining_us: 5_000_000,
@@ -495,7 +503,29 @@ mod tests {
         let findings = evaluate(&mon, &topo);
         assert!(findings
             .iter()
-            .any(|f| matches!(f, Finding::UnboundThreads { count, .. } if *count >= 2)));
+            .any(|f| matches!(f, Finding::UnboundThreads { tids, .. } if tids.len() >= 2)));
+    }
+
+    /// Rule 3 counts every busy LWP but ZeroSum's: two unnamed workers
+    /// (kind `Other`) beside the main thread are three unbound threads,
+    /// the same three the contention report marks busy.
+    #[test]
+    fn unbound_threads_name_every_busy_lwp_whatever_its_kind() {
+        let mask = CpuSet::parse_list("1-3").unwrap();
+        let (mon, topo, pid) = monitor_named(mask.clone(), "worker", &[mask.clone(), mask], vec![]);
+        let w = mon.process(pid).unwrap();
+        let kinds: Vec<LwpKind> = w.lwps.tracks().map(|t| t.kind).collect();
+        assert_eq!(kinds, [LwpKind::Main, LwpKind::Other, LwpKind::Other]);
+        let all: Vec<Tid> = w.lwps.tracks().map(|t| t.tid).collect();
+        assert_eq!(contention::analyze(&mon, pid).unwrap().busy_tids(), all);
+        let unbound: Vec<Vec<Tid>> = evaluate(&mon, &topo)
+            .into_iter()
+            .filter_map(|f| match f {
+                Finding::UnboundThreads { tids, .. } => Some(tids),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(unbound, [all]);
     }
 
     #[test]

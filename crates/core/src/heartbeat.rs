@@ -55,6 +55,9 @@ impl ProgressTracker {
         let mut any_progress = false;
         let mut blocked = 0usize;
         for w in monitor.processes() {
+            // Main and OpenMP threads only, not the contention report's
+            // busy set: a helper thread spinning in a runtime loop must
+            // not read as progress while the team is stalled.
             for t in w.lwps.tracks() {
                 if t.exited || t.kind == LwpKind::ZeroSum || t.kind == LwpKind::Other {
                     continue;

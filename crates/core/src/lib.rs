@@ -66,7 +66,7 @@ pub use lwp::{DepartedSummary, LwpKind, LwpRegistry, LwpTrack};
 pub use monitor::{
     GovernorState, Monitor, PeriodChange, ProcessInfo, ProcessWatch, SupervisorStats,
 };
-pub use report::{render_process_report, render_summary, GpuReportContext};
+pub use report::{render_process_report, GpuReportContext};
 pub use runner::{
     attach_monitor_threads, run_baseline, run_monitored, run_monitored_faulty, RunOutcome,
 };

@@ -1,7 +1,8 @@
 //! The end-of-execution utilization report (§3.4, Listing 2).
 //!
-//! Rank 0 writes a summary to stdout; every rank writes a detailed report
-//! to its log file. The format reproduces the paper's Listing 2: run
+//! One report per watched process: the wrapper prints each, and the log
+//! writer puts each rank's in its log file. The format reproduces the
+//! paper's Listing 2: run
 //! duration, process summary, the LWP table, the HWT table (restricted to
 //! the process affinity list), and the per-GPU min/avg/max metric block.
 
@@ -44,35 +45,6 @@ pub fn render_process_report(
         writeln!(out).unwrap();
         for &(slot, _phys, visible) in &g.devices {
             out.push_str(&g.monitor.render_report(slot, visible));
-        }
-    }
-    out
-}
-
-/// Renders the rank-0 stdout summary: the rank-0 process report followed
-/// by one-line process summaries for the other ranks.
-pub fn render_summary(
-    monitor: &Monitor,
-    duration_s: f64,
-    gpu: Option<&GpuReportContext<'_>>,
-) -> String {
-    let Some(first) = monitor.processes().first() else {
-        return "ZeroSum: no processes were monitored\n".to_string();
-    };
-    let mut out = render_process_report(monitor, first.info.pid, duration_s, gpu);
-    if monitor.processes().len() > 1 {
-        out.push('\n');
-        out.push_str("Other ranks:\n");
-        for w in &monitor.processes()[1..] {
-            writeln!(
-                out,
-                "MPI {:03} - PID {} - Node {} - CPUs allowed: [{}]",
-                w.info.rank.unwrap_or(0),
-                w.info.pid,
-                w.info.hostname,
-                w.cpus_allowed.to_list_string()
-            )
-            .unwrap();
         }
     }
     out
@@ -308,26 +280,5 @@ mod tests {
         let (mon, _, _) = monitored_run();
         let rep = render_process_report(&mon, 424242, 1.0, None);
         assert!(rep.contains("never observed"));
-    }
-
-    #[test]
-    fn summary_lists_other_ranks() {
-        let (mut mon, _, dur) = monitored_run();
-        mon.watch_process(ProcessInfo {
-            pid: 777,
-            rank: Some(1),
-            hostname: "simnode0001".into(),
-            gpus: vec![],
-            cpus_allowed: Default::default(),
-        });
-        let s = render_summary(&mon, dur, None);
-        assert!(s.contains("Other ranks:"));
-        assert!(s.contains("MPI 001 - PID 777"));
-    }
-
-    #[test]
-    fn empty_monitor_summary() {
-        let mon = Monitor::new(ZeroSumConfig::default());
-        assert!(render_summary(&mon, 0.0, None).contains("no processes"));
     }
 }

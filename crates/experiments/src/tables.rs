@@ -386,6 +386,46 @@ mod tests {
         assert_eq!(run.team_migrations, 0, "bound threads never migrate");
     }
 
+    /// Over Tables 1–3 each finding names threads from the busy rows of
+    /// its watch's contention report: the over-subscription finding all
+    /// of them (the ratio counts them all), the unbound one a subset.
+    #[test]
+    fn findings_name_the_busy_rows_of_their_contention_report() {
+        let (mut oversubscribed, mut unbound) = (0, 0);
+        for (config, seed) in [
+            (TableConfig::Table1, 1),
+            (TableConfig::Table2, 2),
+            (TableConfig::Table3, 3),
+        ] {
+            let mut prep = prepare_table(config, 100, seed, false, ZeroSumConfig::scaled(100));
+            let out = run_monitored(&mut prep.sim, &mut prep.monitor, None, 3_600_000_000);
+            assert!(out.completed, "{config:?} timed out");
+            let busy = |pid| {
+                zerosum_core::analyze(&prep.monitor, pid)
+                    .unwrap()
+                    .busy_tids()
+            };
+            for f in evaluate(&prep.monitor, &prep.topo) {
+                match f {
+                    Finding::OversubscribedHwts { pid, tids, .. } => {
+                        assert_eq!(tids, busy(pid), "{config:?}");
+                        oversubscribed += 1;
+                    }
+                    Finding::UnboundThreads { pid, tids, .. } => {
+                        let busy = busy(pid);
+                        assert!(tids.iter().all(|t| busy.contains(t)), "{config:?}");
+                        unbound += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            oversubscribed > 0 && unbound > 0,
+            "{oversubscribed} {unbound}"
+        );
+    }
+
     #[test]
     fn delta_sampling_is_table_equivalent_over_twenty_seeds() {
         // Delta sampling replays a thread's last good records when its

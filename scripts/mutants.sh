@@ -101,6 +101,7 @@ mutants=(
 'listing-reused-after-nlink-moved~crates/procfs/src/linux.rs~s/m\.nlink\(\) == 2 \+ p\.tasks\.len\(\)/m.nlink() <= 2 + p.tasks.len()/~`LinuxProc::list_tasks_into` answers from its slots after the task directory'"'"'s `nlink` moved: a thread that left with no birth on the node is listed still'
 'ack-tag-renumbered~crates/net/src/frame.rs~s/pub const ACK: u8 = 5;/pub const ACK: u8 = 6;/~a frame tag renumbered on both sides of the codec: a build round-trips with itself, and a peer of another build reads its Ack as the retired tag 6'
 'stat-processor-field-38~crates/procfs/src/parse.rs~s/10 \| 12 \| 14 \| 15 \| 20 \| 22 \| 36 \| 39 =>/10 | 12 | 14 | 15 | 20 | 22 | 36 | 38 =>/~the `stat` parser reads `processor` from field 38 (`exit_signal`) instead of 39'
+'busy-other-skipped~crates/core/src/evaluator.rs~s/\.filter\(\|t\| t\.affinity == w\.cpus_allowed && /.filter(|t| t.kind != LwpKind::Other \&\& t.affinity == w.cpus_allowed \&\& /~Rule 3 (`UnboundThreads`) skips busy LWPs of kind `Other` again: a second definition of the application'"'"'s threads, so an unnamed busy worker is left out of the count the Contention Summary makes'
 )
 
 # The command stages of scripts/ci.sh, at its arguments (the benchmark

@@ -56,9 +56,9 @@ pub use zerosum_topology as topology;
 pub mod prelude {
     pub use zerosum_core::{
         analyze, attach_monitor_threads, evaluate, evaluate_gpu_memory, render_findings,
-        render_process_report, render_summary, run_baseline, run_monitored, ClusterMonitor,
-        Finding, GpuStack, Liveness, Monitor, ProcessInfo, ProgressTracker, SelfMonitor, Severity,
-        SimGpuLink, ZeroSumConfig,
+        render_process_report, run_baseline, run_monitored, ClusterMonitor, Finding, GpuStack,
+        Liveness, Monitor, ProcessInfo, ProgressTracker, SelfMonitor, Severity, SimGpuLink,
+        ZeroSumConfig,
     };
     pub use zerosum_proc::{LinuxProc, ProcSource};
     pub use zerosum_sched::{
